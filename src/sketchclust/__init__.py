@@ -14,17 +14,13 @@ __version__ = "0.1.0"
 from .distance import (
     component_distance_sq,
     component_distances_sq,
-    distance_vector,
-    edge_distance_sq,
     ensure_weights,
     es_distance_sq,
     inter_distance_sq,
     inter_vector_sq,
     intra_distance_sq,
     intra_vector_sq,
-    side_distance_sq,
     structural_spread,
-    weighted_inter_distance,
 )
 from .engine import (
     ACTION_ASSIGNED,
@@ -50,6 +46,7 @@ from .model import (
     StreamSchema,
     aggregate_local_attrs,
     attr_key,
+    canonical_graphs,
     canonicalize,
     edge_key,
     expand_categorical,
@@ -62,7 +59,6 @@ from .stats import ClusterStats
 from .stream_io import (
     StreamFormatError,
     iter_stream,
-    load_stream,
     read_header,
     write_stream,
 )
@@ -102,12 +98,11 @@ __all__ = [
     "attr_key",
     "barrier_gradient",
     "barrier_objective",
+    "canonical_graphs",
     "canonicalize",
     "cluster_geometry",
     "component_distance_sq",
     "component_distances_sq",
-    "distance_vector",
-    "edge_distance_sq",
     "edge_key",
     "ensure_weights",
     "es_distance_sq",
@@ -120,7 +115,6 @@ __all__ = [
     "intra_distance_sq",
     "intra_vector_sq",
     "iter_stream",
-    "load_stream",
     "overall_rate",
     "preprocess",
     "purity",
@@ -129,11 +123,9 @@ __all__ = [
     "refine_on_geometry",
     "refine_weights",
     "separating_rows",
-    "side_distance_sq",
     "structural_spread",
     "synth_schema",
     "throughput",
     "total_edge_mass",
-    "weighted_inter_distance",
     "write_stream",
 ]

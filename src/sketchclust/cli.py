@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import __version__
@@ -32,9 +33,9 @@ from .evaluate import (
     purity_from_events,
     throughput,
 )
-from .model import preprocess
+from .model import StreamSchema, canonical_graphs
 from .sketch import SketchConfig
-from .stream_io import StreamFormatError, iter_stream, load_stream, read_header
+from .stream_io import StreamFormatError, iter_stream, read_header
 from .synth import SynthConfig, generate_stream
 from .weight_opt import BarrierConfig
 
@@ -146,8 +147,26 @@ def _write_purity_csv(path: Path, series, final) -> None:
             fh.write(f"{final[0]},{final[1]:.6f}\n")
 
 
-def _labels_of(graphs) -> dict[str, str]:
-    return {g.id: g.label for g in graphs if g.label is not None}
+def _canonical_input(args: argparse.Namespace, schema: StreamSchema, skipped: list):
+    """Canonical graphs of ``args.input``, read and preprocessed one at a time.
+
+    Without ``--lenient`` the first malformed record or graph aborts with a
+    StreamFormatError; with it, each is reported on stderr, appended to
+    ``skipped`` and left out.
+    """
+
+    def record_skipped(line_no: int, message: str) -> None:
+        skipped.append(message)
+        _diag("warning", "record skipped", line=line_no, reason=message)
+
+    def graph_rejected(graph_id: str, message: str) -> None:
+        if not args.lenient:
+            raise StreamFormatError(f"graph {graph_id!r}: {message}")
+        skipped.append(message)
+        _diag("warning", "graph skipped", graph=graph_id, reason=message)
+
+    records = iter_stream(args.input, strict=not args.lenient, on_error=record_skipped)
+    return canonical_graphs(records, schema, strict=False, on_error=graph_rejected)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -198,13 +217,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    skipped = 0
-
-    def on_error(line_no: int, message: str) -> None:
-        nonlocal skipped
-        skipped += 1
-        _diag("warning", "record skipped", line=line_no, reason=message)
-
+    skipped: list[str] = []
     events: list[AssignmentEvent] = []
     labels: dict[str, str] = {}
     marks: list[tuple[float, int]] = []
@@ -212,15 +225,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     marks.append((0.0, 0))
     with open(out_dir / "events.jsonl", "w", encoding="utf-8") as ev_out:
-        for g in iter_stream(args.input, strict=not args.lenient, on_error=on_error):
-            try:
-                canonical = preprocess(g, schema)
-            except ValueError as exc:
-                if not args.lenient:
-                    raise StreamFormatError(f"graph {g.id!r}: {exc}")
-                skipped += 1
-                _diag("warning", "graph skipped", graph=g.id, reason=str(exc))
-                continue
+        for canonical in _canonical_input(args, schema, skipped):
             if canonical.label is not None:
                 labels[canonical.id] = canonical.label
             edge_total += len(canonical.edges)
@@ -254,7 +259,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     summary = {
         "graphs": engine.graph_count,
         "edges": edge_total,
-        "skipped": skipped,
+        "skipped": len(skipped),
         "edges_per_s": None if rate is None else round(rate, 1),
     }
     if labels and events:
@@ -271,24 +276,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _engine_config(args)
-    schema, raw_graphs = load_stream(args.input, strict=not args.lenient)
-    graphs = []
-    for g in raw_graphs:
-        try:
-            graphs.append(preprocess(g, schema))
-        except ValueError as exc:
-            if not args.lenient:
-                raise StreamFormatError(f"graph {g.id!r}: {exc}")
-            _diag("warning", "graph skipped", graph=g.id, reason=str(exc))
-    labels = _labels_of(graphs)
-
-    runs: dict[str, list[AssignmentEvent]] = {}
-    for backend in ("sketch", "exact"):
-        engine = Engine(config, schema, backend=backend, record_distances=True)
-        runs[backend] = [engine.process(g) for g in graphs]
-        with open(out_dir / f"events_{backend}.jsonl", "w", encoding="utf-8") as fh:
-            for event in runs[backend]:
-                fh.write(event.to_json() + "\n")
+    schema = read_header(args.input)
+    engines = {
+        backend: Engine(config, schema, backend=backend, record_distances=True)
+        for backend in ("sketch", "exact")
+    }
+    runs: dict[str, list[AssignmentEvent]] = {backend: [] for backend in engines}
+    labels: dict[str, str] = {}
+    # Both backends see each graph in turn, so the stream is read once.
+    with ExitStack() as stack:
+        outs = {
+            backend: stack.enter_context(
+                open(out_dir / f"events_{backend}.jsonl", "w", encoding="utf-8")
+            )
+            for backend in engines
+        }
+        for g in _canonical_input(args, schema, []):
+            if g.label is not None:
+                labels[g.id] = g.label
+            for backend, engine in engines.items():
+                event = engine.process(g)
+                runs[backend].append(event)
+                outs[backend].write(event.to_json() + "\n")
 
     agreement = assignment_agreement(runs["sketch"], runs["exact"])
 
@@ -308,7 +317,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return rel_errors[min(int(q * len(rel_errors)), len(rel_errors) - 1)]
 
     report = {
-        "graphs": len(graphs),
+        "graphs": len(runs["sketch"]),
         "agreement": agreement,
         "distance_rel_error": {
             "median": quantile(0.5),
@@ -343,8 +352,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 events.append(AssignmentEvent.from_dict(json.loads(line)))
             except (json.JSONDecodeError, KeyError) as exc:
                 raise StreamFormatError(f"bad event: {exc}", line_no)
-    schema, raw_graphs = load_stream(args.stream, strict=False)
-    labels = _labels_of(raw_graphs)
+    labels = {
+        g.id: g.label for g in iter_stream(args.stream, strict=False) if g.label is not None
+    }
     if not labels:
         raise StreamFormatError("stream carries no labels to evaluate against")
     report, series = purity_from_events(events, labels, every=args.purity_every)

@@ -20,7 +20,6 @@ semidefinite scaling matrix, so weights are elementwise nonnegative.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +32,7 @@ def ensure_weights(weights, d: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (d + 1,):
         raise ValueError(f"weights must have shape ({d + 1},), got {w.shape}")
-    if not bool(np.all(w >= 0.0)):
+    if not bool(np.all(np.isfinite(w) & (w >= 0.0))):
         raise ValueError("weights must be nonnegative and finite")
     return w
 
@@ -64,24 +63,6 @@ def component_distances_sq(views: Sequence[ComponentView], c) -> np.ndarray:
         [component_distance_sq(view, c, comp) for comp, view in enumerate(views)],
         dtype=np.float64,
     )
-
-
-def edge_distance_sq(g: GraphObject, c, schema: StreamSchema) -> float:
-    """Squared distance between g's edge frequencies and the cluster's
-    expected edge frequencies."""
-    return component_distance_sq(graph_views(g, schema)[0], c, 0)
-
-
-def side_distance_sq(g: GraphObject, c, schema: StreamSchema, type_index: int) -> float:
-    """Squared distance for side type ``type_index`` (1-based component)."""
-    if not 1 <= type_index <= schema.d:
-        raise ValueError(f"side type index {type_index} out of range 1..{schema.d}")
-    return component_distance_sq(graph_views(g, schema)[type_index], c, type_index)
-
-
-def distance_vector(g: GraphObject, c, schema: StreamSchema) -> np.ndarray:
-    """Unsquared per-component distances, shape (d+1,)."""
-    return np.sqrt(component_distances_sq(graph_views(g, schema), c))
 
 
 def es_distance_sq(g: GraphObject, c, schema: StreamSchema, weights) -> float:
@@ -124,12 +105,6 @@ def inter_vector_sq(ci, cj) -> np.ndarray:
     return np.array(
         [inter_distance_sq(ci, cj, comp) for comp in range(ci.d + 1)], dtype=np.float64
     )
-
-
-def weighted_inter_distance(ci, cj, weights) -> float:
-    """Unsquared weighted centroid separation between two clusters."""
-    w = ensure_weights(weights, ci.d)
-    return math.sqrt(float(inter_vector_sq(ci, cj) @ w))
 
 
 def structural_spread(c, weights, p: float) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .distance import component_distances_sq, ensure_weights, intra_vector_sq
 from .exact import ExactClusterStats
-from .model import GraphObject, StreamSchema, graph_views, preprocess
+from .model import GraphObject, StreamSchema, canonical_graphs, graph_views
 from .sketch import SketchConfig
 from .stats import ClusterStats
 from .weight_opt import BarrierConfig, TraceHook, refine_weights
@@ -129,7 +129,7 @@ class AssignmentEvent:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AssignmentEvent":
@@ -227,28 +227,15 @@ class Engine:
     def run(
         self,
         graphs: Iterable[GraphObject],
-        do_preprocess: bool = True,
         strict: bool = True,
         on_error: Callable[[str, str], None] | None = None,
     ) -> list[AssignmentEvent]:
-        """Process a whole stream; returns the event per accepted graph.
-
-        With ``strict=False`` graphs that fail preprocessing are skipped
-        after reporting ``on_error(graph_id, message)``.
+        """Preprocess and process a whole stream; returns the event per
+        accepted graph. ``strict`` and ``on_error`` are as in
+        ``model.canonical_graphs``.
         """
-        events = []
-        for g in graphs:
-            if do_preprocess:
-                try:
-                    g = preprocess(g, self.schema)
-                except ValueError as exc:
-                    if strict:
-                        raise
-                    if on_error:
-                        on_error(g.id if isinstance(g.id, str) else "?", str(exc))
-                    continue
-            events.append(self.process(g))
-        return events
+        graphs = canonical_graphs(graphs, self.schema, strict, on_error)
+        return [self.process(g) for g in graphs]
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -314,6 +301,8 @@ class Engine:
             off += 8
             engine.clusters.append(stats_cls.from_bytes(data[off : off + blob_len]))
             off += blob_len
+        if off != len(data):
+            raise ValueError(f"engine checkpoint is {len(data)} bytes but ends at {off}")
         engine.graph_count = graph_count
         return engine
 

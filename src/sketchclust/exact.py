@@ -14,66 +14,28 @@ import struct
 
 import numpy as np
 
-from .model import ComponentView, GraphObject, StreamSchema, graph_views
-
-_MAGIC = b"XST1"
-_VERSION = 1
-_HEADER = struct.Struct("<4sBIQq")
+from .model import ComponentView
+from .stats import SummaryBase
 
 
-class ExactClusterStats:
-    __slots__ = ("maps", "second_moments", "n", "t_last", "members", "_self_cache")
+class ExactClusterStats(SummaryBase):
+    __slots__ = ("maps", "members", "_self_cache")
+    _MAGIC = b"XST1"
 
     def __init__(self, maps, second_moments, n, t_last, members=None):
+        super().__init__(second_moments, n, t_last)
         self.maps: list[dict[bytes, float]] = maps
-        self.second_moments: np.ndarray = second_moments
-        self.n: int = n
-        self.t_last: int = t_last
         self.members: list[list[ComponentView]] | None = members
         self._self_cache: list[float | None] = [None] * len(maps)
 
     @classmethod
     def empty(cls, d: int, keep_members: bool = False) -> "ExactClusterStats":
-        if d < 0:
-            raise ValueError("d must be >= 0")
-        return cls(
-            maps=[{} for _ in range(d + 1)],
-            second_moments=np.zeros(d + 1, dtype=np.float64),
-            n=0,
-            t_last=0,
-            members=[] if keep_members else None,
-        )
-
-    @classmethod
-    def singleton(
-        cls, g: GraphObject, now: int, schema: StreamSchema, keep_members: bool = False
-    ) -> "ExactClusterStats":
-        out = cls.empty(schema.d, keep_members=keep_members)
-        out.absorb(g, now, schema)
-        return out
-
-    @property
-    def d(self) -> int:
-        return len(self.maps) - 1
-
-    @property
-    def er(self) -> float:
-        return float(self.second_moments[0])
-
-    @property
-    def sr(self) -> np.ndarray:
-        return self.second_moments[1:]
-
-    # -- updates -----------------------------------------------------------
-
-    def absorb(self, g: GraphObject, now: int, schema: StreamSchema) -> None:
-        self.absorb_views(graph_views(g, schema), now)
+        scalars = cls._empty_scalars(d)
+        members = [] if keep_members else None
+        return cls([{} for _ in range(d + 1)], *scalars, members=members)
 
     def absorb_views(self, views: list[ComponentView], now: int) -> None:
-        if len(views) != len(self.maps):
-            raise ValueError("component count mismatch with schema")
-        if now < 0:
-            raise ValueError("timestamp must be nonnegative")
+        self._admit(views, now)
         for comp, view in enumerate(views):
             if not view.keys:
                 continue
@@ -84,13 +46,10 @@ class ExactClusterStats:
             self._self_cache[comp] = None
         if self.members is not None:
             self.members.append(views)
-        self.n += 1
-        self.t_last = max(self.t_last, now)
 
     @classmethod
     def merge(cls, a: "ExactClusterStats", b: "ExactClusterStats") -> "ExactClusterStats":
-        if a.d != b.d:
-            raise ValueError("component count mismatch")
+        scalars = a._merged_scalars(b)
         maps = []
         for ma, mb in zip(a.maps, b.maps):
             merged = dict(ma)
@@ -100,18 +59,9 @@ class ExactClusterStats:
         members = None
         if a.members is not None and b.members is not None:
             members = list(a.members) + list(b.members)
-        return cls(
-            maps=maps,
-            second_moments=a.second_moments + b.second_moments,
-            n=a.n + b.n,
-            t_last=max(a.t_last, b.t_last),
-            members=members,
-        )
+        return cls(maps, *scalars, members=members)
 
     # -- accessor surface shared with the sketch backend --------------------
-
-    def second_moment(self, comp: int) -> float:
-        return float(self.second_moments[comp])
 
     def first_moments(self, comp: int, keys) -> np.ndarray:
         m = self.maps[comp]
@@ -154,8 +104,7 @@ class ExactClusterStats:
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        parts = [_HEADER.pack(_MAGIC, _VERSION, self.d, self.n, self.t_last)]
-        parts.append(self.second_moments.astype("<f8", copy=False).tobytes())
+        parts = [self._header_bytes()]
         for m in self.maps:
             parts.append(struct.pack("<Q", len(m)))
             for key, value in m.items():
@@ -166,16 +115,9 @@ class ExactClusterStats:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ExactClusterStats":
-        magic, version, d, n, t_last = _HEADER.unpack_from(data, 0)
-        if magic != _MAGIC:
-            raise ValueError("bad exact stats magic")
-        if version != _VERSION:
-            raise ValueError(f"unsupported exact stats version {version}")
-        off = _HEADER.size
-        moments = np.frombuffer(data, dtype="<f8", count=d + 1, offset=off).copy()
-        off += (d + 1) * 8
+        moments, n, t_last, off = cls._read_header(data)
         maps: list[dict[bytes, float]] = []
-        for _ in range(d + 1):
+        for _ in range(len(moments)):
             (entries,) = struct.unpack_from("<Q", data, off)
             off += 8
             m: dict[bytes, float] = {}
@@ -188,17 +130,9 @@ class ExactClusterStats:
                 off += 8
                 m[key] = value
             maps.append(m)
-        return cls(maps=maps, second_moments=moments, n=n, t_last=t_last)
+        return cls(maps, moments, n, t_last)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactClusterStats):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.t_last == other.t_last
-            and np.array_equal(self.second_moments, other.second_moments)
-            and self.maps == other.maps
-        )
-
-    def __repr__(self) -> str:
-        return f"ExactClusterStats(n={self.n}, d={self.d}, t_last={self.t_last})"
+        return self._scalars_equal(other) and self.maps == other.maps

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -223,6 +223,29 @@ def canonicalize(g: GraphObject, schema: StreamSchema) -> GraphObject:
 def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     """Full pipeline: aggregate local attrs, expand categoricals, canonicalize."""
     return canonicalize(expand_categorical(aggregate_local_attrs(g), schema), schema)
+
+
+def canonical_graphs(
+    graphs: Iterable[GraphObject],
+    schema: StreamSchema,
+    strict: bool = True,
+    on_error: Callable[[str, str], None] | None = None,
+) -> Iterator[GraphObject]:
+    """Preprocess a stream lazily, one graph at a time.
+
+    A graph that ``preprocess`` rejects re-raises its ``ValueError``, or with
+    ``strict=False`` is skipped after reporting ``on_error(graph_id, message)``.
+    """
+    for g in graphs:
+        try:
+            canonical = preprocess(g, schema)
+        except ValueError as exc:
+            if strict:
+                raise
+            if on_error:
+                on_error(g.id if isinstance(g.id, str) else "?", str(exc))
+            continue
+        yield canonical
 
 
 def total_edge_mass(g: GraphObject) -> float:

@@ -172,13 +172,6 @@ def iter_stream(
             raise StreamFormatError("empty stream file: missing schema header")
 
 
-def load_stream(
-    path: str, strict: bool = True, on_error: ErrorHook | None = None
-) -> tuple[StreamSchema, list[GraphObject]]:
-    schema = read_header(path)
-    return schema, list(iter_stream(path, strict=strict, on_error=on_error))
-
-
 def _json_number(value: float) -> int | float:
     return int(value) if float(value).is_integer() else float(value)
 

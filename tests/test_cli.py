@@ -214,3 +214,64 @@ def test_diagnostics_go_to_stderr_as_json(tmp_path, capsys):
     record = json.loads(err_lines[-1])
     assert record["level"] == "info"
     assert record["records"] == 10
+
+
+def _with_undeclared_side_type(tmp_path, stream, index=5):
+    """Copy of ``stream`` whose record ``index`` parses as JSON but fails
+    preprocessing (an undeclared side type); returns (path, graph id)."""
+    lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
+    record = json.loads(lines[index])
+    record["side"]["undeclared"] = {"x": 1}
+    lines[index] = json.dumps(record, sort_keys=True) + "\n"
+    broken = tmp_path / "undeclared.jsonl"
+    broken.write_text("".join(lines), encoding="utf-8")
+    return str(broken), record["id"]
+
+
+def _compare(stream, out_dir, extra=()):
+    argv = [
+        "compare",
+        "--input", stream,
+        "--k", "3",
+        "--gamma", "40",
+        "--out-dir", str(out_dir),
+        "--sketch-cols", "512",
+    ]
+    argv.extend(extra)
+    return main(argv)
+
+
+@pytest.mark.parametrize("run", [_cluster, _compare])
+def test_graph_failing_preprocess_is_fatal_unless_lenient(tmp_path, capsys, run):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
+    broken, bad_id = _with_undeclared_side_type(tmp_path, stream)
+    capsys.readouterr()
+
+    assert run(broken, tmp_path / "strict") == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["level"] == "error"
+    assert error["message"].startswith(f"input: graph {bad_id!r}: ")
+
+    assert run(broken, tmp_path / "lenient", extra=["--lenient"]) == EXIT_OK
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    skipped = [d for d in diags if d["level"] == "warning"]
+    assert [(d["message"], d["graph"]) for d in skipped] == [("graph skipped", bad_id)]
+    events_file = "events.jsonl" if run is _cluster else "events_sketch.jsonl"
+    ids = [json.loads(l)["graph_id"] for l in (tmp_path / "lenient" / events_file).open()]
+    assert len(ids) == 29 and bad_id not in ids
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_compare_events_match_cluster_diagnostics(tmp_path, lenient):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=90)
+    if lenient:
+        stream, _ = _with_undeclared_side_type(tmp_path, stream)
+    extra = ["--lenient"] if lenient else []
+    assert _compare(stream, tmp_path / "cmp", extra=extra) == EXIT_OK
+    for backend in ("sketch", "exact"):
+        out = tmp_path / backend
+        flags = ["--diagnostics", "--backend", backend, *extra]
+        assert _cluster(stream, out, extra=flags) == EXIT_OK
+        assert (tmp_path / "cmp" / f"events_{backend}.jsonl").read_bytes() == (
+            out / "events.jsonl"
+        ).read_bytes()

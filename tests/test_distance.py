@@ -12,9 +12,8 @@ from sketchclust import (
     SideType,
     SketchConfig,
     StreamSchema,
+    component_distance_sq,
     component_distances_sq,
-    distance_vector,
-    edge_distance_sq,
     ensure_weights,
     es_distance_sq,
     graph_views,
@@ -23,9 +22,7 @@ from sketchclust import (
     intra_distance_sq,
     intra_vector_sq,
     preprocess,
-    side_distance_sq,
     structural_spread,
-    weighted_inter_distance,
 )
 from sketchclust.sketch import _index_matrix
 
@@ -36,6 +33,10 @@ def _graph(i: int, edges, topics) -> GraphObject:
     return preprocess(
         GraphObject(id=f"g{i}", ts=i, edges=edges, side={"topics": topics}), SCHEMA
     )
+
+
+def _component_sq(g: GraphObject, c, comp: int) -> float:
+    return component_distance_sq(graph_views(g, SCHEMA)[comp], c, comp)
 
 
 def _cluster(*graphs: GraphObject) -> ExactClusterStats:
@@ -51,6 +52,9 @@ def test_ensure_weights():
         ensure_weights([1.0], 1)
     with pytest.raises(ValueError):
         ensure_weights([1.0, -0.5], 1)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            ensure_weights([1.0, bad], 1)
 
 
 def test_edge_distance_hand_example():
@@ -60,22 +64,22 @@ def test_edge_distance_hand_example():
         _graph(1, [("a", "b", 3.0)], {}),
     )
     probe = _graph(2, [("a", "b", 2.0)], {})
-    assert edge_distance_sq(probe, c, SCHEMA) == pytest.approx(0.0)
+    assert _component_sq(probe, c, 0) == pytest.approx(0.0)
     probe = _graph(3, [("a", "b", 1.0)], {})
     # 1 - 2*(1*4)/2 + 16/4 = 1
-    assert edge_distance_sq(probe, c, SCHEMA) == pytest.approx(1.0)
+    assert _component_sq(probe, c, 0) == pytest.approx(1.0)
     probe = _graph(4, [("a", "c", 1.0)], {})
     # disjoint support: 1 - 0 + 4 = 5
-    assert edge_distance_sq(probe, c, SCHEMA) == pytest.approx(5.0)
+    assert _component_sq(probe, c, 0) == pytest.approx(5.0)
 
 
 def test_side_distance_hand_example():
     c = _cluster(_graph(0, [], {"x": 3.0}))
     probe = _graph(1, [], {"x": 1.0})
     # (1 - 3)^2 = 4
-    assert side_distance_sq(probe, c, SCHEMA, 1) == pytest.approx(4.0)
+    assert _component_sq(probe, c, 1) == pytest.approx(4.0)
     with pytest.raises(ValueError):
-        side_distance_sq(probe, c, SCHEMA, 2)
+        component_distance_sq(graph_views(probe, SCHEMA)[1], c, 2)
 
 
 def test_intra_closed_form_hand_example():
@@ -112,7 +116,8 @@ def test_inter_distance_hand_example():
     # centroids 2 and 1 on the same edge key
     assert inter_distance_sq(ci, cj, 0) == pytest.approx(1.0)
     assert inter_vector_sq(ci, cj).tolist() == pytest.approx([1.0, 0.0])
-    assert weighted_inter_distance(ci, cj, [4.0, 1.0]) == pytest.approx(2.0)
+    # weighted separation sqrt(4 * 1 + 1 * 0) = 2
+    assert inter_vector_sq(ci, cj) @ np.array([4.0, 1.0]) == pytest.approx(4.0)
 
 
 def test_es_distance_weighted_sum():
@@ -120,7 +125,7 @@ def test_es_distance_weighted_sum():
     probe = _graph(1, [("a", "b", 1.0)], {"x": 1.0})
     assert es_distance_sq(probe, c, SCHEMA, [1.0, 1.0]) == pytest.approx(8.0)
     assert es_distance_sq(probe, c, SCHEMA, [0.5, 2.0]) == pytest.approx(10.0)
-    vec = distance_vector(probe, c, SCHEMA)
+    vec = np.sqrt(component_distances_sq(graph_views(probe, SCHEMA), c))
     assert vec.tolist() == pytest.approx([2.0, 2.0])
 
 
@@ -128,7 +133,7 @@ def test_empty_cluster_and_bad_component_rejected():
     empty = ExactClusterStats.empty(SCHEMA.d)
     probe = _graph(0, [("a", "b", 1.0)], {})
     with pytest.raises(ValueError):
-        edge_distance_sq(probe, empty, SCHEMA)
+        _component_sq(probe, empty, 0)
     c = _cluster(probe)
     with pytest.raises(ValueError):
         intra_distance_sq(c, 5)
@@ -187,5 +192,5 @@ def test_component_distances_match_per_component_calls():
     probe = _graph(9, [("a", "b", 2.0)], {"x": 2.0, "y": 1.0})
     views = graph_views(probe, SCHEMA)
     combined = component_distances_sq(views, c)
-    assert combined[0] == pytest.approx(edge_distance_sq(probe, c, SCHEMA))
-    assert combined[1] == pytest.approx(side_distance_sq(probe, c, SCHEMA, 1))
+    assert combined[0] == pytest.approx(component_distance_sq(views[0], c, 0))
+    assert combined[1] == pytest.approx(component_distance_sq(views[1], c, 1))

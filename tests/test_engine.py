@@ -1,6 +1,7 @@
 """Streaming engine: initialization, admission, replacement, checkpoints."""
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -203,6 +204,12 @@ def test_event_json_round_trip():
     assert again == event
 
 
+def test_event_json_rejects_non_finite_distance():
+    event = AssignmentEvent("g1", ACTION_ASSIGNED, 0, float("inf"), 2.5)
+    with pytest.raises(ValueError):
+        event.to_json()
+
+
 def test_record_distances_attaches_matrix():
     engine = Engine(_config(k=2, gamma=1000), SCHEMA, record_distances=True)
     engine.run([_graph(0, [("a", "b", 1.0)]), _graph(1, [("x", "y", 3.0)])])
@@ -299,5 +306,30 @@ def test_from_bytes_rejects_garbage():
     engine = Engine(_config(), SCHEMA)
     blob = bytearray(engine.to_bytes())
     blob[:4] = b"EVIL"
+    with pytest.raises(ValueError):
+        Engine.from_bytes(bytes(blob))
+
+
+def _run_engine() -> Engine:
+    engine = Engine(_config(), SCHEMA)
+    engine.run([_graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)])
+    return engine
+
+
+def test_from_bytes_rejects_trailing_bytes():
+    blob = _run_engine().to_bytes()
+    assert Engine.from_bytes(blob).to_bytes() == blob
+    with pytest.raises(ValueError):
+        Engine.from_bytes(blob + b"\0")
+
+
+def test_from_bytes_rejects_non_finite_weights():
+    engine = _run_engine()
+    blob = bytearray(engine.to_bytes())
+    (hlen,) = struct.unpack_from("<I", blob, 5)
+    # magic, version, header length, header, graph count, weight count
+    off = 4 + 1 + 4 + hlen + 8 + 4
+    assert struct.unpack_from("<d", blob, off)[0] == engine.weights[0]
+    struct.pack_into("<d", blob, off, float("inf"))
     with pytest.raises(ValueError):
         Engine.from_bytes(bytes(blob))

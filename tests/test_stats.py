@@ -34,7 +34,8 @@ def test_empty_and_singleton():
     assert empty.n == 0
     assert empty.d == 1
     g = _graph(0, [("a", "b", 2.0)], {"x": 1.0})
-    single = ClusterStats.singleton(g, now=7, config=_cfg(), schema=SCHEMA)
+    single = ClusterStats.empty(_cfg(), SCHEMA.d)
+    single.absorb(g, now=7, schema=SCHEMA)
     assert single.n == 1
     assert single.t_last == 7
     assert single.er == pytest.approx(4.0)  # squared edge mass

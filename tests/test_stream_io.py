@@ -10,7 +10,6 @@ from sketchclust import (
     StreamFormatError,
     StreamSchema,
     iter_stream,
-    load_stream,
     read_header,
     write_stream,
 )
@@ -37,7 +36,7 @@ def test_round_trip(tmp_path):
     path = str(tmp_path / "s.ndjson")
     count = write_stream(path, _schema(), _graphs())
     assert count == 2
-    schema, graphs = load_stream(path)
+    schema, graphs = read_header(path), list(iter_stream(path))
     assert schema == _schema()
     assert [g.id for g in graphs] == ["g0", "g1"]
     assert graphs[0].edges == [("a", "b", 2.0), ("b", "c", 1.0)]
@@ -84,7 +83,7 @@ def test_side_shorthand_forms(tmp_path):
             )
             + "\n"
         )
-    _, graphs = load_stream(path)
+    graphs = list(iter_stream(path))
     assert graphs[0].side == {"topics": {"x": 2.0, "y": 1.0}, "tags": {"solo": 1.0}}
 
 
@@ -95,7 +94,7 @@ def test_missing_ts_defaults_to_ordinal(tmp_path):
         fh.write(json.dumps(header) + "\n")
         fh.write(json.dumps({"id": "g0"}) + "\n")
         fh.write(json.dumps({"id": "g1"}) + "\n")
-    _, graphs = load_stream(path)
+    graphs = list(iter_stream(path))
     assert [g.ts for g in graphs] == [0, 1]
 
 
@@ -131,7 +130,7 @@ def test_lenient_mode_skips_and_reports(tmp_path):
         fh.write(json.dumps({"id": "", "edges": []}) + "\n")
         fh.write(json.dumps({"id": "g1"}) + "\n")
     seen: list[int] = []
-    _, graphs = load_stream(path, strict=False, on_error=lambda n, m: seen.append(n))
+    graphs = list(iter_stream(path, strict=False, on_error=lambda n, m: seen.append(n)))
     assert [g.id for g in graphs] == ["g0", "g1"]
     assert seen == [3, 4]
 
@@ -160,5 +159,5 @@ def test_blank_lines_are_ignored(tmp_path):
     with open(path, "w") as fh:
         fh.write(json.dumps({"schema": _schema().to_dict()}) + "\n\n")
         fh.write(json.dumps({"id": "g0"}) + "\n\n")
-    _, graphs = load_stream(path)
+    graphs = list(iter_stream(path))
     assert len(graphs) == 1

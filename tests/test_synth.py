@@ -7,7 +7,7 @@ import pytest
 
 from sketchclust import SynthConfig, generate_graphs, synth_schema
 from sketchclust.synth import generate_graph, generate_stream
-from sketchclust.stream_io import load_stream
+from sketchclust.stream_io import iter_stream, read_header
 
 
 def test_generation_is_deterministic():
@@ -34,7 +34,7 @@ def test_stream_round_trip_matches_in_memory(tmp_path):
     cfg = SynthConfig(n_graphs=15, seed=5)
     path = tmp_path / "s.jsonl"
     generate_stream(cfg, str(path))
-    schema, graphs = load_stream(str(path))
+    schema, graphs = read_header(str(path)), list(iter_stream(str(path)))
     assert schema == synth_schema(cfg)
     assert graphs == generate_graphs(cfg)
 
