@@ -44,12 +44,10 @@ from .model import (
     GraphObject,
     SideType,
     StreamSchema,
-    aggregate_local_attrs,
     attr_key,
     canonical_graphs,
     canonicalize,
     edge_key,
-    expand_categorical,
     graph_views,
     preprocess,
     total_edge_mass,
@@ -93,7 +91,6 @@ __all__ = [
     "StreamFormatError",
     "StreamSchema",
     "SynthConfig",
-    "aggregate_local_attrs",
     "assignment_agreement",
     "attr_key",
     "barrier_gradient",
@@ -106,7 +103,6 @@ __all__ = [
     "edge_key",
     "ensure_weights",
     "es_distance_sq",
-    "expand_categorical",
     "generate_graphs",
     "generate_stream",
     "graph_views",

@@ -147,6 +147,10 @@ def _write_purity_csv(path: Path, series, final) -> None:
             fh.write(f"{final[0]},{final[1]:.6f}\n")
 
 
+def _record_skipped(line_no: int, message: str) -> None:
+    _diag("warning", "record skipped", line=line_no, reason=message)
+
+
 def _canonical_input(args: argparse.Namespace, schema: StreamSchema, skipped: list):
     """Canonical graphs of ``args.input``, read and preprocessed one at a time.
 
@@ -157,7 +161,7 @@ def _canonical_input(args: argparse.Namespace, schema: StreamSchema, skipped: li
 
     def record_skipped(line_no: int, message: str) -> None:
         skipped.append(message)
-        _diag("warning", "record skipped", line=line_no, reason=message)
+        _record_skipped(line_no, message)
 
     def graph_rejected(graph_id: str, message: str) -> None:
         if not args.lenient:
@@ -352,12 +356,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 events.append(AssignmentEvent.from_dict(json.loads(line)))
             except (json.JSONDecodeError, KeyError) as exc:
                 raise StreamFormatError(f"bad event: {exc}", line_no)
-    labels = {
-        g.id: g.label for g in iter_stream(args.stream, strict=False) if g.label is not None
-    }
+    records = iter_stream(args.stream, strict=False, on_error=_record_skipped)
+    labels = {g.id: g.label for g in records if g.label is not None}
     if not labels:
         raise StreamFormatError("stream carries no labels to evaluate against")
-    report, series = purity_from_events(events, labels, every=args.purity_every)
+    try:
+        report, series = purity_from_events(events, labels, every=args.purity_every)
+    except ValueError as exc:  # events that the labeled stream cannot score
+        raise StreamFormatError(str(exc)) from None
     payload = report.to_dict()
     payload["events"] = len(events)
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")

@@ -52,7 +52,7 @@ def component_distance_sq(view: ComponentView, c, comp: int) -> float:
     _check_cluster(c)
     _check_comp(c, comp)
     n = c.n
-    cross = float(view.values @ c.first_moments(comp, view.keys)) if view.keys else 0.0
+    cross = float(view.values @ c.first_moments(comp, view)) if view.keys else 0.0
     raw = view.sq_sum - 2.0 * cross / n + c.self_product(comp) / (n * n)
     return max(raw, 0.0)
 

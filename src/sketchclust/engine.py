@@ -35,7 +35,7 @@ from .distance import component_distances_sq, ensure_weights, intra_vector_sq
 from .exact import ExactClusterStats
 from .model import GraphObject, StreamSchema, canonical_graphs, graph_views
 from .sketch import SketchConfig
-from .stats import ClusterStats
+from .stats import ClusterStats, unpack_at
 from .weight_opt import BarrierConfig, TraceHook, refine_weights
 
 _MAGIC = b"SCE1"
@@ -271,15 +271,15 @@ class Engine:
     def from_bytes(cls, data: bytes, trace: TraceHook | None = None) -> "Engine":
         if data[:4] != _MAGIC:
             raise ValueError("bad engine checkpoint magic")
-        (version,) = struct.unpack_from("<B", data, 4)
+        (version,) = unpack_at("<B", data, 4)
         if version != _VERSION:
             raise ValueError(f"unsupported engine checkpoint version {version}")
         off = 5
-        (hlen,) = struct.unpack_from("<I", data, off)
+        (hlen,) = unpack_at("<I", data, off)
         off += 4
         header = json.loads(data[off : off + hlen].decode("utf-8"))
         off += hlen
-        (graph_count,) = struct.unpack_from("<Q", data, off)
+        (graph_count,) = unpack_at("<Q", data, off)
         off += 8
         engine = cls(
             config=EngineConfig.from_dict(header["config"]),
@@ -288,23 +288,34 @@ class Engine:
             record_distances=header.get("record_distances", False),
             trace=trace,
         )
-        (wlen,) = struct.unpack_from("<I", data, off)
+        (wlen,) = unpack_at("<I", data, off)
         off += 4
         engine.weights = np.frombuffer(data, dtype="<f8", count=wlen, offset=off).copy()
         off += wlen * 8
         ensure_weights(engine.weights, engine.schema.d)
-        (n_clusters,) = struct.unpack_from("<I", data, off)
+        (n_clusters,) = unpack_at("<I", data, off)
         off += 4
-        stats_cls = ClusterStats if engine.backend == "sketch" else ExactClusterStats
         for _ in range(n_clusters):
-            (blob_len,) = struct.unpack_from("<Q", data, off)
+            (blob_len,) = unpack_at("<Q", data, off)
             off += 8
-            engine.clusters.append(stats_cls.from_bytes(data[off : off + blob_len]))
+            engine.clusters.append(engine._summary_from_bytes(data[off : off + blob_len]))
             off += blob_len
         if off != len(data):
             raise ValueError(f"engine checkpoint is {len(data)} bytes but ends at {off}")
         engine.graph_count = graph_count
         return engine
+
+    def _summary_from_bytes(self, blob: bytes):
+        if self.backend == "exact":
+            return ExactClusterStats.from_bytes(blob)
+        c = ClusterStats.from_bytes(blob)
+        config = self.config.sketch
+        if any(sketch.config != config for sketch in c.sketches):
+            raise ValueError("cluster sketch config differs from the checkpoint's")
+        # One shared config object, as in a fresh run: views hash once for it.
+        for sketch in c.sketches:
+            sketch.config = config
+        return c
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

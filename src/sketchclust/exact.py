@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .model import ComponentView
-from .stats import SummaryBase
+from .stats import SummaryBase, unpack_at
 
 
 class ExactClusterStats(SummaryBase):
@@ -63,8 +63,9 @@ class ExactClusterStats(SummaryBase):
 
     # -- accessor surface shared with the sketch backend --------------------
 
-    def first_moments(self, comp: int, keys) -> np.ndarray:
+    def first_moments(self, comp: int, view: ComponentView) -> np.ndarray:
         m = self.maps[comp]
+        keys = view.keys
         return np.fromiter((m.get(k, 0.0) for k in keys), np.float64, count=len(keys))
 
     def self_product(self, comp: int) -> float:
@@ -118,15 +119,15 @@ class ExactClusterStats(SummaryBase):
         moments, n, t_last, off = cls._read_header(data)
         maps: list[dict[bytes, float]] = []
         for _ in range(len(moments)):
-            (entries,) = struct.unpack_from("<Q", data, off)
+            (entries,) = unpack_at("<Q", data, off)
             off += 8
             m: dict[bytes, float] = {}
             for _ in range(entries):
-                (klen,) = struct.unpack_from("<I", data, off)
+                (klen,) = unpack_at("<I", data, off)
                 off += 4
                 key = bytes(data[off : off + klen])
                 off += klen
-                (value,) = struct.unpack_from("<d", data, off)
+                (value,) = unpack_at("<d", data, off)
                 off += 8
                 m[key] = value
             maps.append(m)

@@ -2,27 +2,32 @@
 
 A stream element is a small graph (edge list with nonnegative frequencies)
 plus ``d`` typed attribute maps (side information). Before anything touches
-statistics, a graph is preprocessed into canonical form:
+statistics, a graph is preprocessed into canonical form in one pass:
+``canonicalize`` validates it, normalizes edge direction, merges duplicate
+edges, rewrites each present categorical value ``v`` of type ``T`` into the
+binary identifier ``"T=v"`` with value 1, drops zero-mass entries and sorts
+everything. ``preprocess`` is the same function under its stream-facing
+name.
 
-1. ``aggregate_local_attrs`` folds node/edge-scoped attribute observations
-   into graph-level totals by summing per (type, identifier);
-2. ``expand_categorical`` rewrites each present categorical value ``v`` of
-   type ``T`` into the binary identifier ``"T=v"`` with value 1;
-3. ``canonicalize`` validates, normalizes direction, merges duplicate
-   edges, drops zero-mass entries and sorts everything.
+Canonicalization preserves total edge mass. On numeric and binary types it
+is idempotent; categorical values are expanded once, so it is meant for raw
+graphs. Edge keys are built as ``src + 0x1f + dst``; the separator byte is
+reserved, so the encoding is injective and node labels must never contain
+it.
 
-Canonicalization is idempotent and preserves total edge mass. Edge keys are
-built as ``src + 0x1f + dst``; the separator byte is reserved, so the
-encoding is injective and node labels must never contain it.
+``graph_views`` gives one ``ComponentView`` per distance component; a view
+keeps the sketch buckets of its keys, so each graph is hashed once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
+
+from .sketch import SketchConfig
 
 SEPARATOR = b"\x1f"
 _SEPARATOR_STR = "\x1f"
@@ -93,9 +98,6 @@ class GraphObject:
     edges: list[tuple] = field(default_factory=list)
     side: dict[str, dict[str, float]] = field(default_factory=dict)
     label: str | None = None
-    # (type_name, attr_id, value) observations scoped to nodes/edges,
-    # pending aggregation into `side`.
-    local_attrs: list[tuple[str, str, float]] = field(default_factory=list)
 
     def edge_count(self) -> int:
         return len(self.edges)
@@ -128,54 +130,16 @@ def _check_value(value: float, what: str) -> float:
     return value
 
 
-def aggregate_local_attrs(g: GraphObject) -> GraphObject:
-    """Sum node/edge-scoped observations into graph-level side totals."""
-    if not g.local_attrs:
-        return g
-    side = {name: dict(attrs) for name, attrs in g.side.items()}
-    for type_name, attr_id, value in g.local_attrs:
-        value = _check_value(value, "local attribute value")
-        bucket = side.setdefault(type_name, {})
-        bucket[attr_id] = bucket.get(attr_id, 0.0) + value
-    return replace(g, side=side, local_attrs=[])
-
-
-def expand_categorical(g: GraphObject, schema: StreamSchema) -> GraphObject:
-    """Rewrite categorical values into per-value binary identifiers.
-
-    A present value ``v`` of categorical type ``T`` becomes the identifier
-    ``"T=v"`` with value 1 inside type ``T``; zero-valued entries count as
-    absent. Numeric and binary types pass through unchanged.
-    """
-    cat_names = {t.name for t in schema.side_types if t.kind == KIND_CATEGORICAL}
-    if not cat_names or not g.side:
-        return g
-    side: dict[str, dict[str, float]] = {}
-    for name, attrs in g.side.items():
-        if name in cat_names:
-            expanded = {}
-            for value_id, present in attrs.items():
-                _check_label(value_id)
-                if _check_value(present, "categorical presence") == 0.0:
-                    continue
-                expanded[f"{name}={value_id}"] = 1.0
-            side[name] = expanded
-        else:
-            side[name] = dict(attrs)
-    return replace(g, side=side)
-
-
 def canonicalize(g: GraphObject, schema: StreamSchema) -> GraphObject:
     """Validate and normalize a graph against a schema.
 
     Undirected edges are stored with sorted endpoints, duplicates are
-    summed, zero-frequency edges and zero-valued attributes are dropped,
-    and edges/attributes are sorted for deterministic downstream iteration.
-    Raises ValueError on negative masses, malformed labels, unknown side
-    types, or pending (unaggregated) local attributes.
+    summed, a present categorical value ``v`` of type ``T`` becomes the
+    identifier ``"T=v"`` with value 1, zero-frequency edges and zero-valued
+    attributes are dropped, and edges/attributes are sorted for
+    deterministic downstream iteration. Raises ValueError on negative
+    masses, malformed labels or unknown side types.
     """
-    if g.local_attrs:
-        raise ValueError("aggregate local attributes before canonicalizing")
     if not isinstance(g.id, str) or not g.id:
         raise ValueError("graph id must be a nonempty string")
     ts = int(g.ts)
@@ -202,6 +166,7 @@ def canonicalize(g: GraphObject, schema: StreamSchema) -> GraphObject:
     edges = [(s, t, f) for (s, t), f in sorted(merged.items())]
 
     known = {t.name for t in schema.side_types}
+    categorical = {t.name for t in schema.side_types if t.kind == KIND_CATEGORICAL}
     side: dict[str, dict[str, float]] = {}
     for name, attrs in g.side.items():
         if name not in known:
@@ -209,20 +174,21 @@ def canonicalize(g: GraphObject, schema: StreamSchema) -> GraphObject:
         cleaned = {}
         for attr_id in sorted(attrs):
             _check_label(attr_id)
+            if name in categorical:
+                if _check_value(attrs[attr_id], "categorical presence") > 0.0:
+                    cleaned[f"{name}={attr_id}"] = 1.0
+                continue
             value = _check_value(attrs[attr_id], f"attribute {attr_id!r} value")
             if value > 0.0:
                 cleaned[attr_id] = value
         if cleaned:
             side[name] = cleaned
 
-    return GraphObject(
-        id=g.id, ts=ts, edges=edges, side=side, label=g.label, local_attrs=[]
-    )
+    return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)
 
 
-def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
-    """Full pipeline: aggregate local attrs, expand categoricals, canonicalize."""
-    return canonicalize(expand_categorical(aggregate_local_attrs(g), schema), schema)
+# The stream-facing name: one pass from a raw record to its canonical form.
+preprocess = canonicalize
 
 
 def canonical_graphs(
@@ -252,32 +218,41 @@ def total_edge_mass(g: GraphObject) -> float:
     return sum((e[2] if len(e) == 3 and e[2] is not None else 1.0) for e in g.edges)
 
 
-class ComponentView(NamedTuple):
+class ComponentView:
     """Flat key/value arrays for one distance component of one graph.
 
     Component 0 is the edge structure; components 1..d are the schema's
     side types in order. ``sq_sum`` caches the exact sum of squared values.
+    ``buckets(config)`` returns the sketch cells of ``keys`` and keeps them
+    for the last config asked, matched by equality, so the keys are hashed
+    once however many sketches read or absorb this view.
     """
 
-    keys: tuple[bytes, ...]
-    values: np.ndarray
-    sq_sum: float
+    __slots__ = ("keys", "values", "sq_sum", "_config", "_buckets")
 
+    def __init__(self, keys: tuple[bytes, ...], values: Iterable[float]):
+        self.keys = keys
+        self.values = np.fromiter(values, dtype=np.float64, count=len(keys))
+        self.sq_sum = float(self.values @ self.values)
+        self._config: SketchConfig | None = None
+        self._buckets: np.ndarray | None = None
 
-def _view(keys: tuple[bytes, ...], values: Iterable[float]) -> ComponentView:
-    arr = np.fromiter(values, dtype=np.float64, count=len(keys))
-    return ComponentView(keys, arr, float(arr @ arr))
+    def buckets(self, config: SketchConfig) -> np.ndarray:
+        if config is not self._config and config != self._config:
+            self._buckets = config.buckets(self.keys)
+            self._config = config
+        return self._buckets
 
 
 def graph_views(g: GraphObject, schema: StreamSchema) -> list[ComponentView]:
     """Per-component views of a canonicalized graph (length d+1)."""
     views = [
-        _view(
+        ComponentView(
             tuple(edge_key(s, t) for s, t, _ in g.edges),
             (f for _, _, f in g.edges),
         )
     ]
     for side_type in schema.side_types:
         attrs = g.side.get(side_type.name, {})
-        views.append(_view(tuple(attr_key(a) for a in attrs), attrs.values()))
+        views.append(ComponentView(tuple(attr_key(a) for a in attrs), attrs.values()))
     return views

@@ -18,9 +18,12 @@ because colliding keys can only add nonnegative cross terms.
 
 Hashing is deterministic given the config seed: a key is digested to a
 64-bit integer (blake2b) and each row applies a seeded multiply-shift
-``(a * x + b) mod 2^64 mod cols`` with an odd multiplier. Sketches built
-from the same config are mergeable cell-wise, and merged grids equal the
-grid of the concatenated update stream.
+``(a * x + b) mod 2^64 mod cols`` with an odd multiplier, drawn by the
+config itself. ``SketchConfig.buckets`` maps keys to their cells in every
+row; nothing is memoised here, but each graph's ``ComponentView`` keeps its
+buckets, and the sketch methods take keys or such a bucket matrix. Sketches
+built from the same config are mergeable cell-wise, and merged grids equal
+the grid of the concatenated update stream.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ import math
 import random
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,6 +57,13 @@ class SketchConfig:
             raise ValueError("cols must be >= 2")
         if not -(2**63) <= self.seed < 2**63:
             raise ValueError("seed must fit in a signed 64-bit integer")
+        # One (a, b) pair per row; odd multipliers keep the map 2^64-universal.
+        rnd = random.Random(self.seed)
+        a = [rnd.getrandbits(64) | 1 for _ in range(self.rows)]
+        b = [rnd.getrandbits(64) for _ in range(self.rows)]
+        object.__setattr__(self, "_mult", np.array(a, dtype=np.uint64)[:, None])
+        object.__setattr__(self, "_add", np.array(b, dtype=np.uint64)[:, None])
+        object.__setattr__(self, "_row_span", np.arange(self.rows, dtype=np.intp)[:, None])
 
     @property
     def epsilon(self) -> float:
@@ -65,37 +74,16 @@ class SketchConfig:
     def delta(self) -> float:
         return math.exp(-self.rows)
 
-
-@lru_cache(maxsize=512)
-def _hash_family(rows: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    # One (a, b) pair per row; odd multipliers keep the map 2^64-universal.
-    rnd = random.Random(seed)
-    a = np.array([rnd.getrandbits(64) | 1 for _ in range(rows)], dtype=np.uint64)
-    b = np.array([rnd.getrandbits(64) for _ in range(rows)], dtype=np.uint64)
-    return a, b
-
-
-@lru_cache(maxsize=1 << 16)
-def _digest64(key: bytes) -> int:
-    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
-
-
-@lru_cache(maxsize=4096)
-def _index_matrix(config: SketchConfig, keys: tuple[bytes, ...]) -> np.ndarray:
-    """Per-row cell indices for a key tuple, shape (rows, len(keys))."""
-    a, b = _hash_family(config.rows, config.seed)
-    x = np.fromiter((_digest64(k) for k in keys), dtype=np.uint64, count=len(keys))
-    mixed = a[:, None] * x[None, :] + b[:, None]
-    # Keep the high product bits: the low bits of a*x mod 2^64 depend only
-    # on the low bits of x, which would make rows collide in lockstep for
-    # power-of-two column counts.
-    idx = (mixed >> np.uint64(32)) % np.uint64(config.cols)
-    return idx.astype(np.intp)
-
-
-@lru_cache(maxsize=64)
-def _row_span(rows: int) -> np.ndarray:
-    return np.arange(rows, dtype=np.intp)[:, None]
+    def buckets(self, keys: Sequence[bytes]) -> np.ndarray:
+        """Cell index of each key in each row, shape (rows, len(keys)), intp."""
+        digests = b"".join(hashlib.blake2b(k, digest_size=8).digest() for k in keys)
+        x = np.frombuffer(digests, dtype="<u8")
+        mixed = self._mult * x + self._add
+        # Keep the high product bits: the low bits of a*x mod 2^64 depend only
+        # on the low bits of x, which would make rows collide in lockstep for
+        # power-of-two column counts.
+        idx = (mixed >> np.uint64(32)) % np.uint64(self.cols)
+        return idx.astype(np.intp)
 
 
 def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
@@ -107,7 +95,7 @@ def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
     keys = tuple(dict.fromkeys(keys))
     if len(keys) <= 1:
         return list(range(config.rows))
-    idx = _index_matrix(config, keys)
+    idx = config.buckets(keys)
     return [r for r in range(config.rows) if len(set(idx[r].tolist())) == len(keys)]
 
 
@@ -124,17 +112,18 @@ class CountMinSketch:
     def update(self, key: bytes, value: float) -> None:
         self.update_many((key,), np.array([value], dtype=np.float64))
 
-    def update_many(self, keys: Sequence[bytes], values: np.ndarray) -> None:
-        """Add values[i] to keys[i]'s cell in every row. Values must be >= 0."""
-        if len(keys) != len(values):
+    def update_many(self, keys: Sequence[bytes] | np.ndarray, values: np.ndarray) -> None:
+        """Add values[i] to keys[i]'s cell in every row. Values must be >= 0.
+        ``keys`` may instead be their bucket matrix from ``config.buckets``."""
+        idx = self._buckets(keys)
+        if idx.shape[1] != len(values):
             raise ValueError("keys and values length mismatch")
-        if len(keys) == 0:
+        if len(values) == 0:
             return
         values = np.asarray(values, dtype=np.float64)
         if not bool(np.all(values >= 0.0)):
             raise ValueError("negative or NaN update value")
-        idx = _index_matrix(self.config, tuple(keys))
-        np.add.at(self.cells, (_row_span(self.config.rows), idx), values[None, :])
+        np.add.at(self.cells, (self.config._row_span, idx), values[None, :])
         self._row_sq = None
 
     # -- queries ---------------------------------------------------------
@@ -142,12 +131,15 @@ class CountMinSketch:
     def estimate(self, key: bytes) -> float:
         return float(self.estimate_many((key,))[0])
 
-    def estimate_many(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Row-minimum point estimates for each key, never below the truth."""
-        if len(keys) == 0:
-            return np.zeros(0, dtype=np.float64)
-        idx = _index_matrix(self.config, tuple(keys))
-        return self.cells[_row_span(self.config.rows), idx].min(axis=0)
+    def estimate_many(self, keys: Sequence[bytes] | np.ndarray) -> np.ndarray:
+        """Row-minimum point estimates for each key, never below the truth.
+        ``keys`` may instead be their bucket matrix from ``config.buckets``."""
+        return self.cells[self.config._row_span, self._buckets(keys)].min(axis=0)
+
+    def _buckets(self, keys: Sequence[bytes] | np.ndarray) -> np.ndarray:
+        if isinstance(keys, np.ndarray) and keys.dtype == np.intp:
+            return keys
+        return self.config.buckets(keys)
 
     def self_inner_product(self) -> float:
         """min over rows of sum(cell^2); overestimates sum of squared totals."""

@@ -9,10 +9,14 @@ winning, and equals absorbing both member sets sequentially.
 
 The accessor surface (``second_moment`` / ``first_moments`` /
 ``self_product`` / ``cross_product``) is shared with the exact backend in
-``exact.py`` so distance code runs unchanged against either. Both backends
-derive from ``SummaryBase``, which holds the scalar half of a summary
-(second moments, member count, last-update time) and its serialization
-header; each backend keeps its own first-moment storage and estimators.
+``exact.py`` so distance code runs unchanged against either;
+``first_moments`` takes a graph's ``ComponentView``, whose sketch buckets
+the sketch backend reuses and whose keys the exact backend reads. Both
+backends derive from ``SummaryBase``, which holds the scalar half of a
+summary (second moments, member count, last-update time) and its
+serialization header; each backend keeps its own first-moment storage and
+estimators. ``unpack_at`` is the bounds-checked read that every layer of a
+checkpoint uses, so a truncated blob raises ValueError.
 """
 
 from __future__ import annotations
@@ -26,6 +30,14 @@ from .sketch import CountMinSketch, SketchConfig
 
 _VERSION = 1
 _HEADER = struct.Struct("<4sBIQq")
+
+
+def unpack_at(fmt: str, data: bytes, off: int) -> tuple:
+    """``struct.unpack_from`` that raises ValueError, not ``struct.error``,
+    when ``data`` ends before the record, as in a truncated checkpoint."""
+    if off + struct.calcsize(fmt) > len(data):
+        raise ValueError(f"truncated blob: no {fmt!r} at offset {off} of {len(data)}")
+    return struct.unpack_from(fmt, data, off)
 
 
 class SummaryBase:
@@ -106,7 +118,7 @@ class SummaryBase:
     def _read_header(cls, data: bytes) -> tuple[np.ndarray, int, int, int]:
         """Inverse of ``_header_bytes``: (second_moments, n, t_last, offset of
         the first moments)."""
-        magic, version, d, n, t_last = _HEADER.unpack_from(data, 0)
+        magic, version, d, n, t_last = unpack_at(_HEADER.format, data, 0)
         if magic != cls._MAGIC:
             raise ValueError(f"bad {cls.__name__} magic")
         if version != _VERSION:
@@ -139,7 +151,8 @@ class ClusterStats(SummaryBase):
         self._admit(views, now)
         for comp, view in enumerate(views):
             if view.keys:
-                self.sketches[comp].update_many(view.keys, view.values)
+                sketch = self.sketches[comp]
+                sketch.update_many(view.buckets(sketch.config), view.values)
                 self.second_moments[comp] += view.sq_sum
 
     @classmethod
@@ -149,9 +162,11 @@ class ClusterStats(SummaryBase):
 
     # -- accessor surface shared with the exact backend ---------------------
 
-    def first_moments(self, comp: int, keys) -> np.ndarray:
-        """Point estimates of aggregated key masses (overestimates)."""
-        return self.sketches[comp].estimate_many(keys)
+    def first_moments(self, comp: int, view: ComponentView) -> np.ndarray:
+        """Point estimates of the aggregated masses of the view's keys
+        (overestimates)."""
+        sketch = self.sketches[comp]
+        return sketch.estimate_many(view.buckets(sketch.config))
 
     def self_product(self, comp: int) -> float:
         """Estimate of the sum of squared aggregated masses in component."""
@@ -177,7 +192,7 @@ class ClusterStats(SummaryBase):
         moments, n, t_last, off = cls._read_header(data)
         sketches = []
         for _ in range(len(moments)):
-            (blob_len,) = struct.unpack_from("<I", data, off)
+            (blob_len,) = unpack_at("<I", data, off)
             off += 4
             sketches.append(CountMinSketch.from_bytes(data[off : off + blob_len]))
             off += blob_len

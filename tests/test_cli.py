@@ -152,6 +152,25 @@ def test_eval_scores_existing_events(tmp_path, capsys):
     assert (out / "purity.csv").exists()
 
 
+def test_eval_reports_skipped_records_and_unlabeled_events(tmp_path, capsys):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
+    run = tmp_path / "run"
+    assert _cluster(stream, run) == EXIT_OK
+    lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
+    bad_id = json.loads(lines[10])["id"]
+    lines[10] = "{broken json\n"
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+
+    argv = ["eval", "--events", str(run / "events.jsonl"), "--stream", str(broken)]
+    assert main(argv) == EXIT_INPUT
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    warnings = [(d["message"], d["line"]) for d in diags if d["level"] == "warning"]
+    assert warnings == [("record skipped", 11)]
+    assert diags[-1]["message"] == f"input: missing label for graph {bad_id!r}"
+
+
 def test_lenient_mode_skips_malformed_records(tmp_path):
     stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
     lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)

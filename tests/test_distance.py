@@ -24,7 +24,6 @@ from sketchclust import (
     preprocess,
     structural_spread,
 )
-from sketchclust.sketch import _index_matrix
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
@@ -148,7 +147,7 @@ def test_sketch_distance_clamps_estimator_noise():
     cfg = None
     for seed in range(64):
         candidate = SketchConfig(rows=1, cols=2, seed=seed)
-        idx = _index_matrix(candidate, keys)
+        idx = candidate.buckets(keys)
         if idx[0, 0] == idx[0, 1]:
             cfg = candidate
             break

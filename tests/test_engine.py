@@ -310,8 +310,8 @@ def test_from_bytes_rejects_garbage():
         Engine.from_bytes(bytes(blob))
 
 
-def _run_engine() -> Engine:
-    engine = Engine(_config(), SCHEMA)
+def _run_engine(backend: str = "sketch", **config) -> Engine:
+    engine = Engine(_config(**config), SCHEMA, backend)
     engine.run([_graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)])
     return engine
 
@@ -333,3 +333,62 @@ def test_from_bytes_rejects_non_finite_weights():
     struct.pack_into("<d", blob, off, float("inf"))
     with pytest.raises(ValueError):
         Engine.from_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_rejects_every_truncation(backend):
+    engine = _run_engine(backend, sketch=SketchConfig(rows=2, cols=8, seed=5))
+    blob = engine.to_bytes()
+    assert Engine.from_bytes(blob).to_bytes() == blob
+    for size in range(len(blob)):
+        with pytest.raises(ValueError):
+            Engine.from_bytes(blob[:size])
+
+
+def test_from_bytes_rejects_sketch_seed_unlike_header():
+    engine = _run_engine(sketch=SketchConfig(rows=2, cols=8, seed=5))
+    blob = bytearray(engine.to_bytes())
+    # the last sketch blob: magic, version, rows, cols, then the seed
+    off = blob.rindex(b"CMS1") + 4 + 1 + 4 + 4
+    assert struct.unpack_from("<q", blob, off)[0] == 5
+    struct.pack_into("<q", blob, off, 6)
+    with pytest.raises(ValueError):
+        Engine.from_bytes(bytes(blob))
+    resumed = Engine.from_bytes(engine.to_bytes())
+    assert all(
+        sketch.config is resumed.config.sketch
+        for c in resumed.clusters
+        for sketch in c.sketches
+    )
+
+
+def test_each_graph_is_hashed_once_per_component(monkeypatch):
+    cfg = SynthConfig(n_clusters=5, n_graphs=160, seed=19)
+    schema = synth_schema(cfg)
+    graphs = [preprocess(g, schema) for g in generate_graphs(cfg)]
+    engine = Engine(EngineConfig(k=5, gamma=40), schema)
+    for g in graphs[:40]:
+        engine.process(g)
+    assert len(engine.clusters) == 5
+
+    calls = [0]
+    buckets = SketchConfig.buckets
+
+    def counting(config, keys):
+        calls[0] += 1
+        return buckets(config, keys)
+
+    monkeypatch.setattr(SketchConfig, "buckets", counting)
+
+    def hashes_per_component(engine, batch):
+        calls[0] = 0
+        for g in batch:
+            engine.process(g)
+        nonempty = sum(bool(g.edges) + len(g.side) for g in batch)
+        return calls[0], nonempty
+
+    made, allowed = hashes_per_component(engine, graphs[40:100])
+    assert 0 < made <= allowed
+    resumed = Engine.from_bytes(engine.to_bytes())
+    made, allowed = hashes_per_component(resumed, graphs[100:])
+    assert 0 < made <= allowed

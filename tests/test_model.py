@@ -7,10 +7,8 @@ from sketchclust import (
     GraphObject,
     SideType,
     StreamSchema,
-    aggregate_local_attrs,
     attr_key,
     edge_key,
-    expand_categorical,
     graph_views,
     preprocess,
     total_edge_mass,
@@ -79,10 +77,6 @@ def test_canonicalize_validates():
         canonicalize(GraphObject(id="g", edges=[("a", "b", float("nan"))]), schema)
     with pytest.raises(ValueError):
         canonicalize(GraphObject(id="g", side={"undeclared": {"x": 1.0}}), schema)
-    with pytest.raises(ValueError):
-        canonicalize(
-            GraphObject(id="g", local_attrs=[("topics", "x", 1.0)]), schema
-        )
 
 
 def test_canonicalize_drops_zero_attributes():
@@ -92,26 +86,13 @@ def test_canonicalize_drops_zero_attributes():
     assert out.side == {"topics": {"b": 2.0}}
 
 
-def test_aggregate_local_attrs_sums_observations():
-    g = GraphObject(
-        id="g",
-        side={"topics": {"x": 1.0}},
-        local_attrs=[("topics", "x", 2.0), ("tags", "t", 1.0), ("tags", "t", 1.0)],
-    )
-    out = aggregate_local_attrs(g)
-    assert out.side == {"topics": {"x": 3.0}, "tags": {"t": 2.0}}
-    assert out.local_attrs == []
-    # the original object is untouched
-    assert g.side == {"topics": {"x": 1.0}}
-
-
 def test_expand_categorical_binarizes_present_values():
     schema = _schema(SideType("venue", "categorical"), SideType("topics"))
     g = GraphObject(
         id="g",
         side={"venue": {"kdd": 3.0, "www": 0.0}, "topics": {"x": 2.0}},
     )
-    out = expand_categorical(g, schema)
+    out = preprocess(g, schema)
     assert out.side["venue"] == {"venue=kdd": 1.0}
     assert out.side["topics"] == {"x": 2.0}
 
@@ -121,7 +102,7 @@ def test_preprocess_full_pipeline():
     g = GraphObject(
         id="g",
         edges=[("n2", "n1")],
-        local_attrs=[("venue", "kdd", 1.0)],
+        side={"venue": {"kdd": 1.0}},
     )
     out = preprocess(g, schema)
     assert out.edges == [("n1", "n2", 1.0)]

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sketchclust import CountMinSketch, SketchConfig, separating_rows
-from sketchclust.sketch import _index_matrix
 
 
 def test_config_validation():
@@ -189,10 +188,10 @@ def test_copy_is_independent():
 def test_hash_rows_are_deterministic():
     cfg = SketchConfig(rows=5, cols=64, seed=42)
     keys = tuple(f"k{i}".encode() for i in range(12))
-    first = _index_matrix(cfg, keys)
-    second = _index_matrix(cfg, keys)
-    assert first is second  # cached
-    other = _index_matrix(SketchConfig(rows=5, cols=64, seed=43), keys)
+    first = cfg.buckets(keys)
+    assert first.shape == (5, 12) and first.dtype == np.intp
+    assert np.array_equal(first, SketchConfig(rows=5, cols=64, seed=42).buckets(keys))
+    other = SketchConfig(rows=5, cols=64, seed=43).buckets(keys)
     assert not np.array_equal(first, other)
 
 

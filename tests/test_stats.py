@@ -60,14 +60,14 @@ def test_first_moments_exact_when_separated():
     cfg = _cfg(seed=1)
     g0 = _graph(0, [("a", "b", 1.0)], {"x": 2.0})
     g1 = _graph(1, [("a", "b", 3.0)], {"x": 2.0})
-    keys = [view.keys for view in graph_views(g0, SCHEMA)]
-    assert all(separating_rows(cfg, k) for k in keys if k)
+    views = graph_views(g0, SCHEMA)
+    assert all(separating_rows(cfg, v.keys) for v in views if v.keys)
     c = ClusterStats.empty(cfg, SCHEMA.d)
     c.absorb(g0, now=1, schema=SCHEMA)
     c.absorb(g1, now=2, schema=SCHEMA)
-    est = c.first_moments(0, keys[0])
+    est = c.first_moments(0, views[0])
     assert est.tolist() == pytest.approx([4.0])
-    assert c.first_moments(1, keys[1]).tolist() == pytest.approx([4.0])
+    assert c.first_moments(1, views[1]).tolist() == pytest.approx([4.0])
 
 
 def test_self_product_overestimates_truth():
@@ -164,3 +164,32 @@ def test_from_bytes_rejects_garbage():
     blob[:4] = b"XXXX"
     with pytest.raises(ValueError):
         ClusterStats.from_bytes(bytes(blob))
+
+
+def test_views_hashed_for_one_config_serve_another():
+    # One views list alternates between two seeds; each view re-hashes when
+    # the config changes and must give what fresh views give.
+    rng = random.Random(43)
+    graphs = [
+        _graph(
+            i,
+            [(f"n{rng.randrange(5)}", f"n{rng.randrange(5)}", 1.0)],
+            {f"t{rng.randrange(7)}": float(rng.randrange(1, 4))},
+        )
+        for i in range(10)
+    ]
+    shared = [graph_views(g, SCHEMA) for g in graphs]
+    reused = {seed: ClusterStats.empty(_cfg(seed), SCHEMA.d) for seed in (1, 2)}
+    fresh = {seed: ClusterStats.empty(_cfg(seed), SCHEMA.d) for seed in (1, 2)}
+    for i, (g, views) in enumerate(zip(graphs, shared)):
+        for seed in (1, 2):
+            reused[seed].absorb_views(views, i)
+            fresh[seed].absorb_views(graph_views(g, SCHEMA), i)
+    for seed in (1, 2):
+        assert reused[seed] == fresh[seed]
+        for g, views in zip(graphs, shared):
+            for comp, view in enumerate(graph_views(g, SCHEMA)):
+                assert np.array_equal(
+                    reused[seed].first_moments(comp, views[comp]),
+                    fresh[seed].first_moments(comp, view),
+                )
