@@ -16,9 +16,15 @@ in one of three ways:
 
 Every ``gamma`` graphs, with at least two live clusters, the weight vector
 is re-tuned against the current cluster geometry (see ``weight_opt``).
+
+The clusters live in one bank: ``stats.ClusterBank`` on the sketch backend
+(struct-of-arrays, scored for all clusters at once) or ``exact.ExactBank``,
+the same interface over exact summaries, so ``process`` has one path for
+both. ``Engine.clusters`` gives per-slot summaries for reading.
 Graph edges are consumed exactly once; memory is constant in the stream
 length on the sketch backend. Engine state checkpoints to a versioned
-binary blob, and resuming a checkpoint replays identically to an
+binary blob, one summary per live slot; loading rejects state no run
+produces, and resuming a checkpoint replays identically to an
 uninterrupted run.
 """
 
@@ -31,11 +37,11 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .distance import component_distances_sq, ensure_weights, intra_vector_sq
-from .exact import ExactClusterStats
+from .distance import ensure_weights
+from .exact import ExactBank
 from .model import GraphObject, StreamSchema, canonical_graphs, graph_views
 from .sketch import SketchConfig
-from .stats import ClusterStats, unpack_at
+from .stats import ClusterBank, unpack_at
 from .weight_opt import BarrierConfig, TraceHook, refine_weights
 
 _MAGIC = b"SCE1"
@@ -160,18 +166,17 @@ class Engine:
         self.record_distances = record_distances
         self.trace = trace
         self.weights = np.ones(schema.d + 1, dtype=np.float64)
-        self.clusters: list = []
+        if backend == "sketch":
+            self.bank = ClusterBank(config.sketch, schema.d, config.k)
+        else:
+            self.bank = ExactBank(schema.d)
         self.graph_count = 0
 
-    # -- construction helpers ----------------------------------------------
-
-    def _new_singleton(self, views, now: int):
-        if self.backend == "sketch":
-            c = ClusterStats.empty(self.config.sketch, self.schema.d)
-        else:
-            c = ExactClusterStats.empty(self.schema.d)
-        c.absorb_views(views, now)
-        return c
+    @property
+    def clusters(self) -> list:
+        """Per-slot summaries of the live clusters, for reading (see
+        ``ClusterBank.summaries``)."""
+        return self.bank.summaries()
 
     # -- core loop -----------------------------------------------------------
 
@@ -179,33 +184,27 @@ class Engine:
         """Route one canonicalized graph and return the resulting event."""
         views = graph_views(g, self.schema)
         now = self.graph_count + 1
+        bank = self.bank
 
-        if len(self.clusters) < self.config.k:
-            index = len(self.clusters)
-            self.clusters.append(self._new_singleton(views, now))
+        if len(bank) < self.config.k:
+            index = bank.add(views, now)
             event = AssignmentEvent(g.id, ACTION_INITIALIZED, index)
         else:
-            comp_sq = np.empty((len(self.clusters), self.schema.d + 1))
-            for i, c in enumerate(self.clusters):
-                comp_sq[i] = component_distances_sq(views, c)
+            comp_sq = bank.distances_sq(views)
             es_all = comp_sq @ self.weights
             nearest = int(np.argmin(es_all))  # first minimum: lowest index
             best = float(es_all[nearest])
-            target = self.clusters[nearest]
-            spread = (self.config.p / target.n) * float(
-                intra_vector_sq(target) @ self.weights
-            )
+            n = bank.count(nearest)
+            spread = (self.config.p / n) * float(bank.intra_sq(nearest) @ self.weights)
             distances = np.sqrt(comp_sq).tolist() if self.record_distances else None
-            if target.n == 1 or best < spread:
-                target.absorb_views(views, now)
+            if n == 1 or best < spread:
+                bank.absorb(nearest, views, now)
                 event = AssignmentEvent(
                     g.id, ACTION_ASSIGNED, nearest, best, spread, distances
                 )
             else:
-                stale = min(
-                    range(len(self.clusters)), key=lambda i: (self.clusters[i].t_last, i)
-                )
-                self.clusters[stale] = self._new_singleton(views, now)
+                stale = bank.stalest()
+                bank.reset(stale, views, now)
                 event = AssignmentEvent(
                     g.id, ACTION_REPLACED, stale, best, spread, distances
                 )
@@ -214,14 +213,14 @@ class Engine:
         if (
             self.config.optimize_weights
             and self.graph_count % self.config.gamma == 0
-            and len(self.clusters) >= 2
+            and len(bank) >= 2
         ):
             self.refresh_weights()
         return event
 
     def refresh_weights(self) -> None:
         self.weights = refine_weights(
-            self.weights, self.clusters, self.config.barrier, trace=self.trace
+            self.weights, self.bank, self.config.barrier, trace=self.trace
         )
 
     def run(
@@ -259,10 +258,10 @@ class Engine:
             struct.pack("<Q", self.graph_count),
             struct.pack("<I", len(self.weights)),
             self.weights.astype("<f8", copy=False).tobytes(),
-            struct.pack("<I", len(self.clusters)),
+            struct.pack("<I", len(self.bank)),
         ]
-        for c in self.clusters:
-            blob = c.to_bytes()
+        for slot in range(len(self.bank)):
+            blob = self.bank.slot_bytes(slot)
             parts.append(struct.pack("<Q", len(blob)))
             parts.append(blob)
         return b"".join(parts)
@@ -295,27 +294,19 @@ class Engine:
         ensure_weights(engine.weights, engine.schema.d)
         (n_clusters,) = unpack_at("<I", data, off)
         off += 4
+        if n_clusters > engine.config.k:
+            raise ValueError(f"checkpoint holds {n_clusters} clusters, more than k")
+        view = memoryview(data)
         for _ in range(n_clusters):
             (blob_len,) = unpack_at("<Q", data, off)
             off += 8
-            engine.clusters.append(engine._summary_from_bytes(data[off : off + blob_len]))
+            engine.bank.load_slot(view[off : off + blob_len])
             off += blob_len
         if off != len(data):
             raise ValueError(f"engine checkpoint is {len(data)} bytes but ends at {off}")
+        engine.bank.validate(graph_count)
         engine.graph_count = graph_count
         return engine
-
-    def _summary_from_bytes(self, blob: bytes):
-        if self.backend == "exact":
-            return ExactClusterStats.from_bytes(blob)
-        c = ClusterStats.from_bytes(blob)
-        config = self.config.sketch
-        if any(sketch.config != config for sketch in c.sketches):
-            raise ValueError("cluster sketch config differs from the checkpoint's")
-        # One shared config object, as in a fresh run: views hash once for it.
-        for sketch in c.sketches:
-            sketch.config = config
-        return c
 
     def save(self, path: str) -> None:
         with open(path, "wb") as fh:

@@ -6,6 +6,8 @@ the number of distinct keys; this backend exists for differential testing
 and small runs, not for unbounded streams. With ``keep_members=True`` the
 bundle also retains per-member component views so aggregate quantities can
 be recomputed directly from the membership for identity checks.
+``ExactBank`` gives the engine the sketch ``ClusterBank``'s interface over
+a list of these summaries.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import struct
 
 import numpy as np
 
+from .distance import component_distances_sq, intra_vector_sq
 from .model import ComponentView
-from .stats import SummaryBase, unpack_at
+from .stats import SummaryBase, check_loaded, finite_nonneg, unpack_at
+from .weight_opt import ClusterGeometry, cluster_geometry
 
 
 class ExactClusterStats(SummaryBase):
@@ -131,9 +135,79 @@ class ExactClusterStats(SummaryBase):
                 off += 8
                 m[key] = value
             maps.append(m)
+        cls._check_end(data, off)
         return cls(maps, moments, n, t_last)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactClusterStats):
             return NotImplemented
         return self._scalars_equal(other) and self.maps == other.maps
+
+
+class ExactBank:
+    """The ``ClusterBank`` interface over a list of ``ExactClusterStats``,
+    one per live slot, so the engine has one path for both backends. Each
+    method loops over the slots with the per-cluster code."""
+
+    def __init__(self, d: int):
+        self.d = d
+        self.slots: list[ExactClusterStats] = []
+
+    def __len__(self) -> int:
+        return len(self.slots)
+
+    def _founded(self, views: list[ComponentView], now: int) -> ExactClusterStats:
+        c = ExactClusterStats.empty(self.d)
+        c.absorb_views(views, now)
+        return c
+
+    def add(self, views: list[ComponentView], now: int) -> int:
+        self.slots.append(self._founded(views, now))
+        return len(self.slots) - 1
+
+    def reset(self, slot: int, views: list[ComponentView], now: int) -> None:
+        self.slots[slot] = self._founded(views, now)
+
+    def absorb(self, slot: int, views: list[ComponentView], now: int) -> None:
+        self.slots[slot].absorb_views(views, now)
+
+    def distances_sq(self, views: list[ComponentView]) -> np.ndarray:
+        return np.array([component_distances_sq(views, c) for c in self.slots])
+
+    def intra_sq(self, slot: int) -> np.ndarray:
+        return intra_vector_sq(self.slots[slot])
+
+    def count(self, slot: int) -> int:
+        return self.slots[slot].n
+
+    def stalest(self) -> int:
+        return min(range(len(self.slots)), key=lambda i: (self.slots[i].t_last, i))
+
+    def geometry(self) -> ClusterGeometry:
+        return cluster_geometry(self.slots)
+
+    def summaries(self) -> list[ExactClusterStats]:
+        return list(self.slots)
+
+    def slot_bytes(self, slot: int) -> bytes:
+        return self.slots[slot].to_bytes()
+
+    def load_slot(self, data: bytes | memoryview) -> None:
+        c = ExactClusterStats.from_bytes(data)
+        if c.d != self.d:
+            raise ValueError(f"cluster has {c.d + 1} components; the schema has {self.d + 1}")
+        self.slots.append(c)
+
+    def validate(self, graph_count: int) -> None:
+        """``check_loaded`` on the slots' scalars, and map values negative or
+        not finite."""
+        slots = self.slots
+        check_loaded(
+            [c.n for c in slots],
+            [c.t_last for c in slots],
+            np.array([c.second_moments for c in slots]),
+            graph_count,
+        )
+        values = (v for c in slots for m in c.maps for v in m.values())
+        if not finite_nonneg(np.fromiter(values, dtype=np.float64)):
+            raise ValueError("checkpoint holds negative or non-finite masses")

@@ -102,10 +102,14 @@ def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
 class CountMinSketch:
     __slots__ = ("config", "cells", "_row_sq")
 
-    def __init__(self, config: SketchConfig):
+    def __init__(self, config: SketchConfig, cells: np.ndarray | None = None):
+        """An empty sketch, or one over ``cells`` (a ``(rows, cols)`` float64
+        array, used as given, not copied)."""
         self.config = config
-        self.cells = np.zeros((config.rows, config.cols), dtype=np.float64)
-        self._row_sq: np.ndarray | None = self.cells.sum(axis=1)  # zeros
+        if cells is None:
+            cells = np.zeros((config.rows, config.cols), dtype=np.float64)
+        self.cells = cells
+        self._row_sq: np.ndarray | None = None
 
     # -- updates ---------------------------------------------------------
 
@@ -162,16 +166,10 @@ class CountMinSketch:
     def merge(self, other: "CountMinSketch") -> "CountMinSketch":
         """Cell-wise sum; equals the sketch of the concatenated streams."""
         self._check_compatible(other)
-        out = CountMinSketch(self.config)
-        out.cells = self.cells + other.cells
-        out._row_sq = None
-        return out
+        return CountMinSketch(self.config, self.cells + other.cells)
 
     def copy(self) -> "CountMinSketch":
-        out = CountMinSketch(self.config)
-        out.cells = self.cells.copy()
-        out._row_sq = None
-        return out
+        return CountMinSketch(self.config, self.cells.copy())
 
     def _check_compatible(self, other: "CountMinSketch") -> None:
         if self.config != other.config:
@@ -187,20 +185,8 @@ class CountMinSketch:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "CountMinSketch":
-        if len(data) < _HEADER.size:
-            raise ValueError("truncated sketch blob")
-        magic, version, rows, cols, seed = _HEADER.unpack_from(data, 0)
-        if magic != _MAGIC:
-            raise ValueError("bad sketch magic")
-        if version != _VERSION:
-            raise ValueError(f"unsupported sketch version {version}")
-        body = data[_HEADER.size :]
-        if len(body) != rows * cols * 8:
-            raise ValueError("sketch payload size mismatch")
-        out = cls(SketchConfig(rows=rows, cols=cols, seed=seed))
-        out.cells = np.frombuffer(body, dtype="<f8").reshape(rows, cols).copy()
-        out._row_sq = None
-        return out
+        shape, cells = read_sketch(data)
+        return cls(SketchConfig(*shape), cells.copy())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountMinSketch):
@@ -214,3 +200,20 @@ class CountMinSketch:
             f"CountMinSketch(rows={self.config.rows}, cols={self.config.cols}, "
             f"seed={self.config.seed}, total={self.total():g})"
         )
+
+
+def read_sketch(data: bytes | memoryview) -> tuple[tuple[int, int, int], np.ndarray]:
+    """Parse one ``to_bytes`` blob without copying its cells: its config's
+    ``(rows, cols, seed)`` and a read-only ``(rows, cols)`` view of the
+    payload."""
+    if len(data) < _HEADER.size:
+        raise ValueError("truncated sketch blob")
+    magic, version, rows, cols, seed = _HEADER.unpack_from(data, 0)
+    if magic != _MAGIC:
+        raise ValueError("bad sketch magic")
+    if version != _VERSION:
+        raise ValueError(f"unsupported sketch version {version}")
+    if len(data) - _HEADER.size != rows * cols * 8:
+        raise ValueError("sketch payload size mismatch")
+    cells = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=_HEADER.size)
+    return (rows, cols, seed), cells.reshape(rows, cols)

@@ -185,14 +185,21 @@ def refine_weights(
 ) -> np.ndarray:
     """Snapshot the clustering and refine the weights against it.
 
-    With fewer than two nonempty clusters, or when every cluster pair has
-    coincident centroids, the input weights are returned unchanged.
+    ``clusters`` is a sequence of cluster summaries, or an engine's cluster
+    bank, whose own ``geometry()`` takes the snapshot (all its slots are
+    live). With fewer than two nonempty clusters, or when every cluster
+    pair has coincident centroids, the input weights are returned unchanged.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
-    live = [c for c in clusters if c.n >= 1]
-    if len(live) < 2:
-        return w
-    geom = cluster_geometry(live)
+    if hasattr(clusters, "geometry"):
+        if len(clusters) < 2:
+            return w
+        geom = clusters.geometry()
+    else:
+        live = [c for c in clusters if c.n >= 1]
+        if len(live) < 2:
+            return w
+        geom = cluster_geometry(live)
     if len(geom.pairs) == 0:
         return w
     out = refine_on_geometry(w, geom, cfg, trace=trace)

@@ -1,0 +1,153 @@
+"""The engine's cluster bank against the per-cluster reference.
+
+A reference loop routes the same stream with one ``ClusterStats`` per
+cluster, ``component_distances_sq``, ``intra_vector_sq`` and
+``refine_weights(clusters)``: the code the bank batches. Both resume from
+a checkpoint mid-stream. Actions and cluster indices must match; distances
+must be bitwise equal on integer masses, where every sum is exact, and
+within ``rtol=1e-12`` otherwise, where the batched products may add in
+another order.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from sketchclust import (
+    ACTION_ASSIGNED,
+    ACTION_INITIALIZED,
+    ACTION_REPLACED,
+    ClusterStats,
+    Engine,
+    EngineConfig,
+    GraphObject,
+    SketchConfig,
+    SynthConfig,
+    component_distances_sq,
+    generate_graphs,
+    graph_views,
+    intra_vector_sq,
+    preprocess,
+    refine_weights,
+    synth_schema,
+)
+
+
+def _reference(graphs, config: EngineConfig, schema, resume_at: int):
+    """(action, cluster index, nearest distance, spread, component
+    distances) per graph, and the final weights, from per-cluster code."""
+    clusters: list[ClusterStats] = []
+    weights = np.ones(schema.d + 1)
+    out = []
+
+    def founded(views, now):
+        c = ClusterStats.empty(config.sketch, schema.d)
+        c.absorb_views(views, now)
+        return c
+
+    for now, g in enumerate(graphs, 1):
+        views = graph_views(g, schema)
+        if len(clusters) < config.k:
+            clusters.append(founded(views, now))
+            out.append((ACTION_INITIALIZED, len(clusters) - 1, None, None, None))
+        else:
+            comp_sq = np.array([component_distances_sq(views, c) for c in clusters])
+            es_all = comp_sq @ weights
+            nearest = int(np.argmin(es_all))
+            best = float(es_all[nearest])
+            target = clusters[nearest]
+            spread = (config.p / target.n) * float(intra_vector_sq(target) @ weights)
+            if target.n == 1 or best < spread:
+                target.absorb_views(views, now)
+                out.append((ACTION_ASSIGNED, nearest, best, spread, comp_sq))
+            else:
+                stale = min(range(len(clusters)), key=lambda i: (clusters[i].t_last, i))
+                clusters[stale] = founded(views, now)
+                out.append((ACTION_REPLACED, stale, best, spread, comp_sq))
+        if now % config.gamma == 0 and len(clusters) >= 2:
+            weights = refine_weights(weights, clusters, config.barrier)
+        if now == resume_at:
+            clusters = [ClusterStats.from_bytes(c.to_bytes()) for c in clusters]
+    return out, weights
+
+
+def _engine(graphs, config: EngineConfig, schema, resume_at: int):
+    engine = Engine(config, schema, record_distances=True)
+    events = []
+    for now, g in enumerate(graphs, 1):
+        events.append(engine.process(g))
+        if now == resume_at:
+            engine = Engine.from_bytes(engine.to_bytes())
+    return events, engine
+
+
+def _scaled(g: GraphObject, rng: random.Random) -> GraphObject:
+    """The graph with every mass times a random non-integer factor."""
+    return GraphObject(
+        id=g.id,
+        ts=g.ts,
+        edges=[(s, t, f * rng.uniform(0.5, 2.0)) for s, t, f in g.edges],
+        side={
+            name: {a: v * rng.uniform(0.5, 2.0) for a, v in attrs.items()}
+            for name, attrs in g.side.items()
+        },
+        label=g.label,
+    )
+
+
+STREAMS = {
+    # k=2 at p=1 over four classes: replacements are frequent
+    "k2": (
+        SynthConfig(n_clusters=4, n_graphs=500, seed=23, edges_per_graph=12),
+        dict(k=2, gamma=25, p=1.0),
+    ),
+    # k=16 small graphs over 16 classes, frequent refreshes
+    "k16": (
+        SynthConfig(
+            n_clusters=16,
+            n_graphs=700,
+            seed=29,
+            edges_per_graph=6,
+            attrs_per_graph=3,
+            noise_attrs_per_graph=1,
+            nodes_per_community=20,
+        ),
+        dict(k=16, gamma=50),
+    ),
+}
+
+
+@pytest.mark.parametrize("integer", [True, False], ids=["integer", "scaled"])
+@pytest.mark.parametrize("stream", sorted(STREAMS))
+def test_bank_matches_per_cluster_reference(stream, integer):
+    synth, engine_kw = STREAMS[stream]
+    schema = synth_schema(synth)
+    graphs = generate_graphs(synth)
+    if not integer:
+        rng = random.Random(31)
+        graphs = [_scaled(g, rng) for g in graphs]
+    graphs = [preprocess(g, schema) for g in graphs]
+    config = EngineConfig(sketch=SketchConfig(rows=5, cols=64, seed=7), **engine_kw)
+    resume_at = len(graphs) // 2 + 3
+
+    expected, weights = _reference(graphs, config, schema, resume_at)
+    events, engine = _engine(graphs, config, schema, resume_at)
+
+    assert [(e.action, e.cluster_index) for e in events] == [x[:2] for x in expected]
+    actions = {e.action for e in events}
+    assert actions == {ACTION_INITIALIZED, ACTION_ASSIGNED, ACTION_REPLACED}
+    if integer:
+        check = np.testing.assert_array_equal
+    else:
+        def check(actual, desired):
+            np.testing.assert_allclose(actual, desired, rtol=1e-12, atol=0.0)
+    for event, (_, _, best, spread, comp_sq) in zip(events, expected):
+        if comp_sq is None:
+            assert event.es_distance_sq is None and event.distances is None
+            continue
+        check(event.es_distance_sq, best)
+        check(event.spread, spread)
+        check(np.array(event.distances), np.sqrt(comp_sq))
+    check(engine.weights, weights)
+    assert not np.array_equal(weights, np.ones(schema.d + 1))

@@ -392,3 +392,99 @@ def test_each_graph_is_hashed_once_per_component(monkeypatch):
     resumed = Engine.from_bytes(engine.to_bytes())
     made, allowed = hashes_per_component(resumed, graphs[100:])
     assert 0 < made <= allowed
+
+
+def _cluster_section(blob: bytes) -> int:
+    """Offset of a checkpoint's cluster count (the clusters follow it)."""
+    (hlen,) = struct.unpack_from("<I", blob, 5)
+    off = 4 + 1 + 4 + hlen + 8
+    (wlen,) = struct.unpack_from("<I", blob, off)
+    return off + 4 + 8 * wlen
+
+
+def _splice_clusters(head: Engine, clusters: Engine) -> bytes:
+    """``head``'s checkpoint with ``clusters``'s cluster count and clusters."""
+    a, b = head.to_bytes(), clusters.to_bytes()
+    return a[: _cluster_section(a)] + b[_cluster_section(b) :]
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_rejects_clusters_unlike_the_header(backend):
+    wide = StreamSchema(side_types=(SideType("topics"), SideType("tags")))
+    engine_d2 = Engine(_config(), wide, backend)
+    engine_d2.run(
+        [_graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)]
+    )
+    engine_d1 = _run_engine(backend)
+    same = _splice_clusters(engine_d1, engine_d1)
+    assert Engine.from_bytes(same).to_bytes() == same
+    with pytest.raises(ValueError, match="components"):
+        Engine.from_bytes(_splice_clusters(engine_d1, engine_d2))
+    # three clusters into a k=2 checkpoint
+    engine_k3 = _run_engine(backend, k=3)
+    assert len(engine_k3.clusters) == 3
+    with pytest.raises(ValueError, match="more than k"):
+        Engine.from_bytes(_splice_clusters(engine_d1, engine_k3))
+
+
+def _corrupt_cells(engine, value):
+    engine.bank.cells[0, 1, 0, 0] = value
+
+
+def _corrupt_masses(engine, value):
+    maps = engine.bank.slots[1].maps[0]
+    maps[next(iter(maps))] = value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize(
+    "backend, corrupt",
+    [("sketch", _corrupt_cells), ("exact", _corrupt_masses)],
+)
+def test_from_bytes_rejects_bad_first_moments(backend, corrupt, value):
+    engine = _run_engine(backend)
+    corrupt(engine, value)
+    with pytest.raises(ValueError, match="negative or non-finite"):
+        Engine.from_bytes(engine.to_bytes())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_rejects_bad_second_moments(backend, value):
+    engine = _run_engine(backend)
+    engine.clusters[1].second_moments[0] = value  # a view of the sketch bank's row
+    with pytest.raises(ValueError, match="second moments"):
+        Engine.from_bytes(engine.to_bytes())
+
+
+def _patch_cluster_field(blob: bytes, fmt: str, field_off: int, value) -> bytes:
+    """Patch one header field of the checkpoint's second cluster summary."""
+    out = bytearray(blob)
+    off = _cluster_section(blob) + 4
+    (first_len,) = struct.unpack_from("<Q", out, off)
+    off += 8 + first_len + 8  # past the first summary and the second's length
+    struct.pack_into(fmt, out, off + field_off, value)
+    return bytes(out)
+
+
+# A summary header is magic (4s), version (B), d (I), n (Q), t_last (q).
+_N_AT, _T_LAST_AT = 4 + 1 + 4, 4 + 1 + 4 + 8
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_rejects_a_cluster_without_members(backend):
+    blob = _run_engine(backend).to_bytes()
+    assert Engine.from_bytes(_patch_cluster_field(blob, "<Q", _N_AT, 1)).clusters[1].n == 1
+    with pytest.raises(ValueError, match="no members"):
+        Engine.from_bytes(_patch_cluster_field(blob, "<Q", _N_AT, 0))
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_rejects_an_update_after_the_graph_count(backend):
+    engine = _run_engine(backend)
+    blob = engine.to_bytes()
+    latest = _patch_cluster_field(blob, "<q", _T_LAST_AT, engine.graph_count)
+    assert Engine.from_bytes(latest).clusters[1].t_last == engine.graph_count
+    for t_last in (engine.graph_count + 1, -1):
+        with pytest.raises(ValueError, match="updated outside"):
+            Engine.from_bytes(_patch_cluster_field(blob, "<q", _T_LAST_AT, t_last))

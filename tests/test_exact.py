@@ -151,6 +151,8 @@ def test_serialization_round_trip():
     assert again.maps == c.maps
     assert np.allclose(again.second_moments, c.second_moments)
     assert again.to_bytes() == c.to_bytes()
+    with pytest.raises(ValueError):
+        ExactClusterStats.from_bytes(c.to_bytes() + b"junk")
 
 
 def test_from_bytes_rejects_garbage():

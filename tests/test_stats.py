@@ -156,6 +156,8 @@ def test_serialization_round_trip():
     for mine, theirs in zip(c.sketches, again.sketches):
         assert mine == theirs
     assert again.to_bytes() == c.to_bytes()
+    with pytest.raises(ValueError):
+        ClusterStats.from_bytes(c.to_bytes() + b"junk")
 
 
 def test_from_bytes_rejects_garbage():
