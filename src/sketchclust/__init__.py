@@ -15,12 +15,10 @@ from .distance import (
     component_distance_sq,
     component_distances_sq,
     ensure_weights,
-    es_distance_sq,
     inter_distance_sq,
     inter_vector_sq,
     intra_distance_sq,
     intra_vector_sq,
-    structural_spread,
 )
 from .engine import (
     ACTION_ASSIGNED,
@@ -34,7 +32,6 @@ from .evaluate import (
     PurityReport,
     assignment_agreement,
     overall_rate,
-    purity,
     purity_from_events,
     throughput,
 )
@@ -46,11 +43,9 @@ from .model import (
     StreamSchema,
     attr_key,
     canonical_graphs,
-    canonicalize,
     edge_key,
     graph_views,
     preprocess,
-    total_edge_mass,
 )
 from .sketch import CountMinSketch, SketchConfig, separating_rows
 from .stats import ClusterStats
@@ -67,7 +62,6 @@ from .weight_opt import (
     barrier_gradient,
     barrier_objective,
     cluster_geometry,
-    refine_on_geometry,
     refine_weights,
 )
 
@@ -96,13 +90,11 @@ __all__ = [
     "barrier_gradient",
     "barrier_objective",
     "canonical_graphs",
-    "canonicalize",
     "cluster_geometry",
     "component_distance_sq",
     "component_distances_sq",
     "edge_key",
     "ensure_weights",
-    "es_distance_sq",
     "generate_graphs",
     "generate_stream",
     "graph_views",
@@ -113,15 +105,11 @@ __all__ = [
     "iter_stream",
     "overall_rate",
     "preprocess",
-    "purity",
     "purity_from_events",
     "read_header",
-    "refine_on_geometry",
     "refine_weights",
     "separating_rows",
-    "structural_spread",
     "synth_schema",
     "throughput",
-    "total_edge_mass",
     "write_stream",
 ]

@@ -354,8 +354,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 continue
             try:
                 events.append(AssignmentEvent.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
-                raise StreamFormatError(f"bad event: {exc}", line_no)
+            except ValueError as exc:  # bad JSON, or not an event
+                raise StreamFormatError(f"bad event: {exc}", line_no) from None
     records = iter_stream(args.stream, strict=False, on_error=_record_skipped)
     labels = {g.id: g.label for g in records if g.label is not None}
     if not labels:

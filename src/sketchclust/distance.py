@@ -13,9 +13,10 @@ backend the middle and last terms use overestimating estimators, so sketch
 distances can only exceed their exact counterparts (before clamping).
 Negative values from estimator noise are clamped to zero.
 
-The combined graph-to-cluster distance is a weighted sum of squared
-per-component distances; the weight vector is the diagonal of a positive
-semidefinite scaling matrix, so weights are elementwise nonnegative.
+The combined graph-to-cluster distance (an event's ``es_distance_sq``,
+formed in ``Engine.process``) is a weighted sum of squared per-component
+distances; the weight vector is the diagonal of a positive semidefinite
+scaling matrix, so weights are elementwise nonnegative.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ComponentView, GraphObject, StreamSchema, graph_views
+from .model import ComponentView
 
 
 def ensure_weights(weights, d: int) -> np.ndarray:
@@ -65,12 +66,6 @@ def component_distances_sq(views: Sequence[ComponentView], c) -> np.ndarray:
     )
 
 
-def es_distance_sq(g: GraphObject, c, schema: StreamSchema, weights) -> float:
-    """Weighted squared graph-to-cluster distance across all components."""
-    w = ensure_weights(weights, schema.d)
-    return float(component_distances_sq(graph_views(g, schema), c) @ w)
-
-
 def intra_distance_sq(c, comp: int) -> float:
     """Aggregate squared member-to-centroid distance for one component,
     from the closed form: second moment minus self product over n."""
@@ -105,16 +100,3 @@ def inter_vector_sq(ci, cj) -> np.ndarray:
     return np.array(
         [inter_distance_sq(ci, cj, comp) for comp in range(ci.d + 1)], dtype=np.float64
     )
-
-
-def structural_spread(c, weights, p: float) -> float:
-    """Admission radius: p/n times the weighted aggregate intra distance.
-
-    Zero for singletons and for clusters of identical members; the engine
-    treats the singleton case as an unconditional admit instead.
-    """
-    _check_cluster(c)
-    if p <= 0:
-        raise ValueError("spread factor p must be positive")
-    w = ensure_weights(weights, c.d)
-    return (p / c.n) * float(intra_vector_sq(c) @ w)

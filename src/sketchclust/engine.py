@@ -139,14 +139,39 @@ class AssignmentEvent:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AssignmentEvent":
-        return cls(
-            graph_id=obj["graph_id"],
-            action=obj["action"],
-            cluster_index=obj["cluster_index"],
-            es_distance_sq=obj.get("es_distance_sq"),
-            spread=obj.get("spread"),
-            distances=obj.get("distances"),
+        """Inverse of ``to_dict``; raises ValueError on a record that is not
+        an object, or on a field that is missing or of the wrong type."""
+        if not isinstance(obj, dict):
+            raise ValueError("event must be a JSON object")
+        for name in ("graph_id", "action", "cluster_index"):
+            if name not in obj:
+                raise ValueError(f"event needs a {name!r} field")
+        ev = cls(
+            obj["graph_id"],
+            obj["action"],
+            obj["cluster_index"],
+            obj.get("es_distance_sq"),
+            obj.get("spread"),
+            obj.get("distances"),
         )
+        if not isinstance(ev.graph_id, str) or not isinstance(ev.action, str):
+            raise ValueError("event graph_id and action must be strings")
+        if not _is_number(ev.cluster_index, int) or ev.cluster_index < 0:
+            raise ValueError("event cluster_index must be a nonnegative integer")
+        if not all(v is None or _is_number(v) for v in (ev.es_distance_sq, ev.spread)):
+            raise ValueError("event es_distance_sq and spread must be numbers or null")
+        rows = ev.distances
+        if rows is not None and not (
+            isinstance(rows, list)
+            and all(isinstance(row, list) and all(map(_is_number, row)) for row in rows)
+        ):
+            raise ValueError("event distances must be a list of number lists")
+        return ev
+
+
+def _is_number(value, kinds=(int, float)) -> bool:
+    """A JSON number of the given kinds (``bool`` is not one)."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
 
 
 class Engine:
@@ -219,8 +244,9 @@ class Engine:
         return event
 
     def refresh_weights(self) -> None:
+        """Re-tune the weights against the live clusters (at least two)."""
         self.weights = refine_weights(
-            self.weights, self.bank, self.config.barrier, trace=self.trace
+            self.weights, self.bank.geometry(), self.config.barrier, trace=self.trace
         )
 
     def run(
@@ -276,17 +302,21 @@ class Engine:
         off = 5
         (hlen,) = unpack_at("<I", data, off)
         off += 4
-        header = json.loads(data[off : off + hlen].decode("utf-8"))
+        try:
+            header = json.loads(data[off : off + hlen].decode("utf-8"))
+            engine = cls(
+                config=EngineConfig.from_dict(header["config"]),
+                schema=StreamSchema.from_dict(header["schema"]),
+                backend=header["backend"],
+                record_distances=header.get("record_distances", False),
+                trace=trace,
+            )
+        except (KeyError, TypeError) as exc:
+            # a header field that is missing, or of the wrong type
+            raise ValueError(f"bad engine checkpoint header: {exc!r}") from None
         off += hlen
         (graph_count,) = unpack_at("<Q", data, off)
         off += 8
-        engine = cls(
-            config=EngineConfig.from_dict(header["config"]),
-            schema=StreamSchema.from_dict(header["schema"]),
-            backend=header["backend"],
-            record_distances=header.get("record_distances", False),
-            trace=trace,
-        )
         (wlen,) = unpack_at("<I", data, off)
         off += 4
         engine.weights = np.frombuffer(data, dtype="<f8", count=wlen, offset=off).copy()

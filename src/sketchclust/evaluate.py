@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .engine import ACTION_ASSIGNED, ACTION_INITIALIZED, ACTION_REPLACED, AssignmentEvent
 
@@ -71,21 +70,6 @@ def _report_from_counters(counters: Sequence[Counter]) -> PurityReport:
         cluster_sizes=sizes,
         dominant_labels=dominant,
     )
-
-
-def purity(assignments: Mapping, labels: Mapping) -> PurityReport:
-    """Purity over an explicit item -> cluster index map."""
-    if not assignments:
-        raise ValueError("purity needs at least one assignment")
-    n_clusters = max(assignments.values()) + 1
-    counters = [Counter() for _ in range(n_clusters)]
-    for item, cluster in assignments.items():
-        if cluster < 0:
-            raise ValueError("cluster indices must be nonnegative")
-        if item not in labels:
-            raise ValueError(f"missing label for item {item!r}")
-        counters[cluster][labels[item]] += 1
-    return _report_from_counters(counters)
 
 
 def purity_from_events(
@@ -178,6 +162,9 @@ def assignment_agreement(
         raise ValueError("event logs describe different streams")
     if not events_a:
         raise ValueError("agreement needs at least one event")
+    # Imported here: scipy.optimize takes most of a cold ``import
+    # sketchclust``, and only this function needs it.
+    from scipy.optimize import linear_sum_assignment
 
     ka = max(ev.cluster_index for ev in events_a) + 1
     kb = max(ev.cluster_index for ev in events_b) + 1

@@ -3,11 +3,10 @@
 A stream element is a small graph (edge list with nonnegative frequencies)
 plus ``d`` typed attribute maps (side information). Before anything touches
 statistics, a graph is preprocessed into canonical form in one pass:
-``canonicalize`` validates it, normalizes edge direction, merges duplicate
+``preprocess`` validates it, normalizes edge direction, merges duplicate
 edges, rewrites each present categorical value ``v`` of type ``T`` into the
 binary identifier ``"T=v"`` with value 1, drops zero-mass entries and sorts
-everything. ``preprocess`` is the same function under its stream-facing
-name.
+everything.
 
 Canonicalization preserves total edge mass. On numeric and binary types it
 is idempotent; categorical values are expanded once, so it is meant for raw
@@ -99,9 +98,6 @@ class GraphObject:
     side: dict[str, dict[str, float]] = field(default_factory=dict)
     label: str | None = None
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
 
 def edge_key(src: str, dst: str) -> bytes:
     """Injective byte encoding of an edge endpoint pair."""
@@ -130,7 +126,7 @@ def _check_value(value: float, what: str) -> float:
     return value
 
 
-def canonicalize(g: GraphObject, schema: StreamSchema) -> GraphObject:
+def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     """Validate and normalize a graph against a schema.
 
     Undirected edges are stored with sorted endpoints, duplicates are
@@ -187,10 +183,6 @@ def canonicalize(g: GraphObject, schema: StreamSchema) -> GraphObject:
     return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)
 
 
-# The stream-facing name: one pass from a raw record to its canonical form.
-preprocess = canonicalize
-
-
 def canonical_graphs(
     graphs: Iterable[GraphObject],
     schema: StreamSchema,
@@ -212,10 +204,6 @@ def canonical_graphs(
                 on_error(g.id if isinstance(g.id, str) else "?", str(exc))
             continue
         yield canonical
-
-
-def total_edge_mass(g: GraphObject) -> float:
-    return sum((e[2] if len(e) == 3 and e[2] is not None else 1.0) for e in g.edges)
 
 
 class ComponentView:

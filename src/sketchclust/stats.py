@@ -38,7 +38,7 @@ import struct
 
 import numpy as np
 
-from .model import ComponentView, GraphObject, StreamSchema, graph_views
+from .model import ComponentView
 from .sketch import CountMinSketch, SketchConfig, read_sketch
 from .weight_opt import ClusterGeometry
 
@@ -115,21 +115,10 @@ class SummaryBase:
     def d(self) -> int:
         return len(self.second_moments) - 1
 
-    @property
-    def er(self) -> float:
-        return float(self.second_moments[0])
-
-    @property
-    def sr(self) -> np.ndarray:
-        return self.second_moments[1:]
-
     def second_moment(self, comp: int) -> float:
         return float(self.second_moments[comp])
 
     # -- updates -----------------------------------------------------------
-
-    def absorb(self, g: GraphObject, now: int, schema: StreamSchema) -> None:
-        self.absorb_views(graph_views(g, schema), now)
 
     def _admit(self, views: list[ComponentView], now: int) -> None:
         """Check an absorb's arguments and count the new member."""

@@ -14,9 +14,9 @@ more than 1. f is convex on the feasible region {w >= 0 : all Q_ij > 1}
 (each barrier term is a negated log of a concave positive function of w).
 
 Infeasibility is a value, not a fault: the objective returns +inf outside
-the region, and ``refine`` first restores feasibility by homogeneously
-rescaling the weights, which changes no cluster decisions (assignment
-comparisons are scale-invariant). Pairs of coincident centroids
+the region, and ``refine_weights`` first restores feasibility by
+homogeneously rescaling the weights, which changes no cluster decisions
+(assignment comparisons are scale-invariant). Pairs of coincident centroids
 (inter_sq == 0 in every component) cannot be separated by any weighting
 and are excluded from the barrier. Plain gradient descent with backtracking
 halving is intentional; no curvature information is used.
@@ -142,7 +142,7 @@ def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
     return w
 
 
-def refine_on_geometry(
+def refine_weights(
     weights,
     geom: ClusterGeometry,
     cfg: BarrierConfig,
@@ -151,7 +151,10 @@ def refine_on_geometry(
     """Descend the barrier objective from ``weights`` over a fixed geometry.
 
     Returns a feasible weight vector with objective no worse than the
-    (repaired) starting point. The input array is not modified.
+    (repaired) starting point; when every cluster pair has coincident
+    centroids, the weights are returned unchanged. The input array is not
+    modified. ``trace`` receives one record per accepted step, then one
+    with the final weights and the pair counts.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
     if len(geom.pairs) == 0:
@@ -174,41 +177,12 @@ def refine_on_geometry(
             break
         if trace is not None:
             trace({"step": step_no, "objective": value, "step_size": step})
-    return w
-
-
-def refine_weights(
-    weights,
-    clusters: Sequence,
-    cfg: BarrierConfig,
-    trace: TraceHook | None = None,
-) -> np.ndarray:
-    """Snapshot the clustering and refine the weights against it.
-
-    ``clusters`` is a sequence of cluster summaries, or an engine's cluster
-    bank, whose own ``geometry()`` takes the snapshot (all its slots are
-    live). With fewer than two nonempty clusters, or when every cluster
-    pair has coincident centroids, the input weights are returned unchanged.
-    """
-    w = np.asarray(weights, dtype=np.float64).copy()
-    if hasattr(clusters, "geometry"):
-        if len(clusters) < 2:
-            return w
-        geom = clusters.geometry()
-    else:
-        live = [c for c in clusters if c.n >= 1]
-        if len(live) < 2:
-            return w
-        geom = cluster_geometry(live)
-    if len(geom.pairs) == 0:
-        return w
-    out = refine_on_geometry(w, geom, cfg, trace=trace)
     if trace is not None:
         trace(
             {
-                "final_weights": out.tolist(),
+                "final_weights": w.tolist(),
                 "pairs": len(geom.pairs),
                 "dropped_pairs": len(geom.dropped),
             }
         )
-    return out
+    return w

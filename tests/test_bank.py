@@ -2,11 +2,11 @@
 
 A reference loop routes the same stream with one ``ClusterStats`` per
 cluster, ``component_distances_sq``, ``intra_vector_sq`` and
-``refine_weights(clusters)``: the code the bank batches. Both resume from
-a checkpoint mid-stream. Actions and cluster indices must match; distances
-must be bitwise equal on integer masses, where every sum is exact, and
-within ``rtol=1e-12`` otherwise, where the batched products may add in
-another order.
+``refine_weights`` over ``cluster_geometry(clusters)``: the code the bank
+batches. Both resume from a checkpoint mid-stream. Actions and cluster
+indices must match; distances must be bitwise equal on integer masses,
+where every sum is exact, and within ``rtol=1e-12`` otherwise, where the
+batched products may add in another order.
 """
 
 import random
@@ -24,6 +24,7 @@ from sketchclust import (
     GraphObject,
     SketchConfig,
     SynthConfig,
+    cluster_geometry,
     component_distances_sq,
     generate_graphs,
     graph_views,
@@ -66,7 +67,7 @@ def _reference(graphs, config: EngineConfig, schema, resume_at: int):
                 clusters[stale] = founded(views, now)
                 out.append((ACTION_REPLACED, stale, best, spread, comp_sq))
         if now % config.gamma == 0 and len(clusters) >= 2:
-            weights = refine_weights(weights, clusters, config.barrier)
+            weights = refine_weights(weights, cluster_geometry(clusters), config.barrier)
         if now == resume_at:
             clusters = [ClusterStats.from_bytes(c.to_bytes()) for c in clusters]
     return out, weights

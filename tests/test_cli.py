@@ -171,6 +171,26 @@ def test_eval_reports_skipped_records_and_unlabeled_events(tmp_path, capsys):
     assert diags[-1]["message"] == f"input: missing label for graph {bad_id!r}"
 
 
+@pytest.mark.parametrize("fault", ["array", "string_index"])
+def test_eval_rejects_a_malformed_event_line(tmp_path, capsys, fault):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
+    run = tmp_path / "run"
+    assert _cluster(stream, run) == EXIT_OK
+    lines = (run / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    if fault == "array":
+        lines[4] = "[]"
+    else:
+        lines[4] = json.dumps({**json.loads(lines[4]), "cluster_index": "x"})
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    argv = ["eval", "--events", str(events), "--stream", stream]
+    assert main(argv) == EXIT_INPUT
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["message"].startswith("input: line 5: bad event: ")
+
+
 def test_lenient_mode_skips_malformed_records(tmp_path):
     stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
     lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)

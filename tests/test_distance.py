@@ -7,6 +7,8 @@ import pytest
 
 from sketchclust import (
     ClusterStats,
+    Engine,
+    EngineConfig,
     ExactClusterStats,
     GraphObject,
     SideType,
@@ -15,14 +17,12 @@ from sketchclust import (
     component_distance_sq,
     component_distances_sq,
     ensure_weights,
-    es_distance_sq,
     graph_views,
     inter_distance_sq,
     inter_vector_sq,
     intra_distance_sq,
     intra_vector_sq,
     preprocess,
-    structural_spread,
 )
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
@@ -41,7 +41,7 @@ def _component_sq(g: GraphObject, c, comp: int) -> float:
 def _cluster(*graphs: GraphObject) -> ExactClusterStats:
     c = ExactClusterStats.empty(SCHEMA.d, keep_members=True)
     for i, g in enumerate(graphs):
-        c.absorb(g, i, SCHEMA)
+        c.absorb_views(graph_views(g, SCHEMA), i)
     return c
 
 
@@ -91,19 +91,39 @@ def test_intra_closed_form_hand_example():
     assert intra_vector_sq(c).tolist() == pytest.approx([2.0, 0.0])
 
 
+def _events(graphs, weights):
+    """Events of an exact engine (k=2, p=3) run at fixed ``weights``."""
+    engine = Engine(EngineConfig(k=2, optimize_weights=False), SCHEMA, "exact")
+    engine.weights = np.array(weights)
+    return [engine.process(g) for g in graphs]
+
+
 def test_structural_spread_hand_example():
-    c = _cluster(
+    # slot 0 takes edge masses 1 and 3 (slot 1 is far away), then a probe
+    # reads its spread: (p/n) * weighted intra = (3/2) * 2
+    graphs = [
         _graph(0, [("a", "b", 1.0)], {}),
-        _graph(1, [("a", "b", 3.0)], {}),
-    )
-    # (p/n) * weighted intra = (3/2) * 2
-    assert structural_spread(c, [1.0, 1.0], p=3.0) == pytest.approx(3.0)
-    assert structural_spread(c, [0.0, 1.0], p=3.0) == pytest.approx(0.0)
+        _graph(1, [("x", "y", 9.0)], {}),
+        _graph(2, [("a", "b", 3.0)], {}),
+        _graph(3, [("a", "b", 2.0)], {}),
+    ]
+    events = _events(graphs, [1.0, 1.0])
+    assert [e.cluster_index for e in events[2:]] == [0, 0]
+    assert events[3].spread == pytest.approx(3.0)
+    events = _events(graphs, [0.0, 1.0])
+    assert events[2].cluster_index == 0
+    assert events[3].spread == pytest.approx(0.0)
 
 
 def test_spread_zero_for_singleton():
-    c = _cluster(_graph(0, [("a", "b", 2.0)], {"x": 1.0}))
-    assert structural_spread(c, [1.0, 1.0], p=3.0) == pytest.approx(0.0)
+    graphs = [
+        _graph(0, [("a", "b", 2.0)], {"x": 1.0}),
+        _graph(1, [("x", "y", 9.0)], {}),
+        _graph(2, [("a", "b", 1.0)], {"x": 1.0}),
+    ]
+    event = _events(graphs, [1.0, 1.0])[2]
+    assert event.cluster_index == 0
+    assert event.spread == pytest.approx(0.0)
 
 
 def test_inter_distance_hand_example():
@@ -120,12 +140,13 @@ def test_inter_distance_hand_example():
 
 
 def test_es_distance_weighted_sum():
+    # the engine's es distance: squared component distances dot weights
     c = _cluster(_graph(0, [("a", "b", 3.0)], {"x": 3.0}))
     probe = _graph(1, [("a", "b", 1.0)], {"x": 1.0})
-    assert es_distance_sq(probe, c, SCHEMA, [1.0, 1.0]) == pytest.approx(8.0)
-    assert es_distance_sq(probe, c, SCHEMA, [0.5, 2.0]) == pytest.approx(10.0)
-    vec = np.sqrt(component_distances_sq(graph_views(probe, SCHEMA), c))
-    assert vec.tolist() == pytest.approx([2.0, 2.0])
+    comp_sq = component_distances_sq(graph_views(probe, SCHEMA), c)
+    assert comp_sq @ np.array([1.0, 1.0]) == pytest.approx(8.0)
+    assert comp_sq @ np.array([0.5, 2.0]) == pytest.approx(10.0)
+    assert np.sqrt(comp_sq).tolist() == pytest.approx([2.0, 2.0])
 
 
 def test_empty_cluster_and_bad_component_rejected():
@@ -153,8 +174,8 @@ def test_sketch_distance_clamps_estimator_noise():
             break
     assert cfg is not None
     c = ClusterStats.empty(cfg, SCHEMA.d)
-    c.absorb(_graph(0, [], {"x": 2.0}), 0, SCHEMA)
-    c.absorb(_graph(1, [], {"w": 2.0}), 1, SCHEMA)
+    c.absorb_views(graph_views(_graph(0, [], {"x": 2.0}), SCHEMA), 0)
+    c.absorb_views(graph_views(_graph(1, [], {"w": 2.0}), SCHEMA), 1)
     probe = _graph(2, [], {"x": 1.0, "w": 1.0})
     views = graph_views(probe, SCHEMA)
     # exact value is 0 (probe equals the centroid); the estimate must not
@@ -174,8 +195,9 @@ def test_sketch_never_below_exact():
                 [(f"n{rng.randrange(5)}", f"n{rng.randrange(5)}", 1.0)],
                 {f"t{rng.randrange(8)}": float(rng.randrange(1, 3))},
             )
-            sk.absorb(g, i, SCHEMA)
-            ex.absorb(g, i, SCHEMA)
+            views = graph_views(g, SCHEMA)
+            sk.absorb_views(views, i)
+            ex.absorb_views(views, i)
         # intra uses the self-product overestimate negatively, so the
         # sketch intra can only be smaller or equal
         for comp in (0, 1):

@@ -1,5 +1,6 @@
 """Streaming engine: initialization, admission, replacement, checkpoints."""
 
+import json
 import random
 import struct
 
@@ -198,10 +199,33 @@ def test_run_strict_and_lenient():
 
 def test_event_json_round_trip():
     event = AssignmentEvent("g1", ACTION_ASSIGNED, 2, 1.5, 2.5, [[0.1, 0.2]])
-    import json
-
     again = AssignmentEvent.from_dict(json.loads(event.to_json()))
     assert again == event
+
+
+_EVENT = {"graph_id": "g1", "action": ACTION_ASSIGNED, "cluster_index": 0}
+
+_EVENT_FAULTS = {
+    "array": [],
+    "string": "g1",
+    "no_graph_id": {"action": ACTION_ASSIGNED, "cluster_index": 0},
+    "int_graph_id": {**_EVENT, "graph_id": 7},
+    "null_action": {**_EVENT, "action": None},
+    "string_index": {**_EVENT, "cluster_index": "x"},
+    "float_index": {**_EVENT, "cluster_index": 1.0},
+    "bool_index": {**_EVENT, "cluster_index": True},
+    "negative_index": {**_EVENT, "cluster_index": -1},
+    "string_distance": {**_EVENT, "es_distance_sq": "0.5"},
+    "list_spread": {**_EVENT, "spread": [1.0]},
+    "flat_distances": {**_EVENT, "distances": [1.0, 2.0]},
+    "string_in_distances": {**_EVENT, "distances": [["1.0"]]},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_EVENT_FAULTS))
+def test_event_from_dict_rejects_malformed_records(fault):
+    with pytest.raises(ValueError):
+        AssignmentEvent.from_dict(_EVENT_FAULTS[fault])
 
 
 def test_event_json_rejects_non_finite_distance():
@@ -392,6 +416,42 @@ def test_each_graph_is_hashed_once_per_component(monkeypatch):
     resumed = Engine.from_bytes(engine.to_bytes())
     made, allowed = hashes_per_component(resumed, graphs[100:])
     assert 0 < made <= allowed
+
+
+def _header_of(blob: bytes):
+    (hlen,) = struct.unpack_from("<I", blob, 5)
+    return json.loads(blob[9 : 9 + hlen])
+
+
+def _with_header(blob: bytes, header) -> bytes:
+    """The checkpoint re-framed around another JSON header."""
+    (hlen,) = struct.unpack_from("<I", blob, 5)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    return blob[:5] + struct.pack("<I", len(raw)) + raw + blob[9 + hlen :]
+
+
+def _with_config(h: dict, **fields) -> dict:
+    return {**h, "config": {**h["config"], **fields}}
+
+
+_HEADER_FAULTS = {
+    "no_config": lambda h: {k: v for k, v in h.items() if k != "config"},
+    "no_k": lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "k"}},
+    "unknown_sketch_key": lambda h: _with_config(
+        h, sketch={**h["config"]["sketch"], "depth": 3}
+    ),
+    "string_k": lambda h: _with_config(h, k="2"),
+    "array": lambda h: [h],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_HEADER_FAULTS))
+def test_from_bytes_rejects_a_malformed_header(fault):
+    blob = _run_engine().to_bytes()
+    header = _header_of(blob)
+    assert _with_header(blob, header) == blob
+    with pytest.raises(ValueError, match="header"):
+        Engine.from_bytes(_with_header(blob, _HEADER_FAULTS[fault](header)))
 
 
 def _cluster_section(blob: bytes) -> int:

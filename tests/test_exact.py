@@ -41,8 +41,9 @@ def _random_graph(rng: random.Random, i: int) -> GraphObject:
 
 def test_accessor_surface_matches_truth():
     c = ExactClusterStats.empty(SCHEMA.d)
-    c.absorb(_graph(0, [("a", "b", 2.0)], {"x": 1.0, "y": 2.0}), 1, SCHEMA)
-    c.absorb(_graph(1, [("a", "b", 1.0)], {"x": 3.0}), 2, SCHEMA)
+    g0 = _graph(0, [("a", "b", 2.0)], {"x": 1.0, "y": 2.0})
+    c.absorb_views(graph_views(g0, SCHEMA), 1)
+    c.absorb_views(graph_views(_graph(1, [("a", "b", 1.0)], {"x": 3.0}), SCHEMA), 2)
     assert c.n == 2
     assert c.second_moment(0) == pytest.approx(5.0)
     assert c.second_moment(1) == pytest.approx(14.0)
@@ -55,8 +56,8 @@ def test_accessor_surface_matches_truth():
 def test_cross_product_is_exact():
     a = ExactClusterStats.empty(SCHEMA.d)
     b = ExactClusterStats.empty(SCHEMA.d)
-    a.absorb(_graph(0, [], {"x": 2.0, "y": 1.0}), 0, SCHEMA)
-    b.absorb(_graph(1, [], {"x": 3.0, "z": 5.0}), 1, SCHEMA)
+    a.absorb_views(graph_views(_graph(0, [], {"x": 2.0, "y": 1.0}), SCHEMA), 0)
+    b.absorb_views(graph_views(_graph(1, [], {"x": 3.0, "z": 5.0}), SCHEMA), 1)
     assert a.cross_product(1, b) == pytest.approx(6.0)
 
 
@@ -82,8 +83,9 @@ def test_parity_with_sketch_backend_when_separated():
     sketch = ClusterStats.empty(cfg, SCHEMA.d)
     exact = ExactClusterStats.empty(SCHEMA.d)
     for i, g in enumerate(graphs):
-        sketch.absorb(g, i, SCHEMA)
-        exact.absorb(g, i, SCHEMA)
+        views = graph_views(g, SCHEMA)
+        sketch.absorb_views(views, i)
+        exact.absorb_views(views, i)
     for comp, keys in enumerate(keys_by_comp):
         ordered = ComponentView(tuple(sorted(keys)), np.ones(len(keys)))
         assert sketch.first_moments(comp, ordered).tolist() == pytest.approx(
@@ -101,8 +103,9 @@ def test_merge_is_field_exact():
         left = ExactClusterStats.empty(SCHEMA.d)
         right = ExactClusterStats.empty(SCHEMA.d)
         for i, g in enumerate(graphs):
-            whole.absorb(g, i, SCHEMA)
-            (left if rng.random() < 0.5 else right).absorb(g, i, SCHEMA)
+            views = graph_views(g, SCHEMA)
+            whole.absorb_views(views, i)
+            (left if rng.random() < 0.5 else right).absorb_views(views, i)
         merged = ExactClusterStats.merge(left, right)
         assert merged.n == whole.n
         assert merged.t_last == whole.t_last
@@ -117,7 +120,7 @@ def test_members_intra_sq_matches_definition():
         c = ExactClusterStats.empty(SCHEMA.d, keep_members=True)
         graphs = [_random_graph(rng, i) for i in range(rng.randrange(1, 8))]
         for i, g in enumerate(graphs):
-            c.absorb(g, i, SCHEMA)
+            c.absorb_views(graph_views(g, SCHEMA), i)
         for comp in (0, 1):
             # definitional: sum over members of squared distance to centroid
             keys = sorted(c.maps[comp])
@@ -135,7 +138,7 @@ def test_members_intra_sq_matches_definition():
 
 def test_members_required_for_intra():
     c = ExactClusterStats.empty(SCHEMA.d)
-    c.absorb(_graph(0, [("a", "b", 1.0)], {"x": 1.0}), 0, SCHEMA)
+    c.absorb_views(graph_views(_graph(0, [("a", "b", 1.0)], {"x": 1.0}), SCHEMA), 0)
     with pytest.raises(ValueError):
         c.members_intra_sq(0)
 
@@ -144,7 +147,7 @@ def test_serialization_round_trip():
     rng = random.Random(19)
     c = ExactClusterStats.empty(SCHEMA.d)
     for i in range(9):
-        c.absorb(_random_graph(rng, i), i, SCHEMA)
+        c.absorb_views(graph_views(_random_graph(rng, i), SCHEMA), i)
     again = ExactClusterStats.from_bytes(c.to_bytes())
     assert again.n == c.n
     assert again.t_last == c.t_last

@@ -11,9 +11,7 @@ from sketchclust import (
     edge_key,
     graph_views,
     preprocess,
-    total_edge_mass,
 )
-from sketchclust.model import canonicalize
 
 
 def _schema(*types: SideType, directed: bool = False) -> StreamSchema:
@@ -54,35 +52,35 @@ def test_edge_key_is_injective_on_separator():
 def test_canonicalize_sorts_and_merges_undirected():
     schema = _schema()
     g = GraphObject(id="g1", ts=3, edges=[("b", "a", 2.0), ("a", "b"), ("c", "d", 0.0)])
-    out = canonicalize(g, schema)
+    out = preprocess(g, schema)
     assert out.edges == [("a", "b", 3.0)]
 
 
 def test_canonicalize_keeps_direction_when_directed():
     schema = _schema(directed=True)
     g = GraphObject(id="g1", edges=[("b", "a", 1.0), ("a", "b", 1.0)])
-    out = canonicalize(g, schema)
+    out = preprocess(g, schema)
     assert out.edges == [("a", "b", 1.0), ("b", "a", 1.0)]
 
 
 def test_canonicalize_validates():
     schema = _schema(SideType("topics"))
     with pytest.raises(ValueError):
-        canonicalize(GraphObject(id=""), schema)
+        preprocess(GraphObject(id=""), schema)
     with pytest.raises(ValueError):
-        canonicalize(GraphObject(id="g", ts=-1), schema)
+        preprocess(GraphObject(id="g", ts=-1), schema)
     with pytest.raises(ValueError):
-        canonicalize(GraphObject(id="g", edges=[("a", "b", -1.0)]), schema)
+        preprocess(GraphObject(id="g", edges=[("a", "b", -1.0)]), schema)
     with pytest.raises(ValueError):
-        canonicalize(GraphObject(id="g", edges=[("a", "b", float("nan"))]), schema)
+        preprocess(GraphObject(id="g", edges=[("a", "b", float("nan"))]), schema)
     with pytest.raises(ValueError):
-        canonicalize(GraphObject(id="g", side={"undeclared": {"x": 1.0}}), schema)
+        preprocess(GraphObject(id="g", side={"undeclared": {"x": 1.0}}), schema)
 
 
 def test_canonicalize_drops_zero_attributes():
     schema = _schema(SideType("topics"))
     g = GraphObject(id="g", side={"topics": {"a": 0.0, "b": 2.0}})
-    out = canonicalize(g, schema)
+    out = preprocess(g, schema)
     assert out.side == {"topics": {"b": 2.0}}
 
 
@@ -107,11 +105,6 @@ def test_preprocess_full_pipeline():
     out = preprocess(g, schema)
     assert out.edges == [("n1", "n2", 1.0)]
     assert out.side == {"venue": {"venue=kdd": 1.0}}
-
-
-def test_total_edge_mass_defaults_missing_freq_to_one():
-    g = GraphObject(id="g", edges=[("a", "b"), ("a", "c", 2.5)])
-    assert total_edge_mass(g) == pytest.approx(3.5)
 
 
 def test_graph_views_shape_and_order():
@@ -149,8 +142,8 @@ def test_canonicalize_is_idempotent():
         ]
         attrs = {f"a{rng.randrange(5)}": float(rng.randrange(3)) for _ in range(4)}
         g = GraphObject(id=f"g{trial}", edges=edges, side={"topics": attrs})
-        once = canonicalize(g, schema)
-        twice = canonicalize(once, schema)
+        once = preprocess(g, schema)
+        twice = preprocess(once, schema)
         assert once.edges == twice.edges
         assert once.side == twice.side
 

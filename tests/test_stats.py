@@ -35,25 +35,23 @@ def test_empty_and_singleton():
     assert empty.d == 1
     g = _graph(0, [("a", "b", 2.0)], {"x": 1.0})
     single = ClusterStats.empty(_cfg(), SCHEMA.d)
-    single.absorb(g, now=7, schema=SCHEMA)
+    single.absorb_views(graph_views(g, SCHEMA), 7)
     assert single.n == 1
     assert single.t_last == 7
-    assert single.er == pytest.approx(4.0)  # squared edge mass
-    assert single.second_moment(0) == pytest.approx(4.0)
+    assert single.second_moment(0) == pytest.approx(4.0)  # squared edge mass
     assert single.second_moment(1) == pytest.approx(1.0)
 
 
 def test_absorb_accumulates_moments_and_time():
     c = ClusterStats.empty(_cfg(), SCHEMA.d)
-    c.absorb(_graph(0, [("a", "b", 1.0)], {"x": 2.0}), now=1, schema=SCHEMA)
-    c.absorb(_graph(1, [("a", "b", 3.0)], {"y": 1.0}), now=5, schema=SCHEMA)
+    c.absorb_views(graph_views(_graph(0, [("a", "b", 1.0)], {"x": 2.0}), SCHEMA), 1)
+    c.absorb_views(graph_views(_graph(1, [("a", "b", 3.0)], {"y": 1.0}), SCHEMA), 5)
     assert c.n == 2
     assert c.t_last == 5
     # second moments add per graph: 1^2 + 3^2 and 2^2 + 1^2
     assert c.second_moment(0) == pytest.approx(10.0)
     assert c.second_moment(1) == pytest.approx(5.0)
-    assert c.er == pytest.approx(10.0)
-    assert c.sr.tolist() == pytest.approx([5.0])
+    assert c.second_moments.tolist() == pytest.approx([10.0, 5.0])
 
 
 def test_first_moments_exact_when_separated():
@@ -63,8 +61,8 @@ def test_first_moments_exact_when_separated():
     views = graph_views(g0, SCHEMA)
     assert all(separating_rows(cfg, v.keys) for v in views if v.keys)
     c = ClusterStats.empty(cfg, SCHEMA.d)
-    c.absorb(g0, now=1, schema=SCHEMA)
-    c.absorb(g1, now=2, schema=SCHEMA)
+    c.absorb_views(graph_views(g0, SCHEMA), 1)
+    c.absorb_views(graph_views(g1, SCHEMA), 2)
     est = c.first_moments(0, views[0])
     assert est.tolist() == pytest.approx([4.0])
     assert c.first_moments(1, views[1]).tolist() == pytest.approx([4.0])
@@ -84,7 +82,7 @@ def test_self_product_overestimates_truth():
             g = _graph(i, [], topics)
             for view_key, value in g.side.get("topics", {}).items():
                 truth[view_key] = truth.get(view_key, 0.0) + value
-            c.absorb(g, now=i, schema=SCHEMA)
+            c.absorb_views(graph_views(g, SCHEMA), i)
         exact = sum(v * v for v in truth.values())
         assert c.self_product(1) >= exact - 1e-9
 
@@ -102,7 +100,7 @@ def test_cross_product_overestimates_truth():
             g = _graph(i, [], topics)
             for key, value in g.side.get("topics", {}).items():
                 t[key] = t.get(key, 0.0) + value
-            c.absorb(g, now=i, schema=SCHEMA)
+            c.absorb_views(graph_views(g, SCHEMA), i)
     exact = sum(v * tb.get(k, 0.0) for k, v in ta.items())
     assert a.cross_product(1, b) >= exact - 1e-9
 
@@ -122,8 +120,9 @@ def test_merge_matches_sequential_absorption():
     left = ClusterStats.empty(cfg, SCHEMA.d)
     right = ClusterStats.empty(cfg, SCHEMA.d)
     for i, g in enumerate(graphs):
-        whole.absorb(g, now=i, schema=SCHEMA)
-        (left if i % 2 == 0 else right).absorb(g, now=i, schema=SCHEMA)
+        views = graph_views(g, SCHEMA)
+        whole.absorb_views(views, i)
+        (left if i % 2 == 0 else right).absorb_views(views, i)
     merged = ClusterStats.merge(left, right)
     assert merged.n == whole.n
     assert merged.t_last == whole.t_last
@@ -148,7 +147,7 @@ def test_serialization_round_trip():
             [(f"n{rng.randrange(4)}", f"n{rng.randrange(4)}", 1.0)],
             {f"t{rng.randrange(5)}": 2.0},
         )
-        c.absorb(g, now=i, schema=SCHEMA)
+        c.absorb_views(graph_views(g, SCHEMA), i)
     again = ClusterStats.from_bytes(c.to_bytes())
     assert again.n == c.n
     assert again.t_last == c.t_last

@@ -9,6 +9,8 @@ import pytest
 from sketchclust import (
     BarrierConfig,
     ClusterGeometry,
+    Engine,
+    EngineConfig,
     ExactClusterStats,
     GraphObject,
     SideType,
@@ -16,8 +18,8 @@ from sketchclust import (
     barrier_gradient,
     barrier_objective,
     cluster_geometry,
+    graph_views,
     preprocess,
-    refine_on_geometry,
     refine_weights,
 )
 
@@ -33,7 +35,7 @@ def _graph(i: int, edges, topics) -> GraphObject:
 def _cluster(*graphs: GraphObject) -> ExactClusterStats:
     c = ExactClusterStats.empty(SCHEMA.d)
     for i, g in enumerate(graphs):
-        c.absorb(g, i, SCHEMA)
+        c.absorb_views(graph_views(g, SCHEMA), i)
     return c
 
 
@@ -173,7 +175,7 @@ def test_refine_never_increases_objective():
         cfg = BarrierConfig(t=rng.uniform(0.5, 3.0), max_steps=20)
         start = _feasible_point(rng, geom)
         start_value = barrier_objective(start, geom, cfg)
-        out = refine_on_geometry(start, geom, cfg)
+        out = refine_weights(start, geom, cfg)
         assert barrier_objective(out, geom, cfg) <= start_value + 1e-12
         assert np.all(out >= cfg.weight_floor)
 
@@ -186,7 +188,7 @@ def test_refine_repairs_infeasible_start():
         dropped=[],
     )
     cfg = BarrierConfig(max_steps=0)  # isolate the repair rescale
-    out = refine_on_geometry([0.01, 0.01], geom, cfg)
+    out = refine_weights([0.01, 0.01], geom, cfg)
     q = float((geom.inter_sq @ out)[0])
     assert math.sqrt(q) == pytest.approx(1.0 + cfg.feasibility_margin)
 
@@ -200,7 +202,7 @@ def test_refine_restarts_from_uniform_when_support_vanishes():
         inter_sq=np.array([[0.0, 2.0]]),
         dropped=[],
     )
-    out = refine_on_geometry([1.0, 0.0], geom, BarrierConfig(max_steps=0))
+    out = refine_weights([1.0, 0.0], geom, BarrierConfig(max_steps=0))
     assert float((geom.inter_sq @ out)[0]) > 1.0
 
 
@@ -208,25 +210,30 @@ def test_refine_respects_weight_floor():
     rng = random.Random(31)
     geom = _random_geometry(rng)
     cfg = BarrierConfig(t=50.0, max_steps=40, weight_floor=1e-4)
-    out = refine_on_geometry(_feasible_point(rng, geom), geom, cfg)
+    out = refine_weights(_feasible_point(rng, geom), geom, cfg)
     assert np.all(out >= 1e-4)
 
 
 def test_refine_weights_passthrough_cases():
-    cfg = BarrierConfig()
-    w = np.array([1.0, 1.0])
-    single = _cluster(_graph(0, [("a", "b", 1.0)], {}))
-    assert refine_weights(w, [single], cfg).tolist() == [1.0, 1.0]
+    # one live cluster: the engine does not refresh at all
+    engine = Engine(EngineConfig(k=2, gamma=1), SCHEMA, "exact")
+    engine.weights = np.array([1.0, 2.0])
+    engine.process(_graph(0, [("a", "b", 1.0)], {}))
+    assert engine.weights.tolist() == [1.0, 2.0]
+    # every pair coincident: nothing to separate, weights unchanged
     twin_a = _cluster(_graph(1, [("a", "b", 2.0)], {}))
     twin_b = _cluster(_graph(2, [("a", "b", 2.0)], {}))
-    assert refine_weights(w, [twin_a, twin_b], cfg).tolist() == [1.0, 1.0]
+    geom = cluster_geometry([twin_a, twin_b])
+    w = np.array([1.0, 1.0])
+    assert refine_weights(w, geom, BarrierConfig()).tolist() == [1.0, 1.0]
 
 
 def test_refine_weights_emits_trace():
     ca = _cluster(_graph(0, [("a", "b", 1.0)], {"x": 2.0}))
     cb = _cluster(_graph(1, [("c", "d", 3.0)], {"y": 1.0}))
     records: list[dict] = []
-    refine_weights([1.0, 1.0], [ca, cb], BarrierConfig(max_steps=5), trace=records.append)
+    geom = cluster_geometry([ca, cb])
+    refine_weights([1.0, 1.0], geom, BarrierConfig(max_steps=5), trace=records.append)
     assert records, "expected at least the summary record"
     assert "final_weights" in records[-1]
     assert records[-1]["pairs"] == 1
@@ -242,5 +249,5 @@ def test_refine_prefers_separating_component():
         dropped=[],
     )
     cfg = BarrierConfig(t=1.0, max_steps=60, step_size=0.05)
-    out = refine_on_geometry([1.0, 1.0], geom, cfg)
+    out = refine_weights([1.0, 1.0], geom, cfg)
     assert out[1] > out[0]
