@@ -47,8 +47,7 @@ from .model import (
     graph_views,
     preprocess,
 )
-from .sketch import CountMinSketch, SketchConfig, separating_rows
-from .stats import ClusterStats
+from .sketch import SketchConfig
 from .stream_io import (
     StreamFormatError,
     iter_stream,
@@ -72,9 +71,7 @@ __all__ = [
     "AssignmentEvent",
     "BarrierConfig",
     "ClusterGeometry",
-    "ClusterStats",
     "ComponentView",
-    "CountMinSketch",
     "Engine",
     "EngineConfig",
     "ExactClusterStats",
@@ -108,7 +105,6 @@ __all__ = [
     "purity_from_events",
     "read_header",
     "refine_weights",
-    "separating_rows",
     "synth_schema",
     "throughput",
     "write_stream",

@@ -17,15 +17,15 @@ in one of three ways:
 Every ``gamma`` graphs, with at least two live clusters, the weight vector
 is re-tuned against the current cluster geometry (see ``weight_opt``).
 
-The clusters live in one bank: ``stats.ClusterBank`` on the sketch backend
-(struct-of-arrays, scored for all clusters at once) or ``exact.ExactBank``,
-the same interface over exact summaries, so ``process`` has one path for
-both. ``Engine.clusters`` gives per-slot summaries for reading.
-Graph edges are consumed exactly once; memory is constant in the stream
-length on the sketch backend. Engine state checkpoints to a versioned
-binary blob, one summary per live slot; loading rejects state no run
-produces, and resuming a checkpoint replays identically to an
-uninterrupted run.
+The clusters live in one bank, ``Engine.bank``: ``stats.ClusterBank`` on
+the sketch backend (struct-of-arrays, scored for all clusters at once) or
+``exact.ExactBank``, the same interface over exact summaries, so
+``process`` has one path for both. Graph edges are consumed exactly once;
+memory is constant in the stream length on the sketch backend. Engine
+state checkpoints to a versioned binary blob, one summary per live slot;
+loading rejects state no run produces (such as a cluster count other than
+``min(graph_count, k)``), and resuming a checkpoint replays identically to
+an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -197,12 +197,6 @@ class Engine:
             self.bank = ExactBank(schema.d)
         self.graph_count = 0
 
-    @property
-    def clusters(self) -> list:
-        """Per-slot summaries of the live clusters, for reading (see
-        ``ClusterBank.summaries``)."""
-        return self.bank.summaries()
-
     # -- core loop -----------------------------------------------------------
 
     def process(self, g: GraphObject) -> AssignmentEvent:
@@ -334,7 +328,7 @@ class Engine:
             off += blob_len
         if off != len(data):
             raise ValueError(f"engine checkpoint is {len(data)} bytes but ends at {off}")
-        engine.bank.validate(graph_count)
+        engine.bank.validate(graph_count, engine.config.k)
         engine.graph_count = graph_count
         return engine
 

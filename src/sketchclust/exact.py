@@ -1,13 +1,14 @@
 """Exact reference backend mirroring the sketched statistics.
 
-Keeps full key/value maps per component instead of sketches, so every
-first moment, self product and cross product is exact. Memory grows with
-the number of distinct keys; this backend exists for differential testing
-and small runs, not for unbounded streams. With ``keep_members=True`` the
-bundle also retains per-member component views so aggregate quantities can
-be recomputed directly from the membership for identity checks.
+``ExactClusterStats`` keeps full key/value maps per component instead of
+sketches, so every first moment, self product and cross product is exact,
+next to the same scalars as a sketched cluster (second moments, member
+count, last-update time) and the same summary header in its checkpoint
+blob. Memory grows with the number of distinct keys; this backend exists
+for differential testing and small runs, not for unbounded streams.
 ``ExactBank`` gives the engine the sketch ``ClusterBank``'s interface over
-a list of these summaries.
+a list of these summaries; the per-cluster functions of ``distance`` and
+``weight_opt`` read them.
 """
 
 from __future__ import annotations
@@ -18,28 +19,46 @@ import numpy as np
 
 from .distance import component_distances_sq, intra_vector_sq
 from .model import ComponentView
-from .stats import SummaryBase, check_loaded, finite_nonneg, unpack_at
+from .stats import (
+    check_end,
+    check_loaded,
+    finite_nonneg,
+    read_summary_header,
+    unpack_at,
+    write_summary_header,
+)
 from .weight_opt import ClusterGeometry, cluster_geometry
 
+_MAGIC = b"XST1"
 
-class ExactClusterStats(SummaryBase):
-    __slots__ = ("maps", "members", "_self_cache")
-    _MAGIC = b"XST1"
 
-    def __init__(self, maps, second_moments, n, t_last, members=None):
-        super().__init__(second_moments, n, t_last)
+class ExactClusterStats:
+    __slots__ = ("maps", "second_moments", "n", "t_last", "_self_cache")
+
+    def __init__(self, maps, second_moments, n, t_last):
         self.maps: list[dict[bytes, float]] = maps
-        self.members: list[list[ComponentView]] | None = members
+        self.second_moments: np.ndarray = second_moments
+        self.n: int = n
+        self.t_last: int = t_last
         self._self_cache: list[float | None] = [None] * len(maps)
 
     @classmethod
-    def empty(cls, d: int, keep_members: bool = False) -> "ExactClusterStats":
-        scalars = cls._empty_scalars(d)
-        members = [] if keep_members else None
-        return cls([{} for _ in range(d + 1)], *scalars, members=members)
+    def empty(cls, d: int) -> "ExactClusterStats":
+        if d < 0:
+            raise ValueError("d must be >= 0")
+        return cls([{} for _ in range(d + 1)], np.zeros(d + 1, dtype=np.float64), 0, 0)
+
+    @property
+    def d(self) -> int:
+        return len(self.second_moments) - 1
 
     def absorb_views(self, views: list[ComponentView], now: int) -> None:
-        self._admit(views, now)
+        if len(views) != len(self.second_moments):
+            raise ValueError("component count mismatch with schema")
+        if now < 0:
+            raise ValueError("timestamp must be nonnegative")
+        self.n += 1
+        self.t_last = max(self.t_last, now)
         for comp, view in enumerate(views):
             if not view.keys:
                 continue
@@ -48,24 +67,11 @@ class ExactClusterStats(SummaryBase):
                 m[key] = m.get(key, 0.0) + float(value)
             self.second_moments[comp] += view.sq_sum
             self._self_cache[comp] = None
-        if self.members is not None:
-            self.members.append(views)
 
-    @classmethod
-    def merge(cls, a: "ExactClusterStats", b: "ExactClusterStats") -> "ExactClusterStats":
-        scalars = a._merged_scalars(b)
-        maps = []
-        for ma, mb in zip(a.maps, b.maps):
-            merged = dict(ma)
-            for key, value in mb.items():
-                merged[key] = merged.get(key, 0.0) + value
-            maps.append(merged)
-        members = None
-        if a.members is not None and b.members is not None:
-            members = list(a.members) + list(b.members)
-        return cls(maps, *scalars, members=members)
+    # -- the accessors the per-cluster distance code reads --------------------
 
-    # -- accessor surface shared with the sketch backend --------------------
+    def second_moment(self, comp: int) -> float:
+        return float(self.second_moments[comp])
 
     def first_moments(self, comp: int, view: ComponentView) -> np.ndarray:
         m = self.maps[comp]
@@ -85,31 +91,10 @@ class ExactClusterStats(SummaryBase):
             a, b = b, a
         return sum(v * b.get(k, 0.0) for k, v in a.items())
 
-    # -- member-level recomputation (testing aid) ----------------------------
-
-    def members_intra_sq(self, comp: int) -> float:
-        """Sum over members of squared distance to the component centroid,
-        computed directly from retained member views."""
-        if self.members is None:
-            raise ValueError("bundle was built without keep_members")
-        if self.n < 1:
-            raise ValueError("empty cluster")
-        centroid = {k: v / self.n for k, v in self.maps[comp].items()}
-        centroid_sq = sum(c * c for c in centroid.values())
-        total = 0.0
-        for views in self.members:
-            view = views[comp]
-            part = centroid_sq
-            for key, value in zip(view.keys, view.values):
-                c = centroid.get(key, 0.0)
-                part += (value - c) ** 2 - c * c
-            total += part
-        return total
-
     # -- serialization -------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        parts = [self._header_bytes()]
+        parts = [write_summary_header(_MAGIC, self.second_moments, self.n, self.t_last)]
         for m in self.maps:
             parts.append(struct.pack("<Q", len(m)))
             for key, value in m.items():
@@ -119,8 +104,8 @@ class ExactClusterStats(SummaryBase):
         return b"".join(parts)
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "ExactClusterStats":
-        moments, n, t_last, off = cls._read_header(data)
+    def from_bytes(cls, data: bytes | memoryview) -> "ExactClusterStats":
+        moments, n, t_last, off = read_summary_header(data, _MAGIC)
         maps: list[dict[bytes, float]] = []
         for _ in range(len(moments)):
             (entries,) = unpack_at("<Q", data, off)
@@ -135,13 +120,11 @@ class ExactClusterStats(SummaryBase):
                 off += 8
                 m[key] = value
             maps.append(m)
-        cls._check_end(data, off)
+        check_end(data, off)
         return cls(maps, moments, n, t_last)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExactClusterStats):
-            return NotImplemented
-        return self._scalars_equal(other) and self.maps == other.maps
+    def __repr__(self) -> str:
+        return f"ExactClusterStats(n={self.n}, d={self.d}, t_last={self.t_last})"
 
 
 class ExactBank:
@@ -186,9 +169,6 @@ class ExactBank:
     def geometry(self) -> ClusterGeometry:
         return cluster_geometry(self.slots)
 
-    def summaries(self) -> list[ExactClusterStats]:
-        return list(self.slots)
-
     def slot_bytes(self, slot: int) -> bytes:
         return self.slots[slot].to_bytes()
 
@@ -198,7 +178,7 @@ class ExactBank:
             raise ValueError(f"cluster has {c.d + 1} components; the schema has {self.d + 1}")
         self.slots.append(c)
 
-    def validate(self, graph_count: int) -> None:
+    def validate(self, graph_count: int, k: int) -> None:
         """``check_loaded`` on the slots' scalars, and map values negative or
         not finite."""
         slots = self.slots
@@ -207,6 +187,7 @@ class ExactBank:
             [c.t_last for c in slots],
             np.array([c.second_moments for c in slots]),
             graph_count,
+            k,
         )
         values = (v for c in slots for m in c.maps for v in m.values())
         if not finite_nonneg(np.fromiter(values, dtype=np.float64)):

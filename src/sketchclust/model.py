@@ -83,8 +83,14 @@ class StreamSchema:
         for t in raw_types:
             if not isinstance(t, dict) or "name" not in t:
                 raise ValueError("side type entries need a name")
-            types.append(SideType(str(t["name"]), str(t.get("kind", KIND_NUMERIC))))
-        return cls(side_types=tuple(types), directed=bool(obj.get("directed", False)))
+            name, kind = t["name"], t.get("kind", KIND_NUMERIC)
+            if not isinstance(name, str) or not isinstance(kind, str):
+                raise ValueError("side type name and kind must be strings")
+            types.append(SideType(name, kind))
+        directed = obj.get("directed", False)
+        if not isinstance(directed, bool):
+            raise ValueError("schema directed must be true or false")
+        return cls(side_types=tuple(types), directed=directed)
 
 
 @dataclass

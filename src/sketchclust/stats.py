@@ -1,35 +1,28 @@
-"""Constant-size cluster statistics: per-cluster summaries and the bank.
+"""Constant-size cluster statistics: the engine's bank of sketched clusters.
 
 A cluster is summarized by d+1 count-min sketches of first moments (one
 for the edge structure, one per side type), the exact running sums of
 squared masses per component, the member count and the last-update
-timestamp. Absorbing a graph touches each sketch once; merging two bundles
-is cell-wise sketch addition plus scalar sums with the later timestamp
-winning, and equals absorbing both member sets sequentially.
+timestamp. Absorbing a graph touches each sketch once; summing two
+clusters' cells and scalars (the later timestamp winning) equals absorbing
+both member sets into one.
 
-``ClusterStats`` is one such summary. The accessor surface
-(``second_moment`` / ``first_moments`` / ``self_product`` /
-``cross_product``) is shared with the exact backend in ``exact.py`` so the
-per-cluster distance code runs unchanged against either; ``first_moments``
-takes a graph's ``ComponentView``, whose sketch buckets the sketch backend
-reuses and whose keys the exact backend reads. Both backends derive from
-``SummaryBase``, which holds the scalar half of a summary (second moments,
-member count, last-update time) and its serialization header; each backend
-keeps its own first-moment storage and estimators.
-
-``ClusterBank`` is the engine's state: the same statistics for all ``k``
+``ClusterBank`` is the engine's state: these statistics for all ``k``
 clusters as struct-of-arrays (cells ``(d+1, k, rows, cols)``, per-row
 squared sums ``(d+1, k, rows)``, second moments ``(k, d+1)``, ``n`` and
 ``t_last`` ``(k,)``). It scores a graph against every cluster with one
 gather per component and builds the weight optimizer's geometry from one
-batched product per component. The per-cluster code stays as its
-reference: on integer masses the bank's results are bitwise equal to it.
-Checkpoints store each bank slot in the ``ClusterStats`` format.
+batched product per component.
 
-``unpack_at`` is the bounds-checked read that every layer of a checkpoint
-uses, so a truncated blob raises ValueError; a summary blob with bytes
-after its last component is rejected too, and ``check_loaded`` rejects
-loaded scalars that no run produces.
+A checkpoint stores each slot as a summary blob: the ``<4sBIQq`` header
+(magic, version, d, n, t_last) and the second moments, which
+``write_summary_header``/``read_summary_header`` write and parse for both
+backends, then the first moments; here, each component's sketch blob
+(``sketch.write_sketch``) behind a ``<I`` length. ``unpack_at`` is the
+bounds-checked read that every layer of a checkpoint uses, so a truncated
+blob raises ValueError; a summary blob with bytes after its last component
+is rejected too, and ``check_loaded`` rejects loaded state that no run
+produces.
 """
 
 from __future__ import annotations
@@ -39,9 +32,10 @@ import struct
 import numpy as np
 
 from .model import ComponentView
-from .sketch import CountMinSketch, SketchConfig, read_sketch
+from .sketch import SketchConfig, read_sketch, write_sketch
 from .weight_opt import ClusterGeometry
 
+_MAGIC = b"CST1"
 _VERSION = 1
 _HEADER = struct.Struct("<4sBIQq")
 
@@ -54,32 +48,55 @@ def unpack_at(fmt: str, data: bytes, off: int) -> tuple:
     return struct.unpack_from(fmt, data, off)
 
 
-def _summary_header(magic: bytes, second_moments: np.ndarray, n: int, t_last: int) -> bytes:
+def write_summary_header(magic: bytes, second_moments: np.ndarray, n: int, t_last: int) -> bytes:
+    """A summary blob's header and second moments; the first moments follow."""
     head = _HEADER.pack(magic, _VERSION, len(second_moments) - 1, n, t_last)
     return head + second_moments.astype("<f8", copy=False).tobytes()
 
 
-def _with_sketches(header: bytes, sketches) -> bytes:
-    """A sketch summary blob: its header, then each component's sketch
-    behind a ``<I`` length."""
-    parts = [header]
-    for sk in sketches:
-        blob = sk.to_bytes()
-        parts.append(struct.pack("<I", len(blob)))
-        parts.append(blob)
-    return b"".join(parts)
+def read_summary_header(
+    data: bytes | memoryview, magic: bytes
+) -> tuple[np.ndarray, int, int, int]:
+    """Inverse of ``write_summary_header``: (second_moments, n, t_last,
+    offset of the first moments)."""
+    found, version, d, n, t_last = unpack_at(_HEADER.format, data, 0)
+    if found != magic:
+        raise ValueError(f"bad cluster summary magic {found!r}, expected {magic!r}")
+    if version != _VERSION:
+        raise ValueError(f"unsupported cluster summary version {version}")
+    off = _HEADER.size
+    moments = np.frombuffer(data, dtype="<f8", count=d + 1, offset=off).copy()
+    return moments, n, t_last, off + (d + 1) * 8
+
+
+def check_end(data: bytes | memoryview, off: int) -> None:
+    """A summary blob ends at its last component: no trailing bytes."""
+    if off != len(data):
+        raise ValueError(f"cluster summary blob is {len(data)} bytes but ends at {off}")
 
 
 def finite_nonneg(a: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(a)) and np.all(a >= 0.0))
 
 
-def check_loaded(n, t_last, second_moments, graph_count: int) -> None:
-    """Reject loaded cluster scalars that no run produces: a cluster without
-    members, an update after the checkpoint's graph count, or second
-    moments that are negative or not finite. Arrays are per slot."""
+def check_loaded(n, t_last, second_moments, graph_count: int, k: int) -> None:
+    """Reject loaded cluster scalars that no run produces: a cluster count
+    other than ``min(graph_count, k)``, a cluster without members, more
+    members than graphs, an update after the checkpoint's graph count, or
+    second moments that are negative or not finite. Arrays are per slot."""
+    live = min(graph_count, k)
+    if len(n) != live:
+        raise ValueError(
+            f"checkpoint holds {len(n)} clusters after {graph_count} graphs; "
+            f"a run with k={k} holds {live}"
+        )
     if not bool(np.all(np.asarray(n) >= 1)):
         raise ValueError("checkpoint holds a cluster with no members")
+    members = sum(int(count) for count in n)
+    if members > graph_count:
+        raise ValueError(
+            f"checkpoint clusters hold {members} members, more than its {graph_count} graphs"
+        )
     t_last = np.asarray(t_last)
     if not bool(np.all((t_last >= 0) & (t_last <= graph_count))):
         raise ValueError(
@@ -89,177 +106,11 @@ def check_loaded(n, t_last, second_moments, graph_count: int) -> None:
         raise ValueError("checkpoint holds negative or non-finite second moments")
 
 
-class SummaryBase:
-    """Scalar state shared by both cluster-summary backends.
-
-    A subclass sets ``_MAGIC``, stores its first moments per component, and
-    implements ``absorb_views`` (calling ``_admit`` first), ``merge``,
-    ``to_bytes``/``from_bytes`` and ``__eq__`` around the helpers here.
-    """
-
-    __slots__ = ("second_moments", "n", "t_last")
-    _MAGIC = b""
-
-    def __init__(self, second_moments: np.ndarray, n: int, t_last: int):
-        self.second_moments = second_moments
-        self.n = n
-        self.t_last = t_last
-
-    @staticmethod
-    def _empty_scalars(d: int) -> tuple[np.ndarray, int, int]:
-        if d < 0:
-            raise ValueError("d must be >= 0")
-        return np.zeros(d + 1, dtype=np.float64), 0, 0
-
-    @property
-    def d(self) -> int:
-        return len(self.second_moments) - 1
-
-    def second_moment(self, comp: int) -> float:
-        return float(self.second_moments[comp])
-
-    # -- updates -----------------------------------------------------------
-
-    def _admit(self, views: list[ComponentView], now: int) -> None:
-        """Check an absorb's arguments and count the new member."""
-        if len(views) != len(self.second_moments):
-            raise ValueError("component count mismatch with schema")
-        if now < 0:
-            raise ValueError("timestamp must be nonnegative")
-        self.n += 1
-        self.t_last = max(self.t_last, now)
-
-    def _merged_scalars(self, other: "SummaryBase") -> tuple[np.ndarray, int, int]:
-        if self.d != other.d:
-            raise ValueError("component count mismatch")
-        return (
-            self.second_moments + other.second_moments,
-            self.n + other.n,
-            max(self.t_last, other.t_last),
-        )
-
-    def _scalars_equal(self, other: "SummaryBase") -> bool:
-        return (
-            self.n == other.n
-            and self.t_last == other.t_last
-            and np.array_equal(self.second_moments, other.second_moments)
-        )
-
-    # -- serialization -------------------------------------------------------
-
-    def _header_bytes(self) -> bytes:
-        """Header and second moments; the first moments follow them."""
-        return _summary_header(self._MAGIC, self.second_moments, self.n, self.t_last)
-
-    @classmethod
-    def _read_header(cls, data: bytes | memoryview) -> tuple[np.ndarray, int, int, int]:
-        """Inverse of ``_header_bytes``: (second_moments, n, t_last, offset of
-        the first moments)."""
-        magic, version, d, n, t_last = unpack_at(_HEADER.format, data, 0)
-        if magic != cls._MAGIC:
-            raise ValueError(f"bad {cls.__name__} magic")
-        if version != _VERSION:
-            raise ValueError(f"unsupported {cls.__name__} version {version}")
-        off = _HEADER.size
-        moments = np.frombuffer(data, dtype="<f8", count=d + 1, offset=off).copy()
-        return moments, n, t_last, off + (d + 1) * 8
-
-    @classmethod
-    def _check_end(cls, data: bytes | memoryview, off: int) -> None:
-        """A summary blob ends at its last component: no trailing bytes."""
-        if off != len(data):
-            raise ValueError(f"{cls.__name__} blob is {len(data)} bytes but ends at {off}")
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self.n}, d={self.d}, t_last={self.t_last})"
-
-
-class ClusterStats(SummaryBase):
-    __slots__ = ("sketches",)
-    _MAGIC = b"CST1"
-
-    def __init__(self, sketches, second_moments, n, t_last):
-        super().__init__(second_moments, n, t_last)
-        self.sketches: list[CountMinSketch] = sketches
-
-    @classmethod
-    def empty(cls, config: SketchConfig, d: int) -> "ClusterStats":
-        """All-zero bundle with n == 0; an identity element for merge."""
-        scalars = cls._empty_scalars(d)
-        return cls([CountMinSketch(config) for _ in range(d + 1)], *scalars)
-
-    # Kept on this class, not the base: perfbench/spans.py traces it by
-    # looking it up in this class's own namespace.
-    def absorb_views(self, views: list[ComponentView], now: int) -> None:
-        self._admit(views, now)
-        for comp, view in enumerate(views):
-            if view.keys:
-                sketch = self.sketches[comp]
-                sketch.update_many(view.buckets(sketch.config), view.values)
-                self.second_moments[comp] += view.sq_sum
-
-    @classmethod
-    def merge(cls, a: "ClusterStats", b: "ClusterStats") -> "ClusterStats":
-        scalars = a._merged_scalars(b)
-        return cls([sa.merge(sb) for sa, sb in zip(a.sketches, b.sketches)], *scalars)
-
-    # -- accessor surface shared with the exact backend ---------------------
-
-    def first_moments(self, comp: int, view: ComponentView) -> np.ndarray:
-        """Point estimates of the aggregated masses of the view's keys
-        (overestimates)."""
-        sketch = self.sketches[comp]
-        return sketch.estimate_many(view.buckets(sketch.config))
-
-    def self_product(self, comp: int) -> float:
-        """Estimate of the sum of squared aggregated masses in component."""
-        return self.sketches[comp].self_inner_product()
-
-    def cross_product(self, comp: int, other) -> float:
-        """Estimate of the inner product of aggregated masses with another
-        bundle's same component."""
-        return self.sketches[comp].inner_product(other.sketches[comp])
-
-    # -- serialization -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        return _with_sketches(self._header_bytes(), self.sketches)
-
-    @classmethod
-    def from_bytes(cls, data: bytes | memoryview) -> "ClusterStats":
-        moments, n, t_last, grids = cls._parse(data)
-        sketches = [CountMinSketch(SketchConfig(*shape), cells.copy()) for shape, cells in grids]
-        return cls(sketches, moments, n, t_last)
-
-    @classmethod
-    def _parse(cls, data: bytes | memoryview):
-        """(second_moments, n, t_last, grids) of a ``to_bytes`` blob, where
-        ``grids`` holds each component's sketch ``(rows, cols, seed)`` and a
-        read-only view of its cells in ``data``."""
-        data = memoryview(data)
-        moments, n, t_last, off = cls._read_header(data)
-        grids = []
-        for _ in range(len(moments)):
-            (blob_len,) = unpack_at("<I", data, off)
-            off += 4
-            grids.append(read_sketch(data[off : off + blob_len]))
-            off += blob_len
-        cls._check_end(data, off)
-        return moments, n, t_last, grids
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClusterStats):
-            return NotImplemented
-        return self._scalars_equal(other) and all(
-            sa == sb for sa, sb in zip(self.sketches, other.sketches)
-        )
-
-
 class ClusterBank:
     """Struct-of-arrays state of up to ``k`` sketched clusters.
 
-    Slot ``i`` holds what one ``ClusterStats`` holds, as slices of arrays
-    shared by all slots:
+    Slot ``i`` holds one cluster's statistics, as slices of arrays shared by
+    all slots:
 
     * ``cells[c, i]``: the ``(rows, cols)`` count-min grid of component ``c``;
     * ``row_sq[c, i]``: that grid's per-row sums of squared cells (its self
@@ -272,8 +123,7 @@ class ClusterBank:
     refresh takes every pair's cross products from one batched product per
     component. The arithmetic after each gather and product is the
     per-cluster code's (``distance``, ``weight_opt.cluster_geometry``) in the
-    same order, so on integer masses the results are bitwise equal to it.
-    Each slot serializes to the ``ClusterStats`` format.
+    same order.
     """
 
     def __init__(self, config: SketchConfig, d: int, k: int):
@@ -391,60 +241,55 @@ class ClusterBank:
             dropped=[(i, j) for i, j, keep in pairs if not keep],
         )
 
-    def summaries(self) -> list[ClusterStats]:
-        """One ``ClusterStats`` per live slot, for reading: its sketches and
-        second moments are views of the bank's arrays, ``n`` and ``t_last``
-        copies."""
-        return [
-            ClusterStats(
-                [CountMinSketch(self.config, grid) for grid in self.cells[:, slot]],
-                self.second_moments[slot],
-                int(self.n[slot]),
-                int(self.t_last[slot]),
-            )
-            for slot in range(self.size)
-        ]
-
     # -- checkpointing -------------------------------------------------------
 
     def slot_bytes(self, slot: int) -> bytes:
-        """The slot as ``ClusterStats.to_bytes`` writes it."""
-        header = _summary_header(
-            ClusterStats._MAGIC,
-            self.second_moments[slot],
-            int(self.n[slot]),
-            int(self.t_last[slot]),
-        )
-        grids = (CountMinSketch(self.config, grid) for grid in self.cells[:, slot])
-        return _with_sketches(header, grids)
+        """The slot as a summary blob: header, then each component's sketch
+        blob behind a ``<I`` length."""
+        parts = [
+            write_summary_header(
+                _MAGIC, self.second_moments[slot], int(self.n[slot]), int(self.t_last[slot])
+            )
+        ]
+        for grid in self.cells[:, slot]:
+            blob = write_sketch(self.config, grid)
+            parts.append(struct.pack("<I", len(blob)))
+            parts.append(blob)
+        return b"".join(parts)
 
     def load_slot(self, data: bytes | memoryview) -> None:
-        """Append one ``ClusterStats`` blob as the next slot, copying its
-        cells once, straight into the bank."""
-        moments, n, t_last, grids = ClusterStats._parse(data)
+        """Append one ``slot_bytes`` blob as the next slot, copying its cells
+        once, straight into the bank."""
+        data = memoryview(data)
+        moments, n, t_last, off = read_summary_header(data, _MAGIC)
         if len(moments) != self.d + 1:
             raise ValueError(
                 f"cluster has {len(moments)} components; the schema has {self.d + 1}"
             )
-        config = self.config
-        if any(shape != (config.rows, config.cols, config.seed) for shape, _ in grids):
-            raise ValueError("cluster sketch config differs from the checkpoint's")
         if n >= 1 << 63:
             raise ValueError(f"cluster member count {n} out of range")
+        config = self.config
         slot = self.size
-        for comp, (_, cells) in enumerate(grids):
+        for comp in range(self.d + 1):
+            (blob_len,) = unpack_at("<I", data, off)
+            off += 4
+            shape, cells = read_sketch(data[off : off + blob_len])
+            off += blob_len
+            if shape != (config.rows, config.cols, config.seed):
+                raise ValueError("cluster sketch config differs from the checkpoint's")
             grid = self.cells[comp, slot]
             grid[...] = cells
             self.row_sq[comp, slot] = np.einsum("rc,rc->r", grid, grid)
+        check_end(data, off)
         self.second_moments[slot] = moments
         self.n[slot] = n
         self.t_last[slot] = t_last
         self.size += 1
 
-    def validate(self, graph_count: int) -> None:
+    def validate(self, graph_count: int, k: int) -> None:
         """Reject loaded state no run produces, in one pass over the arrays:
         ``check_loaded`` on the scalars, and cells negative or not finite."""
         m = self.size
-        check_loaded(self.n[:m], self.t_last[:m], self.second_moments[:m], graph_count)
+        check_loaded(self.n[:m], self.t_last[:m], self.second_moments[:m], graph_count, k)
         if not finite_nonneg(self.cells[:, :m]):
             raise ValueError("checkpoint holds negative or non-finite sketch cells")

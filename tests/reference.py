@@ -1,0 +1,303 @@
+"""Per-cluster reference code: the independent oracle for the cluster bank.
+
+The library keeps every sketched cluster in ``stats.ClusterBank``. The
+code here computes the same statistics one cluster at a time, the
+straightforward way, and writes the same checkpoint bytes without sharing
+the library's writers:
+
+* ``CountMinSketch``: one ``(rows, cols)`` grid with point, self-product
+  and inner-product estimates, merge and its ``CMS1`` blob;
+* ``ClusterStats``: one cluster's d+1 sketches and scalars, with the
+  accessor surface ``distance`` and ``weight_opt.cluster_geometry`` read,
+  merge and its ``CST1`` blob;
+* ``separating_rows``: the rows in which given keys do not collide;
+* ``merge_exact`` and ``members_intra_sq``: the exact merge of two
+  ``ExactClusterStats`` and the definitional intra-cluster dispersion of a
+  member list;
+* ``summaries(engine)``: one summary per live slot of an engine's bank.
+"""
+
+from __future__ import annotations
+
+import struct
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from sketchclust import ComponentView, Engine, ExactClusterStats, SketchConfig
+
+_SKETCH_HEADER = struct.Struct("<4sBIIq")
+_SUMMARY_HEADER = struct.Struct("<4sBIQq")
+
+
+def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
+    """Rows in which all given keys land in pairwise distinct cells.
+
+    If at least one separating row exists for the full key universe, every
+    estimator on that universe is exact.
+    """
+    keys = tuple(dict.fromkeys(keys))
+    if len(keys) <= 1:
+        return list(range(config.rows))
+    idx = config.buckets(keys)
+    return [r for r in range(config.rows) if len(set(idx[r].tolist())) == len(keys)]
+
+
+class CountMinSketch:
+    __slots__ = ("config", "cells", "_row_sq")
+
+    def __init__(self, config: SketchConfig, cells: np.ndarray | None = None):
+        """An empty sketch, or one over ``cells`` (a ``(rows, cols)`` float64
+        array, used as given, not copied)."""
+        self.config = config
+        if cells is None:
+            cells = np.zeros((config.rows, config.cols), dtype=np.float64)
+        self.cells = cells
+        self._row_sq: np.ndarray | None = None
+
+    def update(self, key: bytes, value: float) -> None:
+        self.update_many((key,), np.array([value], dtype=np.float64))
+
+    def update_many(self, keys: Sequence[bytes] | np.ndarray, values: np.ndarray) -> None:
+        """Add values[i] to keys[i]'s cell in every row. Values must be >= 0.
+        ``keys`` may instead be their bucket matrix from ``config.buckets``."""
+        idx = self._buckets(keys)
+        if idx.shape[1] != len(values):
+            raise ValueError("keys and values length mismatch")
+        if len(values) == 0:
+            return
+        values = np.asarray(values, dtype=np.float64)
+        if not bool(np.all(values >= 0.0)):
+            raise ValueError("negative or NaN update value")
+        np.add.at(self.cells, (np.arange(self.config.rows)[:, None], idx), values[None, :])
+        self._row_sq = None
+
+    def estimate(self, key: bytes) -> float:
+        return float(self.estimate_many((key,))[0])
+
+    def estimate_many(self, keys: Sequence[bytes] | np.ndarray) -> np.ndarray:
+        """Row-minimum point estimates for each key, never below the truth.
+        ``keys`` may instead be their bucket matrix from ``config.buckets``."""
+        return self.cells[np.arange(self.config.rows)[:, None], self._buckets(keys)].min(axis=0)
+
+    def _buckets(self, keys: Sequence[bytes] | np.ndarray) -> np.ndarray:
+        if isinstance(keys, np.ndarray) and keys.dtype == np.intp:
+            return keys
+        return self.config.buckets(keys)
+
+    def self_inner_product(self) -> float:
+        """min over rows of sum(cell^2); overestimates sum of squared totals."""
+        if self._row_sq is None:
+            self._row_sq = np.einsum("rc,rc->r", self.cells, self.cells)
+        return float(self._row_sq.min())
+
+    def inner_product(self, other: "CountMinSketch") -> float:
+        """min over rows of the row dot product; overestimates the exact
+        inner product between the two underlying key/value maps."""
+        self._check_compatible(other)
+        return float(np.einsum("rc,rc->r", self.cells, other.cells).min())
+
+    def total(self) -> float:
+        """Total inserted mass (row sums are identical across rows)."""
+        return float(self.cells[0].sum())
+
+    def merge(self, other: "CountMinSketch") -> "CountMinSketch":
+        """Cell-wise sum; equals the sketch of the concatenated streams."""
+        self._check_compatible(other)
+        return CountMinSketch(self.config, self.cells + other.cells)
+
+    def copy(self) -> "CountMinSketch":
+        return CountMinSketch(self.config, self.cells.copy())
+
+    def _check_compatible(self, other: "CountMinSketch") -> None:
+        if self.config != other.config:
+            raise ValueError("sketch configs differ (shape or seed)")
+
+    def to_bytes(self) -> bytes:
+        cfg = self.config
+        head = _SKETCH_HEADER.pack(b"CMS1", 1, cfg.rows, cfg.cols, cfg.seed)
+        return head + self.cells.astype("<f8", copy=False).tobytes()
+
+    @classmethod
+    def from_bytes(cls, data: bytes | memoryview) -> "CountMinSketch":
+        if len(data) < _SKETCH_HEADER.size:
+            raise ValueError("truncated sketch blob")
+        magic, version, rows, cols, seed = _SKETCH_HEADER.unpack_from(data, 0)
+        if magic != b"CMS1" or version != 1:
+            raise ValueError("bad sketch magic or version")
+        if len(data) - _SKETCH_HEADER.size != rows * cols * 8:
+            raise ValueError("sketch payload size mismatch")
+        cells = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=_SKETCH_HEADER.size)
+        return cls(SketchConfig(rows, cols, seed), cells.reshape(rows, cols).copy())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CountMinSketch):
+            return NotImplemented
+        return self.config == other.config and bool(np.array_equal(self.cells, other.cells))
+
+
+class ClusterStats:
+    """One sketched cluster: d+1 sketches of first moments, the exact sums
+    of squared masses, the member count and the last-update time."""
+
+    __slots__ = ("sketches", "second_moments", "n", "t_last")
+
+    def __init__(self, sketches, second_moments, n, t_last):
+        self.sketches: list[CountMinSketch] = sketches
+        self.second_moments: np.ndarray = second_moments
+        self.n: int = n
+        self.t_last: int = t_last
+
+    @classmethod
+    def empty(cls, config: SketchConfig, d: int) -> "ClusterStats":
+        """All-zero bundle with n == 0; an identity element for merge."""
+        if d < 0:
+            raise ValueError("d must be >= 0")
+        sketches = [CountMinSketch(config) for _ in range(d + 1)]
+        return cls(sketches, np.zeros(d + 1, dtype=np.float64), 0, 0)
+
+    @property
+    def d(self) -> int:
+        return len(self.second_moments) - 1
+
+    def absorb_views(self, views: list[ComponentView], now: int) -> None:
+        if len(views) != len(self.second_moments):
+            raise ValueError("component count mismatch with schema")
+        if now < 0:
+            raise ValueError("timestamp must be nonnegative")
+        self.n += 1
+        self.t_last = max(self.t_last, now)
+        for comp, view in enumerate(views):
+            if view.keys:
+                sketch = self.sketches[comp]
+                sketch.update_many(view.buckets(sketch.config), view.values)
+                self.second_moments[comp] += view.sq_sum
+
+    @classmethod
+    def merge(cls, a: "ClusterStats", b: "ClusterStats") -> "ClusterStats":
+        if a.d != b.d:
+            raise ValueError("component count mismatch")
+        return cls(
+            [sa.merge(sb) for sa, sb in zip(a.sketches, b.sketches)],
+            a.second_moments + b.second_moments,
+            a.n + b.n,
+            max(a.t_last, b.t_last),
+        )
+
+    def second_moment(self, comp: int) -> float:
+        return float(self.second_moments[comp])
+
+    def first_moments(self, comp: int, view: ComponentView) -> np.ndarray:
+        """Point estimates of the aggregated masses of the view's keys
+        (overestimates)."""
+        sketch = self.sketches[comp]
+        return sketch.estimate_many(view.buckets(sketch.config))
+
+    def self_product(self, comp: int) -> float:
+        return self.sketches[comp].self_inner_product()
+
+    def cross_product(self, comp: int, other: "ClusterStats") -> float:
+        return self.sketches[comp].inner_product(other.sketches[comp])
+
+    def to_bytes(self) -> bytes:
+        parts = [
+            _SUMMARY_HEADER.pack(b"CST1", 1, self.d, self.n, self.t_last),
+            self.second_moments.astype("<f8", copy=False).tobytes(),
+        ]
+        for sketch in self.sketches:
+            blob = sketch.to_bytes()
+            parts.append(struct.pack("<I", len(blob)))
+            parts.append(blob)
+        return b"".join(parts)
+
+    @classmethod
+    def from_bytes(cls, data: bytes | memoryview) -> "ClusterStats":
+        data = memoryview(data)
+        if len(data) < _SUMMARY_HEADER.size:
+            raise ValueError("truncated summary blob")
+        magic, version, d, n, t_last = _SUMMARY_HEADER.unpack_from(data, 0)
+        if magic != b"CST1" or version != 1:
+            raise ValueError("bad summary magic or version")
+        off = _SUMMARY_HEADER.size
+        moments = np.frombuffer(data, dtype="<f8", count=d + 1, offset=off).copy()
+        off += 8 * (d + 1)
+        sketches = []
+        for _ in range(d + 1):
+            if off + 4 > len(data):
+                raise ValueError("truncated summary blob")
+            (blob_len,) = struct.unpack_from("<I", data, off)
+            off += 4
+            sketches.append(CountMinSketch.from_bytes(data[off : off + blob_len]))
+            off += blob_len
+        if off != len(data):
+            raise ValueError(f"summary blob is {len(data)} bytes but ends at {off}")
+        return cls(sketches, moments, n, t_last)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClusterStats):
+            return NotImplemented
+        return (
+            self.n == other.n
+            and self.t_last == other.t_last
+            and np.array_equal(self.second_moments, other.second_moments)
+            and all(sa == sb for sa, sb in zip(self.sketches, other.sketches))
+        )
+
+
+def merge_exact(a: ExactClusterStats, b: ExactClusterStats) -> ExactClusterStats:
+    """The exact cluster of both member sets: maps and scalars summed, the
+    later timestamp winning."""
+    if a.d != b.d:
+        raise ValueError("component count mismatch")
+    maps = []
+    for ma, mb in zip(a.maps, b.maps):
+        merged = dict(ma)
+        for key, value in mb.items():
+            merged[key] = merged.get(key, 0.0) + value
+        maps.append(merged)
+    return ExactClusterStats(
+        maps, a.second_moments + b.second_moments, a.n + b.n, max(a.t_last, b.t_last)
+    )
+
+
+def members_intra_sq(members: Sequence[Sequence[ComponentView]], comp: int) -> float:
+    """Sum over members of the squared distance to the centroid of one
+    component, from the members' own views (each member is its list of
+    d+1 views)."""
+    if not members:
+        raise ValueError("empty cluster")
+    n = len(members)
+    totals: dict[bytes, float] = {}
+    for views in members:
+        view = views[comp]
+        for key, value in zip(view.keys, view.values):
+            totals[key] = totals.get(key, 0.0) + float(value)
+    centroid = {k: v / n for k, v in totals.items()}
+    centroid_sq = sum(c * c for c in centroid.values())
+    total = 0.0
+    for views in members:
+        view = views[comp]
+        part = centroid_sq
+        for key, value in zip(view.keys, view.values):
+            c = centroid.get(key, 0.0)
+            part += (value - c) ** 2 - c * c
+        total += part
+    return total
+
+
+def summaries(engine: Engine) -> list:
+    """One summary per live slot of the engine's bank: ``ClusterStats`` on
+    the sketch backend, whose sketches and second moments are views of the
+    bank's arrays, or the exact bank's own ``ExactClusterStats``."""
+    bank = engine.bank
+    if engine.backend == "exact":
+        return list(bank.slots)
+    return [
+        ClusterStats(
+            [CountMinSketch(bank.config, grid) for grid in bank.cells[:, slot]],
+            bank.second_moments[slot],
+            int(bank.n[slot]),
+            int(bank.t_last[slot]),
+        )
+        for slot in range(len(bank))
+    ]

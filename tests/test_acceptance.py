@@ -13,8 +13,15 @@ import time
 import numpy as np
 import pytest
 
+from reference import (
+    ClusterStats,
+    CountMinSketch,
+    members_intra_sq,
+    separating_rows,
+)
 from sketchclust import (
     ACTION_INITIALIZED,
+    ComponentView,
     Engine,
     EngineConfig,
     GraphObject,
@@ -33,8 +40,7 @@ from sketchclust import (
 from sketchclust.distance import intra_distance_sq
 from sketchclust.exact import ExactClusterStats
 from sketchclust.model import graph_views
-from sketchclust.sketch import CountMinSketch, separating_rows
-from sketchclust.stats import ClusterStats
+from sketchclust.stats import ClusterBank
 from sketchclust.weight_opt import (
     BarrierConfig,
     ClusterGeometry,
@@ -298,9 +304,30 @@ def test_c05_objective_midpoint_convexity():
 # -- 6: merging summaries equals absorbing one combined stream --------------
 
 
+def _absorb(bank: ClusterBank, views, now: int) -> None:
+    """The engine's path into slot 0: found it on the first graph, then
+    absorb into it."""
+    if len(bank):
+        bank.absorb(0, views, now)
+    else:
+        bank.add(views, now)
+
+
+def _summed_slot(a: ClusterBank, b: ClusterBank) -> bytes:
+    """Slot 0 of two one-slot banks summed, as checkpoint bytes: cells,
+    second moments and member counts add, the later update time wins."""
+    total = ClusterBank(a.config, a.d, 1)
+    total.cells[...] = a.cells + b.cells
+    total.second_moments[...] = a.second_moments + b.second_moments
+    total.n[...] = a.n + b.n
+    total.t_last[...] = np.maximum(a.t_last, b.t_last)
+    return total.slot_bytes(0)
+
+
 def test_c06_merge_equals_single_stream_absorption():
     trials = 100
     exact_matches = 0
+    bank_matches = 0
     for trial in range(trials):
         rnd = random.Random(trial)
         synth = SynthConfig(
@@ -321,10 +348,13 @@ def test_c06_merge_equals_single_stream_absorption():
         whole = ClusterStats.empty(cfg, schema.d)
         part_a = ClusterStats.empty(cfg, schema.d)
         part_b = ClusterStats.empty(cfg, schema.d)
+        bank_whole, bank_a, bank_b = (ClusterBank(cfg, schema.d, 1) for _ in range(3))
         for now, g in enumerate(graphs, start=1):
             views = graph_views(g, schema)
             whole.absorb_views(views, now)
             (part_a if now <= split else part_b).absorb_views(views, now)
+            _absorb(bank_whole, views, now)
+            _absorb(bank_a if now <= split else bank_b, views, now)
 
         merged = ClusterStats.merge(part_a, part_b)
         if (
@@ -333,12 +363,15 @@ def test_c06_merge_equals_single_stream_absorption():
             and merged.to_bytes() == whole.to_bytes()
         ):
             exact_matches += 1
+        if _summed_slot(bank_a, bank_b) == bank_whole.slot_bytes(0):
+            bank_matches += 1
 
-    ok = exact_matches == trials
+    ok = exact_matches == trials and bank_matches == trials
     _verdict(
         6,
         ok,
         f"field_exact_matches={exact_matches}/{trials} "
+        f"bank_slot_matches={bank_matches}/{trials} "
         "(serialized summaries byte-identical)",
     )
 
@@ -410,6 +443,9 @@ def test_c08_overestimate_probability_bound():
     eps = math.e / cols
     violations = 0
     undercuts = 0
+    bank_violations = 0
+    bank_undercuts = 0
+    span = np.arange(rows)[:, None]
     for seed in range(n_seeds):
         rnd = random.Random(seed)
         cfg = SketchConfig(rows=rows, cols=cols, seed=seed)
@@ -428,30 +464,58 @@ def test_c08_overestimate_probability_bound():
         if est - masses[probe] > eps * total:
             violations += 1
 
+        # the same masses absorbed by a bank slot as ten graphs of 15 keys,
+        # and every key's estimate gathered from the slot's cells
+        bank = ClusterBank(cfg, 0, 1)
+        for start in range(0, len(keys), 15):
+            part = slice(start, start + 15)
+            _absorb(bank, [ComponentView(tuple(keys[part]), masses[part])], start + 1)
+        estimates = bank.cells[0, 0][span, cfg.buckets(keys)].min(0)
+        bank_undercuts += int(np.count_nonzero(estimates < masses))
+        if estimates[probe] - masses[probe] > eps * total:
+            bank_violations += 1
+
     rate = violations / n_seeds
+    bank_rate = bank_violations / n_seeds
     bound = delta + 3.0 * math.sqrt(delta * (1.0 - delta) / n_seeds)
-    ok = rate <= bound and undercuts == 0
+    ok = rate <= bound and undercuts == 0 and bank_rate <= bound and bank_undercuts == 0
     _verdict(
         8,
         ok,
-        f"seeds={n_seeds} violation_rate={rate:.4f} "
-        f"bound={bound:.4f} (delta={delta:.4f}) undercuts={undercuts}",
+        f"seeds={n_seeds} violation_rate={rate:.4f} bank_violation_rate={bank_rate:.4f} "
+        f"bound={bound:.4f} (delta={delta:.4f}) undercuts={undercuts} "
+        f"bank_undercuts={bank_undercuts}",
     )
 
 
 # -- 9: closed-form dispersion equals the definitional recomputation --------
 
 
+def _separating_config(members, d: int) -> SketchConfig:
+    """The first seed of a 4 x 1024 sketch in which some row separates each
+    component's keys, so no estimate sees a collision."""
+    universes = [
+        sorted({k for views in members for k in views[comp].keys}) for comp in range(d + 1)
+    ]
+    for seed in range(64):
+        cfg = SketchConfig(rows=4, cols=1024, seed=seed)
+        if all(separating_rows(cfg, keys) for keys in universes):
+            return cfg
+    raise AssertionError("no separating seed in range")
+
+
 def test_c09_closed_form_intra_matches_member_sum():
     rnd = random.Random(9)
     clusters_checked = 0
     worst = 0.0
+    bank_worst = 0.0
     while clusters_checked < 100:
         n_types = rnd.randint(0, 2)
         schema = StreamSchema(
             side_types=tuple(SideType(f"s{j}") for j in range(n_types))
         )
-        bundle = ExactClusterStats.empty(schema.d, keep_members=True)
+        bundle = ExactClusterStats.empty(schema.d)
+        members = []
         for member in range(rnd.randint(1, 12)):
             edges = [
                 (
@@ -472,19 +536,26 @@ def test_c09_closed_form_intra_matches_member_sum():
             g = GraphObject(
                 id=f"m{member}", ts=member, edges=edges, side=side
             )
-            bundle.absorb_views(graph_views(preprocess(g, schema), schema), member + 1)
+            members.append(graph_views(preprocess(g, schema), schema))
+            bundle.absorb_views(members[-1], member + 1)
+        bank = ClusterBank(_separating_config(members, schema.d), schema.d, 1)
+        for now, views in enumerate(members, start=1):
+            _absorb(bank, views, now)
+        bank_intra = bank.intra_sq(0)
         for comp in range(schema.d + 1):
+            definitional = members_intra_sq(members, comp)
+            scale = max(1.0, abs(definitional))
             closed = intra_distance_sq(bundle, comp)
-            definitional = bundle.members_intra_sq(comp)
-            err = abs(closed - definitional) / max(1.0, abs(definitional))
-            worst = max(worst, err)
+            worst = max(worst, abs(closed - definitional) / scale)
+            bank_worst = max(bank_worst, abs(bank_intra[comp] - definitional) / scale)
         clusters_checked += 1
 
-    ok = worst <= 1e-9
+    ok = worst <= 1e-9 and bank_worst <= 1e-9
     _verdict(
         9,
         ok,
-        f"clusters={clusters_checked} worst_intra_discrepancy={worst:.2e} (<=1e-9)",
+        f"clusters={clusters_checked} worst_intra_discrepancy={worst:.2e} "
+        f"bank_worst={bank_worst:.2e} (<=1e-9)",
     )
 
 
@@ -522,8 +593,8 @@ def _engine(schema, k=2, gamma=4, **kw):
 
 def _state_ok(engine, k):
     return (
-        len(engine.clusters) <= k
-        and all(c.n >= 1 for c in engine.clusters)
+        len(engine.bank) <= k
+        and all(engine.bank.count(slot) >= 1 for slot in range(len(engine.bank)))
         and np.all(np.isfinite(engine.weights))
         and len(engine.weights) == engine.schema.d + 1
     )

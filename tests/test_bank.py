@@ -1,9 +1,10 @@
 """The engine's cluster bank against the per-cluster reference.
 
 A reference loop routes the same stream with one ``ClusterStats`` per
-cluster, ``component_distances_sq``, ``intra_vector_sq`` and
-``refine_weights`` over ``cluster_geometry(clusters)``: the code the bank
-batches. Both resume from a checkpoint mid-stream. Actions and cluster
+cluster (``reference.py``), ``component_distances_sq``, ``intra_vector_sq``
+and ``refine_weights`` over ``cluster_geometry(clusters)``: the code the
+bank batches. Both resume from a checkpoint mid-stream, where every slot's
+checkpoint bytes must equal the reference summary's. Actions and cluster
 indices must match; distances must be bitwise equal on integer masses,
 where every sum is exact, and within ``rtol=1e-12`` otherwise, where the
 batched products may add in another order.
@@ -14,11 +15,11 @@ import random
 import numpy as np
 import pytest
 
+from reference import ClusterStats
 from sketchclust import (
     ACTION_ASSIGNED,
     ACTION_INITIALIZED,
     ACTION_REPLACED,
-    ClusterStats,
     Engine,
     EngineConfig,
     GraphObject,
@@ -37,8 +38,10 @@ from sketchclust import (
 
 def _reference(graphs, config: EngineConfig, schema, resume_at: int):
     """(action, cluster index, nearest distance, spread, component
-    distances) per graph, and the final weights, from per-cluster code."""
+    distances) per graph, the final weights and each cluster's checkpoint
+    bytes at ``resume_at``, from per-cluster code."""
     clusters: list[ClusterStats] = []
+    blobs: list[bytes] = []
     weights = np.ones(schema.d + 1)
     out = []
 
@@ -69,18 +72,21 @@ def _reference(graphs, config: EngineConfig, schema, resume_at: int):
         if now % config.gamma == 0 and len(clusters) >= 2:
             weights = refine_weights(weights, cluster_geometry(clusters), config.barrier)
         if now == resume_at:
-            clusters = [ClusterStats.from_bytes(c.to_bytes()) for c in clusters]
-    return out, weights
+            blobs = [c.to_bytes() for c in clusters]
+            clusters = [ClusterStats.from_bytes(blob) for blob in blobs]
+    return out, weights, blobs
 
 
 def _engine(graphs, config: EngineConfig, schema, resume_at: int):
     engine = Engine(config, schema, record_distances=True)
     events = []
+    blobs: list[bytes] = []
     for now, g in enumerate(graphs, 1):
         events.append(engine.process(g))
         if now == resume_at:
+            blobs = [engine.bank.slot_bytes(slot) for slot in range(len(engine.bank))]
             engine = Engine.from_bytes(engine.to_bytes())
-    return events, engine
+    return events, engine, blobs
 
 
 def _scaled(g: GraphObject, rng: random.Random) -> GraphObject:
@@ -132,10 +138,13 @@ def test_bank_matches_per_cluster_reference(stream, integer):
     config = EngineConfig(sketch=SketchConfig(rows=5, cols=64, seed=7), **engine_kw)
     resume_at = len(graphs) // 2 + 3
 
-    expected, weights = _reference(graphs, config, schema, resume_at)
-    events, engine = _engine(graphs, config, schema, resume_at)
+    expected, weights, expected_blobs = _reference(graphs, config, schema, resume_at)
+    events, engine, blobs = _engine(graphs, config, schema, resume_at)
 
     assert [(e.action, e.cluster_index) for e in events] == [x[:2] for x in expected]
+    # the bank writes each slot exactly as the reference summary does
+    assert len(blobs) == config.k
+    assert blobs == expected_blobs
     actions = {e.action for e in events}
     assert actions == {ACTION_INITIALIZED, ACTION_ASSIGNED, ACTION_REPLACED}
     if integer:

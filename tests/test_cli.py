@@ -191,6 +191,24 @@ def test_eval_rejects_a_malformed_event_line(tmp_path, capsys, fault):
     assert diag["message"].startswith("input: line 5: bad event: ")
 
 
+@pytest.mark.parametrize(
+    "schema",
+    [{"directed": "false"}, {"directed": 0}, {"side_types": [{"name": 5}]}],
+    ids=["string_directed", "int_directed", "int_name"],
+)
+def test_mistyped_schema_header_exits_2(tmp_path, capsys, schema):
+    stream = tmp_path / "s.jsonl"
+    header = json.dumps({"schema": schema, "stream_version": 1})
+    stream.write_text(header + '\n{"id": "g0", "edges": [["a", "b"]]}\n', encoding="utf-8")
+    capsys.readouterr()
+    rc = main(
+        ["cluster", "--input", str(stream), "--k", "2", "--out-dir", str(tmp_path / "o")]
+    )
+    assert rc == EXIT_INPUT
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["message"].startswith("input: line 1: ")
+
+
 def test_lenient_mode_skips_malformed_records(tmp_path):
     stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
     lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)

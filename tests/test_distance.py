@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
+from reference import ClusterStats
 from sketchclust import (
-    ClusterStats,
     Engine,
     EngineConfig,
     ExactClusterStats,
@@ -39,7 +39,7 @@ def _component_sq(g: GraphObject, c, comp: int) -> float:
 
 
 def _cluster(*graphs: GraphObject) -> ExactClusterStats:
-    c = ExactClusterStats.empty(SCHEMA.d, keep_members=True)
+    c = ExactClusterStats.empty(SCHEMA.d)
     for i, g in enumerate(graphs):
         c.absorb_views(graph_views(g, SCHEMA), i)
     return c

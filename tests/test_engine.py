@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from reference import summaries
 from sketchclust import (
     ACTION_ASSIGNED,
     ACTION_INITIALIZED,
@@ -58,7 +59,7 @@ def test_first_k_graphs_initialize():
     events = engine.run([_graph(i, [("a", f"n{i}", 1.0)]) for i in range(3)])
     assert [e.action for e in events] == [ACTION_INITIALIZED] * 3
     assert [e.cluster_index for e in events] == [0, 1, 2]
-    assert all(c.n == 1 for c in engine.clusters)
+    assert engine.bank.n.tolist() == [1, 1, 1]
 
 
 def test_near_graph_is_assigned():
@@ -68,7 +69,7 @@ def test_near_graph_is_assigned():
     event = engine.run([_graph(2, [("a", "b", 1.0)])])[0]
     assert event.action == ACTION_ASSIGNED
     assert event.cluster_index == 0
-    assert engine.clusters[0].n == 2
+    assert engine.bank.count(0) == 2
 
 
 def test_far_graph_replaces_stalest():
@@ -84,11 +85,11 @@ def test_far_graph_replaces_stalest():
             _graph(4, [("x", "y", 5.5)]),
         ]
     )
-    assert [c.n for c in engine.clusters] == [2, 3]
+    assert engine.bank.n.tolist() == [2, 3]
     event = engine.run([_graph(5, [("q", "r", 50.0)])])[0]
     assert event.action == ACTION_REPLACED
     assert event.cluster_index == 0  # smallest t_last
-    assert engine.clusters[0].n == 1
+    assert engine.bank.count(0) == 1
     assert event.es_distance_sq is not None and event.spread is not None
     assert event.es_distance_sq >= event.spread
 
@@ -379,11 +380,7 @@ def test_from_bytes_rejects_sketch_seed_unlike_header():
     with pytest.raises(ValueError):
         Engine.from_bytes(bytes(blob))
     resumed = Engine.from_bytes(engine.to_bytes())
-    assert all(
-        sketch.config is resumed.config.sketch
-        for c in resumed.clusters
-        for sketch in c.sketches
-    )
+    assert resumed.bank.config is resumed.config.sketch
 
 
 def test_each_graph_is_hashed_once_per_component(monkeypatch):
@@ -393,7 +390,7 @@ def test_each_graph_is_hashed_once_per_component(monkeypatch):
     engine = Engine(EngineConfig(k=5, gamma=40), schema)
     for g in graphs[:40]:
         engine.process(g)
-    assert len(engine.clusters) == 5
+    assert len(engine.bank) == 5
 
     calls = [0]
     buckets = SketchConfig.buckets
@@ -482,7 +479,7 @@ def test_from_bytes_rejects_clusters_unlike_the_header(backend):
         Engine.from_bytes(_splice_clusters(engine_d1, engine_d2))
     # three clusters into a k=2 checkpoint
     engine_k3 = _run_engine(backend, k=3)
-    assert len(engine_k3.clusters) == 3
+    assert len(engine_k3.bank) == 3
     with pytest.raises(ValueError, match="more than k"):
         Engine.from_bytes(_splice_clusters(engine_d1, engine_k3))
 
@@ -512,7 +509,7 @@ def test_from_bytes_rejects_bad_first_moments(backend, corrupt, value):
 @pytest.mark.parametrize("backend", ["sketch", "exact"])
 def test_from_bytes_rejects_bad_second_moments(backend, value):
     engine = _run_engine(backend)
-    engine.clusters[1].second_moments[0] = value  # a view of the sketch bank's row
+    summaries(engine)[1].second_moments[0] = value  # a view of the sketch bank's row
     with pytest.raises(ValueError, match="second moments"):
         Engine.from_bytes(engine.to_bytes())
 
@@ -534,9 +531,42 @@ _N_AT, _T_LAST_AT = 4 + 1 + 4, 4 + 1 + 4 + 8
 @pytest.mark.parametrize("backend", ["sketch", "exact"])
 def test_from_bytes_rejects_a_cluster_without_members(backend):
     blob = _run_engine(backend).to_bytes()
-    assert Engine.from_bytes(_patch_cluster_field(blob, "<Q", _N_AT, 1)).clusters[1].n == 1
+    assert Engine.from_bytes(_patch_cluster_field(blob, "<Q", _N_AT, 1)).bank.count(1) == 1
     with pytest.raises(ValueError, match="no members"):
         Engine.from_bytes(_patch_cluster_field(blob, "<Q", _N_AT, 0))
+
+
+def _drop_last_cluster(blob: bytes) -> bytes:
+    """The checkpoint with its cluster count one lower and its last cluster
+    cut out."""
+    off = _cluster_section(blob)
+    (count,) = struct.unpack_from("<I", blob, off)
+    end = off + 4
+    for _ in range(count - 1):
+        (size,) = struct.unpack_from("<Q", blob, end)
+        end += 8 + size
+    return blob[:off] + struct.pack("<I", count - 1) + blob[off + 4 : end]
+
+
+@pytest.mark.parametrize("graphs", [30, 3])
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_rejects_fewer_clusters_than_a_run_holds(backend, graphs):
+    # a run holds min(graph_count, k) clusters: k=5 at 30 graphs, 3 at 3
+    engine = Engine(_config(k=5), SCHEMA, backend)
+    engine.run([_graph(i, [("a", f"n{i % 7}", 1.0)], {"x": 1.0}) for i in range(graphs)])
+    assert len(engine.bank) == min(graphs, 5)
+    with pytest.raises(ValueError, match="a run with k=5 holds"):
+        Engine.from_bytes(_drop_last_cluster(engine.to_bytes()))
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_rejects_more_members_than_graphs(backend):
+    engine = _run_engine(backend)
+    blob = engine.to_bytes()
+    most = engine.graph_count - engine.bank.count(0)
+    assert Engine.from_bytes(_patch_cluster_field(blob, "<Q", _N_AT, most)).bank.count(1) == most
+    with pytest.raises(ValueError, match="more than its"):
+        Engine.from_bytes(_patch_cluster_field(blob, "<Q", _N_AT, most + 1))
 
 
 @pytest.mark.parametrize("backend", ["sketch", "exact"])
@@ -544,7 +574,7 @@ def test_from_bytes_rejects_an_update_after_the_graph_count(backend):
     engine = _run_engine(backend)
     blob = engine.to_bytes()
     latest = _patch_cluster_field(blob, "<q", _T_LAST_AT, engine.graph_count)
-    assert Engine.from_bytes(latest).clusters[1].t_last == engine.graph_count
+    assert summaries(Engine.from_bytes(latest))[1].t_last == engine.graph_count
     for t_last in (engine.graph_count + 1, -1):
         with pytest.raises(ValueError, match="updated outside"):
             Engine.from_bytes(_patch_cluster_field(blob, "<q", _T_LAST_AT, t_last))

@@ -38,6 +38,20 @@ def test_schema_dict_round_trip():
     assert schema.d == 2
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"directed": "false"},
+        {"directed": None},
+        {"side_types": [{"name": 5}]},
+        {"side_types": [{"name": "topics", "kind": 1}]},
+    ],
+)
+def test_schema_from_dict_requires_json_types(raw):
+    with pytest.raises(ValueError):
+        StreamSchema.from_dict(raw)
+
+
 def test_edge_key_is_injective_on_separator():
     # ("a", "b|c") and ("a|b", "c") must not encode to the same key, so
     # the separator byte is banned from labels outright.

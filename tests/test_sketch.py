@@ -1,11 +1,13 @@
-"""Count-min sketch grid: hashing, estimates, products, serialization."""
+"""Count-min sketch grid: hashing, and the per-cluster reference sketch's
+estimates, products and serialization."""
 
 import random
 
 import numpy as np
 import pytest
 
-from sketchclust import CountMinSketch, SketchConfig, separating_rows
+from reference import CountMinSketch, separating_rows
+from sketchclust import SketchConfig
 
 
 def test_config_validation():

@@ -1,19 +1,18 @@
-"""Sketch-backed cluster statistics bundle."""
+"""The per-cluster reference summary of a sketched cluster."""
 
 import random
 
 import numpy as np
 import pytest
 
+from reference import ClusterStats, separating_rows
 from sketchclust import (
-    ClusterStats,
     GraphObject,
     SideType,
     SketchConfig,
     StreamSchema,
     graph_views,
     preprocess,
-    separating_rows,
 )
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
