@@ -62,6 +62,20 @@ def _diag(level: str, message: str, **fields) -> None:
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {text}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sketchclust", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -96,7 +110,7 @@ def _build_parser() -> _Parser:
                        help="skip weight optimization (uniform weights)")
         p.add_argument("--lenient", action="store_true",
                        help="skip malformed records instead of aborting")
-        p.add_argument("--purity-every", type=int, default=100,
+        p.add_argument("--purity-every", type=_nonnegative_int, default=100,
                        help="events between purity samples (0 disables)")
 
     p_cluster = sub.add_parser("cluster", help="cluster a stream file")
@@ -107,7 +121,7 @@ def _build_parser() -> _Parser:
                            help="record per-cluster distances in events")
     p_cluster.add_argument("--trace-weights", action="store_true",
                            help="emit weight optimizer trace to stderr")
-    p_cluster.add_argument("--throughput-window", type=float, default=0.5)
+    p_cluster.add_argument("--throughput-window", type=_positive_float, default=0.5)
 
     p_compare = sub.add_parser(
         "compare", help="run sketch and exact backends and compare them"
@@ -119,7 +133,7 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--events", required=True, help="events.jsonl from cluster")
     p_eval.add_argument("--stream", required=True, help="labeled stream file")
     p_eval.add_argument("--out-dir", default=None)
-    p_eval.add_argument("--purity-every", type=int, default=100)
+    p_eval.add_argument("--purity-every", type=_nonnegative_int, default=100)
 
     return parser
 
@@ -193,8 +207,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_cluster(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = _engine_config(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     schema = read_header(args.input)
 
     trace = None
@@ -278,8 +292,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = _engine_config(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     schema = read_header(args.input)
     engines = {
         backend: Engine(config, schema, backend=backend, record_distances=True)

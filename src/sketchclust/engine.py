@@ -22,15 +22,16 @@ the sketch backend (struct-of-arrays, scored for all clusters at once) or
 ``exact.ExactBank``, the same interface over exact summaries, so
 ``process`` has one path for both. Graph edges are consumed exactly once;
 memory is constant in the stream length on the sketch backend. Engine
-state checkpoints to a versioned binary blob, one summary per live slot;
-loading rejects state no run produces (such as a cluster count other than
-``min(graph_count, k)``), and resuming a checkpoint replays identically to
-an uninterrupted run.
+state checkpoints to a versioned blob: a JSON header, the graph count and
+weights, then the bank's arrays whole. Loading rejects a header field of
+the wrong JSON type and state no run produces (such as a cluster count
+other than ``min(graph_count, k)``); a resumed run replays identically.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -41,11 +42,11 @@ from .distance import ensure_weights
 from .exact import ExactBank
 from .model import GraphObject, StreamSchema, canonical_graphs, graph_views
 from .sketch import SketchConfig
-from .stats import ClusterBank, unpack_at
+from .stats import ClusterBank, read_array, unpack_at
 from .weight_opt import BarrierConfig, TraceHook, refine_weights
 
 _MAGIC = b"SCE1"
-_VERSION = 1
+_VERSION = 2
 
 ACTION_INITIALIZED = "initialized"
 ACTION_ASSIGNED = "assigned"
@@ -69,38 +70,25 @@ class EngineConfig:
             raise ValueError("k must be >= 2")
         if self.gamma < 1:
             raise ValueError("gamma must be >= 1")
-        if not self.p > 0:
-            raise ValueError("p must be positive")
+        if not 0 < self.p < math.inf:
+            raise ValueError("p must be positive and finite")
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "gamma": self.gamma,
-            "p": self.p,
-            "sketch": {
-                "rows": self.sketch.rows,
-                "cols": self.sketch.cols,
-                "seed": self.sketch.seed,
-            },
-            "barrier": {
-                "t": self.barrier.t,
-                "step_size": self.barrier.step_size,
-                "max_steps": self.barrier.max_steps,
-                "feasibility_margin": self.barrier.feasibility_margin,
-                "weight_floor": self.barrier.weight_floor,
-            },
-            "seed": self.seed,
-            "optimize_weights": self.optimize_weights,
-        }
+        """Every field as JSON values; the sketch's private hash arrays left out."""
+        sketch = {k: v for k, v in vars(self.sketch).items() if not k.startswith("_")}
+        return {**vars(self), "sketch": sketch, "barrier": dict(vars(self.barrier))}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EngineConfig":
+        """Inverse of ``to_dict``; a field of the wrong JSON type raises
+        ValueError."""
+        obj = _typed(obj)
         return cls(
             k=obj["k"],
             gamma=obj.get("gamma", 250),
             p=obj.get("p", 3.0),
-            sketch=SketchConfig(**obj.get("sketch", {})),
-            barrier=BarrierConfig(**obj.get("barrier", {})),
+            sketch=SketchConfig(**_typed(obj.get("sketch", {}))),
+            barrier=BarrierConfig(**_typed(obj.get("barrier", {}))),
             seed=obj.get("seed", 0),
             optimize_weights=obj.get("optimize_weights", True),
         )
@@ -172,6 +160,31 @@ class AssignmentEvent:
 def _is_number(value, kinds=(int, float)) -> bool:
     """A JSON number of the given kinds (``bool`` is not one)."""
     return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+# The JSON kind of each checkpoint header and config field, by name.
+_KINDS = {
+    **dict.fromkeys(("k", "gamma", "seed", "rows", "cols", "max_steps"), "integer"),
+    **dict.fromkeys(("p", "t", "step_size", "feasibility_margin", "weight_floor"), "number"),
+    **dict.fromkeys(("optimize_weights", "record_distances"), "bool"),
+}
+_IS_KIND = {
+    "integer": lambda value: _is_number(value, int),
+    "number": _is_number,
+    "bool": lambda value: isinstance(value, bool),
+}
+
+
+def _typed(obj: dict) -> dict:
+    """``obj``, a JSON object whose fields named in ``_KINDS`` each hold a
+    value of their kind; ValueError otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, not {obj!r}")
+    for name, value in obj.items():
+        kind = _KINDS.get(name)
+        if kind is not None and not _IS_KIND[kind](value):
+            raise ValueError(f"{name} must be a JSON {kind}, not {value!r}")
+    return obj
 
 
 class Engine:
@@ -270,34 +283,25 @@ class Engine:
         ).encode("utf-8")
         parts = [
             _MAGIC,
-            struct.pack("<B", _VERSION),
-            struct.pack("<I", len(header)),
+            struct.pack("<BI", _VERSION, len(header)),
             header,
             # fixed width: a decimal count in the header would make the
             # checkpoint size depend on how many graphs were processed
-            struct.pack("<Q", self.graph_count),
-            struct.pack("<I", len(self.weights)),
+            struct.pack("<QI", self.graph_count, len(self.weights)),
             self.weights.astype("<f8", copy=False).tobytes(),
-            struct.pack("<I", len(self.bank)),
+            self.bank.to_bytes(),
         ]
-        for slot in range(len(self.bank)):
-            blob = self.bank.slot_bytes(slot)
-            parts.append(struct.pack("<Q", len(blob)))
-            parts.append(blob)
         return b"".join(parts)
 
     @classmethod
     def from_bytes(cls, data: bytes, trace: TraceHook | None = None) -> "Engine":
         if data[:4] != _MAGIC:
             raise ValueError("bad engine checkpoint magic")
-        (version,) = unpack_at("<B", data, 4)
+        version, hlen = unpack_at("<BI", data, 4)
         if version != _VERSION:
             raise ValueError(f"unsupported engine checkpoint version {version}")
-        off = 5
-        (hlen,) = unpack_at("<I", data, off)
-        off += 4
         try:
-            header = json.loads(data[off : off + hlen].decode("utf-8"))
+            header = _typed(json.loads(data[9 : 9 + hlen].decode("utf-8")))
             engine = cls(
                 config=EngineConfig.from_dict(header["config"]),
                 schema=StreamSchema.from_dict(header["schema"]),
@@ -305,27 +309,15 @@ class Engine:
                 record_distances=header.get("record_distances", False),
                 trace=trace,
             )
-        except (KeyError, TypeError) as exc:
-            # a header field that is missing, or of the wrong type
+        except (KeyError, TypeError, ValueError) as exc:
+            # not JSON, or a header field that is missing or of the wrong type
             raise ValueError(f"bad engine checkpoint header: {exc!r}") from None
-        off += hlen
-        (graph_count,) = unpack_at("<Q", data, off)
-        off += 8
-        (wlen,) = unpack_at("<I", data, off)
-        off += 4
-        engine.weights = np.frombuffer(data, dtype="<f8", count=wlen, offset=off).copy()
-        off += wlen * 8
-        ensure_weights(engine.weights, engine.schema.d)
-        (n_clusters,) = unpack_at("<I", data, off)
-        off += 4
-        if n_clusters > engine.config.k:
-            raise ValueError(f"checkpoint holds {n_clusters} clusters, more than k")
-        view = memoryview(data)
-        for _ in range(n_clusters):
-            (blob_len,) = unpack_at("<Q", data, off)
-            off += 8
-            engine.bank.load_slot(view[off : off + blob_len])
-            off += blob_len
+        off = 9 + hlen
+        graph_count, wlen = unpack_at("<QI", data, off)
+        off += 12
+        weights = read_array(data, off, "<f8", (wlen,))
+        engine.weights = ensure_weights(weights, engine.schema.d).copy()
+        off = engine.bank.load(data, off + weights.nbytes, engine.config.k)
         if off != len(data):
             raise ValueError(f"engine checkpoint is {len(data)} bytes but ends at {off}")
         engine.bank.validate(graph_count, engine.config.k)

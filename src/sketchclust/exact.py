@@ -3,12 +3,13 @@
 ``ExactClusterStats`` keeps full key/value maps per component instead of
 sketches, so every first moment, self product and cross product is exact,
 next to the same scalars as a sketched cluster (second moments, member
-count, last-update time) and the same summary header in its checkpoint
-blob. Memory grows with the number of distinct keys; this backend exists
-for differential testing and small runs, not for unbounded streams.
-``ExactBank`` gives the engine the sketch ``ClusterBank``'s interface over
-a list of these summaries; the per-cluster functions of ``distance`` and
-``weight_opt`` read them.
+count, last-update time). Memory grows with the number of distinct keys;
+this backend exists for differential testing and small runs, not for
+unbounded streams. ``ExactBank`` gives the engine the sketch
+``ClusterBank``'s interface over a list of these summaries; the
+per-cluster functions of ``distance`` and ``weight_opt`` read them. It
+checkpoints as the sketch bank does, ``stats.write_scalars`` first, then
+each slot's maps in place of the cells.
 """
 
 from __future__ import annotations
@@ -19,17 +20,8 @@ import numpy as np
 
 from .distance import component_distances_sq, intra_vector_sq
 from .model import ComponentView
-from .stats import (
-    check_end,
-    check_loaded,
-    finite_nonneg,
-    read_summary_header,
-    unpack_at,
-    write_summary_header,
-)
+from .stats import check_loaded, finite_nonneg, read_scalars, unpack_at, write_scalars
 from .weight_opt import ClusterGeometry, cluster_geometry
-
-_MAGIC = b"XST1"
 
 
 class ExactClusterStats:
@@ -91,38 +83,6 @@ class ExactClusterStats:
             a, b = b, a
         return sum(v * b.get(k, 0.0) for k, v in a.items())
 
-    # -- serialization -------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        parts = [write_summary_header(_MAGIC, self.second_moments, self.n, self.t_last)]
-        for m in self.maps:
-            parts.append(struct.pack("<Q", len(m)))
-            for key, value in m.items():
-                parts.append(struct.pack("<I", len(key)))
-                parts.append(key)
-                parts.append(struct.pack("<d", value))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes | memoryview) -> "ExactClusterStats":
-        moments, n, t_last, off = read_summary_header(data, _MAGIC)
-        maps: list[dict[bytes, float]] = []
-        for _ in range(len(moments)):
-            (entries,) = unpack_at("<Q", data, off)
-            off += 8
-            m: dict[bytes, float] = {}
-            for _ in range(entries):
-                (klen,) = unpack_at("<I", data, off)
-                off += 4
-                key = bytes(data[off : off + klen])
-                off += klen
-                (value,) = unpack_at("<d", data, off)
-                off += 8
-                m[key] = value
-            maps.append(m)
-        check_end(data, off)
-        return cls(maps, moments, n, t_last)
-
     def __repr__(self) -> str:
         return f"ExactClusterStats(n={self.n}, d={self.d}, t_last={self.t_last})"
 
@@ -169,26 +129,47 @@ class ExactBank:
     def geometry(self) -> ClusterGeometry:
         return cluster_geometry(self.slots)
 
-    def slot_bytes(self, slot: int) -> bytes:
-        return self.slots[slot].to_bytes()
+    def _scalars(self) -> tuple[list, list, list]:
+        """Every slot's ``n``, ``t_last`` and second moments."""
+        slots = self.slots
+        return [c.n for c in slots], [c.t_last for c in slots], [c.second_moments for c in slots]
 
-    def load_slot(self, data: bytes | memoryview) -> None:
-        c = ExactClusterStats.from_bytes(data)
-        if c.d != self.d:
-            raise ValueError(f"cluster has {c.d + 1} components; the schema has {self.d + 1}")
-        self.slots.append(c)
+    def to_bytes(self) -> bytes:
+        """``write_scalars``, then per slot and component a ``<Q`` entry
+        count and each entry as ``<I`` key length, key, ``<d`` value."""
+        parts = [write_scalars(*self._scalars())]
+        for c in self.slots:
+            for m in c.maps:
+                parts.append(struct.pack("<Q", len(m)))
+                for key, value in m.items():
+                    parts += (struct.pack("<I", len(key)), key, struct.pack("<d", value))
+        return b"".join(parts)
+
+    def load(self, data: bytes, off: int, k: int) -> int:
+        """Fill the empty bank from a ``to_bytes`` section at ``off``;
+        returns the offset after it."""
+        n, t_last, moments, off = read_scalars(data, off, self.d, k)
+        for slot in range(len(n)):
+            maps: list[dict[bytes, float]] = []
+            for _ in range(self.d + 1):
+                (entries,) = unpack_at("<Q", data, off)
+                off += 8
+                m: dict[bytes, float] = {}
+                for _ in range(entries):
+                    (klen,) = unpack_at("<I", data, off)
+                    key = bytes(data[off + 4 : off + 4 + klen])
+                    (m[key],) = unpack_at("<d", data, off + 4 + klen)
+                    off += 4 + klen + 8
+                maps.append(m)
+            # a copy: absorb_views adds to the second moments in place
+            self.slots.append(
+                ExactClusterStats(maps, moments[slot].copy(), int(n[slot]), int(t_last[slot]))
+            )
+        return off
 
     def validate(self, graph_count: int, k: int) -> None:
-        """``check_loaded`` on the slots' scalars, and map values negative or
-        not finite."""
-        slots = self.slots
-        check_loaded(
-            [c.n for c in slots],
-            [c.t_last for c in slots],
-            np.array([c.second_moments for c in slots]),
-            graph_count,
-            k,
-        )
-        values = (v for c in slots for m in c.maps for v in m.values())
+        """``check_loaded`` on the scalars, and map values negative or not finite."""
+        check_loaded(*self._scalars(), graph_count, k)
+        values = (v for c in self.slots for m in c.maps for v in m.values())
         if not finite_nonneg(np.fromiter(values, dtype=np.float64)):
             raise ValueError("checkpoint holds negative or non-finite masses")

@@ -19,7 +19,8 @@ Hashing is deterministic given the config seed: a key is digested to a
 ``(a * x + b) mod 2^64 mod cols`` with an odd multiplier, drawn by the
 config itself. ``SketchConfig.buckets`` maps keys to their cells in every
 row; nothing is memoised here, but each graph's ``ComponentView`` keeps its
-buckets. ``write_sketch``/``read_sketch`` are one grid's checkpoint blob.
+buckets. A checkpoint stores the config in its header and the grids as
+plain arrays (``stats.ClusterBank.to_bytes``).
 """
 
 from __future__ import annotations
@@ -27,16 +28,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-import struct
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-
-_MAGIC = b"CMS1"
-_VERSION = 1
-_HEADER = struct.Struct("<4sBIIq")
-
 
 @dataclass(frozen=True)
 class SketchConfig:
@@ -80,27 +75,3 @@ class SketchConfig:
         # power-of-two column counts.
         idx = (mixed >> np.uint64(32)) % np.uint64(self.cols)
         return idx.astype(np.intp)
-
-
-def write_sketch(config: SketchConfig, cells: np.ndarray) -> bytes:
-    """One sketch blob: the ``(rows, cols, seed)`` header, then the
-    ``(rows, cols)`` cells as little-endian float64."""
-    head = _HEADER.pack(_MAGIC, _VERSION, config.rows, config.cols, config.seed)
-    return head + cells.astype("<f8", copy=False).tobytes()
-
-
-def read_sketch(data: bytes | memoryview) -> tuple[tuple[int, int, int], np.ndarray]:
-    """Parse one ``write_sketch`` blob without copying its cells: its config's
-    ``(rows, cols, seed)`` and a read-only ``(rows, cols)`` view of the
-    payload."""
-    if len(data) < _HEADER.size:
-        raise ValueError("truncated sketch blob")
-    magic, version, rows, cols, seed = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC:
-        raise ValueError("bad sketch magic")
-    if version != _VERSION:
-        raise ValueError(f"unsupported sketch version {version}")
-    if len(data) - _HEADER.size != rows * cols * 8:
-        raise ValueError("sketch payload size mismatch")
-    cells = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=_HEADER.size)
-    return (rows, cols, seed), cells.reshape(rows, cols)

@@ -14,30 +14,24 @@ squared sums ``(d+1, k, rows)``, second moments ``(k, d+1)``, ``n`` and
 gather per component and builds the weight optimizer's geometry from one
 batched product per component.
 
-A checkpoint stores each slot as a summary blob: the ``<4sBIQq`` header
-(magic, version, d, n, t_last) and the second moments, which
-``write_summary_header``/``read_summary_header`` write and parse for both
-backends, then the first moments; here, each component's sketch blob
-(``sketch.write_sketch``) behind a ``<I`` length. ``unpack_at`` is the
-bounds-checked read that every layer of a checkpoint uses, so a truncated
-blob raises ValueError; a summary blob with bytes after its last component
-is rejected too, and ``check_loaded`` rejects loaded state that no run
-produces.
+A bank checkpoints as its live slots' arrays, whole: the scalars both
+backends share (``write_scalars``), then the cells as one ``f8[d+1, m,
+rows, cols]`` block, every shape but ``m`` taken from the engine header.
+``unpack_at`` and ``read_array`` are the bounds-checked reads a checkpoint
+goes through, so a truncated one raises ValueError; ``check_loaded``
+rejects loaded state that no run produces.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from .model import ComponentView
-from .sketch import SketchConfig, read_sketch, write_sketch
+from .sketch import SketchConfig
 from .weight_opt import ClusterGeometry
-
-_MAGIC = b"CST1"
-_VERSION = 1
-_HEADER = struct.Struct("<4sBIQq")
 
 
 def unpack_at(fmt: str, data: bytes, off: int) -> tuple:
@@ -48,34 +42,40 @@ def unpack_at(fmt: str, data: bytes, off: int) -> tuple:
     return struct.unpack_from(fmt, data, off)
 
 
-def write_summary_header(magic: bytes, second_moments: np.ndarray, n: int, t_last: int) -> bytes:
-    """A summary blob's header and second moments; the first moments follow."""
-    head = _HEADER.pack(magic, _VERSION, len(second_moments) - 1, n, t_last)
-    return head + second_moments.astype("<f8", copy=False).tobytes()
+def read_array(data: bytes, off: int, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A read-only view of the ``shape`` array of ``dtype`` at ``off``;
+    ValueError when ``data`` ends before it."""
+    count = math.prod(shape)
+    if off + count * np.dtype(dtype).itemsize > len(data):
+        raise ValueError(f"truncated blob: no {dtype}{list(shape)} at offset {off} of {len(data)}")
+    array = np.frombuffer(data, dtype=dtype, count=count, offset=off).reshape(shape)
+    array.flags.writeable = False
+    return array
 
 
-def read_summary_header(
-    data: bytes | memoryview, magic: bytes
-) -> tuple[np.ndarray, int, int, int]:
-    """Inverse of ``write_summary_header``: (second_moments, n, t_last,
-    offset of the first moments)."""
-    found, version, d, n, t_last = unpack_at(_HEADER.format, data, 0)
-    if found != magic:
-        raise ValueError(f"bad cluster summary magic {found!r}, expected {magic!r}")
-    if version != _VERSION:
-        raise ValueError(f"unsupported cluster summary version {version}")
-    off = _HEADER.size
-    moments = np.frombuffer(data, dtype="<f8", count=d + 1, offset=off).copy()
-    return moments, n, t_last, off + (d + 1) * 8
+def write_scalars(n, t_last, second_moments) -> bytes:
+    """The live slots' scalars: ``<I`` slot count, ``n`` and ``t_last`` as
+    ``i8[m]``, second moments as ``f8[m, d+1]``."""
+    arrays = (np.asarray(n, "<i8"), np.asarray(t_last, "<i8"), np.asarray(second_moments, "<f8"))
+    return struct.pack("<I", len(n)) + b"".join(a.tobytes() for a in arrays)
 
 
-def check_end(data: bytes | memoryview, off: int) -> None:
-    """A summary blob ends at its last component: no trailing bytes."""
-    if off != len(data):
-        raise ValueError(f"cluster summary blob is {len(data)} bytes but ends at {off}")
+def read_scalars(data: bytes, off: int, d: int, k: int) -> tuple:
+    """Inverse of ``write_scalars`` at ``off``: read-only ``(n, t_last,
+    second_moments)`` and the offset after them. More than ``k`` slots is
+    rejected before any array is read."""
+    (m,) = unpack_at("<I", data, off)
+    if m > k:
+        raise ValueError(f"checkpoint holds {m} clusters, more than k")
+    off += 4
+    n = read_array(data, off, "<i8", (m,))
+    t_last = read_array(data, off + 8 * m, "<i8", (m,))
+    second_moments = read_array(data, off + 16 * m, "<f8", (m, d + 1))
+    return n, t_last, second_moments, off + 16 * m + second_moments.nbytes
 
 
-def finite_nonneg(a: np.ndarray) -> bool:
+def finite_nonneg(a) -> bool:
+    a = np.asarray(a, dtype=np.float64)
     return bool(np.all(np.isfinite(a)) and np.all(a >= 0.0))
 
 
@@ -243,48 +243,32 @@ class ClusterBank:
 
     # -- checkpointing -------------------------------------------------------
 
-    def slot_bytes(self, slot: int) -> bytes:
-        """The slot as a summary blob: header, then each component's sketch
-        blob behind a ``<I`` length."""
-        parts = [
-            write_summary_header(
-                _MAGIC, self.second_moments[slot], int(self.n[slot]), int(self.t_last[slot])
-            )
-        ]
-        for grid in self.cells[:, slot]:
-            blob = write_sketch(self.config, grid)
-            parts.append(struct.pack("<I", len(blob)))
-            parts.append(blob)
-        return b"".join(parts)
+    def to_bytes(self) -> bytes:
+        """The live slots: ``write_scalars``, then the cells as one
+        ``f8[d+1, m, rows, cols]`` block."""
+        m = self.size
+        scalars = write_scalars(self.n[:m], self.t_last[:m], self.second_moments[:m])
+        # joined from the array's buffer: no intermediate copy of the cells
+        return b"".join((scalars, np.ascontiguousarray(self.cells[:, :m], "<f8")))
 
-    def load_slot(self, data: bytes | memoryview) -> None:
-        """Append one ``slot_bytes`` blob as the next slot, copying its cells
-        once, straight into the bank."""
-        data = memoryview(data)
-        moments, n, t_last, off = read_summary_header(data, _MAGIC)
-        if len(moments) != self.d + 1:
-            raise ValueError(
-                f"cluster has {len(moments)} components; the schema has {self.d + 1}"
-            )
-        if n >= 1 << 63:
-            raise ValueError(f"cluster member count {n} out of range")
-        config = self.config
-        slot = self.size
-        for comp in range(self.d + 1):
-            (blob_len,) = unpack_at("<I", data, off)
-            off += 4
-            shape, cells = read_sketch(data[off : off + blob_len])
-            off += blob_len
-            if shape != (config.rows, config.cols, config.seed):
-                raise ValueError("cluster sketch config differs from the checkpoint's")
+    def load(self, data: bytes, off: int, k: int) -> int:
+        """Fill the empty bank from a ``to_bytes`` section at ``off``,
+        copying each array once, straight into the bank; returns the offset
+        after it."""
+        n, t_last, moments, off = read_scalars(data, off, self.d, k)
+        m = len(n)
+        shape = (self.d + 1, m, self.config.rows, self.config.cols)
+        cells = read_array(data, off, "<f8", shape)
+        self.cells[:, :m] = cells
+        # absorb's per-grid product, so a resumed run stays bitwise equal
+        for comp, slot in np.ndindex(self.d + 1, m):
             grid = self.cells[comp, slot]
-            grid[...] = cells
             self.row_sq[comp, slot] = np.einsum("rc,rc->r", grid, grid)
-        check_end(data, off)
-        self.second_moments[slot] = moments
-        self.n[slot] = n
-        self.t_last[slot] = t_last
-        self.size += 1
+        self.second_moments[:m] = moments
+        self.n[:m] = n
+        self.t_last[:m] = t_last
+        self.size = m
+        return off + cells.nbytes
 
     def validate(self, graph_count: int, k: int) -> None:
         """Reject loaded state no run produces, in one pass over the arrays:

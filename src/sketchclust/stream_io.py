@@ -8,11 +8,11 @@ line is one graph record:
     {"id": "g0", "ts": 0, "edges": [["a", "b", 2], ["b", "c"]],
         "side": {"keywords": {"db": 3}}, "label": "k1"}
 
-Edge frequency defaults to 1 when omitted. For convenience a side entry may
-be a mapping, a list of identifiers (occurrences are counted) or a single
-identifier string. Parse failures carry 1-based line numbers; in lenient
-mode bad records are skipped and reported through a callback instead of
-aborting the run.
+Node labels are strings, and edge frequency defaults to 1 when omitted.
+For convenience a side entry may be a mapping, a list of identifier
+strings (occurrences are counted) or a single identifier string. Parse
+failures carry 1-based line numbers; in lenient mode bad records are
+skipped and reported through a callback instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -55,7 +55,10 @@ def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
         elif isinstance(entry, list):
             attrs = {}
             for item in entry:
-                item = str(item)
+                if not isinstance(item, str):
+                    raise StreamFormatError(
+                        f"list items of {name!r} must be strings", line_no
+                    )
                 attrs[item] = attrs.get(item, 0.0) + 1.0
         elif isinstance(entry, str):
             attrs = {entry: 1.0}
@@ -86,7 +89,9 @@ def _parse_record(obj: object, line_no: int, default_ts: int) -> GraphObject:
             raise StreamFormatError(
                 "each edge must be [src, dst] or [src, dst, freq]", line_no
             )
-        src, dst = str(e[0]), str(e[1])
+        src, dst = e[0], e[1]
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise StreamFormatError("edge endpoints must be strings", line_no)
         if len(e) == 3:
             if not isinstance(e[2], (int, float)) or isinstance(e[2], bool):
                 raise StreamFormatError("edge frequency must be numeric", line_no)

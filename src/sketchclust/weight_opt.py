@@ -54,7 +54,7 @@ class BarrierConfig:
             raise ValueError("max_steps must be >= 0")
         if not 0 < self.feasibility_margin < 1:
             raise ValueError("feasibility_margin must lie in (0, 1)")
-        if self.weight_floor < 0:
+        if not self.weight_floor >= 0:
             raise ValueError("weight_floor must be >= 0")
 
 

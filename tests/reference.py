@@ -2,14 +2,13 @@
 
 The library keeps every sketched cluster in ``stats.ClusterBank``. The
 code here computes the same statistics one cluster at a time, the
-straightforward way, and writes the same checkpoint bytes without sharing
-the library's writers:
+straightforward way:
 
 * ``CountMinSketch``: one ``(rows, cols)`` grid with point, self-product
-  and inner-product estimates, merge and its ``CMS1`` blob;
+  and inner-product estimates and merge;
 * ``ClusterStats``: one cluster's d+1 sketches and scalars, with the
   accessor surface ``distance`` and ``weight_opt.cluster_geometry`` read,
-  merge and its ``CST1`` blob;
+  and merge;
 * ``separating_rows``: the rows in which given keys do not collide;
 * ``merge_exact`` and ``members_intra_sq``: the exact merge of two
   ``ExactClusterStats`` and the definitional intra-cluster dispersion of a
@@ -19,16 +18,11 @@ the library's writers:
 
 from __future__ import annotations
 
-import struct
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from sketchclust import ComponentView, Engine, ExactClusterStats, SketchConfig
-
-_SKETCH_HEADER = struct.Struct("<4sBIIq")
-_SUMMARY_HEADER = struct.Struct("<4sBIQq")
-
 
 def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
     """Rows in which all given keys land in pairwise distinct cells.
@@ -113,23 +107,6 @@ class CountMinSketch:
         if self.config != other.config:
             raise ValueError("sketch configs differ (shape or seed)")
 
-    def to_bytes(self) -> bytes:
-        cfg = self.config
-        head = _SKETCH_HEADER.pack(b"CMS1", 1, cfg.rows, cfg.cols, cfg.seed)
-        return head + self.cells.astype("<f8", copy=False).tobytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes | memoryview) -> "CountMinSketch":
-        if len(data) < _SKETCH_HEADER.size:
-            raise ValueError("truncated sketch blob")
-        magic, version, rows, cols, seed = _SKETCH_HEADER.unpack_from(data, 0)
-        if magic != b"CMS1" or version != 1:
-            raise ValueError("bad sketch magic or version")
-        if len(data) - _SKETCH_HEADER.size != rows * cols * 8:
-            raise ValueError("sketch payload size mismatch")
-        cells = np.frombuffer(data, dtype="<f8", count=rows * cols, offset=_SKETCH_HEADER.size)
-        return cls(SketchConfig(rows, cols, seed), cells.reshape(rows, cols).copy())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountMinSketch):
             return NotImplemented
@@ -198,40 +175,6 @@ class ClusterStats:
 
     def cross_product(self, comp: int, other: "ClusterStats") -> float:
         return self.sketches[comp].inner_product(other.sketches[comp])
-
-    def to_bytes(self) -> bytes:
-        parts = [
-            _SUMMARY_HEADER.pack(b"CST1", 1, self.d, self.n, self.t_last),
-            self.second_moments.astype("<f8", copy=False).tobytes(),
-        ]
-        for sketch in self.sketches:
-            blob = sketch.to_bytes()
-            parts.append(struct.pack("<I", len(blob)))
-            parts.append(blob)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes | memoryview) -> "ClusterStats":
-        data = memoryview(data)
-        if len(data) < _SUMMARY_HEADER.size:
-            raise ValueError("truncated summary blob")
-        magic, version, d, n, t_last = _SUMMARY_HEADER.unpack_from(data, 0)
-        if magic != b"CST1" or version != 1:
-            raise ValueError("bad summary magic or version")
-        off = _SUMMARY_HEADER.size
-        moments = np.frombuffer(data, dtype="<f8", count=d + 1, offset=off).copy()
-        off += 8 * (d + 1)
-        sketches = []
-        for _ in range(d + 1):
-            if off + 4 > len(data):
-                raise ValueError("truncated summary blob")
-            (blob_len,) = struct.unpack_from("<I", data, off)
-            off += 4
-            sketches.append(CountMinSketch.from_bytes(data[off : off + blob_len]))
-            off += blob_len
-        if off != len(data):
-            raise ValueError(f"summary blob is {len(data)} bytes but ends at {off}")
-        return cls(sketches, moments, n, t_last)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ClusterStats):

@@ -3,14 +3,16 @@
 A reference loop routes the same stream with one ``ClusterStats`` per
 cluster (``reference.py``), ``component_distances_sq``, ``intra_vector_sq``
 and ``refine_weights`` over ``cluster_geometry(clusters)``: the code the
-bank batches. Both resume from a checkpoint mid-stream, where every slot's
-checkpoint bytes must equal the reference summary's. Actions and cluster
-indices must match; distances must be bitwise equal on integer masses,
-where every sum is exact, and within ``rtol=1e-12`` otherwise, where the
-batched products may add in another order.
+bank batches. The engine resumes from a checkpoint mid-stream, where the
+bank's section of it, before and after loading, must equal bytes built
+here from the reference clusters. Actions and cluster indices must match;
+distances must be bitwise equal on integer masses, where every sum is
+exact, and within ``rtol=1e-12`` otherwise, where the batched products may
+add in another order.
 """
 
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -36,12 +38,37 @@ from sketchclust import (
 )
 
 
+def _bank_bytes(clusters: list[ClusterStats]) -> bytes:
+    """The bank's checkpoint section for these clusters: slot count, ``n``
+    and ``t_last`` as ``i8``, second moments ``(m, d+1)``, then every cell
+    as one ``(d+1, m, rows, cols)`` block."""
+    m = len(clusters)
+    cells = np.stack([np.stack([s.cells for s in c.sketches]) for c in clusters], axis=1)
+    return b"".join(
+        (
+            struct.pack(f"<I{m}q{m}q", m, *(c.n for c in clusters), *(c.t_last for c in clusters)),
+            np.stack([c.second_moments for c in clusters]).astype("<f8").tobytes(),
+            cells.astype("<f8").tobytes(),
+        )
+    )
+
+
+def _bank_section(engine: Engine) -> bytes:
+    """The bank's section of the engine's checkpoint: everything after the
+    magic, version, header, graph count and weights."""
+    blob = engine.to_bytes()
+    (hlen,) = struct.unpack_from("<I", blob, 5)
+    off = 4 + 1 + 4 + hlen + 8
+    (wlen,) = struct.unpack_from("<I", blob, off)
+    return blob[off + 4 + 8 * wlen :]
+
+
 def _reference(graphs, config: EngineConfig, schema, resume_at: int):
     """(action, cluster index, nearest distance, spread, component
-    distances) per graph, the final weights and each cluster's checkpoint
-    bytes at ``resume_at``, from per-cluster code."""
+    distances) per graph, the final weights and the bank section expected
+    at ``resume_at``, from per-cluster code."""
     clusters: list[ClusterStats] = []
-    blobs: list[bytes] = []
+    section = b""
     weights = np.ones(schema.d + 1)
     out = []
 
@@ -72,21 +99,24 @@ def _reference(graphs, config: EngineConfig, schema, resume_at: int):
         if now % config.gamma == 0 and len(clusters) >= 2:
             weights = refine_weights(weights, cluster_geometry(clusters), config.barrier)
         if now == resume_at:
-            blobs = [c.to_bytes() for c in clusters]
-            clusters = [ClusterStats.from_bytes(blob) for blob in blobs]
-    return out, weights, blobs
+            section = _bank_bytes(clusters)
+    return out, weights, section
 
 
 def _engine(graphs, config: EngineConfig, schema, resume_at: int):
+    """The events and final engine of a run that resumes from its own
+    checkpoint at ``resume_at``, and its bank section there, before and
+    after loading."""
     engine = Engine(config, schema, record_distances=True)
     events = []
-    blobs: list[bytes] = []
+    sections: list[bytes] = []
     for now, g in enumerate(graphs, 1):
         events.append(engine.process(g))
         if now == resume_at:
-            blobs = [engine.bank.slot_bytes(slot) for slot in range(len(engine.bank))]
+            sections.append(_bank_section(engine))
             engine = Engine.from_bytes(engine.to_bytes())
-    return events, engine, blobs
+            sections.append(_bank_section(engine))
+    return events, engine, sections
 
 
 def _scaled(g: GraphObject, rng: random.Random) -> GraphObject:
@@ -138,13 +168,13 @@ def test_bank_matches_per_cluster_reference(stream, integer):
     config = EngineConfig(sketch=SketchConfig(rows=5, cols=64, seed=7), **engine_kw)
     resume_at = len(graphs) // 2 + 3
 
-    expected, weights, expected_blobs = _reference(graphs, config, schema, resume_at)
-    events, engine, blobs = _engine(graphs, config, schema, resume_at)
+    expected, weights, section = _reference(graphs, config, schema, resume_at)
+    events, engine, sections = _engine(graphs, config, schema, resume_at)
 
     assert [(e.action, e.cluster_index) for e in events] == [x[:2] for x in expected]
-    # the bank writes each slot exactly as the reference summary does
-    assert len(blobs) == config.k
-    assert blobs == expected_blobs
+    # the bank writes, and reads back, exactly the reference clusters' arrays
+    assert struct.unpack_from("<I", section)[0] == config.k
+    assert sections == [section, section]
     actions = {e.action for e in events}
     assert actions == {ACTION_INITIALIZED, ACTION_ASSIGNED, ACTION_REPLACED}
     if integer:

@@ -209,6 +209,25 @@ def test_mistyped_schema_header_exits_2(tmp_path, capsys, schema):
     assert diag["message"].startswith("input: line 1: ")
 
 
+def test_non_string_node_label_exits_2_unless_lenient(tmp_path, capsys):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
+    lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
+    lines[3] = json.dumps({"id": "bad", "edges": [[None, "b"], [True, 5]]}) + "\n"
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+
+    assert _cluster(str(broken), tmp_path / "strict") == EXIT_INPUT
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["message"].startswith("input: line 4: ")
+
+    assert _cluster(str(broken), tmp_path / "lenient", extra=["--lenient"]) == EXIT_OK
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    assert [(d["message"], d["line"]) for d in diags if d["level"] == "warning"] == [
+        ("record skipped", 4)
+    ]
+
+
 def test_lenient_mode_skips_malformed_records(tmp_path):
     stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
     lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
@@ -231,9 +250,24 @@ def test_usage_errors_exit_1():
     assert main(["synth", "--out", "x.jsonl", "--n-clusters", "0"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "flags", [["--throughput-window", "0"], ["--purity-every", "-1"]], ids=["window", "purity"]
+)
+def test_bad_run_flags_exit_1_before_the_run(tmp_path, capsys, flags):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=10)
+    capsys.readouterr()
+    assert _cluster(stream, tmp_path / "o", extra=flags) == EXIT_USAGE
+    assert not (tmp_path / "o").exists()
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["message"].startswith(f"usage: argument {flags[0]}: ")
+
+
 def test_bad_engine_config_exits_1(tmp_path):
     stream = _synth(tmp_path / "s.jsonl", n_graphs=10)
     assert _cluster(stream, tmp_path / "o", extra=["--p", "-1.0"]) == EXIT_USAGE
+    # an infinite p would make the first spread inf * 0 and its event unwritable
+    assert _cluster(stream, tmp_path / "o", extra=["--p", "inf"]) == EXIT_USAGE
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_input_exits_2(tmp_path):

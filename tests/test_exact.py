@@ -16,6 +16,7 @@ from sketchclust import (
     graph_views,
     preprocess,
 )
+from sketchclust.exact import ExactBank
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
@@ -136,24 +137,36 @@ def test_members_intra_sq_matches_definition():
             assert members_intra_sq(members, comp) == pytest.approx(total, abs=1e-9)
 
 
+def _bank(rng: random.Random, graphs: int) -> ExactBank:
+    """An exact bank with two live clusters over random graphs."""
+    bank = ExactBank(SCHEMA.d)
+    for i in range(graphs):
+        views = graph_views(_random_graph(rng, i), SCHEMA)
+        if len(bank) < 2:
+            bank.add(views, i)
+        else:
+            bank.absorb(i % 2, views, i)
+    return bank
+
+
 def test_serialization_round_trip():
-    rng = random.Random(19)
-    c = ExactClusterStats.empty(SCHEMA.d)
-    for i in range(9):
-        c.absorb_views(graph_views(_random_graph(rng, i), SCHEMA), i)
-    again = ExactClusterStats.from_bytes(c.to_bytes())
-    assert again.n == c.n
-    assert again.t_last == c.t_last
-    assert again.maps == c.maps
-    assert np.allclose(again.second_moments, c.second_moments)
-    assert again.to_bytes() == c.to_bytes()
-    with pytest.raises(ValueError):
-        ExactClusterStats.from_bytes(c.to_bytes() + b"junk")
+    bank = _bank(random.Random(19), 9)
+    blob = bank.to_bytes()
+    again = ExactBank(SCHEMA.d)
+    assert again.load(b"pad" + blob, 3, 2) == 3 + len(blob)
+    for mine, theirs in zip(bank.slots, again.slots):
+        assert (theirs.n, theirs.t_last) == (mine.n, mine.t_last)
+        assert theirs.maps == mine.maps
+        assert np.array_equal(theirs.second_moments, mine.second_moments)
+        assert theirs.second_moments.flags.writeable  # absorb adds in place
+    assert again.to_bytes() == blob
 
 
 def test_from_bytes_rejects_garbage():
-    c = ExactClusterStats.empty(SCHEMA.d)
-    blob = bytearray(c.to_bytes())
-    blob[:4] = b"ZZZZ"
-    with pytest.raises(ValueError):
-        ExactClusterStats.from_bytes(bytes(blob))
+    blob = bytearray(_bank(random.Random(23), 4).to_bytes())
+    for size in range(len(blob)):
+        with pytest.raises(ValueError, match="truncated"):
+            ExactBank(SCHEMA.d).load(bytes(blob[:size]), 0, 2)
+    blob[:4] = b"ZZZZ"  # a slot count far above k, rejected before any slot
+    with pytest.raises(ValueError, match="more than k"):
+        ExactBank(SCHEMA.d).load(bytes(blob), 0, 2)

@@ -159,25 +159,6 @@ def test_total_counts_mass():
     assert sk.total() == pytest.approx(4.0)
 
 
-def test_serialization_round_trip():
-    rng = random.Random(13)
-    for trial in range(10):
-        sk = CountMinSketch(SketchConfig(rows=3, cols=24, seed=trial))
-        for _ in range(rng.randrange(1, 50)):
-            sk.update(f"k{rng.randrange(40)}".encode(), float(rng.randrange(1, 7)))
-        again = CountMinSketch.from_bytes(sk.to_bytes())
-        assert again == sk
-        assert np.array_equal(again.cells, sk.cells)
-
-
-def test_from_bytes_rejects_garbage():
-    sk = CountMinSketch(SketchConfig(rows=2, cols=8, seed=0))
-    blob = bytearray(sk.to_bytes())
-    blob[:4] = b"NOPE"
-    with pytest.raises(ValueError):
-        CountMinSketch.from_bytes(bytes(blob))
-
-
 def test_copy_is_independent():
     sk = CountMinSketch(SketchConfig(rows=2, cols=8, seed=0))
     sk.update(b"a", 1.0)

@@ -1,4 +1,5 @@
-"""The per-cluster reference summary of a sketched cluster."""
+"""The per-cluster reference summary of a sketched cluster, and the cluster
+bank's checkpoint section."""
 
 import random
 
@@ -14,6 +15,7 @@ from sketchclust import (
     graph_views,
     preprocess,
 )
+from sketchclust.stats import ClusterBank
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
@@ -137,33 +139,45 @@ def test_merge_requires_same_shape():
         ClusterStats.merge(a, b)
 
 
-def test_serialization_round_trip():
-    rng = random.Random(41)
-    c = ClusterStats.empty(_cfg(seed=3), SCHEMA.d)
-    for i in range(8):
+def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
+    """A bank of ``k`` slots with two live clusters over random graphs."""
+    rng = random.Random(seed)
+    bank = ClusterBank(cfg, SCHEMA.d, k)
+    for i in range(graphs):
         g = _graph(
             i,
             [(f"n{rng.randrange(4)}", f"n{rng.randrange(4)}", 1.0)],
             {f"t{rng.randrange(5)}": 2.0},
         )
-        c.absorb_views(graph_views(g, SCHEMA), i)
-    again = ClusterStats.from_bytes(c.to_bytes())
-    assert again.n == c.n
-    assert again.t_last == c.t_last
-    assert again.second_moments == pytest.approx(c.second_moments)
-    for mine, theirs in zip(c.sketches, again.sketches):
-        assert mine == theirs
-    assert again.to_bytes() == c.to_bytes()
-    with pytest.raises(ValueError):
-        ClusterStats.from_bytes(c.to_bytes() + b"junk")
+        views = graph_views(g, SCHEMA)
+        if len(bank) < 2:
+            bank.add(views, i)
+        else:
+            bank.absorb(i % 2, views, i)
+    return bank
+
+
+def test_serialization_round_trip():
+    cfg = _cfg(seed=3)
+    bank = _bank(cfg, 3, 8, 41)
+    blob = bank.to_bytes()
+    again = ClusterBank(cfg, SCHEMA.d, 3)
+    assert again.load(b"pad" + blob, 3, 3) == 3 + len(blob)
+    assert len(again) == 2
+    for name in ("cells", "row_sq", "second_moments", "n", "t_last"):
+        assert np.array_equal(getattr(again, name), getattr(bank, name)), name
+    assert again.to_bytes() == blob
 
 
 def test_from_bytes_rejects_garbage():
-    c = ClusterStats.empty(_cfg(), SCHEMA.d)
-    blob = bytearray(c.to_bytes())
-    blob[:4] = b"XXXX"
-    with pytest.raises(ValueError):
-        ClusterStats.from_bytes(bytes(blob))
+    cfg = SketchConfig(rows=2, cols=8, seed=0)
+    blob = bytearray(_bank(cfg, 2, 4, 43).to_bytes())
+    for size in range(len(blob)):
+        with pytest.raises(ValueError, match="truncated"):
+            ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob[:size]), 0, 2)
+    blob[:4] = b"XXXX"  # a slot count far above k, rejected before any array
+    with pytest.raises(ValueError, match="more than k"):
+        ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob), 0, 2)
 
 
 def test_views_hashed_for_one_config_serve_another():

@@ -143,6 +143,12 @@ def test_record_validation_errors(tmp_path):
         {"id": "g", "side": {"topics": {"x": True}}},
         {"id": "g", "side": 3},
         {"id": "g", "label": 7},
+        {"id": "g", "edges": [[None, "b"]]},
+        {"id": "g", "edges": [["a", True]]},
+        {"id": "g", "edges": [[5, "b", 1]]},
+        {"id": "g", "side": {"topics": ["x", None]}},
+        {"id": "g", "side": {"topics": [False]}},
+        {"id": "g", "side": {"topics": [3]}},
         "not an object",
     ]
     for bad in cases:
