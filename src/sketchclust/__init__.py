@@ -11,15 +11,6 @@ testing, a seeded generator produces labeled synthetic streams, and the
 
 __version__ = "0.1.0"
 
-from .distance import (
-    component_distance_sq,
-    component_distances_sq,
-    ensure_weights,
-    inter_distance_sq,
-    inter_vector_sq,
-    intra_distance_sq,
-    intra_vector_sq,
-)
 from .engine import (
     ACTION_ASSIGNED,
     ACTION_INITIALIZED,
@@ -27,6 +18,7 @@ from .engine import (
     AssignmentEvent,
     Engine,
     EngineConfig,
+    ensure_weights,
 )
 from .evaluate import (
     PurityReport,
@@ -35,7 +27,6 @@ from .evaluate import (
     purity_from_events,
     throughput,
 )
-from .exact import ExactClusterStats
 from .model import (
     ComponentView,
     GraphObject,
@@ -60,7 +51,6 @@ from .weight_opt import (
     ClusterGeometry,
     barrier_gradient,
     barrier_objective,
-    cluster_geometry,
     refine_weights,
 )
 
@@ -74,7 +64,6 @@ __all__ = [
     "ComponentView",
     "Engine",
     "EngineConfig",
-    "ExactClusterStats",
     "GraphObject",
     "PurityReport",
     "SideType",
@@ -87,18 +76,11 @@ __all__ = [
     "barrier_gradient",
     "barrier_objective",
     "canonical_graphs",
-    "cluster_geometry",
-    "component_distance_sq",
-    "component_distances_sq",
     "edge_key",
     "ensure_weights",
     "generate_graphs",
     "generate_stream",
     "graph_views",
-    "inter_distance_sq",
-    "inter_vector_sq",
-    "intra_distance_sq",
-    "intra_vector_sq",
     "iter_stream",
     "overall_rate",
     "preprocess",

@@ -17,15 +17,18 @@ in one of three ways:
 Every ``gamma`` graphs, with at least two live clusters, the weight vector
 is re-tuned against the current cluster geometry (see ``weight_opt``).
 
-The clusters live in one bank, ``Engine.bank``: ``stats.ClusterBank`` on
-the sketch backend (struct-of-arrays, scored for all clusters at once) or
-``exact.ExactBank``, the same interface over exact summaries, so
-``process`` has one path for both. Graph edges are consumed exactly once;
-memory is constant in the stream length on the sketch backend. Engine
-state checkpoints to a versioned blob: a JSON header, the graph count and
-weights, then the bank's arrays whole. Loading rejects a header field of
-the wrong JSON type and state no run produces (such as a cluster count
-other than ``min(graph_count, k)``); a resumed run replays identically.
+The clusters live in one bank, ``Engine.bank``, a ``stats.Bank`` that
+scores a graph against all clusters at once. Its arithmetic is shared by
+both backends, which differ only in where first moments live:
+count-min sketches (``stats.ClusterBank``) or exact maps
+(``exact.ExactBank``); ``process`` has one path for both. Graph edges are
+consumed exactly once; memory is constant in the stream length on the
+sketch backend. Engine state checkpoints to a versioned blob: a JSON
+header, the graph count and weights, then the bank's arrays whole,
+joined once. Loading rejects a header or config field that is unknown or
+of the wrong JSON type, and state no run produces (such as a cluster
+count other than ``min(graph_count, k)``); a resumed run replays
+identically.
 """
 
 from __future__ import annotations
@@ -33,12 +36,11 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .distance import ensure_weights
 from .exact import ExactBank
 from .model import GraphObject, StreamSchema, canonical_graphs, graph_views
 from .sketch import SketchConfig
@@ -80,18 +82,14 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EngineConfig":
-        """Inverse of ``to_dict``; a field of the wrong JSON type raises
-        ValueError."""
-        obj = _typed(obj)
-        return cls(
-            k=obj["k"],
-            gamma=obj.get("gamma", 250),
-            p=obj.get("p", 3.0),
-            sketch=SketchConfig(**_typed(obj.get("sketch", {}))),
-            barrier=BarrierConfig(**_typed(obj.get("barrier", {}))),
-            seed=obj.get("seed", 0),
-            optimize_weights=obj.get("optimize_weights", True),
-        )
+        """Inverse of ``to_dict``, built through the dataclasses, so a field
+        left out takes its default; a field that is unknown or of the wrong
+        JSON type raises ValueError."""
+        obj = dict(_typed(obj))
+        for name, kind in (("sketch", SketchConfig), ("barrier", BarrierConfig)):
+            if name in obj:
+                obj[name] = _build(kind, obj[name])
+        return _build(cls, obj)
 
 
 @dataclass
@@ -175,6 +173,29 @@ _IS_KIND = {
 }
 
 
+def ensure_weights(weights, d: int) -> np.ndarray:
+    """Validate a (d+1)-component nonnegative weight vector."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (d + 1,):
+        raise ValueError(f"weights must have shape ({d + 1},), got {w.shape}")
+    if not bool(np.all(np.isfinite(w) & (w >= 0.0))):
+        raise ValueError("weights must be nonnegative and finite")
+    return w
+
+
+def _build(cls, obj: dict):
+    """``cls(**obj)`` from a JSON object checked by ``_typed``; a field
+    ``cls`` does not declare raises ValueError."""
+    unknown = sorted(set(_typed(obj)) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} fields {unknown}")
+    return cls(**obj)
+
+
+# The fields of a checkpoint header.
+_HEADER_FIELDS = {"backend", "record_distances", "config", "schema"}
+
+
 def _typed(obj: dict) -> dict:
     """``obj``, a JSON object whose fields named in ``_KINDS`` each hold a
     value of their kind; ValueError otherwise."""
@@ -207,7 +228,7 @@ class Engine:
         if backend == "sketch":
             self.bank = ClusterBank(config.sketch, schema.d, config.k)
         else:
-            self.bank = ExactBank(schema.d)
+            self.bank = ExactBank(schema.d, config.k)
         self.graph_count = 0
 
     # -- core loop -----------------------------------------------------------
@@ -289,7 +310,7 @@ class Engine:
             # checkpoint size depend on how many graphs were processed
             struct.pack("<QI", self.graph_count, len(self.weights)),
             self.weights.astype("<f8", copy=False).tobytes(),
-            self.bank.to_bytes(),
+            *self.bank.to_parts(),
         ]
         return b"".join(parts)
 
@@ -302,6 +323,9 @@ class Engine:
             raise ValueError(f"unsupported engine checkpoint version {version}")
         try:
             header = _typed(json.loads(data[9 : 9 + hlen].decode("utf-8")))
+            unknown = sorted(set(header) - _HEADER_FIELDS)
+            if unknown:
+                raise ValueError(f"unknown header fields {unknown}")
             engine = cls(
                 config=EngineConfig.from_dict(header["config"]),
                 schema=StreamSchema.from_dict(header["schema"]),
@@ -310,17 +334,17 @@ class Engine:
                 trace=trace,
             )
         except (KeyError, TypeError, ValueError) as exc:
-            # not JSON, or a header field that is missing or of the wrong type
+            # not JSON, or a header field that is missing, unknown or of the wrong type
             raise ValueError(f"bad engine checkpoint header: {exc!r}") from None
         off = 9 + hlen
         graph_count, wlen = unpack_at("<QI", data, off)
         off += 12
         weights = read_array(data, off, "<f8", (wlen,))
         engine.weights = ensure_weights(weights, engine.schema.d).copy()
-        off = engine.bank.load(data, off + weights.nbytes, engine.config.k)
+        off = engine.bank.load(data, off + weights.nbytes)
         if off != len(data):
             raise ValueError(f"engine checkpoint is {len(data)} bytes but ends at {off}")
-        engine.bank.validate(graph_count, engine.config.k)
+        engine.bank.validate(graph_count)
         engine.graph_count = graph_count
         return engine
 

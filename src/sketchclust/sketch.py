@@ -20,7 +20,7 @@ Hashing is deterministic given the config seed: a key is digested to a
 config itself. ``SketchConfig.buckets`` maps keys to their cells in every
 row; nothing is memoised here, but each graph's ``ComponentView`` keeps its
 buckets. A checkpoint stores the config in its header and the grids as
-plain arrays (``stats.ClusterBank.to_bytes``).
+plain arrays (``stats.Bank.to_parts``).
 """
 
 from __future__ import annotations

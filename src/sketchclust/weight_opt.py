@@ -1,9 +1,10 @@
 """Online tuning of the per-component distance weights.
 
 Periodically the engine freezes the current clustering into a small
-geometry summary (aggregate intra-cluster distance per component, plus the
-squared inter-centroid distance vector for every cluster pair) and runs a
-few steps of projected gradient descent on a log-barrier objective:
+geometry summary, ``ClusterGeometry`` (aggregate intra-cluster distance
+per component, plus the squared inter-centroid distance vector for every
+cluster pair, built by ``stats.Bank.geometry``), and runs a few steps of
+projected gradient descent on a log-barrier objective:
 
     f(w) = t * <w, intra>  -  sum_{i != j} log(sqrt(Q_ij(w)) - 1)
 
@@ -26,11 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-
-from .distance import inter_vector_sq, intra_vector_sq
 
 _MIN_STEP = 1e-18
 
@@ -76,30 +75,6 @@ class ClusterGeometry:
     @property
     def d(self) -> int:
         return len(self.intra) - 1
-
-
-def cluster_geometry(clusters: Sequence) -> ClusterGeometry:
-    live = [c for c in clusters if c.n >= 1]
-    if len(live) < 2:
-        raise ValueError("geometry needs at least two nonempty clusters")
-    intra = np.zeros(live[0].d + 1, dtype=np.float64)
-    for c in live:
-        intra += intra_vector_sq(c)
-    pairs: list[tuple[int, int]] = []
-    rows: list[np.ndarray] = []
-    dropped: list[tuple[int, int]] = []
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            vec = inter_vector_sq(live[i], live[j])
-            if np.all(vec == 0.0):
-                dropped.append((i, j))
-            else:
-                pairs.append((i, j))
-                rows.append(vec)
-    inter_sq = (
-        np.vstack(rows) if rows else np.zeros((0, len(intra)), dtype=np.float64)
-    )
-    return ClusterGeometry(intra=intra, pairs=pairs, inter_sq=inter_sq, dropped=dropped)
 
 
 def barrier_objective(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> float:

@@ -7,13 +7,18 @@ straightforward way:
 * ``CountMinSketch``: one ``(rows, cols)`` grid with point, self-product
   and inner-product estimates and merge;
 * ``ClusterStats``: one cluster's d+1 sketches and scalars, with the
-  accessor surface ``distance`` and ``weight_opt.cluster_geometry`` read,
-  and merge;
+  accessor surface the distance functions read, and merge;
+* the per-cluster distances: probe to cluster (``component_distance_sq``,
+  ``component_distances_sq``), intra (``intra_distance_sq``,
+  ``intra_vector_sq``), between two clusters (``inter_distance_sq``,
+  ``inter_vector_sq``), and ``cluster_geometry``, the weight optimizer's
+  snapshot of a cluster list, each the formula in ``stats.Bank``'s
+  docstring one cluster and component at a time;
 * ``separating_rows``: the rows in which given keys do not collide;
-* ``merge_exact`` and ``members_intra_sq``: the exact merge of two
-  ``ExactClusterStats`` and the definitional intra-cluster dispersion of a
+* ``members_intra_sq``: the definitional intra-cluster dispersion of a
   member list;
-* ``summaries(engine)``: one summary per live slot of an engine's bank.
+* ``filled(bank, *clusters)``: a library bank with one slot per member
+  list, for tests that read the code that runs.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from sketchclust import ComponentView, Engine, ExactClusterStats, SketchConfig
+from sketchclust import ClusterGeometry, ComponentView, SketchConfig
+
 
 def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
     """Rows in which all given keys land in pairwise distinct cells.
@@ -187,22 +193,6 @@ class ClusterStats:
         )
 
 
-def merge_exact(a: ExactClusterStats, b: ExactClusterStats) -> ExactClusterStats:
-    """The exact cluster of both member sets: maps and scalars summed, the
-    later timestamp winning."""
-    if a.d != b.d:
-        raise ValueError("component count mismatch")
-    maps = []
-    for ma, mb in zip(a.maps, b.maps):
-        merged = dict(ma)
-        for key, value in mb.items():
-            merged[key] = merged.get(key, 0.0) + value
-        maps.append(merged)
-    return ExactClusterStats(
-        maps, a.second_moments + b.second_moments, a.n + b.n, max(a.t_last, b.t_last)
-    )
-
-
 def members_intra_sq(members: Sequence[Sequence[ComponentView]], comp: int) -> float:
     """Sum over members of the squared distance to the centroid of one
     component, from the members' own views (each member is its list of
@@ -228,19 +218,105 @@ def members_intra_sq(members: Sequence[Sequence[ComponentView]], comp: int) -> f
     return total
 
 
-def summaries(engine: Engine) -> list:
-    """One summary per live slot of the engine's bank: ``ClusterStats`` on
-    the sketch backend, whose sketches and second moments are views of the
-    bank's arrays, or the exact bank's own ``ExactClusterStats``."""
-    bank = engine.bank
-    if engine.backend == "exact":
-        return list(bank.slots)
-    return [
-        ClusterStats(
-            [CountMinSketch(bank.config, grid) for grid in bank.cells[:, slot]],
-            bank.second_moments[slot],
-            int(bank.n[slot]),
-            int(bank.t_last[slot]),
-        )
-        for slot in range(len(bank))
-    ]
+def _check_cluster(c) -> None:
+    if c.n < 1:
+        raise ValueError("distance against an empty cluster is undefined")
+
+
+def _check_comp(c, comp: int) -> None:
+    if not 0 <= comp <= c.d:
+        raise ValueError(f"component index {comp} out of range 0..{c.d}")
+
+
+def component_distance_sq(view: ComponentView, c, comp: int) -> float:
+    """Squared distance from one graph component to the cluster centroid."""
+    _check_cluster(c)
+    _check_comp(c, comp)
+    n = c.n
+    cross = float(view.values @ c.first_moments(comp, view)) if view.keys else 0.0
+    raw = view.sq_sum - 2.0 * cross / n + c.self_product(comp) / (n * n)
+    return max(raw, 0.0)
+
+
+def component_distances_sq(views: Sequence[ComponentView], c) -> np.ndarray:
+    """All d+1 squared component distances for one graph."""
+    return np.array(
+        [component_distance_sq(view, c, comp) for comp, view in enumerate(views)],
+        dtype=np.float64,
+    )
+
+
+def intra_distance_sq(c, comp: int) -> float:
+    """Aggregate squared member-to-centroid distance for one component,
+    from the closed form: second moment minus self product over n."""
+    _check_cluster(c)
+    _check_comp(c, comp)
+    return max(c.second_moment(comp) - c.self_product(comp) / c.n, 0.0)
+
+
+def intra_vector_sq(c) -> np.ndarray:
+    return np.array(
+        [intra_distance_sq(c, comp) for comp in range(c.d + 1)], dtype=np.float64
+    )
+
+
+def inter_distance_sq(ci, cj, comp: int) -> float:
+    """Squared centroid-to-centroid distance for one component."""
+    _check_cluster(ci)
+    _check_cluster(cj)
+    _check_comp(ci, comp)
+    if ci.d != cj.d:
+        raise ValueError("component count mismatch between clusters")
+    ni, nj = ci.n, cj.n
+    raw = (
+        ci.self_product(comp) / (ni * ni)
+        - 2.0 * ci.cross_product(comp, cj) / (ni * nj)
+        + cj.self_product(comp) / (nj * nj)
+    )
+    return max(raw, 0.0)
+
+
+def inter_vector_sq(ci, cj) -> np.ndarray:
+    return np.array(
+        [inter_distance_sq(ci, cj, comp) for comp in range(ci.d + 1)], dtype=np.float64
+    )
+
+
+def cluster_geometry(clusters: Sequence) -> ClusterGeometry:
+    """Summed intra vectors, and the inter vector of every pair ``(i, j)``,
+    ``i < j``, in row-major order; pairs whose centroids coincide in every
+    component are listed as dropped."""
+    live = [c for c in clusters if c.n >= 1]
+    if len(live) < 2:
+        raise ValueError("geometry needs at least two nonempty clusters")
+    intra = np.zeros(live[0].d + 1, dtype=np.float64)
+    for c in live:
+        intra += intra_vector_sq(c)
+    pairs: list[tuple[int, int]] = []
+    rows: list[np.ndarray] = []
+    dropped: list[tuple[int, int]] = []
+    for i in range(len(live)):
+        for j in range(i + 1, len(live)):
+            vec = inter_vector_sq(live[i], live[j])
+            if np.all(vec == 0.0):
+                dropped.append((i, j))
+            else:
+                pairs.append((i, j))
+                rows.append(vec)
+    inter_sq = (
+        np.vstack(rows) if rows else np.zeros((0, len(intra)), dtype=np.float64)
+    )
+    return ClusterGeometry(intra=intra, pairs=pairs, inter_sq=inter_sq, dropped=dropped)
+
+
+def filled(bank, *clusters):
+    """``bank`` with one slot per cluster, each given as its members' view
+    lists, absorbed in order at times 1, 2, ..."""
+    for members in clusters:
+        slot = None
+        for now, views in enumerate(members, start=1):
+            if slot is None:
+                slot = bank.add(views, now)
+            else:
+                bank.absorb(slot, views, now)
+    return bank

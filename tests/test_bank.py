@@ -1,11 +1,11 @@
 """The engine's cluster bank against the per-cluster reference.
 
 A reference loop routes the same stream with one ``ClusterStats`` per
-cluster (``reference.py``), ``component_distances_sq``, ``intra_vector_sq``
-and ``refine_weights`` over ``cluster_geometry(clusters)``: the code the
-bank batches. The engine resumes from a checkpoint mid-stream, where the
-bank's section of it, before and after loading, must equal bytes built
-here from the reference clusters. Actions and cluster indices must match;
+cluster, and ``reference.py``'s ``component_distances_sq``,
+``intra_vector_sq`` and ``cluster_geometry`` with the library's
+``refine_weights``: the arithmetic the bank batches. The engine resumes
+from a checkpoint mid-stream, where the bank's section of it, before and
+after loading, must equal bytes built here from the reference clusters. Actions and cluster indices must match;
 distances must be bitwise equal on integer masses, where every sum is
 exact, and within ``rtol=1e-12`` otherwise, where the batched products may
 add in another order.
@@ -17,7 +17,12 @@ import struct
 import numpy as np
 import pytest
 
-from reference import ClusterStats
+from reference import (
+    ClusterStats,
+    cluster_geometry,
+    component_distances_sq,
+    intra_vector_sq,
+)
 from sketchclust import (
     ACTION_ASSIGNED,
     ACTION_INITIALIZED,
@@ -27,11 +32,8 @@ from sketchclust import (
     GraphObject,
     SketchConfig,
     SynthConfig,
-    cluster_geometry,
-    component_distances_sq,
     generate_graphs,
     graph_views,
-    intra_vector_sq,
     preprocess,
     refine_weights,
     synth_schema,

@@ -1,29 +1,24 @@
-"""Distance expansions against hand-computed values on the exact backend."""
+"""Distance expansions against hand-computed values on the exact bank."""
 
 import random
 
 import numpy as np
 import pytest
 
-from reference import ClusterStats
+from reference import filled
 from sketchclust import (
     Engine,
     EngineConfig,
-    ExactClusterStats,
     GraphObject,
     SideType,
     SketchConfig,
     StreamSchema,
-    component_distance_sq,
-    component_distances_sq,
     ensure_weights,
     graph_views,
-    inter_distance_sq,
-    inter_vector_sq,
-    intra_distance_sq,
-    intra_vector_sq,
     preprocess,
 )
+from sketchclust.exact import ExactBank
+from sketchclust.stats import ClusterBank
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
@@ -34,15 +29,15 @@ def _graph(i: int, edges, topics) -> GraphObject:
     )
 
 
-def _component_sq(g: GraphObject, c, comp: int) -> float:
-    return component_distance_sq(graph_views(g, SCHEMA)[comp], c, comp)
+def _component_sq(g: GraphObject, bank, comp: int) -> float:
+    """The squared component distance from ``g`` to the bank's slot 0."""
+    return bank.distances_sq(graph_views(g, SCHEMA))[0, comp]
 
 
-def _cluster(*graphs: GraphObject) -> ExactClusterStats:
-    c = ExactClusterStats.empty(SCHEMA.d)
-    for i, g in enumerate(graphs):
-        c.absorb_views(graph_views(g, SCHEMA), i)
-    return c
+def _cluster(*graphs: GraphObject, bank=None):
+    """A one-slot bank (exact unless given) holding ``graphs``."""
+    bank = bank if bank is not None else ExactBank(SCHEMA.d, 2)
+    return filled(bank, [graph_views(g, SCHEMA) for g in graphs])
 
 
 def test_ensure_weights():
@@ -77,8 +72,8 @@ def test_side_distance_hand_example():
     probe = _graph(1, [], {"x": 1.0})
     # (1 - 3)^2 = 4
     assert _component_sq(probe, c, 1) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        component_distance_sq(graph_views(probe, SCHEMA)[1], c, 2)
+    with pytest.raises(ValueError, match="component count"):
+        c.distances_sq(graph_views(probe, SCHEMA)[1:])
 
 
 def test_intra_closed_form_hand_example():
@@ -87,8 +82,7 @@ def test_intra_closed_form_hand_example():
         _graph(1, [("a", "b", 3.0)], {}),
     )
     # 10 - 16/2 = 2, the sum of squared deviations from centroid mass 2
-    assert intra_distance_sq(c, 0) == pytest.approx(2.0)
-    assert intra_vector_sq(c).tolist() == pytest.approx([2.0, 0.0])
+    assert c.intra_sq(0).tolist() == pytest.approx([2.0, 0.0])
 
 
 def _events(graphs, weights):
@@ -127,38 +121,45 @@ def test_spread_zero_for_singleton():
 
 
 def test_inter_distance_hand_example():
-    ci = _cluster(
-        _graph(0, [("a", "b", 1.0)], {}),
-        _graph(1, [("a", "b", 3.0)], {}),
+    pair = [_graph(0, [("a", "b", 1.0)], {}), _graph(1, [("a", "b", 3.0)], {})]
+    bank = filled(
+        ExactBank(SCHEMA.d, 2),
+        [graph_views(g, SCHEMA) for g in pair],
+        [graph_views(_graph(2, [("a", "b", 1.0)], {}), SCHEMA)],
     )
-    cj = _cluster(_graph(2, [("a", "b", 1.0)], {}))
     # centroids 2 and 1 on the same edge key
-    assert inter_distance_sq(ci, cj, 0) == pytest.approx(1.0)
-    assert inter_vector_sq(ci, cj).tolist() == pytest.approx([1.0, 0.0])
+    inter = bank.geometry().inter_sq[0]
+    assert inter.tolist() == pytest.approx([1.0, 0.0])
     # weighted separation sqrt(4 * 1 + 1 * 0) = 2
-    assert inter_vector_sq(ci, cj) @ np.array([4.0, 1.0]) == pytest.approx(4.0)
+    assert inter @ np.array([4.0, 1.0]) == pytest.approx(4.0)
 
 
 def test_es_distance_weighted_sum():
     # the engine's es distance: squared component distances dot weights
     c = _cluster(_graph(0, [("a", "b", 3.0)], {"x": 3.0}))
     probe = _graph(1, [("a", "b", 1.0)], {"x": 1.0})
-    comp_sq = component_distances_sq(graph_views(probe, SCHEMA), c)
+    comp_sq = c.distances_sq(graph_views(probe, SCHEMA))[0]
     assert comp_sq @ np.array([1.0, 1.0]) == pytest.approx(8.0)
     assert comp_sq @ np.array([0.5, 2.0]) == pytest.approx(10.0)
     assert np.sqrt(comp_sq).tolist() == pytest.approx([2.0, 2.0])
 
 
 def test_empty_cluster_and_bad_component_rejected():
-    empty = ExactClusterStats.empty(SCHEMA.d)
-    probe = _graph(0, [("a", "b", 1.0)], {})
-    with pytest.raises(ValueError):
-        _component_sq(probe, empty, 0)
-    c = _cluster(probe)
-    with pytest.raises(ValueError):
-        intra_distance_sq(c, 5)
-    with pytest.raises(ValueError):
-        inter_distance_sq(c, ExactClusterStats.empty(SCHEMA.d), 0)
+    probe = graph_views(_graph(0, [("a", "b", 1.0)], {}), SCHEMA)
+    for bank in (ExactBank(SCHEMA.d, 2), ClusterBank(SketchConfig(), SCHEMA.d, 2)):
+        # an empty bank scores no cluster, and has no geometry
+        assert bank.distances_sq(probe).shape == (0, SCHEMA.d + 1)
+        with pytest.raises(ValueError, match="two nonempty"):
+            bank.geometry()
+        bank.add(probe, 1)
+        with pytest.raises(ValueError, match="two nonempty"):
+            bank.geometry()
+        # a graph with more or fewer components than the schema
+        for views in (probe[:1], probe + probe[1:]):
+            with pytest.raises(ValueError, match="component count"):
+                bank.distances_sq(views)
+            with pytest.raises(ValueError, match="component count"):
+                bank.absorb(0, views, 2)
 
 
 def test_sketch_distance_clamps_estimator_noise():
@@ -173,35 +174,32 @@ def test_sketch_distance_clamps_estimator_noise():
             cfg = candidate
             break
     assert cfg is not None
-    c = ClusterStats.empty(cfg, SCHEMA.d)
-    c.absorb_views(graph_views(_graph(0, [], {"x": 2.0}), SCHEMA), 0)
-    c.absorb_views(graph_views(_graph(1, [], {"w": 2.0}), SCHEMA), 1)
+    c = _cluster(
+        _graph(0, [], {"x": 2.0}), _graph(1, [], {"w": 2.0}), bank=ClusterBank(cfg, SCHEMA.d, 2)
+    )
     probe = _graph(2, [], {"x": 1.0, "w": 1.0})
-    views = graph_views(probe, SCHEMA)
     # exact value is 0 (probe equals the centroid); the estimate must not
     # come out negative
-    assert component_distances_sq(views, c)[1] == pytest.approx(0.0)
+    assert _component_sq(probe, c, 1) == 0.0
 
 
 def test_sketch_never_below_exact():
     rng = random.Random(3)
     for trial in range(20):
         cfg = SketchConfig(rows=3, cols=16, seed=trial)
-        sk = ClusterStats.empty(cfg, SCHEMA.d)
-        ex = ExactClusterStats.empty(SCHEMA.d)
-        for i in range(rng.randrange(1, 8)):
-            g = _graph(
+        graphs = [
+            _graph(
                 i,
                 [(f"n{rng.randrange(5)}", f"n{rng.randrange(5)}", 1.0)],
                 {f"t{rng.randrange(8)}": float(rng.randrange(1, 3))},
             )
-            views = graph_views(g, SCHEMA)
-            sk.absorb_views(views, i)
-            ex.absorb_views(views, i)
+            for i in range(rng.randrange(1, 8))
+        ]
+        sk = _cluster(*graphs, bank=ClusterBank(cfg, SCHEMA.d, 2))
+        ex = _cluster(*graphs)
         # intra uses the self-product overestimate negatively, so the
         # sketch intra can only be smaller or equal
-        for comp in (0, 1):
-            assert intra_distance_sq(sk, comp) <= intra_distance_sq(ex, comp) + 1e-9
+        assert np.all(sk.intra_sq(0) <= ex.intra_sq(0) + 1e-9)
 
 
 def test_component_distances_match_per_component_calls():
@@ -211,7 +209,14 @@ def test_component_distances_match_per_component_calls():
         for i in range(4)
     ])
     probe = _graph(9, [("a", "b", 2.0)], {"x": 2.0, "y": 1.0})
-    views = graph_views(probe, SCHEMA)
-    combined = component_distances_sq(views, c)
-    assert combined[0] == pytest.approx(component_distance_sq(views[0], c, 0))
-    assert combined[1] == pytest.approx(component_distance_sq(views[1], c, 1))
+    combined = c.distances_sq(graph_views(probe, SCHEMA))[0]
+    # each component from its own definition: the probe's masses minus
+    # the centroid's, squared, over the union of keys
+    for comp, view in enumerate(graph_views(probe, SCHEMA)):
+        centroid = {key: mass / c.count(0) for key, mass in c.maps[0][comp].items()}
+        probe_masses = dict(zip(view.keys, view.values))
+        expected = sum(
+            (probe_masses.get(key, 0.0) - centroid.get(key, 0.0)) ** 2
+            for key in set(centroid) | set(probe_masses)
+        )
+        assert combined[comp] == pytest.approx(expected)

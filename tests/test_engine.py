@@ -7,7 +7,6 @@ import struct
 import numpy as np
 import pytest
 
-from reference import summaries
 from sketchclust import (
     ACTION_ASSIGNED,
     ACTION_INITIALIZED,
@@ -54,6 +53,10 @@ def test_engine_config_validation():
 def test_config_dict_round_trip():
     cfg = _config(k=3, gamma=10, p=2.0, optimize_weights=False)
     assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+    # a field left out takes the dataclass default; an unknown one is an error
+    assert EngineConfig.from_dict({"k": 3}) == EngineConfig(k=3)
+    with pytest.raises(ValueError, match="unknown EngineConfig fields"):
+        EngineConfig.from_dict({"k": 3, "gama": 5})
 
 
 def test_first_k_graphs_initialize():
@@ -455,6 +458,8 @@ _HEADER_FAULTS = {
         h, barrier={**h["config"]["barrier"], "weight_floor": float("nan")}
     ),
     "string_record_distances": lambda h: {**h, "record_distances": "false"},
+    "unknown_header_key": lambda h: {**h, "bakend": "exact"},
+    "unknown_config_key": lambda h: _with_config(h, gama=5),
     "array": lambda h: [h],
     "array_sketch": lambda h: _with_config(h, sketch=[4, 256, 0]),
 }
@@ -510,7 +515,7 @@ def _corrupt_cells(engine, value):
 
 
 def _corrupt_masses(engine, value):
-    maps = engine.bank.slots[1].maps[0]
+    maps = engine.bank.maps[1][0]
     maps[next(iter(maps))] = value
 
 
@@ -530,7 +535,7 @@ def test_from_bytes_rejects_bad_first_moments(backend, corrupt, value):
 @pytest.mark.parametrize("backend", ["sketch", "exact"])
 def test_from_bytes_rejects_bad_second_moments(backend, value):
     engine = _run_engine(backend)
-    summaries(engine)[1].second_moments[0] = value  # a view of the sketch bank's row
+    engine.bank.second_moments[1, 0] = value
     with pytest.raises(ValueError, match="second moments"):
         Engine.from_bytes(engine.to_bytes())
 
@@ -560,11 +565,7 @@ def test_from_bytes_rejects_fewer_clusters_than_a_run_holds(backend, graphs):
     engine = Engine(_config(k=5), SCHEMA, backend)
     engine.run([_graph(i, [("a", f"n{i % 7}", 1.0)], {"x": 1.0}) for i in range(graphs)])
     assert len(engine.bank) == min(graphs, 5)
-    # the last slot cut out
-    if backend == "sketch":
-        engine.bank.size -= 1
-    else:
-        engine.bank.slots.pop()
+    engine.bank.size -= 1  # the last slot cut out
     with pytest.raises(ValueError, match="a run with k=5 holds"):
         Engine.from_bytes(engine.to_bytes())
 
@@ -584,7 +585,7 @@ def test_from_bytes_rejects_an_update_after_the_graph_count(backend):
     engine = _run_engine(backend)
     blob = engine.to_bytes()
     latest = _patch_slot(blob, "t_last", engine.graph_count)
-    assert summaries(Engine.from_bytes(latest))[1].t_last == engine.graph_count
+    assert Engine.from_bytes(latest).bank.t_last[1] == engine.graph_count
     for t_last in (engine.graph_count + 1, -1):
         with pytest.raises(ValueError, match="updated outside"):
             Engine.from_bytes(_patch_slot(blob, "t_last", t_last))

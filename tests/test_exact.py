@@ -1,14 +1,12 @@
-"""Exact map-backed statistics: the differential-testing oracle."""
+"""The exact bank's map-backed statistics: the differential-testing oracle."""
 
 import random
 
 import numpy as np
 import pytest
 
-from reference import ClusterStats, members_intra_sq, merge_exact, separating_rows
+from reference import filled, members_intra_sq, separating_rows
 from sketchclust import (
-    ComponentView,
-    ExactClusterStats,
     GraphObject,
     SideType,
     SketchConfig,
@@ -17,6 +15,7 @@ from sketchclust import (
     preprocess,
 )
 from sketchclust.exact import ExactBank
+from sketchclust.stats import ClusterBank
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
@@ -39,26 +38,36 @@ def _random_graph(rng: random.Random, i: int) -> GraphObject:
     return _graph(i, edges, topics)
 
 
+def _one_slot(graphs, bank=None):
+    """A one-slot bank (exact unless given) holding ``graphs``."""
+    bank = bank if bank is not None else ExactBank(SCHEMA.d, 1)
+    return filled(bank, [graph_views(g, SCHEMA) for g in graphs])
+
+
 def test_accessor_surface_matches_truth():
-    c = ExactClusterStats.empty(SCHEMA.d)
-    g0 = _graph(0, [("a", "b", 2.0)], {"x": 1.0, "y": 2.0})
-    c.absorb_views(graph_views(g0, SCHEMA), 1)
-    c.absorb_views(graph_views(_graph(1, [("a", "b", 1.0)], {"x": 3.0}), SCHEMA), 2)
-    assert c.n == 2
-    assert c.second_moment(0) == pytest.approx(5.0)
-    assert c.second_moment(1) == pytest.approx(14.0)
+    c = _one_slot(
+        [
+            _graph(0, [("a", "b", 2.0)], {"x": 1.0, "y": 2.0}),
+            _graph(1, [("a", "b", 1.0)], {"x": 3.0}),
+        ]
+    )
+    assert c.count(0) == 2
+    assert c.second_moments[0].tolist() == [5.0, 14.0]
+    assert c.maps[0] == [{b"a\x1fb": 3.0}, {b"x": 4.0, b"y": 2.0}]
+    assert c.self_sq[:, 0].tolist() == [9.0, 16.0 + 4.0]
     views = graph_views(_graph(2, [("a", "b", 1.0)], {"x": 1.0, "z": 1.0}), SCHEMA)
-    assert c.first_moments(0, views[0]).tolist() == pytest.approx([3.0])
-    assert c.first_moments(1, views[1]).tolist() == pytest.approx([4.0, 0.0])
-    assert c.self_product(1) == pytest.approx(16.0 + 4.0)
+    # edges 1 - 2 * 3 / 2 + 9 / 4, topics 2 - 2 * (1 * 4 + 1 * 0) / 2 + 20 / 4
+    assert c.distances_sq(views)[0].tolist() == [1.0 - 3.0 + 9.0 / 4.0, 3.0]
 
 
 def test_cross_product_is_exact():
-    a = ExactClusterStats.empty(SCHEMA.d)
-    b = ExactClusterStats.empty(SCHEMA.d)
-    a.absorb_views(graph_views(_graph(0, [], {"x": 2.0, "y": 1.0}), SCHEMA), 0)
-    b.absorb_views(graph_views(_graph(1, [], {"x": 3.0, "z": 5.0}), SCHEMA), 1)
-    assert a.cross_product(1, b) == pytest.approx(6.0)
+    bank = filled(
+        ExactBank(SCHEMA.d, 2),
+        [graph_views(_graph(0, [], {"x": 2.0, "y": 1.0}), SCHEMA)],
+        [graph_views(_graph(1, [], {"x": 3.0, "z": 5.0}), SCHEMA)],
+    )
+    # 5 - 2 * 6 + 34: the squared distance between the two maps
+    assert bank.geometry().inter_sq.tolist() == [[0.0, 27.0]]
 
 
 def test_parity_with_sketch_backend_when_separated():
@@ -80,52 +89,49 @@ def test_parity_with_sketch_backend_when_separated():
             break
     assert cfg is not None, "no separating seed found"
 
-    sketch = ClusterStats.empty(cfg, SCHEMA.d)
-    exact = ExactClusterStats.empty(SCHEMA.d)
-    for i, g in enumerate(graphs):
+    # three clusters over the first nine graphs; the rest are probes
+    clusters = [[graph_views(g, SCHEMA) for g in graphs[i:9:3]] for i in range(3)]
+    sketch = filled(ClusterBank(cfg, SCHEMA.d, 3), *clusters)
+    exact = filled(ExactBank(SCHEMA.d, 3), *clusters)
+    for g in graphs[9:]:
         views = graph_views(g, SCHEMA)
-        sketch.absorb_views(views, i)
-        exact.absorb_views(views, i)
-    for comp, keys in enumerate(keys_by_comp):
-        ordered = ComponentView(tuple(sorted(keys)), np.ones(len(keys)))
-        assert sketch.first_moments(comp, ordered).tolist() == pytest.approx(
-            exact.first_moments(comp, ordered).tolist()
-        )
-        assert sketch.self_product(comp) == pytest.approx(exact.self_product(comp))
-        assert sketch.second_moment(comp) == pytest.approx(exact.second_moment(comp))
+        np.testing.assert_allclose(sketch.distances_sq(views), exact.distances_sq(views))
+    for slot in range(3):
+        np.testing.assert_allclose(sketch.intra_sq(slot), exact.intra_sq(slot))
+    ours, theirs = sketch.geometry(), exact.geometry()
+    assert (ours.pairs, ours.dropped) == (theirs.pairs, theirs.dropped)
+    np.testing.assert_allclose(ours.intra, theirs.intra)
+    np.testing.assert_allclose(ours.inter_sq, theirs.inter_sq)
 
 
 def test_merge_is_field_exact():
     rng = random.Random(13)
     for trial in range(15):
         graphs = [_random_graph(rng, i) for i in range(rng.randrange(2, 10))]
-        whole = ExactClusterStats.empty(SCHEMA.d)
-        left = ExactClusterStats.empty(SCHEMA.d)
-        right = ExactClusterStats.empty(SCHEMA.d)
-        for i, g in enumerate(graphs):
-            views = graph_views(g, SCHEMA)
-            whole.absorb_views(views, i)
-            (left if rng.random() < 0.5 else right).absorb_views(views, i)
-        merged = merge_exact(left, right)
-        assert merged.n == whole.n
-        assert merged.t_last == whole.t_last
+        split = rng.randrange(1, len(graphs))
+        whole = _one_slot(graphs)
+        left, right = _one_slot(graphs[:split]), _one_slot(graphs[split:])
+        # summing the two slots' maps and scalars gives the whole stream's slot
         for comp in range(SCHEMA.d + 1):
-            assert merged.maps[comp] == whole.maps[comp]
-            assert merged.second_moment(comp) == whole.second_moment(comp)
+            merged = dict(left.maps[0][comp])
+            for key, value in right.maps[0][comp].items():
+                merged[key] = merged.get(key, 0.0) + value
+            assert merged == whole.maps[0][comp]
+        assert left.n[0] + right.n[0] == whole.n[0]
+        assert np.array_equal(left.second_moments + right.second_moments, whole.second_moments)
 
 
 def test_members_intra_sq_matches_definition():
     rng = random.Random(17)
     for trial in range(20):
-        c = ExactClusterStats.empty(SCHEMA.d)
         graphs = [_random_graph(rng, i) for i in range(rng.randrange(1, 8))]
         members = [graph_views(g, SCHEMA) for g in graphs]
-        for i, views in enumerate(members):
-            c.absorb_views(views, i)
+        c = _one_slot(graphs)
+        n = c.count(0)
         for comp in (0, 1):
             # definitional: sum over members of squared distance to centroid
-            keys = sorted(c.maps[comp])
-            centroid = {k: c.maps[comp][k] / c.n for k in keys}
+            keys = sorted(c.maps[0][comp])
+            centroid = {k: c.maps[0][comp][k] / n for k in keys}
             total = 0.0
             for g in graphs:
                 view = graph_views(g, SCHEMA)[comp]
@@ -139,7 +145,7 @@ def test_members_intra_sq_matches_definition():
 
 def _bank(rng: random.Random, graphs: int) -> ExactBank:
     """An exact bank with two live clusters over random graphs."""
-    bank = ExactBank(SCHEMA.d)
+    bank = ExactBank(SCHEMA.d, 2)
     for i in range(graphs):
         views = graph_views(_random_graph(rng, i), SCHEMA)
         if len(bank) < 2:
@@ -151,22 +157,21 @@ def _bank(rng: random.Random, graphs: int) -> ExactBank:
 
 def test_serialization_round_trip():
     bank = _bank(random.Random(19), 9)
-    blob = bank.to_bytes()
-    again = ExactBank(SCHEMA.d)
-    assert again.load(b"pad" + blob, 3, 2) == 3 + len(blob)
-    for mine, theirs in zip(bank.slots, again.slots):
-        assert (theirs.n, theirs.t_last) == (mine.n, mine.t_last)
-        assert theirs.maps == mine.maps
-        assert np.array_equal(theirs.second_moments, mine.second_moments)
-        assert theirs.second_moments.flags.writeable  # absorb adds in place
-    assert again.to_bytes() == blob
+    blob = b"".join(bank.to_parts())
+    again = ExactBank(SCHEMA.d, 2)
+    assert again.load(b"pad" + blob, 3) == 3 + len(blob)
+    assert len(again) == 2
+    assert again.maps == bank.maps
+    for name in ("self_sq", "second_moments", "n", "t_last"):
+        assert np.array_equal(getattr(again, name), getattr(bank, name)), name
+    assert b"".join(again.to_parts()) == blob
 
 
 def test_from_bytes_rejects_garbage():
-    blob = bytearray(_bank(random.Random(23), 4).to_bytes())
+    blob = bytearray(b"".join(_bank(random.Random(23), 4).to_parts()))
     for size in range(len(blob)):
         with pytest.raises(ValueError, match="truncated"):
-            ExactBank(SCHEMA.d).load(bytes(blob[:size]), 0, 2)
+            ExactBank(SCHEMA.d, 2).load(bytes(blob[:size]), 0)
     blob[:4] = b"ZZZZ"  # a slot count far above k, rejected before any slot
     with pytest.raises(ValueError, match="more than k"):
-        ExactBank(SCHEMA.d).load(bytes(blob), 0, 2)
+        ExactBank(SCHEMA.d, 2).load(bytes(blob), 0)

@@ -160,24 +160,24 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
 def test_serialization_round_trip():
     cfg = _cfg(seed=3)
     bank = _bank(cfg, 3, 8, 41)
-    blob = bank.to_bytes()
+    blob = b"".join(bank.to_parts())
     again = ClusterBank(cfg, SCHEMA.d, 3)
-    assert again.load(b"pad" + blob, 3, 3) == 3 + len(blob)
+    assert again.load(b"pad" + blob, 3) == 3 + len(blob)
     assert len(again) == 2
     for name in ("cells", "row_sq", "second_moments", "n", "t_last"):
         assert np.array_equal(getattr(again, name), getattr(bank, name)), name
-    assert again.to_bytes() == blob
+    assert b"".join(again.to_parts()) == blob
 
 
 def test_from_bytes_rejects_garbage():
     cfg = SketchConfig(rows=2, cols=8, seed=0)
-    blob = bytearray(_bank(cfg, 2, 4, 43).to_bytes())
+    blob = bytearray(b"".join(_bank(cfg, 2, 4, 43).to_parts()))
     for size in range(len(blob)):
         with pytest.raises(ValueError, match="truncated"):
-            ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob[:size]), 0, 2)
+            ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob[:size]), 0)
     blob[:4] = b"XXXX"  # a slot count far above k, rejected before any array
     with pytest.raises(ValueError, match="more than k"):
-        ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob), 0, 2)
+        ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob), 0)
 
 
 def test_views_hashed_for_one_config_serve_another():

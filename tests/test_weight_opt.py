@@ -6,22 +6,22 @@ import random
 import numpy as np
 import pytest
 
+from reference import filled
 from sketchclust import (
     BarrierConfig,
     ClusterGeometry,
     Engine,
     EngineConfig,
-    ExactClusterStats,
     GraphObject,
     SideType,
     StreamSchema,
     barrier_gradient,
     barrier_objective,
-    cluster_geometry,
     graph_views,
     preprocess,
     refine_weights,
 )
+from sketchclust.exact import ExactBank
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
@@ -32,11 +32,10 @@ def _graph(i: int, edges, topics) -> GraphObject:
     )
 
 
-def _cluster(*graphs: GraphObject) -> ExactClusterStats:
-    c = ExactClusterStats.empty(SCHEMA.d)
-    for i, g in enumerate(graphs):
-        c.absorb_views(graph_views(g, SCHEMA), i)
-    return c
+def _geometry(*clusters: list[GraphObject]) -> ClusterGeometry:
+    """The geometry of an exact bank with one slot per graph list."""
+    views = [[graph_views(g, SCHEMA) for g in graphs] for graphs in clusters]
+    return filled(ExactBank(SCHEMA.d, len(clusters)), *views).geometry()
 
 
 def _random_geometry(rng: random.Random, d: int = 2, n_pairs: int = 4) -> ClusterGeometry:
@@ -73,9 +72,9 @@ def test_barrier_config_validation():
 
 
 def test_geometry_from_clusters():
-    ca = _cluster(_graph(0, [("a", "b", 1.0)], {}), _graph(1, [("a", "b", 3.0)], {}))
-    cb = _cluster(_graph(2, [("a", "b", 1.0)], {}))
-    geom = cluster_geometry([ca, cb])
+    ca = [_graph(0, [("a", "b", 1.0)], {}), _graph(1, [("a", "b", 3.0)], {})]
+    cb = [_graph(2, [("a", "b", 1.0)], {})]
+    geom = _geometry(ca, cb)
     assert geom.pairs == [(0, 1)]
     assert geom.intra.tolist() == pytest.approx([2.0, 0.0])
     assert geom.inter_sq.tolist() == [pytest.approx([1.0, 0.0])]
@@ -83,19 +82,16 @@ def test_geometry_from_clusters():
 
 
 def test_geometry_drops_coincident_pairs():
-    ca = _cluster(_graph(0, [("a", "b", 2.0)], {}))
-    cb = _cluster(_graph(1, [("a", "b", 2.0)], {}))
-    geom = cluster_geometry([ca, cb])
+    geom = _geometry([_graph(0, [("a", "b", 2.0)], {})], [_graph(1, [("a", "b", 2.0)], {})])
     assert geom.pairs == []
     assert geom.dropped == [(0, 1)]
 
 
 def test_geometry_needs_two_clusters():
-    ca = _cluster(_graph(0, [("a", "b", 1.0)], {}))
-    with pytest.raises(ValueError):
-        cluster_geometry([ca])
-    with pytest.raises(ValueError):
-        cluster_geometry([ca, ExactClusterStats.empty(SCHEMA.d)])
+    with pytest.raises(ValueError, match="two nonempty"):
+        _geometry([_graph(0, [("a", "b", 1.0)], {})])
+    with pytest.raises(ValueError, match="two nonempty"):
+        _geometry()
 
 
 def test_objective_hand_example():
@@ -221,18 +217,16 @@ def test_refine_weights_passthrough_cases():
     engine.process(_graph(0, [("a", "b", 1.0)], {}))
     assert engine.weights.tolist() == [1.0, 2.0]
     # every pair coincident: nothing to separate, weights unchanged
-    twin_a = _cluster(_graph(1, [("a", "b", 2.0)], {}))
-    twin_b = _cluster(_graph(2, [("a", "b", 2.0)], {}))
-    geom = cluster_geometry([twin_a, twin_b])
+    geom = _geometry([_graph(1, [("a", "b", 2.0)], {})], [_graph(2, [("a", "b", 2.0)], {})])
     w = np.array([1.0, 1.0])
     assert refine_weights(w, geom, BarrierConfig()).tolist() == [1.0, 1.0]
 
 
 def test_refine_weights_emits_trace():
-    ca = _cluster(_graph(0, [("a", "b", 1.0)], {"x": 2.0}))
-    cb = _cluster(_graph(1, [("c", "d", 3.0)], {"y": 1.0}))
     records: list[dict] = []
-    geom = cluster_geometry([ca, cb])
+    geom = _geometry(
+        [_graph(0, [("a", "b", 1.0)], {"x": 2.0})], [_graph(1, [("c", "d", 3.0)], {"y": 1.0})]
+    )
     refine_weights([1.0, 1.0], geom, BarrierConfig(max_steps=5), trace=records.append)
     assert records, "expected at least the summary record"
     assert "final_weights" in records[-1]
