@@ -28,8 +28,8 @@ from .evaluate import (
     throughput,
 )
 from .model import (
-    ComponentView,
     GraphObject,
+    GraphView,
     SideType,
     StreamSchema,
     attr_key,
@@ -61,10 +61,10 @@ __all__ = [
     "AssignmentEvent",
     "BarrierConfig",
     "ClusterGeometry",
-    "ComponentView",
     "Engine",
     "EngineConfig",
     "GraphObject",
+    "GraphView",
     "PurityReport",
     "SideType",
     "SketchConfig",

@@ -235,15 +235,15 @@ class Engine:
 
     def process(self, g: GraphObject) -> AssignmentEvent:
         """Route one canonicalized graph and return the resulting event."""
-        views = graph_views(g, self.schema)
-        now = self.graph_count + 1
         bank = self.bank
+        view = graph_views(g, self.schema, bank.config)
+        now = self.graph_count + 1
 
         if len(bank) < self.config.k:
-            index = bank.add(views, now)
+            index = bank.add(view, now)
             event = AssignmentEvent(g.id, ACTION_INITIALIZED, index)
         else:
-            comp_sq = bank.distances_sq(views)
+            comp_sq = bank.distances_sq(view)
             es_all = comp_sq @ self.weights
             nearest = int(np.argmin(es_all))  # first minimum: lowest index
             best = float(es_all[nearest])
@@ -251,13 +251,13 @@ class Engine:
             spread = (self.config.p / n) * float(bank.intra_sq(nearest) @ self.weights)
             distances = np.sqrt(comp_sq).tolist() if self.record_distances else None
             if n == 1 or best < spread:
-                bank.absorb(nearest, views, now)
+                bank.absorb(nearest, view, now)
                 event = AssignmentEvent(
                     g.id, ACTION_ASSIGNED, nearest, best, spread, distances
                 )
             else:
                 stale = bank.stalest()
-                bank.reset(stale, views, now)
+                bank.reset(stale, view, now)
                 event = AssignmentEvent(
                     g.id, ACTION_REPLACED, stale, best, spread, distances
                 )

@@ -16,44 +16,36 @@ from itertools import combinations
 
 import numpy as np
 
-from .model import ComponentView
+from .model import GraphView
 from .stats import Bank, finite_nonneg, unpack_at
 
 
 class ExactBank(Bank):
-    """``maps[slot][comp]`` holds a cluster's exact masses by key;
-    ``self_sq[comp, slot]`` their sum of squares, recomputed on every
-    absorb into the slot in the map's own order."""
+    """``maps[slot][comp]`` holds a cluster's exact masses by key; the
+    slot's ``self_sq`` is their sum of squares, recomputed on every absorb
+    into the slot in the map's own order."""
 
     def __init__(self, d: int, k: int):
         super().__init__(d, k)
         self.maps: list[list[dict[bytes, float]]] = [
             [{} for _ in range(d + 1)] for _ in range(k)
         ]
-        self.self_sq = np.zeros((d + 1, k), dtype=np.float64)
 
     def _clear(self, slot: int) -> None:
         self.maps[slot] = [{} for _ in range(self.d + 1)]
-        self.self_sq[:, slot] = 0.0
 
-    def _add(self, slot: int, comp: int, view: ComponentView) -> None:
-        m = self.maps[slot][comp]
-        for key, value in zip(view.keys, view.values):
-            m[key] = m.get(key, 0.0) + float(value)
-        self.self_sq[comp, slot] = sum(v * v for v in m.values())
+    def _add(self, slot: int, view: GraphView) -> None:
+        for comp, m in enumerate(self.maps[slot]):
+            keys, values = view.component(comp)
+            if keys:
+                for key, value in zip(keys, values.tolist()):
+                    m[key] = m.get(key, 0.0) + value
+                self.self_sq[comp, slot] = sum(v * v for v in m.values())
 
-    def _self_products(self, slots) -> np.ndarray:
-        return self.self_sq[:, slots]
-
-    def _cross(self, comp: int, view: ComponentView) -> np.ndarray:
-        keys = view.keys
-        return np.array(
-            [
-                view.values
-                @ np.fromiter((maps[comp].get(k, 0.0) for k in keys), np.float64, len(keys))
-                for maps in self.maps[: self.size]
-            ]
-        )
+    def _estimates(self, view: GraphView) -> np.ndarray:
+        keyed = list(zip(view.keys, view.comp.tolist()))
+        estimates = [[maps[c].get(k, 0.0) for k, c in keyed] for maps in self.maps[: self.size]]
+        return np.array(estimates, dtype=np.float64).reshape(self.size, len(keyed))
 
     def _pair_cross(self) -> np.ndarray:
         cross = np.zeros((self.size, self.size, self.d + 1), dtype=np.float64)

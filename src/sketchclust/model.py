@@ -14,15 +14,16 @@ graphs. Edge keys are built as ``src + 0x1f + dst``; the separator byte is
 reserved, so the encoding is injective and node labels must never contain
 it.
 
-``graph_views`` gives one ``ComponentView`` per distance component; a view
-keeps the sketch buckets of its keys, so each graph is hashed once.
+``graph_views`` gives one flat ``GraphView`` per graph: every component's
+keys and values in one array, with the sketch buckets of all its keys from
+one hash call, so each graph is hashed once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -74,8 +75,12 @@ class StreamSchema:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "StreamSchema":
+        """Inverse of ``to_dict``; ``directed`` and a side type's ``kind``
+        may be left out. A key that is unknown or of the wrong type raises
+        ValueError."""
         if not isinstance(obj, dict):
             raise ValueError("schema must be an object")
+        _reject_unknown("schema", obj, {"directed", "side_types"})
         raw_types = obj.get("side_types", [])
         if not isinstance(raw_types, list):
             raise ValueError("schema side_types must be a list")
@@ -83,6 +88,7 @@ class StreamSchema:
         for t in raw_types:
             if not isinstance(t, dict) or "name" not in t:
                 raise ValueError("side type entries need a name")
+            _reject_unknown("side type", t, {"name", "kind"})
             name, kind = t["name"], t.get("kind", KIND_NUMERIC)
             if not isinstance(name, str) or not isinstance(kind, str):
                 raise ValueError("side type name and kind must be strings")
@@ -91,6 +97,12 @@ class StreamSchema:
         if not isinstance(directed, bool):
             raise ValueError("schema directed must be true or false")
         return cls(side_types=tuple(types), directed=directed)
+
+
+def _reject_unknown(what: str, obj: dict, known: set[str]) -> None:
+    unknown = sorted(set(obj) - known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
 
 
 @dataclass
@@ -212,41 +224,66 @@ def canonical_graphs(
         yield canonical
 
 
-class ComponentView:
-    """Flat key/value arrays for one distance component of one graph.
+class GraphView:
+    """One graph's keys and masses, flat, in component order.
 
     Component 0 is the edge structure; components 1..d are the schema's
-    side types in order. ``sq_sum`` caches the exact sum of squared values.
-    ``buckets(config)`` returns the sketch cells of ``keys`` and keeps them
-    for the last config asked, matched by equality, so the keys are hashed
-    once however many sketches read or absorb this view.
+    side types in order. Component ``c`` owns ``keys[bounds[c]:bounds[c+1]]``
+    and the same slice of ``values``; ``comp`` holds each key's component
+    id. ``sq_sum`` ``(d+1,)`` holds each component's exact sum of squared
+    values, and ``block`` ``(N, d+1)`` the values placed block-diagonally
+    (row ``i`` holds ``values[i]`` in column ``comp[i]``), so one product
+    with it sums per-key terms into per-component ones. Given a sketch
+    config, ``buckets`` holds the keys' cells in every row ``(rows, N)``,
+    hashed once in one call; a bank with another config hashes the keys
+    itself.
     """
 
-    __slots__ = ("keys", "values", "sq_sum", "_config", "_buckets")
+    __slots__ = ("keys", "values", "bounds", "comp", "sq_sum", "block", "config", "buckets")
 
-    def __init__(self, keys: tuple[bytes, ...], values: Iterable[float]):
+    def __init__(
+        self,
+        keys: tuple[bytes, ...],
+        values: Sequence[float],
+        bounds: Sequence[int],
+        config: SketchConfig | None = None,
+    ):
+        n = len(keys)
         self.keys = keys
-        self.values = np.fromiter(values, dtype=np.float64, count=len(keys))
-        self.sq_sum = float(self.values @ self.values)
-        self._config: SketchConfig | None = None
-        self._buckets: np.ndarray | None = None
+        self.values = values = np.array(values, dtype=np.float64)
+        self.bounds = bounds = tuple(bounds)
+        if values.shape != (n,) or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n:
+            raise ValueError("need one value per key and bounds from 0 to the key count")
+        spans = list(zip(bounds, bounds[1:]))
+        self.comp = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
+        parts = [values[a:b] for a, b in spans]
+        self.sq_sum = np.array([part.dot(part) for part in parts], dtype=np.float64)
+        self.block = np.zeros((n, len(spans)), dtype=np.float64)
+        self.block[np.arange(n), self.comp] = values
+        self.config = config
+        self.buckets = None if config is None else config.buckets(keys)
 
-    def buckets(self, config: SketchConfig) -> np.ndarray:
-        if config is not self._config and config != self._config:
-            self._buckets = config.buckets(self.keys)
-            self._config = config
-        return self._buckets
+    @property
+    def d(self) -> int:
+        return len(self.bounds) - 2
+
+    def component(self, c: int) -> tuple[tuple[bytes, ...], np.ndarray]:
+        """Component ``c``'s keys and values."""
+        a, b = self.bounds[c], self.bounds[c + 1]
+        return self.keys[a:b], self.values[a:b]
 
 
-def graph_views(g: GraphObject, schema: StreamSchema) -> list[ComponentView]:
-    """Per-component views of a canonicalized graph (length d+1)."""
-    views = [
-        ComponentView(
-            tuple(edge_key(s, t) for s, t, _ in g.edges),
-            (f for _, _, f in g.edges),
-        )
-    ]
+def graph_views(
+    g: GraphObject, schema: StreamSchema, config: SketchConfig | None = None
+) -> GraphView:
+    """The flat view of a canonicalized graph over the schema's d+1
+    components, its keys hashed for ``config`` when one is given."""
+    keys = [edge_key(s, t) for s, t, _ in g.edges]
+    values = [f for _, _, f in g.edges]
+    bounds = [0, len(keys)]
     for side_type in schema.side_types:
         attrs = g.side.get(side_type.name, {})
-        views.append(ComponentView(tuple(attr_key(a) for a in attrs), attrs.values()))
-    return views
+        keys += map(attr_key, attrs)
+        values += attrs.values()
+        bounds.append(len(keys))
+    return GraphView(tuple(keys), values, bounds, config)

@@ -6,15 +6,18 @@ per component, the member count and the last-update timestamp. ``Bank``
 holds these for all ``k`` clusters as arrays and computes every distance
 from them; a backend supplies only the store of first moments.
 ``ClusterBank`` keeps them as count-min sketches (``exact.ExactBank``
-keeps exact maps). Absorbing a graph touches each sketch once; summing
-two clusters' cells and scalars (the later timestamp winning) equals
-absorbing both member sets into one.
+keeps exact maps). Every read and update takes a graph's one flat
+``model.GraphView``: scoring it against all clusters is one gather of
+estimates and one product, absorbing it one scatter into the slot's
+sketches. Summing two clusters' cells and scalars (the later timestamp
+winning) equals absorbing both member sets into one.
 
 A bank checkpoints as its live slots' arrays, whole: the scalars, then
 the backend's first moments, every shape but the slot count taken from
 the engine header. ``unpack_at`` and ``read_array`` are the bounds-checked
 reads a checkpoint goes through, so a truncated one raises ValueError;
-``Bank.validate`` rejects loaded state that no run produces.
+``Bank.validate`` (with ``ClusterBank``'s row-sum check) rejects loaded
+state that no run produces.
 """
 
 from __future__ import annotations
@@ -24,9 +27,15 @@ import struct
 
 import numpy as np
 
-from .model import ComponentView
+from .model import GraphView
 from .sketch import SketchConfig
 from .weight_opt import ClusterGeometry
+
+
+# Rows of a float grid add the same masses in different orders; n additions
+# into one cell drift by at most about n * 2**-53 relative, so 1e-6 allows
+# about 10**9 of them.
+ROW_SUM_RTOL = 1e-6
 
 
 def unpack_at(fmt: str, data: bytes, off: int) -> tuple:
@@ -58,8 +67,10 @@ class Bank:
 
     Slot ``i`` holds ``second_moments[i]`` (the exact sums of squared
     masses, ``(d+1,)``), ``n[i]`` and ``t_last[i]`` (member count and
-    last-update time); the backend holds its first moments. Slots
-    ``0..size-1`` are live and every live slot has a member.
+    last-update time) and ``self_sq[:, i]`` (its first moments' self
+    products, recomputed by the backend on every absorb into the slot and
+    on load); the backend holds the first moments. Slots ``0..size-1`` are
+    live and every live slot has a member.
 
     Distances compare mass vectors over the (implicit) key space of one
     component: edges (component 0) or one side type (components 1..d). The
@@ -69,27 +80,34 @@ class Bank:
         sum_k g_k^2  -  (2/n) * sum_k g_k * C_k  +  (1/n^2) * sum_k C_k^2
 
     where only keys present in the incoming graph contribute to the first
-    two terms and the third is the cluster's aggregate self product. On
-    the sketch backend the middle and last terms use overestimating
-    estimators, so sketch distances can only exceed their exact
-    counterparts (before clamping). Negative values from estimator noise
-    are clamped to zero. An event's ``es_distance_sq`` (formed in
-    ``Engine.process``) weights the d+1 squared component distances by
-    the engine's nonnegative weights.
+    two terms and the third is the cluster's aggregate self product. The
+    middle term of every slot and component is one product: the slots'
+    estimates of the graph's keys ``(size, N)`` times the view's
+    block-diagonal values ``(N, d+1)``. On the sketch backend the middle
+    and last terms use overestimating estimators, so sketch distances can
+    only exceed their exact counterparts (before clamping). Negative values
+    from estimator noise are clamped to zero. An event's ``es_distance_sq``
+    (formed in ``Engine.process``) weights the d+1 squared component
+    distances by the engine's nonnegative weights.
 
     A backend supplies its first-moment store through the hooks:
-    ``_clear(slot)``, ``_add(slot, comp, view)``, ``_self_products(slots)``
-    (``(d+1,)`` or ``(d+1, m)``), ``_cross(comp, view)`` (the view's
-    inner product with every live slot, ``(size,)``), ``_pair_cross()``
+    ``_clear(slot)``, ``_add(slot, view)`` (which also refreshes the
+    slot's ``self_sq``), ``_estimates(view)`` (every live slot's estimate
+    of each of the view's keys, ``(size, N)``), ``_pair_cross()``
     (``(size, size, d+1)``, read for ``i < j``), and ``_write_first``,
     ``_load_first`` and ``_first_ok`` for the checkpoint.
     """
+
+    # The sketch config the engine hashes each graph's view for; None when
+    # the backend reads no buckets.
+    config: SketchConfig | None = None
 
     def __init__(self, d: int, k: int):
         self.d = d
         self.second_moments = np.zeros((k, d + 1), dtype=np.float64)
         self.n = np.zeros(k, dtype=np.int64)
         self.t_last = np.zeros(k, dtype=np.int64)
+        self.self_sq = np.zeros((d + 1, k), dtype=np.float64)
         self.size = 0
 
     def __len__(self) -> int:
@@ -97,57 +115,55 @@ class Bank:
 
     # -- updates -----------------------------------------------------------
 
-    def add(self, views: list[ComponentView], now: int) -> int:
+    def add(self, view: GraphView, now: int) -> int:
         """Found a cluster on one graph in the next free slot; returns it."""
         slot = self.size
         self.size += 1
-        self.absorb(slot, views, now)
+        self.absorb(slot, view, now)
         return slot
 
-    def reset(self, slot: int, views: list[ComponentView], now: int) -> None:
+    def reset(self, slot: int, view: GraphView, now: int) -> None:
         """Replace the slot's cluster, in place, by one founded on one graph."""
         self._clear(slot)
         self.second_moments[slot] = 0.0
         self.n[slot] = 0
         self.t_last[slot] = 0
-        self.absorb(slot, views, now)
+        self.self_sq[:, slot] = 0.0
+        self.absorb(slot, view, now)
 
-    def absorb(self, slot: int, views: list[ComponentView], now: int) -> None:
-        if len(views) != self.d + 1:
-            raise ValueError("component count mismatch with schema")
+    def absorb(self, slot: int, view: GraphView, now: int) -> None:
+        self._check(view)
         if now < 0:
             raise ValueError("timestamp must be nonnegative")
-        for comp, view in enumerate(views):
-            if view.keys:
-                if not bool(np.all(view.values >= 0.0)):
-                    raise ValueError("negative or NaN update value")
-                self._add(slot, comp, view)
-                self.second_moments[slot, comp] += view.sq_sum
+        if not bool(np.all(view.values >= 0.0)):
+            raise ValueError("negative or NaN update value")
+        self._add(slot, view)
+        self.second_moments[slot] += view.sq_sum
         self.n[slot] += 1
         self.t_last[slot] = max(self.t_last[slot], now)
 
+    def _check(self, view: GraphView) -> None:
+        if view.d != self.d:
+            raise ValueError("component count mismatch with schema")
+
     # -- reads ---------------------------------------------------------------
 
-    def distances_sq(self, views: list[ComponentView]) -> np.ndarray:
+    def distances_sq(self, view: GraphView) -> np.ndarray:
         """Squared component distances from one graph to every live cluster,
         ``(size, d+1)``."""
-        if len(views) != self.d + 1:
-            raise ValueError("component count mismatch with schema")
-        m = self.size
-        n = self.n[:m].astype(np.float64)
-        self_products = self._self_products(slice(0, m))
-        out = np.empty((m, self.d + 1), dtype=np.float64)
-        for comp, view in enumerate(views):
-            cross = self._cross(comp, view) if view.keys else 0.0
-            out[:, comp] = view.sq_sum - 2.0 * cross / n + self_products[comp] / (n * n)
+        self._check(view)
+        n = self.n[: self.size, None].astype(np.float64)
+        cross = self._estimates(view) @ view.block
+        out = view.sq_sum - 2.0 * cross / n + self.self_sq[:, : self.size].T / (n * n)
         return np.maximum(out, 0.0, out=out)
 
     def intra_sq(self, slot: int) -> np.ndarray:
         """The slot's aggregate squared member-to-centroid distance per
         component, from the closed form: second moment minus self product
         over n."""
-        self_products = self._self_products(slot)
-        return np.maximum(self.second_moments[slot] - self_products / int(self.n[slot]), 0.0)
+        return np.maximum(
+            self.second_moments[slot] - self.self_sq[:, slot] / int(self.n[slot]), 0.0
+        )
 
     def count(self, slot: int) -> int:
         return int(self.n[slot])
@@ -166,7 +182,7 @@ class Bank:
         if m < 2:
             raise ValueError("geometry needs at least two nonempty clusters")
         n = self.n[:m].astype(np.float64)
-        self_products = self._self_products(slice(0, m)).T
+        self_products = self.self_sq[:, :m].T
         intra = np.zeros(self.d + 1, dtype=np.float64)
         # Row by row, in slot order: the per-cluster sum's rounding.
         for row in np.maximum(self.second_moments[:m] - self_products / n[:, None], 0.0):
@@ -256,37 +272,46 @@ class Bank:
 class ClusterBank(Bank):
     """The sketch backend: each slot's first moments as d+1 count-min grids.
 
-    * ``cells[c, i]``: the ``(rows, cols)`` grid of component ``c``;
-    * ``row_sq[c, i]``: that grid's per-row sums of squared cells (its self
-      product is their minimum), recomputed on every absorb into the slot.
-
-    Scoring a graph gathers each component's cells for all slots at once;
-    the weight refresh takes every pair's cross products from one batched
-    product per component. The cells checkpoint as one
-    ``f8[d+1, m, rows, cols]`` block.
+    ``cells[c, i]`` is the ``(rows, cols)`` grid of component ``c`` in
+    slot ``i``; its self product is the minimum over rows of the row's sum
+    of squared cells. A graph's keys are hashed once, into its view.
+    Scoring it gathers every key's cells in every live slot at once
+    (``cells[comp, :m, row, bucket]``); absorbing it is one scatter into the
+    slot's d+1 grids and one batched row-square product. The weight refresh
+    takes every pair's cross products from one batched product. The cells
+    checkpoint as one ``f8[d+1, m, rows, cols]`` block.
     """
 
     def __init__(self, config: SketchConfig, d: int, k: int):
         super().__init__(d, k)
         self.config = config
         self.cells = np.zeros((d + 1, k, config.rows, config.cols), dtype=np.float64)
-        self.row_sq = np.zeros((d + 1, k, config.rows), dtype=np.float64)
+
+    def _buckets(self, view: GraphView) -> np.ndarray:
+        """The view's buckets; its keys hashed here if it was built for
+        another config or none."""
+        if view.config is self.config or view.config == self.config:
+            return view.buckets
+        return self.config.buckets(view.keys)
 
     def _clear(self, slot: int) -> None:
         self.cells[:, slot] = 0.0
-        self.row_sq[:, slot] = 0.0
 
-    def _add(self, slot: int, comp: int, view: ComponentView) -> None:
-        grid = self.cells[comp, slot]
-        np.add.at(grid, (self.config._row_span, view.buckets(self.config)), view.values[None, :])
-        self.row_sq[comp, slot] = np.einsum("rc,rc->r", grid, grid)
+    def _add(self, slot: int, view: GraphView) -> None:
+        index = (view.comp, self.config._row_span, self._buckets(view))
+        np.add.at(self.cells[:, slot], index, view.values)
+        self._square_rows(slot)
 
-    def _self_products(self, slots) -> np.ndarray:
-        return self.row_sq[:, slots].min(-1)
+    def _square_rows(self, slots) -> None:
+        """Recompute the slots' self products from their cells: each row's
+        sum of squares, then the minimum over rows."""
+        grids = self.cells[:, slots]
+        self.self_sq[:, slots] = np.einsum("...c,...c->...", grids, grids).min(-1)
 
-    def _cross(self, comp: int, view: ComponentView) -> np.ndarray:
-        cells = self.cells[comp, : self.size]
-        return cells[:, self.config._row_span, view.buckets(self.config)].min(1) @ view.values
+    def _estimates(self, view: GraphView) -> np.ndarray:
+        # (rows, N, m) cells, min over rows, as (m, N)
+        gathered = self.cells[view.comp, : self.size, self.config._row_span, self._buckets(view)]
+        return gathered.min(0).T
 
     def _pair_cross(self) -> np.ndarray:
         # (d+1, rows, m, cols) @ (d+1, rows, cols, m), min over rows,
@@ -302,11 +327,25 @@ class ClusterBank(Bank):
         shape = (self.d + 1, m, self.config.rows, self.config.cols)
         cells = read_array(data, off, "<f8", shape)
         self.cells[:, :m] = cells
-        # absorb's per-grid product, so a resumed run stays bitwise equal
-        for comp, slot in np.ndindex(self.d + 1, m):
-            grid = self.cells[comp, slot]
-            self.row_sq[comp, slot] = np.einsum("rc,rc->r", grid, grid)
+        # absorb's product, so a resumed run stays bitwise equal
+        self._square_rows(slice(0, m))
         return off + cells.nbytes
 
     def _first_ok(self) -> bool:
         return finite_nonneg(self.cells[:, : self.size])
+
+    def validate(self, graph_count: int) -> None:
+        """``Bank.validate``, then that every grid's rows sum to the same
+        total, as each key adds its mass once to every row: exactly when
+        all of a grid's cells are integers (every sum is then exact), and
+        within ``ROW_SUM_RTOL`` of the largest row sum otherwise, where
+        each row adds the same masses in another order."""
+        super().validate(graph_count)
+        grids = self.cells[:, : self.size]
+        sums = grids.sum(-1)
+        top = sums.max(-1)
+        gap = top - sums.min(-1)
+        if np.any(gap > 0.0):  # rows that agree exactly need no integer test
+            whole = (np.trunc(grids) == grids).all(axis=(-2, -1))
+            if np.any(gap > np.where(whole, 0.0, ROW_SUM_RTOL * top)):
+                raise ValueError("checkpoint holds a sketch whose rows sum to different totals")

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from sketchclust import ClusterGeometry, ComponentView, SketchConfig
+from sketchclust import ClusterGeometry, GraphView, SketchConfig
 
 
 def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
@@ -58,10 +58,9 @@ class CountMinSketch:
     def update(self, key: bytes, value: float) -> None:
         self.update_many((key,), np.array([value], dtype=np.float64))
 
-    def update_many(self, keys: Sequence[bytes] | np.ndarray, values: np.ndarray) -> None:
-        """Add values[i] to keys[i]'s cell in every row. Values must be >= 0.
-        ``keys`` may instead be their bucket matrix from ``config.buckets``."""
-        idx = self._buckets(keys)
+    def update_many(self, keys: Sequence[bytes], values: np.ndarray) -> None:
+        """Add values[i] to keys[i]'s cell in every row. Values must be >= 0."""
+        idx = self.config.buckets(keys)
         if idx.shape[1] != len(values):
             raise ValueError("keys and values length mismatch")
         if len(values) == 0:
@@ -75,15 +74,9 @@ class CountMinSketch:
     def estimate(self, key: bytes) -> float:
         return float(self.estimate_many((key,))[0])
 
-    def estimate_many(self, keys: Sequence[bytes] | np.ndarray) -> np.ndarray:
-        """Row-minimum point estimates for each key, never below the truth.
-        ``keys`` may instead be their bucket matrix from ``config.buckets``."""
-        return self.cells[np.arange(self.config.rows)[:, None], self._buckets(keys)].min(axis=0)
-
-    def _buckets(self, keys: Sequence[bytes] | np.ndarray) -> np.ndarray:
-        if isinstance(keys, np.ndarray) and keys.dtype == np.intp:
-            return keys
-        return self.config.buckets(keys)
+    def estimate_many(self, keys: Sequence[bytes]) -> np.ndarray:
+        """Row-minimum point estimates for each key, never below the truth."""
+        return self.cells[np.arange(self.config.rows)[:, None], self.config.buckets(keys)].min(axis=0)
 
     def self_inner_product(self) -> float:
         """min over rows of sum(cell^2); overestimates sum of squared totals."""
@@ -143,18 +136,19 @@ class ClusterStats:
     def d(self) -> int:
         return len(self.second_moments) - 1
 
-    def absorb_views(self, views: list[ComponentView], now: int) -> None:
-        if len(views) != len(self.second_moments):
+    def absorb_views(self, view: GraphView, now: int) -> None:
+        """Absorb one graph, hashing each component's keys into its sketch."""
+        if view.d != self.d:
             raise ValueError("component count mismatch with schema")
         if now < 0:
             raise ValueError("timestamp must be nonnegative")
         self.n += 1
         self.t_last = max(self.t_last, now)
-        for comp, view in enumerate(views):
-            if view.keys:
-                sketch = self.sketches[comp]
-                sketch.update_many(view.buckets(sketch.config), view.values)
-                self.second_moments[comp] += view.sq_sum
+        for comp, sketch in enumerate(self.sketches):
+            keys, values = view.component(comp)
+            if keys:
+                sketch.update_many(keys, values)
+                self.second_moments[comp] += values @ values
 
     @classmethod
     def merge(cls, a: "ClusterStats", b: "ClusterStats") -> "ClusterStats":
@@ -170,11 +164,10 @@ class ClusterStats:
     def second_moment(self, comp: int) -> float:
         return float(self.second_moments[comp])
 
-    def first_moments(self, comp: int, view: ComponentView) -> np.ndarray:
-        """Point estimates of the aggregated masses of the view's keys
-        (overestimates)."""
-        sketch = self.sketches[comp]
-        return sketch.estimate_many(view.buckets(sketch.config))
+    def first_moments(self, comp: int, view: GraphView) -> np.ndarray:
+        """Point estimates of the aggregated masses of the view's keys in
+        one component (overestimates)."""
+        return self.sketches[comp].estimate_many(view.component(comp)[0])
 
     def self_product(self, comp: int) -> float:
         return self.sketches[comp].self_inner_product()
@@ -193,25 +186,22 @@ class ClusterStats:
         )
 
 
-def members_intra_sq(members: Sequence[Sequence[ComponentView]], comp: int) -> float:
+def members_intra_sq(members: Sequence[GraphView], comp: int) -> float:
     """Sum over members of the squared distance to the centroid of one
-    component, from the members' own views (each member is its list of
-    d+1 views)."""
+    component, from the members' own views."""
     if not members:
         raise ValueError("empty cluster")
     n = len(members)
     totals: dict[bytes, float] = {}
-    for views in members:
-        view = views[comp]
-        for key, value in zip(view.keys, view.values):
+    for view in members:
+        for key, value in zip(*view.component(comp)):
             totals[key] = totals.get(key, 0.0) + float(value)
     centroid = {k: v / n for k, v in totals.items()}
     centroid_sq = sum(c * c for c in centroid.values())
     total = 0.0
-    for views in members:
-        view = views[comp]
+    for view in members:
         part = centroid_sq
-        for key, value in zip(view.keys, view.values):
+        for key, value in zip(*view.component(comp)):
             c = centroid.get(key, 0.0)
             part += (value - c) ** 2 - c * c
         total += part
@@ -228,20 +218,21 @@ def _check_comp(c, comp: int) -> None:
         raise ValueError(f"component index {comp} out of range 0..{c.d}")
 
 
-def component_distance_sq(view: ComponentView, c, comp: int) -> float:
+def component_distance_sq(view: GraphView, c, comp: int) -> float:
     """Squared distance from one graph component to the cluster centroid."""
     _check_cluster(c)
     _check_comp(c, comp)
     n = c.n
-    cross = float(view.values @ c.first_moments(comp, view)) if view.keys else 0.0
-    raw = view.sq_sum - 2.0 * cross / n + c.self_product(comp) / (n * n)
+    keys, values = view.component(comp)
+    cross = float(values @ c.first_moments(comp, view)) if keys else 0.0
+    raw = float(values @ values) - 2.0 * cross / n + c.self_product(comp) / (n * n)
     return max(raw, 0.0)
 
 
-def component_distances_sq(views: Sequence[ComponentView], c) -> np.ndarray:
+def component_distances_sq(view: GraphView, c) -> np.ndarray:
     """All d+1 squared component distances for one graph."""
     return np.array(
-        [component_distance_sq(view, c, comp) for comp, view in enumerate(views)],
+        [component_distance_sq(view, c, comp) for comp in range(view.d + 1)],
         dtype=np.float64,
     )
 
@@ -310,13 +301,13 @@ def cluster_geometry(clusters: Sequence) -> ClusterGeometry:
 
 
 def filled(bank, *clusters):
-    """``bank`` with one slot per cluster, each given as its members' view
-    lists, absorbed in order at times 1, 2, ..."""
+    """``bank`` with one slot per cluster, each given as its members'
+    views, absorbed in order at times 1, 2, ..."""
     for members in clusters:
         slot = None
-        for now, views in enumerate(members, start=1):
+        for now, view in enumerate(members, start=1):
             if slot is None:
-                slot = bank.add(views, now)
+                slot = bank.add(view, now)
             else:
-                bank.absorb(slot, views, now)
+                bank.absorb(slot, view, now)
     return bank

@@ -21,10 +21,10 @@ from reference import (
 )
 from sketchclust import (
     ACTION_INITIALIZED,
-    ComponentView,
     Engine,
     EngineConfig,
     GraphObject,
+    GraphView,
     SideType,
     SketchConfig,
     StreamSchema,
@@ -79,8 +79,9 @@ def test_c01_backends_identical_in_collision_free_regime():
 
     comp_keys: list[set] = [set() for _ in range(schema.d + 1)]
     for g in graphs:
-        for comp, view in enumerate(graph_views(g, schema)):
-            comp_keys[comp].update(view.keys)
+        view = graph_views(g, schema)
+        for comp, keys in enumerate(comp_keys):
+            keys.update(view.component(comp)[0])
     total_keys = sum(len(s) for s in comp_keys)
     assert total_keys <= 300
 
@@ -303,13 +304,13 @@ def test_c05_objective_midpoint_convexity():
 # -- 6: merging summaries equals absorbing one combined stream --------------
 
 
-def _absorb(bank, views, now: int) -> None:
+def _absorb(bank, view, now: int) -> None:
     """The engine's path into slot 0: found it on the first graph, then
     absorb into it."""
     if len(bank):
-        bank.absorb(0, views, now)
+        bank.absorb(0, view, now)
     else:
-        bank.add(views, now)
+        bank.add(view, now)
 
 
 def _summed_slot(a: ClusterBank, b: ClusterBank) -> bytes:
@@ -350,11 +351,11 @@ def test_c06_merge_equals_single_stream_absorption():
         part_b = ClusterStats.empty(cfg, schema.d)
         bank_whole, bank_a, bank_b = (ClusterBank(cfg, schema.d, 1) for _ in range(3))
         for now, g in enumerate(graphs, start=1):
-            views = graph_views(g, schema)
-            whole.absorb_views(views, now)
-            (part_a if now <= split else part_b).absorb_views(views, now)
-            _absorb(bank_whole, views, now)
-            _absorb(bank_a if now <= split else bank_b, views, now)
+            view = graph_views(g, schema, cfg)
+            whole.absorb_views(view, now)
+            (part_a if now <= split else part_b).absorb_views(view, now)
+            _absorb(bank_whole, view, now)
+            _absorb(bank_a if now <= split else bank_b, view, now)
 
         # every field equal: scalars, second moments, config and cells
         if ClusterStats.merge(part_a, part_b) == whole:
@@ -444,7 +445,8 @@ def _c08_trial(cfg: SketchConfig, keys, masses: np.ndarray, probe: int, per_grap
     bank = ClusterBank(cfg, 0, 1)
     for start in range(0, len(keys), per_graph):
         part = slice(start, start + per_graph)
-        _absorb(bank, [ComponentView(tuple(keys[part]), masses[part])], start + 1)
+        part_keys = tuple(keys[part])
+        _absorb(bank, GraphView(part_keys, masses[part], (0, len(part_keys)), cfg), start + 1)
     estimates = bank.cells[0, 0][np.arange(cfg.rows)[:, None], cfg.buckets(keys)].min(0)
     return np.array(
         [
@@ -504,7 +506,8 @@ def _separating_config(members, d: int) -> SketchConfig:
     """The first seed of a 4 x 1024 sketch in which some row separates each
     component's keys, so no estimate sees a collision."""
     universes = [
-        sorted({k for views in members for k in views[comp].keys}) for comp in range(d + 1)
+        sorted({k for view in members for k in view.component(comp)[0]})
+        for comp in range(d + 1)
     ]
     for seed in range(64):
         cfg = SketchConfig(rows=4, cols=1024, seed=seed)
@@ -547,9 +550,9 @@ def test_c09_closed_form_intra_matches_member_sum():
             members.append(graph_views(preprocess(g, schema), schema))
         exact = ExactBank(schema.d, 1)
         bank = ClusterBank(_separating_config(members, schema.d), schema.d, 1)
-        for now, views in enumerate(members, start=1):
-            _absorb(exact, views, now)
-            _absorb(bank, views, now)
+        for now, view in enumerate(members, start=1):
+            _absorb(exact, view, now)
+            _absorb(bank, view, now)
         exact_intra = exact.intra_sq(0)
         bank_intra = bank.intra_sq(0)
         for comp in range(schema.d + 1):
@@ -565,6 +568,48 @@ def test_c09_closed_form_intra_matches_member_sum():
         ok,
         f"clusters={clusters_checked} worst_intra_discrepancy={worst:.2e} "
         f"bank_worst={bank_worst:.2e} (<=1e-9)",
+    )
+
+
+def test_c09_closed_form_intra_survives_a_long_stream():
+    # 20,000 members with non-integer masses in one cluster per bank. The
+    # closed form subtracts self_product / n (about n * mean^2) from the
+    # second moment (about n * E[x^2]); on the edges, whose masses vary by
+    # under 1%, the difference is about 1e-5 of either term, so rounding
+    # in either sum shows. Tolerance: 1e-9 of the component's second moment.
+    rnd = random.Random(99)
+    schema = StreamSchema(side_types=(SideType("s0"), SideType("s1")))
+    members = []
+    for member in range(20_000):
+        edges = [(f"n{j}", f"n{j + 1}", rnd.uniform(1.0, 1.01)) for j in range(4)]
+        side = {
+            f"s{t}": {f"tok{j}": rnd.uniform(0.5, 2.5) for j in range(4) if rnd.random() < 0.7}
+            for t in range(2)
+        }
+        g = GraphObject(id=f"m{member}", ts=member, edges=edges, side=side)
+        members.append(graph_views(preprocess(g, schema), schema))
+    exact = ExactBank(schema.d, 1)
+    bank = ClusterBank(_separating_config(members, schema.d), schema.d, 1)
+    for now, view in enumerate(members, start=1):
+        _absorb(exact, view, now)
+        _absorb(bank, view, now)
+
+    worst = {"exact": 0.0, "sketch": 0.0}
+    worst_of_intra = 0.0
+    for comp in range(schema.d + 1):
+        definitional = members_intra_sq(members, comp)
+        second = float(exact.second_moments[0, comp])
+        for name, b in (("exact", exact), ("sketch", bank)):
+            err = abs(float(b.intra_sq(0)[comp]) - definitional)
+            worst[name] = max(worst[name], err / second)
+            worst_of_intra = max(worst_of_intra, err / definitional)
+    ok = max(worst.values()) <= 1e-9
+    _verdict(
+        9,
+        ok,
+        f"members={len(members)} worst_exact={worst['exact']:.2e} "
+        f"worst_bank={worst['sketch']:.2e} (<=1e-9 of the second moment; "
+        f"{worst_of_intra:.2e} of the intra value)",
     )
 
 

@@ -74,29 +74,29 @@ def _reference(graphs, config: EngineConfig, schema, resume_at: int):
     weights = np.ones(schema.d + 1)
     out = []
 
-    def founded(views, now):
+    def founded(view, now):
         c = ClusterStats.empty(config.sketch, schema.d)
-        c.absorb_views(views, now)
+        c.absorb_views(view, now)
         return c
 
     for now, g in enumerate(graphs, 1):
-        views = graph_views(g, schema)
+        view = graph_views(g, schema)
         if len(clusters) < config.k:
-            clusters.append(founded(views, now))
+            clusters.append(founded(view, now))
             out.append((ACTION_INITIALIZED, len(clusters) - 1, None, None, None))
         else:
-            comp_sq = np.array([component_distances_sq(views, c) for c in clusters])
+            comp_sq = np.array([component_distances_sq(view, c) for c in clusters])
             es_all = comp_sq @ weights
             nearest = int(np.argmin(es_all))
             best = float(es_all[nearest])
             target = clusters[nearest]
             spread = (config.p / target.n) * float(intra_vector_sq(target) @ weights)
             if target.n == 1 or best < spread:
-                target.absorb_views(views, now)
+                target.absorb_views(view, now)
                 out.append((ACTION_ASSIGNED, nearest, best, spread, comp_sq))
             else:
                 stale = min(range(len(clusters)), key=lambda i: (clusters[i].t_last, i))
-                clusters[stale] = founded(views, now)
+                clusters[stale] = founded(view, now)
                 out.append((ACTION_REPLACED, stale, best, spread, comp_sq))
         if now % config.gamma == 0 and len(clusters) >= 2:
             weights = refine_weights(weights, cluster_geometry(clusters), config.barrier)

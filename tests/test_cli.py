@@ -193,8 +193,14 @@ def test_eval_rejects_a_malformed_event_line(tmp_path, capsys, fault):
 
 @pytest.mark.parametrize(
     "schema",
-    [{"directed": "false"}, {"directed": 0}, {"side_types": [{"name": 5}]}],
-    ids=["string_directed", "int_directed", "int_name"],
+    [
+        {"directed": "false"},
+        {"directed": 0},
+        {"side_types": [{"name": 5}]},
+        {"directd": True},
+        {"side_types": [{"name": "a", "knd": "binary"}]},
+    ],
+    ids=["string_directed", "int_directed", "int_name", "unknown_key", "unknown_side_type_key"],
 )
 def test_mistyped_schema_header_exits_2(tmp_path, capsys, schema):
     stream = tmp_path / "s.jsonl"

@@ -460,6 +460,14 @@ _HEADER_FAULTS = {
     "string_record_distances": lambda h: {**h, "record_distances": "false"},
     "unknown_header_key": lambda h: {**h, "bakend": "exact"},
     "unknown_config_key": lambda h: _with_config(h, gama=5),
+    "unknown_schema_key": lambda h: {**h, "schema": {**h["schema"], "directd": True}},
+    "unknown_side_type_key": lambda h: {
+        **h,
+        "schema": {
+            **h["schema"],
+            "side_types": [{**t, "knd": "binary"} for t in h["schema"]["side_types"]],
+        },
+    },
     "array": lambda h: [h],
     "array_sketch": lambda h: _with_config(h, sketch=[4, 256, 0]),
 }
@@ -528,6 +536,47 @@ def test_from_bytes_rejects_bad_first_moments(backend, corrupt, value):
     engine = _run_engine(backend)
     corrupt(engine, value)
     with pytest.raises(ValueError, match="negative or non-finite"):
+        Engine.from_bytes(engine.to_bytes())
+
+
+def _scaled_engine() -> Engine:
+    """A sketch engine over 60 graphs of non-integer masses."""
+    rng = random.Random(5)
+    engine = Engine(_config(), SCHEMA)
+    engine.run(
+        _graph(
+            i,
+            [("a", f"n{i % 7}", rng.uniform(0.1, 3.0)), ("b", f"n{i % 5}", rng.uniform(0.1, 3.0))],
+            {f"t{i % 4}": rng.uniform(0.1, 3.0)},
+        )
+        for i in range(60)
+    )
+    return engine
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0**20])
+def test_from_bytes_rejects_a_bumped_cell_on_integer_masses(scale):
+    # every key adds its mass to one cell per row, so the rows of a grid
+    # sum to one total; on integer masses the check is exact, so a cell
+    # one higher is caught even where it is far inside the float tolerance
+    engine = _run_engine()
+    engine.bank.cells *= scale
+    Engine.from_bytes(engine.to_bytes())
+    engine.bank.cells[0, 1, 0, 0] += 1.0
+    with pytest.raises(ValueError, match="rows sum to different totals"):
+        Engine.from_bytes(engine.to_bytes())
+
+
+def test_from_bytes_checks_row_sums_within_tolerance_on_float_masses():
+    engine = _scaled_engine()
+    blob = engine.to_bytes()
+    cells = engine.bank.cells[:, : len(engine.bank)]
+    assert not np.all(cells % 1.0 == 0.0)
+    # the rows' totals differ only by rounding, and the checkpoint loads
+    assert Engine.from_bytes(blob).to_bytes() == blob
+    total = cells[0, 1, 0].sum()
+    engine.bank.cells[0, 1, 0, 0] += 1e-5 * total
+    with pytest.raises(ValueError, match="rows sum to different totals"):
         Engine.from_bytes(engine.to_bytes())
 
 

@@ -55,9 +55,9 @@ def test_accessor_surface_matches_truth():
     assert c.second_moments[0].tolist() == [5.0, 14.0]
     assert c.maps[0] == [{b"a\x1fb": 3.0}, {b"x": 4.0, b"y": 2.0}]
     assert c.self_sq[:, 0].tolist() == [9.0, 16.0 + 4.0]
-    views = graph_views(_graph(2, [("a", "b", 1.0)], {"x": 1.0, "z": 1.0}), SCHEMA)
+    view = graph_views(_graph(2, [("a", "b", 1.0)], {"x": 1.0, "z": 1.0}), SCHEMA)
     # edges 1 - 2 * 3 / 2 + 9 / 4, topics 2 - 2 * (1 * 4 + 1 * 0) / 2 + 20 / 4
-    assert c.distances_sq(views)[0].tolist() == [1.0 - 3.0 + 9.0 / 4.0, 3.0]
+    assert c.distances_sq(view)[0].tolist() == [1.0 - 3.0 + 9.0 / 4.0, 3.0]
 
 
 def test_cross_product_is_exact():
@@ -75,8 +75,9 @@ def test_parity_with_sketch_backend_when_separated():
     graphs = [_random_graph(rng, i) for i in range(12)]
     keys_by_comp: list[set[bytes]] = [set(), set()]
     for g in graphs:
-        for comp, view in enumerate(graph_views(g, SCHEMA)):
-            keys_by_comp[comp].update(view.keys)
+        view = graph_views(g, SCHEMA)
+        for comp, keys in enumerate(keys_by_comp):
+            keys.update(view.component(comp)[0])
     cfg = None
     for seed in range(50):
         candidate = SketchConfig(rows=6, cols=1024, seed=seed)
@@ -94,8 +95,8 @@ def test_parity_with_sketch_backend_when_separated():
     sketch = filled(ClusterBank(cfg, SCHEMA.d, 3), *clusters)
     exact = filled(ExactBank(SCHEMA.d, 3), *clusters)
     for g in graphs[9:]:
-        views = graph_views(g, SCHEMA)
-        np.testing.assert_allclose(sketch.distances_sq(views), exact.distances_sq(views))
+        view = graph_views(g, SCHEMA, cfg)
+        np.testing.assert_allclose(sketch.distances_sq(view), exact.distances_sq(view))
     for slot in range(3):
         np.testing.assert_allclose(sketch.intra_sq(slot), exact.intra_sq(slot))
     ours, theirs = sketch.geometry(), exact.geometry()
@@ -134,8 +135,7 @@ def test_members_intra_sq_matches_definition():
             centroid = {k: c.maps[0][comp][k] / n for k in keys}
             total = 0.0
             for g in graphs:
-                view = graph_views(g, SCHEMA)[comp]
-                masses = dict(zip(view.keys, view.values))
+                masses = dict(zip(*graph_views(g, SCHEMA).component(comp)))
                 support = set(keys) | set(masses)
                 total += sum(
                     (masses.get(k, 0.0) - centroid.get(k, 0.0)) ** 2 for k in support
@@ -147,11 +147,11 @@ def _bank(rng: random.Random, graphs: int) -> ExactBank:
     """An exact bank with two live clusters over random graphs."""
     bank = ExactBank(SCHEMA.d, 2)
     for i in range(graphs):
-        views = graph_views(_random_graph(rng, i), SCHEMA)
+        view = graph_views(_random_graph(rng, i), SCHEMA)
         if len(bank) < 2:
-            bank.add(views, i)
+            bank.add(view, i)
         else:
-            bank.absorb(i % 2, views, i)
+            bank.absorb(i % 2, view, i)
     return bank
 
 

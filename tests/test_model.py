@@ -5,7 +5,9 @@ import pytest
 
 from sketchclust import (
     GraphObject,
+    GraphView,
     SideType,
+    SketchConfig,
     StreamSchema,
     attr_key,
     edge_key,
@@ -131,19 +133,38 @@ def test_graph_views_shape_and_order():
         ),
         schema,
     )
-    views = graph_views(g, schema)
-    assert len(views) == 3
-    assert views[0].keys == (edge_key("a", "b"),)
-    assert views[0].sq_sum == pytest.approx(4.0)
-    assert views[1].keys == (attr_key("x"),)  # schema order, not dict order
-    assert views[2].sq_sum == pytest.approx(1.0)
+    view = graph_views(g, schema)
+    assert view.d == 2
+    # schema order, not dict order
+    assert view.keys == (edge_key("a", "b"), attr_key("x"), attr_key("t"))
+    keys, values = view.component(1)
+    assert keys == (attr_key("x"),)
+    assert values.tolist() == [3.0]
+    assert view.comp.tolist() == [0, 1, 2]
+    assert view.sq_sum.tolist() == [4.0, 9.0, 1.0]
+    assert view.block.tolist() == [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]]
+    assert view.buckets is None
+    config = SketchConfig(rows=3, cols=16, seed=5)
+    hashed = graph_views(g, schema, config)
+    assert hashed.config is config
+    assert np.array_equal(hashed.buckets, config.buckets(view.keys))
+
+
+def test_graph_view_rejects_bounds_that_miss_the_keys():
+    keys = (b"a", b"b")
+    assert GraphView(keys, [1.0, 2.0], (0, 1, 2)).comp.tolist() == [0, 1]
+    for values, bounds in (([1.0], (0, 2)), ([1.0, 2.0], (0, 1)), ([1.0, 2.0], (1, 2)), ([], (0,))):
+        with pytest.raises(ValueError, match="bounds"):
+            GraphView(keys, values, bounds)
 
 
 def test_graph_views_empty_components():
     schema = _schema(SideType("topics"))
-    views = graph_views(preprocess(GraphObject(id="g"), schema), schema)
-    assert [len(v.keys) for v in views] == [0, 0]
-    assert all(v.sq_sum == 0.0 for v in views)
+    view = graph_views(preprocess(GraphObject(id="g"), schema), schema, SketchConfig(rows=3))
+    assert [len(view.component(c)[0]) for c in range(2)] == [0, 0]
+    assert view.sq_sum.tolist() == [0.0, 0.0]
+    assert view.block.shape == (0, 2)
+    assert view.buckets.shape == (3, 0)
 
 
 def test_canonicalize_is_idempotent():
@@ -171,6 +192,8 @@ def test_view_sq_sum_matches_values():
             for i in range(rng.randrange(1, 10))
         }
         g = preprocess(GraphObject(id="g", side={"topics": attrs}), schema)
-        view = graph_views(g, schema)[1]
-        assert view.sq_sum == pytest.approx(float(view.values @ view.values))
+        view = graph_views(g, schema)
+        _, values = view.component(1)
+        assert view.sq_sum[1] == float(values @ values)
         assert np.all(view.values > 0)
+        assert np.array_equal(view.block.sum(1), view.values)

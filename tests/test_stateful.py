@@ -45,8 +45,9 @@ GRAPHS = [preprocess(g, SCHEMA) for g in generate_graphs(SYNTH)]
 def _separating_config() -> SketchConfig:
     keys: list[set] = [set() for _ in range(SCHEMA.d + 1)]
     for g in GRAPHS:
-        for comp, view in enumerate(graph_views(g, SCHEMA)):
-            keys[comp].update(view.keys)
+        view = graph_views(g, SCHEMA)
+        for comp, comp_keys in enumerate(keys):
+            comp_keys.update(view.component(comp)[0])
     for seed in range(64):
         cfg = SketchConfig(rows=10, cols=4096, seed=seed)
         if all(separating_rows(cfg, sorted(k)) for k in keys):

@@ -59,14 +59,14 @@ def test_first_moments_exact_when_separated():
     cfg = _cfg(seed=1)
     g0 = _graph(0, [("a", "b", 1.0)], {"x": 2.0})
     g1 = _graph(1, [("a", "b", 3.0)], {"x": 2.0})
-    views = graph_views(g0, SCHEMA)
-    assert all(separating_rows(cfg, v.keys) for v in views if v.keys)
+    view = graph_views(g0, SCHEMA)
+    assert separating_rows(cfg, view.keys)
     c = ClusterStats.empty(cfg, SCHEMA.d)
     c.absorb_views(graph_views(g0, SCHEMA), 1)
     c.absorb_views(graph_views(g1, SCHEMA), 2)
-    est = c.first_moments(0, views[0])
+    est = c.first_moments(0, view)
     assert est.tolist() == pytest.approx([4.0])
-    assert c.first_moments(1, views[1]).tolist() == pytest.approx([4.0])
+    assert c.first_moments(1, view).tolist() == pytest.approx([4.0])
 
 
 def test_self_product_overestimates_truth():
@@ -121,9 +121,9 @@ def test_merge_matches_sequential_absorption():
     left = ClusterStats.empty(cfg, SCHEMA.d)
     right = ClusterStats.empty(cfg, SCHEMA.d)
     for i, g in enumerate(graphs):
-        views = graph_views(g, SCHEMA)
-        whole.absorb_views(views, i)
-        (left if i % 2 == 0 else right).absorb_views(views, i)
+        view = graph_views(g, SCHEMA)
+        whole.absorb_views(view, i)
+        (left if i % 2 == 0 else right).absorb_views(view, i)
     merged = ClusterStats.merge(left, right)
     assert merged.n == whole.n
     assert merged.t_last == whole.t_last
@@ -149,11 +149,11 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
             [(f"n{rng.randrange(4)}", f"n{rng.randrange(4)}", 1.0)],
             {f"t{rng.randrange(5)}": 2.0},
         )
-        views = graph_views(g, SCHEMA)
+        view = graph_views(g, SCHEMA, cfg)
         if len(bank) < 2:
-            bank.add(views, i)
+            bank.add(view, i)
         else:
-            bank.absorb(i % 2, views, i)
+            bank.absorb(i % 2, view, i)
     return bank
 
 
@@ -164,7 +164,7 @@ def test_serialization_round_trip():
     again = ClusterBank(cfg, SCHEMA.d, 3)
     assert again.load(b"pad" + blob, 3) == 3 + len(blob)
     assert len(again) == 2
-    for name in ("cells", "row_sq", "second_moments", "n", "t_last"):
+    for name in ("cells", "self_sq", "second_moments", "n", "t_last"):
         assert np.array_equal(getattr(again, name), getattr(bank, name)), name
     assert b"".join(again.to_parts()) == blob
 
@@ -181,8 +181,9 @@ def test_from_bytes_rejects_garbage():
 
 
 def test_views_hashed_for_one_config_serve_another():
-    # One views list alternates between two seeds; each view re-hashes when
-    # the config changes and must give what fresh views give.
+    # Views hashed for seed 1 feed banks of seeds 1 and 2; the seed-2 bank
+    # hashes their keys itself and must hold what fresh seed-2 views give,
+    # and both must hold what the per-cluster reference holds.
     rng = random.Random(43)
     graphs = [
         _graph(
@@ -192,18 +193,22 @@ def test_views_hashed_for_one_config_serve_another():
         )
         for i in range(10)
     ]
-    shared = [graph_views(g, SCHEMA) for g in graphs]
-    reused = {seed: ClusterStats.empty(_cfg(seed), SCHEMA.d) for seed in (1, 2)}
-    fresh = {seed: ClusterStats.empty(_cfg(seed), SCHEMA.d) for seed in (1, 2)}
-    for i, (g, views) in enumerate(zip(graphs, shared)):
-        for seed in (1, 2):
-            reused[seed].absorb_views(views, i)
-            fresh[seed].absorb_views(graph_views(g, SCHEMA), i)
+    shared = [graph_views(g, SCHEMA, _cfg(1)) for g in graphs]
     for seed in (1, 2):
-        assert reused[seed] == fresh[seed]
-        for g, views in zip(graphs, shared):
-            for comp, view in enumerate(graph_views(g, SCHEMA)):
-                assert np.array_equal(
-                    reused[seed].first_moments(comp, views[comp]),
-                    fresh[seed].first_moments(comp, view),
-                )
+        reused = ClusterBank(_cfg(seed), SCHEMA.d, 2)
+        fresh = ClusterBank(_cfg(seed), SCHEMA.d, 2)
+        reference = [ClusterStats.empty(_cfg(seed), SCHEMA.d) for _ in range(2)]
+        for i, (g, view) in enumerate(zip(graphs, shared)):
+            own = graph_views(g, SCHEMA, _cfg(seed))
+            for bank, v in ((reused, view), (fresh, own)):
+                if len(bank) < 2:
+                    bank.add(v, i)
+                else:
+                    bank.absorb(i % 2, v, i)
+            reference[i % 2].absorb_views(view, i)
+        assert np.array_equal(reused.cells, fresh.cells)
+        for slot, c in enumerate(reference):
+            for comp in range(SCHEMA.d + 1):
+                assert np.array_equal(reused.cells[comp, slot], c.sketches[comp].cells)
+        for view in shared:
+            assert np.array_equal(reused.distances_sq(view), fresh.distances_sq(view))

@@ -110,6 +110,21 @@ def test_header_required(tmp_path):
         list(iter_stream(path2))
 
 
+@pytest.mark.parametrize(
+    "schema",
+    [{"directd": True}, {"side_types": [{"name": "topics", "knd": "binary"}]}],
+    ids=["top_level", "side_type"],
+)
+def test_unknown_schema_key_is_a_format_error(tmp_path, schema):
+    # a misspelled key would otherwise load as its default
+    path = str(tmp_path / "s.ndjson")
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"schema": schema, "stream_version": 1}) + "\n")
+    with pytest.raises(StreamFormatError, match="unknown .*keys") as exc_info:
+        read_header(path)
+    assert exc_info.value.line_no == 1
+
+
 def test_strict_mode_reports_line_numbers(tmp_path):
     path = str(tmp_path / "s.ndjson")
     with open(path, "w") as fh:
