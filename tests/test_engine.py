@@ -554,17 +554,62 @@ def _scaled_engine() -> Engine:
     return engine
 
 
-@pytest.mark.parametrize("scale", [1.0, 2.0**20])
-def test_from_bytes_rejects_a_bumped_cell_on_integer_masses(scale):
+def test_from_bytes_rejects_a_bumped_cell_on_integer_masses():
     # every key adds its mass to one cell per row, so the rows of a grid
-    # sum to one total; on integer masses the check is exact, so a cell
-    # one higher is caught even where it is far inside the float tolerance
+    # sum to one total; on whole cells totalling under 1 / ROW_SUM_RTOL the
+    # check is exact, so a cell one higher is caught
     engine = _run_engine()
-    engine.bank.cells *= scale
     Engine.from_bytes(engine.to_bytes())
     engine.bank.cells[0, 1, 0, 0] += 1.0
     with pytest.raises(ValueError, match="rows sum to different totals"):
         Engine.from_bytes(engine.to_bytes())
+
+
+def _row_gaps(engine: Engine) -> np.ndarray:
+    sums = engine.bank.cells[:, : len(engine.bank)].sum(-1)
+    return sums.max(-1) - sums.min(-1)
+
+
+def test_from_bytes_loads_rows_rounded_apart_on_large_integer_masses():
+    # epoch-microsecond masses: row totals pass 2**53, where rows that add
+    # the same integers in other orders round differently; p is so large
+    # that every graph joins its nearest cluster, which grows to 11 members
+    rng = random.Random(11)
+    schema = StreamSchema(side_types=(SideType("ts"),))
+    engine = Engine(_config(p=1e40, sketch=SketchConfig(rows=4, cols=4, seed=0)), schema)
+    engine.run(
+        GraphObject(
+            id=f"g{i}",
+            ts=i,
+            edges=[("a", f"n{i % 3}", 1.0)],
+            side={"ts": {f"t{j}": 1_700_000_000_000_000 + rng.randrange(10**9) for j in range(6)}},
+        )
+        for i in range(12)
+    )
+    assert np.any(_row_gaps(engine) > 0.0)
+    blob = engine.to_bytes()
+    assert Engine.from_bytes(blob).to_bytes() == blob
+
+
+def test_from_bytes_loads_whole_cells_rounded_from_fractional_masses():
+    # 2**52 + 0.5 + 0.5 rounds to the whole cell 2**52 in the first row,
+    # where the three keys collide; the second row keeps 2**52 apart from
+    # the halves and sums 2**52 + 1. Every cell is whole, and the run's own
+    # checkpoint must still load.
+    schema = StreamSchema(side_types=(SideType("t"),))
+    engine = Engine(_config(sketch=SketchConfig(rows=2, cols=2, seed=0)), schema)
+    side = {"k0": 2.0**52, "k4": 0.5, "k9": 0.5}
+    engine.run(
+        [
+            GraphObject(id="g0", ts=0, edges=[("u", "v", 1.0)], side={"t": side}),
+            GraphObject(id="g1", ts=1, edges=[("p", "q", 1.0)], side={}),
+        ]
+    )
+    grid = engine.bank.cells[1, 0]
+    assert np.all(np.trunc(grid) == grid)
+    assert grid.sum(-1).tolist() == [2.0**52, 2.0**52 + 1]
+    blob = engine.to_bytes()
+    assert Engine.from_bytes(blob).to_bytes() == blob
 
 
 def test_from_bytes_checks_row_sums_within_tolerance_on_float_masses():
