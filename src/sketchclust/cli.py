@@ -183,8 +183,8 @@ def _canonical_input(args: argparse.Namespace, schema: StreamSchema, skipped: li
         skipped.append(message)
         _diag("warning", "graph skipped", graph=graph_id, reason=message)
 
-    records = iter_stream(args.input, strict=not args.lenient, on_error=record_skipped)
-    return canonical_graphs(records, schema, strict=False, on_error=graph_rejected)
+    records = iter_stream(args.input, on_error=record_skipped if args.lenient else None)
+    return canonical_graphs(records, schema, on_error=graph_rejected)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -370,7 +370,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 events.append(AssignmentEvent.from_dict(json.loads(line)))
             except ValueError as exc:  # bad JSON, or not an event
                 raise StreamFormatError(f"bad event: {exc}", line_no) from None
-    records = iter_stream(args.stream, strict=False, on_error=_record_skipped)
+    for event in events:
+        # a run's event never names a slot beyond its own position in the log
+        if event.cluster_index >= len(events):
+            raise StreamFormatError(
+                f"bad event {event.graph_id!r}: cluster_index {event.cluster_index}"
+                f" is not below the event count {len(events)}"
+            )
+    records = iter_stream(args.stream, on_error=_record_skipped)
     labels = {g.id: g.label for g in records if g.label is not None}
     if not labels:
         raise StreamFormatError("stream carries no labels to evaluate against")

@@ -36,13 +36,13 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .exact import ExactBank
-from .model import GraphObject, StreamSchema, canonical_graphs, graph_views
+from .model import GraphObject, StreamSchema, canonical_graphs, from_json, graph_views
 from .sketch import SketchConfig
 from .stats import ClusterBank, read_array, unpack_at
 from .weight_opt import BarrierConfig, TraceHook, refine_weights
@@ -76,20 +76,14 @@ class EngineConfig:
             raise ValueError("p must be positive and finite")
 
     def to_dict(self) -> dict:
-        """Every field as JSON values; the sketch's private hash arrays left out."""
-        sketch = {k: v for k, v in vars(self.sketch).items() if not k.startswith("_")}
-        return {**vars(self), "sketch": sketch, "barrier": dict(vars(self.barrier))}
+        """Every field as JSON values; the sketch's hash arrays are not
+        fields, so they stay out."""
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "EngineConfig":
-        """Inverse of ``to_dict``, built through the dataclasses, so a field
-        left out takes its default; a field that is unknown or of the wrong
-        JSON type raises ValueError."""
-        obj = dict(_typed(obj))
-        for name, kind in (("sketch", SketchConfig), ("barrier", BarrierConfig)):
-            if name in obj:
-                obj[name] = _build(kind, obj[name])
-        return _build(cls, obj)
+        """Inverse of ``to_dict``; a field left out takes its default."""
+        return from_json(cls, obj)
 
 
 @dataclass
@@ -125,52 +119,29 @@ class AssignmentEvent:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AssignmentEvent":
-        """Inverse of ``to_dict``; raises ValueError on a record that is not
-        an object, or on a field that is missing or of the wrong type."""
-        if not isinstance(obj, dict):
-            raise ValueError("event must be a JSON object")
-        for name in ("graph_id", "action", "cluster_index"):
-            if name not in obj:
-                raise ValueError(f"event needs a {name!r} field")
-        ev = cls(
-            obj["graph_id"],
-            obj["action"],
-            obj["cluster_index"],
-            obj.get("es_distance_sq"),
-            obj.get("spread"),
-            obj.get("distances"),
-        )
-        if not isinstance(ev.graph_id, str) or not isinstance(ev.action, str):
-            raise ValueError("event graph_id and action must be strings")
-        if not _is_number(ev.cluster_index, int) or ev.cluster_index < 0:
-            raise ValueError("event cluster_index must be a nonnegative integer")
-        if not all(v is None or _is_number(v) for v in (ev.es_distance_sq, ev.spread)):
-            raise ValueError("event es_distance_sq and spread must be numbers or null")
-        rows = ev.distances
-        if rows is not None and not (
-            isinstance(rows, list)
-            and all(isinstance(row, list) and all(map(_is_number, row)) for row in rows)
-        ):
-            raise ValueError("event distances must be a list of number lists")
-        return ev
+        """Inverse of ``to_dict``; a negative ``cluster_index`` also raises
+        ValueError."""
+        event = from_json(cls, obj)
+        if event.cluster_index < 0:
+            raise ValueError("event cluster_index must be nonnegative")
+        return event
 
 
-def _is_number(value, kinds=(int, float)) -> bool:
-    """A JSON number of the given kinds (``bool`` is not one)."""
-    return isinstance(value, kinds) and not isinstance(value, bool)
+def _fields(obj) -> dict:
+    """A dataclass's fields by name, for ``json.dumps`` to encode (unlike
+    ``asdict``, without copying every value, which tripled a save's header
+    cost)."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-# The JSON kind of each checkpoint header and config field, by name.
-_KINDS = {
-    **dict.fromkeys(("k", "gamma", "seed", "rows", "cols", "max_steps"), "integer"),
-    **dict.fromkeys(("p", "t", "step_size", "feasibility_margin", "weight_floor"), "number"),
-    **dict.fromkeys(("optimize_weights", "record_distances"), "bool"),
-}
-_IS_KIND = {
-    "integer": lambda value: _is_number(value, int),
-    "number": _is_number,
-    "bool": lambda value: isinstance(value, bool),
-}
+@dataclass(frozen=True)
+class _Header:
+    """The JSON header of a checkpoint."""
+
+    backend: str
+    config: EngineConfig
+    schema: StreamSchema
+    record_distances: bool = False
 
 
 def ensure_weights(weights, d: int) -> np.ndarray:
@@ -181,31 +152,6 @@ def ensure_weights(weights, d: int) -> np.ndarray:
     if not bool(np.all(np.isfinite(w) & (w >= 0.0))):
         raise ValueError("weights must be nonnegative and finite")
     return w
-
-
-def _build(cls, obj: dict):
-    """``cls(**obj)`` from a JSON object checked by ``_typed``; a field
-    ``cls`` does not declare raises ValueError."""
-    unknown = sorted(set(_typed(obj)) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} fields {unknown}")
-    return cls(**obj)
-
-
-# The fields of a checkpoint header.
-_HEADER_FIELDS = {"backend", "record_distances", "config", "schema"}
-
-
-def _typed(obj: dict) -> dict:
-    """``obj``, a JSON object whose fields named in ``_KINDS`` each hold a
-    value of their kind; ValueError otherwise."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected a JSON object, not {obj!r}")
-    for name, value in obj.items():
-        kind = _KINDS.get(name)
-        if kind is not None and not _IS_KIND[kind](value):
-            raise ValueError(f"{name} must be a JSON {kind}, not {value!r}")
-    return obj
 
 
 class Engine:
@@ -280,28 +226,19 @@ class Engine:
     def run(
         self,
         graphs: Iterable[GraphObject],
-        strict: bool = True,
         on_error: Callable[[str, str], None] | None = None,
     ) -> list[AssignmentEvent]:
         """Preprocess and process a whole stream; returns the event per
-        accepted graph. ``strict`` and ``on_error`` are as in
-        ``model.canonical_graphs``.
+        accepted graph. ``on_error`` is as in ``model.canonical_graphs``.
         """
-        graphs = canonical_graphs(graphs, self.schema, strict, on_error)
+        graphs = canonical_graphs(graphs, self.schema, on_error)
         return [self.process(g) for g in graphs]
 
     # -- checkpointing ---------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        header = json.dumps(
-            {
-                "backend": self.backend,
-                "record_distances": self.record_distances,
-                "config": self.config.to_dict(),
-                "schema": self.schema.to_dict(),
-            },
-            sort_keys=True,
-        ).encode("utf-8")
+        header = _Header(self.backend, self.config, self.schema, self.record_distances)
+        header = json.dumps(header, default=_fields, sort_keys=True).encode("utf-8")
         parts = [
             _MAGIC,
             struct.pack("<BI", _VERSION, len(header)),
@@ -322,18 +259,11 @@ class Engine:
         if version != _VERSION:
             raise ValueError(f"unsupported engine checkpoint version {version}")
         try:
-            header = _typed(json.loads(data[9 : 9 + hlen].decode("utf-8")))
-            unknown = sorted(set(header) - _HEADER_FIELDS)
-            if unknown:
-                raise ValueError(f"unknown header fields {unknown}")
+            header = from_json(_Header, json.loads(data[9 : 9 + hlen].decode("utf-8")))
             engine = cls(
-                config=EngineConfig.from_dict(header["config"]),
-                schema=StreamSchema.from_dict(header["schema"]),
-                backend=header["backend"],
-                record_distances=header.get("record_distances", False),
-                trace=trace,
+                header.config, header.schema, header.backend, header.record_distances, trace
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             # not JSON, or a header field that is missing, unknown or of the wrong type
             raise ValueError(f"bad engine checkpoint header: {exc!r}") from None
         off = 9 + hlen

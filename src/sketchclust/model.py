@@ -21,8 +21,11 @@ one hash call, so each graph is hashed once.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -76,33 +79,90 @@ class StreamSchema:
     @classmethod
     def from_dict(cls, obj: dict) -> "StreamSchema":
         """Inverse of ``to_dict``; ``directed`` and a side type's ``kind``
-        may be left out. A key that is unknown or of the wrong type raises
-        ValueError."""
-        if not isinstance(obj, dict):
-            raise ValueError("schema must be an object")
-        _reject_unknown("schema", obj, {"directed", "side_types"})
-        raw_types = obj.get("side_types", [])
-        if not isinstance(raw_types, list):
-            raise ValueError("schema side_types must be a list")
-        types = []
-        for t in raw_types:
-            if not isinstance(t, dict) or "name" not in t:
-                raise ValueError("side type entries need a name")
-            _reject_unknown("side type", t, {"name", "kind"})
-            name, kind = t["name"], t.get("kind", KIND_NUMERIC)
-            if not isinstance(name, str) or not isinstance(kind, str):
-                raise ValueError("side type name and kind must be strings")
-            types.append(SideType(name, kind))
-        directed = obj.get("directed", False)
-        if not isinstance(directed, bool):
-            raise ValueError("schema directed must be true or false")
-        return cls(side_types=tuple(types), directed=directed)
+        may be left out."""
+        return from_json(cls, obj)
 
 
-def _reject_unknown(what: str, obj: dict, known: set[str]) -> None:
-    unknown = sorted(set(obj) - known)
+def from_json(cls, obj):
+    """The dataclass ``cls`` built from a decoded JSON object.
+
+    Each field's JSON type comes from its annotation: ``bool``, ``int``,
+    ``float`` (which takes integers too), ``str``, ``T | None``,
+    ``list[T]`` or ``tuple[T, ...]`` (from arrays) and nested dataclasses
+    (from objects). Numbers are kept as decoded. A field left out takes its
+    default; a non-object, an unknown key, a missing required field or a
+    value of the wrong type raises ValueError, as does the class's own
+    ``__post_init__``.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, not {obj!r}")
+    decoders, required = _field_decoders(cls)
+    unknown = obj.keys() - decoders.keys()
     if unknown:
-        raise ValueError(f"unknown {what} keys {unknown}")
+        raise ValueError(
+            f"unknown {cls.__name__} fields {sorted(unknown)};"
+            f" known keys are {sorted(decoders)}"
+        )
+    missing = required - obj.keys()
+    if missing:
+        raise ValueError(f"{cls.__name__} needs the fields {sorted(missing)}")
+    values = {}
+    for name, value in obj.items():
+        try:
+            values[name] = decoders[name](value)
+        except ValueError as exc:
+            raise ValueError(f"{cls.__name__}.{name}: {exc}") from None
+    return cls(**values)
+
+
+@functools.cache
+def _field_decoders(cls) -> tuple[dict[str, Callable], frozenset[str]]:
+    """Each field's decoder, and the names of the fields without a default."""
+    hints = typing.get_type_hints(cls)
+    decoders = {f.name: _decoder(hints[f.name]) for f in fields(cls)}
+    required = frozenset(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return decoders, required
+
+
+# The JSON type of each scalar annotation, and the exact types ``json``
+# decodes it to (``bool`` is not ``int`` here).
+_SCALARS = {
+    bool: ("boolean", {bool}),
+    int: ("integer", {int}),
+    float: ("number", {int, float}),
+    str: ("string", {str}),
+}
+
+
+def _decoder(tp) -> Callable:
+    """A function from a decoded JSON value to a value of type ``tp``, or
+    ValueError."""
+    if is_dataclass(tp):
+        return functools.partial(from_json, tp)
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is types.UnionType:
+        (inner,) = [a for a in args if a is not type(None)]
+        decode = _decoder(inner)
+        return lambda v: None if v is None else decode(v)
+    if origin in (list, tuple):
+        decode = _decoder(args[0])
+
+        def sequence(v):
+            if not isinstance(v, list):
+                raise ValueError(f"expected a JSON array, not {v!r}")
+            return origin(map(decode, v))
+
+        return sequence
+    kind, accepted = _SCALARS[tp]
+
+    def scalar(v):
+        if type(v) not in accepted:
+            raise ValueError(f"expected a JSON {kind}, not {v!r}")
+        return v
+
+    return scalar
 
 
 @dataclass
@@ -136,7 +196,10 @@ def _check_label(label: str) -> None:
 
 
 def _check_value(value: float, what: str) -> float:
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond float range
+        value = math.inf
     if math.isnan(value) or math.isinf(value):
         raise ValueError(f"{what} must be finite")
     if value < 0.0:
@@ -204,22 +267,20 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
 def canonical_graphs(
     graphs: Iterable[GraphObject],
     schema: StreamSchema,
-    strict: bool = True,
     on_error: Callable[[str, str], None] | None = None,
 ) -> Iterator[GraphObject]:
     """Preprocess a stream lazily, one graph at a time.
 
-    A graph that ``preprocess`` rejects re-raises its ``ValueError``, or with
-    ``strict=False`` is skipped after reporting ``on_error(graph_id, message)``.
+    A graph that ``preprocess`` rejects re-raises its ``ValueError``, or,
+    given ``on_error``, is skipped after reporting ``on_error(graph_id, message)``.
     """
     for g in graphs:
         try:
             canonical = preprocess(g, schema)
         except ValueError as exc:
-            if strict:
+            if on_error is None:
                 raise
-            if on_error:
-                on_error(g.id if isinstance(g.id, str) else "?", str(exc))
+            on_error(g.id if isinstance(g.id, str) else "?", str(exc))
             continue
         yield canonical
 

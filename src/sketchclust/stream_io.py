@@ -11,8 +11,8 @@ line is one graph record:
 Node labels are strings, and edge frequency defaults to 1 when omitted.
 For convenience a side entry may be a mapping, a list of identifier
 strings (occurrences are counted) or a single identifier string. Parse
-failures carry 1-based line numbers; in lenient mode bad records are
-skipped and reported through a callback instead of aborting the run.
+failures carry 1-based line numbers; given a callback, bad records are
+skipped and reported through it instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
                     raise StreamFormatError(
                         f"attribute {attr_id!r} of {name!r} must be numeric", line_no
                     )
-                attrs[str(attr_id)] = float(value)
+                attrs[str(attr_id)] = value
         elif isinstance(entry, list):
             attrs = {}
             for item in entry:
@@ -70,7 +70,11 @@ def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
     return side
 
 
-def _parse_record(obj: object, line_no: int, default_ts: int) -> GraphObject:
+def _parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise StreamFormatError(f"invalid JSON: {exc.msg}", line_no) from None
     if not isinstance(obj, dict):
         raise StreamFormatError("record must be a JSON object", line_no)
     graph_id = obj.get("id")
@@ -95,7 +99,7 @@ def _parse_record(obj: object, line_no: int, default_ts: int) -> GraphObject:
         if len(e) == 3:
             if not isinstance(e[2], (int, float)) or isinstance(e[2], bool):
                 raise StreamFormatError("edge frequency must be numeric", line_no)
-            edges.append((src, dst, float(e[2])))
+            edges.append((src, dst, e[2]))
         else:
             edges.append((src, dst, 1.0))
 
@@ -135,14 +139,12 @@ def _parse_header(line: str, line_no: int) -> StreamSchema:
         raise StreamFormatError(str(exc), line_no)
 
 
-def iter_stream(
-    path: str, strict: bool = True, on_error: ErrorHook | None = None
-) -> Iterator[GraphObject]:
-    """Yield raw (unpreprocessed) graph records.
+def iter_stream(path: str, on_error: ErrorHook | None = None) -> Iterator[GraphObject]:
+    """Yield raw (unpreprocessed) graph records, masses as decoded.
 
     The schema header is validated but not yielded; use ``read_header`` for
-    it. In lenient mode malformed records are skipped after invoking
-    ``on_error(line_no, message)``.
+    it. A malformed record raises StreamFormatError, or, given ``on_error``,
+    is skipped after reporting ``on_error(line_no, message)``.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_seen = False
@@ -155,21 +157,11 @@ def iter_stream(
                 header_seen = True
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                err = StreamFormatError(f"invalid JSON: {exc.msg}", line_no)
-                if strict:
-                    raise err
-                if on_error:
-                    on_error(line_no, str(err))
-                continue
-            try:
-                g = _parse_record(obj, line_no, default_ts=record_ordinal)
+                g = _parse_record(line, line_no, default_ts=record_ordinal)
             except StreamFormatError as err:
-                if strict:
+                if on_error is None:
                     raise
-                if on_error:
-                    on_error(line_no, str(err))
+                on_error(line_no, str(err))
                 continue
             record_ordinal += 1
             yield g

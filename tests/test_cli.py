@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from sketchclust import cli
 from sketchclust.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
 
 
@@ -171,7 +173,7 @@ def test_eval_reports_skipped_records_and_unlabeled_events(tmp_path, capsys):
     assert diags[-1]["message"] == f"input: missing label for graph {bad_id!r}"
 
 
-@pytest.mark.parametrize("fault", ["array", "string_index"])
+@pytest.mark.parametrize("fault", ["array", "string_index", "unknown_key"])
 def test_eval_rejects_a_malformed_event_line(tmp_path, capsys, fault):
     stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
     run = tmp_path / "run"
@@ -179,8 +181,10 @@ def test_eval_rejects_a_malformed_event_line(tmp_path, capsys, fault):
     lines = (run / "events.jsonl").read_text(encoding="utf-8").splitlines()
     if fault == "array":
         lines[4] = "[]"
-    else:
+    elif fault == "string_index":
         lines[4] = json.dumps({**json.loads(lines[4]), "cluster_index": "x"})
+    else:
+        lines[4] = json.dumps({**json.loads(lines[4]), "cluster_idx": 0})
     events = tmp_path / "events.jsonl"
     events.write_text("\n".join(lines) + "\n", encoding="utf-8")
     capsys.readouterr()
@@ -189,6 +193,57 @@ def test_eval_rejects_a_malformed_event_line(tmp_path, capsys, fault):
     assert main(argv) == EXIT_INPUT
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["message"].startswith("input: line 5: bad event: ")
+
+
+def test_eval_rejects_a_cluster_index_beyond_the_event_count(tmp_path, capsys, monkeypatch):
+    # purity_from_events sizes its table by the largest index, so such an
+    # event must be turned away before it gets there
+    purity = cli.purity_from_events
+
+    def purity_guard(events, labels, every):
+        assert max(e.cluster_index for e in events) < len(events)
+        return purity(events, labels, every=every)
+
+    monkeypatch.setattr(cli, "purity_from_events", purity_guard)
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
+    run = tmp_path / "run"
+    assert _cluster(stream, run) == EXIT_OK
+    lines = (run / "events.jsonl").read_text(encoding="utf-8").splitlines()
+    lines[4] = json.dumps({**json.loads(lines[4]), "cluster_index": 10**9})
+    events = tmp_path / "events.jsonl"
+    events.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+
+    start = time.perf_counter()
+    assert main(["eval", "--events", str(events), "--stream", stream]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["message"].startswith("input: bad event ")
+
+
+@pytest.mark.parametrize("where", ["edge", "side"])
+def test_mass_beyond_float_range_is_a_bad_graph(tmp_path, capsys, where):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
+    lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
+    record = json.loads(lines[5])
+    if where == "edge":
+        record["edges"].append(["a", "b", 10**400])
+    else:
+        record["side"]["topics"] = {"x": 10**400}
+    lines[5] = json.dumps(record) + "\n"
+    huge = tmp_path / "huge.jsonl"
+    huge.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+
+    assert _cluster(str(huge), tmp_path / "strict") == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["message"].startswith(f"input: graph {record['id']!r}: ")
+    assert error["message"].endswith("must be finite")
+
+    assert _cluster(str(huge), tmp_path / "lenient", extra=["--lenient"]) == EXIT_OK
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    skipped = [(d["message"], d["graph"]) for d in diags if d["level"] == "warning"]
+    assert skipped == [("graph skipped", record["id"])]
 
 
 @pytest.mark.parametrize(

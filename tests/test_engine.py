@@ -3,6 +3,7 @@
 import json
 import random
 import struct
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sketchclust import (
     ACTION_INITIALIZED,
     ACTION_REPLACED,
     AssignmentEvent,
+    BarrierConfig,
     Engine,
     EngineConfig,
     GraphObject,
@@ -23,6 +25,8 @@ from sketchclust import (
     preprocess,
     synth_schema,
 )
+from sketchclust.engine import _Header
+from sketchclust.model import from_json
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
@@ -57,6 +61,54 @@ def test_config_dict_round_trip():
     assert EngineConfig.from_dict({"k": 3}) == EngineConfig(k=3)
     with pytest.raises(ValueError, match="unknown EngineConfig fields"):
         EngineConfig.from_dict({"k": 3, "gama": 5})
+
+
+def test_from_json_keeps_an_integer_given_for_a_float():
+    # kept as decoded, so a resumed engine writes the header it read
+    config = EngineConfig.from_dict({"k": 3, "p": 1, "barrier": {"t": 2}})
+    assert config == EngineConfig(k=3, p=1.0, barrier=BarrierConfig(t=2.0))
+    assert type(config.p) is int and type(config.barrier.t) is int
+
+
+def _json_sample(cls):
+    """A valid decoded JSON object for each class ``from_json`` builds."""
+    schema = StreamSchema((SideType("topics", "categorical"),), directed=True)
+    config = EngineConfig(k=3)
+    instance = {
+        EngineConfig: config,
+        SketchConfig: config.sketch,
+        BarrierConfig: config.barrier,
+        StreamSchema: schema,
+        SideType: schema.side_types[0],
+        _Header: _Header("exact", config, schema, record_distances=True),
+        AssignmentEvent: AssignmentEvent("g1", ACTION_ASSIGNED, 0, 1.5, 2.5, [[0.1, 0.2]]),
+    }[cls]
+    return instance, json.loads(json.dumps(asdict(instance)))
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [EngineConfig, SketchConfig, BarrierConfig, StreamSchema, SideType, _Header, AssignmentEvent],
+    ids=lambda cls: cls.__name__,
+)
+def test_from_json_rejects_a_wrong_type_in_every_field_and_unknown_keys(cls):
+    instance, sample = _json_sample(cls)
+    assert from_json(cls, sample) == instance
+    for f in fields(cls):
+        valid = sample[f.name]
+        if isinstance(valid, str):
+            wrong = [7, True]
+        elif isinstance(valid, bool):
+            wrong = ["x", 1]
+        elif isinstance(valid, int):
+            wrong = ["x", True, 1.5]
+        else:
+            wrong = ["x", True]
+        for value in wrong:
+            with pytest.raises(ValueError, match=rf"^{cls.__name__}\.{f.name}: "):
+                from_json(cls, {**sample, f.name: value})
+    with pytest.raises(ValueError, match=f"unknown {cls.__name__} fields"):
+        from_json(cls, {**sample, "unknown_key": 0})
 
 
 def test_first_k_graphs_initialize():
@@ -196,11 +248,27 @@ def test_run_strict_and_lenient():
     skipped: list[str] = []
     events = engine.run(
         [_graph(0, [("a", "b", 1.0)]), bad, _graph(1, [("c", "d", 1.0)])],
-        strict=False,
         on_error=lambda gid, msg: skipped.append(gid),
     )
     assert [e.graph_id for e in events] == ["g0", "g1"]
     assert skipped == ["bad"]
+
+
+@pytest.mark.parametrize("where", ["edge", "side"])
+def test_run_skips_a_mass_beyond_float_range(where):
+    if where == "edge":
+        huge = _graph(9, [("a", "b", 10**400)])
+    else:
+        huge = _graph(9, [("a", "b", 1.0)], {"x": 10**400})
+    with pytest.raises(ValueError, match="must be finite"):
+        Engine(_config(), SCHEMA).run([huge])
+    skipped: list[str] = []
+    events = Engine(_config(), SCHEMA).run(
+        [_graph(0, [("a", "b", 1.0)]), huge, _graph(1, [("c", "d", 1.0)])],
+        on_error=lambda gid, msg: skipped.append(gid),
+    )
+    assert [e.graph_id for e in events] == ["g0", "g1"]
+    assert skipped == ["g9"]
 
 
 def test_event_json_round_trip():

@@ -145,7 +145,7 @@ def test_lenient_mode_skips_and_reports(tmp_path):
         fh.write(json.dumps({"id": "", "edges": []}) + "\n")
         fh.write(json.dumps({"id": "g1"}) + "\n")
     seen: list[int] = []
-    graphs = list(iter_stream(path, strict=False, on_error=lambda n, m: seen.append(n)))
+    graphs = list(iter_stream(path, on_error=lambda n, m: seen.append(n)))
     assert [g.id for g in graphs] == ["g0", "g1"]
     assert seen == [3, 4]
 
