@@ -46,13 +46,7 @@ from .stream_io import (
     write_stream,
 )
 from .synth import SynthConfig, generate_graphs, generate_stream, synth_schema
-from .weight_opt import (
-    BarrierConfig,
-    ClusterGeometry,
-    barrier_gradient,
-    barrier_objective,
-    refine_weights,
-)
+from .weight_opt import BarrierConfig, ClusterGeometry, refine_weights
 
 __all__ = [
     "ACTION_ASSIGNED",
@@ -73,8 +67,6 @@ __all__ = [
     "SynthConfig",
     "assignment_agreement",
     "attr_key",
-    "barrier_gradient",
-    "barrier_objective",
     "canonical_graphs",
     "edge_key",
     "ensure_weights",

@@ -139,17 +139,20 @@ def _build_parser() -> _Parser:
 
 
 def _engine_config(args: argparse.Namespace) -> EngineConfig:
-    return EngineConfig(
-        k=args.k,
-        gamma=args.gamma,
-        p=args.p,
-        sketch=SketchConfig(rows=args.sketch_rows, cols=args.sketch_cols,
-                            seed=args.seed),
-        barrier=BarrierConfig(t=args.barrier_t, step_size=args.step_size,
-                              max_steps=args.max_steps),
-        seed=args.seed,
-        optimize_weights=not args.fixed_weights,
-    )
+    try:
+        return EngineConfig(
+            k=args.k,
+            gamma=args.gamma,
+            p=args.p,
+            sketch=SketchConfig(rows=args.sketch_rows, cols=args.sketch_cols,
+                                seed=args.seed),
+            barrier=BarrierConfig(t=args.barrier_t, step_size=args.step_size,
+                                  max_steps=args.max_steps),
+            seed=args.seed,
+            optimize_weights=not args.fixed_weights,
+        )
+    except ValueError as exc:  # config invariants violated through flags
+        raise _UsageError(str(exc)) from None
 
 
 def _write_purity_csv(path: Path, series, final) -> None:
@@ -188,18 +191,21 @@ def _canonical_input(args: argparse.Namespace, schema: StreamSchema, skipped: li
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = SynthConfig(
-        n_clusters=args.n_clusters,
-        n_graphs=args.n_graphs,
-        nodes_per_community=args.nodes_per_community,
-        edges_per_graph=args.edges_per_graph,
-        informative_types=(("topics", args.fidelity),),
-        noise_types=(("tags", args.noise_vocab),),
-        cross_edge_rate=args.cross_edge_rate,
-        attrs_per_graph=args.attrs_per_graph,
-        class_vocab=args.class_vocab,
-        seed=args.seed,
-    )
+    try:
+        cfg = SynthConfig(
+            n_clusters=args.n_clusters,
+            n_graphs=args.n_graphs,
+            nodes_per_community=args.nodes_per_community,
+            edges_per_graph=args.edges_per_graph,
+            informative_types=(("topics", args.fidelity),),
+            noise_types=(("tags", args.noise_vocab),),
+            cross_edge_rate=args.cross_edge_rate,
+            attrs_per_graph=args.attrs_per_graph,
+            class_vocab=args.class_vocab,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # config invariants violated through flags
+        raise _UsageError(str(exc)) from None
     count = generate_stream(cfg, args.out)
     _diag("info", "stream written", path=args.out, records=count)
     return EXIT_OK
@@ -417,13 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         _diag("error", f"usage: {exc}")
         return EXIT_USAGE
-    except (StreamFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (StreamFormatError, FileNotFoundError, IsADirectoryError, UnicodeDecodeError) as exc:
         _diag("error", f"input: {exc}")
         return EXIT_INPUT
-    except ValueError as exc:
-        # Config invariants violated through flags are usage errors.
-        _diag("error", f"usage: {exc}")
-        return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - contract maps any failure to 3
         _diag("error", f"runtime: {type(exc).__name__}: {exc}")
         return EXIT_RUNTIME

@@ -56,6 +56,9 @@ ACTION_REPLACED = "replaced_stale"
 
 BACKENDS = ("sketch", "exact")
 
+# one encoder for every event: ``json.dumps`` with options builds a new one per call
+_EVENT_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -115,7 +118,7 @@ class AssignmentEvent:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, allow_nan=False)
+        return _EVENT_ENCODER.encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AssignmentEvent":

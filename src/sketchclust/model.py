@@ -207,6 +207,22 @@ def _check_value(value: float, what: str) -> float:
     return value
 
 
+# While a component's masses (nonnegative, so each at most their sum) sum
+# to no more than this, up to 2**50 of them cannot square-sum past float
+# range, and ``preprocess`` forms no squares; a plain ``sum`` is the
+# cheapest bound on the largest.
+_SQUARES_SAFE = 2.0**480
+
+
+def _check_squares(values: list[float], what: str) -> None:
+    """Reject masses, in canonical order, whose squares sum (as in
+    ``GraphView.sq_sum``) to inf."""
+    part = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(part.dot(part)):
+            raise ValueError(f"{what} must have a finite sum of squares")
+
+
 def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     """Validate and normalize a graph against a schema.
 
@@ -215,7 +231,8 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     identifier ``"T=v"`` with value 1, zero-frequency edges and zero-valued
     attributes are dropped, and edges/attributes are sorted for
     deterministic downstream iteration. Raises ValueError on negative
-    masses, malformed labels or unknown side types.
+    masses, malformed labels or unknown side types, and on masses that are
+    finite but whose merged sum or sum of squares within a component is not.
     """
     if not isinstance(g.id, str) or not g.id:
         raise ValueError("graph id must be a nonempty string")
@@ -241,6 +258,8 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
             continue
         merged[(src, dst)] = merged.get((src, dst), 0.0) + freq
     edges = [(s, t, f) for (s, t), f in sorted(merged.items())]
+    if sum(merged.values()) > _SQUARES_SAFE:
+        _check_squares([f for _, _, f in edges], "edge frequencies")
 
     known = {t.name for t in schema.side_types}
     categorical = {t.name for t in schema.side_types if t.kind == KIND_CATEGORICAL}
@@ -259,6 +278,8 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
             if value > 0.0:
                 cleaned[attr_id] = value
         if cleaned:
+            if sum(cleaned.values()) > _SQUARES_SAFE:
+                _check_squares(list(cleaned.values()), f"side type {name!r} values")
             side[name] = cleaned
 
     return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)

@@ -14,8 +14,10 @@ clusters; the barrier keeps every pair of weighted centroids separated by
 more than 1. f is convex on the feasible region {w >= 0 : all Q_ij > 1}
 (each barrier term is a negated log of a concave positive function of w).
 
-Infeasibility is a value, not a fault: the objective returns +inf outside
-the region, and ``refine_weights`` first restores feasibility by
+Each candidate is evaluated once, for its objective and its pair roots
+sqrt(Q_ij(w)); the gradient at an accepted candidate comes from those roots.
+Infeasibility is a value, not a fault: the objective is +inf outside the
+region, and ``refine_weights`` first restores feasibility by
 homogeneously rescaling the weights, which changes no cluster decisions
 (assignment comparisons are scale-invariant). Pairs of coincident centroids
 (inter_sq == 0 in every component) cannot be separated by any weighting
@@ -77,29 +79,20 @@ class ClusterGeometry:
         return len(self.intra) - 1
 
 
-def barrier_objective(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> float:
-    """Objective value at ``weights``; +inf when any pair separation <= 1."""
-    w = np.asarray(weights, dtype=np.float64)
-    linear = cfg.t * float(geom.intra @ w)
-    if len(geom.pairs) == 0:
-        return linear
-    sep = np.sqrt(geom.inter_sq @ w) - 1.0
-    if not bool(np.all(sep > 0.0)):
-        return math.inf
-    return linear - 2.0 * float(np.log(sep).sum())
-
-
-def barrier_gradient(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> np.ndarray:
-    """Gradient at a feasible point; raises ValueError when infeasible."""
-    w = np.asarray(weights, dtype=np.float64)
-    grad = cfg.t * geom.intra.copy()
-    if len(geom.pairs) == 0:
-        return grad
+def _evaluate(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
+    """The objective at ``w`` and the pair roots ``sqrt(Q_ij(w))``, or
+    ``(inf, None)`` when some pair separation is <= 1."""
     root = np.sqrt(geom.inter_sq @ w)
-    if not bool(np.all(root > 1.0)):
-        raise ValueError("gradient needs a strictly feasible point")
-    coef = 1.0 / (root * (root - 1.0))
-    return grad - geom.inter_sq.T @ coef
+    sep = root - 1.0
+    if sep.size and not sep.min() > 0.0:  # NaN fails too
+        return math.inf, None
+    return cfg.t * float(geom.intra @ w) - 2.0 * float(np.log(sep).sum()), root
+
+
+def _gradient(t_intra: np.ndarray, geom: ClusterGeometry, root: np.ndarray) -> np.ndarray:
+    """The gradient at the feasible point whose pair roots are ``root``;
+    ``t_intra`` is ``t * intra``."""
+    return t_intra - geom.inter_sq.T @ (1.0 / (root * (root - 1.0)))
 
 
 def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
@@ -135,16 +128,19 @@ def refine_weights(
     if len(geom.pairs) == 0:
         return w
     w = _rescale_feasible(w, geom, cfg)
-    value = barrier_objective(w, geom, cfg)
+    value, root = _evaluate(w, geom, cfg)
+    t_intra = cfg.t * geom.intra
     step = cfg.step_size
     for step_no in range(cfg.max_steps):
-        grad = barrier_gradient(w, geom, cfg)
+        if root is None:
+            raise ValueError("gradient needs a strictly feasible point")
+        grad = _gradient(t_intra, geom, root)
         accepted = False
         while step >= _MIN_STEP:
             candidate = np.maximum(w - step * grad, cfg.weight_floor)
-            cand_value = barrier_objective(candidate, geom, cfg)
+            cand_value, cand_root = _evaluate(candidate, geom, cfg)
             if cand_value < value:
-                w, value = candidate, cand_value
+                w, value, root = candidate, cand_value, cand_root
                 accepted = True
                 break
             step *= 0.5

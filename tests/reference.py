@@ -18,16 +18,21 @@ straightforward way:
 * ``members_intra_sq``: the definitional intra-cluster dispersion of a
   member list;
 * ``filled(bank, *clusters)``: a library bank with one slot per member
-  list, for tests that read the code that runs.
+  list, for tests that read the code that runs;
+* ``barrier_objective``, ``barrier_gradient`` and ``refine_weights``: the
+  weight optimizer as it was before it evaluated each candidate once, kept
+  verbatim as the bitwise oracle for ``weight_opt.refine_weights``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from sketchclust import ClusterGeometry, GraphView, SketchConfig
+from sketchclust import BarrierConfig, ClusterGeometry, GraphView, SketchConfig
+from sketchclust.weight_opt import TraceHook
 
 
 def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
@@ -311,3 +316,92 @@ def filled(bank, *clusters):
             else:
                 bank.absorb(slot, view, now)
     return bank
+
+
+_MIN_STEP = 1e-18
+
+
+def barrier_objective(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> float:
+    """Objective value at ``weights``; +inf when any pair separation <= 1."""
+    w = np.asarray(weights, dtype=np.float64)
+    linear = cfg.t * float(geom.intra @ w)
+    if len(geom.pairs) == 0:
+        return linear
+    sep = np.sqrt(geom.inter_sq @ w) - 1.0
+    if not bool(np.all(sep > 0.0)):
+        return math.inf
+    return linear - 2.0 * float(np.log(sep).sum())
+
+
+def barrier_gradient(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> np.ndarray:
+    """Gradient at a feasible point; raises ValueError when infeasible."""
+    w = np.asarray(weights, dtype=np.float64)
+    grad = cfg.t * geom.intra.copy()
+    if len(geom.pairs) == 0:
+        return grad
+    root = np.sqrt(geom.inter_sq @ w)
+    if not bool(np.all(root > 1.0)):
+        raise ValueError("gradient needs a strictly feasible point")
+    coef = 1.0 / (root * (root - 1.0))
+    return grad - geom.inter_sq.T @ coef
+
+
+def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
+    """Homogeneous rescale landing the tightest pair at 1 + margin."""
+    target = 1.0 + cfg.feasibility_margin
+    root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
+    if root_min == 0.0:
+        # Weights vanish on every component where the tightest pair
+        # separates; no scale can help. Restart from uniform weights,
+        # which see positive separation on every retained pair.
+        w = np.ones_like(w)
+        root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
+    if root_min <= target:
+        w = w * (target / root_min) ** 2
+    return w
+
+
+def refine_weights(
+    weights,
+    geom: ClusterGeometry,
+    cfg: BarrierConfig,
+    trace: TraceHook | None = None,
+) -> np.ndarray:
+    """Descend the barrier objective from ``weights`` over a fixed geometry.
+
+    Returns a feasible weight vector with objective no worse than the
+    (repaired) starting point; when every cluster pair has coincident
+    centroids, the weights are returned unchanged. The input array is not
+    modified. ``trace`` receives one record per accepted step, then one
+    with the final weights and the pair counts.
+    """
+    w = np.asarray(weights, dtype=np.float64).copy()
+    if len(geom.pairs) == 0:
+        return w
+    w = _rescale_feasible(w, geom, cfg)
+    value = barrier_objective(w, geom, cfg)
+    step = cfg.step_size
+    for step_no in range(cfg.max_steps):
+        grad = barrier_gradient(w, geom, cfg)
+        accepted = False
+        while step >= _MIN_STEP:
+            candidate = np.maximum(w - step * grad, cfg.weight_floor)
+            cand_value = barrier_objective(candidate, geom, cfg)
+            if cand_value < value:
+                w, value = candidate, cand_value
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        if trace is not None:
+            trace({"step": step_no, "objective": value, "step_size": step})
+    if trace is not None:
+        trace(
+            {
+                "final_weights": w.tolist(),
+                "pairs": len(geom.pairs),
+                "dropped_pairs": len(geom.dropped),
+            }
+        )
+    return w

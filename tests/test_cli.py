@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from sketchclust import cli
-from sketchclust.cli import EXIT_INPUT, EXIT_OK, EXIT_USAGE, main
+from sketchclust import Engine, cli
+from sketchclust.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
 def _synth(path, n_graphs=120, seed=0, extra=()):
@@ -246,6 +246,44 @@ def test_mass_beyond_float_range_is_a_bad_graph(tmp_path, capsys, where):
     assert skipped == [("graph skipped", record["id"])]
 
 
+_SQUARE_OVERFLOWS = {
+    # an edge whose square is inf
+    "one_1e200_edge": [[["a", "b", 1.0]], [["a", "b", 1e200]], [["c", "d", 2.0]]],
+    # duplicates that merge to inf
+    "duplicate_1e308_edges": [
+        [["a", "b", 1.0]], [["a", "b", 1e308], ["b", "a", 1e308]], [["c", "d", 2.0]]
+    ],
+    # no graph left to cluster
+    "three_1e200_graphs": [[["a", "b", 1e200]], [["c", "b", 1e200]], [["e", "d", 1e200]]],
+}
+
+
+@pytest.mark.parametrize(
+    "edge_lists", list(_SQUARE_OVERFLOWS.values()), ids=list(_SQUARE_OVERFLOWS)
+)
+def test_mass_whose_square_overflows_is_a_bad_graph(tmp_path, capsys, edge_lists):
+    stream = tmp_path / "s.jsonl"
+    header = json.dumps({"schema": {"side_types": [{"name": "topics"}]}, "stream_version": 1})
+    records = [json.dumps({"id": f"g{i}", "edges": e}) for i, e in enumerate(edge_lists)]
+    stream.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+    bad = [f"g{i}" for i, e in enumerate(edge_lists) if max(f for *_, f in e) > 1e100]
+    argv = ["cluster", "--input", str(stream), "--k", "2", "--out-dir"]
+    capsys.readouterr()
+
+    assert main([*argv, str(tmp_path / "strict")]) == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["message"] == (
+        f"input: graph {bad[0]!r}: edge frequencies must have a finite sum of squares"
+    )
+
+    out = tmp_path / "lenient"
+    assert main([*argv, str(out), "--lenient"]) == EXIT_OK
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    assert [d["graph"] for d in diags if d["level"] == "warning"] == bad
+    engine = Engine.load(str(out / "checkpoint.bin"))
+    assert engine.graph_count == len(edge_lists) - len(bad)
+
+
 @pytest.mark.parametrize(
     "schema",
     [
@@ -329,6 +367,32 @@ def test_bad_engine_config_exits_1(tmp_path):
     # an infinite p would make the first spread inf * 0 and its event unwritable
     assert _cluster(stream, tmp_path / "o", extra=["--p", "inf"]) == EXIT_USAGE
     assert not (tmp_path / "o").exists()
+
+
+def test_undecodable_input_exits_2(tmp_path, capsys):
+    stream = tmp_path / "s.jsonl"
+    stream.write_bytes(
+        b'{"schema": {"side_types": []}, "stream_version": 1}\n'
+        b'{"id": "g0", "edges": [["a", "\xff"]]}\n'
+    )
+    capsys.readouterr()
+    rc = main(["cluster", "--input", str(stream), "--k", "2", "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["message"].startswith("input: 'utf-8' codec can't decode")
+
+
+def test_value_error_while_processing_exits_3(tmp_path, capsys, monkeypatch):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=10)
+
+    def fail(self, g):
+        raise ValueError("fault inside the run")
+
+    monkeypatch.setattr(Engine, "process", fail)
+    capsys.readouterr()
+    assert _cluster(stream, tmp_path / "o") == EXIT_RUNTIME
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["message"] == "runtime: ValueError: fault inside the run"
 
 
 def test_missing_input_exits_2(tmp_path):

@@ -271,6 +271,38 @@ def test_run_skips_a_mass_beyond_float_range(where):
     assert skipped == ["g9"]
 
 
+@pytest.mark.parametrize(
+    "edges, side",
+    [
+        ([("a", "b", 1e200)], {}),
+        ([("a", "b", 1e308), ("b", "a", 1e308)], {}),
+        ([("a", "b", 1e154), ("c", "d", 1e154)], {}),
+        ([("a", "b", 1.0)], {"x": 1e200}),
+    ],
+    ids=["square", "merged_sum", "sum_of_squares", "side"],
+)
+def test_run_skips_a_mass_whose_square_overflows(edges, side):
+    huge = _graph(9, edges, side)
+    with pytest.raises(ValueError, match="must have a finite sum of squares"):
+        Engine(_config(), SCHEMA).run([huge])
+    skipped: list[str] = []
+    engine = Engine(_config(), SCHEMA)
+    events = engine.run(
+        [_graph(0, [("a", "b", 1.0)]), huge, _graph(1, [("c", "d", 1.0)])],
+        on_error=lambda gid, msg: skipped.append(gid),
+    )
+    assert [e.graph_id for e in events] == ["g0", "g1"]
+    assert skipped == ["g9"]
+    assert Engine.from_bytes(engine.to_bytes()).graph_count == 2
+
+
+def test_a_mass_whose_square_stays_finite_is_kept():
+    # 1e154 squares to 1e308, just inside float range
+    engine = Engine(_config(), SCHEMA)
+    (event,) = engine.run([_graph(0, [("a", "b", 1e154)], {"x": 1e154})])
+    assert event.graph_id == "g0"
+
+
 def test_event_json_round_trip():
     event = AssignmentEvent("g1", ACTION_ASSIGNED, 2, 1.5, 2.5, [[0.1, 0.2]])
     again = AssignmentEvent.from_dict(json.loads(event.to_json()))
