@@ -32,9 +32,7 @@ from .model import (
     GraphView,
     SideType,
     StreamSchema,
-    attr_key,
     canonical_graphs,
-    edge_key,
     graph_views,
     preprocess,
 )
@@ -66,9 +64,7 @@ __all__ = [
     "StreamSchema",
     "SynthConfig",
     "assignment_agreement",
-    "attr_key",
     "canonical_graphs",
-    "edge_key",
     "ensure_weights",
     "generate_graphs",
     "generate_stream",

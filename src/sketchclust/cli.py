@@ -11,7 +11,8 @@ Subcommands:
 * ``eval``    - score an existing events.jsonl against stream labels.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input, 3 runtime
-failure. Diagnostics go to stderr as one JSON object per line. Event and
+failure (a numpy float overflow, invalid value or division by zero
+included). Diagnostics go to stderr as one JSON object per line. Event and
 purity outputs are byte-identical across reruns of the same manifest;
 timing outputs (throughput.csv) necessarily are not.
 """
@@ -25,9 +26,12 @@ import time
 from contextlib import ExitStack
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .engine import AssignmentEvent, Engine, EngineConfig
+from .engine import BACKENDS, AssignmentEvent, Engine, EngineConfig
 from .evaluate import (
+    PurityReport,
     assignment_agreement,
     overall_rate,
     purity_from_events,
@@ -155,39 +159,75 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
         raise _UsageError(str(exc)) from None
 
 
-def _write_purity_csv(path: Path, series, final) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("graphs_processed,average_purity\n")
-        for processed, value in series:
-            fh.write(f"{processed},{value:.6f}\n")
-        if final is not None:
-            fh.write(f"{final[0]},{final[1]:.6f}\n")
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _score(
+    events: list[AssignmentEvent], labels: dict[str, str], every: int, csv_path: Path | None
+) -> PurityReport:
+    """Purity of an event log; given ``csv_path``, its series sampled every
+    ``every`` events and its final value are written there."""
+    report, series = purity_from_events(events, labels, every=every)
+    if csv_path is not None:
+        rows = [*series, (len(events), report.average_purity)]
+        csv_path.write_text(
+            "graphs_processed,average_purity\n"
+            + "".join(f"{processed},{value:.6f}\n" for processed, value in rows),
+            encoding="utf-8",
+        )
+    return report
 
 
 def _record_skipped(line_no: int, message: str) -> None:
     _diag("warning", "record skipped", line=line_no, reason=message)
 
 
-def _canonical_input(args: argparse.Namespace, schema: StreamSchema, skipped: list):
-    """Canonical graphs of ``args.input``, read and preprocessed one at a time.
+def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Engine]):
+    """Read ``args.input`` once, canonicalise each graph, feed it to every
+    engine and write each event to that engine's events file.
 
     Without ``--lenient`` the first malformed record or graph aborts with a
-    StreamFormatError; with it, each is reported on stderr, appended to
-    ``skipped`` and left out.
+    StreamFormatError; with it, each is reported on stderr and left out.
+    Returns each engine's events (in map order), the labels by graph id,
+    the ``(elapsed_s, cumulative_edges)`` marks and the count of skipped
+    records and graphs.
     """
+    skipped = 0
 
     def record_skipped(line_no: int, message: str) -> None:
-        skipped.append(message)
+        nonlocal skipped
+        skipped += 1
         _record_skipped(line_no, message)
 
     def graph_rejected(graph_id: str, message: str) -> None:
+        nonlocal skipped
         if not args.lenient:
             raise StreamFormatError(f"graph {graph_id!r}: {message}")
-        skipped.append(message)
+        skipped += 1
         _diag("warning", "graph skipped", graph=graph_id, reason=message)
 
     records = iter_stream(args.input, on_error=record_skipped if args.lenient else None)
-    return canonical_graphs(records, schema, on_error=graph_rejected)
+    runs: list[list[AssignmentEvent]] = [[] for _ in engines]
+    labels: dict[str, str] = {}
+    marks = [(0.0, 0)]
+    edges = 0
+    start = time.perf_counter()
+    with ExitStack() as stack:
+        sinks = [
+            (engine, events, stack.enter_context(open(path, "w", encoding="utf-8")))
+            for (path, engine), events in zip(engines.items(), runs)
+        ]
+        for g in canonical_graphs(records, schema, on_error=graph_rejected):
+            if g.label is not None:
+                labels[g.id] = g.label
+            edges += len(g.edges)
+            for engine, events, out in sinks:
+                event = engine.process(g)
+                events.append(event)
+                out.write(event.to_json() + "\n")
+            marks.append((time.perf_counter() - start, edges))
+    return runs, labels, marks, skipped
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -222,13 +262,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         trace = lambda record: _diag("trace", "weight_opt", **record)
 
     engine = Engine(
-        config,
-        schema,
-        backend=args.backend,
-        record_distances=args.diagnostics,
-        trace=trace,
+        config, schema, backend=args.backend, record_distances=args.diagnostics, trace=trace
     )
-
     manifest = {
         "artifact_version": __version__,
         "command": "cluster",
@@ -237,60 +272,33 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         "strict": not args.lenient,
         "config": config.to_dict(),
     }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "manifest.json", manifest)
 
-    skipped: list[str] = []
-    events: list[AssignmentEvent] = []
-    labels: dict[str, str] = {}
-    marks: list[tuple[float, int]] = []
-    edge_total = 0
-    start = time.perf_counter()
-    marks.append((0.0, 0))
-    with open(out_dir / "events.jsonl", "w", encoding="utf-8") as ev_out:
-        for canonical in _canonical_input(args, schema, skipped):
-            if canonical.label is not None:
-                labels[canonical.id] = canonical.label
-            edge_total += len(canonical.edges)
-            event = engine.process(canonical)
-            events.append(event)
-            ev_out.write(event.to_json() + "\n")
-            marks.append((time.perf_counter() - start, edge_total))
+    (events,), labels, marks, skipped = _run(args, schema, {out_dir / "events.jsonl": engine})
 
-    engine.save(str(out_dir / "checkpoint.bin"))
-    (out_dir / "weights.json").write_text(
-        json.dumps(
-            {
-                "weights": engine.weights.tolist(),
-                "components": ["edges"] + [t.name for t in schema.side_types],
-                "graphs_processed": engine.graph_count,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
+    (out_dir / "checkpoint.bin").write_bytes(engine.to_bytes())
+    weights = {
+        "weights": engine.weights.tolist(),
+        "components": ["edges"] + [t.name for t in schema.side_types],
+        "graphs_processed": engine.graph_count,
+    }
+    _write_json(out_dir / "weights.json", weights)
+
+    windows = throughput(marks, window_s=args.throughput_window)
+    (out_dir / "throughput.csv").write_text(
+        "elapsed_s,edges_per_s\n" + "".join(f"{t:.3f},{r:.1f}\n" for t, r in windows),
         encoding="utf-8",
     )
 
     rate = overall_rate(marks)
-    windows = throughput(marks, window_s=args.throughput_window)
-    with open(out_dir / "throughput.csv", "w", encoding="utf-8") as fh:
-        fh.write("elapsed_s,edges_per_s\n")
-        for t_end, window_rate in windows:
-            fh.write(f"{t_end:.3f},{window_rate:.1f}\n")
-
     summary = {
         "graphs": engine.graph_count,
-        "edges": edge_total,
-        "skipped": len(skipped),
+        "edges": marks[-1][1],
+        "skipped": skipped,
         "edges_per_s": None if rate is None else round(rate, 1),
     }
-    if labels and events:
-        report, series = purity_from_events(events, labels, every=args.purity_every)
-        _write_purity_csv(
-            out_dir / "purity.csv", series, (len(events), report.average_purity)
-        )
+    if labels:
+        report = _score(events, labels, args.purity_every, out_dir / "purity.csv")
         summary["average_purity"] = round(report.average_purity, 4)
     _diag("info", "run complete", **summary)
     return EXIT_OK
@@ -301,32 +309,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     config = _engine_config(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     schema = read_header(args.input)
-    engines = {
-        backend: Engine(config, schema, backend=backend, record_distances=True)
-        for backend in ("sketch", "exact")
-    }
-    runs: dict[str, list[AssignmentEvent]] = {backend: [] for backend in engines}
-    labels: dict[str, str] = {}
     # Both backends see each graph in turn, so the stream is read once.
-    with ExitStack() as stack:
-        outs = {
-            backend: stack.enter_context(
-                open(out_dir / f"events_{backend}.jsonl", "w", encoding="utf-8")
-            )
-            for backend in engines
-        }
-        for g in _canonical_input(args, schema, []):
-            if g.label is not None:
-                labels[g.id] = g.label
-            for backend, engine in engines.items():
-                event = engine.process(g)
-                runs[backend].append(event)
-                outs[backend].write(event.to_json() + "\n")
-
-    agreement = assignment_agreement(runs["sketch"], runs["exact"])
+    engines = {
+        out_dir / f"events_{b}.jsonl": Engine(config, schema, backend=b, record_distances=True)
+        for b in BACKENDS
+    }
+    (sketch, exact), labels, _, _ = _run(args, schema, engines)
 
     rel_errors: list[float] = []
-    for ev_s, ev_x in zip(runs["sketch"], runs["exact"]):
+    for ev_s, ev_x in zip(sketch, exact):
         if ev_s.distances is None or ev_x.distances is None:
             continue
         for row_s, row_x in zip(ev_s.distances, ev_x.distances):
@@ -341,8 +332,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         return rel_errors[min(int(q * len(rel_errors)), len(rel_errors) - 1)]
 
     report = {
-        "graphs": len(runs["sketch"]),
-        "agreement": agreement,
+        "graphs": len(sketch),
+        "agreement": assignment_agreement(sketch, exact),
         "distance_rel_error": {
             "median": quantile(0.5),
             "p90": quantile(0.9),
@@ -351,17 +342,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         },
     }
     if labels:
-        for backend, events in runs.items():
-            rep, series = purity_from_events(events, labels, every=args.purity_every)
+        for backend, events in zip(BACKENDS, (sketch, exact)):
+            csv_path = out_dir / f"purity_{backend}.csv"
+            rep = _score(events, labels, args.purity_every, csv_path)
             report[f"purity_{backend}"] = rep.average_purity
-            _write_purity_csv(
-                out_dir / f"purity_{backend}.csv",
-                series,
-                (len(events), rep.average_purity),
-            )
-    (out_dir / "compare.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "compare.json", report)
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
     return EXIT_OK
 
@@ -387,19 +372,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     labels = {g.id: g.label for g in records if g.label is not None}
     if not labels:
         raise StreamFormatError("stream carries no labels to evaluate against")
+    csv_path = None
+    if args.out_dir:
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        csv_path = Path(args.out_dir) / "purity.csv"
     try:
-        report, series = purity_from_events(events, labels, every=args.purity_every)
+        report = _score(events, labels, args.purity_every, csv_path)
     except ValueError as exc:  # events that the labeled stream cannot score
         raise StreamFormatError(str(exc)) from None
     payload = report.to_dict()
     payload["events"] = len(events)
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_purity_csv(
-            out_dir / "purity.csv", series, (len(events), report.average_purity)
-        )
     return EXIT_OK
 
 
@@ -419,7 +402,9 @@ def main(argv: list[str] | None = None) -> int:
         _diag("error", f"usage: {exc}")
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        # a float fault fails the run (exit 3) instead of writing inf or NaN
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return _COMMANDS[args.command](args)
     except _UsageError as exc:
         _diag("error", f"usage: {exc}")
         return EXIT_USAGE

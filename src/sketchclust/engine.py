@@ -132,8 +132,8 @@ class AssignmentEvent:
 
 def _fields(obj) -> dict:
     """A dataclass's fields by name, for ``json.dumps`` to encode (unlike
-    ``asdict``, without copying every value, which tripled a save's header
-    cost)."""
+    ``asdict``, without copying every value, which tripled a checkpoint's
+    header cost)."""
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
@@ -280,12 +280,3 @@ class Engine:
         engine.bank.validate(graph_count)
         engine.graph_count = graph_count
         return engine
-
-    def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path: str, trace: TraceHook | None = None) -> "Engine":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read(), trace=trace)

@@ -10,9 +10,10 @@ everything.
 
 Canonicalization preserves total edge mass. On numeric and binary types it
 is idempotent; categorical values are expanded once, so it is meant for raw
-graphs. Edge keys are built as ``src + 0x1f + dst``; the separator byte is
-reserved, so the encoding is injective and node labels must never contain
-it.
+graphs. Edge keys are the UTF-8 bytes of ``src + 0x1f + dst``; the
+separator byte is reserved, so the encoding is injective and node labels
+must never contain it. ``preprocess`` checks every label once, encodability
+included, so building keys needs no second check.
 
 ``graph_views`` gives one flat ``GraphView`` per graph: every component's
 keys and values in one array, with the sketch buckets of all its keys from
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -32,7 +34,6 @@ import numpy as np
 
 from .sketch import SketchConfig
 
-SEPARATOR = b"\x1f"
 _SEPARATOR_STR = "\x1f"
 
 KIND_NUMERIC = "numeric"
@@ -49,6 +50,8 @@ class SideType:
     def __post_init__(self) -> None:
         if not self.name or _SEPARATOR_STR in self.name:
             raise ValueError("side type name must be nonempty and separator-free")
+        # a categorical type's name is part of its keys
+        _check_label(self.name)
         if self.kind not in KINDS:
             raise ValueError(f"unknown side type kind {self.kind!r}")
 
@@ -177,25 +180,23 @@ class GraphObject:
     label: str | None = None
 
 
-def edge_key(src: str, dst: str) -> bytes:
-    """Injective byte encoding of an edge endpoint pair."""
-    _check_label(src)
-    _check_label(dst)
-    return src.encode("utf-8") + SEPARATOR + dst.encode("utf-8")
-
-
-def attr_key(attr_id: str) -> bytes:
-    return attr_id.encode("utf-8")
-
-
 def _check_label(label: str) -> None:
     if not isinstance(label, str) or not label:
         raise ValueError("node/attribute labels must be nonempty strings")
     if _SEPARATOR_STR in label:
         raise ValueError("labels must not contain the reserved separator 0x1f")
+    if not label.isascii():
+        try:
+            label.encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate, which JSON can carry
+            raise ValueError(f"label {label!r} is not encodable as UTF-8") from None
 
 
 def _check_value(value: float, what: str) -> float:
+    # the stream reader's number types; numpy's numbers too, but not bool or str
+    if type(value) is not float and type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{what} must be a number, not {value!r}")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond float range
@@ -230,13 +231,20 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     summed, a present categorical value ``v`` of type ``T`` becomes the
     identifier ``"T=v"`` with value 1, zero-frequency edges and zero-valued
     attributes are dropped, and edges/attributes are sorted for
-    deterministic downstream iteration. Raises ValueError on negative
-    masses, malformed labels or unknown side types, and on masses that are
-    finite but whose merged sum or sum of squares within a component is not.
+    deterministic downstream iteration. Raises ValueError on a mass that
+    is not a nonnegative finite number (bool and str are not numbers), a
+    timestamp that is not a nonnegative integer, a label that is empty,
+    holds the separator or is not encodable as UTF-8, an unknown side type,
+    and on masses that are finite but whose merged sum or sum of squares
+    within a component is not.
     """
     if not isinstance(g.id, str) or not g.id:
         raise ValueError("graph id must be a nonempty string")
-    ts = int(g.ts)
+    ts = g.ts
+    if type(ts) is not int:
+        if isinstance(ts, bool) or not isinstance(ts, numbers.Integral):
+            raise ValueError(f"timestamp must be an integer, not {ts!r}")
+        ts = int(ts)
     if ts < 0:
         raise ValueError("timestamp must be nonnegative")
 
@@ -358,14 +366,15 @@ class GraphView:
 def graph_views(
     g: GraphObject, schema: StreamSchema, config: SketchConfig | None = None
 ) -> GraphView:
-    """The flat view of a canonicalized graph over the schema's d+1
-    components, its keys hashed for ``config`` when one is given."""
-    keys = [edge_key(s, t) for s, t, _ in g.edges]
+    """The flat view of a ``preprocess`` output over the schema's d+1
+    components, its keys hashed for ``config`` when one is given. Labels
+    are not checked again: ``preprocess`` has checked each one."""
+    keys = [(s + _SEPARATOR_STR + t).encode() for s, t, _ in g.edges]
     values = [f for _, _, f in g.edges]
     bounds = [0, len(keys)]
     for side_type in schema.side_types:
         attrs = g.side.get(side_type.name, {})
-        keys += map(attr_key, attrs)
+        keys += map(str.encode, attrs)
         values += attrs.values()
         bounds.append(len(keys))
     return GraphView(tuple(keys), values, bounds, config)

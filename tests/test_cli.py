@@ -1,13 +1,24 @@
 """End-to-end CLI runs in temp directories, plus exit code contract."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from sketchclust import Engine, cli
+import sketchclust
+from sketchclust import (
+    AssignmentEvent,
+    Engine,
+    canonical_graphs,
+    cli,
+    iter_stream,
+    purity_from_events,
+    read_header,
+)
 from sketchclust.cli import EXIT_INPUT, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 
@@ -280,7 +291,7 @@ def test_mass_whose_square_overflows_is_a_bad_graph(tmp_path, capsys, edge_lists
     assert main([*argv, str(out), "--lenient"]) == EXIT_OK
     diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
     assert [d["graph"] for d in diags if d["level"] == "warning"] == bad
-    engine = Engine.load(str(out / "checkpoint.bin"))
+    engine = Engine.from_bytes((out / "checkpoint.bin").read_bytes())
     assert engine.graph_count == len(edge_lists) - len(bad)
 
 
@@ -292,8 +303,17 @@ def test_mass_whose_square_overflows_is_a_bad_graph(tmp_path, capsys, edge_lists
         {"side_types": [{"name": 5}]},
         {"directd": True},
         {"side_types": [{"name": "a", "knd": "binary"}]},
+        # a categorical type's name is part of its keys, which are UTF-8
+        {"side_types": [{"name": "\ud800", "kind": "categorical"}]},
     ],
-    ids=["string_directed", "int_directed", "int_name", "unknown_key", "unknown_side_type_key"],
+    ids=[
+        "string_directed",
+        "int_directed",
+        "int_name",
+        "unknown_key",
+        "unknown_side_type_key",
+        "unencodable_name",
+    ],
 )
 def test_mistyped_schema_header_exits_2(tmp_path, capsys, schema):
     stream = tmp_path / "s.jsonl"
@@ -491,3 +511,92 @@ def test_compare_events_match_cluster_diagnostics(tmp_path, lenient):
         assert (tmp_path / "cmp" / f"events_{backend}.jsonl").read_bytes() == (
             out / "events.jsonl"
         ).read_bytes()
+
+
+def _last_purity_row(path):
+    processed, value = path.read_text(encoding="utf-8").splitlines()[-1].split(",")
+    return int(processed), value
+
+
+def test_run_complete_counts_what_lenient_mode_kept(tmp_path, capsys):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
+    broken, _ = _with_undeclared_side_type(tmp_path, stream)  # one bad graph
+    lines = open(broken, "r", encoding="utf-8").read().splitlines(keepends=True)
+    lines[3] = "{not json\n"  # one bad record
+    both = tmp_path / "both.jsonl"
+    both.write_text("".join(lines), encoding="utf-8")
+    schema = read_header(str(both))
+    kept = list(canonical_graphs(iter_stream(str(both), lambda *_: None), schema, lambda *_: None))
+    capsys.readouterr()
+
+    out = tmp_path / "run"
+    assert _cluster(str(both), out, extra=["--lenient"]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert summary["message"] == "run complete"
+    assert summary["graphs"] == len(kept) == 28
+    assert summary["edges"] == sum(len(g.edges) for g in kept)
+    assert summary["skipped"] == 2
+
+    events = [AssignmentEvent.from_dict(json.loads(l)) for l in (out / "events.jsonl").open()]
+    report, _ = purity_from_events(events, {g.id: g.label for g in kept}, every=100)
+    assert summary["average_purity"] == round(report.average_purity, 4)
+    assert _last_purity_row(out / "purity.csv") == (28, f"{report.average_purity:.6f}")
+
+
+def test_compare_purities_are_the_last_rows_of_their_csvs(tmp_path, capsys):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=60)
+    capsys.readouterr()
+    assert _compare(stream, tmp_path / "cmp", extra=["--purity-every", "7"]) == EXIT_OK
+    report = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+    for backend in ("sketch", "exact"):
+        csv = tmp_path / "cmp" / f"purity_{backend}.csv"
+        assert len(csv.read_text().splitlines()) == 1 + 60 // 7 + 1
+        assert _last_purity_row(csv) == (60, f"{report[f'purity_{backend}']:.6f}")
+
+
+def test_label_not_encodable_as_utf8_is_a_bad_graph(tmp_path, capsys):
+    # JSON can carry a lone surrogate, which has no UTF-8 encoding
+    stream = tmp_path / "s.jsonl"
+    header = json.dumps({"schema": {"side_types": []}, "stream_version": 1})
+    edges = [[["a", "b"]], [["\ud800", "y"]], [["a", "c"]]]
+    records = [json.dumps({"id": f"g{i}", "edges": e}) for i, e in enumerate(edges)]
+    stream.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+    argv = ["cluster", "--input", str(stream), "--k", "2", "--out-dir"]
+    capsys.readouterr()
+
+    assert main([*argv, str(tmp_path / "strict")]) == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["message"] == "input: graph 'g1': label '\\ud800' is not encodable as UTF-8"
+
+    out = tmp_path / "lenient"
+    assert main([*argv, str(out), "--lenient"]) == EXIT_OK
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    assert [(d["message"], d["graph"]) for d in diags if d["level"] == "warning"] == [
+        ("graph skipped", "g1")
+    ]
+    assert [json.loads(l)["graph_id"] for l in (out / "events.jsonl").open()] == ["g0", "g2"]
+
+
+def test_float_fault_exits_3_with_one_json_line(tmp_path):
+    # each graph square-sums to 1e308, but c's cross term with a's cluster
+    # (2 * 1e308) overflows; a subprocess, so numpy warnings are not errors
+    stream = tmp_path / "s.jsonl"
+    header = json.dumps({"schema": {"side_types": []}, "stream_version": 1})
+    edges = {"a": ["x", "y", 1e154], "b": ["p", "q", 1.0], "c": ["x", "y", 1e154],
+             "d": ["x", "y", 1e154], "e": ["p", "q", 1.0]}
+    records = [json.dumps({"id": i, "edges": [e]}) for i, e in edges.items()]
+    stream.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(sketchclust.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sketchclust.cli", "cluster", "--input", str(stream),
+         "--k", "2", "--out-dir", str(out)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_RUNTIME
+    (line,) = proc.stderr.splitlines()
+    assert json.loads(line)["message"] == (
+        "runtime: FloatingPointError: overflow encountered in multiply"
+    )
+    assert [json.loads(l)["graph_id"] for l in (out / "events.jsonl").open()] == ["a", "b"]
+    assert not (out / "checkpoint.bin").exists()

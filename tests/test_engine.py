@@ -401,9 +401,9 @@ def test_checkpoint_round_trip(tmp_path):
         schema,
     )
     engine.run(graphs[:60])
-    path = str(tmp_path / "engine.bin")
-    engine.save(path)
-    resumed = Engine.load(path)
+    path = tmp_path / "engine.bin"
+    path.write_bytes(engine.to_bytes())
+    resumed = Engine.from_bytes(path.read_bytes())
     assert resumed.config == engine.config
     assert resumed.schema == engine.schema
     assert resumed.backend == engine.backend

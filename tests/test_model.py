@@ -9,8 +9,6 @@ from sketchclust import (
     SideType,
     SketchConfig,
     StreamSchema,
-    attr_key,
-    edge_key,
     graph_views,
     preprocess,
 )
@@ -57,12 +55,12 @@ def test_schema_from_dict_requires_json_types(raw):
 def test_edge_key_is_injective_on_separator():
     # ("a", "b|c") and ("a|b", "c") must not encode to the same key, so
     # the separator byte is banned from labels outright.
-    assert edge_key("a", "b") == b"a\x1fb"
-    with pytest.raises(ValueError):
-        edge_key("a\x1fb", "c")
-    with pytest.raises(ValueError):
-        edge_key("", "c")
-    assert attr_key("topic:x") == b"topic:x"
+    schema = _schema(SideType("topics"))
+    g = GraphObject(id="g", edges=[("a", "b")], side={"topics": {"topic:x": 1.0}})
+    assert graph_views(preprocess(g, schema), schema).keys == (b"a\x1fb", b"topic:x")
+    for edge in (("a\x1fb", "c"), ("", "c")):
+        with pytest.raises(ValueError):
+            preprocess(GraphObject(id="g", edges=[edge]), schema)
 
 
 def test_canonicalize_sorts_and_merges_undirected():
@@ -91,6 +89,50 @@ def test_canonicalize_validates():
         preprocess(GraphObject(id="g", edges=[("a", "b", float("nan"))]), schema)
     with pytest.raises(ValueError):
         preprocess(GraphObject(id="g", side={"undeclared": {"x": 1.0}}), schema)
+
+
+@pytest.mark.parametrize("where", ["src", "dst", "attr", "categorical"])
+def test_label_not_encodable_as_utf8_is_rejected(where):
+    lone = "\ud800"  # a lone surrogate: valid JSON, but no UTF-8 bytes
+    schema = _schema(SideType("topics"), SideType("venue", "categorical"))
+    edges = {"src": [(lone, "b")], "dst": [("a", lone)]}.get(where, [("a", "b")])
+    side = {"attr": {"topics": {lone: 1.0}}, "categorical": {"venue": {lone: 1.0}}}
+    g = GraphObject(id="g", edges=edges, side=side.get(where, {}))
+    with pytest.raises(ValueError, match="not encodable as UTF-8"):
+        preprocess(g, schema)
+
+
+@pytest.mark.parametrize(
+    "mass", ["2", True, np.bool_(True), b"2", None], ids=["str", "bool", "np_bool", "bytes", "none"]
+)
+def test_preprocess_rejects_a_mass_that_is_not_a_number(mass):
+    schema = _schema(SideType("topics"))
+    with pytest.raises(ValueError, match="must be a number"):
+        preprocess(GraphObject(id="g", side={"topics": {"x": mass}}), schema)
+    if mass is not None:  # a None edge frequency means 1
+        with pytest.raises(ValueError, match="must be a number"):
+            preprocess(GraphObject(id="g", edges=[("a", "b", mass)]), schema)
+
+
+@pytest.mark.parametrize("ts", [2.7, 2.0, "5", True, None])
+def test_preprocess_rejects_a_timestamp_that_is_not_an_integer(ts):
+    with pytest.raises(ValueError, match="timestamp must be an integer"):
+        preprocess(GraphObject(id="g", ts=ts), _schema())
+
+
+def test_preprocess_takes_numpy_numbers():
+    schema = _schema(SideType("topics"))
+    g = GraphObject(
+        id="g",
+        ts=np.int64(4),
+        edges=[("a", "b", np.float32(2.0)), ("b", "c", np.int64(3))],
+        side={"topics": {"x": np.float64(1.5)}},
+    )
+    out = preprocess(g, schema)
+    assert out.ts == 4 and type(out.ts) is int
+    assert out.edges == [("a", "b", 2.0), ("b", "c", 3.0)]
+    assert all(type(f) is float for *_, f in out.edges)
+    assert out.side == {"topics": {"x": 1.5}}
 
 
 def test_canonicalize_drops_zero_attributes():
@@ -136,9 +178,9 @@ def test_graph_views_shape_and_order():
     view = graph_views(g, schema)
     assert view.d == 2
     # schema order, not dict order
-    assert view.keys == (edge_key("a", "b"), attr_key("x"), attr_key("t"))
+    assert view.keys == (b"a\x1fb", b"x", b"t")
     keys, values = view.component(1)
-    assert keys == (attr_key("x"),)
+    assert keys == (b"x",)
     assert values.tolist() == [3.0]
     assert view.comp.tolist() == [0, 1, 2]
     assert view.sq_sum.tolist() == [4.0, 9.0, 1.0]
