@@ -333,7 +333,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     report = {
         "graphs": len(sketch),
-        "agreement": assignment_agreement(sketch, exact),
+        # null, like the quantiles, when no graph was clustered
+        "agreement": assignment_agreement(sketch, exact) if sketch else None,
         "distance_rel_error": {
             "median": quantile(0.5),
             "p90": quantile(0.9),

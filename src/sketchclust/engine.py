@@ -25,14 +25,18 @@ count-min sketches (``stats.ClusterBank``) or exact maps
 consumed exactly once; memory is constant in the stream length on the
 sketch backend. Engine state checkpoints to a versioned blob: a JSON
 header, the graph count and weights, then the bank's arrays whole,
-joined once. Loading rejects a header or config field that is unknown or
-of the wrong JSON type, and state no run produces (such as a cluster
-count other than ``min(graph_count, k)``); a resumed run replays
+joined once. An engine encodes its header once, and ``from_bytes``
+caches the last few headers it decoded, so engines resumed from one
+header share one immutable config (and one drawn hash family) and write
+back its bytes. Loading rejects a header or config field that is
+unknown or of the wrong JSON type, and state no run produces (such as a
+cluster count other than ``min(graph_count, k)``); a resumed run replays
 identically.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -146,6 +150,19 @@ class _Header:
     schema: StreamSchema
     record_distances: bool = False
 
+    def encode(self) -> bytes:
+        return json.dumps(self, default=_fields, sort_keys=True).encode("utf-8")
+
+
+@functools.lru_cache(maxsize=8)
+def _decode_header(raw: bytes) -> tuple[_Header, bytes]:
+    """A checkpoint's header and its canonical bytes, from its exact bytes.
+    Cached, so the checkpoints of one run share one decoded header. Keyed
+    by bytes, never by ``_Header`` equality: ``p=3`` and ``p=3.0`` compare
+    equal but encode apart. A bad header raises, and is not cached."""
+    header = from_json(_Header, json.loads(raw.decode("utf-8")))
+    return header, header.encode()
+
 
 def ensure_weights(weights, d: int) -> np.ndarray:
     """Validate a (d+1)-component nonnegative weight vector."""
@@ -158,6 +175,12 @@ def ensure_weights(weights, d: int) -> np.ndarray:
 
 
 class Engine:
+    # The header fields are read-only: the engine keeps its header's bytes.
+    config = property(lambda self: self._header.config)
+    schema = property(lambda self: self._header.schema)
+    backend = property(lambda self: self._header.backend)
+    record_distances = property(lambda self: self._header.record_distances)
+
     def __init__(
         self,
         config: EngineConfig,
@@ -168,10 +191,8 @@ class Engine:
     ):
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
-        self.config = config
-        self.schema = schema
-        self.backend = backend
-        self.record_distances = record_distances
+        self._header = _Header(backend, config, schema, record_distances)
+        self._header_bytes: bytes | None = None  # encoded by the first ``to_bytes``
         self.trace = trace
         self.weights = np.ones(schema.d + 1, dtype=np.float64)
         if backend == "sketch":
@@ -184,11 +205,11 @@ class Engine:
 
     def process(self, g: GraphObject) -> AssignmentEvent:
         """Route one canonicalized graph and return the resulting event."""
-        bank = self.bank
+        bank, config = self.bank, self.config
         view = graph_views(g, self.schema, bank.config)
         now = self.graph_count + 1
 
-        if len(bank) < self.config.k:
+        if len(bank) < config.k:
             index = bank.add(view, now)
             event = AssignmentEvent(g.id, ACTION_INITIALIZED, index)
         else:
@@ -197,7 +218,7 @@ class Engine:
             nearest = int(np.argmin(es_all))  # first minimum: lowest index
             best = float(es_all[nearest])
             n = bank.count(nearest)
-            spread = (self.config.p / n) * float(bank.intra_sq(nearest) @ self.weights)
+            spread = (config.p / n) * float(bank.intra_sq(nearest) @ self.weights)
             distances = np.sqrt(comp_sq).tolist() if self.record_distances else None
             if n == 1 or best < spread:
                 bank.absorb(nearest, view, now)
@@ -212,11 +233,7 @@ class Engine:
                 )
 
         self.graph_count = now
-        if (
-            self.config.optimize_weights
-            and self.graph_count % self.config.gamma == 0
-            and len(bank) >= 2
-        ):
+        if config.optimize_weights and now % config.gamma == 0 and len(bank) >= 2:
             self.refresh_weights()
         return event
 
@@ -240,8 +257,9 @@ class Engine:
     # -- checkpointing ---------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        header = _Header(self.backend, self.config, self.schema, self.record_distances)
-        header = json.dumps(header, default=_fields, sort_keys=True).encode("utf-8")
+        header = self._header_bytes
+        if header is None:
+            header = self._header_bytes = self._header.encode()
         parts = [
             _MAGIC,
             struct.pack("<BI", _VERSION, len(header)),
@@ -256,19 +274,22 @@ class Engine:
 
     @classmethod
     def from_bytes(cls, data: bytes, trace: TraceHook | None = None) -> "Engine":
+        """The engine a ``to_bytes`` blob (``bytes``, ``bytearray`` or
+        ``memoryview``) holds; ValueError for anything no run writes."""
         if data[:4] != _MAGIC:
             raise ValueError("bad engine checkpoint magic")
         version, hlen = unpack_at("<BI", data, 4)
         if version != _VERSION:
             raise ValueError(f"unsupported engine checkpoint version {version}")
         try:
-            header = from_json(_Header, json.loads(data[9 : 9 + hlen].decode("utf-8")))
+            header, encoded = _decode_header(bytes(data[9 : 9 + hlen]))
             engine = cls(
                 header.config, header.schema, header.backend, header.record_distances, trace
             )
         except ValueError as exc:
             # not JSON, or a header field that is missing, unknown or of the wrong type
             raise ValueError(f"bad engine checkpoint header: {exc!r}") from None
+        engine._header_bytes = encoded
         off = 9 + hlen
         graph_count, wlen = unpack_at("<QI", data, off)
         off += 12

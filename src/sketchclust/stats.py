@@ -61,8 +61,10 @@ def read_array(data: bytes, off: int, dtype: str, shape: tuple[int, ...]) -> np.
 
 
 def finite_nonneg(a) -> bool:
+    """Whether every value is finite and nonnegative (``-0.0`` is): two
+    reductions and no temporary, as NaN fails both comparisons."""
     a = np.asarray(a, dtype=np.float64)
-    return bool(np.all(np.isfinite(a)) and np.all(a >= 0.0))
+    return a.size == 0 or bool(a.min() >= 0.0 and a.max() < math.inf)
 
 
 class Bank:
@@ -255,14 +257,14 @@ class Bank:
                 f"a run with k={len(self.n)} holds {live}"
             )
         n, t_last = self.n[:m], self.t_last[:m]
-        if not bool(np.all(n >= 1)):
+        if m and n.min() < 1:
             raise ValueError("checkpoint holds a cluster with no members")
         members = sum(int(count) for count in n)
         if members > graph_count:
             raise ValueError(
                 f"checkpoint clusters hold {members} members, more than its {graph_count} graphs"
             )
-        if not bool(np.all((t_last >= 0) & (t_last <= graph_count))):
+        if m and (t_last.min() < 0 or t_last.max() > graph_count):
             raise ValueError(
                 f"checkpoint holds a cluster updated outside graphs 0..{graph_count}"
             )
@@ -346,5 +348,5 @@ class ClusterBank(Bank):
         super().validate(graph_count)
         sums = self.cells[:, : self.size].sum(-1)
         top = sums.max(-1)
-        if np.any(top - sums.min(-1) > ROW_SUM_RTOL * top):
+        if (top - sums.min(-1) > ROW_SUM_RTOL * top).any():
             raise ValueError("checkpoint holds a sketch whose rows sum to different totals")

@@ -513,6 +513,38 @@ def test_compare_events_match_cluster_diagnostics(tmp_path, lenient):
         ).read_bytes()
 
 
+_NOTHING_TO_CLUSTER = {
+    "header_only": ([], []),
+    # a record that is not JSON and a graph that fails preprocessing
+    "every_record_skipped": (
+        ["{not json", json.dumps({"id": "g0", "edges": [], "side": {"undeclared": {}}})],
+        ["--lenient"],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "records, extra", list(_NOTHING_TO_CLUSTER.values()), ids=list(_NOTHING_TO_CLUSTER)
+)
+def test_compare_without_graphs_reports_null_agreement(tmp_path, capsys, records, extra):
+    stream = tmp_path / "s.jsonl"
+    header = json.dumps({"schema": {"side_types": []}, "stream_version": 1})
+    stream.write_text("\n".join([header, *records]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert _compare(str(stream), tmp_path / "cmp", extra=extra) == EXIT_OK
+    report = json.loads((tmp_path / "cmp" / "compare.json").read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    assert report == {
+        "graphs": 0,
+        "agreement": None,
+        "distance_rel_error": {"median": None, "p90": None, "p99": None, "max": None},
+    }
+    for backend in ("sketch", "exact"):
+        assert (tmp_path / "cmp" / f"events_{backend}.jsonl").read_bytes() == b""
+    # cluster exits 0 on the same streams
+    assert _cluster(str(stream), tmp_path / "run", extra=extra) == EXIT_OK
+
+
 def _last_purity_row(path):
     processed, value = path.read_text(encoding="utf-8").splitlines()[-1].split(",")
     return int(processed), value

@@ -485,6 +485,59 @@ def test_from_bytes_rejects_another_version():
         Engine.from_bytes(bytes(blob))
 
 
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_takes_bytes_bytearray_and_memoryview(backend):
+    blob = _run_engine(backend).to_bytes()
+    for data in (blob, bytearray(blob), memoryview(blob)):
+        assert Engine.from_bytes(data).to_bytes() == blob
+
+
+def _raw_header(blob: bytes) -> bytes:
+    (hlen,) = struct.unpack_from("<I", blob, 5)
+    return blob[9 : 9 + hlen]
+
+
+def test_equal_configs_keep_their_own_header_bytes():
+    # 3 and 3.0 compare equal and hash alike but are written apart; each
+    # engine writes its own header, before and after a resume
+    pairs = [
+        (_config(p=3), _config(p=3.0)),
+        (_config(barrier=BarrierConfig(t=1)), _config(barrier=BarrierConfig(t=1.0))),
+    ]
+    for whole, fractional in pairs:
+        assert whole == fractional and hash(whole) == hash(fractional)
+        blobs = [Engine(c, SCHEMA).to_bytes() for c in (whole, fractional)]
+        assert _raw_header(blobs[0]) != _raw_header(blobs[1])
+        for _ in range(2):
+            for blob in blobs:
+                assert Engine.from_bytes(blob).to_bytes() == blob
+    assert b'"p": 3,' in _raw_header(Engine(_config(p=3), SCHEMA).to_bytes())
+    assert b'"p": 3.0,' in _raw_header(Engine(_config(p=3.0), SCHEMA).to_bytes())
+
+
+@pytest.mark.parametrize("fault", ["string_k", "array"])
+def test_a_bad_header_fails_every_time_and_leaves_good_ones_loading(fault):
+    blob = _run_engine().to_bytes()
+    bad = _with_header(blob, _HEADER_FAULTS[fault](_header_of(blob)))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="bad engine checkpoint header"):
+            Engine.from_bytes(bad)
+    assert Engine.from_bytes(blob).to_bytes() == blob
+    with pytest.raises(ValueError, match="bad engine checkpoint header"):
+        Engine.from_bytes(bad)
+
+
+def test_resumes_of_one_blob_share_one_immutable_config():
+    blob = _run_engine().to_bytes()
+    first, second = Engine.from_bytes(blob), Engine.from_bytes(bytearray(blob))
+    assert second.config is first.config and second.schema is first.schema
+    for engine in (first, second):
+        assert engine.bank.config is engine.config.sketch
+    assert second.bank is not first.bank
+    with pytest.raises(AttributeError):
+        first.config = _config(k=3)
+
+
 def test_each_graph_is_hashed_once_per_component(monkeypatch):
     cfg = SynthConfig(n_clusters=5, n_graphs=160, seed=19)
     schema = synth_schema(cfg)
@@ -518,8 +571,7 @@ def test_each_graph_is_hashed_once_per_component(monkeypatch):
 
 
 def _header_of(blob: bytes):
-    (hlen,) = struct.unpack_from("<I", blob, 5)
-    return json.loads(blob[9 : 9 + hlen])
+    return json.loads(_raw_header(blob))
 
 
 def _with_header(blob: bytes, header) -> bytes:
@@ -627,16 +679,56 @@ def _corrupt_masses(engine, value):
     maps[next(iter(maps))] = value
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def _corrupt_last_cell(engine, value):
+    engine.bank.cells[-1, len(engine.bank) - 1, -1, -1] = value
+
+
+def _corrupt_last_mass(engine, value):
+    maps = engine.bank.maps[len(engine.bank) - 1][-1]
+    maps[next(reversed(maps))] = value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0, -float("inf"), -1e-300])
 @pytest.mark.parametrize(
     "backend, corrupt",
-    [("sketch", _corrupt_cells), ("exact", _corrupt_masses)],
+    [
+        ("sketch", _corrupt_cells),
+        ("exact", _corrupt_masses),
+        ("sketch", _corrupt_last_cell),
+        ("exact", _corrupt_last_mass),
+    ],
 )
 def test_from_bytes_rejects_bad_first_moments(backend, corrupt, value):
     engine = _run_engine(backend)
     corrupt(engine, value)
     with pytest.raises(ValueError, match="negative or non-finite"):
         Engine.from_bytes(engine.to_bytes())
+
+
+def _set_empty_cell(engine, value):
+    # an empty cell of a grid that holds mass, so its rows still agree
+    grid = engine.bank.cells[0, 0]
+    row, col = np.argwhere(grid == 0.0)[0]
+    grid[row, col] = value
+
+
+@pytest.mark.parametrize("value", [-0.0, 5e-324, 2.0**-1030])
+@pytest.mark.parametrize(
+    "backend, corrupt", [("sketch", _set_empty_cell), ("exact", _corrupt_masses)]
+)
+def test_from_bytes_loads_signed_zero_and_subnormal_first_moments(backend, corrupt, value):
+    engine = _run_engine(backend)
+    corrupt(engine, value)
+    blob = engine.to_bytes()
+    assert Engine.from_bytes(blob).to_bytes() == blob
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_loads_an_engine_without_clusters(backend):
+    blob = Engine(_config(), SCHEMA, backend).to_bytes()
+    resumed = Engine.from_bytes(blob)
+    assert resumed.bank.second_moments[: len(resumed.bank)].size == 0
+    assert resumed.to_bytes() == blob
 
 
 def _scaled_engine() -> Engine:

@@ -1,6 +1,6 @@
 """Stateful differential test: a sketch engine and an exact engine driven
-through one random interleaving of processing, checkpoint and resume, and
-weight refreshes.
+through one random interleaving of processing, checkpoint and resume
+(twice from one blob, once through a memoryview), and weight refreshes.
 
 The stream and sketch are criterion 1's: integer masses, and a hash seed
 whose every component has a collision-free row over its whole key
@@ -75,6 +75,18 @@ class BackendsAgree(RuleBasedStateMachine):
     @rule()
     def checkpoint_and_resume(self):
         self.engines = [Engine.from_bytes(e.to_bytes()) for e in self.engines]
+
+    @rule(pick=st.integers(0, len(GRAPHS) - 1))
+    def resume_twice_from_one_blob(self, pick):
+        engines = []
+        for events, engine in zip(self.events, self.engines):
+            blob = engine.to_bytes()
+            a, b = Engine.from_bytes(blob), Engine.from_bytes(memoryview(blob))
+            assert a.to_bytes() == blob and b.to_bytes() == blob
+            events[:] = [a.process(GRAPHS[pick]).to_json()]
+            assert b.process(GRAPHS[pick]).to_json() == events[0]
+            engines.append(a)
+        self.engines = engines
 
     @precondition(lambda self: len(self.engines[0].bank) >= 2)
     @rule()
