@@ -32,7 +32,6 @@ from .model import (
     GraphView,
     SideType,
     StreamSchema,
-    canonical_graphs,
     graph_views,
     preprocess,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "StreamSchema",
     "SynthConfig",
     "assignment_agreement",
-    "canonical_graphs",
     "ensure_weights",
     "generate_graphs",
     "generate_stream",

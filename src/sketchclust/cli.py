@@ -37,7 +37,7 @@ from .evaluate import (
     purity_from_events,
     throughput,
 )
-from .model import StreamSchema, canonical_graphs
+from .model import StreamSchema, preprocess
 from .sketch import SketchConfig
 from .stream_io import StreamFormatError, iter_stream, read_header
 from .synth import SynthConfig, generate_stream
@@ -184,7 +184,7 @@ def _record_skipped(line_no: int, message: str) -> None:
 
 
 def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Engine]):
-    """Read ``args.input`` once, canonicalise each graph, feed it to every
+    """Read ``args.input`` once, preprocess each graph, feed it to every
     engine and write each event to that engine's events file.
 
     Without ``--lenient`` the first malformed record or graph aborts with a
@@ -200,13 +200,6 @@ def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Eng
         skipped += 1
         _record_skipped(line_no, message)
 
-    def graph_rejected(graph_id: str, message: str) -> None:
-        nonlocal skipped
-        if not args.lenient:
-            raise StreamFormatError(f"graph {graph_id!r}: {message}")
-        skipped += 1
-        _diag("warning", "graph skipped", graph=graph_id, reason=message)
-
     records = iter_stream(args.input, on_error=record_skipped if args.lenient else None)
     runs: list[list[AssignmentEvent]] = [[] for _ in engines]
     labels: dict[str, str] = {}
@@ -218,7 +211,15 @@ def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Eng
             (engine, events, stack.enter_context(open(path, "w", encoding="utf-8")))
             for (path, engine), events in zip(engines.items(), runs)
         ]
-        for g in canonical_graphs(records, schema, on_error=graph_rejected):
+        for record in records:
+            try:
+                g = preprocess(record, schema)
+            except ValueError as exc:
+                if not args.lenient:
+                    raise StreamFormatError(f"graph {record.id!r}: {exc}") from None
+                skipped += 1
+                _diag("warning", "graph skipped", graph=record.id, reason=str(exc))
+                continue
             if g.label is not None:
                 labels[g.id] = g.label
             edges += len(g.edges)

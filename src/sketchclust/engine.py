@@ -41,12 +41,11 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
-from typing import Callable, Iterable
 
 import numpy as np
 
 from .exact import ExactBank
-from .model import GraphObject, StreamSchema, canonical_graphs, from_json, graph_views
+from .model import GraphObject, StreamSchema, from_json, graph_views
 from .sketch import SketchConfig
 from .stats import ClusterBank, read_array, unpack_at
 from .weight_opt import BarrierConfig, TraceHook, refine_weights
@@ -143,25 +142,27 @@ def _fields(obj) -> dict:
 
 @dataclass(frozen=True)
 class _Header:
-    """The JSON header of a checkpoint."""
+    """The JSON header of a checkpoint; ``encoded`` is its bytes, encoded
+    on first use and then kept."""
 
     backend: str
     config: EngineConfig
     schema: StreamSchema
     record_distances: bool = False
 
-    def encode(self) -> bytes:
+    @functools.cached_property
+    def encoded(self) -> bytes:
         return json.dumps(self, default=_fields, sort_keys=True).encode("utf-8")
 
 
 @functools.lru_cache(maxsize=8)
-def _decode_header(raw: bytes) -> tuple[_Header, bytes]:
-    """A checkpoint's header and its canonical bytes, from its exact bytes.
-    Cached, so the checkpoints of one run share one decoded header. Keyed
-    by bytes, never by ``_Header`` equality: ``p=3`` and ``p=3.0`` compare
-    equal but encode apart. A bad header raises, and is not cached."""
-    header = from_json(_Header, json.loads(raw.decode("utf-8")))
-    return header, header.encode()
+def _decode_header(raw: bytes) -> _Header:
+    """A checkpoint's header, from its exact bytes. Cached, so the
+    checkpoints of one run share one decoded header (and its encoding).
+    Keyed by bytes, never by ``_Header`` equality: ``p=3`` and ``p=3.0``
+    compare equal but encode apart. A bad header raises, and is not
+    cached."""
+    return from_json(_Header, json.loads(raw.decode("utf-8")))
 
 
 def ensure_weights(weights, d: int) -> np.ndarray:
@@ -192,7 +193,6 @@ class Engine:
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}")
         self._header = _Header(backend, config, schema, record_distances)
-        self._header_bytes: bytes | None = None  # encoded by the first ``to_bytes``
         self.trace = trace
         self.weights = np.ones(schema.d + 1, dtype=np.float64)
         if backend == "sketch":
@@ -204,7 +204,9 @@ class Engine:
     # -- core loop -----------------------------------------------------------
 
     def process(self, g: GraphObject) -> AssignmentEvent:
-        """Route one canonicalized graph and return the resulting event."""
+        """Route one graph, as ``preprocess`` returns it, and return the
+        resulting event. ``process(preprocess(g, schema))`` over what
+        ``iter_stream`` yields is the one way a record reaches the engine."""
         bank, config = self.bank, self.config
         view = graph_views(g, self.schema, bank.config)
         now = self.graph_count + 1
@@ -243,23 +245,10 @@ class Engine:
             self.weights, self.bank.geometry(), self.config.barrier, trace=self.trace
         )
 
-    def run(
-        self,
-        graphs: Iterable[GraphObject],
-        on_error: Callable[[str, str], None] | None = None,
-    ) -> list[AssignmentEvent]:
-        """Preprocess and process a whole stream; returns the event per
-        accepted graph. ``on_error`` is as in ``model.canonical_graphs``.
-        """
-        graphs = canonical_graphs(graphs, self.schema, on_error)
-        return [self.process(g) for g in graphs]
-
     # -- checkpointing ---------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        header = self._header_bytes
-        if header is None:
-            header = self._header_bytes = self._header.encode()
+        header = self._header.encoded
         parts = [
             _MAGIC,
             struct.pack("<BI", _VERSION, len(header)),
@@ -282,14 +271,14 @@ class Engine:
         if version != _VERSION:
             raise ValueError(f"unsupported engine checkpoint version {version}")
         try:
-            header, encoded = _decode_header(bytes(data[9 : 9 + hlen]))
+            header = _decode_header(bytes(data[9 : 9 + hlen]))
             engine = cls(
                 header.config, header.schema, header.backend, header.record_distances, trace
             )
         except ValueError as exc:
             # not JSON, or a header field that is missing, unknown or of the wrong type
             raise ValueError(f"bad engine checkpoint header: {exc!r}") from None
-        engine._header_bytes = encoded
+        engine._header = header  # shared, with its bytes, by every resume from it
         off = 9 + hlen
         graph_count, wlen = unpack_at("<QI", data, off)
         off += 12

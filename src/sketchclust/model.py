@@ -28,7 +28,7 @@ import numbers
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -291,27 +291,6 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
             side[name] = cleaned
 
     return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)
-
-
-def canonical_graphs(
-    graphs: Iterable[GraphObject],
-    schema: StreamSchema,
-    on_error: Callable[[str, str], None] | None = None,
-) -> Iterator[GraphObject]:
-    """Preprocess a stream lazily, one graph at a time.
-
-    A graph that ``preprocess`` rejects re-raises its ``ValueError``, or,
-    given ``on_error``, is skipped after reporting ``on_error(graph_id, message)``.
-    """
-    for g in graphs:
-        try:
-            canonical = preprocess(g, schema)
-        except ValueError as exc:
-            if on_error is None:
-                raise
-            on_error(g.id if isinstance(g.id, str) else "?", str(exc))
-            continue
-        yield canonical
 
 
 class GraphView:

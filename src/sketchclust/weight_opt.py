@@ -47,16 +47,17 @@ class BarrierConfig:
     weight_floor: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.t > 0:
-            raise ValueError("t must be positive")
-        if not self.step_size > 0:
-            raise ValueError("step_size must be positive")
+        # an infinite step never halves below _MIN_STEP, so a refresh would not end
+        if not 0 < self.t < math.inf:
+            raise ValueError("t must be positive and finite")
+        if not 0 < self.step_size < math.inf:
+            raise ValueError("step_size must be positive and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
         if not 0 < self.feasibility_margin < 1:
             raise ValueError("feasibility_margin must lie in (0, 1)")
-        if not self.weight_floor >= 0:
-            raise ValueError("weight_floor must be >= 0")
+        if not 0 <= self.weight_floor < math.inf:
+            raise ValueError("weight_floor must be >= 0 and finite")
 
 
 @dataclass

@@ -19,6 +19,8 @@ straightforward way:
   member list;
 * ``filled(bank, *clusters)``: a library bank with one slot per member
   list, for tests that read the code that runs;
+* ``process_all(engine, graphs)``: the library's ingest loop, each raw
+  graph through ``preprocess`` into ``Engine.process``;
 * ``barrier_objective``, ``barrier_gradient`` and ``refine_weights``: the
   weight optimizer as it was before it evaluated each candidate once, kept
   verbatim as the bitwise oracle for ``weight_opt.refine_weights``.
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from sketchclust import BarrierConfig, ClusterGeometry, GraphView, SketchConfig
+from sketchclust import BarrierConfig, ClusterGeometry, GraphView, SketchConfig, preprocess
 from sketchclust.weight_opt import TraceHook
 
 
@@ -316,6 +318,11 @@ def filled(bank, *clusters):
             else:
                 bank.absorb(slot, view, now)
     return bank
+
+
+def process_all(engine, graphs) -> list:
+    """The event of each raw graph, preprocessed and processed in order."""
+    return [engine.process(preprocess(g, engine.schema)) for g in graphs]
 
 
 _MIN_STEP = 1e-18

@@ -17,6 +17,7 @@ from reference import (
     ClusterStats,
     CountMinSketch,
     members_intra_sq,
+    process_all,
     separating_rows,
 )
 from sketchclust import (
@@ -654,14 +655,16 @@ def test_c11_degenerate_inputs_complete_cleanly():
 
     # entirely empty graphs
     eng = _engine(edgeless_schema)
-    events = eng.run(
+    events = process_all(
+        eng,
         [GraphObject(id=f"e{i}", ts=i, edges=[], side={}) for i in range(8)]
     )
     checks.append(("empty_graphs", len(events) == 8 and _state_ok(eng, 2)))
 
     # single-node graphs (self loop is the only expressible edge)
     eng = _engine(edgeless_schema)
-    events = eng.run(
+    events = process_all(
+        eng,
         [
             GraphObject(id=f"s{i}", ts=i, edges=[("a", "a", 1.0)], side={})
             for i in range(6)
@@ -671,7 +674,8 @@ def test_c11_degenerate_inputs_complete_cleanly():
 
     # schema with zero side types runs on edges alone
     eng = _engine(edgeless_schema)
-    eng.run(
+    process_all(
+        eng,
         [
             GraphObject(id=f"d{i}", ts=i, edges=[(f"n{i % 3}", "hub", 2.0)], side={})
             for i in range(10)
@@ -693,7 +697,7 @@ def test_c11_degenerate_inputs_complete_cleanly():
         )
         for i in range(12)
     ]
-    events = eng.run(dup)
+    events = process_all(eng, dup)
     round_trip = Engine.from_bytes(eng.to_bytes())
     checks.append(
         (
@@ -717,7 +721,7 @@ def test_c11_degenerate_inputs_complete_cleanly():
         )
         for i in range(9)
     ]
-    events = eng.run(mixed)
+    events = process_all(eng, mixed)
     distances_collapse = all(
         ev.es_distance_sq == 0.0 and ev.spread == 0.0
         for ev in events

@@ -13,9 +13,11 @@ import sketchclust
 from sketchclust import (
     AssignmentEvent,
     Engine,
-    canonical_graphs,
+    EngineConfig,
+    SketchConfig,
     cli,
     iter_stream,
+    preprocess,
     purity_from_events,
     read_header,
 )
@@ -386,6 +388,9 @@ def test_bad_engine_config_exits_1(tmp_path):
     assert _cluster(stream, tmp_path / "o", extra=["--p", "-1.0"]) == EXIT_USAGE
     # an infinite p would make the first spread inf * 0 and its event unwritable
     assert _cluster(stream, tmp_path / "o", extra=["--p", "inf"]) == EXIT_USAGE
+    # an infinite step stays infinite under halving, so a refresh would never end
+    for flag in ("--step-size", "--barrier-t"):
+        assert _cluster(stream, tmp_path / "o", extra=[flag, "inf"]) == EXIT_USAGE
     assert not (tmp_path / "o").exists()
 
 
@@ -552,13 +557,14 @@ def _last_purity_row(path):
 
 def test_run_complete_counts_what_lenient_mode_kept(tmp_path, capsys):
     stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
-    broken, _ = _with_undeclared_side_type(tmp_path, stream)  # one bad graph
+    broken, bad_id = _with_undeclared_side_type(tmp_path, stream)  # one bad graph
     lines = open(broken, "r", encoding="utf-8").read().splitlines(keepends=True)
     lines[3] = "{not json\n"  # one bad record
     both = tmp_path / "both.jsonl"
     both.write_text("".join(lines), encoding="utf-8")
     schema = read_header(str(both))
-    kept = list(canonical_graphs(iter_stream(str(both), lambda *_: None), schema, lambda *_: None))
+    records = iter_stream(str(both), lambda *_: None)
+    kept = [preprocess(g, schema) for g in records if g.id != bad_id]
     capsys.readouterr()
 
     out = tmp_path / "run"
@@ -632,3 +638,63 @@ def test_float_fault_exits_3_with_one_json_line(tmp_path):
     )
     assert [json.loads(l)["graph_id"] for l in (out / "events.jsonl").open()] == ["a", "b"]
     assert not (out / "checkpoint.bin").exists()
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_cluster_writes_what_the_library_loop_gives(tmp_path, backend, lenient):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=90)
+    bad_id = None
+    extra = ["--backend", backend]
+    if lenient:
+        stream, bad_id = _with_undeclared_side_type(tmp_path, stream)  # one bad graph
+        lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
+        lines[3] = "{not json\n"  # one bad record
+        Path(stream).write_text("".join(lines), encoding="utf-8")
+        extra.append("--lenient")
+    out = tmp_path / "run"
+    assert _cluster(stream, out, extra=extra) == EXIT_OK
+
+    schema = read_header(stream)
+    config = EngineConfig(k=3, gamma=40, sketch=SketchConfig(cols=512))
+    assert json.loads((out / "manifest.json").read_text())["config"] == config.to_dict()
+    engine = Engine(config, schema, backend)
+    records = iter_stream(stream, (lambda *_: None) if lenient else None)
+    events = [engine.process(preprocess(g, schema)) for g in records if g.id != bad_id]
+    assert len(events) == (88 if lenient else 90)
+    lines = "".join(e.to_json() + "\n" for e in events)
+    assert (out / "events.jsonl").read_text(encoding="utf-8") == lines
+    assert (out / "checkpoint.bin").read_bytes() == engine.to_bytes()
+
+
+def test_trace_weights_reports_each_step_and_changes_no_output(tmp_path, capsys):
+    stream = _synth(tmp_path / "s.jsonl")  # 120 graphs: refreshes at 40, 80 and 120
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    capsys.readouterr()
+    assert _cluster(stream, plain) == EXIT_OK
+    plain_diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    assert [d["level"] for d in plain_diags] == ["info"]
+    assert _cluster(stream, traced, extra=["--trace-weights"]) == EXIT_OK
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    assert diags[-1]["message"] == "run complete"
+    traces = diags[:-1]
+    assert {(d["level"], d["message"]) for d in traces} == {("trace", "weight_opt")}
+
+    # each refresh: its accepted steps numbered 0, 1, ..., then its final record
+    refreshes, steps = [], []
+    for d in traces:
+        if "final_weights" in d:
+            assert d.keys() == {"level", "message", "final_weights", "pairs", "dropped_pairs"}
+            refreshes.append((steps, d))
+            steps = []
+        else:
+            assert d.keys() == {"level", "message", "step", "objective", "step_size"}
+            assert d["step"] == len(steps)
+            steps.append(d)
+    assert steps == [] and len(refreshes) == 3
+    assert all(len(s) > 0 and final["pairs"] == 3 for s, final in refreshes)
+    weights = json.loads((traced / "weights.json").read_text())["weights"]
+    assert refreshes[-1][1]["final_weights"] == weights
+
+    for name in ("events.jsonl", "weights.json", "checkpoint.bin", "manifest.json"):
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name

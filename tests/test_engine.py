@@ -8,6 +8,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from reference import process_all
 from sketchclust import (
     ACTION_ASSIGNED,
     ACTION_INITIALIZED,
@@ -113,7 +114,7 @@ def test_from_json_rejects_a_wrong_type_in_every_field_and_unknown_keys(cls):
 
 def test_first_k_graphs_initialize():
     engine = Engine(_config(k=3), SCHEMA)
-    events = engine.run([_graph(i, [("a", f"n{i}", 1.0)]) for i in range(3)])
+    events = process_all(engine, [_graph(i, [("a", f"n{i}", 1.0)]) for i in range(3)])
     assert [e.action for e in events] == [ACTION_INITIALIZED] * 3
     assert [e.cluster_index for e in events] == [0, 1, 2]
     assert engine.bank.n.tolist() == [1, 1, 1]
@@ -122,8 +123,8 @@ def test_first_k_graphs_initialize():
 def test_near_graph_is_assigned():
     # singleton target: unconditional admit regardless of spread
     engine = Engine(_config(k=2, gamma=1000), SCHEMA)
-    engine.run([_graph(0, [("a", "b", 1.0)]), _graph(1, [("x", "y", 9.0)])])
-    event = engine.run([_graph(2, [("a", "b", 1.0)])])[0]
+    process_all(engine, [_graph(0, [("a", "b", 1.0)]), _graph(1, [("x", "y", 9.0)])])
+    event = process_all(engine, [_graph(2, [("a", "b", 1.0)])])[0]
     assert event.action == ACTION_ASSIGNED
     assert event.cluster_index == 0
     assert engine.bank.count(0) == 2
@@ -133,7 +134,8 @@ def test_far_graph_replaces_stalest():
     engine = Engine(_config(k=2, gamma=1000), SCHEMA)
     # grow both clusters past the singleton bypass, leaving nonzero spread,
     # then send something far from both
-    engine.run(
+    process_all(
+        engine,
         [
             _graph(0, [("a", "b", 1.0)]),
             _graph(1, [("x", "y", 5.0)]),
@@ -143,7 +145,7 @@ def test_far_graph_replaces_stalest():
         ]
     )
     assert engine.bank.n.tolist() == [2, 3]
-    event = engine.run([_graph(5, [("q", "r", 50.0)])])[0]
+    event = process_all(engine, [_graph(5, [("q", "r", 50.0)])])[0]
     assert event.action == ACTION_REPLACED
     assert event.cluster_index == 0  # smallest t_last
     assert engine.bank.count(0) == 1
@@ -155,7 +157,8 @@ def test_zero_spread_cluster_rejects_even_duplicates():
     # identical members leave spread 0; the strict comparison sends an
     # exact duplicate to replacement once no singleton is nearer
     engine = Engine(_config(k=2, gamma=1000), SCHEMA)
-    engine.run(
+    process_all(
+        engine,
         [
             _graph(0, [("x", "y", 5.0)]),
             _graph(1, [("a", "b", 1.0)]),
@@ -163,7 +166,7 @@ def test_zero_spread_cluster_rejects_even_duplicates():
             _graph(3, [("a", "b", 2.0)]),
         ]
     )
-    event = engine.run([_graph(4, [("x", "y", 5.0)])])[0]
+    event = process_all(engine, [_graph(4, [("x", "y", 5.0)])])[0]
     assert event.action == ACTION_REPLACED
     assert event.es_distance_sq == pytest.approx(0.0)
     assert event.spread == pytest.approx(0.0)
@@ -171,7 +174,8 @@ def test_zero_spread_cluster_rejects_even_duplicates():
 
 def test_replacement_picks_minimum_t_last():
     engine = Engine(_config(k=3, gamma=1000), SCHEMA)
-    engine.run(
+    process_all(
+        engine,
         [
             _graph(0, [("a", "b", 1.0)]),
             _graph(1, [("x", "y", 5.0)]),
@@ -181,18 +185,18 @@ def test_replacement_picks_minimum_t_last():
             _graph(5, [("u", "v", 10.0)]),  # cluster 2, t_last 6
         ]
     )
-    e1 = engine.run([_graph(6, [("q", "q2", 80.0)])])[0]
+    e1 = process_all(engine, [_graph(6, [("q", "q2", 80.0)])])[0]
     assert (e1.action, e1.cluster_index) == (ACTION_REPLACED, 0)
     # fresh singleton at index 0 now has the newest t_last; next stalest
     # is cluster 1, and a graph near plain heavy edges lands there
-    e2 = engine.run([_graph(7, [("z", "z2", 40.0)])])[0]
+    e2 = process_all(engine, [_graph(7, [("z", "z2", 40.0)])])[0]
     assert (e2.action, e2.cluster_index) == (ACTION_REPLACED, 1)
 
 
 def test_nearest_tie_breaks_to_lowest_index():
     engine = Engine(_config(k=2, gamma=1000), SCHEMA)
-    engine.run([_graph(0, [("a", "b", 2.0)]), _graph(1, [("a", "b", 2.0)])])
-    event = engine.run([_graph(2, [("a", "b", 2.0)])])[0]
+    process_all(engine, [_graph(0, [("a", "b", 2.0)]), _graph(1, [("a", "b", 2.0)])])
+    event = process_all(engine, [_graph(2, [("a", "b", 2.0)])])[0]
     assert event.cluster_index == 0
 
 
@@ -235,23 +239,29 @@ def test_optimize_weights_false_keeps_equal_weights():
         ),
         schema,
     )
-    engine.run(generate_graphs(cfg))
+    process_all(engine, generate_graphs(cfg))
     assert np.array_equal(engine.weights, np.ones(schema.d + 1))
 
 
+def _check_rejected(bad: GraphObject, match: str) -> None:
+    """A run over g0, ``bad``, g1 stops at ``bad`` with a ValueError from
+    ``preprocess``, before the engine sees it. Going on past it, as
+    ``--lenient`` does, leaves the engine as a run without it would."""
+    g0, g1 = _graph(0, [("a", "b", 1.0)]), _graph(1, [("c", "d", 1.0)])
+    engine = Engine(_config(), SCHEMA)
+    with pytest.raises(ValueError, match=match):
+        process_all(engine, [g0, bad, g1])
+    assert engine.graph_count == 1
+    process_all(engine, [g1])
+    clean = Engine(_config(), SCHEMA)
+    process_all(clean, [g0, g1])
+    assert engine.to_bytes() == clean.to_bytes()
+    assert Engine.from_bytes(engine.to_bytes()).graph_count == 2
+
+
 def test_run_strict_and_lenient():
-    engine = Engine(_config(), SCHEMA)
     bad = GraphObject(id="bad", side={"undeclared": {"x": 1.0}})
-    with pytest.raises(ValueError):
-        engine.run([bad])
-    engine = Engine(_config(), SCHEMA)
-    skipped: list[str] = []
-    events = engine.run(
-        [_graph(0, [("a", "b", 1.0)]), bad, _graph(1, [("c", "d", 1.0)])],
-        on_error=lambda gid, msg: skipped.append(gid),
-    )
-    assert [e.graph_id for e in events] == ["g0", "g1"]
-    assert skipped == ["bad"]
+    _check_rejected(bad, "side type 'undeclared' not declared in schema")
 
 
 @pytest.mark.parametrize("where", ["edge", "side"])
@@ -260,15 +270,7 @@ def test_run_skips_a_mass_beyond_float_range(where):
         huge = _graph(9, [("a", "b", 10**400)])
     else:
         huge = _graph(9, [("a", "b", 1.0)], {"x": 10**400})
-    with pytest.raises(ValueError, match="must be finite"):
-        Engine(_config(), SCHEMA).run([huge])
-    skipped: list[str] = []
-    events = Engine(_config(), SCHEMA).run(
-        [_graph(0, [("a", "b", 1.0)]), huge, _graph(1, [("c", "d", 1.0)])],
-        on_error=lambda gid, msg: skipped.append(gid),
-    )
-    assert [e.graph_id for e in events] == ["g0", "g1"]
-    assert skipped == ["g9"]
+    _check_rejected(huge, "must be finite")
 
 
 @pytest.mark.parametrize(
@@ -282,24 +284,13 @@ def test_run_skips_a_mass_beyond_float_range(where):
     ids=["square", "merged_sum", "sum_of_squares", "side"],
 )
 def test_run_skips_a_mass_whose_square_overflows(edges, side):
-    huge = _graph(9, edges, side)
-    with pytest.raises(ValueError, match="must have a finite sum of squares"):
-        Engine(_config(), SCHEMA).run([huge])
-    skipped: list[str] = []
-    engine = Engine(_config(), SCHEMA)
-    events = engine.run(
-        [_graph(0, [("a", "b", 1.0)]), huge, _graph(1, [("c", "d", 1.0)])],
-        on_error=lambda gid, msg: skipped.append(gid),
-    )
-    assert [e.graph_id for e in events] == ["g0", "g1"]
-    assert skipped == ["g9"]
-    assert Engine.from_bytes(engine.to_bytes()).graph_count == 2
+    _check_rejected(_graph(9, edges, side), "must have a finite sum of squares")
 
 
 def test_a_mass_whose_square_stays_finite_is_kept():
     # 1e154 squares to 1e308, just inside float range
     engine = Engine(_config(), SCHEMA)
-    (event,) = engine.run([_graph(0, [("a", "b", 1e154)], {"x": 1e154})])
+    (event,) = process_all(engine, [_graph(0, [("a", "b", 1e154)], {"x": 1e154})])
     assert event.graph_id == "g0"
 
 
@@ -342,8 +333,8 @@ def test_event_json_rejects_non_finite_distance():
 
 def test_record_distances_attaches_matrix():
     engine = Engine(_config(k=2, gamma=1000), SCHEMA, record_distances=True)
-    engine.run([_graph(0, [("a", "b", 1.0)]), _graph(1, [("x", "y", 3.0)])])
-    event = engine.run([_graph(2, [("a", "b", 1.0)])])[0]
+    process_all(engine, [_graph(0, [("a", "b", 1.0)]), _graph(1, [("x", "y", 3.0)])])
+    event = process_all(engine, [_graph(2, [("a", "b", 1.0)])])[0]
     assert event.distances is not None
     assert len(event.distances) == 2
     assert len(event.distances[0]) == SCHEMA.d + 1
@@ -359,7 +350,7 @@ def test_deterministic_rerun():
             EngineConfig(k=3, gamma=25, sketch=SketchConfig(rows=5, cols=128, seed=4)),
             schema,
         )
-        return [e.to_json() for e in engine.run(graphs)]
+        return [e.to_json() for e in process_all(engine, graphs)]
 
     assert run_once() == run_once()
 
@@ -387,8 +378,8 @@ def test_sketch_and_exact_agree_in_collision_free_regime():
         schema,
         backend="exact",
     )
-    sk_events = [e.to_json() for e in sketch_engine.run(graphs)]
-    ex_events = [e.to_json() for e in exact_engine.run(graphs)]
+    sk_events = [e.to_json() for e in process_all(sketch_engine, graphs)]
+    ex_events = [e.to_json() for e in process_all(exact_engine, graphs)]
     assert sk_events == ex_events
 
 
@@ -400,7 +391,7 @@ def test_checkpoint_round_trip(tmp_path):
         EngineConfig(k=3, gamma=20, sketch=SketchConfig(rows=5, cols=128, seed=6)),
         schema,
     )
-    engine.run(graphs[:60])
+    process_all(engine, graphs[:60])
     path = tmp_path / "engine.bin"
     path.write_bytes(engine.to_bytes())
     resumed = Engine.from_bytes(path.read_bytes())
@@ -413,8 +404,8 @@ def test_checkpoint_round_trip(tmp_path):
     assert resumed.to_bytes() == engine.to_bytes()
 
     # resuming must continue exactly like the uninterrupted run
-    tail_a = [e.to_json() for e in engine.run(graphs[60:])]
-    tail_b = [e.to_json() for e in resumed.run(graphs[60:])]
+    tail_a = [e.to_json() for e in process_all(engine, graphs[60:])]
+    tail_b = [e.to_json() for e in process_all(resumed, graphs[60:])]
     assert tail_a == tail_b
     assert engine.to_bytes() == resumed.to_bytes()
 
@@ -427,9 +418,9 @@ def test_checkpoint_size_independent_of_stream_length():
         EngineConfig(k=3, gamma=50, sketch=SketchConfig(rows=4, cols=64, seed=1)),
         schema,
     )
-    engine.run(graphs[:100])
+    process_all(engine, graphs[:100])
     size_small = len(engine.to_bytes())
-    engine.run(graphs[100:])
+    process_all(engine, graphs[100:])
     assert len(engine.to_bytes()) == size_small
 
 
@@ -443,7 +434,7 @@ def test_from_bytes_rejects_garbage():
 
 def _run_engine(backend: str = "sketch", **config) -> Engine:
     engine = Engine(_config(**config), SCHEMA, backend)
-    engine.run([_graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)])
+    process_all(engine, [_graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)])
     return engine
 
 
@@ -606,6 +597,13 @@ _HEADER_FAULTS = {
     "string_step_size": lambda h: _with_config(
         h, barrier={**h["config"]["barrier"], "step_size": "0.1"}
     ),
+    "inf_step_size": lambda h: _with_config(
+        h, barrier={**h["config"]["barrier"], "step_size": float("inf")}
+    ),
+    "inf_t": lambda h: _with_config(h, barrier={**h["config"]["barrier"], "t": float("inf")}),
+    "inf_weight_floor": lambda h: _with_config(
+        h, barrier={**h["config"]["barrier"], "weight_floor": float("inf")}
+    ),
     "nan_weight_floor": lambda h: _with_config(
         h, barrier={**h["config"]["barrier"], "weight_floor": float("nan")}
     ),
@@ -653,7 +651,8 @@ def _splice_clusters(head: Engine, clusters: Engine) -> bytes:
 def test_from_bytes_rejects_clusters_unlike_the_header(backend):
     wide = StreamSchema(side_types=(SideType("topics"), SideType("tags")))
     engine_d2 = Engine(_config(), wide, backend)
-    engine_d2.run(
+    process_all(
+        engine_d2,
         [_graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)]
     )
     engine_d1 = _run_engine(backend)
@@ -735,13 +734,19 @@ def _scaled_engine() -> Engine:
     """A sketch engine over 60 graphs of non-integer masses."""
     rng = random.Random(5)
     engine = Engine(_config(), SCHEMA)
-    engine.run(
-        _graph(
-            i,
-            [("a", f"n{i % 7}", rng.uniform(0.1, 3.0)), ("b", f"n{i % 5}", rng.uniform(0.1, 3.0))],
-            {f"t{i % 4}": rng.uniform(0.1, 3.0)},
-        )
-        for i in range(60)
+    process_all(
+        engine,
+        [
+            _graph(
+                i,
+                [
+                    ("a", f"n{i % 7}", rng.uniform(0.1, 3.0)),
+                    ("b", f"n{i % 5}", rng.uniform(0.1, 3.0)),
+                ],
+                {f"t{i % 4}": rng.uniform(0.1, 3.0)},
+            )
+            for i in range(60)
+        ],
     )
     return engine
 
@@ -769,14 +774,19 @@ def test_from_bytes_loads_rows_rounded_apart_on_large_integer_masses():
     rng = random.Random(11)
     schema = StreamSchema(side_types=(SideType("ts"),))
     engine = Engine(_config(p=1e40, sketch=SketchConfig(rows=4, cols=4, seed=0)), schema)
-    engine.run(
-        GraphObject(
-            id=f"g{i}",
-            ts=i,
-            edges=[("a", f"n{i % 3}", 1.0)],
-            side={"ts": {f"t{j}": 1_700_000_000_000_000 + rng.randrange(10**9) for j in range(6)}},
-        )
-        for i in range(12)
+    process_all(
+        engine,
+        [
+            GraphObject(
+                id=f"g{i}",
+                ts=i,
+                edges=[("a", f"n{i % 3}", 1.0)],
+                side={
+                    "ts": {f"t{j}": 1_700_000_000_000_000 + rng.randrange(10**9) for j in range(6)}
+                },
+            )
+            for i in range(12)
+        ],
     )
     assert np.any(_row_gaps(engine) > 0.0)
     blob = engine.to_bytes()
@@ -791,7 +801,8 @@ def test_from_bytes_loads_whole_cells_rounded_from_fractional_masses():
     schema = StreamSchema(side_types=(SideType("t"),))
     engine = Engine(_config(sketch=SketchConfig(rows=2, cols=2, seed=0)), schema)
     side = {"k0": 2.0**52, "k4": 0.5, "k9": 0.5}
-    engine.run(
+    process_all(
+        engine,
         [
             GraphObject(id="g0", ts=0, edges=[("u", "v", 1.0)], side={"t": side}),
             GraphObject(id="g1", ts=1, edges=[("p", "q", 1.0)], side={}),
@@ -849,7 +860,7 @@ def test_from_bytes_rejects_a_cluster_without_members(backend):
 def test_from_bytes_rejects_fewer_clusters_than_a_run_holds(backend, graphs):
     # a run holds min(graph_count, k) clusters: k=5 at 30 graphs, 3 at 3
     engine = Engine(_config(k=5), SCHEMA, backend)
-    engine.run([_graph(i, [("a", f"n{i % 7}", 1.0)], {"x": 1.0}) for i in range(graphs)])
+    process_all(engine, [_graph(i, [("a", f"n{i % 7}", 1.0)], {"x": 1.0}) for i in range(graphs)])
     assert len(engine.bank) == min(graphs, 5)
     engine.bank.size -= 1  # the last slot cut out
     with pytest.raises(ValueError, match="a run with k=5 holds"):

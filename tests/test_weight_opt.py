@@ -79,6 +79,11 @@ def test_barrier_config_validation():
         BarrierConfig(feasibility_margin=1.0)
     with pytest.raises(ValueError):
         BarrierConfig(weight_floor=-1e-9)
+    # an infinite step stays infinite under halving, so a refresh would never end
+    for field in ("t", "step_size", "weight_floor"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError, match=f"^{field} must be .* finite$"):
+                BarrierConfig(**{field: value})
 
 
 def test_geometry_from_clusters():
