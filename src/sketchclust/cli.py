@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import ExitStack
@@ -48,6 +49,10 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
+# throughput.csv prints elapsed time to 3 decimals, so a shorter window
+# would only add rows that it cannot tell apart
+_MIN_WINDOW_S = 0.001
+
 
 class _UsageError(Exception):
     pass
@@ -66,10 +71,12 @@ def _diag(level: str, message: str, **fields) -> None:
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _positive_float(text: str) -> float:
+def _window_seconds(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, not {text}")
+    if not _MIN_WINDOW_S <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and at least {_MIN_WINDOW_S} s, not {text}"
+        )
     return value
 
 
@@ -125,7 +132,7 @@ def _build_parser() -> _Parser:
                            help="record per-cluster distances in events")
     p_cluster.add_argument("--trace-weights", action="store_true",
                            help="emit weight optimizer trace to stderr")
-    p_cluster.add_argument("--throughput-window", type=_positive_float, default=0.5)
+    p_cluster.add_argument("--throughput-window", type=_window_seconds, default=0.5)
 
     p_compare = sub.add_parser(
         "compare", help="run sketch and exact backends and compare them"

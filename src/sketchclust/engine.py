@@ -59,8 +59,27 @@ ACTION_REPLACED = "replaced_stale"
 
 BACKENDS = ("sketch", "exact")
 
-# one encoder for every event: ``json.dumps`` with options builds a new one per call
+# ``json.dumps(..., sort_keys=True, allow_nan=False)``, built once. Its
+# ``encode`` still builds a C encoder on every call, so ``to_json`` writes
+# strings, ints, finite floats and None itself and passes only the rest here.
 _EVENT_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False)
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_value(x) -> str:
+    """``x`` as ``_EVENT_ENCODER`` writes it. A str, int, finite float or
+    None is written here; anything else (the distance lists, a non-finite
+    float, which raises) goes through the encoder."""
+    kind = type(x)
+    if kind is float and math.isfinite(x):
+        return float.__repr__(x)
+    if kind is str:
+        return _encode_str(x)
+    if kind is int:
+        return int.__repr__(x)
+    if x is None:
+        return "null"
+    return _EVENT_ENCODER.encode(x)
 
 
 @dataclass(frozen=True)
@@ -121,7 +140,17 @@ class AssignmentEvent:
         return out
 
     def to_json(self) -> str:
-        return _EVENT_ENCODER.encode(self.to_dict())
+        """``to_dict`` as ``json.dumps(..., sort_keys=True, allow_nan=False)``
+        writes it, byte for byte: the keys in sorted order."""
+        distances = (
+            "" if self.distances is None else f'"distances": {_json_value(self.distances)}, '
+        )
+        return (
+            f'{{"action": {_json_value(self.action)}, '
+            f'"cluster_index": {_json_value(self.cluster_index)}, {distances}'
+            f'"es_distance_sq": {_json_value(self.es_distance_sq)}, '
+            f'"graph_id": {_json_value(self.graph_id)}, "spread": {_json_value(self.spread)}}}'
+        )
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AssignmentEvent":
@@ -217,7 +246,7 @@ class Engine:
         else:
             comp_sq = bank.distances_sq(view)
             es_all = comp_sq @ self.weights
-            nearest = int(np.argmin(es_all))  # first minimum: lowest index
+            nearest = int(es_all.argmin())  # first minimum: lowest index
             best = float(es_all[nearest])
             n = bank.count(nearest)
             spread = (config.p / n) * float(bank.intra_sq(nearest) @ self.weights)

@@ -15,6 +15,7 @@ slots still agree perfectly.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -118,8 +119,8 @@ def throughput(
     short to hold a complete window yields no samples rather than an
     undefined rate.
     """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
+    if not 0 < window_s < math.inf:
+        raise ValueError("window_s must be positive and finite")
     if len(marks) < 2:
         return []
     times = np.asarray([m[0] for m in marks], dtype=np.float64)

@@ -293,6 +293,14 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)
 
 
+@functools.cache
+def _component_ids(m: int) -> np.ndarray:
+    """``arange(m)``, built once per component count and read-only."""
+    ids = np.arange(m)
+    ids.flags.writeable = False
+    return ids
+
+
 class GraphView:
     """One graph's keys and masses, flat, in component order.
 
@@ -324,11 +332,14 @@ class GraphView:
         if values.shape != (n,) or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n:
             raise ValueError("need one value per key and bounds from 0 to the key count")
         spans = list(zip(bounds, bounds[1:]))
-        self.comp = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
-        parts = [values[a:b] for a, b in spans]
-        self.sq_sum = np.array([part.dot(part) for part in parts], dtype=np.float64)
-        self.block = np.zeros((n, len(spans)), dtype=np.float64)
-        self.block[np.arange(n), self.comp] = values
+        self.comp = np.repeat(_component_ids(len(spans)), [b - a for a, b in spans])
+        self.block = block = np.zeros((n, len(spans)), dtype=np.float64)
+        sq_sum = []
+        for c, (a, b) in enumerate(spans):
+            part = values[a:b]
+            block[a:b, c] = part
+            sq_sum.append(part.dot(part))
+        self.sq_sum = np.array(sq_sum, dtype=np.float64)
         self.config = config
         self.buckets = None if config is None else config.buckets(keys)
 

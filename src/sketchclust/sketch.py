@@ -26,6 +26,7 @@ checkpoint stores the config in its header and the grids as plain arrays
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import random
@@ -33,6 +34,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+# A key's 64-bit blake2b digest, as two C calls mapped over the keys.
+_HASH = functools.partial(hashlib.blake2b, digest_size=8)
+_DIGEST = hashlib.blake2b.digest
+
 
 @dataclass(frozen=True)
 class SketchConfig:
@@ -68,11 +74,13 @@ class SketchConfig:
 
     def buckets(self, keys: Sequence[bytes]) -> np.ndarray:
         """Cell index of each key in each row, shape (rows, len(keys)), intp."""
-        digests = b"".join(hashlib.blake2b(k, digest_size=8).digest() for k in keys)
+        digests = b"".join(map(_DIGEST, map(_HASH, keys)))
         x = np.frombuffer(digests, dtype="<u8")
-        mixed = self._mult * x + self._add
+        idx = self._mult * x
+        idx += self._add
         # Keep the high product bits: the low bits of a*x mod 2^64 depend only
         # on the low bits of x, which would make rows collide in lockstep for
         # power-of-two column counts.
-        idx = (mixed >> np.uint64(32)) % np.uint64(self.cols)
+        idx >>= np.uint64(32)
+        idx %= np.uint64(self.cols)
         return idx.astype(np.intp)

@@ -140,7 +140,8 @@ class Bank:
         self._check(view)
         if now < 0:
             raise ValueError("timestamp must be nonnegative")
-        if not bool(np.all(view.values >= 0.0)):
+        # one reduction: NaN fails the comparison, and -0.0 passes it
+        if view.values.size and not view.values.min() >= 0.0:
             raise ValueError("negative or NaN update value")
         self._add(slot, view)
         self.second_moments[slot] += view.sq_sum
@@ -175,7 +176,7 @@ class Bank:
 
     def stalest(self) -> int:
         """The slot updated longest ago, ties to the lowest index."""
-        return int(np.argmin(self.t_last[: self.size]))
+        return int(self.t_last[: self.size].argmin())
 
     def geometry(self) -> ClusterGeometry:
         """The weight optimizer's snapshot of the live clusters: the summed

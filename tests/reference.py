@@ -23,11 +23,15 @@ straightforward way:
   graph through ``preprocess`` into ``Engine.process``;
 * ``barrier_objective``, ``barrier_gradient`` and ``refine_weights``: the
   weight optimizer as it was before it evaluated each candidate once, kept
-  verbatim as the bitwise oracle for ``weight_opt.refine_weights``.
+  verbatim as the bitwise oracle for ``weight_opt.refine_weights``;
+* ``view_arrays`` and ``digest_buckets``: ``GraphView``'s derived arrays
+  and ``SketchConfig.buckets`` as they were built before their per-graph
+  overhead was cut, kept verbatim as their bitwise oracles.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 from typing import Iterable, Sequence
 
@@ -412,3 +416,25 @@ def refine_weights(
             }
         )
     return w
+
+
+def view_arrays(values, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A view's ``comp``, ``sq_sum`` and ``block``, built as before."""
+    values = np.array(values, dtype=np.float64)
+    n = len(values)
+    spans = list(zip(bounds, bounds[1:]))
+    comp = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
+    parts = [values[a:b] for a, b in spans]
+    sq_sum = np.array([part.dot(part) for part in parts], dtype=np.float64)
+    block = np.zeros((n, len(spans)), dtype=np.float64)
+    block[np.arange(n), comp] = values
+    return comp, sq_sum, block
+
+
+def digest_buckets(config: SketchConfig, keys: Sequence[bytes]) -> np.ndarray:
+    """``config.buckets(keys)``, digesting each key in a generator as before."""
+    digests = b"".join(hashlib.blake2b(k, digest_size=8).digest() for k in keys)
+    x = np.frombuffer(digests, dtype="<u8")
+    mixed = config._mult * x + config._add
+    idx = (mixed >> np.uint64(32)) % np.uint64(config.cols)
+    return idx.astype(np.intp)

@@ -372,7 +372,16 @@ def test_usage_errors_exit_1():
 
 
 @pytest.mark.parametrize(
-    "flags", [["--throughput-window", "0"], ["--purity-every", "-1"]], ids=["window", "purity"]
+    "flags",
+    [
+        ["--throughput-window", "0"],
+        # 1e-9 would ask throughput() for 10**9 rows a second of run
+        ["--throughput-window", "1e-9"],
+        ["--throughput-window", "inf"],
+        ["--throughput-window", "nan"],
+        ["--purity-every", "-1"],
+    ],
+    ids=["window", "window-1e-9", "window-inf", "window-nan", "purity"],
 )
 def test_bad_run_flags_exit_1_before_the_run(tmp_path, capsys, flags):
     stream = _synth(tmp_path / "s.jsonl", n_graphs=10)

@@ -1,12 +1,15 @@
 """Streaming engine: initialization, admission, replacement, checkpoints."""
 
 import json
+import math
 import random
 import struct
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reference import process_all
 from sketchclust import (
@@ -328,6 +331,50 @@ def test_event_from_dict_rejects_malformed_records(fault):
 def test_event_json_rejects_non_finite_distance():
     event = AssignmentEvent("g1", ACTION_ASSIGNED, 0, float("inf"), 2.5)
     with pytest.raises(ValueError):
+        event.to_json()
+
+
+# Characters json escapes: quotes, backslashes, control characters,
+# non-ASCII and lone surrogates (which no UTF-8 stream carries, but a str can).
+_ID_CHARS = st.one_of(
+    st.characters(),
+    st.characters(codec=None, categories=["Cs"]),
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\xe9\U0001f600'),
+)
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308, -1e308])
+# what a float field can hold: floats (non-finite ones too), an int as
+# ``from_dict`` keeps it, or None
+_NUMBERS = st.one_of(st.floats(), _EDGE_FLOATS, st.integers(), st.none())
+
+
+@given(
+    graph_id=st.text(_ID_CHARS),
+    action=st.one_of(st.sampled_from([ACTION_INITIALIZED, ACTION_ASSIGNED, ACTION_REPLACED]),
+                     st.text(_ID_CHARS)),
+    cluster_index=st.integers(min_value=0),
+    es_distance_sq=_NUMBERS,
+    spread=_NUMBERS,
+    distances=st.none() | st.lists(st.lists(st.floats() | _EDGE_FLOATS | st.integers())),
+)
+def test_event_json_is_json_dumps_of_its_dict(
+    graph_id, action, cluster_index, es_distance_sq, spread, distances
+):
+    event = AssignmentEvent(graph_id, action, cluster_index, es_distance_sq, spread, distances)
+    try:
+        expected = json.dumps(event.to_dict(), sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a non-finite value
+        with pytest.raises(ValueError, match=str(exc)):
+            event.to_json()
+    else:
+        assert event.to_json() == expected
+
+
+@pytest.mark.parametrize("field", ["es_distance_sq", "spread", "distances"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_event_json_rejects_each_non_finite_value(field, value):
+    event = AssignmentEvent("g1", ACTION_ASSIGNED, 0, 1.0, 2.0, [[0.5, 1.5]])
+    setattr(event, field, [[0.5, value]] if field == "distances" else value)
+    with pytest.raises(ValueError, match="not JSON compliant"):
         event.to_json()
 
 

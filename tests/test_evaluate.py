@@ -146,6 +146,9 @@ def test_throughput_short_span_yields_nothing():
 def test_throughput_rejects_bad_input():
     with pytest.raises(ValueError):
         throughput([(0.0, 0), (1.0, 10)], window_s=0.0)
+    for window_s in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            throughput([(0.0, 0), (1.0, 10)], window_s=window_s)
     with pytest.raises(ValueError):
         throughput([(1.0, 0), (0.5, 10)], window_s=1.0)
     with pytest.raises(ValueError):

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from reference import view_arrays
 from sketchclust import (
     GraphObject,
     GraphView,
@@ -207,6 +210,30 @@ def test_graph_views_empty_components():
     assert view.sq_sum.tolist() == [0.0, 0.0]
     assert view.block.shape == (0, 2)
     assert view.buckets.shape == (3, 0)
+
+
+@st.composite
+def _flat_views(draw):
+    """Values (any float64, NaN, -0.0 and subnormals included) cut into
+    1..5 components, some of them empty, the empty view among them."""
+    values = draw(st.lists(st.floats(width=64), max_size=12))
+    cuts = draw(st.lists(st.integers(0, len(values)), max_size=4))
+    return values, [0, *sorted(cuts), len(values)]
+
+
+@given(_flat_views())
+@example(([], [0, 0]))
+@example(([], [0, 0, 0, 0]))
+@example(([-0.0, 2.0], [0, 0, 2, 2]))
+def test_view_arrays_are_bitwise_the_reference_construction(flat):
+    values, bounds = flat
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite squares
+        view = GraphView(tuple(b"k%d" % i for i in range(len(values))), values, bounds)
+        reference = view_arrays(values, bounds)
+    for name, want in zip(("comp", "sq_sum", "block"), reference):
+        got = getattr(view, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_canonicalize_is_idempotent():

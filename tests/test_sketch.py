@@ -5,8 +5,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from reference import CountMinSketch, separating_rows
+from reference import CountMinSketch, digest_buckets, separating_rows
 from sketchclust import SketchConfig
 
 
@@ -176,6 +178,21 @@ def test_hash_rows_are_deterministic():
     assert np.array_equal(first, SketchConfig(rows=5, cols=64, seed=42).buckets(keys))
     other = SketchConfig(rows=5, cols=64, seed=43).buckets(keys)
     assert not np.array_equal(first, other)
+
+
+@given(
+    keys=st.lists(st.binary(max_size=40), max_size=30),
+    rows=st.integers(1, 12),
+    cols=st.integers(2, 1 << 20),
+    seed=st.integers(-(2**63), 2**63 - 1),
+)
+@example(keys=[], rows=3, cols=8, seed=0)
+def test_buckets_equal_the_per_key_digests(keys, rows, cols, seed):
+    cfg = SketchConfig(rows=rows, cols=cols, seed=seed)
+    got, want = cfg.buckets(keys), digest_buckets(cfg, keys)
+    assert got.dtype == want.dtype == np.intp
+    assert got.shape == want.shape == (rows, len(keys))
+    assert np.array_equal(got, want)
 
 
 def test_separating_rows_sees_collisions():

@@ -3,18 +3,24 @@ bank's checkpoint section."""
 
 import random
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reference import ClusterStats, separating_rows
 from sketchclust import (
     GraphObject,
+    GraphView,
     SideType,
     SketchConfig,
     StreamSchema,
     graph_views,
     preprocess,
 )
+from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
@@ -212,3 +218,35 @@ def test_views_hashed_for_one_config_serve_another():
                 assert np.array_equal(reused.cells[comp, slot], c.sketches[comp].cells)
         for view in shared:
             assert np.array_equal(reused.distances_sq(view), fresh.distances_sq(view))
+
+
+_BANKS = {"sketch": lambda: ClusterBank(_cfg(), SCHEMA.d, 2), "exact": lambda: ExactBank(SCHEMA.d, 2)}
+
+
+@pytest.mark.parametrize("backend", sorted(_BANKS))
+@given(
+    values=st.lists(
+        st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan]),
+        max_size=8,
+    ),
+    cut=st.integers(0, 8),
+)
+@example(values=[], cut=0)
+@example(values=[-0.0, 0.0], cut=1)
+@example(values=[1.0, math.nan], cut=1)
+@example(values=[-5e-324], cut=0)
+def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
+    """A graph is absorbed unless a value is negative or NaN (``-0.0`` and
+    the empty view are absorbed); a rejected one leaves the bank as it was."""
+    bank = _BANKS[backend]()
+    bank.add(GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
+    before = b"".join(bank.to_parts())
+    cut = min(cut, len(values))
+    view = GraphView(tuple(b"k%d" % i for i in range(len(values))), values, (0, cut, len(values)))
+    if any(v < 0.0 or math.isnan(v) for v in values):
+        with pytest.raises(ValueError, match="negative or NaN"):
+            bank.absorb(0, view, 2)
+        assert b"".join(bank.to_parts()) == before
+    else:
+        bank.absorb(0, view, 2)
+        assert (bank.count(0), bank.t_last[0]) == (2, 2)
