@@ -312,11 +312,11 @@ class GraphView:
     (row ``i`` holds ``values[i]`` in column ``comp[i]``), so one product
     with it sums per-key terms into per-component ones. Given a sketch
     config, ``buckets`` holds the keys' cells in every row ``(rows, N)``,
-    hashed once in one call; a bank with another config hashes the keys
-    itself.
+    hashed once in one call, and is None otherwise; a sketch bank reads
+    them and rejects a view without them.
     """
 
-    __slots__ = ("keys", "values", "bounds", "comp", "sq_sum", "block", "config", "buckets")
+    __slots__ = ("keys", "values", "bounds", "comp", "sq_sum", "block", "buckets")
 
     def __init__(
         self,
@@ -340,7 +340,6 @@ class GraphView:
             block[a:b, c] = part
             sq_sum.append(part.dot(part))
         self.sq_sum = np.array(sq_sum, dtype=np.float64)
-        self.config = config
         self.buckets = None if config is None else config.buckets(keys)
 
     @property

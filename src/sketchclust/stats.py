@@ -121,10 +121,11 @@ class Bank:
     # -- updates -----------------------------------------------------------
 
     def add(self, view: GraphView, now: int) -> int:
-        """Found a cluster on one graph in the next free slot; returns it."""
+        """Found a cluster on one graph in the next free slot; returns it.
+        A rejected graph leaves the slot free."""
         slot = self.size
-        self.size += 1
         self.absorb(slot, view, now)
+        self.size += 1
         return slot
 
     def reset(self, slot: int, view: GraphView, now: int) -> None:
@@ -284,8 +285,9 @@ class ClusterBank(Bank):
     Scoring it gathers every key's cells in every live slot at once
     (``cells[comp, :m, row, bucket]``); absorbing it is one scatter into the
     slot's d+1 grids and one batched row-square product. The weight refresh
-    takes every pair's cross products from one batched product. The cells
-    checkpoint as one ``f8[d+1, m, rows, cols]`` block.
+    takes every pair's cross products from one batched product: a gemm of
+    slots ``0..m-2`` against slots ``1..m-1`` that fills the pairs
+    ``i < j``. The cells checkpoint as one ``f8[d+1, m, rows, cols]`` block.
     """
 
     def __init__(self, config: SketchConfig, d: int, k: int):
@@ -293,18 +295,16 @@ class ClusterBank(Bank):
         self.config = config
         self.cells = np.zeros((d + 1, k, config.rows, config.cols), dtype=np.float64)
 
-    def _buckets(self, view: GraphView) -> np.ndarray:
-        """The view's buckets; its keys hashed here if it was built for
-        another config or none."""
-        if view.config is self.config or view.config == self.config:
-            return view.buckets
-        return self.config.buckets(view.keys)
+    def _check(self, view: GraphView) -> None:
+        super()._check(view)
+        if view.buckets is None:
+            raise ValueError("a sketch bank needs the view's keys hashed for its config")
 
     def _clear(self, slot: int) -> None:
         self.cells[:, slot] = 0.0
 
     def _add(self, slot: int, view: GraphView) -> None:
-        index = (view.comp, self.config._row_span, self._buckets(view))
+        index = (view.comp, self.config._row_span, view.buckets)
         np.add.at(self.cells[:, slot], index, view.values)
         self._square_rows(slot)
 
@@ -316,14 +316,21 @@ class ClusterBank(Bank):
 
     def _estimates(self, view: GraphView) -> np.ndarray:
         # (rows, N, m) cells, min over rows, as (m, N)
-        gathered = self.cells[view.comp, : self.size, self.config._row_span, self._buckets(view)]
+        gathered = self.cells[view.comp, : self.size, self.config._row_span, view.buckets]
         return gathered.min(0).T
 
     def _pair_cross(self) -> np.ndarray:
-        # (d+1, rows, m, cols) @ (d+1, rows, cols, m), min over rows,
-        # as (m, m, d+1).
-        by_row = self.cells[:, : self.size].transpose(0, 2, 1, 3)
-        return np.matmul(by_row, by_row.transpose(0, 1, 3, 2)).min(1).transpose(1, 2, 0)
+        # Slots 0..m-2 against slots 1..m-1, (d+1, rows, m-1, cols) @
+        # (d+1, rows, cols, m-1), min over rows: one gemm on views, holding
+        # every pair i < j, into out[:-1, 1:]. Row m-1 and column 0 stay
+        # zero; geometry reads i < j only. (The square product of all
+        # slots goes to BLAS syrk, which is slower at these sizes.)
+        m = self.size
+        by_row = self.cells[:, :m].transpose(0, 2, 1, 3)
+        cross = by_row[:, :, :-1] @ by_row[:, :, 1:].transpose(0, 1, 3, 2)
+        out = np.zeros((m, m, self.d + 1), dtype=np.float64)
+        out[:-1, 1:] = cross.min(1).transpose(1, 2, 0)
+        return out
 
     def _write_first(self, m: int) -> list:
         # the array's own buffer: joined by the caller without another copy

@@ -16,6 +16,12 @@ more than 1. f is convex on the feasible region {w >= 0 : all Q_ij > 1}
 
 Each candidate is evaluated once, for its objective and its pair roots
 sqrt(Q_ij(w)); the gradient at an accepted candidate comes from those roots.
+A step is halved until its candidate ``max(w - s*grad, floor)`` improves
+the objective, and the descent stops at the first rejected candidate that
+equals ``w``. That stop is exact: rounding and the floor are monotone in
+the step, so each smaller step's candidate lies between ``w`` (at or above
+the floor, as it equals a candidate) and this one: it equals ``w`` as well
+and is rejected.
 Infeasibility is a value, not a fault: the objective is +inf outside the
 region, and ``refine_weights`` first restores feasibility by
 homogeneously rescaling the weights, which changes no cluster decisions
@@ -81,19 +87,21 @@ class ClusterGeometry:
 
 
 def _evaluate(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
-    """The objective at ``w`` and the pair roots ``sqrt(Q_ij(w))``, or
-    ``(inf, None)`` when some pair separation is <= 1."""
+    """The objective at ``w`` and the pair roots and separations
+    ``(sqrt(Q_ij(w)), sqrt(Q_ij(w)) - 1)``, or ``(inf, None)`` when some
+    pair separation is <= 1."""
     root = np.sqrt(geom.inter_sq @ w)
     sep = root - 1.0
     if sep.size and not sep.min() > 0.0:  # NaN fails too
         return math.inf, None
-    return cfg.t * float(geom.intra @ w) - 2.0 * float(np.log(sep).sum()), root
+    return cfg.t * float(geom.intra @ w) - 2.0 * float(np.log(sep).sum()), (root, sep)
 
 
-def _gradient(t_intra: np.ndarray, geom: ClusterGeometry, root: np.ndarray) -> np.ndarray:
-    """The gradient at the feasible point whose pair roots are ``root``;
-    ``t_intra`` is ``t * intra``."""
-    return t_intra - geom.inter_sq.T @ (1.0 / (root * (root - 1.0)))
+def _gradient(t_intra: np.ndarray, geom: ClusterGeometry, roots) -> np.ndarray:
+    """The gradient at the feasible point whose pair roots and separations
+    ``_evaluate`` returned as ``roots``; ``t_intra`` is ``t * intra``."""
+    root, sep = roots
+    return t_intra - geom.inter_sq.T @ (1.0 / (root * sep))
 
 
 def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
@@ -129,21 +137,23 @@ def refine_weights(
     if len(geom.pairs) == 0:
         return w
     w = _rescale_feasible(w, geom, cfg)
-    value, root = _evaluate(w, geom, cfg)
+    value, roots = _evaluate(w, geom, cfg)
     t_intra = cfg.t * geom.intra
     step = cfg.step_size
     for step_no in range(cfg.max_steps):
-        if root is None:
+        if roots is None:
             raise ValueError("gradient needs a strictly feasible point")
-        grad = _gradient(t_intra, geom, root)
+        grad = _gradient(t_intra, geom, roots)
         accepted = False
         while step >= _MIN_STEP:
             candidate = np.maximum(w - step * grad, cfg.weight_floor)
-            cand_value, cand_root = _evaluate(candidate, geom, cfg)
+            cand_value, cand_roots = _evaluate(candidate, geom, cfg)
             if cand_value < value:
-                w, value, root = candidate, cand_value, cand_root
+                w, value, roots = candidate, cand_value, cand_roots
                 accepted = True
                 break
+            if cand_value == value and np.array_equal(candidate, w):
+                break  # every smaller step rounds to w too
             step *= 0.5
         if not accepted:
             break

@@ -26,7 +26,10 @@ straightforward way:
   verbatim as the bitwise oracle for ``weight_opt.refine_weights``;
 * ``view_arrays`` and ``digest_buckets``: ``GraphView``'s derived arrays
   and ``SketchConfig.buckets`` as they were built before their per-graph
-  overhead was cut, kept verbatim as their bitwise oracles.
+  overhead was cut, kept verbatim as their bitwise oracles;
+* ``pair_cross``: ``ClusterBank._pair_cross`` as it was before it became
+  one gemm of slots ``0..m-2`` against slots ``1..m-1``: the square
+  product of all slots (BLAS syrk), kept verbatim as its oracle.
 """
 
 from __future__ import annotations
@@ -438,3 +441,12 @@ def digest_buckets(config: SketchConfig, keys: Sequence[bytes]) -> np.ndarray:
     mixed = config._mult * x + config._add
     idx = (mixed >> np.uint64(32)) % np.uint64(config.cols)
     return idx.astype(np.intp)
+
+
+def pair_cross(bank) -> np.ndarray:
+    """``bank._pair_cross()`` of a ``ClusterBank``, as the square product
+    of every live slot's rows, ``(m, m, d+1)`` with every pair filled."""
+    # (d+1, rows, m, cols) @ (d+1, rows, cols, m), min over rows,
+    # as (m, m, d+1).
+    by_row = bank.cells[:, : bank.size].transpose(0, 2, 1, 3)
+    return np.matmul(by_row, by_row.transpose(0, 1, 3, 2)).min(1).transpose(1, 2, 0)

@@ -511,6 +511,11 @@ def _separating_config(members, d: int) -> SketchConfig:
     raise AssertionError("no separating seed in range")
 
 
+def _hashed(view: GraphView, config: SketchConfig) -> GraphView:
+    """The view with its keys hashed for ``config``, as a sketch bank reads it."""
+    return GraphView(view.keys, view.values, view.bounds, config)
+
+
 def test_c09_closed_form_intra_matches_member_sum():
     rnd = random.Random(9)
     clusters_checked = 0
@@ -547,7 +552,7 @@ def test_c09_closed_form_intra_matches_member_sum():
         bank = ClusterBank(_separating_config(members, schema.d), schema.d, 1)
         for now, view in enumerate(members, start=1):
             _absorb(exact, view, now)
-            _absorb(bank, view, now)
+            _absorb(bank, _hashed(view, bank.config), now)
         exact_intra = exact.intra_sq(0)
         bank_intra = bank.intra_sq(0)
         for comp in range(schema.d + 1):
@@ -587,7 +592,7 @@ def test_c09_closed_form_intra_survives_a_long_stream():
     bank = ClusterBank(_separating_config(members, schema.d), schema.d, 1)
     for now, view in enumerate(members, start=1):
         _absorb(exact, view, now)
-        _absorb(bank, view, now)
+        _absorb(bank, _hashed(view, bank.config), now)
 
     worst = {"exact": 0.0, "sketch": 0.0}
     worst_of_intra = 0.0

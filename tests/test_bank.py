@@ -16,12 +16,15 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from reference import (
     ClusterStats,
     cluster_geometry,
     component_distances_sq,
     intra_vector_sq,
+    pair_cross,
 )
 from sketchclust import (
     ACTION_ASSIGNED,
@@ -38,6 +41,7 @@ from sketchclust import (
     refine_weights,
     synth_schema,
 )
+from sketchclust.stats import ClusterBank
 
 
 def _bank_bytes(clusters: list[ClusterStats]) -> bytes:
@@ -193,3 +197,53 @@ def test_bank_matches_per_cluster_reference(stream, integer):
         check(np.array(event.distances), np.sqrt(comp_sq))
     check(engine.weights, weights)
     assert not np.array_equal(weights, np.ones(schema.d + 1))
+
+
+@given(
+    d=st.integers(0, 3),
+    rows=st.integers(1, 4),
+    cols=st.integers(2, 12),
+    m=st.integers(2, 8),
+    spare=st.integers(0, 3),
+    zero_slot=st.none() | st.integers(0, 7),
+    integer=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=1, rows=3, cols=8, m=2, spare=0, zero_slot=0, integer=True, seed=1)
+@example(d=2, rows=10, cols=12, m=16, spare=0, zero_slot=5, integer=False, seed=2)
+def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slot, integer, seed):
+    """The gemm of slots ``0..m-2`` against ``1..m-1`` gives every pair
+    ``i < j`` the syrk product's value: bitwise on whole cells, within the
+    module's ``rtol=1e-12`` otherwise; on whole cells the geometry built on
+    it is bitwise the one built on the syrk product. ``m`` runs from 2 to
+    the bank's ``k``, and a live slot may be all zero."""
+    rng = np.random.default_rng(seed)
+    bank = ClusterBank(SketchConfig(rows=rows, cols=cols), d, m + spare)
+    # every slot filled, the dead ones too, so a read past m would show
+    shape = bank.cells.shape
+    if integer:
+        cells = rng.integers(1, 1000, shape).astype(np.float64)
+    else:
+        cells = rng.uniform(0.0, 100.0, shape)
+    cells[rng.random(shape) < rng.uniform(0.0, 0.9)] = 0.0
+    if zero_slot is not None:
+        cells[:, zero_slot % m] = 0.0
+    bank.cells[...] = cells
+    bank.size = m
+    bank.n[:m] = rng.integers(1, 6, m)
+    bank._square_rows(slice(0, m))
+    bank.second_moments[:m] = bank.self_sq[:, :m].T * rng.uniform(1.0, 2.0, (m, d + 1))
+
+    got, want = bank._pair_cross(), pair_cross(bank)
+    assert got.shape == want.shape == (m, m, d + 1)
+    first, second = np.triu_indices(m, 1)
+    if not integer:
+        np.testing.assert_allclose(got[first, second], want[first, second], rtol=1e-12, atol=0.0)
+        return
+    assert got[first, second].tobytes() == want[first, second].tobytes()
+    geom = bank.geometry()
+    bank._pair_cross = lambda: pair_cross(bank)
+    oracle = bank.geometry()
+    assert (geom.pairs, geom.dropped) == (oracle.pairs, oracle.dropped)
+    assert geom.intra.tobytes() == oracle.intra.tobytes()
+    assert geom.inter_sq.tobytes() == oracle.inter_sq.tobytes()

@@ -31,13 +31,13 @@ def _graph(i: int, edges, topics) -> GraphObject:
 
 def _component_sq(g: GraphObject, bank, comp: int) -> float:
     """The squared component distance from ``g`` to the bank's slot 0."""
-    return bank.distances_sq(graph_views(g, SCHEMA))[0, comp]
+    return bank.distances_sq(graph_views(g, SCHEMA, bank.config))[0, comp]
 
 
 def _cluster(*graphs: GraphObject, bank=None):
     """A one-slot bank (exact unless given) holding ``graphs``."""
     bank = bank if bank is not None else ExactBank(SCHEMA.d, 2)
-    return filled(bank, [graph_views(g, SCHEMA) for g in graphs])
+    return filled(bank, [graph_views(g, SCHEMA, bank.config) for g in graphs])
 
 
 def test_ensure_weights():
@@ -145,8 +145,8 @@ def test_es_distance_weighted_sum():
 
 
 def test_empty_cluster_and_bad_component_rejected():
-    probe = graph_views(_graph(0, [("a", "b", 1.0)], {}), SCHEMA)
     for bank in (ExactBank(SCHEMA.d, 2), ClusterBank(SketchConfig(), SCHEMA.d, 2)):
+        probe = graph_views(_graph(0, [("a", "b", 1.0)], {}), SCHEMA, bank.config)
         # an empty bank scores no cluster, and has no geometry
         assert bank.distances_sq(probe).shape == (0, SCHEMA.d + 1)
         with pytest.raises(ValueError, match="two nonempty"):
@@ -157,7 +157,8 @@ def test_empty_cluster_and_bad_component_rejected():
         # a graph with more or fewer components than the schema
         g = _graph(0, [("a", "b", 1.0)], {})
         wide = StreamSchema(side_types=(SideType("topics"), SideType("tags")))
-        for view in (graph_views(g, StreamSchema()), graph_views(g, wide)):
+        for schema in (StreamSchema(), wide):
+            view = graph_views(g, schema, bank.config)
             with pytest.raises(ValueError, match="component count"):
                 bank.distances_sq(view)
             with pytest.raises(ValueError, match="component count"):

@@ -91,7 +91,7 @@ def test_parity_with_sketch_backend_when_separated():
     assert cfg is not None, "no separating seed found"
 
     # three clusters over the first nine graphs; the rest are probes
-    clusters = [[graph_views(g, SCHEMA) for g in graphs[i:9:3]] for i in range(3)]
+    clusters = [[graph_views(g, SCHEMA, cfg) for g in graphs[i:9:3]] for i in range(3)]
     sketch = filled(ClusterBank(cfg, SCHEMA.d, 3), *clusters)
     exact = filled(ExactBank(SCHEMA.d, 3), *clusters)
     for g in graphs[9:]:

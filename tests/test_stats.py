@@ -186,38 +186,20 @@ def test_from_bytes_rejects_garbage():
         ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob), 0)
 
 
-def test_views_hashed_for_one_config_serve_another():
-    # Views hashed for seed 1 feed banks of seeds 1 and 2; the seed-2 bank
-    # hashes their keys itself and must hold what fresh seed-2 views give,
-    # and both must hold what the per-cluster reference holds.
-    rng = random.Random(43)
-    graphs = [
-        _graph(
-            i,
-            [(f"n{rng.randrange(5)}", f"n{rng.randrange(5)}", 1.0)],
-            {f"t{rng.randrange(7)}": float(rng.randrange(1, 4))},
-        )
-        for i in range(10)
-    ]
-    shared = [graph_views(g, SCHEMA, _cfg(1)) for g in graphs]
-    for seed in (1, 2):
-        reused = ClusterBank(_cfg(seed), SCHEMA.d, 2)
-        fresh = ClusterBank(_cfg(seed), SCHEMA.d, 2)
-        reference = [ClusterStats.empty(_cfg(seed), SCHEMA.d) for _ in range(2)]
-        for i, (g, view) in enumerate(zip(graphs, shared)):
-            own = graph_views(g, SCHEMA, _cfg(seed))
-            for bank, v in ((reused, view), (fresh, own)):
-                if len(bank) < 2:
-                    bank.add(v, i)
-                else:
-                    bank.absorb(i % 2, v, i)
-            reference[i % 2].absorb_views(view, i)
-        assert np.array_equal(reused.cells, fresh.cells)
-        for slot, c in enumerate(reference):
-            for comp in range(SCHEMA.d + 1):
-                assert np.array_equal(reused.cells[comp, slot], c.sketches[comp].cells)
-        for view in shared:
-            assert np.array_equal(reused.distances_sq(view), fresh.distances_sq(view))
+def test_sketch_bank_rejects_a_view_without_buckets():
+    # The engine hashes each view for its bank's config; a sketch bank
+    # given a view hashed for none says so and is left as it was.
+    cfg = _cfg(1)
+    bank = _bank(cfg, 3, 6, 47)
+    before = b"".join(bank.to_parts())
+    bare = graph_views(_graph(9, [("n0", "n1", 1.0)], {"t0": 2.0}), SCHEMA)
+    assert bare.buckets is None
+    for call in (bank.distances_sq, lambda view: bank.absorb(0, view, 9)):
+        with pytest.raises(ValueError, match="hashed for its config"):
+            call(bare)
+    with pytest.raises(ValueError, match="hashed for its config"):
+        bank.add(bare, 9)
+    assert len(bank) == 2 and b"".join(bank.to_parts()) == before
 
 
 _BANKS = {"sketch": lambda: ClusterBank(_cfg(), SCHEMA.d, 2), "exact": lambda: ExactBank(SCHEMA.d, 2)}
@@ -239,10 +221,11 @@ def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
     """A graph is absorbed unless a value is negative or NaN (``-0.0`` and
     the empty view are absorbed); a rejected one leaves the bank as it was."""
     bank = _BANKS[backend]()
-    bank.add(GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
+    bank.add(GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2), bank.config), 1)
     before = b"".join(bank.to_parts())
     cut = min(cut, len(values))
-    view = GraphView(tuple(b"k%d" % i for i in range(len(values))), values, (0, cut, len(values)))
+    keys = tuple(b"k%d" % i for i in range(len(values)))
+    view = GraphView(keys, values, (0, cut, len(values)), bank.config)
     if any(v < 0.0 or math.isnan(v) for v in values):
         with pytest.raises(ValueError, match="negative or NaN"):
             bank.absorb(0, view, 2)

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import reference
 from reference import filled
@@ -20,6 +22,7 @@ from sketchclust import (
     preprocess,
     refine_weights,
 )
+from sketchclust import weight_opt
 from sketchclust.exact import ExactBank
 from sketchclust.weight_opt import _evaluate, _gradient
 
@@ -58,8 +61,8 @@ def _objective(w, geom: ClusterGeometry, cfg: BarrierConfig) -> float:
 
 def _grad(w, geom: ClusterGeometry, cfg: BarrierConfig) -> np.ndarray:
     """The gradient the optimizer takes at a feasible ``w``."""
-    root = _evaluate(np.asarray(w, dtype=np.float64), geom, cfg)[1]
-    return _gradient(cfg.t * geom.intra, geom, root)
+    roots = _evaluate(np.asarray(w, dtype=np.float64), geom, cfg)[1]
+    return _gradient(cfg.t * geom.intra, geom, roots)
 
 
 def _feasible_point(rng: random.Random, geom: ClusterGeometry) -> np.ndarray:
@@ -316,12 +319,13 @@ def _oracle_case(rng: random.Random, case: int):
 
 
 def _outcome(refine, geom, w, cfg):
-    """The weights' bytes and trace records, or the raised ValueError."""
+    """The weights' bytes and trace records, or the raised ValueError (or
+    OverflowError, as a rescale of subnormal weights raises)."""
     records: list[dict] = []
     try:
         out = refine(w.copy(), geom, cfg, trace=records.append)
-    except ValueError as exc:
-        return ("ValueError", str(exc)), records
+    except (ValueError, OverflowError) as exc:
+        return (type(exc).__name__, str(exc)), records
     return (out.dtype.str, out.shape, out.tobytes()), records
 
 
@@ -337,3 +341,92 @@ def test_refine_weights_matches_the_reference_bit_for_bit():
         raised += expected[0][0] == "ValueError"
     assert set(seen) == {"feasible", "infeasible", "restart", "boundary", "nan"}
     assert raised >= 40  # the boundary and NaN starts that descend
+
+
+_SEPARATION = st.just(0.0) | st.floats(1e-3, 4.0)
+
+
+@st.composite
+def _geometries(draw):
+    """A geometry of d+1 = 1..4 components and 1..30 pairs, components of
+    zero intra or separation included, and a config whose floor may be
+    positive."""
+    n = draw(st.integers(1, 4))
+    intra = draw(st.lists(st.just(0.0) | st.floats(0.0, 5.0), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(_SEPARATION, min_size=n, max_size=n), min_size=1, max_size=30))
+    for row in rows:
+        if not any(row):
+            row[draw(st.integers(0, n - 1))] = draw(st.floats(0.5, 4.0))
+    geom = ClusterGeometry(
+        intra=np.array(intra, dtype=np.float64),
+        pairs=[(0, i + 1) for i in range(len(rows))],
+        inter_sq=np.array(rows, dtype=np.float64),
+        dropped=[],
+    )
+    cfg = BarrierConfig(
+        t=draw(st.sampled_from([0.05, 1.0, 3.7, 50.0])),
+        step_size=draw(st.sampled_from([0.01, 0.1, 1.0])),
+        max_steps=draw(st.sampled_from([0, 1, 5, 25, 60])),
+        weight_floor=draw(st.sampled_from([0.0, 1e-4, 0.01, 0.5, 2.0])),
+    )
+    return geom, cfg
+
+
+@given(
+    case=_geometries(),
+    start=st.lists(st.just(0.0) | st.floats(0.0, 3.0), min_size=4, max_size=4),
+)
+@example(
+    case=(
+        ClusterGeometry(np.array([4.0, 3.0, 1.0]), [(0, 1)], np.array([[0.5, 0.3, 2.0]]), []),
+        BarrierConfig(step_size=1.0, weight_floor=0.5),
+    ),
+    start=[0.1, 0.2, 0.3, 0.0],
+)
+@example(
+    case=(
+        ClusterGeometry(np.zeros(3), [(0, 1)], np.array([[1.0, 1.0, 1.0]]), []),
+        BarrierConfig(),
+    ),
+    start=[0.0, 0.0, 5e-324, 0.0],
+)
+def test_refine_weights_matches_the_reference_on_random_geometries(case, start):
+    """The library's descent, which stops early, and the reference's, which
+    halves every step to the end, return the same bits and trace records;
+    starting weights may lie below the floor."""
+    geom, cfg = case
+    w = np.array(start[: len(geom.intra)], dtype=np.float64)
+    expected = _outcome(reference.refine_weights, geom, w, cfg)
+    assert _outcome(refine_weights, geom, w, cfg) == expected
+
+
+def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
+    # The optimum sits on the floor in components 0 and 1 and is reached
+    # before max_steps. Every smaller step's candidate then rounds to the
+    # weights, so one rejected candidate equal to them ends the descent.
+    geom = ClusterGeometry(
+        intra=np.array([4.0, 3.0, 1.0]),
+        pairs=[(0, 1)],
+        inter_sq=np.array([[0.5, 0.3, 2.0]]),
+        dropped=[],
+    )
+    cfg = BarrierConfig(step_size=1.0, weight_floor=0.01)
+    evaluated: list[np.ndarray] = []
+    evaluate = weight_opt._evaluate
+
+    def recording(w, geom, cfg):
+        evaluated.append(w.copy())
+        return evaluate(w, geom, cfg)
+
+    monkeypatch.setattr(weight_opt, "_evaluate", recording)
+    records: list[dict] = []
+    out = refine_weights([1.0, 1.0, 1.0], geom, cfg, trace=records.append)
+    assert out[:2].tolist() == [0.01, 0.01]
+    assert len(records) - 1 < cfg.max_steps
+    # the start, then candidates: the last accepted one equals the result
+    equal = [w for w in evaluated[1:] if np.array_equal(w, out)]
+    assert 1 <= len(equal) <= 2, len(equal)
+    monkeypatch.undo()
+    assert _outcome(refine_weights, geom, np.ones(3), cfg) == _outcome(
+        reference.refine_weights, geom, np.ones(3), cfg
+    )
