@@ -4,8 +4,8 @@ Subcommands:
 
 * ``synth``   - generate a labeled synthetic stream file;
 * ``cluster`` - run the streaming clusterer over a stream file, writing
-  events.jsonl, weights.json, checkpoint.bin, manifest.json and (when the
-  stream is labeled) purity.csv, plus throughput.csv;
+  events.jsonl, weights.json, checkpoint.bin, manifest.json and (when
+  every graph it clustered is labeled) purity.csv, plus throughput.csv;
 * ``compare`` - run the sketch and exact backends on the same stream and
   report agreement and distance error statistics;
 * ``eval``    - score an existing events.jsonl against stream labels.
@@ -94,29 +94,30 @@ def _build_parser() -> _Parser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic labeled stream")
     p_synth.add_argument("--out", required=True, help="output stream file")
-    p_synth.add_argument("--n-graphs", type=int, default=2000)
-    p_synth.add_argument("--n-clusters", type=int, default=4)
-    p_synth.add_argument("--nodes-per-community", type=int, default=30)
-    p_synth.add_argument("--edges-per-graph", type=int, default=8)
-    p_synth.add_argument("--attrs-per-graph", type=int, default=5)
-    p_synth.add_argument("--class-vocab", type=int, default=12)
-    p_synth.add_argument("--cross-edge-rate", type=float, default=0.3)
-    p_synth.add_argument("--fidelity", type=float, default=0.9)
-    p_synth.add_argument("--noise-vocab", type=int, default=150)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--n-graphs", type=int, default=SynthConfig.n_graphs)
+    p_synth.add_argument("--n-clusters", type=int, default=SynthConfig.n_clusters)
+    p_synth.add_argument("--nodes-per-community", type=int,
+                         default=SynthConfig.nodes_per_community)
+    p_synth.add_argument("--edges-per-graph", type=int, default=SynthConfig.edges_per_graph)
+    p_synth.add_argument("--attrs-per-graph", type=int, default=SynthConfig.attrs_per_graph)
+    p_synth.add_argument("--class-vocab", type=int, default=SynthConfig.class_vocab)
+    p_synth.add_argument("--cross-edge-rate", type=float, default=SynthConfig.cross_edge_rate)
+    p_synth.add_argument("--fidelity", type=float, default=SynthConfig.informative_types[0][1])
+    p_synth.add_argument("--noise-vocab", type=int, default=SynthConfig.noise_types[0][1])
+    p_synth.add_argument("--seed", type=int, default=SynthConfig.seed)
 
     def add_run_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", required=True, help="stream file")
         p.add_argument("--k", type=int, required=True, help="cluster budget")
-        p.add_argument("--gamma", type=int, default=250,
+        p.add_argument("--gamma", type=int, default=EngineConfig.gamma,
                        help="graphs between weight refreshes")
-        p.add_argument("--p", type=float, default=3.0, help="spread multiplier")
-        p.add_argument("--sketch-rows", type=int, default=10)
-        p.add_argument("--sketch-cols", type=int, default=500)
-        p.add_argument("--barrier-t", type=float, default=1.0)
-        p.add_argument("--step-size", type=float, default=0.1)
-        p.add_argument("--max-steps", type=int, default=25)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--p", type=float, default=EngineConfig.p, help="spread multiplier")
+        p.add_argument("--sketch-rows", type=int, default=SketchConfig.rows)
+        p.add_argument("--sketch-cols", type=int, default=SketchConfig.cols)
+        p.add_argument("--barrier-t", type=float, default=BarrierConfig.t)
+        p.add_argument("--step-size", type=float, default=BarrierConfig.step_size)
+        p.add_argument("--max-steps", type=int, default=BarrierConfig.max_steps)
+        p.add_argument("--seed", type=int, default=SketchConfig.seed)
         p.add_argument("--fixed-weights", action="store_true",
                        help="skip weight optimization (uniform weights)")
         p.add_argument("--lenient", action="store_true",
@@ -198,9 +199,11 @@ def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Eng
     StreamFormatError; with it, each is reported on stderr and left out.
     Returns each engine's events (in map order), the labels by graph id,
     the ``(elapsed_s, cumulative_edges)`` marks and the count of skipped
-    records and graphs.
+    records and graphs. Purity scores every clustered graph or none: when
+    some but not all of them carry a label, the labels come back empty,
+    after one ``purity skipped`` warning.
     """
-    skipped = 0
+    skipped = unlabeled = 0
 
     def record_skipped(line_no: int, message: str) -> None:
         nonlocal skipped
@@ -227,7 +230,9 @@ def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Eng
                 skipped += 1
                 _diag("warning", "graph skipped", graph=record.id, reason=str(exc))
                 continue
-            if g.label is not None:
+            if g.label is None:
+                unlabeled += 1
+            else:
                 labels[g.id] = g.label
             edges += len(g.edges)
             for engine, events, out in sinks:
@@ -235,6 +240,9 @@ def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Eng
                 events.append(event)
                 out.write(event.to_json() + "\n")
             marks.append((time.perf_counter() - start, edges))
+    if labels and unlabeled:
+        _diag("warning", "purity skipped", unlabeled=unlabeled)
+        labels = {}
     return runs, labels, marks, skipped
 
 

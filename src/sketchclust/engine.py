@@ -47,7 +47,7 @@ import numpy as np
 from .exact import ExactBank
 from .model import GraphObject, StreamSchema, from_json, graph_views
 from .sketch import SketchConfig
-from .stats import ClusterBank, read_array, unpack_at
+from .stats import ClusterBank, finite_nonneg, read_array, unpack_at
 from .weight_opt import BarrierConfig, TraceHook, refine_weights
 
 _MAGIC = b"SCE1"
@@ -199,7 +199,7 @@ def ensure_weights(weights, d: int) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (d + 1,):
         raise ValueError(f"weights must have shape ({d + 1},), got {w.shape}")
-    if not bool(np.all(np.isfinite(w) & (w >= 0.0))):
+    if not finite_nonneg(w):
         raise ValueError("weights must be nonnegative and finite")
     return w
 

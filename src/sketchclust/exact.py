@@ -12,12 +12,15 @@ does, the scalars first, then each slot's maps in place of the cells.
 from __future__ import annotations
 
 import struct
-from itertools import combinations
 
 import numpy as np
 
 from .model import GraphView
 from .stats import Bank, finite_nonneg, unpack_at
+
+
+def _self_product(masses: dict[bytes, float]) -> float:
+    return sum(v * v for v in masses.values())
 
 
 class ExactBank(Bank):
@@ -40,21 +43,20 @@ class ExactBank(Bank):
             if keys:
                 for key, value in zip(keys, values.tolist()):
                     m[key] = m.get(key, 0.0) + value
-                self.self_sq[comp, slot] = sum(v * v for v in m.values())
+                self.self_sq[comp, slot] = _self_product(m)
 
     def _estimates(self, view: GraphView) -> np.ndarray:
         keyed = list(zip(view.keys, view.comp.tolist()))
         estimates = [[maps[c].get(k, 0.0) for k, c in keyed] for maps in self.maps[: self.size]]
         return np.array(estimates, dtype=np.float64).reshape(self.size, len(keyed))
 
-    def _pair_cross(self) -> np.ndarray:
-        cross = np.zeros((self.size, self.size, self.d + 1), dtype=np.float64)
-        for i, j in combinations(range(self.size), 2):
-            for comp in range(self.d + 1):
-                a, b = self.maps[i][comp], self.maps[j][comp]
+    def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        cross = np.zeros((len(first), self.d + 1), dtype=np.float64)
+        for p, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
+            for comp, (a, b) in enumerate(zip(self.maps[i], self.maps[j])):
                 if len(b) < len(a):
                     a, b = b, a
-                cross[i, j, comp] = sum(v * b.get(k, 0.0) for k, v in a.items())
+                cross[p, comp] = sum(v * b.get(k, 0.0) for k, v in a.items())
         return cross
 
     def _write_first(self, m: int) -> list:
@@ -79,7 +81,7 @@ class ExactBank(Bank):
                     key = bytes(data[off + 4 : off + 4 + klen])
                     (mp[key],) = unpack_at("<d", data, off + 4 + klen)
                     off += 4 + klen + 8
-                self.self_sq[comp, slot] = sum(v * v for v in mp.values())
+                self.self_sq[comp, slot] = _self_product(mp)
         return off
 
     def _first_ok(self) -> bool:

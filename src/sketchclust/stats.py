@@ -98,9 +98,13 @@ class Bank:
     A backend supplies its first-moment store through the hooks:
     ``_clear(slot)``, ``_add(slot, view)`` (which also refreshes the
     slot's ``self_sq``), ``_estimates(view)`` (every live slot's estimate
-    of each of the view's keys, ``(size, N)``), ``_pair_cross()``
-    (``(size, size, d+1)``, read for ``i < j``), and ``_write_first``,
-    ``_load_first`` and ``_first_ok`` for the checkpoint.
+    of each of the view's keys, ``(size, N)``), ``_pair_cross(first,
+    second)`` (the cross products of the live slot pairs
+    ``(first[p], second[p])``, one ``(d+1,)`` row per pair), and
+    ``_write_first``, ``_load_first`` and ``_first_ok`` for the
+    checkpoint. An update (``add``, ``absorb``, ``reset``) checks the
+    graph before it writes anything, so a rejected graph leaves the bank
+    as it was.
     """
 
     # The sketch config the engine hashes each graph's view for; None when
@@ -130,20 +134,19 @@ class Bank:
 
     def reset(self, slot: int, view: GraphView, now: int) -> None:
         """Replace the slot's cluster, in place, by one founded on one graph."""
+        self._check_update(view, now)
         self._clear(slot)
         self.second_moments[slot] = 0.0
         self.n[slot] = 0
         self.t_last[slot] = 0
         self.self_sq[:, slot] = 0.0
-        self.absorb(slot, view, now)
+        self._absorb(slot, view, now)
 
     def absorb(self, slot: int, view: GraphView, now: int) -> None:
-        self._check(view)
-        if now < 0:
-            raise ValueError("timestamp must be nonnegative")
-        # one reduction: NaN fails the comparison, and -0.0 passes it
-        if view.values.size and not view.values.min() >= 0.0:
-            raise ValueError("negative or NaN update value")
+        self._check_update(view, now)
+        self._absorb(slot, view, now)
+
+    def _absorb(self, slot: int, view: GraphView, now: int) -> None:
         self._add(slot, view)
         self.second_moments[slot] += view.sq_sum
         self.n[slot] += 1
@@ -152,6 +155,15 @@ class Bank:
     def _check(self, view: GraphView) -> None:
         if view.d != self.d:
             raise ValueError("component count mismatch with schema")
+
+    def _check_update(self, view: GraphView, now: int) -> None:
+        """Reject a graph no update may write, before anything is written."""
+        self._check(view)
+        if now < 0:
+            raise ValueError("timestamp must be nonnegative")
+        # one reduction: NaN fails the comparison, and -0.0 passes it
+        if view.values.size and not view.values.min() >= 0.0:
+            raise ValueError("negative or NaN update value")
 
     # -- reads ---------------------------------------------------------------
 
@@ -164,12 +176,12 @@ class Bank:
         out = view.sq_sum - 2.0 * cross / n + self.self_sq[:, : self.size].T / (n * n)
         return np.maximum(out, 0.0, out=out)
 
-    def intra_sq(self, slot: int) -> np.ndarray:
-        """The slot's aggregate squared member-to-centroid distance per
-        component, from the closed form: second moment minus self product
-        over n."""
+    def intra_sq(self, slots: int | slice) -> np.ndarray:
+        """The aggregate squared member-to-centroid distance per component
+        of one slot, ``(d+1,)``, or of a slice of slots, ``(len, d+1)``,
+        from the closed form: second moment minus self product over n."""
         return np.maximum(
-            self.second_moments[slot] - self.self_sq[:, slot] / int(self.n[slot]), 0.0
+            self.second_moments[slots] - (self.self_sq[:, slots] / self.n[slots]).T, 0.0
         )
 
     def count(self, slot: int) -> int:
@@ -188,19 +200,17 @@ class Bank:
         m = self.size
         if m < 2:
             raise ValueError("geometry needs at least two nonempty clusters")
-        n = self.n[:m].astype(np.float64)
-        self_products = self.self_sq[:, :m].T
         intra = np.zeros(self.d + 1, dtype=np.float64)
         # Row by row, in slot order: the per-cluster sum's rounding.
-        for row in np.maximum(self.second_moments[:m] - self_products / n[:, None], 0.0):
+        for row in self.intra_sq(slice(0, m)):
             intra += row
-        cross = self._pair_cross()
         slots = np.arange(m)
         first, second = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
-        own = self_products / (n * n)[:, None]
+        n = self.n[:m].astype(np.float64)
+        own = self.self_sq[:, :m].T / (n * n)[:, None]
         inter = (
             own[first]
-            - 2.0 * cross[first, second] / (n[first] * n[second])[:, None]
+            - 2.0 * self._pair_cross(first, second) / (n[first] * n[second])[:, None]
             + own[second]
         )
         inter = np.maximum(inter, 0.0)
@@ -285,8 +295,8 @@ class ClusterBank(Bank):
     Scoring it gathers every key's cells in every live slot at once
     (``cells[comp, :m, row, bucket]``); absorbing it is one scatter into the
     slot's d+1 grids and one batched row-square product. The weight refresh
-    takes every pair's cross products from one batched product: a gemm of
-    slots ``0..m-2`` against slots ``1..m-1`` that fills the pairs
+    gathers every pair's cross products from one batched product: a gemm
+    of slots ``0..m-2`` against slots ``1..m-1``, which holds the pairs
     ``i < j``. The cells checkpoint as one ``f8[d+1, m, rows, cols]`` block.
     """
 
@@ -319,18 +329,14 @@ class ClusterBank(Bank):
         gathered = self.cells[view.comp, : self.size, self.config._row_span, view.buckets]
         return gathered.min(0).T
 
-    def _pair_cross(self) -> np.ndarray:
+    def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         # Slots 0..m-2 against slots 1..m-1, (d+1, rows, m-1, cols) @
-        # (d+1, rows, cols, m-1), min over rows: one gemm on views, holding
-        # every pair i < j, into out[:-1, 1:]. Row m-1 and column 0 stay
-        # zero; geometry reads i < j only. (The square product of all
-        # slots goes to BLAS syrk, which is slower at these sizes.)
-        m = self.size
-        by_row = self.cells[:, :m].transpose(0, 2, 1, 3)
-        cross = by_row[:, :, :-1] @ by_row[:, :, 1:].transpose(0, 1, 3, 2)
-        out = np.zeros((m, m, self.d + 1), dtype=np.float64)
-        out[:-1, 1:] = cross.min(1).transpose(1, 2, 0)
-        return out
+        # (d+1, rows, cols, m-1): one gemm on views, holding every pair
+        # i < j at [i, j - 1]. (The square product of all slots goes to BLAS
+        # syrk, which is slower at these sizes.)
+        by_row = self.cells[:, : self.size].transpose(0, 2, 1, 3)
+        products = by_row[:, :, :-1] @ by_row[:, :, 1:].transpose(0, 1, 3, 2)
+        return products.min(1)[:, first, second - 1].T
 
     def _write_first(self, m: int) -> list:
         # the array's own buffer: joined by the caller without another copy

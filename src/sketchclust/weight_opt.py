@@ -81,10 +81,6 @@ class ClusterGeometry:
     inter_sq: np.ndarray
     dropped: list[tuple[int, int]]
 
-    @property
-    def d(self) -> int:
-        return len(self.intra) - 1
-
 
 def _evaluate(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
     """The objective at ``w`` and the pair roots and separations
@@ -108,14 +104,18 @@ def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
     """Homogeneous rescale landing the tightest pair at 1 + margin."""
     target = 1.0 + cfg.feasibility_margin
     root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
-    if root_min == 0.0:
-        # Weights vanish on every component where the tightest pair
-        # separates; no scale can help. Restart from uniform weights,
-        # which see positive separation on every retained pair.
+    try:
+        scale = (target / root_min) ** 2
+    except (ZeroDivisionError, OverflowError):
+        # Weights vanish, or all but vanish, on every component where the
+        # tightest pair separates; no float scale can help. Restart from
+        # uniform weights, which see positive separation on every retained
+        # pair.
         w = np.ones_like(w)
         root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
+        scale = (target / root_min) ** 2
     if root_min <= target:
-        w = w * (target / root_min) ** 2
+        w = w * scale
     return w
 
 

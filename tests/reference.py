@@ -364,14 +364,18 @@ def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
     """Homogeneous rescale landing the tightest pair at 1 + margin."""
     target = 1.0 + cfg.feasibility_margin
     root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
-    if root_min == 0.0:
-        # Weights vanish on every component where the tightest pair
-        # separates; no scale can help. Restart from uniform weights,
-        # which see positive separation on every retained pair.
+    try:
+        scale = (target / root_min) ** 2
+    except (ZeroDivisionError, OverflowError):
+        # Weights vanish, or all but vanish, on every component where the
+        # tightest pair separates; no float scale can help. Restart from
+        # uniform weights, which see positive separation on every retained
+        # pair.
         w = np.ones_like(w)
         root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
+        scale = (target / root_min) ** 2
     if root_min <= target:
-        w = w * (target / root_min) ** 2
+        w = w * scale
     return w
 
 
@@ -444,8 +448,9 @@ def digest_buckets(config: SketchConfig, keys: Sequence[bytes]) -> np.ndarray:
 
 
 def pair_cross(bank) -> np.ndarray:
-    """``bank._pair_cross()`` of a ``ClusterBank``, as the square product
-    of every live slot's rows, ``(m, m, d+1)`` with every pair filled."""
+    """The cross products of every pair of a ``ClusterBank``'s live slots,
+    as the square product of their rows, ``(m, m, d+1)`` with every pair
+    filled; ``bank._pair_cross(first, second)`` is its ``[first, second]``."""
     # (d+1, rows, m, cols) @ (d+1, rows, cols, m), min over rows,
     # as (m, m, d+1).
     by_row = bank.cells[:, : bank.size].transpose(0, 2, 1, 3)

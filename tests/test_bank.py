@@ -212,11 +212,12 @@ def test_bank_matches_per_cluster_reference(stream, integer):
 @example(d=1, rows=3, cols=8, m=2, spare=0, zero_slot=0, integer=True, seed=1)
 @example(d=2, rows=10, cols=12, m=16, spare=0, zero_slot=5, integer=False, seed=2)
 def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slot, integer, seed):
-    """The gemm of slots ``0..m-2`` against ``1..m-1`` gives every pair
-    ``i < j`` the syrk product's value: bitwise on whole cells, within the
-    module's ``rtol=1e-12`` otherwise; on whole cells the geometry built on
-    it is bitwise the one built on the syrk product. ``m`` runs from 2 to
-    the bank's ``k``, and a live slot may be all zero."""
+    """``_pair_cross(first, second)``, gathered from the gemm of slots
+    ``0..m-2`` against ``1..m-1``, gives each pair ``i < j`` the syrk
+    product's value: bitwise on whole cells, within the module's
+    ``rtol=1e-12`` otherwise; on whole cells the geometry built on it is
+    bitwise the one built on the syrk product. ``m`` runs from 2 to the
+    bank's ``k``, and a live slot may be all zero."""
     rng = np.random.default_rng(seed)
     bank = ClusterBank(SketchConfig(rows=rows, cols=cols), d, m + spare)
     # every slot filled, the dead ones too, so a read past m would show
@@ -234,15 +235,15 @@ def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slo
     bank._square_rows(slice(0, m))
     bank.second_moments[:m] = bank.self_sq[:, :m].T * rng.uniform(1.0, 2.0, (m, d + 1))
 
-    got, want = bank._pair_cross(), pair_cross(bank)
-    assert got.shape == want.shape == (m, m, d + 1)
-    first, second = np.triu_indices(m, 1)
+    first, second = np.triu_indices(m, 1)  # row-major, as geometry lists them
+    got, want = bank._pair_cross(first, second), pair_cross(bank)[first, second]
+    assert got.shape == want.shape == (m * (m - 1) // 2, d + 1)
     if not integer:
-        np.testing.assert_allclose(got[first, second], want[first, second], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         return
-    assert got[first, second].tobytes() == want[first, second].tobytes()
+    assert got.tobytes() == want.tobytes()
     geom = bank.geometry()
-    bank._pair_cross = lambda: pair_cross(bank)
+    bank._pair_cross = lambda first, second: pair_cross(bank)[first, second]
     oracle = bank.geometry()
     assert (geom.pairs, geom.dropped) == (oracle.pairs, oracle.dropped)
     assert geom.intra.tobytes() == oracle.intra.tobytes()

@@ -601,6 +601,37 @@ def test_compare_purities_are_the_last_rows_of_their_csvs(tmp_path, capsys):
         assert _last_purity_row(csv) == (60, f"{report[f'purity_{backend}']:.6f}")
 
 
+@pytest.mark.parametrize("run", [_cluster, _compare], ids=["cluster", "compare"])
+def test_purity_is_skipped_unless_every_clustered_graph_is_labeled(tmp_path, capsys, run):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=60)
+    lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
+    record = json.loads(lines[11])
+    del record["label"]
+    lines[11] = json.dumps(record) + "\n"
+    partial = tmp_path / "partial.jsonl"
+    partial.write_text("".join(lines), encoding="utf-8")
+    assert run(stream, tmp_path / "full") == EXIT_OK
+    capsys.readouterr()
+
+    out = tmp_path / "partial"
+    assert run(str(partial), out) == EXIT_OK
+    captured = capsys.readouterr()
+    diags = [json.loads(l) for l in captured.err.splitlines()]
+    warnings = [d for d in diags if d["level"] == "warning"]
+    assert warnings == [{"level": "warning", "message": "purity skipped", "unlabeled": 1}]
+    assert not list(out.glob("purity*"))
+    if run is _cluster:
+        assert diags[-1]["message"] == "run complete"
+        assert "average_purity" not in diags[-1]
+    else:
+        report = json.loads((out / "compare.json").read_text())
+        assert json.loads(captured.out) == report
+        assert not [key for key in report if key.startswith("purity")]
+    # labels route nothing: every event is the fully labeled run's
+    for events in out.glob("events*.jsonl"):
+        assert events.read_bytes() == (tmp_path / "full" / events.name).read_bytes()
+
+
 def test_label_not_encodable_as_utf8_is_a_bad_graph(tmp_path, capsys):
     # JSON can carry a lone surrogate, which has no UTF-8 encoding
     stream = tmp_path / "s.jsonl"

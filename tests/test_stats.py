@@ -202,7 +202,10 @@ def test_sketch_bank_rejects_a_view_without_buckets():
     assert len(bank) == 2 and b"".join(bank.to_parts()) == before
 
 
-_BANKS = {"sketch": lambda: ClusterBank(_cfg(), SCHEMA.d, 2), "exact": lambda: ExactBank(SCHEMA.d, 2)}
+_BANKS = {
+    "sketch": lambda k=2: ClusterBank(_cfg(), SCHEMA.d, k),
+    "exact": lambda k=2: ExactBank(SCHEMA.d, k),
+}
 
 
 @pytest.mark.parametrize("backend", sorted(_BANKS))
@@ -233,3 +236,74 @@ def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
     else:
         bank.absorb(0, view, 2)
         assert (bank.count(0), bank.t_last[0]) == (2, 2)
+
+
+def _two_keys(values, config) -> GraphView:
+    return GraphView((b"a", b"t"), values, (0, 1, 2), config)
+
+
+# cause: the rejected view for a bank's sketch config, its time, the error
+_REJECTED = {
+    "components": (lambda config: GraphView((b"a",), [1.0], (0, 1), config), 3, "component count"),
+    "buckets": (lambda config: _two_keys([1.0, 2.0], None), 3, "hashed for its config"),
+    "timestamp": (lambda config: _two_keys([1.0, 2.0], config), -1, "nonnegative"),
+    "negative": (lambda config: _two_keys([-1.0, 2.0], config), 3, "negative or NaN"),
+    "nan": (lambda config: _two_keys([1.0, math.nan], config), 3, "negative or NaN"),
+}
+
+
+@pytest.mark.parametrize(
+    "backend, cause",
+    [(b, c) for b in sorted(_BANKS) for c in sorted(_REJECTED) if (b, c) != ("exact", "buckets")],
+)
+def test_a_rejected_update_leaves_the_bank_as_it_was(backend, cause):
+    """``add``, ``absorb`` and ``reset`` check the graph before they write:
+    a rejected one changes no checkpoint byte, no self product and no slot
+    count (a buckets-free view is the exact bank's own)."""
+    bank = _BANKS[backend](3)
+    bank.add(_two_keys([1.0, 2.0], bank.config), 1)
+    bank.add(_two_keys([3.0, 1.0], bank.config), 2)
+    build, now, match = _REJECTED[cause]
+    view = build(bank.config)
+    before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
+    for update in (
+        lambda: bank.add(view, now),
+        lambda: bank.absorb(0, view, now),
+        lambda: bank.reset(0, view, now),
+    ):
+        with pytest.raises(ValueError, match=match):
+            update()
+        assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
+        assert len(bank) == 2
+
+
+@pytest.mark.parametrize("backend", sorted(_BANKS))
+@given(
+    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+    integer=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_intra_sq_of_a_slice_is_its_slots_rows(backend, sizes, integer, seed):
+    """The rows of ``intra_sq`` on a slice of slots, which ``geometry``
+    sums, are bitwise what it gives each slot alone, as ``process`` reads
+    it."""
+    rng = np.random.default_rng(seed)
+    bank = _BANKS[backend](len(sizes))
+    vocab = [b"k%d" % i for i in range(6)]
+    for members in sizes:
+        slot = None
+        for now in range(1, members + 1):
+            counts = rng.integers(0, 4, SCHEMA.d + 1)
+            keys = tuple(k for c in counts for k in rng.choice(vocab, c, replace=False).tolist())
+            size = len(keys)
+            values = rng.integers(1, 50, size) if integer else rng.uniform(0.0, 1e3, size)
+            view = GraphView(keys, values, (0, *np.cumsum(counts).tolist()), bank.config)
+            if slot is None:
+                slot = bank.add(view, now)
+            else:
+                bank.absorb(slot, view, now)
+    m = len(sizes)
+    rows = bank.intra_sq(slice(0, m))
+    assert rows.shape == (m, SCHEMA.d + 1)
+    for slot in range(m):
+        assert rows[slot].tobytes() == bank.intra_sq(slot).tobytes()
