@@ -245,11 +245,11 @@ class Engine:
             event = AssignmentEvent(g.id, ACTION_INITIALIZED, index)
         else:
             comp_sq = bank.distances_sq(view)
-            es_all = comp_sq @ self.weights
+            es_all = comp_sq.dot(self.weights)
             nearest = int(es_all.argmin())  # first minimum: lowest index
             best = float(es_all[nearest])
             n = bank.count(nearest)
-            spread = (config.p / n) * float(bank.intra_sq(nearest) @ self.weights)
+            spread = (config.p / n) * float(bank.intra_sq(nearest).dot(self.weights))
             distances = np.sqrt(comp_sq).tolist() if self.record_distances else None
             if n == 1 or best < spread:
                 bank.absorb(nearest, view, now)

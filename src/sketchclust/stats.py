@@ -118,6 +118,8 @@ class Bank:
         self.t_last = np.zeros(k, dtype=np.int64)
         self.self_sq = np.zeros((d + 1, k), dtype=np.float64)
         self.size = 0
+        # geometry's pair listing for one live-slot count: (m, first, second, pairs)
+        self._pairs: tuple | None = None
 
     def __len__(self) -> int:
         return self.size
@@ -200,12 +202,15 @@ class Bank:
         m = self.size
         if m < 2:
             raise ValueError("geometry needs at least two nonempty clusters")
-        intra = np.zeros(self.d + 1, dtype=np.float64)
-        # Row by row, in slot order: the per-cluster sum's rounding.
-        for row in self.intra_sq(slice(0, m)):
-            intra += row
-        slots = np.arange(m)
-        first, second = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
+        # Row by row, in slot order: the per-cluster sum's rounding. A running
+        # sum adds the rows in that order; + 0.0 turns a -0.0 total into the
+        # +0.0 that adding the rows onto zeros gives.
+        intra = np.add.accumulate(self.intra_sq(slice(0, m)), axis=0)[-1] + 0.0
+        if self._pairs is None or self._pairs[0] != m:
+            slots = np.arange(m)
+            first, second = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
+            self._pairs = (m, first, second, list(zip(first.tolist(), second.tolist())))
+        _, first, second, pairs = self._pairs
         n = self.n[:m].astype(np.float64)
         own = self.self_sq[:, :m].T / (n * n)[:, None]
         inter = (
@@ -213,14 +218,15 @@ class Bank:
             - 2.0 * self._pair_cross(first, second) / (n[first] * n[second])[:, None]
             + own[second]
         )
-        inter = np.maximum(inter, 0.0)
+        np.maximum(inter, 0.0, out=inter)
         kept = (inter != 0.0).any(axis=1)
-        pairs = list(zip(first.tolist(), second.tolist(), kept.tolist()))
+        if kept.all():
+            return ClusterGeometry(intra=intra, pairs=list(pairs), inter_sq=inter, dropped=[])
         return ClusterGeometry(
             intra=intra,
-            pairs=[(i, j) for i, j, keep in pairs if keep],
+            pairs=[pair for pair, keep in zip(pairs, kept.tolist()) if keep],
             inter_sq=inter[kept],
-            dropped=[(i, j) for i, j, keep in pairs if not keep],
+            dropped=[pair for pair, keep in zip(pairs, kept.tolist()) if not keep],
         )
 
     # -- checkpointing -------------------------------------------------------

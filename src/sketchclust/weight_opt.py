@@ -25,7 +25,8 @@ and is rejected.
 Infeasibility is a value, not a fault: the objective is +inf outside the
 region, and ``refine_weights`` first restores feasibility by
 homogeneously rescaling the weights, which changes no cluster decisions
-(assignment comparisons are scale-invariant). Pairs of coincident centroids
+(assignment comparisons are scale-invariant); a pair that no float
+weights separate raises ValueError. Pairs of coincident centroids
 (inter_sq == 0 in every component) cannot be separated by any weighting
 and are excluded from the barrier. Plain gradient descent with backtracking
 halving is intentional; no curvature information is used.
@@ -40,6 +41,11 @@ from typing import Callable
 import numpy as np
 
 _MIN_STEP = 1e-18
+
+# sqrt(Q) - 1 > 0 exactly when Q exceeds this: the square root rounds
+# correctly and is monotone, and sqrt(1 + 2**-52) rounds to 1. So an
+# infeasible candidate is known before any root is taken.
+_FEASIBLE_ABOVE = 1.0 + 2.0**-52
 
 TraceHook = Callable[[dict], None]
 
@@ -73,7 +79,8 @@ class ClusterGeometry:
     ``intra[comp]`` sums the per-cluster aggregate intra distances;
     ``inter_sq[p]`` is the squared centroid separation vector of unordered
     pair ``pairs[p]``. ``dropped`` lists coincident-centroid pairs excluded
-    from the barrier.
+    from the barrier. ``refine_weights`` reads both arrays as C-contiguous
+    float64, whatever their layout.
     """
 
     intra: np.ndarray
@@ -85,38 +92,45 @@ class ClusterGeometry:
 def _evaluate(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
     """The objective at ``w`` and the pair roots and separations
     ``(sqrt(Q_ij(w)), sqrt(Q_ij(w)) - 1)``, or ``(inf, None)`` when some
-    pair separation is <= 1."""
-    root = np.sqrt(geom.inter_sq @ w)
-    sep = root - 1.0
-    if sep.size and not sep.min() > 0.0:  # NaN fails too
+    pair separation is <= 1. The geometry's arrays are C-contiguous
+    float64, as ``refine_weights`` passes them."""
+    # ndarray.dot and the ufuncs' reduce are the BLAS and loops that ``@``,
+    # .min() and .sum() reach, with less dispatch: the same bits.
+    q = geom.inter_sq.dot(w)
+    if q.size and not np.minimum.reduce(q) > _FEASIBLE_ABOVE:  # NaN fails too
         return math.inf, None
-    return cfg.t * float(geom.intra @ w) - 2.0 * float(np.log(sep).sum()), (root, sep)
+    root = np.sqrt(q, out=q)
+    sep = root - 1.0
+    linear = cfg.t * float(geom.intra.dot(w))
+    return linear - 2.0 * float(np.add.reduce(np.log(sep))), (root, sep)
 
 
 def _gradient(t_intra: np.ndarray, geom: ClusterGeometry, roots) -> np.ndarray:
     """The gradient at the feasible point whose pair roots and separations
     ``_evaluate`` returned as ``roots``; ``t_intra`` is ``t * intra``."""
     root, sep = roots
-    return t_intra - geom.inter_sq.T @ (1.0 / (root * sep))
+    return t_intra - geom.inter_sq.T.dot(1.0 / (root * sep))
 
 
 def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
-    """Homogeneous rescale landing the tightest pair at 1 + margin."""
+    """Homogeneous rescale landing the tightest pair at 1 + margin. When the
+    weights vanish, or all but vanish, on every component where the
+    tightest pair separates, no float scale can help, and the rescale
+    restarts from uniform weights; ValueError when even those cannot be
+    rescaled, as no float weights separate that pair."""
     target = 1.0 + cfg.feasibility_margin
-    root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
-    try:
-        scale = (target / root_min) ** 2
-    except (ZeroDivisionError, OverflowError):
-        # Weights vanish, or all but vanish, on every component where the
-        # tightest pair separates; no float scale can help. Restart from
-        # uniform weights, which see positive separation on every retained
-        # pair.
-        w = np.ones_like(w)
-        root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
-        scale = (target / root_min) ** 2
-    if root_min <= target:
-        w = w * scale
-    return w
+    for start in (w, np.ones_like(w)):
+        q_min = float(np.minimum.reduce(geom.inter_sq.dot(start)))
+        root_min = math.sqrt(q_min)
+        try:
+            scale = (target / root_min) ** 2
+        except (ZeroDivisionError, OverflowError):
+            continue
+        return start * scale if root_min <= target else start
+    raise ValueError(
+        "no float weights separate the tightest pair: uniform weights give it "
+        f"a squared separation of {q_min!r}"
+    )
 
 
 def refine_weights(
@@ -136,6 +150,15 @@ def refine_weights(
     w = np.asarray(weights, dtype=np.float64).copy()
     if len(geom.pairs) == 0:
         return w
+    # Read once, as C-contiguous float64: the layout every product below
+    # was checked against (a Fortran-ordered or strided matrix takes
+    # another BLAS kernel, which rounds differently).
+    geom = ClusterGeometry(
+        np.ascontiguousarray(geom.intra, dtype=np.float64),
+        geom.pairs,
+        np.ascontiguousarray(geom.inter_sq, dtype=np.float64),
+        geom.dropped,
+    )
     w = _rescale_feasible(w, geom, cfg)
     value, roots = _evaluate(w, geom, cfg)
     t_intra = cfg.t * geom.intra
@@ -146,7 +169,10 @@ def refine_weights(
         grad = _gradient(t_intra, geom, roots)
         accepted = False
         while step >= _MIN_STEP:
-            candidate = np.maximum(w - step * grad, cfg.weight_floor)
+            # max(w - step * grad, floor), built in one array
+            candidate = np.multiply(grad, step)
+            np.subtract(w, candidate, out=candidate)
+            np.maximum(candidate, cfg.weight_floor, out=candidate)
             cand_value, cand_roots = _evaluate(candidate, geom, cfg)
             if cand_value < value:
                 w, value, roots = candidate, cand_value, cand_roots

@@ -29,7 +29,11 @@ straightforward way:
   overhead was cut, kept verbatim as their bitwise oracles;
 * ``pair_cross``: ``ClusterBank._pair_cross`` as it was before it became
   one gemm of slots ``0..m-2`` against slots ``1..m-1``: the square
-  product of all slots (BLAS syrk), kept verbatim as its oracle.
+  product of all slots (BLAS syrk), kept verbatim as its oracle;
+* ``bank_geometry``: ``Bank.geometry`` as it was before it kept its pair
+  listing and skipped the mask when no pair is dropped: the row-by-row
+  ``intra`` sum, the ``np.nonzero`` pair listing and the ``inter[kept]``
+  selection, kept verbatim as its bitwise oracle.
 """
 
 from __future__ import annotations
@@ -372,8 +376,15 @@ def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
         # uniform weights, which see positive separation on every retained
         # pair.
         w = np.ones_like(w)
-        root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
-        scale = (target / root_min) ** 2
+        q_min = float(np.min(geom.inter_sq @ w))
+        root_min = math.sqrt(q_min)
+        try:
+            scale = (target / root_min) ** 2
+        except (ZeroDivisionError, OverflowError):
+            raise ValueError(
+                "no float weights separate the tightest pair: uniform weights give it "
+                f"a squared separation of {q_min!r}"
+            ) from None
     if root_min <= target:
         w = w * scale
     return w
@@ -455,3 +466,33 @@ def pair_cross(bank) -> np.ndarray:
     # as (m, m, d+1).
     by_row = bank.cells[:, : bank.size].transpose(0, 2, 1, 3)
     return np.matmul(by_row, by_row.transpose(0, 1, 3, 2)).min(1).transpose(1, 2, 0)
+
+
+def bank_geometry(bank) -> ClusterGeometry:
+    """``bank.geometry()`` built as before, from the same ``intra_sq`` and
+    ``_pair_cross`` hooks."""
+    m = bank.size
+    if m < 2:
+        raise ValueError("geometry needs at least two nonempty clusters")
+    intra = np.zeros(bank.d + 1, dtype=np.float64)
+    # Row by row, in slot order: the per-cluster sum's rounding.
+    for row in bank.intra_sq(slice(0, m)):
+        intra += row
+    slots = np.arange(m)
+    first, second = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
+    n = bank.n[:m].astype(np.float64)
+    own = bank.self_sq[:, :m].T / (n * n)[:, None]
+    inter = (
+        own[first]
+        - 2.0 * bank._pair_cross(first, second) / (n[first] * n[second])[:, None]
+        + own[second]
+    )
+    inter = np.maximum(inter, 0.0)
+    kept = (inter != 0.0).any(axis=1)
+    pairs = list(zip(first.tolist(), second.tolist(), kept.tolist()))
+    return ClusterGeometry(
+        intra=intra,
+        pairs=[(i, j) for i, j, keep in pairs if keep],
+        inter_sq=inter[kept],
+        dropped=[(i, j) for i, j, keep in pairs if not keep],
+    )

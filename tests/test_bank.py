@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from reference import (
     ClusterStats,
+    bank_geometry,
     cluster_geometry,
     component_distances_sq,
     intra_vector_sq,
@@ -41,6 +42,7 @@ from sketchclust import (
     refine_weights,
     synth_schema,
 )
+from sketchclust.exact import ExactBank, _self_product
 from sketchclust.stats import ClusterBank
 
 
@@ -248,3 +250,105 @@ def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slo
     assert (geom.pairs, geom.dropped) == (oracle.pairs, oracle.dropped)
     assert geom.intra.tobytes() == oracle.intra.tobytes()
     assert geom.inter_sq.tobytes() == oracle.inter_sq.tobytes()
+
+
+def _random_bank(exact, d, k, m, integer, rng) -> ExactBank | ClusterBank:
+    """A bank of ``k`` slots with ``m`` live, every slot filled with random
+    masses (some zero), counts from 1 to 5 and second moments at or above
+    the self products over n."""
+    if exact:
+        bank = ExactBank(d, k)
+        for slot in range(k):
+            for comp in range(d + 1):
+                size = int(rng.integers(0, 6))
+                keys = rng.choice(8, size, replace=False)
+                if integer:
+                    masses = rng.integers(0, 9, size).astype(np.float64)
+                else:
+                    masses = rng.uniform(0.0, 10.0, size)
+                bank.maps[slot][comp] = {b"k%d" % key: float(v) for key, v in zip(keys, masses)}
+                bank.self_sq[comp, slot] = _self_product(bank.maps[slot][comp])
+    else:
+        bank = ClusterBank(SketchConfig(rows=int(rng.integers(1, 4)), cols=6), d, k)
+        shape = bank.cells.shape
+        if integer:
+            cells = rng.integers(1, 9, shape).astype(np.float64)
+        else:
+            cells = rng.uniform(0.0, 10.0, shape)
+        cells[rng.random(shape) < rng.uniform(0.0, 0.9)] = 0.0
+        bank.cells[...] = cells
+        bank._square_rows(slice(0, k))
+    bank.n[:] = rng.integers(1, 6, k)
+    bank.second_moments[:] = bank.self_sq.T / bank.n[:, None] * rng.uniform(1.0, 2.0, (k, d + 1))
+    bank.size = m
+    return bank
+
+
+def _copy_slot(bank, src: int, dst: int) -> None:
+    """Slot ``dst`` made ``src``'s twin: their centroids coincide."""
+    if isinstance(bank, ExactBank):
+        bank.maps[dst] = [dict(mp) for mp in bank.maps[src]]
+    else:
+        bank.cells[:, dst] = bank.cells[:, src]
+    bank.self_sq[:, dst] = bank.self_sq[:, src]
+    bank.n[dst] = bank.n[src]
+    bank.second_moments[dst] = bank.second_moments[src]
+
+
+def _zero_slot(bank, slot: int) -> None:
+    """Slot ``slot`` with no mass: its intra row and its self product are 0."""
+    if isinstance(bank, ExactBank):
+        bank.maps[slot] = [{} for _ in range(bank.d + 1)]
+    else:
+        bank.cells[:, slot] = 0.0
+    bank.self_sq[:, slot] = 0.0
+    bank.second_moments[slot] = 0.0
+
+
+@given(
+    exact=st.booleans(),
+    d=st.integers(0, 3),
+    k=st.integers(2, 16),
+    m=st.integers(2, 16),
+    other_m=st.integers(2, 16),
+    twins=st.integers(0, 3),
+    zeros=st.integers(0, 3),
+    signed_zeros=st.booleans(),
+    integer=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(
+    exact=False, d=1, k=4, m=4, other_m=2, twins=0, zeros=0, signed_zeros=False, integer=True, seed=1
+)
+@example(
+    exact=True, d=2, k=3, m=3, other_m=2, twins=1, zeros=3, signed_zeros=True, integer=False, seed=2
+)
+@example(
+    exact=False, d=0, k=16, m=16, other_m=9, twins=0, zeros=0, signed_zeros=False, integer=False, seed=3
+)
+def test_geometry_matches_the_reference_construction(
+    exact, d, k, m, other_m, twins, zeros, signed_zeros, integer, seed
+):
+    """``Bank.geometry`` gives bitwise the ``intra``, ``inter_sq``, pairs and
+    dropped pairs of its old construction, on both backends, with ``m``
+    from 2 to ``k``. Twin slots and empty slots make dropped pairs; with
+    ``signed_zeros`` every zero intra row reads ``-0.0``, whose sums must
+    keep the old sign. The size changes between calls, so the bank's pair
+    listing is rebuilt and then reused."""
+    m, other_m = min(m, k), min(other_m, k)
+    rng = np.random.default_rng(seed)
+    bank = _random_bank(exact, d, k, m, integer, rng)
+    for _ in range(twins):
+        _copy_slot(bank, *rng.integers(0, k, 2))
+    for _ in range(zeros):
+        _zero_slot(bank, int(rng.integers(0, k)))
+    if signed_zeros:
+        intra_sq = bank.intra_sq
+        bank.intra_sq = lambda slots: np.where(intra_sq(slots) == 0.0, -0.0, intra_sq(slots))
+    for size in (m, other_m, m):
+        bank.size = size
+        got, want = bank.geometry(), bank_geometry(bank)
+        assert (got.pairs, got.dropped) == (want.pairs, want.dropped)
+        assert got.intra.tobytes() == want.intra.tobytes()
+        assert got.inter_sq.shape == want.inter_sq.shape == (len(want.pairs), d + 1)
+        assert got.inter_sq.tobytes() == want.inter_sq.tobytes()

@@ -22,6 +22,7 @@ from sketchclust import (
     preprocess,
     refine_weights,
 )
+from sketchclust import engine as engine_module
 from sketchclust import weight_opt
 from sketchclust.exact import ExactBank
 from sketchclust.weight_opt import _evaluate, _gradient
@@ -125,6 +126,20 @@ def test_objective_hand_example():
     # Q = 1 sits on the boundary: infeasible
     assert _objective([0.25, 0.0], geom, cfg) == math.inf
     assert _objective([0.0, 0.0], geom, cfg) == math.inf
+
+
+def test_feasibility_is_decided_as_the_roots_decide_it():
+    # The evaluation rejects a candidate on its pair products Q before any
+    # root: over the floats around Q = 1 it must reject exactly those whose
+    # rounded root is at most 1, as the reference objective does.
+    cfg = BarrierConfig()
+    q = np.nextafter(1.0, 0.0)
+    for _ in range(200):
+        geom = ClusterGeometry(np.ones(1), [(0, 1)], np.array([[q]]), [])
+        got = _objective([1.0], geom, cfg)
+        assert got == reference.barrier_objective([1.0], geom, cfg), q
+        assert (got == math.inf) == (q <= 1.0 + 2.0**-52), q
+        q = np.nextafter(q, 2.0)
 
 
 def test_objective_linear_without_pairs():
@@ -233,6 +248,18 @@ def test_refine_restarts_from_uniform_when_the_rescale_overflows():
     assert float((geom.inter_sq @ out)[0]) > 1.0
 
 
+def test_refine_rejects_a_pair_no_float_weights_separate():
+    # Uniform weights see a squared separation of 5e-324: its rescale,
+    # (1.05 / sqrt(5e-324)) ** 2, is beyond the float range.
+    geom = ClusterGeometry(np.zeros(3), [(0, 1)], [[5e-324, 0.0, 0.0]], [])
+    with pytest.raises(ValueError, match="^no float weights separate the tightest pair"):
+        refine_weights([1.0, 1.0, 1.0], geom, BarrierConfig())
+    # at 1e-300 the rescale is finite: weights come back, feasible
+    geom = ClusterGeometry(np.zeros(3), [(0, 1)], [[1e-300, 0.0, 0.0]], [])
+    out = refine_weights([1.0, 1.0, 1.0], geom, BarrierConfig())
+    assert np.isfinite(out).all() and out[0] * 1e-300 > 1.0
+
+
 def test_refine_respects_weight_floor():
     rng = random.Random(31)
     geom = _random_geometry(rng)
@@ -251,6 +278,23 @@ def test_refine_weights_passthrough_cases():
     geom = _geometry([_graph(1, [("a", "b", 2.0)], {})], [_graph(2, [("a", "b", 2.0)], {})])
     w = np.array([1.0, 1.0])
     assert refine_weights(w, geom, BarrierConfig()).tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_a_refresh_calls_refine_weights_by_the_engine_module(monkeypatch, backend):
+    # perfbench/spans.py times the descent by patching this name; a refresh
+    # that reached the descent another way would drop out of its trace.
+    calls: list[int] = []
+
+    def counting(weights, geom, cfg, trace=None):
+        calls.append(len(geom.pairs))
+        return refine_weights(weights, geom, cfg, trace=trace)
+
+    monkeypatch.setattr(engine_module, "refine_weights", counting)
+    engine = Engine(EngineConfig(k=3, gamma=5), SCHEMA, backend)
+    for i in range(23):
+        engine.process(_graph(i, [("a", "b", 1.0 + i % 4)], {"x": float(i % 3)}))
+    assert len(calls) == 4  # graphs 5, 10, 15 and 20
 
 
 def test_refine_weights_emits_trace():
@@ -351,22 +395,47 @@ def test_refine_weights_matches_the_reference_bit_for_bit():
 
 _SEPARATION = st.just(0.0) | st.floats(1e-3, 4.0)
 
+_LAYOUTS = {
+    "C": lambda a: a,
+    "Fortran": np.asfortranarray,
+    "strided": lambda a: np.stack([a, a], axis=-1)[..., 0],
+    "list": lambda a: a.tolist(),
+}
+
+
+def _contiguous(geom: ClusterGeometry) -> ClusterGeometry:
+    """The geometry with C-contiguous float64 arrays, as the descent reads it."""
+    return ClusterGeometry(
+        np.ascontiguousarray(geom.intra, dtype=np.float64),
+        geom.pairs,
+        np.ascontiguousarray(geom.inter_sq, dtype=np.float64),
+        geom.dropped,
+    )
+
 
 @st.composite
 def _geometries(draw):
-    """A geometry of d+1 = 1..4 components and 1..30 pairs, components of
-    zero intra or separation included, and a config whose floor may be
-    positive."""
-    n = draw(st.integers(1, 4))
+    """A geometry of d+1 = 1..8 components and 1..150 pairs (up to 30 rows
+    drawn value by value, the rest from a seeded generator over the same
+    values), components of zero intra or separation included, its arrays
+    C-contiguous, Fortran-ordered, strided or lists; and a config whose
+    floor may be positive."""
+    n = draw(st.integers(1, 8))
     intra = draw(st.lists(st.just(0.0) | st.floats(0.0, 5.0), min_size=n, max_size=n))
     rows = draw(st.lists(st.lists(_SEPARATION, min_size=n, max_size=n), min_size=1, max_size=30))
+    extra = draw(st.integers(0, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    more = rng.uniform(1e-3, 4.0, (extra, n))
+    more[rng.random((extra, n)) < 0.5] = 0.0
+    rows = [*rows, *more.tolist()]
     for row in rows:
         if not any(row):
             row[draw(st.integers(0, n - 1))] = draw(st.floats(0.5, 4.0))
+    layout = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))]
     geom = ClusterGeometry(
-        intra=np.array(intra, dtype=np.float64),
+        intra=layout(np.array(intra, dtype=np.float64)),
         pairs=[(0, i + 1) for i in range(len(rows))],
-        inter_sq=np.array(rows, dtype=np.float64),
+        inter_sq=layout(np.array(rows, dtype=np.float64)),
         dropped=[],
     )
     cfg = BarrierConfig(
@@ -380,29 +449,34 @@ def _geometries(draw):
 
 @given(
     case=_geometries(),
-    start=st.lists(st.just(0.0) | st.floats(0.0, 3.0), min_size=4, max_size=4),
+    start=st.lists(st.just(0.0) | st.floats(0.0, 3.0), min_size=8, max_size=8),
 )
 @example(
     case=(
         ClusterGeometry(np.array([4.0, 3.0, 1.0]), [(0, 1)], np.array([[0.5, 0.3, 2.0]]), []),
         BarrierConfig(step_size=1.0, weight_floor=0.5),
     ),
-    start=[0.1, 0.2, 0.3, 0.0],
+    start=[0.1, 0.2, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0],
 )
 @example(
     case=(
         ClusterGeometry(np.zeros(3), [(0, 1)], np.array([[1.0, 1.0, 1.0]]), []),
         BarrierConfig(),
     ),
-    start=[0.0, 0.0, 5e-324, 0.0],
+    start=[0.0, 0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 0.0],
+)
+@example(
+    case=(ClusterGeometry(np.zeros(3), [(0, 1)], [[5e-324, 0.0, 0.0]], []), BarrierConfig()),
+    start=[1.0] * 8,
 )
 def test_refine_weights_matches_the_reference_on_random_geometries(case, start):
     """The library's descent, which stops early, and the reference's, which
     halves every step to the end, return the same bits and trace records;
-    starting weights may lie below the floor."""
+    starting weights may lie below the floor. The library reads any array
+    layout as the reference reads C-contiguous float64 arrays."""
     geom, cfg = case
     w = np.array(start[: len(geom.intra)], dtype=np.float64)
-    expected = _outcome(reference.refine_weights, geom, w, cfg)
+    expected = _outcome(reference.refine_weights, _contiguous(geom), w, cfg)
     assert _outcome(refine_weights, geom, w, cfg) == expected
 
 
