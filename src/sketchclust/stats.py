@@ -105,6 +105,10 @@ class Bank:
     checkpoint. An update (``add``, ``absorb``, ``reset``) checks the
     graph before it writes anything, so a rejected graph leaves the bank
     as it was.
+
+    A bank holds only what its checkpoint restores (``self_sq`` is
+    recomputed on load, and ``geometry`` caches nothing), so a resumed bank
+    equals the saved one attribute for attribute.
     """
 
     # The sketch config the engine hashes each graph's view for; None when
@@ -118,8 +122,6 @@ class Bank:
         self.t_last = np.zeros(k, dtype=np.int64)
         self.self_sq = np.zeros((d + 1, k), dtype=np.float64)
         self.size = 0
-        # geometry's pair listing for one live-slot count: (m, first, second, pairs)
-        self._pairs: tuple | None = None
 
     def __len__(self) -> int:
         return self.size
@@ -196,9 +198,9 @@ class Bank:
     def geometry(self) -> ClusterGeometry:
         """The weight optimizer's snapshot of the live clusters: the summed
         intra distances, and every pair's squared centroid separation from
-        ``_pair_cross``. Pairs are listed ``(i, j)``, ``i < j``, in row-major
-        order; a pair whose centroids coincide in every component is
-        dropped."""
+        ``_pair_cross``. Pairs ``(i, j)``, ``i < j``, are listed afresh on
+        each call, in row-major order; a pair whose centroids coincide in
+        every component is dropped and only counted."""
         m = self.size
         if m < 2:
             raise ValueError("geometry needs at least two nonempty clusters")
@@ -206,11 +208,8 @@ class Bank:
         # sum adds the rows in that order; + 0.0 turns a -0.0 total into the
         # +0.0 that adding the rows onto zeros gives.
         intra = np.add.accumulate(self.intra_sq(slice(0, m)), axis=0)[-1] + 0.0
-        if self._pairs is None or self._pairs[0] != m:
-            slots = np.arange(m)
-            first, second = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
-            self._pairs = (m, first, second, list(zip(first.tolist(), second.tolist())))
-        _, first, second, pairs = self._pairs
+        slots = np.arange(m)
+        first, second = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
         n = self.n[:m].astype(np.float64)
         own = self.self_sq[:, :m].T / (n * n)[:, None]
         inter = (
@@ -220,14 +219,8 @@ class Bank:
         )
         np.maximum(inter, 0.0, out=inter)
         kept = (inter != 0.0).any(axis=1)
-        if kept.all():
-            return ClusterGeometry(intra=intra, pairs=list(pairs), inter_sq=inter, dropped=[])
-        return ClusterGeometry(
-            intra=intra,
-            pairs=[pair for pair, keep in zip(pairs, kept.tolist()) if keep],
-            inter_sq=inter[kept],
-            dropped=[pair for pair, keep in zip(pairs, kept.tolist()) if not keep],
-        )
+        dropped = len(kept) - int(np.count_nonzero(kept))
+        return ClusterGeometry(intra, inter if kept.all() else inter[kept], dropped)
 
     # -- checkpointing -------------------------------------------------------
 

@@ -8,7 +8,9 @@ line is one graph record:
     {"id": "g0", "ts": 0, "edges": [["a", "b", 2], ["b", "c"]],
         "side": {"keywords": {"db": 3}}, "label": "k1"}
 
-Node labels are strings, and edge frequency defaults to 1 when omitted.
+A header's ``stream_version``, when present, must be the integer 1; one
+without it reads as version 1. Node labels are strings, and edge frequency
+defaults to 1 when omitted.
 For convenience a side entry may be a mapping, a list of identifier
 strings (occurrences are counted) or a single identifier string. Parse
 failures carry 1-based line numbers; given a callback, bad records are
@@ -133,6 +135,10 @@ def _parse_header(line: str, line_no: int) -> StreamSchema:
         raise StreamFormatError(f"invalid JSON in header: {exc.msg}", line_no)
     if not isinstance(obj, dict) or "schema" not in obj:
         raise StreamFormatError("first line must be a schema header", line_no)
+    # absent reads as the current version; True == 1 but is no version
+    version = obj.get("stream_version", STREAM_VERSION)
+    if type(version) is not int or version != STREAM_VERSION:
+        raise StreamFormatError(f"unsupported stream_version {version!r}", line_no)
     try:
         return StreamSchema.from_dict(obj["schema"])
     except ValueError as exc:

@@ -62,6 +62,8 @@ class SynthConfig:
         for name, vocab in self.noise_types:
             if vocab < 1:
                 raise ValueError(f"vocabulary of {name!r} must be >= 1")
+        if self.class_vocab < 1:
+            raise ValueError("class_vocab must be >= 1")
         if self.max_freq < 1:
             raise ValueError("max_freq must be >= 1")
         names = [n for n, _ in self.informative_types] + [

@@ -1,10 +1,11 @@
 """Online tuning of the per-component distance weights.
 
 Periodically the engine freezes the current clustering into a small
-geometry summary, ``ClusterGeometry`` (aggregate intra-cluster distance
-per component, plus the squared inter-centroid distance vector for every
-cluster pair, built by ``stats.Bank.geometry``), and runs a few steps of
-projected gradient descent on a log-barrier objective:
+geometry summary of arrays, ``ClusterGeometry`` (aggregate intra-cluster
+distance per component, one row of squared inter-centroid distances per
+retained cluster pair, and the count of dropped pairs, built by
+``stats.Bank.geometry``), and runs a few steps of projected gradient
+descent on a log-barrier objective:
 
     f(w) = t * <w, intra>  -  sum_{i != j} log(sqrt(Q_ij(w)) - 1)
 
@@ -28,8 +29,9 @@ homogeneously rescaling the weights, which changes no cluster decisions
 (assignment comparisons are scale-invariant); a pair that no float
 weights separate raises ValueError. Pairs of coincident centroids
 (inter_sq == 0 in every component) cannot be separated by any weighting
-and are excluded from the barrier. Plain gradient descent with backtracking
-halving is intentional; no curvature information is used.
+and are excluded from the barrier, only counted. Plain gradient descent
+with backtracking halving is intentional; no curvature information is
+used.
 """
 
 from __future__ import annotations
@@ -77,27 +79,31 @@ class ClusterGeometry:
     """Frozen snapshot of the quantities the objective needs.
 
     ``intra[comp]`` sums the per-cluster aggregate intra distances;
-    ``inter_sq[p]`` is the squared centroid separation vector of unordered
-    pair ``pairs[p]``. ``dropped`` lists coincident-centroid pairs excluded
-    from the barrier. ``refine_weights`` reads both arrays as C-contiguous
-    float64, whatever their layout.
+    ``inter_sq[p]`` is the squared centroid separation vector of the
+    ``p``-th retained cluster pair, one row per pair. ``dropped`` counts
+    the coincident-centroid pairs excluded from the barrier. Both arrays
+    are stored as C-contiguous float64, whatever layout they are given in:
+    every product below was checked against that layout (a Fortran-ordered
+    or strided matrix takes another BLAS kernel, which rounds differently).
     """
 
     intra: np.ndarray
-    pairs: list[tuple[int, int]]
     inter_sq: np.ndarray
-    dropped: list[tuple[int, int]]
+    dropped: int
+
+    def __post_init__(self) -> None:
+        self.intra = np.ascontiguousarray(self.intra, dtype=np.float64)
+        self.inter_sq = np.ascontiguousarray(self.inter_sq, dtype=np.float64)
 
 
 def _evaluate(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
     """The objective at ``w`` and the pair roots and separations
     ``(sqrt(Q_ij(w)), sqrt(Q_ij(w)) - 1)``, or ``(inf, None)`` when some
-    pair separation is <= 1. The geometry's arrays are C-contiguous
-    float64, as ``refine_weights`` passes them."""
+    pair separation is <= 1. The geometry holds at least one pair."""
     # ndarray.dot and the ufuncs' reduce are the BLAS and loops that ``@``,
     # .min() and .sum() reach, with less dispatch: the same bits.
     q = geom.inter_sq.dot(w)
-    if q.size and not np.minimum.reduce(q) > _FEASIBLE_ABOVE:  # NaN fails too
+    if not np.minimum.reduce(q) > _FEASIBLE_ABOVE:  # NaN fails too
         return math.inf, None
     root = np.sqrt(q, out=q)
     sep = root - 1.0
@@ -145,21 +151,19 @@ def refine_weights(
     (repaired) starting point; when every cluster pair has coincident
     centroids, the weights are returned unchanged. The input array is not
     modified. ``trace`` receives one record per accepted step, then one
-    with the final weights and the pair counts.
+    with the final weights and the pair counts, also when no pair is kept.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
-    if len(geom.pairs) == 0:
-        return w
-    # Read once, as C-contiguous float64: the layout every product below
-    # was checked against (a Fortran-ordered or strided matrix takes
-    # another BLAS kernel, which rounds differently).
-    geom = ClusterGeometry(
-        np.ascontiguousarray(geom.intra, dtype=np.float64),
-        geom.pairs,
-        np.ascontiguousarray(geom.inter_sq, dtype=np.float64),
-        geom.dropped,
-    )
-    w = _rescale_feasible(w, geom, cfg)
+    if len(geom.inter_sq):
+        w = _descend(_rescale_feasible(w, geom, cfg), geom, cfg, trace)
+    if trace is not None:
+        pairs = len(geom.inter_sq)
+        trace({"final_weights": w.tolist(), "pairs": pairs, "dropped_pairs": geom.dropped})
+    return w
+
+
+def _descend(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig, trace) -> np.ndarray:
+    """Backtracking descent from the feasible ``w``, tracing each accepted step."""
     value, roots = _evaluate(w, geom, cfg)
     t_intra = cfg.t * geom.intra
     step = cfg.step_size
@@ -185,12 +189,4 @@ def refine_weights(
             break
         if trace is not None:
             trace({"step": step_no, "objective": value, "step_size": step})
-    if trace is not None:
-        trace(
-            {
-                "final_weights": w.tolist(),
-                "pairs": len(geom.pairs),
-                "dropped_pairs": len(geom.dropped),
-            }
-        )
     return w

@@ -21,19 +21,24 @@ straightforward way:
   list, for tests that read the code that runs;
 * ``process_all(engine, graphs)``: the library's ingest loop, each raw
   graph through ``preprocess`` into ``Engine.process``;
+* ``SCHEMA`` and ``graph(i, edges, topics)``: the one-side-type schema
+  the unit tests build their small graphs in, and such a graph,
+  preprocessed;
 * ``barrier_objective``, ``barrier_gradient`` and ``refine_weights``: the
   weight optimizer as it was before it evaluated each candidate once, kept
-  verbatim as the bitwise oracle for ``weight_opt.refine_weights``;
+  as the bitwise oracle for ``weight_opt.refine_weights``; it counts pairs
+  by ``len(inter_sq)`` and traces its final record also when no pair is
+  kept, as the library does;
 * ``view_arrays`` and ``digest_buckets``: ``GraphView``'s derived arrays
   and ``SketchConfig.buckets`` as they were built before their per-graph
   overhead was cut, kept verbatim as their bitwise oracles;
 * ``pair_cross``: ``ClusterBank._pair_cross`` as it was before it became
   one gemm of slots ``0..m-2`` against slots ``1..m-1``: the square
   product of all slots (BLAS syrk), kept verbatim as its oracle;
-* ``bank_geometry``: ``Bank.geometry`` as it was before it kept its pair
-  listing and skipped the mask when no pair is dropped: the row-by-row
-  ``intra`` sum, the ``np.nonzero`` pair listing and the ``inter[kept]``
-  selection, kept verbatim as its bitwise oracle.
+* ``bank_geometry``: ``Bank.geometry`` as it was before it skipped the
+  mask when no pair is dropped: the row-by-row ``intra`` sum, the
+  ``np.nonzero`` pair listing and the ``inter[kept]`` selection, kept as
+  its bitwise oracle.
 """
 
 from __future__ import annotations
@@ -44,7 +49,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from sketchclust import BarrierConfig, ClusterGeometry, GraphView, SketchConfig, preprocess
+from sketchclust import (
+    BarrierConfig,
+    ClusterGeometry,
+    GraphObject,
+    GraphView,
+    SideType,
+    SketchConfig,
+    StreamSchema,
+    preprocess,
+)
 from sketchclust.weight_opt import TraceHook
 
 
@@ -294,28 +308,26 @@ def inter_vector_sq(ci, cj) -> np.ndarray:
 def cluster_geometry(clusters: Sequence) -> ClusterGeometry:
     """Summed intra vectors, and the inter vector of every pair ``(i, j)``,
     ``i < j``, in row-major order; pairs whose centroids coincide in every
-    component are listed as dropped."""
+    component are counted as dropped."""
     live = [c for c in clusters if c.n >= 1]
     if len(live) < 2:
         raise ValueError("geometry needs at least two nonempty clusters")
     intra = np.zeros(live[0].d + 1, dtype=np.float64)
     for c in live:
         intra += intra_vector_sq(c)
-    pairs: list[tuple[int, int]] = []
     rows: list[np.ndarray] = []
-    dropped: list[tuple[int, int]] = []
+    dropped = 0
     for i in range(len(live)):
         for j in range(i + 1, len(live)):
             vec = inter_vector_sq(live[i], live[j])
             if np.all(vec == 0.0):
-                dropped.append((i, j))
+                dropped += 1
             else:
-                pairs.append((i, j))
                 rows.append(vec)
     inter_sq = (
         np.vstack(rows) if rows else np.zeros((0, len(intra)), dtype=np.float64)
     )
-    return ClusterGeometry(intra=intra, pairs=pairs, inter_sq=inter_sq, dropped=dropped)
+    return ClusterGeometry(intra=intra, inter_sq=inter_sq, dropped=dropped)
 
 
 def filled(bank, *clusters):
@@ -336,6 +348,15 @@ def process_all(engine, graphs) -> list:
     return [engine.process(preprocess(g, engine.schema)) for g in graphs]
 
 
+SCHEMA = StreamSchema(side_types=(SideType("topics"),))
+
+
+def graph(i: int, edges, topics=None) -> GraphObject:
+    """Graph ``g{i}`` at time ``i`` in ``SCHEMA``, preprocessed."""
+    raw = GraphObject(id=f"g{i}", ts=i, edges=edges, side={"topics": topics or {}})
+    return preprocess(raw, SCHEMA)
+
+
 _MIN_STEP = 1e-18
 
 
@@ -343,7 +364,7 @@ def barrier_objective(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> flo
     """Objective value at ``weights``; +inf when any pair separation <= 1."""
     w = np.asarray(weights, dtype=np.float64)
     linear = cfg.t * float(geom.intra @ w)
-    if len(geom.pairs) == 0:
+    if len(geom.inter_sq) == 0:
         return linear
     sep = np.sqrt(geom.inter_sq @ w) - 1.0
     if not bool(np.all(sep > 0.0)):
@@ -355,7 +376,7 @@ def barrier_gradient(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> np.n
     """Gradient at a feasible point; raises ValueError when infeasible."""
     w = np.asarray(weights, dtype=np.float64)
     grad = cfg.t * geom.intra.copy()
-    if len(geom.pairs) == 0:
+    if len(geom.inter_sq) == 0:
         return grad
     root = np.sqrt(geom.inter_sq @ w)
     if not bool(np.all(root > 1.0)):
@@ -402,10 +423,12 @@ def refine_weights(
     (repaired) starting point; when every cluster pair has coincident
     centroids, the weights are returned unchanged. The input array is not
     modified. ``trace`` receives one record per accepted step, then one
-    with the final weights and the pair counts.
+    with the final weights and the pair counts, also when no pair is kept.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
-    if len(geom.pairs) == 0:
+    if len(geom.inter_sq) == 0:
+        if trace is not None:
+            trace({"final_weights": w.tolist(), "pairs": 0, "dropped_pairs": geom.dropped})
         return w
     w = _rescale_feasible(w, geom, cfg)
     value = barrier_objective(w, geom, cfg)
@@ -429,8 +452,8 @@ def refine_weights(
         trace(
             {
                 "final_weights": w.tolist(),
-                "pairs": len(geom.pairs),
-                "dropped_pairs": len(geom.dropped),
+                "pairs": len(geom.inter_sq),
+                "dropped_pairs": geom.dropped,
             }
         )
     return w
@@ -489,10 +512,4 @@ def bank_geometry(bank) -> ClusterGeometry:
     )
     inter = np.maximum(inter, 0.0)
     kept = (inter != 0.0).any(axis=1)
-    pairs = list(zip(first.tolist(), second.tolist(), kept.tolist()))
-    return ClusterGeometry(
-        intra=intra,
-        pairs=[(i, j) for i, j, keep in pairs if keep],
-        inter_sq=inter[kept],
-        dropped=[(i, j) for i, j, keep in pairs if not keep],
-    )
+    return ClusterGeometry(intra=intra, inter_sq=inter[kept], dropped=int((~kept).sum()))

@@ -219,9 +219,8 @@ def _random_geometry(rng):
     n_pairs = int(rng.integers(1, 6))
     geom = ClusterGeometry(
         intra=rng.uniform(0.05, 4.0, size=d + 1),
-        pairs=[(0, j + 1) for j in range(n_pairs)],
         inter_sq=rng.uniform(0.05, 4.0, size=(n_pairs, d + 1)),
-        dropped=[],
+        dropped=0,
     )
     return geom, BarrierConfig(t=float(rng.uniform(0.5, 4.0)))
 

@@ -247,7 +247,7 @@ def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slo
     geom = bank.geometry()
     bank._pair_cross = lambda first, second: pair_cross(bank)[first, second]
     oracle = bank.geometry()
-    assert (geom.pairs, geom.dropped) == (oracle.pairs, oracle.dropped)
+    assert (geom.inter_sq.shape, geom.dropped) == (oracle.inter_sq.shape, oracle.dropped)
     assert geom.intra.tobytes() == oracle.intra.tobytes()
     assert geom.inter_sq.tobytes() == oracle.inter_sq.tobytes()
 
@@ -329,12 +329,12 @@ def _zero_slot(bank, slot: int) -> None:
 def test_geometry_matches_the_reference_construction(
     exact, d, k, m, other_m, twins, zeros, signed_zeros, integer, seed
 ):
-    """``Bank.geometry`` gives bitwise the ``intra``, ``inter_sq``, pairs and
-    dropped pairs of its old construction, on both backends, with ``m``
-    from 2 to ``k``. Twin slots and empty slots make dropped pairs; with
-    ``signed_zeros`` every zero intra row reads ``-0.0``, whose sums must
-    keep the old sign. The size changes between calls, so the bank's pair
-    listing is rebuilt and then reused."""
+    """``Bank.geometry`` gives bitwise the ``intra``, the ``inter_sq`` rows
+    in order and the dropped count of its old construction, on both
+    backends, with ``m`` from 2 to ``k``. Twin slots and empty slots make
+    dropped pairs; with ``signed_zeros`` every zero intra row reads
+    ``-0.0``, whose sums must keep the old sign. The size changes between
+    calls, and each call lists the pairs of its own size."""
     m, other_m = min(m, k), min(other_m, k)
     rng = np.random.default_rng(seed)
     bank = _random_bank(exact, d, k, m, integer, rng)
@@ -348,7 +348,8 @@ def test_geometry_matches_the_reference_construction(
     for size in (m, other_m, m):
         bank.size = size
         got, want = bank.geometry(), bank_geometry(bank)
-        assert (got.pairs, got.dropped) == (want.pairs, want.dropped)
+        assert got.dropped == want.dropped
         assert got.intra.tobytes() == want.intra.tobytes()
-        assert got.inter_sq.shape == want.inter_sq.shape == (len(want.pairs), d + 1)
+        kept = size * (size - 1) // 2 - want.dropped
+        assert got.inter_sq.shape == want.inter_sq.shape == (kept, d + 1)
         assert got.inter_sq.tobytes() == want.inter_sq.tobytes()

@@ -369,6 +369,8 @@ def test_usage_errors_exit_1():
     assert main(["cluster", "--k", "3"]) == EXIT_USAGE  # missing required flags
     assert main(["frobnicate"]) == EXIT_USAGE
     assert main(["synth", "--out", "x.jsonl", "--n-clusters", "0"]) == EXIT_USAGE
+    # a class vocabulary of 0 leaves no token to draw
+    assert main(["synth", "--out", "x.jsonl", "--class-vocab", "0"]) == EXIT_USAGE
 
 
 @pytest.mark.parametrize(
@@ -427,6 +429,17 @@ def test_value_error_while_processing_exits_3(tmp_path, capsys, monkeypatch):
     assert _cluster(stream, tmp_path / "o") == EXIT_RUNTIME
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert diag["message"] == "runtime: ValueError: fault inside the run"
+
+
+def test_unsupported_stream_version_exits_2(tmp_path, capsys):
+    stream = tmp_path / "s.jsonl"
+    header = json.dumps({"schema": {"side_types": []}, "stream_version": 2})
+    stream.write_text(header + '\n{"id": "g0", "edges": [["a", "b"]]}\n', encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["cluster", "--input", str(stream), "--k", "2", "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_INPUT
+    diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert diag["message"] == "input: line 1: unsupported stream_version 2"
 
 
 def test_missing_input_exits_2(tmp_path):
@@ -738,3 +751,20 @@ def test_trace_weights_reports_each_step_and_changes_no_output(tmp_path, capsys)
 
     for name in ("events.jsonl", "weights.json", "checkpoint.bin", "manifest.json"):
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_trace_weights_reports_a_refresh_that_keeps_no_pair(tmp_path, capsys):
+    # four identical graphs: at graphs 2 and 4 the two clusters coincide
+    stream = tmp_path / "s.jsonl"
+    record = {"id": "g", "edges": [["a", "b", 2]], "side": {"topics": {"x": 1}}}
+    lines = [{"schema": {"side_types": [{"name": "topics"}]}, "stream_version": 1}]
+    lines += [dict(record, id=f"g{i}") for i in range(4)]
+    stream.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["cluster", "--input", str(stream), "--k", "2", "--gamma", "2", "--trace-weights"]
+    assert main([*argv, "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    final = {"level": "trace", "message": "weight_opt", "final_weights": [1.0, 1.0],
+             "pairs": 0, "dropped_pairs": 1}
+    assert diags[:-1] == [final, final]
+    assert diags[-1]["message"] == "run complete"

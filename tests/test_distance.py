@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from reference import filled
+from reference import SCHEMA, filled, graph
 from sketchclust import (
     Engine,
     EngineConfig,
@@ -15,18 +15,9 @@ from sketchclust import (
     StreamSchema,
     ensure_weights,
     graph_views,
-    preprocess,
 )
 from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
-
-SCHEMA = StreamSchema(side_types=(SideType("topics"),))
-
-
-def _graph(i: int, edges, topics) -> GraphObject:
-    return preprocess(
-        GraphObject(id=f"g{i}", ts=i, edges=edges, side={"topics": topics}), SCHEMA
-    )
 
 
 def _component_sq(g: GraphObject, bank, comp: int) -> float:
@@ -54,22 +45,22 @@ def test_ensure_weights():
 def test_edge_distance_hand_example():
     # cluster holds edge masses 1 and 3 on the same edge; centroid mass 2
     c = _cluster(
-        _graph(0, [("a", "b", 1.0)], {}),
-        _graph(1, [("a", "b", 3.0)], {}),
+        graph(0, [("a", "b", 1.0)], {}),
+        graph(1, [("a", "b", 3.0)], {}),
     )
-    probe = _graph(2, [("a", "b", 2.0)], {})
+    probe = graph(2, [("a", "b", 2.0)], {})
     assert _component_sq(probe, c, 0) == pytest.approx(0.0)
-    probe = _graph(3, [("a", "b", 1.0)], {})
+    probe = graph(3, [("a", "b", 1.0)], {})
     # 1 - 2*(1*4)/2 + 16/4 = 1
     assert _component_sq(probe, c, 0) == pytest.approx(1.0)
-    probe = _graph(4, [("a", "c", 1.0)], {})
+    probe = graph(4, [("a", "c", 1.0)], {})
     # disjoint support: 1 - 0 + 4 = 5
     assert _component_sq(probe, c, 0) == pytest.approx(5.0)
 
 
 def test_side_distance_hand_example():
-    c = _cluster(_graph(0, [], {"x": 3.0}))
-    probe = _graph(1, [], {"x": 1.0})
+    c = _cluster(graph(0, [], {"x": 3.0}))
+    probe = graph(1, [], {"x": 1.0})
     # (1 - 3)^2 = 4
     assert _component_sq(probe, c, 1) == pytest.approx(4.0)
     with pytest.raises(ValueError, match="component count"):
@@ -78,8 +69,8 @@ def test_side_distance_hand_example():
 
 def test_intra_closed_form_hand_example():
     c = _cluster(
-        _graph(0, [("a", "b", 1.0)], {}),
-        _graph(1, [("a", "b", 3.0)], {}),
+        graph(0, [("a", "b", 1.0)], {}),
+        graph(1, [("a", "b", 3.0)], {}),
     )
     # 10 - 16/2 = 2, the sum of squared deviations from centroid mass 2
     assert c.intra_sq(0).tolist() == pytest.approx([2.0, 0.0])
@@ -96,10 +87,10 @@ def test_structural_spread_hand_example():
     # slot 0 takes edge masses 1 and 3 (slot 1 is far away), then a probe
     # reads its spread: (p/n) * weighted intra = (3/2) * 2
     graphs = [
-        _graph(0, [("a", "b", 1.0)], {}),
-        _graph(1, [("x", "y", 9.0)], {}),
-        _graph(2, [("a", "b", 3.0)], {}),
-        _graph(3, [("a", "b", 2.0)], {}),
+        graph(0, [("a", "b", 1.0)], {}),
+        graph(1, [("x", "y", 9.0)], {}),
+        graph(2, [("a", "b", 3.0)], {}),
+        graph(3, [("a", "b", 2.0)], {}),
     ]
     events = _events(graphs, [1.0, 1.0])
     assert [e.cluster_index for e in events[2:]] == [0, 0]
@@ -111,9 +102,9 @@ def test_structural_spread_hand_example():
 
 def test_spread_zero_for_singleton():
     graphs = [
-        _graph(0, [("a", "b", 2.0)], {"x": 1.0}),
-        _graph(1, [("x", "y", 9.0)], {}),
-        _graph(2, [("a", "b", 1.0)], {"x": 1.0}),
+        graph(0, [("a", "b", 2.0)], {"x": 1.0}),
+        graph(1, [("x", "y", 9.0)], {}),
+        graph(2, [("a", "b", 1.0)], {"x": 1.0}),
     ]
     event = _events(graphs, [1.0, 1.0])[2]
     assert event.cluster_index == 0
@@ -121,11 +112,11 @@ def test_spread_zero_for_singleton():
 
 
 def test_inter_distance_hand_example():
-    pair = [_graph(0, [("a", "b", 1.0)], {}), _graph(1, [("a", "b", 3.0)], {})]
+    pair = [graph(0, [("a", "b", 1.0)], {}), graph(1, [("a", "b", 3.0)], {})]
     bank = filled(
         ExactBank(SCHEMA.d, 2),
         [graph_views(g, SCHEMA) for g in pair],
-        [graph_views(_graph(2, [("a", "b", 1.0)], {}), SCHEMA)],
+        [graph_views(graph(2, [("a", "b", 1.0)], {}), SCHEMA)],
     )
     # centroids 2 and 1 on the same edge key
     inter = bank.geometry().inter_sq[0]
@@ -136,8 +127,8 @@ def test_inter_distance_hand_example():
 
 def test_es_distance_weighted_sum():
     # the engine's es distance: squared component distances dot weights
-    c = _cluster(_graph(0, [("a", "b", 3.0)], {"x": 3.0}))
-    probe = _graph(1, [("a", "b", 1.0)], {"x": 1.0})
+    c = _cluster(graph(0, [("a", "b", 3.0)], {"x": 3.0}))
+    probe = graph(1, [("a", "b", 1.0)], {"x": 1.0})
     comp_sq = c.distances_sq(graph_views(probe, SCHEMA))[0]
     assert comp_sq @ np.array([1.0, 1.0]) == pytest.approx(8.0)
     assert comp_sq @ np.array([0.5, 2.0]) == pytest.approx(10.0)
@@ -146,7 +137,7 @@ def test_es_distance_weighted_sum():
 
 def test_empty_cluster_and_bad_component_rejected():
     for bank in (ExactBank(SCHEMA.d, 2), ClusterBank(SketchConfig(), SCHEMA.d, 2)):
-        probe = graph_views(_graph(0, [("a", "b", 1.0)], {}), SCHEMA, bank.config)
+        probe = graph_views(graph(0, [("a", "b", 1.0)], {}), SCHEMA, bank.config)
         # an empty bank scores no cluster, and has no geometry
         assert bank.distances_sq(probe).shape == (0, SCHEMA.d + 1)
         with pytest.raises(ValueError, match="two nonempty"):
@@ -155,7 +146,7 @@ def test_empty_cluster_and_bad_component_rejected():
         with pytest.raises(ValueError, match="two nonempty"):
             bank.geometry()
         # a graph with more or fewer components than the schema
-        g = _graph(0, [("a", "b", 1.0)], {})
+        g = graph(0, [("a", "b", 1.0)], {})
         wide = StreamSchema(side_types=(SideType("topics"), SideType("tags")))
         for schema in (StreamSchema(), wide):
             view = graph_views(g, schema, bank.config)
@@ -178,9 +169,9 @@ def test_sketch_distance_clamps_estimator_noise():
             break
     assert cfg is not None
     c = _cluster(
-        _graph(0, [], {"x": 2.0}), _graph(1, [], {"w": 2.0}), bank=ClusterBank(cfg, SCHEMA.d, 2)
+        graph(0, [], {"x": 2.0}), graph(1, [], {"w": 2.0}), bank=ClusterBank(cfg, SCHEMA.d, 2)
     )
-    probe = _graph(2, [], {"x": 1.0, "w": 1.0})
+    probe = graph(2, [], {"x": 1.0, "w": 1.0})
     # exact value is 0 (probe equals the centroid); the estimate must not
     # come out negative
     assert _component_sq(probe, c, 1) == 0.0
@@ -191,7 +182,7 @@ def test_sketch_never_below_exact():
     for trial in range(20):
         cfg = SketchConfig(rows=3, cols=16, seed=trial)
         graphs = [
-            _graph(
+            graph(
                 i,
                 [(f"n{rng.randrange(5)}", f"n{rng.randrange(5)}", 1.0)],
                 {f"t{rng.randrange(8)}": float(rng.randrange(1, 3))},
@@ -208,10 +199,10 @@ def test_sketch_never_below_exact():
 def test_component_distances_match_per_component_calls():
     rng = random.Random(9)
     c = _cluster(*[
-        _graph(i, [("a", "b", float(rng.randrange(1, 4)))], {"x": 1.0})
+        graph(i, [("a", "b", float(rng.randrange(1, 4)))], {"x": 1.0})
         for i in range(4)
     ])
-    probe = _graph(9, [("a", "b", 2.0)], {"x": 2.0, "y": 1.0})
+    probe = graph(9, [("a", "b", 2.0)], {"x": 2.0, "y": 1.0})
     combined = c.distances_sq(graph_views(probe, SCHEMA))[0]
     # each component from its own definition: the probe's masses minus
     # the centroid's, squared, over the union of keys

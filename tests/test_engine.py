@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import process_all
+from reference import SCHEMA, graph, process_all
 from sketchclust import (
     ACTION_ASSIGNED,
     ACTION_INITIALIZED,
@@ -31,18 +31,13 @@ from sketchclust import (
 )
 from sketchclust.engine import _Header
 from sketchclust.model import from_json
-
-SCHEMA = StreamSchema(side_types=(SideType("topics"),))
+from sketchclust.stats import Bank
 
 
 def _config(**kw) -> EngineConfig:
     kw.setdefault("k", 2)
     kw.setdefault("sketch", SketchConfig(rows=4, cols=256, seed=0))
     return EngineConfig(**kw)
-
-
-def _graph(i: int, edges, topics=None) -> GraphObject:
-    return GraphObject(id=f"g{i}", ts=i, edges=edges, side={"topics": topics or {}})
 
 
 def test_engine_config_validation():
@@ -117,7 +112,7 @@ def test_from_json_rejects_a_wrong_type_in_every_field_and_unknown_keys(cls):
 
 def test_first_k_graphs_initialize():
     engine = Engine(_config(k=3), SCHEMA)
-    events = process_all(engine, [_graph(i, [("a", f"n{i}", 1.0)]) for i in range(3)])
+    events = process_all(engine, [graph(i, [("a", f"n{i}", 1.0)]) for i in range(3)])
     assert [e.action for e in events] == [ACTION_INITIALIZED] * 3
     assert [e.cluster_index for e in events] == [0, 1, 2]
     assert engine.bank.n.tolist() == [1, 1, 1]
@@ -126,8 +121,8 @@ def test_first_k_graphs_initialize():
 def test_near_graph_is_assigned():
     # singleton target: unconditional admit regardless of spread
     engine = Engine(_config(k=2, gamma=1000), SCHEMA)
-    process_all(engine, [_graph(0, [("a", "b", 1.0)]), _graph(1, [("x", "y", 9.0)])])
-    event = process_all(engine, [_graph(2, [("a", "b", 1.0)])])[0]
+    process_all(engine, [graph(0, [("a", "b", 1.0)]), graph(1, [("x", "y", 9.0)])])
+    event = process_all(engine, [graph(2, [("a", "b", 1.0)])])[0]
     assert event.action == ACTION_ASSIGNED
     assert event.cluster_index == 0
     assert engine.bank.count(0) == 2
@@ -140,15 +135,15 @@ def test_far_graph_replaces_stalest():
     process_all(
         engine,
         [
-            _graph(0, [("a", "b", 1.0)]),
-            _graph(1, [("x", "y", 5.0)]),
-            _graph(2, [("a", "b", 2.0)]),
-            _graph(3, [("x", "y", 6.0)]),
-            _graph(4, [("x", "y", 5.5)]),
+            graph(0, [("a", "b", 1.0)]),
+            graph(1, [("x", "y", 5.0)]),
+            graph(2, [("a", "b", 2.0)]),
+            graph(3, [("x", "y", 6.0)]),
+            graph(4, [("x", "y", 5.5)]),
         ]
     )
     assert engine.bank.n.tolist() == [2, 3]
-    event = process_all(engine, [_graph(5, [("q", "r", 50.0)])])[0]
+    event = process_all(engine, [graph(5, [("q", "r", 50.0)])])[0]
     assert event.action == ACTION_REPLACED
     assert event.cluster_index == 0  # smallest t_last
     assert engine.bank.count(0) == 1
@@ -163,13 +158,13 @@ def test_zero_spread_cluster_rejects_even_duplicates():
     process_all(
         engine,
         [
-            _graph(0, [("x", "y", 5.0)]),
-            _graph(1, [("a", "b", 1.0)]),
-            _graph(2, [("x", "y", 5.0)]),
-            _graph(3, [("a", "b", 2.0)]),
+            graph(0, [("x", "y", 5.0)]),
+            graph(1, [("a", "b", 1.0)]),
+            graph(2, [("x", "y", 5.0)]),
+            graph(3, [("a", "b", 2.0)]),
         ]
     )
-    event = process_all(engine, [_graph(4, [("x", "y", 5.0)])])[0]
+    event = process_all(engine, [graph(4, [("x", "y", 5.0)])])[0]
     assert event.action == ACTION_REPLACED
     assert event.es_distance_sq == pytest.approx(0.0)
     assert event.spread == pytest.approx(0.0)
@@ -180,26 +175,26 @@ def test_replacement_picks_minimum_t_last():
     process_all(
         engine,
         [
-            _graph(0, [("a", "b", 1.0)]),
-            _graph(1, [("x", "y", 5.0)]),
-            _graph(2, [("u", "v", 9.0)]),
-            _graph(3, [("a", "b", 2.0)]),   # cluster 0, t_last 4
-            _graph(4, [("x", "y", 6.0)]),   # cluster 1, t_last 5
-            _graph(5, [("u", "v", 10.0)]),  # cluster 2, t_last 6
+            graph(0, [("a", "b", 1.0)]),
+            graph(1, [("x", "y", 5.0)]),
+            graph(2, [("u", "v", 9.0)]),
+            graph(3, [("a", "b", 2.0)]),   # cluster 0, t_last 4
+            graph(4, [("x", "y", 6.0)]),   # cluster 1, t_last 5
+            graph(5, [("u", "v", 10.0)]),  # cluster 2, t_last 6
         ]
     )
-    e1 = process_all(engine, [_graph(6, [("q", "q2", 80.0)])])[0]
+    e1 = process_all(engine, [graph(6, [("q", "q2", 80.0)])])[0]
     assert (e1.action, e1.cluster_index) == (ACTION_REPLACED, 0)
     # fresh singleton at index 0 now has the newest t_last; next stalest
     # is cluster 1, and a graph near plain heavy edges lands there
-    e2 = process_all(engine, [_graph(7, [("z", "z2", 40.0)])])[0]
+    e2 = process_all(engine, [graph(7, [("z", "z2", 40.0)])])[0]
     assert (e2.action, e2.cluster_index) == (ACTION_REPLACED, 1)
 
 
 def test_nearest_tie_breaks_to_lowest_index():
     engine = Engine(_config(k=2, gamma=1000), SCHEMA)
-    process_all(engine, [_graph(0, [("a", "b", 2.0)]), _graph(1, [("a", "b", 2.0)])])
-    event = process_all(engine, [_graph(2, [("a", "b", 2.0)])])[0]
+    process_all(engine, [graph(0, [("a", "b", 2.0)]), graph(1, [("a", "b", 2.0)])])
+    event = process_all(engine, [graph(2, [("a", "b", 2.0)])])[0]
     assert event.cluster_index == 0
 
 
@@ -250,7 +245,7 @@ def _check_rejected(bad: GraphObject, match: str) -> None:
     """A run over g0, ``bad``, g1 stops at ``bad`` with a ValueError from
     ``preprocess``, before the engine sees it. Going on past it, as
     ``--lenient`` does, leaves the engine as a run without it would."""
-    g0, g1 = _graph(0, [("a", "b", 1.0)]), _graph(1, [("c", "d", 1.0)])
+    g0, g1 = graph(0, [("a", "b", 1.0)]), graph(1, [("c", "d", 1.0)])
     engine = Engine(_config(), SCHEMA)
     with pytest.raises(ValueError, match=match):
         process_all(engine, [g0, bad, g1])
@@ -270,9 +265,10 @@ def test_run_strict_and_lenient():
 @pytest.mark.parametrize("where", ["edge", "side"])
 def test_run_skips_a_mass_beyond_float_range(where):
     if where == "edge":
-        huge = _graph(9, [("a", "b", 10**400)])
+        huge = GraphObject(id="g9", ts=9, edges=[("a", "b", 10**400)])
     else:
-        huge = _graph(9, [("a", "b", 1.0)], {"x": 10**400})
+        side = {"topics": {"x": 10**400}}
+        huge = GraphObject(id="g9", ts=9, edges=[("a", "b", 1.0)], side=side)
     _check_rejected(huge, "must be finite")
 
 
@@ -287,13 +283,14 @@ def test_run_skips_a_mass_beyond_float_range(where):
     ids=["square", "merged_sum", "sum_of_squares", "side"],
 )
 def test_run_skips_a_mass_whose_square_overflows(edges, side):
-    _check_rejected(_graph(9, edges, side), "must have a finite sum of squares")
+    bad = GraphObject(id="g9", ts=9, edges=edges, side={"topics": side})
+    _check_rejected(bad, "must have a finite sum of squares")
 
 
 def test_a_mass_whose_square_stays_finite_is_kept():
     # 1e154 squares to 1e308, just inside float range
     engine = Engine(_config(), SCHEMA)
-    (event,) = process_all(engine, [_graph(0, [("a", "b", 1e154)], {"x": 1e154})])
+    (event,) = process_all(engine, [graph(0, [("a", "b", 1e154)], {"x": 1e154})])
     assert event.graph_id == "g0"
 
 
@@ -380,8 +377,8 @@ def test_event_json_rejects_each_non_finite_value(field, value):
 
 def test_record_distances_attaches_matrix():
     engine = Engine(_config(k=2, gamma=1000), SCHEMA, record_distances=True)
-    process_all(engine, [_graph(0, [("a", "b", 1.0)]), _graph(1, [("x", "y", 3.0)])])
-    event = process_all(engine, [_graph(2, [("a", "b", 1.0)])])[0]
+    process_all(engine, [graph(0, [("a", "b", 1.0)]), graph(1, [("x", "y", 3.0)])])
+    event = process_all(engine, [graph(2, [("a", "b", 1.0)])])[0]
     assert event.distances is not None
     assert len(event.distances) == 2
     assert len(event.distances[0]) == SCHEMA.d + 1
@@ -457,6 +454,48 @@ def test_checkpoint_round_trip(tmp_path):
     assert engine.to_bytes() == resumed.to_bytes()
 
 
+def _same(a, b) -> bool:
+    """Whether two attribute values are equal: arrays and floats bit for
+    bit, containers item by item in order, banks attribute for attribute."""
+    if isinstance(a, np.ndarray):
+        return (
+            isinstance(b, np.ndarray)
+            and (a.dtype, a.shape) == (b.dtype, b.shape)
+            and a.tobytes() == b.tobytes()
+        )
+    if isinstance(a, Bank):
+        return type(a) is type(b) and _same(vars(a), vars(b))
+    if isinstance(a, dict):
+        return isinstance(b, dict) and list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, float):
+        return isinstance(b, float) and a.hex() == b.hex()
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("n_graphs", [3, 10], ids=["m<k", "m==k"])
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_restores_every_attribute(backend, n_graphs):
+    """A resumed engine and its bank hold exactly what was saved and
+    nothing else: state the checkpoint does not restore (a cache filled by
+    a refresh, say) would show here as an attribute that differs."""
+    records: list[dict] = []
+    engine = Engine(_config(k=4, gamma=2), SCHEMA, backend, trace=records.append)
+    process_all(
+        engine,
+        [graph(i, [("a", f"n{i % 5}", 1.0 + i % 3)], {"x": 1.0 + i % 2}) for i in range(n_graphs)],
+    )
+    assert len(engine.bank) == min(n_graphs, 4)
+    assert any("final_weights" in record for record in records)  # refreshed
+    resumed = Engine.from_bytes(engine.to_bytes(), trace=records.append)
+    assert vars(resumed).keys() == vars(engine).keys()
+    assert vars(resumed.bank).keys() == vars(engine.bank).keys()
+    bank, loaded = vars(engine.bank), vars(resumed.bank)
+    assert [n for n in bank if not _same(bank[n], loaded[n])] == []
+    assert [n for n in vars(engine) if not _same(vars(engine)[n], vars(resumed)[n])] == []
+
+
 def test_checkpoint_size_independent_of_stream_length():
     cfg = SynthConfig(n_clusters=3, n_graphs=400, seed=17)
     schema = synth_schema(cfg)
@@ -481,7 +520,7 @@ def test_from_bytes_rejects_garbage():
 
 def _run_engine(backend: str = "sketch", **config) -> Engine:
     engine = Engine(_config(**config), SCHEMA, backend)
-    process_all(engine, [_graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)])
+    process_all(engine, [graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)])
     return engine
 
 
@@ -700,7 +739,7 @@ def test_from_bytes_rejects_clusters_unlike_the_header(backend):
     engine_d2 = Engine(_config(), wide, backend)
     process_all(
         engine_d2,
-        [_graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)]
+        [graph(i, [("a", f"n{i % 3}", 1.0)], {"x": 1.0}) for i in range(6)]
     )
     engine_d1 = _run_engine(backend)
     same = _splice_clusters(engine_d1, engine_d1)
@@ -784,7 +823,7 @@ def _scaled_engine() -> Engine:
     process_all(
         engine,
         [
-            _graph(
+            graph(
                 i,
                 [
                     ("a", f"n{i % 7}", rng.uniform(0.1, 3.0)),
@@ -907,7 +946,7 @@ def test_from_bytes_rejects_a_cluster_without_members(backend):
 def test_from_bytes_rejects_fewer_clusters_than_a_run_holds(backend, graphs):
     # a run holds min(graph_count, k) clusters: k=5 at 30 graphs, 3 at 3
     engine = Engine(_config(k=5), SCHEMA, backend)
-    process_all(engine, [_graph(i, [("a", f"n{i % 7}", 1.0)], {"x": 1.0}) for i in range(graphs)])
+    process_all(engine, [graph(i, [("a", f"n{i % 7}", 1.0)], {"x": 1.0}) for i in range(graphs)])
     assert len(engine.bank) == min(graphs, 5)
     engine.bank.size -= 1  # the last slot cut out
     with pytest.raises(ValueError, match="a run with k=5 holds"):

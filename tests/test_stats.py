@@ -10,37 +10,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference import ClusterStats, separating_rows
-from sketchclust import (
-    GraphObject,
-    GraphView,
-    SideType,
-    SketchConfig,
-    StreamSchema,
-    graph_views,
-    preprocess,
-)
+from reference import SCHEMA, ClusterStats, graph, separating_rows
+from sketchclust import GraphView, SketchConfig, graph_views
 from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
-
-SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
 
 def _cfg(seed: int = 0) -> SketchConfig:
     return SketchConfig(rows=4, cols=256, seed=seed)
 
 
-def _graph(i: int, edges, topics) -> GraphObject:
-    return preprocess(
-        GraphObject(id=f"g{i}", ts=i, edges=edges, side={"topics": topics}), SCHEMA
-    )
-
-
 def test_empty_and_singleton():
     empty = ClusterStats.empty(_cfg(), SCHEMA.d)
     assert empty.n == 0
     assert empty.d == 1
-    g = _graph(0, [("a", "b", 2.0)], {"x": 1.0})
+    g = graph(0, [("a", "b", 2.0)], {"x": 1.0})
     single = ClusterStats.empty(_cfg(), SCHEMA.d)
     single.absorb_views(graph_views(g, SCHEMA), 7)
     assert single.n == 1
@@ -51,8 +35,8 @@ def test_empty_and_singleton():
 
 def test_absorb_accumulates_moments_and_time():
     c = ClusterStats.empty(_cfg(), SCHEMA.d)
-    c.absorb_views(graph_views(_graph(0, [("a", "b", 1.0)], {"x": 2.0}), SCHEMA), 1)
-    c.absorb_views(graph_views(_graph(1, [("a", "b", 3.0)], {"y": 1.0}), SCHEMA), 5)
+    c.absorb_views(graph_views(graph(0, [("a", "b", 1.0)], {"x": 2.0}), SCHEMA), 1)
+    c.absorb_views(graph_views(graph(1, [("a", "b", 3.0)], {"y": 1.0}), SCHEMA), 5)
     assert c.n == 2
     assert c.t_last == 5
     # second moments add per graph: 1^2 + 3^2 and 2^2 + 1^2
@@ -63,8 +47,8 @@ def test_absorb_accumulates_moments_and_time():
 
 def test_first_moments_exact_when_separated():
     cfg = _cfg(seed=1)
-    g0 = _graph(0, [("a", "b", 1.0)], {"x": 2.0})
-    g1 = _graph(1, [("a", "b", 3.0)], {"x": 2.0})
+    g0 = graph(0, [("a", "b", 1.0)], {"x": 2.0})
+    g1 = graph(1, [("a", "b", 3.0)], {"x": 2.0})
     view = graph_views(g0, SCHEMA)
     assert separating_rows(cfg, view.keys)
     c = ClusterStats.empty(cfg, SCHEMA.d)
@@ -86,7 +70,7 @@ def test_self_product_overestimates_truth():
                 f"t{rng.randrange(18)}": float(rng.randrange(1, 4))
                 for _ in range(rng.randrange(1, 5))
             }
-            g = _graph(i, [], topics)
+            g = graph(i, [], topics)
             for view_key, value in g.side.get("topics", {}).items():
                 truth[view_key] = truth.get(view_key, 0.0) + value
             c.absorb_views(graph_views(g, SCHEMA), i)
@@ -104,7 +88,7 @@ def test_cross_product_overestimates_truth():
     for c, t in ((a, ta), (b, tb)):
         for i in range(6):
             topics = {f"t{rng.randrange(12)}": 1.0 for _ in range(3)}
-            g = _graph(i, [], topics)
+            g = graph(i, [], topics)
             for key, value in g.side.get("topics", {}).items():
                 t[key] = t.get(key, 0.0) + value
             c.absorb_views(graph_views(g, SCHEMA), i)
@@ -116,7 +100,7 @@ def test_merge_matches_sequential_absorption():
     rng = random.Random(37)
     cfg = _cfg(seed=2)
     graphs = [
-        _graph(
+        graph(
             i,
             [(f"n{rng.randrange(5)}", f"n{rng.randrange(5)}", float(rng.randrange(1, 4)))],
             {f"t{rng.randrange(8)}": float(rng.randrange(1, 3))},
@@ -150,7 +134,7 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
     rng = random.Random(seed)
     bank = ClusterBank(cfg, SCHEMA.d, k)
     for i in range(graphs):
-        g = _graph(
+        g = graph(
             i,
             [(f"n{rng.randrange(4)}", f"n{rng.randrange(4)}", 1.0)],
             {f"t{rng.randrange(5)}": 2.0},
@@ -192,7 +176,7 @@ def test_sketch_bank_rejects_a_view_without_buckets():
     cfg = _cfg(1)
     bank = _bank(cfg, 3, 6, 47)
     before = b"".join(bank.to_parts())
-    bare = graph_views(_graph(9, [("n0", "n1", 1.0)], {"t0": 2.0}), SCHEMA)
+    bare = graph_views(graph(9, [("n0", "n1", 1.0)], {"t0": 2.0}), SCHEMA)
     assert bare.buckets is None
     for call in (bank.distances_sq, lambda view: bank.absorb(0, view, 9)):
         with pytest.raises(ValueError, match="hashed for its config"):

@@ -125,6 +125,19 @@ def test_unknown_schema_key_is_a_format_error(tmp_path, schema):
     assert exc_info.value.line_no == 1
 
 
+@pytest.mark.parametrize("version", [2, 0, True, 1.0, "1", None])
+def test_a_stream_version_other_than_1_is_a_format_error(tmp_path, version):
+    path = str(tmp_path / "s.ndjson")
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"schema": {}, "stream_version": version}) + "\n")
+        fh.write(json.dumps({"id": "g0"}) + "\n")
+    with pytest.raises(StreamFormatError, match="unsupported stream_version") as exc_info:
+        read_header(path)
+    assert exc_info.value.line_no == 1
+    with pytest.raises(StreamFormatError, match="unsupported stream_version"):
+        list(iter_stream(path))
+
+
 def test_strict_mode_reports_line_numbers(tmp_path):
     path = str(tmp_path / "s.ndjson")
     with open(path, "w") as fh:

@@ -165,6 +165,7 @@ def test_single_graph_depends_only_on_seed_and_index():
         dict(n_communities=0),
         dict(n_communities=9),
         dict(informative_types=(("dup", 0.5),), noise_types=(("dup", 3),)),
+        dict(class_vocab=0),
     ],
 )
 def test_config_validation(kw):

@@ -9,31 +9,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference
-from reference import filled
+from reference import SCHEMA, filled, graph
 from sketchclust import (
     BarrierConfig,
     ClusterGeometry,
     Engine,
     EngineConfig,
     GraphObject,
-    SideType,
-    StreamSchema,
     graph_views,
-    preprocess,
     refine_weights,
 )
 from sketchclust import engine as engine_module
 from sketchclust import weight_opt
 from sketchclust.exact import ExactBank
 from sketchclust.weight_opt import _evaluate, _gradient
-
-SCHEMA = StreamSchema(side_types=(SideType("topics"),))
-
-
-def _graph(i: int, edges, topics) -> GraphObject:
-    return preprocess(
-        GraphObject(id=f"g{i}", ts=i, edges=edges, side={"topics": topics}), SCHEMA
-    )
 
 
 def _geometry(*clusters: list[GraphObject]) -> ClusterGeometry:
@@ -50,10 +39,7 @@ def _random_geometry(rng: random.Random, d: int = 2, n_pairs: int = 4) -> Cluste
         if not row.any():
             row[rng.randrange(d + 1)] = 1.0
         rows.append(row)
-    pairs = [(0, i + 1) for i in range(n_pairs)]
-    return ClusterGeometry(
-        intra=intra, pairs=pairs, inter_sq=np.vstack(rows), dropped=[]
-    )
+    return ClusterGeometry(intra, np.vstack(rows), 0)
 
 
 def _objective(w, geom: ClusterGeometry, cfg: BarrierConfig) -> float:
@@ -91,36 +77,30 @@ def test_barrier_config_validation():
 
 
 def test_geometry_from_clusters():
-    ca = [_graph(0, [("a", "b", 1.0)], {}), _graph(1, [("a", "b", 3.0)], {})]
-    cb = [_graph(2, [("a", "b", 1.0)], {})]
+    ca = [graph(0, [("a", "b", 1.0)], {}), graph(1, [("a", "b", 3.0)], {})]
+    cb = [graph(2, [("a", "b", 1.0)], {})]
     geom = _geometry(ca, cb)
-    assert geom.pairs == [(0, 1)]
     assert geom.intra.tolist() == pytest.approx([2.0, 0.0])
     assert geom.inter_sq.tolist() == [pytest.approx([1.0, 0.0])]
-    assert geom.dropped == []
+    assert geom.dropped == 0
 
 
 def test_geometry_drops_coincident_pairs():
-    geom = _geometry([_graph(0, [("a", "b", 2.0)], {})], [_graph(1, [("a", "b", 2.0)], {})])
-    assert geom.pairs == []
-    assert geom.dropped == [(0, 1)]
+    geom = _geometry([graph(0, [("a", "b", 2.0)], {})], [graph(1, [("a", "b", 2.0)], {})])
+    assert geom.inter_sq.shape == (0, 2)
+    assert geom.dropped == 1
 
 
 def test_geometry_needs_two_clusters():
     with pytest.raises(ValueError, match="two nonempty"):
-        _geometry([_graph(0, [("a", "b", 1.0)], {})])
+        _geometry([graph(0, [("a", "b", 1.0)], {})])
     with pytest.raises(ValueError, match="two nonempty"):
         _geometry()
 
 
 def test_objective_hand_example():
     # one pair with Q = 4: f = t*<w, intra> - 2*log(sqrt(4) - 1) = 0
-    geom = ClusterGeometry(
-        intra=np.zeros(2),
-        pairs=[(0, 1)],
-        inter_sq=np.array([[4.0, 0.0]]),
-        dropped=[],
-    )
+    geom = ClusterGeometry(np.zeros(2), np.array([[4.0, 0.0]]), 0)
     cfg = BarrierConfig(t=1.0)
     assert _objective([1.0, 1.0], geom, cfg) == pytest.approx(0.0)
     # Q = 1 sits on the boundary: infeasible
@@ -135,23 +115,21 @@ def test_feasibility_is_decided_as_the_roots_decide_it():
     cfg = BarrierConfig()
     q = np.nextafter(1.0, 0.0)
     for _ in range(200):
-        geom = ClusterGeometry(np.ones(1), [(0, 1)], np.array([[q]]), [])
+        geom = ClusterGeometry(np.ones(1), np.array([[q]]), 0)
         got = _objective([1.0], geom, cfg)
         assert got == reference.barrier_objective([1.0], geom, cfg), q
         assert (got == math.inf) == (q <= 1.0 + 2.0**-52), q
         q = np.nextafter(q, 2.0)
 
 
-def test_objective_linear_without_pairs():
-    geom = ClusterGeometry(
-        intra=np.array([2.0, 3.0]),
-        pairs=[],
-        inter_sq=np.zeros((0, 2)),
-        dropped=[],
-    )
+def test_objective_linear_where_the_barrier_vanishes():
+    # one pair with Q = 4 at w = (1, 1): its barrier term, log(sqrt(4) - 1),
+    # is 0, so the objective is the linear term and the gradient the linear
+    # term's less inter_sq / (root * (root - 1)) = inter_sq / 2
+    geom = ClusterGeometry(np.array([2.0, 3.0]), np.array([[2.0, 2.0]]), 0)
     cfg = BarrierConfig(t=2.0)
-    assert _objective([1.0, 1.0], geom, cfg) == pytest.approx(10.0)
-    assert _grad([1.0, 1.0], geom, cfg).tolist() == pytest.approx([4.0, 6.0])
+    assert _objective([1.0, 1.0], geom, cfg) == 10.0
+    assert _grad([1.0, 1.0], geom, cfg).tolist() == [3.0, 5.0]
 
 
 def test_gradient_matches_finite_differences():
@@ -173,12 +151,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gradient_requires_feasibility():
-    geom = ClusterGeometry(
-        intra=np.zeros(2),
-        pairs=[(0, 1)],
-        inter_sq=np.array([[4.0, 0.0]]),
-        dropped=[],
-    )
+    geom = ClusterGeometry(np.zeros(2), np.array([[4.0, 0.0]]), 0)
     # outside the region the evaluation gives no roots to take a gradient at
     assert _evaluate(np.array([0.125, 0.0]), geom, BarrierConfig()) == (math.inf, None)
     # a margin below float resolution rescales the start onto the boundary,
@@ -216,12 +189,7 @@ def test_refine_never_increases_objective():
 
 
 def test_refine_repairs_infeasible_start():
-    geom = ClusterGeometry(
-        intra=np.array([1.0, 1.0]),
-        pairs=[(0, 1)],
-        inter_sq=np.array([[4.0, 1.0]]),
-        dropped=[],
-    )
+    geom = ClusterGeometry(np.array([1.0, 1.0]), np.array([[4.0, 1.0]]), 0)
     cfg = BarrierConfig(max_steps=0)  # isolate the repair rescale
     out = refine_weights([0.01, 0.01], geom, cfg)
     q = float((geom.inter_sq @ out)[0])
@@ -231,19 +199,14 @@ def test_refine_repairs_infeasible_start():
 def test_refine_restarts_from_uniform_when_support_vanishes():
     # All weight sits on a component along which the pair does not
     # separate; rescaling cannot fix that.
-    geom = ClusterGeometry(
-        intra=np.array([1.0, 1.0]),
-        pairs=[(0, 1)],
-        inter_sq=np.array([[0.0, 2.0]]),
-        dropped=[],
-    )
+    geom = ClusterGeometry(np.array([1.0, 1.0]), np.array([[0.0, 2.0]]), 0)
     out = refine_weights([1.0, 0.0], geom, BarrierConfig(max_steps=0))
     assert float((geom.inter_sq @ out)[0]) > 1.0
 
 
 def test_refine_restarts_from_uniform_when_the_rescale_overflows():
     # The rescale (1.05 / sqrt(5e-324)) ** 2 is beyond the float range.
-    geom = ClusterGeometry(np.zeros(3), [(0, 1)], np.array([[1.0, 1.0, 1.0]]), [])
+    geom = ClusterGeometry(np.zeros(3), np.array([[1.0, 1.0, 1.0]]), 0)
     out = refine_weights([0.0, 0.0, 5e-324], geom, BarrierConfig())
     assert float((geom.inter_sq @ out)[0]) > 1.0
 
@@ -251,11 +214,11 @@ def test_refine_restarts_from_uniform_when_the_rescale_overflows():
 def test_refine_rejects_a_pair_no_float_weights_separate():
     # Uniform weights see a squared separation of 5e-324: its rescale,
     # (1.05 / sqrt(5e-324)) ** 2, is beyond the float range.
-    geom = ClusterGeometry(np.zeros(3), [(0, 1)], [[5e-324, 0.0, 0.0]], [])
+    geom = ClusterGeometry(np.zeros(3), [[5e-324, 0.0, 0.0]], 0)
     with pytest.raises(ValueError, match="^no float weights separate the tightest pair"):
         refine_weights([1.0, 1.0, 1.0], geom, BarrierConfig())
     # at 1e-300 the rescale is finite: weights come back, feasible
-    geom = ClusterGeometry(np.zeros(3), [(0, 1)], [[1e-300, 0.0, 0.0]], [])
+    geom = ClusterGeometry(np.zeros(3), [[1e-300, 0.0, 0.0]], 0)
     out = refine_weights([1.0, 1.0, 1.0], geom, BarrierConfig())
     assert np.isfinite(out).all() and out[0] * 1e-300 > 1.0
 
@@ -272,12 +235,16 @@ def test_refine_weights_passthrough_cases():
     # one live cluster: the engine does not refresh at all
     engine = Engine(EngineConfig(k=2, gamma=1), SCHEMA, "exact")
     engine.weights = np.array([1.0, 2.0])
-    engine.process(_graph(0, [("a", "b", 1.0)], {}))
+    engine.process(graph(0, [("a", "b", 1.0)], {}))
     assert engine.weights.tolist() == [1.0, 2.0]
     # every pair coincident: nothing to separate, weights unchanged
-    geom = _geometry([_graph(1, [("a", "b", 2.0)], {})], [_graph(2, [("a", "b", 2.0)], {})])
-    w = np.array([1.0, 1.0])
-    assert refine_weights(w, geom, BarrierConfig()).tolist() == [1.0, 1.0]
+    geom = _geometry([graph(1, [("a", "b", 2.0)], {})], [graph(2, [("a", "b", 2.0)], {})])
+    w = np.array([1.0, 2.0])
+    records: list[dict] = []
+    assert refine_weights(w, geom, BarrierConfig(), records.append).tolist() == [1.0, 2.0]
+    # its one trace record, the final one, as the reference writes it
+    assert records == [{"final_weights": [1.0, 2.0], "pairs": 0, "dropped_pairs": 1}]
+    assert records == _outcome(reference.refine_weights, geom, w, BarrierConfig())[1]
 
 
 @pytest.mark.parametrize("backend", ["sketch", "exact"])
@@ -287,20 +254,20 @@ def test_a_refresh_calls_refine_weights_by_the_engine_module(monkeypatch, backen
     calls: list[int] = []
 
     def counting(weights, geom, cfg, trace=None):
-        calls.append(len(geom.pairs))
+        calls.append(len(geom.inter_sq))
         return refine_weights(weights, geom, cfg, trace=trace)
 
     monkeypatch.setattr(engine_module, "refine_weights", counting)
     engine = Engine(EngineConfig(k=3, gamma=5), SCHEMA, backend)
     for i in range(23):
-        engine.process(_graph(i, [("a", "b", 1.0 + i % 4)], {"x": float(i % 3)}))
+        engine.process(graph(i, [("a", "b", 1.0 + i % 4)], {"x": float(i % 3)}))
     assert len(calls) == 4  # graphs 5, 10, 15 and 20
 
 
 def test_refine_weights_emits_trace():
     records: list[dict] = []
     geom = _geometry(
-        [_graph(0, [("a", "b", 1.0)], {"x": 2.0})], [_graph(1, [("c", "d", 3.0)], {"y": 1.0})]
+        [graph(0, [("a", "b", 1.0)], {"x": 2.0})], [graph(1, [("c", "d", 3.0)], {"y": 1.0})]
     )
     refine_weights([1.0, 1.0], geom, BarrierConfig(max_steps=5), trace=records.append)
     assert records, "expected at least the summary record"
@@ -311,12 +278,7 @@ def test_refine_weights_emits_trace():
 def test_refine_prefers_separating_component():
     # Component 1 separates the pair and costs little intra; component 0
     # carries intra cost but no separation. Weight must flow to 1.
-    geom = ClusterGeometry(
-        intra=np.array([5.0, 0.5]),
-        pairs=[(0, 1)],
-        inter_sq=np.array([[0.0, 3.0]]),
-        dropped=[],
-    )
+    geom = ClusterGeometry(np.array([5.0, 0.5]), np.array([[0.0, 3.0]]), 0)
     cfg = BarrierConfig(t=1.0, max_steps=60, step_size=0.05)
     out = refine_weights([1.0, 1.0], geom, cfg)
     assert out[1] > out[0]
@@ -364,8 +326,7 @@ def _oracle_case(rng: random.Random, case: int):
         cfg = BarrierConfig(t=cfg.t, max_steps=cfg.max_steps, feasibility_margin=1e-17)
     elif kind == "nan":
         inter_sq[rng.randrange(n_pairs), rng.randrange(n)] = math.nan
-    pairs = [(0, i + 1) for i in range(n_pairs)]
-    geom = ClusterGeometry(intra=intra, pairs=pairs, inter_sq=inter_sq, dropped=[])
+    geom = ClusterGeometry(intra, inter_sq, 0)
     return kind, geom, w, cfg
 
 
@@ -403,16 +364,6 @@ _LAYOUTS = {
 }
 
 
-def _contiguous(geom: ClusterGeometry) -> ClusterGeometry:
-    """The geometry with C-contiguous float64 arrays, as the descent reads it."""
-    return ClusterGeometry(
-        np.ascontiguousarray(geom.intra, dtype=np.float64),
-        geom.pairs,
-        np.ascontiguousarray(geom.inter_sq, dtype=np.float64),
-        geom.dropped,
-    )
-
-
 @st.composite
 def _geometries(draw):
     """A geometry of d+1 = 1..8 components and 1..150 pairs (up to 30 rows
@@ -434,9 +385,8 @@ def _geometries(draw):
     layout = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))]
     geom = ClusterGeometry(
         intra=layout(np.array(intra, dtype=np.float64)),
-        pairs=[(0, i + 1) for i in range(len(rows))],
         inter_sq=layout(np.array(rows, dtype=np.float64)),
-        dropped=[],
+        dropped=0,
     )
     cfg = BarrierConfig(
         t=draw(st.sampled_from([0.05, 1.0, 3.7, 50.0])),
@@ -453,30 +403,33 @@ def _geometries(draw):
 )
 @example(
     case=(
-        ClusterGeometry(np.array([4.0, 3.0, 1.0]), [(0, 1)], np.array([[0.5, 0.3, 2.0]]), []),
+        ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0),
         BarrierConfig(step_size=1.0, weight_floor=0.5),
     ),
     start=[0.1, 0.2, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0],
 )
 @example(
     case=(
-        ClusterGeometry(np.zeros(3), [(0, 1)], np.array([[1.0, 1.0, 1.0]]), []),
+        ClusterGeometry(np.zeros(3), np.array([[1.0, 1.0, 1.0]]), 0),
         BarrierConfig(),
     ),
     start=[0.0, 0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 0.0],
 )
 @example(
-    case=(ClusterGeometry(np.zeros(3), [(0, 1)], [[5e-324, 0.0, 0.0]], []), BarrierConfig()),
+    case=(ClusterGeometry(np.zeros(3), [[5e-324, 0.0, 0.0]], 0), BarrierConfig()),
     start=[1.0] * 8,
 )
 def test_refine_weights_matches_the_reference_on_random_geometries(case, start):
     """The library's descent, which stops early, and the reference's, which
     halves every step to the end, return the same bits and trace records;
-    starting weights may lie below the floor. The library reads any array
-    layout as the reference reads C-contiguous float64 arrays."""
+    starting weights may lie below the floor. Both read any array
+    layout: the geometry stores its arrays C-contiguous float64, whatever
+    layout they are given in."""
     geom, cfg = case
+    for array in (geom.intra, geom.inter_sq):
+        assert array.dtype == np.float64 and array.flags.c_contiguous
     w = np.array(start[: len(geom.intra)], dtype=np.float64)
-    expected = _outcome(reference.refine_weights, _contiguous(geom), w, cfg)
+    expected = _outcome(reference.refine_weights, geom, w, cfg)
     assert _outcome(refine_weights, geom, w, cfg) == expected
 
 
@@ -484,12 +437,7 @@ def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
     # The optimum sits on the floor in components 0 and 1 and is reached
     # before max_steps. Every smaller step's candidate then rounds to the
     # weights, so one rejected candidate equal to them ends the descent.
-    geom = ClusterGeometry(
-        intra=np.array([4.0, 3.0, 1.0]),
-        pairs=[(0, 1)],
-        inter_sq=np.array([[0.5, 0.3, 2.0]]),
-        dropped=[],
-    )
+    geom = ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0)
     cfg = BarrierConfig(step_size=1.0, weight_floor=0.01)
     evaluated: list[np.ndarray] = []
     evaluate = weight_opt._evaluate
