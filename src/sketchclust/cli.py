@@ -127,7 +127,7 @@ def _build_parser() -> _Parser:
 
     p_cluster = sub.add_parser("cluster", help="cluster a stream file")
     add_run_flags(p_cluster)
-    p_cluster.add_argument("--backend", choices=("sketch", "exact"), default="sketch")
+    p_cluster.add_argument("--backend", choices=BACKENDS, default=BACKENDS[0])
     p_cluster.add_argument("--out-dir", required=True)
     p_cluster.add_argument("--diagnostics", action="store_true",
                            help="record per-cluster distances in events")
@@ -200,10 +200,11 @@ def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Eng
     Returns each engine's events (in map order), the labels by graph id,
     the ``(elapsed_s, cumulative_edges)`` marks and the count of skipped
     records and graphs. Purity scores every clustered graph or none: when
-    some but not all of them carry a label, the labels come back empty,
-    after one ``purity skipped`` warning.
+    some but not all of them carry a label, or a graph id comes back with
+    another label (purity looks labels up by id), the labels come back
+    empty, after one ``purity skipped`` warning that counts both.
     """
-    skipped = unlabeled = 0
+    skipped = unlabeled = relabeled = 0
 
     def record_skipped(line_no: int, message: str) -> None:
         nonlocal skipped
@@ -232,16 +233,17 @@ def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Eng
                 continue
             if g.label is None:
                 unlabeled += 1
-            else:
-                labels[g.id] = g.label
+            elif labels.setdefault(g.id, g.label) != g.label:
+                relabeled += 1
             edges += len(g.edges)
             for engine, events, out in sinks:
                 event = engine.process(g)
                 events.append(event)
                 out.write(event.to_json() + "\n")
             marks.append((time.perf_counter() - start, edges))
-    if labels and unlabeled:
-        _diag("warning", "purity skipped", unlabeled=unlabeled)
+    if labels and (unlabeled or relabeled):
+        counts = {"unlabeled": unlabeled, "relabeled": relabeled}
+        _diag("warning", "purity skipped", **{k: v for k, v in counts.items() if v})
         labels = {}
     return runs, labels, marks, skipped
 
@@ -332,20 +334,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     }
     (sketch, exact), labels, _, _ = _run(args, schema, engines)
 
-    rel_errors: list[float] = []
-    for ev_s, ev_x in zip(sketch, exact):
-        if ev_s.distances is None or ev_x.distances is None:
-            continue
-        for row_s, row_x in zip(ev_s.distances, ev_x.distances):
-            for v_s, v_x in zip(row_s, row_x):
-                scale = max(abs(v_x), 1e-12)
-                rel_errors.append(abs(v_s - v_x) / scale)
-    rel_errors.sort()
+    # every routed graph's distances, (graphs, k, d+1): the backends route the same graphs
+    est, true = (np.array([e.distances for e in run if e.distances]) for run in (sketch, exact))
+    errors = np.sort(np.abs(est - true) / np.maximum(np.abs(true), 1e-12), axis=None)
 
     def quantile(q: float) -> float | None:
-        if not rel_errors:
-            return None
-        return rel_errors[min(int(q * len(rel_errors)), len(rel_errors) - 1)]
+        n = errors.size
+        return float(errors[min(int(q * n), n - 1)]) if n else None
 
     report = {
         "graphs": len(sketch),
@@ -355,7 +350,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             "median": quantile(0.5),
             "p90": quantile(0.9),
             "p99": quantile(0.99),
-            "max": rel_errors[-1] if rel_errors else None,
+            "max": quantile(1.0),
         },
     }
     if labels:
@@ -385,8 +380,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 f"bad event {event.graph_id!r}: cluster_index {event.cluster_index}"
                 f" is not below the event count {len(events)}"
             )
-    records = iter_stream(args.stream, on_error=_record_skipped)
-    labels = {g.id: g.label for g in records if g.label is not None}
+    labels: dict[str, str] = {}
+    for g in iter_stream(args.stream, on_error=_record_skipped):
+        if g.label is not None and labels.setdefault(g.id, g.label) != g.label:
+            first = labels[g.id]
+            raise StreamFormatError(f"graph {g.id!r} has two labels, {first!r} and {g.label!r}")
     if not labels:
         raise StreamFormatError("stream carries no labels to evaluate against")
     csv_path = None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,13 +34,7 @@ class PurityReport:
     dominant_labels: list[str | None]
 
     def to_dict(self) -> dict:
-        return {
-            "average_purity": self.average_purity,
-            "size_weighted_purity": self.size_weighted_purity,
-            "per_cluster_purity": self.per_cluster_purity,
-            "cluster_sizes": self.cluster_sizes,
-            "dominant_labels": self.dominant_labels,
-        }
+        return asdict(self)
 
 
 def _report_from_counters(counters: Sequence[Counter]) -> PurityReport:

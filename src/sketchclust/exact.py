@@ -6,17 +6,19 @@ and cross product is exact; the scalars and the distance arithmetic are
 ``stats.Bank``'s, shared with the sketch backend. Memory grows with the
 number of distinct keys; this backend exists for differential testing and
 small runs, not for unbounded streams. It checkpoints as the sketch bank
-does, the scalars first, then each slot's maps in place of the cells.
+does, the scalars first, then each slot's maps in place of the cells;
+loading rejects each mass that is negative or not finite as it parses it.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
 
 from .model import GraphView
-from .stats import Bank, finite_nonneg, unpack_at
+from .stats import Bank, unpack_at
 
 
 def _self_product(masses: dict[bytes, float]) -> float:
@@ -79,11 +81,11 @@ class ExactBank(Bank):
                 for _ in range(entries):
                     (klen,) = unpack_at("<I", data, off)
                     key = bytes(data[off + 4 : off + 4 + klen])
-                    (mp[key],) = unpack_at("<d", data, off + 4 + klen)
+                    (value,) = unpack_at("<d", data, off + 4 + klen)
+                    # NaN fails the comparison, and -0.0 passes it
+                    if not 0.0 <= value < math.inf:
+                        raise ValueError("checkpoint holds negative or non-finite first moments")
+                    mp[key] = value
                     off += 4 + klen + 8
                 self.self_sq[comp, slot] = _self_product(mp)
         return off
-
-    def _first_ok(self) -> bool:
-        values = (v for maps in self.maps[: self.size] for mp in maps for v in mp.values())
-        return finite_nonneg(np.fromiter(values, dtype=np.float64))

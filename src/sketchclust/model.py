@@ -180,7 +180,7 @@ class GraphObject:
     label: str | None = None
 
 
-def _check_label(label: str) -> None:
+def _check_label(label: str) -> str:
     if not isinstance(label, str) or not label:
         raise ValueError("node/attribute labels must be nonempty strings")
     if _SEPARATOR_STR in label:
@@ -190,6 +190,7 @@ def _check_label(label: str) -> None:
             label.encode("utf-8")
         except UnicodeEncodeError:  # a lone surrogate, which JSON can carry
             raise ValueError(f"label {label!r} is not encodable as UTF-8") from None
+    return label
 
 
 def _check_value(value: float, what: str) -> float:
@@ -233,13 +234,16 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     attributes are dropped, and edges/attributes are sorted for
     deterministic downstream iteration. Raises ValueError on a mass that
     is not a nonnegative finite number (bool and str are not numbers), a
-    timestamp that is not a nonnegative integer, a label that is empty,
-    holds the separator or is not encodable as UTF-8, an unknown side type,
-    and on masses that are finite but whose merged sum or sum of squares
-    within a component is not.
+    timestamp that is not a nonnegative integer, a graph label that is not
+    a string, edges or side maps not shaped as ``GraphObject`` declares, a
+    node or attribute label that is empty, holds the separator or is not
+    encodable as UTF-8, an unknown side type, and on masses that are finite
+    but whose merged sum or sum of squares within a component is not.
     """
     if not isinstance(g.id, str) or not g.id:
         raise ValueError("graph id must be a nonempty string")
+    if g.label is not None and not isinstance(g.label, str):
+        raise ValueError(f"graph label must be a string, not {g.label!r}")
     ts = g.ts
     if type(ts) is not int:
         if isinstance(ts, bool) or not isinstance(ts, numbers.Integral):
@@ -248,16 +252,17 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     if ts < 0:
         raise ValueError("timestamp must be nonnegative")
 
+    if not isinstance(g.edges, (list, tuple)) or not isinstance(g.side, dict):
+        raise ValueError("edges must be a list or tuple, and side a dict of dicts")
     merged: dict[tuple[str, str], float] = {}
     for edge in g.edges:
-        if len(edge) == 2:
-            src, dst = edge
-            freq = 1.0
-        elif len(edge) == 3:
-            src, dst, freq = edge
-            freq = 1.0 if freq is None else _check_value(freq, "edge frequency")
-        else:
-            raise ValueError("edges must be (src, dst) or (src, dst, freq)")
+        match edge:  # sequence patterns: no str, dict or number matches them
+            case (src, dst, freq):
+                freq = 1.0 if freq is None else _check_value(freq, "edge frequency")
+            case (src, dst):
+                freq = 1.0
+            case _:
+                raise ValueError(f"edges must be (src, dst) or (src, dst, freq), not {edge!r}")
         _check_label(src)
         _check_label(dst)
         if not schema.directed and dst < src:
@@ -275,9 +280,11 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     for name, attrs in g.side.items():
         if name not in known:
             raise ValueError(f"side type {name!r} not declared in schema")
+        if not isinstance(attrs, dict):
+            raise ValueError(f"side type {name!r} must map attribute ids to values")
         cleaned = {}
-        for attr_id in sorted(attrs):
-            _check_label(attr_id)
+        # each id checked before any two are compared
+        for attr_id in sorted(attrs, key=_check_label):
             if name in categorical:
                 if _check_value(attrs[attr_id], "categorical presence") > 0.0:
                     cleaned[f"{name}={attr_id}"] = 1.0

@@ -16,8 +16,7 @@ A bank checkpoints as its live slots' arrays, whole: the scalars, then
 the backend's first moments, every shape but the slot count taken from
 the engine header. ``unpack_at`` and ``read_array`` are the bounds-checked
 reads a checkpoint goes through, so a truncated one raises ValueError;
-``Bank.validate`` (with ``ClusterBank``'s row-sum check) rejects loaded
-state that no run produces.
+``Bank.load`` rejects each array that no run holds as it reads it.
 """
 
 from __future__ import annotations
@@ -32,12 +31,14 @@ from .sketch import SketchConfig
 from .weight_opt import ClusterGeometry
 
 
-# Rows of a grid add the same masses in different orders and round
-# differently: each addition moves a row's total by at most 2**-53 of the
-# largest row sum, so 1e-6 allows about 10**9 additions per row. Whole cells
-# do not show whole masses (2**52 + 0.5 + 0.5 rounds to a whole cell of
-# 2**52 in a row where the three collide, while a row that keeps the halves
-# apart sums 2**52 + 1), so no grid is held to exact agreement above this.
+# Each key adds its mass once to every row of a grid, so the rows sum to one
+# total up to rounding: rows add the same masses in different orders, each
+# addition moving a row's total by at most 2**-53 of the largest row sum, so
+# 1e-6 allows about 10**9 additions per row. Whole cells do not show whole
+# masses (2**52 + 0.5 + 0.5 rounds to a whole cell of 2**52 in a row where
+# the three collide, while a row that keeps the halves apart sums 2**52 + 1);
+# only whole-celled rows totalling under 1 / ROW_SUM_RTOL, whose gap is whole
+# and below one, must agree exactly.
 ROW_SUM_RTOL = 1e-6
 
 
@@ -101,10 +102,10 @@ class Bank:
     of each of the view's keys, ``(size, N)``), ``_pair_cross(first,
     second)`` (the cross products of the live slot pairs
     ``(first[p], second[p])``, one ``(d+1,)`` row per pair), and
-    ``_write_first``, ``_load_first`` and ``_first_ok`` for the
-    checkpoint. An update (``add``, ``absorb``, ``reset``) checks the
-    graph before it writes anything, so a rejected graph leaves the bank
-    as it was.
+    ``_write_first`` and ``_load_first`` (which rejects first moments no
+    run holds) for the checkpoint. An update (``add``, ``absorb``,
+    ``reset``) checks the graph before it writes anything, so a rejected
+    graph leaves the bank as it was.
 
     A bank holds only what its checkpoint restores (``self_sq`` is
     recomputed on load, and ``geometry`` caches nothing), so a resumed bank
@@ -240,7 +241,8 @@ class Bank:
     def load(self, data: bytes, off: int) -> int:
         """Fill the empty bank from a ``to_parts`` section at ``off``;
         returns the offset after it. More than ``k`` slots is rejected
-        before any array is read."""
+        before any array is read, and a negative or non-finite moment as it
+        is read; a rejected section leaves the bank unfit for use."""
         (m,) = unpack_at("<I", data, off)
         if m > len(self.n):
             raise ValueError(f"checkpoint holds {m} clusters, more than k")
@@ -248,18 +250,22 @@ class Bank:
         n = read_array(data, off, "<i8", (m,))
         t_last = read_array(data, off + 8 * m, "<i8", (m,))
         moments = read_array(data, off + 16 * m, "<f8", (m, self.d + 1))
-        off = self._load_first(data, off + 16 * m + moments.nbytes, m)
+        # checked on the bank's copy: a view into the blob may sit off 8-byte
+        # alignment, where numpy's reductions run about half as fast
         self.second_moments[:m] = moments
+        if not finite_nonneg(self.second_moments[:m]):
+            raise ValueError("checkpoint holds negative or non-finite second moments")
+        off = self._load_first(data, off + 16 * m + moments.nbytes, m)
         self.n[:m] = n
         self.t_last[:m] = t_last
         self.size = m
         return off
 
     def validate(self, graph_count: int) -> None:
-        """Reject loaded state that no run produces: a cluster count other
-        than ``min(graph_count, k)``, a cluster without members, more members
-        than graphs, an update after the checkpoint's graph count, or
-        moments that are negative or not finite."""
+        """Reject loaded counts that no run of ``graph_count`` graphs
+        produces: a cluster count other than ``min(graph_count, k)``, a
+        cluster without members, more members than graphs, or an update
+        after the checkpoint's graph count."""
         m = self.size
         live = min(graph_count, len(self.n))
         if m != live:
@@ -279,10 +285,6 @@ class Bank:
             raise ValueError(
                 f"checkpoint holds a cluster updated outside graphs 0..{graph_count}"
             )
-        if not finite_nonneg(self.second_moments[:m]):
-            raise ValueError("checkpoint holds negative or non-finite second moments")
-        if not self._first_ok():
-            raise ValueError("checkpoint holds negative or non-finite first moments")
 
 
 class ClusterBank(Bank):
@@ -345,21 +347,13 @@ class ClusterBank(Bank):
         shape = (self.d + 1, m, self.config.rows, self.config.cols)
         cells = read_array(data, off, "<f8", shape)
         self.cells[:, :m] = cells
-        # absorb's product, so a resumed run stays bitwise equal
-        self._square_rows(slice(0, m))
-        return off + cells.nbytes
-
-    def _first_ok(self) -> bool:
-        return finite_nonneg(self.cells[:, : self.size])
-
-    def validate(self, graph_count: int) -> None:
-        """``Bank.validate``, then that every grid's rows sum to one total,
-        as each key adds its mass once to every row, within
-        ``ROW_SUM_RTOL`` of the largest row sum. On a grid of whole cells
-        the rows' gap is whole too, so rows totalling under
-        ``1 / ROW_SUM_RTOL`` must agree exactly."""
-        super().validate(graph_count)
-        sums = self.cells[:, : self.size].sum(-1)
+        held = self.cells[:, :m]  # the bank's copy, checked as in ``Bank.load``
+        if not finite_nonneg(held):
+            raise ValueError("checkpoint holds negative or non-finite first moments")
+        sums = held.sum(-1)  # one total per grid, to ROW_SUM_RTOL of the largest
         top = sums.max(-1)
         if (top - sums.min(-1) > ROW_SUM_RTOL * top).any():
             raise ValueError("checkpoint holds a sketch whose rows sum to different totals")
+        # absorb's product, so a resumed run stays bitwise equal
+        self._square_rows(slice(0, m))
+        return off + cells.nbytes

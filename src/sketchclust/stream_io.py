@@ -121,14 +121,17 @@ def _parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
 def read_header(path: str) -> StreamSchema:
     """Parse just the schema header of a stream file."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            return _parse_header(line, line_no)
-    raise StreamFormatError("empty stream file: missing schema header")
+        return _read_header(enumerate(fh, start=1))
 
 
-def _parse_header(line: str, line_no: int) -> StreamSchema:
+def _read_header(lines: Iterator[tuple[int, str]]) -> StreamSchema:
+    """The schema on the first nonblank of the numbered ``lines``, which
+    are consumed up to it."""
+    for line_no, line in lines:
+        if line.strip():
+            break
+    else:
+        raise StreamFormatError("empty stream file: missing schema header")
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -153,14 +156,11 @@ def iter_stream(path: str, on_error: ErrorHook | None = None) -> Iterator[GraphO
     is skipped after reporting ``on_error(line_no, message)``.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        header_seen = False
+        lines = enumerate(fh, start=1)
+        _read_header(lines)
         record_ordinal = 0
-        for line_no, line in enumerate(fh, start=1):
+        for line_no, line in lines:
             if not line.strip():
-                continue
-            if not header_seen:
-                _parse_header(line, line_no)
-                header_seen = True
                 continue
             try:
                 g = _parse_record(line, line_no, default_ts=record_ordinal)
@@ -171,8 +171,6 @@ def iter_stream(path: str, on_error: ErrorHook | None = None) -> Iterator[GraphO
                 continue
             record_ordinal += 1
             yield g
-        if not header_seen:
-            raise StreamFormatError("empty stream file: missing schema header")
 
 
 def _json_number(value: float) -> int | float:

@@ -20,10 +20,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference import (
+    SCHEMA,
     ClusterStats,
     bank_geometry,
     cluster_geometry,
     component_distances_sq,
+    graph,
     intra_vector_sq,
     pair_cross,
 )
@@ -353,3 +355,63 @@ def test_geometry_matches_the_reference_construction(
         kept = size * (size - 1) // 2 - want.dropped
         assert got.inter_sq.shape == want.inter_sq.shape == (kept, d + 1)
         assert got.inter_sq.tobytes() == want.inter_sq.tobytes()
+
+
+def _two_clusters(exact: bool) -> ExactBank | ClusterBank:
+    """A bank of three slots with two live clusters over integer masses."""
+    if exact:
+        bank = ExactBank(SCHEMA.d, 3)
+    else:
+        bank = ClusterBank(SketchConfig(rows=3, cols=16), SCHEMA.d, 3)
+    for i in range(6):
+        g = graph(i, [("a", f"n{i % 3}", 1.0 + i)], {f"t{i % 4}": 2.0})
+        view = graph_views(g, SCHEMA, bank.config)
+        if len(bank) < 2:
+            bank.add(view, i)
+        else:
+            bank.absorb(i % 2, view, i)
+    return bank
+
+
+def _loads(bank, blob: bytes) -> bytes:
+    """``blob`` loaded by an empty bank of ``bank``'s shape, written back."""
+    if isinstance(bank, ExactBank):
+        again = ExactBank(bank.d, 3)
+    else:
+        again = ClusterBank(bank.config, bank.d, 3)
+    assert again.load(blob, 0) == len(blob)
+    return b"".join(again.to_parts())
+
+
+def _set_second_moment(bank, value) -> None:
+    bank.second_moments[1, 0] = value
+
+
+def _set_first_moment(bank, value) -> None:
+    if isinstance(bank, ExactBank):
+        masses = bank.maps[1][0]
+        masses[next(iter(masses))] = value
+    else:
+        bank.cells[0, 1, 0, 0] = value
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0, float("inf")])
+@pytest.mark.parametrize("moment", ["second", "first"])
+@pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
+def test_load_alone_rejects_negative_or_non_finite_moments(exact, moment, value):
+    """``Bank.load`` checks each array as it reads it, with no
+    ``validate`` call after it: a second moment, or a cell or map mass,
+    that no run holds."""
+    bank = _two_clusters(exact)
+    blob = b"".join(bank.to_parts())
+    assert _loads(bank, blob) == blob
+    {"second": _set_second_moment, "first": _set_first_moment}[moment](bank, value)
+    with pytest.raises(ValueError, match=f"negative or non-finite {moment} moments"):
+        _loads(bank, b"".join(bank.to_parts()))
+
+
+def test_load_alone_rejects_a_sketch_whose_rows_sum_apart():
+    bank = _two_clusters(exact=False)
+    bank.cells[0, 1, 0, 0] += 1.0  # one row's total now one above the others
+    with pytest.raises(ValueError, match="rows sum to different totals"):
+        _loads(bank, b"".join(bank.to_parts()))

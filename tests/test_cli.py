@@ -645,6 +645,44 @@ def test_purity_is_skipped_unless_every_clustered_graph_is_labeled(tmp_path, cap
         assert events.read_bytes() == (tmp_path / "full" / events.name).read_bytes()
 
 
+
+def _relabeled_stream(tmp_path) -> str:
+    """Four records, ``g1`` twice: first labeled x, then y."""
+    records = [("g1", "x"), ("g2", "y"), ("g1", "y"), ("g4", "y")]
+    lines = [json.dumps({"schema": {"side_types": []}, "stream_version": 1})]
+    lines += [json.dumps({"id": i, "edges": [["a", "b"]], "label": label}) for i, label in records]
+    stream = tmp_path / "relabeled.jsonl"
+    stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(stream)
+
+
+@pytest.mark.parametrize("command", ["cluster", "compare"])
+def test_purity_is_skipped_when_a_graph_id_comes_back_with_another_label(
+    tmp_path, capsys, command
+):
+    # purity looks labels up by id: both g1 records would count as y, and
+    # cluster 0, which holds both, would read purity 1 instead of 0.5
+    out = tmp_path / "run"
+    argv = [command, "--input", _relabeled_stream(tmp_path), "--k", "2", "--fixed-weights",
+            "--out-dir", str(out)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    warnings = [d for d in map(json.loads, captured.err.splitlines()) if d["level"] == "warning"]
+    assert warnings == [{"level": "warning", "message": "purity skipped", "relabeled": 1}]
+    assert not list(out.glob("purity*"))
+    if command == "compare":
+        assert not [key for key in json.loads(captured.out) if key.startswith("purity")]
+
+
+def test_eval_rejects_a_graph_id_with_two_labels(tmp_path, capsys):
+    stream = _relabeled_stream(tmp_path)
+    run = tmp_path / "run"
+    assert main(["cluster", "--input", stream, "--k", "2", "--out-dir", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--events", str(run / "events.jsonl"), "--stream", stream]) == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["message"] == "input: graph 'g1' has two labels, 'x' and 'y'"
+
 def test_label_not_encodable_as_utf8_is_a_bad_graph(tmp_path, capsys):
     # JSON can carry a lone surrogate, which has no UTF-8 encoding
     stream = tmp_path / "s.jsonl"

@@ -94,6 +94,30 @@ def test_canonicalize_validates():
         preprocess(GraphObject(id="g", side={"undeclared": {"x": 1.0}}), schema)
 
 
+_MISSHAPEN = {
+    "two_char_edge": {"edges": ["ab"]},
+    "three_char_edge": {"edges": ["abc"]},
+    "number_edge": {"edges": [5]},
+    "dict_edge": {"edges": [{"a": 1, "b": 2}]},
+    "one_item_edge": {"edges": [("a",)]},
+    "edges_not_a_list": {"edges": 5},
+    "edges_a_string": {"edges": "ab"},
+    "side_not_a_dict": {"side": 5},
+    "side_a_list": {"side": [("topics", {"x": 1.0})]},
+    "side_entry_a_list": {"side": {"topics": ["x"]}},
+    "side_entry_a_string": {"side": {"topics": "x"}},
+    "side_ids_of_mixed_types": {"side": {"topics": {"x": 1.0, 2: 1.0}}},
+    "label_a_number": {"label": 5},
+    "label_a_list": {"label": ["k1"]},
+}
+
+
+@pytest.mark.parametrize("fields", list(_MISSHAPEN.values()), ids=list(_MISSHAPEN))
+def test_preprocess_rejects_a_misshapen_graph_with_value_error(fields):
+    with pytest.raises(ValueError):
+        preprocess(GraphObject(id="g", **fields), _schema(SideType("topics")))
+
+
 @pytest.mark.parametrize("where", ["src", "dst", "attr", "categorical"])
 def test_label_not_encodable_as_utf8_is_rejected(where):
     lone = "\ud800"  # a lone surrogate: valid JSON, but no UTF-8 bytes
