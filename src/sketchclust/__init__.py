@@ -42,7 +42,7 @@ from .stream_io import (
     read_header,
     write_stream,
 )
-from .synth import SynthConfig, generate_graphs, generate_stream, synth_schema
+from .synth import SynthConfig, generate_stream, synth_schema
 from .weight_opt import BarrierConfig, ClusterGeometry, refine_weights
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "SynthConfig",
     "assignment_agreement",
     "ensure_weights",
-    "generate_graphs",
     "generate_stream",
     "graph_views",
     "iter_stream",

@@ -15,6 +15,16 @@ separator byte is reserved, so the encoding is injective and node labels
 must never contain it. ``preprocess`` checks every label once, encodability
 included, so building keys needs no second check.
 
+``preprocess`` checks each record once. A mass that is a plain ``int`` or
+``float`` in ``[0, 2**480)`` is taken as it is; any other mass (numpy's
+numbers, bool, str, NaN, inf, a negative, an int beyond float range) goes
+through ``_check_value``. An endpoint's type is tested where the edge is
+read, before its endpoints are compared. A graph's labels (edge endpoints,
+then each side type's ids) are tested together: each nonempty, and their
+joined text ASCII with no separator but the joins. Only a graph that fails
+that test has each label checked by ``_check_label``, the one source of its
+messages, which also accepts a label that is not ASCII but encodes.
+
 ``graph_views`` gives one flat ``GraphView`` per graph: every component's
 keys and values in one array, with the sketch buckets of all its keys from
 one hash call, so each graph is hashed once.
@@ -23,6 +33,7 @@ one hash call, so each graph is hashed once.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import numbers
 import types
@@ -68,6 +79,10 @@ class StreamSchema:
         if len(set(names)) != len(names):
             raise ValueError("duplicate side type names")
         object.__setattr__(self, "side_types", tuple(self.side_types))
+        # each declared name, and whether it is categorical, for ``preprocess``
+        object.__setattr__(
+            self, "_categorical", {t.name: t.kind == KIND_CATEGORICAL for t in self.side_types}
+        )
 
     @property
     def d(self) -> int:
@@ -212,7 +227,8 @@ def _check_value(value: float, what: str) -> float:
 # While a component's masses (nonnegative, so each at most their sum) sum
 # to no more than this, up to 2**50 of them cannot square-sum past float
 # range, and ``preprocess`` forms no squares; a plain ``sum`` is the
-# cheapest bound on the largest.
+# cheapest bound on the largest. A plain int or float below it is a mass
+# ``preprocess`` takes without ``_check_value``.
 _SQUARES_SAFE = 2.0**480
 
 
@@ -239,6 +255,8 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     node or attribute label that is empty, holds the separator or is not
     encodable as UTF-8, an unknown side type, and on masses that are finite
     but whose merged sum or sum of squares within a component is not.
+    Each record is checked once, as the module docstring says; a graph
+    with several faults reports one, not necessarily the first in order.
     """
     if not isinstance(g.id, str) or not g.id:
         raise ValueError("graph id must be a nonempty string")
@@ -254,48 +272,69 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
 
     if not isinstance(g.edges, (list, tuple)) or not isinstance(g.side, dict):
         raise ValueError("edges must be a list or tuple, and side a dict of dicts")
+    undirected = not schema.directed
     merged: dict[tuple[str, str], float] = {}
     for edge in g.edges:
         match edge:  # sequence patterns: no str, dict or number matches them
             case (src, dst, freq):
-                freq = 1.0 if freq is None else _check_value(freq, "edge frequency")
+                if not ((type(freq) is float or type(freq) is int) and 0.0 <= freq < _SQUARES_SAFE):
+                    freq = 1.0 if freq is None else _check_value(freq, "edge frequency")
             case (src, dst):
                 freq = 1.0
             case _:
                 raise ValueError(f"edges must be (src, dst) or (src, dst, freq), not {edge!r}")
-        _check_label(src)
-        _check_label(dst)
-        if not schema.directed and dst < src:
-            src, dst = dst, src
+        if type(src) is not str or type(dst) is not str:
+            _check_label(src)  # before the compare, which needs two strings
+            _check_label(dst)
         if freq == 0.0:
+            _check_label(src)  # no merged key carries these to the joint check
+            _check_label(dst)
             continue
-        merged[(src, dst)] = merged.get((src, dst), 0.0) + freq
-    edges = [(s, t, f) for (s, t), f in sorted(merged.items())]
+        key = (dst, src) if undirected and dst < src else (src, dst)
+        merged[key] = merged.get(key, 0.0) + freq
+    # (src, dst) keys are unique, so no two edges compare on their masses
+    edges = sorted([(s, t, f) for (s, t), f in merged.items()])
     if sum(merged.values()) > _SQUARES_SAFE:
         _check_squares([f for _, _, f in edges], "edge frequencies")
 
-    known = {t.name for t in schema.side_types}
-    categorical = {t.name for t in schema.side_types if t.kind == KIND_CATEGORICAL}
+    labels = [*itertools.chain.from_iterable(merged)]
     side: dict[str, dict[str, float]] = {}
     for name, attrs in g.side.items():
-        if name not in known:
+        categorical = schema._categorical.get(name)
+        if categorical is None:
             raise ValueError(f"side type {name!r} not declared in schema")
         if not isinstance(attrs, dict):
             raise ValueError(f"side type {name!r} must map attribute ids to values")
+        try:
+            ids = sorted(attrs)
+        except TypeError:  # ids that do not compare: some id is no string
+            for attr_id in attrs:
+                _check_label(attr_id)
+            raise
+        labels += ids
         cleaned = {}
-        # each id checked before any two are compared
-        for attr_id in sorted(attrs, key=_check_label):
-            if name in categorical:
-                if _check_value(attrs[attr_id], "categorical presence") > 0.0:
-                    cleaned[f"{name}={attr_id}"] = 1.0
-                continue
-            value = _check_value(attrs[attr_id], f"attribute {attr_id!r} value")
+        for attr_id in ids:
+            value = attrs[attr_id]
+            if not ((type(value) is float or type(value) is int) and 0.0 <= value < _SQUARES_SAFE):
+                what = "categorical presence" if categorical else f"attribute {attr_id!r} value"
+                value = _check_value(value, what)
             if value > 0.0:
-                cleaned[attr_id] = value
+                if categorical:
+                    cleaned[f"{name}={attr_id}"] = 1.0
+                else:
+                    cleaned[attr_id] = float(value)
         if cleaned:
             if sum(cleaned.values()) > _SQUARES_SAFE:
                 _check_squares(list(cleaned.values()), f"side type {name!r} values")
             side[name] = cleaned
+    # One test of all labels together; each label on its own only if it fails
+    try:
+        text = _SEPARATOR_STR.join(labels)
+    except TypeError:  # some label is no string
+        text = _SEPARATOR_STR
+    if text.count(_SEPARATOR_STR) != len(labels) - 1 or not text.isascii() or not all(labels):
+        for label in labels:
+            _check_label(label)
 
     return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)
 

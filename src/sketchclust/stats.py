@@ -348,9 +348,16 @@ class ClusterBank(Bank):
         cells = read_array(data, off, "<f8", shape)
         self.cells[:, :m] = cells
         held = self.cells[:, :m]  # the bank's copy, checked as in ``Bank.load``
-        if not finite_nonneg(held):
-            raise ValueError("checkpoint holds negative or non-finite first moments")
+        # Four passes over the cells: the copy, the minimum, the row totals
+        # and the squares. NaN fails ``min() >= 0``, and an inf cell makes its
+        # row's total inf; only then are the cells tested for inf, so finite
+        # cells whose total overflows still load.
+        bad = "checkpoint holds negative or non-finite first moments"
+        if held.size and not held.min() >= 0.0:
+            raise ValueError(bad)
         sums = held.sum(-1)  # one total per grid, to ROW_SUM_RTOL of the largest
+        if not np.isfinite(sums).all() and not np.isfinite(held).all():
+            raise ValueError(bad)
         top = sums.max(-1)
         if (top - sums.min(-1) > ROW_SUM_RTOL * top).any():
             raise ValueError("checkpoint holds a sketch whose rows sum to different totals")

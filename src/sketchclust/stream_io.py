@@ -28,6 +28,9 @@ STREAM_VERSION = 1
 
 ErrorHook = Callable[[int, str], None]
 
+# The types ``json`` decodes a number to; ``bool`` is not one here.
+_JSON_NUMBERS = frozenset((int, float))
+
 
 class StreamFormatError(Exception):
     """Malformed stream file; ``line_no`` is 1-based when known."""
@@ -45,15 +48,14 @@ def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
     if not isinstance(raw, dict):
         raise StreamFormatError("side must be an object keyed by type name", line_no)
     side: dict[str, dict[str, float]] = {}
-    for name, entry in raw.items():
+    for name, entry in raw.items():  # JSON: names and ids are strings
         if isinstance(entry, dict):
-            attrs = {}
-            for attr_id, value in entry.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise StreamFormatError(
-                        f"attribute {attr_id!r} of {name!r} must be numeric", line_no
-                    )
-                attrs[str(attr_id)] = value
+            attrs = entry  # kept as decoded: one type test per value
+            if not _JSON_NUMBERS.issuperset(map(type, attrs.values())):
+                attr_id = next(a for a, v in attrs.items() if type(v) not in _JSON_NUMBERS)
+                raise StreamFormatError(
+                    f"attribute {attr_id!r} of {name!r} must be numeric", line_no
+                )
         elif isinstance(entry, list):
             attrs = {}
             for item in entry:
@@ -68,7 +70,7 @@ def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
             raise StreamFormatError(
                 f"side entry {name!r} must be an object, list or string", line_no
             )
-        side[str(name)] = attrs
+        side[name] = attrs
     return side
 
 
@@ -91,19 +93,21 @@ def _parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
         raise StreamFormatError("edges must be a list", line_no)
     edges: list[tuple] = []
     for e in raw_edges:
-        if not isinstance(e, list) or len(e) not in (2, 3):
-            raise StreamFormatError(
-                "each edge must be [src, dst] or [src, dst, freq]", line_no
-            )
-        src, dst = e[0], e[1]
-        if not isinstance(src, str) or not isinstance(dst, str):
-            raise StreamFormatError("edge endpoints must be strings", line_no)
-        if len(e) == 3:
-            if not isinstance(e[2], (int, float)) or isinstance(e[2], bool):
+        match e:  # a JSON value has an exact type: one test each
+            case [src, dst, freq] if (
+                type(src) is str and type(dst) is str and type(freq) in _JSON_NUMBERS
+            ):
+                edges.append((src, dst, freq))
+            case [src, dst] if type(src) is str and type(dst) is str:
+                edges.append((src, dst, 1.0))
+            case _:  # not a plain edge: its first fault, found as it always was
+                if not isinstance(e, list) or len(e) not in (2, 3):
+                    raise StreamFormatError(
+                        "each edge must be [src, dst] or [src, dst, freq]", line_no
+                    )
+                if not isinstance(e[0], str) or not isinstance(e[1], str):
+                    raise StreamFormatError("edge endpoints must be strings", line_no)
                 raise StreamFormatError("edge frequency must be numeric", line_no)
-            edges.append((src, dst, e[2]))
-        else:
-            edges.append((src, dst, 1.0))
 
     label = obj.get("label")
     if label is not None and not isinstance(label, str):

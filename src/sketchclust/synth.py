@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .model import GraphObject, SideType, StreamSchema
 from .stream_io import write_stream
@@ -144,11 +145,16 @@ def generate_graph(cfg: SynthConfig, index: int, cls_id: int) -> GraphObject:
     )
 
 
+def _graphs(cfg: SynthConfig) -> Iterator[GraphObject]:
+    """The config's graphs in stream order, each made as it is asked for."""
+    return (generate_graph(cfg, i, cls) for i, cls in enumerate(_class_sequence(cfg)))
+
+
 def generate_graphs(cfg: SynthConfig) -> list[GraphObject]:
-    classes = _class_sequence(cfg)
-    return [generate_graph(cfg, i, classes[i]) for i in range(cfg.n_graphs)]
+    return list(_graphs(cfg))
 
 
 def generate_stream(cfg: SynthConfig, path: str) -> int:
-    """Write a stream file for the config; returns the record count."""
-    return write_stream(path, synth_schema(cfg), generate_graphs(cfg))
+    """Write a stream file for the config, each graph as it is made, so
+    memory stays flat in the graph count; returns the record count."""
+    return write_stream(path, synth_schema(cfg), _graphs(cfg))

@@ -38,13 +38,20 @@ straightforward way:
 * ``bank_geometry``: ``Bank.geometry`` as it was before it skipped the
   mask when no pair is dropped: the row-by-row ``intra`` sum, the
   ``np.nonzero`` pair listing and the ``inter[kept]`` selection, kept as
-  its bitwise oracle.
+  its bitwise oracle;
+* ``preprocess_record`` and ``parse_record``: ``model.preprocess`` and
+  ``stream_io._parse_record`` (with its ``_normalize_side``) as they were
+  before they checked each record once, kept verbatim as their oracles.
+  They call the library's ``_check_label``, ``_check_value`` and
+  ``_check_squares``, the one source of each error message.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import math
+import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,6 +66,14 @@ from sketchclust import (
     StreamSchema,
     preprocess,
 )
+from sketchclust.model import (
+    _SQUARES_SAFE,
+    KIND_CATEGORICAL,
+    _check_label,
+    _check_squares,
+    _check_value,
+)
+from sketchclust.stream_io import StreamFormatError
 from sketchclust.weight_opt import TraceHook
 
 
@@ -513,3 +528,145 @@ def bank_geometry(bank) -> ClusterGeometry:
     inter = np.maximum(inter, 0.0)
     kept = (inter != 0.0).any(axis=1)
     return ClusterGeometry(intra=intra, inter_sq=inter[kept], dropped=int((~kept).sum()))
+
+
+def preprocess_record(g: GraphObject, schema: StreamSchema) -> GraphObject:
+    """``preprocess`` as it was, checking each label and mass on its own."""
+    if not isinstance(g.id, str) or not g.id:
+        raise ValueError("graph id must be a nonempty string")
+    if g.label is not None and not isinstance(g.label, str):
+        raise ValueError(f"graph label must be a string, not {g.label!r}")
+    ts = g.ts
+    if type(ts) is not int:
+        if isinstance(ts, bool) or not isinstance(ts, numbers.Integral):
+            raise ValueError(f"timestamp must be an integer, not {ts!r}")
+        ts = int(ts)
+    if ts < 0:
+        raise ValueError("timestamp must be nonnegative")
+
+    if not isinstance(g.edges, (list, tuple)) or not isinstance(g.side, dict):
+        raise ValueError("edges must be a list or tuple, and side a dict of dicts")
+    merged: dict[tuple[str, str], float] = {}
+    for edge in g.edges:
+        match edge:  # sequence patterns: no str, dict or number matches them
+            case (src, dst, freq):
+                freq = 1.0 if freq is None else _check_value(freq, "edge frequency")
+            case (src, dst):
+                freq = 1.0
+            case _:
+                raise ValueError(f"edges must be (src, dst) or (src, dst, freq), not {edge!r}")
+        _check_label(src)
+        _check_label(dst)
+        if not schema.directed and dst < src:
+            src, dst = dst, src
+        if freq == 0.0:
+            continue
+        merged[(src, dst)] = merged.get((src, dst), 0.0) + freq
+    edges = [(s, t, f) for (s, t), f in sorted(merged.items())]
+    if sum(merged.values()) > _SQUARES_SAFE:
+        _check_squares([f for _, _, f in edges], "edge frequencies")
+
+    known = {t.name for t in schema.side_types}
+    categorical = {t.name for t in schema.side_types if t.kind == KIND_CATEGORICAL}
+    side: dict[str, dict[str, float]] = {}
+    for name, attrs in g.side.items():
+        if name not in known:
+            raise ValueError(f"side type {name!r} not declared in schema")
+        if not isinstance(attrs, dict):
+            raise ValueError(f"side type {name!r} must map attribute ids to values")
+        cleaned = {}
+        # each id checked before any two are compared
+        for attr_id in sorted(attrs, key=_check_label):
+            if name in categorical:
+                if _check_value(attrs[attr_id], "categorical presence") > 0.0:
+                    cleaned[f"{name}={attr_id}"] = 1.0
+                continue
+            value = _check_value(attrs[attr_id], f"attribute {attr_id!r} value")
+            if value > 0.0:
+                cleaned[attr_id] = value
+        if cleaned:
+            if sum(cleaned.values()) > _SQUARES_SAFE:
+                _check_squares(list(cleaned.values()), f"side type {name!r} values")
+            side[name] = cleaned
+
+    return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)
+
+
+def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise StreamFormatError("side must be an object keyed by type name", line_no)
+    side: dict[str, dict[str, float]] = {}
+    for name, entry in raw.items():
+        if isinstance(entry, dict):
+            attrs = {}
+            for attr_id, value in entry.items():
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise StreamFormatError(
+                        f"attribute {attr_id!r} of {name!r} must be numeric", line_no
+                    )
+                attrs[str(attr_id)] = value
+        elif isinstance(entry, list):
+            attrs = {}
+            for item in entry:
+                if not isinstance(item, str):
+                    raise StreamFormatError(
+                        f"list items of {name!r} must be strings", line_no
+                    )
+                attrs[item] = attrs.get(item, 0.0) + 1.0
+        elif isinstance(entry, str):
+            attrs = {entry: 1.0}
+        else:
+            raise StreamFormatError(
+                f"side entry {name!r} must be an object, list or string", line_no
+            )
+        side[str(name)] = attrs
+    return side
+
+
+def parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
+    """``stream_io._parse_record`` as it was, re-tupling every edge."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise StreamFormatError(f"invalid JSON: {exc.msg}", line_no) from None
+    if not isinstance(obj, dict):
+        raise StreamFormatError("record must be a JSON object", line_no)
+    graph_id = obj.get("id")
+    if not isinstance(graph_id, str) or not graph_id:
+        raise StreamFormatError("record needs a nonempty string id", line_no)
+    ts = obj.get("ts", default_ts)
+    if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
+        raise StreamFormatError("ts must be a nonnegative integer", line_no)
+
+    raw_edges = obj.get("edges", [])
+    if not isinstance(raw_edges, list):
+        raise StreamFormatError("edges must be a list", line_no)
+    edges: list[tuple] = []
+    for e in raw_edges:
+        if not isinstance(e, list) or len(e) not in (2, 3):
+            raise StreamFormatError(
+                "each edge must be [src, dst] or [src, dst, freq]", line_no
+            )
+        src, dst = e[0], e[1]
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise StreamFormatError("edge endpoints must be strings", line_no)
+        if len(e) == 3:
+            if not isinstance(e[2], (int, float)) or isinstance(e[2], bool):
+                raise StreamFormatError("edge frequency must be numeric", line_no)
+            edges.append((src, dst, e[2]))
+        else:
+            edges.append((src, dst, 1.0))
+
+    label = obj.get("label")
+    if label is not None and not isinstance(label, str):
+        raise StreamFormatError("label must be a string when present", line_no)
+
+    return GraphObject(
+        id=graph_id,
+        ts=ts,
+        edges=edges,
+        side=_normalize_side(obj.get("side"), line_no),
+        label=label,
+    )

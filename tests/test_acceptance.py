@@ -31,7 +31,6 @@ from sketchclust import (
     StreamSchema,
     SynthConfig,
     assignment_agreement,
-    generate_graphs,
     overall_rate,
     preprocess,
     purity_from_events,
@@ -41,6 +40,7 @@ from sketchclust import (
 from sketchclust.exact import ExactBank
 from sketchclust.model import graph_views
 from sketchclust.stats import ClusterBank
+from sketchclust.synth import generate_graphs
 from sketchclust.weight_opt import BarrierConfig, ClusterGeometry, _evaluate, _gradient
 
 

@@ -38,7 +38,6 @@ from sketchclust import (
     GraphObject,
     SketchConfig,
     SynthConfig,
-    generate_graphs,
     graph_views,
     preprocess,
     refine_weights,
@@ -46,6 +45,7 @@ from sketchclust import (
 )
 from sketchclust.exact import ExactBank, _self_product
 from sketchclust.stats import ClusterBank
+from sketchclust.synth import generate_graphs
 
 
 def _bank_bytes(clusters: list[ClusterStats]) -> bytes:
@@ -408,6 +408,28 @@ def test_load_alone_rejects_negative_or_non_finite_moments(exact, moment, value)
     {"second": _set_second_moment, "first": _set_first_moment}[moment](bank, value)
     with pytest.raises(ValueError, match=f"negative or non-finite {moment} moments"):
         _loads(bank, b"".join(bank.to_parts()))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+@pytest.mark.parametrize("cell", [(0, 0, 0, 0), (1, 1, 2, 15)], ids=["first", "last"])
+def test_load_reports_a_bad_cell_with_the_one_message(cell, value):
+    """Whichever of its passes finds it, a sketch cell of inf, NaN or -1
+    is reported with the same message, and before the row-sum check."""
+    bank = _two_clusters(exact=False)
+    bank.cells[cell] = value
+    with pytest.raises(ValueError) as info:
+        _loads(bank, b"".join(bank.to_parts()))
+    assert str(info.value) == "checkpoint holds negative or non-finite first moments"
+
+
+def test_load_accepts_finite_cells_whose_row_totals_overflow():
+    """Only an inf row total sends the load to test the cells for inf, so
+    finite cells whose totals overflow load as they always have."""
+    bank = _two_clusters(exact=False)
+    bank.cells[:, :2] = 1e308
+    blob = b"".join(bank.to_parts())
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _loads(bank, blob) == blob
 
 
 def test_load_alone_rejects_a_sketch_whose_rows_sum_apart():

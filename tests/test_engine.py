@@ -25,13 +25,13 @@ from sketchclust import (
     SketchConfig,
     StreamSchema,
     SynthConfig,
-    generate_graphs,
     preprocess,
     synth_schema,
 )
 from sketchclust.engine import _Header
 from sketchclust.model import from_json
 from sketchclust.stats import Bank
+from sketchclust.synth import generate_graphs
 
 
 def _config(**kw) -> EngineConfig:

@@ -20,10 +20,10 @@ from sketchclust import (
     Engine,
     EngineConfig,
     SynthConfig,
-    generate_graphs,
     preprocess,
     synth_schema,
 )
+from sketchclust.synth import generate_graphs
 
 SYNTH = SynthConfig(n_graphs=1500, seed=3)
 CONFIG = EngineConfig(k=4, gamma=100, p=1.0)

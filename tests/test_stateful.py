@@ -20,11 +20,11 @@ from sketchclust import (
     EngineConfig,
     SketchConfig,
     SynthConfig,
-    generate_graphs,
     graph_views,
     preprocess,
     synth_schema,
 )
+from sketchclust.synth import generate_graphs
 
 SYNTH = SynthConfig(
     n_clusters=3,

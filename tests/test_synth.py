@@ -5,8 +5,8 @@ import re
 
 import pytest
 
-from sketchclust import SynthConfig, generate_graphs, synth_schema
-from sketchclust.synth import generate_graph, generate_stream
+from sketchclust import SynthConfig, synth, synth_schema
+from sketchclust.synth import generate_graph, generate_graphs, generate_stream
 from sketchclust.stream_io import iter_stream, read_header
 
 
@@ -37,6 +37,22 @@ def test_stream_round_trip_matches_in_memory(tmp_path):
     schema, graphs = read_header(str(path)), list(iter_stream(str(path)))
     assert schema == synth_schema(cfg)
     assert graphs == generate_graphs(cfg)
+
+
+def test_generate_stream_makes_each_graph_as_it_is_written(tmp_path, monkeypatch):
+    """The writer is handed graphs one at a time, so a stream of any length
+    is written in the memory of one graph."""
+    made, seen = [], []
+    real = synth.generate_graph
+    monkeypatch.setattr(synth, "generate_graph", lambda *a: made.append(a[1]) or real(*a))
+
+    def write(path, schema, graphs):
+        seen.extend(len(made) for _ in graphs)  # graphs made when each is written
+        return len(seen)
+
+    monkeypatch.setattr(synth, "write_stream", write)
+    assert generate_stream(SynthConfig(n_graphs=5), str(tmp_path / "s.jsonl")) == 5
+    assert seen == [1, 2, 3, 4, 5]
 
 
 def test_labels_are_balanced():
