@@ -330,8 +330,10 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     # One test of all labels together; each label on its own only if it fails
     try:
         text = _SEPARATOR_STR.join(labels)
-    except TypeError:  # some label is no string
-        text = _SEPARATOR_STR
+    except TypeError:  # some label is no string, which its check rejects
+        for label in labels:
+            _check_label(label)
+        raise
     if text.count(_SEPARATOR_STR) != len(labels) - 1 or not text.isascii() or not all(labels):
         for label in labels:
             _check_label(label)

@@ -235,6 +235,23 @@ def test_a_bad_label_is_reported_as_before(label, where):
     assert _outcome(preprocess, g, SCHEMAS[0]) == old
 
 
+@pytest.mark.parametrize(
+    "side",
+    [
+        {"topics": {1: 1.0, 2: 1.0}},
+        {"topics": {5: 1.0}, "tags": {"a": 1}},
+        {"tags": {b"a": 1, b"b": 1}},
+    ],
+)
+def test_two_labels_that_are_no_strings_are_reported_as_before(side):
+    """A graph of exactly two labels, some not strings, which no joined
+    text can stand for."""
+    g = GraphObject(id="g", edges=[], side=side)
+    old = _outcome(preprocess_record, g, SCHEMAS[0])
+    assert old == ("ValueError", "node/attribute labels must be nonempty strings")
+    assert _outcome(preprocess, g, SCHEMAS[0]) == old
+
+
 def test_edges_sort_by_their_endpoint_pair_not_their_joined_key():
     """A label may hold characters below the separator, where the order of
     ``src + 0x1f + dst`` strings differs from the order of the pairs."""
