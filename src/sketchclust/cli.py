@@ -25,6 +25,7 @@ import math
 import sys
 import time
 from contextlib import ExitStack
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -395,7 +396,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = _score(events, labels, args.purity_every, csv_path)
     except ValueError as exc:  # events that the labeled stream cannot score
         raise StreamFormatError(str(exc)) from None
-    payload = report.to_dict()
+    payload = asdict(report)
     payload["events"] = len(events)
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     return EXIT_OK

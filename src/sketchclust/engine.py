@@ -40,7 +40,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -127,21 +127,9 @@ class AssignmentEvent:
     spread: float | None = None
     distances: list[list[float]] | None = None
 
-    def to_dict(self) -> dict:
-        out = {
-            "graph_id": self.graph_id,
-            "action": self.action,
-            "cluster_index": self.cluster_index,
-            "es_distance_sq": self.es_distance_sq,
-            "spread": self.spread,
-        }
-        if self.distances is not None:
-            out["distances"] = self.distances
-        return out
-
     def to_json(self) -> str:
-        """``to_dict`` as ``json.dumps(..., sort_keys=True, allow_nan=False)``
-        writes it, byte for byte: the keys in sorted order."""
+        """The event's fields (``distances`` only when set), byte for byte
+        as ``json.dumps(..., sort_keys=True, allow_nan=False)`` writes them."""
         distances = (
             "" if self.distances is None else f'"distances": {_json_value(self.distances)}, '
         )
@@ -154,19 +142,12 @@ class AssignmentEvent:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AssignmentEvent":
-        """Inverse of ``to_dict``; a negative ``cluster_index`` also raises
-        ValueError."""
+        """The event a decoded ``to_json`` line holds; a negative
+        ``cluster_index`` also raises ValueError."""
         event = from_json(cls, obj)
         if event.cluster_index < 0:
             raise ValueError("event cluster_index must be nonnegative")
         return event
-
-
-def _fields(obj) -> dict:
-    """A dataclass's fields by name, for ``json.dumps`` to encode (unlike
-    ``asdict``, without copying every value, which tripled a checkpoint's
-    header cost)."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 @dataclass(frozen=True)
@@ -181,7 +162,7 @@ class _Header:
 
     @functools.cached_property
     def encoded(self) -> bytes:
-        return json.dumps(self, default=_fields, sort_keys=True).encode("utf-8")
+        return json.dumps(asdict(self), sort_keys=True).encode("utf-8")
 
 
 @functools.lru_cache(maxsize=8)

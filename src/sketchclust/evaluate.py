@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -32,9 +32,6 @@ class PurityReport:
     size_weighted_purity: float
     cluster_sizes: list[int]
     dominant_labels: list[str | None]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _report_from_counters(counters: Sequence[Counter]) -> PurityReport:

@@ -88,18 +88,6 @@ class StreamSchema:
     def d(self) -> int:
         return len(self.side_types)
 
-    def to_dict(self) -> dict:
-        return {
-            "directed": self.directed,
-            "side_types": [{"name": t.name, "kind": t.kind} for t in self.side_types],
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "StreamSchema":
-        """Inverse of ``to_dict``; ``directed`` and a side type's ``kind``
-        may be left out."""
-        return from_json(cls, obj)
-
 
 def from_json(cls, obj):
     """The dataclass ``cls`` built from a decoded JSON object.

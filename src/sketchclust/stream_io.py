@@ -20,9 +20,10 @@ skipped and reported through it instead of aborting the run.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Callable, Iterable, Iterator
 
-from .model import GraphObject, StreamSchema
+from .model import GraphObject, StreamSchema, from_json
 
 STREAM_VERSION = 1
 
@@ -147,7 +148,7 @@ def _read_header(lines: Iterator[tuple[int, str]]) -> StreamSchema:
     if type(version) is not int or version != STREAM_VERSION:
         raise StreamFormatError(f"unsupported stream_version {version!r}", line_no)
     try:
-        return StreamSchema.from_dict(obj["schema"])
+        return from_json(StreamSchema, obj["schema"])
     except ValueError as exc:
         raise StreamFormatError(str(exc), line_no)
 
@@ -206,7 +207,7 @@ def write_stream(path: str, schema: StreamSchema, graphs: Iterable[GraphObject])
     for identical inputs (sorted JSON keys)."""
     count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        header = {"schema": schema.to_dict(), "stream_version": STREAM_VERSION}
+        header = {"schema": asdict(schema), "stream_version": STREAM_VERSION}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for g in graphs:
             fh.write(json.dumps(_record_dict(g), sort_keys=True) + "\n")

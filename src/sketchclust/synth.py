@@ -150,10 +150,6 @@ def _graphs(cfg: SynthConfig) -> Iterator[GraphObject]:
     return (generate_graph(cfg, i, cls) for i, cls in enumerate(_class_sequence(cfg)))
 
 
-def generate_graphs(cfg: SynthConfig) -> list[GraphObject]:
-    return list(_graphs(cfg))
-
-
 def generate_stream(cfg: SynthConfig, path: str) -> int:
     """Write a stream file for the config, each graph as it is made, so
     memory stays flat in the graph count; returns the record count."""

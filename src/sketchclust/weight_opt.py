@@ -121,18 +121,23 @@ def _gradient(t_intra: np.ndarray, geom: ClusterGeometry, roots) -> np.ndarray:
 def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
     """Homogeneous rescale landing the tightest pair at 1 + margin. When the
     weights vanish, or all but vanish, on every component where the
-    tightest pair separates, no float scale can help, and the rescale
-    restarts from uniform weights; ValueError when even those cannot be
-    rescaled, as no float weights separate that pair."""
+    tightest pair separates, no float scale can help (or the scaled weights
+    overflow), and the rescale restarts from uniform weights; ValueError
+    when even those cannot be rescaled, as no float weights separate that
+    pair."""
     target = 1.0 + cfg.feasibility_margin
     for start in (w, np.ones_like(w)):
         q_min = float(np.minimum.reduce(geom.inter_sq.dot(start)))
         root_min = math.sqrt(q_min)
+        if not root_min <= target:  # already separated, or NaN
+            return start
         try:
             scale = (target / root_min) ** 2
         except (ZeroDivisionError, OverflowError):
             continue
-        return start * scale if root_min <= target else start
+        # the weights are nonnegative: the largest one overflows first
+        if math.isfinite(float(np.maximum.reduce(start)) * scale):
+            return start * scale
     raise ValueError(
         "no float weights separate the tightest pair: uniform weights give it "
         f"a squared separation of {q_min!r}"

@@ -21,6 +21,8 @@ straightforward way:
   list, for tests that read the code that runs;
 * ``process_all(engine, graphs)``: the library's ingest loop, each raw
   graph through ``preprocess`` into ``Engine.process``;
+* ``generate_graphs(cfg)``: a synth config's raw graphs in stream order,
+  as one list (``generate_stream`` writes the same graphs one by one);
 * ``SCHEMA`` and ``graph(i, edges, topics)``: the one-side-type schema
   the unit tests build their small graphs in, and such a graph,
   preprocessed;
@@ -64,6 +66,7 @@ from sketchclust import (
     SideType,
     SketchConfig,
     StreamSchema,
+    SynthConfig,
     preprocess,
 )
 from sketchclust.model import (
@@ -74,6 +77,7 @@ from sketchclust.model import (
     _check_value,
 )
 from sketchclust.stream_io import StreamFormatError
+from sketchclust.synth import _graphs
 from sketchclust.weight_opt import TraceHook
 
 
@@ -363,6 +367,11 @@ def process_all(engine, graphs) -> list:
     return [engine.process(preprocess(g, engine.schema)) for g in graphs]
 
 
+def generate_graphs(cfg: SynthConfig) -> list[GraphObject]:
+    """The config's raw graphs in stream order, as one list."""
+    return list(_graphs(cfg))
+
+
 SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
 
@@ -406,11 +415,13 @@ def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
     root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
     try:
         scale = (target / root_min) ** 2
+        if root_min <= target and not math.isfinite(float(np.max(w)) * scale):
+            raise OverflowError("the rescaled weights overflow")
     except (ZeroDivisionError, OverflowError):
         # Weights vanish, or all but vanish, on every component where the
-        # tightest pair separates; no float scale can help. Restart from
-        # uniform weights, which see positive separation on every retained
-        # pair.
+        # tightest pair separates; no float scale can help, or the scale
+        # overflows the largest weight. Restart from uniform weights, which
+        # see positive separation on every retained pair.
         w = np.ones_like(w)
         q_min = float(np.min(geom.inter_sq @ w))
         root_min = math.sqrt(q_min)

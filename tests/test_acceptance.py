@@ -16,6 +16,7 @@ import pytest
 from reference import (
     ClusterStats,
     CountMinSketch,
+    generate_graphs,
     members_intra_sq,
     process_all,
     separating_rows,
@@ -40,7 +41,6 @@ from sketchclust import (
 from sketchclust.exact import ExactBank
 from sketchclust.model import graph_views
 from sketchclust.stats import ClusterBank
-from sketchclust.synth import generate_graphs
 from sketchclust.weight_opt import BarrierConfig, ClusterGeometry, _evaluate, _gradient
 
 

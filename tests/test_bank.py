@@ -25,6 +25,7 @@ from reference import (
     bank_geometry,
     cluster_geometry,
     component_distances_sq,
+    generate_graphs,
     graph,
     intra_vector_sq,
     pair_cross,
@@ -45,7 +46,6 @@ from sketchclust import (
 )
 from sketchclust.exact import ExactBank, _self_product
 from sketchclust.stats import ClusterBank
-from sketchclust.synth import generate_graphs
 
 
 def _bank_bytes(clusters: list[ClusterStats]) -> bytes:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import SCHEMA, graph, process_all
+from reference import SCHEMA, generate_graphs, graph, process_all
 from sketchclust import (
     ACTION_ASSIGNED,
     ACTION_INITIALIZED,
@@ -27,11 +27,11 @@ from sketchclust import (
     SynthConfig,
     preprocess,
     synth_schema,
+    write_stream,
 )
 from sketchclust.engine import _Header
 from sketchclust.model import from_json
 from sketchclust.stats import Bank
-from sketchclust.synth import generate_graphs
 
 
 def _config(**kw) -> EngineConfig:
@@ -358,7 +358,8 @@ def test_event_json_is_json_dumps_of_its_dict(
 ):
     event = AssignmentEvent(graph_id, action, cluster_index, es_distance_sq, spread, distances)
     try:
-        expected = json.dumps(event.to_dict(), sort_keys=True, allow_nan=False)
+        present = {k: v for k, v in asdict(event).items() if k != "distances" or v is not None}
+        expected = json.dumps(present, sort_keys=True, allow_nan=False)
     except ValueError as exc:  # a non-finite value
         with pytest.raises(ValueError, match=str(exc)):
             event.to_json()
@@ -590,6 +591,33 @@ def test_equal_configs_keep_their_own_header_bytes():
                 assert Engine.from_bytes(blob).to_bytes() == blob
     assert b'"p": 3,' in _raw_header(Engine(_config(p=3), SCHEMA).to_bytes())
     assert b'"p": 3.0,' in _raw_header(Engine(_config(p=3.0), SCHEMA).to_bytes())
+
+
+_MIXED_SCHEMA = StreamSchema(
+    (SideType("topics"), SideType("venue", "categorical"), SideType("tags", "binary")),
+    directed=True,
+)
+_MIXED_SCHEMA_JSON = (
+    '{"directed": true, "side_types": [{"kind": "numeric", "name": "topics"},'
+    ' {"kind": "categorical", "name": "venue"}, {"kind": "binary", "name": "tags"}]}'
+)
+
+
+def test_stream_and_checkpoint_headers_are_pinned(tmp_path):
+    # a directed schema of every kind, and int-valued float fields kept as ints
+    path = tmp_path / "s.jsonl"
+    write_stream(str(path), _MIXED_SCHEMA, [])
+    assert path.read_text(encoding="utf-8") == (
+        f'{{"schema": {_MIXED_SCHEMA_JSON}, "stream_version": 1}}\n'
+    )
+    engine = Engine(EngineConfig(k=3, p=3, barrier=BarrierConfig(t=1)), _MIXED_SCHEMA)
+    assert _raw_header(engine.to_bytes()).decode("utf-8") == (
+        '{"backend": "sketch", "config": {"barrier": {"feasibility_margin": 0.05,'
+        ' "max_steps": 25, "step_size": 0.1, "t": 1, "weight_floor": 0.0},'
+        ' "gamma": 250, "k": 3, "optimize_weights": true, "p": 3, "seed": 0,'
+        ' "sketch": {"cols": 500, "rows": 10, "seed": 0}}, "record_distances": false,'
+        f' "schema": {_MIXED_SCHEMA_JSON}}}'
+    )
 
 
 @pytest.mark.parametrize("fault", ["string_k", "array"])

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ def test_purity_hand_example():
     assert report.size_weighted_purity == pytest.approx(4 / 5)
     assert report.cluster_sizes == [3, 2]
     assert report.dominant_labels == ["X", "Z"]
-    assert report.to_dict()["average_purity"] == pytest.approx(5 / 6)
+    assert asdict(report)["average_purity"] == pytest.approx(5 / 6)
 
 
 def test_purity_skips_empty_slots_in_macro_average():

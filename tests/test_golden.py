@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 
+from reference import generate_graphs
 from sketchclust import (
     Engine,
     EngineConfig,
@@ -23,7 +24,6 @@ from sketchclust import (
     preprocess,
     synth_schema,
 )
-from sketchclust.synth import generate_graphs
 
 SYNTH = SynthConfig(n_graphs=1500, seed=3)
 CONFIG = EngineConfig(k=4, gamma=100, p=1.0)

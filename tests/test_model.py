@@ -1,4 +1,6 @@
+import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sketchclust import (
     graph_views,
     preprocess,
 )
+from sketchclust.model import from_json
 
 
 def _schema(*types: SideType, directed: bool = False) -> StreamSchema:
@@ -37,7 +40,7 @@ def test_schema_rejects_duplicate_names():
 
 def test_schema_dict_round_trip():
     schema = _schema(SideType("topics"), SideType("venue", "categorical"), directed=True)
-    assert StreamSchema.from_dict(schema.to_dict()) == schema
+    assert from_json(StreamSchema, json.loads(json.dumps(asdict(schema)))) == schema
     assert schema.d == 2
 
 
@@ -52,7 +55,7 @@ def test_schema_dict_round_trip():
 )
 def test_schema_from_dict_requires_json_types(raw):
     with pytest.raises(ValueError):
-        StreamSchema.from_dict(raw)
+        from_json(StreamSchema, raw)
 
 
 def test_edge_key_is_injective_on_separator():

@@ -14,7 +14,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from reference import separating_rows
+from reference import generate_graphs, separating_rows
 from sketchclust import (
     Engine,
     EngineConfig,
@@ -24,7 +24,6 @@ from sketchclust import (
     preprocess,
     synth_schema,
 )
-from sketchclust.synth import generate_graphs
 
 SYNTH = SynthConfig(
     n_clusters=3,

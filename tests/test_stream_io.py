@@ -1,6 +1,7 @@
 """Newline-delimited JSON stream reader/writer."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -74,7 +75,7 @@ def test_integral_masses_written_as_ints(tmp_path):
 
 def test_side_shorthand_forms(tmp_path):
     path = str(tmp_path / "s.ndjson")
-    header = {"schema": _schema().to_dict(), "stream_version": 1}
+    header = {"schema": asdict(_schema()), "stream_version": 1}
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         fh.write(
@@ -89,7 +90,7 @@ def test_side_shorthand_forms(tmp_path):
 
 def test_missing_ts_defaults_to_ordinal(tmp_path):
     path = str(tmp_path / "s.ndjson")
-    header = {"schema": _schema().to_dict(), "stream_version": 1}
+    header = {"schema": asdict(_schema()), "stream_version": 1}
     with open(path, "w") as fh:
         fh.write(json.dumps(header) + "\n")
         fh.write(json.dumps({"id": "g0"}) + "\n")
@@ -141,7 +142,7 @@ def test_a_stream_version_other_than_1_is_a_format_error(tmp_path, version):
 def test_strict_mode_reports_line_numbers(tmp_path):
     path = str(tmp_path / "s.ndjson")
     with open(path, "w") as fh:
-        fh.write(json.dumps({"schema": _schema().to_dict()}) + "\n")
+        fh.write(json.dumps({"schema": asdict(_schema())}) + "\n")
         fh.write("not json\n")
     with pytest.raises(StreamFormatError) as exc_info:
         list(iter_stream(path))
@@ -152,7 +153,7 @@ def test_strict_mode_reports_line_numbers(tmp_path):
 def test_lenient_mode_skips_and_reports(tmp_path):
     path = str(tmp_path / "s.ndjson")
     with open(path, "w") as fh:
-        fh.write(json.dumps({"schema": _schema().to_dict()}) + "\n")
+        fh.write(json.dumps({"schema": asdict(_schema())}) + "\n")
         fh.write(json.dumps({"id": "g0"}) + "\n")
         fh.write("garbage\n")
         fh.write(json.dumps({"id": "", "edges": []}) + "\n")
@@ -182,7 +183,7 @@ def test_record_validation_errors(tmp_path):
     for bad in cases:
         path = str(tmp_path / "s.ndjson")
         with open(path, "w") as fh:
-            fh.write(json.dumps({"schema": _schema().to_dict()}) + "\n")
+            fh.write(json.dumps({"schema": asdict(_schema())}) + "\n")
             fh.write(json.dumps(bad) + "\n")
         with pytest.raises(StreamFormatError):
             list(iter_stream(path))
@@ -191,7 +192,7 @@ def test_record_validation_errors(tmp_path):
 def test_blank_lines_are_ignored(tmp_path):
     path = str(tmp_path / "s.ndjson")
     with open(path, "w") as fh:
-        fh.write(json.dumps({"schema": _schema().to_dict()}) + "\n\n")
+        fh.write(json.dumps({"schema": asdict(_schema())}) + "\n\n")
         fh.write(json.dumps({"id": "g0"}) + "\n\n")
     graphs = list(iter_stream(path))
     assert len(graphs) == 1

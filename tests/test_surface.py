@@ -26,13 +26,30 @@ def _names_used(paths) -> set[str]:
     return used
 
 
+# ``__init__`` is left out: its re-exports would count every name as used
+MODULES = [p for p in (ROOT / "src" / "sketchclust").glob("*.py") if p.name != "__init__.py"]
+
+
+def _used_outside_tests() -> set[str]:
+    return _names_used([*MODULES, *(ROOT / "perfbench").glob("*.py")])
+
+
 def test_every_exported_name_is_used_outside_tests():
-    package = ROOT / "src" / "sketchclust"
-    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    sources += (ROOT / "perfbench").glob("*.py")
-    used = _names_used(sources)
-    unused = sorted(set(sketchclust.__all__) - used)
+    unused = sorted(set(sketchclust.__all__) - _used_outside_tests())
     assert not unused, f"exported but used only by tests: {unused}"
+
+
+def test_every_public_function_and_class_is_used_outside_tests():
+    used = _used_outside_tests()
+    unused = sorted(
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in used
+    )
+    assert not unused, f"defined but used only by tests: {unused}"
 
 
 def _cli_options(parser: argparse.ArgumentParser) -> int:

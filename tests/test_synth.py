@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+from reference import generate_graphs
 from sketchclust import SynthConfig, synth, synth_schema
-from sketchclust.synth import generate_graph, generate_graphs, generate_stream
+from sketchclust.synth import generate_graph, generate_stream
 from sketchclust.stream_io import iter_stream, read_header
 
 

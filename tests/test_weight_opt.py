@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,15 @@ def _geometries(draw):
     return geom, cfg
 
 
+# The tightest pair separates only in a subnormal weight, so the scale that
+# lifts it to 1 + margin is near 1e308 and overflows the other pair's weight.
+_OVERFLOWING_GEOMETRY = ClusterGeometry(
+    np.zeros(8), [[0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 0]], 0
+)
+_OVERFLOWING_CONFIG = BarrierConfig(t=0.05, step_size=0.01, max_steps=0)
+_OVERFLOWING_START = [0, 0, 0, 0, 1.1125369292536007e-308, 0, 0, 2.0]
+
+
 @given(
     case=_geometries(),
     start=st.lists(st.just(0.0) | st.floats(0.0, 3.0), min_size=8, max_size=8),
@@ -419,6 +429,7 @@ def _geometries(draw):
     case=(ClusterGeometry(np.zeros(3), [[5e-324, 0.0, 0.0]], 0), BarrierConfig()),
     start=[1.0] * 8,
 )
+@example(case=(_OVERFLOWING_GEOMETRY, _OVERFLOWING_CONFIG), start=_OVERFLOWING_START)
 def test_refine_weights_matches_the_reference_on_random_geometries(case, start):
     """The library's descent, which stops early, and the reference's, which
     halves every step to the end, return the same bits and trace records;
@@ -431,6 +442,15 @@ def test_refine_weights_matches_the_reference_on_random_geometries(case, start):
     w = np.array(start[: len(geom.intra)], dtype=np.float64)
     expected = _outcome(reference.refine_weights, geom, w, cfg)
     assert _outcome(refine_weights, geom, w, cfg) == expected
+
+
+def test_a_rescale_that_overflows_restarts_from_uniform_weights():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            out = refine_weights(_OVERFLOWING_START, _OVERFLOWING_GEOMETRY, _OVERFLOWING_CONFIG)
+    assert np.isfinite(out).all()
+    assert out.tolist() == [1.05**2] * 8
 
 
 def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
