@@ -294,9 +294,8 @@ class Engine:
         off += 12
         weights = read_array(data, off, "<f8", (wlen,))
         engine.weights = ensure_weights(weights, engine.schema.d).copy()
-        off = engine.bank.load(data, off + weights.nbytes)
+        off = engine.bank.load(data, off + weights.nbytes, graph_count)
         if off != len(data):
             raise ValueError(f"engine checkpoint is {len(data)} bytes but ends at {off}")
-        engine.bank.validate(graph_count)
         engine.graph_count = graph_count
         return engine

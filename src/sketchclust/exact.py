@@ -7,7 +7,8 @@ and cross product is exact; the scalars and the distance arithmetic are
 number of distinct keys; this backend exists for differential testing and
 small runs, not for unbounded streams. It checkpoints as the sketch bank
 does, the scalars first, then each slot's maps in place of the cells;
-loading rejects each mass that is negative or not finite as it parses it.
+loading rejects a key repeated in its map, and each mass that is negative
+or not finite, as it parses them.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ class ExactBank(Bank):
                 mp = self.maps[slot][comp]
                 for _ in range(entries):
                     (klen,) = unpack_at("<I", data, off)
-                    key = bytes(data[off + 4 : off + 4 + klen])
+                    (key,) = unpack_at(f"<{klen}s", data, off + 4)
+                    if key in mp:
+                        raise ValueError("checkpoint holds a key twice in one map")
                     (value,) = unpack_at("<d", data, off + 4 + klen)
                     # NaN fails the comparison, and -0.0 passes it
                     if not 0.0 <= value < math.inf:

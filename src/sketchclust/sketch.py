@@ -1,4 +1,4 @@
-"""Count-min sketch geometry over byte-string keys: hashing and blob format.
+"""Count-min sketch geometry over byte-string keys: hashing and error bounds.
 
 A sketch is a ``rows x cols`` grid of nonnegative float64 cells. Each row
 owns one hash function from a pairwise-independent family; an update adds

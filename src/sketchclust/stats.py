@@ -16,7 +16,8 @@ A bank checkpoints as its live slots' arrays, whole: the scalars, then
 the backend's first moments, every shape but the slot count taken from
 the engine header. ``unpack_at`` and ``read_array`` are the bounds-checked
 reads a checkpoint goes through, so a truncated one raises ValueError;
-``Bank.load`` rejects each array that no run holds as it reads it.
+``Bank.load``, given the graph count, rejects each count and array no run
+holds where it reads it, so the first fault in file order is reported.
 """
 
 from __future__ import annotations
@@ -238,17 +239,38 @@ class Bank:
             *self._write_first(m),
         ]
 
-    def load(self, data: bytes, off: int) -> int:
-        """Fill the empty bank from a ``to_parts`` section at ``off``;
-        returns the offset after it. More than ``k`` slots is rejected
-        before any array is read, and a negative or non-finite moment as it
-        is read; a rejected section leaves the bank unfit for use."""
+    def load(self, data: bytes, off: int, graph_count: int) -> int:
+        """Fill the empty bank from a ``to_parts`` section at ``off`` of a
+        checkpoint after ``graph_count`` graphs; returns the offset after
+        it. Each value is checked where it is read, so the first fault in
+        file order is the one reported: the slot count (more than ``k``,
+        then other than ``min(graph_count, k)``), a cluster without members
+        or more members than graphs, an update outside ``0..graph_count``,
+        then each negative or non-finite moment. A rejected section leaves
+        the bank unfit for use."""
         (m,) = unpack_at("<I", data, off)
-        if m > len(self.n):
+        k = len(self.n)
+        if m > k:
             raise ValueError(f"checkpoint holds {m} clusters, more than k")
+        if m != min(graph_count, k):
+            raise ValueError(
+                f"checkpoint holds {m} clusters after {graph_count} graphs; "
+                f"a run with k={k} holds {min(graph_count, k)}"
+            )
         off += 4
         n = read_array(data, off, "<i8", (m,))
+        if m and n.min() < 1:
+            raise ValueError("checkpoint holds a cluster with no members")
+        members = sum(n.tolist())
+        if members > graph_count:
+            raise ValueError(
+                f"checkpoint clusters hold {members} members, more than its {graph_count} graphs"
+            )
         t_last = read_array(data, off + 8 * m, "<i8", (m,))
+        if m and (t_last.min() < 0 or t_last.max() > graph_count):
+            raise ValueError(
+                f"checkpoint holds a cluster updated outside graphs 0..{graph_count}"
+            )
         moments = read_array(data, off + 16 * m, "<f8", (m, self.d + 1))
         # checked on the bank's copy: a view into the blob may sit off 8-byte
         # alignment, where numpy's reductions run about half as fast
@@ -260,31 +282,6 @@ class Bank:
         self.t_last[:m] = t_last
         self.size = m
         return off
-
-    def validate(self, graph_count: int) -> None:
-        """Reject loaded counts that no run of ``graph_count`` graphs
-        produces: a cluster count other than ``min(graph_count, k)``, a
-        cluster without members, more members than graphs, or an update
-        after the checkpoint's graph count."""
-        m = self.size
-        live = min(graph_count, len(self.n))
-        if m != live:
-            raise ValueError(
-                f"checkpoint holds {m} clusters after {graph_count} graphs; "
-                f"a run with k={len(self.n)} holds {live}"
-            )
-        n, t_last = self.n[:m], self.t_last[:m]
-        if m and n.min() < 1:
-            raise ValueError("checkpoint holds a cluster with no members")
-        members = sum(int(count) for count in n)
-        if members > graph_count:
-            raise ValueError(
-                f"checkpoint clusters hold {members} members, more than its {graph_count} graphs"
-            )
-        if m and (t_last.min() < 0 or t_last.max() > graph_count):
-            raise ValueError(
-                f"checkpoint holds a cluster updated outside graphs 0..{graph_count}"
-            )
 
 
 class ClusterBank(Bank):

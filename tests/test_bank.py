@@ -357,13 +357,18 @@ def test_geometry_matches_the_reference_construction(
         assert got.inter_sq.tobytes() == want.inter_sq.tobytes()
 
 
+# the graphs ``_two_clusters`` absorbs, and the graph count ``_loads`` passes
+_GRAPHS = 6
+
+
 def _two_clusters(exact: bool) -> ExactBank | ClusterBank:
-    """A bank of three slots with two live clusters over integer masses."""
+    """A bank of two slots, both live, over integer masses: the state a
+    ``k=2`` run holds after ``_GRAPHS`` graphs."""
     if exact:
-        bank = ExactBank(SCHEMA.d, 3)
+        bank = ExactBank(SCHEMA.d, 2)
     else:
-        bank = ClusterBank(SketchConfig(rows=3, cols=16), SCHEMA.d, 3)
-    for i in range(6):
+        bank = ClusterBank(SketchConfig(rows=3, cols=16), SCHEMA.d, 2)
+    for i in range(_GRAPHS):
         g = graph(i, [("a", f"n{i % 3}", 1.0 + i)], {f"t{i % 4}": 2.0})
         view = graph_views(g, SCHEMA, bank.config)
         if len(bank) < 2:
@@ -376,10 +381,10 @@ def _two_clusters(exact: bool) -> ExactBank | ClusterBank:
 def _loads(bank, blob: bytes) -> bytes:
     """``blob`` loaded by an empty bank of ``bank``'s shape, written back."""
     if isinstance(bank, ExactBank):
-        again = ExactBank(bank.d, 3)
+        again = ExactBank(bank.d, 2)
     else:
-        again = ClusterBank(bank.config, bank.d, 3)
-    assert again.load(blob, 0) == len(blob)
+        again = ClusterBank(bank.config, bank.d, 2)
+    assert again.load(blob, 0, _GRAPHS) == len(blob)
     return b"".join(again.to_parts())
 
 
@@ -399,9 +404,8 @@ def _set_first_moment(bank, value) -> None:
 @pytest.mark.parametrize("moment", ["second", "first"])
 @pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
 def test_load_alone_rejects_negative_or_non_finite_moments(exact, moment, value):
-    """``Bank.load`` checks each array as it reads it, with no
-    ``validate`` call after it: a second moment, or a cell or map mass,
-    that no run holds."""
+    """``Bank.load`` alone checks each array as it reads it: a second
+    moment, or a cell or map mass, that no run holds."""
     bank = _two_clusters(exact)
     blob = b"".join(bank.to_parts())
     assert _loads(bank, blob) == blob

@@ -1000,3 +1000,67 @@ def test_from_bytes_rejects_an_update_after_the_graph_count(backend):
     for t_last in (engine.graph_count + 1, -1):
         with pytest.raises(ValueError, match="updated outside"):
             Engine.from_bytes(_patch_slot(blob, "t_last", t_last))
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_from_bytes_reports_the_first_fault_in_file_order(backend):
+    # a slot without members, read before a NaN second moment
+    engine = _run_engine(backend)
+    engine.bank.second_moments[1, 0] = float("nan")
+    blob = engine.to_bytes()
+    with pytest.raises(ValueError, match="second moments"):
+        Engine.from_bytes(blob)
+    with pytest.raises(ValueError, match="no members"):
+        Engine.from_bytes(_patch_slot(blob, "n", 0))
+
+
+def test_from_bytes_rejects_a_key_repeated_in_an_exact_map():
+    engine = Engine(_config(), SCHEMA, "exact")
+    process_all(
+        engine,
+        [graph(0, [("a", "b", 1.0), ("b", "c", 1.0)], {}), graph(1, [("x", "y", 1.0)], {})],
+    )
+    blob = engine.to_bytes()
+    assert blob.count(b"b\x1fc") == 1
+    assert Engine.from_bytes(blob).to_bytes() == blob
+    # slot 0's edge map would read {a-b: 1, a-b: 1}, and keep only one
+    with pytest.raises(ValueError, match="key twice"):
+        Engine.from_bytes(blob.replace(b"b\x1fc", b"a\x1fb"))
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_every_checkpoint_that_loads_round_trips(backend):
+    # A byte changed anywhere after the header (which is re-encoded
+    # canonically) is rejected, or loads into an engine that writes the
+    # changed checkpoint back byte for byte. Finite cells whose row totals
+    # overflow load by design, so their warnings are silenced.
+    engine = Engine(
+        _config(k=3, sketch=SketchConfig(rows=2, cols=16, seed=0)), SCHEMA, backend
+    )
+    rng = random.Random(24)
+    process_all(
+        engine,
+        [
+            graph(
+                i,
+                [(f"n{rng.randrange(6)}", f"n{rng.randrange(6)}", rng.choice([1.0, 2.5]))],
+                {f"t{rng.randrange(5)}": rng.uniform(0.1, 3.0)},
+            )
+            for i in range(60)
+        ],
+    )
+    blob = engine.to_bytes()
+    start = _cluster_section(blob) - 12 - 8 * (SCHEMA.d + 1)  # the graph count
+    loaded = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(3000):
+            changed = bytearray(blob)
+            at = rng.randrange(start, len(blob))
+            changed[at] = (changed[at] + rng.randrange(1, 256)) % 256
+            try:
+                resumed = Engine.from_bytes(bytes(changed))
+            except ValueError:
+                continue
+            assert resumed.to_bytes() == changed, at
+            loaded += 1
+    assert loaded > 0

@@ -144,7 +144,7 @@ def test_serialization_round_trip():
     bank = _bank(random.Random(19), 9)
     blob = b"".join(bank.to_parts())
     again = ExactBank(SCHEMA.d, 2)
-    assert again.load(b"pad" + blob, 3) == 3 + len(blob)
+    assert again.load(b"pad" + blob, 3, 9) == 3 + len(blob)
     assert len(again) == 2
     assert again.maps == bank.maps
     for name in ("self_sq", "second_moments", "n", "t_last"):
@@ -156,7 +156,7 @@ def test_from_bytes_rejects_garbage():
     blob = bytearray(b"".join(_bank(random.Random(23), 4).to_parts()))
     for size in range(len(blob)):
         with pytest.raises(ValueError, match="truncated"):
-            ExactBank(SCHEMA.d, 2).load(bytes(blob[:size]), 0)
+            ExactBank(SCHEMA.d, 2).load(bytes(blob[:size]), 0, 4)
     blob[:4] = b"ZZZZ"  # a slot count far above k, rejected before any slot
     with pytest.raises(ValueError, match="more than k"):
-        ExactBank(SCHEMA.d, 2).load(bytes(blob), 0)
+        ExactBank(SCHEMA.d, 2).load(bytes(blob), 0, 4)

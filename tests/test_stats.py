@@ -149,10 +149,10 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
 
 def test_serialization_round_trip():
     cfg = _cfg(seed=3)
-    bank = _bank(cfg, 3, 8, 41)
+    bank = _bank(cfg, 2, 8, 41)
     blob = b"".join(bank.to_parts())
-    again = ClusterBank(cfg, SCHEMA.d, 3)
-    assert again.load(b"pad" + blob, 3) == 3 + len(blob)
+    again = ClusterBank(cfg, SCHEMA.d, 2)
+    assert again.load(b"pad" + blob, 3, 8) == 3 + len(blob)
     assert len(again) == 2
     for name in ("cells", "self_sq", "second_moments", "n", "t_last"):
         assert np.array_equal(getattr(again, name), getattr(bank, name)), name
@@ -164,10 +164,10 @@ def test_from_bytes_rejects_garbage():
     blob = bytearray(b"".join(_bank(cfg, 2, 4, 43).to_parts()))
     for size in range(len(blob)):
         with pytest.raises(ValueError, match="truncated"):
-            ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob[:size]), 0)
+            ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob[:size]), 0, 4)
     blob[:4] = b"XXXX"  # a slot count far above k, rejected before any array
     with pytest.raises(ValueError, match="more than k"):
-        ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob), 0)
+        ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob), 0, 4)
 
 
 def test_sketch_bank_rejects_a_view_without_buckets():
