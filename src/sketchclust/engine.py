@@ -229,7 +229,7 @@ class Engine:
             es_all = comp_sq.dot(self.weights)
             nearest = int(es_all.argmin())  # first minimum: lowest index
             best = float(es_all[nearest])
-            n = bank.count(nearest)
+            n = int(bank.n[nearest])
             spread = (config.p / n) * float(bank.intra_sq(nearest).dot(self.weights))
             distances = np.sqrt(comp_sq).tolist() if self.record_distances else None
             if n == 1 or best < spread:

@@ -329,14 +329,6 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)
 
 
-@functools.cache
-def _component_ids(m: int) -> np.ndarray:
-    """``arange(m)``, built once per component count and read-only."""
-    ids = np.arange(m)
-    ids.flags.writeable = False
-    return ids
-
-
 class GraphView:
     """One graph's keys and masses, flat, in component order.
 
@@ -368,7 +360,7 @@ class GraphView:
         if values.shape != (n,) or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n:
             raise ValueError("need one value per key and bounds from 0 to the key count")
         spans = list(zip(bounds, bounds[1:]))
-        self.comp = np.repeat(_component_ids(len(spans)), [b - a for a, b in spans])
+        self.comp = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
         self.block = block = np.zeros((n, len(spans)), dtype=np.float64)
         sq_sum = []
         for c, (a, b) in enumerate(spans):

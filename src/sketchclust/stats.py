@@ -69,6 +69,12 @@ def finite_nonneg(a) -> bool:
     return a.size == 0 or bool(a.min() >= 0.0 and a.max() < math.inf)
 
 
+def _distance_sq(a_sq, cross, denom, b_sq) -> np.ndarray:
+    """``max(a_sq - 2 cross / denom + b_sq, 0)``, in that operation order."""
+    out = a_sq - 2.0 * cross / denom + b_sq
+    return np.maximum(out, 0.0, out=out)
+
+
 class Bank:
     """Up to ``k`` clusters, one per slot, and the distances between them.
 
@@ -93,9 +99,11 @@ class Bank:
     block-diagonal values ``(N, d+1)``. On the sketch backend the middle
     and last terms use overestimating estimators, so sketch distances can
     only exceed their exact counterparts (before clamping). Negative values
-    from estimator noise are clamped to zero. An event's ``es_distance_sq``
-    (formed in ``Engine.process``) weights the d+1 squared component
-    distances by the engine's nonnegative weights.
+    from estimator noise are clamped to zero. One function, ``_distance_sq``,
+    holds this form for every distance (a graph to a centroid, a centroid to
+    a centroid), as ``intra_sq`` holds the spread's. An event's
+    ``es_distance_sq`` (formed in ``Engine.process``) weights the d+1 squared
+    component distances by the engine's nonnegative weights.
 
     A backend supplies its first-moment store through the hooks:
     ``_clear(slot)``, ``_add(slot, view)`` (which also refreshes the
@@ -105,8 +113,9 @@ class Bank:
     ``(first[p], second[p])``, one ``(d+1,)`` row per pair), and
     ``_write_first`` and ``_load_first`` (which rejects first moments no
     run holds) for the checkpoint. An update (``add``, ``absorb``,
-    ``reset``) checks the graph before it writes anything, so a rejected
-    graph leaves the bank as it was.
+    ``reset``) checks the graph and its slot (a live one; ``add`` needs a
+    free one) before it writes anything, so a rejected update leaves the
+    bank as it was.
 
     A bank holds only what its checkpoint restores (``self_sq`` is
     recomputed on load, and ``geometry`` caches nothing), so a resumed bank
@@ -132,15 +141,18 @@ class Bank:
 
     def add(self, view: GraphView, now: int) -> int:
         """Found a cluster on one graph in the next free slot; returns it.
-        A rejected graph leaves the slot free."""
+        A rejected graph leaves the slot free; a full bank has none."""
         slot = self.size
-        self.absorb(slot, view, now)
+        if slot == len(self.n):
+            raise ValueError(f"bank is full: all {slot} slots hold a cluster")
+        self._check_update(view, now)
+        self._absorb(slot, view, now)
         self.size += 1
         return slot
 
     def reset(self, slot: int, view: GraphView, now: int) -> None:
         """Replace the slot's cluster, in place, by one founded on one graph."""
-        self._check_update(view, now)
+        self._check_update(view, now, slot)
         self._clear(slot)
         self.second_moments[slot] = 0.0
         self.n[slot] = 0
@@ -149,7 +161,7 @@ class Bank:
         self._absorb(slot, view, now)
 
     def absorb(self, slot: int, view: GraphView, now: int) -> None:
-        self._check_update(view, now)
+        self._check_update(view, now, slot)
         self._absorb(slot, view, now)
 
     def _absorb(self, slot: int, view: GraphView, now: int) -> None:
@@ -162,8 +174,11 @@ class Bank:
         if view.d != self.d:
             raise ValueError("component count mismatch with schema")
 
-    def _check_update(self, view: GraphView, now: int) -> None:
-        """Reject a graph no update may write, before anything is written."""
+    def _check_update(self, view: GraphView, now: int, slot: int | None = None) -> None:
+        """Reject a graph no update may write, or a slot that holds no
+        cluster, before anything is written."""
+        if slot is not None and not 0 <= slot < self.size:
+            raise ValueError(f"slot {slot} holds no cluster: live slots are 0..{self.size - 1}")
         self._check(view)
         if now < 0:
             raise ValueError("timestamp must be nonnegative")
@@ -179,8 +194,7 @@ class Bank:
         self._check(view)
         n = self.n[: self.size, None].astype(np.float64)
         cross = self._estimates(view) @ view.block
-        out = view.sq_sum - 2.0 * cross / n + self.self_sq[:, : self.size].T / (n * n)
-        return np.maximum(out, 0.0, out=out)
+        return _distance_sq(view.sq_sum, cross, n, self.self_sq[:, : self.size].T / (n * n))
 
     def intra_sq(self, slots: int | slice) -> np.ndarray:
         """The aggregate squared member-to-centroid distance per component
@@ -189,9 +203,6 @@ class Bank:
         return np.maximum(
             self.second_moments[slots] - (self.self_sq[:, slots] / self.n[slots]).T, 0.0
         )
-
-    def count(self, slot: int) -> int:
-        return int(self.n[slot])
 
     def stalest(self) -> int:
         """The slot updated longest ago, ties to the lowest index."""
@@ -214,12 +225,8 @@ class Bank:
         first, second = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
         n = self.n[:m].astype(np.float64)
         own = self.self_sq[:, :m].T / (n * n)[:, None]
-        inter = (
-            own[first]
-            - 2.0 * self._pair_cross(first, second) / (n[first] * n[second])[:, None]
-            + own[second]
-        )
-        np.maximum(inter, 0.0, out=inter)
+        pairs = (n[first] * n[second])[:, None]
+        inter = _distance_sq(own[first], self._pair_cross(first, second), pairs, own[second])
         kept = (inter != 0.0).any(axis=1)
         dropped = len(kept) - int(np.count_nonzero(kept))
         return ClusterGeometry(intra, inter if kept.all() else inter[kept], dropped)

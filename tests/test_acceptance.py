@@ -647,7 +647,7 @@ def _engine(schema, k=2, gamma=4, **kw):
 def _state_ok(engine, k):
     return (
         len(engine.bank) <= k
-        and all(engine.bank.count(slot) >= 1 for slot in range(len(engine.bank)))
+        and all(engine.bank.n[slot] >= 1 for slot in range(len(engine.bank)))
         and np.all(np.isfinite(engine.weights))
         and len(engine.weights) == engine.schema.d + 1
     )

@@ -8,7 +8,8 @@ from a checkpoint mid-stream, where the bank's section of it, before and
 after loading, must equal bytes built here from the reference clusters. Actions and cluster indices must match;
 distances must be bitwise equal on integer masses, where every sum is
 exact, and within ``rtol=1e-12`` otherwise, where the batched products may
-add in another order.
+add in another order. The bank's checkpoint section round-trips, and
+rejects a truncation, on both backends.
 """
 
 import random
@@ -25,10 +26,12 @@ from reference import (
     bank_geometry,
     cluster_geometry,
     component_distances_sq,
+    filled,
     generate_graphs,
     graph,
     intra_vector_sq,
     pair_cross,
+    separating_rows,
 )
 from sketchclust import (
     ACTION_ASSIGNED,
@@ -357,6 +360,33 @@ def test_geometry_matches_the_reference_construction(
         assert got.inter_sq.tobytes() == want.inter_sq.tobytes()
 
 
+@pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
+def test_geometry_and_distances_share_one_closed_form(exact):
+    """With slot 0 a singleton holding graph ``g``, each ``geometry`` row
+    ``(0, j)`` is bitwise ``distances_sq(view of g)[j]``: on integer masses
+    the two read the same terms, through the one closed form. The sketch's
+    seed separates every key, so its estimates are exact."""
+    rng = random.Random(25)
+    graphs = [
+        graph(
+            i,
+            [(f"n{rng.randrange(6)}", f"n{rng.randrange(6)}", float(rng.randrange(1, 9)))],
+            {f"t{rng.randrange(8)}": float(rng.randrange(1, 4)) for _ in range(2)},
+        )
+        for i in range(13)
+    ]
+    keys = sorted({key for g in graphs for key in graph_views(g, SCHEMA).keys})
+    configs = (SketchConfig(rows=4, cols=256, seed=seed) for seed in range(100))
+    config = next(c for c in configs if separating_rows(c, keys))
+    views = [graph_views(g, SCHEMA, config) for g in graphs]
+    bank = ExactBank(SCHEMA.d, 5) if exact else ClusterBank(config, SCHEMA.d, 5)
+    # slot 0 holds graph 0; slots 1..4 hold three graphs each
+    filled(bank, views[:1], *(views[j::4] for j in range(1, 5)))
+    geometry = bank.geometry()
+    assert geometry.dropped == 0
+    assert geometry.inter_sq[:4].tobytes() == bank.distances_sq(views[0])[1:].tobytes()
+
+
 # the graphs ``_two_clusters`` absorbs, and the graph count ``_loads`` passes
 _GRAPHS = 6
 
@@ -378,14 +408,46 @@ def _two_clusters(exact: bool) -> ExactBank | ClusterBank:
     return bank
 
 
+def _empty_like(bank) -> ExactBank | ClusterBank:
+    """An empty two-slot bank of ``bank``'s backend and shape."""
+    if isinstance(bank, ExactBank):
+        return ExactBank(bank.d, 2)
+    return ClusterBank(bank.config, bank.d, 2)
+
+
 def _loads(bank, blob: bytes) -> bytes:
     """``blob`` loaded by an empty bank of ``bank``'s shape, written back."""
-    if isinstance(bank, ExactBank):
-        again = ExactBank(bank.d, 2)
-    else:
-        again = ClusterBank(bank.config, bank.d, 2)
+    again = _empty_like(bank)
     assert again.load(blob, 0, _GRAPHS) == len(blob)
     return b"".join(again.to_parts())
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
+def test_serialization_round_trip(exact):
+    bank = _two_clusters(exact)
+    blob = b"".join(bank.to_parts())
+    again = _empty_like(bank)
+    assert again.load(b"pad" + blob, 3, _GRAPHS) == 3 + len(blob)
+    assert len(again) == 2
+    if exact:
+        assert again.maps == bank.maps
+    else:
+        assert np.array_equal(again.cells, bank.cells)
+    for name in ("self_sq", "second_moments", "n", "t_last"):
+        assert np.array_equal(getattr(again, name), getattr(bank, name)), name
+    assert b"".join(again.to_parts()) == blob
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
+def test_from_bytes_rejects_garbage(exact):
+    bank = _two_clusters(exact)
+    blob = bytearray(b"".join(bank.to_parts()))
+    for size in range(len(blob)):
+        with pytest.raises(ValueError, match="truncated"):
+            _empty_like(bank).load(bytes(blob[:size]), 0, _GRAPHS)
+    blob[:4] = b"XXXX"  # a slot count far above k, rejected before any array
+    with pytest.raises(ValueError, match="more than k"):
+        _empty_like(bank).load(bytes(blob), 0, _GRAPHS)
 
 
 def _set_second_moment(bank, value) -> None:

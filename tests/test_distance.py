@@ -208,7 +208,7 @@ def test_component_distances_match_per_component_calls():
     # the centroid's, squared, over the union of keys
     view = graph_views(probe, SCHEMA)
     for comp in range(SCHEMA.d + 1):
-        centroid = {key: mass / c.count(0) for key, mass in c.maps[0][comp].items()}
+        centroid = {key: mass / c.n[0] for key, mass in c.maps[0][comp].items()}
         probe_masses = dict(zip(*view.component(comp)))
         expected = sum(
             (probe_masses.get(key, 0.0) - centroid.get(key, 0.0)) ** 2

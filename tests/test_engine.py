@@ -125,7 +125,7 @@ def test_near_graph_is_assigned():
     event = process_all(engine, [graph(2, [("a", "b", 1.0)])])[0]
     assert event.action == ACTION_ASSIGNED
     assert event.cluster_index == 0
-    assert engine.bank.count(0) == 2
+    assert engine.bank.n[0] == 2
 
 
 def test_far_graph_replaces_stalest():
@@ -146,7 +146,7 @@ def test_far_graph_replaces_stalest():
     event = process_all(engine, [graph(5, [("q", "r", 50.0)])])[0]
     assert event.action == ACTION_REPLACED
     assert event.cluster_index == 0  # smallest t_last
-    assert engine.bank.count(0) == 1
+    assert engine.bank.n[0] == 1
     assert event.es_distance_sq is not None and event.spread is not None
     assert event.es_distance_sq >= event.spread
 
@@ -964,7 +964,7 @@ def _patch_slot(blob: bytes, field: str, value: int) -> bytes:
 @pytest.mark.parametrize("backend", ["sketch", "exact"])
 def test_from_bytes_rejects_a_cluster_without_members(backend):
     blob = _run_engine(backend).to_bytes()
-    assert Engine.from_bytes(_patch_slot(blob, "n", 1)).bank.count(1) == 1
+    assert Engine.from_bytes(_patch_slot(blob, "n", 1)).bank.n[1] == 1
     with pytest.raises(ValueError, match="no members"):
         Engine.from_bytes(_patch_slot(blob, "n", 0))
 
@@ -985,8 +985,8 @@ def test_from_bytes_rejects_fewer_clusters_than_a_run_holds(backend, graphs):
 def test_from_bytes_rejects_more_members_than_graphs(backend):
     engine = _run_engine(backend)
     blob = engine.to_bytes()
-    most = engine.graph_count - engine.bank.count(0)
-    assert Engine.from_bytes(_patch_slot(blob, "n", most)).bank.count(1) == most
+    most = engine.graph_count - engine.bank.n[0]
+    assert Engine.from_bytes(_patch_slot(blob, "n", most)).bank.n[1] == most
     with pytest.raises(ValueError, match="more than its"):
         Engine.from_bytes(_patch_slot(blob, "n", most + 1))
 

@@ -36,7 +36,7 @@ def test_accessor_surface_matches_truth():
             graph(1, [("a", "b", 1.0)], {"x": 3.0}),
         ]
     )
-    assert c.count(0) == 2
+    assert c.n[0] == 2
     assert c.second_moments[0].tolist() == [5.0, 14.0]
     assert c.maps[0] == [{b"a\x1fb": 3.0}, {b"x": 4.0, b"y": 2.0}]
     assert c.self_sq[:, 0].tolist() == [9.0, 16.0 + 4.0]
@@ -113,7 +113,7 @@ def test_members_intra_sq_matches_definition():
         graphs = [_random_graph(rng, i) for i in range(rng.randrange(1, 8))]
         members = [graph_views(g, SCHEMA) for g in graphs]
         c = _one_slot(graphs)
-        n = c.count(0)
+        n = c.n[0]
         for comp in (0, 1):
             # definitional: sum over members of squared distance to centroid
             keys = sorted(c.maps[0][comp])
@@ -126,37 +126,3 @@ def test_members_intra_sq_matches_definition():
                     (masses.get(k, 0.0) - centroid.get(k, 0.0)) ** 2 for k in support
                 )
             assert members_intra_sq(members, comp) == pytest.approx(total, abs=1e-9)
-
-
-def _bank(rng: random.Random, graphs: int) -> ExactBank:
-    """An exact bank with two live clusters over random graphs."""
-    bank = ExactBank(SCHEMA.d, 2)
-    for i in range(graphs):
-        view = graph_views(_random_graph(rng, i), SCHEMA)
-        if len(bank) < 2:
-            bank.add(view, i)
-        else:
-            bank.absorb(i % 2, view, i)
-    return bank
-
-
-def test_serialization_round_trip():
-    bank = _bank(random.Random(19), 9)
-    blob = b"".join(bank.to_parts())
-    again = ExactBank(SCHEMA.d, 2)
-    assert again.load(b"pad" + blob, 3, 9) == 3 + len(blob)
-    assert len(again) == 2
-    assert again.maps == bank.maps
-    for name in ("self_sq", "second_moments", "n", "t_last"):
-        assert np.array_equal(getattr(again, name), getattr(bank, name)), name
-    assert b"".join(again.to_parts()) == blob
-
-
-def test_from_bytes_rejects_garbage():
-    blob = bytearray(b"".join(_bank(random.Random(23), 4).to_parts()))
-    for size in range(len(blob)):
-        with pytest.raises(ValueError, match="truncated"):
-            ExactBank(SCHEMA.d, 2).load(bytes(blob[:size]), 0, 4)
-    blob[:4] = b"ZZZZ"  # a slot count far above k, rejected before any slot
-    with pytest.raises(ValueError, match="more than k"):
-        ExactBank(SCHEMA.d, 2).load(bytes(blob), 0, 4)

@@ -1,5 +1,5 @@
 """The per-cluster reference summary of a sketched cluster, and the cluster
-bank's checkpoint section."""
+bank's update checks."""
 
 import random
 
@@ -147,29 +147,6 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
     return bank
 
 
-def test_serialization_round_trip():
-    cfg = _cfg(seed=3)
-    bank = _bank(cfg, 2, 8, 41)
-    blob = b"".join(bank.to_parts())
-    again = ClusterBank(cfg, SCHEMA.d, 2)
-    assert again.load(b"pad" + blob, 3, 8) == 3 + len(blob)
-    assert len(again) == 2
-    for name in ("cells", "self_sq", "second_moments", "n", "t_last"):
-        assert np.array_equal(getattr(again, name), getattr(bank, name)), name
-    assert b"".join(again.to_parts()) == blob
-
-
-def test_from_bytes_rejects_garbage():
-    cfg = SketchConfig(rows=2, cols=8, seed=0)
-    blob = bytearray(b"".join(_bank(cfg, 2, 4, 43).to_parts()))
-    for size in range(len(blob)):
-        with pytest.raises(ValueError, match="truncated"):
-            ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob[:size]), 0, 4)
-    blob[:4] = b"XXXX"  # a slot count far above k, rejected before any array
-    with pytest.raises(ValueError, match="more than k"):
-        ClusterBank(cfg, SCHEMA.d, 2).load(bytes(blob), 0, 4)
-
-
 def test_sketch_bank_rejects_a_view_without_buckets():
     # The engine hashes each view for its bank's config; a sketch bank
     # given a view hashed for none says so and is left as it was.
@@ -219,7 +196,7 @@ def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
         assert b"".join(bank.to_parts()) == before
     else:
         bank.absorb(0, view, 2)
-        assert (bank.count(0), bank.t_last[0]) == (2, 2)
+        assert (bank.n[0], bank.t_last[0]) == (2, 2)
 
 
 def _two_keys(values, config) -> GraphView:
@@ -259,6 +236,37 @@ def test_a_rejected_update_leaves_the_bank_as_it_was(backend, cause):
             update()
         assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
         assert len(bank) == 2
+
+
+@pytest.mark.parametrize("backend", sorted(_BANKS))
+def test_an_update_needs_a_live_slot_or_a_free_one(backend):
+    """``absorb`` and ``reset`` write only a live slot, ``0..len(bank)-1``,
+    and ``add`` only a bank with a free slot; any other update raises
+    ValueError before it writes, so no member lands outside the
+    checkpoint and no later ``add`` founds a slot on top of one."""
+    bank = _BANKS[backend](4)
+    bank.add(_two_keys([1.0, 2.0], bank.config), 1)
+    bank.add(_two_keys([3.0, 1.0], bank.config), 2)
+    view = _two_keys([5.0, 3.0], bank.config)
+
+    def state():
+        arrays = (bank.self_sq, bank.n, bank.t_last, bank.second_moments)
+        return b"".join(bank.to_parts()), *(a.tobytes() for a in arrays)
+
+    before = state()
+    for update in (bank.absorb, bank.reset):
+        for slot in (2, 3, 9, -1, -4):
+            with pytest.raises(ValueError, match="holds no cluster"):
+                update(slot, view, 3)
+            assert state() == before
+            assert len(bank) == 2
+    assert (bank.add(view, 3), bank.add(view, 4)) == (2, 3)
+    assert bank.n.tolist() == [1, 1, 1, 1]
+    before = state()
+    with pytest.raises(ValueError, match="full"):
+        bank.add(view, 5)
+    assert state() == before
+    assert len(bank) == 4
 
 
 @pytest.mark.parametrize("backend", sorted(_BANKS))
