@@ -19,19 +19,20 @@ is re-tuned against the current cluster geometry (see ``weight_opt``).
 
 The clusters live in one bank, ``Engine.bank``, a ``stats.Bank`` that
 scores a graph against all clusters at once. Its arithmetic is shared by
-both backends, which differ only in where first moments live:
-count-min sketches (``stats.ClusterBank``) or exact maps
-(``exact.ExactBank``); ``process`` has one path for both. Graph edges are
-consumed exactly once; memory is constant in the stream length on the
-sketch backend. Engine state checkpoints to a versioned blob: a JSON
-header, the graph count and weights, then the bank's arrays whole,
-joined once. An engine encodes its header once, and ``from_bytes``
-caches the last few headers it decoded, so engines resumed from one
-header share one immutable config (and one drawn hash family) and write
-back its bytes. Loading rejects a header or config field that is
-unknown or of the wrong JSON type, and state no run produces (such as a
-cluster count other than ``min(graph_count, k)``); a resumed run replays
-identically.
+both backends, which differ only in where first moments live: count-min
+sketches (``stats.ClusterBank``) or exact maps (``exact.ExactBank``).
+``process`` routes a graph as decide, then apply: ``_decide`` reads the
+bank and returns the route as a value; ``_apply`` makes its one update,
+then any refresh due. Graph edges are consumed exactly once; memory is
+constant in the stream length on the sketch backend. Engine state
+checkpoints to a versioned blob: a JSON header, the graph count and
+weights, then the bank's arrays whole, joined once. An engine encodes
+its header once, and ``from_bytes`` caches the last few headers it
+decoded, so engines resumed from one header share one immutable config
+(and one drawn hash family) and write back its bytes. Loading rejects a
+header or config field that is unknown or of the wrong JSON type, and
+state no run produces (such as a cluster count other than
+``min(graph_count, k)``); a resumed run replays identically.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ import json
 import math
 import struct
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .exact import ExactBank
-from .model import GraphObject, StreamSchema, from_json, graph_views
+from .model import GraphObject, GraphView, StreamSchema, from_json, graph_views
 from .sketch import SketchConfig
 from .stats import ClusterBank, finite_nonneg, read_array, unpack_at
 from .weight_opt import BarrierConfig, TraceHook, refine_weights
@@ -175,6 +177,16 @@ def _decode_header(raw: bytes) -> _Header:
     return from_json(_Header, json.loads(raw.decode("utf-8")))
 
 
+class _Decision(NamedTuple):
+    """A graph's route; the distances are None while the bank has a free slot."""
+
+    action: str
+    slot: int
+    best: float | None = None
+    spread: float | None = None
+    comp_sq: np.ndarray | None = None
+
+
 def ensure_weights(weights, d: int) -> np.ndarray:
     """Validate a (d+1)-component nonnegative weight vector."""
     w = np.asarray(weights, dtype=np.float64)
@@ -217,37 +229,38 @@ class Engine:
         """Route one graph, as ``preprocess`` returns it, and return the
         resulting event. ``process(preprocess(g, schema))`` over what
         ``iter_stream`` yields is the one way a record reaches the engine."""
+        view = graph_views(g, self.schema, self.bank.config)
+        decision = self._decide(view)
+        self._apply(decision, view)
+        action, slot, best, spread, comp_sq = decision
+        record = self.record_distances and comp_sq is not None
+        distances = np.sqrt(comp_sq).tolist() if record else None
+        return AssignmentEvent(g.id, action, slot, best, spread, distances)
+
+    def _decide(self, view: GraphView) -> _Decision:
+        """The graph's route, from the bank and weights; writes nothing."""
         bank, config = self.bank, self.config
-        view = graph_views(g, self.schema, bank.config)
-        now = self.graph_count + 1
-
         if len(bank) < config.k:
-            index = bank.add(view, now)
-            event = AssignmentEvent(g.id, ACTION_INITIALIZED, index)
-        else:
-            comp_sq = bank.distances_sq(view)
-            es_all = comp_sq.dot(self.weights)
-            nearest = int(es_all.argmin())  # first minimum: lowest index
-            best = float(es_all[nearest])
-            n = int(bank.n[nearest])
-            spread = (config.p / n) * float(bank.intra_sq(nearest).dot(self.weights))
-            distances = np.sqrt(comp_sq).tolist() if self.record_distances else None
-            if n == 1 or best < spread:
-                bank.absorb(nearest, view, now)
-                event = AssignmentEvent(
-                    g.id, ACTION_ASSIGNED, nearest, best, spread, distances
-                )
-            else:
-                stale = bank.stalest()
-                bank.reset(stale, view, now)
-                event = AssignmentEvent(
-                    g.id, ACTION_REPLACED, stale, best, spread, distances
-                )
+            return _Decision(ACTION_INITIALIZED, len(bank))
+        comp_sq = bank.distances_sq(view)
+        es_all = comp_sq.dot(self.weights)
+        nearest = int(es_all.argmin())  # first minimum: lowest index
+        best = float(es_all[nearest])
+        n = int(bank.n[nearest])
+        spread = (config.p / n) * float(bank.intra_sq(nearest).dot(self.weights))
+        if n == 1 or best < spread:
+            return _Decision(ACTION_ASSIGNED, nearest, best, spread, comp_sq)
+        return _Decision(ACTION_REPLACED, bank.stalest(), best, spread, comp_sq)
 
+    def _apply(self, decision: _Decision, view: GraphView) -> None:
+        """The decision's one bank update, then the weight refresh when due."""
+        bank, config = self.bank, self.config
+        now = self.graph_count + 1
+        update = bank.absorb if decision.action == ACTION_ASSIGNED else bank.reset
+        update(decision.slot, view, now)
         self.graph_count = now
         if config.optimize_weights and now % config.gamma == 0 and len(bank) >= 2:
             self.refresh_weights()
-        return event
 
     def refresh_weights(self) -> None:
         """Re-tune the weights against the live clusters (at least two)."""

@@ -158,21 +158,16 @@ def assignment_agreement(
     # sketchclust``, and only this function needs it.
     from scipy.optimize import linear_sum_assignment
 
-    ka = max(ev.cluster_index for ev in events_a) + 1
-    kb = max(ev.cluster_index for ev in events_b) + 1
-    size = max(ka, kb)
+    size = 1 + max(ev.cluster_index for events in (events_a, events_b) for ev in events)
     overlap = np.zeros((size, size), dtype=np.int64)
     for ea, eb in zip(events_a, events_b):
         overlap[ea.cluster_index, eb.cluster_index] += 1
-    row, col = linear_sum_assignment(-overlap)
-    mapping = {int(r): int(c) for r, c in zip(row, col)}
-
+    # the matrix is square, so every slot of the first log is matched
+    match = linear_sum_assignment(-overlap)[1].tolist()
     same = 0
     for ea, eb in zip(events_a, events_b):
         if ea.action != eb.action:
             continue
-        if ea.action == ACTION_REPLACED:
-            same += 1
-        elif mapping.get(ea.cluster_index) == eb.cluster_index:
+        if ea.action == ACTION_REPLACED or match[ea.cluster_index] == eb.cluster_index:
             same += 1
     return same / len(events_a)

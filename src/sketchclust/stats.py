@@ -102,7 +102,7 @@ class Bank:
     from estimator noise are clamped to zero. One function, ``_distance_sq``,
     holds this form for every distance (a graph to a centroid, a centroid to
     a centroid), as ``intra_sq`` holds the spread's. An event's
-    ``es_distance_sq`` (formed in ``Engine.process``) weights the d+1 squared
+    ``es_distance_sq`` (formed in ``Engine._decide``) weights the d+1 squared
     component distances by the engine's nonnegative weights.
 
     A backend supplies its first-moment store through the hooks:
@@ -112,10 +112,11 @@ class Bank:
     second)`` (the cross products of the live slot pairs
     ``(first[p], second[p])``, one ``(d+1,)`` row per pair), and
     ``_write_first`` and ``_load_first`` (which rejects first moments no
-    run holds) for the checkpoint. An update (``add``, ``absorb``,
-    ``reset``) checks the graph and its slot (a live one; ``add`` needs a
-    free one) before it writes anything, so a rejected update leaves the
-    bank as it was.
+    run holds) for the checkpoint. The engine routes a graph as decide,
+    then apply: reads, then one of two updates. ``reset`` founds a cluster
+    in a live slot or the next free one; ``absorb`` adds a graph to a live
+    slot. Each has ``_check_update`` check its slot and graph first, so a
+    rejected update leaves the bank as it was.
 
     A bank holds only what its checkpoint restores (``self_sq`` is
     recomputed on load, and ``geometry`` caches nothing), so a resumed bank
@@ -139,29 +140,20 @@ class Bank:
 
     # -- updates -----------------------------------------------------------
 
-    def add(self, view: GraphView, now: int) -> int:
-        """Found a cluster on one graph in the next free slot; returns it.
-        A rejected graph leaves the slot free; a full bank has none."""
-        slot = self.size
-        if slot == len(self.n):
-            raise ValueError(f"bank is full: all {slot} slots hold a cluster")
-        self._check_update(view, now)
-        self._absorb(slot, view, now)
-        self.size += 1
-        return slot
-
     def reset(self, slot: int, view: GraphView, now: int) -> None:
-        """Replace the slot's cluster, in place, by one founded on one graph."""
-        self._check_update(view, now, slot)
+        """Found a cluster on one graph in ``slot``: in place of a live
+        slot's cluster, or in the next free slot, ``len(bank)``."""
+        self._check_update(view, now, slot, min(self.size + 1, len(self.n)))
         self._clear(slot)
         self.second_moments[slot] = 0.0
-        self.n[slot] = 0
-        self.t_last[slot] = 0
+        self.n[slot] = self.t_last[slot] = 0
         self.self_sq[:, slot] = 0.0
         self._absorb(slot, view, now)
+        self.size = max(self.size, slot + 1)
 
     def absorb(self, slot: int, view: GraphView, now: int) -> None:
-        self._check_update(view, now, slot)
+        """Add one graph to a live slot's cluster."""
+        self._check_update(view, now, slot, self.size)
         self._absorb(slot, view, now)
 
     def _absorb(self, slot: int, view: GraphView, now: int) -> None:
@@ -174,11 +166,11 @@ class Bank:
         if view.d != self.d:
             raise ValueError("component count mismatch with schema")
 
-    def _check_update(self, view: GraphView, now: int, slot: int | None = None) -> None:
-        """Reject a graph no update may write, or a slot that holds no
-        cluster, before anything is written."""
-        if slot is not None and not 0 <= slot < self.size:
-            raise ValueError(f"slot {slot} holds no cluster: live slots are 0..{self.size - 1}")
+    def _check_update(self, view: GraphView, now: int, slot: int, end: int) -> None:
+        """Reject a slot outside ``0..end-1``, or a graph no update may
+        write, before anything is written."""
+        if not 0 <= slot < end:
+            raise ValueError(f"slot {slot} is outside 0..{end - 1}: {self.size} slots live")
         self._check(view)
         if now < 0:
             raise ValueError("timestamp must be nonnegative")

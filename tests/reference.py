@@ -351,14 +351,13 @@ def cluster_geometry(clusters: Sequence) -> ClusterGeometry:
 
 def filled(bank, *clusters):
     """``bank`` with one slot per cluster, each given as its members'
-    views, absorbed in order at times 1, 2, ..."""
+    views: the first founds the next free slot, the rest are absorbed into
+    it, at times 1, 2, ..."""
     for members in clusters:
-        slot = None
+        slot = len(bank)
         for now, view in enumerate(members, start=1):
-            if slot is None:
-                slot = bank.add(view, now)
-            else:
-                bank.absorb(slot, view, now)
+            update = bank.reset if now == 1 else bank.absorb
+            update(slot, view, now)
     return bank
 
 

@@ -301,10 +301,8 @@ def test_c05_objective_midpoint_convexity():
 def _absorb(bank, view, now: int) -> None:
     """The engine's path into slot 0: found it on the first graph, then
     absorb into it."""
-    if len(bank):
-        bank.absorb(0, view, now)
-    else:
-        bank.add(view, now)
+    update = bank.absorb if len(bank) else bank.reset
+    update(0, view, now)
 
 
 def _summed_slot(a: ClusterBank, b: ClusterBank) -> bytes:

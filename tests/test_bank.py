@@ -402,7 +402,7 @@ def _two_clusters(exact: bool) -> ExactBank | ClusterBank:
         g = graph(i, [("a", f"n{i % 3}", 1.0 + i)], {f"t{i % 4}": 2.0})
         view = graph_views(g, SCHEMA, bank.config)
         if len(bank) < 2:
-            bank.add(view, i)
+            bank.reset(len(bank), view, i)
         else:
             bank.absorb(i % 2, view, i)
     return bank

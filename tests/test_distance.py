@@ -142,7 +142,7 @@ def test_empty_cluster_and_bad_component_rejected():
         assert bank.distances_sq(probe).shape == (0, SCHEMA.d + 1)
         with pytest.raises(ValueError, match="two nonempty"):
             bank.geometry()
-        bank.add(probe, 1)
+        bank.reset(0, probe, 1)
         with pytest.raises(ValueError, match="two nonempty"):
             bank.geometry()
         # a graph with more or fewer components than the schema

@@ -25,6 +25,7 @@ from sketchclust import (
     SketchConfig,
     StreamSchema,
     SynthConfig,
+    graph_views,
     preprocess,
     synth_schema,
     write_stream,
@@ -480,7 +481,9 @@ def _same(a, b) -> bool:
 def test_from_bytes_restores_every_attribute(backend, n_graphs):
     """A resumed engine and its bank hold exactly what was saved and
     nothing else: state the checkpoint does not restore (a cache filled by
-    a refresh, say) would show here as an attribute that differs."""
+    a refresh, say) would show here as an attribute that differs. Deciding
+    a graph's route, while the bank fills or once it is full, writes
+    nothing: no checkpoint byte and no self product."""
     records: list[dict] = []
     engine = Engine(_config(k=4, gamma=2), SCHEMA, backend, trace=records.append)
     process_all(
@@ -488,6 +491,14 @@ def test_from_bytes_restores_every_attribute(backend, n_graphs):
         [graph(i, [("a", f"n{i % 5}", 1.0 + i % 3)], {"x": 1.0 + i % 2}) for i in range(n_graphs)],
     )
     assert len(engine.bank) == min(n_graphs, 4)
+    before = (engine.to_bytes(), engine.bank.self_sq.tobytes())
+    routes = {
+        engine._decide(graph_views(g, SCHEMA, engine.bank.config))[:2]
+        for g in (graph(n_graphs, [("a", "n0", 1.0)], {"x": 1.0}), graph(99, [("p", "q", 9.0)]))
+    }
+    full = {(ACTION_ASSIGNED, 0), (ACTION_REPLACED, int(engine.bank.t_last.argmin()))}
+    assert routes == ({(ACTION_INITIALIZED, 3)} if n_graphs < 4 else full)
+    assert (engine.to_bytes(), engine.bank.self_sq.tobytes()) == before
     assert any("final_weights" in record for record in records)  # refreshed
     resumed = Engine.from_bytes(engine.to_bytes(), trace=records.append)
     assert vars(resumed).keys() == vars(engine).keys()

@@ -104,6 +104,10 @@ def test_agreement_counts_routing_differences():
     events_a = [_ev(g, ACTION_ASSIGNED, c) for g, c in zip(ids, [0, 0, 1, 1])]
     events_b = [_ev(g, ACTION_ASSIGNED, c) for g, c in zip(ids, [0, 1, 1, 1])]
     assert assignment_agreement(events_a, events_b) == pytest.approx(3 / 4)
+    # the first log's highest slot above the second's: the overlap spans both
+    events_a = [_ev(g, ACTION_ASSIGNED, c) for g, c in zip(ids, [3, 3, 0, 1])]
+    events_b = [_ev(g, ACTION_ASSIGNED, c) for g, c in zip(ids, [0, 0, 1, 1])]
+    assert assignment_agreement(events_a, events_b) == pytest.approx(3 / 4)
 
 
 def test_agreement_action_mismatch_disagrees():

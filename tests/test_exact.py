@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from reference import SCHEMA, filled, graph, members_intra_sq, separating_rows
-from sketchclust import GraphObject, SketchConfig, graph_views
+from sketchclust import GraphObject, GraphView, SketchConfig, graph_views
 from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
 
@@ -53,6 +53,18 @@ def test_cross_product_is_exact():
     )
     # 5 - 2 * 6 + 34: the squared distance between the two maps
     assert bank.geometry().inter_sq.tolist() == [[0.0, 27.0]]
+
+
+def test_cross_product_sums_the_smaller_maps_keys_in_its_order():
+    """``_pair_cross`` walks the smaller of two maps in its insertion order,
+    whichever slot holds it. The common keys' products run 1e16, 1, 1 in
+    the smaller map, which sums to 1e16 (each 1 rounds away), and 1, 1,
+    1e16 in the larger one, which would sum to 1e16 + 2."""
+    small = GraphView((b"k1", b"k2", b"k3"), [1e8, 1.0, 1.0], (0, 3, 3))
+    large = GraphView((b"k3", b"k2", b"k1", b"k4"), [1.0, 1.0, 1e8, 1.0], (0, 4, 4))
+    for first, second in ((small, large), (large, small)):
+        bank = filled(ExactBank(SCHEMA.d, 2), [first], [second])
+        assert bank._pair_cross(np.array([0]), np.array([1])).tolist() == [[1e16, 0.0]]
 
 
 def test_parity_with_sketch_backend_when_separated():

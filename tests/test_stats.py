@@ -141,7 +141,7 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
         )
         view = graph_views(g, SCHEMA, cfg)
         if len(bank) < 2:
-            bank.add(view, i)
+            bank.reset(len(bank), view, i)
         else:
             bank.absorb(i % 2, view, i)
     return bank
@@ -159,7 +159,7 @@ def test_sketch_bank_rejects_a_view_without_buckets():
         with pytest.raises(ValueError, match="hashed for its config"):
             call(bare)
     with pytest.raises(ValueError, match="hashed for its config"):
-        bank.add(bare, 9)
+        bank.reset(2, bare, 9)
     assert len(bank) == 2 and b"".join(bank.to_parts()) == before
 
 
@@ -185,7 +185,7 @@ def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
     """A graph is absorbed unless a value is negative or NaN (``-0.0`` and
     the empty view are absorbed); a rejected one leaves the bank as it was."""
     bank = _BANKS[backend]()
-    bank.add(GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2), bank.config), 1)
+    bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2), bank.config), 1)
     before = b"".join(bank.to_parts())
     cut = min(cut, len(values))
     keys = tuple(b"k%d" % i for i in range(len(values)))
@@ -218,55 +218,57 @@ _REJECTED = {
     [(b, c) for b in sorted(_BANKS) for c in sorted(_REJECTED) if (b, c) != ("exact", "buckets")],
 )
 def test_a_rejected_update_leaves_the_bank_as_it_was(backend, cause):
-    """``add``, ``absorb`` and ``reset`` check the graph before they write:
-    a rejected one changes no checkpoint byte, no self product and no slot
-    count (a buckets-free view is the exact bank's own)."""
+    """``absorb`` and ``reset`` (into a live slot or the next free one)
+    check the graph before they write, while the bank fills and once it is
+    full: a rejected one changes no checkpoint byte, no self product and no
+    slot count (a buckets-free view is the exact bank's own)."""
     bank = _BANKS[backend](3)
-    bank.add(_two_keys([1.0, 2.0], bank.config), 1)
-    bank.add(_two_keys([3.0, 1.0], bank.config), 2)
+    bank.reset(0, _two_keys([1.0, 2.0], bank.config), 1)
+    bank.reset(1, _two_keys([3.0, 1.0], bank.config), 2)
     build, now, match = _REJECTED[cause]
     view = build(bank.config)
-    before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
-    for update in (
-        lambda: bank.add(view, now),
-        lambda: bank.absorb(0, view, now),
-        lambda: bank.reset(0, view, now),
-    ):
-        with pytest.raises(ValueError, match=match):
-            update()
-        assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
-        assert len(bank) == 2
+    for size in (2, 3):
+        if size == 3:  # slot 2 goes from the next free slot to a live one
+            bank.reset(2, _two_keys([2.0, 2.0], bank.config), 3)
+        before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
+        for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
+            with pytest.raises(ValueError, match=match):
+                update(slot, view, now)
+            assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
+            assert len(bank) == size
 
 
 @pytest.mark.parametrize("backend", sorted(_BANKS))
 def test_an_update_needs_a_live_slot_or_a_free_one(backend):
-    """``absorb`` and ``reset`` write only a live slot, ``0..len(bank)-1``,
-    and ``add`` only a bank with a free slot; any other update raises
-    ValueError before it writes, so no member lands outside the
-    checkpoint and no later ``add`` founds a slot on top of one."""
+    """``absorb`` writes only a live slot, ``0..len(bank)-1``, and
+    ``reset`` a live slot or the next free one, ``len(bank)``, which a full
+    bank lacks; any other update raises ValueError before it writes, so no
+    member lands outside the checkpoint and no later ``reset`` founds a
+    slot on top of one."""
     bank = _BANKS[backend](4)
-    bank.add(_two_keys([1.0, 2.0], bank.config), 1)
-    bank.add(_two_keys([3.0, 1.0], bank.config), 2)
+    bank.reset(0, _two_keys([1.0, 2.0], bank.config), 1)
+    bank.reset(1, _two_keys([3.0, 1.0], bank.config), 2)
     view = _two_keys([5.0, 3.0], bank.config)
 
     def state():
         arrays = (bank.self_sq, bank.n, bank.t_last, bank.second_moments)
         return b"".join(bank.to_parts()), *(a.tobytes() for a in arrays)
 
-    before = state()
-    for update in (bank.absorb, bank.reset):
-        for slot in (2, 3, 9, -1, -4):
-            with pytest.raises(ValueError, match="holds no cluster"):
+    def rejected(update, slots):
+        before, size = state(), len(bank)
+        for slot in slots:
+            with pytest.raises(ValueError, match="outside"):
                 update(slot, view, 3)
             assert state() == before
-            assert len(bank) == 2
-    assert (bank.add(view, 3), bank.add(view, 4)) == (2, 3)
-    assert bank.n.tolist() == [1, 1, 1, 1]
-    before = state()
-    with pytest.raises(ValueError, match="full"):
-        bank.add(view, 5)
-    assert state() == before
-    assert len(bank) == 4
+            assert len(bank) == size
+
+    rejected(bank.absorb, (2, 3, 9, -1, -4))
+    rejected(bank.reset, (3, 9, -1, -4))
+    bank.reset(2, view, 3)
+    bank.reset(3, view, 4)
+    assert bank.n.tolist() == [1, 1, 1, 1] and len(bank) == 4
+    rejected(bank.absorb, (4, 9, -1))
+    rejected(bank.reset, (4, 9, -1))
 
 
 @pytest.mark.parametrize("backend", sorted(_BANKS))
@@ -291,7 +293,8 @@ def test_intra_sq_of_a_slice_is_its_slots_rows(backend, sizes, integer, seed):
             values = rng.integers(1, 50, size) if integer else rng.uniform(0.0, 1e3, size)
             view = GraphView(keys, values, (0, *np.cumsum(counts).tolist()), bank.config)
             if slot is None:
-                slot = bank.add(view, now)
+                slot = len(bank)
+                bank.reset(slot, view, now)
             else:
                 bank.absorb(slot, view, now)
     m = len(sizes)
