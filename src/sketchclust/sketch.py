@@ -26,18 +26,23 @@ checkpoint stores the config in its header and the grids as plain arrays
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import random
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-# A key's 64-bit blake2b digest, as two C calls mapped over the keys.
-_HASH = functools.partial(hashlib.blake2b, digest_size=8)
-_DIGEST = hashlib.blake2b.digest
+_TEMPLATE = hashlib.blake2b(digest_size=8)  # copied per key: cheaper than a new hasher
+
+
+def _digests(keys: Sequence[bytes]) -> bytes:
+    """Each key's 64-bit blake2b digest, in key order, by three C-level maps."""
+    hashers = list(map(hashlib.blake2b.copy, repeat(_TEMPLATE, len(keys))))
+    any(map(hashlib.blake2b.update, hashers, keys))  # each returns None: any() runs them all
+    return b"".join(map(hashlib.blake2b.digest, hashers))
 
 
 @dataclass(frozen=True)
@@ -74,9 +79,7 @@ class SketchConfig:
 
     def buckets(self, keys: Sequence[bytes]) -> np.ndarray:
         """Cell index of each key in each row, shape (rows, len(keys)), intp."""
-        digests = b"".join(map(_DIGEST, map(_HASH, keys)))
-        x = np.frombuffer(digests, dtype="<u8")
-        idx = self._mult * x
+        idx = self._mult * np.frombuffer(_digests(keys), dtype="<u8")
         idx += self._add
         # Keep the high product bits: the low bits of a*x mod 2^64 depend only
         # on the low bits of x, which would make rows collide in lockstep for

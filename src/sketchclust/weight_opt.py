@@ -17,12 +17,12 @@ more than 1. f is convex on the feasible region {w >= 0 : all Q_ij > 1}
 
 Each candidate is evaluated once, for its objective and its pair roots
 sqrt(Q_ij(w)); the gradient at an accepted candidate comes from those roots.
-A step is halved until its candidate ``max(w - s*grad, floor)`` improves
-the objective, and the descent stops at the first rejected candidate that
-equals ``w``. That stop is exact: rounding and the floor are monotone in
-the step, so each smaller step's candidate lies between ``w`` (at or above
-the floor, as it equals a candidate) and this one: it equals ``w`` as well
-and is rejected.
+A step is halved until its candidate ``max(w - s*grad, 0)`` improves the
+objective, and the descent stops at the first rejected candidate that
+equals ``w``. That stop is exact: rounding and the projection are monotone
+in the step, so each smaller step's candidate lies between ``w``
+(nonnegative, as it equals a candidate) and this one: it equals ``w`` as
+well and is rejected.
 Infeasibility is a value, not a fault: the objective is +inf outside the
 region, and ``refine_weights`` first restores feasibility by
 homogeneously rescaling the weights, which changes no cluster decisions
@@ -43,6 +43,8 @@ from typing import Callable
 import numpy as np
 
 _MIN_STEP = 1e-18
+_MARGIN = 0.05  # the rescale lands an infeasible start's tightest pair at 1 + _MARGIN
+_FLOOR = 0.0  # each candidate is projected onto the weights at or above _FLOOR
 
 # sqrt(Q) - 1 > 0 exactly when Q exceeds this: the square root rounds
 # correctly and is monotone, and sqrt(1 + 2**-52) rounds to 1. So an
@@ -57,8 +59,6 @@ class BarrierConfig:
     t: float = 1.0
     step_size: float = 0.1
     max_steps: int = 25
-    feasibility_margin: float = 0.05
-    weight_floor: float = 0.0
 
     def __post_init__(self) -> None:
         # an infinite step never halves below _MIN_STEP, so a refresh would not end
@@ -68,10 +68,6 @@ class BarrierConfig:
             raise ValueError("step_size must be positive and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if not 0 < self.feasibility_margin < 1:
-            raise ValueError("feasibility_margin must lie in (0, 1)")
-        if not 0 <= self.weight_floor < math.inf:
-            raise ValueError("weight_floor must be >= 0 and finite")
 
 
 @dataclass
@@ -118,16 +114,17 @@ def _gradient(t_intra: np.ndarray, geom: ClusterGeometry, roots) -> np.ndarray:
     return t_intra - geom.inter_sq.T.dot(1.0 / (root * sep))
 
 
-def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
-    """Homogeneous rescale landing the tightest pair at 1 + margin. When the
-    weights vanish, or all but vanish, on every component where the
-    tightest pair separates, no float scale can help (or the scaled weights
-    overflow), and the rescale restarts from uniform weights; ValueError
-    when even those cannot be rescaled, as no float weights separate that
-    pair."""
-    target = 1.0 + cfg.feasibility_margin
+def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry):
+    """Homogeneous rescale landing the tightest pair at 1 + ``_MARGIN``.
+    When the weights vanish, or all but vanish, on every component where
+    the tightest pair separates, no float scale can help (or the scaled
+    weights, or the products the objective takes of them, overflow), and
+    the rescale restarts from uniform weights; ValueError when even those
+    cannot be rescaled. A NaN tightest separation returns ``w`` as it is."""
+    target = 1.0 + _MARGIN
     for start in (w, np.ones_like(w)):
-        q_min = float(np.minimum.reduce(geom.inter_sq.dot(start)))
+        q = geom.inter_sq.dot(start)
+        q_min = float(np.minimum.reduce(q))
         root_min = math.sqrt(q_min)
         if not root_min <= target:  # already separated, or NaN
             return start
@@ -135,8 +132,9 @@ def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
             scale = (target / root_min) ** 2
         except (ZeroDivisionError, OverflowError):
             continue
-        # the weights are nonnegative: the largest one overflows first
-        if math.isfinite(float(np.maximum.reduce(start)) * scale):
+        # weights and products are nonnegative: the largest of each overflows first
+        largest = max(np.maximum.reduce(start), np.maximum.reduce(q), geom.intra.dot(start))
+        if math.isfinite(float(largest) * scale):
             return start * scale
     raise ValueError(
         "no float weights separate the tightest pair: uniform weights give it "
@@ -160,7 +158,7 @@ def refine_weights(
     """
     w = np.asarray(weights, dtype=np.float64).copy()
     if len(geom.inter_sq):
-        w = _descend(_rescale_feasible(w, geom, cfg), geom, cfg, trace)
+        w = _descend(_rescale_feasible(w, geom), geom, cfg, trace)
     if trace is not None:
         pairs = len(geom.inter_sq)
         trace({"final_weights": w.tolist(), "pairs": pairs, "dropped_pairs": geom.dropped})
@@ -173,25 +171,23 @@ def _descend(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig, trace) ->
     t_intra = cfg.t * geom.intra
     step = cfg.step_size
     for step_no in range(cfg.max_steps):
-        if roots is None:
+        if roots is None:  # a NaN in the start or the geometry: the rescale passes it
             raise ValueError("gradient needs a strictly feasible point")
         grad = _gradient(t_intra, geom, roots)
-        accepted = False
         while step >= _MIN_STEP:
-            # max(w - step * grad, floor), built in one array
+            # max(w - step * grad, _FLOOR), built in one array
             candidate = np.multiply(grad, step)
             np.subtract(w, candidate, out=candidate)
-            np.maximum(candidate, cfg.weight_floor, out=candidate)
+            np.maximum(candidate, _FLOOR, out=candidate)
             cand_value, cand_roots = _evaluate(candidate, geom, cfg)
             if cand_value < value:
-                w, value, roots = candidate, cand_value, cand_roots
-                accepted = True
                 break
             if cand_value == value and np.array_equal(candidate, w):
-                break  # every smaller step rounds to w too
+                return w  # every smaller step rounds to w too
             step *= 0.5
-        if not accepted:
-            break
+        else:
+            return w  # no step of at least _MIN_STEP improves on w
+        w, value, roots = candidate, cand_value, cand_roots
         if trace is not None:
             trace({"step": step_no, "objective": value, "step_size": step})
     return w

@@ -408,24 +408,33 @@ def barrier_gradient(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> np.n
     return grad - geom.inter_sq.T @ coef
 
 
-def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
-    """Homogeneous rescale landing the tightest pair at 1 + margin."""
-    target = 1.0 + cfg.feasibility_margin
+def _overflows(w: np.ndarray, geom: ClusterGeometry, scale: float) -> bool:
+    """Whether ``w * scale``, or a pair or intra product of it, is past the
+    float range."""
+    largest = max(float(np.max(w)), float(np.max(geom.inter_sq @ w)), float(geom.intra @ w))
+    return not math.isfinite(largest * scale)
+
+
+def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry):
+    """Homogeneous rescale landing the tightest pair at 1 + 0.05."""
+    target = 1.0 + 0.05
     root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
     try:
         scale = (target / root_min) ** 2
-        if root_min <= target and not math.isfinite(float(np.max(w)) * scale):
-            raise OverflowError("the rescaled weights overflow")
+        if root_min <= target and _overflows(w, geom, scale):
+            raise OverflowError("the rescaled weights or their products overflow")
     except (ZeroDivisionError, OverflowError):
         # Weights vanish, or all but vanish, on every component where the
         # tightest pair separates; no float scale can help, or the scale
-        # overflows the largest weight. Restart from uniform weights, which
-        # see positive separation on every retained pair.
+        # overflows the largest weight or product. Restart from uniform
+        # weights, which see positive separation on every retained pair.
         w = np.ones_like(w)
         q_min = float(np.min(geom.inter_sq @ w))
         root_min = math.sqrt(q_min)
         try:
             scale = (target / root_min) ** 2
+            if root_min <= target and _overflows(w, geom, scale):
+                raise OverflowError("the rescaled uniform weights or their products overflow")
         except (ZeroDivisionError, OverflowError):
             raise ValueError(
                 "no float weights separate the tightest pair: uniform weights give it "
@@ -455,14 +464,14 @@ def refine_weights(
         if trace is not None:
             trace({"final_weights": w.tolist(), "pairs": 0, "dropped_pairs": geom.dropped})
         return w
-    w = _rescale_feasible(w, geom, cfg)
+    w = _rescale_feasible(w, geom)
     value = barrier_objective(w, geom, cfg)
     step = cfg.step_size
     for step_no in range(cfg.max_steps):
         grad = barrier_gradient(w, geom, cfg)
         accepted = False
         while step >= _MIN_STEP:
-            candidate = np.maximum(w - step * grad, cfg.weight_floor)
+            candidate = np.maximum(w - step * grad, 0.0)
             cand_value = barrier_objective(candidate, geom, cfg)
             if cand_value < value:
                 w, value = candidate, cand_value

@@ -623,9 +623,8 @@ def test_stream_and_checkpoint_headers_are_pinned(tmp_path):
     )
     engine = Engine(EngineConfig(k=3, p=3, barrier=BarrierConfig(t=1)), _MIXED_SCHEMA)
     assert _raw_header(engine.to_bytes()).decode("utf-8") == (
-        '{"backend": "sketch", "config": {"barrier": {"feasibility_margin": 0.05,'
-        ' "max_steps": 25, "step_size": 0.1, "t": 1, "weight_floor": 0.0},'
-        ' "gamma": 250, "k": 3, "optimize_weights": true, "p": 3, "seed": 0,'
+        '{"backend": "sketch", "config": {"barrier": {"max_steps": 25, "step_size": 0.1,'
+        ' "t": 1}, "gamma": 250, "k": 3, "optimize_weights": true, "p": 3, "seed": 0,'
         ' "sketch": {"cols": 500, "rows": 10, "seed": 0}}, "record_distances": false,'
         f' "schema": {_MIXED_SCHEMA_JSON}}}'
     )
@@ -726,6 +725,7 @@ _HEADER_FAULTS = {
         h, barrier={**h["config"]["barrier"], "step_size": float("inf")}
     ),
     "inf_t": lambda h: _with_config(h, barrier={**h["config"]["barrier"], "t": float("inf")}),
+    # unknown fields: the optimizer's margin and floor are constants
     "inf_weight_floor": lambda h: _with_config(
         h, barrier={**h["config"]["barrier"], "weight_floor": float("inf")}
     ),
@@ -755,6 +755,22 @@ def test_from_bytes_rejects_a_malformed_header(fault):
     assert _with_header(blob, header) == blob
     with pytest.raises(ValueError, match="bad engine checkpoint header"):
         Engine.from_bytes(_with_header(blob, _HEADER_FAULTS[fault](header)))
+
+
+@pytest.mark.parametrize(
+    "retired", [["feasibility_margin"], ["weight_floor"], ["feasibility_margin", "weight_floor"]]
+)
+def test_from_bytes_rejects_a_header_with_a_retired_barrier_field(retired):
+    # Headers once carried the optimizer's rescale margin and projection
+    # floor, at these values; they are constants now, and a header that
+    # still names one is rejected by name.
+    blob = _run_engine().to_bytes()
+    header = _header_of(blob)
+    old = {"feasibility_margin": 0.05, "weight_floor": 0.0}
+    barrier = {**header["config"]["barrier"], **{name: old[name] for name in retired}}
+    listed = ", ".join(f"'{name}'" for name in retired)
+    with pytest.raises(ValueError, match=rf"unknown BarrierConfig fields \[{listed}\]"):
+        Engine.from_bytes(_with_header(blob, _with_config(header, barrier=barrier)))
 
 
 def _cluster_section(blob: bytes) -> int:

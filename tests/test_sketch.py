@@ -1,6 +1,7 @@
 """Count-min sketch grid: hashing, and the per-cluster reference sketch's
 estimates, products and serialization."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from reference import CountMinSketch, digest_buckets, separating_rows
 from sketchclust import SketchConfig
+from sketchclust.sketch import _digests
 
 
 def test_config_validation():
@@ -193,6 +195,15 @@ def test_buckets_equal_the_per_key_digests(keys, rows, cols, seed):
     assert got.dtype == want.dtype == np.intp
     assert got.shape == want.shape == (rows, len(keys))
     assert np.array_equal(got, want)
+
+
+@given(keys=st.lists(st.binary(max_size=300), max_size=20))
+@example(keys=[b"", b"k", b"x" * 128, b"x" * 129, b"y" * 257, b""])
+def test_each_digest_is_the_keys_own_blake2b(keys):
+    # the digests come from copies of one shared empty hasher, each fed its
+    # key alone: empty keys and keys past the 128-byte block included
+    want = b"".join(hashlib.blake2b(k, digest_size=8).digest() for k in keys)
+    assert _digests(keys) == want
 
 
 def test_separating_rows_sees_collisions():

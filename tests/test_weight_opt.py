@@ -66,12 +66,8 @@ def test_barrier_config_validation():
         BarrierConfig(step_size=0.0)
     with pytest.raises(ValueError):
         BarrierConfig(max_steps=-1)
-    with pytest.raises(ValueError):
-        BarrierConfig(feasibility_margin=1.0)
-    with pytest.raises(ValueError):
-        BarrierConfig(weight_floor=-1e-9)
     # an infinite step stays infinite under halving, so a refresh would never end
-    for field in ("t", "step_size", "weight_floor"):
+    for field in ("t", "step_size"):
         for value in (math.inf, math.nan):
             with pytest.raises(ValueError, match=f"^{field} must be .* finite$"):
                 BarrierConfig(**{field: value})
@@ -155,12 +151,12 @@ def test_gradient_requires_feasibility():
     geom = ClusterGeometry(np.zeros(2), np.array([[4.0, 0.0]]), 0)
     # outside the region the evaluation gives no roots to take a gradient at
     assert _evaluate(np.array([0.125, 0.0]), geom, BarrierConfig()) == (math.inf, None)
-    # a margin below float resolution rescales the start onto the boundary,
-    # Q = 1 exactly: a point to return, but not one to descend from
-    cfg = BarrierConfig(feasibility_margin=1e-17, max_steps=0)
-    assert refine_weights([0.0625, 0.0], geom, cfg).tolist() == [0.25, 0.0]
+    # the rescale passes a start holding a NaN as it is: a point to return,
+    # but not one to descend from
+    out = refine_weights([math.nan, 0.0], geom, BarrierConfig(max_steps=0))
+    assert math.isnan(out[0]) and out[1] == 0.0
     with pytest.raises(ValueError, match="strictly feasible"):
-        refine_weights([0.0625, 0.0], geom, BarrierConfig(feasibility_margin=1e-17))
+        refine_weights([math.nan, 0.0], geom, BarrierConfig())
 
 
 def test_midpoint_convexity():
@@ -186,7 +182,7 @@ def test_refine_never_increases_objective():
         start_value = _objective(start, geom, cfg)
         out = refine_weights(start, geom, cfg)
         assert _objective(out, geom, cfg) <= start_value + 1e-12
-        assert np.all(out >= cfg.weight_floor)
+        assert np.all(out >= 0.0)
 
 
 def test_refine_repairs_infeasible_start():
@@ -194,7 +190,7 @@ def test_refine_repairs_infeasible_start():
     cfg = BarrierConfig(max_steps=0)  # isolate the repair rescale
     out = refine_weights([0.01, 0.01], geom, cfg)
     q = float((geom.inter_sq @ out)[0])
-    assert math.sqrt(q) == pytest.approx(1.0 + cfg.feasibility_margin)
+    assert math.sqrt(q) == pytest.approx(1.05)
 
 
 def test_refine_restarts_from_uniform_when_support_vanishes():
@@ -222,14 +218,6 @@ def test_refine_rejects_a_pair_no_float_weights_separate():
     geom = ClusterGeometry(np.zeros(3), [[1e-300, 0.0, 0.0]], 0)
     out = refine_weights([1.0, 1.0, 1.0], geom, BarrierConfig())
     assert np.isfinite(out).all() and out[0] * 1e-300 > 1.0
-
-
-def test_refine_respects_weight_floor():
-    rng = random.Random(31)
-    geom = _random_geometry(rng)
-    cfg = BarrierConfig(t=50.0, max_steps=40, weight_floor=1e-4)
-    out = refine_weights(_feasible_point(rng, geom), geom, cfg)
-    assert np.all(out >= 1e-4)
 
 
 def test_refine_weights_passthrough_cases():
@@ -288,8 +276,8 @@ def test_refine_prefers_separating_component():
 def _oracle_case(rng: random.Random, case: int):
     """A random geometry, start and config for the bitwise oracle; ``case``
     picks the start: feasible, infeasible (rescaled), on a component no pair
-    separates along (restart from uniform), on the boundary Q = 1 exactly,
-    or in a geometry with a NaN row (the reference's ValueError)."""
+    separates along (restart from uniform), holding a NaN, or in a geometry
+    with a NaN row (the last two descend to the reference's ValueError)."""
     n = rng.choice([1, 2, 3, 5])
     n_pairs = rng.choice([1, 1, rng.randint(2, 12)])
     intra = np.array([rng.choice([0.0, rng.uniform(0.0, 5.0)]) for _ in range(n)])
@@ -303,11 +291,9 @@ def _oracle_case(rng: random.Random, case: int):
         t=rng.choice([0.05, 1.0, 3.7, 50.0]),
         step_size=rng.choice([0.01, 0.1, 1.0]),
         max_steps=rng.choice([0, 1, 5, 25, 25]),
-        feasibility_margin=rng.choice([0.05, 0.05, 0.3]),
-        weight_floor=rng.choice([0.0, 0.0, 1e-4, 0.1]),
     )
     w = np.array([rng.uniform(0.2, 2.0) for _ in range(n)])
-    kind = ("feasible", "infeasible", "restart", "boundary", "nan")[case % 5]
+    kind = ("feasible", "infeasible", "restart", "nan_start", "nan")[case % 5]
     if kind == "feasible":
         w *= 4.0 / float(np.min(inter_sq @ w))
     elif kind == "infeasible":
@@ -319,12 +305,11 @@ def _oracle_case(rng: random.Random, case: int):
         inter_sq[0, (comp + 1) % n] = rng.uniform(0.5, 4.0)
         w = np.zeros(n)
         w[comp] = rng.uniform(0.2, 2.0)
-    elif kind == "boundary":
-        # powers of two: the rescale lands the tightest pair on Q = 1 exactly
-        inter_sq = np.array([[4.0] + [0.0] * (n - 1)] * n_pairs)
-        w = np.zeros(n)
-        w[0] = 0.0625
-        cfg = BarrierConfig(t=cfg.t, max_steps=cfg.max_steps, feasibility_margin=1e-17)
+    elif kind == "nan_start":
+        # at least one step, so it reaches the guard (a NaN in the trace
+        # would not compare equal to itself)
+        w[rng.randrange(n)] = math.nan
+        cfg = BarrierConfig(t=cfg.t, step_size=cfg.step_size, max_steps=max(cfg.max_steps, 1))
     elif kind == "nan":
         inter_sq[rng.randrange(n_pairs), rng.randrange(n)] = math.nan
     geom = ClusterGeometry(intra, inter_sq, 0)
@@ -351,8 +336,8 @@ def test_refine_weights_matches_the_reference_bit_for_bit():
         assert _outcome(refine_weights, geom, w, cfg) == expected, (case, kind)
         seen[kind] = seen.get(kind, 0) + 1
         raised += expected[0][0] == "ValueError"
-    assert set(seen) == {"feasible", "infeasible", "restart", "boundary", "nan"}
-    assert raised >= 40  # the boundary and NaN starts that descend
+    assert set(seen) == {"feasible", "infeasible", "restart", "nan_start", "nan"}
+    assert raised >= 40  # the NaN starts and geometries that descend
 
 
 _SEPARATION = st.just(0.0) | st.floats(1e-3, 4.0)
@@ -370,8 +355,7 @@ def _geometries(draw):
     """A geometry of d+1 = 1..8 components and 1..150 pairs (up to 30 rows
     drawn value by value, the rest from a seeded generator over the same
     values), components of zero intra or separation included, its arrays
-    C-contiguous, Fortran-ordered, strided or lists; and a config whose
-    floor may be positive."""
+    C-contiguous, Fortran-ordered, strided or lists; and a config."""
     n = draw(st.integers(1, 8))
     intra = draw(st.lists(st.just(0.0) | st.floats(0.0, 5.0), min_size=n, max_size=n))
     rows = draw(st.lists(st.lists(_SEPARATION, min_size=n, max_size=n), min_size=1, max_size=30))
@@ -393,7 +377,6 @@ def _geometries(draw):
         t=draw(st.sampled_from([0.05, 1.0, 3.7, 50.0])),
         step_size=draw(st.sampled_from([0.01, 0.1, 1.0])),
         max_steps=draw(st.sampled_from([0, 1, 5, 25, 60])),
-        weight_floor=draw(st.sampled_from([0.0, 1e-4, 0.01, 0.5, 2.0])),
     )
     return geom, cfg
 
@@ -405,6 +388,16 @@ _OVERFLOWING_GEOMETRY = ClusterGeometry(
 )
 _OVERFLOWING_CONFIG = BarrierConfig(t=0.05, step_size=0.01, max_steps=0)
 _OVERFLOWING_START = [0, 0, 0, 0, 1.1125369292536007e-308, 0, 0, 2.0]
+# The same scale keeps the weights finite but not a product the objective
+# takes of them: a pair's (2 * 9.9e307) or the intra term's (5 * 9.9e307).
+_PRODUCT_START = [0, 0, 0, 0, 0, 1.0, 0, 1.1125369292536007e-308]
+_PAIR_PRODUCT_GEOMETRY = ClusterGeometry(
+    np.zeros(8), [[0, 0, 0, 0, 0, 0, 0, 1]] * 8 + [[0, 0, 0, 0, 0, 2, 0, 0]], 0
+)
+_INTRA_PRODUCT_GEOMETRY = ClusterGeometry(
+    np.array([0, 0, 0, 0, 0, 5.0, 0, 0]), [[0, 0, 0, 0, 0, 0, 0, 1]], 0
+)
+_PRODUCT_GEOMETRIES = {"pair": _PAIR_PRODUCT_GEOMETRY, "intra": _INTRA_PRODUCT_GEOMETRY}
 
 
 @given(
@@ -414,7 +407,7 @@ _OVERFLOWING_START = [0, 0, 0, 0, 1.1125369292536007e-308, 0, 0, 2.0]
 @example(
     case=(
         ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0),
-        BarrierConfig(step_size=1.0, weight_floor=0.5),
+        BarrierConfig(step_size=1.0),
     ),
     start=[0.1, 0.2, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0],
 )
@@ -430,12 +423,13 @@ _OVERFLOWING_START = [0, 0, 0, 0, 1.1125369292536007e-308, 0, 0, 2.0]
     start=[1.0] * 8,
 )
 @example(case=(_OVERFLOWING_GEOMETRY, _OVERFLOWING_CONFIG), start=_OVERFLOWING_START)
+@example(case=(_PAIR_PRODUCT_GEOMETRY, _OVERFLOWING_CONFIG), start=_PRODUCT_START)
+@example(case=(_INTRA_PRODUCT_GEOMETRY, _OVERFLOWING_CONFIG), start=_PRODUCT_START)
 def test_refine_weights_matches_the_reference_on_random_geometries(case, start):
     """The library's descent, which stops early, and the reference's, which
-    halves every step to the end, return the same bits and trace records;
-    starting weights may lie below the floor. Both read any array
-    layout: the geometry stores its arrays C-contiguous float64, whatever
-    layout they are given in."""
+    halves every step to the end, return the same bits and trace records.
+    Both read any array layout: the geometry stores its arrays C-contiguous
+    float64, whatever layout they are given in."""
     geom, cfg = case
     for array in (geom.intra, geom.inter_sq):
         assert array.dtype == np.float64 and array.flags.c_contiguous
@@ -453,12 +447,23 @@ def test_a_rescale_that_overflows_restarts_from_uniform_weights():
     assert out.tolist() == [1.05**2] * 8
 
 
+@pytest.mark.parametrize("product", sorted(_PRODUCT_GEOMETRIES))
+def test_a_rescale_whose_products_overflow_restarts_from_uniform_weights(product):
+    geom = _PRODUCT_GEOMETRIES[product]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            out = refine_weights(_PRODUCT_START, geom, _OVERFLOWING_CONFIG)
+    assert np.isfinite(out).all()
+    assert out.tolist() == [1.05**2] * 8
+
+
 def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
-    # The optimum sits on the floor in components 0 and 1 and is reached
-    # before max_steps. Every smaller step's candidate then rounds to the
+    # The optimum sits at 0 in components 0 and 1 and is reached before
+    # max_steps. Every smaller step's candidate then rounds to the
     # weights, so one rejected candidate equal to them ends the descent.
     geom = ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0)
-    cfg = BarrierConfig(step_size=1.0, weight_floor=0.01)
+    cfg = BarrierConfig(step_size=1.0)
     evaluated: list[np.ndarray] = []
     evaluate = weight_opt._evaluate
 
@@ -469,7 +474,7 @@ def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
     monkeypatch.setattr(weight_opt, "_evaluate", recording)
     records: list[dict] = []
     out = refine_weights([1.0, 1.0, 1.0], geom, cfg, trace=records.append)
-    assert out[:2].tolist() == [0.01, 0.01]
+    assert out[:2].tolist() == [0.0, 0.0]
     assert len(records) - 1 < cfg.max_steps
     # the start, then candidates: the last accepted one equals the result
     equal = [w for w in evaluated[1:] if np.array_equal(w, out)]
@@ -477,4 +482,21 @@ def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
     monkeypatch.undo()
     assert _outcome(refine_weights, geom, np.ones(3), cfg) == _outcome(
         reference.refine_weights, geom, np.ones(3), cfg
+    )
+
+
+def test_a_step_of_exactly_the_least_size_is_still_taken():
+    # At t = 1e3 the gradient is about 998 in each component, so a step of
+    # exactly _MIN_STEP moves each weight by a few ulps and improves the
+    # objective: the descent must evaluate it, not stop before it.
+    geom = ClusterGeometry(np.ones(2), np.array([[1.0, 1.0]]), 0)
+    cfg = BarrierConfig(t=1e3, step_size=weight_opt._MIN_STEP, max_steps=1)
+    start = np.ones(2)
+    records: list[dict] = []
+    out = refine_weights(start, geom, cfg, trace=records.append)
+    assert 0.0 < start[0] - out[0] < 1e-14 and out[0] == out[1]
+    assert _objective(out, geom, cfg) < _objective(start, geom, cfg)
+    assert records[0]["step_size"] == weight_opt._MIN_STEP
+    assert _outcome(refine_weights, geom, start, cfg) == _outcome(
+        reference.refine_weights, geom, start, cfg
     )
