@@ -18,7 +18,6 @@ from .engine import (
     AssignmentEvent,
     Engine,
     EngineConfig,
-    ensure_weights,
 )
 from .evaluate import (
     PurityReport,
@@ -43,7 +42,7 @@ from .stream_io import (
     write_stream,
 )
 from .synth import SynthConfig, generate_stream, synth_schema
-from .weight_opt import BarrierConfig, ClusterGeometry, refine_weights
+from .weight_opt import BarrierConfig, ClusterGeometry, ensure_weights, refine_weights
 
 __all__ = [
     "ACTION_ASSIGNED",

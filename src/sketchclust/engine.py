@@ -12,7 +12,7 @@ in one of three ways:
   a singleton;
 * ``replaced_stale`` - otherwise the graph founds a singleton that evicts
   the stalest cluster (smallest last-update timestamp, ties to the lowest
-  index).
+  index; timestamps are arrival counts, never a record's ``ts``).
 
 Every ``gamma`` graphs, with at least two live clusters, the weight vector
 is re-tuned against the current cluster geometry (see ``weight_opt``).
@@ -49,8 +49,8 @@ import numpy as np
 from .exact import ExactBank
 from .model import GraphObject, GraphView, StreamSchema, from_json, graph_views
 from .sketch import SketchConfig
-from .stats import ClusterBank, finite_nonneg, read_array, unpack_at
-from .weight_opt import BarrierConfig, TraceHook, refine_weights
+from .stats import ClusterBank, read_array, unpack_at
+from .weight_opt import BarrierConfig, TraceHook, ensure_weights, refine_weights
 
 _MAGIC = b"SCE1"
 _VERSION = 2
@@ -185,16 +185,6 @@ class _Decision(NamedTuple):
     best: float | None = None
     spread: float | None = None
     comp_sq: np.ndarray | None = None
-
-
-def ensure_weights(weights, d: int) -> np.ndarray:
-    """Validate a (d+1)-component nonnegative weight vector."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (d + 1,):
-        raise ValueError(f"weights must have shape ({d + 1},), got {w.shape}")
-    if not finite_nonneg(w):
-        raise ValueError("weights must be nonnegative and finite")
-    return w
 
 
 class Engine:

@@ -15,14 +15,15 @@ separator byte is reserved, so the encoding is injective and node labels
 must never contain it. ``preprocess`` checks every label once, encodability
 included, so building keys needs no second check.
 
-``preprocess`` checks each record once. A mass that is a plain ``int`` or
-``float`` in ``[0, 2**480)`` is taken as it is; any other mass (numpy's
-numbers, bool, str, NaN, inf, a negative, an int beyond float range) goes
-through ``_check_value``. An endpoint's type is tested where the edge is
-read, before its endpoints are compared. A graph's labels (edge endpoints,
-then each side type's ids) are tested together: each nonempty, and their
-joined text ASCII with no separator but the joins. Only a graph that fails
-that test has each label checked by ``_check_label``, the one source of its
+``preprocess`` alone checks edges, masses and ``ts`` (the stream reader
+only decodes them), once per record. A plain ``int`` or ``float`` mass in
+``[0, 2**480)`` is taken as it is; any other mass (numpy's numbers, bool,
+str, NaN, inf, a negative, an int beyond float range) goes through
+``_check_value``. An endpoint's type is tested where the edge is read,
+before its endpoints are compared. A graph's labels (edge endpoints, then
+each side type's ids) are tested together: each nonempty, and their joined
+text ASCII with no separator but the joins. Only a graph that fails that
+test has each label checked by ``_check_label``, the one source of its
 messages, which also accepts a label that is not ASCII but encodes.
 
 ``graph_views`` gives one flat ``GraphView`` per graph: every component's
@@ -173,12 +174,13 @@ def _decoder(tp) -> Callable:
 
 @dataclass
 class GraphObject:
-    """One stream element. ``label`` is evaluation-only metadata; the
+    """One stream element; an edge is ``(src, dst[, freq])``, a tuple or a
+    decoded JSON array. ``label`` is evaluation-only metadata; the
     clustering path never reads it."""
 
     id: str
     ts: int = 0
-    edges: list[tuple] = field(default_factory=list)
+    edges: list[Sequence] = field(default_factory=list)
     side: dict[str, dict[str, float]] = field(default_factory=dict)
     label: str | None = None
 
@@ -236,13 +238,14 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     summed, a present categorical value ``v`` of type ``T`` becomes the
     identifier ``"T=v"`` with value 1, zero-frequency edges and zero-valued
     attributes are dropped, and edges/attributes are sorted for
-    deterministic downstream iteration. Raises ValueError on a mass that
-    is not a nonnegative finite number (bool and str are not numbers), a
-    timestamp that is not a nonnegative integer, a graph label that is not
-    a string, edges or side maps not shaped as ``GraphObject`` declares, a
-    node or attribute label that is empty, holds the separator or is not
-    encodable as UTF-8, an unknown side type, and on masses that are finite
-    but whose merged sum or sum of squares within a component is not.
+    deterministic downstream iteration; an edge frequency of None reads
+    as 1. Raises ValueError on a mass that is not a nonnegative finite
+    number (bool and str are not numbers), a timestamp that is not a
+    nonnegative integer, a graph label that is not a string, edges or side
+    maps not shaped as ``GraphObject`` declares, a node or attribute label
+    that is empty, holds the separator or is not encodable as UTF-8, an
+    unknown side type, and on masses that are finite but whose merged sum
+    or sum of squares within a component is not.
     Each record is checked once, as the module docstring says; a graph
     with several faults reports one, not necessarily the first in order.
     """

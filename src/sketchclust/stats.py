@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import GraphView
 from .sketch import SketchConfig
-from .weight_opt import ClusterGeometry
+from .weight_opt import ClusterGeometry, finite_nonneg
 
 
 # Each key adds its mass once to every row of a grid, so the rows sum to one
@@ -60,13 +60,6 @@ def read_array(data: bytes, off: int, dtype: str, shape: tuple[int, ...]) -> np.
     array = np.frombuffer(data, dtype=dtype, count=count, offset=off).reshape(shape)
     array.flags.writeable = False
     return array
-
-
-def finite_nonneg(a) -> bool:
-    """Whether every value is finite and nonnegative (``-0.0`` is): two
-    reductions and no temporary, as NaN fails both comparisons."""
-    a = np.asarray(a, dtype=np.float64)
-    return a.size == 0 or bool(a.min() >= 0.0 and a.max() < math.inf)
 
 
 def _distance_sq(a_sq, cross, denom, b_sq) -> np.ndarray:

@@ -10,11 +10,13 @@ line is one graph record:
 
 A header's ``stream_version``, when present, must be the integer 1; one
 without it reads as version 1. Node labels are strings, and edge frequency
-defaults to 1 when omitted.
+defaults to 1 when omitted or null.
 For convenience a side entry may be a mapping, a list of identifier
-strings (occurrences are counted) or a single identifier string. Parse
-failures carry 1-based line numbers; given a callback, bad records are
-skipped and reported through it instead of aborting the run.
+strings (occurrences are counted) or a single identifier string. The
+reader only decodes: it checks the JSON, the ``id`` and ``label`` that
+``eval`` reads, and the side shape; ``model.preprocess`` checks the rest.
+Reader failures carry 1-based line numbers; given a callback, bad
+records are skipped and reported through it instead of aborting the run.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ STREAM_VERSION = 1
 
 ErrorHook = Callable[[int, str], None]
 
-# The types ``json`` decodes a number to; ``bool`` is not one here.
-_JSON_NUMBERS = frozenset((int, float))
-
 
 class StreamFormatError(Exception):
     """Malformed stream file; ``line_no`` is 1-based when known."""
@@ -43,21 +42,16 @@ class StreamFormatError(Exception):
         super().__init__(message)
 
 
-def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
+def _normalize_side(raw: object, line_no: int) -> dict[str, dict]:
     if raw is None:
         return {}
     if not isinstance(raw, dict):
         raise StreamFormatError("side must be an object keyed by type name", line_no)
-    side: dict[str, dict[str, float]] = {}
+    side: dict[str, dict] = {}
     for name, entry in raw.items():  # JSON: names and ids are strings
-        if isinstance(entry, dict):
-            attrs = entry  # kept as decoded: one type test per value
-            if not _JSON_NUMBERS.issuperset(map(type, attrs.values())):
-                attr_id = next(a for a, v in attrs.items() if type(v) not in _JSON_NUMBERS)
-                raise StreamFormatError(
-                    f"attribute {attr_id!r} of {name!r} must be numeric", line_no
-                )
-        elif isinstance(entry, list):
+        if isinstance(entry, str):
+            entry = [entry]
+        if isinstance(entry, list):  # each id counted
             attrs = {}
             for item in entry:
                 if not isinstance(item, str):
@@ -65,13 +59,12 @@ def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
                         f"list items of {name!r} must be strings", line_no
                     )
                 attrs[item] = attrs.get(item, 0.0) + 1.0
-        elif isinstance(entry, str):
-            attrs = {entry: 1.0}
-        else:
+            entry = attrs
+        elif not isinstance(entry, dict):
             raise StreamFormatError(
                 f"side entry {name!r} must be an object, list or string", line_no
             )
-        side[name] = attrs
+        side[name] = entry  # masses as decoded: ``preprocess`` checks them
     return side
 
 
@@ -85,39 +78,13 @@ def _parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
     graph_id = obj.get("id")
     if not isinstance(graph_id, str) or not graph_id:
         raise StreamFormatError("record needs a nonempty string id", line_no)
-    ts = obj.get("ts", default_ts)
-    if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
-        raise StreamFormatError("ts must be a nonnegative integer", line_no)
-
-    raw_edges = obj.get("edges", [])
-    if not isinstance(raw_edges, list):
-        raise StreamFormatError("edges must be a list", line_no)
-    edges: list[tuple] = []
-    for e in raw_edges:
-        match e:  # a JSON value has an exact type: one test each
-            case [src, dst, freq] if (
-                type(src) is str and type(dst) is str and type(freq) in _JSON_NUMBERS
-            ):
-                edges.append((src, dst, freq))
-            case [src, dst] if type(src) is str and type(dst) is str:
-                edges.append((src, dst, 1.0))
-            case _:  # not a plain edge: its first fault, found as it always was
-                if not isinstance(e, list) or len(e) not in (2, 3):
-                    raise StreamFormatError(
-                        "each edge must be [src, dst] or [src, dst, freq]", line_no
-                    )
-                if not isinstance(e[0], str) or not isinstance(e[1], str):
-                    raise StreamFormatError("edge endpoints must be strings", line_no)
-                raise StreamFormatError("edge frequency must be numeric", line_no)
-
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise StreamFormatError("label must be a string when present", line_no)
-
     return GraphObject(
         id=graph_id,
-        ts=ts,
-        edges=edges,
+        ts=obj.get("ts", default_ts),
+        edges=obj.get("edges", []),
         side=_normalize_side(obj.get("side"), line_no),
         label=label,
     )
@@ -154,7 +121,8 @@ def _read_header(lines: Iterator[tuple[int, str]]) -> StreamSchema:
 
 
 def iter_stream(path: str, on_error: ErrorHook | None = None) -> Iterator[GraphObject]:
-    """Yield raw (unpreprocessed) graph records, masses as decoded.
+    """Yield raw graph records: ``ts`` (the record's ordinal when absent),
+    edges (JSON arrays) and masses as decoded, for ``preprocess`` to check.
 
     The schema header is validated but not yielded; use ``read_header`` for
     it. A malformed record raises StreamFormatError, or, given ``on_error``,

@@ -23,6 +23,8 @@ from typing import Iterator
 from .model import GraphObject, SideType, StreamSchema
 from .stream_io import write_stream
 
+MAX_FREQ = 3  # edge frequencies are drawn from 1..MAX_FREQ
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -36,7 +38,6 @@ class SynthConfig:
     attrs_per_graph: int = 5
     noise_attrs_per_graph: int | None = None
     class_vocab: int = 12
-    max_freq: int = 3
     n_communities: int | None = None
     seed: int = 0
 
@@ -65,8 +66,6 @@ class SynthConfig:
                 raise ValueError(f"vocabulary of {name!r} must be >= 1")
         if self.class_vocab < 1:
             raise ValueError("class_vocab must be >= 1")
-        if self.max_freq < 1:
-            raise ValueError("max_freq must be >= 1")
         names = [n for n, _ in self.informative_types] + [
             n for n, _ in self.noise_types
         ]
@@ -111,7 +110,7 @@ def generate_graph(cfg: SynthConfig, index: int, cls_id: int) -> GraphObject:
                 if dst != src:
                     break
                 dst = _node(comm, rng.randrange(nodes))
-        edges.append((src, dst, float(rng.randint(1, cfg.max_freq))))
+        edges.append((src, dst, float(rng.randint(1, MAX_FREQ))))
 
     side: dict[str, dict[str, float]] = {}
     for name, fidelity in cfg.informative_types:

@@ -92,6 +92,23 @@ class ClusterGeometry:
         self.inter_sq = np.ascontiguousarray(self.inter_sq, dtype=np.float64)
 
 
+def finite_nonneg(a) -> bool:
+    """Whether every value is finite and nonnegative (``-0.0`` is): two
+    reductions and no temporary, as NaN fails both comparisons."""
+    a = np.asarray(a, dtype=np.float64)
+    return a.size == 0 or bool(a.min() >= 0.0 and a.max() < math.inf)
+
+
+def ensure_weights(weights, d: int) -> np.ndarray:
+    """Validate a (d+1)-component nonnegative weight vector."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (d + 1,):
+        raise ValueError(f"weights must have shape ({d + 1},), got {w.shape}")
+    if not finite_nonneg(w):
+        raise ValueError("weights must be nonnegative and finite")
+    return w
+
+
 def _evaluate(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
     """The objective at ``w`` and the pair roots and separations
     ``(sqrt(Q_ij(w)), sqrt(Q_ij(w)) - 1)``, or ``(inf, None)`` when some
@@ -152,11 +169,12 @@ def refine_weights(
 
     Returns a feasible weight vector with objective no worse than the
     (repaired) starting point; when every cluster pair has coincident
-    centroids, the weights are returned unchanged. The input array is not
-    modified. ``trace`` receives one record per accepted step, then one
-    with the final weights and the pair counts, also when no pair is kept.
+    centroids, the weights are returned unchanged. The start is checked as
+    ``ensure_weights`` checks it; the input array is not modified.
+    ``trace`` receives one record per accepted step, then one with the
+    final weights and the pair counts, also when no pair is kept.
     """
-    w = np.asarray(weights, dtype=np.float64).copy()
+    w = ensure_weights(weights, len(geom.intra) - 1).copy()
     if len(geom.inter_sq):
         w = _descend(_rescale_feasible(w, geom), geom, cfg, trace)
     if trace is not None:

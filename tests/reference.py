@@ -460,6 +460,10 @@ def refine_weights(
     with the final weights and the pair counts, also when no pair is kept.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
+    if w.shape != geom.intra.shape:
+        raise ValueError(f"weights must have shape {geom.intra.shape}, got {w.shape}")
+    if not (np.isfinite(w).all() and (w >= 0.0).all()):
+        raise ValueError("weights must be nonnegative and finite")
     if len(geom.inter_sq) == 0:
         if trace is not None:
             trace({"final_weights": w.tolist(), "pairs": 0, "dropped_pairs": geom.dropped})

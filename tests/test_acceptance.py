@@ -169,7 +169,6 @@ def test_c03_weight_learning_beats_uniform_weights():
         attrs_per_graph=6,
         noise_attrs_per_graph=10,
         class_vocab=3,
-        max_freq=3,
     )
     gains: list[float] = []
     margins: list[float] = []

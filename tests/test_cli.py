@@ -340,13 +340,50 @@ def test_non_string_node_label_exits_2_unless_lenient(tmp_path, capsys):
 
     assert _cluster(str(broken), tmp_path / "strict") == EXIT_INPUT
     diag = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert diag["message"].startswith("input: line 4: ")
+    # the reader passes edges on as decoded; ``preprocess`` names the graph
+    assert diag["message"].startswith("input: graph 'bad': ")
 
     assert _cluster(str(broken), tmp_path / "lenient", extra=["--lenient"]) == EXIT_OK
     diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
-    assert [(d["message"], d["line"]) for d in diags if d["level"] == "warning"] == [
-        ("record skipped", 4)
+    assert [(d["message"], d["graph"]) for d in diags if d["level"] == "warning"] == [
+        ("graph skipped", "bad")
     ]
+
+
+def test_value_faults_are_reported_by_graph_and_a_null_frequency_reads_as_1(tmp_path, capsys):
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
+    lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
+    faults = {
+        3: ("bad-endpoint", {"edges": [["a", 5]]}),
+        6: ("string-mass", {"side": {"topics": {"x": "2"}}}),
+        9: ("negative-ts", {"ts": -1}),
+        12: ("null-freq", {"edges": [["a", "b", None], ["b", "c"]]}),
+    }
+    for i, (graph_id, fields) in faults.items():
+        label = json.loads(lines[i])["label"]  # every graph labeled: purity is scored
+        lines[i] = json.dumps({"id": graph_id, "label": label, **fields}) + "\n"
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+
+    assert _cluster(str(broken), tmp_path / "strict") == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["message"] == (
+        "input: graph 'bad-endpoint': node/attribute labels must be nonempty strings"
+    )
+
+    lenient = tmp_path / "lenient"
+    assert _cluster(str(broken), lenient, extra=["--lenient"]) == EXIT_OK
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    assert [(d["message"], d["graph"]) for d in diags if d["level"] == "warning"] == [
+        ("graph skipped", "bad-endpoint"),
+        ("graph skipped", "string-mass"),
+        ("graph skipped", "negative-ts"),
+    ]
+    assert diags[-1]["skipped"] == 3
+    events = [json.loads(l) for l in (lenient / "events.jsonl").open()]
+    assert len(events) == 27
+    assert "null-freq" in [e["graph_id"] for e in events]
 
 
 def test_lenient_mode_skips_malformed_records(tmp_path):

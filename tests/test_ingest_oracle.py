@@ -1,11 +1,14 @@
-"""``preprocess`` and ``stream_io._parse_record`` against their verbatim
+"""``preprocess`` and the ingest pipeline against their verbatim
 predecessors in ``reference``, which checked each label and mass on its own.
 
-Records mix valid values with injected faults. The parser must give the
-same outcome on every record. ``preprocess`` must give the same canonical
-graph (compared by ``repr``, so ``2`` and ``2.0`` or ``-0.0`` and ``0.0``
-differ) or raise ``ValueError`` where the oracle does, with the same message
-whenever the record holds one fault; with several it may report another.
+Records mix valid values with injected faults. ``preprocess`` must give the
+same canonical graph (compared by ``repr``, so ``2`` and ``2.0`` or ``-0.0``
+and ``0.0`` differ) or raise ``ValueError`` where the oracle does, with the
+same message whenever the record holds one fault; with several it may
+report another. The pipeline, ``_parse_record`` then ``preprocess``, must
+accept and reject the lines the old one (which type-checked edges, masses
+and ``ts`` in the reader too) does, but for a null edge frequency, which now
+reads as 1, and give each fault the old reader still owns its old message.
 """
 
 import json
@@ -139,7 +142,7 @@ def lines(draw):
             edges[-1] = draw(st.sampled_from([["a"], ["a", "b", 1, 2], "ab", {"a": "b"}, 1]))
     obj = {"id": _json_value(draw, ["g1"], ["", 5, None], 0.03), "edges": edges}
     if draw(st.floats(0, 1)) < 0.02:
-        obj["edges"] = draw(st.sampled_from([{"a": "b"}, "ab", 5]))
+        obj["edges"] = draw(st.sampled_from([{"a": "b"}, "ab", 5, None]))
     if draw(st.booleans()):
         obj["ts"] = _json_value(draw, [0, 7], [-1, True, 1.5, "3"], 0.05)
     if draw(st.booleans()):
@@ -163,18 +166,62 @@ def lines(draw):
     return draw(st.sampled_from([text, text, text, text, text[:-1], "[1]", "null"]))
 
 
+# The faults the reader still reports, by the start of their messages.
+READER_FAULTS = (
+    "invalid JSON", "record must be a JSON object", "record needs a nonempty string id",
+    "label must be a string", "side must be an object", "list items of", "side entry",
+)
+
+
+def _pipeline(parse, check, line, schema):
+    """The canonical graph of a line, or the reader's or the check's error."""
+    try:
+        g = parse(line, 4, 2)
+    except StreamFormatError as exc:
+        return "reader", str(exc)
+    return _outcome(check, g, schema)
+
+
+def _null_frequencies_as_1(line: str) -> str:
+    """``line`` with each null edge frequency written as 1."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError:
+        return line
+    if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
+        return line
+    obj["edges"] = [
+        [*e[:2], 1] if isinstance(e, list) and len(e) == 3 and e[2] is None else e
+        for e in obj["edges"]
+    ]
+    return json.dumps(obj)
+
+
 @settings(max_examples=600, deadline=None)
 @given(line=lines(), schema=st.sampled_from(SCHEMAS))
-def test_parse_record_matches_the_oracle_and_so_does_the_pipeline(line, schema):
-    old = _outcome(parse_record, line, 4, 2)
-    assert _outcome(_parse_record, line, 4, 2) == old
+def test_the_pipeline_matches_the_old_one(line, schema):
+    new = _pipeline(_parse_record, preprocess, line, schema)
+    old = _pipeline(parse_record, preprocess_record, _null_frequencies_as_1(line), schema)
+    assert (new[0] == "ok") == (old[0] == "ok")
     if old[0] == "ok":
-        g = parse_record(line, 4, 2)
-        old_graph = _outcome(preprocess_record, g, schema)
-        new_graph = _outcome(preprocess, _parse_record(line, 4, 2), schema)
-        assert new_graph[0] == old_graph[0]
-        if old_graph[0] == "ok":
-            assert new_graph == old_graph
+        assert new == old
+    old_reader = _outcome(parse_record, line, 4, 2)
+    if old_reader[0] == "StreamFormatError" and old_reader[1][8:].startswith(READER_FAULTS):
+        assert new == ("reader", old_reader[1])
+    if new[0] == "reader":
+        assert new[1].startswith("line 4: ") and new[1][8:].startswith(READER_FAULTS)
+
+
+def test_a_null_frequency_reads_as_1():
+    """The old reader rejected a null frequency; ``preprocess`` has always
+    read it as 1."""
+    line = json.dumps({"id": "g", "edges": [["b", "a", None], ["a", "c", 2]]})
+    with pytest.raises(StreamFormatError, match="edge frequency must be numeric"):
+        parse_record(line, 4, 2)
+    unit = json.dumps({"id": "g", "edges": [["b", "a"], ["a", "c", 2]]})
+    out = _pipeline(_parse_record, preprocess, line, SCHEMAS[0])
+    assert out == _pipeline(parse_record, preprocess_record, unit, SCHEMAS[0])
+    assert out[0] == "ok"
 
 
 # The fast paths' bounds, each on its own: a plain int or float below

@@ -11,6 +11,7 @@ from sketchclust import (
     StreamFormatError,
     StreamSchema,
     iter_stream,
+    preprocess,
     read_header,
     write_stream,
 )
@@ -39,10 +40,9 @@ def test_round_trip(tmp_path):
     assert count == 2
     schema, graphs = read_header(path), list(iter_stream(path))
     assert schema == _schema()
-    assert [g.id for g in graphs] == ["g0", "g1"]
-    assert graphs[0].edges == [("a", "b", 2.0), ("b", "c", 1.0)]
-    assert graphs[0].side == {"topics": {"x": 1.0, "y": 2.5}}
-    assert graphs[0].label == "k0"
+    # the reader yields edges as decoded JSON arrays: compare canonical forms
+    assert graphs[0].edges == [["a", "b", 2], ["b", "c"]]
+    assert [preprocess(g, schema) for g in graphs] == [preprocess(g, schema) for g in _graphs()]
     assert graphs[1].ts == 5
 
 
@@ -164,29 +164,52 @@ def test_lenient_mode_skips_and_reports(tmp_path):
     assert seen == [3, 4]
 
 
+def _one_record_stream(tmp_path, record) -> str:
+    path = str(tmp_path / "s.ndjson")
+    with open(path, "w") as fh:
+        fh.write(json.dumps({"schema": asdict(_schema())}) + "\n")
+        fh.write(json.dumps(record) + "\n")
+    return path
+
+
 def test_record_validation_errors(tmp_path):
+    """A record the reader cannot decode, or whose id or label ``eval``
+    could not read, is a format error on its line."""
     cases = [
-        {"id": "g", "ts": -1},
-        {"id": "g", "edges": [["a"]]},
-        {"id": "g", "edges": [["a", "b", "fast"]]},
-        {"id": "g", "side": {"topics": {"x": True}}},
         {"id": "g", "side": 3},
         {"id": "g", "label": 7},
-        {"id": "g", "edges": [[None, "b"]]},
-        {"id": "g", "edges": [["a", True]]},
-        {"id": "g", "edges": [[5, "b", 1]]},
+        {"id": "", "edges": []},
+        {"id": 5},
         {"id": "g", "side": {"topics": ["x", None]}},
         {"id": "g", "side": {"topics": [False]}},
         {"id": "g", "side": {"topics": [3]}},
+        {"id": "g", "side": {"topics": 2}},
         "not an object",
     ]
     for bad in cases:
-        path = str(tmp_path / "s.ndjson")
-        with open(path, "w") as fh:
-            fh.write(json.dumps({"schema": asdict(_schema())}) + "\n")
-            fh.write(json.dumps(bad) + "\n")
-        with pytest.raises(StreamFormatError):
-            list(iter_stream(path))
+        with pytest.raises(StreamFormatError) as exc_info:
+            list(iter_stream(_one_record_stream(tmp_path, bad)))
+        assert exc_info.value.line_no == 2
+
+
+def test_a_bad_value_passes_the_reader_and_fails_preprocess(tmp_path):
+    """Edges, masses and ``ts`` pass the reader as decoded; ``preprocess``
+    rejects their faults."""
+    cases = [
+        {"id": "g", "ts": -1},
+        {"id": "g", "ts": 1.5},
+        {"id": "g", "edges": [["a"]]},
+        {"id": "g", "edges": "ab"},
+        {"id": "g", "edges": [["a", "b", "fast"]]},
+        {"id": "g", "side": {"topics": {"x": True}}},
+        {"id": "g", "edges": [[None, "b"]]},
+        {"id": "g", "edges": [["a", True]]},
+        {"id": "g", "edges": [[5, "b", 1]]},
+    ]
+    for bad in cases:
+        (g,) = iter_stream(_one_record_stream(tmp_path, bad))
+        with pytest.raises(ValueError):
+            preprocess(g, _schema())
 
 
 def test_blank_lines_are_ignored(tmp_path):

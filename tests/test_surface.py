@@ -88,4 +88,4 @@ def test_settable_option_count_is_pinned():
     """Every settable option doubles what tests and benchmarks must cover;
     a change that adds or removes one moves this pin on purpose."""
     counts = (_cli_options(cli._build_parser()), _api_options())
-    assert counts == (48, 46), f"{sum(counts)} options, not 94: {counts}"
+    assert counts == (48, 45), f"{sum(counts)} options, not 93: {counts}"

@@ -147,16 +147,24 @@ def test_gradient_matches_finite_differences():
             assert grad[comp] == pytest.approx(numeric, rel=1e-4, abs=1e-4)
 
 
-def test_gradient_requires_feasibility():
+@pytest.mark.parametrize(
+    "start, cfg, message",
+    [
+        ([math.nan, 0.0], BarrierConfig(max_steps=0), "nonnegative and finite"),
+        ([math.nan, 0.0], BarrierConfig(), "nonnegative and finite"),
+        ([-1.0, 1.0], BarrierConfig(), "nonnegative and finite"),
+        ([math.inf, 1.0], BarrierConfig(), "nonnegative and finite"),
+        ([1.0, 1.0, 1.0], BarrierConfig(), r"shape \(2,\), got \(3,\)"),
+    ],
+    ids=["nan-no-steps", "nan", "negative", "inf", "length-3"],
+)
+def test_gradient_requires_feasibility(start, cfg, message):
     geom = ClusterGeometry(np.zeros(2), np.array([[4.0, 0.0]]), 0)
     # outside the region the evaluation gives no roots to take a gradient at
     assert _evaluate(np.array([0.125, 0.0]), geom, BarrierConfig()) == (math.inf, None)
-    # the rescale passes a start holding a NaN as it is: a point to return,
-    # but not one to descend from
-    out = refine_weights([math.nan, 0.0], geom, BarrierConfig(max_steps=0))
-    assert math.isnan(out[0]) and out[1] == 0.0
-    with pytest.raises(ValueError, match="strictly feasible"):
-        refine_weights([math.nan, 0.0], geom, BarrierConfig())
+    # a start no descent can begin from is rejected as ``ensure_weights`` rejects it
+    with pytest.raises(ValueError, match=f"^weights must .*{message}"):
+        refine_weights(start, geom, cfg)
 
 
 def test_midpoint_convexity():
@@ -276,8 +284,9 @@ def test_refine_prefers_separating_component():
 def _oracle_case(rng: random.Random, case: int):
     """A random geometry, start and config for the bitwise oracle; ``case``
     picks the start: feasible, infeasible (rescaled), on a component no pair
-    separates along (restart from uniform), holding a NaN, or in a geometry
-    with a NaN row (the last two descend to the reference's ValueError)."""
+    separates along (restart from uniform), holding a NaN, an inf or a
+    negative (rejected before any rescale), or in a geometry with a NaN row
+    (which descends to the reference's ValueError)."""
     n = rng.choice([1, 2, 3, 5])
     n_pairs = rng.choice([1, 1, rng.randint(2, 12)])
     intra = np.array([rng.choice([0.0, rng.uniform(0.0, 5.0)]) for _ in range(n)])
@@ -293,7 +302,7 @@ def _oracle_case(rng: random.Random, case: int):
         max_steps=rng.choice([0, 1, 5, 25, 25]),
     )
     w = np.array([rng.uniform(0.2, 2.0) for _ in range(n)])
-    kind = ("feasible", "infeasible", "restart", "nan_start", "nan")[case % 5]
+    kind = ("feasible", "infeasible", "restart", "bad_start", "nan")[case % 5]
     if kind == "feasible":
         w *= 4.0 / float(np.min(inter_sq @ w))
     elif kind == "infeasible":
@@ -305,11 +314,8 @@ def _oracle_case(rng: random.Random, case: int):
         inter_sq[0, (comp + 1) % n] = rng.uniform(0.5, 4.0)
         w = np.zeros(n)
         w[comp] = rng.uniform(0.2, 2.0)
-    elif kind == "nan_start":
-        # at least one step, so it reaches the guard (a NaN in the trace
-        # would not compare equal to itself)
-        w[rng.randrange(n)] = math.nan
-        cfg = BarrierConfig(t=cfg.t, step_size=cfg.step_size, max_steps=max(cfg.max_steps, 1))
+    elif kind == "bad_start":
+        w[rng.randrange(n)] = rng.choice([math.nan, math.inf, -1.0])
     elif kind == "nan":
         inter_sq[rng.randrange(n_pairs), rng.randrange(n)] = math.nan
     geom = ClusterGeometry(intra, inter_sq, 0)
@@ -336,8 +342,8 @@ def test_refine_weights_matches_the_reference_bit_for_bit():
         assert _outcome(refine_weights, geom, w, cfg) == expected, (case, kind)
         seen[kind] = seen.get(kind, 0) + 1
         raised += expected[0][0] == "ValueError"
-    assert set(seen) == {"feasible", "infeasible", "restart", "nan_start", "nan"}
-    assert raised >= 40  # the NaN starts and geometries that descend
+    assert set(seen) == {"feasible", "infeasible", "restart", "bad_start", "nan"}
+    assert raised >= 120  # the 80 bad starts, and the NaN geometries that descend
 
 
 _SEPARATION = st.just(0.0) | st.floats(1e-3, 4.0)
