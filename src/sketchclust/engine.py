@@ -11,8 +11,8 @@ in one of three ways:
   structural spread, or unconditionally when the nearest cluster is still
   a singleton;
 * ``replaced_stale`` - otherwise the graph founds a singleton that evicts
-  the stalest cluster (smallest last-update timestamp, ties to the lowest
-  index; timestamps are arrival counts, never a record's ``ts``).
+  the stalest cluster (smallest last-update count, ties to the lowest
+  index; a graph's count is its arrival order in the stream).
 
 Every ``gamma`` graphs, with at least two live clusters, the weight vector
 is re-tuned against the current cluster geometry (see ``weight_opt``).

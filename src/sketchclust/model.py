@@ -15,8 +15,8 @@ separator byte is reserved, so the encoding is injective and node labels
 must never contain it. ``preprocess`` checks every label once, encodability
 included, so building keys needs no second check.
 
-``preprocess`` alone checks edges, masses and ``ts`` (the stream reader
-only decodes them), once per record. A plain ``int`` or ``float`` mass in
+``preprocess`` alone checks edges and masses (the stream reader only
+decodes them), once per record. A plain ``int`` or ``float`` mass in
 ``[0, 2**480)`` is taken as it is; any other mass (numpy's numbers, bool,
 str, NaN, inf, a negative, an int beyond float range) goes through
 ``_check_value``. An endpoint's type is tested where the edge is read,
@@ -174,12 +174,12 @@ def _decoder(tp) -> Callable:
 
 @dataclass
 class GraphObject:
-    """One stream element; an edge is ``(src, dst[, freq])``, a tuple or a
-    decoded JSON array. ``label`` is evaluation-only metadata; the
-    clustering path never reads it."""
+    """One stream element: an id, edges, side attributes and a label. An
+    edge is ``(src, dst[, freq])``, a tuple or a decoded JSON array.
+    ``label`` is evaluation-only metadata; the clustering path never reads
+    it. A graph carries no time: the engine counts arrivals itself."""
 
     id: str
-    ts: int = 0
     edges: list[Sequence] = field(default_factory=list)
     side: dict[str, dict[str, float]] = field(default_factory=dict)
     label: str | None = None
@@ -240,12 +240,12 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     attributes are dropped, and edges/attributes are sorted for
     deterministic downstream iteration; an edge frequency of None reads
     as 1. Raises ValueError on a mass that is not a nonnegative finite
-    number (bool and str are not numbers), a timestamp that is not a
-    nonnegative integer, a graph label that is not a string, edges or side
-    maps not shaped as ``GraphObject`` declares, a node or attribute label
-    that is empty, holds the separator or is not encodable as UTF-8, an
-    unknown side type, and on masses that are finite but whose merged sum
-    or sum of squares within a component is not.
+    number (bool and str are not numbers), a graph label that is not a
+    string, edges or side maps not shaped as ``GraphObject`` declares, a
+    node or attribute label that is empty, holds the separator or is not
+    encodable as UTF-8, an unknown side type, and on masses that are
+    finite but whose merged sum or sum of squares within a component is
+    not.
     Each record is checked once, as the module docstring says; a graph
     with several faults reports one, not necessarily the first in order.
     """
@@ -253,13 +253,6 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
         raise ValueError("graph id must be a nonempty string")
     if g.label is not None and not isinstance(g.label, str):
         raise ValueError(f"graph label must be a string, not {g.label!r}")
-    ts = g.ts
-    if type(ts) is not int:
-        if isinstance(ts, bool) or not isinstance(ts, numbers.Integral):
-            raise ValueError(f"timestamp must be an integer, not {ts!r}")
-        ts = int(ts)
-    if ts < 0:
-        raise ValueError("timestamp must be nonnegative")
 
     if not isinstance(g.edges, (list, tuple)) or not isinstance(g.side, dict):
         raise ValueError("edges must be a list or tuple, and side a dict of dicts")
@@ -329,7 +322,7 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
         for label in labels:
             _check_label(label)
 
-    return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)
+    return GraphObject(id=g.id, edges=edges, side=side, label=g.label)
 
 
 class GraphView:

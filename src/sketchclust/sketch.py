@@ -27,7 +27,6 @@ checkpoint stores the config in its header and the grids as plain arrays
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from itertools import repeat
@@ -67,15 +66,6 @@ class SketchConfig:
         object.__setattr__(self, "_mult", np.array(a, dtype=np.uint64)[:, None])
         object.__setattr__(self, "_add", np.array(b, dtype=np.uint64)[:, None])
         object.__setattr__(self, "_row_span", np.arange(self.rows, dtype=np.intp)[:, None])
-
-    @property
-    def epsilon(self) -> float:
-        """Additive overestimate factor: error exceeds epsilon*T w.p. <= delta."""
-        return math.e / self.cols
-
-    @property
-    def delta(self) -> float:
-        return math.exp(-self.rows)
 
     def buckets(self, keys: Sequence[bytes]) -> np.ndarray:
         """Cell index of each key in each row, shape (rows, len(keys)), intp."""

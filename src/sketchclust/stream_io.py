@@ -5,12 +5,14 @@ line is one graph record:
 
     {"schema": {"directed": false, "side_types": [{"name": "keywords",
         "kind": "numeric"}]}, "stream_version": 1}
-    {"id": "g0", "ts": 0, "edges": [["a", "b", 2], ["b", "c"]],
+    {"id": "g0", "edges": [["a", "b", 2], ["b", "c"]],
         "side": {"keywords": {"db": 3}}, "label": "k1"}
 
 A header's ``stream_version``, when present, must be the integer 1; one
 without it reads as version 1. Node labels are strings, and edge frequency
-defaults to 1 when omitted or null.
+defaults to 1 when omitted or null. A record's keys are ``id``, ``edges``,
+``side`` and ``label``; the reader ignores any other key, such as the
+timestamp key that streams written by earlier versions carry.
 For convenience a side entry may be a mapping, a list of identifier
 strings (occurrences are counted) or a single identifier string. The
 reader only decodes: it checks the JSON, the ``id`` and ``label`` that
@@ -68,7 +70,7 @@ def _normalize_side(raw: object, line_no: int) -> dict[str, dict]:
     return side
 
 
-def _parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
+def _parse_record(line: str, line_no: int) -> GraphObject:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -83,7 +85,6 @@ def _parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
         raise StreamFormatError("label must be a string when present", line_no)
     return GraphObject(
         id=graph_id,
-        ts=obj.get("ts", default_ts),
         edges=obj.get("edges", []),
         side=_normalize_side(obj.get("side"), line_no),
         label=label,
@@ -121,8 +122,8 @@ def _read_header(lines: Iterator[tuple[int, str]]) -> StreamSchema:
 
 
 def iter_stream(path: str, on_error: ErrorHook | None = None) -> Iterator[GraphObject]:
-    """Yield raw graph records: ``ts`` (the record's ordinal when absent),
-    edges (JSON arrays) and masses as decoded, for ``preprocess`` to check.
+    """Yield raw graph records: edges (JSON arrays) and masses as decoded,
+    for ``preprocess`` to check.
 
     The schema header is validated but not yielded; use ``read_header`` for
     it. A malformed record raises StreamFormatError, or, given ``on_error``,
@@ -131,18 +132,16 @@ def iter_stream(path: str, on_error: ErrorHook | None = None) -> Iterator[GraphO
     with open(path, "r", encoding="utf-8") as fh:
         lines = enumerate(fh, start=1)
         _read_header(lines)
-        record_ordinal = 0
         for line_no, line in lines:
             if not line.strip():
                 continue
             try:
-                g = _parse_record(line, line_no, default_ts=record_ordinal)
+                g = _parse_record(line, line_no)
             except StreamFormatError as err:
                 if on_error is None:
                     raise
                 on_error(line_no, str(err))
                 continue
-            record_ordinal += 1
             yield g
 
 
@@ -151,7 +150,7 @@ def _json_number(value: float) -> int | float:
 
 
 def _record_dict(g: GraphObject) -> dict:
-    rec: dict = {"id": g.id, "ts": g.ts}
+    rec: dict = {"id": g.id}
     edges = []
     for e in g.edges:
         freq = e[2] if len(e) == 3 else 1.0

@@ -139,9 +139,7 @@ def generate_graph(cfg: SynthConfig, index: int, cls_id: int) -> GraphObject:
         if attrs:
             side[name] = attrs
 
-    return GraphObject(
-        id=f"g{index:06d}", ts=index, edges=edges, side=side, label=f"k{cls_id}"
-    )
+    return GraphObject(id=f"g{index:06d}", edges=edges, side=side, label=f"k{cls_id}")
 
 
 def _graphs(cfg: SynthConfig) -> Iterator[GraphObject]:

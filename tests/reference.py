@@ -43,9 +43,11 @@ straightforward way:
   its bitwise oracle;
 * ``preprocess_record`` and ``parse_record``: ``model.preprocess`` and
   ``stream_io._parse_record`` (with its ``_normalize_side``) as they were
-  before they checked each record once, kept verbatim as their oracles.
-  They call the library's ``_check_label``, ``_check_value`` and
-  ``_check_squares``, the one source of each error message.
+  before they checked each record once, kept verbatim as their oracles
+  but for the timestamp records no longer carry: ``preprocess_record``
+  has none to check, and ``parse_record`` checks a ``ts`` key, then
+  drops it. They call the library's ``_check_label``, ``_check_value``
+  and ``_check_squares``, the one source of each error message.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -375,8 +376,8 @@ SCHEMA = StreamSchema(side_types=(SideType("topics"),))
 
 
 def graph(i: int, edges, topics=None) -> GraphObject:
-    """Graph ``g{i}`` at time ``i`` in ``SCHEMA``, preprocessed."""
-    raw = GraphObject(id=f"g{i}", ts=i, edges=edges, side={"topics": topics or {}})
+    """Graph ``g{i}`` in ``SCHEMA``, preprocessed."""
+    raw = GraphObject(id=f"g{i}", edges=edges, side={"topics": topics or {}})
     return preprocess(raw, SCHEMA)
 
 
@@ -559,13 +560,6 @@ def preprocess_record(g: GraphObject, schema: StreamSchema) -> GraphObject:
         raise ValueError("graph id must be a nonempty string")
     if g.label is not None and not isinstance(g.label, str):
         raise ValueError(f"graph label must be a string, not {g.label!r}")
-    ts = g.ts
-    if type(ts) is not int:
-        if isinstance(ts, bool) or not isinstance(ts, numbers.Integral):
-            raise ValueError(f"timestamp must be an integer, not {ts!r}")
-        ts = int(ts)
-    if ts < 0:
-        raise ValueError("timestamp must be nonnegative")
 
     if not isinstance(g.edges, (list, tuple)) or not isinstance(g.side, dict):
         raise ValueError("edges must be a list or tuple, and side a dict of dicts")
@@ -612,7 +606,7 @@ def preprocess_record(g: GraphObject, schema: StreamSchema) -> GraphObject:
                 _check_squares(list(cleaned.values()), f"side type {name!r} values")
             side[name] = cleaned
 
-    return GraphObject(id=g.id, ts=ts, edges=edges, side=side, label=g.label)
+    return GraphObject(id=g.id, edges=edges, side=side, label=g.label)
 
 
 def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
@@ -648,7 +642,7 @@ def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
     return side
 
 
-def parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
+def parse_record(line: str, line_no: int) -> GraphObject:
     """``stream_io._parse_record`` as it was, re-tupling every edge."""
     try:
         obj = json.loads(line)
@@ -659,7 +653,7 @@ def parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
     graph_id = obj.get("id")
     if not isinstance(graph_id, str) or not graph_id:
         raise StreamFormatError("record needs a nonempty string id", line_no)
-    ts = obj.get("ts", default_ts)
+    ts = obj.get("ts", 0)
     if not isinstance(ts, int) or isinstance(ts, bool) or ts < 0:
         raise StreamFormatError("ts must be a nonnegative integer", line_no)
 
@@ -688,7 +682,6 @@ def parse_record(line: str, line_no: int, default_ts: int) -> GraphObject:
 
     return GraphObject(
         id=graph_id,
-        ts=ts,
         edges=edges,
         side=_normalize_side(obj.get("side"), line_no),
         label=label,

@@ -429,7 +429,7 @@ def _c08_trial(cfg: SketchConfig, keys, masses: np.ndarray, probe: int, per_grap
     sketch, then (violation, undercuts) of every key's estimate gathered
     from a bank slot that absorbed the keys as graphs of ``per_graph``. A
     violation is an estimate above the true mass by more than ``eps * T``."""
-    slack = cfg.epsilon * float(masses.sum())
+    slack = math.e / cfg.cols * float(masses.sum())
     sk = CountMinSketch(cfg)
     sk.update_many(keys, masses)
     est = sk.estimate(keys[probe])
@@ -540,9 +540,7 @@ def test_c09_closed_form_intra_matches_member_sum():
                 for j in range(n_types)
             }
             side = {k: v for k, v in side.items() if v}
-            g = GraphObject(
-                id=f"m{member}", ts=member, edges=edges, side=side
-            )
+            g = GraphObject(id=f"m{member}", edges=edges, side=side)
             members.append(graph_views(preprocess(g, schema), schema))
         exact = ExactBank(schema.d, 1)
         bank = ClusterBank(_separating_config(members, schema.d), schema.d, 1)
@@ -582,7 +580,7 @@ def test_c09_closed_form_intra_survives_a_long_stream():
             f"s{t}": {f"tok{j}": rnd.uniform(0.5, 2.5) for j in range(4) if rnd.random() < 0.7}
             for t in range(2)
         }
-        g = GraphObject(id=f"m{member}", ts=member, edges=edges, side=side)
+        g = GraphObject(id=f"m{member}", edges=edges, side=side)
         members.append(graph_views(preprocess(g, schema), schema))
     exact = ExactBank(schema.d, 1)
     bank = ClusterBank(_separating_config(members, schema.d), schema.d, 1)
@@ -658,7 +656,7 @@ def test_c11_degenerate_inputs_complete_cleanly():
     eng = _engine(edgeless_schema)
     events = process_all(
         eng,
-        [GraphObject(id=f"e{i}", ts=i, edges=[], side={}) for i in range(8)]
+        [GraphObject(id=f"e{i}", edges=[], side={}) for i in range(8)]
     )
     checks.append(("empty_graphs", len(events) == 8 and _state_ok(eng, 2)))
 
@@ -667,7 +665,7 @@ def test_c11_degenerate_inputs_complete_cleanly():
     events = process_all(
         eng,
         [
-            GraphObject(id=f"s{i}", ts=i, edges=[("a", "a", 1.0)], side={})
+            GraphObject(id=f"s{i}", edges=[("a", "a", 1.0)], side={})
             for i in range(6)
         ]
     )
@@ -678,7 +676,7 @@ def test_c11_degenerate_inputs_complete_cleanly():
     process_all(
         eng,
         [
-            GraphObject(id=f"d{i}", ts=i, edges=[(f"n{i % 3}", "hub", 2.0)], side={})
+            GraphObject(id=f"d{i}", edges=[(f"n{i % 3}", "hub", 2.0)], side={})
             for i in range(10)
         ]
     )
@@ -692,7 +690,6 @@ def test_c11_degenerate_inputs_complete_cleanly():
     dup = [
         GraphObject(
             id=f"dup{i}",
-            ts=i,
             edges=[("x", "y", 2.0)],
             side={"topics": {"t": 1.0}},
         )
@@ -716,7 +713,6 @@ def test_c11_degenerate_inputs_complete_cleanly():
     mixed = [
         GraphObject(
             id=f"z{i}",
-            ts=i,
             edges=[(f"a{i % 2}", "b", float(i + 1))],
             side={"topics": {f"w{i % 3}": 1.0}},
         )

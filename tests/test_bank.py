@@ -136,7 +136,6 @@ def _scaled(g: GraphObject, rng: random.Random) -> GraphObject:
     """The graph with every mass times a random non-integer factor."""
     return GraphObject(
         id=g.id,
-        ts=g.ts,
         edges=[(s, t, f * rng.uniform(0.5, 2.0)) for s, t, f in g.edges],
         side={
             name: {a: v * rng.uniform(0.5, 2.0) for a, v in attrs.items()}

@@ -266,10 +266,10 @@ def test_run_strict_and_lenient():
 @pytest.mark.parametrize("where", ["edge", "side"])
 def test_run_skips_a_mass_beyond_float_range(where):
     if where == "edge":
-        huge = GraphObject(id="g9", ts=9, edges=[("a", "b", 10**400)])
+        huge = GraphObject(id="g9", edges=[("a", "b", 10**400)])
     else:
         side = {"topics": {"x": 10**400}}
-        huge = GraphObject(id="g9", ts=9, edges=[("a", "b", 1.0)], side=side)
+        huge = GraphObject(id="g9", edges=[("a", "b", 1.0)], side=side)
     _check_rejected(huge, "must be finite")
 
 
@@ -284,7 +284,7 @@ def test_run_skips_a_mass_beyond_float_range(where):
     ids=["square", "merged_sum", "sum_of_squares", "side"],
 )
 def test_run_skips_a_mass_whose_square_overflows(edges, side):
-    bad = GraphObject(id="g9", ts=9, edges=edges, side={"topics": side})
+    bad = GraphObject(id="g9", edges=edges, side={"topics": side})
     _check_rejected(bad, "must have a finite sum of squares")
 
 
@@ -920,7 +920,6 @@ def test_from_bytes_loads_rows_rounded_apart_on_large_integer_masses():
         [
             GraphObject(
                 id=f"g{i}",
-                ts=i,
                 edges=[("a", f"n{i % 3}", 1.0)],
                 side={
                     "ts": {f"t{j}": 1_700_000_000_000_000 + rng.randrange(10**9) for j in range(6)}
@@ -945,8 +944,8 @@ def test_from_bytes_loads_whole_cells_rounded_from_fractional_masses():
     process_all(
         engine,
         [
-            GraphObject(id="g0", ts=0, edges=[("u", "v", 1.0)], side={"t": side}),
-            GraphObject(id="g1", ts=1, edges=[("p", "q", 1.0)], side={}),
+            GraphObject(id="g0", edges=[("u", "v", 1.0)], side={"t": side}),
+            GraphObject(id="g1", edges=[("p", "q", 1.0)], side={}),
         ]
     )
     grid = engine.bank.cells[1, 0]

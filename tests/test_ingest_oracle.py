@@ -7,8 +7,10 @@ and ``0.0`` differ) or raise ``ValueError`` where the oracle does, with the
 same message whenever the record holds one fault; with several it may
 report another. The pipeline, ``_parse_record`` then ``preprocess``, must
 accept and reject the lines the old one (which type-checked edges, masses
-and ``ts`` in the reader too) does, but for a null edge frequency, which now
-reads as 1, and give each fault the old reader still owns its old message.
+and ``ts`` in the reader too) does, and give each fault the old reader
+still owns its old message, but for two carve-outs: a null edge frequency
+now reads as 1, and the reader ignores ``ts``, so a line whose only fault
+is its ``ts`` is now accepted.
 """
 
 import json
@@ -94,12 +96,11 @@ def records(draw):
         faults += 1
         side["topics"] = draw(st.sampled_from([["a"], "a", 1]))
     graph_id = pick(["g1"], ["", 7, None], 0.03)
-    ts = pick([0, 3, np.int64(4)], [-1, True, 1.5, "3"], 0.03)
     label = pick([None, "k1"], [3, b"k"], 0.03)
     if draw(st.floats(0, 1)) < 0.02:
         faults += 1
         edges = draw(st.sampled_from([{"a": "b"}, "ab", 5]))
-    return GraphObject(id=graph_id, ts=ts, edges=edges, side=side, label=label), faults
+    return GraphObject(id=graph_id, edges=edges, side=side, label=label), faults
 
 
 @settings(max_examples=600, deadline=None)
@@ -176,20 +177,23 @@ READER_FAULTS = (
 def _pipeline(parse, check, line, schema):
     """The canonical graph of a line, or the reader's or the check's error."""
     try:
-        g = parse(line, 4, 2)
+        g = parse(line, 4)
     except StreamFormatError as exc:
         return "reader", str(exc)
     return _outcome(check, g, schema)
 
 
-def _null_frequencies_as_1(line: str) -> str:
-    """``line`` with each null edge frequency written as 1."""
+def _as_the_old_reader_should_read_it(line: str) -> str:
+    """``line`` with no ``ts`` and each null edge frequency written as 1."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError:
         return line
-    if not isinstance(obj, dict) or not isinstance(obj.get("edges"), list):
+    if not isinstance(obj, dict):
         return line
+    obj.pop("ts", None)
+    if not isinstance(obj.get("edges"), list):
+        return json.dumps(obj)
     obj["edges"] = [
         [*e[:2], 1] if isinstance(e, list) and len(e) == 3 and e[2] is None else e
         for e in obj["edges"]
@@ -201,11 +205,12 @@ def _null_frequencies_as_1(line: str) -> str:
 @given(line=lines(), schema=st.sampled_from(SCHEMAS))
 def test_the_pipeline_matches_the_old_one(line, schema):
     new = _pipeline(_parse_record, preprocess, line, schema)
-    old = _pipeline(parse_record, preprocess_record, _null_frequencies_as_1(line), schema)
+    old_line = _as_the_old_reader_should_read_it(line)
+    old = _pipeline(parse_record, preprocess_record, old_line, schema)
     assert (new[0] == "ok") == (old[0] == "ok")
     if old[0] == "ok":
         assert new == old
-    old_reader = _outcome(parse_record, line, 4, 2)
+    old_reader = _outcome(parse_record, old_line, 4)
     if old_reader[0] == "StreamFormatError" and old_reader[1][8:].startswith(READER_FAULTS):
         assert new == ("reader", old_reader[1])
     if new[0] == "reader":
@@ -217,10 +222,21 @@ def test_a_null_frequency_reads_as_1():
     read it as 1."""
     line = json.dumps({"id": "g", "edges": [["b", "a", None], ["a", "c", 2]]})
     with pytest.raises(StreamFormatError, match="edge frequency must be numeric"):
-        parse_record(line, 4, 2)
+        parse_record(line, 4)
     unit = json.dumps({"id": "g", "edges": [["b", "a"], ["a", "c", 2]]})
     out = _pipeline(_parse_record, preprocess, line, SCHEMAS[0])
     assert out == _pipeline(parse_record, preprocess_record, unit, SCHEMAS[0])
+    assert out[0] == "ok"
+
+
+@pytest.mark.parametrize("ts", [-1, 1.5, "3", True], ids=repr)
+def test_a_line_whose_only_fault_is_its_ts_is_now_accepted(ts):
+    record = {"id": "g", "edges": [["b", "a", 2]], "side": {"topics": ["x"]}}
+    line = json.dumps({**record, "ts": ts})
+    with pytest.raises(StreamFormatError, match="ts must be a nonnegative integer"):
+        parse_record(line, 4)
+    out = _pipeline(_parse_record, preprocess, line, SCHEMAS[0])
+    assert out == _pipeline(parse_record, preprocess_record, json.dumps(record), SCHEMAS[0])
     assert out[0] == "ok"
 
 

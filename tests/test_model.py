@@ -71,7 +71,7 @@ def test_edge_key_is_injective_on_separator():
 
 def test_canonicalize_sorts_and_merges_undirected():
     schema = _schema()
-    g = GraphObject(id="g1", ts=3, edges=[("b", "a", 2.0), ("a", "b"), ("c", "d", 0.0)])
+    g = GraphObject(id="g1", edges=[("b", "a", 2.0), ("a", "b"), ("c", "d", 0.0)])
     out = preprocess(g, schema)
     assert out.edges == [("a", "b", 3.0)]
 
@@ -87,8 +87,6 @@ def test_canonicalize_validates():
     schema = _schema(SideType("topics"))
     with pytest.raises(ValueError):
         preprocess(GraphObject(id=""), schema)
-    with pytest.raises(ValueError):
-        preprocess(GraphObject(id="g", ts=-1), schema)
     with pytest.raises(ValueError):
         preprocess(GraphObject(id="g", edges=[("a", "b", -1.0)]), schema)
     with pytest.raises(ValueError):
@@ -144,22 +142,14 @@ def test_preprocess_rejects_a_mass_that_is_not_a_number(mass):
             preprocess(GraphObject(id="g", edges=[("a", "b", mass)]), schema)
 
 
-@pytest.mark.parametrize("ts", [2.7, 2.0, "5", True, None])
-def test_preprocess_rejects_a_timestamp_that_is_not_an_integer(ts):
-    with pytest.raises(ValueError, match="timestamp must be an integer"):
-        preprocess(GraphObject(id="g", ts=ts), _schema())
-
-
 def test_preprocess_takes_numpy_numbers():
     schema = _schema(SideType("topics"))
     g = GraphObject(
         id="g",
-        ts=np.int64(4),
         edges=[("a", "b", np.float32(2.0)), ("b", "c", np.int64(3))],
         side={"topics": {"x": np.float64(1.5)}},
     )
     out = preprocess(g, schema)
-    assert out.ts == 4 and type(out.ts) is int
     assert out.edges == [("a", "b", 2.0), ("b", "c", 3.0)]
     assert all(type(f) is float for *_, f in out.edges)
     assert out.side == {"topics": {"x": 1.5}}

@@ -21,12 +21,6 @@ def test_config_validation():
         SketchConfig(rows=3, cols=0)
 
 
-def test_error_guarantees():
-    cfg = SketchConfig(rows=5, cols=100)
-    assert cfg.epsilon == pytest.approx(np.e / 100)
-    assert cfg.delta == pytest.approx(np.exp(-5))
-
-
 def test_point_update_accumulates():
     sk = CountMinSketch(SketchConfig(rows=4, cols=64, seed=1))
     sk.update(b"x", 2.0)

@@ -25,12 +25,11 @@ def _graphs() -> list[GraphObject]:
     return [
         GraphObject(
             id="g0",
-            ts=0,
             edges=[("a", "b", 2.0), ("b", "c", 1.0)],
             side={"topics": {"x": 1.0, "y": 2.5}},
             label="k0",
         ),
-        GraphObject(id="g1", ts=5, edges=[], side={}, label=None),
+        GraphObject(id="g1", edges=[], side={}, label=None),
     ]
 
 
@@ -43,7 +42,25 @@ def test_round_trip(tmp_path):
     # the reader yields edges as decoded JSON arrays: compare canonical forms
     assert graphs[0].edges == [["a", "b", 2], ["b", "c"]]
     assert [preprocess(g, schema) for g in graphs] == [preprocess(g, schema) for g in _graphs()]
-    assert graphs[1].ts == 5
+
+
+def test_write_stream_writes_no_timestamp(tmp_path):
+    path = str(tmp_path / "s.ndjson")
+    write_stream(path, _schema(), _graphs())
+    records = [json.loads(line) for line in open(path).readlines()[1:]]
+    assert [sorted(r) for r in records] == [["edges", "id", "label", "side"], ["edges", "id"]]
+
+
+@pytest.mark.parametrize(
+    "extra", [{"ts": 5}, {"ts": -1}, {"ts": 1.5}, {"ts": "3"}, {"ts": True}, {"foo": [1]}], ids=repr
+)
+def test_a_key_the_format_does_not_define_is_ignored(tmp_path, extra):
+    """Streams written before records lost their timestamp still read, and
+    cluster, as they did; so does a record with any other unknown key."""
+    record = {"id": "g0", "edges": [["a", "b", 2]], "side": {"topics": ["x"]}, "label": "k0"}
+    (plain,) = iter_stream(_one_record_stream(tmp_path, record))
+    (g,) = iter_stream(_one_record_stream(tmp_path, {**record, **extra}))
+    assert g == plain
 
 
 def test_write_is_byte_stable(tmp_path):
@@ -86,17 +103,6 @@ def test_side_shorthand_forms(tmp_path):
         )
     graphs = list(iter_stream(path))
     assert graphs[0].side == {"topics": {"x": 2.0, "y": 1.0}, "tags": {"solo": 1.0}}
-
-
-def test_missing_ts_defaults_to_ordinal(tmp_path):
-    path = str(tmp_path / "s.ndjson")
-    header = {"schema": asdict(_schema()), "stream_version": 1}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        fh.write(json.dumps({"id": "g0"}) + "\n")
-        fh.write(json.dumps({"id": "g1"}) + "\n")
-    graphs = list(iter_stream(path))
-    assert [g.ts for g in graphs] == [0, 1]
 
 
 def test_header_required(tmp_path):
@@ -193,11 +199,9 @@ def test_record_validation_errors(tmp_path):
 
 
 def test_a_bad_value_passes_the_reader_and_fails_preprocess(tmp_path):
-    """Edges, masses and ``ts`` pass the reader as decoded; ``preprocess``
-    rejects their faults."""
+    """Edges and masses pass the reader as decoded; ``preprocess`` rejects
+    their faults."""
     cases = [
-        {"id": "g", "ts": -1},
-        {"id": "g", "ts": 1.5},
         {"id": "g", "edges": [["a"]]},
         {"id": "g", "edges": "ab"},
         {"id": "g", "edges": [["a", "b", "fast"]]},

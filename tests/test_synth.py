@@ -155,11 +155,10 @@ def test_schema_lists_all_side_types_undirected():
     assert not schema.directed
 
 
-def test_graph_ids_and_timestamps_follow_index():
+def test_graph_ids_follow_index():
     cfg = SynthConfig(n_graphs=3, seed=0)
     graphs = generate_graphs(cfg)
     assert [g.id for g in graphs] == ["g000000", "g000001", "g000002"]
-    assert [g.ts for g in graphs] == [0, 1, 2]
 
 
 def test_single_graph_depends_only_on_seed_and_index():
