@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from contextlib import ExitStack
@@ -50,9 +49,10 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
-# throughput.csv prints elapsed time to 3 decimals, so a shorter window
-# would only add rows that it cannot tell apart
-_MIN_WINDOW_S = 0.001
+# throughput.csv rates edges over windows of this many seconds, and each
+# purity*.csv samples the average purity after every this many events
+_THROUGHPUT_WINDOW_S = 0.5
+_PURITY_EVERY = 100
 
 
 class _UsageError(Exception):
@@ -72,22 +72,6 @@ def _diag(level: str, message: str, **fields) -> None:
     sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _window_seconds(text: str) -> float:
-    value = float(text)
-    if not _MIN_WINDOW_S <= value < math.inf:
-        raise argparse.ArgumentTypeError(
-            f"must be finite and at least {_MIN_WINDOW_S} s, not {text}"
-        )
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, not {text}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sketchclust", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=__version__)
@@ -97,14 +81,6 @@ def _build_parser() -> _Parser:
     p_synth.add_argument("--out", required=True, help="output stream file")
     p_synth.add_argument("--n-graphs", type=int, default=SynthConfig.n_graphs)
     p_synth.add_argument("--n-clusters", type=int, default=SynthConfig.n_clusters)
-    p_synth.add_argument("--nodes-per-community", type=int,
-                         default=SynthConfig.nodes_per_community)
-    p_synth.add_argument("--edges-per-graph", type=int, default=SynthConfig.edges_per_graph)
-    p_synth.add_argument("--attrs-per-graph", type=int, default=SynthConfig.attrs_per_graph)
-    p_synth.add_argument("--class-vocab", type=int, default=SynthConfig.class_vocab)
-    p_synth.add_argument("--cross-edge-rate", type=float, default=SynthConfig.cross_edge_rate)
-    p_synth.add_argument("--fidelity", type=float, default=SynthConfig.informative_types[0][1])
-    p_synth.add_argument("--noise-vocab", type=int, default=SynthConfig.noise_types[0][1])
     p_synth.add_argument("--seed", type=int, default=SynthConfig.seed)
 
     def add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -123,8 +99,6 @@ def _build_parser() -> _Parser:
                        help="skip weight optimization (uniform weights)")
         p.add_argument("--lenient", action="store_true",
                        help="skip malformed records instead of aborting")
-        p.add_argument("--purity-every", type=_nonnegative_int, default=100,
-                       help="events between purity samples (0 disables)")
 
     p_cluster = sub.add_parser("cluster", help="cluster a stream file")
     add_run_flags(p_cluster)
@@ -134,7 +108,6 @@ def _build_parser() -> _Parser:
                            help="record per-cluster distances in events")
     p_cluster.add_argument("--trace-weights", action="store_true",
                            help="emit weight optimizer trace to stderr")
-    p_cluster.add_argument("--throughput-window", type=_window_seconds, default=0.5)
 
     p_compare = sub.add_parser(
         "compare", help="run sketch and exact backends and compare them"
@@ -146,7 +119,6 @@ def _build_parser() -> _Parser:
     p_eval.add_argument("--events", required=True, help="events.jsonl from cluster")
     p_eval.add_argument("--stream", required=True, help="labeled stream file")
     p_eval.add_argument("--out-dir", default=None)
-    p_eval.add_argument("--purity-every", type=_nonnegative_int, default=100)
 
     return parser
 
@@ -173,11 +145,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _score(
-    events: list[AssignmentEvent], labels: dict[str, str], every: int, csv_path: Path | None
+    events: list[AssignmentEvent], labels: dict[str, str], csv_path: Path | None
 ) -> PurityReport:
     """Purity of an event log; given ``csv_path``, its series sampled every
-    ``every`` events and its final value are written there."""
-    report, series = purity_from_events(events, labels, every=every)
+    ``_PURITY_EVERY`` events and its final value are written there."""
+    report, series = purity_from_events(events, labels, every=_PURITY_EVERY)
     if csv_path is not None:
         rows = [*series, (len(events), report.average_purity)]
         csv_path.write_text(
@@ -251,18 +223,7 @@ def _run(args: argparse.Namespace, schema: StreamSchema, engines: dict[Path, Eng
 
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
-        cfg = SynthConfig(
-            n_clusters=args.n_clusters,
-            n_graphs=args.n_graphs,
-            nodes_per_community=args.nodes_per_community,
-            edges_per_graph=args.edges_per_graph,
-            informative_types=(("topics", args.fidelity),),
-            noise_types=(("tags", args.noise_vocab),),
-            cross_edge_rate=args.cross_edge_rate,
-            attrs_per_graph=args.attrs_per_graph,
-            class_vocab=args.class_vocab,
-            seed=args.seed,
-        )
+        cfg = SynthConfig(n_clusters=args.n_clusters, n_graphs=args.n_graphs, seed=args.seed)
     except ValueError as exc:  # config invariants violated through flags
         raise _UsageError(str(exc)) from None
     count = generate_stream(cfg, args.out)
@@ -303,7 +264,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     }
     _write_json(out_dir / "weights.json", weights)
 
-    windows = throughput(marks, window_s=args.throughput_window)
+    windows = throughput(marks, window_s=_THROUGHPUT_WINDOW_S)
     (out_dir / "throughput.csv").write_text(
         "elapsed_s,edges_per_s\n" + "".join(f"{t:.3f},{r:.1f}\n" for t, r in windows),
         encoding="utf-8",
@@ -317,7 +278,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
         "edges_per_s": None if rate is None else round(rate, 1),
     }
     if labels:
-        report = _score(events, labels, args.purity_every, out_dir / "purity.csv")
+        report = _score(events, labels, out_dir / "purity.csv")
         summary["average_purity"] = round(report.average_purity, 4)
     _diag("info", "run complete", **summary)
     return EXIT_OK
@@ -357,7 +318,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if labels:
         for backend, events in zip(BACKENDS, (sketch, exact)):
             csv_path = out_dir / f"purity_{backend}.csv"
-            rep = _score(events, labels, args.purity_every, csv_path)
+            rep = _score(events, labels, csv_path)
             report[f"purity_{backend}"] = rep.average_purity
     _write_json(out_dir / "compare.json", report)
     sys.stdout.write(json.dumps(report, sort_keys=True) + "\n")
@@ -393,7 +354,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         Path(args.out_dir).mkdir(parents=True, exist_ok=True)
         csv_path = Path(args.out_dir) / "purity.csv"
     try:
-        report = _score(events, labels, args.purity_every, csv_path)
+        report = _score(events, labels, csv_path)
     except ValueError as exc:  # events that the labeled stream cannot score
         raise StreamFormatError(str(exc)) from None
     payload = asdict(report)

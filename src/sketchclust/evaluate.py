@@ -53,8 +53,6 @@ def _report_from_counters(counters: Sequence[Counter]) -> PurityReport:
         weighted_hits += hits
         total += size
     nonempty = [p for p, s in zip(per_cluster, sizes) if s > 0]
-    if not nonempty:
-        raise ValueError("purity needs at least one nonempty cluster")
     return PurityReport(
         per_cluster_purity=per_cluster,
         average_purity=float(sum(nonempty) / len(nonempty)),

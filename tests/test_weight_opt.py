@@ -506,3 +506,18 @@ def test_a_step_of_exactly_the_least_size_is_still_taken():
     assert _outcome(refine_weights, geom, start, cfg) == _outcome(
         reference.refine_weights, geom, start, cfg
     )
+
+
+def test_a_step_below_the_least_size_returns_the_rescaled_start():
+    # Half of _MIN_STEP is never tried, so the descent exits its step loop
+    # at once: the rescaled start comes back, with only the final record.
+    geom = ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0)
+    cfg = BarrierConfig(step_size=weight_opt._MIN_STEP / 2)
+    start = [0.1, 0.2, 0.3]  # Q = 0.71: infeasible, so rescaled to Q = 1.05
+    records: list[dict] = []
+    out = refine_weights(start, geom, cfg, trace=records.append)
+    assert out.tolist() == weight_opt._rescale_feasible(np.array(start), geom).tolist()
+    assert records == [{"final_weights": out.tolist(), "pairs": 1, "dropped_pairs": 0}]
+    assert _outcome(refine_weights, geom, start, cfg) == _outcome(
+        reference.refine_weights, geom, start, cfg
+    )
