@@ -2,7 +2,8 @@
 
 Purity of one cluster is the fraction of its members carrying the
 dominant label; the headline score averages over nonempty clusters
-without size weighting (a size-weighted figure is reported alongside).
+without size weighting (a size-weighted figure is reported alongside, and
+the chance level: the size-weighted purity of one cluster of all members).
 ``purity_from_events`` applies generation semantics to an event log: a
 replacement restarts that cluster slot's membership, so the score always
 describes the live clusters.
@@ -30,6 +31,7 @@ class PurityReport:
     per_cluster_purity: list[float]
     average_purity: float
     size_weighted_purity: float
+    chance_purity: float
     cluster_sizes: list[int]
     dominant_labels: list[str | None]
 
@@ -40,6 +42,7 @@ def _report_from_counters(counters: Sequence[Counter]) -> PurityReport:
     dominant: list[str | None] = []
     weighted_hits = 0
     total = 0
+    pooled: Counter = Counter()
     for counter in counters:
         size = sum(counter.values())
         sizes.append(size)
@@ -50,6 +53,7 @@ def _report_from_counters(counters: Sequence[Counter]) -> PurityReport:
         label, hits = counter.most_common(1)[0]
         per_cluster.append(hits / size)
         dominant.append(label)
+        pooled += counter
         weighted_hits += hits
         total += size
     nonempty = [p for p, s in zip(per_cluster, sizes) if s > 0]
@@ -57,6 +61,7 @@ def _report_from_counters(counters: Sequence[Counter]) -> PurityReport:
         per_cluster_purity=per_cluster,
         average_purity=float(sum(nonempty) / len(nonempty)),
         size_weighted_purity=float(weighted_hits / total),
+        chance_purity=float(max(pooled.values()) / total),
         cluster_sizes=sizes,
         dominant_labels=dominant,
     )

@@ -15,16 +15,17 @@ separator byte is reserved, so the encoding is injective and node labels
 must never contain it. ``preprocess`` checks every label once, encodability
 included, so building keys needs no second check.
 
-``preprocess`` alone checks edges and masses (the stream reader only
-decodes them), once per record. A plain ``int`` or ``float`` mass in
-``[0, 2**480)`` is taken as it is; any other mass (numpy's numbers, bool,
-str, NaN, inf, a negative, an int beyond float range) goes through
-``_check_value``. An endpoint's type is tested where the edge is read,
-before its endpoints are compared. A graph's labels (edge endpoints, then
-each side type's ids) are tested together: each nonempty, and their joined
-text ASCII with no separator but the joins. Only a graph that fails that
-test has each label checked by ``_check_label``, the one source of its
-messages, which also accepts a label that is not ASCII but encodes.
+``preprocess`` alone reads the shorthands and checks edges, side entries
+and masses (the stream reader only decodes them), once per record. A
+plain ``int`` or ``float`` mass in ``[0, 2**480)`` is taken as it is; any
+other mass (numpy's numbers, bool, str, NaN, inf, a negative, an int
+beyond float range) goes through ``_check_value``. An endpoint's type is
+tested where the edge is read, before its endpoints are compared. A
+graph's labels (edge endpoints, then each side type's ids) are tested
+together: each nonempty, and their joined text ASCII with no separator
+but the joins. Only a graph that fails that test has each label checked
+by ``_check_label``, the one source of its messages, which also accepts
+a label that is not ASCII but encodes.
 
 ``graph_views`` gives one flat ``GraphView`` per graph: every component's
 keys and values in one array, with the sketch buckets of all its keys from
@@ -39,6 +40,7 @@ import math
 import numbers
 import types
 import typing
+from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import Callable, Sequence
 
@@ -175,13 +177,14 @@ def _decoder(tp) -> Callable:
 @dataclass
 class GraphObject:
     """One stream element: an id, edges, side attributes and a label. An
-    edge is ``(src, dst[, freq])``, a tuple or a decoded JSON array.
+    edge is ``(src, dst[, freq])``, a tuple or a decoded JSON array; a side
+    entry maps ids to masses, or is a list of ids (each counted) or one id.
     ``label`` is evaluation-only metadata; the clustering path never reads
     it. A graph carries no time: the engine counts arrivals itself."""
 
     id: str
     edges: list[Sequence] = field(default_factory=list)
-    side: dict[str, dict[str, float]] = field(default_factory=dict)
+    side: dict[str, dict[str, float] | list[str] | str] = field(default_factory=dict)
     label: str | None = None
 
 
@@ -235,17 +238,17 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     """Validate and normalize a graph against a schema.
 
     Undirected edges are stored with sorted endpoints, duplicates are
-    summed, a present categorical value ``v`` of type ``T`` becomes the
-    identifier ``"T=v"`` with value 1, zero-frequency edges and zero-valued
-    attributes are dropped, and edges/attributes are sorted for
-    deterministic downstream iteration; an edge frequency of None reads
-    as 1. Raises ValueError on a mass that is not a nonnegative finite
-    number (bool and str are not numbers), a graph label that is not a
-    string, edges or side maps not shaped as ``GraphObject`` declares, a
-    node or attribute label that is empty, holds the separator or is not
-    encodable as UTF-8, an unknown side type, and on masses that are
-    finite but whose merged sum or sum of squares within a component is
-    not.
+    summed, a side entry's list or single id becomes its map, a present
+    categorical value ``v`` of type ``T`` becomes the identifier ``"T=v"``
+    with value 1, zero-frequency edges and zero-valued attributes are
+    dropped, and edges/attributes are sorted for deterministic downstream
+    iteration; an edge frequency of None reads as 1. Raises ValueError on
+    a mass that is not a nonnegative finite number (bool and str are not
+    numbers), a graph label that is not a string, edges or side entries
+    not shaped as ``GraphObject`` declares, a node or attribute label that
+    is empty, holds the separator or is not encodable as UTF-8, an unknown
+    side type, and on masses that are finite but whose merged sum or sum
+    of squares within a component is not.
     Each record is checked once, as the module docstring says; a graph
     with several faults reports one, not necessarily the first in order.
     """
@@ -287,8 +290,14 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
         categorical = schema._categorical.get(name)
         if categorical is None:
             raise ValueError(f"side type {name!r} not declared in schema")
-        if not isinstance(attrs, dict):
-            raise ValueError(f"side type {name!r} must map attribute ids to values")
+        if not isinstance(attrs, dict):  # a list of ids, each counted, or one id
+            if isinstance(attrs, str):
+                attrs = [attrs]
+            elif not isinstance(attrs, list):
+                raise ValueError(f"side entry {name!r} must be an object, list or string")
+            if not all(isinstance(item, str) for item in attrs):
+                raise ValueError(f"list items of {name!r} must be strings")
+            attrs = Counter(attrs)
         try:
             ids = sorted(attrs)
         except TypeError:  # ids that do not compare: some id is no string

@@ -136,7 +136,7 @@ class Bank:
     def reset(self, slot: int, view: GraphView, now: int) -> None:
         """Found a cluster on one graph in ``slot``: in place of a live
         slot's cluster, or in the next free slot, ``len(bank)``."""
-        self._check_update(view, now, slot, min(self.size + 1, len(self.n)))
+        self._check_update(view, now, slot, min(self.size + 1, len(self.n)), joins=False)
         self._clear(slot)
         self.second_moments[slot] = 0.0
         self.n[slot] = self.t_last[slot] = 0
@@ -146,7 +146,7 @@ class Bank:
 
     def absorb(self, slot: int, view: GraphView, now: int) -> None:
         """Add one graph to a live slot's cluster."""
-        self._check_update(view, now, slot, self.size)
+        self._check_update(view, now, slot, self.size, joins=True)
         self._absorb(slot, view, now)
 
     def _absorb(self, slot: int, view: GraphView, now: int) -> None:
@@ -159,9 +159,11 @@ class Bank:
         if view.d != self.d:
             raise ValueError("component count mismatch with schema")
 
-    def _check_update(self, view: GraphView, now: int, slot: int, end: int) -> None:
+    def _check_update(self, view: GraphView, now: int, slot: int, end: int, joins: bool) -> None:
         """Reject a slot outside ``0..end-1``, or a graph no update may
-        write, before anything is written."""
+        write, before anything is written: one that would take the slot's
+        second moments (the graph's own, plus the cluster's when it
+        ``joins`` it) past float range, which no checkpoint may hold."""
         if not 0 <= slot < end:
             raise ValueError(f"slot {slot} is outside 0..{end - 1}: {self.size} slots live")
         self._check(view)
@@ -170,6 +172,10 @@ class Bank:
         # one reduction: NaN fails the comparison, and -0.0 passes it
         if view.values.size and not view.values.min() >= 0.0:
             raise ValueError("negative or NaN update value")
+        moments = self.second_moments[slot] + view.sq_sum if joins else view.sq_sum
+        # a Python max: a numpy reduction costs a graph about 2 us more
+        if not max(moments.tolist()) < math.inf:
+            raise ValueError(f"slot {slot}'s second moments would not be finite")
 
     # -- reads ---------------------------------------------------------------
 

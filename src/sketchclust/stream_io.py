@@ -13,10 +13,11 @@ without it reads as version 1. Node labels are strings, and edge frequency
 defaults to 1 when omitted or null. A record's keys are ``id``, ``edges``,
 ``side`` and ``label``; the reader ignores any other key, such as the
 timestamp key that streams written by earlier versions carry.
-For convenience a side entry may be a mapping, a list of identifier
-strings (occurrences are counted) or a single identifier string. The
-reader only decodes: it checks the JSON, the ``id`` and ``label`` that
-``eval`` reads, and the side shape; ``model.preprocess`` checks the rest.
+A side entry may be a mapping, a list of identifier strings (occurrences
+are counted) or a single identifier string. The reader only decodes: it
+checks the JSON and the ``id`` and ``label`` that ``eval`` reads, and
+passes ``edges`` and ``side`` on as decoded (a null ``side`` as ``{}``);
+``model.preprocess`` reads the shorthands and checks the rest.
 Reader failures carry 1-based line numbers; given a callback, bad
 records are skipped and reported through it instead of aborting the run.
 """
@@ -44,32 +45,6 @@ class StreamFormatError(Exception):
         super().__init__(message)
 
 
-def _normalize_side(raw: object, line_no: int) -> dict[str, dict]:
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise StreamFormatError("side must be an object keyed by type name", line_no)
-    side: dict[str, dict] = {}
-    for name, entry in raw.items():  # JSON: names and ids are strings
-        if isinstance(entry, str):
-            entry = [entry]
-        if isinstance(entry, list):  # each id counted
-            attrs = {}
-            for item in entry:
-                if not isinstance(item, str):
-                    raise StreamFormatError(
-                        f"list items of {name!r} must be strings", line_no
-                    )
-                attrs[item] = attrs.get(item, 0.0) + 1.0
-            entry = attrs
-        elif not isinstance(entry, dict):
-            raise StreamFormatError(
-                f"side entry {name!r} must be an object, list or string", line_no
-            )
-        side[name] = entry  # masses as decoded: ``preprocess`` checks them
-    return side
-
-
 def _parse_record(line: str, line_no: int) -> GraphObject:
     try:
         obj = json.loads(line)
@@ -83,10 +58,11 @@ def _parse_record(line: str, line_no: int) -> GraphObject:
     label = obj.get("label")
     if label is not None and not isinstance(label, str):
         raise StreamFormatError("label must be a string when present", line_no)
+    side = obj.get("side")
     return GraphObject(
         id=graph_id,
         edges=obj.get("edges", []),
-        side=_normalize_side(obj.get("side"), line_no),
+        side={} if side is None else side,
         label=label,
     )
 
@@ -122,8 +98,8 @@ def _read_header(lines: Iterator[tuple[int, str]]) -> StreamSchema:
 
 
 def iter_stream(path: str, on_error: ErrorHook | None = None) -> Iterator[GraphObject]:
-    """Yield raw graph records: edges (JSON arrays) and masses as decoded,
-    for ``preprocess`` to check.
+    """Yield raw graph records: edges (JSON arrays), side entries and masses
+    as decoded, for ``preprocess`` to check.
 
     The schema header is validated but not yielded; use ``read_header`` for
     it. A malformed record raises StreamFormatError, or, given ``on_error``,

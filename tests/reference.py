@@ -42,12 +42,16 @@ straightforward way:
   ``np.nonzero`` pair listing and the ``inter[kept]`` selection, kept as
   its bitwise oracle;
 * ``preprocess_record`` and ``parse_record``: ``model.preprocess`` and
-  ``stream_io._parse_record`` (with its ``_normalize_side``) as they were
-  before they checked each record once, kept verbatim as their oracles
-  but for the timestamp records no longer carry: ``preprocess_record``
-  has none to check, and ``parse_record`` checks a ``ts`` key, then
-  drops it. They call the library's ``_check_label``, ``_check_value``
-  and ``_check_squares``, the one source of each error message.
+  ``stream_io._parse_record`` as they were before they checked each
+  record once, kept verbatim as their oracles but for two moves.
+  Records no longer carry a timestamp: ``preprocess_record`` has none to
+  check, and ``parse_record`` checks a ``ts`` key, then drops it. And
+  the side shorthands moved from the reader to ``preprocess``:
+  ``parse_record`` still type-checks the masses of each side map but
+  passes every side entry on, and ``preprocess_record`` reads a list or
+  string entry through ``_normalize_side``, with the reader's messages.
+  They call the library's ``_check_label``, ``_check_value`` and
+  ``_check_squares``, the one source of each error message.
 """
 
 from __future__ import annotations
@@ -590,7 +594,7 @@ def preprocess_record(g: GraphObject, schema: StreamSchema) -> GraphObject:
         if name not in known:
             raise ValueError(f"side type {name!r} not declared in schema")
         if not isinstance(attrs, dict):
-            raise ValueError(f"side type {name!r} must map attribute ids to values")
+            attrs = _normalize_side(name, attrs)
         cleaned = {}
         # each id checked before any two are compared
         for attr_id in sorted(attrs, key=_check_label):
@@ -609,37 +613,18 @@ def preprocess_record(g: GraphObject, schema: StreamSchema) -> GraphObject:
     return GraphObject(id=g.id, edges=edges, side=side, label=g.label)
 
 
-def _normalize_side(raw: object, line_no: int) -> dict[str, dict[str, float]]:
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise StreamFormatError("side must be an object keyed by type name", line_no)
-    side: dict[str, dict[str, float]] = {}
-    for name, entry in raw.items():
-        if isinstance(entry, dict):
-            attrs = {}
-            for attr_id, value in entry.items():
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise StreamFormatError(
-                        f"attribute {attr_id!r} of {name!r} must be numeric", line_no
-                    )
-                attrs[str(attr_id)] = value
-        elif isinstance(entry, list):
-            attrs = {}
-            for item in entry:
-                if not isinstance(item, str):
-                    raise StreamFormatError(
-                        f"list items of {name!r} must be strings", line_no
-                    )
-                attrs[item] = attrs.get(item, 0.0) + 1.0
-        elif isinstance(entry, str):
-            attrs = {entry: 1.0}
-        else:
-            raise StreamFormatError(
-                f"side entry {name!r} must be an object, list or string", line_no
-            )
-        side[str(name)] = attrs
-    return side
+def _normalize_side(name: str, entry: object) -> dict[str, float]:
+    """The list and string forms of a side entry, as the reader read them."""
+    if isinstance(entry, list):
+        attrs = {}
+        for item in entry:
+            if not isinstance(item, str):
+                raise ValueError(f"list items of {name!r} must be strings")
+            attrs[item] = attrs.get(item, 0.0) + 1.0
+        return attrs
+    if isinstance(entry, str):
+        return {entry: 1.0}
+    raise ValueError(f"side entry {name!r} must be an object, list or string")
 
 
 def parse_record(line: str, line_no: int) -> GraphObject:
@@ -680,9 +665,17 @@ def parse_record(line: str, line_no: int) -> GraphObject:
     if label is not None and not isinstance(label, str):
         raise StreamFormatError("label must be a string when present", line_no)
 
+    side = obj.get("side")
+    for name, entry in side.items() if isinstance(side, dict) else ():
+        for attr_id, value in entry.items() if isinstance(entry, dict) else ():
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise StreamFormatError(
+                    f"attribute {attr_id!r} of {name!r} must be numeric", line_no
+                )
+
     return GraphObject(
         id=graph_id,
         edges=edges,
-        side=_normalize_side(obj.get("side"), line_no),
+        side={} if side is None else side,
         label=label,
     )

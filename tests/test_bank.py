@@ -40,6 +40,7 @@ from sketchclust import (
     Engine,
     EngineConfig,
     GraphObject,
+    GraphView,
     SketchConfig,
     SynthConfig,
     graph_views,
@@ -447,6 +448,21 @@ def test_from_bytes_rejects_garbage(exact):
     blob[:4] = b"XXXX"  # a slot count far above k, rejected before any array
     with pytest.raises(ValueError, match="more than k"):
         _empty_like(bank).load(bytes(blob), 0, _GRAPHS)
+
+
+@pytest.mark.parametrize("update", ["reset", "absorb"])
+@pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
+def test_an_update_whose_second_moments_would_not_be_finite_writes_nothing(exact, update):
+    """A view built without ``preprocess``, one mass of ``1e200``, squares
+    past float range; ``reset`` and ``absorb`` reject it before any array
+    changes."""
+    bank = _two_clusters(exact)
+    before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
+    with np.errstate(over="ignore"):
+        view = GraphView((b"a\x1fb", b"t"), [1e200, 1.0], [0, 1, 2], bank.config)
+        with pytest.raises(ValueError, match="slot 1's second moments would not be finite"):
+            getattr(bank, update)(1, view, _GRAPHS)
+    assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
 
 
 def _set_second_moment(bank, value) -> None:

@@ -262,6 +262,47 @@ def test_mass_beyond_float_range_is_a_bad_graph(tmp_path, capsys, where):
     assert skipped == [("graph skipped", record["id"])]
 
 
+@pytest.mark.parametrize(
+    "entry, reason",
+    [
+        (["x", 3], "list items of 'topics' must be strings"),
+        (2, "side entry 'topics' must be an object, list or string"),
+    ],
+    ids=["list_item", "number"],
+)
+def test_a_misshapen_side_shorthand_is_a_bad_graph(tmp_path, capsys, entry, reason):
+    """The reader passes side entries on as decoded, so a misshapen one
+    fails its graph by id, and ``eval``, which reads only ids and labels,
+    reads its label."""
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
+    lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
+    record = json.loads(lines[5])
+    record["side"]["topics"] = entry
+    lines[5] = json.dumps(record) + "\n"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+
+    assert _cluster(str(bad), tmp_path / "strict") == EXIT_INPUT
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["message"] == f"input: graph {record['id']!r}: {reason}"
+
+    assert _cluster(str(bad), tmp_path / "lenient", extra=["--lenient"]) == EXIT_OK
+    diags = [json.loads(l) for l in capsys.readouterr().err.strip().splitlines()]
+    warnings = [d for d in diags if d["level"] == "warning"]
+    assert [(d["message"], d["graph"], d["reason"]) for d in warnings] == [
+        ("graph skipped", record["id"], reason)
+    ]
+
+    run = tmp_path / "run"
+    assert _cluster(stream, run) == EXIT_OK
+    capsys.readouterr()
+    assert main(["eval", "--events", str(run / "events.jsonl"), "--stream", str(bad)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["events"] == 30
+    assert captured.err == ""
+
+
 _SQUARE_OVERFLOWS = {
     # an edge whose square is inf
     "one_1e200_edge": [[["a", "b", 1.0]], [["a", "b", 1e200]], [["c", "d", 2.0]]],

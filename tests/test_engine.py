@@ -1,5 +1,6 @@
 """Streaming engine: initialization, admission, replacement, checkpoints."""
 
+import copy
 import json
 import math
 import random
@@ -506,6 +507,26 @@ def test_from_bytes_restores_every_attribute(backend, n_graphs):
     bank, loaded = vars(engine.bank), vars(resumed.bank)
     assert [n for n in bank if not _same(bank[n], loaded[n])] == []
     assert [n for n in vars(engine) if not _same(vars(engine)[n], vars(resumed)[n])] == []
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_an_update_that_would_overflow_the_second_moments_changes_nothing(backend):
+    """Four graphs of one ``1e154`` edge (a square of 1e308) on keys a, b,
+    a, b: the third scores 0.0 against the first's cluster and joins it,
+    which would take that slot's second moment to inf, a state no
+    checkpoint loads. ``process`` rejects it first, and the engine is left
+    as it was and still round-trips."""
+    engine = Engine(_config(k=2), SCHEMA, backend)
+    graphs = [graph(i, [("ab"[i % 2], "z", 1e154)]) for i in range(4)]
+    with np.errstate(over="ignore"):
+        process_all(engine, graphs[:2])
+        before = copy.deepcopy(engine.bank)
+        with pytest.raises(ValueError, match="slot 0's second moments would not be finite"):
+            engine.process(graphs[2])
+    assert engine.graph_count == 2
+    assert _same(engine.bank, before)
+    blob = engine.to_bytes()
+    assert Engine.from_bytes(blob).to_bytes() == blob
 
 
 def test_checkpoint_size_independent_of_stream_length():

@@ -39,6 +39,23 @@ def test_purity_hand_example():
     assert report.cluster_sizes == [3, 2]
     assert report.dominant_labels == ["X", "Z"]
     assert asdict(report)["average_purity"] == pytest.approx(5 / 6)
+    assert report.chance_purity == pytest.approx(2 / 5)
+
+
+def test_chance_purity_shows_a_collapse_that_average_purity_hides():
+    """One mixed 90-graph cluster (three labels, 30 each) and three
+    singletons: the singletons lift the unweighted score, while the
+    size-weighted one sits barely above the chance level."""
+    events = [_ev(f"g{i}", ACTION_ASSIGNED, 0) for i in range(90)]
+    labels = {f"g{i}": "XYZ"[i % 3] for i in range(90)}
+    for slot, label in enumerate(["U", "V", "W"], start=1):
+        events.append(_ev(f"s{slot}", ACTION_INITIALIZED, slot))
+        labels[f"s{slot}"] = label
+    report, _ = purity_from_events(events, labels)
+    assert report.cluster_sizes == [90, 1, 1, 1]
+    assert report.average_purity == pytest.approx(0.8333, abs=5e-5)
+    assert report.size_weighted_purity == pytest.approx(33 / 93)
+    assert report.chance_purity == pytest.approx(30 / 93)
 
 
 def test_purity_skips_empty_slots_in_macro_average():

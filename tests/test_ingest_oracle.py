@@ -10,7 +10,8 @@ accept and reject the lines the old one (which type-checked edges, masses
 and ``ts`` in the reader too) does, and give each fault the old reader
 still owns its old message, but for two carve-outs: a null edge frequency
 now reads as 1, and the reader ignores ``ts``, so a line whose only fault
-is its ``ts`` is now accepted.
+is its ``ts`` is now accepted. The side shorthands, and their faults, are
+read by ``preprocess`` in the library and in the oracle alike.
 """
 
 import json
@@ -92,9 +93,15 @@ def records(draw):
     if draw(st.floats(0, 1)) < 0.04:
         faults += 1
         side[draw(st.sampled_from(["venue", 3]))] = {"a": 1}
+    if draw(st.floats(0, 1)) < 0.06:  # the shorthands: a list of ids, each counted, or one id
+        if draw(st.booleans()):
+            ids = [pick(GOOD_LABELS, BAD_LABELS) for _ in range(draw(st.integers(0, 3)))]
+            side["topics"] = ids + ids[: draw(st.integers(0, 2))]  # repeats to count
+        else:
+            side["topics"] = pick(GOOD_LABELS, BAD_LABELS)
     if draw(st.floats(0, 1)) < 0.04:
         faults += 1
-        side["topics"] = draw(st.sampled_from([["a"], "a", 1]))
+        side["topics"] = draw(st.sampled_from([1, None, ("a",)]))
     graph_id = pick(["g1"], ["", 7, None], 0.03)
     label = pick([None, "k1"], [3, b"k"], 0.03)
     if draw(st.floats(0, 1)) < 0.02:
@@ -170,7 +177,7 @@ def lines(draw):
 # The faults the reader still reports, by the start of their messages.
 READER_FAULTS = (
     "invalid JSON", "record must be a JSON object", "record needs a nonempty string id",
-    "label must be a string", "side must be an object", "list items of", "side entry",
+    "label must be a string",
 )
 
 
@@ -260,6 +267,20 @@ def test_a_fast_path_boundary_matches_the_oracle(mass, where):
         g.side = {"topics" if where == "numeric" else "tags": {"x": mass, "w": 1}}
     schema = SCHEMAS[0]
     assert _outcome(preprocess, g, schema) == _outcome(preprocess_record, g, schema)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["b", "a", "b", "b"], "a", [], ["a", "a\x05", "a"], ["a", ""], ["a", 3], 2, None, ("a",)],
+    ids=repr,
+)
+@pytest.mark.parametrize("name", ["topics", "tags", "venue"])
+def test_a_side_shorthand_matches_the_oracle(name, entry):
+    """A list of ids, each counted, or one id, on a numeric, a categorical
+    and an undeclared type; the faults among them are reported as before."""
+    g = GraphObject(id="g", edges=[("b", "a")], side={"topics": {"x": 1}, name: entry})
+    for schema in SCHEMAS:
+        assert _outcome(preprocess, g, schema) == _outcome(preprocess_record, g, schema)
 
 
 def test_an_int_mass_is_stored_as_a_float():

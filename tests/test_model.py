@@ -105,8 +105,8 @@ _MISSHAPEN = {
     "edges_a_string": {"edges": "ab"},
     "side_not_a_dict": {"side": 5},
     "side_a_list": {"side": [("topics", {"x": 1.0})]},
-    "side_entry_a_list": {"side": {"topics": ["x"]}},
-    "side_entry_a_string": {"side": {"topics": "x"}},
+    "side_entry_a_list_of_numbers": {"side": {"topics": [3]}},
+    "side_entry_a_number": {"side": {"topics": 2}},
     "side_ids_of_mixed_types": {"side": {"topics": {"x": 1.0, 2: 1.0}}},
     "label_a_number": {"label": 5},
     "label_a_list": {"label": ["k1"]},
@@ -117,6 +117,23 @@ _MISSHAPEN = {
 def test_preprocess_rejects_a_misshapen_graph_with_value_error(fields):
     with pytest.raises(ValueError):
         preprocess(GraphObject(id="g", **fields), _schema(SideType("topics")))
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (["x", None], "list items of 'topics' must be strings"),
+        ([False], "list items of 'topics' must be strings"),
+        (2, "side entry 'topics' must be an object, list or string"),
+        (None, "side entry 'topics' must be an object, list or string"),
+        (("x",), "side entry 'topics' must be an object, list or string"),
+    ],
+    ids=repr,
+)
+def test_a_misshapen_side_shorthand_is_rejected_with_its_message(entry, message):
+    with pytest.raises(ValueError) as exc_info:
+        preprocess(GraphObject(id="g", side={"topics": entry}), _schema(SideType("topics")))
+    assert str(exc_info.value) == message
 
 
 @pytest.mark.parametrize("where", ["src", "dst", "attr", "categorical"])

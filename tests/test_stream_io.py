@@ -91,18 +91,22 @@ def test_integral_masses_written_as_ints(tmp_path):
 
 
 def test_side_shorthand_forms(tmp_path):
-    path = str(tmp_path / "s.ndjson")
-    header = {"schema": asdict(_schema()), "stream_version": 1}
-    with open(path, "w") as fh:
-        fh.write(json.dumps(header) + "\n")
-        fh.write(
-            json.dumps(
-                {"id": "g", "side": {"topics": ["x", "x", "y"], "tags": "solo"}}
-            )
-            + "\n"
-        )
-    graphs = list(iter_stream(path))
-    assert graphs[0].side == {"topics": {"x": 2.0, "y": 1.0}, "tags": {"solo": 1.0}}
+    """The reader passes a side entry's list or string form on as decoded;
+    ``preprocess`` reads it as a map, each listed id counted."""
+    schema = StreamSchema(side_types=(SideType("topics"), SideType("tags", "categorical")))
+    cases = [
+        ({"topics": ["x", "x", "y"]}, {"topics": {"x": 2.0, "y": 1.0}}),
+        ({"topics": "solo"}, {"topics": {"solo": 1.0}}),
+        ({"tags": ["x", "x"]}, {"tags": {"tags=x": 1.0}}),
+    ]
+    for side, canonical in cases:
+        path = str(tmp_path / "s.ndjson")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"schema": asdict(schema)}) + "\n")
+            fh.write(json.dumps({"id": "g", "side": side}) + "\n")
+        (g,) = iter_stream(path)
+        assert g.side == side
+        assert preprocess(g, schema).side == canonical
 
 
 def test_header_required(tmp_path):
@@ -182,14 +186,9 @@ def test_record_validation_errors(tmp_path):
     """A record the reader cannot decode, or whose id or label ``eval``
     could not read, is a format error on its line."""
     cases = [
-        {"id": "g", "side": 3},
         {"id": "g", "label": 7},
         {"id": "", "edges": []},
         {"id": 5},
-        {"id": "g", "side": {"topics": ["x", None]}},
-        {"id": "g", "side": {"topics": [False]}},
-        {"id": "g", "side": {"topics": [3]}},
-        {"id": "g", "side": {"topics": 2}},
         "not an object",
     ]
     for bad in cases:
@@ -199,9 +198,14 @@ def test_record_validation_errors(tmp_path):
 
 
 def test_a_bad_value_passes_the_reader_and_fails_preprocess(tmp_path):
-    """Edges and masses pass the reader as decoded; ``preprocess`` rejects
-    their faults."""
+    """Edges, side entries and masses pass the reader as decoded;
+    ``preprocess`` rejects their faults."""
     cases = [
+        {"id": "g", "side": 3},
+        {"id": "g", "side": {"topics": ["x", None]}},
+        {"id": "g", "side": {"topics": [False]}},
+        {"id": "g", "side": {"topics": [3]}},
+        {"id": "g", "side": {"topics": 2}},
         {"id": "g", "edges": [["a"]]},
         {"id": "g", "edges": "ab"},
         {"id": "g", "edges": [["a", "b", "fast"]]},
