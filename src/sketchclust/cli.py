@@ -42,7 +42,6 @@ from .model import StreamSchema, preprocess
 from .sketch import SketchConfig
 from .stream_io import StreamFormatError, iter_stream, read_header
 from .synth import SynthConfig, generate_stream
-from .weight_opt import BarrierConfig
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,9 +90,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--p", type=float, default=EngineConfig.p, help="spread multiplier")
         p.add_argument("--sketch-rows", type=int, default=SketchConfig.rows)
         p.add_argument("--sketch-cols", type=int, default=SketchConfig.cols)
-        p.add_argument("--barrier-t", type=float, default=BarrierConfig.t)
-        p.add_argument("--step-size", type=float, default=BarrierConfig.step_size)
-        p.add_argument("--max-steps", type=int, default=BarrierConfig.max_steps)
         p.add_argument("--seed", type=int, default=SketchConfig.seed)
         p.add_argument("--fixed-weights", action="store_true",
                        help="skip weight optimization (uniform weights)")
@@ -131,8 +127,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
             p=args.p,
             sketch=SketchConfig(rows=args.sketch_rows, cols=args.sketch_cols,
                                 seed=args.seed),
-            barrier=BarrierConfig(t=args.barrier_t, step_size=args.step_size,
-                                  max_steps=args.max_steps),
             seed=args.seed,
             optimize_weights=not args.fixed_weights,
         )

@@ -4,6 +4,8 @@ Purity of one cluster is the fraction of its members carrying the
 dominant label; the headline score averages over nonempty clusters
 without size weighting (a size-weighted figure is reported alongside, and
 the chance level: the size-weighted purity of one cluster of all members).
+The adjusted Rand index (Hubert & Arabie, 1985) compares the live clusters
+with the labels as partitions: 1 when they agree, near 0 for a collapse.
 ``purity_from_events`` applies generation semantics to an event log: a
 replacement restarts that cluster slot's membership, so the score always
 describes the live clusters.
@@ -32,39 +34,42 @@ class PurityReport:
     average_purity: float
     size_weighted_purity: float
     chance_purity: float
+    adjusted_rand_index: float
     cluster_sizes: list[int]
     dominant_labels: list[str | None]
 
 
 def _report_from_counters(counters: Sequence[Counter]) -> PurityReport:
-    per_cluster: list[float] = []
-    sizes: list[int] = []
-    dominant: list[str | None] = []
-    weighted_hits = 0
-    total = 0
-    pooled: Counter = Counter()
-    for counter in counters:
-        size = sum(counter.values())
-        sizes.append(size)
-        if size == 0:
-            per_cluster.append(0.0)
-            dominant.append(None)
-            continue
-        label, hits = counter.most_common(1)[0]
-        per_cluster.append(hits / size)
-        dominant.append(label)
-        pooled += counter
-        weighted_hits += hits
-        total += size
-    nonempty = [p for p, s in zip(per_cluster, sizes) if s > 0]
+    sizes = [sum(counter.values()) for counter in counters]
+    tops = [c.most_common(1)[0] if size else (None, 0) for c, size in zip(counters, sizes)]
+    per_cluster = [hits / size if size else 0.0 for (_, hits), size in zip(tops, sizes)]
+    nonempty = [p for p, size in zip(per_cluster, sizes) if size]
+    pooled = sum(counters, Counter())
+    total = sum(sizes)
     return PurityReport(
         per_cluster_purity=per_cluster,
         average_purity=float(sum(nonempty) / len(nonempty)),
-        size_weighted_purity=float(weighted_hits / total),
+        size_weighted_purity=float(sum(hits for _, hits in tops) / total),
         chance_purity=float(max(pooled.values()) / total),
+        adjusted_rand_index=_adjusted_rand_index(counters, sizes, pooled),
         cluster_sizes=sizes,
-        dominant_labels=dominant,
+        dominant_labels=[label for label, _ in tops],
     )
+
+
+def _adjusted_rand_index(counters: Sequence[Counter], sizes: list[int], pooled: Counter) -> float:
+    """The index from the member pairs that share a cluster and a label, a
+    cluster, a label, or are any pair, each counted twice: integer sums, one
+    rounding. Its denominator is 0 only when both partitions hold every
+    member apart, or all together: the same partition, which scores 1.0."""
+    def pairs(groups) -> int:  # twice the member pairs within groups of these sizes
+        return sum(n * (n - 1) for n in groups)
+
+    together = pairs(n for counter in counters for n in counter.values())
+    clustered, labeled, every = pairs(sizes), pairs(pooled.values()), pairs([sum(sizes)])
+    num = 2 * (together * every - clustered * labeled)
+    den = (clustered + labeled) * every - 2 * clustered * labeled
+    return num / den if den else 1.0
 
 
 def purity_from_events(

@@ -257,8 +257,10 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     if g.label is not None and not isinstance(g.label, str):
         raise ValueError(f"graph label must be a string, not {g.label!r}")
 
-    if not isinstance(g.edges, (list, tuple)) or not isinstance(g.side, dict):
-        raise ValueError("edges must be a list or tuple, and side a dict of dicts")
+    if not isinstance(g.edges, (list, tuple)):
+        raise ValueError("edges must be a list or tuple")
+    if not isinstance(g.side, dict):
+        raise ValueError("side must be an object keyed by type name")
     undirected = not schema.directed
     merged: dict[tuple[str, str], float] = {}
     for edge in g.edges:

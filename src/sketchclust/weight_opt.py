@@ -7,13 +7,16 @@ retained cluster pair, and the count of dropped pairs, built by
 ``stats.Bank.geometry``), and runs a few steps of projected gradient
 descent on a log-barrier objective:
 
-    f(w) = t * <w, intra>  -  sum_{i != j} log(sqrt(Q_ij(w)) - 1)
+    f(w) = <w, intra>  -  sum_{i != j} log(sqrt(Q_ij(w)) - 1)
 
 with Q_ij(w) = <w, inter_sq_ij> and the i != j sum counting ordered pairs,
 i.e. twice each unordered pair. Minimizing the linear term tightens
 clusters; the barrier keeps every pair of weighted centroids separated by
-more than 1. f is convex on the feasible region {w >= 0 : all Q_ij > 1}
-(each barrier term is a negated log of a concave positive function of w).
+more than 1. The barrier's weight is fixed at 1: a weight t would only
+scale the linear term, so f at t over a geometry is f at 1 over that
+geometry with t times its intra. f is convex on the feasible region
+{w >= 0 : all Q_ij > 1} (each barrier term is a negated log of a concave
+positive function of w).
 
 Each candidate is evaluated once, for its objective and its pair roots
 sqrt(Q_ij(w)); the gradient at an accepted candidate comes from those roots.
@@ -42,6 +45,7 @@ from typing import Callable
 
 import numpy as np
 
+_STEP_SIZE = 0.1  # each refresh's first step, halved until a candidate improves
 _MIN_STEP = 1e-18
 _MARGIN = 0.05  # the rescale lands an infeasible start's tightest pair at 1 + _MARGIN
 _FLOOR = 0.0  # each candidate is projected onto the weights at or above _FLOOR
@@ -56,16 +60,9 @@ TraceHook = Callable[[dict], None]
 
 @dataclass(frozen=True)
 class BarrierConfig:
-    t: float = 1.0
-    step_size: float = 0.1
     max_steps: int = 25
 
     def __post_init__(self) -> None:
-        # an infinite step never halves below _MIN_STEP, so a refresh would not end
-        if not 0 < self.t < math.inf:
-            raise ValueError("t must be positive and finite")
-        if not 0 < self.step_size < math.inf:
-            raise ValueError("step_size must be positive and finite")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
 
@@ -109,7 +106,7 @@ def ensure_weights(weights, d: int) -> np.ndarray:
     return w
 
 
-def _evaluate(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
+def _evaluate(w: np.ndarray, geom: ClusterGeometry):
     """The objective at ``w`` and the pair roots and separations
     ``(sqrt(Q_ij(w)), sqrt(Q_ij(w)) - 1)``, or ``(inf, None)`` when some
     pair separation is <= 1. The geometry holds at least one pair."""
@@ -120,15 +117,15 @@ def _evaluate(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig):
         return math.inf, None
     root = np.sqrt(q, out=q)
     sep = root - 1.0
-    linear = cfg.t * float(geom.intra.dot(w))
+    linear = float(geom.intra.dot(w))
     return linear - 2.0 * float(np.add.reduce(np.log(sep))), (root, sep)
 
 
-def _gradient(t_intra: np.ndarray, geom: ClusterGeometry, roots) -> np.ndarray:
+def _gradient(geom: ClusterGeometry, roots) -> np.ndarray:
     """The gradient at the feasible point whose pair roots and separations
-    ``_evaluate`` returned as ``roots``; ``t_intra`` is ``t * intra``."""
+    ``_evaluate`` returned as ``roots``."""
     root, sep = roots
-    return t_intra - geom.inter_sq.T.dot(1.0 / (root * sep))
+    return geom.intra - geom.inter_sq.T.dot(1.0 / (root * sep))
 
 
 def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry):
@@ -185,19 +182,18 @@ def refine_weights(
 
 def _descend(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig, trace) -> np.ndarray:
     """Backtracking descent from the feasible ``w``, tracing each accepted step."""
-    value, roots = _evaluate(w, geom, cfg)
-    t_intra = cfg.t * geom.intra
-    step = cfg.step_size
+    value, roots = _evaluate(w, geom)
+    step = _STEP_SIZE
     for step_no in range(cfg.max_steps):
         if roots is None:  # a NaN in the start or the geometry: the rescale passes it
             raise ValueError("gradient needs a strictly feasible point")
-        grad = _gradient(t_intra, geom, roots)
+        grad = _gradient(geom, roots)
         while step >= _MIN_STEP:
             # max(w - step * grad, _FLOOR), built in one array
             candidate = np.multiply(grad, step)
             np.subtract(w, candidate, out=candidate)
             np.maximum(candidate, _FLOOR, out=candidate)
-            cand_value, cand_roots = _evaluate(candidate, geom, cfg)
+            cand_value, cand_roots = _evaluate(candidate, geom)
             if cand_value < value:
                 break
             if cand_value == value and np.array_equal(candidate, w):

@@ -388,10 +388,10 @@ def graph(i: int, edges, topics=None) -> GraphObject:
 _MIN_STEP = 1e-18
 
 
-def barrier_objective(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> float:
+def barrier_objective(weights, geom: ClusterGeometry) -> float:
     """Objective value at ``weights``; +inf when any pair separation <= 1."""
     w = np.asarray(weights, dtype=np.float64)
-    linear = cfg.t * float(geom.intra @ w)
+    linear = float(geom.intra @ w)
     if len(geom.inter_sq) == 0:
         return linear
     sep = np.sqrt(geom.inter_sq @ w) - 1.0
@@ -400,10 +400,10 @@ def barrier_objective(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> flo
     return linear - 2.0 * float(np.log(sep).sum())
 
 
-def barrier_gradient(weights, geom: ClusterGeometry, cfg: BarrierConfig) -> np.ndarray:
+def barrier_gradient(weights, geom: ClusterGeometry) -> np.ndarray:
     """Gradient at a feasible point; raises ValueError when infeasible."""
     w = np.asarray(weights, dtype=np.float64)
-    grad = cfg.t * geom.intra.copy()
+    grad = geom.intra.copy()
     if len(geom.inter_sq) == 0:
         return grad
     root = np.sqrt(geom.inter_sq @ w)
@@ -455,6 +455,7 @@ def refine_weights(
     geom: ClusterGeometry,
     cfg: BarrierConfig,
     trace: TraceHook | None = None,
+    step_size: float = 0.1,
 ) -> np.ndarray:
     """Descend the barrier objective from ``weights`` over a fixed geometry.
 
@@ -463,6 +464,7 @@ def refine_weights(
     centroids, the weights are returned unchanged. The input array is not
     modified. ``trace`` receives one record per accepted step, then one
     with the final weights and the pair counts, also when no pair is kept.
+    Each refresh's first step is ``step_size``, the library's constant.
     """
     w = np.asarray(weights, dtype=np.float64).copy()
     if w.shape != geom.intra.shape:
@@ -474,14 +476,14 @@ def refine_weights(
             trace({"final_weights": w.tolist(), "pairs": 0, "dropped_pairs": geom.dropped})
         return w
     w = _rescale_feasible(w, geom)
-    value = barrier_objective(w, geom, cfg)
-    step = cfg.step_size
+    value = barrier_objective(w, geom)
+    step = step_size
     for step_no in range(cfg.max_steps):
-        grad = barrier_gradient(w, geom, cfg)
+        grad = barrier_gradient(w, geom)
         accepted = False
         while step >= _MIN_STEP:
             candidate = np.maximum(w - step * grad, 0.0)
-            cand_value = barrier_objective(candidate, geom, cfg)
+            cand_value = barrier_objective(candidate, geom)
             if cand_value < value:
                 w, value = candidate, cand_value
                 accepted = True
@@ -565,8 +567,10 @@ def preprocess_record(g: GraphObject, schema: StreamSchema) -> GraphObject:
     if g.label is not None and not isinstance(g.label, str):
         raise ValueError(f"graph label must be a string, not {g.label!r}")
 
-    if not isinstance(g.edges, (list, tuple)) or not isinstance(g.side, dict):
-        raise ValueError("edges must be a list or tuple, and side a dict of dicts")
+    if not isinstance(g.edges, (list, tuple)):
+        raise ValueError("edges must be a list or tuple")
+    if not isinstance(g.side, dict):
+        raise ValueError("side must be an object keyed by type name")
     merged: dict[tuple[str, str], float] = {}
     for edge in g.edges:
         match edge:  # sequence patterns: no str, dict or number matches them

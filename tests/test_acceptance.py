@@ -41,7 +41,7 @@ from sketchclust import (
 from sketchclust.exact import ExactBank
 from sketchclust.model import graph_views
 from sketchclust.stats import ClusterBank
-from sketchclust.weight_opt import BarrierConfig, ClusterGeometry, _evaluate, _gradient
+from sketchclust.weight_opt import ClusterGeometry, _evaluate, _gradient
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -214,14 +214,14 @@ def test_c03_weight_learning_beats_uniform_weights():
 
 
 def _random_geometry(rng):
+    """A random geometry, its intra scaled by a barrier weight t in [0.5,
+    4): t only scales the objective's linear term."""
     d = int(rng.integers(1, 5))
     n_pairs = int(rng.integers(1, 6))
-    geom = ClusterGeometry(
-        intra=rng.uniform(0.05, 4.0, size=d + 1),
-        inter_sq=rng.uniform(0.05, 4.0, size=(n_pairs, d + 1)),
-        dropped=0,
-    )
-    return geom, BarrierConfig(t=float(rng.uniform(0.5, 4.0)))
+    intra = rng.uniform(0.05, 4.0, size=d + 1)
+    inter_sq = rng.uniform(0.05, 4.0, size=(n_pairs, d + 1))
+    t = float(rng.uniform(0.5, 4.0))
+    return ClusterGeometry(intra=t * intra, inter_sq=inter_sq, dropped=0)
 
 
 def _feasible_point(geom, rng, margin):
@@ -239,9 +239,9 @@ def test_c04_gradient_matches_central_differences():
     snapshots = 100
     worst = 0.0
     for _ in range(snapshots):
-        geom, cfg = _random_geometry(rng)
+        geom = _random_geometry(rng)
         w = _feasible_point(geom, rng, margin=float(rng.uniform(0.3, 1.0)))
-        analytic = _gradient(cfg.t * geom.intra, geom, _evaluate(w, geom, cfg)[1])
+        analytic = _gradient(geom, _evaluate(w, geom)[1])
         numeric = np.zeros_like(w)
         for i in range(len(w)):
             h = 1e-6 * max(1.0, abs(w[i]))
@@ -249,7 +249,7 @@ def test_c04_gradient_matches_central_differences():
             w_hi[i] += h
             w_lo[i] -= h
             numeric[i] = (
-                _evaluate(w_hi, geom, cfg)[0] - _evaluate(w_lo, geom, cfg)[0]
+                _evaluate(w_hi, geom)[0] - _evaluate(w_lo, geom)[0]
             ) / (2.0 * h)
         rel = float(
             np.linalg.norm(numeric - analytic)
@@ -276,13 +276,13 @@ def test_c05_objective_midpoint_convexity():
     pairs_per_snapshot = 1000
     snapshots = 5
     for _ in range(snapshots):
-        geom, cfg = _random_geometry(rng)
+        geom = _random_geometry(rng)
         for _ in range(pairs_per_snapshot):
             a = _feasible_point(geom, rng, margin=float(rng.uniform(0.05, 1.0)))
             b = _feasible_point(geom, rng, margin=float(rng.uniform(0.05, 1.0)))
-            f_a = _evaluate(a, geom, cfg)[0]
-            f_b = _evaluate(b, geom, cfg)[0]
-            f_mid = _evaluate((a + b) / 2.0, geom, cfg)[0]
+            f_a = _evaluate(a, geom)[0]
+            f_b = _evaluate(b, geom)[0]
+            f_mid = _evaluate((a + b) / 2.0, geom)[0]
             worst_gap = max(worst_gap, f_mid - (f_a + f_b) / 2.0)
 
     ok = worst_gap <= 1e-9

@@ -274,10 +274,23 @@ def test_a_misshapen_side_shorthand_is_a_bad_graph(tmp_path, capsys, entry, reas
     """The reader passes side entries on as decoded, so a misshapen one
     fails its graph by id, and ``eval``, which reads only ids and labels,
     reads its label."""
+    _check_a_bad_side(tmp_path, capsys, lambda record: {**record["side"], "topics": entry}, reason)
+
+
+@pytest.mark.parametrize("side", [[1], 3], ids=repr)
+def test_a_side_that_is_not_an_object_is_a_bad_graph(tmp_path, capsys, side):
+    reason = "side must be an object keyed by type name"
+    _check_a_bad_side(tmp_path, capsys, lambda record: side, reason)
+
+
+def _check_a_bad_side(tmp_path, capsys, bad_side, reason):
+    """Record 5 of a 30-graph stream with its side replaced by
+    ``bad_side(record)`` fails with ``reason`` in strict mode, is skipped
+    under ``--lenient``, and still scores in ``eval``."""
     stream = _synth(tmp_path / "s.jsonl", n_graphs=30)
     lines = open(stream, "r", encoding="utf-8").read().splitlines(keepends=True)
     record = json.loads(lines[5])
-    record["side"]["topics"] = entry
+    record["side"] = bad_side(record)
     lines[5] = json.dumps(record) + "\n"
     bad = tmp_path / "bad.jsonl"
     bad.write_text("".join(lines), encoding="utf-8")
@@ -456,9 +469,11 @@ def test_bad_engine_config_exits_1(tmp_path):
     assert _cluster(stream, tmp_path / "o", extra=["--p", "-1.0"]) == EXIT_USAGE
     # an infinite p would make the first spread inf * 0 and its event unwritable
     assert _cluster(stream, tmp_path / "o", extra=["--p", "inf"]) == EXIT_USAGE
-    # an infinite step stays infinite under halving, so a refresh would never end
-    for flag in ("--step-size", "--barrier-t"):
-        assert _cluster(stream, tmp_path / "o", extra=[flag, "inf"]) == EXIT_USAGE
+    assert _cluster(stream, tmp_path / "o", extra=["--sketch-cols", "1"]) == EXIT_USAGE
+    # the optimizer's barrier weight, first step and step budget are constants
+    for flag in ("--step-size", "--barrier-t", "--max-steps"):
+        assert _cluster(stream, tmp_path / "o", extra=[flag, "1"]) == EXIT_USAGE
+        assert _compare(stream, tmp_path / "o", extra=[flag, "1"]) == EXIT_USAGE
     assert not (tmp_path / "o").exists()
 
 

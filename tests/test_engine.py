@@ -66,9 +66,9 @@ def test_config_dict_round_trip():
 
 def test_from_json_keeps_an_integer_given_for_a_float():
     # kept as decoded, so a resumed engine writes the header it read
-    config = EngineConfig.from_dict({"k": 3, "p": 1, "barrier": {"t": 2}})
-    assert config == EngineConfig(k=3, p=1.0, barrier=BarrierConfig(t=2.0))
-    assert type(config.p) is int and type(config.barrier.t) is int
+    config = EngineConfig.from_dict({"k": 3, "p": 1, "barrier": {"max_steps": 5}})
+    assert config == EngineConfig(k=3, p=1.0, barrier=BarrierConfig(max_steps=5))
+    assert type(config.p) is int
 
 
 def _json_sample(cls):
@@ -610,19 +610,15 @@ def _raw_header(blob: bytes) -> bytes:
 def test_equal_configs_keep_their_own_header_bytes():
     # 3 and 3.0 compare equal and hash alike but are written apart; each
     # engine writes its own header, before and after a resume
-    pairs = [
-        (_config(p=3), _config(p=3.0)),
-        (_config(barrier=BarrierConfig(t=1)), _config(barrier=BarrierConfig(t=1.0))),
-    ]
-    for whole, fractional in pairs:
-        assert whole == fractional and hash(whole) == hash(fractional)
-        blobs = [Engine(c, SCHEMA).to_bytes() for c in (whole, fractional)]
-        assert _raw_header(blobs[0]) != _raw_header(blobs[1])
-        for _ in range(2):
-            for blob in blobs:
-                assert Engine.from_bytes(blob).to_bytes() == blob
-    assert b'"p": 3,' in _raw_header(Engine(_config(p=3), SCHEMA).to_bytes())
-    assert b'"p": 3.0,' in _raw_header(Engine(_config(p=3.0), SCHEMA).to_bytes())
+    whole, fractional = _config(p=3), _config(p=3.0)
+    assert whole == fractional and hash(whole) == hash(fractional)
+    blobs = [Engine(c, SCHEMA).to_bytes() for c in (whole, fractional)]
+    assert _raw_header(blobs[0]) != _raw_header(blobs[1])
+    for _ in range(2):
+        for blob in blobs:
+            assert Engine.from_bytes(blob).to_bytes() == blob
+    assert b'"p": 3,' in _raw_header(blobs[0])
+    assert b'"p": 3.0,' in _raw_header(blobs[1])
 
 
 _MIXED_SCHEMA = StreamSchema(
@@ -642,10 +638,10 @@ def test_stream_and_checkpoint_headers_are_pinned(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         f'{{"schema": {_MIXED_SCHEMA_JSON}, "stream_version": 1}}\n'
     )
-    engine = Engine(EngineConfig(k=3, p=3, barrier=BarrierConfig(t=1)), _MIXED_SCHEMA)
+    engine = Engine(EngineConfig(k=3, p=3), _MIXED_SCHEMA)
     assert _raw_header(engine.to_bytes()).decode("utf-8") == (
-        '{"backend": "sketch", "config": {"barrier": {"max_steps": 25, "step_size": 0.1,'
-        ' "t": 1}, "gamma": 250, "k": 3, "optimize_weights": true, "p": 3, "seed": 0,'
+        '{"backend": "sketch", "config": {"barrier": {"max_steps": 25}, "gamma": 250,'
+        ' "k": 3, "optimize_weights": true, "p": 3, "seed": 0,'
         ' "sketch": {"cols": 500, "rows": 10, "seed": 0}}, "record_distances": false,'
         f' "schema": {_MIXED_SCHEMA_JSON}}}'
     )
@@ -739,14 +735,10 @@ _HEADER_FAULTS = {
     "float_max_steps": lambda h: _with_config(
         h, barrier={**h["config"]["barrier"], "max_steps": 2.5}
     ),
-    "string_step_size": lambda h: _with_config(
-        h, barrier={**h["config"]["barrier"], "step_size": "0.1"}
+    "negative_max_steps": lambda h: _with_config(
+        h, barrier={**h["config"]["barrier"], "max_steps": -1}
     ),
-    "inf_step_size": lambda h: _with_config(
-        h, barrier={**h["config"]["barrier"], "step_size": float("inf")}
-    ),
-    "inf_t": lambda h: _with_config(h, barrier={**h["config"]["barrier"], "t": float("inf")}),
-    # unknown fields: the optimizer's margin and floor are constants
+    # unknown fields: the optimizer's margin, floor, barrier weight and step are constants
     "inf_weight_floor": lambda h: _with_config(
         h, barrier={**h["config"]["barrier"], "weight_floor": float("inf")}
     ),
@@ -779,15 +771,24 @@ def test_from_bytes_rejects_a_malformed_header(fault):
 
 
 @pytest.mark.parametrize(
-    "retired", [["feasibility_margin"], ["weight_floor"], ["feasibility_margin", "weight_floor"]]
+    "retired",
+    [
+        ["feasibility_margin"],
+        ["weight_floor"],
+        ["feasibility_margin", "weight_floor"],
+        ["t"],
+        ["step_size"],
+        ["step_size", "t"],
+        ["feasibility_margin", "step_size", "t", "weight_floor"],
+    ],
 )
 def test_from_bytes_rejects_a_header_with_a_retired_barrier_field(retired):
-    # Headers once carried the optimizer's rescale margin and projection
-    # floor, at these values; they are constants now, and a header that
-    # still names one is rejected by name.
+    # Headers once carried the optimizer's rescale margin, projection floor,
+    # barrier weight and first step, at these values; they are constants
+    # now, and a header that still names one is rejected by name.
     blob = _run_engine().to_bytes()
     header = _header_of(blob)
-    old = {"feasibility_margin": 0.05, "weight_floor": 0.0}
+    old = {"feasibility_margin": 0.05, "weight_floor": 0.0, "t": 1.0, "step_size": 0.1}
     barrier = {**header["config"]["barrier"], **{name: old[name] for name in retired}}
     listed = ", ".join(f"'{name}'" for name in retired)
     with pytest.raises(ValueError, match=rf"unknown BarrierConfig fields \[{listed}\]"):

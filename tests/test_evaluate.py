@@ -1,9 +1,12 @@
 """Purity, agreement, and throughput metrics on hand-built inputs."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,6 +43,8 @@ def test_purity_hand_example():
     assert report.dominant_labels == ["X", "Z"]
     assert asdict(report)["average_purity"] == pytest.approx(5 / 6)
     assert report.chance_purity == pytest.approx(2 / 5)
+    # 2 pairs share a cluster and a label, of 4 in a cluster, 2 in a label, 10 in all
+    assert report.adjusted_rand_index == 6 / 11
 
 
 def test_chance_purity_shows_a_collapse_that_average_purity_hides():
@@ -56,6 +61,72 @@ def test_chance_purity_shows_a_collapse_that_average_purity_hides():
     assert report.average_purity == pytest.approx(0.8333, abs=5e-5)
     assert report.size_weighted_purity == pytest.approx(33 / 93)
     assert report.chance_purity == pytest.approx(30 / 93)
+    # the size-aware partition score reads the collapse near 0
+    assert report.adjusted_rand_index == 2639 / 45419
+
+
+def _pair_counted_ari(members: list[tuple[int, str]]) -> Fraction:
+    """The adjusted Rand index of ``(cluster, label)`` members, counted
+    pair by pair (Hubert & Arabie's definition), exactly."""
+    pairs = list(itertools.combinations(members, 2))
+    together = sum(a[0] == b[0] and a[1] == b[1] for a, b in pairs)
+    clustered = sum(a[0] == b[0] for a, b in pairs)
+    labeled = sum(a[1] == b[1] for a, b in pairs)
+    expected = Fraction(clustered * labeled, len(pairs))
+    return (together - expected) / (Fraction(clustered + labeled, 2) - expected)
+
+
+def test_adjusted_rand_index_matches_pair_counting():
+    rng = random.Random(16)
+    for _ in range(200):
+        events, labels = [], {}
+        for i in range(rng.randint(3, 40)):
+            slot = rng.randrange(4)
+            action = ACTION_ASSIGNED if rng.random() < 0.7 else ACTION_REPLACED
+            events.append(_ev(f"g{i}", action, slot))
+            labels[f"g{i}"] = rng.choice("XYZ")
+        report, _ = purity_from_events(events, labels)
+        live: dict[int, list[str]] = {}
+        for ev in events:
+            if ev.action == ACTION_REPLACED:
+                live[ev.cluster_index] = []
+            live.setdefault(ev.cluster_index, []).append(labels[ev.graph_id])
+        members = [(slot, label) for slot, ls in live.items() for label in ls]
+        clustered = sum(n * (n - 1) for n in map(len, live.values()))
+        if 0 < clustered < len(members) * (len(members) - 1):  # not degenerate
+            assert report.adjusted_rand_index == float(_pair_counted_ari(members))
+
+
+def test_adjusted_rand_index_is_1_where_the_clusters_match_the_labels():
+    # slot 1 is replaced: only its live member counts, and it matches
+    events = _assigned({"a": 0, "b": 0, "c": 1, "d": 2, "e": 2})
+    events.append(_ev("f", ACTION_REPLACED, 1))
+    labels = {"a": "X", "b": "X", "c": "X", "d": "Z", "e": "Z", "f": "Y"}
+    report, _ = purity_from_events(events, labels)
+    assert report.cluster_sizes == [2, 1, 2]
+    assert report.adjusted_rand_index == 1.0
+
+
+@pytest.mark.parametrize(
+    "assignments, labels",
+    [
+        ({"a": 0}, "X"),
+        ({"a": 0, "b": 0, "c": 0}, "XXX"),
+        ({"a": 0, "b": 1, "c": 2}, "XYZ"),
+    ],
+    ids=["one_member", "all_together", "all_apart"],
+)
+def test_adjusted_rand_index_is_1_where_its_denominator_is_0(assignments, labels):
+    """The denominator is 0 only when both partitions hold every member
+    in one block, or every member apart: the same partition."""
+    report, _ = purity_from_events(_assigned(assignments), dict(zip(assignments, labels)))
+    assert report.adjusted_rand_index == 1.0
+
+
+def test_adjusted_rand_index_reads_0_for_a_clustering_that_splits_no_label():
+    # one cluster of two labels: no pair agrees beyond chance
+    report, _ = purity_from_events(_assigned({"a": 0, "b": 0}), {"a": "X", "b": "Y"})
+    assert report.adjusted_rand_index == 0.0
 
 
 def test_purity_skips_empty_slots_in_macro_average():

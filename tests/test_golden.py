@@ -37,12 +37,12 @@ RESUME_EVERY = 250
 GOLDEN = {
     "sketch": (
         "f5a9a21cb6ed071fe6b0cba45c6f638e18049c3142b43f3b208eeecd4a66310a",
-        "ee5c7b03e3e7a1665a4e7034a10dbeb26687eb2fb1a61a4c25da2ae742469f80",
+        "5414b9e6df1010d87c30754e2acf8433b922fc2b4aa9dd2f2eb72c07bd4fab1b",
         "42f6871c907fcbe0998753877ccd29c14669fdfd556cf61ff959956c8608c4b7",
     ),
     "exact": (
         "f5a9a21cb6ed071fe6b0cba45c6f638e18049c3142b43f3b208eeecd4a66310a",
-        "adaab5c0201dd930a07af53d042a56c241e73b2b1b4bf9269ad063098a0d8164",
+        "ccef8065fab72ed65fa6d7cb492b2f4857a3df3007edbc333519db0e898f90a2",
         "78808e6daf42ab9b7a48b4b8b048e8d4c6c08cb8dd0f93adbb1783c87afdb2e5",
     ),
 }
@@ -51,12 +51,12 @@ GOLDEN = {
 GOLDEN_DEFAULT = {
     "sketch": (
         "1f52dd6646f8c5ef34d0752a4a2df3f9652134a6cdb4c2c8cbb39d853a906e07",
-        "bae221baab7fc304abc8a8c37e1ce7a5b17adfcad8429a9e28e96ecfd18f3e0a",
+        "62ebf95ce15896566a6f2781a1f27b032d8b5bf55b7980e90a0bf01620bc6688",
         "42f6871c907fcbe0998753877ccd29c14669fdfd556cf61ff959956c8608c4b7",
     ),
     "exact": (
         "1f52dd6646f8c5ef34d0752a4a2df3f9652134a6cdb4c2c8cbb39d853a906e07",
-        "f7e6ad2276788ebb940f733ff294dd3a6e3b8e7d3d7e53967b9df94594dc0c99",
+        "796ed46414d6749e220830ae2e02cb1b0fc8c750a7ad339017fcb63d1c19265c",
         "78808e6daf42ab9b7a48b4b8b048e8d4c6c08cb8dd0f93adbb1783c87afdb2e5",
     ),
 }

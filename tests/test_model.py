@@ -120,6 +120,26 @@ def test_preprocess_rejects_a_misshapen_graph_with_value_error(fields):
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"edges": 5}, "edges must be a list or tuple"),
+        ({"edges": "ab"}, "edges must be a list or tuple"),
+        ({"side": [1]}, "side must be an object keyed by type name"),
+        ({"side": 3}, "side must be an object keyed by type name"),
+        ({"edges": [("a", "b")], "side": [("topics", {"x": 1.0})]},
+         "side must be an object keyed by type name"),
+        ({"edges": 5, "side": 3}, "edges must be a list or tuple"),
+    ],
+    ids=["edges_a_number", "edges_a_string", "side_a_list", "side_a_number", "side_pairs",
+         "both"],
+)
+def test_misshapen_edges_and_side_are_rejected_each_with_its_own_message(fields, message):
+    with pytest.raises(ValueError) as exc_info:
+        preprocess(GraphObject(id="g", **fields), _schema(SideType("topics")))
+    assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize(
     "entry, message",
     [
         (["x", None], "list items of 'topics' must be strings"),

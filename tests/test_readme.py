@@ -1,9 +1,11 @@
-"""The README's stream example and library snippet work as written."""
+"""The README's stream example and library snippet work as written, and
+every CLI flag it names exists."""
 
+import argparse
 import re
 from pathlib import Path
 
-from sketchclust import iter_stream, preprocess, read_header
+from sketchclust import cli, iter_stream, preprocess, read_header
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -29,3 +31,34 @@ def test_the_readme_stream_example_and_library_snippet_run(tmp_path, monkeypatch
     exec(compile(_block("python"), "README.md", "exec"), namespace)
     assert len(namespace["events"]) == len(namespace["labels"]) == 2000
     assert capsys.readouterr().out.strip()
+
+
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option of the parser and of its subcommands."""
+    options: set[str] = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _option_strings(sub)
+        options.update(action.option_strings)
+    return options
+
+
+def _readme_flags() -> set[str]:
+    """The ``--flags`` of the README's ``sh`` blocks and of its backticked
+    text, but those of ``pip`` commands."""
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```$", "", README, flags=re.M | re.S))
+    texts = [t for t in lines + spans if not t.lstrip().startswith("pip ")]
+    return {flag for text in texts for flag in _FLAG.findall(text)}
+
+
+def test_every_readme_flag_is_a_cli_option():
+    flags = _readme_flags()
+    assert {"--k", "--lenient", "--trace-weights", "--fixed-weights"} <= flags
+    unknown = sorted(flags - _option_strings(cli._build_parser()))
+    assert not unknown, f"the README names flags the CLI does not have: {unknown}"

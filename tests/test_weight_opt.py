@@ -3,6 +3,9 @@
 import math
 import random
 import warnings
+from dataclasses import fields
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,14 +46,19 @@ def _random_geometry(rng: random.Random, d: int = 2, n_pairs: int = 4) -> Cluste
     return ClusterGeometry(intra, np.vstack(rows), 0)
 
 
-def _objective(w, geom: ClusterGeometry, cfg: BarrierConfig) -> float:
-    return _evaluate(np.asarray(w, dtype=np.float64), geom, cfg)[0]
+def _scaled(geom: ClusterGeometry, t: float) -> ClusterGeometry:
+    """The geometry whose objective is ``geom``'s with a barrier weight of
+    ``t``: ``t`` only scales the linear term, so it scales ``intra``."""
+    return ClusterGeometry(t * geom.intra, geom.inter_sq, geom.dropped)
 
 
-def _grad(w, geom: ClusterGeometry, cfg: BarrierConfig) -> np.ndarray:
+def _objective(w, geom: ClusterGeometry) -> float:
+    return _evaluate(np.asarray(w, dtype=np.float64), geom)[0]
+
+
+def _grad(w, geom: ClusterGeometry) -> np.ndarray:
     """The gradient the optimizer takes at a feasible ``w``."""
-    roots = _evaluate(np.asarray(w, dtype=np.float64), geom, cfg)[1]
-    return _gradient(cfg.t * geom.intra, geom, roots)
+    return _gradient(geom, _evaluate(np.asarray(w, dtype=np.float64), geom)[1])
 
 
 def _feasible_point(rng: random.Random, geom: ClusterGeometry) -> np.ndarray:
@@ -60,17 +68,11 @@ def _feasible_point(rng: random.Random, geom: ClusterGeometry) -> np.ndarray:
 
 
 def test_barrier_config_validation():
-    with pytest.raises(ValueError):
-        BarrierConfig(t=0.0)
-    with pytest.raises(ValueError):
-        BarrierConfig(step_size=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_steps must be >= 0$"):
         BarrierConfig(max_steps=-1)
-    # an infinite step stays infinite under halving, so a refresh would never end
-    for field in ("t", "step_size"):
-        for value in (math.inf, math.nan):
-            with pytest.raises(ValueError, match=f"^{field} must be .* finite$"):
-                BarrierConfig(**{field: value})
+    # the barrier weight is 1 and the first step a constant: neither is a field
+    assert [f.name for f in fields(BarrierConfig)] == ["max_steps"]
+    assert weight_opt._STEP_SIZE == 0.1
 
 
 def test_geometry_from_clusters():
@@ -96,25 +98,23 @@ def test_geometry_needs_two_clusters():
 
 
 def test_objective_hand_example():
-    # one pair with Q = 4: f = t*<w, intra> - 2*log(sqrt(4) - 1) = 0
+    # one pair with Q = 4: f = <w, intra> - 2*log(sqrt(4) - 1) = 0
     geom = ClusterGeometry(np.zeros(2), np.array([[4.0, 0.0]]), 0)
-    cfg = BarrierConfig(t=1.0)
-    assert _objective([1.0, 1.0], geom, cfg) == pytest.approx(0.0)
+    assert _objective([1.0, 1.0], geom) == pytest.approx(0.0)
     # Q = 1 sits on the boundary: infeasible
-    assert _objective([0.25, 0.0], geom, cfg) == math.inf
-    assert _objective([0.0, 0.0], geom, cfg) == math.inf
+    assert _objective([0.25, 0.0], geom) == math.inf
+    assert _objective([0.0, 0.0], geom) == math.inf
 
 
 def test_feasibility_is_decided_as_the_roots_decide_it():
     # The evaluation rejects a candidate on its pair products Q before any
     # root: over the floats around Q = 1 it must reject exactly those whose
     # rounded root is at most 1, as the reference objective does.
-    cfg = BarrierConfig()
     q = np.nextafter(1.0, 0.0)
     for _ in range(200):
         geom = ClusterGeometry(np.ones(1), np.array([[q]]), 0)
-        got = _objective([1.0], geom, cfg)
-        assert got == reference.barrier_objective([1.0], geom, cfg), q
+        got = _objective([1.0], geom)
+        assert got == reference.barrier_objective([1.0], geom), q
         assert (got == math.inf) == (q <= 1.0 + 2.0**-52), q
         q = np.nextafter(q, 2.0)
 
@@ -122,28 +122,24 @@ def test_feasibility_is_decided_as_the_roots_decide_it():
 def test_objective_linear_where_the_barrier_vanishes():
     # one pair with Q = 4 at w = (1, 1): its barrier term, log(sqrt(4) - 1),
     # is 0, so the objective is the linear term and the gradient the linear
-    # term's less inter_sq / (root * (root - 1)) = inter_sq / 2
-    geom = ClusterGeometry(np.array([2.0, 3.0]), np.array([[2.0, 2.0]]), 0)
-    cfg = BarrierConfig(t=2.0)
-    assert _objective([1.0, 1.0], geom, cfg) == 10.0
-    assert _grad([1.0, 1.0], geom, cfg).tolist() == [3.0, 5.0]
+    # term's less inter_sq / (root * (root - 1)) = inter_sq / 2; at a
+    # barrier weight of 2, intra (2, 3) counts twice
+    geom = _scaled(ClusterGeometry(np.array([2.0, 3.0]), np.array([[2.0, 2.0]]), 0), 2.0)
+    assert _objective([1.0, 1.0], geom) == 10.0
+    assert _grad([1.0, 1.0], geom).tolist() == [3.0, 5.0]
 
 
 def test_gradient_matches_finite_differences():
     rng = random.Random(101)
-    cfg = BarrierConfig(t=1.7)
     h = 1e-6
     for trial in range(40):
-        geom = _random_geometry(rng)
+        geom = _scaled(_random_geometry(rng), 1.7)
         w = _feasible_point(rng, geom)
-        grad = _grad(w, geom, cfg)
+        grad = _grad(w, geom)
         for comp in range(len(w)):
             bump = np.zeros_like(w)
             bump[comp] = h
-            numeric = (
-                _objective(w + bump, geom, cfg)
-                - _objective(w - bump, geom, cfg)
-            ) / (2 * h)
+            numeric = (_objective(w + bump, geom) - _objective(w - bump, geom)) / (2 * h)
             assert grad[comp] == pytest.approx(numeric, rel=1e-4, abs=1e-4)
 
 
@@ -161,7 +157,7 @@ def test_gradient_matches_finite_differences():
 def test_gradient_requires_feasibility(start, cfg, message):
     geom = ClusterGeometry(np.zeros(2), np.array([[4.0, 0.0]]), 0)
     # outside the region the evaluation gives no roots to take a gradient at
-    assert _evaluate(np.array([0.125, 0.0]), geom, BarrierConfig()) == (math.inf, None)
+    assert _evaluate(np.array([0.125, 0.0]), geom) == (math.inf, None)
     # a start no descent can begin from is rejected as ``ensure_weights`` rejects it
     with pytest.raises(ValueError, match=f"^weights must .*{message}"):
         refine_weights(start, geom, cfg)
@@ -169,27 +165,26 @@ def test_gradient_requires_feasibility(start, cfg, message):
 
 def test_midpoint_convexity():
     rng = random.Random(55)
-    cfg = BarrierConfig(t=1.0)
     for trial in range(30):
         geom = _random_geometry(rng)
         a = _feasible_point(rng, geom)
         b = _feasible_point(rng, geom)
         mid = 0.5 * (a + b)
-        fa = _objective(a, geom, cfg)
-        fb = _objective(b, geom, cfg)
-        fm = _objective(mid, geom, cfg)
+        fa = _objective(a, geom)
+        fb = _objective(b, geom)
+        fm = _objective(mid, geom)
         assert fm <= 0.5 * fa + 0.5 * fb + 1e-9
 
 
 def test_refine_never_increases_objective():
     rng = random.Random(77)
     for trial in range(25):
-        geom = _random_geometry(rng)
-        cfg = BarrierConfig(t=rng.uniform(0.5, 3.0), max_steps=20)
+        geom = _scaled(_random_geometry(rng), rng.uniform(0.5, 3.0))
+        cfg = BarrierConfig(max_steps=20)
         start = _feasible_point(rng, geom)
-        start_value = _objective(start, geom, cfg)
+        start_value = _objective(start, geom)
         out = refine_weights(start, geom, cfg)
-        assert _objective(out, geom, cfg) <= start_value + 1e-12
+        assert _objective(out, geom) <= start_value + 1e-12
         assert np.all(out >= 0.0)
 
 
@@ -272,17 +267,18 @@ def test_refine_weights_emits_trace():
     assert records[-1]["pairs"] == 1
 
 
-def test_refine_prefers_separating_component():
+def test_refine_prefers_separating_component(monkeypatch):
     # Component 1 separates the pair and costs little intra; component 0
     # carries intra cost but no separation. Weight must flow to 1.
     geom = ClusterGeometry(np.array([5.0, 0.5]), np.array([[0.0, 3.0]]), 0)
-    cfg = BarrierConfig(t=1.0, max_steps=60, step_size=0.05)
-    out = refine_weights([1.0, 1.0], geom, cfg)
+    monkeypatch.setattr(weight_opt, "_STEP_SIZE", 0.05)
+    out = refine_weights([1.0, 1.0], geom, BarrierConfig(max_steps=60))
     assert out[1] > out[0]
 
 
 def _oracle_case(rng: random.Random, case: int):
-    """A random geometry, start and config for the bitwise oracle; ``case``
+    """A random geometry (its intra scaled by a barrier weight), start,
+    config and first step for the bitwise oracle; ``case``
     picks the start: feasible, infeasible (rescaled), on a component no pair
     separates along (restart from uniform), holding a NaN, an inf or a
     negative (rejected before any rescale), or in a geometry with a NaN row
@@ -296,11 +292,9 @@ def _oracle_case(rng: random.Random, case: int):
     for row in inter_sq:
         if not row.any():
             row[rng.randrange(n)] = rng.uniform(0.5, 4.0)
-    cfg = BarrierConfig(
-        t=rng.choice([0.05, 1.0, 3.7, 50.0]),
-        step_size=rng.choice([0.01, 0.1, 1.0]),
-        max_steps=rng.choice([0, 1, 5, 25, 25]),
-    )
+    t = rng.choice([0.05, 1.0, 3.7, 50.0])
+    step = rng.choice([0.01, 0.1, 1.0])
+    cfg = BarrierConfig(max_steps=rng.choice([0, 1, 5, 25, 25]))
     w = np.array([rng.uniform(0.2, 2.0) for _ in range(n)])
     kind = ("feasible", "infeasible", "restart", "bad_start", "nan")[case % 5]
     if kind == "feasible":
@@ -318,8 +312,8 @@ def _oracle_case(rng: random.Random, case: int):
         w[rng.randrange(n)] = rng.choice([math.nan, math.inf, -1.0])
     elif kind == "nan":
         inter_sq[rng.randrange(n_pairs), rng.randrange(n)] = math.nan
-    geom = ClusterGeometry(intra, inter_sq, 0)
-    return kind, geom, w, cfg
+    geom = ClusterGeometry(t * intra, inter_sq, 0)
+    return kind, geom, w, cfg, step
 
 
 def _outcome(refine, geom, w, cfg):
@@ -332,13 +326,19 @@ def _outcome(refine, geom, w, cfg):
     return (out.dtype.str, out.shape, out.tobytes()), records
 
 
-def test_refine_weights_matches_the_reference_bit_for_bit():
+def _reference_outcome(geom, w, cfg, step: float):
+    """``_outcome`` of the reference descent, first step ``step``."""
+    return _outcome(partial(reference.refine_weights, step_size=step), geom, w, cfg)
+
+
+def test_refine_weights_matches_the_reference_bit_for_bit(monkeypatch):
     rng = random.Random(2024)
     seen: dict[str, int] = {}
     raised = 0
     for case in range(400):
-        kind, geom, w, cfg = _oracle_case(rng, case)
-        expected = _outcome(reference.refine_weights, geom, w, cfg)
+        kind, geom, w, cfg, step = _oracle_case(rng, case)
+        monkeypatch.setattr(weight_opt, "_STEP_SIZE", step)
+        expected = _reference_outcome(geom, w, cfg, step)
         assert _outcome(refine_weights, geom, w, cfg) == expected, (case, kind)
         seen[kind] = seen.get(kind, 0) + 1
         raised += expected[0][0] == "ValueError"
@@ -360,8 +360,9 @@ _LAYOUTS = {
 def _geometries(draw):
     """A geometry of d+1 = 1..8 components and 1..150 pairs (up to 30 rows
     drawn value by value, the rest from a seeded generator over the same
-    values), components of zero intra or separation included, its arrays
-    C-contiguous, Fortran-ordered, strided or lists; and a config."""
+    values), components of zero intra or separation included, its intra
+    scaled by a barrier weight, its arrays C-contiguous, Fortran-ordered,
+    strided or lists; a config; and a first step."""
     n = draw(st.integers(1, 8))
     intra = draw(st.lists(st.just(0.0) | st.floats(0.0, 5.0), min_size=n, max_size=n))
     rows = draw(st.lists(st.lists(_SEPARATION, min_size=n, max_size=n), min_size=1, max_size=30))
@@ -374,17 +375,15 @@ def _geometries(draw):
         if not any(row):
             row[draw(st.integers(0, n - 1))] = draw(st.floats(0.5, 4.0))
     layout = _LAYOUTS[draw(st.sampled_from(sorted(_LAYOUTS)))]
+    t = draw(st.sampled_from([0.05, 1.0, 3.7, 50.0]))
     geom = ClusterGeometry(
-        intra=layout(np.array(intra, dtype=np.float64)),
+        intra=layout(t * np.array(intra, dtype=np.float64)),
         inter_sq=layout(np.array(rows, dtype=np.float64)),
         dropped=0,
     )
-    cfg = BarrierConfig(
-        t=draw(st.sampled_from([0.05, 1.0, 3.7, 50.0])),
-        step_size=draw(st.sampled_from([0.01, 0.1, 1.0])),
-        max_steps=draw(st.sampled_from([0, 1, 5, 25, 60])),
-    )
-    return geom, cfg
+    step = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    cfg = BarrierConfig(max_steps=draw(st.sampled_from([0, 1, 5, 25, 60])))
+    return geom, cfg, step
 
 
 # The tightest pair separates only in a subnormal weight, so the scale that
@@ -392,7 +391,7 @@ def _geometries(draw):
 _OVERFLOWING_GEOMETRY = ClusterGeometry(
     np.zeros(8), [[0, 0, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0, 0, 0]], 0
 )
-_OVERFLOWING_CONFIG = BarrierConfig(t=0.05, step_size=0.01, max_steps=0)
+_OVERFLOWING_CONFIG = BarrierConfig(max_steps=0)
 _OVERFLOWING_START = [0, 0, 0, 0, 1.1125369292536007e-308, 0, 0, 2.0]
 # The same scale keeps the weights finite but not a product the objective
 # takes of them: a pair's (2 * 9.9e307) or the intra term's (5 * 9.9e307).
@@ -413,35 +412,34 @@ _PRODUCT_GEOMETRIES = {"pair": _PAIR_PRODUCT_GEOMETRY, "intra": _INTRA_PRODUCT_G
 @example(
     case=(
         ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0),
-        BarrierConfig(step_size=1.0),
+        BarrierConfig(),
+        1.0,
     ),
     start=[0.1, 0.2, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0],
 )
 @example(
-    case=(
-        ClusterGeometry(np.zeros(3), np.array([[1.0, 1.0, 1.0]]), 0),
-        BarrierConfig(),
-    ),
+    case=(ClusterGeometry(np.zeros(3), np.array([[1.0, 1.0, 1.0]]), 0), BarrierConfig(), 0.1),
     start=[0.0, 0.0, 5e-324, 0.0, 0.0, 0.0, 0.0, 0.0],
 )
 @example(
-    case=(ClusterGeometry(np.zeros(3), [[5e-324, 0.0, 0.0]], 0), BarrierConfig()),
+    case=(ClusterGeometry(np.zeros(3), [[5e-324, 0.0, 0.0]], 0), BarrierConfig(), 0.1),
     start=[1.0] * 8,
 )
-@example(case=(_OVERFLOWING_GEOMETRY, _OVERFLOWING_CONFIG), start=_OVERFLOWING_START)
-@example(case=(_PAIR_PRODUCT_GEOMETRY, _OVERFLOWING_CONFIG), start=_PRODUCT_START)
-@example(case=(_INTRA_PRODUCT_GEOMETRY, _OVERFLOWING_CONFIG), start=_PRODUCT_START)
+@example(case=(_OVERFLOWING_GEOMETRY, _OVERFLOWING_CONFIG, 0.01), start=_OVERFLOWING_START)
+@example(case=(_PAIR_PRODUCT_GEOMETRY, _OVERFLOWING_CONFIG, 0.01), start=_PRODUCT_START)
+@example(case=(_INTRA_PRODUCT_GEOMETRY, _OVERFLOWING_CONFIG, 0.01), start=_PRODUCT_START)
 def test_refine_weights_matches_the_reference_on_random_geometries(case, start):
     """The library's descent, which stops early, and the reference's, which
     halves every step to the end, return the same bits and trace records.
     Both read any array layout: the geometry stores its arrays C-contiguous
     float64, whatever layout they are given in."""
-    geom, cfg = case
+    geom, cfg, step = case
     for array in (geom.intra, geom.inter_sq):
         assert array.dtype == np.float64 and array.flags.c_contiguous
     w = np.array(start[: len(geom.intra)], dtype=np.float64)
-    expected = _outcome(reference.refine_weights, geom, w, cfg)
-    assert _outcome(refine_weights, geom, w, cfg) == expected
+    expected = _reference_outcome(geom, w, cfg, step)
+    with mock.patch.object(weight_opt, "_STEP_SIZE", step):
+        assert _outcome(refine_weights, geom, w, cfg) == expected
 
 
 def test_a_rescale_that_overflows_restarts_from_uniform_weights():
@@ -469,13 +467,14 @@ def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
     # max_steps. Every smaller step's candidate then rounds to the
     # weights, so one rejected candidate equal to them ends the descent.
     geom = ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0)
-    cfg = BarrierConfig(step_size=1.0)
+    cfg = BarrierConfig()
+    monkeypatch.setattr(weight_opt, "_STEP_SIZE", 1.0)
     evaluated: list[np.ndarray] = []
     evaluate = weight_opt._evaluate
 
-    def recording(w, geom, cfg):
+    def recording(w, geom):
         evaluated.append(w.copy())
-        return evaluate(w, geom, cfg)
+        return evaluate(w, geom)
 
     monkeypatch.setattr(weight_opt, "_evaluate", recording)
     records: list[dict] = []
@@ -485,39 +484,41 @@ def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
     # the start, then candidates: the last accepted one equals the result
     equal = [w for w in evaluated[1:] if np.array_equal(w, out)]
     assert 1 <= len(equal) <= 2, len(equal)
-    monkeypatch.undo()
-    assert _outcome(refine_weights, geom, np.ones(3), cfg) == _outcome(
-        reference.refine_weights, geom, np.ones(3), cfg
+    monkeypatch.setattr(weight_opt, "_evaluate", evaluate)
+    assert _outcome(refine_weights, geom, np.ones(3), cfg) == _reference_outcome(
+        geom, np.ones(3), cfg, 1.0
     )
 
 
-def test_a_step_of_exactly_the_least_size_is_still_taken():
-    # At t = 1e3 the gradient is about 998 in each component, so a step of
-    # exactly _MIN_STEP moves each weight by a few ulps and improves the
-    # objective: the descent must evaluate it, not stop before it.
-    geom = ClusterGeometry(np.ones(2), np.array([[1.0, 1.0]]), 0)
-    cfg = BarrierConfig(t=1e3, step_size=weight_opt._MIN_STEP, max_steps=1)
+def test_a_step_of_exactly_the_least_size_is_still_taken(monkeypatch):
+    # At an intra of 1e3 the gradient is about 998 in each component, so a
+    # step of exactly _MIN_STEP moves each weight by a few ulps and improves
+    # the objective: the descent must evaluate it, not stop before it.
+    geom = ClusterGeometry(np.full(2, 1e3), np.array([[1.0, 1.0]]), 0)
+    cfg = BarrierConfig(max_steps=1)
+    monkeypatch.setattr(weight_opt, "_STEP_SIZE", weight_opt._MIN_STEP)
     start = np.ones(2)
     records: list[dict] = []
     out = refine_weights(start, geom, cfg, trace=records.append)
     assert 0.0 < start[0] - out[0] < 1e-14 and out[0] == out[1]
-    assert _objective(out, geom, cfg) < _objective(start, geom, cfg)
+    assert _objective(out, geom) < _objective(start, geom)
     assert records[0]["step_size"] == weight_opt._MIN_STEP
-    assert _outcome(refine_weights, geom, start, cfg) == _outcome(
-        reference.refine_weights, geom, start, cfg
+    assert _outcome(refine_weights, geom, start, cfg) == _reference_outcome(
+        geom, start, cfg, weight_opt._MIN_STEP
     )
 
 
-def test_a_step_below_the_least_size_returns_the_rescaled_start():
+def test_a_step_below_the_least_size_returns_the_rescaled_start(monkeypatch):
     # Half of _MIN_STEP is never tried, so the descent exits its step loop
     # at once: the rescaled start comes back, with only the final record.
     geom = ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0)
-    cfg = BarrierConfig(step_size=weight_opt._MIN_STEP / 2)
+    cfg = BarrierConfig()
+    monkeypatch.setattr(weight_opt, "_STEP_SIZE", weight_opt._MIN_STEP / 2)
     start = [0.1, 0.2, 0.3]  # Q = 0.71: infeasible, so rescaled to Q = 1.05
     records: list[dict] = []
     out = refine_weights(start, geom, cfg, trace=records.append)
     assert out.tolist() == weight_opt._rescale_feasible(np.array(start), geom).tolist()
     assert records == [{"final_weights": out.tolist(), "pairs": 1, "dropped_pairs": 0}]
-    assert _outcome(refine_weights, geom, start, cfg) == _outcome(
-        reference.refine_weights, geom, start, cfg
+    assert _outcome(refine_weights, geom, start, cfg) == _reference_outcome(
+        geom, start, cfg, weight_opt._MIN_STEP / 2
     )
