@@ -48,9 +48,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
-# throughput.csv rates edges over windows of this many seconds, and each
-# purity*.csv samples the average purity after every this many events
-_THROUGHPUT_WINDOW_S = 0.5
+# each purity*.csv samples the average purity after every this many events
 _PURITY_EVERY = 100
 
 
@@ -100,8 +98,6 @@ def _build_parser() -> _Parser:
     add_run_flags(p_cluster)
     p_cluster.add_argument("--backend", choices=BACKENDS, default=BACKENDS[0])
     p_cluster.add_argument("--out-dir", required=True)
-    p_cluster.add_argument("--diagnostics", action="store_true",
-                           help="record per-cluster distances in events")
     p_cluster.add_argument("--trace-weights", action="store_true",
                            help="emit weight optimizer trace to stderr")
 
@@ -114,7 +110,6 @@ def _build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="score an events file against labels")
     p_eval.add_argument("--events", required=True, help="events.jsonl from cluster")
     p_eval.add_argument("--stream", required=True, help="labeled stream file")
-    p_eval.add_argument("--out-dir", default=None)
 
     return parser
 
@@ -138,19 +133,16 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _score(
-    events: list[AssignmentEvent], labels: dict[str, str], csv_path: Path | None
-) -> PurityReport:
-    """Purity of an event log; given ``csv_path``, its series sampled every
-    ``_PURITY_EVERY`` events and its final value are written there."""
+def _score(events: list[AssignmentEvent], labels: dict[str, str], csv_path: Path) -> PurityReport:
+    """Purity of an event log; its series sampled every ``_PURITY_EVERY``
+    events and its final value are written to ``csv_path``."""
     report, series = purity_from_events(events, labels, every=_PURITY_EVERY)
-    if csv_path is not None:
-        rows = [*series, (len(events), report.average_purity)]
-        csv_path.write_text(
-            "graphs_processed,average_purity\n"
-            + "".join(f"{processed},{value:.6f}\n" for processed, value in rows),
-            encoding="utf-8",
-        )
+    rows = [*series, (len(events), report.average_purity)]
+    csv_path.write_text(
+        "graphs_processed,average_purity\n"
+        + "".join(f"{processed},{value:.6f}\n" for processed, value in rows),
+        encoding="utf-8",
+    )
     return report
 
 
@@ -235,9 +227,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     if args.trace_weights:
         trace = lambda record: _diag("trace", "weight_opt", **record)
 
-    engine = Engine(
-        config, schema, backend=args.backend, record_distances=args.diagnostics, trace=trace
-    )
+    engine = Engine(config, schema, backend=args.backend, trace=trace)
     manifest = {
         "artifact_version": __version__,
         "command": "cluster",
@@ -258,7 +248,7 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     }
     _write_json(out_dir / "weights.json", weights)
 
-    windows = throughput(marks, window_s=_THROUGHPUT_WINDOW_S)
+    windows = throughput(marks)
     (out_dir / "throughput.csv").write_text(
         "elapsed_s,edges_per_s\n" + "".join(f"{t:.3f},{r:.1f}\n" for t, r in windows),
         encoding="utf-8",
@@ -343,12 +333,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise StreamFormatError(f"graph {g.id!r} has two labels, {first!r} and {g.label!r}")
     if not labels:
         raise StreamFormatError("stream carries no labels to evaluate against")
-    csv_path = None
-    if args.out_dir:
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-        csv_path = Path(args.out_dir) / "purity.csv"
     try:
-        report = _score(events, labels, csv_path)
+        report, _ = purity_from_events(events, labels)
     except ValueError as exc:  # events that the labeled stream cannot score
         raise StreamFormatError(str(exc)) from None
     payload = asdict(report)

@@ -218,7 +218,10 @@ class Engine:
     def process(self, g: GraphObject) -> AssignmentEvent:
         """Route one graph, as ``preprocess`` returns it, and return the
         resulting event. ``process(preprocess(g, schema))`` over what
-        ``iter_stream`` yields is the one way a record reaches the engine."""
+        ``iter_stream`` yields is the one way a record reaches the engine.
+        A graph that ``_decide`` or the bank update rejects raises
+        ValueError before any change; a refresh that raises does so after
+        the graph's update, with the weights not refreshed."""
         view = graph_views(g, self.schema, self.bank.config)
         decision = self._decide(view)
         self._apply(decision, view)
@@ -228,7 +231,9 @@ class Engine:
         return AssignmentEvent(g.id, action, slot, best, spread, distances)
 
     def _decide(self, view: GraphView) -> _Decision:
-        """The graph's route, from the bank and weights; writes nothing."""
+        """The graph's route, from the bank and weights; writes nothing.
+        ValueError when a squared distance, the weighted distance to the
+        nearest cluster or its spread is not finite."""
         bank, config = self.bank, self.config
         if len(bank) < config.k:
             return _Decision(ACTION_INITIALIZED, len(bank))
@@ -238,6 +243,8 @@ class Engine:
         best = float(es_all[nearest])
         n = int(bank.n[nearest])
         spread = (config.p / n) * float(bank.intra_sq(nearest).dot(self.weights))
+        if not (math.isfinite(best) and math.isfinite(spread)):
+            raise ValueError(f"weighted distance {best!r} or spread {spread!r} is not finite")
         if n == 1 or best < spread:
             return _Decision(ACTION_ASSIGNED, nearest, best, spread, comp_sq)
         return _Decision(ACTION_REPLACED, bank.stalest(), best, spread, comp_sq)

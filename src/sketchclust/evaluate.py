@@ -18,7 +18,6 @@ slots still agree perfectly.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -107,10 +106,13 @@ def _dense(counters: dict[int, Counter]) -> list[Counter]:
     return [counters.get(i, Counter()) for i in range(size)]
 
 
-def throughput(
-    marks: Sequence[tuple[float, int]], window_s: float = 1.0
-) -> list[tuple[float, float]]:
-    """Windowed edge rates from (elapsed_seconds, cumulative_edges) marks.
+# ``throughput`` rates edges over windows of this many seconds, as throughput.csv reports
+_THROUGHPUT_WINDOW_S = 0.5
+
+
+def throughput(marks: Sequence[tuple[float, int]]) -> list[tuple[float, float]]:
+    """Edge rates over ``_THROUGHPUT_WINDOW_S`` windows, from
+    (elapsed_seconds, cumulative_edges) marks.
 
     Marks must be monotone in both fields. The cumulative count is
     linearly interpolated at window boundaries; each complete window
@@ -118,8 +120,6 @@ def throughput(
     short to hold a complete window yields no samples rather than an
     undefined rate.
     """
-    if not 0 < window_s < math.inf:
-        raise ValueError("window_s must be positive and finite")
     if len(marks) < 2:
         return []
     times = np.asarray([m[0] for m in marks], dtype=np.float64)
@@ -127,12 +127,12 @@ def throughput(
     if np.any(np.diff(times) < 0) or np.any(np.diff(edges) < 0):
         raise ValueError("timing marks must be monotone")
     rel = times - times[0]
-    n_windows = int(rel[-1] // window_s)
+    n_windows = int(rel[-1] // _THROUGHPUT_WINDOW_S)
     if n_windows < 1:
         return []
-    bounds = np.arange(n_windows + 1, dtype=np.float64) * window_s
+    bounds = np.arange(n_windows + 1, dtype=np.float64) * _THROUGHPUT_WINDOW_S
     cum = np.interp(bounds, rel, edges)
-    rates = np.diff(cum) / window_s
+    rates = np.diff(cum) / _THROUGHPUT_WINDOW_S
     return [(float(bounds[i + 1]), float(rates[i])) for i in range(n_windows)]
 
 

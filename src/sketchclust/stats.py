@@ -63,8 +63,13 @@ def read_array(data: bytes, off: int, dtype: str, shape: tuple[int, ...]) -> np.
 
 
 def _distance_sq(a_sq, cross, denom, b_sq) -> np.ndarray:
-    """``max(a_sq - 2 cross / denom + b_sq, 0)``, in that operation order."""
+    """``max(a_sq - 2 cross / denom + b_sq, 0)``, in that operation order.
+    ValueError when a value is not finite before the clamp: an overflow in
+    any term reaches it as an infinity or NaN, which the clamp would read as
+    a distance of 0 or pass on."""
     out = a_sq - 2.0 * cross / denom + b_sq
+    if not np.isfinite(out).all():
+        raise ValueError("a squared distance is not finite")
     return np.maximum(out, 0.0, out=out)
 
 
@@ -92,7 +97,8 @@ class Bank:
     block-diagonal values ``(N, d+1)``. On the sketch backend the middle
     and last terms use overestimating estimators, so sketch distances can
     only exceed their exact counterparts (before clamping). Negative values
-    from estimator noise are clamped to zero. One function, ``_distance_sq``,
+    from estimator noise are clamped to zero; a value that is not finite
+    before the clamp raises ValueError. One function, ``_distance_sq``,
     holds this form for every distance (a graph to a centroid, a centroid to
     a centroid), as ``intra_sq`` holds the spread's. An event's
     ``es_distance_sq`` (formed in ``Engine._decide``) weights the d+1 squared

@@ -613,7 +613,7 @@ def test_c09_closed_form_intra_survives_a_long_stream():
 def test_c10_throughput_rate_and_stability(long_run):
     marks = long_run["marks"]
     rate = overall_rate(marks)
-    windows = throughput(marks, window_s=0.5)
+    windows = throughput(marks)
     rates = np.array([r for _, r in windows], dtype=np.float64)
     assert rate is not None and len(rates) >= 5
     cv = float(rates.std() / rates.mean())

@@ -42,6 +42,7 @@ from sketchclust import (
     GraphObject,
     GraphView,
     SketchConfig,
+    StreamSchema,
     SynthConfig,
     graph_views,
     preprocess,
@@ -463,6 +464,22 @@ def test_an_update_whose_second_moments_would_not_be_finite_writes_nothing(exact
         with pytest.raises(ValueError, match="slot 1's second moments would not be finite"):
             getattr(bank, update)(1, view, _GRAPHS)
     assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
+def test_a_geometry_whose_pair_cross_product_overflows_raises(exact):
+    """Two singleton slots of edge x-z, masses ``1.3e154`` and ``1.2e154``:
+    finite second moments and centroids ``1e306`` apart, but the pair's
+    ``2 * cross`` overflows. Clamped, the pair read as coincident and was
+    dropped; ``geometry`` raises instead."""
+    schema = StreamSchema()
+    bank = ExactBank(0, 2) if exact else ClusterBank(SketchConfig(rows=3, cols=16), 0, 2)
+    for slot, mass in enumerate((1.3e154, 1.2e154)):
+        g = preprocess(GraphObject(f"g{slot}", [("x", "z", mass)]), schema)
+        bank.reset(slot, graph_views(g, schema, bank.config), slot + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="a squared distance is not finite"):
+            bank.geometry()
 
 
 def _set_second_moment(bank, value) -> None:

@@ -118,14 +118,20 @@ def test_fixed_weights_flag_keeps_uniform_weights(tmp_path):
 
 
 def test_diagnostics_flag_records_distances(tmp_path):
+    """``compare`` records per-cluster distances on every routed graph, and
+    only there; ``cluster`` records none."""
     stream = _synth(tmp_path / "s.jsonl", n_graphs=20)
-    out = tmp_path / "run"
-    assert _cluster(stream, out, extra=["--diagnostics"]) == EXIT_OK
-    events = [json.loads(l) for l in (out / "events.jsonl").open()]
-    decided = [e for e in events if e["action"] != "initialized"]
-    assert decided
-    assert all("distances" in e for e in decided)
-    assert all("distances" not in e for e in events if e["action"] == "initialized")
+    out = tmp_path / "cmp"
+    assert _compare(stream, out) == EXIT_OK
+    for backend in ("sketch", "exact"):
+        events = [json.loads(l) for l in (out / f"events_{backend}.jsonl").open()]
+        decided = [e for e in events if e["action"] != "initialized"]
+        assert decided
+        assert all("distances" in e for e in decided)
+        assert all("distances" not in e for e in events if e["action"] == "initialized")
+    assert _cluster(stream, tmp_path / "run") == EXIT_OK
+    events = [json.loads(l) for l in (tmp_path / "run" / "events.jsonl").open()]
+    assert all("distances" not in e for e in events)
 
 
 def test_compare_reports_agreement(tmp_path, capsys):
@@ -156,18 +162,12 @@ def test_eval_scores_existing_events(tmp_path, capsys):
     run = tmp_path / "run"
     assert _cluster(stream, run) == EXIT_OK
     capsys.readouterr()
-    out = tmp_path / "scored"
-    argv = [
-        "eval",
-        "--events", str(run / "events.jsonl"),
-        "--stream", stream,
-        "--out-dir", str(out),
-    ]
+    argv = ["eval", "--events", str(run / "events.jsonl"), "--stream", stream]
     assert main(argv) == EXIT_OK
     payload = json.loads(capsys.readouterr().out)
     assert payload["events"] == 120
-    assert 0.0 <= payload["average_purity"] <= 1.0
-    assert (out / "purity.csv").exists()
+    # the final row of the run's purity.csv
+    assert _last_purity_row(run / "purity.csv") == (120, f"{payload['average_purity']:.6f}")
 
 
 def test_eval_reports_skipped_records_and_unlabeled_events(tmp_path, capsys):
@@ -477,6 +477,25 @@ def test_bad_engine_config_exits_1(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_removed_output_flags_exit_1(tmp_path, capsys):
+    """``compare`` records the per-cluster distances, and ``cluster`` and
+    ``compare`` write each purity series: ``cluster --diagnostics`` and
+    ``eval --out-dir`` are unrecognised."""
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=10)
+    assert _cluster(stream, tmp_path / "run") == EXIT_OK
+    capsys.readouterr()
+    assert _cluster(stream, tmp_path / "o", extra=["--diagnostics"]) == EXIT_USAGE
+    events = str(tmp_path / "run" / "events.jsonl")
+    argv = ["eval", "--events", events, "--stream", stream, "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == EXIT_USAGE
+    messages = [json.loads(l)["message"] for l in capsys.readouterr().err.splitlines()]
+    assert messages == [
+        "usage: unrecognized arguments: --diagnostics",
+        f"usage: unrecognized arguments: --out-dir {tmp_path / 'o'}",
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 def test_undecodable_input_exits_2(tmp_path, capsys):
     stream = tmp_path / "s.jsonl"
     stream.write_bytes(
@@ -598,18 +617,22 @@ def test_graph_failing_preprocess_is_fatal_unless_lenient(tmp_path, capsys, run)
 
 @pytest.mark.parametrize("lenient", [False, True])
 def test_compare_events_match_cluster_diagnostics(tmp_path, lenient):
+    """Each of ``compare``'s event files is, byte for byte, what a library
+    engine of its backend writes with ``record_distances=True``."""
     stream = _synth(tmp_path / "s.jsonl", n_graphs=90)
+    bad_id = None
     if lenient:
-        stream, _ = _with_undeclared_side_type(tmp_path, stream)
+        stream, bad_id = _with_undeclared_side_type(tmp_path, stream)
     extra = ["--lenient"] if lenient else []
     assert _compare(stream, tmp_path / "cmp", extra=extra) == EXIT_OK
+    schema = read_header(stream)
+    config = EngineConfig(k=3, gamma=40, sketch=SketchConfig(cols=512))
+    graphs = [preprocess(g, schema) for g in iter_stream(stream) if g.id != bad_id]
+    assert len(graphs) == (89 if lenient else 90)
     for backend in ("sketch", "exact"):
-        out = tmp_path / backend
-        flags = ["--diagnostics", "--backend", backend, *extra]
-        assert _cluster(stream, out, extra=flags) == EXIT_OK
-        assert (tmp_path / "cmp" / f"events_{backend}.jsonl").read_bytes() == (
-            out / "events.jsonl"
-        ).read_bytes()
+        engine = Engine(config, schema, backend, record_distances=True)
+        lines = "".join(engine.process(g).to_json() + "\n" for g in graphs)
+        assert (tmp_path / "cmp" / f"events_{backend}.jsonl").read_text(encoding="utf-8") == lines
 
 
 _NOTHING_TO_CLUSTER = {

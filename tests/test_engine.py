@@ -511,21 +511,75 @@ def test_from_bytes_restores_every_attribute(backend, n_graphs):
 
 @pytest.mark.parametrize("backend", ["sketch", "exact"])
 def test_an_update_that_would_overflow_the_second_moments_changes_nothing(backend):
-    """Four graphs of one ``1e154`` edge (a square of 1e308) on keys a, b,
-    a, b: the third scores 0.0 against the first's cluster and joins it,
-    which would take that slot's second moment to inf, a state no
-    checkpoint loads. ``process`` rejects it first, and the engine is left
-    as it was and still round-trips."""
+    """Graphs of one edge on keys a, b, a, masses ``1.3e154``, ``1e154`` and
+    ``0.5e154``: the third lies a finite ``0.64e308`` from the first's
+    singleton cluster and joins it, which would take that slot's second
+    moment to ``1.94e308``, past float range, a state no checkpoint loads.
+    ``process`` rejects it first, and the engine is left as it was and
+    still round-trips."""
     engine = Engine(_config(k=2), SCHEMA, backend)
-    graphs = [graph(i, [("ab"[i % 2], "z", 1e154)]) for i in range(4)]
+    edges = [("a", 1.3e154), ("b", 1e154), ("a", 0.5e154)]
+    graphs = [graph(i, [(key, "z", mass)]) for i, (key, mass) in enumerate(edges)]
+    process_all(engine, graphs[:2])
+    view = graph_views(graphs[2], SCHEMA, engine.bank.config)
+    assert engine.bank.distances_sq(view)[0, 0] == pytest.approx(0.64e308)
+    before = copy.deepcopy(engine.bank)
     with np.errstate(over="ignore"):
-        process_all(engine, graphs[:2])
-        before = copy.deepcopy(engine.bank)
         with pytest.raises(ValueError, match="slot 0's second moments would not be finite"):
             engine.process(graphs[2])
     assert engine.graph_count == 2
     assert _same(engine.bank, before)
     blob = engine.to_bytes()
+    assert Engine.from_bytes(blob).to_bytes() == blob
+
+
+def _one_edge(i: int, key: str, mass: float) -> GraphObject:
+    """Graph ``g{i}`` of one edge ``key-z``, preprocessed for an empty schema."""
+    return preprocess(GraphObject(f"g{i}", [(key, "z", mass)]), StreamSchema())
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_a_graph_whose_distance_overflows_is_rejected_before_its_update(backend):
+    """Slot 0 holds 56 graphs of edge x-z, masses ``1.5e152`` and ``0.5e152``
+    in turn, slot 1 the other 45 graphs of the stream. A graph of x-z at
+    ``1.3e154`` lies ``1.654e308`` from slot 0's centroid, finite and far
+    above its spread, but the cross term ``2 * cross`` overflows; clamped,
+    it read as 0.0 and the graph was assigned. ``process`` raises before
+    any update, and the engine still round-trips."""
+    engine = Engine(_config(k=2, gamma=10**6), StreamSchema(), backend)
+    masses = [0.5e152, 1.0] + [(1.5e152, 0.5e152)[i % 2] for i in range(99)]
+    keys = ["x", "y"] + ["x"] * 99
+    for i, (key, mass) in enumerate(zip(keys, masses)):
+        engine.process(_one_edge(i, key, mass))
+    assert engine.bank.n.tolist() == [56, 45]
+    before = engine.to_bytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="a squared distance is not finite"):
+            engine.process(_one_edge(101, "x", 1.3e154))
+    assert engine.to_bytes() == before
+    assert Engine.from_bytes(before).to_bytes() == before
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_a_refresh_whose_geometry_overflows_raises_after_the_update(backend):
+    """Two singleton slots of edge x-z, masses ``1.3e154`` and ``1.2e154``:
+    their centroids lie ``1e306`` apart, but ``2 * cross`` overflows, which
+    once dropped the pair as coincident. The refresh due after the second
+    graph raises; that graph's update stays, the graph count includes it,
+    and the weights are not refreshed: the engine is the one that skipped
+    the refresh, and it round-trips."""
+    engine = Engine(_config(k=2, gamma=2), StreamSchema(), backend)
+    first, second = _one_edge(0, "x", 1.3e154), _one_edge(1, "x", 1.2e154)
+    engine.process(first)
+    twin = Engine.from_bytes(engine.to_bytes())
+    twin.refresh_weights = lambda: None
+    twin.process(second)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="a squared distance is not finite"):
+            engine.process(second)
+    assert engine.graph_count == 2 and engine.weights.tolist() == [1.0]
+    blob = engine.to_bytes()
+    assert blob == twin.to_bytes()
     assert Engine.from_bytes(blob).to_bytes() == blob
 
 

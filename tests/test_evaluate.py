@@ -221,31 +221,26 @@ def test_agreement_input_validation():
 
 
 def test_throughput_exact_windows():
-    marks = [(0.0, 0), (1.0, 100), (2.0, 300)]
-    assert throughput(marks, window_s=1.0) == [(1.0, 100.0), (2.0, 200.0)]
+    marks = [(0.0, 0), (0.5, 50), (1.0, 150)]
+    assert throughput(marks) == [(0.5, 100.0), (1.0, 200.0)]
 
 
 def test_throughput_interpolates_inside_sparse_marks():
-    marks = [(0.0, 0), (2.0, 200)]
-    assert throughput(marks, window_s=1.0) == [(1.0, 100.0), (2.0, 100.0)]
+    marks = [(0.0, 0), (1.0, 200)]
+    assert throughput(marks) == [(0.5, 200.0), (1.0, 200.0)]
 
 
 def test_throughput_short_span_yields_nothing():
-    assert throughput([(0.0, 0), (0.4, 50)], window_s=1.0) == []
-    assert throughput([(0.0, 0)], window_s=1.0) == []
-    assert throughput([], window_s=1.0) == []
+    assert throughput([(0.0, 0), (0.4, 50)]) == []
+    assert throughput([(0.0, 0)]) == []
+    assert throughput([]) == []
 
 
 def test_throughput_rejects_bad_input():
-    with pytest.raises(ValueError):
-        throughput([(0.0, 0), (1.0, 10)], window_s=0.0)
-    for window_s in (float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="finite"):
-            throughput([(0.0, 0), (1.0, 10)], window_s=window_s)
-    with pytest.raises(ValueError):
-        throughput([(1.0, 0), (0.5, 10)], window_s=1.0)
-    with pytest.raises(ValueError):
-        throughput([(0.0, 10), (1.0, 5)], window_s=1.0)
+    with pytest.raises(ValueError, match="monotone"):
+        throughput([(1.0, 0), (0.5, 10)])
+    with pytest.raises(ValueError, match="monotone"):
+        throughput([(0.0, 10), (1.0, 5)])
 
 
 def test_overall_rate():

@@ -7,10 +7,17 @@ whose every component has a collision-free row over its whole key
 universe, so every sketch estimate is exact and both backends must agree
 bit for bit. After every step the two engines' events, weights and bank
 scalars must be equal.
+
+A second property drives either backend with masses up to ``1e308``, where
+squares, cross terms and sums leave float range: a run either completes
+and round-trips, or stops with ``ValueError`` and leaves the state the
+README documents.
 """
 
+import re
+
 import numpy as np
-from hypothesis import settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -18,7 +25,9 @@ from reference import generate_graphs, separating_rows
 from sketchclust import (
     Engine,
     EngineConfig,
+    GraphObject,
     SketchConfig,
+    StreamSchema,
     SynthConfig,
     graph_views,
     preprocess,
@@ -109,3 +118,62 @@ BackendsAgree.TestCase.settings = settings(
     max_examples=50, stateful_step_count=30, deadline=None, database=None
 )
 test_backends_agree_under_interleaving = BackendsAgree.TestCase
+
+
+# Masses up to 1e308: most squares leave float range, and preprocess rejects
+# those graphs; masses near 1e154 pass it, and their sums of squares, cross
+# terms and spreads are where a run can overflow.
+_MASS = st.one_of(
+    st.floats(0.0, 1e308),
+    st.floats(1e153, 1.34e154),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 9.99), st.integers(140, 153)),
+    st.integers(1, 4).map(float),
+)
+_GRAPH = st.lists(st.tuples(st.sampled_from("xyw"), _MASS), min_size=1, max_size=2)
+_EMPTY = StreamSchema()
+# the update check, the distance check (in routing or in the refresh's
+# geometry), and the refresh's rescale when no float weights separate a pair
+_STOPS = (
+    "second moments would not be finite|squared distance is not finite"
+    "|weighted distance .* is not finite|no float weights separate"
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(backend=st.sampled_from(["sketch", "exact"]), run=st.lists(_GRAPH, min_size=1, max_size=14))
+def test_a_run_near_float_range_round_trips_or_stops_cleanly(backend, run):
+    """Each graph that ``preprocess`` accepts is processed. A run that
+    completes writes every event as JSON and round-trips its checkpoint.
+    A run that stops raises ``ValueError``: rejected before its update,
+    the engine is byte for byte as it was; raised by the refresh, the
+    engine holds the graph's update and its count, with the weights not
+    refreshed, which is the engine that skipped the refresh."""
+    config = EngineConfig(k=2, gamma=3, sketch=SketchConfig(rows=4, cols=64))
+    engine = Engine(config, _EMPTY, backend, record_distances=True)
+    stop = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, edges in enumerate(run):
+            try:
+                g = preprocess(GraphObject(f"g{i}", [(key, "z", m) for key, m in edges]), _EMPTY)
+            except ValueError:
+                continue  # the engine never sees a graph preprocess rejects
+            before = engine.to_bytes()
+            try:
+                engine.process(g).to_json()
+            except ValueError as exc:
+                stop = exc
+                break
+        blob = engine.to_bytes()
+        assert Engine.from_bytes(blob).to_bytes() == blob
+        if stop is None:
+            event("completed")
+            return
+        assert re.search(_STOPS, str(stop)), stop
+        if blob == before:
+            event(f"rejected before the update: {stop}")
+            return
+        event(f"raised by the refresh: {stop}")
+        twin = Engine.from_bytes(before)
+        twin.refresh_weights = lambda: None
+        twin.process(g)
+        assert blob == twin.to_bytes()
