@@ -84,13 +84,11 @@ def _build_parser() -> _Parser:
         p.add_argument("--input", required=True, help="stream file")
         p.add_argument("--k", type=int, required=True, help="cluster budget")
         p.add_argument("--gamma", type=int, default=EngineConfig.gamma,
-                       help="graphs between weight refreshes")
+                       help="graphs between weight refreshes (0: never, uniform weights)")
         p.add_argument("--p", type=float, default=EngineConfig.p, help="spread multiplier")
         p.add_argument("--sketch-rows", type=int, default=SketchConfig.rows)
         p.add_argument("--sketch-cols", type=int, default=SketchConfig.cols)
         p.add_argument("--seed", type=int, default=SketchConfig.seed)
-        p.add_argument("--fixed-weights", action="store_true",
-                       help="skip weight optimization (uniform weights)")
         p.add_argument("--lenient", action="store_true",
                        help="skip malformed records instead of aborting")
 
@@ -123,7 +121,6 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
             sketch=SketchConfig(rows=args.sketch_rows, cols=args.sketch_cols,
                                 seed=args.seed),
             seed=args.seed,
-            optimize_weights=not args.fixed_weights,
         )
     except ValueError as exc:  # config invariants violated through flags
         raise _UsageError(str(exc)) from None

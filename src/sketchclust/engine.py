@@ -15,7 +15,8 @@ in one of three ways:
   index; a graph's count is its arrival order in the stream).
 
 Every ``gamma`` graphs, with at least two live clusters, the weight vector
-is re-tuned against the current cluster geometry (see ``weight_opt``).
+is re-tuned against the current cluster geometry (see ``weight_opt``);
+``gamma = 0`` never re-tunes it, so the weights stay uniform.
 
 The clusters live in one bank, ``Engine.bank``, a ``stats.Bank`` that
 scores a graph against all clusters at once. Its arithmetic is shared by
@@ -92,13 +93,12 @@ class EngineConfig:
     sketch: SketchConfig = field(default_factory=SketchConfig)
     barrier: BarrierConfig = field(default_factory=BarrierConfig)
     seed: int = 0
-    optimize_weights: bool = True
 
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
+        if self.gamma < 0:
+            raise ValueError("gamma must be >= 0")
         if not 0 < self.p < math.inf:
             raise ValueError("p must be positive and finite")
 
@@ -256,7 +256,7 @@ class Engine:
         update = bank.absorb if decision.action == ACTION_ASSIGNED else bank.reset
         update(decision.slot, view, now)
         self.graph_count = now
-        if config.optimize_weights and now % config.gamma == 0 and len(bank) >= 2:
+        if config.gamma and now % config.gamma == 0 and len(bank) >= 2:
             self.refresh_weights()
 
     def refresh_weights(self) -> None:

@@ -4,11 +4,14 @@ Purity of one cluster is the fraction of its members carrying the
 dominant label; the headline score averages over nonempty clusters
 without size weighting (a size-weighted figure is reported alongside, and
 the chance level: the size-weighted purity of one cluster of all members).
+The all-generations purity counts every graph of the log once: each
+cluster generation, from the event that founds a slot's cluster to the
+one that replaces it, contributes the members of its dominant label.
 The adjusted Rand index (Hubert & Arabie, 1985) compares the live clusters
 with the labels as partitions: 1 when they agree, near 0 for a collapse.
 ``purity_from_events`` applies generation semantics to an event log: a
-replacement restarts that cluster slot's membership, so the score always
-describes the live clusters.
+replacement restarts that cluster slot's membership, so every score but
+the all-generations purity describes the live clusters.
 
 ``assignment_agreement`` compares two event logs over the same stream.
 Cluster indices are matched by maximum-overlap assignment between the two
@@ -32,23 +35,27 @@ class PurityReport:
     per_cluster_purity: list[float]
     average_purity: float
     size_weighted_purity: float
+    all_generations_purity: float
     chance_purity: float
     adjusted_rand_index: float
     cluster_sizes: list[int]
     dominant_labels: list[str | None]
 
 
-def _report_from_counters(counters: Sequence[Counter]) -> PurityReport:
+def _report_from_counters(counters: Sequence[Counter], retired: int, events: int) -> PurityReport:
+    """The live clusters' report; ``retired`` is the dominant-label members
+    of the generations replaced within the first ``events`` events."""
     sizes = [sum(counter.values()) for counter in counters]
     tops = [c.most_common(1)[0] if size else (None, 0) for c, size in zip(counters, sizes)]
     per_cluster = [hits / size if size else 0.0 for (_, hits), size in zip(tops, sizes)]
     nonempty = [p for p, size in zip(per_cluster, sizes) if size]
     pooled = sum(counters, Counter())
-    total = sum(sizes)
+    total, live = sum(sizes), sum(hits for _, hits in tops)
     return PurityReport(
         per_cluster_purity=per_cluster,
         average_purity=float(sum(nonempty) / len(nonempty)),
-        size_weighted_purity=float(sum(hits for _, hits in tops) / total),
+        size_weighted_purity=float(live / total),
+        all_generations_purity=float((retired + live) / events),
         chance_purity=float(max(pooled.values()) / total),
         adjusted_rand_index=_adjusted_rand_index(counters, sizes, pooled),
         cluster_sizes=sizes,
@@ -76,7 +83,8 @@ def purity_from_events(
     labels: Mapping[str, str],
     every: int = 0,
 ) -> tuple[PurityReport, list[tuple[int, float]]]:
-    """Purity of the live clustering described by an event log.
+    """Purity of the live clustering described by an event log, and of
+    every cluster generation in it.
 
     Returns the final report plus a (processed, average_purity) series
     sampled every ``every`` events (empty series when ``every`` is 0).
@@ -84,21 +92,24 @@ def purity_from_events(
     if not events:
         raise ValueError("purity needs at least one event")
     counters: dict[int, Counter] = {}
+    retired = 0  # dominant-label members of the replaced generations
     series: list[tuple[int, float]] = []
     for processed, ev in enumerate(events, start=1):
         if ev.graph_id not in labels:
             raise ValueError(f"missing label for graph {ev.graph_id!r}")
         label = labels[ev.graph_id]
         if ev.action in (ACTION_INITIALIZED, ACTION_REPLACED):
+            old = counters.get(ev.cluster_index)
+            retired += max(old.values()) if old else 0
             counters[ev.cluster_index] = Counter({label: 1})
         elif ev.action == ACTION_ASSIGNED:
             counters.setdefault(ev.cluster_index, Counter())[label] += 1
         else:
             raise ValueError(f"unknown event action {ev.action!r}")
         if every > 0 and processed % every == 0:
-            report = _report_from_counters(_dense(counters))
+            report = _report_from_counters(_dense(counters), retired, processed)
             series.append((processed, report.average_purity))
-    return _report_from_counters(_dense(counters)), series
+    return _report_from_counters(_dense(counters), retired, len(events)), series
 
 
 def _dense(counters: dict[int, Counter]) -> list[Counter]:

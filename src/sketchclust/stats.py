@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
 
 import numpy as np
 
@@ -41,6 +42,13 @@ from .weight_opt import ClusterGeometry, finite_nonneg
 # only whole-celled rows totalling under 1 / ROW_SUM_RTOL, whose gap is whole
 # and below one, must agree exactly.
 ROW_SUM_RTOL = 1e-6
+
+# An update is admitted only while a bound on the slot's self product stays
+# below this. Rounding keeps every stored sum within far less than this
+# margin of its exact value: the 500 squares of a row's self product, and a
+# second moment, which the self product bounds for nonnegative masses.
+_SELF_SQ_LIMIT = (1.0 - 2.0**-20) * sys.float_info.max
+_SELF_SQ_FAULT = "checkpoint holds a cluster whose self product is not finite"
 
 
 def unpack_at(fmt: str, data: bytes, off: int) -> tuple:
@@ -167,9 +175,16 @@ class Bank:
 
     def _check_update(self, view: GraphView, now: int, slot: int, end: int, joins: bool) -> None:
         """Reject a slot outside ``0..end-1``, or a graph no update may
-        write, before anything is written: one that would take the slot's
-        second moments (the graph's own, plus the cluster's when it
-        ``joins`` it) past float range, which no checkpoint may hold."""
+        write, before anything is written: one after which the slot's self
+        product (of the graph alone, or of the cluster it ``joins``) could
+        leave float range, which no checkpoint may hold.
+
+        Per component, a graph of ``n`` keys and sum of squares ``q`` adds
+        to each sketch row a vector of norm at most ``sqrt(n * q)`` (Cauchy-
+        Schwarz, for keys that share a cell), so by the triangle inequality
+        ``(sqrt(self_sq) + sqrt(n * q))**2`` bounds the self product after
+        the update, on either backend; it is exact for one key. For
+        nonnegative masses the self product bounds the second moments too."""
         if not 0 <= slot < end:
             raise ValueError(f"slot {slot} is outside 0..{end - 1}: {self.size} slots live")
         self._check(view)
@@ -178,10 +193,19 @@ class Bank:
         # one reduction: NaN fails the comparison, and -0.0 passes it
         if view.values.size and not view.values.min() >= 0.0:
             raise ValueError("negative or NaN update value")
-        moments = self.second_moments[slot] + view.sq_sum if joins else view.sq_sum
-        # a Python max: a numpy reduction costs a graph about 2 us more
-        if not max(moments.tolist()) < math.inf:
-            raise ValueError(f"slot {slot}'s second moments would not be finite")
+        # Python floats: numpy calls would cost a graph several us more
+        own = self.self_sq[:, slot].tolist() if joins else [0.0] * (self.d + 1)
+        sq_sum = view.sq_sum.tolist()
+        # (a + b)**2 <= 2 * (a**2 + b**2), and each component's terms are at
+        # most the sums over all: one test passes every graph far from the
+        # limit, which halved the check's cost in the stream loop
+        if 2.0 * (sum(own) + len(view.keys) * sum(sq_sum)) < _SELF_SQ_LIMIT:
+            return
+        ends = view.bounds
+        for held, sq, start, stop in zip(own, sq_sum, ends, ends[1:]):
+            root = math.sqrt(held) + math.sqrt((stop - start) * sq)
+            if not root * root < _SELF_SQ_LIMIT:
+                raise ValueError(f"slot {slot}'s self product would not be finite")
 
     # -- reads ---------------------------------------------------------------
 
@@ -250,8 +274,9 @@ class Bank:
         file order is the one reported: the slot count (more than ``k``,
         then other than ``min(graph_count, k)``), a cluster without members
         or more members than graphs, an update outside ``0..graph_count``,
-        then each negative or non-finite moment. A rejected section leaves
-        the bank unfit for use."""
+        then each negative or non-finite moment, and last a self product,
+        recomputed from the first moments, that is not finite. A rejected
+        section leaves the bank unfit for use."""
         (m,) = unpack_at("<I", data, off)
         k = len(self.n)
         if m > k:
@@ -282,6 +307,8 @@ class Bank:
         if not finite_nonneg(self.second_moments[:m]):
             raise ValueError("checkpoint holds negative or non-finite second moments")
         off = self._load_first(data, off + 16 * m + moments.nbytes, m)
+        if not np.isfinite(self.self_sq[:, :m]).all():  # recomputed from the first moments
+            raise ValueError(_SELF_SQ_FAULT)
         self.n[:m] = n
         self.t_last[:m] = t_last
         self.size = m
@@ -351,14 +378,15 @@ class ClusterBank(Bank):
         held = self.cells[:, :m]  # the bank's copy, checked as in ``Bank.load``
         # Four passes over the cells: the copy, the minimum, the row totals
         # and the squares. NaN fails ``min() >= 0``, and an inf cell makes its
-        # row's total inf; only then are the cells tested for inf, so finite
-        # cells whose total overflows still load.
+        # row's total inf; only then are the cells tested for inf. Finite
+        # cells whose total overflows would square to an inf self product.
         bad = "checkpoint holds negative or non-finite first moments"
         if held.size and not held.min() >= 0.0:
             raise ValueError(bad)
-        sums = held.sum(-1)  # one total per grid, to ROW_SUM_RTOL of the largest
-        if not np.isfinite(sums).all() and not np.isfinite(held).all():
-            raise ValueError(bad)
+        with np.errstate(over="ignore"):  # a total past float range is inf, tested next
+            sums = held.sum(-1)  # one total per grid, to ROW_SUM_RTOL of the largest
+        if not np.isfinite(sums).all():
+            raise ValueError(bad if not np.isfinite(held).all() else _SELF_SQ_FAULT)
         top = sums.max(-1)
         if (top - sums.min(-1) > ROW_SUM_RTOL * top).any():
             raise ValueError("checkpoint holds a sketch whose rows sum to different totals")

@@ -183,10 +183,9 @@ def test_c03_weight_learning_beats_uniform_weights():
             eng = Engine(
                 EngineConfig(
                     k=4,
-                    gamma=250,
+                    gamma=250 if optimize else 0,
                     p=3.0,
                     sketch=SketchConfig(rows=10, cols=500, seed=seed),
-                    optimize_weights=optimize,
                 ),
                 schema,
             )
@@ -708,7 +707,7 @@ def test_c11_degenerate_inputs_complete_cleanly():
     )
 
     # an all-zero weight vector degrades distances to zero, nothing faults
-    eng = _engine(schema, optimize_weights=False)
+    eng = _engine(schema, gamma=0)
     eng.weights = np.zeros(schema.d + 1)
     mixed = [
         GraphObject(

@@ -455,14 +455,55 @@ def test_from_bytes_rejects_garbage(exact):
 @pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
 def test_an_update_whose_second_moments_would_not_be_finite_writes_nothing(exact, update):
     """A view built without ``preprocess``, one mass of ``1e200``, squares
-    past float range; ``reset`` and ``absorb`` reject it before any array
-    changes."""
+    past float range; ``reset`` and ``absorb`` reject it, by the self
+    product that bounds the second moments, before any array changes."""
     bank = _two_clusters(exact)
     before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
     with np.errstate(over="ignore"):
         view = GraphView((b"a\x1fb", b"t"), [1e200, 1.0], [0, 1, 2], bank.config)
-        with pytest.raises(ValueError, match="slot 1's second moments would not be finite"):
+        with pytest.raises(ValueError, match="slot 1's self product would not be finite"):
             getattr(bank, update)(1, view, _GRAPHS)
+    assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
+
+
+def _one_edge_view(bank, mass: float) -> GraphView:
+    """The view of one x-z edge of ``mass``, for an empty schema."""
+    schema = StreamSchema()
+    g = preprocess(GraphObject("g", [("x", "z", mass)]), schema)
+    return graph_views(g, schema, bank.config)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
+def test_an_absorb_whose_self_product_would_not_be_finite_writes_nothing(exact):
+    """A slot founded on x-z at ``1e154`` absorbing x-z at ``0.4e154``: the
+    second moment would be a finite ``1.16e308``, but the self product
+    ``(1.4e154)**2`` is past float range. ``absorb`` rejects it before any
+    array changes; the bound is exact for one key, so ``1.3e154`` in total
+    still joins."""
+    bank = ExactBank(0, 2) if exact else ClusterBank(SketchConfig(rows=3, cols=16), 0, 2)
+    bank.reset(0, _one_edge_view(bank, 1e154), 1)
+    before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
+    with pytest.raises(ValueError, match="slot 0's self product would not be finite"):
+        bank.absorb(0, _one_edge_view(bank, 0.4e154), 2)
+    assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
+    bank.absorb(0, _one_edge_view(bank, 0.3e154), 2)
+    assert bank.self_sq[0, 0] == pytest.approx(1.3e154**2)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
+def test_a_reset_whose_self_product_could_overflow_keeps_the_evicted_cluster(exact):
+    """Two edge keys of ``0.9e154`` square-sum to a finite ``1.62e308``,
+    but the sketch may hash both into one cell, where their self product
+    ``(1.8e154)**2`` is past float range; the bound takes that case on
+    either backend. ``reset`` rejects the graph and slot 1's cluster stays
+    byte for byte."""
+    bank = _two_clusters(exact)
+    before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
+    keys = (b"a\x1fb", b"c\x1fd", b"t")
+    view = GraphView(keys, [0.9e154, 0.9e154, 1.0], [0, 2, 3], bank.config)
+    assert np.isfinite(view.sq_sum).all()
+    with pytest.raises(ValueError, match="slot 1's self product would not be finite"):
+        bank.reset(1, view, _GRAPHS)
     assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
 
 
@@ -520,14 +561,26 @@ def test_load_reports_a_bad_cell_with_the_one_message(cell, value):
     assert str(info.value) == "checkpoint holds negative or non-finite first moments"
 
 
-def test_load_accepts_finite_cells_whose_row_totals_overflow():
-    """Only an inf row total sends the load to test the cells for inf, so
-    finite cells whose totals overflow load as they always have."""
-    bank = _two_clusters(exact=False)
-    bank.cells[:, :2] = 1e308
-    blob = b"".join(bank.to_parts())
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert _loads(bank, blob) == blob
+def _set_large_first_moments(bank, value) -> None:
+    """Slot 1's edge masses, or every cell of its edge grid, at ``value``."""
+    if isinstance(bank, ExactBank):
+        masses = bank.maps[1][0]
+        masses.update(dict.fromkeys(masses, value))
+    else:
+        bank.cells[0, 1] = value
+
+
+@pytest.mark.parametrize("value", [1e308, 1e154], ids=["totals_overflow", "squares_overflow"])
+@pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
+def test_load_rejects_finite_first_moments_whose_self_product_overflows(exact, value):
+    """No update leaves a self product that is not finite, so a checkpoint
+    whose first moments, each finite, recompute to one is rejected: sketch
+    cells or map masses of ``1e308``, whose row totals overflow as well,
+    or of ``1e154``, whose totals stay finite. Neither warns first."""
+    bank = _two_clusters(exact)
+    _set_large_first_moments(bank, value)
+    with pytest.raises(ValueError, match="a cluster whose self product is not finite"):
+        _loads(bank, b"".join(bank.to_parts()))
 
 
 def test_load_alone_rejects_a_sketch_whose_rows_sum_apart():

@@ -109,10 +109,10 @@ def test_cluster_events_are_reproducible(tmp_path):
     assert (out1 / "weights.json").read_bytes() == (out2 / "weights.json").read_bytes()
 
 
-def test_fixed_weights_flag_keeps_uniform_weights(tmp_path):
+def test_gamma_0_keeps_uniform_weights(tmp_path):
     stream = _synth(tmp_path / "s.jsonl")
     out = tmp_path / "run"
-    assert _cluster(stream, out, extra=["--fixed-weights"]) == EXIT_OK
+    assert _cluster(stream, out, extra=["--gamma", "0"]) == EXIT_OK
     weights = json.loads((out / "weights.json").read_text())
     assert weights["weights"] == [1.0, 1.0, 1.0]
 
@@ -496,6 +496,24 @@ def test_removed_output_flags_exit_1(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["cluster", "compare"])
+def test_fixed_weights_flag_and_a_negative_gamma_exit_1(tmp_path, capsys, command):
+    """Uniform weights are ``--gamma 0``: ``--fixed-weights`` is an
+    unrecognised argument and ``--gamma -1`` a config error, and neither
+    creates anything."""
+    stream = _synth(tmp_path / "s.jsonl", n_graphs=10)
+    capsys.readouterr()
+    argv = [command, "--input", stream, "--k", "2", "--out-dir", str(tmp_path / "o")]
+    assert main([*argv, "--fixed-weights"]) == EXIT_USAGE
+    assert main([*argv, "--gamma", "-1"]) == EXIT_USAGE
+    messages = [json.loads(l)["message"] for l in capsys.readouterr().err.splitlines()]
+    assert messages == [
+        "usage: unrecognized arguments: --fixed-weights",
+        "usage: gamma must be >= 0",
+    ]
+    assert not (tmp_path / "o").exists()
+
+
 def test_undecodable_input_exits_2(tmp_path, capsys):
     stream = tmp_path / "s.jsonl"
     stream.write_bytes(
@@ -760,7 +778,7 @@ def test_purity_is_skipped_when_a_graph_id_comes_back_with_another_label(
     # purity looks labels up by id: both g1 records would count as y, and
     # cluster 0, which holds both, would read purity 1 instead of 0.5
     out = tmp_path / "run"
-    argv = [command, "--input", _relabeled_stream(tmp_path), "--k", "2", "--fixed-weights",
+    argv = [command, "--input", _relabeled_stream(tmp_path), "--k", "2", "--gamma", "0",
             "--out-dir", str(out)]
     assert main(argv) == EXIT_OK
     captured = capsys.readouterr()

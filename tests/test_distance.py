@@ -78,7 +78,7 @@ def test_intra_closed_form_hand_example():
 
 def _events(graphs, weights):
     """Events of an exact engine (k=2, p=3) run at fixed ``weights``."""
-    engine = Engine(EngineConfig(k=2, optimize_weights=False), SCHEMA, "exact")
+    engine = Engine(EngineConfig(k=2, gamma=0), SCHEMA, "exact")
     engine.weights = np.array(weights)
     return [engine.process(g) for g in graphs]
 

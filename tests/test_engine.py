@@ -46,7 +46,7 @@ def test_engine_config_validation():
     with pytest.raises(ValueError):
         _config(k=1)
     with pytest.raises(ValueError):
-        _config(gamma=0)
+        _config(gamma=-1)
     with pytest.raises(ValueError):
         _config(p=0.0)
     with pytest.raises(ValueError):
@@ -56,7 +56,7 @@ def test_engine_config_validation():
 
 
 def test_config_dict_round_trip():
-    cfg = _config(k=3, gamma=10, p=2.0, optimize_weights=False)
+    cfg = _config(k=3, gamma=0, p=2.0)
     assert EngineConfig.from_dict(cfg.to_dict()) == cfg
     # a field left out takes the dataclass default; an unknown one is an error
     assert EngineConfig.from_dict({"k": 3}) == EngineConfig(k=3)
@@ -227,14 +227,13 @@ def test_weights_refresh_only_on_gamma_boundary():
     assert not np.array_equal(seen[9], np.ones(2))
 
 
-def test_optimize_weights_false_keeps_equal_weights():
+def test_gamma_0_keeps_equal_weights():
     cfg = SynthConfig(n_clusters=2, n_graphs=40, seed=5)
     schema = synth_schema(cfg)
     engine = Engine(
         EngineConfig(
             k=2,
-            gamma=5,
-            optimize_weights=False,
+            gamma=0,
             sketch=SketchConfig(rows=4, cols=128, seed=2),
         ),
         schema,
@@ -514,9 +513,10 @@ def test_an_update_that_would_overflow_the_second_moments_changes_nothing(backen
     """Graphs of one edge on keys a, b, a, masses ``1.3e154``, ``1e154`` and
     ``0.5e154``: the third lies a finite ``0.64e308`` from the first's
     singleton cluster and joins it, which would take that slot's second
-    moment to ``1.94e308``, past float range, a state no checkpoint loads.
-    ``process`` rejects it first, and the engine is left as it was and
-    still round-trips."""
+    moment to ``1.94e308`` and its self product to ``3.24e308``, past float
+    range, a state no checkpoint loads. ``process`` rejects it first, by the
+    self product, which bounds the second moment, and the engine is left as
+    it was and still round-trips."""
     engine = Engine(_config(k=2), SCHEMA, backend)
     edges = [("a", 1.3e154), ("b", 1e154), ("a", 0.5e154)]
     graphs = [graph(i, [(key, "z", mass)]) for i, (key, mass) in enumerate(edges)]
@@ -525,7 +525,7 @@ def test_an_update_that_would_overflow_the_second_moments_changes_nothing(backen
     assert engine.bank.distances_sq(view)[0, 0] == pytest.approx(0.64e308)
     before = copy.deepcopy(engine.bank)
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="slot 0's second moments would not be finite"):
+        with pytest.raises(ValueError, match="slot 0's self product would not be finite"):
             engine.process(graphs[2])
     assert engine.graph_count == 2
     assert _same(engine.bank, before)
@@ -556,6 +556,30 @@ def test_a_graph_whose_distance_overflows_is_rejected_before_its_update(backend)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="a squared distance is not finite"):
             engine.process(_one_edge(101, "x", 1.3e154))
+    assert engine.to_bytes() == before
+    assert Engine.from_bytes(before).to_bytes() == before
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_a_graph_that_would_overflow_a_self_product_is_rejected_before_its_update(backend):
+    """The stream above, run on: x-z at ``0.5e152``, y-z at ``1.0``, then
+    x-z at ``1.5e152`` and ``0.5e152`` in turn. Graph 176 would join slot 0
+    as its 94th member, taking its mass from ``1.335e154`` to ``1.350e154``
+    and its self product past float range, with its second moment at
+    ``2e306``. That self product once became inf, and every later graph
+    raised at its distance; ``process`` now rejects graph 176 before its
+    update, and the engine still round-trips."""
+    engine = Engine(_config(k=2, gamma=10**6), StreamSchema(), backend)
+    masses = [0.5e152, 1.0] + [(1.5e152, 0.5e152)[i % 2] for i in range(174)]
+    keys = ["x", "y"] + ["x"] * 174
+    for i, (key, mass) in enumerate(zip(keys, masses)):
+        engine.process(_one_edge(i, key, mass))
+        assert np.isfinite(engine.bank.self_sq).all()
+    assert engine.bank.n.tolist() == [93, 83]
+    assert engine.bank.self_sq[0, 0] == pytest.approx(1.335e154**2)
+    before = engine.to_bytes()
+    with pytest.raises(ValueError, match="slot 0's self product would not be finite"):
+        engine.process(_one_edge(176, "x", 1.5e152))
     assert engine.to_bytes() == before
     assert Engine.from_bytes(before).to_bytes() == before
 
@@ -695,7 +719,7 @@ def test_stream_and_checkpoint_headers_are_pinned(tmp_path):
     engine = Engine(EngineConfig(k=3, p=3), _MIXED_SCHEMA)
     assert _raw_header(engine.to_bytes()).decode("utf-8") == (
         '{"backend": "sketch", "config": {"barrier": {"max_steps": 25}, "gamma": 250,'
-        ' "k": 3, "optimize_weights": true, "p": 3, "seed": 0,'
+        ' "k": 3, "p": 3, "seed": 0,'
         ' "sketch": {"cols": 500, "rows": 10, "seed": 0}}, "record_distances": false,'
         f' "schema": {_MIXED_SCHEMA_JSON}}}'
     )
@@ -783,7 +807,6 @@ _HEADER_FAULTS = {
     "bool_p": lambda h: _with_config(h, p=True),
     "infinite_p": lambda h: _with_config(h, p=float("inf")),
     "float_seed": lambda h: _with_config(h, seed=1.5),
-    "string_optimize_weights": lambda h: _with_config(h, optimize_weights="false"),
     "float_sketch_seed": lambda h: _with_config(h, sketch={**h["config"]["sketch"], "seed": 5.5}),
     "bool_sketch_rows": lambda h: _with_config(h, sketch={**h["config"]["sketch"], "rows": True}),
     "float_max_steps": lambda h: _with_config(
@@ -847,6 +870,15 @@ def test_from_bytes_rejects_a_header_with_a_retired_barrier_field(retired):
     listed = ", ".join(f"'{name}'" for name in retired)
     with pytest.raises(ValueError, match=rf"unknown BarrierConfig fields \[{listed}\]"):
         Engine.from_bytes(_with_header(blob, _with_config(header, barrier=barrier)))
+
+
+def test_from_bytes_rejects_a_header_that_carries_optimize_weights():
+    # Headers once carried the switch that ``gamma=0`` replaces; one that
+    # still names it is rejected by name.
+    blob = _run_engine().to_bytes()
+    old = _with_config(_header_of(blob), optimize_weights=True)
+    with pytest.raises(ValueError, match=r"unknown EngineConfig fields \['optimize_weights'\]"):
+        Engine.from_bytes(_with_header(blob, old))
 
 
 def _cluster_section(blob: bytes) -> int:

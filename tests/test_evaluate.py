@@ -65,6 +65,31 @@ def test_chance_purity_shows_a_collapse_that_average_purity_hides():
     assert report.adjusted_rand_index == 2639 / 45419
 
 
+def test_all_generations_purity_counts_the_members_of_replaced_clusters():
+    """Slot 0 holds X, X, Y until f replaces it; slot 1 holds Z, Y, Y.
+    Live, slot 0 is f alone (pure) and slot 1 scores 2 of 3: 3 of 4 members.
+    Over all generations the replaced one adds its 2 X of 3, so 5 of the
+    log's 7 graphs count."""
+    events = _assigned({"a": 0, "b": 0, "c": 1, "d": 0, "e": 1, "g": 1})
+    events.insert(4, _ev("f", ACTION_REPLACED, 0))
+    labels = {"a": "X", "b": "X", "c": "Z", "d": "Y", "e": "Y", "f": "W", "g": "Y"}
+    report, _ = purity_from_events(events, labels)
+    assert report.cluster_sizes == [1, 3]
+    assert report.size_weighted_purity == 3 / 4
+    assert report.all_generations_purity == 5 / 7
+
+
+def test_all_generations_purity_is_the_size_weighted_one_without_replacements():
+    rng = random.Random(17)
+    for _ in range(100):
+        n = rng.randint(1, 40)
+        events = [_ev(f"g{i}", ACTION_INITIALIZED, i) for i in range(min(n, 3))]
+        events += [_ev(f"g{i}", ACTION_ASSIGNED, rng.randrange(3)) for i in range(3, n)]
+        labels = {f"g{i}": rng.choice("XYZ") for i in range(n)}
+        report, _ = purity_from_events(events, labels)
+        assert report.all_generations_purity == report.size_weighted_purity
+
+
 def _pair_counted_ari(members: list[tuple[int, str]]) -> Fraction:
     """The adjusted Rand index of ``(cluster, label)`` members, counted
     pair by pair (Hubert & Arabie's definition), exactly."""

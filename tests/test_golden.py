@@ -37,12 +37,12 @@ RESUME_EVERY = 250
 GOLDEN = {
     "sketch": (
         "f5a9a21cb6ed071fe6b0cba45c6f638e18049c3142b43f3b208eeecd4a66310a",
-        "5414b9e6df1010d87c30754e2acf8433b922fc2b4aa9dd2f2eb72c07bd4fab1b",
+        "8f39531991ad607086d0282842c10c6d05a3f8b6c8d57233d353528969269665",
         "42f6871c907fcbe0998753877ccd29c14669fdfd556cf61ff959956c8608c4b7",
     ),
     "exact": (
         "f5a9a21cb6ed071fe6b0cba45c6f638e18049c3142b43f3b208eeecd4a66310a",
-        "ccef8065fab72ed65fa6d7cb492b2f4857a3df3007edbc333519db0e898f90a2",
+        "90ad328e076e419cf4dd8e26d961b892ac839c6b49cc5e4b526c9ca0bc65d65e",
         "78808e6daf42ab9b7a48b4b8b048e8d4c6c08cb8dd0f93adbb1783c87afdb2e5",
     ),
 }
@@ -51,12 +51,12 @@ GOLDEN = {
 GOLDEN_DEFAULT = {
     "sketch": (
         "1f52dd6646f8c5ef34d0752a4a2df3f9652134a6cdb4c2c8cbb39d853a906e07",
-        "62ebf95ce15896566a6f2781a1f27b032d8b5bf55b7980e90a0bf01620bc6688",
+        "c9510fc9c9c6910f2e89b86084f709981ad361b3634b014db2a3a23cc56d7093",
         "42f6871c907fcbe0998753877ccd29c14669fdfd556cf61ff959956c8608c4b7",
     ),
     "exact": (
         "1f52dd6646f8c5ef34d0752a4a2df3f9652134a6cdb4c2c8cbb39d853a906e07",
-        "796ed46414d6749e220830ae2e02cb1b0fc8c750a7ad339017fcb63d1c19265c",
+        "55e9a20a9d4ee0e08409f1645c73fd8d265dba219c00b607e9ac2c4dfaf1e23e",
         "78808e6daf42ab9b7a48b4b8b048e8d4c6c08cb8dd0f93adbb1783c87afdb2e5",
     ),
 }

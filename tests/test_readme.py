@@ -1,8 +1,10 @@
-"""The README's stream example and library snippet work as written, and
-every CLI flag it names exists."""
+"""The README's stream example, library snippet and CLI quick start work
+as written, and every CLI flag it names exists."""
 
 import argparse
+import json
 import re
+import shlex
 from pathlib import Path
 
 from sketchclust import cli, iter_stream, preprocess, read_header
@@ -33,6 +35,25 @@ def test_the_readme_stream_example_and_library_snippet_run(tmp_path, monkeypatch
     assert capsys.readouterr().out.strip()
 
 
+def test_the_readme_quick_start_runs_and_gives_the_sizes_it_states(
+    tmp_path, monkeypatch, capsys
+):
+    """Each ``sketchclust`` line of the CLI section's ``sh`` block exits 0,
+    run in order in one directory, and ``eval`` prints the cluster sizes
+    that the block's comment states."""
+    cli_section = README.split("\n## CLI\n", 1)[1]
+    (block,) = re.findall(r"^```sh\n(.*?)^```$", cli_section, re.M | re.S)[:1]
+    lines = [line for line in block.splitlines() if line.startswith("sketchclust ")]
+    commands = [shlex.split(line)[1:] for line in lines]
+    assert commands[-1][0] == "eval"
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        capsys.readouterr()
+        assert cli.main(argv) == 0, argv
+    stated = json.loads(re.search(r"sizes (\[[\d, ]+\])", block).group(1))
+    assert json.loads(capsys.readouterr().out)["cluster_sizes"] == stated
+
+
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 
 
@@ -59,6 +80,6 @@ def _readme_flags() -> set[str]:
 
 def test_every_readme_flag_is_a_cli_option():
     flags = _readme_flags()
-    assert {"--k", "--lenient", "--trace-weights", "--fixed-weights"} <= flags
+    assert {"--k", "--lenient", "--trace-weights", "--gamma"} <= flags
     unknown = sorted(flags - _option_strings(cli._build_parser()))
     assert not unknown, f"the README names flags the CLI does not have: {unknown}"

@@ -9,9 +9,10 @@ bit for bit. After every step the two engines' events, weights and bank
 scalars must be equal.
 
 A second property drives either backend with masses up to ``1e308``, where
-squares, cross terms and sums leave float range: a run either completes
-and round-trips, or stops with ``ValueError`` and leaves the state the
-README documents.
+squares, cross terms and sums leave float range: no graph it accepts
+leaves a self product that is not finite, and a run either completes and
+round-trips, or stops with ``ValueError`` and leaves the state the README
+documents.
 """
 
 import re
@@ -134,7 +135,7 @@ _EMPTY = StreamSchema()
 # the update check, the distance check (in routing or in the refresh's
 # geometry), and the refresh's rescale when no float weights separate a pair
 _STOPS = (
-    "second moments would not be finite|squared distance is not finite"
+    "self product would not be finite|squared distance is not finite"
     "|weighted distance .* is not finite|no float weights separate"
 )
 
@@ -163,6 +164,7 @@ def test_a_run_near_float_range_round_trips_or_stops_cleanly(backend, run):
             except ValueError as exc:
                 stop = exc
                 break
+            assert np.isfinite(engine.bank.self_sq).all()
         blob = engine.to_bytes()
         assert Engine.from_bytes(blob).to_bytes() == blob
         if stop is None:
