@@ -51,6 +51,15 @@ EXIT_RUNTIME = 3
 # each purity*.csv samples the average purity after every this many events
 _PURITY_EVERY = 100
 
+# the PurityReport scores that cluster's "run complete" line carries
+_SUMMARY_SCORES = (
+    "average_purity",
+    "size_weighted_purity",
+    "chance_purity",
+    "adjusted_rand_index",
+    "all_generations_purity",
+)
+
 
 class _UsageError(Exception):
     pass
@@ -260,7 +269,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
     }
     if labels:
         report = _score(events, labels, out_dir / "purity.csv")
-        summary["average_purity"] = round(report.average_purity, 4)
+        for name in _SUMMARY_SCORES:
+            summary[name] = round(getattr(report, name), 4)
     _diag("info", "run complete", **summary)
     return EXIT_OK
 

@@ -222,7 +222,7 @@ class Engine:
         A graph that ``_decide`` or the bank update rejects raises
         ValueError before any change; a refresh that raises does so after
         the graph's update, with the weights not refreshed."""
-        view = graph_views(g, self.schema, self.bank.config)
+        view = graph_views(g, self.schema)
         decision = self._decide(view)
         self._apply(decision, view)
         action, slot, best, spread, comp_sq = decision

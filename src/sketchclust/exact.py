@@ -41,10 +41,10 @@ class ExactBank(Bank):
         self.maps[slot] = [{} for _ in range(self.d + 1)]
 
     def _add(self, slot: int, view: GraphView) -> None:
-        for comp, m in enumerate(self.maps[slot]):
-            keys, values = view.component(comp)
-            if keys:
-                for key, value in zip(keys, values.tolist()):
+        keys, values, ends = view.keys, view.values.tolist(), view.bounds
+        for comp, (m, a, b) in enumerate(zip(self.maps[slot], ends, ends[1:])):
+            if a < b:
+                for key, value in zip(keys[a:b], values[a:b]):
                     m[key] = m.get(key, 0.0) + value
                 self.self_sq[comp, slot] = _self_product(m)
 

@@ -28,8 +28,8 @@ by ``_check_label``, the one source of its messages, which also accepts
 a label that is not ASCII but encodes.
 
 ``graph_views`` gives one flat ``GraphView`` per graph: every component's
-keys and values in one array, with the sketch buckets of all its keys from
-one hash call, so each graph is hashed once.
+keys and values in one array. A sketch bank has it hash all its keys for
+the bank's own config in one call, on the first read, and reuses them.
 """
 
 from __future__ import annotations
@@ -42,11 +42,12 @@ import types
 import typing
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .sketch import SketchConfig
+if TYPE_CHECKING:
+    from .sketch import SketchConfig
 
 _SEPARATOR_STR = "\x1f"
 
@@ -345,21 +346,13 @@ class GraphView:
     id. ``sq_sum`` ``(d+1,)`` holds each component's exact sum of squared
     values, and ``block`` ``(N, d+1)`` the values placed block-diagonally
     (row ``i`` holds ``values[i]`` in column ``comp[i]``), so one product
-    with it sums per-key terms into per-component ones. Given a sketch
-    config, ``buckets`` holds the keys' cells in every row ``(rows, N)``,
-    hashed once in one call, and is None otherwise; a sketch bank reads
-    them and rejects a view without them.
+    with it sums per-key terms into per-component ones. A view knows no
+    sketch: ``buckets(config)`` hashes its keys for the config that asks.
     """
 
-    __slots__ = ("keys", "values", "bounds", "comp", "sq_sum", "block", "buckets")
+    __slots__ = ("keys", "values", "bounds", "comp", "sq_sum", "block", "_hashed")
 
-    def __init__(
-        self,
-        keys: tuple[bytes, ...],
-        values: Sequence[float],
-        bounds: Sequence[int],
-        config: SketchConfig | None = None,
-    ):
+    def __init__(self, keys: tuple[bytes, ...], values: Sequence[float], bounds: Sequence[int]):
         n = len(keys)
         self.keys = keys
         self.values = values = np.array(values, dtype=np.float64)
@@ -375,24 +368,27 @@ class GraphView:
             block[a:b, c] = part
             sq_sum.append(part.dot(part))
         self.sq_sum = np.array(sq_sum, dtype=np.float64)
-        self.buckets = None if config is None else config.buckets(keys)
+        self._hashed = (None, None)
 
     @property
     def d(self) -> int:
         return len(self.bounds) - 2
 
-    def component(self, c: int) -> tuple[tuple[bytes, ...], np.ndarray]:
-        """Component ``c``'s keys and values."""
-        a, b = self.bounds[c], self.bounds[c + 1]
-        return self.keys[a:b], self.values[a:b]
+    def buckets(self, config: SketchConfig) -> np.ndarray:
+        """The keys' cells in every row of ``config``'s grid, ``(rows, N)``:
+        hashed in one call on the first read for ``config``, then the same
+        array while ``config`` is the last config read."""
+        held, buckets = self._hashed
+        if held is not config:
+            buckets = config.buckets(self.keys)
+            self._hashed = (config, buckets)
+        return buckets
 
 
-def graph_views(
-    g: GraphObject, schema: StreamSchema, config: SketchConfig | None = None
-) -> GraphView:
+def graph_views(g: GraphObject, schema: StreamSchema) -> GraphView:
     """The flat view of a ``preprocess`` output over the schema's d+1
-    components, its keys hashed for ``config`` when one is given. Labels
-    are not checked again: ``preprocess`` has checked each one."""
+    components. Labels are not checked again: ``preprocess`` has checked
+    each one."""
     keys = [(s + _SEPARATOR_STR + t).encode() for s, t, _ in g.edges]
     values = [f for _, _, f in g.edges]
     bounds = [0, len(keys)]
@@ -401,4 +397,4 @@ def graph_views(
         keys += map(str.encode, attrs)
         values += attrs.values()
         bounds.append(len(keys))
-    return GraphView(tuple(keys), values, bounds, config)
+    return GraphView(tuple(keys), values, bounds)

@@ -18,10 +18,11 @@ Hashing is deterministic given the config seed: a key is digested to a
 64-bit integer (blake2b) and each row applies a seeded multiply-shift
 ``(a * x + b) mod 2^64 mod cols`` with an odd multiplier, drawn by the
 config itself. ``SketchConfig.buckets`` maps keys to their cells in every
-row; nothing is memoised here. Each graph's ``model.GraphView`` holds the
-buckets of all its keys, every component's together, from one call. A
-checkpoint stores the config in its header and the grids as plain arrays
-(``stats.Bank.to_parts``).
+row; nothing is memoised here. A graph's ``model.GraphView`` holds no
+buckets: ``GraphView.buckets(config)`` hashes all its keys, every
+component's together, in one call for the config that reads them, and
+keeps them for that config's later reads. A checkpoint stores the config
+in its header and the grids as plain arrays (``stats.Bank.to_parts``).
 """
 
 from __future__ import annotations

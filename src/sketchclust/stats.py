@@ -7,10 +7,11 @@ holds these for all ``k`` clusters as arrays and computes every distance
 from them; a backend supplies only the store of first moments.
 ``ClusterBank`` keeps them as count-min sketches (``exact.ExactBank``
 keeps exact maps). Every read and update takes a graph's one flat
-``model.GraphView``: scoring it against all clusters is one gather of
-estimates and one product, absorbing it one scatter into the slot's
-sketches. Summing two clusters' cells and scalars (the later timestamp
-winning) equals absorbing both member sets into one.
+``model.GraphView``, which holds only the graph: scoring it against all
+clusters is one gather of estimates and one product, absorbing it one
+scatter into the slot's sketches. Summing two clusters' cells and
+scalars (the later timestamp winning) equals absorbing both member sets
+into one.
 
 A bank checkpoints as its live slots' arrays, whole: the scalars, then
 the backend's first moments, every shape but the slot count taken from
@@ -129,10 +130,6 @@ class Bank:
     recomputed on load, and ``geometry`` caches nothing), so a resumed bank
     equals the saved one attribute for attribute.
     """
-
-    # The sketch config the engine hashes each graph's view for; None when
-    # the backend reads no buckets.
-    config: SketchConfig | None = None
 
     def __init__(self, d: int, k: int):
         self.d = d
@@ -320,10 +317,12 @@ class ClusterBank(Bank):
 
     ``cells[c, i]`` is the ``(rows, cols)`` grid of component ``c`` in
     slot ``i``; its self product is the minimum over rows of the row's sum
-    of squared cells. A graph's keys are hashed once, into its view.
-    Scoring it gathers every key's cells in every live slot at once
-    (``cells[comp, :m, row, bucket]``); absorbing it is one scatter into the
-    slot's d+1 grids and one batched row-square product. The weight refresh
+    of squared cells. A graph's keys are hashed for the bank's config on
+    the first read of its view, which keeps them; an update reads them in
+    its checks, before any write. Scoring a graph gathers every key's
+    cells in every live slot at once (``cells[comp, :m, row, bucket]``);
+    absorbing it is one scatter into the slot's d+1 grids and one batched
+    row-square product. The weight refresh
     gathers every pair's cross products from one batched product: a gemm
     of slots ``0..m-2`` against slots ``1..m-1``, which holds the pairs
     ``i < j``. The cells checkpoint as one ``f8[d+1, m, rows, cols]`` block.
@@ -334,16 +333,15 @@ class ClusterBank(Bank):
         self.config = config
         self.cells = np.zeros((d + 1, k, config.rows, config.cols), dtype=np.float64)
 
-    def _check(self, view: GraphView) -> None:
-        super()._check(view)
-        if view.buckets is None:
-            raise ValueError("a sketch bank needs the view's keys hashed for its config")
+    def _check_update(self, view: GraphView, now: int, slot: int, end: int, joins: bool) -> None:
+        super()._check_update(view, now, slot, end, joins)
+        view.buckets(self.config)  # a key that cannot be hashed raises before any write
 
     def _clear(self, slot: int) -> None:
         self.cells[:, slot] = 0.0
 
     def _add(self, slot: int, view: GraphView) -> None:
-        index = (view.comp, self.config._row_span, view.buckets)
+        index = (view.comp, self.config._row_span, view.buckets(self.config))
         np.add.at(self.cells[:, slot], index, view.values)
         self._square_rows(slot)
 
@@ -355,7 +353,8 @@ class ClusterBank(Bank):
 
     def _estimates(self, view: GraphView) -> np.ndarray:
         # (rows, N, m) cells, min over rows, as (m, N)
-        gathered = self.cells[view.comp, : self.size, self.config._row_span, view.buckets]
+        buckets = view.buckets(self.config)
+        gathered = self.cells[view.comp, : self.size, self.config._row_span, buckets]
         return gathered.min(0).T
 
     def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:

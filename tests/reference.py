@@ -31,6 +31,8 @@ straightforward way:
   as the bitwise oracle for ``weight_opt.refine_weights``; it counts pairs
   by ``len(inter_sq)`` and traces its final record also when no pair is
   kept, as the library does;
+* ``component(view, c)``: a view's component ``c``, its keys and values
+  sliced by ``view.bounds``;
 * ``view_arrays`` and ``digest_buckets``: ``GraphView``'s derived arrays
   and ``SketchConfig.buckets`` as they were built before their per-graph
   overhead was cut, kept verbatim as their bitwise oracles;
@@ -201,7 +203,7 @@ class ClusterStats:
         self.n += 1
         self.t_last = max(self.t_last, now)
         for comp, sketch in enumerate(self.sketches):
-            keys, values = view.component(comp)
+            keys, values = component(view, comp)
             if keys:
                 sketch.update_many(keys, values)
                 self.second_moments[comp] += values @ values
@@ -223,7 +225,7 @@ class ClusterStats:
     def first_moments(self, comp: int, view: GraphView) -> np.ndarray:
         """Point estimates of the aggregated masses of the view's keys in
         one component (overestimates)."""
-        return self.sketches[comp].estimate_many(view.component(comp)[0])
+        return self.sketches[comp].estimate_many(component(view, comp)[0])
 
     def self_product(self, comp: int) -> float:
         return self.sketches[comp].self_inner_product()
@@ -242,6 +244,12 @@ class ClusterStats:
         )
 
 
+def component(view: GraphView, c: int) -> tuple[tuple[bytes, ...], np.ndarray]:
+    """Component ``c``'s keys and values."""
+    a, b = view.bounds[c], view.bounds[c + 1]
+    return view.keys[a:b], view.values[a:b]
+
+
 def members_intra_sq(members: Sequence[GraphView], comp: int) -> float:
     """Sum over members of the squared distance to the centroid of one
     component, from the members' own views."""
@@ -250,14 +258,14 @@ def members_intra_sq(members: Sequence[GraphView], comp: int) -> float:
     n = len(members)
     totals: dict[bytes, float] = {}
     for view in members:
-        for key, value in zip(*view.component(comp)):
+        for key, value in zip(*component(view, comp)):
             totals[key] = totals.get(key, 0.0) + float(value)
     centroid = {k: v / n for k, v in totals.items()}
     centroid_sq = sum(c * c for c in centroid.values())
     total = 0.0
     for view in members:
         part = centroid_sq
-        for key, value in zip(*view.component(comp)):
+        for key, value in zip(*component(view, comp)):
             c = centroid.get(key, 0.0)
             part += (value - c) ** 2 - c * c
         total += part
@@ -279,7 +287,7 @@ def component_distance_sq(view: GraphView, c, comp: int) -> float:
     _check_cluster(c)
     _check_comp(c, comp)
     n = c.n
-    keys, values = view.component(comp)
+    keys, values = component(view, comp)
     cross = float(values @ c.first_moments(comp, view)) if keys else 0.0
     raw = float(values @ values) - 2.0 * cross / n + c.self_product(comp) / (n * n)
     return max(raw, 0.0)

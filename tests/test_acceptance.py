@@ -16,6 +16,7 @@ import pytest
 from reference import (
     ClusterStats,
     CountMinSketch,
+    component,
     generate_graphs,
     members_intra_sq,
     process_all,
@@ -77,7 +78,7 @@ def test_c01_backends_identical_in_collision_free_regime():
     for g in graphs:
         view = graph_views(g, schema)
         for comp, keys in enumerate(comp_keys):
-            keys.update(view.component(comp)[0])
+            keys.update(component(view, comp)[0])
     total_keys = sum(len(s) for s in comp_keys)
     assert total_keys <= 300
 
@@ -341,7 +342,7 @@ def test_c06_merge_equals_single_stream_absorption():
         part_b = ClusterStats.empty(cfg, schema.d)
         bank_whole, bank_a, bank_b = (ClusterBank(cfg, schema.d, 1) for _ in range(3))
         for now, g in enumerate(graphs, start=1):
-            view = graph_views(g, schema, cfg)
+            view = graph_views(g, schema)
             whole.absorb_views(view, now)
             (part_a if now <= split else part_b).absorb_views(view, now)
             _absorb(bank_whole, view, now)
@@ -436,7 +437,7 @@ def _c08_trial(cfg: SketchConfig, keys, masses: np.ndarray, probe: int, per_grap
     for start in range(0, len(keys), per_graph):
         part = slice(start, start + per_graph)
         part_keys = tuple(keys[part])
-        _absorb(bank, GraphView(part_keys, masses[part], (0, len(part_keys)), cfg), start + 1)
+        _absorb(bank, GraphView(part_keys, masses[part], (0, len(part_keys))), start + 1)
     estimates = bank.cells[0, 0][np.arange(cfg.rows)[:, None], cfg.buckets(keys)].min(0)
     return np.array(
         [
@@ -496,7 +497,7 @@ def _separating_config(members, d: int) -> SketchConfig:
     """The first seed of a 4 x 1024 sketch in which some row separates each
     component's keys, so no estimate sees a collision."""
     universes = [
-        sorted({k for view in members for k in view.component(comp)[0]})
+        sorted({k for view in members for k in component(view, comp)[0]})
         for comp in range(d + 1)
     ]
     for seed in range(64):
@@ -504,11 +505,6 @@ def _separating_config(members, d: int) -> SketchConfig:
         if all(separating_rows(cfg, keys) for keys in universes):
             return cfg
     raise AssertionError("no separating seed in range")
-
-
-def _hashed(view: GraphView, config: SketchConfig) -> GraphView:
-    """The view with its keys hashed for ``config``, as a sketch bank reads it."""
-    return GraphView(view.keys, view.values, view.bounds, config)
 
 
 def test_c09_closed_form_intra_matches_member_sum():
@@ -545,7 +541,7 @@ def test_c09_closed_form_intra_matches_member_sum():
         bank = ClusterBank(_separating_config(members, schema.d), schema.d, 1)
         for now, view in enumerate(members, start=1):
             _absorb(exact, view, now)
-            _absorb(bank, _hashed(view, bank.config), now)
+            _absorb(bank, view, now)
         exact_intra = exact.intra_sq(0)
         bank_intra = bank.intra_sq(0)
         for comp in range(schema.d + 1):
@@ -585,7 +581,7 @@ def test_c09_closed_form_intra_survives_a_long_stream():
     bank = ClusterBank(_separating_config(members, schema.d), schema.d, 1)
     for now, view in enumerate(members, start=1):
         _absorb(exact, view, now)
-        _absorb(bank, _hashed(view, bank.config), now)
+        _absorb(bank, view, now)
 
     worst = {"exact": 0.0, "sketch": 0.0}
     worst_of_intra = 0.0

@@ -379,7 +379,7 @@ def test_geometry_and_distances_share_one_closed_form(exact):
     keys = sorted({key for g in graphs for key in graph_views(g, SCHEMA).keys})
     configs = (SketchConfig(rows=4, cols=256, seed=seed) for seed in range(100))
     config = next(c for c in configs if separating_rows(c, keys))
-    views = [graph_views(g, SCHEMA, config) for g in graphs]
+    views = [graph_views(g, SCHEMA) for g in graphs]
     bank = ExactBank(SCHEMA.d, 5) if exact else ClusterBank(config, SCHEMA.d, 5)
     # slot 0 holds graph 0; slots 1..4 hold three graphs each
     filled(bank, views[:1], *(views[j::4] for j in range(1, 5)))
@@ -401,7 +401,7 @@ def _two_clusters(exact: bool) -> ExactBank | ClusterBank:
         bank = ClusterBank(SketchConfig(rows=3, cols=16), SCHEMA.d, 2)
     for i in range(_GRAPHS):
         g = graph(i, [("a", f"n{i % 3}", 1.0 + i)], {f"t{i % 4}": 2.0})
-        view = graph_views(g, SCHEMA, bank.config)
+        view = graph_views(g, SCHEMA)
         if len(bank) < 2:
             bank.reset(len(bank), view, i)
         else:
@@ -460,7 +460,7 @@ def test_an_update_whose_second_moments_would_not_be_finite_writes_nothing(exact
     bank = _two_clusters(exact)
     before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
     with np.errstate(over="ignore"):
-        view = GraphView((b"a\x1fb", b"t"), [1e200, 1.0], [0, 1, 2], bank.config)
+        view = GraphView((b"a\x1fb", b"t"), [1e200, 1.0], [0, 1, 2])
         with pytest.raises(ValueError, match="slot 1's self product would not be finite"):
             getattr(bank, update)(1, view, _GRAPHS)
     assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
@@ -470,7 +470,7 @@ def _one_edge_view(bank, mass: float) -> GraphView:
     """The view of one x-z edge of ``mass``, for an empty schema."""
     schema = StreamSchema()
     g = preprocess(GraphObject("g", [("x", "z", mass)]), schema)
-    return graph_views(g, schema, bank.config)
+    return graph_views(g, schema)
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
@@ -500,7 +500,7 @@ def test_a_reset_whose_self_product_could_overflow_keeps_the_evicted_cluster(exa
     bank = _two_clusters(exact)
     before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
     keys = (b"a\x1fb", b"c\x1fd", b"t")
-    view = GraphView(keys, [0.9e154, 0.9e154, 1.0], [0, 2, 3], bank.config)
+    view = GraphView(keys, [0.9e154, 0.9e154, 1.0], [0, 2, 3])
     assert np.isfinite(view.sq_sum).all()
     with pytest.raises(ValueError, match="slot 1's self product would not be finite"):
         bank.reset(1, view, _GRAPHS)
@@ -517,7 +517,7 @@ def test_a_geometry_whose_pair_cross_product_overflows_raises(exact):
     bank = ExactBank(0, 2) if exact else ClusterBank(SketchConfig(rows=3, cols=16), 0, 2)
     for slot, mass in enumerate((1.3e154, 1.2e154)):
         g = preprocess(GraphObject(f"g{slot}", [("x", "z", mass)]), schema)
-        bank.reset(slot, graph_views(g, schema, bank.config), slot + 1)
+        bank.reset(slot, graph_views(g, schema), slot + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="a squared distance is not finite"):
             bank.geometry()

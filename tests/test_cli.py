@@ -712,7 +712,15 @@ def test_run_complete_counts_what_lenient_mode_kept(tmp_path, capsys):
 
     events = [AssignmentEvent.from_dict(json.loads(l)) for l in (out / "events.jsonl").open()]
     report, _ = purity_from_events(events, {g.id: g.label for g in kept}, every=100)
-    assert summary["average_purity"] == round(report.average_purity, 4)
+    scores = (
+        "average_purity",
+        "size_weighted_purity",
+        "chance_purity",
+        "adjusted_rand_index",
+        "all_generations_purity",
+    )
+    for name in scores:
+        assert summary[name] == round(getattr(report, name), 4), name
     assert _last_purity_row(out / "purity.csv") == (28, f"{report.average_purity:.6f}")
 
 
@@ -750,7 +758,8 @@ def test_purity_is_skipped_unless_every_clustered_graph_is_labeled(tmp_path, cap
     assert not list(out.glob("purity*"))
     if run is _cluster:
         assert diags[-1]["message"] == "run complete"
-        assert "average_purity" not in diags[-1]
+        scores = [key for key in diags[-1] if "purity" in key or "rand" in key]
+        assert scores == []
     else:
         report = json.loads((out / "compare.json").read_text())
         assert json.loads(captured.out) == report

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from reference import SCHEMA, filled, graph
+from reference import SCHEMA, component, filled, graph
 from sketchclust import (
     Engine,
     EngineConfig,
@@ -22,13 +22,13 @@ from sketchclust.stats import ClusterBank
 
 def _component_sq(g: GraphObject, bank, comp: int) -> float:
     """The squared component distance from ``g`` to the bank's slot 0."""
-    return bank.distances_sq(graph_views(g, SCHEMA, bank.config))[0, comp]
+    return bank.distances_sq(graph_views(g, SCHEMA))[0, comp]
 
 
 def _cluster(*graphs: GraphObject, bank=None):
     """A one-slot bank (exact unless given) holding ``graphs``."""
     bank = bank if bank is not None else ExactBank(SCHEMA.d, 2)
-    return filled(bank, [graph_views(g, SCHEMA, bank.config) for g in graphs])
+    return filled(bank, [graph_views(g, SCHEMA) for g in graphs])
 
 
 def test_ensure_weights():
@@ -137,7 +137,7 @@ def test_es_distance_weighted_sum():
 
 def test_empty_cluster_and_bad_component_rejected():
     for bank in (ExactBank(SCHEMA.d, 2), ClusterBank(SketchConfig(), SCHEMA.d, 2)):
-        probe = graph_views(graph(0, [("a", "b", 1.0)], {}), SCHEMA, bank.config)
+        probe = graph_views(graph(0, [("a", "b", 1.0)], {}), SCHEMA)
         # an empty bank scores no cluster, and has no geometry
         assert bank.distances_sq(probe).shape == (0, SCHEMA.d + 1)
         with pytest.raises(ValueError, match="two nonempty"):
@@ -149,7 +149,7 @@ def test_empty_cluster_and_bad_component_rejected():
         g = graph(0, [("a", "b", 1.0)], {})
         wide = StreamSchema(side_types=(SideType("topics"), SideType("tags")))
         for schema in (StreamSchema(), wide):
-            view = graph_views(g, schema, bank.config)
+            view = graph_views(g, schema)
             with pytest.raises(ValueError, match="component count"):
                 bank.distances_sq(view)
             with pytest.raises(ValueError, match="component count"):
@@ -209,7 +209,7 @@ def test_component_distances_match_per_component_calls():
     view = graph_views(probe, SCHEMA)
     for comp in range(SCHEMA.d + 1):
         centroid = {key: mass / c.n[0] for key, mass in c.maps[0][comp].items()}
-        probe_masses = dict(zip(*view.component(comp)))
+        probe_masses = dict(zip(*component(view, comp)))
         expected = sum(
             (probe_masses.get(key, 0.0) - centroid.get(key, 0.0)) ** 2
             for key in set(centroid) | set(probe_masses)

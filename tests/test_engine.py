@@ -493,7 +493,7 @@ def test_from_bytes_restores_every_attribute(backend, n_graphs):
     assert len(engine.bank) == min(n_graphs, 4)
     before = (engine.to_bytes(), engine.bank.self_sq.tobytes())
     routes = {
-        engine._decide(graph_views(g, SCHEMA, engine.bank.config))[:2]
+        engine._decide(graph_views(g, SCHEMA))[:2]
         for g in (graph(n_graphs, [("a", "n0", 1.0)], {"x": 1.0}), graph(99, [("p", "q", 9.0)]))
     }
     full = {(ACTION_ASSIGNED, 0), (ACTION_REPLACED, int(engine.bank.t_last.argmin()))}
@@ -521,7 +521,7 @@ def test_an_update_that_would_overflow_the_second_moments_changes_nothing(backen
     edges = [("a", 1.3e154), ("b", 1e154), ("a", 0.5e154)]
     graphs = [graph(i, [(key, "z", mass)]) for i, (key, mass) in enumerate(edges)]
     process_all(engine, graphs[:2])
-    view = graph_views(graphs[2], SCHEMA, engine.bank.config)
+    view = graph_views(graphs[2], SCHEMA)
     assert engine.bank.distances_sq(view)[0, 0] == pytest.approx(0.64e308)
     before = copy.deepcopy(engine.bank)
     with np.errstate(over="ignore"):
@@ -748,15 +748,15 @@ def test_resumes_of_one_blob_share_one_immutable_config():
         first.config = _config(k=3)
 
 
-def test_each_graph_is_hashed_once_per_component(monkeypatch):
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+def test_each_graph_is_hashed_once_on_the_sketch_backend(backend, monkeypatch):
+    """``Engine.process`` hashes each graph's keys in one call on the
+    sketch backend (``_decide`` reads the buckets, ``_apply`` reuses them),
+    through weight refreshes and a checkpoint and resume, and never on the
+    exact backend."""
     cfg = SynthConfig(n_clusters=5, n_graphs=160, seed=19)
     schema = synth_schema(cfg)
     graphs = [preprocess(g, schema) for g in generate_graphs(cfg)]
-    engine = Engine(EngineConfig(k=5, gamma=40), schema)
-    for g in graphs[:40]:
-        engine.process(g)
-    assert len(engine.bank) == 5
-
     calls = [0]
     buckets = SketchConfig.buckets
 
@@ -765,19 +765,15 @@ def test_each_graph_is_hashed_once_per_component(monkeypatch):
         return buckets(config, keys)
 
     monkeypatch.setattr(SketchConfig, "buckets", counting)
-
-    def hashes_per_component(engine, batch):
-        calls[0] = 0
-        for g in batch:
-            engine.process(g)
-        nonempty = sum(bool(g.edges) + len(g.side) for g in batch)
-        return calls[0], nonempty
-
-    made, allowed = hashes_per_component(engine, graphs[40:100])
-    assert 0 < made <= allowed
-    resumed = Engine.from_bytes(engine.to_bytes())
-    made, allowed = hashes_per_component(resumed, graphs[100:])
-    assert 0 < made <= allowed
+    records: list[dict] = []
+    engine = Engine(EngineConfig(k=5, gamma=40), schema, backend, trace=records.append)
+    for g in graphs[:100]:
+        engine.process(g)
+    engine = Engine.from_bytes(engine.to_bytes(), trace=records.append)
+    for g in graphs[100:]:
+        engine.process(g)
+    assert sum("final_weights" in record for record in records) == 4  # refreshed
+    assert calls[0] == (len(graphs) if backend == "sketch" else 0)
 
 
 def _header_of(blob: bytes):

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from reference import SCHEMA, filled, graph, members_intra_sq, separating_rows
+from reference import SCHEMA, component, filled, graph, members_intra_sq, separating_rows
 from sketchclust import GraphObject, GraphView, SketchConfig, graph_views
 from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
@@ -74,7 +74,7 @@ def test_parity_with_sketch_backend_when_separated():
     for g in graphs:
         view = graph_views(g, SCHEMA)
         for comp, keys in enumerate(keys_by_comp):
-            keys.update(view.component(comp)[0])
+            keys.update(component(view, comp)[0])
     cfg = None
     for seed in range(50):
         candidate = SketchConfig(rows=6, cols=1024, seed=seed)
@@ -88,11 +88,11 @@ def test_parity_with_sketch_backend_when_separated():
     assert cfg is not None, "no separating seed found"
 
     # three clusters over the first nine graphs; the rest are probes
-    clusters = [[graph_views(g, SCHEMA, cfg) for g in graphs[i:9:3]] for i in range(3)]
+    clusters = [[graph_views(g, SCHEMA) for g in graphs[i:9:3]] for i in range(3)]
     sketch = filled(ClusterBank(cfg, SCHEMA.d, 3), *clusters)
     exact = filled(ExactBank(SCHEMA.d, 3), *clusters)
     for g in graphs[9:]:
-        view = graph_views(g, SCHEMA, cfg)
+        view = graph_views(g, SCHEMA)
         np.testing.assert_allclose(sketch.distances_sq(view), exact.distances_sq(view))
     for slot in range(3):
         np.testing.assert_allclose(sketch.intra_sq(slot), exact.intra_sq(slot))
@@ -132,7 +132,7 @@ def test_members_intra_sq_matches_definition():
             centroid = {k: c.maps[0][comp][k] / n for k in keys}
             total = 0.0
             for g in graphs:
-                masses = dict(zip(*graph_views(g, SCHEMA).component(comp)))
+                masses = dict(zip(*component(graph_views(g, SCHEMA), comp)))
                 support = set(keys) | set(masses)
                 total += sum(
                     (masses.get(k, 0.0) - centroid.get(k, 0.0)) ** 2 for k in support

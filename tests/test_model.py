@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference import view_arrays
+from reference import component, view_arrays
 from sketchclust import (
     GraphObject,
     GraphView,
@@ -236,16 +236,16 @@ def test_graph_views_shape_and_order():
     assert view.d == 2
     # schema order, not dict order
     assert view.keys == (b"a\x1fb", b"x", b"t")
-    keys, values = view.component(1)
+    keys, values = component(view, 1)
     assert keys == (b"x",)
     assert values.tolist() == [3.0]
     assert view.comp.tolist() == [0, 1, 2]
     assert view.sq_sum.tolist() == [4.0, 9.0, 1.0]
     assert view.block.tolist() == [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]]
-    assert view.buckets is None
     config = SketchConfig(rows=3, cols=16, seed=5)
-    hashed = graph_views(g, schema, config)
-    assert np.array_equal(hashed.buckets, config.buckets(view.keys))
+    buckets = view.buckets(config)
+    assert np.array_equal(buckets, config.buckets(view.keys))
+    assert view.buckets(config) is buckets  # hashed on the first read only
 
 
 def test_graph_view_rejects_bounds_that_miss_the_keys():
@@ -258,11 +258,11 @@ def test_graph_view_rejects_bounds_that_miss_the_keys():
 
 def test_graph_views_empty_components():
     schema = _schema(SideType("topics"))
-    view = graph_views(preprocess(GraphObject(id="g"), schema), schema, SketchConfig(rows=3))
-    assert [len(view.component(c)[0]) for c in range(2)] == [0, 0]
+    view = graph_views(preprocess(GraphObject(id="g"), schema), schema)
+    assert [len(component(view, c)[0]) for c in range(2)] == [0, 0]
     assert view.sq_sum.tolist() == [0.0, 0.0]
     assert view.block.shape == (0, 2)
-    assert view.buckets.shape == (3, 0)
+    assert view.buckets(SketchConfig(rows=3)).shape == (3, 0)
 
 
 @st.composite
@@ -315,7 +315,7 @@ def test_view_sq_sum_matches_values():
         }
         g = preprocess(GraphObject(id="g", side={"topics": attrs}), schema)
         view = graph_views(g, schema)
-        _, values = view.component(1)
+        _, values = component(view, 1)
         assert view.sq_sum[1] == float(values @ values)
         assert np.all(view.values > 0)
         assert np.array_equal(view.block.sum(1), view.values)

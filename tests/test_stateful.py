@@ -22,7 +22,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from reference import generate_graphs, separating_rows
+from reference import component, generate_graphs, separating_rows
 from sketchclust import (
     Engine,
     EngineConfig,
@@ -56,7 +56,7 @@ def _separating_config() -> SketchConfig:
     for g in GRAPHS:
         view = graph_views(g, SCHEMA)
         for comp, comp_keys in enumerate(keys):
-            comp_keys.update(view.component(comp)[0])
+            comp_keys.update(component(view, comp)[0])
     for seed in range(64):
         cfg = SketchConfig(rows=10, cols=4096, seed=seed)
         if all(separating_rows(cfg, sorted(k)) for k in keys):

@@ -139,7 +139,7 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
             [(f"n{rng.randrange(4)}", f"n{rng.randrange(4)}", 1.0)],
             {f"t{rng.randrange(5)}": 2.0},
         )
-        view = graph_views(g, SCHEMA, cfg)
+        view = graph_views(g, SCHEMA)
         if len(bank) < 2:
             bank.reset(len(bank), view, i)
         else:
@@ -147,20 +147,56 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
     return bank
 
 
-def test_sketch_bank_rejects_a_view_without_buckets():
-    # The engine hashes each view for its bank's config; a sketch bank
-    # given a view hashed for none says so and is left as it was.
-    cfg = _cfg(1)
-    bank = _bank(cfg, 3, 6, 47)
-    before = b"".join(bank.to_parts())
-    bare = graph_views(graph(9, [("n0", "n1", 1.0)], {"t0": 2.0}), SCHEMA)
-    assert bare.buckets is None
-    for call in (bank.distances_sq, lambda view: bank.absorb(0, view, 9)):
-        with pytest.raises(ValueError, match="hashed for its config"):
-            call(bare)
-    with pytest.raises(ValueError, match="hashed for its config"):
-        bank.reset(2, bare, 9)
-    assert len(bank) == 2 and b"".join(bank.to_parts()) == before
+def test_an_update_whose_view_cannot_be_hashed_writes_nothing():
+    """A view of ``str`` keys builds, but its keys' digest raises
+    TypeError. The sketch bank hashes a view's keys in an update's checks,
+    so ``absorb`` and ``reset`` (into a live slot or the next free one)
+    raise before any write, and ``distances_sq`` raises too."""
+    bank = _bank(_cfg(1), 3, 6, 47)
+    before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
+    view = GraphView(("n0\x1fn1", "t0"), [1.0, 2.0], (0, 1, 2))
+    for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
+        with pytest.raises(TypeError):
+            update(slot, view, 9)
+        assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
+    with pytest.raises(TypeError):
+        bank.distances_sq(view)
+    assert len(bank) == 2
+
+
+def test_one_view_serves_sketch_banks_of_different_seeds():
+    """Two sketch banks of different seeds read each graph's one view in
+    turn, each scoring it before either updates; each gives the distances
+    and cells it gives on views that it alone reads, as each bank hashes
+    the keys for its own config."""
+    rng = random.Random(53)
+    graphs = [
+        graph(
+            i,
+            [(f"n{rng.randrange(6)}", f"n{rng.randrange(6)}", 1.0)],
+            {f"t{rng.randrange(9)}": 2.0},
+        )
+        for i in range(12)
+    ]
+    configs = (_cfg(3), _cfg(4))
+    probe = graph_views(graphs[0], SCHEMA)
+    assert not np.array_equal(probe.buckets(configs[0]), probe.buckets(configs[1]))
+    shared = [ClusterBank(cfg, SCHEMA.d, 3) for cfg in configs]
+    alone = [ClusterBank(cfg, SCHEMA.d, 3) for cfg in configs]
+    for now, g in enumerate(graphs, start=1):
+        view = graph_views(g, SCHEMA)
+        own_views = [graph_views(g, SCHEMA) for _ in alone]
+        full = now > 3
+        if full:
+            for bank, own, own_view in zip(shared, alone, own_views):
+                got, want = bank.distances_sq(view), own.distances_sq(own_view)
+                assert got.tobytes() == want.tobytes()
+        for bank, own, own_view in zip(shared, alone, own_views):
+            for b, v in ((bank, view), (own, own_view)):
+                (b.absorb if full else b.reset)((now - 1) % 3, v, now)
+    for bank, own in zip(shared, alone):
+        assert bank.cells.tobytes() == own.cells.tobytes()
+        assert b"".join(bank.to_parts()) == b"".join(own.to_parts())
 
 
 _BANKS = {
@@ -185,11 +221,11 @@ def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
     """A graph is absorbed unless a value is negative or NaN (``-0.0`` and
     the empty view are absorbed); a rejected one leaves the bank as it was."""
     bank = _BANKS[backend]()
-    bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2), bank.config), 1)
+    bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
     before = b"".join(bank.to_parts())
     cut = min(cut, len(values))
     keys = tuple(b"k%d" % i for i in range(len(values)))
-    view = GraphView(keys, values, (0, cut, len(values)), bank.config)
+    view = GraphView(keys, values, (0, cut, len(values)))
     if any(v < 0.0 or math.isnan(v) for v in values):
         with pytest.raises(ValueError, match="negative or NaN"):
             bank.absorb(0, view, 2)
@@ -199,17 +235,17 @@ def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
         assert (bank.n[0], bank.t_last[0]) == (2, 2)
 
 
-def _two_keys(values, config) -> GraphView:
-    return GraphView((b"a", b"t"), values, (0, 1, 2), config)
+def _two_keys(values, keys=(b"a", b"t")) -> GraphView:
+    return GraphView(keys, values, (0, 1, 2))
 
 
-# cause: the rejected view for a bank's sketch config, its time, the error
+# cause: the rejected view, its time, the error and its message
 _REJECTED = {
-    "components": (lambda config: GraphView((b"a",), [1.0], (0, 1), config), 3, "component count"),
-    "buckets": (lambda config: _two_keys([1.0, 2.0], None), 3, "hashed for its config"),
-    "timestamp": (lambda config: _two_keys([1.0, 2.0], config), -1, "nonnegative"),
-    "negative": (lambda config: _two_keys([-1.0, 2.0], config), 3, "negative or NaN"),
-    "nan": (lambda config: _two_keys([1.0, math.nan], config), 3, "negative or NaN"),
+    "components": (lambda: GraphView((b"a",), [1.0], (0, 1)), 3, ValueError, "component count"),
+    "buckets": (lambda: _two_keys([1.0, 2.0], ("a", "t")), 3, TypeError, "before hashing"),
+    "timestamp": (lambda: _two_keys([1.0, 2.0]), -1, ValueError, "nonnegative"),
+    "negative": (lambda: _two_keys([-1.0, 2.0]), 3, ValueError, "negative or NaN"),
+    "nan": (lambda: _two_keys([1.0, math.nan]), 3, ValueError, "negative or NaN"),
 }
 
 
@@ -221,18 +257,18 @@ def test_a_rejected_update_leaves_the_bank_as_it_was(backend, cause):
     """``absorb`` and ``reset`` (into a live slot or the next free one)
     check the graph before they write, while the bank fills and once it is
     full: a rejected one changes no checkpoint byte, no self product and no
-    slot count (a buckets-free view is the exact bank's own)."""
+    slot count (the exact bank hashes no keys, so ``str`` keys are its own)."""
     bank = _BANKS[backend](3)
-    bank.reset(0, _two_keys([1.0, 2.0], bank.config), 1)
-    bank.reset(1, _two_keys([3.0, 1.0], bank.config), 2)
-    build, now, match = _REJECTED[cause]
-    view = build(bank.config)
+    bank.reset(0, _two_keys([1.0, 2.0]), 1)
+    bank.reset(1, _two_keys([3.0, 1.0]), 2)
+    build, now, error, match = _REJECTED[cause]
+    view = build()
     for size in (2, 3):
         if size == 3:  # slot 2 goes from the next free slot to a live one
-            bank.reset(2, _two_keys([2.0, 2.0], bank.config), 3)
+            bank.reset(2, _two_keys([2.0, 2.0]), 3)
         before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
         for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(error, match=match):
                 update(slot, view, now)
             assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
             assert len(bank) == size
@@ -246,9 +282,9 @@ def test_an_update_needs_a_live_slot_or_a_free_one(backend):
     member lands outside the checkpoint and no later ``reset`` founds a
     slot on top of one."""
     bank = _BANKS[backend](4)
-    bank.reset(0, _two_keys([1.0, 2.0], bank.config), 1)
-    bank.reset(1, _two_keys([3.0, 1.0], bank.config), 2)
-    view = _two_keys([5.0, 3.0], bank.config)
+    bank.reset(0, _two_keys([1.0, 2.0]), 1)
+    bank.reset(1, _two_keys([3.0, 1.0]), 2)
+    view = _two_keys([5.0, 3.0])
 
     def state():
         arrays = (bank.self_sq, bank.n, bank.t_last, bank.second_moments)
@@ -291,7 +327,7 @@ def test_intra_sq_of_a_slice_is_its_slots_rows(backend, sizes, integer, seed):
             keys = tuple(k for c in counts for k in rng.choice(vocab, c, replace=False).tolist())
             size = len(keys)
             values = rng.integers(1, 50, size) if integer else rng.uniform(0.0, 1e3, size)
-            view = GraphView(keys, values, (0, *np.cumsum(counts).tolist()), bank.config)
+            view = GraphView(keys, values, (0, *np.cumsum(counts).tolist()))
             if slot is None:
                 slot = len(bank)
                 bank.reset(slot, view, now)
