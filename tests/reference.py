@@ -35,7 +35,11 @@ straightforward way:
   sliced by ``view.bounds``;
 * ``view_arrays`` and ``digest_buckets``: ``GraphView``'s derived arrays
   and ``SketchConfig.buckets`` as they were built before their per-graph
-  overhead was cut, kept verbatim as their bitwise oracles;
+  overhead was cut, kept verbatim as their bitwise oracles (the buckets'
+  multiply-shift in numpy, as before the compiled kernel);
+* ``gathered_estimates`` and ``add_at``: ``ClusterBank._estimates`` and
+  ``ClusterBank._add`` as numpy built them before the compiled kernel (a
+  fancy-index gather and ``np.add.at``), kept as their bitwise oracles;
 * ``pair_cross``: ``ClusterBank._pair_cross`` as it was before it became
   one gemm of slots ``0..m-2`` against slots ``1..m-1``: the square
   product of all slots (BLAS syrk), kept verbatim as its oracle;
@@ -61,6 +65,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -526,12 +531,38 @@ def view_arrays(values, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def digest_buckets(config: SketchConfig, keys: Sequence[bytes]) -> np.ndarray:
-    """``config.buckets(keys)``, digesting each key in a generator as before."""
+    """``config.buckets(keys)``, digesting each key in a generator and
+    mixing the digests with the uint64 multiply-shift in numpy, as before;
+    each row's ``(a, b)`` is drawn from the seed as ``SketchConfig`` draws
+    it."""
+    rnd = random.Random(config.seed)
+    a = [rnd.getrandbits(64) | 1 for _ in range(config.rows)]
+    b = [rnd.getrandbits(64) for _ in range(config.rows)]
     digests = b"".join(hashlib.blake2b(k, digest_size=8).digest() for k in keys)
     x = np.frombuffer(digests, dtype="<u8")
-    mixed = config._mult * x + config._add
+    mixed = np.array(a, dtype=np.uint64)[:, None] * x + np.array(b, dtype=np.uint64)[:, None]
     idx = (mixed >> np.uint64(32)) % np.uint64(config.cols)
     return idx.astype(np.intp)
+
+
+def gathered_estimates(bank, view: GraphView) -> np.ndarray:
+    """``ClusterBank._estimates`` as a numpy fancy-index gather, as before:
+    every key's cells in every live slot, ``(rows, N, m)``, the minimum
+    over rows, returned as the transpose ``(m, N)`` of that C-ordered
+    ``(N, m)`` result, whose layout the product with ``view.block`` sees."""
+    rows = np.arange(bank.config.rows, dtype=np.intp)[:, None]
+    buckets = digest_buckets(bank.config, view.keys)
+    return bank.cells[view.comp, : bank.size, rows, buckets].min(0).T
+
+
+def add_at(bank, slot: int, view: GraphView) -> None:
+    """``ClusterBank._add`` as ``np.add.at``, as before: each key's mass
+    added to its cell in every row of its component's grid in ``slot``,
+    row by row and keys in view order, then the slot's row squares."""
+    rows = np.arange(bank.config.rows, dtype=np.intp)[:, None]
+    index = (view.comp, rows, digest_buckets(bank.config, view.keys))
+    np.add.at(bank.cells[:, slot], index, view.values)
+    bank._square_rows(slot)
 
 
 def pair_cross(bank) -> np.ndarray:

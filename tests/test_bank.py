@@ -23,10 +23,13 @@ from hypothesis import strategies as st
 from reference import (
     SCHEMA,
     ClusterStats,
+    add_at,
     bank_geometry,
     cluster_geometry,
     component_distances_sq,
+    digest_buckets,
     filled,
+    gathered_estimates,
     generate_graphs,
     graph,
     intra_vector_sq,
@@ -256,6 +259,92 @@ def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slo
     assert (geom.inter_sq.shape, geom.dropped) == (oracle.inter_sq.shape, oracle.dropped)
     assert geom.intra.tobytes() == oracle.intra.tobytes()
     assert geom.inter_sq.tobytes() == oracle.inter_sq.tobytes()
+
+
+def _numpy_bank(config: SketchConfig, d: int, k: int) -> ClusterBank:
+    """A sketch bank whose gather and scatter are numpy's, as built before
+    the compiled kernel: ``reference.gathered_estimates`` and
+    ``reference.add_at``, over ``reference.digest_buckets``."""
+    bank = ClusterBank(config, d, k)
+    bank._estimates = lambda view: gathered_estimates(bank, view)
+    bank._add = lambda slot, view: add_at(bank, slot, view)
+    return bank
+
+
+def _real_view(rng, d: int, pool: list[bytes]) -> GraphView:
+    """A hand-built view of real masses over keys drawn with replacement
+    from ``pool``: a key may repeat within one component, and keys collide
+    in one cell within one graph. Some masses are 0.0 or -0.0, and about
+    one view in six has no key at all."""
+    sizes = rng.integers(0, 25, d + 1) * (rng.random() > 1 / 6)
+    keys = tuple(pool[i] for i in rng.integers(0, len(pool), int(sizes.sum())))
+    values = rng.uniform(0.0, 10.0, len(keys)) * 10.0 ** rng.integers(-3, 4, len(keys))
+    values[rng.random(len(keys)) < 0.1] = 0.0
+    values[rng.random(len(keys)) < 0.1] = -0.0
+    return GraphView(keys, values, np.concatenate([[0], np.cumsum(sizes)]).tolist())
+
+
+def _signed_zeros(bank: ClusterBank, rng) -> bytes:
+    """The bank's checkpoint section with about half its zero cells written
+    as -0.0, which ``Bank.load`` accepts (``-0.0 >= 0``, and the row sums
+    do not move)."""
+    *parts, cells = bank.to_parts()
+    cells = cells.copy()
+    cells[(cells == 0.0) & (rng.random(cells.shape) < 0.5)] = -0.0
+    return b"".join([*parts, cells])
+
+
+@given(
+    d=st.integers(0, 3),
+    k=st.integers(1, 6),
+    rows=st.integers(1, 12),
+    cols=st.integers(2, 40),
+    graphs=st.integers(1, 24),
+    load_at=st.integers(0, 24),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=0, k=1, rows=1, cols=2, graphs=3, load_at=1, seed=0)
+@example(d=2, k=5, rows=12, cols=37, graphs=24, load_at=9, seed=1)
+@example(d=1, k=3, rows=10, cols=500, graphs=12, load_at=12, seed=2)
+def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, graphs, load_at, seed):
+    """The sketch bank, on real masses, gives bit for bit what the numpy
+    gather and ``np.add.at`` scatter gave: ``SketchConfig.buckets`` against
+    the numpy multiply-shift; ``_estimates`` (its layout too, which the
+    product with ``view.block`` sees) and ``distances_sq`` against the
+    fancy-index gather, with ``m`` from 1 to ``k``; the cells and
+    ``self_sq`` after each ``reset`` and ``absorb``. Keys collide within
+    one graph, a view may have no key, column counts need not be powers of
+    two, and after ``load_at`` graphs both banks resume from a checkpoint
+    whose zero cells are partly -0.0."""
+    rng = np.random.default_rng(seed)
+    config = SketchConfig(rows=rows, cols=cols, seed=seed)
+    banks = ClusterBank(config, d, k), _numpy_bank(config, d, k)
+    pool = [b"k%d" % i for i in range(cols + 3)]
+    for t in range(graphs):
+        if t == load_at:
+            blob = _signed_zeros(banks[0], rng)
+            banks = ClusterBank(config, d, k), _numpy_bank(config, d, k)
+            for bank in banks:
+                assert bank.load(blob, 0, t) == len(blob)
+        view = _real_view(rng, d, pool)
+        got, want = config.buckets(view.keys), digest_buckets(config, view.keys)
+        assert got.dtype == want.dtype == np.intp
+        assert got.shape == want.shape == (rows, len(view.keys))
+        assert got.tobytes() == want.tobytes()
+        if len(banks[0]):
+            got, want = (bank._estimates(view) for bank in banks)
+            assert got.shape == want.shape == (len(banks[0]), len(view.keys))
+            assert got.flags.f_contiguous and want.flags.f_contiguous
+            assert got.tobytes() == want.tobytes()
+            got, want = (bank.distances_sq(view) for bank in banks)
+            assert got.tobytes() == want.tobytes()
+        size = len(banks[0])
+        slot = size if size < k else int(rng.integers(0, k))
+        update = "reset" if slot == size or rng.random() < 0.3 else "absorb"
+        for bank in banks:
+            getattr(bank, update)(slot, view, t)
+        assert banks[0].cells.tobytes() == banks[1].cells.tobytes()
+        assert banks[0].self_sq.tobytes() == banks[1].self_sq.tobytes()
 
 
 def _random_bank(exact, d, k, m, integer, rng) -> ExactBank | ClusterBank:
