@@ -37,11 +37,11 @@ class ExactBank(Bank):
             [{} for _ in range(d + 1)] for _ in range(k)
         ]
 
-    def _clear(self, slot: int) -> None:
-        self.maps[slot] = [{} for _ in range(self.d + 1)]
-
-    def _add(self, slot: int, view: GraphView) -> None:
+    def _add(self, slot: int, view: GraphView, fresh: bool) -> None:
         keys, values, ends = view.keys, view.values.tolist(), view.bounds
+        if fresh:
+            self.maps[slot] = [{} for _ in range(self.d + 1)]
+            self.self_sq[:, slot] = 0.0
         for comp, (m, a, b) in enumerate(zip(self.maps[slot], ends, ends[1:])):
             if a < b:
                 for key, value in zip(keys[a:b], values[a:b]):

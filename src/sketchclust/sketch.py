@@ -15,14 +15,16 @@ holds the grids of every cluster and computes these estimates for all of
 them at once.
 
 Hashing is deterministic given the config seed: a key is digested to a
-64-bit integer (blake2b) and each row applies a seeded multiply-shift
-``(a * x + b) mod 2^64 mod cols`` with an odd multiplier, drawn by the
-config itself. ``SketchConfig.buckets`` maps keys to their cells in every
-row; nothing is memoised here. A graph's ``model.GraphView`` holds no
-buckets: ``GraphView.buckets(config)`` hashes all its keys, every
-component's together, in one call for the config that reads them, and
-keeps them for that config's later reads. A checkpoint stores the config
-in its header and the grids as plain arrays (``stats.Bank.to_parts``).
+64-bit integer (``hashlib.blake2b``) and each row applies a seeded
+multiply-shift ``((a * x + b) mod 2^64 >> 32) mod cols`` with an odd
+multiplier, drawn by the config itself. ``SketchConfig.buckets`` maps keys
+to their cells in every row, the multiply-shift of every key and row in
+one call of the compiled kernel (``native``); nothing is memoised here. A
+graph's ``model.GraphView`` holds no buckets: ``GraphView.buckets(config)``
+hashes all its keys, every component's together, in one call for the
+config that reads them, and keeps them for that config's later reads. A
+checkpoint stores the config in its header and the grids as plain arrays
+(``stats.Bank.to_parts``).
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from itertools import repeat
 from typing import Sequence
 
 import numpy as np
+
+from .native import kernel
 
 _TEMPLATE = hashlib.blake2b(digest_size=8)  # copied per key: cheaper than a new hasher
 
@@ -64,17 +68,16 @@ class SketchConfig:
         rnd = random.Random(self.seed)
         a = [rnd.getrandbits(64) | 1 for _ in range(self.rows)]
         b = [rnd.getrandbits(64) for _ in range(self.rows)]
-        object.__setattr__(self, "_mult", np.array(a, dtype=np.uint64)[:, None])
-        object.__setattr__(self, "_add", np.array(b, dtype=np.uint64)[:, None])
-        object.__setattr__(self, "_row_span", np.arange(self.rows, dtype=np.intp)[:, None])
+        object.__setattr__(self, "_mult", np.array(a, dtype=np.uint64))
+        object.__setattr__(self, "_add", np.array(b, dtype=np.uint64))
 
     def buckets(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Cell index of each key in each row, shape (rows, len(keys)), intp."""
-        idx = self._mult * np.frombuffer(_digests(keys), dtype="<u8")
-        idx += self._add
-        # Keep the high product bits: the low bits of a*x mod 2^64 depend only
-        # on the low bits of x, which would make rows collide in lockstep for
-        # power-of-two column counts.
-        idx >>= np.uint64(32)
-        idx %= np.uint64(self.cols)
-        return idx.astype(np.intp)
+        """Cell index of each key in each row, shape (rows, len(keys)), intp.
+
+        The kernel keeps the high product bits, ``(a * x + b) mod 2^64 >>
+        32``, before the ``mod cols``: the low bits of a*x mod 2^64 depend
+        only on the low bits of x, which would make rows collide in lockstep
+        for power-of-two column counts."""
+        out = np.empty((self.rows, len(keys)), dtype=np.intp)
+        kernel.buckets(_digests(keys), self._mult, self._add, self.cols, out)
+        return out

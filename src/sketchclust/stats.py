@@ -30,6 +30,7 @@ import sys
 import numpy as np
 
 from .model import GraphView
+from .native import kernel
 from .sketch import SketchConfig
 from .weight_opt import ClusterGeometry, finite_nonneg
 
@@ -114,8 +115,9 @@ class Bank:
     component distances by the engine's nonnegative weights.
 
     A backend supplies its first-moment store through the hooks:
-    ``_clear(slot)``, ``_add(slot, view)`` (which also refreshes the
-    slot's ``self_sq``), ``_estimates(view)`` (every live slot's estimate
+    ``_add(slot, view, fresh)`` (which empties the slot first if
+    ``fresh``, and refreshes its ``self_sq``; it writes nothing if it
+    raises), ``_estimates(view)`` (every live slot's estimate
     of each of the view's keys, ``(size, N)``), ``_pair_cross(first,
     second)`` (the cross products of the live slot pairs
     ``(first[p], second[p])``, one ``(d+1,)`` row per pair), and
@@ -148,20 +150,20 @@ class Bank:
         """Found a cluster on one graph in ``slot``: in place of a live
         slot's cluster, or in the next free slot, ``len(bank)``."""
         self._check_update(view, now, slot, min(self.size + 1, len(self.n)), joins=False)
-        self._clear(slot)
-        self.second_moments[slot] = 0.0
-        self.n[slot] = self.t_last[slot] = 0
-        self.self_sq[:, slot] = 0.0
-        self._absorb(slot, view, now)
+        self._absorb(slot, view, now, fresh=True)
         self.size = max(self.size, slot + 1)
 
     def absorb(self, slot: int, view: GraphView, now: int) -> None:
         """Add one graph to a live slot's cluster."""
         self._check_update(view, now, slot, self.size, joins=True)
-        self._absorb(slot, view, now)
+        self._absorb(slot, view, now, fresh=False)
 
-    def _absorb(self, slot: int, view: GraphView, now: int) -> None:
-        self._add(slot, view)
+    def _absorb(self, slot: int, view: GraphView, now: int, fresh: bool) -> None:
+        # the first moments first: a view the backend rejects leaves all as it was
+        self._add(slot, view, fresh)
+        if fresh:
+            self.second_moments[slot] = 0.0
+            self.n[slot] = self.t_last[slot] = 0
         self.second_moments[slot] += view.sq_sum
         self.n[slot] += 1
         self.t_last[slot] = max(self.t_last[slot], now)
@@ -319,10 +321,12 @@ class ClusterBank(Bank):
     slot ``i``; its self product is the minimum over rows of the row's sum
     of squared cells. A graph's keys are hashed for the bank's config on
     the first read of its view, which keeps them; an update reads them in
-    its checks, before any write. Scoring a graph gathers every key's
-    cells in every live slot at once (``cells[comp, :m, row, bucket]``);
-    absorbing it is one scatter into the slot's d+1 grids and one batched
-    row-square product. The weight refresh
+    its checks, before any write. The per-key loops run in the compiled
+    kernel (``native``): scoring a graph takes each key's minimum over its
+    row cells in every live slot in one call, written ``(N, m)`` and read
+    as its ``(m, N)`` transpose; absorbing it is one in-order scatter into
+    the slot's d+1 grids (row by row, keys in view order, as ``np.add.at``
+    added) and one batched row-square product in numpy. The weight refresh
     gathers every pair's cross products from one batched product: a gemm
     of slots ``0..m-2`` against slots ``1..m-1``, which holds the pairs
     ``i < j``. The cells checkpoint as one ``f8[d+1, m, rows, cols]`` block.
@@ -337,12 +341,9 @@ class ClusterBank(Bank):
         super()._check_update(view, now, slot, end, joins)
         view.buckets(self.config)  # a key that cannot be hashed raises before any write
 
-    def _clear(self, slot: int) -> None:
-        self.cells[:, slot] = 0.0
-
-    def _add(self, slot: int, view: GraphView) -> None:
-        index = (view.comp, self.config._row_span, view.buckets(self.config))
-        np.add.at(self.cells[:, slot], index, view.values)
+    def _add(self, slot: int, view: GraphView, fresh: bool) -> None:
+        buckets = view.buckets(self.config)
+        kernel.scatter_add(self.cells, slot, view.comp, buckets, view.values, fresh)
         self._square_rows(slot)
 
     def _square_rows(self, slots) -> None:
@@ -352,10 +353,12 @@ class ClusterBank(Bank):
         self.self_sq[:, slots] = np.einsum("...c,...c->...", grids, grids).min(-1)
 
     def _estimates(self, view: GraphView) -> np.ndarray:
-        # (rows, N, m) cells, min over rows, as (m, N)
-        buckets = view.buckets(self.config)
-        gathered = self.cells[view.comp, : self.size, self.config._row_span, buckets]
-        return gathered.min(0).T
+        # Written (N, m) row-major and handed on as its transpose: the gemm
+        # in ``distances_sq`` rounds by its operand's layout, and a C-ordered
+        # (m, N) operand changed the product's bits on real masses.
+        out = np.empty((len(view.keys), self.size))
+        kernel.row_minima(self.cells, view.comp, view.buckets(self.config), self.size, out)
+        return out.T
 
     def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         # Slots 0..m-2 against slots 1..m-1, (d+1, rows, m-1, cols) @

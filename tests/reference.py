@@ -555,10 +555,13 @@ def gathered_estimates(bank, view: GraphView) -> np.ndarray:
     return bank.cells[view.comp, : bank.size, rows, buckets].min(0).T
 
 
-def add_at(bank, slot: int, view: GraphView) -> None:
-    """``ClusterBank._add`` as ``np.add.at``, as before: each key's mass
-    added to its cell in every row of its component's grid in ``slot``,
-    row by row and keys in view order, then the slot's row squares."""
+def add_at(bank, slot: int, view: GraphView, fresh: bool) -> None:
+    """``ClusterBank._add`` as numpy built it, as before: the slot's grids
+    zeroed if ``fresh``, then by ``np.add.at`` each key's mass added to its
+    cell in every row of its component's grid in ``slot``, row by row and
+    keys in view order, then the slot's row squares."""
+    if fresh:
+        bank.cells[:, slot] = 0.0
     rows = np.arange(bank.config.rows, dtype=np.intp)[:, None]
     index = (view.comp, rows, digest_buckets(bank.config, view.keys))
     np.add.at(bank.cells[:, slot], index, view.values)

@@ -267,7 +267,7 @@ def _numpy_bank(config: SketchConfig, d: int, k: int) -> ClusterBank:
     ``reference.add_at``, over ``reference.digest_buckets``."""
     bank = ClusterBank(config, d, k)
     bank._estimates = lambda view: gathered_estimates(bank, view)
-    bank._add = lambda slot, view: add_at(bank, slot, view)
+    bank._add = lambda slot, view, fresh: add_at(bank, slot, view, fresh)
     return bank
 
 
