@@ -325,8 +325,8 @@ class ClusterBank(Bank):
     kernel (``native``): scoring a graph takes each key's minimum over its
     row cells in every live slot in one call, written ``(N, m)`` and read
     as its ``(m, N)`` transpose; absorbing it is one in-order scatter into
-    the slot's d+1 grids (row by row, keys in view order, as ``np.add.at``
-    added) and one batched row-square product in numpy. The weight refresh
+    the slot's d+1 grids (row by row, keys in view order: the order of
+    ``np.add.at``) and one batched row-square product in numpy. The weight refresh
     gathers every pair's cross products from one batched product: a gemm
     of slots ``0..m-2`` against slots ``1..m-1``, which holds the pairs
     ``i < j``. The cells checkpoint as one ``f8[d+1, m, rows, cols]`` block.
