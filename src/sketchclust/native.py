@@ -1,15 +1,21 @@
 """The compiled kernel ``_kernel.c``: built once, then loaded from a cache.
 
-The sketch bank's per-key loops (``SketchConfig.buckets``'s multiply-shift,
-``ClusterBank``'s row-minimum gather and in-order scatter) run in a small C
+The sketch bank's per-key loops (``SketchConfig.buckets``'s BLAKE2b digest
+and multiply-shift, ``ClusterBank``'s row-minimum gather and in-order
+scatter) and ``stats.Bank``'s closed-form distances run in a small C
 extension that uses only the CPython buffer protocol. The first import
 builds it with the system C compiler (``cc``) against the running
 interpreter's headers into ``__pycache__/`` next to this file, under a name
 keyed by the sha256 of the source, the compile flags and the interpreter's
-extension suffix; later imports load that file. A build writes a temporary
-file and renames it into place, so concurrent imports never load a partial
-one. A failed build raises ImportError with the command and the compiler's
-output. There is no fallback: the kernel is the only path for these loops.
+extension suffix; later imports load that file. A build writes a
+temporary file and renames it into place, so concurrent imports never load
+a partial one, then deletes the directory's other kernels of the same
+suffix, built from other sources or flags. So an import that read the
+source before it changed can find its kernel deleted by the build of the
+new source before it loads it, and fail: a process whose source changed
+mid-import may need to import again. A failed build raises ImportError
+with the command and the compiler's output. There is no fallback: the
+kernel is the only path for these loops.
 """
 
 from __future__ import annotations
@@ -51,6 +57,9 @@ def _build(target: Path) -> None:
         )
     os.chmod(tmp, 0o644)  # mkstemp's 0600 would hide the cache from other users
     os.replace(tmp, target)
+    for stale in target.parent.glob(f"_kernel.*{_SUFFIX}"):
+        if stale != target:
+            stale.unlink(missing_ok=True)  # another build may have removed it first
 
 
 def _load() -> ModuleType:

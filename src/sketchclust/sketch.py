@@ -15,11 +15,13 @@ holds the grids of every cluster and computes these estimates for all of
 them at once.
 
 Hashing is deterministic given the config seed: a key is digested to a
-64-bit integer (``hashlib.blake2b``) and each row applies a seeded
+64-bit integer (BLAKE2b with an 8-byte digest, RFC 7693: the bits of
+``hashlib.blake2b(key, digest_size=8)``) and each row applies a seeded
 multiply-shift ``((a * x + b) mod 2^64 >> 32) mod cols`` with an odd
 multiplier, drawn by the config itself. ``SketchConfig.buckets`` maps keys
-to their cells in every row, the multiply-shift of every key and row in
-one call of the compiled kernel (``native``); nothing is memoised here. A
+to their cells in every row: the digest and the multiply-shift of every
+key and row run in one call of the compiled kernel (``native``), as
+integer arithmetic that needs no rounding; nothing is memoised here. A
 graph's ``model.GraphView`` holds no buckets: ``GraphView.buckets(config)``
 hashes all its keys, every component's together, in one call for the
 config that reads them, and keeps them for that config's later reads. A
@@ -29,24 +31,13 @@ checkpoint stores the config in its header and the grids as plain arrays
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .native import kernel
-
-_TEMPLATE = hashlib.blake2b(digest_size=8)  # copied per key: cheaper than a new hasher
-
-
-def _digests(keys: Sequence[bytes]) -> bytes:
-    """Each key's 64-bit blake2b digest, in key order, by three C-level maps."""
-    hashers = list(map(hashlib.blake2b.copy, repeat(_TEMPLATE, len(keys))))
-    any(map(hashlib.blake2b.update, hashers, keys))  # each returns None: any() runs them all
-    return b"".join(map(hashlib.blake2b.digest, hashers))
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,8 @@ class SketchConfig:
         The kernel keeps the high product bits, ``(a * x + b) mod 2^64 >>
         32``, before the ``mod cols``: the low bits of a*x mod 2^64 depend
         only on the low bits of x, which would make rows collide in lockstep
-        for power-of-two column counts."""
+        for power-of-two column counts. A key must be bytes-like: a ``str``
+        raises TypeError, as it does in ``hashlib``."""
         out = np.empty((self.rows, len(keys)), dtype=np.intp)
-        kernel.buckets(_digests(keys), self._mult, self._add, self.cols, out)
+        kernel.key_buckets(keys, self._mult, self._add, self.cols, out)
         return out

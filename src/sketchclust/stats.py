@@ -8,8 +8,8 @@ from them; a backend supplies only the store of first moments.
 ``ClusterBank`` keeps them as count-min sketches (``exact.ExactBank``
 keeps exact maps). Every read and update takes a graph's one flat
 ``model.GraphView``, which holds only the graph: scoring it against all
-clusters is one gather of estimates and one product, absorbing it one
-scatter into the slot's sketches. Summing two clusters' cells and
+clusters is one gather of estimates, one product and one closed form,
+absorbing it one scatter into the slot's sketches. Summing two clusters' cells and
 scalars (the later timestamp winning) equals absorbing both member sets
 into one.
 
@@ -72,17 +72,6 @@ def read_array(data: bytes, off: int, dtype: str, shape: tuple[int, ...]) -> np.
     return array
 
 
-def _distance_sq(a_sq, cross, denom, b_sq) -> np.ndarray:
-    """``max(a_sq - 2 cross / denom + b_sq, 0)``, in that operation order.
-    ValueError when a value is not finite before the clamp: an overflow in
-    any term reaches it as an infinity or NaN, which the clamp would read as
-    a distance of 0 or pass on."""
-    out = a_sq - 2.0 * cross / denom + b_sq
-    if not np.isfinite(out).all():
-        raise ValueError("a squared distance is not finite")
-    return np.maximum(out, 0.0, out=out)
-
-
 class Bank:
     """Up to ``k`` clusters, one per slot, and the distances between them.
 
@@ -108,9 +97,14 @@ class Bank:
     and last terms use overestimating estimators, so sketch distances can
     only exceed their exact counterparts (before clamping). Negative values
     from estimator noise are clamped to zero; a value that is not finite
-    before the clamp raises ValueError. One function, ``_distance_sq``,
-    holds this form for every distance (a graph to a centroid, a centroid to
-    a centroid), as ``intra_sq`` holds the spread's. An event's
+    before the clamp raises ValueError. The compiled kernel (``native``)
+    holds this closed form, ``max(a - 2 cross / denom + b, 0)``, once for
+    every distance (a graph to a centroid, a centroid to a centroid), with
+    the counts and ``self_sq / n**2`` formed in it: single IEEE operations
+    in numpy's order, so its bits are numpy's. The cross products, the
+    ``self_sq`` row squares and the graph's ``sq_sum`` are sums, which
+    round by their order, and stay in numpy, as does ``intra_sq``, which
+    holds the spread's form. An event's
     ``es_distance_sq`` (formed in ``Engine._decide``) weights the d+1 squared
     component distances by the engine's nonnegative weights.
 
@@ -120,7 +114,8 @@ class Bank:
     raises), ``_estimates(view)`` (every live slot's estimate
     of each of the view's keys, ``(size, N)``), ``_pair_cross(first,
     second)`` (the cross products of the live slot pairs
-    ``(first[p], second[p])``, one ``(d+1,)`` row per pair), and
+    ``(first[p], second[p])``, one ``(d+1,)`` row per pair, in a fresh
+    C-ordered array that ``geometry`` overwrites), and
     ``_write_first`` and ``_load_first`` (which rejects first moments no
     run holds) for the checkpoint. The engine routes a graph as decide,
     then apply: reads, then one of two updates. ``reset`` founds a cluster
@@ -174,7 +169,9 @@ class Bank:
 
     def _check_update(self, view: GraphView, now: int, slot: int, end: int, joins: bool) -> None:
         """Reject a slot outside ``0..end-1``, or a graph no update may
-        write, before anything is written: one after which the slot's self
+        write, before anything is written: one without a value and a
+        component id per key (a view whose arrays were replaced, which
+        either backend would misread), or one after which the slot's self
         product (of the graph alone, or of the cluster it ``joins``) could
         leave float range, which no checkpoint may hold.
 
@@ -187,6 +184,9 @@ class Bank:
         if not 0 <= slot < end:
             raise ValueError(f"slot {slot} is outside 0..{end - 1}: {self.size} slots live")
         self._check(view)
+        count = len(view.keys)
+        if len(view.values) != count or len(view.comp) != count:
+            raise ValueError("a view needs one value and one component id per key")
         if now < 0:
             raise ValueError("timestamp must be nonnegative")
         # one reduction: NaN fails the comparison, and -0.0 passes it
@@ -212,9 +212,9 @@ class Bank:
         """Squared component distances from one graph to every live cluster,
         ``(size, d+1)``."""
         self._check(view)
-        n = self.n[: self.size, None].astype(np.float64)
-        cross = self._estimates(view) @ view.block
-        return _distance_sq(view.sq_sum, cross, n, self.self_sq[:, : self.size].T / (n * n))
+        out = self._estimates(view) @ view.block  # the cross products, overwritten
+        kernel.graph_distances_sq(self.self_sq, self.n, view.sq_sum, out)
+        return out
 
     def intra_sq(self, slots: int | slice) -> np.ndarray:
         """The aggregate squared member-to-centroid distance per component
@@ -242,11 +242,10 @@ class Bank:
         # +0.0 that adding the rows onto zeros gives.
         intra = np.add.accumulate(self.intra_sq(slice(0, m)), axis=0)[-1] + 0.0
         slots = np.arange(m)
-        first, second = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
-        n = self.n[:m].astype(np.float64)
-        own = self.self_sq[:, :m].T / (n * n)[:, None]
-        pairs = (n[first] * n[second])[:, None]
-        inter = _distance_sq(own[first], self._pair_cross(first, second), pairs, own[second])
+        pairs = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
+        first, second = map(np.ascontiguousarray, pairs)
+        inter = self._pair_cross(first, second)  # overwritten
+        kernel.pair_distances_sq(self.self_sq, self.n, first, second, inter)
         kept = (inter != 0.0).any(axis=1)
         dropped = len(kept) - int(np.count_nonzero(kept))
         return ClusterGeometry(intra, inter if kept.all() else inter[kept], dropped)
@@ -322,7 +321,8 @@ class ClusterBank(Bank):
     of squared cells. A graph's keys are hashed for the bank's config on
     the first read of its view, which keeps them; an update reads them in
     its checks, before any write. The per-key loops run in the compiled
-    kernel (``native``): scoring a graph takes each key's minimum over its
+    kernel (``native``): hashing digests every key and buckets it in every
+    row in one call; scoring a graph takes each key's minimum over its
     row cells in every live slot in one call, written ``(N, m)`` and read
     as its ``(m, N)`` transpose; absorbing it is one in-order scatter into
     the slot's d+1 grids (row by row, keys in view order: the order of

@@ -35,8 +35,12 @@ straightforward way:
   sliced by ``view.bounds``;
 * ``view_arrays`` and ``digest_buckets``: ``GraphView``'s derived arrays
   and ``SketchConfig.buckets`` as they were built before their per-graph
-  overhead was cut, kept verbatim as their bitwise oracles (the buckets'
-  multiply-shift in numpy, as before the compiled kernel);
+  overhead was cut, kept verbatim as their bitwise oracles (the digests
+  by ``hashlib.blake2b`` and the multiply-shift in numpy, as before the
+  compiled kernel);
+* ``distance_sq`` and ``bank_distances_sq``: the closed form of every
+  squared distance and ``Bank.distances_sq`` as numpy computed them
+  before the compiled kernel, kept as their bitwise oracles;
 * ``gathered_estimates`` and ``add_at``: ``ClusterBank._estimates`` and
   ``ClusterBank._add`` as numpy built them before the compiled kernel (a
   fancy-index gather and ``np.add.at``), kept as their bitwise oracles;
@@ -543,6 +547,34 @@ def digest_buckets(config: SketchConfig, keys: Sequence[bytes]) -> np.ndarray:
     mixed = np.array(a, dtype=np.uint64)[:, None] * x + np.array(b, dtype=np.uint64)[:, None]
     idx = (mixed >> np.uint64(32)) % np.uint64(config.cols)
     return idx.astype(np.intp)
+
+
+def distance_sq(a_sq, cross, denom, b_sq) -> np.ndarray:
+    """``max(a_sq - 2 cross / denom + b_sq, 0)``, in that operation order.
+    ValueError when a value is not finite before the clamp: an overflow in
+    any term reaches it as an infinity or NaN, which the clamp would read as
+    a distance of 0 or pass on."""
+    out = a_sq - 2.0 * cross / denom + b_sq
+    if not np.isfinite(out).all():
+        raise ValueError("a squared distance is not finite")
+    return np.maximum(out, 0.0, out=out)
+
+
+def bank_distances_sq(bank, view: GraphView) -> np.ndarray:
+    """``bank.distances_sq(view)`` with the closed form in numpy, from the
+    bank's own ``_estimates``."""
+    n = bank.n[: bank.size, None].astype(np.float64)
+    cross = bank._estimates(view) @ view.block
+    return distance_sq(view.sq_sum, cross, n, bank.self_sq[:, : bank.size].T / (n * n))
+
+
+def pair_distances_sq(self_sq, n, first, second, cross) -> np.ndarray:
+    """``Bank.geometry``'s squared separations of the slot pairs ``(first[p],
+    second[p])`` with the closed form in numpy, from their cross products
+    ``(P, d+1)``."""
+    n = n.astype(np.float64)
+    own = self_sq.T / (n * n)[:, None]
+    return distance_sq(own[first], cross, (n[first] * n[second])[:, None], own[second])
 
 
 def gathered_estimates(bank, view: GraphView) -> np.ndarray:

@@ -24,16 +24,19 @@ from reference import (
     SCHEMA,
     ClusterStats,
     add_at,
+    bank_distances_sq,
     bank_geometry,
     cluster_geometry,
     component_distances_sq,
     digest_buckets,
+    distance_sq,
     filled,
     gathered_estimates,
     generate_graphs,
     graph,
     intra_vector_sq,
     pair_cross,
+    pair_distances_sq,
     separating_rows,
 )
 from sketchclust import (
@@ -53,6 +56,7 @@ from sketchclust import (
     synth_schema,
 )
 from sketchclust.exact import ExactBank, _self_product
+from sketchclust.native import kernel
 from sketchclust.stats import ClusterBank
 
 
@@ -262,12 +266,14 @@ def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slo
 
 
 def _numpy_bank(config: SketchConfig, d: int, k: int) -> ClusterBank:
-    """A sketch bank whose gather and scatter are numpy's, as built before
-    the compiled kernel: ``reference.gathered_estimates`` and
-    ``reference.add_at``, over ``reference.digest_buckets``."""
+    """A sketch bank whose gather, scatter and closed form are numpy's, as
+    built before the compiled kernel: ``reference.gathered_estimates``,
+    ``reference.add_at`` (both over ``reference.digest_buckets``) and
+    ``reference.bank_distances_sq``."""
     bank = ClusterBank(config, d, k)
     bank._estimates = lambda view: gathered_estimates(bank, view)
     bank._add = lambda slot, view, fresh: add_at(bank, slot, view, fresh)
+    bank.distances_sq = lambda view: bank_distances_sq(bank, view)
     return bank
 
 
@@ -308,14 +314,16 @@ def _signed_zeros(bank: ClusterBank, rng) -> bytes:
 @example(d=1, k=3, rows=10, cols=500, graphs=12, load_at=12, seed=2)
 def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, graphs, load_at, seed):
     """The sketch bank, on real masses, gives bit for bit what the numpy
-    gather and ``np.add.at`` scatter gave: ``SketchConfig.buckets`` against
-    the numpy multiply-shift; ``_estimates`` (its layout too, which the
-    product with ``view.block`` sees) and ``distances_sq`` against the
-    fancy-index gather, with ``m`` from 1 to ``k``; the cells and
-    ``self_sq`` after each ``reset`` and ``absorb``. Keys collide within
-    one graph, a view may have no key, column counts need not be powers of
-    two, and after ``load_at`` graphs both banks resume from a checkpoint
-    whose zero cells are partly -0.0."""
+    gather, ``np.add.at`` scatter and closed form gave:
+    ``SketchConfig.buckets`` against hashlib's digests and the numpy
+    multiply-shift; ``_estimates`` (its layout too, which the product with
+    ``view.block`` sees) against the fancy-index gather, and
+    ``distances_sq`` against both with the numpy closed form, with ``m``
+    from 1 to ``k``; the cells and ``self_sq`` after each ``reset`` and
+    ``absorb``, and then ``geometry`` against its numpy construction. Keys
+    collide within one graph, a view may have no key, column counts need
+    not be powers of two, and after ``load_at`` graphs both banks resume
+    from a checkpoint whose zero cells are partly -0.0."""
     rng = np.random.default_rng(seed)
     config = SketchConfig(rows=rows, cols=cols, seed=seed)
     banks = ClusterBank(config, d, k), _numpy_bank(config, d, k)
@@ -345,6 +353,84 @@ def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, grap
             getattr(bank, update)(slot, view, t)
         assert banks[0].cells.tobytes() == banks[1].cells.tobytes()
         assert banks[0].self_sq.tobytes() == banks[1].self_sq.tobytes()
+        if len(banks[0]) >= 2:
+            got, want = banks[0].geometry(), bank_geometry(banks[1])
+            assert got.inter_sq.tobytes() == want.inter_sq.tobytes()
+            assert got.dropped == want.dropped
+
+
+def _masses(rng, shape, zeros: float) -> np.ndarray:
+    """Real masses over twelve decades, a ``zeros`` share of them 0.0 or -0.0."""
+    masses = rng.uniform(0.0, 10.0, shape) * 10.0 ** rng.integers(-6, 7, shape)
+    masses[rng.random(shape) < zeros / 2] = 0.0
+    masses[rng.random(shape) < zeros / 2] = -0.0
+    return masses
+
+
+@given(
+    d=st.integers(0, 3),
+    k=st.integers(1, 16),
+    m=st.integers(0, 16),
+    top=st.integers(1, 2**26),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(d=1, k=4, m=4, top=2**26, zeros=0.3, seed=0)
+@example(d=2, k=5, m=5, top=1, zeros=1.0, seed=1)
+@example(d=0, k=16, m=9, top=2**26, zeros=0.0, seed=2)
+def test_the_closed_forms_keep_the_numpy_bits(d, k, m, top, zeros, seed):
+    """The kernel's graph and pair closed forms give bit for bit what numpy
+    gave (``reference.distance_sq``), on real-valued terms with counts up
+    to ``top`` (2**26, where ``n * n`` needs all 53 bits), some terms 0.0
+    or -0.0 (all of them with ``zeros == 1``, where the clamp must turn
+    every -0.0 into +0.0) and many values clamped."""
+    m = min(m, k)
+    rng = np.random.default_rng(seed)
+    self_sq = _masses(rng, (d + 1, k), zeros)
+    n = rng.integers(max(1, top // 2), top + 1, k)
+    n[rng.random(k) < 0.3] = top
+    sq_sum = _masses(rng, d + 1, zeros)
+    # cross terms near a + b: their differences cancel, and many go negative
+    cross = _masses(rng, (m, d + 1), zeros) * (n[:m, None] / 2.0)
+    got = cross.copy()
+    kernel.graph_distances_sq(self_sq, n, sq_sum, got)
+    nf = n[:m, None].astype(np.float64)
+    want = distance_sq(sq_sum, cross, nf, self_sq[:, :m].T / (nf * nf))
+    assert got.tobytes() == want.tobytes()
+    first, second = (a.ravel() for a in np.meshgrid(np.arange(k), np.arange(k), indexing="ij"))
+    cross = _masses(rng, (k * k, d + 1), zeros) * (n[first] * n[second] / 2.0)[:, None]
+    got = cross.copy()
+    kernel.pair_distances_sq(self_sq, n, first, second, got)
+    assert got.tobytes() == pair_distances_sq(self_sq, n, first, second, cross).tobytes()
+
+
+# (term, cross, sq_sum or a, self_sq): each value overflows or is not finite
+_NOT_FINITE = {
+    "2 cross": (1e308, 1.0, 1.0),
+    "a + b": (0.0, 1.5e308, 1.5e308),
+    "infinite a": (1.0, np.inf, 1.0),
+    "nan cross": (np.nan, 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("term", sorted(_NOT_FINITE))
+def test_a_closed_form_that_is_not_finite_raises_as_numpy_did(term):
+    """A term that overflows, or an input that is not finite, makes both
+    closed forms raise the one ValueError that the numpy form raised; the
+    clamp would have read an infinity as a distance or a NaN as 0."""
+    cross, a, b = _NOT_FINITE[term]
+    self_sq, n = np.array([[a, b]]), np.array([1, 1])
+    first, second = np.array([0]), np.array([1])
+    forms = [
+        lambda c: kernel.graph_distances_sq(self_sq[:, 1:], n[1:], np.array([a]), c),
+        lambda c: distance_sq(np.array([a]), c, 1.0, self_sq[:, 1:].T),
+        lambda c: kernel.pair_distances_sq(self_sq, n, first, second, c),
+        lambda c: pair_distances_sq(self_sq, n, first, second, c),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for form in forms:
+            with pytest.raises(ValueError, match="^a squared distance is not finite$"):
+                form(np.array([[cross]]))
 
 
 def _random_bank(exact, d, k, m, integer, rng) -> ExactBank | ClusterBank:

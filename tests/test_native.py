@@ -1,8 +1,8 @@
 """The compiled kernel: its boundary checks and its build cache.
 
 Each kernel function checks every buffer's element type, shape and
-contiguity, and every component id and bucket against the grid shape, and
-raises ValueError before it writes anything. The sketch bank hands a
+contiguity, and every component id, slot and bucket against the grid
+shape, and raises ValueError before it writes anything. The sketch bank hands a
 view's arrays to it as they are, and ``GraphView`` is public, so a caller
 can hand it a view whose arrays no constructor made. The kernel is built
 on the first import into the package's ``__pycache__`` and loaded from
@@ -20,6 +20,7 @@ import pytest
 
 import sketchclust
 from sketchclust import GraphView, SketchConfig
+from sketchclust.exact import ExactBank
 from sketchclust.native import kernel
 from sketchclust.stats import ClusterBank
 
@@ -118,8 +119,10 @@ def test_row_minima_rejects_a_bad_argument_before_any_write(arg, name, fault):
 
 
 _HASH = [
-    ("digests", "not whole words", lambda d: d + b"abc"),
-    ("digests", "float64", lambda d: np.frombuffer(d, dtype=np.float64)),
+    ("keys", "not a sequence", lambda keys: 5),
+    ("keys", "a str key", lambda keys: (*keys[:-1], "k")),
+    ("keys", "an int key", lambda keys: (*keys[:-1], 7)),
+    ("keys", "short", lambda keys: keys[:-1]),
     ("mult", "int64", lambda a: a.astype(np.int64)),
     ("mult", "2-d", lambda a: a[:, None]),
     ("add", "short", lambda a: a[:-1]),
@@ -134,9 +137,12 @@ _HASH = [
 
 @pytest.mark.parametrize("arg, name, fault", _HASH, ids=[f"{a}-{n}" for a, n, _ in _HASH])
 def test_buckets_rejects_a_bad_argument_before_any_write(arg, name, fault):
+    """``key_buckets``, the entry point of ``SketchConfig.buckets``: a key
+    that is not bytes-like raises TypeError, as in ``hashlib``, and every
+    other fault ValueError."""
     config = SketchConfig(rows=ROWS, cols=COLS, seed=3)
     args = {
-        "digests": bytes(range(8 * KEYS)),
+        "keys": tuple(b"k%d" % i for i in range(KEYS)),
         "mult": config._mult,
         "add": config._add,
         "cols": COLS,
@@ -144,9 +150,75 @@ def test_buckets_rejects_a_bad_argument_before_any_write(arg, name, fault):
     }
     args[arg] = fault(args[arg])
     held = args["out"].copy()
-    with pytest.raises(ValueError):
-        kernel.buckets(*args.values())
+    with pytest.raises(TypeError if arg == "keys" and name != "short" else ValueError):
+        kernel.key_buckets(*args.values())
     assert args["out"].tobytes() == held.tobytes()
+
+
+# (name, bad value) per argument that the two closed forms share; the
+# bank's arrays have d+1 = COMPS components and SLOTS slots
+_COUNT_FAULTS = {
+    "self_sq": [
+        ("float32", lambda a: a.astype(np.float32)),
+        ("1-d", lambda a: a[0]),
+        ("strided", lambda a: a[:, ::2]),
+        ("a component short", lambda a: a[:-1]),
+    ],
+    "n": [
+        ("int32", lambda a: a.astype(np.int32)),
+        ("float64", lambda a: a.astype(np.float64)),
+        ("short", lambda a: a[:-1]),
+    ],
+    "cross": [
+        ("float32", lambda a: a.astype(np.float32)),
+        ("read-only", _read_only),
+        ("transposed", lambda a: np.asfortranarray(a)),
+        ("a column short", lambda a: a[:, :-1]),
+    ],
+}
+_COUNTS = [(arg, name, fault) for arg, faults in _COUNT_FAULTS.items() for name, fault in faults]
+_GRAPH = _COUNTS + [
+    ("sq_sum", "short", lambda a: a[:-1]),
+    ("sq_sum", "float32", lambda a: a.astype(np.float32)),
+    ("cross", "more slots than the bank", lambda a: np.ones((SLOTS + 1, COMPS))),
+]
+_PAIR = _COUNTS + [
+    ("first", "int32", lambda a: a.astype(np.int32)),
+    ("first", "short", lambda a: a[:-1]),
+    ("first", "too large", lambda a: _set(a, -1, SLOTS)),
+    ("second", "negative", lambda a: _set(a, -1, -1)),
+    ("second", "too large", lambda a: _set(a, 0, SLOTS)),
+]
+
+
+def _counts():
+    """A bank's ``self_sq`` and ``n``, and a cross product per slot."""
+    rng = np.random.default_rng(8)
+    self_sq = rng.uniform(1.0, 2.0, (COMPS, SLOTS))
+    return self_sq, np.arange(1, SLOTS + 1), rng.uniform(0.0, 1.0, (SLOTS, COMPS))
+
+
+@pytest.mark.parametrize("arg, name, fault", _GRAPH, ids=[f"{a}-{n}" for a, n, _ in _GRAPH])
+def test_graph_distances_sq_rejects_a_bad_argument_before_any_write(arg, name, fault):
+    self_sq, n, cross = _counts()
+    args = {"self_sq": self_sq, "n": n, "sq_sum": np.ones(COMPS), "cross": cross}
+    args[arg] = fault(args[arg])
+    held = args["cross"].copy()
+    with pytest.raises(ValueError):
+        kernel.graph_distances_sq(*args.values())
+    assert args["cross"].tobytes() == held.tobytes()
+
+
+@pytest.mark.parametrize("arg, name, fault", _PAIR, ids=[f"{a}-{n}" for a, n, _ in _PAIR])
+def test_pair_distances_sq_rejects_a_bad_argument_before_any_write(arg, name, fault):
+    self_sq, n, cross = _counts()
+    pairs = [np.array(a, dtype=np.intp) for a in ([0, 0, 1], [1, 2, 2])]
+    args = {"self_sq": self_sq, "n": n, "first": pairs[0], "second": pairs[1], "cross": cross}
+    args[arg] = fault(args[arg])
+    held = args["cross"].copy()
+    with pytest.raises(ValueError):
+        kernel.pair_distances_sq(*args.values())
+    assert args["cross"].tobytes() == held.tobytes()
 
 
 # a hand-built view's arrays replaced after construction: the kernel's faults
@@ -163,22 +235,27 @@ _TAMPERED = {
 def test_a_view_the_kernel_rejects_leaves_the_bank_as_it_was(cause):
     """``absorb`` and ``reset`` (into a live slot or the next free one)
     raise ValueError and change no checkpoint byte, no self product and no
-    slot count; a faulty component id fails the scoring too."""
-    bank = ClusterBank(SketchConfig(rows=ROWS, cols=COLS), 1, 3)
-    bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
-    bank.reset(1, GraphView((b"b", b"t"), [3.0, 1.0], (0, 1, 2)), 2)
-    view = GraphView((b"a", b"c", b"t"), [1.0, 2.0, 4.0], (0, 2, 3))
-    attr, fault = _TAMPERED[cause]
-    setattr(view, attr, fault(getattr(view, attr)))
-    before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
-    for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
-        with pytest.raises(ValueError):
-            update(slot, view, 3)
-        assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
-        assert len(bank) == 2
-    if attr == "comp":
-        with pytest.raises(ValueError):
-            bank.distances_sq(view)
+    slot count; a faulty component id fails the scoring too. A short array
+    is rejected by the bank's own check, before the kernel, so the exact
+    backend rejects it as well."""
+    banks = [ClusterBank(SketchConfig(rows=ROWS, cols=COLS), 1, 3)]
+    if cause.endswith("short"):
+        banks.append(ExactBank(1, 3))
+    for bank in banks:
+        bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
+        bank.reset(1, GraphView((b"b", b"t"), [3.0, 1.0], (0, 1, 2)), 2)
+        view = GraphView((b"a", b"c", b"t"), [1.0, 2.0, 4.0], (0, 2, 3))
+        attr, fault = _TAMPERED[cause]
+        setattr(view, attr, fault(getattr(view, attr)))
+        before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
+        for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
+            with pytest.raises(ValueError):
+                update(slot, view, 3)
+            assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
+            assert len(bank) == 2
+        if attr == "comp":
+            with pytest.raises(ValueError):
+                bank.distances_sq(view)
 
 
 def _import(path: Path) -> subprocess.Popen:
@@ -228,17 +305,22 @@ def _copy(tmp_path: Path) -> Path:
 def test_an_edited_kernel_source_is_rebuilt(tmp_path):
     """Two imports at once on a cold cache both load a whole kernel, built
     under ``PYTHONDONTWRITEBYTECODE``, and leave one file; after the source
-    changes, the next import builds and loads a second one."""
+    changes, the next import builds and loads a second one and deletes the
+    first, which no import loads any more; a kernel built for another
+    interpreter's suffix stays."""
     copy = _copy(tmp_path)
     procs = [_import(tmp_path) for _ in range(2)]
     outs = [proc.communicate() for proc in procs]
     assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in outs]
     (first,) = (copy / "__pycache__").iterdir()
     assert [out.splitlines()[0] for out, _ in outs] == [str(first)] * 2
+    other = copy / "__pycache__" / "_kernel.0123456789abcdef.cpython-399-other.so"
+    other.write_bytes(b"")
     source = copy / "_kernel.c"
     source.write_text(source.read_text() + "/* edited */\n")
     (path, _) = _run(tmp_path)
-    assert sorted((copy / "__pycache__").iterdir()) == sorted([first, Path(path)])
+    assert Path(path) != first
+    assert sorted((copy / "__pycache__").iterdir()) == sorted([Path(path), other])
 
 
 def test_a_failed_build_raises_import_error_with_the_command_and_its_output(tmp_path):

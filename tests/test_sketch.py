@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from reference import CountMinSketch, digest_buckets, separating_rows
 from sketchclust import SketchConfig
-from sketchclust.sketch import _digests
+from sketchclust.native import kernel
 
 
 def test_config_validation():
@@ -191,13 +191,60 @@ def test_buckets_equal_the_per_key_digests(keys, rows, cols, seed):
     assert np.array_equal(got, want)
 
 
+def _digest_words(keys) -> list[int]:
+    """Each key's 64-bit digest as the kernel computes it, read back whole
+    through ``key_buckets``: a multiplier of 1 keeps its high 32 bits, one
+    of 2**32 its low 32 bits, and no column count reduces either."""
+    out = np.empty((2, len(keys)), dtype=np.intp)
+    kernel.key_buckets(keys, np.array([1, 2**32], np.uint64), np.zeros(2, np.uint64), 2**62, out)
+    return [(hi << 32) | lo for hi, lo in zip(out[0].tolist(), out[1].tolist())]
+
+
+def _blake2b(keys) -> list[int]:
+    return [int.from_bytes(hashlib.blake2b(k, digest_size=8).digest(), "little") for k in keys]
+
+
+# every length from 0 to 300 bytes: the empty key, the 127/128/129 and
+# 256/257-byte block edges and three-block keys, random bytes of each
+_LENGTHS = [random.Random(length).randbytes(length) for length in range(301)]
+
+
 @given(keys=st.lists(st.binary(max_size=300), max_size=20))
-@example(keys=[b"", b"k", b"x" * 128, b"x" * 129, b"y" * 257, b""])
+@example(keys=_LENGTHS)
+@example(keys=[b"", b"k", b"x" * 128, b"x" * 129, b"y" * 256, b"y" * 257, b""])
 def test_each_digest_is_the_keys_own_blake2b(keys):
-    # the digests come from copies of one shared empty hasher, each fed its
-    # key alone: empty keys and keys past the 128-byte block included
-    want = b"".join(hashlib.blake2b(k, digest_size=8).digest() for k in keys)
-    assert _digests(keys) == want
+    assert _digest_words(keys) == _blake2b(keys)
+
+
+_UTF8 = st.text(st.characters(min_codepoint=0x80, exclude_categories=("Cs",)), max_size=90)
+
+
+@given(
+    keys=st.lists(st.binary(max_size=300) | _UTF8.map(str.encode), max_size=30),
+    rows=st.integers(1, 12),
+    cols=st.integers(2, 1 << 20),
+    seed=st.integers(-(2**63), 2**63 - 1),
+)
+@example(keys=_LENGTHS, rows=10, cols=500, seed=7)
+@example(keys=["é€😀".encode() * i for i in range(40)], rows=4, cols=1 << 20, seed=-1)
+def test_buckets_equal_the_reference_on_block_edges_and_utf8(keys, rows, cols, seed):
+    """``SketchConfig.buckets`` against ``reference.digest_buckets`` on
+    keys of every length up to 300 bytes, random bytes and multi-byte
+    UTF-8 text (two to four bytes a character)."""
+    cfg = SketchConfig(rows=rows, cols=cols, seed=seed)
+    assert cfg.buckets(keys).tobytes() == digest_buckets(cfg, keys).tobytes()
+
+
+def test_a_str_key_raises_as_hashlib_does_before_any_write():
+    cfg = SketchConfig(rows=3, cols=16)
+    with pytest.raises(TypeError, match="^Strings must be encoded before hashing$"):
+        hashlib.blake2b("k", digest_size=8)
+    out = np.full((3, 2), -1, dtype=np.intp)
+    with pytest.raises(TypeError, match="^Strings must be encoded before hashing$"):
+        kernel.key_buckets((b"a", "k"), cfg._mult, cfg._add, cfg.cols, out)
+    assert (out == -1).all()
+    with pytest.raises(TypeError, match="^Strings must be encoded before hashing$"):
+        cfg.buckets((b"a", "k"))
 
 
 def test_separating_rows_sees_collisions():
