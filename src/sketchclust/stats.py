@@ -9,9 +9,9 @@ from them; a backend supplies only the store of first moments.
 keeps exact maps). Every read and update takes a graph's one flat
 ``model.GraphView``, which holds only the graph: scoring it against all
 clusters is one gather of estimates, one product and one closed form,
-absorbing it one scatter into the slot's sketches. Summing two clusters' cells and
-scalars (the later timestamp winning) equals absorbing both member sets
-into one.
+absorbing it one scatter into the slot's sketches. Summing two clusters'
+cells and scalars (the later timestamp winning) equals absorbing both
+member sets into one.
 
 A bank checkpoints as its live slots' arrays, whole: the scalars, then
 the backend's first moments, every shape but the slot count taken from
@@ -104,9 +104,9 @@ class Bank:
     in numpy's order, so its bits are numpy's. The cross products, the
     ``self_sq`` row squares and the graph's ``sq_sum`` are sums, which
     round by their order, and stay in numpy, as does ``intra_sq``, which
-    holds the spread's form. An event's
-    ``es_distance_sq`` (formed in ``Engine._decide``) weights the d+1 squared
-    component distances by the engine's nonnegative weights.
+    holds the spread's form. An event's ``es_distance_sq`` (formed in
+    ``Engine._decide``) weights the d+1 squared component distances by the
+    engine's nonnegative weights.
 
     A backend supplies its first-moment store through the hooks:
     ``_add(slot, view, fresh)`` (which empties the slot first if

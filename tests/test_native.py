@@ -2,9 +2,9 @@
 
 Each kernel function checks every buffer's element type, shape and
 contiguity, and every component id, slot and bucket against the grid
-shape, and raises ValueError before it writes anything. The sketch bank hands a
-view's arrays to it as they are, and ``GraphView`` is public, so a caller
-can hand it a view whose arrays no constructor made. The kernel is built
+shape, and raises ValueError before it writes anything. The sketch bank
+hands a view's arrays to it as they are, and ``GraphView`` is public, so
+a caller can hand it a view whose arrays no constructor made. The kernel is built
 on the first import into the package's ``__pycache__`` and loaded from
 there by later imports.
 """
@@ -221,7 +221,8 @@ def test_pair_distances_sq_rejects_a_bad_argument_before_any_write(arg, name, fa
     assert args["cross"].tobytes() == held.tobytes()
 
 
-# a hand-built view's arrays replaced after construction: the kernel's faults
+# a hand-built view's arrays replaced after construction: the kernel's
+# faults, and the short arrays that the bank itself rejects first
 _TAMPERED = {
     "comp float64": ("comp", lambda a: a.astype(np.float64)),
     "comp short": ("comp", lambda a: a[:-1]),
