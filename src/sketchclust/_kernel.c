@@ -1,14 +1,19 @@
-/* The sketch bank's compiled loops: key hashing, row-minimum gather,
- * in-order scatter, and the closed form of every squared distance.
+/* The compiled loops: the ingest walk (preprocess's canonical form and
+ * graph_views' flat view), and the sketch bank's key hashing, row-minimum
+ * gather, in-order scatter and the closed form of every squared distance.
  *
  * Built and loaded by sketchclust/native.py; it takes numpy arrays through
- * the buffer protocol and needs no numpy headers. Every function checks
- * each buffer's element type, shape and contiguity, and each component id,
- * slot and bucket against the grid, and raises ValueError before any
- * write; only a distance that is not finite is found while the distances
- * are written. The loops do only integer arithmetic, selections,
- * additions and single IEEE operations, in the order numpy did them, so
- * their results are bit for bit numpy's (and hashlib's for the digests).
+ * the buffer protocol, makes its own through numpy.empty and numpy.zeros,
+ * and needs no numpy headers. Every bank function checks each buffer's
+ * element type, shape and contiguity, and each component id, slot and
+ * bucket against the grid, and raises ValueError before any write; only a
+ * distance that is not finite is found while the distances are written.
+ * The loops do only integer arithmetic, selections, comparisons,
+ * additions and single IEEE operations, in the order the Python and numpy
+ * code they replaced did them, so their results are bit for bit that
+ * code's (and hashlib's for the digests). What sums many terms stays in
+ * numpy, a graph's per-component sum of squares among it: numpy's dot adds
+ * in its own order, and a C loop would round differently.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -196,7 +201,7 @@ blake2b64(const unsigned char *data, Py_ssize_t len)
  * must be bytes-like, as for hashlib: a str raises TypeError. Every key is
  * digested before ``out`` is written. */
 static PyObject *
-key_buckets(PyObject *self, PyObject *args)
+key_buckets(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *keys, *mult, *add, *out, *seq;
     Py_ssize_t cols;
@@ -276,7 +281,7 @@ take_grid(Held *h, PyObject *cells, PyObject *comp, PyObject *buckets, int writa
  * (N, m) float64. Rows are taken in order and a tie keeps the later row,
  * as numpy's minimum does (which decides the sign of a zero). */
 static PyObject *
-row_minima(PyObject *self, PyObject *args)
+row_minima(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *cells, *comp, *buckets, *out;
     Py_ssize_t m;
@@ -316,7 +321,7 @@ row_minima(PyObject *self, PyObject *args)
  * a row, the order ``np.add.at`` adds in; if ``fresh``, the slot's grids of
  * every component are zeroed first. */
 static PyObject *
-scatter_add(PyObject *self, PyObject *args)
+scatter_add(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *cells, *comp, *buckets, *values;
     Py_ssize_t slot;
@@ -387,7 +392,7 @@ take_counts(Held *h, PyObject *self_sq, PyObject *n, PyObject *cross)
  * with n_i = n[i] as a double, for the slots i < P: one graph's squared
  * component distances to the P live centroids. */
 static PyObject *
-graph_distances_sq(PyObject *self, PyObject *args)
+graph_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *self_sq, *n, *sq_sum, *cross;
     Held h = {.held = 0};
@@ -423,7 +428,7 @@ graph_distances_sq(PyObject *self, PyObject *args)
  * s = second[p] and o(i, c) = self_sq[c, i] / (n_i n_i): the squared
  * separations of the P slot pairs' centroids. */
 static PyObject *
-pair_distances_sq(PyObject *self, PyObject *args)
+pair_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *self_sq, *n, *first, *second, *cross;
     Held h = {.held = 0};
@@ -456,6 +461,710 @@ pair_distances_sq(PyObject *self, PyObject *args)
     return release(&h, Py_NewRef(Py_None));
 }
 
+/* ---- The ingest walk: preprocess's canonical form, graph_views' flat view ----
+ *
+ * Both walk Python objects, so they raise the errors of the Python code
+ * they replaced, and call model's _check_label, _check_value and
+ * _check_squares (handed in as ``checks``) for every fault those own. Each
+ * reference an entry holds is its own, and a comparison that raises leaves
+ * a sort a permutation, so every error path releases what it took. */
+
+static PyObject *SAFE;               /* model._SQUARES_SAFE, 2**480, as a float */
+static PyObject *ONE;                /* 1.0: a present categorical id's value */
+static PyObject *EDGE_FREQUENCY, *EDGE_FREQUENCIES, *PRESENCE;  /* what the checks name */
+static PyObject *ID, *LABEL, *EDGES, *SIDE;                      /* GraphObject's fields */
+static PyObject *EMPTY, *ZEROS, *FLOAT64_T, *INTP_T;             /* numpy.empty ... numpy.intp */
+static const double SQUARES_SAFE = 0x1p480;
+
+/* The model helpers that own the label, mass and square-sum faults. */
+typedef struct {
+    PyObject *label, *value, *squares;
+} Checks;
+
+/* Whether _check_label accepts ``label``: a str, nonempty, without the
+ * separator 0x1f, and encodable as UTF-8 (no lone surrogate). */
+static int
+label_ok(PyObject *label)
+{
+    if (!PyUnicode_Check(label))
+        return 0;
+#if PY_VERSION_HEX < 0x030C0000
+    if (PyUnicode_READY(label) < 0) {
+        PyErr_Clear();
+        return 0;
+    }
+#endif
+    const Py_ssize_t n = PyUnicode_GET_LENGTH(label);
+    const int kind = PyUnicode_KIND(label);
+    const void *data = PyUnicode_DATA(label);
+    if (kind == PyUnicode_1BYTE_KIND)
+        return n > 0 && memchr(data, 0x1f, (size_t)n) == NULL;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        const Py_UCS4 c = PyUnicode_READ(kind, data, i);
+        if (c == 0x1f || (c >= 0xd800 && c <= 0xdfff))
+            return 0;
+    }
+    return n > 0;
+}
+
+/* 0 if ``label`` passes; else _check_label(label) raises its ValueError
+ * and this returns -1. */
+static int
+check_label(const Checks *c, PyObject *label)
+{
+    if (label_ok(label))
+        return 0;
+    PyObject *r = PyObject_CallOneArg(c->label, label);
+    Py_XDECREF(r);
+    return r ? 0 : -1;
+}
+
+/* A mass as preprocess reads it: a plain float or int in [0, 2**480) as it
+ * is, any other through _check_value(value, what), ``what`` being
+ * "attribute <id!r> value" if ``attr_id`` is given. */
+static int
+read_mass(const Checks *c, PyObject *value, PyObject *what, PyObject *attr_id, double *out)
+{
+    if (PyFloat_CheckExact(value)) {
+        *out = PyFloat_AS_DOUBLE(value);
+        if (0.0 <= *out && *out < SQUARES_SAFE)
+            return 0;
+    }
+    else if (PyLong_CheckExact(value)) {
+        int overflow, below = 1;
+        const long long x = PyLong_AsLongLongAndOverflow(value, &overflow);
+        if (overflow > 0 && (below = PyObject_RichCompareBool(value, SAFE, Py_LT)) < 0)
+            return -1;
+        if (overflow >= 0 && x >= 0 && below) {
+            *out = PyLong_AsDouble(value);  /* correctly rounded, as 0.0 + value is */
+            return 0;
+        }
+    }
+    PyObject *text = attr_id ? PyUnicode_FromFormat("attribute %R value", attr_id)
+                             : Py_NewRef(what);
+    if (!text)
+        return -1;
+    PyObject *r = PyObject_CallFunctionObjArgs(c->value, value, text, NULL);
+    Py_DECREF(text);
+    if (!r)
+        return -1;
+    *out = PyFloat_AsDouble(r);
+    Py_DECREF(r);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* _check_squares(masses, what), both stolen (NULL: an error already set);
+ * -1 if it raises. */
+static int
+check_squares(const Checks *c, PyObject *masses, PyObject *what)
+{
+    PyObject *r = masses && what ? PyObject_CallFunctionObjArgs(c->squares, masses, what, NULL)
+                                 : NULL;
+    Py_XDECREF(masses);
+    Py_XDECREF(what);
+    Py_XDECREF(r);
+    return r ? 0 : -1;
+}
+
+/* An edge (a, b) or a side id a with its value b (NULL for a shorthand's
+ * id, whose mass is its count), and the mass read; references owned. */
+typedef struct {
+    PyObject *a, *b;
+    double mass;
+} Entry;
+
+/* -1, 0 or 1 as ``a`` sorts before, with or after ``b``: by code point for
+ * two str, by == and then < otherwise (a str subclass's own operators).
+ * Once a comparison has raised, *failed is set and every later one gives 0,
+ * so a sort leaves a permutation. */
+static int
+order(PyObject *a, PyObject *b, int *failed)
+{
+    if (*failed)
+        return 0;
+    if (PyUnicode_CheckExact(a) && PyUnicode_CheckExact(b)) {
+        if (PyUnicode_KIND(a) != PyUnicode_1BYTE_KIND || PyUnicode_KIND(b) != PyUnicode_1BYTE_KIND)
+            return PyUnicode_Compare(a, b);
+        /* one byte per code point: bytewise order is code point order */
+        const Py_ssize_t na = PyUnicode_GET_LENGTH(a), nb = PyUnicode_GET_LENGTH(b);
+        const int c = memcmp(PyUnicode_DATA(a), PyUnicode_DATA(b), (size_t)(na < nb ? na : nb));
+        return c ? (c < 0 ? -1 : 1) : (na > nb) - (na < nb);
+    }
+    const int eq = PyObject_RichCompareBool(a, b, Py_EQ);
+    const int lt = eq == 0 ? PyObject_RichCompareBool(a, b, Py_LT) : 0;
+    if (eq < 0 || lt < 0) {
+        *failed = 1;
+        return 0;
+    }
+    return eq ? 0 : lt ? -1 : 1;
+}
+
+static int
+entry_order(const Entry *x, const Entry *y, int pairs, int *failed)
+{
+    const int c = order(x->a, y->a, failed);
+    return c == 0 && pairs ? order(x->b, y->b, failed) : c;
+}
+
+/* Sort ``n`` entries stably by (a, b) if ``pairs``, else by a, with room
+ * for n / 2 entries at ``tmp``: the order of Python's sorted() on the
+ * (src, dst) tuples or ids, equal keys kept in input order. */
+static void
+sort_entries(Entry *e, Py_ssize_t n, Entry *tmp, int pairs, int *failed)
+{
+    if (n <= 12) {
+        for (Py_ssize_t i = 1; i < n; i++) {
+            const Entry x = e[i];
+            Py_ssize_t j = i;
+            for (; j > 0 && entry_order(&e[j - 1], &x, pairs, failed) > 0; j--)
+                e[j] = e[j - 1];
+            e[j] = x;
+        }
+        return;
+    }
+    const Py_ssize_t h = n / 2;
+    sort_entries(e, h, tmp, pairs, failed);
+    sort_entries(e + h, n - h, tmp, pairs, failed);
+    memcpy(tmp, e, (size_t)h * sizeof *e);
+    Py_ssize_t i = 0, j = h, k = 0;
+    while (i < h && j < n)
+        e[k++] = entry_order(&e[j], &tmp[i], pairs, failed) < 0 ? e[j++] : tmp[i++];
+    while (i < h)
+        e[k++] = tmp[i++];
+}
+
+/* Room for ``n`` entries and a sort's scratch; NULL and MemoryError. */
+static Entry *
+new_entries(Py_ssize_t n)
+{
+    Entry *e = PyMem_Calloc((size_t)(n + n / 2 + 1), sizeof(Entry));
+    if (!e)
+        PyErr_NoMemory();
+    return e;
+}
+
+static void
+free_entries(Entry *e, Py_ssize_t n)
+{
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_DECREF(e[i].a);
+        Py_XDECREF(e[i].b);
+    }
+    PyMem_Free(e);
+}
+
+/* Read one edge as preprocess's pattern (src, dst[, freq]) does: its mass
+ * (None reads as 1), its labels, then its direction. 1 and the edge in
+ * *out; 0 for a zero-mass edge, which is dropped; -1 on a fault. */
+static int
+read_edge(const Checks *c, PyObject *edge, int undirected, Entry *out)
+{
+    PyObject *items = NULL;
+    if (PyType_GetFlags(Py_TYPE(edge)) & Py_TPFLAGS_SEQUENCE) {  /* no str, dict or number */
+        if (!(items = PySequence_Fast(edge, "edge")))
+            return -1;
+        if (PySequence_Fast_GET_SIZE(items) != 2 && PySequence_Fast_GET_SIZE(items) != 3)
+            Py_CLEAR(items);
+    }
+    if (!items) {
+        PyErr_Format(PyExc_ValueError, "edges must be (src, dst) or (src, dst, freq), not %R",
+                     edge);
+        return -1;
+    }
+    PyObject *src = Py_NewRef(PySequence_Fast_GET_ITEM(items, 0));
+    PyObject *dst = Py_NewRef(PySequence_Fast_GET_ITEM(items, 1));
+    PyObject *freq = PySequence_Fast_GET_SIZE(items) == 3
+                         ? Py_NewRef(PySequence_Fast_GET_ITEM(items, 2)) : NULL;
+    Py_DECREF(items);
+    double mass = 1.0;
+    int status = -1, failed = 0;
+    if ((freq && freq != Py_None && read_mass(c, freq, EDGE_FREQUENCY, NULL, &mass) < 0) ||
+        check_label(c, src) < 0 || check_label(c, dst) < 0)
+        goto done;
+    status = 0;
+    if (mass == 0.0)
+        goto done;
+    const int swap = undirected && order(dst, src, &failed) < 0;
+    if (failed) {
+        status = -1;
+        goto done;
+    }
+    *out = (Entry){swap ? dst : src, swap ? src : dst, mass};
+    src = dst = NULL;  /* now the entry's */
+    status = 1;
+done:
+    Py_XDECREF(src);
+    Py_XDECREF(dst);
+    Py_XDECREF(freq);
+    return status;
+}
+
+/* The edge list in canonical form: each (src, dst) once, sorted, with its
+ * masses summed in input order, as a list of (src, dst, mass) tuples. */
+static PyObject *
+canonical_edges(const Checks *c, PyObject *edges, int undirected)
+{
+    const Py_ssize_t count = PySequence_Fast_GET_SIZE(edges);
+    Py_ssize_t n = 0, kept = 0;
+    PyObject *out = NULL;
+    Entry *e = new_entries(count);
+    if (!e)
+        return NULL;
+    for (Py_ssize_t i = 0; i < count && i < PySequence_Fast_GET_SIZE(edges); i++) {
+        PyObject *edge = Py_NewRef(PySequence_Fast_GET_ITEM(edges, i));
+        const int read = read_edge(c, edge, undirected, &e[n]);
+        Py_DECREF(edge);
+        if (read < 0)
+            goto done;
+        n += read;
+    }
+    int failed = 0;
+    sort_entries(e, n, e + count, 1, &failed);
+    /* Sum each run of one (src, dst) into its first entry; the rest read -1. */
+    for (Py_ssize_t i = 0, first = 0; i < n; i++) {
+        if (i > 0 && entry_order(&e[first], &e[i], 1, &failed) == 0) {
+            e[first].mass += e[i].mass;
+            e[i].mass = -1.0;
+        }
+        else {
+            first = i;
+            kept++;
+        }
+    }
+    if (failed || !(out = PyList_New(kept)))
+        goto done;
+    double total = 0.0;
+    for (Py_ssize_t i = 0, k = 0; i < n; i++) {
+        if (e[i].mass < 0.0)
+            continue;
+        total += e[i].mass;
+        PyObject *edge = PyTuple_New(3), *mass = PyFloat_FromDouble(e[i].mass);
+        if (!edge || !mass) {
+            Py_XDECREF(edge);
+            Py_XDECREF(mass);
+            Py_CLEAR(out);
+            goto done;
+        }
+        PyTuple_SET_ITEM(edge, 0, Py_NewRef(e[i].a));
+        PyTuple_SET_ITEM(edge, 1, Py_NewRef(e[i].b));
+        PyTuple_SET_ITEM(edge, 2, mass);
+        PyList_SET_ITEM(out, k++, edge);
+    }
+    if (!(total <= SQUARES_SAFE)) {
+        PyObject *masses = PyList_New(kept);
+        for (Py_ssize_t k = 0; masses && k < kept; k++)
+            PyList_SET_ITEM(masses, k, Py_NewRef(PyTuple_GET_ITEM(PyList_GET_ITEM(out, k), 2)));
+        if (check_squares(c, masses, Py_NewRef(EDGE_FREQUENCIES)) < 0)
+            Py_CLEAR(out);
+    }
+done:
+    free_entries(e, n);
+    return out;
+}
+
+/* f"{name}={attr_id}": a categorical id's key. */
+static PyObject *
+categorical_key(PyObject *name, PyObject *attr_id)
+{
+    PyObject *n = PyObject_Format(name, NULL), *a = n ? PyObject_Format(attr_id, NULL) : NULL;
+    PyObject *key = a ? PyUnicode_FromFormat("%U=%U", n, a) : NULL;
+    Py_XDECREF(n);
+    Py_XDECREF(a);
+    return key;
+}
+
+/* One side entry's ids with their values, or with NULL for the ids of a
+ * shorthand (a list of ids, or one id), each counted; NULL on a fault. */
+static Entry *
+side_entries(PyObject *name, PyObject *entry, Py_ssize_t *count)
+{
+    Entry *e;
+    Py_ssize_t n = 0;
+    if (PyDict_Check(entry)) {
+        PyObject *key, *value;
+        Py_ssize_t pos = 0;
+        if (!(e = new_entries(PyDict_GET_SIZE(entry))))
+            return NULL;
+        while (PyDict_Next(entry, &pos, &key, &value))
+            e[n++] = (Entry){Py_NewRef(key), Py_NewRef(value), 0.0};
+    }
+    else if (PyUnicode_Check(entry)) {
+        if (!(e = new_entries(1)))
+            return NULL;
+        e[n++] = (Entry){Py_NewRef(entry), NULL, 1.0};
+    }
+    else if (PyList_Check(entry)) {
+        const Py_ssize_t size = PyList_GET_SIZE(entry);
+        for (Py_ssize_t i = 0; i < size; i++) {
+            if (!PyUnicode_Check(PyList_GET_ITEM(entry, i))) {
+                PyErr_Format(PyExc_ValueError, "list items of %R must be strings", name);
+                return NULL;
+            }
+        }
+        if (!(e = new_entries(size)))
+            return NULL;
+        for (; n < size; n++)
+            e[n] = (Entry){Py_NewRef(PyList_GET_ITEM(entry, n)), NULL, 1.0};
+    }
+    else {
+        PyErr_Format(PyExc_ValueError, "side entry %R must be an object, list or string", name);
+        return NULL;
+    }
+    *count = n;
+    return e;
+}
+
+/* One side entry in canonical form, stored as side[name] unless it keeps
+ * no id: its ids sorted, a shorthand's counted, each zero mass dropped and
+ * a categorical id written "name=id" with value 1. */
+static int
+canonical_side(const Checks *c, PyObject *name, PyObject *entry, int categorical, PyObject *side)
+{
+    Py_ssize_t n = 0;
+    int failed = 0, status = -1;
+    PyObject *cleaned = NULL;
+    Entry *e = side_entries(name, entry, &n);
+    if (!e)
+        return -1;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (check_label(c, e[i].a) < 0)  /* every id is a str before any two compare */
+            goto done;
+    }
+    sort_entries(e, n, e + n, 0, &failed);
+    if (n && !e[0].b) {  /* a shorthand: count each id into its first entry; the rest read -1 */
+        for (Py_ssize_t i = 1, first = 0; i < n; i++) {
+            if (order(e[first].a, e[i].a, &failed) == 0) {
+                e[first].mass += 1.0;
+                e[i].mass = -1.0;
+            }
+            else
+                first = i;
+        }
+    }
+    if (failed || !(cleaned = PyDict_New()))
+        goto done;
+    double total = 0.0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        if (e[i].b && read_mass(c, e[i].b, PRESENCE, categorical ? NULL : e[i].a, &e[i].mass) < 0)
+            goto done;
+        if (!(e[i].mass > 0.0))
+            continue;
+        PyObject *key, *value;
+        if (categorical) {
+            key = categorical_key(name, e[i].a);
+            value = Py_NewRef(ONE);
+        }
+        else {
+            key = Py_NewRef(e[i].a);
+            value = e[i].b && PyFloat_CheckExact(e[i].b) ? Py_NewRef(e[i].b)
+                                                          : PyFloat_FromDouble(e[i].mass);
+        }
+        const int set = key && value ? PyDict_SetItem(cleaned, key, value) : -1;
+        Py_XDECREF(key);
+        Py_XDECREF(value);
+        if (set < 0)
+            goto done;
+        total += categorical ? 1.0 : e[i].mass;
+    }
+    if (PyDict_GET_SIZE(cleaned)) {
+        if (!(total <= SQUARES_SAFE) &&
+            check_squares(c, PyDict_Values(cleaned), PyUnicode_FromFormat("side type %R values",
+                                                                           name)) < 0)
+            goto done;
+        if (PyDict_SetItem(side, name, cleaned) < 0)
+            goto done;
+    }
+    status = 0;
+done:
+    Py_XDECREF(cleaned);
+    free_entries(e, n);
+    return status;
+}
+
+/* canonical_graph(g, directed, categorical, checks): the (edges, side) of
+ * preprocess(g, schema), where ``categorical`` maps each declared side
+ * type name to whether it is categorical and ``checks`` holds model's
+ * (_check_label, _check_value, _check_squares). */
+static PyObject *
+canonical_graph(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 4 || !PyDict_Check(args[2]) || !PyTuple_Check(args[3]) ||
+        PyTuple_GET_SIZE(args[3]) != 3) {
+        PyErr_SetString(PyExc_TypeError,
+                         "canonical_graph(g, directed, categorical: dict, checks: 3-tuple)");
+        return NULL;
+    }
+    const Checks c = {PyTuple_GET_ITEM(args[3], 0), PyTuple_GET_ITEM(args[3], 1),
+                      PyTuple_GET_ITEM(args[3], 2)};
+    PyObject *g = args[0], *categorical = args[2], *result = NULL;
+    PyObject *id = NULL, *label = NULL, *edges = NULL, *side = NULL, *seq = NULL, *out = NULL;
+    PyObject *out_side = NULL;
+    const int directed = PyObject_IsTrue(args[1]);
+    if (directed < 0 || !(id = PyObject_GetAttr(g, ID)) || !(label = PyObject_GetAttr(g, LABEL)) ||
+        !(edges = PyObject_GetAttr(g, EDGES)) || !(side = PyObject_GetAttr(g, SIDE)))
+        goto done;
+    if (!PyUnicode_Check(id) || PyUnicode_GET_LENGTH(id) == 0) {
+        PyErr_SetString(PyExc_ValueError, "graph id must be a nonempty string");
+        goto done;
+    }
+    if (label != Py_None && !PyUnicode_Check(label)) {
+        PyErr_Format(PyExc_ValueError, "graph label must be a string, not %R", label);
+        goto done;
+    }
+    if (!PyList_Check(edges) && !PyTuple_Check(edges)) {
+        PyErr_SetString(PyExc_ValueError, "edges must be a list or tuple");
+        goto done;
+    }
+    if (!PyDict_Check(side)) {
+        PyErr_SetString(PyExc_ValueError, "side must be an object keyed by type name");
+        goto done;
+    }
+    if (!(seq = PySequence_Fast(edges, "edges")) ||
+        !(out = canonical_edges(&c, seq, !directed)) || !(out_side = PyDict_New()))
+        goto done;
+    Py_SETREF(side, PyDict_Copy(side));  /* the checks call out: walk a copy */
+    PyObject *name, *entry;
+    Py_ssize_t pos = 0;
+    while (side && PyDict_Next(side, &pos, &name, &entry)) {
+        PyObject *kind = PyDict_GetItemWithError(categorical, name);
+        if (!kind) {
+            if (!PyErr_Occurred())
+                PyErr_Format(PyExc_ValueError, "side type %R not declared in schema", name);
+            goto done;
+        }
+        const int is_categorical = PyObject_IsTrue(kind);
+        if (is_categorical < 0 || canonical_side(&c, name, entry, is_categorical, out_side) < 0)
+            goto done;
+    }
+    if (side)
+        result = PyTuple_Pack(2, out, out_side);
+done:
+    Py_XDECREF(id);
+    Py_XDECREF(label);
+    Py_XDECREF(edges);
+    Py_XDECREF(side);
+    Py_XDECREF(seq);
+    Py_XDECREF(out);
+    Py_XDECREF(out_side);
+    return result;
+}
+
+/* A new zeroed (``zero``) or uninitialised C-ordered numpy array of
+ * ``dtype``, (n,) or (n, cols) for cols >= 0, its buffer taken into ``h``. */
+static PyObject *
+new_array(Held *h, int zero, PyObject *dtype, Py_ssize_t n, Py_ssize_t cols)
+{
+    PyObject *shape = cols < 0 ? Py_BuildValue("(n)", n) : Py_BuildValue("(nn)", n, cols);
+    PyObject *array = shape ? PyObject_CallFunctionObjArgs(zero ? ZEROS : EMPTY, shape, dtype,
+                                                           NULL)
+                            : NULL;
+    Py_XDECREF(shape);
+    if (array && PyObject_GetBuffer(array, &h->view[h->held], PyBUF_C_CONTIGUOUS |
+                                                                  PyBUF_WRITABLE) < 0)
+        Py_CLEAR(array);
+    if (array)
+        h->held++;
+    return array;
+}
+
+/* The UTF-8 bytes of src + "\x1f" + dst: an edge's key. */
+static PyObject *
+edge_key(PyObject *src, PyObject *dst)
+{
+    Py_ssize_t ls, lt;
+    const char *s, *t;
+    if (!PyUnicode_Check(src) || !PyUnicode_Check(dst)) {
+        PyErr_Format(PyExc_TypeError, "edge endpoints must be str, not %.100s and %.100s",
+                     Py_TYPE(src)->tp_name, Py_TYPE(dst)->tp_name);
+        return NULL;
+    }
+    if (!(s = PyUnicode_AsUTF8AndSize(src, &ls)) || !(t = PyUnicode_AsUTF8AndSize(dst, &lt)))
+        return NULL;
+    PyObject *key = PyBytes_FromStringAndSize(NULL, ls + 1 + lt);
+    if (key) {
+        char *k = PyBytes_AS_STRING(key);
+        memcpy(k, s, (size_t)ls);
+        k[ls] = 0x1f;
+        memcpy(k + ls + 1, t, (size_t)lt);
+    }
+    return key;
+}
+
+/* A mass as a double; a float or int without a call. */
+static int
+as_double(PyObject *value, double *out)
+{
+    if (PyFloat_CheckExact(value)) {
+        *out = PyFloat_AS_DOUBLE(value);
+        return 0;
+    }
+    Py_INCREF(value);  /* its __float__ may drop it from its container */
+    *out = PyFloat_AsDouble(value);
+    Py_DECREF(value);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* Write a canonical graph's keys into ``keys`` and masses into ``mass``,
+ * component by component as ``ends`` (d + 2 entries) lays them out: each
+ * edge (src, dst, mass) of ``edges``, then each side map of ``sides`` (a
+ * dict of id to mass, or None) in order. */
+static int
+write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *keys, double *mass)
+{
+    for (Py_ssize_t i = 0; i < ends[1]; i++) {
+        if (i >= PySequence_Fast_GET_SIZE(edges)) {
+            PyErr_SetString(PyExc_RuntimeError, "the edge list changed size");
+            return -1;
+        }
+        PyObject *edge = PySequence_Fast(PySequence_Fast_GET_ITEM(edges, i), "an edge");
+        if (!edge)
+            return -1;
+        PyObject *key = NULL;
+        if (PySequence_Fast_GET_SIZE(edge) != 3)
+            PyErr_Format(PyExc_ValueError, "an edge is (src, dst, mass), not %zd items",
+                         PySequence_Fast_GET_SIZE(edge));
+        else if ((key = edge_key(PySequence_Fast_GET_ITEM(edge, 0),
+                                 PySequence_Fast_GET_ITEM(edge, 1))))
+            PyTuple_SET_ITEM(keys, i, key);
+        const int fault = !key || as_double(PySequence_Fast_GET_ITEM(edge, 2), &mass[i]) < 0;
+        Py_DECREF(edge);
+        if (fault)
+            return -1;
+    }
+    for (Py_ssize_t s = 0; s < PySequence_Fast_GET_SIZE(sides); s++) {
+        PyObject *map = PySequence_Fast_GET_ITEM(sides, s), *id, *value;
+        Py_ssize_t pos = 0, i = ends[s + 1];
+        while (map != Py_None && PyDict_Next(map, &pos, &id, &value)) {
+            if (i == ends[s + 2]) {
+                PyErr_SetString(PyExc_RuntimeError, "a side map changed size");
+                return -1;
+            }
+            PyObject *key = PyUnicode_Check(id) ? PyUnicode_AsUTF8String(id) : NULL;
+            if (!key) {
+                if (!PyErr_Occurred())
+                    PyErr_Format(PyExc_TypeError, "side ids must be str, not %.100s",
+                                 Py_TYPE(id)->tp_name);
+                return -1;
+            }
+            PyTuple_SET_ITEM(keys, i, key);
+            if (as_double(value, &mass[i++]) < 0)
+                return -1;
+        }
+        if (i != ends[s + 2]) {
+            PyErr_SetString(PyExc_RuntimeError, "a side map changed size");
+            return -1;
+        }
+    }
+    return 0;
+}
+
+static const char NEED_BOUNDS[] = "need one value per key and bounds from 0 to the key count";
+
+/* graph_view(keys, values, bounds): a view's (keys, values, bounds, comp,
+ * block). Given a view's parts, ``keys`` is any sequence of N keys and is
+ * kept as it is, ``values`` the (N,) float64 masses, kept too, and
+ * ``bounds`` the component ends from 0 to N, kept as a tuple. Given a
+ * canonical graph, ``bounds`` is None, ``keys`` the graph's edge list and
+ * ``values`` its side maps in schema order (a dict or None each): the keys
+ * become bytes, each edge's the UTF-8 of src + "\x1f" + dst and each id's
+ * its own, into one tuple, and the masses one new (N,) float64 array.
+ * Either way ``comp`` (N,) intp holds each key's component and ``block``
+ * (N, d+1) float64 each key's mass in its component's column. */
+static PyObject *
+graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 3) {
+        PyErr_SetString(PyExc_TypeError, "graph_view(keys, values, bounds) takes 3 arguments");
+        return NULL;
+    }
+    PyObject *keys = NULL, *values = NULL, *bounds = NULL, *comp = NULL, *block = NULL;
+    PyObject *edges = NULL, *sides = NULL, *result = NULL;
+    Py_ssize_t n, comps, *ends = NULL;
+    const double *mass;
+    Held h = {.held = 0};
+    if (args[2] == Py_None) {
+        if (!(edges = PySequence_Fast(args[0], "a graph's edges must be a sequence")) ||
+            !(sides = PySequence_Fast(args[1], "a graph's side maps must be a sequence")))
+            goto done;
+        comps = 1 + PySequence_Fast_GET_SIZE(sides);
+        if (!(ends = PyMem_Malloc((size_t)(comps + 1) * sizeof *ends))) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        ends[0] = 0;
+        ends[1] = PySequence_Fast_GET_SIZE(edges);
+        for (Py_ssize_t s = 0; s + 1 < comps; s++) {
+            PyObject *map = PySequence_Fast_GET_ITEM(sides, s);
+            if (map != Py_None && !PyDict_Check(map)) {
+                PyErr_Format(PyExc_TypeError, "a side map is a dict or None, not %.100s",
+                             Py_TYPE(map)->tp_name);
+                goto done;
+            }
+            ends[s + 2] = ends[s + 1] + (map == Py_None ? 0 : PyDict_GET_SIZE(map));
+        }
+        n = ends[comps];
+        if (!(keys = PyTuple_New(n)) || !(values = new_array(&h, 0, FLOAT64_T, n, -1)) ||
+            write_graph(edges, sides, ends, keys, h.view[0].buf) < 0 ||
+            !(bounds = PyTuple_New(comps + 1)))
+            goto done;
+        for (Py_ssize_t c = 0; c <= comps; c++) {
+            PyObject *end = PyLong_FromSsize_t(ends[c]);
+            if (!end)
+                goto done;
+            PyTuple_SET_ITEM(bounds, c, end);
+        }
+    }
+    else {
+        if ((n = PyObject_Length(args[0])) < 0 ||
+            !take(&h, args[1], "values", FLOAT64, 0, -1, -1, -1) ||
+            !(bounds = PySequence_Tuple(args[2])))
+            goto done;
+        comps = PyTuple_GET_SIZE(bounds) - 1;
+        if (h.view[0].ndim != 1 || h.view[0].shape[0] != n || comps < 1) {
+            PyErr_SetString(PyExc_ValueError, NEED_BOUNDS);
+            goto done;
+        }
+        if (!(ends = PyMem_Malloc((size_t)(comps + 1) * sizeof *ends))) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        for (Py_ssize_t c = 0; c <= comps; c++) {
+            ends[c] = PyNumber_AsSsize_t(PyTuple_GET_ITEM(bounds, c), PyExc_OverflowError);
+            if (ends[c] == -1 && PyErr_Occurred())
+                goto done;
+            if (c == 0 ? ends[c] != 0 : ends[c] < ends[c - 1] || (c == comps && ends[c] != n)) {
+                PyErr_SetString(PyExc_ValueError, NEED_BOUNDS);
+                goto done;
+            }
+        }
+        keys = Py_NewRef(args[0]);
+        values = Py_NewRef(args[1]);
+    }
+    mass = h.view[0].buf;
+    if (!(comp = new_array(&h, 0, INTP_T, n, -1)) || !(block = new_array(&h, 1, FLOAT64_T, n, comps)))
+        goto done;
+    Py_ssize_t *component = h.view[1].buf;
+    double *cell = h.view[2].buf;
+    for (Py_ssize_t c = 0; c < comps; c++) {
+        for (Py_ssize_t i = ends[c]; i < ends[c + 1]; i++) {
+            component[i] = c;
+            cell[i * comps + c] = mass[i];
+        }
+    }
+    result = PyTuple_Pack(5, keys, values, bounds, comp, block);
+done:
+    release(&h, NULL);
+    PyMem_Free(ends);
+    Py_XDECREF(edges);
+    Py_XDECREF(sides);
+    Py_XDECREF(keys);
+    Py_XDECREF(values);
+    Py_XDECREF(bounds);
+    Py_XDECREF(comp);
+    Py_XDECREF(block);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"key_buckets", key_buckets, METH_VARARGS, "Each key's BLAKE2b-64 cell in every row."},
     {"row_minima", row_minima, METH_VARARGS, "Each key's row minimum in every live slot."},
@@ -464,13 +1173,42 @@ static PyMethodDef methods[] = {
      "One graph's squared component distances to every live centroid."},
     {"pair_distances_sq", pair_distances_sq, METH_VARARGS,
      "The squared centroid separations of slot pairs."},
+    {"canonical_graph", (PyCFunction)(void (*)(void))canonical_graph, METH_FASTCALL,
+     "A graph's canonical edges and side maps, as preprocess returns them."},
+    {"graph_view", (PyCFunction)(void (*)(void))graph_view, METH_FASTCALL,
+     "A view's keys, values, bounds, component ids and block-diagonal values."},
     {NULL, NULL, 0, NULL},
 };
 
-static struct PyModuleDef module = {PyModuleDef_HEAD_INIT, "_kernel", NULL, 0, methods};
+static struct PyModuleDef module = {
+    .m_base = PyModuleDef_HEAD_INIT,
+    .m_name = "_kernel",
+    .m_size = 0,
+    .m_methods = methods,
+};
 
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
+    PyObject *numpy = PyImport_ImportModule("numpy");
+    if (!numpy)
+        return NULL;
+    EMPTY = PyObject_GetAttrString(numpy, "empty");
+    ZEROS = PyObject_GetAttrString(numpy, "zeros");
+    FLOAT64_T = PyObject_GetAttrString(numpy, "float64");
+    INTP_T = PyObject_GetAttrString(numpy, "intp");
+    Py_DECREF(numpy);
+    SAFE = PyFloat_FromDouble(SQUARES_SAFE);
+    ONE = PyFloat_FromDouble(1.0);
+    EDGE_FREQUENCY = PyUnicode_InternFromString("edge frequency");
+    EDGE_FREQUENCIES = PyUnicode_InternFromString("edge frequencies");
+    PRESENCE = PyUnicode_InternFromString("categorical presence");
+    ID = PyUnicode_InternFromString("id");
+    LABEL = PyUnicode_InternFromString("label");
+    EDGES = PyUnicode_InternFromString("edges");
+    SIDE = PyUnicode_InternFromString("side");
+    if (!EMPTY || !ZEROS || !FLOAT64_T || !INTP_T || !SAFE || !ONE || !EDGE_FREQUENCY ||
+        !EDGE_FREQUENCIES || !PRESENCE || !ID || !LABEL || !EDGES || !SIDE)
+        return NULL;
     return PyModule_Create(&module);
 }

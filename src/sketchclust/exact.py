@@ -37,6 +37,16 @@ class ExactBank(Bank):
             [{} for _ in range(d + 1)] for _ in range(k)
         ]
 
+    def _check(self, view: GraphView) -> None:
+        """Also reject a view whose component ids are not intp or disagree
+        with its bounds: updates read the bounds and scores read ``comp``,
+        which the sketch kernel checks against its grid instead."""
+        super()._check(view)
+        comp, ends = view.comp, view.bounds
+        spans = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
+        if getattr(comp, "dtype", None) != np.intp or not np.array_equal(comp, spans):
+            raise ValueError("a view's component ids must be intp and match its bounds")
+
     def _add(self, slot: int, view: GraphView, fresh: bool) -> None:
         keys, values, ends = view.keys, view.values.tolist(), view.bounds
         if fresh:

@@ -20,31 +20,37 @@ and masses (the stream reader only decodes them), once per record. A
 plain ``int`` or ``float`` mass in ``[0, 2**480)`` is taken as it is; any
 other mass (numpy's numbers, bool, str, NaN, inf, a negative, an int
 beyond float range) goes through ``_check_value``. An endpoint's type is
-tested where the edge is read, before its endpoints are compared. A
-graph's labels (edge endpoints, then each side type's ids) are tested
-together: each nonempty, and their joined text ASCII with no separator
-but the joins. Only a graph that fails that test has each label checked
-by ``_check_label``, the one source of its messages, which also accepts
-a label that is not ASCII but encodes.
+tested where the edge is read, before its endpoints are compared; every
+label that is not a nonempty str free of the separator and of lone
+surrogates goes to ``_check_label``, the one source of its messages, and
+a mass whose component's sum passes ``2**480`` to ``_check_squares``.
 
 ``graph_views`` gives one flat ``GraphView`` per graph: every component's
 keys and values in one array. A sketch bank has it hash all its keys for
 the bank's own config in one call, on the first read, and reuses them.
+
+Both walks run in the compiled kernel (``native``): ``preprocess`` is
+``canonical_graph``, which calls the three ``_check_*`` helpers above on
+its slow path, and every ``GraphView``, from ``graph_views`` or built by
+hand, gets its keys, values, bounds, ``comp`` and ``block`` from
+``graph_view``. Only ``sq_sum`` is summed in numpy, one ``part.dot(part)``
+per component: the order of a sum decides its rounding, and a C loop
+would add in another order than numpy's.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 import types
 import typing
-from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
+
+from .native import kernel
 
 if TYPE_CHECKING:
     from .sketch import SketchConfig
@@ -87,6 +93,7 @@ class StreamSchema:
         object.__setattr__(
             self, "_categorical", {t.name: t.kind == KIND_CATEGORICAL for t in self.side_types}
         )
+        object.__setattr__(self, "_names", tuple(names))
 
     @property
     def d(self) -> int:
@@ -235,6 +242,10 @@ def _check_squares(values: list[float], what: str) -> None:
             raise ValueError(f"{what} must have a finite sum of squares")
 
 
+# The helpers that own every label, mass and square-sum fault, for the kernel
+_CHECKS = (_check_label, _check_value, _check_squares)
+
+
 def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     """Validate and normalize a graph against a schema.
 
@@ -253,88 +264,8 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
     Each record is checked once, as the module docstring says; a graph
     with several faults reports one, not necessarily the first in order.
     """
-    if not isinstance(g.id, str) or not g.id:
-        raise ValueError("graph id must be a nonempty string")
-    if g.label is not None and not isinstance(g.label, str):
-        raise ValueError(f"graph label must be a string, not {g.label!r}")
-
-    if not isinstance(g.edges, (list, tuple)):
-        raise ValueError("edges must be a list or tuple")
-    if not isinstance(g.side, dict):
-        raise ValueError("side must be an object keyed by type name")
-    undirected = not schema.directed
-    merged: dict[tuple[str, str], float] = {}
-    for edge in g.edges:
-        match edge:  # sequence patterns: no str, dict or number matches them
-            case (src, dst, freq):
-                if not ((type(freq) is float or type(freq) is int) and 0.0 <= freq < _SQUARES_SAFE):
-                    freq = 1.0 if freq is None else _check_value(freq, "edge frequency")
-            case (src, dst):
-                freq = 1.0
-            case _:
-                raise ValueError(f"edges must be (src, dst) or (src, dst, freq), not {edge!r}")
-        if type(src) is not str or type(dst) is not str:
-            _check_label(src)  # before the compare, which needs two strings
-            _check_label(dst)
-        if freq == 0.0:
-            _check_label(src)  # no merged key carries these to the joint check
-            _check_label(dst)
-            continue
-        key = (dst, src) if undirected and dst < src else (src, dst)
-        merged[key] = merged.get(key, 0.0) + freq
-    # (src, dst) keys are unique, so no two edges compare on their masses
-    edges = sorted([(s, t, f) for (s, t), f in merged.items()])
-    if sum(merged.values()) > _SQUARES_SAFE:
-        _check_squares([f for _, _, f in edges], "edge frequencies")
-
-    labels = [*itertools.chain.from_iterable(merged)]
-    side: dict[str, dict[str, float]] = {}
-    for name, attrs in g.side.items():
-        categorical = schema._categorical.get(name)
-        if categorical is None:
-            raise ValueError(f"side type {name!r} not declared in schema")
-        if not isinstance(attrs, dict):  # a list of ids, each counted, or one id
-            if isinstance(attrs, str):
-                attrs = [attrs]
-            elif not isinstance(attrs, list):
-                raise ValueError(f"side entry {name!r} must be an object, list or string")
-            if not all(isinstance(item, str) for item in attrs):
-                raise ValueError(f"list items of {name!r} must be strings")
-            attrs = Counter(attrs)
-        try:
-            ids = sorted(attrs)
-        except TypeError:  # ids that do not compare: some id is no string
-            for attr_id in attrs:
-                _check_label(attr_id)
-            raise
-        labels += ids
-        cleaned = {}
-        for attr_id in ids:
-            value = attrs[attr_id]
-            if not ((type(value) is float or type(value) is int) and 0.0 <= value < _SQUARES_SAFE):
-                what = "categorical presence" if categorical else f"attribute {attr_id!r} value"
-                value = _check_value(value, what)
-            if value > 0.0:
-                if categorical:
-                    cleaned[f"{name}={attr_id}"] = 1.0
-                else:
-                    cleaned[attr_id] = float(value)
-        if cleaned:
-            if sum(cleaned.values()) > _SQUARES_SAFE:
-                _check_squares(list(cleaned.values()), f"side type {name!r} values")
-            side[name] = cleaned
-    # One test of all labels together; each label on its own only if it fails
-    try:
-        text = _SEPARATOR_STR.join(labels)
-    except TypeError:  # some label is no string, which its check rejects
-        for label in labels:
-            _check_label(label)
-        raise
-    if text.count(_SEPARATOR_STR) != len(labels) - 1 or not text.isascii() or not all(labels):
-        for label in labels:
-            _check_label(label)
-
-    return GraphObject(id=g.id, edges=edges, side=side, label=g.label)
+    edges, side = kernel.canonical_graph(g, schema.directed, schema._categorical, _CHECKS)
+    return GraphObject(g.id, edges, side, g.label)
 
 
 class GraphView:
@@ -353,21 +284,16 @@ class GraphView:
     __slots__ = ("keys", "values", "bounds", "comp", "sq_sum", "block", "_hashed")
 
     def __init__(self, keys: tuple[bytes, ...], values: Sequence[float], bounds: Sequence[int]):
-        n = len(keys)
-        self.keys = keys
-        self.values = values = np.array(values, dtype=np.float64)
-        self.bounds = bounds = tuple(bounds)
-        if values.shape != (n,) or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n:
-            raise ValueError("need one value per key and bounds from 0 to the key count")
-        spans = list(zip(bounds, bounds[1:]))
-        self.comp = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
-        self.block = block = np.zeros((n, len(spans)), dtype=np.float64)
-        sq_sum = []
-        for c, (a, b) in enumerate(spans):
-            part = values[a:b]
-            block[a:b, c] = part
-            sq_sum.append(part.dot(part))
-        self.sq_sum = np.array(sq_sum, dtype=np.float64)
+        self._fill(kernel.graph_view(keys, np.array(values, dtype=np.float64), bounds))
+
+    def _fill(self, fields: tuple) -> None:
+        """Take the kernel's ``(keys, values, bounds, comp, block)`` and sum
+        each component's squares in numpy: ``part.dot(part)``, whose order
+        of additions (and so its rounding) is numpy's own."""
+        self.keys, self.values, self.bounds, self.comp, self.block = fields
+        values, ends = self.values, self.bounds
+        parts = [values[a:b] for a, b in zip(ends, ends[1:])]
+        self.sq_sum = np.array([part.dot(part) for part in parts], dtype=np.float64)
         self._hashed = (None, None)
 
     @property
@@ -389,12 +315,6 @@ def graph_views(g: GraphObject, schema: StreamSchema) -> GraphView:
     """The flat view of a ``preprocess`` output over the schema's d+1
     components. Labels are not checked again: ``preprocess`` has checked
     each one."""
-    keys = [(s + _SEPARATOR_STR + t).encode() for s, t, _ in g.edges]
-    values = [f for _, _, f in g.edges]
-    bounds = [0, len(keys)]
-    for side_type in schema.side_types:
-        attrs = g.side.get(side_type.name, {})
-        keys += map(str.encode, attrs)
-        values += attrs.values()
-        bounds.append(len(keys))
-    return GraphView(tuple(keys), values, bounds)
+    view = GraphView.__new__(GraphView)
+    view._fill(kernel.graph_view(g.edges, [g.side.get(name) for name in schema._names], None))
+    return view

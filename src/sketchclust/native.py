@@ -1,9 +1,11 @@
 """The compiled kernel ``_kernel.c``: built once, then loaded from a cache.
 
-The sketch bank's per-key loops (``SketchConfig.buckets``'s BLAKE2b digest
-and multiply-shift, ``ClusterBank``'s row-minimum gather and in-order
-scatter) and ``stats.Bank``'s closed-form distances run in a small C
-extension that uses only the CPython buffer protocol. The first import
+The ingest walk (``model.preprocess`` and every ``GraphView``'s
+construction), the sketch bank's per-key loops (``SketchConfig.buckets``'s
+BLAKE2b digest and multiply-shift, ``ClusterBank``'s row-minimum gather
+and in-order scatter) and ``stats.Bank``'s closed-form distances run in a
+small C extension that uses only the CPython API and buffer protocol, and
+numpy's Python API for the arrays it makes. The first import
 builds it with the system C compiler (``cc``) against the running
 interpreter's headers into ``__pycache__/`` next to this file, under a name
 keyed by the sha256 of the source, the compile flags and the interpreter's

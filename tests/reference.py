@@ -33,6 +33,9 @@ straightforward way:
   kept, as the library does;
 * ``component(view, c)``: a view's component ``c``, its keys and values
   sliced by ``view.bounds``;
+* ``view_fields`` and ``graph_view``: ``GraphView``'s construction and
+  ``graph_views`` as they were in Python before the compiled kernel built
+  them, kept verbatim as their bitwise oracles;
 * ``view_arrays`` and ``digest_buckets``: ``GraphView``'s derived arrays
   and ``SketchConfig.buckets`` as they were built before their per-graph
   overhead was cut, kept verbatim as their bitwise oracles (the digests
@@ -532,6 +535,42 @@ def view_arrays(values, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     block = np.zeros((n, len(spans)), dtype=np.float64)
     block[np.arange(n), comp] = values
     return comp, sq_sum, block
+
+
+def view_fields(keys, values, bounds) -> dict:
+    """``GraphView(keys, values, bounds)``'s fields but ``_hashed``, built
+    as the Python constructor built them."""
+    n = len(keys)
+    values = np.array(values, dtype=np.float64)
+    bounds = tuple(bounds)
+    if values.shape != (n,) or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n:
+        raise ValueError("need one value per key and bounds from 0 to the key count")
+    spans = list(zip(bounds, bounds[1:]))
+    comp = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
+    block = np.zeros((n, len(spans)), dtype=np.float64)
+    sq_sum = []
+    for c, (a, b) in enumerate(spans):
+        part = values[a:b]
+        block[a:b, c] = part
+        sq_sum.append(part.dot(part))
+    sq_sum = np.array(sq_sum, dtype=np.float64)
+    return {"keys": keys, "values": values, "bounds": bounds, "comp": comp, "sq_sum": sq_sum,
+            "block": block}
+
+
+def graph_view(g: GraphObject, schema: StreamSchema) -> dict:
+    """``graph_views(g, schema)``'s fields, as the Python walk built them:
+    each edge's key the UTF-8 of ``src + 0x1f + dst``, then each side
+    type's ids in schema order."""
+    keys = [(s + "\x1f" + t).encode() for s, t, _ in g.edges]
+    values = [f for _, _, f in g.edges]
+    bounds = [0, len(keys)]
+    for side_type in schema.side_types:
+        attrs = g.side.get(side_type.name, {})
+        keys += map(str.encode, attrs)
+        values += attrs.values()
+        bounds.append(len(keys))
+    return view_fields(tuple(keys), values, bounds)
 
 
 def digest_buckets(config: SketchConfig, keys: Sequence[bytes]) -> np.ndarray:

@@ -388,14 +388,18 @@ def long_run():
             schema,
         )
 
+    # Two passes of the stream through one engine: criterion 10 measures the
+    # rate's spread over at least five 0.5 s windows, and past about 480,000
+    # edges/s one pass of 1.2 million edges spans fewer.
     engine = make_engine()
     marks = [(0.0, 0)]
     edges = 0
     start = time.perf_counter()
-    for g in graphs:
-        edges += len(g.edges)
-        engine.process(g)
-        marks.append((time.perf_counter() - start, edges))
+    for _ in range(2):
+        for g in graphs:
+            edges += len(g.edges)
+            engine.process(g)
+            marks.append((time.perf_counter() - start, edges))
     size_full = len(engine.to_bytes())
 
     warm = make_engine()
@@ -416,7 +420,7 @@ def test_c07_checkpoint_size_is_stream_length_invariant(long_run):
     _verdict(
         7,
         ok,
-        f"checkpoint_bytes@1k={size_1k} @50k={size_full} "
+        f"checkpoint_bytes@1k={size_1k} @100k={size_full} "
         f"{'identical' if ok else 'DIFFER'}",
     )
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import reference
 from reference import component, view_arrays
 from sketchclust import (
     GraphObject,
@@ -287,6 +288,64 @@ def test_view_arrays_are_bitwise_the_reference_construction(flat):
         got = getattr(view, name)
         assert (got.dtype, got.shape) == (want.dtype, want.shape), name
         assert got.tobytes() == want.tobytes(), name
+
+
+def _assert_same_view(view: GraphView, want: dict) -> None:
+    """Equal keys and bounds, and every array of equal dtype, shape and bytes."""
+    assert type(view.keys) is type(want["keys"]) and view.keys == want["keys"]
+    assert type(view.bounds) is tuple and view.bounds == want["bounds"]
+    for name in ("values", "comp", "sq_sum", "block"):
+        got, ref = getattr(view, name), want[name]
+        assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
+        assert got.tobytes() == ref.tobytes(), name
+
+
+@given(_flat_views())
+@example(([], [0, 0]))
+@example(([-0.0, 2.0], [0, 0, 2, 2]))
+def test_a_hand_built_view_is_the_python_constructors(flat):
+    values, bounds = flat
+    keys = tuple(b"k%d" % i for i in range(len(values)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _assert_same_view(GraphView(keys, values, bounds), reference.view_fields(keys, values, bounds))
+
+
+VIEW_SCHEMA = _schema(SideType("topics"), SideType("venue", "categorical"), SideType("tags"))
+# Labels a view must carry byte for byte: multi-byte UTF-8, characters
+# below the separator (which sort before it), and plain ASCII.
+_VIEW_LABELS = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x1f"), min_size=1,
+            max_size=5),
+    st.sampled_from(["a", "b", "a\x05", "\x01", "é", "日本", "🙂", "a b"]),
+)
+_VIEW_MASSES = st.one_of(
+    st.floats(0.0, 1e100), st.integers(0, 2**64), st.sampled_from([0.0, 5e-324, 1.0, 2.0])
+)
+
+
+@st.composite
+def _canonical_graphs(draw):
+    """A preprocessed graph: edges to merge and drop, and side entries of
+    some of the schema's types (maps or shorthands, any may end up empty),
+    drawn in an order other than the schema's."""
+    labels = _VIEW_LABELS
+    edges = draw(st.lists(st.tuples(labels, labels, _VIEW_MASSES), max_size=12))
+    names = draw(st.permutations([t.name for t in VIEW_SCHEMA.side_types]))
+    side = {}
+    for name in names[: draw(st.integers(0, len(names)))]:
+        if draw(st.booleans()):
+            side[name] = draw(st.dictionaries(labels, _VIEW_MASSES, max_size=6))
+        else:
+            side[name] = draw(st.lists(labels, max_size=4))
+    return preprocess(GraphObject(id="g", edges=edges, side=side), VIEW_SCHEMA)
+
+
+@given(_canonical_graphs())
+@example(preprocess(GraphObject(id="g"), VIEW_SCHEMA))
+def test_graph_views_is_the_python_walk(g):
+    """The compiled ``graph_views`` against the Python walk it replaced:
+    keys, bounds, and each array's dtype, shape and bytes."""
+    _assert_same_view(graph_views(g, VIEW_SCHEMA), reference.graph_view(g, VIEW_SCHEMA))
 
 
 def test_canonicalize_is_idempotent():

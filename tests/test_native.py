@@ -1,26 +1,42 @@
-"""The compiled kernel: its boundary checks and its build cache.
+"""The compiled kernel: its boundary checks, its build cache and its source.
 
 Each kernel function checks every buffer's element type, shape and
 contiguity, and every component id, slot and bucket against the grid
 shape, and raises ValueError before it writes anything. The sketch bank
 hands a view's arrays to it as they are, and ``GraphView`` is public, so
-a caller can hand it a view whose arrays no constructor made. The kernel is built
-on the first import into the package's ``__pycache__`` and loaded from
-there by later imports.
+a caller can hand it a view whose arrays no constructor made. The ingest
+walk (``canonical_graph`` and ``graph_view``) writes only what it
+returns: a bad argument leaves its input as it was, and no error path
+leaks a reference. The kernel is built on the first import into the
+package's ``__pycache__`` and loaded from there by later imports; its
+source compiles without a warning.
 """
 
+import gc
 import os
 import shutil
 import subprocess
 import sys
+import sysconfig
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import sketchclust
-from sketchclust import GraphView, SketchConfig
+from sketchclust import (
+    GraphObject,
+    GraphView,
+    SideType,
+    SketchConfig,
+    StreamSchema,
+    graph_views,
+    native,
+    preprocess,
+)
 from sketchclust.exact import ExactBank
+from sketchclust.model import _CHECKS
 from sketchclust.native import kernel
 from sketchclust.stats import ClusterBank
 
@@ -237,16 +253,17 @@ def test_a_view_the_kernel_rejects_leaves_the_bank_as_it_was(cause):
     """``absorb`` and ``reset`` (into a live slot or the next free one)
     raise ValueError and change no checkpoint byte, no self product and no
     slot count; a faulty component id fails the scoring too. A short array
-    is rejected by the bank's own check, before the kernel, so the exact
-    backend rejects it as well."""
+    is rejected by the bank's own check, before the kernel, and a faulty
+    ``comp`` by the exact bank's own, so the exact backend rejects these
+    as well."""
     banks = [ClusterBank(SketchConfig(rows=ROWS, cols=COLS), 1, 3)]
-    if cause.endswith("short"):
+    attr, fault = _TAMPERED[cause]
+    if cause.endswith("short") or attr == "comp":
         banks.append(ExactBank(1, 3))
     for bank in banks:
         bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
         bank.reset(1, GraphView((b"b", b"t"), [3.0, 1.0], (0, 1, 2)), 2)
         view = GraphView((b"a", b"c", b"t"), [1.0, 2.0, 4.0], (0, 2, 3))
-        attr, fault = _TAMPERED[cause]
         setattr(view, attr, fault(getattr(view, attr)))
         before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
         for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
@@ -257,6 +274,231 @@ def test_a_view_the_kernel_rejects_leaves_the_bank_as_it_was(cause):
         if attr == "comp":
             with pytest.raises(ValueError):
                 bank.distances_sq(view)
+
+
+def _founded(bank):
+    bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
+    bank.reset(1, GraphView((b"b", b"t"), [3.0, 1.0], (0, 1, 2)), 2)
+    return bank
+
+
+@pytest.mark.parametrize(
+    "comp, backends",
+    [
+        ([0, 0, 5], "sketch exact"),  # an id outside the grid
+        ([0, 1, 1], "exact"),  # in range, but not the bounds' ids
+        ([1, 1, 0], "exact"),
+    ],
+    ids=["out of range", "in range", "reversed"],
+)
+def test_a_comp_that_disagrees_with_its_bounds_is_rejected_before_any_write(comp, backends):
+    """Keys ``(a, c, t)`` with bounds ``(0, 2, 3)``, whose ids are ``[0, 0,
+    1]``. The sketch kernel rejects an id outside its grid; the exact bank,
+    which reads the bounds to update and ``comp`` to score, rejects any
+    ``comp`` but the bounds' own, with ValueError and before any write,
+    where it once absorbed the graph and then raised IndexError scoring."""
+    for backend in backends.split():
+        bank = _founded(
+            ClusterBank(SketchConfig(rows=ROWS, cols=COLS), 1, 3) if backend == "sketch"
+            else ExactBank(1, 3)
+        )
+        view = GraphView((b"a", b"c", b"t"), [1.0, 2.0, 4.0], (0, 2, 3))
+        view.comp = np.array(comp, dtype=np.intp)
+        before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
+        for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
+            with pytest.raises(ValueError):
+                update(slot, view, 3)
+            assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
+            assert len(bank) == 2
+        with pytest.raises(ValueError):
+            bank.distances_sq(view)
+
+
+def test_the_exact_bank_takes_the_constructors_comp():
+    bank = _founded(ExactBank(1, 3))
+    view = GraphView((b"a", b"c", b"t"), [1.0, 2.0, 4.0], (0, 2, 3))
+    assert view.comp.tolist() == [0, 0, 1]
+    bank.absorb(0, view, 3)
+    assert bank.distances_sq(view).shape == (2, 2)
+
+
+SCHEMA = StreamSchema(side_types=(SideType("topics"), SideType("tags", "categorical")))
+
+
+def _record(a: str = "a", m: float = 2.0) -> GraphObject:
+    """A graph to merge, sort and count, over the label ``a`` and mass ``m``."""
+    return GraphObject(
+        id="g", edges=[("b", a, m), [a, "c"], ("c", a, 1)],
+        side={"tags": ["v", a, "v"], "topics": {"y": 1.0, a: m, "x": 2}}, label="k",
+    )
+
+
+class _NoTruth:
+    def __bool__(self):
+        raise RuntimeError("no truth value")
+
+
+# (name, bad value) per argument of ``canonical_graph(g, directed,
+# categorical, checks)``, and the exception it raises
+_CANONICAL = [
+    ("g", "no fields", lambda g: object(), AttributeError),
+    ("directed", "no truth value", lambda d: _NoTruth(), RuntimeError),
+    ("categorical", "a list", lambda c: list(c.items()), TypeError),
+    ("checks", "two helpers", lambda c: c[:2], TypeError),
+    ("checks", "a list", list, TypeError),
+    ("checks", "a helper that is no callable", lambda c: (None, *c[1:]), TypeError),
+    ("g", "edges a dict", lambda g: GraphObject("g", {"a": "b"}, g.side), ValueError),
+]
+
+
+@pytest.mark.parametrize(
+    "arg, name, fault, error", _CANONICAL, ids=[f"{a}-{n}" for a, n, _, _ in _CANONICAL]
+)
+def test_canonical_graph_rejects_a_bad_argument_before_any_write(arg, name, fault, error):
+    """The walk behind ``preprocess``; a helper that is no callable raises
+    when a label fails (here ``""``), as only then is it called."""
+    g = _record()
+    if name == "a helper that is no callable":
+        g.edges.append(("", "d"))
+    args = {"g": g, "directed": False, "categorical": dict(SCHEMA._categorical), "checks": _CHECKS}
+    args[arg] = fault(args[arg])
+    held = repr(args)
+    with pytest.raises(error):
+        kernel.canonical_graph(*args.values())
+    assert repr(args) == held
+
+
+# (name, bad value) per argument of ``graph_view(keys, values, bounds)``,
+# given a view's parts
+_VIEW_PARTS = [
+    ("keys", "not sized", lambda keys: 5),
+    ("keys", "short", lambda keys: keys[:-1]),
+    ("values", "float32", lambda a: a.astype(np.float32)),
+    ("values", "2-d", lambda a: a[None]),
+    ("values", "short", lambda a: a[:-1]),
+    ("values", "a list", lambda a: a.tolist()),
+    ("bounds", "one end", lambda b: b[:1]),
+    ("bounds", "not from 0", lambda b: (1, *b[1:])),
+    ("bounds", "decreasing", lambda b: (0, 4, 3, 5)),
+    ("bounds", "past the keys", lambda b: (*b[:-1], KEYS + 1)),
+    ("bounds", "floats", lambda b: tuple(map(float, b))),
+    ("bounds", "not a sequence", lambda b: 5),
+]
+
+
+@pytest.mark.parametrize(
+    "arg, name, fault", _VIEW_PARTS, ids=[f"{a}-{n}" for a, n, _ in _VIEW_PARTS]
+)
+def test_graph_view_rejects_a_bad_argument_before_any_write(arg, name, fault):
+    """The one construction of every view, from a view's parts."""
+    args = {
+        "keys": tuple(b"k%d" % i for i in range(KEYS)),
+        "values": np.arange(KEYS, dtype=np.float64),
+        "bounds": (0, 2, 2, KEYS),
+    }
+    kernel.graph_view(*args.values())
+    args[arg] = fault(args[arg])
+    held = repr(args)
+    with pytest.raises((TypeError, ValueError)):
+        kernel.graph_view(*args.values())
+    assert repr(args) == held
+
+
+# (name, bad value) per part of a canonical graph that ``graph_views``
+# reads: the edge list and the side maps in schema order
+_VIEW_GRAPHS = [
+    ("edges", "not a sequence", lambda e: 5),
+    ("edges", "an edge of two items", lambda e: [*e, ("a", "b")]),
+    ("edges", "an endpoint no str", lambda e: [*e, ("a", 3, 1.0)]),
+    ("edges", "an endpoint not UTF-8", lambda e: [*e, ("a", "x\ud800", 1.0)]),
+    ("edges", "a mass no number", lambda e: [*e, ("a", "b", "x")]),
+    ("sides", "not a sequence", lambda s: 5),
+    ("sides", "a map a list", lambda s: [s[0], ["v"]]),
+    ("sides", "an id no str", lambda s: [{**s[0], 3: 1.0}, s[1]]),
+    ("sides", "a mass no number", lambda s: [{**s[0], "z": None}, s[1]]),
+]
+
+
+@pytest.mark.parametrize(
+    "arg, name, fault", _VIEW_GRAPHS, ids=[f"{a}-{n}" for a, n, _ in _VIEW_GRAPHS]
+)
+def test_graph_view_of_a_graph_rejects_a_bad_argument_before_any_write(arg, name, fault):
+    """The construction ``graph_views`` calls, from a canonical graph."""
+    g = preprocess(_record(), SCHEMA)
+    args = {"edges": g.edges, "sides": [g.side.get(name) for name in SCHEMA._names]}
+    args[arg] = fault(args[arg])
+    held = repr(args)
+    with pytest.raises((TypeError, ValueError)):
+        kernel.graph_view(*args.values(), None)
+    assert repr(args) == held
+
+
+# Records that fault in each part of the walk, given a fresh label and mass:
+# a structural fault, a label (_check_label), a mass (_check_value), a
+# square sum (_check_squares), a side shorthand, an undeclared type
+_FAULTY = [
+    lambda a, m: GraphObject("g", [(a, "b"), (a,)]),
+    lambda a, m: GraphObject("g", [(a, "b", m), ("a\x1fb", a)], {"topics": {a: m}}),
+    lambda a, m: GraphObject("g", [(a, "b", m), (a, 5)]),
+    lambda a, m: GraphObject("g", [(a, "b", -m)], {"topics": {a: m}}),
+    lambda a, m: GraphObject("g", [(a, "b")], {"topics": {a: m, "y": "2"}}),
+    lambda a, m: GraphObject("g", [(a, "b", m * 1e300), ("b", a, 1e300)]),
+    lambda a, m: GraphObject("g", [(a, "b", m)], {"topics": {a: m * 1e300}}),
+    lambda a, m: GraphObject("g", [(a, "b", m)], {"tags": [a, 3]}),
+    lambda a, m: GraphObject("g", [(a, "b", m)], {"tags": {a: True}}),
+    lambda a, m: GraphObject("g", [], {"topics": {a: m, 2: m}}),
+    lambda a, m: GraphObject("g", [(a, "b", m)], {"venue": {a: m}}),
+    lambda a, m: GraphObject("", [(a, "b", m)]),
+]
+
+
+def _walk(count: int) -> None:
+    """``count`` valid records through ``preprocess`` and ``graph_views``,
+    and as many faulting ones through each. Each record's labels and
+    masses are new objects, so a reference the walk keeps to one holds its
+    memory."""
+    for i in range(count):
+        a, m = f"a{i % 97}", float(i % 5 + 1)
+        g = _record(a, m)
+        canonical = preprocess(g, SCHEMA)
+        graph_views(canonical, SCHEMA)
+        with pytest.raises(ValueError):
+            preprocess(_FAULTY[i % len(_FAULTY)](a, m), SCHEMA)
+        sides = [canonical.side.get(name) for name in SCHEMA._names]
+        with pytest.raises(TypeError):
+            kernel.graph_view([*canonical.edges, (a, 3, m)], sides, None)
+
+
+def test_the_ingest_walk_leaks_nothing():
+    """10,000 valid and 10,000 faulting records through ``preprocess`` and
+    ``graph_views``: the traced heap grows by less than 64 KiB, which one
+    reference kept per record (to an object of at least 16 bytes) would
+    pass more than twice over."""
+    _walk(200)  # caches and free lists first
+    gc.collect()
+    tracemalloc.start()
+    try:
+        _walk(10)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        _walk(10_000)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, grown
+
+
+def test_the_kernel_compiles_without_warnings(tmp_path):
+    """``_kernel.c`` under ``-Wall -Wextra -Werror``, with the build's own
+    flags and headers."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    include = sysconfig.get_paths()["include"]
+    command = [*native._FLAGS, "-Wall", "-Wextra", "-Werror", "-I", include,
+               str(native._SOURCE), "-o", str(tmp_path / "kernel.so")]
+    done = subprocess.run(command, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _import(path: Path) -> subprocess.Popen:
