@@ -5,9 +5,10 @@
  * Built and loaded by sketchclust/native.py; it takes numpy arrays through
  * the buffer protocol, makes its own through numpy.empty and numpy.zeros,
  * and needs no numpy headers. Every bank function checks each buffer's
- * element type, shape and contiguity, and each component id, slot and
- * bucket against the grid, and raises ValueError before any write; only a
- * distance that is not finite is found while the distances are written.
+ * element type, shape and contiguity, a view's bounds (d+2 ints from 0 to
+ * the key count, never decreasing) and each slot and bucket against the
+ * grid, and raises ValueError before any write; only a distance that is
+ * not finite is found while the distances are written.
  * The loops do only integer arithmetic, selections, comparisons,
  * additions and single IEEE operations, in the order the Python and numpy
  * code they replaced did them, so their results are bit for bit that
@@ -38,10 +39,12 @@ format_is(const char *format, Py_ssize_t itemsize, enum kind kind)
     return format[0] != '\0' && format[1] == '\0' && strchr(codes[kind], format[0]) != NULL;
 }
 
-/* The buffers one call holds, released together. */
+/* The buffers one call holds and the component ends it read, released
+ * together. */
 typedef struct {
     Py_buffer view[5];
     int held;
+    Py_ssize_t *ends;
 } Held;
 
 static PyObject *
@@ -49,6 +52,8 @@ release(Held *h, PyObject *result)
 {
     while (h->held)
         PyBuffer_Release(&h->view[--h->held]);
+    PyMem_Free(h->ends);
+    h->ends = NULL;
     return result;
 }
 
@@ -259,39 +264,56 @@ done:
     return release(&h, NULL);
 }
 
-/* Take the gather's and the scatter's shared buffers as h->view[0..2]:
- * ``cells`` (d+1, k, rows, cols) float64, ``comp`` (N,) and ``buckets``
- * (rows, N) intp, each component id and bucket checked against the grid. */
+/* Take the gather's and the scatter's shared buffers as h->view[0..1]:
+ * ``cells`` (d+1, k, rows, cols) float64 and ``buckets`` (rows, N) intp,
+ * each bucket checked against the grid; and a view's ``bounds``, a tuple of
+ * d+2 ints from 0 to N, never decreasing, as h->ends. */
 static int
-take_grid(Held *h, PyObject *cells, PyObject *comp, PyObject *buckets, int writable)
+take_grid(Held *h, PyObject *cells, PyObject *bounds, PyObject *buckets, int writable)
 {
-    Py_buffer *c, *k, *b;
+    Py_buffer *c, *b;
     if (!(c = take(h, cells, "cells", FLOAT64, writable, 4, -1, -1)) ||
-        !(k = take(h, comp, "comp", INTP, 0, 1, -1, -1)) ||
-        !(b = take(h, buckets, "buckets", INTP, 0, 2, c->shape[2], k->shape[0])))
-        return -1;
-    if (in_range(k->buf, k->shape[0], c->shape[0], "component") < 0 ||
+        !(b = take(h, buckets, "buckets", INTP, 0, 2, c->shape[2], -1)) ||
         in_range(b->buf, b->shape[0] * b->shape[1], c->shape[3], "bucket") < 0)
         return -1;
+    const Py_ssize_t comps = c->shape[0], n = b->shape[1];
+    if (!PyTuple_Check(bounds) || PyTuple_GET_SIZE(bounds) != comps + 1) {
+        PyErr_Format(PyExc_ValueError, "bounds is not a tuple of %zd ends", comps + 1);
+        return -1;
+    }
+    if (!(h->ends = PyMem_Malloc((size_t)(comps + 1) * sizeof *h->ends))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t i = 0; i <= comps; i++) {
+        PyObject *end = PyTuple_GET_ITEM(bounds, i);
+        const Py_ssize_t at = PyLong_Check(end) ? PyLong_AsSsize_t(end) : -1;  /* also past range */
+        if ((i ? at < h->ends[i - 1] : at != 0) || (i == comps && at != n)) {
+            PyErr_Format(PyExc_ValueError, "bounds %R do not rise from 0 to %zd", bounds, n);
+            return -1;
+        }
+        h->ends[i] = at;
+    }
     return 0;
 }
 
-/* row_minima(cells, comp, buckets, m, out): out[i, s] = min over rows r of
- * cells[comp[i], s, r, buckets[r, i]] for the live slots s < m; ``out`` is
- * (N, m) float64. Rows are taken in order and a tie keeps the later row,
- * as numpy's minimum does (which decides the sign of a zero). */
+/* row_minima(cells, bounds, buckets, m, out): out[i, s] = min over rows r
+ * of cells[c, s, r, buckets[r, i]] for the live slots s < m, where key i
+ * lies in component c by ``bounds``; ``out`` is (N, m) float64. Rows are
+ * taken in order and a tie keeps the later row, as numpy's minimum does
+ * (which decides the sign of a zero). */
 static PyObject *
 row_minima(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *cells, *comp, *buckets, *out;
+    PyObject *cells, *bounds, *buckets, *out;
     Py_ssize_t m;
     Held h = {.held = 0};
-    if (!PyArg_ParseTuple(args, "OOOnO:row_minima", &cells, &comp, &buckets, &m, &out))
+    if (!PyArg_ParseTuple(args, "OOOnO:row_minima", &cells, &bounds, &buckets, &m, &out))
         return NULL;
-    if (take_grid(&h, cells, comp, buckets, 0) < 0)
+    if (take_grid(&h, cells, bounds, buckets, 0) < 0)
         return release(&h, NULL);
-    const Py_ssize_t *shape = h.view[0].shape, slots = shape[1], rows = shape[2], cols = shape[3];
-    const Py_ssize_t grid = rows * cols, n = h.view[1].shape[0];
+    const Py_ssize_t *shape = h.view[0].shape, comps = shape[0], slots = shape[1];
+    const Py_ssize_t rows = shape[2], cols = shape[3], grid = rows * cols, n = h.view[1].shape[1];
     if (m < 0 || m > slots) {
         PyErr_Format(PyExc_ValueError, "m = %zd is outside 0..%zd", m, slots);
         return release(&h, NULL);
@@ -300,40 +322,43 @@ row_minima(PyObject *Py_UNUSED(module), PyObject *args)
     if (!o)
         return release(&h, NULL);
     const double *cell = h.view[0].buf;
-    const Py_ssize_t *component = h.view[1].buf, *bucket = h.view[2].buf;
+    const Py_ssize_t *bucket = h.view[1].buf, *ends = h.ends;
     double *est = o->buf;
-    for (Py_ssize_t i = 0; i < n; i++) {
-        for (Py_ssize_t s = 0; s < m; s++) {
-            const double *at = cell + (component[i] * slots + s) * grid;
-            double v = at[bucket[i]];
-            for (Py_ssize_t r = 1; r < rows; r++) {
-                double x = at[r * cols + bucket[r * n + i]];
-                v = (v < x || v != v) ? v : x;
+    for (Py_ssize_t c = 0; c < comps; c++) {
+        for (Py_ssize_t i = ends[c]; i < ends[c + 1]; i++) {
+            for (Py_ssize_t s = 0; s < m; s++) {
+                const double *at = cell + (c * slots + s) * grid;
+                double v = at[bucket[i]];
+                for (Py_ssize_t r = 1; r < rows; r++) {
+                    double x = at[r * cols + bucket[r * n + i]];
+                    v = (v < x || v != v) ? v : x;
+                }
+                est[i * m + s] = v;
             }
-            est[i * m + s] = v;
         }
     }
     return release(&h, Py_NewRef(Py_None));
 }
 
-/* scatter_add(cells, slot, comp, buckets, values, fresh): cells[comp[i],
- * slot, r, buckets[r, i]] += values[i], row by row and keys in order within
- * a row, the order ``np.add.at`` adds in; if ``fresh``, the slot's grids of
- * every component are zeroed first. */
+/* scatter_add(cells, slot, bounds, buckets, values, fresh): cells[c, slot,
+ * r, buckets[r, i]] += values[i], key i lying in component c by
+ * ``bounds``, row by row and keys in order within a row, the order
+ * ``np.add.at`` adds in; if ``fresh``, the slot's grids of every component
+ * are zeroed first. */
 static PyObject *
 scatter_add(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *cells, *comp, *buckets, *values;
+    PyObject *cells, *bounds, *buckets, *values;
     Py_ssize_t slot;
     int fresh;
     Held h = {.held = 0};
-    if (!PyArg_ParseTuple(args, "OnOOOp:scatter_add", &cells, &slot, &comp, &buckets, &values,
+    if (!PyArg_ParseTuple(args, "OnOOOp:scatter_add", &cells, &slot, &bounds, &buckets, &values,
                           &fresh))
         return NULL;
-    if (take_grid(&h, cells, comp, buckets, 1) < 0)
+    if (take_grid(&h, cells, bounds, buckets, 1) < 0)
         return release(&h, NULL);
     const Py_ssize_t *shape = h.view[0].shape, comps = shape[0], slots = shape[1];
-    const Py_ssize_t rows = shape[2], cols = shape[3], grid = rows * cols, n = h.view[1].shape[0];
+    const Py_ssize_t rows = shape[2], cols = shape[3], grid = rows * cols, n = h.view[1].shape[1];
     if (slot < 0 || slot >= slots) {
         PyErr_Format(PyExc_ValueError, "slot %zd is outside 0..%zd", slot, slots - 1);
         return release(&h, NULL);
@@ -342,15 +367,18 @@ scatter_add(PyObject *Py_UNUSED(module), PyObject *args)
     if (!v)
         return release(&h, NULL);
     double *cell = h.view[0].buf;
-    const Py_ssize_t *component = h.view[1].buf, *bucket = h.view[2].buf;
+    const Py_ssize_t *bucket = h.view[1].buf, *ends = h.ends;
     const double *mass = v->buf;
     if (fresh) {
         for (Py_ssize_t c = 0; c < comps; c++)
             memset(cell + (c * slots + slot) * grid, 0, (size_t)grid * sizeof(double));
     }
     for (Py_ssize_t r = 0; r < rows; r++) {
-        for (Py_ssize_t i = 0; i < n; i++)
-            cell[(component[i] * slots + slot) * grid + r * cols + bucket[r * n + i]] += mass[i];
+        for (Py_ssize_t c = 0; c < comps; c++) {
+            double *row = cell + (c * slots + slot) * grid + r * cols;
+            for (Py_ssize_t i = ends[c]; i < ends[c + 1]; i++)
+                row[bucket[r * n + i]] += mass[i];
+        }
     }
     return release(&h, Py_NewRef(Py_None));
 }
@@ -473,7 +501,7 @@ static PyObject *SAFE;               /* model._SQUARES_SAFE, 2**480, as a float 
 static PyObject *ONE;                /* 1.0: a present categorical id's value */
 static PyObject *EDGE_FREQUENCY, *EDGE_FREQUENCIES, *PRESENCE;  /* what the checks name */
 static PyObject *ID, *LABEL, *EDGES, *SIDE;                      /* GraphObject's fields */
-static PyObject *EMPTY, *ZEROS, *FLOAT64_T, *INTP_T;             /* numpy.empty ... numpy.intp */
+static PyObject *EMPTY, *ZEROS, *FLOAT64_T;                     /* numpy.empty ... numpy.float64 */
 static const double SQUARES_SAFE = 0x1p480;
 
 /* The model helpers that own the label, mass and square-sum faults. */
@@ -1058,109 +1086,68 @@ write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *
     return 0;
 }
 
-static const char NEED_BOUNDS[] = "need one value per key and bounds from 0 to the key count";
-
-/* graph_view(keys, values, bounds): a view's (keys, values, bounds, comp,
- * block). Given a view's parts, ``keys`` is any sequence of N keys and is
- * kept as it is, ``values`` the (N,) float64 masses, kept too, and
- * ``bounds`` the component ends from 0 to N, kept as a tuple. Given a
- * canonical graph, ``bounds`` is None, ``keys`` the graph's edge list and
- * ``values`` its side maps in schema order (a dict or None each): the keys
- * become bytes, each edge's the UTF-8 of src + "\x1f" + dst and each id's
- * its own, into one tuple, and the masses one new (N,) float64 array.
- * Either way ``comp`` (N,) intp holds each key's component and ``block``
- * (N, d+1) float64 each key's mass in its component's column. */
+/* graph_view(edges, sides): the (keys, values, bounds, block) of the view
+ * of a canonical graph, given its edge list and its side maps in schema
+ * order (a dict or None each). The keys become bytes, each edge's the
+ * UTF-8 of src + "\x1f" + dst and each id's its own, into one tuple; the
+ * masses one new (N,) float64 array; ``bounds`` the d+2 component ends from
+ * 0 to N; and ``block`` (N, d+1) float64 each key's mass in its
+ * component's column. */
 static PyObject *
 graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 3) {
-        PyErr_SetString(PyExc_TypeError, "graph_view(keys, values, bounds) takes 3 arguments");
+    if (nargs != 2) {
+        PyErr_SetString(PyExc_TypeError, "graph_view(edges, sides) takes 2 arguments");
         return NULL;
     }
-    PyObject *keys = NULL, *values = NULL, *bounds = NULL, *comp = NULL, *block = NULL;
+    PyObject *keys = NULL, *values = NULL, *bounds = NULL, *block = NULL;
     PyObject *edges = NULL, *sides = NULL, *result = NULL;
-    Py_ssize_t n, comps, *ends = NULL;
-    const double *mass;
     Held h = {.held = 0};
-    if (args[2] == Py_None) {
-        if (!(edges = PySequence_Fast(args[0], "a graph's edges must be a sequence")) ||
-            !(sides = PySequence_Fast(args[1], "a graph's side maps must be a sequence")))
-            goto done;
-        comps = 1 + PySequence_Fast_GET_SIZE(sides);
-        if (!(ends = PyMem_Malloc((size_t)(comps + 1) * sizeof *ends))) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        ends[0] = 0;
-        ends[1] = PySequence_Fast_GET_SIZE(edges);
-        for (Py_ssize_t s = 0; s + 1 < comps; s++) {
-            PyObject *map = PySequence_Fast_GET_ITEM(sides, s);
-            if (map != Py_None && !PyDict_Check(map)) {
-                PyErr_Format(PyExc_TypeError, "a side map is a dict or None, not %.100s",
-                             Py_TYPE(map)->tp_name);
-                goto done;
-            }
-            ends[s + 2] = ends[s + 1] + (map == Py_None ? 0 : PyDict_GET_SIZE(map));
-        }
-        n = ends[comps];
-        if (!(keys = PyTuple_New(n)) || !(values = new_array(&h, 0, FLOAT64_T, n, -1)) ||
-            write_graph(edges, sides, ends, keys, h.view[0].buf) < 0 ||
-            !(bounds = PyTuple_New(comps + 1)))
-            goto done;
-        for (Py_ssize_t c = 0; c <= comps; c++) {
-            PyObject *end = PyLong_FromSsize_t(ends[c]);
-            if (!end)
-                goto done;
-            PyTuple_SET_ITEM(bounds, c, end);
-        }
-    }
-    else {
-        if ((n = PyObject_Length(args[0])) < 0 ||
-            !take(&h, args[1], "values", FLOAT64, 0, -1, -1, -1) ||
-            !(bounds = PySequence_Tuple(args[2])))
-            goto done;
-        comps = PyTuple_GET_SIZE(bounds) - 1;
-        if (h.view[0].ndim != 1 || h.view[0].shape[0] != n || comps < 1) {
-            PyErr_SetString(PyExc_ValueError, NEED_BOUNDS);
-            goto done;
-        }
-        if (!(ends = PyMem_Malloc((size_t)(comps + 1) * sizeof *ends))) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        for (Py_ssize_t c = 0; c <= comps; c++) {
-            ends[c] = PyNumber_AsSsize_t(PyTuple_GET_ITEM(bounds, c), PyExc_OverflowError);
-            if (ends[c] == -1 && PyErr_Occurred())
-                goto done;
-            if (c == 0 ? ends[c] != 0 : ends[c] < ends[c - 1] || (c == comps && ends[c] != n)) {
-                PyErr_SetString(PyExc_ValueError, NEED_BOUNDS);
-                goto done;
-            }
-        }
-        keys = Py_NewRef(args[0]);
-        values = Py_NewRef(args[1]);
-    }
-    mass = h.view[0].buf;
-    if (!(comp = new_array(&h, 0, INTP_T, n, -1)) || !(block = new_array(&h, 1, FLOAT64_T, n, comps)))
+    if (!(edges = PySequence_Fast(args[0], "a graph's edges must be a sequence")) ||
+        !(sides = PySequence_Fast(args[1], "a graph's side maps must be a sequence")))
         goto done;
-    Py_ssize_t *component = h.view[1].buf;
-    double *cell = h.view[2].buf;
-    for (Py_ssize_t c = 0; c < comps; c++) {
-        for (Py_ssize_t i = ends[c]; i < ends[c + 1]; i++) {
-            component[i] = c;
-            cell[i * comps + c] = mass[i];
-        }
+    const Py_ssize_t comps = 1 + PySequence_Fast_GET_SIZE(sides);
+    if (!(h.ends = PyMem_Malloc((size_t)(comps + 1) * sizeof *h.ends))) {
+        PyErr_NoMemory();
+        goto done;
     }
-    result = PyTuple_Pack(5, keys, values, bounds, comp, block);
+    Py_ssize_t *ends = h.ends;
+    ends[0] = 0;
+    ends[1] = PySequence_Fast_GET_SIZE(edges);
+    for (Py_ssize_t s = 0; s + 1 < comps; s++) {
+        PyObject *map = PySequence_Fast_GET_ITEM(sides, s);
+        if (map != Py_None && !PyDict_Check(map)) {
+            PyErr_Format(PyExc_TypeError, "a side map is a dict or None, not %.100s",
+                         Py_TYPE(map)->tp_name);
+            goto done;
+        }
+        ends[s + 2] = ends[s + 1] + (map == Py_None ? 0 : PyDict_GET_SIZE(map));
+    }
+    const Py_ssize_t n = ends[comps];
+    if (!(keys = PyTuple_New(n)) || !(values = new_array(&h, 0, FLOAT64_T, n, -1)) ||
+        write_graph(edges, sides, ends, keys, h.view[0].buf) < 0 ||
+        !(bounds = PyTuple_New(comps + 1)) || !(block = new_array(&h, 1, FLOAT64_T, n, comps)))
+        goto done;
+    for (Py_ssize_t c = 0; c <= comps; c++) {
+        PyObject *end = PyLong_FromSsize_t(ends[c]);
+        if (!end)
+            goto done;
+        PyTuple_SET_ITEM(bounds, c, end);
+    }
+    const double *mass = h.view[0].buf;
+    double *cell = h.view[1].buf;
+    for (Py_ssize_t c = 0; c < comps; c++) {
+        for (Py_ssize_t i = ends[c]; i < ends[c + 1]; i++)
+            cell[i * comps + c] = mass[i];
+    }
+    result = PyTuple_Pack(4, keys, values, bounds, block);
 done:
     release(&h, NULL);
-    PyMem_Free(ends);
     Py_XDECREF(edges);
     Py_XDECREF(sides);
     Py_XDECREF(keys);
     Py_XDECREF(values);
     Py_XDECREF(bounds);
-    Py_XDECREF(comp);
     Py_XDECREF(block);
     return result;
 }
@@ -1176,7 +1163,7 @@ static PyMethodDef methods[] = {
     {"canonical_graph", (PyCFunction)(void (*)(void))canonical_graph, METH_FASTCALL,
      "A graph's canonical edges and side maps, as preprocess returns them."},
     {"graph_view", (PyCFunction)(void (*)(void))graph_view, METH_FASTCALL,
-     "A view's keys, values, bounds, component ids and block-diagonal values."},
+     "A graph's view: its keys, values, bounds and block-diagonal values."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1196,7 +1183,6 @@ PyInit__kernel(void)
     EMPTY = PyObject_GetAttrString(numpy, "empty");
     ZEROS = PyObject_GetAttrString(numpy, "zeros");
     FLOAT64_T = PyObject_GetAttrString(numpy, "float64");
-    INTP_T = PyObject_GetAttrString(numpy, "intp");
     Py_DECREF(numpy);
     SAFE = PyFloat_FromDouble(SQUARES_SAFE);
     ONE = PyFloat_FromDouble(1.0);
@@ -1207,7 +1193,7 @@ PyInit__kernel(void)
     LABEL = PyUnicode_InternFromString("label");
     EDGES = PyUnicode_InternFromString("edges");
     SIDE = PyUnicode_InternFromString("side");
-    if (!EMPTY || !ZEROS || !FLOAT64_T || !INTP_T || !SAFE || !ONE || !EDGE_FREQUENCY ||
+    if (!EMPTY || !ZEROS || !FLOAT64_T || !SAFE || !ONE || !EDGE_FREQUENCY ||
         !EDGE_FREQUENCIES || !PRESENCE || !ID || !LABEL || !EDGES || !SIDE)
         return NULL;
     return PyModule_Create(&module);

@@ -5,10 +5,11 @@ aggregated mass instead of a sketch, so every first moment, self product
 and cross product is exact; the scalars and the distance arithmetic are
 ``stats.Bank``'s, shared with the sketch backend. Memory grows with the
 number of distinct keys; this backend exists for differential testing and
-small runs, not for unbounded streams. It checkpoints as the sketch bank
-does, the scalars first, then each slot's maps in place of the cells;
-loading rejects a key repeated in its map, and each mass that is negative
-or not finite, as it parses them.
+small runs, not for unbounded streams. It reads a view's keys by the
+view's ``bounds``, as the sketch kernel does. It checkpoints as the
+sketch bank does, the scalars first, then each slot's maps in place of
+the cells; loading rejects a key repeated in its map, and each mass that
+is negative or not finite, as it parses them.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ class ExactBank(Bank):
             [{} for _ in range(d + 1)] for _ in range(k)
         ]
 
-    def _check(self, view: GraphView) -> None:
-        """Also reject a view whose component ids are not intp or disagree
-        with its bounds: updates read the bounds and scores read ``comp``,
-        which the sketch kernel checks against its grid instead."""
-        super()._check(view)
-        comp, ends = view.comp, view.bounds
-        spans = np.repeat(np.arange(len(ends) - 1), np.diff(ends))
-        if getattr(comp, "dtype", None) != np.intp or not np.array_equal(comp, spans):
-            raise ValueError("a view's component ids must be intp and match its bounds")
-
     def _add(self, slot: int, view: GraphView, fresh: bool) -> None:
         keys, values, ends = view.keys, view.values.tolist(), view.bounds
         if fresh:
@@ -59,9 +50,12 @@ class ExactBank(Bank):
                 self.self_sq[comp, slot] = _self_product(m)
 
     def _estimates(self, view: GraphView) -> np.ndarray:
-        keyed = list(zip(view.keys, view.comp.tolist()))
-        estimates = [[maps[c].get(k, 0.0) for k, c in keyed] for maps in self.maps[: self.size]]
-        return np.array(estimates, dtype=np.float64).reshape(self.size, len(keyed))
+        keys, ends = view.keys, view.bounds
+        estimates = [
+            [mp.get(key, 0.0) for mp, a, b in zip(maps, ends, ends[1:]) for key in keys[a:b]]
+            for maps in self.maps[: self.size]
+        ]
+        return np.array(estimates, dtype=np.float64).reshape(self.size, len(keys))
 
     def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         cross = np.zeros((len(first), self.d + 1), dtype=np.float64)

@@ -25,17 +25,17 @@ label that is not a nonempty str free of the separator and of lone
 surrogates goes to ``_check_label``, the one source of its messages, and
 a mass whose component's sum passes ``2**480`` to ``_check_squares``.
 
-``graph_views`` gives one flat ``GraphView`` per graph: every component's
-keys and values in one array. A sketch bank has it hash all its keys for
-the bank's own config in one call, on the first read, and reuses them.
+``graph_views`` alone builds a ``GraphView``, one read-only flat view per
+graph: every component's keys and values in one array. A sketch bank has
+it hash all its keys for the bank's own config in one call, on the first
+read, and reuses them.
 
 Both walks run in the compiled kernel (``native``): ``preprocess`` is
 ``canonical_graph``, which calls the three ``_check_*`` helpers above on
-its slow path, and every ``GraphView``, from ``graph_views`` or built by
-hand, gets its keys, values, bounds, ``comp`` and ``block`` from
-``graph_view``. Only ``sq_sum`` is summed in numpy, one ``part.dot(part)``
-per component: the order of a sum decides its rounding, and a C loop
-would add in another order than numpy's.
+its slow path, and ``graph_views`` takes a view's keys, values, bounds
+and ``block`` from ``graph_view``. Only ``sq_sum`` is summed in numpy,
+one ``part.dot(part)`` per component: the order of a sum decides its
+rounding, and a C loop would add in another order than numpy's.
 """
 
 from __future__ import annotations
@@ -273,32 +273,30 @@ class GraphView:
 
     Component 0 is the edge structure; components 1..d are the schema's
     side types in order. Component ``c`` owns ``keys[bounds[c]:bounds[c+1]]``
-    and the same slice of ``values``; ``comp`` holds each key's component
-    id. ``sq_sum`` ``(d+1,)`` holds each component's exact sum of squared
-    values, and ``block`` ``(N, d+1)`` the values placed block-diagonally
-    (row ``i`` holds ``values[i]`` in column ``comp[i]``), so one product
-    with it sums per-key terms into per-component ones. A view knows no
-    sketch: ``buckets(config)`` hashes its keys for the config that asks.
+    and the same slice of ``values``. ``sq_sum`` ``(d+1,)`` holds each
+    component's exact sum of squared values, and ``block`` ``(N, d+1)`` the
+    values placed block-diagonally (row ``i`` holds ``values[i]`` in its
+    component's column), so one product with it sums per-key terms into
+    per-component ones. Only ``graph_views`` builds a view, and no field
+    can be rebound or array written, so the fields always agree. A view
+    knows no sketch: ``buckets(config)`` hashes its keys for the config
+    that asks.
     """
 
-    __slots__ = ("keys", "values", "bounds", "comp", "sq_sum", "block", "_hashed")
+    __slots__ = ("_fields", "_hashed")
 
-    def __init__(self, keys: tuple[bytes, ...], values: Sequence[float], bounds: Sequence[int]):
-        self._fill(kernel.graph_view(keys, np.array(values, dtype=np.float64), bounds))
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("graph_views builds every GraphView")
 
-    def _fill(self, fields: tuple) -> None:
-        """Take the kernel's ``(keys, values, bounds, comp, block)`` and sum
-        each component's squares in numpy: ``part.dot(part)``, whose order
-        of additions (and so its rounding) is numpy's own."""
-        self.keys, self.values, self.bounds, self.comp, self.block = fields
-        values, ends = self.values, self.bounds
-        parts = [values[a:b] for a, b in zip(ends, ends[1:])]
-        self.sq_sum = np.array([part.dot(part) for part in parts], dtype=np.float64)
-        self._hashed = (None, None)
+    keys = property(lambda self: self._fields[0])
+    values = property(lambda self: self._fields[1])
+    bounds = property(lambda self: self._fields[2])
+    sq_sum = property(lambda self: self._fields[3])
+    block = property(lambda self: self._fields[4])
 
     @property
     def d(self) -> int:
-        return len(self.bounds) - 2
+        return len(self._fields[2]) - 2
 
     def buckets(self, config: SketchConfig) -> np.ndarray:
         """The keys' cells in every row of ``config``'s grid, ``(rows, N)``:
@@ -314,7 +312,16 @@ class GraphView:
 def graph_views(g: GraphObject, schema: StreamSchema) -> GraphView:
     """The flat view of a ``preprocess`` output over the schema's d+1
     components. Labels are not checked again: ``preprocess`` has checked
-    each one."""
-    view = GraphView.__new__(GraphView)
-    view._fill(kernel.graph_view(g.edges, [g.side.get(name) for name in schema._names], None))
+    each one. Each component's squares are summed in numpy,
+    ``part.dot(part)``, whose order of additions (and so its rounding) is
+    numpy's own."""
+    sides = [g.side.get(name) for name in schema._names]
+    keys, values, bounds, block = kernel.graph_view(g.edges, sides)
+    parts = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+    sq_sum = np.array([part.dot(part) for part in parts], dtype=np.float64)
+    for array in (values, sq_sum, block):
+        array.setflags(write=False)
+    view = object.__new__(GraphView)
+    view._fields = (keys, values, bounds, sq_sum, block)
+    view._hashed = (None, None)
     return view

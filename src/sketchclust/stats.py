@@ -6,8 +6,9 @@ per component, the member count and the last-update timestamp. ``Bank``
 holds these for all ``k`` clusters as arrays and computes every distance
 from them; a backend supplies only the store of first moments.
 ``ClusterBank`` keeps them as count-min sketches (``exact.ExactBank``
-keeps exact maps). Every read and update takes a graph's one flat
-``model.GraphView``, which holds only the graph: scoring it against all
+keeps exact maps). Every read and update takes a graph's one flat,
+read-only ``model.GraphView``, which holds only the graph, and reads its
+keys component by component by its ``bounds``: scoring it against all
 clusters is one gather of estimates, one product and one closed form,
 absorbing it one scatter into the slot's sketches. Summing two clusters'
 cells and scalars (the later timestamp winning) equals absorbing both
@@ -169,11 +170,11 @@ class Bank:
 
     def _check_update(self, view: GraphView, now: int, slot: int, end: int, joins: bool) -> None:
         """Reject a slot outside ``0..end-1``, or a graph no update may
-        write, before anything is written: one without a value and a
-        component id per key (a view whose arrays were replaced, which
-        either backend would misread), or one after which the slot's self
-        product (of the graph alone, or of the cluster it ``joins``) could
-        leave float range, which no checkpoint may hold.
+        write, before anything is written: one of another component count,
+        a negative or NaN value (``Engine.process`` takes graphs that were
+        not preprocessed), or one after which the slot's self product (of
+        the graph alone, or of the cluster it ``joins``) could leave float
+        range, which no checkpoint may hold.
 
         Per component, a graph of ``n`` keys and sum of squares ``q`` adds
         to each sketch row a vector of norm at most ``sqrt(n * q)`` (Cauchy-
@@ -184,13 +185,11 @@ class Bank:
         if not 0 <= slot < end:
             raise ValueError(f"slot {slot} is outside 0..{end - 1}: {self.size} slots live")
         self._check(view)
-        count = len(view.keys)
-        if len(view.values) != count or len(view.comp) != count:
-            raise ValueError("a view needs one value and one component id per key")
         if now < 0:
             raise ValueError("timestamp must be nonnegative")
         # one reduction: NaN fails the comparison, and -0.0 passes it
-        if view.values.size and not view.values.min() >= 0.0:
+        values = view.values
+        if values.size and not values.min() >= 0.0:
             raise ValueError("negative or NaN update value")
         # Python floats: numpy calls would cost a graph several us more
         own = self.self_sq[:, slot].tolist() if joins else [0.0] * (self.d + 1)
@@ -319,9 +318,9 @@ class ClusterBank(Bank):
     ``cells[c, i]`` is the ``(rows, cols)`` grid of component ``c`` in
     slot ``i``; its self product is the minimum over rows of the row's sum
     of squared cells. A graph's keys are hashed for the bank's config on
-    the first read of its view, which keeps them; an update reads them in
-    its checks, before any write. The per-key loops run in the compiled
-    kernel (``native``): hashing digests every key and buckets it in every
+    the first read of its view, which keeps them. The per-key loops run in
+    the compiled kernel (``native``), which reads each key's component from
+    the view's ``bounds``: hashing digests every key and buckets it in every
     row in one call; scoring a graph takes each key's minimum over its
     row cells in every live slot in one call, written ``(N, m)`` and read
     as its ``(m, N)`` transpose; absorbing it is one in-order scatter into
@@ -337,13 +336,9 @@ class ClusterBank(Bank):
         self.config = config
         self.cells = np.zeros((d + 1, k, config.rows, config.cols), dtype=np.float64)
 
-    def _check_update(self, view: GraphView, now: int, slot: int, end: int, joins: bool) -> None:
-        super()._check_update(view, now, slot, end, joins)
-        view.buckets(self.config)  # a key that cannot be hashed raises before any write
-
     def _add(self, slot: int, view: GraphView, fresh: bool) -> None:
         buckets = view.buckets(self.config)
-        kernel.scatter_add(self.cells, slot, view.comp, buckets, view.values, fresh)
+        kernel.scatter_add(self.cells, slot, view.bounds, buckets, view.values, fresh)
         self._square_rows(slot)
 
     def _square_rows(self, slots) -> None:
@@ -357,7 +352,7 @@ class ClusterBank(Bank):
         # in ``distances_sq`` rounds by its operand's layout, and a C-ordered
         # (m, N) operand changed the product's bits on real masses.
         out = np.empty((len(view.keys), self.size))
-        kernel.row_minima(self.cells, view.comp, view.buckets(self.config), self.size, out)
+        kernel.row_minima(self.cells, view.bounds, view.buckets(self.config), self.size, out)
         return out.T
 
     def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:

@@ -33,12 +33,17 @@ straightforward way:
   kept, as the library does;
 * ``component(view, c)``: a view's component ``c``, its keys and values
   sliced by ``view.bounds``;
+* ``view_of(*components)`` and ``cut_view(ids, values, bounds)``: the
+  view ``graph_views`` builds of a graph that was not preprocessed, given
+  each component's ids and masses, or flat ids and masses cut at bounds:
+  the one way tests build a view;
 * ``view_fields`` and ``graph_view``: ``GraphView``'s construction and
   ``graph_views`` as they were in Python before the compiled kernel built
-  them, kept verbatim as their bitwise oracles;
-* ``view_arrays`` and ``digest_buckets``: ``GraphView``'s derived arrays
-  and ``SketchConfig.buckets`` as they were built before their per-graph
-  overhead was cut, kept verbatim as their bitwise oracles (the digests
+  them, kept as their bitwise oracles; a view no longer holds ``comp``,
+  and ``graph_view`` reads a side map of None as empty, as ``graph_views``
+  does;
+* ``digest_buckets``: ``SketchConfig.buckets`` as it was built before
+  its per-graph overhead was cut, kept as its bitwise oracle (the digests
   by ``hashlib.blake2b`` and the multiply-shift in numpy, as before the
   compiled kernel);
 * ``distance_sq`` and ``bank_distances_sq``: the closed form of every
@@ -86,6 +91,7 @@ from sketchclust import (
     SketchConfig,
     StreamSchema,
     SynthConfig,
+    graph_views,
     preprocess,
 )
 from sketchclust.model import (
@@ -260,6 +266,29 @@ def component(view: GraphView, c: int) -> tuple[tuple[bytes, ...], np.ndarray]:
     """Component ``c``'s keys and values."""
     a, b = view.bounds[c], view.bounds[c + 1]
     return view.keys[a:b], view.values[a:b]
+
+
+def view_of(*components) -> GraphView:
+    """``graph_views``' view of a graph that was not preprocessed, whose
+    component ``c`` holds ``components[c]``'s ids with their masses: a
+    dict, or a list of ``(id, mass)`` pairs for the edges, which may repeat
+    an id. Each key is the UTF-8 of its id, an edge's id being ``src +
+    "\x1f" + dst``; masses are taken as they are, so they may be ints,
+    negative or NaN."""
+    edges = components[0].items() if isinstance(components[0], dict) else components[0]
+    schema = StreamSchema(tuple(SideType(f"s{c}") for c in range(1, len(components))))
+    side = dict(zip(schema._names, components[1:]))
+    return graph_views(GraphObject("g", [(*k.split("\x1f"), m) for k, m in edges], side), schema)
+
+
+def cut_view(ids, values, bounds) -> GraphView:
+    """``view_of`` the ids with their masses, cut into components at
+    ``bounds``: the edges ``ids[:bounds[1]]``, each ``id + "\x1f"`` (an
+    id may repeat), then one side map per later component (a repeated id
+    is kept once, with its last mass)."""
+    pairs = list(zip(ids, values))
+    edges = [(i + "\x1f", v) for i, v in pairs[: bounds[1]]]
+    return view_of(edges, *(dict(pairs[a:b]) for a, b in zip(bounds[1:], bounds[2:])))
 
 
 def members_intra_sq(members: Sequence[GraphView], comp: int) -> float:
@@ -524,19 +553,6 @@ def refine_weights(
     return w
 
 
-def view_arrays(values, bounds) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A view's ``comp``, ``sq_sum`` and ``block``, built as before."""
-    values = np.array(values, dtype=np.float64)
-    n = len(values)
-    spans = list(zip(bounds, bounds[1:]))
-    comp = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
-    parts = [values[a:b] for a, b in spans]
-    sq_sum = np.array([part.dot(part) for part in parts], dtype=np.float64)
-    block = np.zeros((n, len(spans)), dtype=np.float64)
-    block[np.arange(n), comp] = values
-    return comp, sq_sum, block
-
-
 def view_fields(keys, values, bounds) -> dict:
     """``GraphView(keys, values, bounds)``'s fields but ``_hashed``, built
     as the Python constructor built them."""
@@ -546,7 +562,6 @@ def view_fields(keys, values, bounds) -> dict:
     if values.shape != (n,) or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n:
         raise ValueError("need one value per key and bounds from 0 to the key count")
     spans = list(zip(bounds, bounds[1:]))
-    comp = np.repeat(np.arange(len(spans)), [b - a for a, b in spans])
     block = np.zeros((n, len(spans)), dtype=np.float64)
     sq_sum = []
     for c, (a, b) in enumerate(spans):
@@ -554,8 +569,7 @@ def view_fields(keys, values, bounds) -> dict:
         block[a:b, c] = part
         sq_sum.append(part.dot(part))
     sq_sum = np.array(sq_sum, dtype=np.float64)
-    return {"keys": keys, "values": values, "bounds": bounds, "comp": comp, "sq_sum": sq_sum,
-            "block": block}
+    return {"keys": keys, "values": values, "bounds": bounds, "sq_sum": sq_sum, "block": block}
 
 
 def graph_view(g: GraphObject, schema: StreamSchema) -> dict:
@@ -566,7 +580,7 @@ def graph_view(g: GraphObject, schema: StreamSchema) -> dict:
     values = [f for _, _, f in g.edges]
     bounds = [0, len(keys)]
     for side_type in schema.side_types:
-        attrs = g.side.get(side_type.name, {})
+        attrs = g.side.get(side_type.name) or {}
         keys += map(str.encode, attrs)
         values += attrs.values()
         bounds.append(len(keys))
@@ -623,7 +637,8 @@ def gathered_estimates(bank, view: GraphView) -> np.ndarray:
     ``(N, m)`` result, whose layout the product with ``view.block`` sees."""
     rows = np.arange(bank.config.rows, dtype=np.intp)[:, None]
     buckets = digest_buckets(bank.config, view.keys)
-    return bank.cells[view.comp, : bank.size, rows, buckets].min(0).T
+    comp = np.repeat(np.arange(view.d + 1), np.diff(view.bounds))
+    return bank.cells[comp, : bank.size, rows, buckets].min(0).T
 
 
 def add_at(bank, slot: int, view: GraphView, fresh: bool) -> None:
@@ -634,7 +649,8 @@ def add_at(bank, slot: int, view: GraphView, fresh: bool) -> None:
     if fresh:
         bank.cells[:, slot] = 0.0
     rows = np.arange(bank.config.rows, dtype=np.intp)[:, None]
-    index = (view.comp, rows, digest_buckets(bank.config, view.keys))
+    comp = np.repeat(np.arange(view.d + 1), np.diff(view.bounds))
+    index = (comp, rows, digest_buckets(bank.config, view.keys))
     np.add.at(bank.cells[:, slot], index, view.values)
     bank._square_rows(slot)
 

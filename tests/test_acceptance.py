@@ -21,13 +21,13 @@ from reference import (
     members_intra_sq,
     process_all,
     separating_rows,
+    view_of,
 )
 from sketchclust import (
     ACTION_INITIALIZED,
     Engine,
     EngineConfig,
     GraphObject,
-    GraphView,
     SideType,
     SketchConfig,
     StreamSchema,
@@ -437,12 +437,12 @@ def _c08_trial(cfg: SketchConfig, keys, masses: np.ndarray, probe: int, per_grap
     sk = CountMinSketch(cfg)
     sk.update_many(keys, masses)
     est = sk.estimate(keys[probe])
-    bank = ClusterBank(cfg, 0, 1)
+    bank = ClusterBank(cfg, 1, 1)  # the keys are side ids: an edge key holds 0x1f
     for start in range(0, len(keys), per_graph):
         part = slice(start, start + per_graph)
-        part_keys = tuple(keys[part])
-        _absorb(bank, GraphView(part_keys, masses[part], (0, len(part_keys))), start + 1)
-    estimates = bank.cells[0, 0][np.arange(cfg.rows)[:, None], cfg.buckets(keys)].min(0)
+        ids = {key.decode(): mass for key, mass in zip(keys[part], masses[part].tolist())}
+        _absorb(bank, view_of({}, ids), start + 1)
+    estimates = bank.cells[1, 0][np.arange(cfg.rows)[:, None], cfg.buckets(keys)].min(0)
     return np.array(
         [
             est - masses[probe] > slack,

@@ -28,6 +28,7 @@ from reference import (
     bank_geometry,
     cluster_geometry,
     component_distances_sq,
+    cut_view,
     digest_buckets,
     distance_sq,
     filled,
@@ -38,6 +39,7 @@ from reference import (
     pair_cross,
     pair_distances_sq,
     separating_rows,
+    view_of,
 )
 from sketchclust import (
     ACTION_ASSIGNED,
@@ -277,17 +279,17 @@ def _numpy_bank(config: SketchConfig, d: int, k: int) -> ClusterBank:
     return bank
 
 
-def _real_view(rng, d: int, pool: list[bytes]) -> GraphView:
-    """A hand-built view of real masses over keys drawn with replacement
-    from ``pool``: a key may repeat within one component, and keys collide
-    in one cell within one graph. Some masses are 0.0 or -0.0, and about
-    one view in six has no key at all."""
+def _real_view(rng, d: int, pool: list[str]) -> GraphView:
+    """A view of real masses, not preprocessed, over ids drawn with
+    replacement from ``pool``: an edge may repeat, and keys collide in one
+    cell within one graph. Some masses are 0.0 or -0.0, and about one view
+    in six has no key at all."""
     sizes = rng.integers(0, 25, d + 1) * (rng.random() > 1 / 6)
-    keys = tuple(pool[i] for i in rng.integers(0, len(pool), int(sizes.sum())))
-    values = rng.uniform(0.0, 10.0, len(keys)) * 10.0 ** rng.integers(-3, 4, len(keys))
-    values[rng.random(len(keys)) < 0.1] = 0.0
-    values[rng.random(len(keys)) < 0.1] = -0.0
-    return GraphView(keys, values, np.concatenate([[0], np.cumsum(sizes)]).tolist())
+    ids = [pool[i] for i in rng.integers(0, len(pool), int(sizes.sum()))]
+    values = rng.uniform(0.0, 10.0, len(ids)) * 10.0 ** rng.integers(-3, 4, len(ids))
+    values[rng.random(len(ids)) < 0.1] = 0.0
+    values[rng.random(len(ids)) < 0.1] = -0.0
+    return cut_view(ids, values.tolist(), np.concatenate([[0], np.cumsum(sizes)]).tolist())
 
 
 def _signed_zeros(bank: ClusterBank, rng) -> bytes:
@@ -327,7 +329,7 @@ def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, grap
     rng = np.random.default_rng(seed)
     config = SketchConfig(rows=rows, cols=cols, seed=seed)
     banks = ClusterBank(config, d, k), _numpy_bank(config, d, k)
-    pool = [b"k%d" % i for i in range(cols + 3)]
+    pool = [f"k{i}" for i in range(cols + 3)]
     for t in range(graphs):
         if t == load_at:
             blob = _signed_zeros(banks[0], rng)
@@ -635,7 +637,7 @@ def test_an_update_whose_second_moments_would_not_be_finite_writes_nothing(exact
     bank = _two_clusters(exact)
     before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
     with np.errstate(over="ignore"):
-        view = GraphView((b"a\x1fb", b"t"), [1e200, 1.0], [0, 1, 2])
+        view = view_of({"a\x1fb": 1e200}, {"t": 1.0})
         with pytest.raises(ValueError, match="slot 1's self product would not be finite"):
             getattr(bank, update)(1, view, _GRAPHS)
     assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
@@ -674,8 +676,7 @@ def test_a_reset_whose_self_product_could_overflow_keeps_the_evicted_cluster(exa
     byte for byte."""
     bank = _two_clusters(exact)
     before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
-    keys = (b"a\x1fb", b"c\x1fd", b"t")
-    view = GraphView(keys, [0.9e154, 0.9e154, 1.0], [0, 2, 3])
+    view = view_of({"a\x1fb": 0.9e154, "c\x1fd": 0.9e154}, {"t": 1.0})
     assert np.isfinite(view.sq_sum).all()
     with pytest.raises(ValueError, match="slot 1's self product would not be finite"):
         bank.reset(1, view, _GRAPHS)

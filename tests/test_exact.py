@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from reference import SCHEMA, component, filled, graph, members_intra_sq, separating_rows
-from sketchclust import GraphObject, GraphView, SketchConfig, graph_views
+from reference import SCHEMA, component, filled, graph, members_intra_sq, separating_rows, view_of
+from sketchclust import GraphObject, SketchConfig, graph_views
 from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
 
@@ -60,8 +60,8 @@ def test_cross_product_sums_the_smaller_maps_keys_in_its_order():
     whichever slot holds it. The common keys' products run 1e16, 1, 1 in
     the smaller map, which sums to 1e16 (each 1 rounds away), and 1, 1,
     1e16 in the larger one, which would sum to 1e16 + 2."""
-    small = GraphView((b"k1", b"k2", b"k3"), [1e8, 1.0, 1.0], (0, 3, 3))
-    large = GraphView((b"k3", b"k2", b"k1", b"k4"), [1.0, 1.0, 1e8, 1.0], (0, 4, 4))
+    small = view_of({"k1\x1f": 1e8, "k2\x1f": 1.0, "k3\x1f": 1.0}, {})
+    large = view_of({"k3\x1f": 1.0, "k2\x1f": 1.0, "k1\x1f": 1e8, "k4\x1f": 1.0}, {})
     for first, second in ((small, large), (large, small)):
         bank = filled(ExactBank(SCHEMA.d, 2), [first], [second])
         assert bank._pair_cross(np.array([0]), np.array([1])).tolist() == [[1e16, 0.0]]

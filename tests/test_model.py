@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference
-from reference import component, view_arrays
+from reference import component
 from sketchclust import (
     GraphObject,
     GraphView,
@@ -240,7 +240,7 @@ def test_graph_views_shape_and_order():
     keys, values = component(view, 1)
     assert keys == (b"x",)
     assert values.tolist() == [3.0]
-    assert view.comp.tolist() == [0, 1, 2]
+    assert view.bounds == (0, 1, 2, 3)
     assert view.sq_sum.tolist() == [4.0, 9.0, 1.0]
     assert view.block.tolist() == [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]]
     config = SketchConfig(rows=3, cols=16, seed=5)
@@ -250,11 +250,14 @@ def test_graph_views_shape_and_order():
 
 
 def test_graph_view_rejects_bounds_that_miss_the_keys():
+    """No view is built from parts, so none has bounds that miss its keys:
+    ``graph_views`` alone builds a view, and the class takes no arguments."""
     keys = (b"a", b"b")
-    assert GraphView(keys, [1.0, 2.0], (0, 1, 2)).comp.tolist() == [0, 1]
-    for values, bounds in (([1.0], (0, 2)), ([1.0, 2.0], (0, 1)), ([1.0, 2.0], (1, 2)), ([], (0,))):
-        with pytest.raises(ValueError, match="bounds"):
+    for values, bounds in (([1.0, 2.0], (0, 1, 2)), ([1.0], (0, 2)), ([1.0, 2.0], (1, 2))):
+        with pytest.raises(TypeError):
             GraphView(keys, values, bounds)
+    with pytest.raises(TypeError):
+        GraphView()
 
 
 def test_graph_views_empty_components():
@@ -275,26 +278,11 @@ def _flat_views(draw):
     return values, [0, *sorted(cuts), len(values)]
 
 
-@given(_flat_views())
-@example(([], [0, 0]))
-@example(([], [0, 0, 0, 0]))
-@example(([-0.0, 2.0], [0, 0, 2, 2]))
-def test_view_arrays_are_bitwise_the_reference_construction(flat):
-    values, bounds = flat
-    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite squares
-        view = GraphView(tuple(b"k%d" % i for i in range(len(values))), values, bounds)
-        reference = view_arrays(values, bounds)
-    for name, want in zip(("comp", "sq_sum", "block"), reference):
-        got = getattr(view, name)
-        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
-        assert got.tobytes() == want.tobytes(), name
-
-
 def _assert_same_view(view: GraphView, want: dict) -> None:
     """Equal keys and bounds, and every array of equal dtype, shape and bytes."""
     assert type(view.keys) is type(want["keys"]) and view.keys == want["keys"]
     assert type(view.bounds) is tuple and view.bounds == want["bounds"]
-    for name in ("values", "comp", "sq_sum", "block"):
+    for name in ("values", "sq_sum", "block"):
         got, ref = getattr(view, name), want[name]
         assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
         assert got.tobytes() == ref.tobytes(), name
@@ -302,12 +290,16 @@ def _assert_same_view(view: GraphView, want: dict) -> None:
 
 @given(_flat_views())
 @example(([], [0, 0]))
+@example(([], [0, 0, 0, 0]))
 @example(([-0.0, 2.0], [0, 0, 2, 2]))
-def test_a_hand_built_view_is_the_python_constructors(flat):
+def test_view_arrays_are_bitwise_the_reference_construction(flat):
+    """Any float64 masses, NaN and -0.0 among them, cut into components."""
     values, bounds = flat
-    keys = tuple(b"k%d" % i for i in range(len(values)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        _assert_same_view(GraphView(keys, values, bounds), reference.view_fields(keys, values, bounds))
+    ids = [f"k{i}" for i in range(len(values))]
+    keys = tuple((k + "\x1f" * (i < bounds[1])).encode() for i, k in enumerate(ids))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite squares
+        want = reference.view_fields(keys, values, bounds)
+        _assert_same_view(reference.cut_view(ids, values, bounds), want)
 
 
 VIEW_SCHEMA = _schema(SideType("topics"), SideType("venue", "categorical"), SideType("tags"))
@@ -346,6 +338,52 @@ def test_graph_views_is_the_python_walk(g):
     """The compiled ``graph_views`` against the Python walk it replaced:
     keys, bounds, and each array's dtype, shape and bytes."""
     _assert_same_view(graph_views(g, VIEW_SCHEMA), reference.graph_view(g, VIEW_SCHEMA))
+
+
+# What a graph that was not preprocessed may hold: masses of any sign, NaN
+# and ints, and side maps of None; a faulty one also ids that are no str or
+# not UTF-8, masses that are no numbers, edges of two items, shorthands
+_RAW_MASSES = st.one_of(st.floats(width=64), st.integers(-(2**70), 2**70), st.just(-0.0))
+_BAD_LABELS = st.one_of(_VIEW_LABELS, st.sampled_from(["", "x\ud800"]), st.integers(0, 3))
+_BAD_MASSES = st.one_of(_RAW_MASSES, st.sampled_from([None, "2"]))
+
+
+@st.composite
+def _raw_graphs(draw):
+    """A graph as ``Engine.process`` may be handed it: edges unsorted and
+    repeated, side entries of some schema types and of an undeclared one,
+    in any order; every other graph may hold faults."""
+    faulty = draw(st.booleans())
+    labels, masses = (_BAD_LABELS, _BAD_MASSES) if faulty else (_VIEW_LABELS, _RAW_MASSES)
+    entries = st.one_of(st.dictionaries(labels, masses, max_size=6), st.none())
+    edge = st.tuples(labels, labels, masses)
+    if faulty:
+        edge = st.one_of(edge, st.lists(labels, min_size=3, max_size=3), st.tuples(labels, labels))
+        entries = st.one_of(entries, st.lists(_VIEW_LABELS), _VIEW_LABELS)
+    edges = draw(st.lists(edge, max_size=10))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    names = draw(st.permutations([*VIEW_SCHEMA._names, "undeclared"]))
+    side = {name: draw(entries) for name in names[: draw(st.integers(0, 4))]}
+    return GraphObject(id="g", edges=edges, side=side)
+
+
+@given(_raw_graphs())
+@example(GraphObject("g", [("b", "a", 2), ("a", "b", 1.5), ("b", "a", 2)], {"topics": None}))
+@example(GraphObject("g", [("a", "b", -1.0)], {"tags": {"x": float("nan")}}))
+@example(GraphObject("g", [("a", 3, 1.0)], {"topics": {3: 1.0}}))
+def test_graph_views_of_a_raw_graph_raises_or_is_the_python_walk(g):
+    """``graph_views`` on a graph that was not preprocessed raises
+    TypeError or ValueError and leaves the graph as it was, or gives the
+    Python walk's view."""
+    held = repr(g)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite squares
+        try:
+            view = graph_views(g, VIEW_SCHEMA)
+        except (TypeError, ValueError):
+            view = None
+        else:
+            _assert_same_view(view, reference.graph_view(g, VIEW_SCHEMA))
+    assert repr(g) == held
 
 
 def test_canonicalize_is_idempotent():

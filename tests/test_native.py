@@ -1,18 +1,19 @@
 """The compiled kernel: its boundary checks, its build cache and its source.
 
 Each kernel function checks every buffer's element type, shape and
-contiguity, and every component id, slot and bucket against the grid
+contiguity, a view's bounds, and every slot and bucket against the grid
 shape, and raises ValueError before it writes anything. The sketch bank
-hands a view's arrays to it as they are, and ``GraphView`` is public, so
-a caller can hand it a view whose arrays no constructor made. The ingest
-walk (``canonical_graph`` and ``graph_view``) writes only what it
-returns: a bad argument leaves its input as it was, and no error path
-leaks a reference. The kernel is built on the first import into the
-package's ``__pycache__`` and loaded from there by later imports; its
-source compiles without a warning.
+hands a view's arrays and bounds to it as they are; ``graph_views``
+builds every view and no view can be changed, so no bank is handed one
+whose fields disagree. The ingest walk (``canonical_graph`` and
+``graph_view``) writes only what it returns: a bad argument leaves its
+input as it was, and no error path leaks a reference. The kernel is
+built on the first import into the package's ``__pycache__`` and loaded
+from there by later imports; its source compiles without a warning.
 """
 
 import gc
+import operator
 import os
 import shutil
 import subprocess
@@ -25,9 +26,9 @@ import numpy as np
 import pytest
 
 import sketchclust
+from reference import view_of
 from sketchclust import (
     GraphObject,
-    GraphView,
     SideType,
     SketchConfig,
     StreamSchema,
@@ -49,9 +50,9 @@ COMPS, SLOTS, ROWS, COLS, KEYS = 2, 3, 4, 16, 5
 def _grid():
     rng = np.random.default_rng(5)
     cells = rng.uniform(0.0, 1.0, (COMPS, SLOTS, ROWS, COLS))
-    comp = np.array([0, 0, 0, 1, 1], dtype=np.intp)
+    bounds = (0, 3, KEYS)
     buckets = rng.integers(0, COLS, (ROWS, KEYS)).astype(np.intp)
-    return cells, comp, buckets
+    return cells, bounds, buckets
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -74,12 +75,19 @@ _GRID_FAULTS = {
         ("strided", lambda a: a[..., ::2]),
         ("3-d", lambda a: a[0]),
     ],
-    "comp": [
-        ("float64", lambda a: a.astype(np.float64)),
-        ("int32", lambda a: a.astype(np.int32)),
-        ("short", lambda a: a[:-1]),
-        ("too large", lambda a: _set(a, -1, COMPS)),
-        ("negative", lambda a: _set(a, -1, -1)),
+    "bounds": [
+        ("too short", lambda b: b[:-1]),
+        ("too long", lambda b: (*b, KEYS)),
+        ("not from 0", lambda b: (1, *b[1:])),
+        ("decreasing", lambda b: (0, KEYS + 1, KEYS)),
+        ("past the keys", lambda b: (*b[:-1], KEYS + 1)),
+        ("short of the keys", lambda b: (*b[:-1], KEYS - 1)),
+        ("a float", lambda b: (0, 3.0, KEYS)),
+        ("a str", lambda b: (0, "3", KEYS)),
+        ("beyond Py_ssize_t", lambda b: (0, 2**63, KEYS)),
+        ("below Py_ssize_t", lambda b: (0, -(2**63) - 1, KEYS)),
+        ("a list", list),
+        ("None", lambda b: None),
     ],
     "buckets": [
         ("uint64", lambda a: a.astype(np.uint64)),
@@ -113,8 +121,8 @@ _GATHER += [
 @pytest.mark.parametrize("fresh", [False, True], ids=["add", "fresh"])
 @pytest.mark.parametrize("arg, name, fault", _SCATTER, ids=[f"{a}-{n}" for a, n, _ in _SCATTER])
 def test_scatter_add_rejects_a_bad_argument_before_any_write(arg, name, fault, fresh):
-    cells, comp, buckets = _grid()
-    args = {"cells": cells, "slot": 1, "comp": comp, "buckets": buckets, "values": np.ones(KEYS)}
+    cells, bounds, buckets = _grid()
+    args = {"cells": cells, "slot": 1, "bounds": bounds, "buckets": buckets, "values": np.ones(KEYS)}
     args[arg] = fault(args[arg])
     held = args["cells"].copy()
     with pytest.raises(ValueError):
@@ -125,8 +133,8 @@ def test_scatter_add_rejects_a_bad_argument_before_any_write(arg, name, fault, f
 
 @pytest.mark.parametrize("arg, name, fault", _GATHER, ids=[f"{a}-{n}" for a, n, _ in _GATHER])
 def test_row_minima_rejects_a_bad_argument_before_any_write(arg, name, fault):
-    cells, comp, buckets = _grid()
-    args = {"cells": cells, "comp": comp, "buckets": buckets, "m": 2, "out": np.full((KEYS, 2), -1.0)}
+    cells, bounds, buckets = _grid()
+    args = {"cells": cells, "bounds": bounds, "buckets": buckets, "m": 2, "out": np.full((KEYS, 2), -1.0)}
     args[arg] = fault(args[arg])
     held = args["out"].copy()
     with pytest.raises(ValueError):
@@ -237,89 +245,94 @@ def test_pair_distances_sq_rejects_a_bad_argument_before_any_write(arg, name, fa
     assert args["cross"].tobytes() == held.tobytes()
 
 
-# a hand-built view's arrays replaced after construction: the kernel's
-# faults, and the short arrays that the bank itself rejects first
+def _founded(bank):
+    bank.reset(0, view_of({"a\x1f": 1.0}, {"t": 2.0}), 1)
+    bank.reset(1, view_of({"b\x1f": 3.0}, {"t": 1.0}), 2)
+    return bank
+
+
+def _banks():
+    """Two founded slots of a third, on each backend."""
+    banks = ClusterBank(SketchConfig(rows=ROWS, cols=COLS), 1, 3), ExactBank(1, 3)
+    return [_founded(bank) for bank in banks]
+
+
+def _abc():
+    """Keys ``(a, c, t)`` of masses ``(1, 2, 4)`` and bounds ``(0, 2, 3)``."""
+    return view_of({"a\x1f": 1.0, "c\x1f": 2.0}, {"t": 4.0})
+
+
+def _state(bank) -> tuple:
+    return b"".join(bank.to_parts()), bank.self_sq.tobytes(), len(bank)
+
+
+def _rebind(field, value):
+    return AttributeError, lambda view: setattr(view, field, value(view))
+
+
+def _write(field, index):
+    return ValueError, lambda view: operator.setitem(getattr(view, field), index, 9.0)
+
+
+# Each change to a built view, and the error it raises: a field rebound
+# (``comp``, which views once held, among them) or an array written
 _TAMPERED = {
-    "comp float64": ("comp", lambda a: a.astype(np.float64)),
-    "comp short": ("comp", lambda a: a[:-1]),
-    "comp too large": ("comp", lambda a: _set(a, -1, 2)),
-    "values float32": ("values", lambda a: a.astype(np.float32)),
-    "values short": ("values", lambda a: a[:-1]),
+    "comp float64": _rebind("comp", lambda v: np.array([0.0, 0.0, 1.0])),
+    "comp short": _rebind("comp", lambda v: np.array([0, 0], dtype=np.intp)),
+    "comp too large": _rebind("comp", lambda v: np.array([0, 0, 2], dtype=np.intp)),
+    "values float32": _rebind("values", lambda v: v.values.astype(np.float32)),
+    "values short": _rebind("values", lambda v: v.values[:-1]),
+    "keys reordered": _rebind("keys", lambda v: v.keys[::-1]),
+    "bounds moved": _rebind("bounds", lambda v: (0, 1, 3)),
+    "sq_sum zeroed": _rebind("sq_sum", lambda v: np.zeros(2)),
+    "block zeroed": _rebind("block", lambda v: np.zeros((3, 2))),
+    "d raised": _rebind("d", lambda v: 2),
+    "values written": _write("values", 0),
+    "sq_sum written": _write("sq_sum", 1),
+    "block written": _write("block", (0, 1)),
 }
 
 
 @pytest.mark.parametrize("cause", sorted(_TAMPERED))
 def test_a_view_the_kernel_rejects_leaves_the_bank_as_it_was(cause):
-    """``absorb`` and ``reset`` (into a live slot or the next free one)
-    raise ValueError and change no checkpoint byte, no self product and no
-    slot count; a faulty component id fails the scoring too. A short array
-    is rejected by the bank's own check, before the kernel, and a faulty
-    ``comp`` by the exact bank's own, so the exact backend rejects these
-    as well."""
-    banks = [ClusterBank(SketchConfig(rows=ROWS, cols=COLS), 1, 3)]
-    attr, fault = _TAMPERED[cause]
-    if cause.endswith("short") or attr == "comp":
-        banks.append(ExactBank(1, 3))
-    for bank in banks:
-        bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
-        bank.reset(1, GraphView((b"b", b"t"), [3.0, 1.0], (0, 1, 2)), 2)
-        view = GraphView((b"a", b"c", b"t"), [1.0, 2.0, 4.0], (0, 2, 3))
-        setattr(view, attr, fault(getattr(view, attr)))
-        before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
-        for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
-            with pytest.raises(ValueError):
-                update(slot, view, 3)
-            assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
-            assert len(bank) == 2
-        if attr == "comp":
-            with pytest.raises(ValueError):
-                bank.distances_sq(view)
-
-
-def _founded(bank):
-    bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
-    bank.reset(1, GraphView((b"b", b"t"), [3.0, 1.0], (0, 1, 2)), 2)
-    return bank
+    """No view that the kernel or a bank would misread can be made: on
+    either backend, rebinding a field of a built view raises
+    AttributeError, and writing into one of its arrays ValueError. The
+    bank's checkpoint bytes, self products and slot count stay as they
+    were, and the view as it was built."""
+    error, tamper = _TAMPERED[cause]
+    for bank in _banks():
+        view, before = _abc(), _state(bank)
+        with pytest.raises(error):
+            tamper(view)
+        assert _state(bank) == before
+        built = _abc()
+        for name in ("keys", "bounds", "d"):
+            assert getattr(view, name) == getattr(built, name)
+        for name in ("values", "sq_sum", "block"):
+            assert getattr(view, name).tobytes() == getattr(built, name).tobytes()
 
 
 @pytest.mark.parametrize(
-    "comp, backends",
-    [
-        ([0, 0, 5], "sketch exact"),  # an id outside the grid
-        ([0, 1, 1], "exact"),  # in range, but not the bounds' ids
-        ([1, 1, 0], "exact"),
-    ],
-    ids=["out of range", "in range", "reversed"],
+    "comp", [[0, 0, 5], [0, 1, 1], [1, 1, 0]], ids=["out of range", "in range", "reversed"]
 )
-def test_a_comp_that_disagrees_with_its_bounds_is_rejected_before_any_write(comp, backends):
-    """Keys ``(a, c, t)`` with bounds ``(0, 2, 3)``, whose ids are ``[0, 0,
-    1]``. The sketch kernel rejects an id outside its grid; the exact bank,
-    which reads the bounds to update and ``comp`` to score, rejects any
-    ``comp`` but the bounds' own, with ValueError and before any write,
-    where it once absorbed the graph and then raised IndexError scoring."""
-    for backend in backends.split():
-        bank = _founded(
-            ClusterBank(SketchConfig(rows=ROWS, cols=COLS), 1, 3) if backend == "sketch"
-            else ExactBank(1, 3)
-        )
-        view = GraphView((b"a", b"c", b"t"), [1.0, 2.0, 4.0], (0, 2, 3))
-        view.comp = np.array(comp, dtype=np.intp)
-        before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
-        for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
-            with pytest.raises(ValueError):
-                update(slot, view, 3)
-            assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
-            assert len(bank) == 2
-        with pytest.raises(ValueError):
-            bank.distances_sq(view)
-
-
-def test_the_exact_bank_takes_the_constructors_comp():
-    bank = _founded(ExactBank(1, 3))
-    view = GraphView((b"a", b"c", b"t"), [1.0, 2.0, 4.0], (0, 2, 3))
-    assert view.comp.tolist() == [0, 0, 1]
-    bank.absorb(0, view, 3)
-    assert bank.distances_sq(view).shape == (2, 2)
+def test_a_comp_that_disagrees_with_its_bounds_is_rejected_before_any_write(comp):
+    """Keys ``(a, c, t)`` with bounds ``(0, 2, 3)``. A view holds no
+    component ids to disagree with its bounds: setting ``comp`` raises
+    AttributeError and writes nothing, on either backend. Absorbing the
+    view then scatters by its bounds, so the slot's self product and
+    second moments describe one cluster (a, c in the edges, t on the
+    side), where a sketch bank once absorbed ``[0, 1, 1]`` into self
+    products ``(4, 40)`` against second moments ``(6, 20)``."""
+    for bank in _banks():
+        view, before = _abc(), _state(bank)
+        with pytest.raises(AttributeError):
+            view.comp = np.array(comp, dtype=np.intp)
+        assert _state(bank) == before
+        bank.absorb(0, view, 3)
+        assert bank.second_moments[0].tolist() == [6.0, 20.0]
+        assert bank.self_sq[:, 0].tolist() == [8.0, 36.0]
+        assert bank.distances_sq(view).shape == (2, 2)
 
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"), SideType("tags", "categorical")))
@@ -368,42 +381,6 @@ def test_canonical_graph_rejects_a_bad_argument_before_any_write(arg, name, faul
     assert repr(args) == held
 
 
-# (name, bad value) per argument of ``graph_view(keys, values, bounds)``,
-# given a view's parts
-_VIEW_PARTS = [
-    ("keys", "not sized", lambda keys: 5),
-    ("keys", "short", lambda keys: keys[:-1]),
-    ("values", "float32", lambda a: a.astype(np.float32)),
-    ("values", "2-d", lambda a: a[None]),
-    ("values", "short", lambda a: a[:-1]),
-    ("values", "a list", lambda a: a.tolist()),
-    ("bounds", "one end", lambda b: b[:1]),
-    ("bounds", "not from 0", lambda b: (1, *b[1:])),
-    ("bounds", "decreasing", lambda b: (0, 4, 3, 5)),
-    ("bounds", "past the keys", lambda b: (*b[:-1], KEYS + 1)),
-    ("bounds", "floats", lambda b: tuple(map(float, b))),
-    ("bounds", "not a sequence", lambda b: 5),
-]
-
-
-@pytest.mark.parametrize(
-    "arg, name, fault", _VIEW_PARTS, ids=[f"{a}-{n}" for a, n, _ in _VIEW_PARTS]
-)
-def test_graph_view_rejects_a_bad_argument_before_any_write(arg, name, fault):
-    """The one construction of every view, from a view's parts."""
-    args = {
-        "keys": tuple(b"k%d" % i for i in range(KEYS)),
-        "values": np.arange(KEYS, dtype=np.float64),
-        "bounds": (0, 2, 2, KEYS),
-    }
-    kernel.graph_view(*args.values())
-    args[arg] = fault(args[arg])
-    held = repr(args)
-    with pytest.raises((TypeError, ValueError)):
-        kernel.graph_view(*args.values())
-    assert repr(args) == held
-
-
 # (name, bad value) per part of a canonical graph that ``graph_views``
 # reads: the edge list and the side maps in schema order
 _VIEW_GRAPHS = [
@@ -429,7 +406,7 @@ def test_graph_view_of_a_graph_rejects_a_bad_argument_before_any_write(arg, name
     args[arg] = fault(args[arg])
     held = repr(args)
     with pytest.raises((TypeError, ValueError)):
-        kernel.graph_view(*args.values(), None)
+        kernel.graph_view(*args.values())
     assert repr(args) == held
 
 
@@ -466,7 +443,7 @@ def _walk(count: int) -> None:
             preprocess(_FAULTY[i % len(_FAULTY)](a, m), SCHEMA)
         sides = [canonical.side.get(name) for name in SCHEMA._names]
         with pytest.raises(TypeError):
-            kernel.graph_view([*canonical.edges, (a, 3, m)], sides, None)
+            kernel.graph_view([*canonical.edges, (a, 3, m)], sides)
 
 
 def test_the_ingest_walk_leaks_nothing():

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference import SCHEMA, ClusterStats, graph, separating_rows
-from sketchclust import GraphView, SketchConfig, graph_views
+from reference import SCHEMA, ClusterStats, cut_view, graph, separating_rows, view_of
+from sketchclust import GraphObject, SketchConfig, graph_views
 from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
 
@@ -148,20 +148,19 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
 
 
 def test_an_update_whose_view_cannot_be_hashed_writes_nothing():
-    """A view of ``str`` keys builds, but its keys' digest raises
-    TypeError. The sketch bank hashes a view's keys in an update's checks,
-    so ``absorb`` and ``reset`` (into a live slot or the next free one)
-    raise before any write, and ``distances_sq`` raises too."""
+    """Every view's keys are bytes, so an update's hashing cannot fail: a
+    graph with an id that makes no key (no str, or not UTF-8) has no view,
+    so ``Engine.process`` stops in ``graph_views``, before the bank."""
     bank = _bank(_cfg(1), 3, 6, 47)
     before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
-    view = GraphView(("n0\x1fn1", "t0"), [1.0, 2.0], (0, 1, 2))
-    for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
-        with pytest.raises(TypeError):
-            update(slot, view, 9)
-        assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
-    with pytest.raises(TypeError):
-        bank.distances_sq(view)
-    assert len(bank) == 2
+    for g in (GraphObject("g", [("n0", 1, 1.0)]), GraphObject("g", [("n0", "n\ud800", 1.0)]),
+              GraphObject("g", [], {"topics": {2: 1.0}})):
+        with pytest.raises((TypeError, ValueError)):
+            graph_views(g, SCHEMA)
+    assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
+    view = view_of([("n0\x1fn1", 1), ("n0\x1fn1", 2.0)], {"t0": 2.0})  # not preprocessed
+    assert [type(key) for key in view.keys] == [bytes] * 3
+    bank.absorb(0, view, 9)
 
 
 def test_one_view_serves_sketch_banks_of_different_seeds():
@@ -221,11 +220,10 @@ def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
     """A graph is absorbed unless a value is negative or NaN (``-0.0`` and
     the empty view are absorbed); a rejected one leaves the bank as it was."""
     bank = _BANKS[backend]()
-    bank.reset(0, GraphView((b"a", b"t"), [1.0, 2.0], (0, 1, 2)), 1)
+    bank.reset(0, _two_keys([1.0, 2.0]), 1)
     before = b"".join(bank.to_parts())
     cut = min(cut, len(values))
-    keys = tuple(b"k%d" % i for i in range(len(values)))
-    view = GraphView(keys, values, (0, cut, len(values)))
+    view = cut_view([f"k{i}" for i in range(len(values))], values, (0, cut, len(values)))
     if any(v < 0.0 or math.isnan(v) for v in values):
         with pytest.raises(ValueError, match="negative or NaN"):
             bank.absorb(0, view, 2)
@@ -235,14 +233,13 @@ def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
         assert (bank.n[0], bank.t_last[0]) == (2, 2)
 
 
-def _two_keys(values, keys=(b"a", b"t")) -> GraphView:
-    return GraphView(keys, values, (0, 1, 2))
+def _two_keys(values):
+    return view_of({"a\x1f": values[0]}, {"t": values[1]})
 
 
 # cause: the rejected view, its time, the error and its message
 _REJECTED = {
-    "components": (lambda: GraphView((b"a",), [1.0], (0, 1)), 3, ValueError, "component count"),
-    "buckets": (lambda: _two_keys([1.0, 2.0], ("a", "t")), 3, TypeError, "before hashing"),
+    "components": (lambda: view_of({"a\x1f": 1.0}), 3, ValueError, "component count"),
     "timestamp": (lambda: _two_keys([1.0, 2.0]), -1, ValueError, "nonnegative"),
     "negative": (lambda: _two_keys([-1.0, 2.0]), 3, ValueError, "negative or NaN"),
     "nan": (lambda: _two_keys([1.0, math.nan]), 3, ValueError, "negative or NaN"),
@@ -251,13 +248,13 @@ _REJECTED = {
 
 @pytest.mark.parametrize(
     "backend, cause",
-    [(b, c) for b in sorted(_BANKS) for c in sorted(_REJECTED) if (b, c) != ("exact", "buckets")],
+    [(b, c) for b in sorted(_BANKS) for c in sorted(_REJECTED)],
 )
 def test_a_rejected_update_leaves_the_bank_as_it_was(backend, cause):
     """``absorb`` and ``reset`` (into a live slot or the next free one)
     check the graph before they write, while the bank fills and once it is
     full: a rejected one changes no checkpoint byte, no self product and no
-    slot count (the exact bank hashes no keys, so ``str`` keys are its own)."""
+    slot count."""
     bank = _BANKS[backend](3)
     bank.reset(0, _two_keys([1.0, 2.0]), 1)
     bank.reset(1, _two_keys([3.0, 1.0]), 2)
@@ -319,15 +316,15 @@ def test_intra_sq_of_a_slice_is_its_slots_rows(backend, sizes, integer, seed):
     it."""
     rng = np.random.default_rng(seed)
     bank = _BANKS[backend](len(sizes))
-    vocab = [b"k%d" % i for i in range(6)]
+    vocab = [f"k{i}" for i in range(6)]
     for members in sizes:
         slot = None
         for now in range(1, members + 1):
             counts = rng.integers(0, 4, SCHEMA.d + 1)
-            keys = tuple(k for c in counts for k in rng.choice(vocab, c, replace=False).tolist())
-            size = len(keys)
+            ids = [k for c in counts for k in rng.choice(vocab, c, replace=False).tolist()]
+            size = len(ids)
             values = rng.integers(1, 50, size) if integer else rng.uniform(0.0, 1e3, size)
-            view = GraphView(keys, values, (0, *np.cumsum(counts).tolist()))
+            view = cut_view(ids, values.tolist(), (0, *np.cumsum(counts).tolist()))
             if slot is None:
                 slot = len(bank)
                 bank.reset(slot, view, now)

@@ -4,6 +4,7 @@ that a change did not mean to add."""
 import argparse
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import sketchclust
@@ -56,6 +57,21 @@ def test_every_public_function_and_class_is_used_outside_tests():
     used = _used_outside_tests()
     unused = sorted(qualified for qualified, name in _public_definitions() if name not in used)
     assert not unused, f"defined but used only by tests: {unused}"
+
+
+def test_every_kernel_function_is_called_outside_tests():
+    """Each name in ``_kernel.c``'s method table is called as
+    ``kernel.<name>`` in the package, as each exported name is used."""
+    source = (ROOT / "src" / "sketchclust" / "_kernel.c").read_text(encoding="utf-8")
+    table = source[source.index("static PyMethodDef methods[]") :]
+    methods = re.findall(r'^\s*\{"(\w+)",', table[: table.index("};")], re.MULTILINE)
+    called = {
+        node.attr
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "kernel"
+    }
+    assert methods and not sorted(set(methods) - called), sorted(set(methods) - called)
 
 
 def _cli_options(parser: argparse.ArgumentParser) -> int:
