@@ -1,24 +1,25 @@
 /* The compiled loops: the ingest walk (preprocess's canonical form and
- * graph_views' flat view), and the sketch bank's key hashing, row-minimum
+ * graph_views' flat view), and the sketch bank's key hashing, cross-product
  * gather, in-order scatter and the closed form of every squared distance.
  *
  * Built and loaded by sketchclust/native.py; it takes numpy arrays through
- * the buffer protocol, makes its own through numpy.empty and numpy.zeros,
- * and needs no numpy headers. Every bank function checks each buffer's
- * element type, shape and contiguity, a view's bounds (d+2 ints from 0 to
- * the key count, never decreasing) and each slot and bucket against the
- * grid, and raises ValueError before any write; only a distance that is
- * not finite is found while the distances are written.
- * The loops do only integer arithmetic, selections, comparisons,
- * additions and single IEEE operations, in the order the Python and numpy
- * code they replaced did them, so their results are bit for bit that
- * code's (and hashlib's for the digests). What sums many terms stays in
- * numpy, a graph's per-component sum of squares among it: numpy's dot adds
- * in its own order, and a C loop would round differently.
+ * the buffer protocol, makes none, and needs no numpy headers. Every bank
+ * function checks each buffer's element type, shape and contiguity, a
+ * view's bounds (d+2 ints from 0 to the key count, never decreasing) and
+ * each slot and bucket against the grid, and raises ValueError before any
+ * write; only a distance that is not finite is found while the distances
+ * are written. The loops do only integer arithmetic, selections,
+ * comparisons, additions and single IEEE operations, each in a stated
+ * order: the order of the Python and numpy code they replaced (hashlib's
+ * for the digests), and for a cross product its terms added one by one in
+ * view order, so no BLAS kernel decides its bits. A graph's per-component
+ * sum of squares, the sketch rows' squares and the refresh's pair products
+ * stay in numpy.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -297,18 +298,21 @@ take_grid(Held *h, PyObject *cells, PyObject *bounds, PyObject *buckets, int wri
     return 0;
 }
 
-/* row_minima(cells, bounds, buckets, m, out): out[i, s] = min over rows r
- * of cells[c, s, r, buckets[r, i]] for the live slots s < m, where key i
- * lies in component c by ``bounds``; ``out`` is (N, m) float64. Rows are
- * taken in order and a tie keeps the later row, as numpy's minimum does
- * (which decides the sign of a zero). */
+/* graph_cross(cells, bounds, buckets, values, m, out): out[s, c] = the sum
+ * over the keys i of component c (by ``bounds``), in view order from 0.0,
+ * of min over rows r of cells[c, s, r, buckets[r, i]], times values[i],
+ * for the live slots s < m: one graph's cross products with every live
+ * slot, ``out`` (m, d+1) float64. Rows are taken in order and a tie keeps
+ * the later row, as numpy's minimum does (which decides the sign of a
+ * zero). */
 static PyObject *
-row_minima(PyObject *Py_UNUSED(module), PyObject *args)
+graph_cross(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *cells, *bounds, *buckets, *out;
+    PyObject *cells, *bounds, *buckets, *values, *out;
     Py_ssize_t m;
     Held h = {.held = 0};
-    if (!PyArg_ParseTuple(args, "OOOnO:row_minima", &cells, &bounds, &buckets, &m, &out))
+    if (!PyArg_ParseTuple(args, "OOOOnO:graph_cross", &cells, &bounds, &buckets, &values, &m,
+                          &out))
         return NULL;
     if (take_grid(&h, cells, bounds, buckets, 0) < 0)
         return release(&h, NULL);
@@ -318,23 +322,26 @@ row_minima(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_Format(PyExc_ValueError, "m = %zd is outside 0..%zd", m, slots);
         return release(&h, NULL);
     }
-    Py_buffer *o = take(&h, out, "out", FLOAT64, 1, 2, n, m);
-    if (!o)
+    Py_buffer *v, *o;
+    if (!(v = take(&h, values, "values", FLOAT64, 0, 1, n, -1)) ||
+        !(o = take(&h, out, "out", FLOAT64, 1, 2, m, comps)))
         return release(&h, NULL);
-    const double *cell = h.view[0].buf;
+    const double *cell = h.view[0].buf, *mass = v->buf;
     const Py_ssize_t *bucket = h.view[1].buf, *ends = h.ends;
-    double *est = o->buf;
-    for (Py_ssize_t c = 0; c < comps; c++) {
-        for (Py_ssize_t i = ends[c]; i < ends[c + 1]; i++) {
-            for (Py_ssize_t s = 0; s < m; s++) {
-                const double *at = cell + (c * slots + s) * grid;
-                double v = at[bucket[i]];
+    double *sum = o->buf;
+    for (Py_ssize_t s = 0; s < m; s++) {
+        for (Py_ssize_t c = 0; c < comps; c++) {
+            const double *at = cell + (c * slots + s) * grid;
+            double acc = 0.0;
+            for (Py_ssize_t i = ends[c]; i < ends[c + 1]; i++) {
+                double est = at[bucket[i]];
                 for (Py_ssize_t r = 1; r < rows; r++) {
                     double x = at[r * cols + bucket[r * n + i]];
-                    v = (v < x || v != v) ? v : x;
+                    est = (est < x || est != est) ? est : x;
                 }
-                est[i * m + s] = v;
+                acc += est * mass[i];
             }
+            sum[s * comps + c] = acc;
         }
     }
     return release(&h, Py_NewRef(Py_None));
@@ -501,7 +508,6 @@ static PyObject *SAFE;               /* model._SQUARES_SAFE, 2**480, as a float 
 static PyObject *ONE;                /* 1.0: a present categorical id's value */
 static PyObject *EDGE_FREQUENCY, *EDGE_FREQUENCIES, *PRESENCE;  /* what the checks name */
 static PyObject *ID, *LABEL, *EDGES, *SIDE;                      /* GraphObject's fields */
-static PyObject *EMPTY, *ZEROS, *FLOAT64_T;                     /* numpy.empty ... numpy.float64 */
 static const double SQUARES_SAFE = 0x1p480;
 
 /* The model helpers that own the label, mass and square-sum faults. */
@@ -977,24 +983,6 @@ done:
     return result;
 }
 
-/* A new zeroed (``zero``) or uninitialised C-ordered numpy array of
- * ``dtype``, (n,) or (n, cols) for cols >= 0, its buffer taken into ``h``. */
-static PyObject *
-new_array(Held *h, int zero, PyObject *dtype, Py_ssize_t n, Py_ssize_t cols)
-{
-    PyObject *shape = cols < 0 ? Py_BuildValue("(n)", n) : Py_BuildValue("(nn)", n, cols);
-    PyObject *array = shape ? PyObject_CallFunctionObjArgs(zero ? ZEROS : EMPTY, shape, dtype,
-                                                           NULL)
-                            : NULL;
-    Py_XDECREF(shape);
-    if (array && PyObject_GetBuffer(array, &h->view[h->held], PyBUF_C_CONTIGUOUS |
-                                                                  PyBUF_WRITABLE) < 0)
-        Py_CLEAR(array);
-    if (array)
-        h->held++;
-    return array;
-}
-
 /* The UTF-8 bytes of src + "\x1f" + dst: an edge's key. */
 static PyObject *
 edge_key(PyObject *src, PyObject *dst)
@@ -1086,13 +1074,16 @@ write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *
     return 0;
 }
 
-/* graph_view(edges, sides): the (keys, values, bounds, block) of the view
- * of a canonical graph, given its edge list and its side maps in schema
- * order (a dict or None each). The keys become bytes, each edge's the
- * UTF-8 of src + "\x1f" + dst and each id's its own, into one tuple; the
- * masses one new (N,) float64 array; ``bounds`` the d+2 component ends from
- * 0 to N; and ``block`` (N, d+1) float64 each key's mass in its
- * component's column. */
+/* A bytes object's data sits past a header of whole words, so its masses are
+ * aligned doubles. */
+_Static_assert(offsetof(PyBytesObject, ob_sval) % _Alignof(double) == 0, "unaligned bytes data");
+
+/* graph_view(edges, sides): the (keys, values, bounds) of the view of a
+ * canonical graph, given its edge list and its side maps in schema order (a
+ * dict or None each). The keys become bytes, each edge's the UTF-8 of src +
+ * "\x1f" + dst and each id's its own, into one tuple; the masses the native
+ * float64 bytes of one new bytes object, which no one can write once it is
+ * returned; and ``bounds`` the d+2 component ends from 0 to N. */
 static PyObject *
 graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1100,18 +1091,17 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "graph_view(edges, sides) takes 2 arguments");
         return NULL;
     }
-    PyObject *keys = NULL, *values = NULL, *bounds = NULL, *block = NULL;
+    PyObject *keys = NULL, *values = NULL, *bounds = NULL;
     PyObject *edges = NULL, *sides = NULL, *result = NULL;
-    Held h = {.held = 0};
+    Py_ssize_t *ends = NULL;
     if (!(edges = PySequence_Fast(args[0], "a graph's edges must be a sequence")) ||
         !(sides = PySequence_Fast(args[1], "a graph's side maps must be a sequence")))
         goto done;
     const Py_ssize_t comps = 1 + PySequence_Fast_GET_SIZE(sides);
-    if (!(h.ends = PyMem_Malloc((size_t)(comps + 1) * sizeof *h.ends))) {
+    if (!(ends = PyMem_Malloc((size_t)(comps + 1) * sizeof *ends))) {
         PyErr_NoMemory();
         goto done;
     }
-    Py_ssize_t *ends = h.ends;
     ends[0] = 0;
     ends[1] = PySequence_Fast_GET_SIZE(edges);
     for (Py_ssize_t s = 0; s + 1 < comps; s++) {
@@ -1124,9 +1114,10 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         ends[s + 2] = ends[s + 1] + (map == Py_None ? 0 : PyDict_GET_SIZE(map));
     }
     const Py_ssize_t n = ends[comps];
-    if (!(keys = PyTuple_New(n)) || !(values = new_array(&h, 0, FLOAT64_T, n, -1)) ||
-        write_graph(edges, sides, ends, keys, h.view[0].buf) < 0 ||
-        !(bounds = PyTuple_New(comps + 1)) || !(block = new_array(&h, 1, FLOAT64_T, n, comps)))
+    if (!(keys = PyTuple_New(n)) ||
+        !(values = PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double))) ||
+        write_graph(edges, sides, ends, keys, (double *)PyBytes_AS_STRING(values)) < 0 ||
+        !(bounds = PyTuple_New(comps + 1)))
         goto done;
     for (Py_ssize_t c = 0; c <= comps; c++) {
         PyObject *end = PyLong_FromSsize_t(ends[c]);
@@ -1134,27 +1125,20 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
             goto done;
         PyTuple_SET_ITEM(bounds, c, end);
     }
-    const double *mass = h.view[0].buf;
-    double *cell = h.view[1].buf;
-    for (Py_ssize_t c = 0; c < comps; c++) {
-        for (Py_ssize_t i = ends[c]; i < ends[c + 1]; i++)
-            cell[i * comps + c] = mass[i];
-    }
-    result = PyTuple_Pack(4, keys, values, bounds, block);
+    result = PyTuple_Pack(3, keys, values, bounds);
 done:
-    release(&h, NULL);
+    PyMem_Free(ends);
     Py_XDECREF(edges);
     Py_XDECREF(sides);
     Py_XDECREF(keys);
     Py_XDECREF(values);
     Py_XDECREF(bounds);
-    Py_XDECREF(block);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"key_buckets", key_buckets, METH_VARARGS, "Each key's BLAKE2b-64 cell in every row."},
-    {"row_minima", row_minima, METH_VARARGS, "Each key's row minimum in every live slot."},
+    {"graph_cross", graph_cross, METH_VARARGS, "One graph's cross products with every live slot."},
     {"scatter_add", scatter_add, METH_VARARGS, "Add each key's mass to its cells in one slot."},
     {"graph_distances_sq", graph_distances_sq, METH_VARARGS,
      "One graph's squared component distances to every live centroid."},
@@ -1163,7 +1147,7 @@ static PyMethodDef methods[] = {
     {"canonical_graph", (PyCFunction)(void (*)(void))canonical_graph, METH_FASTCALL,
      "A graph's canonical edges and side maps, as preprocess returns them."},
     {"graph_view", (PyCFunction)(void (*)(void))graph_view, METH_FASTCALL,
-     "A graph's view: its keys, values, bounds and block-diagonal values."},
+     "A graph's view: its keys, masses and component bounds."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1177,13 +1161,6 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
-    PyObject *numpy = PyImport_ImportModule("numpy");
-    if (!numpy)
-        return NULL;
-    EMPTY = PyObject_GetAttrString(numpy, "empty");
-    ZEROS = PyObject_GetAttrString(numpy, "zeros");
-    FLOAT64_T = PyObject_GetAttrString(numpy, "float64");
-    Py_DECREF(numpy);
     SAFE = PyFloat_FromDouble(SQUARES_SAFE);
     ONE = PyFloat_FromDouble(1.0);
     EDGE_FREQUENCY = PyUnicode_InternFromString("edge frequency");
@@ -1193,8 +1170,8 @@ PyInit__kernel(void)
     LABEL = PyUnicode_InternFromString("label");
     EDGES = PyUnicode_InternFromString("edges");
     SIDE = PyUnicode_InternFromString("side");
-    if (!EMPTY || !ZEROS || !FLOAT64_T || !SAFE || !ONE || !EDGE_FREQUENCY ||
-        !EDGE_FREQUENCIES || !PRESENCE || !ID || !LABEL || !EDGES || !SIDE)
+    if (!SAFE || !ONE || !EDGE_FREQUENCY || !EDGE_FREQUENCIES || !PRESENCE || !ID || !LABEL ||
+        !EDGES || !SIDE)
         return NULL;
     return PyModule_Create(&module);
 }

@@ -220,8 +220,10 @@ class Engine:
         resulting event. ``process(preprocess(g, schema))`` over what
         ``iter_stream`` yields is the one way a record reaches the engine.
         A graph that ``_decide`` or the bank update rejects raises
-        ValueError before any change; a refresh that raises does so after
-        the graph's update, with the weights not refreshed."""
+        ValueError, and one that was not preprocessed may raise TypeError
+        or ValueError from ``graph_views`` (an id that is no str, a mass
+        that is no number), each before any change; a refresh that raises
+        does so after the graph's update, with the weights not refreshed."""
         view = graph_views(g, self.schema)
         decision = self._decide(view)
         self._apply(decision, view)

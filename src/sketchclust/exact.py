@@ -6,10 +6,11 @@ and cross product is exact; the scalars and the distance arithmetic are
 ``stats.Bank``'s, shared with the sketch backend. Memory grows with the
 number of distinct keys; this backend exists for differential testing and
 small runs, not for unbounded streams. It reads a view's keys by the
-view's ``bounds``, as the sketch kernel does. It checkpoints as the
-sketch bank does, the scalars first, then each slot's maps in place of
-the cells; loading rejects a key repeated in its map, and each mass that
-is negative or not finite, as it parses them.
+view's ``bounds`` and sums each cross product in view order, as the
+sketch kernel does. It checkpoints as the sketch bank does, the scalars
+first, then each slot's maps in place of the cells; loading rejects a key
+repeated in its map, and each mass that is negative or not finite, as it
+parses them.
 """
 
 from __future__ import annotations
@@ -49,13 +50,16 @@ class ExactBank(Bank):
                     m[key] = m.get(key, 0.0) + value
                 self.self_sq[comp, slot] = _self_product(m)
 
-    def _estimates(self, view: GraphView) -> np.ndarray:
-        keys, ends = view.keys, view.bounds
-        estimates = [
-            [mp.get(key, 0.0) for mp, a, b in zip(maps, ends, ends[1:]) for key in keys[a:b]]
-            for maps in self.maps[: self.size]
-        ]
-        return np.array(estimates, dtype=np.float64).reshape(self.size, len(keys))
+    def _cross(self, view: GraphView) -> np.ndarray:
+        keys, values, ends = view.keys, view.values.tolist(), view.bounds
+        cross = []
+        for maps in self.maps[: self.size]:
+            for mp, a, b in zip(maps, ends, ends[1:]):
+                acc = 0.0  # a loop: ``sum`` of floats compensates from Python 3.12
+                for key, value in zip(keys[a:b], values[a:b]):
+                    acc += mp.get(key, 0.0) * value
+                cross.append(acc)
+        return np.array(cross, dtype=np.float64).reshape(self.size, self.d + 1)
 
     def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         cross = np.zeros((len(first), self.d + 1), dtype=np.float64)

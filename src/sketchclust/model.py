@@ -32,10 +32,9 @@ read, and reuses them.
 
 Both walks run in the compiled kernel (``native``): ``preprocess`` is
 ``canonical_graph``, which calls the three ``_check_*`` helpers above on
-its slow path, and ``graph_views`` takes a view's keys, values, bounds
-and ``block`` from ``graph_view``. Only ``sq_sum`` is summed in numpy,
-one ``part.dot(part)`` per component: the order of a sum decides its
-rounding, and a C loop would add in another order than numpy's.
+its slow path, and ``graph_views`` takes a view's keys, masses and bounds
+from ``graph_view``. Only ``sq_sum`` is summed in numpy, one
+``part.dot(part)`` per component.
 """
 
 from __future__ import annotations
@@ -43,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import struct
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -273,14 +273,12 @@ class GraphView:
 
     Component 0 is the edge structure; components 1..d are the schema's
     side types in order. Component ``c`` owns ``keys[bounds[c]:bounds[c+1]]``
-    and the same slice of ``values``. ``sq_sum`` ``(d+1,)`` holds each
-    component's exact sum of squared values, and ``block`` ``(N, d+1)`` the
-    values placed block-diagonally (row ``i`` holds ``values[i]`` in its
-    component's column), so one product with it sums per-key terms into
-    per-component ones. Only ``graph_views`` builds a view, and no field
-    can be rebound or array written, so the fields always agree. A view
-    knows no sketch: ``buckets(config)`` hashes its keys for the config
-    that asks.
+    and the same slice of ``values``, and ``sq_sum`` ``(d+1,)`` holds each
+    component's exact sum of squared values. Only ``graph_views`` builds a
+    view; no field can be rebound, and its arrays lie over immutable bytes,
+    so none can be written or made writable, and the fields always agree.
+    A view knows no sketch: ``buckets(config)`` hashes its keys for the
+    config that asks.
     """
 
     __slots__ = ("_fields", "_hashed")
@@ -292,7 +290,6 @@ class GraphView:
     values = property(lambda self: self._fields[1])
     bounds = property(lambda self: self._fields[2])
     sq_sum = property(lambda self: self._fields[3])
-    block = property(lambda self: self._fields[4])
 
     @property
     def d(self) -> int:
@@ -316,12 +313,11 @@ def graph_views(g: GraphObject, schema: StreamSchema) -> GraphView:
     ``part.dot(part)``, whose order of additions (and so its rounding) is
     numpy's own."""
     sides = [g.side.get(name) for name in schema._names]
-    keys, values, bounds, block = kernel.graph_view(g.edges, sides)
+    keys, masses, bounds = kernel.graph_view(g.edges, sides)
+    values = np.frombuffer(masses)
     parts = [values[a:b] for a, b in zip(bounds, bounds[1:])]
-    sq_sum = np.array([part.dot(part) for part in parts], dtype=np.float64)
-    for array in (values, sq_sum, block):
-        array.setflags(write=False)
+    sq_sum = np.frombuffer(struct.pack(f"{len(parts)}d", *[part.dot(part) for part in parts]))
     view = object.__new__(GraphView)
-    view._fields = (keys, values, bounds, sq_sum, block)
+    view._fields = (keys, values, bounds, sq_sum)
     view._hashed = (None, None)
     return view

@@ -9,8 +9,8 @@ from them; a backend supplies only the store of first moments.
 keeps exact maps). Every read and update takes a graph's one flat,
 read-only ``model.GraphView``, which holds only the graph, and reads its
 keys component by component by its ``bounds``: scoring it against all
-clusters is one gather of estimates, one product and one closed form,
-absorbing it one scatter into the slot's sketches. Summing two clusters'
+clusters is one gather of cross products and one closed form, absorbing
+it one scatter into the slot's sketches. Summing two clusters'
 cells and scalars (the later timestamp winning) equals absorbing both
 member sets into one.
 
@@ -91,29 +91,30 @@ class Bank:
         sum_k g_k^2  -  (2/n) * sum_k g_k * C_k  +  (1/n^2) * sum_k C_k^2
 
     where only keys present in the incoming graph contribute to the first
-    two terms and the third is the cluster's aggregate self product. The
-    middle term of every slot and component is one product: the slots'
-    estimates of the graph's keys ``(size, N)`` times the view's
-    block-diagonal values ``(N, d+1)``. On the sketch backend the middle
-    and last terms use overestimating estimators, so sketch distances can
-    only exceed their exact counterparts (before clamping). Negative values
-    from estimator noise are clamped to zero; a value that is not finite
-    before the clamp raises ValueError. The compiled kernel (``native``)
-    holds this closed form, ``max(a - 2 cross / denom + b, 0)``, once for
-    every distance (a graph to a centroid, a centroid to a centroid), with
-    the counts and ``self_sq / n**2`` formed in it: single IEEE operations
-    in numpy's order, so its bits are numpy's. The cross products, the
-    ``self_sq`` row squares and the graph's ``sq_sum`` are sums, which
-    round by their order, and stay in numpy, as does ``intra_sq``, which
-    holds the spread's form. An event's ``es_distance_sq`` (formed in
-    ``Engine._decide``) weights the d+1 squared component distances by the
-    engine's nonnegative weights.
+    two terms and the third is the cluster's aggregate self product. Both
+    backends form a graph's middle term, its cross product with a slot,
+    in one stated order: per component, from 0.0, each key's estimate
+    times its mass added in view order, so no BLAS kernel decides its
+    bits. On the sketch backend the middle and last terms use
+    overestimating estimators, so sketch distances can only exceed their
+    exact counterparts (before clamping). Negative values from estimator
+    noise are clamped to zero; a value that is not finite before the clamp
+    raises ValueError. The compiled kernel (``native``) holds this closed
+    form, ``max(a - 2 cross / denom + b, 0)``, once for every distance (a
+    graph to a centroid, a centroid to a centroid), with the counts and
+    ``self_sq / n**2`` formed in it: single IEEE operations in numpy's
+    order, so its bits are numpy's. The ``self_sq`` row squares, the
+    refresh's pair cross products and the graph's ``sq_sum`` stay in
+    numpy, as does ``intra_sq``, which holds the spread's form. An event's
+    ``es_distance_sq`` (formed in ``Engine._decide``) weights the d+1
+    squared component distances by the engine's nonnegative weights.
 
     A backend supplies its first-moment store through the hooks:
     ``_add(slot, view, fresh)`` (which empties the slot first if
     ``fresh``, and refreshes its ``self_sq``; it writes nothing if it
-    raises), ``_estimates(view)`` (every live slot's estimate
-    of each of the view's keys, ``(size, N)``), ``_pair_cross(first,
+    raises), ``_cross(view)`` (the view's cross products with every live
+    slot in that order, ``(size, d+1)``, in a fresh C-ordered array that
+    ``distances_sq`` overwrites), ``_pair_cross(first,
     second)`` (the cross products of the live slot pairs
     ``(first[p], second[p])``, one ``(d+1,)`` row per pair, in a fresh
     C-ordered array that ``geometry`` overwrites), and
@@ -211,7 +212,7 @@ class Bank:
         """Squared component distances from one graph to every live cluster,
         ``(size, d+1)``."""
         self._check(view)
-        out = self._estimates(view) @ view.block  # the cross products, overwritten
+        out = self._cross(view)  # overwritten
         kernel.graph_distances_sq(self.self_sq, self.n, view.sq_sum, out)
         return out
 
@@ -321,14 +322,15 @@ class ClusterBank(Bank):
     the first read of its view, which keeps them. The per-key loops run in
     the compiled kernel (``native``), which reads each key's component from
     the view's ``bounds``: hashing digests every key and buckets it in every
-    row in one call; scoring a graph takes each key's minimum over its
-    row cells in every live slot in one call, written ``(N, m)`` and read
-    as its ``(m, N)`` transpose; absorbing it is one in-order scatter into
-    the slot's d+1 grids (row by row, keys in view order: the order of
-    ``np.add.at``) and one batched row-square product in numpy. The weight refresh
-    gathers every pair's cross products from one batched product: a gemm
-    of slots ``0..m-2`` against slots ``1..m-1``, which holds the pairs
-    ``i < j``. The cells checkpoint as one ``f8[d+1, m, rows, cols]`` block.
+    row in one call; scoring a graph is one call that takes each key's
+    minimum over its row cells in every live slot and sums the terms of
+    each cross product; absorbing it is one in-order scatter into the
+    slot's d+1 grids (row by row, keys in view order: the order of
+    ``np.add.at``) and one batched row-square product in numpy. The
+    weight refresh gathers every pair's cross products from one batched
+    product: a gemm of slots ``0..m-2`` against slots ``1..m-1``, which
+    holds the pairs ``i < j``. The cells checkpoint as one ``f8[d+1, m,
+    rows, cols]`` block.
     """
 
     def __init__(self, config: SketchConfig, d: int, k: int):
@@ -347,13 +349,11 @@ class ClusterBank(Bank):
         grids = self.cells[:, slots]
         self.self_sq[:, slots] = np.einsum("...c,...c->...", grids, grids).min(-1)
 
-    def _estimates(self, view: GraphView) -> np.ndarray:
-        # Written (N, m) row-major and handed on as its transpose: the gemm
-        # in ``distances_sq`` rounds by its operand's layout, and a C-ordered
-        # (m, N) operand changed the product's bits on real masses.
-        out = np.empty((len(view.keys), self.size))
-        kernel.row_minima(self.cells, view.bounds, view.buckets(self.config), self.size, out)
-        return out.T
+    def _cross(self, view: GraphView) -> np.ndarray:
+        out = np.empty((self.size, self.d + 1))
+        buckets = view.buckets(self.config)
+        kernel.graph_cross(self.cells, view.bounds, buckets, view.values, self.size, out)
+        return out
 
     def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         # Slots 0..m-2 against slots 1..m-1, (d+1, rows, m-1, cols) @

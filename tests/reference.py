@@ -39,9 +39,9 @@ straightforward way:
   the one way tests build a view;
 * ``view_fields`` and ``graph_view``: ``GraphView``'s construction and
   ``graph_views`` as they were in Python before the compiled kernel built
-  them, kept as their bitwise oracles; a view no longer holds ``comp``,
-  and ``graph_view`` reads a side map of None as empty, as ``graph_views``
-  does;
+  them, kept as their bitwise oracles; a view no longer holds ``comp``
+  or ``block``, and ``graph_view`` reads a side map of None as empty, as
+  ``graph_views`` does;
 * ``digest_buckets``: ``SketchConfig.buckets`` as it was built before
   its per-graph overhead was cut, kept as its bitwise oracle (the digests
   by ``hashlib.blake2b`` and the multiply-shift in numpy, as before the
@@ -49,9 +49,10 @@ straightforward way:
 * ``distance_sq`` and ``bank_distances_sq``: the closed form of every
   squared distance and ``Bank.distances_sq`` as numpy computed them
   before the compiled kernel, kept as their bitwise oracles;
-* ``gathered_estimates`` and ``add_at``: ``ClusterBank._estimates`` and
-  ``ClusterBank._add`` as numpy built them before the compiled kernel (a
-  fancy-index gather and ``np.add.at``), kept as their bitwise oracles;
+* ``gathered_cross`` and ``add_at``: ``ClusterBank._cross`` and
+  ``ClusterBank._add`` in numpy (a fancy-index gather whose terms
+  ``np.add.accumulate`` sums in view order, and ``np.add.at``), kept as
+  their bitwise oracles;
 * ``pair_cross``: ``ClusterBank._pair_cross`` as it was before it became
   one gemm of slots ``0..m-2`` against slots ``1..m-1``: the square
   product of all slots (BLAS syrk), kept verbatim as its oracle;
@@ -561,15 +562,12 @@ def view_fields(keys, values, bounds) -> dict:
     bounds = tuple(bounds)
     if values.shape != (n,) or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n:
         raise ValueError("need one value per key and bounds from 0 to the key count")
-    spans = list(zip(bounds, bounds[1:]))
-    block = np.zeros((n, len(spans)), dtype=np.float64)
     sq_sum = []
-    for c, (a, b) in enumerate(spans):
+    for a, b in zip(bounds, bounds[1:]):
         part = values[a:b]
-        block[a:b, c] = part
         sq_sum.append(part.dot(part))
     sq_sum = np.array(sq_sum, dtype=np.float64)
-    return {"keys": keys, "values": values, "bounds": bounds, "sq_sum": sq_sum, "block": block}
+    return {"keys": keys, "values": values, "bounds": bounds, "sq_sum": sq_sum}
 
 
 def graph_view(g: GraphObject, schema: StreamSchema) -> dict:
@@ -615,9 +613,9 @@ def distance_sq(a_sq, cross, denom, b_sq) -> np.ndarray:
 
 def bank_distances_sq(bank, view: GraphView) -> np.ndarray:
     """``bank.distances_sq(view)`` with the closed form in numpy, from the
-    bank's own ``_estimates``."""
+    bank's own ``_cross``."""
     n = bank.n[: bank.size, None].astype(np.float64)
-    cross = bank._estimates(view) @ view.block
+    cross = bank._cross(view)
     return distance_sq(view.sq_sum, cross, n, bank.self_sq[:, : bank.size].T / (n * n))
 
 
@@ -630,15 +628,23 @@ def pair_distances_sq(self_sq, n, first, second, cross) -> np.ndarray:
     return distance_sq(own[first], cross, (n[first] * n[second])[:, None], own[second])
 
 
-def gathered_estimates(bank, view: GraphView) -> np.ndarray:
-    """``ClusterBank._estimates`` as a numpy fancy-index gather, as before:
-    every key's cells in every live slot, ``(rows, N, m)``, the minimum
-    over rows, returned as the transpose ``(m, N)`` of that C-ordered
-    ``(N, m)`` result, whose layout the product with ``view.block`` sees."""
+def gathered_cross(bank, view: GraphView) -> np.ndarray:
+    """``ClusterBank._cross`` in numpy: every key's cells in every live
+    slot by a fancy-index gather, ``(rows, N, m)``, and the minimum over
+    rows, as before the compiled kernel; then per component the keys'
+    terms, estimate times mass, summed in view order by
+    ``np.add.accumulate`` (``np.add.reduce`` adds in another order), and
+    ``+ 0.0``, which turns a -0.0 sum into the +0.0 that adding onto 0.0
+    gives. An empty component's sum is 0.0."""
     rows = np.arange(bank.config.rows, dtype=np.intp)[:, None]
     buckets = digest_buckets(bank.config, view.keys)
     comp = np.repeat(np.arange(view.d + 1), np.diff(view.bounds))
-    return bank.cells[comp, : bank.size, rows, buckets].min(0).T
+    terms = bank.cells[comp, : bank.size, rows, buckets].min(0).T * view.values
+    cross = np.zeros((bank.size, view.d + 1))
+    for c, (a, b) in enumerate(zip(view.bounds, view.bounds[1:])):
+        if a < b:
+            cross[:, c] = np.add.accumulate(terms[:, a:b], axis=1)[:, -1] + 0.0
+    return cross
 
 
 def add_at(bank, slot: int, view: GraphView, fresh: bool) -> None:

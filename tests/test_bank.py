@@ -32,7 +32,7 @@ from reference import (
     digest_buckets,
     distance_sq,
     filled,
-    gathered_estimates,
+    gathered_cross,
     generate_graphs,
     graph,
     intra_vector_sq,
@@ -268,12 +268,11 @@ def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slo
 
 
 def _numpy_bank(config: SketchConfig, d: int, k: int) -> ClusterBank:
-    """A sketch bank whose gather, scatter and closed form are numpy's, as
-    built before the compiled kernel: ``reference.gathered_estimates``,
-    ``reference.add_at`` (both over ``reference.digest_buckets``) and
-    ``reference.bank_distances_sq``."""
+    """A sketch bank whose gather, scatter and closed form are numpy's:
+    ``reference.gathered_cross``, ``reference.add_at`` (both over
+    ``reference.digest_buckets``) and ``reference.bank_distances_sq``."""
     bank = ClusterBank(config, d, k)
-    bank._estimates = lambda view: gathered_estimates(bank, view)
+    bank._cross = lambda view: gathered_cross(bank, view)
     bank._add = lambda slot, view, fresh: add_at(bank, slot, view, fresh)
     bank.distances_sq = lambda view: bank_distances_sq(bank, view)
     return bank
@@ -316,13 +315,13 @@ def _signed_zeros(bank: ClusterBank, rng) -> bytes:
 @example(d=1, k=3, rows=10, cols=500, graphs=12, load_at=12, seed=2)
 def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, graphs, load_at, seed):
     """The sketch bank, on real masses, gives bit for bit what the numpy
-    gather, ``np.add.at`` scatter and closed form gave:
+    gather, ``np.add.at`` scatter and closed form give:
     ``SketchConfig.buckets`` against hashlib's digests and the numpy
-    multiply-shift; ``_estimates`` (its layout too, which the product with
-    ``view.block`` sees) against the fancy-index gather, and
-    ``distances_sq`` against both with the numpy closed form, with ``m``
-    from 1 to ``k``; the cells and ``self_sq`` after each ``reset`` and
-    ``absorb``, and then ``geometry`` against its numpy construction. Keys
+    multiply-shift; ``_cross`` against the fancy-index gather summed in
+    view order, and ``distances_sq`` against both with the numpy closed
+    form, with ``m`` from 1 to ``k``; the cells and ``self_sq`` after each
+    ``reset`` and ``absorb``, and then ``geometry`` against its numpy
+    construction. Keys
     collide within one graph, a view may have no key, column counts need
     not be powers of two, and after ``load_at`` graphs both banks resume
     from a checkpoint whose zero cells are partly -0.0."""
@@ -342,9 +341,8 @@ def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, grap
         assert got.shape == want.shape == (rows, len(view.keys))
         assert got.tobytes() == want.tobytes()
         if len(banks[0]):
-            got, want = (bank._estimates(view) for bank in banks)
-            assert got.shape == want.shape == (len(banks[0]), len(view.keys))
-            assert got.flags.f_contiguous and want.flags.f_contiguous
+            got, want = (bank._cross(view) for bank in banks)
+            assert got.shape == want.shape == (len(banks[0]), d + 1)
             assert got.tobytes() == want.tobytes()
             got, want = (bank.distances_sq(view) for bank in banks)
             assert got.tobytes() == want.tobytes()

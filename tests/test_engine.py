@@ -516,7 +516,9 @@ def test_an_update_that_would_overflow_the_second_moments_changes_nothing(backen
     moment to ``1.94e308`` and its self product to ``3.24e308``, past float
     range, a state no checkpoint loads. ``process`` rejects it first, by the
     self product, which bounds the second moment, and the engine is left as
-    it was and still round-trips."""
+    it was and still round-trips. So it is by a graph that was not
+    preprocessed and holds an endpoint that is no str, which
+    ``graph_views`` rejects with TypeError."""
     engine = Engine(_config(k=2), SCHEMA, backend)
     edges = [("a", 1.3e154), ("b", 1e154), ("a", 0.5e154)]
     graphs = [graph(i, [(key, "z", mass)]) for i, (key, mass) in enumerate(edges)]
@@ -524,11 +526,16 @@ def test_an_update_that_would_overflow_the_second_moments_changes_nothing(backen
     view = graph_views(graphs[2], SCHEMA)
     assert engine.bank.distances_sq(view)[0, 0] == pytest.approx(0.64e308)
     before = copy.deepcopy(engine.bank)
-    with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="slot 0's self product would not be finite"):
-            engine.process(graphs[2])
-    assert engine.graph_count == 2
-    assert _same(engine.bank, before)
+    rejected = [
+        (graphs[2], ValueError, "slot 0's self product would not be finite"),
+        (GraphObject("g3", [("a", 3, 1.0)]), TypeError, "edge endpoints must be str"),
+    ]
+    for g, error, match in rejected:
+        with np.errstate(over="ignore"):
+            with pytest.raises(error, match=match):
+                engine.process(g)
+        assert engine.graph_count == 2
+        assert _same(engine.bank, before)
     blob = engine.to_bytes()
     assert Engine.from_bytes(blob).to_bytes() == blob
 

@@ -5,7 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from reference import SCHEMA, component, filled, graph, members_intra_sq, separating_rows, view_of
+from reference import (
+    SCHEMA,
+    component,
+    cut_view,
+    filled,
+    graph,
+    members_intra_sq,
+    separating_rows,
+    view_of,
+)
 from sketchclust import GraphObject, SketchConfig, graph_views
 from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
@@ -100,6 +109,50 @@ def test_parity_with_sketch_backend_when_separated():
     assert (ours.inter_sq.shape, ours.dropped) == (theirs.inter_sq.shape, theirs.dropped)
     np.testing.assert_allclose(ours.intra, theirs.intra)
     np.testing.assert_allclose(ours.inter_sq, theirs.inter_sq)
+
+
+def _rows_separating(keys) -> SketchConfig:
+    """A config every row of which puts ``keys`` in distinct cells."""
+    for seed in range(100):
+        config = SketchConfig(rows=3, cols=4096, seed=seed)
+        if len(separating_rows(config, keys)) == config.rows:
+            return config
+    raise AssertionError("no seed separates the keys")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sketch_distances_are_the_exact_banks_bit_for_bit_when_rows_separate(seed):
+    """With every row separating every key, each estimate is its key's
+    exact mass, and both banks sum each cross product in view order from
+    0.0: the sketch bank's ``distances_sq`` is the exact bank's, bit for
+    bit, for ``m`` from 1 to ``k``. The scored views hold 16 to 40 edge
+    keys of real masses, drawn from 12 ids so that most of them are in
+    the clusters, ids repeated and some masses 0.0 or -0.0, so the order
+    of each sum shows in its bits. The clusters hold whole masses, so
+    each bank's self products, summed in its own order, are exact."""
+    rng = np.random.default_rng(seed)
+    d, k = 2, 5
+    ids = [f"k{i}" for i in range(12)]
+    config = _rows_separating([s.encode() for i in ids for s in (i, i + "\x1f")])
+    sketch, exact = ClusterBank(config, d, k), ExactBank(d, k)
+
+    def view(real: bool):
+        sizes = [rng.integers(16, 41), *rng.integers(0, 9, d)]
+        picked = [ids[i] for i in rng.integers(0, len(ids), sum(sizes))]
+        if real:
+            masses = rng.uniform(0.0, 10.0, len(picked)) * 10.0 ** rng.integers(-3, 4, len(picked))
+            masses[rng.random(len(picked)) < 0.1] = 0.0
+            masses[rng.random(len(picked)) < 0.1] = -0.0
+        else:
+            masses = rng.integers(1, 10, len(picked)).astype(np.float64)
+        return cut_view(picked, masses.tolist(), np.cumsum([0, *sizes]).tolist())
+
+    for t in range(3 * k):
+        for probe in [view(real=True) for _ in range(3)] if len(sketch) else []:
+            assert sketch.distances_sq(probe).tobytes() == exact.distances_sq(probe).tobytes()
+        member, slot = view(real=False), t if t < k else int(rng.integers(0, k))
+        for bank in (sketch, exact):
+            (bank.reset if t < k else bank.absorb)(slot, member, t)
 
 
 def test_merge_is_field_exact():

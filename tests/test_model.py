@@ -242,7 +242,6 @@ def test_graph_views_shape_and_order():
     assert values.tolist() == [3.0]
     assert view.bounds == (0, 1, 2, 3)
     assert view.sq_sum.tolist() == [4.0, 9.0, 1.0]
-    assert view.block.tolist() == [[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 0.0, 1.0]]
     config = SketchConfig(rows=3, cols=16, seed=5)
     buckets = view.buckets(config)
     assert np.array_equal(buckets, config.buckets(view.keys))
@@ -265,7 +264,6 @@ def test_graph_views_empty_components():
     view = graph_views(preprocess(GraphObject(id="g"), schema), schema)
     assert [len(component(view, c)[0]) for c in range(2)] == [0, 0]
     assert view.sq_sum.tolist() == [0.0, 0.0]
-    assert view.block.shape == (0, 2)
     assert view.buckets(SketchConfig(rows=3)).shape == (3, 0)
 
 
@@ -282,7 +280,7 @@ def _assert_same_view(view: GraphView, want: dict) -> None:
     """Equal keys and bounds, and every array of equal dtype, shape and bytes."""
     assert type(view.keys) is type(want["keys"]) and view.keys == want["keys"]
     assert type(view.bounds) is tuple and view.bounds == want["bounds"]
-    for name in ("values", "sq_sum", "block"):
+    for name in ("values", "sq_sum"):
         got, ref = getattr(view, name), want[name]
         assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
         assert got.tobytes() == ref.tobytes(), name
@@ -415,4 +413,3 @@ def test_view_sq_sum_matches_values():
         _, values = component(view, 1)
         assert view.sq_sum[1] == float(values @ values)
         assert np.all(view.values > 0)
-        assert np.array_equal(view.block.sum(1), view.values)

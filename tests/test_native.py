@@ -111,8 +111,12 @@ _GATHER = [(arg, name, fault) for arg, faults in _GRID_FAULTS.items() for name, 
 _GATHER += [
     ("m", "too large", lambda m: SLOTS + 1),
     ("m", "negative", lambda m: -1),
+    ("values", "float32", lambda a: a.astype(np.float32)),
+    ("values", "short", lambda a: a[:-1]),
+    ("values", "strided", lambda a: np.repeat(a, 2)[::2]),
     ("out", "float32", lambda a: a.astype(np.float32)),
     ("out", "short", lambda a: a[:-1]),
+    ("out", "a column short", lambda a: a[:, :-1]),
     ("out", "transposed", lambda a: np.empty(a.shape[::-1]).T),
     ("out", "read-only", _read_only),
 ]
@@ -133,12 +137,15 @@ def test_scatter_add_rejects_a_bad_argument_before_any_write(arg, name, fault, f
 
 @pytest.mark.parametrize("arg, name, fault", _GATHER, ids=[f"{a}-{n}" for a, n, _ in _GATHER])
 def test_row_minima_rejects_a_bad_argument_before_any_write(arg, name, fault):
+    """``graph_cross``, the gather that takes each key's row minimum in
+    every live slot and sums its cross products, ``out`` ``(m, d+1)``."""
     cells, bounds, buckets = _grid()
-    args = {"cells": cells, "bounds": bounds, "buckets": buckets, "m": 2, "out": np.full((KEYS, 2), -1.0)}
+    args = {"cells": cells, "bounds": bounds, "buckets": buckets, "values": np.ones(KEYS), "m": 2}
+    args["out"] = np.full((2, COMPS), -1.0)
     args[arg] = fault(args[arg])
     held = args["out"].copy()
     with pytest.raises(ValueError):
-        kernel.row_minima(*args.values())
+        kernel.graph_cross(*args.values())
     assert args["out"].tobytes() == held.tobytes()
 
 
@@ -274,8 +281,13 @@ def _write(field, index):
     return ValueError, lambda view: operator.setitem(getattr(view, field), index, 9.0)
 
 
+def _unlock(field):
+    return ValueError, lambda view: setattr(getattr(view, field).flags, "writeable", True)
+
+
 # Each change to a built view, and the error it raises: a field rebound
-# (``comp``, which views once held, among them) or an array written
+# (``comp``, which views once held, among them), an array written or made
+# writable
 _TAMPERED = {
     "comp float64": _rebind("comp", lambda v: np.array([0.0, 0.0, 1.0])),
     "comp short": _rebind("comp", lambda v: np.array([0, 0], dtype=np.intp)),
@@ -285,11 +297,11 @@ _TAMPERED = {
     "keys reordered": _rebind("keys", lambda v: v.keys[::-1]),
     "bounds moved": _rebind("bounds", lambda v: (0, 1, 3)),
     "sq_sum zeroed": _rebind("sq_sum", lambda v: np.zeros(2)),
-    "block zeroed": _rebind("block", lambda v: np.zeros((3, 2))),
     "d raised": _rebind("d", lambda v: 2),
     "values written": _write("values", 0),
     "sq_sum written": _write("sq_sum", 1),
-    "block written": _write("block", (0, 1)),
+    "values made writable": _unlock("values"),
+    "sq_sum made writable": _unlock("sq_sum"),
 }
 
 
@@ -297,9 +309,10 @@ _TAMPERED = {
 def test_a_view_the_kernel_rejects_leaves_the_bank_as_it_was(cause):
     """No view that the kernel or a bank would misread can be made: on
     either backend, rebinding a field of a built view raises
-    AttributeError, and writing into one of its arrays ValueError. The
-    bank's checkpoint bytes, self products and slot count stay as they
-    were, and the view as it was built."""
+    AttributeError, and writing into one of its arrays, or setting its
+    ``writeable`` flag, ValueError. The bank's checkpoint bytes, self
+    products and slot count stay as they were, and the view as it was
+    built."""
     error, tamper = _TAMPERED[cause]
     for bank in _banks():
         view, before = _abc(), _state(bank)
@@ -309,8 +322,9 @@ def test_a_view_the_kernel_rejects_leaves_the_bank_as_it_was(cause):
         built = _abc()
         for name in ("keys", "bounds", "d"):
             assert getattr(view, name) == getattr(built, name)
-        for name in ("values", "sq_sum", "block"):
+        for name in ("values", "sq_sum"):
             assert getattr(view, name).tobytes() == getattr(built, name).tobytes()
+            assert not getattr(view, name).flags.writeable
 
 
 @pytest.mark.parametrize(
