@@ -1,6 +1,7 @@
 /* The compiled loops: the ingest walk (preprocess's canonical form and
- * graph_views' flat view), and the sketch bank's key hashing, cross-product
- * gather, in-order scatter and the closed form of every squared distance.
+ * graph_views' flat view, checked and summed), and the sketch bank's key
+ * hashing, cross-product gather, in-order scatter and the closed form of
+ * every squared distance, the refresh's pairs walked in it.
  *
  * Built and loaded by sketchclust/native.py; it takes numpy arrays through
  * the buffer protocol, makes none, and needs no numpy headers. Every bank
@@ -11,13 +12,14 @@
  * are written. The loops do only integer arithmetic, selections,
  * comparisons, additions and single IEEE operations, each in a stated
  * order: the order of the Python and numpy code they replaced (hashlib's
- * for the digests), and for a cross product its terms added one by one in
- * view order, so no BLAS kernel decides its bits. A graph's per-component
- * sum of squares, the sketch rows' squares and the refresh's pair products
- * stay in numpy.
+ * for the digests), and for a cross product or a component's sum of squares
+ * its terms added one by one in view order, so no BLAS kernel decides their
+ * bits. The sketch rows' squares and the refresh's pair products stay in
+ * numpy.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <float.h>
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
@@ -408,45 +410,32 @@ closed_form(double a, double cross, double denom, double b, double *out)
     return 0;
 }
 
-/* Take the closed forms' shared buffers as h->view[0..2]: the bank's
- * ``self_sq`` (d+1, k) float64 and ``n`` (k,) int64, and ``cross`` (P,
- * d+1) float64, which the distances are written over. */
-static int
-take_counts(Held *h, PyObject *self_sq, PyObject *n, PyObject *cross)
-{
-    Py_buffer *s;
-    if (!(s = take(h, self_sq, "self_sq", FLOAT64, 0, 2, -1, -1)) ||
-        !take(h, n, "n", INT64, 0, 1, s->shape[1], -1) ||
-        !take(h, cross, "cross", FLOAT64, 1, 2, -1, s->shape[0]))
-        return -1;
-    return 0;
-}
-
 /* graph_distances_sq(self_sq, n, sq_sum, cross): cross[i, c] becomes
  * max(sq_sum[c] - 2 cross[i, c] / n_i + self_sq[c, i] / (n_i n_i), 0),
  * with n_i = n[i] as a double, for the slots i < P: one graph's squared
- * component distances to the P live centroids. */
+ * component distances to the P live centroids, from the bank's ``self_sq``
+ * (d+1, k) float64 and ``n`` (k,) int64. */
 static PyObject *
 graph_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
 {
     PyObject *self_sq, *n, *sq_sum, *cross;
     Held h = {.held = 0};
+    Py_buffer *s, *x, *q;
     if (!PyArg_ParseTuple(args, "OOOO:graph_distances_sq", &self_sq, &n, &sq_sum, &cross))
         return NULL;
-    if (take_counts(&h, self_sq, n, cross) < 0)
+    if (!(s = take(&h, self_sq, "self_sq", FLOAT64, 0, 2, -1, -1)) ||
+        !take(&h, n, "n", INT64, 0, 1, s->shape[1], -1) ||
+        !(x = take(&h, cross, "cross", FLOAT64, 1, 2, -1, s->shape[0])) ||
+        !(q = take(&h, sq_sum, "sq_sum", FLOAT64, 0, 1, s->shape[0], -1)))
         return release(&h, NULL);
-    const Py_ssize_t comps = h.view[0].shape[0], k = h.view[0].shape[1];
-    const Py_ssize_t slots = h.view[2].shape[0];
-    Py_buffer *q = take(&h, sq_sum, "sq_sum", FLOAT64, 0, 1, comps, -1);
-    if (!q)
-        return release(&h, NULL);
+    const Py_ssize_t comps = s->shape[0], k = s->shape[1], slots = x->shape[0];
     if (slots > k) {
         PyErr_Format(PyExc_ValueError, "cross holds %zd slots, more than %zd", slots, k);
         return release(&h, NULL);
     }
-    const double *own = h.view[0].buf, *a = q->buf;
+    const double *own = s->buf, *a = q->buf;
     const int64_t *count = h.view[1].buf;
-    double *out = h.view[2].buf;
+    double *out = x->buf;
     for (Py_ssize_t i = 0; i < slots; i++) {
         double ni = (double)count[i], nn = ni * ni;
         for (Py_ssize_t c = 0; c < comps; c++) {
@@ -458,61 +447,70 @@ graph_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
     return release(&h, Py_NewRef(Py_None));
 }
 
-/* pair_distances_sq(self_sq, n, first, second, cross): cross[p, c] becomes
- * max(o(f, c) - 2 cross[p, c] / (n_f n_s) + o(s, c), 0), with f = first[p],
- * s = second[p] and o(i, c) = self_sq[c, i] / (n_i n_i): the squared
- * separations of the P slot pairs' centroids. */
+/* pair_distances_sq(self_sq, n, cross, out): max(o(i, c) - 2 cross[c, i,
+ * j-1] / (n_i n_j) + o(j, c), 0), with o(i, c) = self_sq[c, i] / (n_i n_i),
+ * for the pairs i < j of the live slots 0..m-1 in row-major order, ``cross``
+ * (d+1, m-1, m-1): the squared separations of their centroids. Each pair
+ * that is apart in some component goes to the next row of ``out`` (m (m-1)
+ * / 2, d+1); the count written is returned, and the rows past it are
+ * undefined. */
 static PyObject *
 pair_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *self_sq, *n, *first, *second, *cross;
+    PyObject *self_sq, *n, *cross, *out;
     Held h = {.held = 0};
-    if (!PyArg_ParseTuple(args, "OOOOO:pair_distances_sq", &self_sq, &n, &first, &second,
-                          &cross))
+    Py_buffer *s, *x, *o;
+    if (!PyArg_ParseTuple(args, "OOOO:pair_distances_sq", &self_sq, &n, &cross, &out))
         return NULL;
-    if (take_counts(&h, self_sq, n, cross) < 0)
+    if (!(s = take(&h, self_sq, "self_sq", FLOAT64, 0, 2, -1, -1)) ||
+        !take(&h, n, "n", INT64, 0, 1, s->shape[1], -1) ||
+        !(x = take(&h, cross, "cross", FLOAT64, 0, 3, s->shape[0], -1)))
         return release(&h, NULL);
-    const Py_ssize_t comps = h.view[0].shape[0], k = h.view[0].shape[1];
-    const Py_ssize_t pairs = h.view[2].shape[0];
-    Py_buffer *f, *s;
-    if (!(f = take(&h, first, "first", INTP, 0, 1, pairs, -1)) ||
-        !(s = take(&h, second, "second", INTP, 0, 1, pairs, -1)) ||
-        in_range(f->buf, pairs, k, "slot") < 0 || in_range(s->buf, pairs, k, "slot") < 0)
+    const Py_ssize_t comps = s->shape[0], k = s->shape[1], side = x->shape[1], m = side + 1;
+    if (x->shape[2] != side || m > k) {
+        PyErr_Format(PyExc_ValueError, "cross is not (d+1, m-1, m-1) with m <= %zd", k);
         return release(&h, NULL);
-    const double *own = h.view[0].buf;
+    }
+    if (!(o = take(&h, out, "out", FLOAT64, 1, 2, m * side / 2, comps)))
+        return release(&h, NULL);
+    const double *own = s->buf, *prod = x->buf;
     const int64_t *count = h.view[1].buf;
-    double *out = h.view[2].buf;
-    const Py_ssize_t *one = f->buf, *other = s->buf;
-    for (Py_ssize_t p = 0; p < pairs; p++) {
-        const Py_ssize_t i = one[p], j = other[p];
-        double ni = (double)count[i], nj = (double)count[j];
-        double nii = ni * ni, njj = nj * nj, nij = ni * nj;
-        for (Py_ssize_t c = 0; c < comps; c++) {
-            if (closed_form(own[c * k + i] / nii, out[p * comps + c], nij, own[c * k + j] / njj,
-                            &out[p * comps + c]) < 0)
-                return release(&h, NULL);
+    Py_ssize_t kept = 0;
+    for (Py_ssize_t i = 0; i < side; i++) {
+        double ni = (double)count[i], nii = ni * ni;
+        for (Py_ssize_t j = i + 1; j < m; j++) {
+            double nj = (double)count[j], njj = nj * nj, nij = ni * nj;
+            double *row = (double *)o->buf + kept * comps;
+            int apart = 0;
+            for (Py_ssize_t c = 0; c < comps; c++) {
+                if (closed_form(own[c * k + i] / nii, prod[(c * side + i) * side + j - 1], nij,
+                                own[c * k + j] / njj, &row[c]) < 0)
+                    return release(&h, NULL);
+                apart |= row[c] != 0.0;
+            }
+            kept += apart;
         }
     }
-    return release(&h, Py_NewRef(Py_None));
+    return release(&h, PyLong_FromSsize_t(kept));
 }
 
 /* ---- The ingest walk: preprocess's canonical form, graph_views' flat view ----
  *
  * Both walk Python objects, so they raise the errors of the Python code
- * they replaced, and call model's _check_label, _check_value and
- * _check_squares (handed in as ``checks``) for every fault those own. Each
- * reference an entry holds is its own, and a comparison that raises leaves
- * a sort a permutation, so every error path releases what it took. */
+ * they replaced, and call model's _check_label and _check_value (handed in
+ * as ``checks``) for every fault those own. Each reference an entry holds
+ * is its own, and a comparison that raises leaves a sort a permutation, so
+ * every error path releases what it took. */
 
 static PyObject *SAFE;               /* model._SQUARES_SAFE, 2**480, as a float */
 static PyObject *ONE;                /* 1.0: a present categorical id's value */
-static PyObject *EDGE_FREQUENCY, *EDGE_FREQUENCIES, *PRESENCE;  /* what the checks name */
+static PyObject *EDGE_FREQUENCY, *PRESENCE;  /* what the checks name */
 static PyObject *ID, *LABEL, *EDGES, *SIDE;                      /* GraphObject's fields */
 static const double SQUARES_SAFE = 0x1p480;
 
-/* The model helpers that own the label, mass and square-sum faults. */
+/* The model helpers that own the label and mass faults. */
 typedef struct {
-    PyObject *label, *value, *squares;
+    PyObject *label, *value;
 } Checks;
 
 /* Whether _check_label accepts ``label``: a str, nonempty, without the
@@ -585,19 +583,6 @@ read_mass(const Checks *c, PyObject *value, PyObject *what, PyObject *attr_id, d
     *out = PyFloat_AsDouble(r);
     Py_DECREF(r);
     return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
-}
-
-/* _check_squares(masses, what), both stolen (NULL: an error already set);
- * -1 if it raises. */
-static int
-check_squares(const Checks *c, PyObject *masses, PyObject *what)
-{
-    PyObject *r = masses && what ? PyObject_CallFunctionObjArgs(c->squares, masses, what, NULL)
-                                 : NULL;
-    Py_XDECREF(masses);
-    Py_XDECREF(what);
-    Py_XDECREF(r);
-    return r ? 0 : -1;
 }
 
 /* An edge (a, b) or a side id a with its value b (NULL for a shorthand's
@@ -767,11 +752,11 @@ canonical_edges(const Checks *c, PyObject *edges, int undirected)
     }
     if (failed || !(out = PyList_New(kept)))
         goto done;
-    double total = 0.0;
+    double squares = 0.0;  /* added in view order, as graph_view adds them */
     for (Py_ssize_t i = 0, k = 0; i < n; i++) {
         if (e[i].mass < 0.0)
             continue;
-        total += e[i].mass;
+        squares += e[i].mass * e[i].mass;
         PyObject *edge = PyTuple_New(3), *mass = PyFloat_FromDouble(e[i].mass);
         if (!edge || !mass) {
             Py_XDECREF(edge);
@@ -784,12 +769,9 @@ canonical_edges(const Checks *c, PyObject *edges, int undirected)
         PyTuple_SET_ITEM(edge, 2, mass);
         PyList_SET_ITEM(out, k++, edge);
     }
-    if (!(total <= SQUARES_SAFE)) {
-        PyObject *masses = PyList_New(kept);
-        for (Py_ssize_t k = 0; masses && k < kept; k++)
-            PyList_SET_ITEM(masses, k, Py_NewRef(PyTuple_GET_ITEM(PyList_GET_ITEM(out, k), 2)));
-        if (check_squares(c, masses, Py_NewRef(EDGE_FREQUENCIES)) < 0)
-            Py_CLEAR(out);
+    if (!(squares <= DBL_MAX)) {
+        PyErr_SetString(PyExc_ValueError, "edge frequencies must have a finite sum of squares");
+        Py_CLEAR(out);
     }
 done:
     free_entries(e, n);
@@ -877,7 +859,7 @@ canonical_side(const Checks *c, PyObject *name, PyObject *entry, int categorical
     }
     if (failed || !(cleaned = PyDict_New()))
         goto done;
-    double total = 0.0;
+    double squares = 0.0;  /* added in view order, as graph_view adds them */
     for (Py_ssize_t i = 0; i < n; i++) {
         if (e[i].b && read_mass(c, e[i].b, PRESENCE, categorical ? NULL : e[i].a, &e[i].mass) < 0)
             goto done;
@@ -898,16 +880,15 @@ canonical_side(const Checks *c, PyObject *name, PyObject *entry, int categorical
         Py_XDECREF(value);
         if (set < 0)
             goto done;
-        total += categorical ? 1.0 : e[i].mass;
+        squares += categorical ? 1.0 : e[i].mass * e[i].mass;
     }
-    if (PyDict_GET_SIZE(cleaned)) {
-        if (!(total <= SQUARES_SAFE) &&
-            check_squares(c, PyDict_Values(cleaned), PyUnicode_FromFormat("side type %R values",
-                                                                           name)) < 0)
-            goto done;
-        if (PyDict_SetItem(side, name, cleaned) < 0)
-            goto done;
+    if (!(squares <= DBL_MAX)) {
+        PyErr_Format(PyExc_ValueError, "side type %R values must have a finite sum of squares",
+                     name);
+        goto done;
     }
+    if (PyDict_GET_SIZE(cleaned) && PyDict_SetItem(side, name, cleaned) < 0)
+        goto done;
     status = 0;
 done:
     Py_XDECREF(cleaned);
@@ -918,18 +899,17 @@ done:
 /* canonical_graph(g, directed, categorical, checks): the (edges, side) of
  * preprocess(g, schema), where ``categorical`` maps each declared side
  * type name to whether it is categorical and ``checks`` holds model's
- * (_check_label, _check_value, _check_squares). */
+ * (_check_label, _check_value). */
 static PyObject *
 canonical_graph(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (nargs != 4 || !PyDict_Check(args[2]) || !PyTuple_Check(args[3]) ||
-        PyTuple_GET_SIZE(args[3]) != 3) {
+        PyTuple_GET_SIZE(args[3]) != 2) {
         PyErr_SetString(PyExc_TypeError,
-                         "canonical_graph(g, directed, categorical: dict, checks: 3-tuple)");
+                         "canonical_graph(g, directed, categorical: dict, checks: 2-tuple)");
         return NULL;
     }
-    const Checks c = {PyTuple_GET_ITEM(args[3], 0), PyTuple_GET_ITEM(args[3], 1),
-                      PyTuple_GET_ITEM(args[3], 2)};
+    const Checks c = {PyTuple_GET_ITEM(args[3], 0), PyTuple_GET_ITEM(args[3], 1)};
     PyObject *g = args[0], *categorical = args[2], *result = NULL;
     PyObject *id = NULL, *label = NULL, *edges = NULL, *side = NULL, *seq = NULL, *out = NULL;
     PyObject *out_side = NULL;
@@ -1006,18 +986,28 @@ edge_key(PyObject *src, PyObject *dst)
     return key;
 }
 
-/* A mass as a double; a float or int without a call. */
+/* A mass as a double; a float or int without a call. ValueError for one
+ * that is negative, NaN or infinite (-0.0 is none of these), an int beyond
+ * float range among them. */
 static int
 as_double(PyObject *value, double *out)
 {
-    if (PyFloat_CheckExact(value)) {
+    if (PyFloat_CheckExact(value))
         *out = PyFloat_AS_DOUBLE(value);
-        return 0;
+    else {
+        Py_INCREF(value);  /* its __float__ may drop it from its container */
+        *out = PyFloat_AsDouble(value);
+        Py_DECREF(value);
+        if (*out == -1.0 && PyErr_Occurred()) {
+            if (!PyErr_ExceptionMatches(PyExc_OverflowError))
+                return -1;
+            PyErr_Clear();  /* and -1.0 fails the test below */
+        }
     }
-    Py_INCREF(value);  /* its __float__ may drop it from its container */
-    *out = PyFloat_AsDouble(value);
-    Py_DECREF(value);
-    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+    if (0.0 <= *out && *out <= DBL_MAX)
+        return 0;
+    PyErr_SetString(PyExc_ValueError, "view masses must be finite and nonnegative");
+    return -1;
 }
 
 /* Write a canonical graph's keys into ``keys`` and masses into ``mass``,
@@ -1074,16 +1064,35 @@ write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *
     return 0;
 }
 
+/* Each component's sum of squares into ``sq``, its masses' squares added in
+ * view order from 0.0; -1 and ValueError if one passes float range. */
+static int
+square_sums(const double *mass, const Py_ssize_t *ends, Py_ssize_t comps, double *sq)
+{
+    for (Py_ssize_t c = 0; c < comps; c++) {
+        sq[c] = 0.0;
+        for (Py_ssize_t i = ends[c]; i < ends[c + 1]; i++)
+            sq[c] += mass[i] * mass[i];
+        if (!(sq[c] <= DBL_MAX)) {
+            PyErr_Format(PyExc_ValueError,
+                         "component %zd's masses must have a finite sum of squares", c);
+            return -1;
+        }
+    }
+    return 0;
+}
+
 /* A bytes object's data sits past a header of whole words, so its masses are
  * aligned doubles. */
 _Static_assert(offsetof(PyBytesObject, ob_sval) % _Alignof(double) == 0, "unaligned bytes data");
 
-/* graph_view(edges, sides): the (keys, values, bounds) of the view of a
- * canonical graph, given its edge list and its side maps in schema order (a
- * dict or None each). The keys become bytes, each edge's the UTF-8 of src +
- * "\x1f" + dst and each id's its own, into one tuple; the masses the native
- * float64 bytes of one new bytes object, which no one can write once it is
- * returned; and ``bounds`` the d+2 component ends from 0 to N. */
+/* graph_view(edges, sides): the (keys, values, bounds, sq_sum) of the view
+ * of a canonical graph, given its edge list and its side maps in schema
+ * order (a dict or None each). The keys become bytes, each edge's the UTF-8
+ * of src + "\x1f" + dst and each id's its own, into one tuple; the masses,
+ * and each component's square_sums, the native float64 bytes of two new
+ * bytes objects, which no one can write once they are returned; and
+ * ``bounds`` the d+2 component ends from 0 to N. */
 static PyObject *
 graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1091,7 +1100,7 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "graph_view(edges, sides) takes 2 arguments");
         return NULL;
     }
-    PyObject *keys = NULL, *values = NULL, *bounds = NULL;
+    PyObject *keys = NULL, *values = NULL, *bounds = NULL, *squares = NULL;
     PyObject *edges = NULL, *sides = NULL, *result = NULL;
     Py_ssize_t *ends = NULL;
     if (!(edges = PySequence_Fast(args[0], "a graph's edges must be a sequence")) ||
@@ -1116,7 +1125,10 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     const Py_ssize_t n = ends[comps];
     if (!(keys = PyTuple_New(n)) ||
         !(values = PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double))) ||
+        !(squares = PyBytes_FromStringAndSize(NULL, comps * (Py_ssize_t)sizeof(double))) ||
         write_graph(edges, sides, ends, keys, (double *)PyBytes_AS_STRING(values)) < 0 ||
+        square_sums((double *)PyBytes_AS_STRING(values), ends, comps,
+                    (double *)PyBytes_AS_STRING(squares)) < 0 ||
         !(bounds = PyTuple_New(comps + 1)))
         goto done;
     for (Py_ssize_t c = 0; c <= comps; c++) {
@@ -1125,7 +1137,7 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
             goto done;
         PyTuple_SET_ITEM(bounds, c, end);
     }
-    result = PyTuple_Pack(3, keys, values, bounds);
+    result = PyTuple_Pack(4, keys, values, bounds, squares);
 done:
     PyMem_Free(ends);
     Py_XDECREF(edges);
@@ -1133,6 +1145,7 @@ done:
     Py_XDECREF(keys);
     Py_XDECREF(values);
     Py_XDECREF(bounds);
+    Py_XDECREF(squares);
     return result;
 }
 
@@ -1143,11 +1156,11 @@ static PyMethodDef methods[] = {
     {"graph_distances_sq", graph_distances_sq, METH_VARARGS,
      "One graph's squared component distances to every live centroid."},
     {"pair_distances_sq", pair_distances_sq, METH_VARARGS,
-     "The squared centroid separations of slot pairs."},
+     "The squared separations of the live centroids' pairs that do not coincide."},
     {"canonical_graph", (PyCFunction)(void (*)(void))canonical_graph, METH_FASTCALL,
      "A graph's canonical edges and side maps, as preprocess returns them."},
     {"graph_view", (PyCFunction)(void (*)(void))graph_view, METH_FASTCALL,
-     "A graph's view: its keys, masses and component bounds."},
+     "A graph's view: its keys, masses, component bounds and sums of squares."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1164,14 +1177,12 @@ PyInit__kernel(void)
     SAFE = PyFloat_FromDouble(SQUARES_SAFE);
     ONE = PyFloat_FromDouble(1.0);
     EDGE_FREQUENCY = PyUnicode_InternFromString("edge frequency");
-    EDGE_FREQUENCIES = PyUnicode_InternFromString("edge frequencies");
     PRESENCE = PyUnicode_InternFromString("categorical presence");
     ID = PyUnicode_InternFromString("id");
     LABEL = PyUnicode_InternFromString("label");
     EDGES = PyUnicode_InternFromString("edges");
     SIDE = PyUnicode_InternFromString("side");
-    if (!SAFE || !ONE || !EDGE_FREQUENCY || !EDGE_FREQUENCIES || !PRESENCE || !ID || !LABEL ||
-        !EDGES || !SIDE)
+    if (!SAFE || !ONE || !EDGE_FREQUENCY || !PRESENCE || !ID || !LABEL || !EDGES || !SIDE)
         return NULL;
     return PyModule_Create(&module);
 }

@@ -10,7 +10,8 @@ view's ``bounds`` and sums each cross product in view order, as the
 sketch kernel does. It checkpoints as the sketch bank does, the scalars
 first, then each slot's maps in place of the cells; loading rejects a key
 repeated in its map, and each mass that is negative or not finite, as it
-parses them.
+parses them. Every sum is a loop from 0.0: ``sum`` of floats compensates
+from Python 3.12, so its bits would depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -25,7 +26,10 @@ from .stats import Bank, unpack_at
 
 
 def _self_product(masses: dict[bytes, float]) -> float:
-    return sum(v * v for v in masses.values())
+    acc = 0.0
+    for v in masses.values():
+        acc += v * v
+    return acc
 
 
 class ExactBank(Bank):
@@ -55,19 +59,24 @@ class ExactBank(Bank):
         cross = []
         for maps in self.maps[: self.size]:
             for mp, a, b in zip(maps, ends, ends[1:]):
-                acc = 0.0  # a loop: ``sum`` of floats compensates from Python 3.12
+                acc = 0.0
                 for key, value in zip(keys[a:b], values[a:b]):
                     acc += mp.get(key, 0.0) * value
                 cross.append(acc)
         return np.array(cross, dtype=np.float64).reshape(self.size, self.d + 1)
 
-    def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        cross = np.zeros((len(first), self.d + 1), dtype=np.float64)
-        for p, (i, j) in enumerate(zip(first.tolist(), second.tolist())):
-            for comp, (a, b) in enumerate(zip(self.maps[i], self.maps[j])):
-                if len(b) < len(a):
-                    a, b = b, a
-                cross[p, comp] = sum(v * b.get(k, 0.0) for k, v in a.items())
+    def _pair_cross(self) -> np.ndarray:
+        m = self.size
+        cross = np.zeros((self.d + 1, m - 1, m - 1), dtype=np.float64)
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                for comp, (a, b) in enumerate(zip(self.maps[i], self.maps[j])):
+                    if len(b) < len(a):
+                        a, b = b, a
+                    acc = 0.0
+                    for k, v in a.items():
+                        acc += v * b.get(k, 0.0)
+                    cross[comp, i, j - 1] = acc
         return cross
 
     def _write_first(self, m: int) -> list:

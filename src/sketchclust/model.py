@@ -22,19 +22,20 @@ other mass (numpy's numbers, bool, str, NaN, inf, a negative, an int
 beyond float range) goes through ``_check_value``. An endpoint's type is
 tested where the edge is read, before its endpoints are compared; every
 label that is not a nonempty str free of the separator and of lone
-surrogates goes to ``_check_label``, the one source of its messages, and
-a mass whose component's sum passes ``2**480`` to ``_check_squares``.
+surrogates goes to ``_check_label``, the one source of its messages. A
+component whose squares sum past float range is rejected.
 
 ``graph_views`` alone builds a ``GraphView``, one read-only flat view per
-graph: every component's keys and values in one array. A sketch bank has
-it hash all its keys for the bank's own config in one call, on the first
-read, and reuses them.
+graph: every component's keys and values in one array, each mass checked
+and each component's squares summed. A sketch bank has it hash all its
+keys for the bank's own config in one call, on the first read, and reuses
+them.
 
 Both walks run in the compiled kernel (``native``): ``preprocess`` is
-``canonical_graph``, which calls the three ``_check_*`` helpers above on
-its slow path, and ``graph_views`` takes a view's keys, masses and bounds
-from ``graph_view``. Only ``sq_sum`` is summed in numpy, one
-``part.dot(part)`` per component.
+``canonical_graph``, which calls the two ``_check_*`` helpers above on its
+slow path, and ``graph_views`` takes a view's keys, masses, bounds and
+``sq_sum`` from ``graph_view``. Both add a component's squares in one
+order, view order from 0.0.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import struct
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -225,25 +225,12 @@ def _check_value(value: float, what: str) -> float:
     return value
 
 
-# While a component's masses (nonnegative, so each at most their sum) sum
-# to no more than this, up to 2**50 of them cannot square-sum past float
-# range, and ``preprocess`` forms no squares; a plain ``sum`` is the
-# cheapest bound on the largest. A plain int or float below it is a mass
-# ``preprocess`` takes without ``_check_value``.
+# A plain int or float in [0, this) is a mass ``preprocess`` takes without
+# ``_check_value``: one far inside float range, whose square is too.
 _SQUARES_SAFE = 2.0**480
 
-
-def _check_squares(values: list[float], what: str) -> None:
-    """Reject masses, in canonical order, whose squares sum (as in
-    ``GraphView.sq_sum``) to inf."""
-    part = np.array(values, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        if not math.isfinite(part.dot(part)):
-            raise ValueError(f"{what} must have a finite sum of squares")
-
-
-# The helpers that own every label, mass and square-sum fault, for the kernel
-_CHECKS = (_check_label, _check_value, _check_squares)
+# The helpers that own every label and mass fault, for the kernel
+_CHECKS = (_check_label, _check_value)
 
 
 def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
@@ -274,9 +261,11 @@ class GraphView:
     Component 0 is the edge structure; components 1..d are the schema's
     side types in order. Component ``c`` owns ``keys[bounds[c]:bounds[c+1]]``
     and the same slice of ``values``, and ``sq_sum`` ``(d+1,)`` holds each
-    component's exact sum of squared values. Only ``graph_views`` builds a
-    view; no field can be rebound, and its arrays lie over immutable bytes,
-    so none can be written or made writable, and the fields always agree.
+    component's sum of squared values, added in view order from 0.0. Every
+    mass is finite and nonnegative, and every sum finite. Only
+    ``graph_views`` builds a view; no field can be rebound, and its arrays
+    lie over immutable bytes, so none can be written or made writable, and
+    the fields always agree.
     A view knows no sketch: ``buckets(config)`` hashes its keys for the
     config that asks.
     """
@@ -309,15 +298,12 @@ class GraphView:
 def graph_views(g: GraphObject, schema: StreamSchema) -> GraphView:
     """The flat view of a ``preprocess`` output over the schema's d+1
     components. Labels are not checked again: ``preprocess`` has checked
-    each one. Each component's squares are summed in numpy,
-    ``part.dot(part)``, whose order of additions (and so its rounding) is
-    numpy's own."""
+    each one. A graph that was not preprocessed may raise TypeError, or
+    ValueError for a mass that is negative, NaN or infinite or a component
+    whose squares sum past float range."""
     sides = [g.side.get(name) for name in schema._names]
-    keys, masses, bounds = kernel.graph_view(g.edges, sides)
-    values = np.frombuffer(masses)
-    parts = [values[a:b] for a, b in zip(bounds, bounds[1:])]
-    sq_sum = np.frombuffer(struct.pack(f"{len(parts)}d", *[part.dot(part) for part in parts]))
+    keys, masses, bounds, squares = kernel.graph_view(g.edges, sides)
     view = object.__new__(GraphView)
-    view._fields = (keys, values, bounds, sq_sum)
+    view._fields = (keys, np.frombuffer(masses), bounds, np.frombuffer(squares))
     view._hashed = (None, None)
     return view

@@ -1,12 +1,13 @@
 """The compiled kernel ``_kernel.c``: built once, then loaded from a cache.
 
 The ingest walk (``model.preprocess`` and every ``GraphView``'s
-construction), the sketch bank's per-key loops (``SketchConfig.buckets``'s
-BLAKE2b digest and multiply-shift, ``ClusterBank``'s row-minimum gather
-and in-order scatter) and ``stats.Bank``'s closed-form distances run in a
-small C extension that uses only the CPython API and buffer protocol, and
-numpy's Python API for the arrays it makes. The first import
-builds it with the system C compiler (``cc``) against the running
+construction, its masses checked and its squares summed), the sketch
+bank's per-key loops (``SketchConfig.buckets``'s BLAKE2b digest and
+multiply-shift, ``ClusterBank``'s cross-product gather and in-order
+scatter) and ``stats.Bank``'s closed-form distances, the refresh's walk
+over the slot pairs among them, run in a small C extension that uses only
+the CPython API and the buffer protocol, and makes no array. The first
+import builds it with the system C compiler (``cc``) against the running
 interpreter's headers into ``__pycache__/`` next to this file, under a name
 keyed by the sha256 of the source, the compile flags and the interpreter's
 extension suffix; later imports load that file. A build writes a

@@ -103,21 +103,21 @@ class Bank:
     form, ``max(a - 2 cross / denom + b, 0)``, once for every distance (a
     graph to a centroid, a centroid to a centroid), with the counts and
     ``self_sq / n**2`` formed in it: single IEEE operations in numpy's
-    order, so its bits are numpy's. The ``self_sq`` row squares, the
-    refresh's pair cross products and the graph's ``sq_sum`` stay in
-    numpy, as does ``intra_sq``, which holds the spread's form. An event's
-    ``es_distance_sq`` (formed in ``Engine._decide``) weights the d+1
-    squared component distances by the engine's nonnegative weights.
+    order, so its bits are numpy's; the graph's ``sq_sum`` comes with its
+    view, summed in view order. The ``self_sq`` row squares and the
+    refresh's pair cross products stay in numpy, as does ``intra_sq``,
+    which holds the spread's form. An event's ``es_distance_sq`` (formed
+    in ``Engine._decide``) weights the d+1 squared component distances by
+    the engine's nonnegative weights.
 
     A backend supplies its first-moment store through the hooks:
     ``_add(slot, view, fresh)`` (which empties the slot first if
     ``fresh``, and refreshes its ``self_sq``; it writes nothing if it
     raises), ``_cross(view)`` (the view's cross products with every live
     slot in that order, ``(size, d+1)``, in a fresh C-ordered array that
-    ``distances_sq`` overwrites), ``_pair_cross(first,
-    second)`` (the cross products of the live slot pairs
-    ``(first[p], second[p])``, one ``(d+1,)`` row per pair, in a fresh
-    C-ordered array that ``geometry`` overwrites), and
+    ``distances_sq`` overwrites), ``_pair_cross()`` (the cross products
+    of the live slot pairs ``i < j`` at ``[:, i, j - 1]`` of one C-ordered
+    ``(d+1, m-1, m-1)`` block, its lower triangle unread), and
     ``_write_first`` and ``_load_first`` (which rejects first moments no
     run holds) for the checkpoint. The engine routes a graph as decide,
     then apply: reads, then one of two updates. ``reset`` founds a cluster
@@ -172,10 +172,9 @@ class Bank:
     def _check_update(self, view: GraphView, now: int, slot: int, end: int, joins: bool) -> None:
         """Reject a slot outside ``0..end-1``, or a graph no update may
         write, before anything is written: one of another component count,
-        a negative or NaN value (``Engine.process`` takes graphs that were
-        not preprocessed), or one after which the slot's self product (of
-        the graph alone, or of the cluster it ``joins``) could leave float
-        range, which no checkpoint may hold.
+        or one after which the slot's self product (of the graph alone, or
+        of the cluster it ``joins``) could leave float range, which no
+        checkpoint may hold. Every view's masses are finite and nonnegative.
 
         Per component, a graph of ``n`` keys and sum of squares ``q`` adds
         to each sketch row a vector of norm at most ``sqrt(n * q)`` (Cauchy-
@@ -188,10 +187,6 @@ class Bank:
         self._check(view)
         if now < 0:
             raise ValueError("timestamp must be nonnegative")
-        # one reduction: NaN fails the comparison, and -0.0 passes it
-        values = view.values
-        if values.size and not values.min() >= 0.0:
-            raise ValueError("negative or NaN update value")
         # Python floats: numpy calls would cost a graph several us more
         own = self.self_sq[:, slot].tolist() if joins else [0.0] * (self.d + 1)
         sq_sum = view.sq_sum.tolist()
@@ -231,9 +226,9 @@ class Bank:
     def geometry(self) -> ClusterGeometry:
         """The weight optimizer's snapshot of the live clusters: the summed
         intra distances, and every pair's squared centroid separation from
-        ``_pair_cross``. Pairs ``(i, j)``, ``i < j``, are listed afresh on
-        each call, in row-major order; a pair whose centroids coincide in
-        every component is dropped and only counted."""
+        ``_pair_cross``. The kernel walks the pairs ``(i, j)``, ``i < j``,
+        in row-major order; a pair whose centroids coincide in every
+        component is dropped and only counted."""
         m = self.size
         if m < 2:
             raise ValueError("geometry needs at least two nonempty clusters")
@@ -241,14 +236,9 @@ class Bank:
         # sum adds the rows in that order; + 0.0 turns a -0.0 total into the
         # +0.0 that adding the rows onto zeros gives.
         intra = np.add.accumulate(self.intra_sq(slice(0, m)), axis=0)[-1] + 0.0
-        slots = np.arange(m)
-        pairs = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
-        first, second = map(np.ascontiguousarray, pairs)
-        inter = self._pair_cross(first, second)  # overwritten
-        kernel.pair_distances_sq(self.self_sq, self.n, first, second, inter)
-        kept = (inter != 0.0).any(axis=1)
-        dropped = len(kept) - int(np.count_nonzero(kept))
-        return ClusterGeometry(intra, inter if kept.all() else inter[kept], dropped)
+        inter = np.empty((m * (m - 1) // 2, self.d + 1))
+        kept = kernel.pair_distances_sq(self.self_sq, self.n, self._pair_cross(), inter)
+        return ClusterGeometry(intra, inter[:kept], len(inter) - kept)
 
     # -- checkpointing -------------------------------------------------------
 
@@ -327,10 +317,10 @@ class ClusterBank(Bank):
     each cross product; absorbing it is one in-order scatter into the
     slot's d+1 grids (row by row, keys in view order: the order of
     ``np.add.at``) and one batched row-square product in numpy. The
-    weight refresh gathers every pair's cross products from one batched
+    weight refresh takes every pair's cross products from one batched
     product: a gemm of slots ``0..m-2`` against slots ``1..m-1``, which
-    holds the pairs ``i < j``. The cells checkpoint as one ``f8[d+1, m,
-    rows, cols]`` block.
+    holds the pairs ``i < j``, then its minimum over rows. The cells
+    checkpoint as one ``f8[d+1, m, rows, cols]`` block.
     """
 
     def __init__(self, config: SketchConfig, d: int, k: int):
@@ -355,14 +345,14 @@ class ClusterBank(Bank):
         kernel.graph_cross(self.cells, view.bounds, buckets, view.values, self.size, out)
         return out
 
-    def _pair_cross(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    def _pair_cross(self) -> np.ndarray:
         # Slots 0..m-2 against slots 1..m-1, (d+1, rows, m-1, cols) @
         # (d+1, rows, cols, m-1): one gemm on views, holding every pair
         # i < j at [i, j - 1]. (The square product of all slots goes to BLAS
         # syrk, which is slower at these sizes.)
         by_row = self.cells[:, : self.size].transpose(0, 2, 1, 3)
         products = by_row[:, :, :-1] @ by_row[:, :, 1:].transpose(0, 1, 3, 2)
-        return products.min(1)[:, first, second - 1].T
+        return products.min(1)
 
     def _write_first(self, m: int) -> list:
         # the array's own buffer: joined by the caller without another copy

@@ -31,6 +31,8 @@ straightforward way:
   as the bitwise oracle for ``weight_opt.refine_weights``; it counts pairs
   by ``len(inter_sq)`` and traces its final record also when no pair is
   kept, as the library does;
+* ``square_sum(values)``: a component's squares added in view order, as
+  ``GraphView.sq_sum`` holds them;
 * ``component(view, c)``: a view's component ``c``, its keys and values
   sliced by ``view.bounds``;
 * ``view_of(*components)`` and ``cut_view(ids, values, bounds)``: the
@@ -40,15 +42,18 @@ straightforward way:
 * ``view_fields`` and ``graph_view``: ``GraphView``'s construction and
   ``graph_views`` as they were in Python before the compiled kernel built
   them, kept as their bitwise oracles; a view no longer holds ``comp``
-  or ``block``, and ``graph_view`` reads a side map of None as empty, as
-  ``graph_views`` does;
+  or ``block``, ``graph_view`` reads a side map of None as empty, as
+  ``graph_views`` does, and ``view_fields`` sums each component's squares
+  in view order and rejects the masses and sums ``graph_views`` rejects;
 * ``digest_buckets``: ``SketchConfig.buckets`` as it was built before
   its per-graph overhead was cut, kept as its bitwise oracle (the digests
   by ``hashlib.blake2b`` and the multiply-shift in numpy, as before the
   compiled kernel);
-* ``distance_sq`` and ``bank_distances_sq``: the closed form of every
-  squared distance and ``Bank.distances_sq`` as numpy computed them
-  before the compiled kernel, kept as their bitwise oracles;
+* ``distance_sq``, ``bank_distances_sq`` and ``pair_distances_sq``: the
+  closed form of every squared distance, ``Bank.distances_sq``, and the
+  pair listing, gather, closed form and kept mask of ``Bank.geometry``, as
+  numpy computed them before the compiled kernel, kept as their bitwise
+  oracles (``pairs`` lists the pairs);
 * ``gathered_cross`` and ``add_at``: ``ClusterBank._cross`` and
   ``ClusterBank._add`` in numpy (a fancy-index gather whose terms
   ``np.add.accumulate`` sums in view order, and ``np.add.at``), kept as
@@ -56,10 +61,10 @@ straightforward way:
 * ``pair_cross``: ``ClusterBank._pair_cross`` as it was before it became
   one gemm of slots ``0..m-2`` against slots ``1..m-1``: the square
   product of all slots (BLAS syrk), kept verbatim as its oracle;
-* ``bank_geometry``: ``Bank.geometry`` as it was before it skipped the
-  mask when no pair is dropped: the row-by-row ``intra`` sum, the
-  ``np.nonzero`` pair listing and the ``inter[kept]`` selection, kept as
-  its bitwise oracle;
+* ``bank_geometry``: ``Bank.geometry`` as it was before the kernel walked
+  its pairs: the row-by-row ``intra`` sum, the ``np.nonzero`` pair
+  listing, the ``[:, first, second - 1].T`` gather and the
+  ``inter[kept]`` selection, kept as its bitwise oracle;
 * ``preprocess_record`` and ``parse_record``: ``model.preprocess`` and
   ``stream_io._parse_record`` as they were before they checked each
   record once, kept verbatim as their oracles but for two moves.
@@ -69,8 +74,10 @@ straightforward way:
   ``parse_record`` still type-checks the masses of each side map but
   passes every side entry on, and ``preprocess_record`` reads a list or
   string entry through ``_normalize_side``, with the reader's messages.
-  They call the library's ``_check_label``, ``_check_value`` and
-  ``_check_squares``, the one source of each error message.
+  They call the library's ``_check_label`` and ``_check_value``, the one
+  source of those error messages, and ``_check_squares``, the library's
+  square-sum check as it was before the kernel summed the squares itself
+  (numpy's ``dot``), kept verbatim.
 """
 
 from __future__ import annotations
@@ -99,7 +106,6 @@ from sketchclust.model import (
     _SQUARES_SAFE,
     KIND_CATEGORICAL,
     _check_label,
-    _check_squares,
     _check_value,
 )
 from sketchclust.stream_io import StreamFormatError
@@ -225,7 +231,7 @@ class ClusterStats:
             keys, values = component(view, comp)
             if keys:
                 sketch.update_many(keys, values)
-                self.second_moments[comp] += values @ values
+                self.second_moments[comp] += square_sum(values)
 
     @classmethod
     def merge(cls, a: "ClusterStats", b: "ClusterStats") -> "ClusterStats":
@@ -261,6 +267,14 @@ class ClusterStats:
             and np.array_equal(self.second_moments, other.second_moments)
             and all(sa == sb for sa, sb in zip(self.sketches, other.sketches))
         )
+
+
+def square_sum(values: np.ndarray) -> float:
+    """The squares of ``values`` added in order from 0.0, as
+    ``GraphView.sq_sum`` adds a component's: ``np.add.accumulate``
+    (``values @ values`` adds in BLAS's order), and ``+ 0.0``; 0.0 for no
+    values."""
+    return float(np.add.accumulate(values * values)[-1] + 0.0) if len(values) else 0.0
 
 
 def component(view: GraphView, c: int) -> tuple[tuple[bytes, ...], np.ndarray]:
@@ -555,18 +569,23 @@ def refine_weights(
 
 
 def view_fields(keys, values, bounds) -> dict:
-    """``GraphView(keys, values, bounds)``'s fields but ``_hashed``, built
-    as the Python constructor built them."""
+    """The fields but ``_hashed`` of the view of these keys, masses and
+    bounds, as the Python constructor built them but for ``sq_sum``: each
+    component's ``square_sum`` (``part.dot(part)`` added in BLAS's order).
+    ValueError, with ``graph_views``' message, for a mass that is
+    negative, NaN or infinite, then for the first component whose squares
+    sum past float range."""
     n = len(keys)
     values = np.array(values, dtype=np.float64)
     bounds = tuple(bounds)
     if values.shape != (n,) or len(bounds) < 2 or bounds[0] != 0 or bounds[-1] != n:
         raise ValueError("need one value per key and bounds from 0 to the key count")
-    sq_sum = []
-    for a, b in zip(bounds, bounds[1:]):
-        part = values[a:b]
-        sq_sum.append(part.dot(part))
-    sq_sum = np.array(sq_sum, dtype=np.float64)
+    if not ((values >= 0.0) & np.isfinite(values)).all():
+        raise ValueError("view masses must be finite and nonnegative")
+    with np.errstate(over="ignore"):
+        sq_sum = np.array([square_sum(values[a:b]) for a, b in zip(bounds, bounds[1:])])
+    for c in np.flatnonzero(~np.isfinite(sq_sum))[:1]:
+        raise ValueError(f"component {c}'s masses must have a finite sum of squares")
     return {"keys": keys, "values": values, "bounds": bounds, "sq_sum": sq_sum}
 
 
@@ -619,13 +638,25 @@ def bank_distances_sq(bank, view: GraphView) -> np.ndarray:
     return distance_sq(view.sq_sum, cross, n, bank.self_sq[:, : bank.size].T / (n * n))
 
 
-def pair_distances_sq(self_sq, n, first, second, cross) -> np.ndarray:
-    """``Bank.geometry``'s squared separations of the slot pairs ``(first[p],
-    second[p])`` with the closed form in numpy, from their cross products
-    ``(P, d+1)``."""
+def pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The slot pairs ``(i, j)``, ``i < j``, of ``m`` live slots, row-major:
+    (0, 1), (0, 2), ..., as ``Bank.geometry`` listed them."""
+    slots = np.arange(m)
+    return np.nonzero(slots[:, None] < slots)
+
+
+def pair_distances_sq(self_sq, n, cross) -> np.ndarray:
+    """``kernel.pair_distances_sq``'s kept rows, as ``Bank.geometry``
+    formed them in numpy: the pairs listed by ``pairs``, their cross
+    products gathered from the ``(d+1, m-1, m-1)`` block as ``[:, first,
+    second - 1].T``, the closed form, then the pairs whose separation is
+    nonzero in some component."""
+    first, second = pairs(cross.shape[1] + 1)
     n = n.astype(np.float64)
     own = self_sq.T / (n * n)[:, None]
-    return distance_sq(own[first], cross, (n[first] * n[second])[:, None], own[second])
+    gathered = cross[:, first, second - 1].T
+    inter = distance_sq(own[first], gathered, (n[first] * n[second])[:, None], own[second])
+    return inter[(inter != 0.0).any(axis=1)]
 
 
 def gathered_cross(bank, view: GraphView) -> np.ndarray:
@@ -664,7 +695,8 @@ def add_at(bank, slot: int, view: GraphView, fresh: bool) -> None:
 def pair_cross(bank) -> np.ndarray:
     """The cross products of every pair of a ``ClusterBank``'s live slots,
     as the square product of their rows, ``(m, m, d+1)`` with every pair
-    filled; ``bank._pair_cross(first, second)`` is its ``[first, second]``."""
+    filled; ``bank._pair_cross()[c, i, j - 1]`` is its ``[i, j, c]`` for
+    ``i < j``."""
     # (d+1, rows, m, cols) @ (d+1, rows, cols, m), min over rows,
     # as (m, m, d+1).
     by_row = bank.cells[:, : bank.size].transpose(0, 2, 1, 3)
@@ -681,18 +713,23 @@ def bank_geometry(bank) -> ClusterGeometry:
     # Row by row, in slot order: the per-cluster sum's rounding.
     for row in bank.intra_sq(slice(0, m)):
         intra += row
-    slots = np.arange(m)
-    first, second = np.nonzero(slots[:, None] < slots)  # row-major: (0, 1), (0, 2), ...
+    first, second = pairs(m)
     n = bank.n[:m].astype(np.float64)
     own = bank.self_sq[:, :m].T / (n * n)[:, None]
-    inter = (
-        own[first]
-        - 2.0 * bank._pair_cross(first, second) / (n[first] * n[second])[:, None]
-        + own[second]
-    )
+    cross = bank._pair_cross()[:, first, second - 1].T
+    inter = own[first] - 2.0 * cross / (n[first] * n[second])[:, None] + own[second]
     inter = np.maximum(inter, 0.0)
     kept = (inter != 0.0).any(axis=1)
     return ClusterGeometry(intra=intra, inter_sq=inter[kept], dropped=int((~kept).sum()))
+
+
+def _check_squares(values: list[float], what: str) -> None:
+    """Reject masses, in canonical order, whose squares sum (as in
+    ``GraphView.sq_sum``) to inf."""
+    part = np.array(values, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(part.dot(part)):
+            raise ValueError(f"{what} must have a finite sum of squares")
 
 
 def preprocess_record(g: GraphObject, schema: StreamSchema) -> GraphObject:

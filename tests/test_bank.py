@@ -229,12 +229,12 @@ def test_bank_matches_per_cluster_reference(stream, integer):
 @example(d=1, rows=3, cols=8, m=2, spare=0, zero_slot=0, integer=True, seed=1)
 @example(d=2, rows=10, cols=12, m=16, spare=0, zero_slot=5, integer=False, seed=2)
 def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slot, integer, seed):
-    """``_pair_cross(first, second)``, gathered from the gemm of slots
-    ``0..m-2`` against ``1..m-1``, gives each pair ``i < j`` the syrk
-    product's value: bitwise on whole cells, within the module's
-    ``rtol=1e-12`` otherwise; on whole cells the geometry built on it is
-    bitwise the one built on the syrk product. ``m`` runs from 2 to the
-    bank's ``k``, and a live slot may be all zero."""
+    """``_pair_cross()``, the gemm of slots ``0..m-2`` against ``1..m-1``,
+    gives each pair ``i < j`` at ``[:, i, j - 1]`` the syrk product's
+    value: bitwise on whole cells, within the module's ``rtol=1e-12``
+    otherwise; on whole cells the geometry built on it is bitwise the one
+    built on the syrk product. ``m`` runs from 2 to the bank's ``k``, and a
+    live slot may be all zero."""
     rng = np.random.default_rng(seed)
     bank = ClusterBank(SketchConfig(rows=rows, cols=cols), d, m + spare)
     # every slot filled, the dead ones too, so a read past m would show
@@ -252,15 +252,17 @@ def test_pair_cross_matches_the_square_product(d, rows, cols, m, spare, zero_slo
     bank._square_rows(slice(0, m))
     bank.second_moments[:m] = bank.self_sq[:, :m].T * rng.uniform(1.0, 2.0, (m, d + 1))
 
-    first, second = np.triu_indices(m, 1)  # row-major, as geometry lists them
-    got, want = bank._pair_cross(first, second), pair_cross(bank)[first, second]
-    assert got.shape == want.shape == (m * (m - 1) // 2, d + 1)
+    first, second = np.triu_indices(m, 1)
+    block = bank._pair_cross()
+    assert block.shape == (d + 1, m - 1, m - 1) and block.flags.c_contiguous
+    got, want = block[:, first, second - 1].T, pair_cross(bank)[first, second]
     if not integer:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         return
     assert got.tobytes() == want.tobytes()
     geom = bank.geometry()
-    bank._pair_cross = lambda first, second: pair_cross(bank)[first, second]
+    square = pair_cross(bank).transpose(2, 0, 1)  # [c, i, j]
+    bank._pair_cross = lambda: np.ascontiguousarray(square[:, :-1, 1:])
     oracle = bank.geometry()
     assert (geom.inter_sq.shape, geom.dropped) == (oracle.inter_sq.shape, oracle.dropped)
     assert geom.intra.tobytes() == oracle.intra.tobytes()
@@ -380,10 +382,12 @@ def _masses(rng, shape, zeros: float) -> np.ndarray:
 @example(d=0, k=16, m=9, top=2**26, zeros=0.0, seed=2)
 def test_the_closed_forms_keep_the_numpy_bits(d, k, m, top, zeros, seed):
     """The kernel's graph and pair closed forms give bit for bit what numpy
-    gave (``reference.distance_sq``), on real-valued terms with counts up
-    to ``top`` (2**26, where ``n * n`` needs all 53 bits), some terms 0.0
-    or -0.0 (all of them with ``zeros == 1``, where the clamp must turn
-    every -0.0 into +0.0) and many values clamped."""
+    gave (``reference.distance_sq``, and for the pairs the listing, gather
+    and kept mask of ``reference.pair_distances_sq``), on real-valued terms
+    with counts up to ``top`` (2**26, where ``n * n`` needs all 53 bits),
+    some terms 0.0 or -0.0 (all of them with ``zeros == 1``, where the
+    clamp must turn every -0.0 into +0.0 and every pair is dropped) and
+    many values clamped."""
     m = min(m, k)
     rng = np.random.default_rng(seed)
     self_sq = _masses(rng, (d + 1, k), zeros)
@@ -397,11 +401,11 @@ def test_the_closed_forms_keep_the_numpy_bits(d, k, m, top, zeros, seed):
     nf = n[:m, None].astype(np.float64)
     want = distance_sq(sq_sum, cross, nf, self_sq[:, :m].T / (nf * nf))
     assert got.tobytes() == want.tobytes()
-    first, second = (a.ravel() for a in np.meshgrid(np.arange(k), np.arange(k), indexing="ij"))
-    cross = _masses(rng, (k * k, d + 1), zeros) * (n[first] * n[second] / 2.0)[:, None]
-    got = cross.copy()
-    kernel.pair_distances_sq(self_sq, n, first, second, got)
-    assert got.tobytes() == pair_distances_sq(self_sq, n, first, second, cross).tobytes()
+    side = max(m, 1) - 1
+    cross = _masses(rng, (d + 1, side, side), zeros) * (n[:side, None] * n[1 : side + 1] / 2.0)
+    got = np.full((side * (side + 1) // 2, d + 1), np.nan)
+    kept = kernel.pair_distances_sq(self_sq, n, cross, got)
+    assert got[:kept].tobytes() == pair_distances_sq(self_sq, n, cross).tobytes()
 
 
 # (term, cross, sq_sum or a, self_sq): each value overflows or is not finite
@@ -420,12 +424,11 @@ def test_a_closed_form_that_is_not_finite_raises_as_numpy_did(term):
     clamp would have read an infinity as a distance or a NaN as 0."""
     cross, a, b = _NOT_FINITE[term]
     self_sq, n = np.array([[a, b]]), np.array([1, 1])
-    first, second = np.array([0]), np.array([1])
     forms = [
         lambda c: kernel.graph_distances_sq(self_sq[:, 1:], n[1:], np.array([a]), c),
         lambda c: distance_sq(np.array([a]), c, 1.0, self_sq[:, 1:].T),
-        lambda c: kernel.pair_distances_sq(self_sq, n, first, second, c),
-        lambda c: pair_distances_sq(self_sq, n, first, second, c),
+        lambda c: kernel.pair_distances_sq(self_sq, n, c[None], np.empty((1, 1))),
+        lambda c: pair_distances_sq(self_sq, n, c[None]),
     ]
     with np.errstate(over="ignore", invalid="ignore"):
         for form in forms:
@@ -629,15 +632,14 @@ def test_from_bytes_rejects_garbage(exact):
 @pytest.mark.parametrize("update", ["reset", "absorb"])
 @pytest.mark.parametrize("exact", [False, True], ids=["sketch", "exact"])
 def test_an_update_whose_second_moments_would_not_be_finite_writes_nothing(exact, update):
-    """A view built without ``preprocess``, one mass of ``1e200``, squares
-    past float range; ``reset`` and ``absorb`` reject it, by the self
-    product that bounds the second moments, before any array changes."""
+    """A graph not preprocessed, one mass of ``1e200``, squares past float
+    range: ``graph_views`` rejects it, so no ``reset`` or ``absorb`` is
+    handed its view, and no array changes."""
     bank = _two_clusters(exact)
     before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
-    with np.errstate(over="ignore"):
-        view = view_of({"a\x1fb": 1e200}, {"t": 1.0})
-        with pytest.raises(ValueError, match="slot 1's self product would not be finite"):
-            getattr(bank, update)(1, view, _GRAPHS)
+    overflows = "^component 0's masses must have a finite sum of squares$"
+    with pytest.raises(ValueError, match=overflows):
+        getattr(bank, update)(1, view_of({"a\x1fb": 1e200}, {"t": 1.0}), _GRAPHS)
     assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
 
 

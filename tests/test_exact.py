@@ -66,14 +66,18 @@ def test_cross_product_is_exact():
 
 def test_cross_product_sums_the_smaller_maps_keys_in_its_order():
     """``_pair_cross`` walks the smaller of two maps in its insertion order,
-    whichever slot holds it. The common keys' products run 1e16, 1, 1 in
-    the smaller map, which sums to 1e16 (each 1 rounds away), and 1, 1,
-    1e16 in the larger one, which would sum to 1e16 + 2."""
+    whichever slot holds it, and adds from 0.0 left to right. The common
+    keys' products run 1e16, 1, 1 in the smaller map, which sums to 1e16
+    (each 1 rounds away), and 1, 1, 1e16 in the larger one, which would sum
+    to 1e16 + 2, as would a compensated sum (Python 3.12's ``sum``) in
+    either order. The smaller map's self product, its squares 1e16, 1, 1
+    in that order, is 1e16 too."""
     small = view_of({"k1\x1f": 1e8, "k2\x1f": 1.0, "k3\x1f": 1.0}, {})
     large = view_of({"k3\x1f": 1.0, "k2\x1f": 1.0, "k1\x1f": 1e8, "k4\x1f": 1.0}, {})
     for first, second in ((small, large), (large, small)):
         bank = filled(ExactBank(SCHEMA.d, 2), [first], [second])
-        assert bank._pair_cross(np.array([0]), np.array([1])).tolist() == [[1e16, 0.0]]
+        assert bank._pair_cross().tolist() == [[[1e16]], [[0.0]]]
+        assert bank.self_sq[0, 0 if first is small else 1] == 1e16
 
 
 def test_parity_with_sketch_backend_when_separated():

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -19,6 +19,7 @@ from sketchclust import (
     preprocess,
 )
 from sketchclust.model import from_json
+from test_ingest_oracle import SCHEMAS, records
 
 
 def _schema(*types: SideType, directed: bool = False) -> StreamSchema:
@@ -291,12 +292,19 @@ def _assert_same_view(view: GraphView, want: dict) -> None:
 @example(([], [0, 0, 0, 0]))
 @example(([-0.0, 2.0], [0, 0, 2, 2]))
 def test_view_arrays_are_bitwise_the_reference_construction(flat):
-    """Any float64 masses, NaN and -0.0 among them, cut into components."""
+    """Any float64 masses, NaN and -0.0 among them, cut into components:
+    the view is the reference construction's, or both raise one
+    ValueError."""
     values, bounds = flat
     ids = [f"k{i}" for i in range(len(values))]
     keys = tuple((k + "\x1f" * (i < bounds[1])).encode() for i, k in enumerate(ids))
-    with np.errstate(over="ignore", invalid="ignore"):  # huge or non-finite squares
+    try:
         want = reference.view_fields(keys, values, bounds)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            reference.cut_view(ids, values, bounds)
+        assert str(raised.value) == str(exc)
+    else:
         _assert_same_view(reference.cut_view(ids, values, bounds), want)
 
 
@@ -401,15 +409,33 @@ def test_canonicalize_is_idempotent():
 
 
 def test_view_sq_sum_matches_values():
+    """On real masses over twelve decades, each component's ``sq_sum`` is
+    its squares added in view order, bit for bit."""
     rng = random.Random(11)
     schema = _schema(SideType("topics"))
     for trial in range(20):
         attrs = {
-            f"a{i}": float(rng.randrange(1, 7))
+            f"a{i}": rng.uniform(0.5, 1.5) * 10.0 ** rng.randrange(-6, 7)
             for i in range(rng.randrange(1, 10))
         }
         g = preprocess(GraphObject(id="g", side={"topics": attrs}), schema)
         view = graph_views(g, schema)
         _, values = component(view, 1)
-        assert view.sq_sum[1] == float(values @ values)
+        assert view.sq_sum[1] == reference.square_sum(values)
         assert np.all(view.values > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=records(), schema=st.sampled_from(SCHEMAS))
+def test_the_two_walks_agree_on_the_squares(record, schema):
+    """Whenever ``preprocess`` takes a record (of the ingest oracle's,
+    faults included), ``graph_views`` takes its canonical graph, and each
+    component's ``sq_sum`` is its squares added in view order, bit for
+    bit."""
+    g, _ = record
+    try:
+        canonical = preprocess(g, schema)
+    except ValueError:
+        return
+    want = reference.graph_view(canonical, schema)
+    assert graph_views(canonical, schema).sq_sum.tobytes() == want["sq_sum"].tobytes()

@@ -7,12 +7,15 @@ hands a view's arrays and bounds to it as they are; ``graph_views``
 builds every view and no view can be changed, so no bank is handed one
 whose fields disagree. The ingest walk (``canonical_graph`` and
 ``graph_view``) writes only what it returns: a bad argument leaves its
-input as it was, and no error path leaks a reference. The kernel is
+input as it was, and no error path leaks a reference. The ``test_fuzz_*``
+properties feed both walks arbitrary objects, and the pair form arrays of
+any shape, dtype and layout, against their oracles. The kernel is
 built on the first import into the package's ``__pycache__`` and loaded
 from there by later imports; its source compiles without a warning.
 """
 
 import gc
+import math
 import operator
 import os
 import shutil
@@ -24,7 +27,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 import sketchclust
 from reference import view_of
 from sketchclust import (
@@ -213,12 +219,17 @@ _GRAPH = _COUNTS + [
     ("sq_sum", "float32", lambda a: a.astype(np.float32)),
     ("cross", "more slots than the bank", lambda a: np.ones((SLOTS + 1, COMPS))),
 ]
-_PAIR = _COUNTS + [
-    ("first", "int32", lambda a: a.astype(np.int32)),
-    ("first", "short", lambda a: a[:-1]),
-    ("first", "too large", lambda a: _set(a, -1, SLOTS)),
-    ("second", "negative", lambda a: _set(a, -1, -1)),
-    ("second", "too large", lambda a: _set(a, 0, SLOTS)),
+# the pair form reads ``cross`` as a (d+1, m-1, m-1) block and writes ``out``
+_PAIR = [case for case in _COUNTS if case[:2] != ("cross", "read-only")]
+_PAIR += [
+    ("cross", "2-d", lambda a: a[0]),
+    ("cross", "not square", lambda a: np.ones((COMPS, 2, 1))),
+    ("cross", "more slots than the bank", lambda a: np.ones((COMPS, SLOTS, SLOTS))),
+    ("out", "read-only", _read_only),
+    ("out", "float32", lambda a: a.astype(np.float32)),
+    ("out", "short", lambda a: a[:-1]),
+    ("out", "a column short", lambda a: a[:, :-1]),
+    ("out", "transposed", lambda a: np.asfortranarray(a)),
 ]
 
 
@@ -242,14 +253,16 @@ def test_graph_distances_sq_rejects_a_bad_argument_before_any_write(arg, name, f
 
 @pytest.mark.parametrize("arg, name, fault", _PAIR, ids=[f"{a}-{n}" for a, n, _ in _PAIR])
 def test_pair_distances_sq_rejects_a_bad_argument_before_any_write(arg, name, fault):
-    self_sq, n, cross = _counts()
-    pairs = [np.array(a, dtype=np.intp) for a in ([0, 0, 1], [1, 2, 2])]
-    args = {"self_sq": self_sq, "n": n, "first": pairs[0], "second": pairs[1], "cross": cross}
+    """The three pairs of the ``SLOTS`` live slots, their products in a
+    ``(COMPS, 2, 2)`` block."""
+    self_sq, n, _ = _counts()
+    cross = np.random.default_rng(9).uniform(0.0, 1.0, (COMPS, SLOTS - 1, SLOTS - 1))
+    args = {"self_sq": self_sq, "n": n, "cross": cross, "out": np.zeros((3, COMPS))}
     args[arg] = fault(args[arg])
-    held = args["cross"].copy()
+    held = args["out"].copy()
     with pytest.raises(ValueError):
         kernel.pair_distances_sq(*args.values())
-    assert args["cross"].tobytes() == held.tobytes()
+    assert args["out"].tobytes() == held.tobytes()
 
 
 def _founded(bank):
@@ -371,7 +384,7 @@ _CANONICAL = [
     ("g", "no fields", lambda g: object(), AttributeError),
     ("directed", "no truth value", lambda d: _NoTruth(), RuntimeError),
     ("categorical", "a list", lambda c: list(c.items()), TypeError),
-    ("checks", "two helpers", lambda c: c[:2], TypeError),
+    ("checks", "one helper", lambda c: c[:1], TypeError),
     ("checks", "a list", list, TypeError),
     ("checks", "a helper that is no callable", lambda c: (None, *c[1:]), TypeError),
     ("g", "edges a dict", lambda g: GraphObject("g", {"a": "b"}, g.side), ValueError),
@@ -407,6 +420,13 @@ _VIEW_GRAPHS = [
     ("sides", "a map a list", lambda s: [s[0], ["v"]]),
     ("sides", "an id no str", lambda s: [{**s[0], 3: 1.0}, s[1]]),
     ("sides", "a mass no number", lambda s: [{**s[0], "z": None}, s[1]]),
+    ("edges", "a mass negative", lambda e: [*e, ("a", "b", -1.0)]),
+    ("edges", "a mass an int past float range", lambda e: [*e, ("a", "b", 2**1024)]),
+    ("sides", "a mass NaN", lambda s: [{**s[0], "z": float("nan")}, s[1]]),
+    ("sides", "a mass infinite", lambda s: [s[0], {**(s[1] or {}), "z": float("inf")}]),
+    ("sides", "squares past float range", lambda s: [{**s[0], "z": 1e200}, s[1]]),
+    ("edges", "squares summed past float range",
+     lambda e: [*e, ("x", "y", 1e154), ("x", "z", 1e154)]),
 ]
 
 
@@ -426,7 +446,7 @@ def test_graph_view_of_a_graph_rejects_a_bad_argument_before_any_write(arg, name
 
 # Records that fault in each part of the walk, given a fresh label and mass:
 # a structural fault, a label (_check_label), a mass (_check_value), a
-# square sum (_check_squares), a side shorthand, an undeclared type
+# square sum, a side shorthand, an undeclared type
 _FAULTY = [
     lambda a, m: GraphObject("g", [(a, "b"), (a,)]),
     lambda a, m: GraphObject("g", [(a, "b", m), ("a\x1fb", a)], {"topics": {a: m}}),
@@ -478,6 +498,229 @@ def test_the_ingest_walk_leaks_nothing():
     finally:
         tracemalloc.stop()
     assert grown < 64 * 1024, grown
+
+
+class _Label(str):
+    """A str subclass, which the walks compare by its operators."""
+
+
+class _Draining(float):
+    """A mass whose ``__float__`` empties the list or dict that holds it."""
+
+    holder = None
+
+    def __float__(self):
+        if self.holder is not None:
+            self.holder.clear()
+        return super().__float__()
+
+
+class _Kept(float):
+    """A ``_Draining``'s value, which empties nothing: the oracles' copy."""
+
+
+def _clone(obj, drain: bool):
+    """A copy of ``obj``'s lists, tuples and dicts (keys and other leaves
+    shared), each ``_Draining`` a new one holding the copied container, or a
+    ``_Kept`` unless ``drain``."""
+    if isinstance(obj, _Draining):  # read by float's own method, which drains nothing
+        return (_Draining if drain else _Kept)(float.__float__(obj))
+    if isinstance(obj, (list, tuple)):
+        items = [_clone(item, drain) for item in obj]
+        copy = items if isinstance(obj, list) else tuple(items)
+    elif isinstance(obj, dict):
+        copy = {key: _clone(value, drain) for key, value in obj.items()}
+    else:
+        return obj
+    for item in copy.values() if isinstance(copy, dict) else copy:
+        if isinstance(item, _Draining) and not isinstance(copy, tuple):
+            item.holder = copy
+    return copy
+
+
+def _drains(obj) -> bool:
+    if isinstance(obj, dict):
+        return any(map(_drains, obj.values()))
+    if isinstance(obj, (list, tuple)):
+        return any(map(_drains, obj))
+    return isinstance(obj, _Draining)
+
+
+_LABELS = st.one_of(
+    st.sampled_from(["a", "b", "é", "a\x05", "", "a\x1fb", "x\ud800"]),
+    st.text(max_size=3),
+    st.text(max_size=3).map(_Label),
+)
+_MASSES = st.one_of(
+    st.floats(0.0, 1e6),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**1024, -(2**1024), math.nan, math.inf, -math.inf, -0.0, 0.0, None, True]),
+    st.floats(),
+    st.floats(0.0, 1e6).map(_Draining),
+)
+_LEAVES = st.one_of(_LABELS, st.binary(max_size=3), _MASSES)
+_OBJECTS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_LABELS, inner, max_size=4),
+    max_leaves=12,
+)
+# Edges and side maps that are often well formed, so the walks get far
+_EDGES = st.one_of(
+    _OBJECTS,
+    st.lists(
+        st.one_of(st.tuples(_LABELS, _LABELS, _MASSES), st.lists(_LEAVES, max_size=4), _OBJECTS),
+        max_size=5,
+    ),
+)
+_SIDE_MAPS = st.one_of(st.dictionaries(_LABELS, _MASSES, max_size=4), st.none(), _OBJECTS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    g=st.builds(
+        GraphObject,
+        id=st.just("g") | _LEAVES,
+        edges=_EDGES,
+        side=st.dictionaries(
+            st.sampled_from(SCHEMA._names + ("venue",)) | _LABELS,
+            _SIDE_MAPS | st.lists(_LABELS, max_size=3) | _LABELS,
+            max_size=3,
+        )
+        | _OBJECTS,
+        label=st.none() | _LEAVES,
+    ),
+    directed=st.booleans(),
+)
+def test_fuzz_canonical_graph_raises_or_is_the_oracle(g, directed):
+    """``canonical_graph``, through ``preprocess``, on arbitrary objects:
+    it raises TypeError or ValueError, or gives what
+    ``reference.preprocess_record`` gives, which reads a copy whose masses
+    keep their holders. A graph with no draining mass is left as it was."""
+    schema = StreamSchema(SCHEMA.side_types, directed)
+    g = GraphObject(_clone(g.id, True), _clone(g.edges, True), _clone(g.side, True), g.label)
+    kept = GraphObject(g.id, _clone(g.edges, False), _clone(g.side, False), g.label)
+    held = repr(g)
+    try:
+        got = preprocess(g, schema)
+    except (TypeError, ValueError):
+        pass
+    else:
+        assert repr(got) == repr(reference.preprocess_record(kept, schema))
+    if not _drains((g.edges, g.side)):
+        assert repr(g) == held
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=_EDGES, sides=st.lists(_SIDE_MAPS, max_size=3) | _OBJECTS)
+def test_fuzz_graph_view_raises_or_is_the_oracle(edges, sides):
+    """``graph_view`` on arbitrary objects: it raises TypeError or
+    ValueError, or gives ``reference.graph_view``'s fields, and leaves its
+    arguments as they were."""
+    edges, sides = _clone(edges, True), _clone(sides, True)
+    held = repr((edges, sides))
+    try:
+        keys, values, bounds, sq_sum = kernel.graph_view(edges, sides)
+    except (TypeError, ValueError):
+        assert repr((edges, sides)) == held
+        return
+    assert repr((edges, sides)) == held
+    schema = StreamSchema(tuple(SideType(f"s{c}") for c in range(len(sides))))
+    g = GraphObject("g", _clone(list(edges), False), dict(zip(schema._names, _clone(sides, False))))
+    want = reference.graph_view(g, schema)
+    assert (keys, bounds) == (want["keys"], want["bounds"])
+    assert (values, sq_sum) == (want["values"].tobytes(), want["sq_sum"].tobytes())
+
+
+# Ways to spoil one argument of pair_distances_sq
+_SPOILS = {
+    "float32": lambda a: a.astype(np.float32),
+    "int64": lambda a: a.astype(np.int64),
+    "float64": lambda a: a.astype(np.float64),
+    "big-endian": lambda a: a.astype(a.dtype.newbyteorder(">")),
+    "fortran": np.asfortranarray,
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+    "read-only": _read_only,
+    "an axis short": lambda a: a[:-1],
+    "an axis long": lambda a: np.concatenate([a, a[:1]]),
+    "an axis more": lambda a: a[None],
+    "an axis less": lambda a: a[0] if len(a) else a.ravel(),
+}
+
+
+@st.composite
+def _pair_args(draw):
+    """``pair_distances_sq``'s arguments for ``m`` of ``k`` live slots, each
+    kept or spoiled in dtype, layout or shape."""
+    comps, k = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    side = draw(st.integers(1, k)) - 1
+    reals = st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0, 1e308, math.inf, math.nan])
+
+    def array(*shape):
+        values = draw(st.lists(reals, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(values, dtype=np.float64).reshape(shape)
+
+    args = {
+        "self_sq": array(comps, k),
+        "n": np.array(draw(st.lists(st.integers(-1, 5), min_size=k, max_size=k)), dtype=np.int64),
+        "cross": array(comps, side, side),
+        "out": np.full((side * (side + 1) // 2, comps), 7.0),
+    }
+    for name in args:
+        spoil = draw(st.sampled_from([None] * 8 + sorted(_SPOILS)))
+        if spoil is not None:
+            with np.errstate(all="ignore"):  # casts of NaN, inf and 1e308
+                args[name] = _SPOILS[spoil](args[name])
+    return args
+
+
+def _pair_args_fit(self_sq, n, cross, out) -> bool:
+    """Whether the arguments are those the kernel takes."""
+    def fit(a, kind, ndim):
+        return a.dtype.kind == kind and a.dtype.itemsize == 8 and a.dtype.isnative and (
+            a.ndim == ndim and a.flags.c_contiguous
+        )
+
+    if not (fit(self_sq, "f", 2) and fit(n, "i", 1) and fit(cross, "f", 3) and fit(out, "f", 2)):
+        return False
+    comps, k = self_sq.shape
+    m = cross.shape[1] + 1
+    return (
+        n.shape == (k,)
+        and cross.shape == (comps, m - 1, m - 1)
+        and m <= k
+        and out.shape == (m * (m - 1) // 2, comps)
+        and out.flags.writeable
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_pair_args())
+def test_fuzz_pair_distances_sq_raises_or_is_the_oracle(args):
+    """``pair_distances_sq`` on arrays of random shape, dtype and layout:
+    arguments it does not take raise ValueError before any write; others
+    give ``reference.pair_distances_sq``'s kept rows and their count, or
+    the ValueError the oracle raises for a distance that is not finite.
+    ``self_sq``, ``n`` and ``cross`` are left as they were."""
+    held = {name: (a.dtype, a.shape, a.tobytes()) for name, a in args.items()}
+    fits = _pair_args_fit(*args.values())
+    try:
+        kept = kernel.pair_distances_sq(*args.values())
+    except ValueError as exc:
+        if fits:
+            assert str(exc) == "a squared distance is not finite"
+            with np.errstate(all="ignore"), pytest.raises(ValueError, match=str(exc)):
+                reference.pair_distances_sq(args["self_sq"], args["n"], args["cross"])
+        else:
+            assert (args["out"].dtype, args["out"].shape, args["out"].tobytes()) == held["out"]
+    else:
+        assert fits
+        with np.errstate(all="ignore"):
+            want = reference.pair_distances_sq(args["self_sq"], args["n"], args["cross"])
+        assert args["out"][:kept].tobytes() == want.tobytes()
+    for name in ("self_sq", "n", "cross"):
+        assert (args[name].dtype, args[name].shape, args[name].tobytes()) == held[name]
 
 
 def test_the_kernel_compiles_without_warnings(tmp_path):

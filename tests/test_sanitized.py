@@ -2,14 +2,17 @@
 
 A copy of the package builds its kernel with both sanitizers: the copy's
 ``native._FLAGS`` are edited, as the package itself takes no option for
-it. The bank tests and the kernel's argument checks then run on that copy
-in a subprocess, with the ASan runtime preloaded, since the interpreter
-was not built with it. A read or write outside a buffer, a use after free
-or undefined behaviour (``-fno-sanitize-recover``) ends that run with an
-error. Leak detection is off: the interpreter keeps memory until it
-exits. The build tests of ``test_native.py`` assert the package's own
-flags and are left out. Without a C compiler or the ASan runtime the test
-skips.
+it. The bank tests, the ingest walks' tests (``test_model.py`` and
+``test_ingest_oracle.py``), and the kernel's argument checks and fuzz
+properties then run on that copy in a subprocess, with the ASan runtime
+preloaded, since the interpreter was not built with it. A read or write
+outside a buffer, a use after free or undefined behaviour
+(``-fno-sanitize-recover``) ends that run with an error; every object is
+allocated by malloc (``PYTHONMALLOC=malloc``), so a write past a small
+one is seen too. Leak detection is off: the interpreter keeps memory
+until it exits. The build tests of
+``test_native.py`` assert the package's own flags and are left out.
+Without a C compiler or the ASan runtime the test skips.
 """
 
 import os
@@ -53,6 +56,9 @@ def test_the_bank_and_kernel_checks_pass_under_sanitizers(tmp_path):
         PYTHONDONTWRITEBYTECODE="1",
         LD_PRELOAD=runtime,
         ASAN_OPTIONS="detect_leaks=0",
+        # every object from malloc, where ASan sees its bounds: pymalloc's
+        # arenas would hide a write past a small bytes object, such as a view's
+        PYTHONMALLOC="malloc",
     )
 
     def run(*args: str) -> subprocess.CompletedProcess:
@@ -65,8 +71,9 @@ def test_the_bank_and_kernel_checks_pass_under_sanitizers(tmp_path):
     kernel = Path(built.stdout.strip())
     assert kernel.parent == copy / "__pycache__"
     assert b"__asan_report" in kernel.read_bytes() and b"__ubsan_handle" in kernel.read_bytes()
-    selected = "test_bank or rejects or disagrees"
-    tests = [str(TESTS / "test_bank.py"), str(TESTS / "test_native.py")]
+    selected = "test_bank or test_model or test_ingest_oracle or rejects or disagrees or fuzz"
+    files = ("test_bank.py", "test_model.py", "test_ingest_oracle.py", "test_native.py")
+    tests = [str(TESTS / name) for name in files]
     # ``--capture=sys``: a sanitizer's report goes to file descriptor 2 as the
     # run dies, which pytest's default capture would swallow.
     options = ["-q", "--capture=sys", "-p", "no:cacheprovider", "-k", selected]

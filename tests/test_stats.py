@@ -1,9 +1,8 @@
 """The per-cluster reference summary of a sketched cluster, and the cluster
 bank's update checks."""
 
-import random
-
 import math
+import random
 
 import numpy as np
 import pytest
@@ -207,7 +206,8 @@ _BANKS = {
 @pytest.mark.parametrize("backend", sorted(_BANKS))
 @given(
     values=st.lists(
-        st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan]),
+        st.floats(-1e6, 1e6)
+        | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf]),
         max_size=8,
     ),
     cut=st.integers(0, 8),
@@ -216,20 +216,22 @@ _BANKS = {
 @example(values=[-0.0, 0.0], cut=1)
 @example(values=[1.0, math.nan], cut=1)
 @example(values=[-5e-324], cut=0)
+@example(values=[2.0, math.inf], cut=2)
 def test_absorb_rejects_negative_and_nan_values_only(backend, values, cut):
-    """A graph is absorbed unless a value is negative or NaN (``-0.0`` and
-    the empty view are absorbed); a rejected one leaves the bank as it was."""
+    """A graph is absorbed unless a value is negative, NaN or infinite
+    (``-0.0`` and the empty view are absorbed); ``graph_views`` rejects
+    such a graph, so the bank is never handed it and stays as it was."""
     bank = _BANKS[backend]()
     bank.reset(0, _two_keys([1.0, 2.0]), 1)
     before = b"".join(bank.to_parts())
     cut = min(cut, len(values))
-    view = cut_view([f"k{i}" for i in range(len(values))], values, (0, cut, len(values)))
-    if any(v < 0.0 or math.isnan(v) for v in values):
-        with pytest.raises(ValueError, match="negative or NaN"):
-            bank.absorb(0, view, 2)
+    ids = [f"k{i}" for i in range(len(values))]
+    if any(not 0.0 <= v < math.inf for v in values):
+        with pytest.raises(ValueError, match="^view masses must be finite and nonnegative$"):
+            bank.absorb(0, cut_view(ids, values, (0, cut, len(values))), 2)
         assert b"".join(bank.to_parts()) == before
     else:
-        bank.absorb(0, view, 2)
+        bank.absorb(0, cut_view(ids, values, (0, cut, len(values))), 2)
         assert (bank.n[0], bank.t_last[0]) == (2, 2)
 
 
@@ -241,8 +243,8 @@ def _two_keys(values):
 _REJECTED = {
     "components": (lambda: view_of({"a\x1f": 1.0}), 3, ValueError, "component count"),
     "timestamp": (lambda: _two_keys([1.0, 2.0]), -1, ValueError, "nonnegative"),
-    "negative": (lambda: _two_keys([-1.0, 2.0]), 3, ValueError, "negative or NaN"),
-    "nan": (lambda: _two_keys([1.0, math.nan]), 3, ValueError, "negative or NaN"),
+    "negative": (lambda: _two_keys([-1.0, 2.0]), 3, ValueError, "finite and nonnegative"),
+    "nan": (lambda: _two_keys([1.0, math.nan]), 3, ValueError, "finite and nonnegative"),
 }
 
 
@@ -254,19 +256,19 @@ def test_a_rejected_update_leaves_the_bank_as_it_was(backend, cause):
     """``absorb`` and ``reset`` (into a live slot or the next free one)
     check the graph before they write, while the bank fills and once it is
     full: a rejected one changes no checkpoint byte, no self product and no
-    slot count."""
+    slot count. A graph with a negative or NaN mass is rejected before
+    that, by ``graph_views``, which builds no view of it."""
     bank = _BANKS[backend](3)
     bank.reset(0, _two_keys([1.0, 2.0]), 1)
     bank.reset(1, _two_keys([3.0, 1.0]), 2)
     build, now, error, match = _REJECTED[cause]
-    view = build()
     for size in (2, 3):
         if size == 3:  # slot 2 goes from the next free slot to a live one
             bank.reset(2, _two_keys([2.0, 2.0]), 3)
         before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
         for update, slot in ((bank.absorb, 0), (bank.reset, 0), (bank.reset, 2)):
             with pytest.raises(error, match=match):
-                update(slot, view, now)
+                update(slot, build(), now)
             assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
             assert len(bank) == size
 
