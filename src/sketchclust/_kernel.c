@@ -1,21 +1,22 @@
 /* The compiled loops: the ingest walk (preprocess's canonical form and
- * graph_views' flat view, checked and summed), and the sketch bank's key
- * hashing, cross-product gather, in-order scatter and the closed form of
- * every squared distance, the refresh's pairs walked in it.
+ * graph_views' flat view, checked, summed and each key digested), and the
+ * sketch bank's cross-product gather and in-order scatter, each bucketing
+ * the view's digests for its grid, and the closed form of every squared
+ * distance, the refresh's pairs walked in it.
  *
  * Built and loaded by sketchclust/native.py; it takes numpy arrays through
  * the buffer protocol, makes none, and needs no numpy headers. Every bank
  * function checks each buffer's element type, shape and contiguity, a
  * view's bounds (d+2 ints from 0 to the key count, never decreasing) and
- * each slot and bucket against the grid, and raises ValueError before any
- * write; only a distance that is not finite is found while the distances
- * are written. The loops do only integer arithmetic, selections,
- * comparisons, additions and single IEEE operations, each in a stated
- * order: the order of the Python and numpy code they replaced (hashlib's
- * for the digests), and for a cross product or a component's sum of squares
- * its terms added one by one in view order, so no BLAS kernel decides their
- * bits. The sketch rows' squares and the refresh's pair products stay in
- * numpy.
+ * each slot against the grid, and raises ValueError before any write; a
+ * bucket is made in range (mod the grid's columns), and only a distance
+ * that is not finite is found while the distances are written. The loops
+ * do only integer arithmetic, selections, comparisons, additions and single
+ * IEEE operations, each in a stated order: the order of the Python and numpy
+ * code they replaced (hashlib's for the digests), and for a cross product or
+ * a component's sum of squares its terms added one by one in view order, so
+ * no BLAS kernel decides their bits. The sketch rows' squares and the
+ * refresh's pair products stay in numpy.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -25,29 +26,28 @@
 #include <stdint.h>
 #include <string.h>
 
-enum kind { FLOAT64, INTP, INT64, UINT64 };
-static const char *const KIND_NAMES[] = {"float64", "intp", "int64", "uint64"};
+enum kind { FLOAT64, INT64, UINT64 };
+static const char *const KIND_NAMES[] = {"float64", "int64", "uint64"};
 
 /* Whether a buffer format names one element of the kind: a native code, or
- * a little-endian one on a little-endian host, of the kind's size. */
+ * a little-endian one on a little-endian host, of 8 bytes. */
 static int
 format_is(const char *format, Py_ssize_t itemsize, enum kind kind)
 {
-    static const char *const codes[] = {"d", "lqn", "lq", "LQ"};
-    static const Py_ssize_t sizes[] = {8, sizeof(Py_ssize_t), 8, 8};
-    if (itemsize != sizes[kind] || format == NULL)
+    static const char *const codes[] = {"d", "lq", "LQ"};
+    if (itemsize != 8 || format == NULL)
         return 0;
     if (*format == '@' || *format == '=' || (*format == '<' && PY_LITTLE_ENDIAN))
         format++;
     return format[0] != '\0' && format[1] == '\0' && strchr(codes[kind], format[0]) != NULL;
 }
 
-/* The buffers one call holds and the component ends it read, released
- * together. */
+/* The buffers one call holds, the component ends it read and the buckets
+ * it made, released together. */
 typedef struct {
-    Py_buffer view[5];
+    Py_buffer view[6];
     int held;
-    Py_ssize_t *ends;
+    Py_ssize_t *ends, *buckets;
 } Held;
 
 static PyObject *
@@ -56,7 +56,8 @@ release(Held *h, PyObject *result)
     while (h->held)
         PyBuffer_Release(&h->view[--h->held]);
     PyMem_Free(h->ends);
-    h->ends = NULL;
+    PyMem_Free(h->buckets);
+    h->ends = h->buckets = NULL;
     return result;
 }
 
@@ -94,19 +95,6 @@ take(Held *h, PyObject *obj, const char *name, enum kind kind, int writable, int
         }
     }
     return v;
-}
-
-/* -1 and ValueError unless each of ``count`` indices lies in 0..end-1. */
-static int
-in_range(const Py_ssize_t *index, Py_ssize_t count, Py_ssize_t end, const char *name)
-{
-    for (Py_ssize_t i = 0; i < count; i++) {
-        if (index[i] < 0 || index[i] >= end) {
-            PyErr_Format(PyExc_ValueError, "%s %zd is outside 0..%zd", name, index[i], end - 1);
-            return -1;
-        }
-    }
-    return 0;
 }
 
 /* BLAKE2b with an 8-byte digest, no key and no salt (RFC 7693), as
@@ -203,83 +191,27 @@ blake2b64(const unsigned char *data, Py_ssize_t len)
     return h[0];
 }
 
-/* key_buckets(keys, mult, add, cols, out): out[r, i] = ((mult[r] * x_i +
- * add[r]) mod 2^64 >> 32) mod cols, where x_i is the BLAKE2b-64 digest of
- * the i-th key of the sequence ``keys``; ``out`` is (rows, N) intp. A key
- * must be bytes-like, as for hashlib: a str raises TypeError. Every key is
- * digested before ``out`` is written. */
-static PyObject *
-key_buckets(PyObject *Py_UNUSED(module), PyObject *args)
-{
-    PyObject *keys, *mult, *add, *out, *seq;
-    Py_ssize_t cols;
-    Held h = {.held = 0};
-    Py_buffer *a, *b, *o;
-    if (!PyArg_ParseTuple(args, "OOOnO:key_buckets", &keys, &mult, &add, &cols, &out))
-        return NULL;
-    if (!(seq = PySequence_Fast(keys, "keys must be a sequence")))
-        return NULL;
-    const Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    uint64_t *digest = NULL;
-    if (!(a = take(&h, mult, "mult", UINT64, 0, 1, -1, -1)) ||
-        !(b = take(&h, add, "add", UINT64, 0, 1, a->shape[0], -1)) ||
-        !(o = take(&h, out, "out", INTP, 1, 2, a->shape[0], n)))
-        goto done;
-    if (cols < 1) {
-        PyErr_Format(PyExc_ValueError, "cols = %zd is not positive", cols);
-        goto done;
-    }
-    if (!(digest = PyMem_Malloc((size_t)n * sizeof *digest))) {  /* not NULL for n = 0 */
-        PyErr_NoMemory();
-        goto done;
-    }
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        PyObject *key = items[i];
-        if (PyBytes_Check(key)) {
-            digest[i] = blake2b64((const unsigned char *)PyBytes_AS_STRING(key),
-                                  PyBytes_GET_SIZE(key));
-            continue;
-        }
-        if (PyUnicode_Check(key)) {
-            PyErr_SetString(PyExc_TypeError, "Strings must be encoded before hashing");
-            goto done;
-        }
-        Py_buffer view;
-        if (PyObject_GetBuffer(key, &view, PyBUF_SIMPLE) < 0)
-            goto done;
-        digest[i] = blake2b64(view.buf, view.len);
-        PyBuffer_Release(&view);
-    }
-    const uint64_t *mul = a->buf, *off = b->buf;
-    const Py_ssize_t rows = a->shape[0];
-    Py_ssize_t *idx = o->buf;
-    for (Py_ssize_t r = 0; r < rows; r++) {
-        for (Py_ssize_t i = 0; i < n; i++)
-            idx[r * n + i] = (Py_ssize_t)(((mul[r] * digest[i] + off[r]) >> 32) % (uint64_t)cols);
-    }
-    PyMem_Free(digest);
-    Py_DECREF(seq);
-    return release(&h, Py_NewRef(Py_None));
-done:
-    PyMem_Free(digest);
-    Py_DECREF(seq);
-    return release(&h, NULL);
-}
-
-/* Take the gather's and the scatter's shared buffers as h->view[0..1]:
- * ``cells`` (d+1, k, rows, cols) float64 and ``buckets`` (rows, N) intp,
- * each bucket checked against the grid; and a view's ``bounds``, a tuple of
- * d+2 ints from 0 to N, never decreasing, as h->ends. */
+/* Take the gather's and the scatter's shared arguments: ``cells`` (d+1, k,
+ * rows, cols) float64, of one row and one column at least, then the
+ * sketch's ``mult`` and ``add`` (rows,) and a view's ``digests`` (N,), each
+ * uint64, as h->view[0..3]; and the view's ``bounds``, a tuple of d+2 ints
+ * from 0 to N, never decreasing, as h->ends. */
 static int
-take_grid(Held *h, PyObject *cells, PyObject *bounds, PyObject *buckets, int writable)
+take_grid(Held *h, PyObject *cells, PyObject *bounds, PyObject *mult, PyObject *add,
+          PyObject *digests, int writable)
 {
-    Py_buffer *c, *b;
+    Py_buffer *c, *x;
     if (!(c = take(h, cells, "cells", FLOAT64, writable, 4, -1, -1)) ||
-        !(b = take(h, buckets, "buckets", INTP, 0, 2, c->shape[2], -1)) ||
-        in_range(b->buf, b->shape[0] * b->shape[1], c->shape[3], "bucket") < 0)
+        !take(h, mult, "mult", UINT64, 0, 1, c->shape[2], -1) ||
+        !take(h, add, "add", UINT64, 0, 1, c->shape[2], -1) ||
+        !(x = take(h, digests, "digests", UINT64, 0, 1, -1, -1)))
         return -1;
-    const Py_ssize_t comps = c->shape[0], n = b->shape[1];
+    if (c->shape[2] < 1 || c->shape[3] < 1) {
+        PyErr_Format(PyExc_ValueError, "cells has grids of %zd rows and %zd columns, not 1 or more",
+                     c->shape[2], c->shape[3]);
+        return -1;
+    }
+    const Py_ssize_t comps = c->shape[0], n = x->shape[0];
     if (!PyTuple_Check(bounds) || PyTuple_GET_SIZE(bounds) != comps + 1) {
         PyErr_Format(PyExc_ValueError, "bounds is not a tuple of %zd ends", comps + 1);
         return -1;
@@ -300,36 +232,59 @@ take_grid(Held *h, PyObject *cells, PyObject *bounds, PyObject *buckets, int wri
     return 0;
 }
 
-/* graph_cross(cells, bounds, buckets, values, m, out): out[s, c] = the sum
- * over the keys i of component c (by ``bounds``), in view order from 0.0,
- * of min over rows r of cells[c, s, r, buckets[r, i]], times values[i],
- * for the live slots s < m: one graph's cross products with every live
- * slot, ``out`` (m, d+1) float64. Rows are taken in order and a tie keeps
- * the later row, as numpy's minimum does (which decides the sign of a
- * zero). */
+/* Each digest's cell in every row of take_grid's grid, as h->buckets
+ * (rows, N): ((mult[r] * digests[i] + add[r]) mod 2^64 >> 32) mod cols.
+ * The high product bits: the low bits of mult * x mod 2^64 depend only on
+ * the low bits of x, which would make rows collide in lockstep for
+ * power-of-two column counts. Called once every argument is checked. */
+static int
+bucket_digests(Held *h)
+{
+    const Py_ssize_t rows = h->view[0].shape[2], n = h->view[3].shape[0];
+    const uint64_t cols = (uint64_t)h->view[0].shape[3];
+    const uint64_t *mul = h->view[1].buf, *off = h->view[2].buf, *x = h->view[3].buf;
+    if (n > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof *h->buckets / rows ||
+        !(h->buckets = PyMem_Malloc((size_t)(rows * n) * sizeof *h->buckets))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    for (Py_ssize_t r = 0; r < rows; r++) {
+        for (Py_ssize_t i = 0; i < n; i++)
+            h->buckets[r * n + i] = (Py_ssize_t)(((mul[r] * x[i] + off[r]) >> 32) % cols);
+    }
+    return 0;
+}
+
+/* graph_cross(cells, bounds, mult, add, digests, values, m, out): out[s, c]
+ * = the sum over the keys i of component c (by ``bounds``), in view order
+ * from 0.0, of min over rows r of cells[c, s, r, b[r, i]], times values[i],
+ * for the live slots s < m, with b bucket_digests' cells: one graph's cross
+ * products with every live slot, ``out`` (m, d+1) float64. Rows are taken
+ * in order and a tie keeps the later row, as numpy's minimum does (which
+ * decides the sign of a zero). */
 static PyObject *
 graph_cross(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *cells, *bounds, *buckets, *values, *out;
+    PyObject *cells, *bounds, *mult, *add, *digests, *values, *out;
     Py_ssize_t m;
     Held h = {.held = 0};
-    if (!PyArg_ParseTuple(args, "OOOOnO:graph_cross", &cells, &bounds, &buckets, &values, &m,
-                          &out))
+    if (!PyArg_ParseTuple(args, "OOOOOOnO:graph_cross", &cells, &bounds, &mult, &add, &digests,
+                          &values, &m, &out))
         return NULL;
-    if (take_grid(&h, cells, bounds, buckets, 0) < 0)
+    if (take_grid(&h, cells, bounds, mult, add, digests, 0) < 0)
         return release(&h, NULL);
     const Py_ssize_t *shape = h.view[0].shape, comps = shape[0], slots = shape[1];
-    const Py_ssize_t rows = shape[2], cols = shape[3], grid = rows * cols, n = h.view[1].shape[1];
+    const Py_ssize_t rows = shape[2], cols = shape[3], grid = rows * cols, n = h.view[3].shape[0];
     if (m < 0 || m > slots) {
         PyErr_Format(PyExc_ValueError, "m = %zd is outside 0..%zd", m, slots);
         return release(&h, NULL);
     }
     Py_buffer *v, *o;
     if (!(v = take(&h, values, "values", FLOAT64, 0, 1, n, -1)) ||
-        !(o = take(&h, out, "out", FLOAT64, 1, 2, m, comps)))
+        !(o = take(&h, out, "out", FLOAT64, 1, 2, m, comps)) || bucket_digests(&h) < 0)
         return release(&h, NULL);
     const double *cell = h.view[0].buf, *mass = v->buf;
-    const Py_ssize_t *bucket = h.view[1].buf, *ends = h.ends;
+    const Py_ssize_t *bucket = h.buckets, *ends = h.ends;
     double *sum = o->buf;
     for (Py_ssize_t s = 0; s < m; s++) {
         for (Py_ssize_t c = 0; c < comps; c++) {
@@ -349,34 +304,34 @@ graph_cross(PyObject *Py_UNUSED(module), PyObject *args)
     return release(&h, Py_NewRef(Py_None));
 }
 
-/* scatter_add(cells, slot, bounds, buckets, values, fresh): cells[c, slot,
- * r, buckets[r, i]] += values[i], key i lying in component c by
- * ``bounds``, row by row and keys in order within a row, the order
- * ``np.add.at`` adds in; if ``fresh``, the slot's grids of every component
- * are zeroed first. */
+/* scatter_add(cells, slot, bounds, mult, add, digests, values, fresh):
+ * cells[c, slot, r, b[r, i]] += values[i], key i lying in component c by
+ * ``bounds`` and b bucket_digests' cells, row by row and keys in order
+ * within a row, the order ``np.add.at`` adds in; if ``fresh``, the slot's
+ * grids of every component are zeroed first. */
 static PyObject *
 scatter_add(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *cells, *bounds, *buckets, *values;
+    PyObject *cells, *bounds, *mult, *add, *digests, *values;
     Py_ssize_t slot;
     int fresh;
     Held h = {.held = 0};
-    if (!PyArg_ParseTuple(args, "OnOOOp:scatter_add", &cells, &slot, &bounds, &buckets, &values,
-                          &fresh))
+    if (!PyArg_ParseTuple(args, "OnOOOOOp:scatter_add", &cells, &slot, &bounds, &mult, &add,
+                          &digests, &values, &fresh))
         return NULL;
-    if (take_grid(&h, cells, bounds, buckets, 1) < 0)
+    if (take_grid(&h, cells, bounds, mult, add, digests, 1) < 0)
         return release(&h, NULL);
     const Py_ssize_t *shape = h.view[0].shape, comps = shape[0], slots = shape[1];
-    const Py_ssize_t rows = shape[2], cols = shape[3], grid = rows * cols, n = h.view[1].shape[1];
+    const Py_ssize_t rows = shape[2], cols = shape[3], grid = rows * cols, n = h.view[3].shape[0];
     if (slot < 0 || slot >= slots) {
         PyErr_Format(PyExc_ValueError, "slot %zd is outside 0..%zd", slot, slots - 1);
         return release(&h, NULL);
     }
     Py_buffer *v = take(&h, values, "values", FLOAT64, 0, 1, n, -1);
-    if (!v)
+    if (!v || bucket_digests(&h) < 0)
         return release(&h, NULL);
     double *cell = h.view[0].buf;
-    const Py_ssize_t *bucket = h.view[1].buf, *ends = h.ends;
+    const Py_ssize_t *bucket = h.buckets, *ends = h.ends;
     const double *mass = v->buf;
     if (fresh) {
         for (Py_ssize_t c = 0; c < comps; c++)
@@ -1010,12 +965,20 @@ as_double(PyObject *value, double *out)
     return -1;
 }
 
-/* Write a canonical graph's keys into ``keys`` and masses into ``mass``,
- * component by component as ``ends`` (d + 2 entries) lays them out: each
- * edge (src, dst, mass) of ``edges``, then each side map of ``sides`` (a
- * dict of id to mass, or None) in order. */
+/* The BLAKE2b-64 digest of a bytes key. */
+static inline uint64_t
+key_digest(PyObject *key)
+{
+    return blake2b64((const unsigned char *)PyBytes_AS_STRING(key), PyBytes_GET_SIZE(key));
+}
+
+/* Write a canonical graph's keys into ``keys``, their digests into
+ * ``digest`` and masses into ``mass``, component by component as ``ends``
+ * (d + 2 entries) lays them out: each edge (src, dst, mass) of ``edges``,
+ * then each side map of ``sides`` (a dict of id to mass, or None) in order. */
 static int
-write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *keys, double *mass)
+write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *keys,
+            uint64_t *digest, double *mass)
 {
     for (Py_ssize_t i = 0; i < ends[1]; i++) {
         if (i >= PySequence_Fast_GET_SIZE(edges)) {
@@ -1030,8 +993,10 @@ write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *
             PyErr_Format(PyExc_ValueError, "an edge is (src, dst, mass), not %zd items",
                          PySequence_Fast_GET_SIZE(edge));
         else if ((key = edge_key(PySequence_Fast_GET_ITEM(edge, 0),
-                                 PySequence_Fast_GET_ITEM(edge, 1))))
+                                 PySequence_Fast_GET_ITEM(edge, 1)))) {
             PyTuple_SET_ITEM(keys, i, key);
+            digest[i] = key_digest(key);
+        }
         const int fault = !key || as_double(PySequence_Fast_GET_ITEM(edge, 2), &mass[i]) < 0;
         Py_DECREF(edge);
         if (fault)
@@ -1053,6 +1018,7 @@ write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *
                 return -1;
             }
             PyTuple_SET_ITEM(keys, i, key);
+            digest[i] = key_digest(key);
             if (as_double(value, &mass[i++]) < 0)
                 return -1;
         }
@@ -1082,17 +1048,20 @@ square_sums(const double *mass, const Py_ssize_t *ends, Py_ssize_t comps, double
     return 0;
 }
 
-/* A bytes object's data sits past a header of whole words, so its masses are
- * aligned doubles. */
-_Static_assert(offsetof(PyBytesObject, ob_sval) % _Alignof(double) == 0, "unaligned bytes data");
+/* A bytes object's data sits past a header of whole words, so its masses and
+ * digests are aligned. */
+_Static_assert(offsetof(PyBytesObject, ob_sval) % _Alignof(double) == 0 &&
+                   offsetof(PyBytesObject, ob_sval) % _Alignof(uint64_t) == 0,
+               "unaligned bytes data");
 
-/* graph_view(edges, sides): the (keys, values, bounds, sq_sum) of the view
- * of a canonical graph, given its edge list and its side maps in schema
- * order (a dict or None each). The keys become bytes, each edge's the UTF-8
- * of src + "\x1f" + dst and each id's its own, into one tuple; the masses,
- * and each component's square_sums, the native float64 bytes of two new
- * bytes objects, which no one can write once they are returned; and
- * ``bounds`` the d+2 component ends from 0 to N. */
+/* graph_view(edges, sides): the (keys, values, bounds, sq_sum, digests) of
+ * the view of a canonical graph, given its edge list and its side maps in
+ * schema order (a dict or None each). The keys become bytes, each edge's
+ * the UTF-8 of src + "\x1f" + dst and each id's its own, into one tuple;
+ * the masses, each component's square_sums and each key's BLAKE2b-64
+ * digest, the native float64 and uint64 bytes of three new bytes objects,
+ * which no one can write once they are returned; and ``bounds`` the d+2
+ * component ends from 0 to N. */
 static PyObject *
 graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1100,7 +1069,7 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "graph_view(edges, sides) takes 2 arguments");
         return NULL;
     }
-    PyObject *keys = NULL, *values = NULL, *bounds = NULL, *squares = NULL;
+    PyObject *keys = NULL, *values = NULL, *bounds = NULL, *squares = NULL, *digests = NULL;
     PyObject *edges = NULL, *sides = NULL, *result = NULL;
     Py_ssize_t *ends = NULL;
     if (!(edges = PySequence_Fast(args[0], "a graph's edges must be a sequence")) ||
@@ -1126,7 +1095,9 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     if (!(keys = PyTuple_New(n)) ||
         !(values = PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double))) ||
         !(squares = PyBytes_FromStringAndSize(NULL, comps * (Py_ssize_t)sizeof(double))) ||
-        write_graph(edges, sides, ends, keys, (double *)PyBytes_AS_STRING(values)) < 0 ||
+        !(digests = PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(uint64_t))) ||
+        write_graph(edges, sides, ends, keys, (uint64_t *)PyBytes_AS_STRING(digests),
+                    (double *)PyBytes_AS_STRING(values)) < 0 ||
         square_sums((double *)PyBytes_AS_STRING(values), ends, comps,
                     (double *)PyBytes_AS_STRING(squares)) < 0 ||
         !(bounds = PyTuple_New(comps + 1)))
@@ -1137,7 +1108,7 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
             goto done;
         PyTuple_SET_ITEM(bounds, c, end);
     }
-    result = PyTuple_Pack(4, keys, values, bounds, squares);
+    result = PyTuple_Pack(5, keys, values, bounds, squares, digests);
 done:
     PyMem_Free(ends);
     Py_XDECREF(edges);
@@ -1146,11 +1117,11 @@ done:
     Py_XDECREF(values);
     Py_XDECREF(bounds);
     Py_XDECREF(squares);
+    Py_XDECREF(digests);
     return result;
 }
 
 static PyMethodDef methods[] = {
-    {"key_buckets", key_buckets, METH_VARARGS, "Each key's BLAKE2b-64 cell in every row."},
     {"graph_cross", graph_cross, METH_VARARGS, "One graph's cross products with every live slot."},
     {"scatter_add", scatter_add, METH_VARARGS, "Add each key's mass to its cells in one slot."},
     {"graph_distances_sq", graph_distances_sq, METH_VARARGS,
@@ -1160,7 +1131,7 @@ static PyMethodDef methods[] = {
     {"canonical_graph", (PyCFunction)(void (*)(void))canonical_graph, METH_FASTCALL,
      "A graph's canonical edges and side maps, as preprocess returns them."},
     {"graph_view", (PyCFunction)(void (*)(void))graph_view, METH_FASTCALL,
-     "A graph's view: its keys, masses, component bounds and sums of squares."},
+     "A graph's view: its keys, masses, component bounds, sums of squares and digests."},
     {NULL, NULL, 0, NULL},
 };
 

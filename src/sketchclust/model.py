@@ -26,16 +26,16 @@ surrogates goes to ``_check_label``, the one source of its messages. A
 component whose squares sum past float range is rejected.
 
 ``graph_views`` alone builds a ``GraphView``, one read-only flat view per
-graph: every component's keys and values in one array, each mass checked
-and each component's squares summed. A sketch bank has it hash all its
-keys for the bank's own config in one call, on the first read, and reuses
-them.
+graph: every component's keys and values in one array, each mass checked,
+each component's squares summed and each key digested (BLAKE2b, 8 bytes).
+A view knows no sketch: a sketch bank buckets the digests for its own
+grid on every read.
 
 Both walks run in the compiled kernel (``native``): ``preprocess`` is
 ``canonical_graph``, which calls the two ``_check_*`` helpers above on its
-slow path, and ``graph_views`` takes a view's keys, masses, bounds and
-``sq_sum`` from ``graph_view``. Both add a component's squares in one
-order, view order from 0.0.
+slow path, and ``graph_views`` takes a view's keys, masses, bounds,
+``sq_sum`` and digests from ``graph_view``. Both add a component's squares
+in one order, view order from 0.0.
 """
 
 from __future__ import annotations
@@ -46,14 +46,11 @@ import numbers
 import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .native import kernel
-
-if TYPE_CHECKING:
-    from .sketch import SketchConfig
 
 _SEPARATOR_STR = "\x1f"
 
@@ -262,15 +259,15 @@ class GraphView:
     side types in order. Component ``c`` owns ``keys[bounds[c]:bounds[c+1]]``
     and the same slice of ``values``, and ``sq_sum`` ``(d+1,)`` holds each
     component's sum of squared values, added in view order from 0.0. Every
-    mass is finite and nonnegative, and every sum finite. Only
-    ``graph_views`` builds a view; no field can be rebound, and its arrays
-    lie over immutable bytes, so none can be written or made writable, and
-    the fields always agree.
-    A view knows no sketch: ``buckets(config)`` hashes its keys for the
-    config that asks.
+    mass is finite and nonnegative, and every sum finite. ``digests`` holds
+    each key's 64-bit digest, ``hashlib.blake2b(key, digest_size=8)`` read
+    as a little-endian integer, as native uint64. Only ``graph_views``
+    builds a view; no field can be rebound, and its arrays lie over
+    immutable bytes, so none can be written or made writable, and the
+    fields always agree.
     """
 
-    __slots__ = ("_fields", "_hashed")
+    __slots__ = ("_fields",)
 
     def __new__(cls, *args, **kwargs):
         raise TypeError("graph_views builds every GraphView")
@@ -279,31 +276,22 @@ class GraphView:
     values = property(lambda self: self._fields[1])
     bounds = property(lambda self: self._fields[2])
     sq_sum = property(lambda self: self._fields[3])
+    digests = property(lambda self: self._fields[4])
 
     @property
     def d(self) -> int:
         return len(self._fields[2]) - 2
 
-    def buckets(self, config: SketchConfig) -> np.ndarray:
-        """The keys' cells in every row of ``config``'s grid, ``(rows, N)``:
-        hashed in one call on the first read for ``config``, then the same
-        array while ``config`` is the last config read."""
-        held, buckets = self._hashed
-        if held is not config:
-            buckets = config.buckets(self.keys)
-            self._hashed = (config, buckets)
-        return buckets
-
 
 def graph_views(g: GraphObject, schema: StreamSchema) -> GraphView:
     """The flat view of a ``preprocess`` output over the schema's d+1
-    components. Labels are not checked again: ``preprocess`` has checked
-    each one. A graph that was not preprocessed may raise TypeError, or
+    components, each key digested as it is written. Labels are not checked
+    again: ``preprocess`` has checked each one. A graph that was not preprocessed may raise TypeError, or
     ValueError for a mass that is negative, NaN or infinite or a component
     whose squares sum past float range."""
     sides = [g.side.get(name) for name in schema._names]
-    keys, masses, bounds, squares = kernel.graph_view(g.edges, sides)
+    keys, masses, bounds, squares, digests = kernel.graph_view(g.edges, sides)
     view = object.__new__(GraphView)
-    view._fields = (keys, np.frombuffer(masses), bounds, np.frombuffer(squares))
-    view._hashed = (None, None)
+    view._fields = (keys, np.frombuffer(masses), bounds, np.frombuffer(squares),
+                    np.frombuffer(digests, np.uint64))
     return view

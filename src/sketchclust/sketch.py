@@ -18,13 +18,12 @@ Hashing is deterministic given the config seed: a key is digested to a
 64-bit integer (BLAKE2b with an 8-byte digest, RFC 7693: the bits of
 ``hashlib.blake2b(key, digest_size=8)``) and each row applies a seeded
 multiply-shift ``((a * x + b) mod 2^64 >> 32) mod cols`` with an odd
-multiplier, drawn by the config itself. ``SketchConfig.buckets`` maps keys
-to their cells in every row: the digest and the multiply-shift of every
-key and row run in one call of the compiled kernel (``native``), as
-integer arithmetic that needs no rounding; nothing is memoised here. A
-graph's ``model.GraphView`` holds no buckets: ``GraphView.buckets(config)``
-hashes all its keys, every component's together, in one call for the
-config that reads them, and keeps them for that config's later reads. A
+multiplier, drawn by the config itself. The digest belongs to the key: a
+graph's ``model.GraphView`` holds its keys' digests, made as the view is
+built. The multiply-shift belongs to the sketch: ``stats.ClusterBank``
+hands the config's multipliers and offsets with a view's digests to the
+compiled kernel (``native``), whose gather and scatter each bucket the
+digests for their grid, as integer arithmetic that needs no rounding. A
 checkpoint stores the config in its header and the grids as plain arrays
 (``stats.Bank.to_parts``).
 """
@@ -33,11 +32,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from .native import kernel
 
 
 @dataclass(frozen=True)
@@ -61,15 +57,3 @@ class SketchConfig:
         b = [rnd.getrandbits(64) for _ in range(self.rows)]
         object.__setattr__(self, "_mult", np.array(a, dtype=np.uint64))
         object.__setattr__(self, "_add", np.array(b, dtype=np.uint64))
-
-    def buckets(self, keys: Sequence[bytes]) -> np.ndarray:
-        """Cell index of each key in each row, shape (rows, len(keys)), intp.
-
-        The kernel keeps the high product bits, ``(a * x + b) mod 2^64 >>
-        32``, before the ``mod cols``: the low bits of a*x mod 2^64 depend
-        only on the low bits of x, which would make rows collide in lockstep
-        for power-of-two column counts. A key must be bytes-like: a ``str``
-        raises TypeError, as it does in ``hashlib``."""
-        out = np.empty((self.rows, len(keys)), dtype=np.intp)
-        kernel.key_buckets(keys, self._mult, self._add, self.cols, out)
-        return out

@@ -308,19 +308,19 @@ class ClusterBank(Bank):
 
     ``cells[c, i]`` is the ``(rows, cols)`` grid of component ``c`` in
     slot ``i``; its self product is the minimum over rows of the row's sum
-    of squared cells. A graph's keys are hashed for the bank's config on
-    the first read of its view, which keeps them. The per-key loops run in
-    the compiled kernel (``native``), which reads each key's component from
-    the view's ``bounds``: hashing digests every key and buckets it in every
-    row in one call; scoring a graph is one call that takes each key's
-    minimum over its row cells in every live slot and sums the terms of
-    each cross product; absorbing it is one in-order scatter into the
-    slot's d+1 grids (row by row, keys in view order: the order of
-    ``np.add.at``) and one batched row-square product in numpy. The
-    weight refresh takes every pair's cross products from one batched
-    product: a gemm of slots ``0..m-2`` against slots ``1..m-1``, which
-    holds the pairs ``i < j``, then its minimum over rows. The cells
-    checkpoint as one ``f8[d+1, m, rows, cols]`` block.
+    of squared cells. A view brings its keys' digests; the config's
+    multiply-shift buckets them. The per-key loops run in the compiled
+    kernel (``native``), which reads each key's component from the view's
+    ``bounds`` and, in each call, first buckets every digest in every row:
+    scoring a graph is one call that takes each key's minimum over its row
+    cells in every live slot and sums the terms of each cross product;
+    absorbing it is one in-order scatter into the slot's d+1 grids (row by
+    row, keys in view order: the order of ``np.add.at``) and one batched
+    row-square product in numpy. The weight refresh takes every pair's
+    cross products from one batched product: a gemm of slots ``0..m-2``
+    against slots ``1..m-1``, which holds the pairs ``i < j``, then its
+    minimum over rows. The cells checkpoint as one ``f8[d+1, m, rows,
+    cols]`` block.
     """
 
     def __init__(self, config: SketchConfig, d: int, k: int):
@@ -329,8 +329,11 @@ class ClusterBank(Bank):
         self.cells = np.zeros((d + 1, k, config.rows, config.cols), dtype=np.float64)
 
     def _add(self, slot: int, view: GraphView, fresh: bool) -> None:
-        buckets = view.buckets(self.config)
-        kernel.scatter_add(self.cells, slot, view.bounds, buckets, view.values, fresh)
+        config = self.config
+        kernel.scatter_add(
+            self.cells, slot, view.bounds, config._mult, config._add, view.digests, view.values,
+            fresh,
+        )
         self._square_rows(slot)
 
     def _square_rows(self, slots) -> None:
@@ -341,8 +344,11 @@ class ClusterBank(Bank):
 
     def _cross(self, view: GraphView) -> np.ndarray:
         out = np.empty((self.size, self.d + 1))
-        buckets = view.buckets(self.config)
-        kernel.graph_cross(self.cells, view.bounds, buckets, view.values, self.size, out)
+        config = self.config
+        kernel.graph_cross(
+            self.cells, view.bounds, config._mult, config._add, view.digests, view.values,
+            self.size, out,
+        )
         return out
 
     def _pair_cross(self) -> np.ndarray:

@@ -44,20 +44,24 @@ straightforward way:
   them, kept as their bitwise oracles; a view no longer holds ``comp``
   or ``block``, ``graph_view`` reads a side map of None as empty, as
   ``graph_views`` does, and ``view_fields`` sums each component's squares
-  in view order and rejects the masses and sums ``graph_views`` rejects;
-* ``digest_buckets``: ``SketchConfig.buckets`` as it was built before
-  its per-graph overhead was cut, kept as its bitwise oracle (the digests
-  by ``hashlib.blake2b`` and the multiply-shift in numpy, as before the
-  compiled kernel);
+  in view order, digests each key by ``key_digests`` and rejects the
+  masses and sums ``graph_views`` rejects;
+* ``key_digests``, ``multiply_shift`` and ``digest_buckets``: each key's
+  digest by ``hashlib.blake2b``, digests' cells by the uint64
+  multiply-shift in numpy, and each key's cell in every row of a config's
+  grid, as ``SketchConfig.buckets`` made them before the kernel's gather
+  and scatter bucketed a view's digests themselves: their bitwise oracles;
 * ``distance_sq``, ``bank_distances_sq`` and ``pair_distances_sq``: the
   closed form of every squared distance, ``Bank.distances_sq``, and the
   pair listing, gather, closed form and kept mask of ``Bank.geometry``, as
   numpy computed them before the compiled kernel, kept as their bitwise
   oracles (``pairs`` lists the pairs);
-* ``gathered_cross`` and ``add_at``: ``ClusterBank._cross`` and
-  ``ClusterBank._add`` in numpy (a fancy-index gather whose terms
-  ``np.add.accumulate`` sums in view order, and ``np.add.at``), kept as
-  their bitwise oracles;
+* ``grid_cross`` and ``grid_add``: ``kernel.graph_cross`` and
+  ``kernel.scatter_add`` in numpy, given each key's cells (a fancy-index
+  gather whose terms ``np.add.accumulate`` sums in view order, and
+  ``np.add.at``), kept as their bitwise oracles; ``gathered_cross`` and
+  ``add_at``: ``ClusterBank._cross`` and ``ClusterBank._add`` by them, at
+  ``digest_buckets``;
 * ``pair_cross``: ``ClusterBank._pair_cross`` as it was before it became
   one gemm of slots ``0..m-2`` against slots ``1..m-1``: the square
   product of all slots (BLAS syrk), kept verbatim as its oracle;
@@ -122,7 +126,7 @@ def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
     keys = tuple(dict.fromkeys(keys))
     if len(keys) <= 1:
         return list(range(config.rows))
-    idx = config.buckets(keys)
+    idx = digest_buckets(config, keys)
     return [r for r in range(config.rows) if len(set(idx[r].tolist())) == len(keys)]
 
 
@@ -143,7 +147,7 @@ class CountMinSketch:
 
     def update_many(self, keys: Sequence[bytes], values: np.ndarray) -> None:
         """Add values[i] to keys[i]'s cell in every row. Values must be >= 0."""
-        idx = self.config.buckets(keys)
+        idx = digest_buckets(self.config, keys)
         if idx.shape[1] != len(values):
             raise ValueError("keys and values length mismatch")
         if len(values) == 0:
@@ -159,7 +163,8 @@ class CountMinSketch:
 
     def estimate_many(self, keys: Sequence[bytes]) -> np.ndarray:
         """Row-minimum point estimates for each key, never below the truth."""
-        return self.cells[np.arange(self.config.rows)[:, None], self.config.buckets(keys)].min(axis=0)
+        idx = digest_buckets(self.config, keys)
+        return self.cells[np.arange(self.config.rows)[:, None], idx].min(axis=0)
 
     def self_inner_product(self) -> float:
         """min over rows of sum(cell^2); overestimates sum of squared totals."""
@@ -569,9 +574,10 @@ def refine_weights(
 
 
 def view_fields(keys, values, bounds) -> dict:
-    """The fields but ``_hashed`` of the view of these keys, masses and
-    bounds, as the Python constructor built them but for ``sq_sum``: each
-    component's ``square_sum`` (``part.dot(part)`` added in BLAS's order).
+    """The fields of the view of these keys, masses and bounds, as the
+    Python constructor built them but for ``sq_sum``: each component's
+    ``square_sum`` (``part.dot(part)`` added in BLAS's order), and the
+    ``digests``, each key's ``key_digests``.
     ValueError, with ``graph_views``' message, for a mass that is
     negative, NaN or infinite, then for the first component whose squares
     sum past float range."""
@@ -586,7 +592,10 @@ def view_fields(keys, values, bounds) -> dict:
         sq_sum = np.array([square_sum(values[a:b]) for a, b in zip(bounds, bounds[1:])])
     for c in np.flatnonzero(~np.isfinite(sq_sum))[:1]:
         raise ValueError(f"component {c}'s masses must have a finite sum of squares")
-    return {"keys": keys, "values": values, "bounds": bounds, "sq_sum": sq_sum}
+    return {
+        "keys": keys, "values": values, "bounds": bounds, "sq_sum": sq_sum,
+        "digests": key_digests(keys),
+    }
 
 
 def graph_view(g: GraphObject, schema: StreamSchema) -> dict:
@@ -604,19 +613,29 @@ def graph_view(g: GraphObject, schema: StreamSchema) -> dict:
     return view_fields(tuple(keys), values, bounds)
 
 
+def key_digests(keys: Sequence[bytes]) -> np.ndarray:
+    """Each key's ``hashlib.blake2b(key, digest_size=8)`` read as a
+    little-endian integer, native uint64 ``(N,)``."""
+    digests = b"".join(hashlib.blake2b(k, digest_size=8).digest() for k in keys)
+    return np.frombuffer(digests, dtype="<u8").astype(np.uint64)
+
+
+def multiply_shift(mult, add, digests, cols: int) -> np.ndarray:
+    """Each digest's cell in every row, ``(rows, N)`` intp: ``((mult[r] *
+    x + add[r]) mod 2^64 >> 32) mod cols`` in numpy's uint64 arithmetic."""
+    mult, add = (np.asarray(a, dtype=np.uint64)[:, None] for a in (mult, add))
+    mixed = mult * np.asarray(digests, dtype=np.uint64) + add  # arrays wrap mod 2^64
+    return ((mixed >> np.uint64(32)) % np.uint64(cols)).astype(np.intp)
+
+
 def digest_buckets(config: SketchConfig, keys: Sequence[bytes]) -> np.ndarray:
-    """``config.buckets(keys)``, digesting each key in a generator and
-    mixing the digests with the uint64 multiply-shift in numpy, as before;
-    each row's ``(a, b)`` is drawn from the seed as ``SketchConfig`` draws
-    it."""
+    """Each key's cell in every row of ``config``'s grid, ``(rows, N)``:
+    ``key_digests`` mixed by ``multiply_shift``, each row's ``(a, b)``
+    drawn from the seed as ``SketchConfig`` draws it."""
     rnd = random.Random(config.seed)
     a = [rnd.getrandbits(64) | 1 for _ in range(config.rows)]
     b = [rnd.getrandbits(64) for _ in range(config.rows)]
-    digests = b"".join(hashlib.blake2b(k, digest_size=8).digest() for k in keys)
-    x = np.frombuffer(digests, dtype="<u8")
-    mixed = np.array(a, dtype=np.uint64)[:, None] * x + np.array(b, dtype=np.uint64)[:, None]
-    idx = (mixed >> np.uint64(32)) % np.uint64(config.cols)
-    return idx.astype(np.intp)
+    return multiply_shift(a, b, key_digests(keys), config.cols)
 
 
 def distance_sq(a_sq, cross, denom, b_sq) -> np.ndarray:
@@ -659,36 +678,49 @@ def pair_distances_sq(self_sq, n, cross) -> np.ndarray:
     return inter[(inter != 0.0).any(axis=1)]
 
 
-def gathered_cross(bank, view: GraphView) -> np.ndarray:
-    """``ClusterBank._cross`` in numpy: every key's cells in every live
-    slot by a fancy-index gather, ``(rows, N, m)``, and the minimum over
-    rows, as before the compiled kernel; then per component the keys'
-    terms, estimate times mass, summed in view order by
-    ``np.add.accumulate`` (``np.add.reduce`` adds in another order), and
-    ``+ 0.0``, which turns a -0.0 sum into the +0.0 that adding onto 0.0
-    gives. An empty component's sum is 0.0."""
-    rows = np.arange(bank.config.rows, dtype=np.intp)[:, None]
-    buckets = digest_buckets(bank.config, view.keys)
-    comp = np.repeat(np.arange(view.d + 1), np.diff(view.bounds))
-    terms = bank.cells[comp, : bank.size, rows, buckets].min(0).T * view.values
-    cross = np.zeros((bank.size, view.d + 1))
-    for c, (a, b) in enumerate(zip(view.bounds, view.bounds[1:])):
+def grid_cross(cells, m: int, bounds, buckets, values) -> np.ndarray:
+    """``kernel.graph_cross`` in numpy, given each key's cells ``buckets``
+    ``(rows, N)``: every key's cells in the live slots ``0..m-1`` by a
+    fancy-index gather, ``(rows, N, m)``, and the minimum over rows, as
+    before the compiled kernel; then per component the keys' terms,
+    estimate times mass, summed in view order by ``np.add.accumulate``
+    (``np.add.reduce`` adds in another order), and ``+ 0.0``, which turns
+    a -0.0 sum into the +0.0 that adding onto 0.0 gives. An empty
+    component's sum is 0.0."""
+    rows = np.arange(len(buckets), dtype=np.intp)[:, None]
+    comp = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    terms = cells[comp, :m, rows, buckets].min(0).T * values
+    cross = np.zeros((m, len(bounds) - 1))
+    for c, (a, b) in enumerate(zip(bounds, bounds[1:])):
         if a < b:
             cross[:, c] = np.add.accumulate(terms[:, a:b], axis=1)[:, -1] + 0.0
     return cross
 
 
-def add_at(bank, slot: int, view: GraphView, fresh: bool) -> None:
-    """``ClusterBank._add`` as numpy built it, as before: the slot's grids
-    zeroed if ``fresh``, then by ``np.add.at`` each key's mass added to its
-    cell in every row of its component's grid in ``slot``, row by row and
-    keys in view order, then the slot's row squares."""
+def grid_add(cells, slot: int, bounds, buckets, values, fresh: bool) -> None:
+    """``kernel.scatter_add`` in numpy, given each key's cells ``buckets``
+    ``(rows, N)``: the slot's grids zeroed if ``fresh``, then by
+    ``np.add.at`` each key's mass added to its cell in every row of its
+    component's grid in ``slot``, row by row and keys in view order."""
     if fresh:
-        bank.cells[:, slot] = 0.0
-    rows = np.arange(bank.config.rows, dtype=np.intp)[:, None]
-    comp = np.repeat(np.arange(view.d + 1), np.diff(view.bounds))
-    index = (comp, rows, digest_buckets(bank.config, view.keys))
-    np.add.at(bank.cells[:, slot], index, view.values)
+        cells[:, slot] = 0.0
+    rows = np.arange(len(buckets), dtype=np.intp)[:, None]
+    comp = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    np.add.at(cells[:, slot], (comp, rows, buckets), values)
+
+
+def gathered_cross(bank, view: GraphView) -> np.ndarray:
+    """``ClusterBank._cross`` in numpy: ``grid_cross`` at the view keys'
+    ``digest_buckets``."""
+    buckets = digest_buckets(bank.config, view.keys)
+    return grid_cross(bank.cells, bank.size, view.bounds, buckets, view.values)
+
+
+def add_at(bank, slot: int, view: GraphView, fresh: bool) -> None:
+    """``ClusterBank._add`` as numpy built it, as before: ``grid_add`` at
+    the view keys' ``digest_buckets``, then the slot's row squares."""
+    buckets = digest_buckets(bank.config, view.keys)
+    grid_add(bank.cells, slot, view.bounds, buckets, view.values, fresh)
     bank._square_rows(slot)
 
 

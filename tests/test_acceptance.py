@@ -17,6 +17,7 @@ from reference import (
     ClusterStats,
     CountMinSketch,
     component,
+    digest_buckets,
     generate_graphs,
     members_intra_sq,
     process_all,
@@ -442,7 +443,7 @@ def _c08_trial(cfg: SketchConfig, keys, masses: np.ndarray, probe: int, per_grap
         part = slice(start, start + per_graph)
         ids = {key.decode(): mass for key, mass in zip(keys[part], masses[part].tolist())}
         _absorb(bank, view_of({}, ids), start + 1)
-    estimates = bank.cells[1, 0][np.arange(cfg.rows)[:, None], cfg.buckets(keys)].min(0)
+    estimates = bank.cells[1, 0][np.arange(cfg.rows)[:, None], digest_buckets(cfg, keys)].min(0)
     return np.array(
         [
             est - masses[probe] > slack,

@@ -29,13 +29,13 @@ from reference import (
     cluster_geometry,
     component_distances_sq,
     cut_view,
-    digest_buckets,
     distance_sq,
     filled,
     gathered_cross,
     generate_graphs,
     graph,
     intra_vector_sq,
+    key_digests,
     pair_cross,
     pair_distances_sq,
     separating_rows,
@@ -317,9 +317,8 @@ def _signed_zeros(bank: ClusterBank, rng) -> bytes:
 @example(d=1, k=3, rows=10, cols=500, graphs=12, load_at=12, seed=2)
 def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, graphs, load_at, seed):
     """The sketch bank, on real masses, gives bit for bit what the numpy
-    gather, ``np.add.at`` scatter and closed form give:
-    ``SketchConfig.buckets`` against hashlib's digests and the numpy
-    multiply-shift; ``_cross`` against the fancy-index gather summed in
+    gather, ``np.add.at`` scatter and closed form give: the view's digests
+    against hashlib's; ``_cross`` against the fancy-index gather summed in
     view order, and ``distances_sq`` against both with the numpy closed
     form, with ``m`` from 1 to ``k``; the cells and ``self_sq`` after each
     ``reset`` and ``absorb``, and then ``geometry`` against its numpy
@@ -338,10 +337,7 @@ def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, grap
             for bank in banks:
                 assert bank.load(blob, 0, t) == len(blob)
         view = _real_view(rng, d, pool)
-        got, want = config.buckets(view.keys), digest_buckets(config, view.keys)
-        assert got.dtype == want.dtype == np.intp
-        assert got.shape == want.shape == (rows, len(view.keys))
-        assert got.tobytes() == want.tobytes()
+        assert view.digests.tobytes() == key_digests(view.keys).tobytes()
         if len(banks[0]):
             got, want = (bank._cross(view) for bank in banks)
             assert got.shape == want.shape == (len(banks[0]), d + 1)

@@ -33,6 +33,7 @@ from sketchclust import (
 )
 from sketchclust.engine import _Header
 from sketchclust.model import from_json
+from sketchclust.native import kernel
 from sketchclust.stats import Bank
 
 
@@ -757,21 +758,21 @@ def test_resumes_of_one_blob_share_one_immutable_config():
 
 @pytest.mark.parametrize("backend", ["sketch", "exact"])
 def test_each_graph_is_hashed_once_on_the_sketch_backend(backend, monkeypatch):
-    """``Engine.process`` hashes each graph's keys in one call on the
-    sketch backend (``_decide`` reads the buckets, ``_apply`` reuses them),
-    through weight refreshes and a checkpoint and resume, and never on the
-    exact backend."""
+    """``Engine.process`` digests each graph's keys once, in the one view
+    build of the graph (``kernel.graph_view``), which ``_decide`` and
+    ``_apply`` both read, on either backend, through weight refreshes and a
+    checkpoint and resume."""
     cfg = SynthConfig(n_clusters=5, n_graphs=160, seed=19)
     schema = synth_schema(cfg)
     graphs = [preprocess(g, schema) for g in generate_graphs(cfg)]
     calls = [0]
-    buckets = SketchConfig.buckets
+    build = kernel.graph_view
 
-    def counting(config, keys):
+    def counting(edges, sides):
         calls[0] += 1
-        return buckets(config, keys)
+        return build(edges, sides)
 
-    monkeypatch.setattr(SketchConfig, "buckets", counting)
+    monkeypatch.setattr(kernel, "graph_view", counting)
     records: list[dict] = []
     engine = Engine(EngineConfig(k=5, gamma=40), schema, backend, trace=records.append)
     for g in graphs[:100]:
@@ -780,7 +781,7 @@ def test_each_graph_is_hashed_once_on_the_sketch_backend(backend, monkeypatch):
     for g in graphs[100:]:
         engine.process(g)
     assert sum("final_weights" in record for record in records) == 4  # refreshed
-    assert calls[0] == (len(graphs) if backend == "sketch" else 0)
+    assert calls[0] == len(graphs)
 
 
 def _header_of(blob: bytes):

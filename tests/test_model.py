@@ -13,7 +13,6 @@ from sketchclust import (
     GraphObject,
     GraphView,
     SideType,
-    SketchConfig,
     StreamSchema,
     graph_views,
     preprocess,
@@ -243,10 +242,7 @@ def test_graph_views_shape_and_order():
     assert values.tolist() == [3.0]
     assert view.bounds == (0, 1, 2, 3)
     assert view.sq_sum.tolist() == [4.0, 9.0, 1.0]
-    config = SketchConfig(rows=3, cols=16, seed=5)
-    buckets = view.buckets(config)
-    assert np.array_equal(buckets, config.buckets(view.keys))
-    assert view.buckets(config) is buckets  # hashed on the first read only
+    assert view.digests.tobytes() == reference.key_digests(view.keys).tobytes()
 
 
 def test_graph_view_rejects_bounds_that_miss_the_keys():
@@ -265,7 +261,7 @@ def test_graph_views_empty_components():
     view = graph_views(preprocess(GraphObject(id="g"), schema), schema)
     assert [len(component(view, c)[0]) for c in range(2)] == [0, 0]
     assert view.sq_sum.tolist() == [0.0, 0.0]
-    assert view.buckets(SketchConfig(rows=3)).shape == (3, 0)
+    assert (view.digests.dtype, view.digests.shape) == (np.dtype(np.uint64), (0,))
 
 
 @st.composite
@@ -281,7 +277,7 @@ def _assert_same_view(view: GraphView, want: dict) -> None:
     """Equal keys and bounds, and every array of equal dtype, shape and bytes."""
     assert type(view.keys) is type(want["keys"]) and view.keys == want["keys"]
     assert type(view.bounds) is tuple and view.bounds == want["bounds"]
-    for name in ("values", "sq_sum"):
+    for name in ("values", "sq_sum", "digests"):
         got, ref = getattr(view, name), want[name]
         assert (got.dtype, got.shape) == (ref.dtype, ref.shape), name
         assert got.tobytes() == ref.tobytes(), name

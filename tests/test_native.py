@@ -1,15 +1,17 @@
 """The compiled kernel: its boundary checks, its build cache and its source.
 
 Each kernel function checks every buffer's element type, shape and
-contiguity, a view's bounds, and every slot and bucket against the grid
-shape, and raises ValueError before it writes anything. The sketch bank
-hands a view's arrays and bounds to it as they are; ``graph_views``
-builds every view and no view can be changed, so no bank is handed one
-whose fields disagree. The ingest walk (``canonical_graph`` and
-``graph_view``) writes only what it returns: a bad argument leaves its
-input as it was, and no error path leaks a reference. The ``test_fuzz_*``
-properties feed both walks arbitrary objects, and the pair form arrays of
-any shape, dtype and layout, against their oracles. The kernel is
+contiguity, a view's bounds, and every slot against the grid shape, and
+raises ValueError before it writes anything; the gather and the scatter
+bucket a view's digests themselves, each bucket in range by its ``mod``.
+The sketch bank hands a view's arrays and bounds to it as they are;
+``graph_views`` builds every view and no view can be changed, so no bank
+is handed one whose fields disagree. The ingest walk (``canonical_graph``
+and ``graph_view``) writes only what it returns: a bad argument leaves
+its input as it was, and no error path leaks a reference. The
+``test_fuzz_*`` properties feed both walks arbitrary objects, and the
+gather, the scatter and the pair form arrays of any shape, dtype and
+layout, against their oracles. The kernel is
 built on the first import into the package's ``__pycache__`` and loaded
 from there by later imports; its source compiles without a warning.
 """
@@ -53,23 +55,23 @@ PACKAGE = Path(sketchclust.__file__).resolve().parent
 COMPS, SLOTS, ROWS, COLS, KEYS = 2, 3, 4, 16, 5
 
 
-def _grid():
+def _grid() -> dict:
+    """The gather's and the scatter's shared arguments: the cells, a view's
+    bounds, a sketch's multipliers and offsets and the view's digests."""
     rng = np.random.default_rng(5)
-    cells = rng.uniform(0.0, 1.0, (COMPS, SLOTS, ROWS, COLS))
-    bounds = (0, 3, KEYS)
-    buckets = rng.integers(0, COLS, (ROWS, KEYS)).astype(np.intp)
-    return cells, bounds, buckets
+    config = SketchConfig(rows=ROWS, cols=COLS, seed=3)
+    return {
+        "cells": rng.uniform(0.0, 1.0, (COMPS, SLOTS, ROWS, COLS)),
+        "bounds": (0, 3, KEYS),
+        "mult": config._mult,
+        "add": config._add,
+        "digests": rng.integers(0, 2**64, KEYS, dtype=np.uint64),
+    }
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array = array.copy()
     array.flags.writeable = False
-    return array
-
-
-def _set(array: np.ndarray, index, value) -> np.ndarray:
-    array = array.copy()
-    array[index] = value
     return array
 
 
@@ -80,6 +82,7 @@ _GRID_FAULTS = {
         ("int64", lambda a: a.astype(np.int64)),
         ("strided", lambda a: a[..., ::2]),
         ("3-d", lambda a: a[0]),
+        ("no columns", lambda a: a[..., :0]),
     ],
     "bounds": [
         ("too short", lambda b: b[:-1]),
@@ -95,13 +98,22 @@ _GRID_FAULTS = {
         ("a list", list),
         ("None", lambda b: None),
     ],
-    "buckets": [
-        ("uint64", lambda a: a.astype(np.uint64)),
-        ("short", lambda a: a[:, :-1]),
-        ("a row short", lambda a: a[:-1]),
-        ("transposed", lambda a: np.asfortranarray(a)),
-        ("too large", lambda a: _set(a, (-1, -1), COLS)),
-        ("negative", lambda a: _set(a, (-1, -1), -1)),
+    "mult": [
+        ("int64", lambda a: a.astype(np.int64)),
+        ("short", lambda a: a[:-1]),
+        ("long", lambda a: np.concatenate([a, a[:1]])),
+        ("2-d", lambda a: a[None]),
+    ],
+    "add": [
+        ("float64", lambda a: a.astype(np.float64)),
+        ("short", lambda a: a[:-1]),
+        ("long", lambda a: np.concatenate([a, a[:1]])),
+        ("2-d", lambda a: a[:, None]),
+    ],
+    "digests": [
+        ("int64", lambda a: a.astype(np.int64)),
+        ("short", lambda a: a[:-1]),
+        ("2-d", lambda a: a[None]),
     ],
 }
 _SCATTER = [(arg, name, fault) for arg, faults in _GRID_FAULTS.items() for name, fault in faults]
@@ -131,64 +143,25 @@ _GATHER += [
 @pytest.mark.parametrize("fresh", [False, True], ids=["add", "fresh"])
 @pytest.mark.parametrize("arg, name, fault", _SCATTER, ids=[f"{a}-{n}" for a, n, _ in _SCATTER])
 def test_scatter_add_rejects_a_bad_argument_before_any_write(arg, name, fault, fresh):
-    cells, bounds, buckets = _grid()
-    args = {"cells": cells, "slot": 1, "bounds": bounds, "buckets": buckets, "values": np.ones(KEYS)}
+    grid = _grid()
+    args = {"cells": grid["cells"], "slot": 1, **grid, "values": np.ones(KEYS)}
     args[arg] = fault(args[arg])
     held = args["cells"].copy()
     with pytest.raises(ValueError):
         kernel.scatter_add(*args.values(), fresh)
     assert args["cells"].tobytes() == held.tobytes()
-    assert cells.tobytes() == _grid()[0].tobytes()
+    assert grid["cells"].tobytes() == _grid()["cells"].tobytes()
 
 
 @pytest.mark.parametrize("arg, name, fault", _GATHER, ids=[f"{a}-{n}" for a, n, _ in _GATHER])
 def test_row_minima_rejects_a_bad_argument_before_any_write(arg, name, fault):
     """``graph_cross``, the gather that takes each key's row minimum in
     every live slot and sums its cross products, ``out`` ``(m, d+1)``."""
-    cells, bounds, buckets = _grid()
-    args = {"cells": cells, "bounds": bounds, "buckets": buckets, "values": np.ones(KEYS), "m": 2}
-    args["out"] = np.full((2, COMPS), -1.0)
+    args = {**_grid(), "values": np.ones(KEYS), "m": 2, "out": np.full((2, COMPS), -1.0)}
     args[arg] = fault(args[arg])
     held = args["out"].copy()
     with pytest.raises(ValueError):
         kernel.graph_cross(*args.values())
-    assert args["out"].tobytes() == held.tobytes()
-
-
-_HASH = [
-    ("keys", "not a sequence", lambda keys: 5),
-    ("keys", "a str key", lambda keys: (*keys[:-1], "k")),
-    ("keys", "an int key", lambda keys: (*keys[:-1], 7)),
-    ("keys", "short", lambda keys: keys[:-1]),
-    ("mult", "int64", lambda a: a.astype(np.int64)),
-    ("mult", "2-d", lambda a: a[:, None]),
-    ("add", "short", lambda a: a[:-1]),
-    ("add", "float64", lambda a: a.astype(np.float64)),
-    ("cols", "zero", lambda cols: 0),
-    ("cols", "negative", lambda cols: -COLS),
-    ("out", "short", lambda a: a[:, :-1]),
-    ("out", "uint64", lambda a: a.astype(np.uint64)),
-    ("out", "read-only", _read_only),
-]
-
-
-@pytest.mark.parametrize("arg, name, fault", _HASH, ids=[f"{a}-{n}" for a, n, _ in _HASH])
-def test_buckets_rejects_a_bad_argument_before_any_write(arg, name, fault):
-    """``key_buckets``, the entry point of ``SketchConfig.buckets``: a key
-    that is not bytes-like raises TypeError, as in ``hashlib``, and every
-    other fault ValueError."""
-    config = SketchConfig(rows=ROWS, cols=COLS, seed=3)
-    args = {
-        "keys": tuple(b"k%d" % i for i in range(KEYS)),
-        "mult": config._mult,
-        "add": config._add,
-        "cols": COLS,
-        "out": np.full((ROWS, KEYS), -1, dtype=np.intp),
-    }
-    args[arg] = fault(args[arg])
-    held = args["out"].copy()
-    with pytest.raises(TypeError if arg == "keys" and name != "short" else ValueError):
-        kernel.key_buckets(*args.values())
     assert args["out"].tobytes() == held.tobytes()
 
 
@@ -315,6 +288,8 @@ _TAMPERED = {
     "sq_sum written": _write("sq_sum", 1),
     "values made writable": _unlock("values"),
     "sq_sum made writable": _unlock("sq_sum"),
+    "digests rebound": _rebind("digests", lambda v: v.digests[::-1]),
+    "digests made writable": _unlock("digests"),
 }
 
 
@@ -335,7 +310,7 @@ def test_a_view_the_kernel_rejects_leaves_the_bank_as_it_was(cause):
         built = _abc()
         for name in ("keys", "bounds", "d"):
             assert getattr(view, name) == getattr(built, name)
-        for name in ("values", "sq_sum"):
+        for name in ("values", "sq_sum", "digests"):
             assert getattr(view, name).tobytes() == getattr(built, name).tobytes()
             assert not getattr(view, name).flags.writeable
 
@@ -616,12 +591,12 @@ def test_fuzz_canonical_graph_raises_or_is_the_oracle(g, directed):
 @given(edges=_EDGES, sides=st.lists(_SIDE_MAPS, max_size=3) | _OBJECTS)
 def test_fuzz_graph_view_raises_or_is_the_oracle(edges, sides):
     """``graph_view`` on arbitrary objects: it raises TypeError or
-    ValueError, or gives ``reference.graph_view``'s fields, and leaves its
-    arguments as they were."""
+    ValueError, or gives ``reference.graph_view``'s five fields, and leaves
+    its arguments as they were."""
     edges, sides = _clone(edges, True), _clone(sides, True)
     held = repr((edges, sides))
     try:
-        keys, values, bounds, sq_sum = kernel.graph_view(edges, sides)
+        view = kernel.graph_view(edges, sides)
     except (TypeError, ValueError):
         assert repr((edges, sides)) == held
         return
@@ -629,8 +604,10 @@ def test_fuzz_graph_view_raises_or_is_the_oracle(edges, sides):
     schema = StreamSchema(tuple(SideType(f"s{c}") for c in range(len(sides))))
     g = GraphObject("g", _clone(list(edges), False), dict(zip(schema._names, _clone(sides, False))))
     want = reference.graph_view(g, schema)
+    keys, values, bounds, sq_sum, digests = view
     assert (keys, bounds) == (want["keys"], want["bounds"])
     assert (values, sq_sum) == (want["values"].tobytes(), want["sq_sum"].tobytes())
+    assert digests == want["digests"].tobytes()
 
 
 # Ways to spoil one argument of pair_distances_sq
@@ -675,14 +652,18 @@ def _pair_args(draw):
     return args
 
 
+def _is(a, kind: str, ndim: int, writable: bool = False) -> bool:
+    """Whether ``a`` is a C-contiguous array of native 8-byte ``kind``
+    items in ``ndim`` axes, writable if asked."""
+    return (
+        a.dtype.kind == kind and a.dtype.itemsize == 8 and a.dtype.isnative and a.ndim == ndim
+        and a.flags.c_contiguous and (a.flags.writeable or not writable)
+    )
+
+
 def _pair_args_fit(self_sq, n, cross, out) -> bool:
     """Whether the arguments are those the kernel takes."""
-    def fit(a, kind, ndim):
-        return a.dtype.kind == kind and a.dtype.itemsize == 8 and a.dtype.isnative and (
-            a.ndim == ndim and a.flags.c_contiguous
-        )
-
-    if not (fit(self_sq, "f", 2) and fit(n, "i", 1) and fit(cross, "f", 3) and fit(out, "f", 2)):
+    if not (_is(self_sq, "f", 2) and _is(n, "i", 1) and _is(cross, "f", 3) and _is(out, "f", 2)):
         return False
     comps, k = self_sq.shape
     m = cross.shape[1] + 1
@@ -721,6 +702,138 @@ def test_fuzz_pair_distances_sq_raises_or_is_the_oracle(args):
         assert args["out"][:kept].tobytes() == want.tobytes()
     for name in ("self_sq", "n", "cross"):
         assert (args[name].dtype, args[name].shape, args[name].tobytes()) == held[name]
+
+
+# Words at the edges of uint64, where mult * x + add wraps mod 2**64
+_WORDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+def _spoil(draw, args: dict, names) -> None:
+    """Spoil none, or one to three, of the named arrays in dtype, layout,
+    shape or writability."""
+    if draw(st.booleans()):
+        for name in draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
+            args[name] = _SPOILS[draw(st.sampled_from(sorted(_SPOILS)))](args[name])
+
+
+@st.composite
+def _grid_args(draw) -> dict:
+    """The gather's and the scatter's shared arguments for a grid of random
+    shape, no rows or columns among them: cells whose ties and signed
+    zeros decide minima, a view's bounds (sometimes spoiled), multipliers,
+    offsets and digests of any 64-bit words, and masses."""
+    comps, slots = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 3, 0]))
+    rows, cols = draw(st.sampled_from([1, 2, 3, 4, 0])), draw(st.sampled_from([1, 2, 3, 5, 8, 0]))
+    n = draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = np.floor(rng.uniform(0.0, 4.0, (comps, slots, rows, cols))) / 2
+    cells[(cells == 0.0) & (rng.random(cells.shape) < 0.5)] = -0.0
+
+    def words(size):
+        return np.array(draw(st.lists(_WORDS, min_size=size, max_size=size)), dtype=np.uint64)
+
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=comps - 1, max_size=comps - 1)))
+    bounds = (0, *cuts, n)
+    spoilt = [bounds[:-1], (*bounds, n), list(bounds), (*bounds[:-1], n + 1), (0.0, *bounds[1:])]
+    bounds = draw(st.sampled_from([bounds] * 10 + spoilt))
+    masses = st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0])
+    return {
+        "cells": cells,
+        "bounds": bounds,
+        "mult": words(rows),
+        "add": words(rows),
+        "digests": words(n),
+        "values": np.array(draw(st.lists(masses, min_size=n, max_size=n)), dtype=np.float64),
+    }
+
+
+_GRID_ARGS = ("cells", "bounds", "mult", "add", "digests", "values")
+
+
+def _grid_fits(args: dict, writable: bool) -> bool:
+    """Whether the kernel takes the shared arguments."""
+    cells, bounds, mult, add, digests, values = (args[name] for name in _GRID_ARGS)
+    if not (_is(cells, "f", 4, writable) and _is(values, "f", 1)):
+        return False
+    if not all(_is(a, "u", 1) for a in (mult, add, digests)):
+        return False
+    comps, _, rows, cols = cells.shape
+    return (
+        rows >= 1 and cols >= 1 and mult.shape == add.shape == (rows,)
+        and values.shape == digests.shape
+        and type(bounds) is tuple and len(bounds) == comps + 1
+        and all(type(end) is int for end in bounds)
+        and bounds[0] == 0 and bounds[-1] == len(digests)
+        and all(a <= b for a, b in zip(bounds, bounds[1:]))
+    )
+
+
+def _held(args: dict) -> dict:
+    arrays = {name: a for name, a in args.items() if hasattr(a, "dtype")}
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in arrays.items()}
+
+
+def _buckets(args: dict) -> np.ndarray:
+    return reference.multiply_shift(
+        args["mult"], args["add"], args["digests"], args["cells"].shape[3]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_grid_args(), data=st.data())
+def test_fuzz_graph_cross_raises_or_is_the_oracle(args, data):
+    """``graph_cross`` on arrays of random shape, dtype, layout and
+    writability, random bounds and live counts: arguments it does not take
+    raise ValueError before ``out`` is written; others give
+    ``reference.grid_cross`` at ``reference.multiply_shift``'s buckets.
+    Every argument but ``out`` is left as it was."""
+    slots = args["cells"].shape[1]
+    m = data.draw(st.sampled_from([slots] * 3 + [-1, 0, slots + 1]) | st.integers(0, slots))
+    args = {**args, "m": m, "out": np.full((max(m, 0), args["cells"].shape[0]), 7.0)}
+    _spoil(data.draw, args, ["cells", "mult", "add", "digests", "values", "out"])
+    held = _held(args)
+    fits = _grid_fits(args, False) and 0 <= m <= slots and _is(args["out"], "f", 2, True) and (
+        args["out"].shape == (m, args["cells"].shape[0])
+    )
+    try:
+        kernel.graph_cross(*args.values())
+    except ValueError:
+        assert not fits
+        assert _held(args) == held
+    else:
+        assert fits
+        assert {**_held(args), "out": held["out"]} == held
+        cells, bounds, values = args["cells"], args["bounds"], args["values"]
+        want = reference.grid_cross(cells, m, bounds, _buckets(args), values)
+        assert args["out"].tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_grid_args(), data=st.data())
+def test_fuzz_scatter_add_raises_or_is_the_oracle(args, data):
+    """``scatter_add`` on arrays of random shape, dtype, layout and
+    writability, random bounds and slots: arguments it does not take raise
+    ValueError before the cells are written; into others it adds what
+    ``reference.grid_add`` adds at ``reference.multiply_shift``'s buckets.
+    Every argument but ``cells`` is left as it was."""
+    slots = args["cells"].shape[1]
+    slot = data.draw(st.sampled_from([*range(slots)] * 3 + [-1, slots]))
+    args = {"cells": args["cells"], "slot": slot, **args, "fresh": data.draw(st.booleans())}
+    _spoil(data.draw, args, ["cells", "mult", "add", "digests", "values"])
+    held = _held(args)
+    fits = _grid_fits(args, True) and 0 <= slot < slots
+    want = args["cells"].copy()
+    try:
+        kernel.scatter_add(*args.values())
+    except ValueError:
+        assert not fits
+        assert _held(args) == held
+    else:
+        assert fits
+        assert {**_held(args), "cells": held["cells"]} == held
+        bounds, values = args["bounds"], args["values"]
+        reference.grid_add(want, slot, bounds, _buckets(args), values, args["fresh"])
+        assert args["cells"].tobytes() == want.tobytes()
 
 
 def test_the_kernel_compiles_without_warnings(tmp_path):

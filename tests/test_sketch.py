@@ -1,5 +1,5 @@
-"""Count-min sketch grid: hashing, and the per-cluster reference sketch's
-estimates, products and serialization."""
+"""Count-min sketch grid: a view's digests, the kernel's buckets, and the
+per-cluster reference sketch's estimates, products and serialization."""
 
 import hashlib
 import random
@@ -9,9 +9,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference import CountMinSketch, digest_buckets, separating_rows
+from reference import (
+    CountMinSketch,
+    add_at,
+    gathered_cross,
+    grid_add,
+    grid_cross,
+    multiply_shift,
+    separating_rows,
+    view_of,
+)
 from sketchclust import SketchConfig
 from sketchclust.native import kernel
+from sketchclust.stats import ClusterBank
 
 
 def test_config_validation():
@@ -166,85 +176,122 @@ def test_copy_is_independent():
     assert dup.estimate(b"a") == 2.0
 
 
+def _absorbed(config: SketchConfig, view) -> np.ndarray:
+    """The cells of a one-slot sketch bank founded on ``view``."""
+    bank = ClusterBank(config, view.d, 1)
+    bank.reset(0, view, 0)
+    return bank.cells
+
+
 def test_hash_rows_are_deterministic():
-    cfg = SketchConfig(rows=5, cols=64, seed=42)
-    keys = tuple(f"k{i}".encode() for i in range(12))
-    first = cfg.buckets(keys)
-    assert first.shape == (5, 12) and first.dtype == np.intp
-    assert np.array_equal(first, SketchConfig(rows=5, cols=64, seed=42).buckets(keys))
-    other = SketchConfig(rows=5, cols=64, seed=43).buckets(keys)
-    assert not np.array_equal(first, other)
+    """Equal configs put a view's keys in equal cells; another seed does not."""
+    view = view_of({}, {f"k{i}": float(i + 1) for i in range(12)})
+    first = _absorbed(SketchConfig(rows=5, cols=64, seed=42), view)
+    assert np.array_equal(first, _absorbed(SketchConfig(rows=5, cols=64, seed=42), view))
+    assert not np.array_equal(first, _absorbed(SketchConfig(rows=5, cols=64, seed=43), view))
+
+
+# Multipliers, offsets and digests at the edges of uint64, where a * x + b
+# wraps mod 2**64
+_WORDS = st.sampled_from([0, 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
 
 
 @given(
-    keys=st.lists(st.binary(max_size=40), max_size=30),
-    rows=st.integers(1, 12),
-    cols=st.integers(2, 1 << 20),
-    seed=st.integers(-(2**63), 2**63 - 1),
+    data=st.data(),
+    rows=st.integers(1, 3),
+    cols=st.sampled_from([1, 2, 3, 2**16 + 1, 2**20]) | st.integers(1, 1 << 20),
+    n=st.integers(0, 30),
 )
-@example(keys=[], rows=3, cols=8, seed=0)
-def test_buckets_equal_the_per_key_digests(keys, rows, cols, seed):
-    cfg = SketchConfig(rows=rows, cols=cols, seed=seed)
-    got, want = cfg.buckets(keys), digest_buckets(cfg, keys)
-    assert got.dtype == want.dtype == np.intp
-    assert got.shape == want.shape == (rows, len(keys))
-    assert np.array_equal(got, want)
+def test_buckets_equal_the_per_key_digests(data, rows, cols, n):
+    """The gather and the scatter bucket each digest as the numpy
+    multiply-shift does, for crafted multipliers, offsets and digests: the
+    scatter adds key ``i``'s mass ``2**i`` (distinct, and exact in any sum)
+    where ``np.add.at`` adds it at ``reference.multiply_shift``'s buckets,
+    and the gather's cross products over those cells are
+    ``reference.grid_cross``'s at the same buckets."""
+    def words(size):
+        return np.array(data.draw(st.lists(_WORDS, min_size=size, max_size=size)), np.uint64)
 
-
-def _digest_words(keys) -> list[int]:
-    """Each key's 64-bit digest as the kernel computes it, read back whole
-    through ``key_buckets``: a multiplier of 1 keeps its high 32 bits, one
-    of 2**32 its low 32 bits, and no column count reduces either."""
-    out = np.empty((2, len(keys)), dtype=np.intp)
-    kernel.key_buckets(keys, np.array([1, 2**32], np.uint64), np.zeros(2, np.uint64), 2**62, out)
-    return [(hi << 32) | lo for hi, lo in zip(out[0].tolist(), out[1].tolist())]
+    mult, add, digests = words(rows), words(rows), words(n)
+    values = 2.0 ** np.arange(n)
+    bounds = (0, n // 3, n)
+    buckets = multiply_shift(mult, add, digests, cols)
+    cells, want = np.zeros((2, 2, rows, cols)), np.zeros((2, 2, rows, cols))
+    kernel.scatter_add(cells, 1, bounds, mult, add, digests, values, False)
+    grid_add(want, 1, bounds, buckets, values, False)
+    assert cells.tobytes() == want.tobytes()
+    out = np.empty((2, 2))
+    kernel.graph_cross(cells, bounds, mult, add, digests, values, 2, out)
+    assert out.tobytes() == grid_cross(cells, 2, bounds, buckets, values).tobytes()
 
 
 def _blake2b(keys) -> list[int]:
     return [int.from_bytes(hashlib.blake2b(k, digest_size=8).digest(), "little") for k in keys]
 
 
-# every length from 0 to 300 bytes: the empty key, the 127/128/129 and
-# 256/257-byte block edges and three-block keys, random bytes of each
-_LENGTHS = [random.Random(length).randbytes(length) for length in range(301)]
+# Ids whose keys take every length from 0 to 300 bytes: side ids of each
+# length, the empty one among them, and edges ``src + 0x1f + dst`` of each
+# length from 1, so the 127/128/129- and 256/257-byte block edges and
+# three-block keys; random ASCII letters each
+_ALPHABET = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-@given(keys=st.lists(st.binary(max_size=300), max_size=20))
-@example(keys=_LENGTHS)
-@example(keys=[b"", b"k", b"x" * 128, b"x" * 129, b"y" * 256, b"y" * 257, b""])
-def test_each_digest_is_the_keys_own_blake2b(keys):
-    assert _digest_words(keys) == _blake2b(keys)
+def _letters(length: int) -> str:
+    rnd = random.Random(length)
+    return "".join(rnd.choice(_ALPHABET) for _ in range(length))
 
 
+_LENGTHS = (
+    [_letters(length)[: length // 2] + "\x1f" + _letters(length)[length // 2 + 1 :]
+     for length in range(1, 301)],
+    [_letters(length) for length in range(301)],
+)
 _UTF8 = st.text(st.characters(min_codepoint=0x80, exclude_categories=("Cs",)), max_size=90)
+_IDS = _UTF8 | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x1f"),
+                       max_size=300)
+_MULTIBYTE = (["é€😀" * i + "\x1f" + "日本" * i for i in range(40)], ["é€😀" * i for i in range(40)])
 
 
 @given(
-    keys=st.lists(st.binary(max_size=300) | _UTF8.map(str.encode), max_size=30),
+    edges=st.lists(st.tuples(_IDS, _IDS).map("\x1f".join), max_size=10),
+    ids=st.lists(_IDS, max_size=10),
+)
+@example(*_LENGTHS)
+@example(*_MULTIBYTE)
+@example(edges=["x" * 63 + "\x1f" + "y" * 64, "x" * 64 + "\x1f" + "y" * 64], ids=["", "k"])
+def test_each_digest_is_the_keys_own_blake2b(edges, ids):
+    """A view's ``digests`` are native uint64, each its key's
+    ``hashlib.blake2b(key, digest_size=8)`` read as a little-endian
+    integer: edge keys and side ids of every length from 0 to 300 bytes,
+    random text and multi-byte UTF-8 (two to four bytes a character)."""
+    view = view_of([(key, 1.0) for key in edges], dict.fromkeys(ids, 1.0))
+    assert view.digests.dtype == np.dtype(np.uint64) and view.digests.dtype.isnative
+    assert view.digests.tolist() == _blake2b(view.keys)
+
+
+@given(
+    edges=st.lists(st.tuples(_IDS, _IDS).map("\x1f".join), max_size=30),
+    ids=st.lists(_IDS, max_size=30),
     rows=st.integers(1, 12),
-    cols=st.integers(2, 1 << 20),
+    cols=st.integers(2, 1 << 16),
     seed=st.integers(-(2**63), 2**63 - 1),
 )
-@example(keys=_LENGTHS, rows=10, cols=500, seed=7)
-@example(keys=["é€😀".encode() * i for i in range(40)], rows=4, cols=1 << 20, seed=-1)
-def test_buckets_equal_the_reference_on_block_edges_and_utf8(keys, rows, cols, seed):
-    """``SketchConfig.buckets`` against ``reference.digest_buckets`` on
-    keys of every length up to 300 bytes, random bytes and multi-byte
-    UTF-8 text (two to four bytes a character)."""
+@example(*_LENGTHS, 10, 500, 7)
+@example(*_MULTIBYTE, 4, 1 << 16, -1)
+def test_buckets_equal_the_reference_on_block_edges_and_utf8(edges, ids, rows, cols, seed):
+    """A sketch bank founded on a view of keys of every length up to 300
+    bytes, random text and multi-byte UTF-8 holds the cells that
+    ``reference.add_at`` adds at ``reference.digest_buckets`` (hashlib's
+    digests of the keys and the multiply-shift in numpy), and reads the
+    view's cross products as ``reference.gathered_cross`` does."""
     cfg = SketchConfig(rows=rows, cols=cols, seed=seed)
-    assert cfg.buckets(keys).tobytes() == digest_buckets(cfg, keys).tobytes()
-
-
-def test_a_str_key_raises_as_hashlib_does_before_any_write():
-    cfg = SketchConfig(rows=3, cols=16)
-    with pytest.raises(TypeError, match="^Strings must be encoded before hashing$"):
-        hashlib.blake2b("k", digest_size=8)
-    out = np.full((3, 2), -1, dtype=np.intp)
-    with pytest.raises(TypeError, match="^Strings must be encoded before hashing$"):
-        kernel.key_buckets((b"a", "k"), cfg._mult, cfg._add, cfg.cols, out)
-    assert (out == -1).all()
-    with pytest.raises(TypeError, match="^Strings must be encoded before hashing$"):
-        cfg.buckets((b"a", "k"))
+    view = view_of([(key, 1.0) for key in edges], {i: float(len(i) + 1) for i in ids})
+    bank, numpy_bank = ClusterBank(cfg, 1, 1), ClusterBank(cfg, 1, 1)
+    numpy_bank._add = lambda slot, view, fresh: add_at(numpy_bank, slot, view, fresh)
+    for founded in (bank, numpy_bank):
+        founded.reset(0, view, 0)
+    assert bank.cells.tobytes() == numpy_bank.cells.tobytes()
+    assert bank._cross(view).tobytes() == gathered_cross(numpy_bank, view).tobytes()
 
 
 def test_separating_rows_sees_collisions():

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference import SCHEMA, ClusterStats, cut_view, graph, separating_rows, view_of
+from reference import (
+    SCHEMA,
+    ClusterStats,
+    cut_view,
+    digest_buckets,
+    graph,
+    separating_rows,
+    view_of,
+)
 from sketchclust import GraphObject, SketchConfig, graph_views
 from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
@@ -147,9 +155,10 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
 
 
 def test_an_update_whose_view_cannot_be_hashed_writes_nothing():
-    """Every view's keys are bytes, so an update's hashing cannot fail: a
-    graph with an id that makes no key (no str, or not UTF-8) has no view,
-    so ``Engine.process`` stops in ``graph_views``, before the bank."""
+    """A view's keys are bytes, digested as the view is built, so an update
+    hashes nothing and cannot fail on a key: a graph with an id that makes
+    no key (no str, or not UTF-8) has no view, so ``Engine.process`` stops
+    in ``graph_views``, before the bank."""
     bank = _bank(_cfg(1), 3, 6, 47)
     before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
     for g in (GraphObject("g", [("n0", 1, 1.0)]), GraphObject("g", [("n0", "n\ud800", 1.0)]),
@@ -165,8 +174,8 @@ def test_an_update_whose_view_cannot_be_hashed_writes_nothing():
 def test_one_view_serves_sketch_banks_of_different_seeds():
     """Two sketch banks of different seeds read each graph's one view in
     turn, each scoring it before either updates; each gives the distances
-    and cells it gives on views that it alone reads, as each bank hashes
-    the keys for its own config."""
+    and cells it gives on views that it alone reads, as each bank buckets
+    the view's digests for its own config."""
     rng = random.Random(53)
     graphs = [
         graph(
@@ -178,7 +187,8 @@ def test_one_view_serves_sketch_banks_of_different_seeds():
     ]
     configs = (_cfg(3), _cfg(4))
     probe = graph_views(graphs[0], SCHEMA)
-    assert not np.array_equal(probe.buckets(configs[0]), probe.buckets(configs[1]))
+    buckets = [digest_buckets(config, probe.keys) for config in configs]
+    assert not np.array_equal(*buckets)
     shared = [ClusterBank(cfg, SCHEMA.d, 3) for cfg in configs]
     alone = [ClusterBank(cfg, SCHEMA.d, 3) for cfg in configs]
     for now, g in enumerate(graphs, start=1):
