@@ -1,8 +1,9 @@
 /* The compiled loops: the ingest walk (preprocess's canonical form and
- * graph_views' flat view, checked, summed and each key digested), and the
- * sketch bank's cross-product gather and in-order scatter, each bucketing
- * the view's digests for its grid, and the closed form of every squared
- * distance, the refresh's pairs walked in it.
+ * graph_views' flat view, checked, summed and each key digested where its
+ * labels' UTF-8 lies), and the sketch bank's cross-product gather and
+ * in-order scatter, each bucketing the view's digests for its grid, and
+ * the closed form of every squared distance, the refresh's pairs walked in
+ * it.
  *
  * Built and loaded by sketchclust/native.py; it takes numpy arrays through
  * the buffer protocol, makes none, and needs no numpy headers. Every bank
@@ -176,18 +177,30 @@ blake2b_compress(uint64_t h[8], const unsigned char *block, uint64_t count, int 
         h[i] ^= v[i] ^ v[i + 8];
 }
 
+/* The BLAKE2b-64 digest of the concatenated ``parts`` byte strings, read
+ * where they lie: a block is mixed once more bytes follow it, as the last
+ * one is mixed with the final flag. */
 static uint64_t
-blake2b64(const unsigned char *data, Py_ssize_t len)
+blake2b64(int parts, const char *const *part, const Py_ssize_t *len)
 {
-    uint64_t h[8];
+    uint64_t h[8], count = 0;
+    unsigned char block[128];
+    size_t fill = 0;
     memcpy(h, BLAKE2B_IV, sizeof h);
     h[0] ^= 0x01010000 | 8;  /* the parameter block: fanout 1, depth 1, digest length 8 */
-    uint64_t count = 0;
-    for (; len > 128; data += 128, len -= 128)
-        blake2b_compress(h, data, count += 128, 0);
-    unsigned char last[128] = {0};
-    memcpy(last, data, (size_t)len);
-    blake2b_compress(h, last, count + (uint64_t)len, 1);
+    for (int p = 0; p < parts; p++) {
+        const char *data = part[p];
+        for (size_t left = (size_t)len[p], take; left; data += take, left -= take, fill += take) {
+            if (fill == sizeof block) {
+                blake2b_compress(h, block, count += sizeof block, 0);
+                fill = 0;
+            }
+            take = left < sizeof block - fill ? left : sizeof block - fill;
+            memcpy(block + fill, data, take);
+        }
+    }
+    memset(block + fill, 0, sizeof block - fill);
+    blake2b_compress(h, block, count + fill, 1);
     return h[0];
 }
 
@@ -918,27 +931,26 @@ done:
     return result;
 }
 
-/* The UTF-8 bytes of src + "\x1f" + dst: an edge's key. */
-static PyObject *
-edge_key(PyObject *src, PyObject *dst)
+/* The digest of the UTF-8 of the str ``a``, or of a + "\x1f" + b (an
+ * edge's key) if ``b`` is given, read where each str caches it; -1 and
+ * TypeError for a part that is no str, or UnicodeEncodeError for a lone
+ * surrogate. */
+static int
+utf8_digest(PyObject *a, PyObject *b, uint64_t *out)
 {
-    Py_ssize_t ls, lt;
-    const char *s, *t;
-    if (!PyUnicode_Check(src) || !PyUnicode_Check(dst)) {
+    const char *part[3] = {NULL, "\x1f", NULL};
+    Py_ssize_t len[3] = {0, 1, 0};
+    if (b && (!PyUnicode_Check(a) || !PyUnicode_Check(b)))
         PyErr_Format(PyExc_TypeError, "edge endpoints must be str, not %.100s and %.100s",
-                     Py_TYPE(src)->tp_name, Py_TYPE(dst)->tp_name);
-        return NULL;
+                     Py_TYPE(a)->tp_name, Py_TYPE(b)->tp_name);
+    else if (!b && !PyUnicode_Check(a))
+        PyErr_Format(PyExc_TypeError, "side ids must be str, not %.100s", Py_TYPE(a)->tp_name);
+    else if ((part[0] = PyUnicode_AsUTF8AndSize(a, &len[0])) &&
+             (!b || (part[2] = PyUnicode_AsUTF8AndSize(b, &len[2])))) {
+        *out = blake2b64(b ? 3 : 1, part, len);
+        return 0;
     }
-    if (!(s = PyUnicode_AsUTF8AndSize(src, &ls)) || !(t = PyUnicode_AsUTF8AndSize(dst, &lt)))
-        return NULL;
-    PyObject *key = PyBytes_FromStringAndSize(NULL, ls + 1 + lt);
-    if (key) {
-        char *k = PyBytes_AS_STRING(key);
-        memcpy(k, s, (size_t)ls);
-        k[ls] = 0x1f;
-        memcpy(k + ls + 1, t, (size_t)lt);
-    }
-    return key;
+    return -1;
 }
 
 /* A mass as a double; a float or int without a call. ValueError for one
@@ -965,20 +977,13 @@ as_double(PyObject *value, double *out)
     return -1;
 }
 
-/* The BLAKE2b-64 digest of a bytes key. */
-static inline uint64_t
-key_digest(PyObject *key)
-{
-    return blake2b64((const unsigned char *)PyBytes_AS_STRING(key), PyBytes_GET_SIZE(key));
-}
-
-/* Write a canonical graph's keys into ``keys``, their digests into
- * ``digest`` and masses into ``mass``, component by component as ``ends``
- * (d + 2 entries) lays them out: each edge (src, dst, mass) of ``edges``,
- * then each side map of ``sides`` (a dict of id to mass, or None) in order. */
+/* Write a canonical graph's key digests into ``digest`` and masses into
+ * ``mass``, component by component as ``ends`` (d + 2 entries) lays them
+ * out: each edge (src, dst, mass) of ``edges``, then each side map of
+ * ``sides`` (a dict of id to mass, or None) in order. */
 static int
-write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *keys,
-            uint64_t *digest, double *mass)
+write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, uint64_t *digest,
+            double *mass)
 {
     for (Py_ssize_t i = 0; i < ends[1]; i++) {
         if (i >= PySequence_Fast_GET_SIZE(edges)) {
@@ -988,16 +993,14 @@ write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *
         PyObject *edge = PySequence_Fast(PySequence_Fast_GET_ITEM(edges, i), "an edge");
         if (!edge)
             return -1;
-        PyObject *key = NULL;
+        PyObject *const *item = PySequence_Fast_ITEMS(edge);
+        int fault = 1;
         if (PySequence_Fast_GET_SIZE(edge) != 3)
             PyErr_Format(PyExc_ValueError, "an edge is (src, dst, mass), not %zd items",
                          PySequence_Fast_GET_SIZE(edge));
-        else if ((key = edge_key(PySequence_Fast_GET_ITEM(edge, 0),
-                                 PySequence_Fast_GET_ITEM(edge, 1)))) {
-            PyTuple_SET_ITEM(keys, i, key);
-            digest[i] = key_digest(key);
-        }
-        const int fault = !key || as_double(PySequence_Fast_GET_ITEM(edge, 2), &mass[i]) < 0;
+        else
+            fault = utf8_digest(item[0], item[1], &digest[i]) < 0 ||
+                    as_double(item[2], &mass[i]) < 0;
         Py_DECREF(edge);
         if (fault)
             return -1;
@@ -1010,16 +1013,7 @@ write_graph(PyObject *edges, PyObject *sides, const Py_ssize_t *ends, PyObject *
                 PyErr_SetString(PyExc_RuntimeError, "a side map changed size");
                 return -1;
             }
-            PyObject *key = PyUnicode_Check(id) ? PyUnicode_AsUTF8String(id) : NULL;
-            if (!key) {
-                if (!PyErr_Occurred())
-                    PyErr_Format(PyExc_TypeError, "side ids must be str, not %.100s",
-                                 Py_TYPE(id)->tp_name);
-                return -1;
-            }
-            PyTuple_SET_ITEM(keys, i, key);
-            digest[i] = key_digest(key);
-            if (as_double(value, &mass[i++]) < 0)
+            if (utf8_digest(id, NULL, &digest[i]) < 0 || as_double(value, &mass[i++]) < 0)
                 return -1;
         }
         if (i != ends[s + 2]) {
@@ -1054,14 +1048,14 @@ _Static_assert(offsetof(PyBytesObject, ob_sval) % _Alignof(double) == 0 &&
                    offsetof(PyBytesObject, ob_sval) % _Alignof(uint64_t) == 0,
                "unaligned bytes data");
 
-/* graph_view(edges, sides): the (keys, values, bounds, sq_sum, digests) of
- * the view of a canonical graph, given its edge list and its side maps in
- * schema order (a dict or None each). The keys become bytes, each edge's
- * the UTF-8 of src + "\x1f" + dst and each id's its own, into one tuple;
- * the masses, each component's square_sums and each key's BLAKE2b-64
- * digest, the native float64 and uint64 bytes of three new bytes objects,
- * which no one can write once they are returned; and ``bounds`` the d+2
- * component ends from 0 to N. */
+/* graph_view(edges, sides): the (values, bounds, sq_sum, digests) of the
+ * view of a canonical graph, given its edge list and its side maps in
+ * schema order (a dict or None each): the masses, each component's
+ * square_sums and each key's BLAKE2b-64 digest, hashed from the UTF-8 its
+ * str keeps (an edge's key src + "\x1f" + dst fed in three parts, an id's
+ * its own), the native float64 and uint64 bytes of three new bytes
+ * objects, which no one can write once they are returned; and ``bounds``
+ * the d+2 component ends from 0 to N. No object is made per key. */
 static PyObject *
 graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -1069,7 +1063,7 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_TypeError, "graph_view(edges, sides) takes 2 arguments");
         return NULL;
     }
-    PyObject *keys = NULL, *values = NULL, *bounds = NULL, *squares = NULL, *digests = NULL;
+    PyObject *values = NULL, *bounds = NULL, *squares = NULL, *digests = NULL;
     PyObject *edges = NULL, *sides = NULL, *result = NULL;
     Py_ssize_t *ends = NULL;
     if (!(edges = PySequence_Fast(args[0], "a graph's edges must be a sequence")) ||
@@ -1092,11 +1086,10 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
         ends[s + 2] = ends[s + 1] + (map == Py_None ? 0 : PyDict_GET_SIZE(map));
     }
     const Py_ssize_t n = ends[comps];
-    if (!(keys = PyTuple_New(n)) ||
-        !(values = PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double))) ||
+    if (!(values = PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double))) ||
         !(squares = PyBytes_FromStringAndSize(NULL, comps * (Py_ssize_t)sizeof(double))) ||
         !(digests = PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(uint64_t))) ||
-        write_graph(edges, sides, ends, keys, (uint64_t *)PyBytes_AS_STRING(digests),
+        write_graph(edges, sides, ends, (uint64_t *)PyBytes_AS_STRING(digests),
                     (double *)PyBytes_AS_STRING(values)) < 0 ||
         square_sums((double *)PyBytes_AS_STRING(values), ends, comps,
                     (double *)PyBytes_AS_STRING(squares)) < 0 ||
@@ -1108,12 +1101,11 @@ graph_view(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
             goto done;
         PyTuple_SET_ITEM(bounds, c, end);
     }
-    result = PyTuple_Pack(5, keys, values, bounds, squares, digests);
+    result = PyTuple_Pack(4, values, bounds, squares, digests);
 done:
     PyMem_Free(ends);
     Py_XDECREF(edges);
     Py_XDECREF(sides);
-    Py_XDECREF(keys);
     Py_XDECREF(values);
     Py_XDECREF(bounds);
     Py_XDECREF(squares);
@@ -1131,7 +1123,7 @@ static PyMethodDef methods[] = {
     {"canonical_graph", (PyCFunction)(void (*)(void))canonical_graph, METH_FASTCALL,
      "A graph's canonical edges and side maps, as preprocess returns them."},
     {"graph_view", (PyCFunction)(void (*)(void))graph_view, METH_FASTCALL,
-     "A graph's view: its keys, masses, component bounds, sums of squares and digests."},
+     "A graph's view: its masses, component bounds, sums of squares and key digests."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -54,7 +54,7 @@ from .stats import ClusterBank, read_array, unpack_at
 from .weight_opt import BarrierConfig, TraceHook, ensure_weights, refine_weights
 
 _MAGIC = b"SCE1"
-_VERSION = 2
+_VERSION = 3
 
 ACTION_INITIALIZED = "initialized"
 ACTION_ASSIGNED = "assigned"
@@ -220,10 +220,12 @@ class Engine:
         resulting event. ``process(preprocess(g, schema))`` over what
         ``iter_stream`` yields is the one way a record reaches the engine.
         A graph that ``_decide`` or the bank update rejects raises
-        ValueError, and one that was not preprocessed may raise TypeError
-        or ValueError from ``graph_views`` (an id that is no str, a mass
-        that is no number), each before any change; a refresh that raises
+        ValueError; one that was not preprocessed may raise TypeError or
+        ValueError (``preprocess``'s message for an id, ``side`` or side
+        type it rejects), each before any change. A refresh that raises
         does so after the graph's update, with the weights not refreshed."""
+        if not isinstance(g.id, str) or not g.id:
+            raise ValueError("graph id must be a nonempty string")
         view = graph_views(g, self.schema)
         decision = self._decide(view)
         self._apply(decision, view)

@@ -13,7 +13,7 @@ is idempotent; categorical values are expanded once, so it is meant for raw
 graphs. Edge keys are the UTF-8 bytes of ``src + 0x1f + dst``; the
 separator byte is reserved, so the encoding is injective and node labels
 must never contain it. ``preprocess`` checks every label once, encodability
-included, so building keys needs no second check.
+included, so hashing keys needs no second check.
 
 ``preprocess`` alone reads the shorthands and checks edges, side entries
 and masses (the stream reader only decodes them), once per record. A
@@ -26,16 +26,16 @@ surrogates goes to ``_check_label``, the one source of its messages. A
 component whose squares sum past float range is rejected.
 
 ``graph_views`` alone builds a ``GraphView``, one read-only flat view per
-graph: every component's keys and values in one array, each mass checked,
-each component's squares summed and each key digested (BLAKE2b, 8 bytes).
-A view knows no sketch: a sketch bank buckets the digests for its own
-grid on every read.
+graph: every component's key digests (BLAKE2b, 8 bytes, hashed from the
+labels' UTF-8 with no object made per key) and masses in one array, each
+mass checked and each component's squares summed. A view knows no sketch:
+a sketch bank buckets the digests for its own grid on every read.
 
 Both walks run in the compiled kernel (``native``): ``preprocess`` is
 ``canonical_graph``, which calls the two ``_check_*`` helpers above on its
-slow path, and ``graph_views`` takes a view's keys, masses, bounds,
-``sq_sum`` and digests from ``graph_view``. Both add a component's squares
-in one order, view order from 0.0.
+slow path, and ``graph_views`` takes a view's masses, bounds, ``sq_sum``
+and digests from ``graph_view``. Both add a component's squares in one
+order, view order from 0.0.
 """
 
 from __future__ import annotations
@@ -253,18 +253,18 @@ def preprocess(g: GraphObject, schema: StreamSchema) -> GraphObject:
 
 
 class GraphView:
-    """One graph's keys and masses, flat, in component order.
+    """One graph's key digests and masses, flat, in component order.
 
     Component 0 is the edge structure; components 1..d are the schema's
-    side types in order. Component ``c`` owns ``keys[bounds[c]:bounds[c+1]]``
+    side types in order. Component ``c`` owns ``digests[bounds[c]:bounds[c+1]]``
     and the same slice of ``values``, and ``sq_sum`` ``(d+1,)`` holds each
     component's sum of squared values, added in view order from 0.0. Every
     mass is finite and nonnegative, and every sum finite. ``digests`` holds
-    each key's 64-bit digest, ``hashlib.blake2b(key, digest_size=8)`` read
-    as a little-endian integer, as native uint64. Only ``graph_views``
-    builds a view; no field can be rebound, and its arrays lie over
-    immutable bytes, so none can be written or made writable, and the
-    fields always agree.
+    each key's ``hashlib.blake2b(key, digest_size=8)`` read as a
+    little-endian integer, as native uint64: the key's one identity on both
+    backends. Only ``graph_views`` builds a view; no field can be rebound,
+    and its arrays lie over immutable bytes, so none can be written or made
+    writable, and the fields always agree.
     """
 
     __slots__ = ("_fields",)
@@ -272,26 +272,28 @@ class GraphView:
     def __new__(cls, *args, **kwargs):
         raise TypeError("graph_views builds every GraphView")
 
-    keys = property(lambda self: self._fields[0])
-    values = property(lambda self: self._fields[1])
-    bounds = property(lambda self: self._fields[2])
-    sq_sum = property(lambda self: self._fields[3])
-    digests = property(lambda self: self._fields[4])
-
-    @property
-    def d(self) -> int:
-        return len(self._fields[2]) - 2
+    values = property(lambda self: self._fields[0])
+    bounds = property(lambda self: self._fields[1])
+    sq_sum = property(lambda self: self._fields[2])
+    digests = property(lambda self: self._fields[3])
+    d = property(lambda self: len(self._fields[1]) - 2)
 
 
 def graph_views(g: GraphObject, schema: StreamSchema) -> GraphView:
     """The flat view of a ``preprocess`` output over the schema's d+1
-    components, each key digested as it is written. Labels are not checked
-    again: ``preprocess`` has checked each one. A graph that was not preprocessed may raise TypeError, or
-    ValueError for a mass that is negative, NaN or infinite or a component
-    whose squares sum past float range."""
+    components. Labels are not checked again: ``preprocess`` has checked
+    each one. A graph that was not preprocessed raises ``preprocess``'s
+    ValueError for a ``side`` that is no dict or an undeclared side type,
+    and may raise TypeError, or ValueError for a mass that is negative,
+    NaN or infinite or a component whose squares sum past float range."""
+    if not isinstance(g.side, dict):
+        raise ValueError("side must be an object keyed by type name")
+    for name in g.side:
+        if name not in schema._categorical:
+            raise ValueError(f"side type {name!r} not declared in schema")
     sides = [g.side.get(name) for name in schema._names]
-    keys, masses, bounds, squares, digests = kernel.graph_view(g.edges, sides)
+    masses, bounds, squares, digests = kernel.graph_view(g.edges, sides)
     view = object.__new__(GraphView)
-    view._fields = (keys, np.frombuffer(masses), bounds, np.frombuffer(squares),
+    view._fields = (np.frombuffer(masses), bounds, np.frombuffer(squares),
                     np.frombuffer(digests, np.uint64))
     return view

@@ -2,24 +2,24 @@
 
 The ingest walk (``model.preprocess`` and every ``GraphView``'s
 construction, its masses checked, its squares summed and its keys' BLAKE2b
-digests made), the sketch bank's per-key loops (``ClusterBank``'s
-cross-product gather and in-order scatter, each bucketing the digests by
-the config's multiply-shift) and ``stats.Bank``'s closed-form distances,
-the refresh's walk over the slot pairs among them, run in a small C
-extension that uses only the CPython API and the buffer protocol, and
-makes no array. The first import builds it with the system C compiler
-(``cc``) against the running interpreter's headers into ``__pycache__/``
-next to this file, under a name keyed by the sha256 of the source, the
-compile flags and the interpreter's extension suffix; later imports load
-that file. A build writes a
-temporary file and renames it into place, so concurrent imports never load
-a partial one, then deletes the directory's other kernels of the same
-suffix, built from other sources or flags. So an import that read the
-source before it changed can find its kernel deleted by the build of the
-new source before it loads it, and fail: a process whose source changed
-mid-import may need to import again. A failed build raises ImportError
-with the command and the compiler's output. There is no fallback: the
-kernel is the only path for these loops.
+digests made from their labels' UTF-8, with no object per key), the sketch
+bank's per-key loops (``ClusterBank``'s cross-product gather and in-order
+scatter, each bucketing the digests by the config's multiply-shift) and
+``stats.Bank``'s closed-form distances, the refresh's walk over the slot
+pairs among them, run in a small C extension that uses only the CPython
+API and the buffer protocol, and makes no array. The first import builds
+it with the system C compiler (``cc``) against the running interpreter's
+headers into ``__pycache__/`` next to this file, under a name keyed by the
+sha256 of the source, the compile flags and the interpreter's extension
+suffix; later imports load that file. A build writes a temporary file and
+renames it into place, so concurrent imports never load a partial one,
+then deletes the directory's other kernels of the same suffix, built from
+other sources or flags. So an import that read the source before it
+changed can find its kernel deleted by the build of the new source before
+it loads it, and fail: a process whose source changed mid-import may need
+to import again. A failed build raises ImportError with the command and
+the compiler's output. There is no fallback: the kernel is the only path
+for these loops.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ per component, the member count and the last-update timestamp. ``Bank``
 holds these for all ``k`` clusters as arrays and computes every distance
 from them; a backend supplies only the store of first moments.
 ``ClusterBank`` keeps them as count-min sketches (``exact.ExactBank``
-keeps exact maps). Every read and update takes a graph's one flat,
-read-only ``model.GraphView``, which holds only the graph, and reads its
-keys component by component by its ``bounds``: scoring it against all
+keeps exact maps by digest). Every read and update takes a graph's one
+flat, read-only ``model.GraphView`` and reads its key digests, a key's one
+identity, component by component by its ``bounds``: scoring it against all
 clusters is one gather of cross products and one closed form, absorbing
 it one scatter into the slot's sketches. Summing two clusters'
 cells and scalars (the later timestamp winning) equals absorbing both
@@ -110,20 +110,20 @@ class Bank:
     in ``Engine._decide``) weights the d+1 squared component distances by
     the engine's nonnegative weights.
 
-    A backend supplies its first-moment store through the hooks:
-    ``_add(slot, view, fresh)`` (which empties the slot first if
-    ``fresh``, and refreshes its ``self_sq``; it writes nothing if it
-    raises), ``_cross(view)`` (the view's cross products with every live
-    slot in that order, ``(size, d+1)``, in a fresh C-ordered array that
-    ``distances_sq`` overwrites), ``_pair_cross()`` (the cross products
-    of the live slot pairs ``i < j`` at ``[:, i, j - 1]`` of one C-ordered
-    ``(d+1, m-1, m-1)`` block, its lower triangle unread), and
-    ``_write_first`` and ``_load_first`` (which rejects first moments no
-    run holds) for the checkpoint. The engine routes a graph as decide,
-    then apply: reads, then one of two updates. ``reset`` founds a cluster
-    in a live slot or the next free one; ``absorb`` adds a graph to a live
-    slot. Each has ``_check_update`` check its slot and graph first, so a
-    rejected update leaves the bank as it was.
+    A backend supplies its first-moment store, keyed by the view's
+    ``digests``, through the hooks: ``_add(slot, view, fresh)`` (which
+    empties the slot first if ``fresh``, and refreshes its ``self_sq``; it
+    writes nothing if it raises), ``_cross(view)`` (the view's cross
+    products with every live slot in that order, ``(size, d+1)``, in a fresh
+    C-ordered array that ``distances_sq`` overwrites), ``_pair_cross()``
+    (the cross products of the live slot pairs ``i < j`` at
+    ``[:, i, j - 1]`` of one C-ordered ``(d+1, m-1, m-1)`` block, its lower
+    triangle unread), and ``_write_first`` and ``_load_first`` (which rejects first
+    moments no run holds) for the checkpoint. The engine routes a graph as
+    decide, then apply: reads, then one of two updates. ``reset`` founds a
+    cluster in a live slot or the next free one; ``absorb`` adds a graph to
+    a live slot. Each has ``_check_update`` check its slot and graph first,
+    so a rejected update leaves the bank as it was.
 
     A bank holds only what its checkpoint restores (``self_sq`` is
     recomputed on load, and ``geometry`` caches nothing), so a resumed bank
@@ -193,7 +193,7 @@ class Bank:
         # (a + b)**2 <= 2 * (a**2 + b**2), and each component's terms are at
         # most the sums over all: one test passes every graph far from the
         # limit, which halved the check's cost in the stream loop
-        if 2.0 * (sum(own) + len(view.keys) * sum(sq_sum)) < _SELF_SQ_LIMIT:
+        if 2.0 * (sum(own) + view.bounds[-1] * sum(sq_sum)) < _SELF_SQ_LIMIT:
             return
         ends = view.bounds
         for held, sq, start, stop in zip(own, sq_sum, ends, ends[1:]):

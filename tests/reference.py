@@ -4,8 +4,8 @@ The library keeps every sketched cluster in ``stats.ClusterBank``. The
 code here computes the same statistics one cluster at a time, the
 straightforward way:
 
-* ``CountMinSketch``: one ``(rows, cols)`` grid with point, self-product
-  and inner-product estimates and merge;
+* ``CountMinSketch``: one ``(rows, cols)`` grid over key digests, with
+  point, self-product and inner-product estimates and merge;
 * ``ClusterStats``: one cluster's d+1 sketches and scalars, with the
   accessor surface the distance functions read, and merge;
 * the per-cluster distances: probe to cluster (``component_distance_sq``,
@@ -33,12 +33,13 @@ straightforward way:
   kept, as the library does;
 * ``square_sum(values)``: a component's squares added in view order, as
   ``GraphView.sq_sum`` holds them;
-* ``component(view, c)``: a view's component ``c``, its keys and values
-  sliced by ``view.bounds``;
-* ``view_of(*components)`` and ``cut_view(ids, values, bounds)``: the
-  view ``graph_views`` builds of a graph that was not preprocessed, given
-  each component's ids and masses, or flat ids and masses cut at bounds:
-  the one way tests build a view;
+* ``component(view, c)``: a view's component ``c``, its keys (as their
+  digests, each key's one identity) and values sliced by ``view.bounds``;
+* ``graph_of(*components)`` and ``cut(ids, values, bounds)``: a graph
+  that was not preprocessed, and its schema, given each component's ids
+  and masses, and the components of flat ids and masses cut at bounds;
+  ``view_of`` and ``cut_view``: the view ``graph_views`` builds of such a
+  graph, the one way tests build a view;
 * ``view_fields`` and ``graph_view``: ``GraphView``'s construction and
   ``graph_views`` as they were in Python before the compiled kernel built
   them, kept as their bitwise oracles; a view no longer holds ``comp``
@@ -48,7 +49,7 @@ straightforward way:
   masses and sums ``graph_views`` rejects;
 * ``key_digests``, ``multiply_shift`` and ``digest_buckets``: each key's
   digest by ``hashlib.blake2b``, digests' cells by the uint64
-  multiply-shift in numpy, and each key's cell in every row of a config's
+  multiply-shift in numpy, and each digest's cell in every row of a config's
   grid, as ``SketchConfig.buckets`` made them before the kernel's gather
   and scatter bucketed a view's digests themselves: their bitwise oracles;
 * ``distance_sq``, ``bank_distances_sq`` and ``pair_distances_sq``: the
@@ -117,8 +118,9 @@ from sketchclust.synth import _graphs
 from sketchclust.weight_opt import TraceHook
 
 
-def separating_rows(config: SketchConfig, keys: Iterable[bytes]) -> list[int]:
-    """Rows in which all given keys land in pairwise distinct cells.
+def separating_rows(config: SketchConfig, keys: Iterable[int]) -> list[int]:
+    """Rows in which all given keys (digests, as ``component`` gives them)
+    land in pairwise distinct cells.
 
     If at least one separating row exists for the full key universe, every
     estimator on that universe is exact.
@@ -142,10 +144,10 @@ class CountMinSketch:
         self.cells = cells
         self._row_sq: np.ndarray | None = None
 
-    def update(self, key: bytes, value: float) -> None:
+    def update(self, key: int, value: float) -> None:
         self.update_many((key,), np.array([value], dtype=np.float64))
 
-    def update_many(self, keys: Sequence[bytes], values: np.ndarray) -> None:
+    def update_many(self, keys: Sequence[int], values: np.ndarray) -> None:
         """Add values[i] to keys[i]'s cell in every row. Values must be >= 0."""
         idx = digest_buckets(self.config, keys)
         if idx.shape[1] != len(values):
@@ -158,10 +160,10 @@ class CountMinSketch:
         np.add.at(self.cells, (np.arange(self.config.rows)[:, None], idx), values[None, :])
         self._row_sq = None
 
-    def estimate(self, key: bytes) -> float:
+    def estimate(self, key: int) -> float:
         return float(self.estimate_many((key,))[0])
 
-    def estimate_many(self, keys: Sequence[bytes]) -> np.ndarray:
+    def estimate_many(self, keys: Sequence[int]) -> np.ndarray:
         """Row-minimum point estimates for each key, never below the truth."""
         idx = digest_buckets(self.config, keys)
         return self.cells[np.arange(self.config.rows)[:, None], idx].min(axis=0)
@@ -282,33 +284,43 @@ def square_sum(values: np.ndarray) -> float:
     return float(np.add.accumulate(values * values)[-1] + 0.0) if len(values) else 0.0
 
 
-def component(view: GraphView, c: int) -> tuple[tuple[bytes, ...], np.ndarray]:
-    """Component ``c``'s keys and values."""
+def component(view: GraphView, c: int) -> tuple[list[int], np.ndarray]:
+    """Component ``c``'s keys, as their digests, and values."""
     a, b = view.bounds[c], view.bounds[c + 1]
-    return view.keys[a:b], view.values[a:b]
+    return view.digests[a:b].tolist(), view.values[a:b]
 
 
-def view_of(*components) -> GraphView:
-    """``graph_views``' view of a graph that was not preprocessed, whose
-    component ``c`` holds ``components[c]``'s ids with their masses: a
-    dict, or a list of ``(id, mass)`` pairs for the edges, which may repeat
-    an id. Each key is the UTF-8 of its id, an edge's id being ``src +
-    "\x1f" + dst``; masses are taken as they are, so they may be ints,
-    negative or NaN."""
+def graph_of(*components) -> tuple[GraphObject, StreamSchema]:
+    """A graph that was not preprocessed, and its schema, whose component
+    ``c`` holds ``components[c]``'s ids with their masses: a dict, or a
+    list of ``(id, mass)`` pairs for the edges, which may repeat an id.
+    Each key is the UTF-8 of its id, an edge's id being ``src + "\x1f" +
+    dst``; masses are taken as they are, so they may be ints, negative or
+    NaN."""
     edges = components[0].items() if isinstance(components[0], dict) else components[0]
     schema = StreamSchema(tuple(SideType(f"s{c}") for c in range(1, len(components))))
     side = dict(zip(schema._names, components[1:]))
-    return graph_views(GraphObject("g", [(*k.split("\x1f"), m) for k, m in edges], side), schema)
+    return GraphObject("g", [(*k.split("\x1f"), m) for k, m in edges], side), schema
+
+
+def view_of(*components) -> GraphView:
+    """``graph_views``' view of ``graph_of(*components)``."""
+    return graph_views(*graph_of(*components))
+
+
+def cut(ids, values, bounds) -> list:
+    """The components of the ids with their masses, cut at ``bounds``: the
+    edges ``ids[:bounds[1]]``, each ``id + "\x1f"`` (an id may repeat),
+    then one side map per later component (a repeated id is kept once,
+    with its last mass)."""
+    pairs = list(zip(ids, values))
+    edges = [(i + "\x1f", v) for i, v in pairs[: bounds[1]]]
+    return [edges, *(dict(pairs[a:b]) for a, b in zip(bounds[1:], bounds[2:]))]
 
 
 def cut_view(ids, values, bounds) -> GraphView:
-    """``view_of`` the ids with their masses, cut into components at
-    ``bounds``: the edges ``ids[:bounds[1]]``, each ``id + "\x1f"`` (an
-    id may repeat), then one side map per later component (a repeated id
-    is kept once, with its last mass)."""
-    pairs = list(zip(ids, values))
-    edges = [(i + "\x1f", v) for i, v in pairs[: bounds[1]]]
-    return view_of(edges, *(dict(pairs[a:b]) for a, b in zip(bounds[1:], bounds[2:])))
+    """``view_of`` the ``cut`` of the ids with their masses."""
+    return view_of(*cut(ids, values, bounds))
 
 
 def members_intra_sq(members: Sequence[GraphView], comp: int) -> float:
@@ -317,7 +329,7 @@ def members_intra_sq(members: Sequence[GraphView], comp: int) -> float:
     if not members:
         raise ValueError("empty cluster")
     n = len(members)
-    totals: dict[bytes, float] = {}
+    totals: dict[int, float] = {}
     for view in members:
         for key, value in zip(*component(view, comp)):
             totals[key] = totals.get(key, 0.0) + float(value)
@@ -628,14 +640,14 @@ def multiply_shift(mult, add, digests, cols: int) -> np.ndarray:
     return ((mixed >> np.uint64(32)) % np.uint64(cols)).astype(np.intp)
 
 
-def digest_buckets(config: SketchConfig, keys: Sequence[bytes]) -> np.ndarray:
-    """Each key's cell in every row of ``config``'s grid, ``(rows, N)``:
-    ``key_digests`` mixed by ``multiply_shift``, each row's ``(a, b)``
-    drawn from the seed as ``SketchConfig`` draws it."""
+def digest_buckets(config: SketchConfig, digests) -> np.ndarray:
+    """Each digest's cell in every row of ``config``'s grid, ``(rows,
+    N)``: ``multiply_shift``, each row's ``(a, b)`` drawn from the seed as
+    ``SketchConfig`` draws it."""
     rnd = random.Random(config.seed)
     a = [rnd.getrandbits(64) | 1 for _ in range(config.rows)]
     b = [rnd.getrandbits(64) for _ in range(config.rows)]
-    return multiply_shift(a, b, key_digests(keys), config.cols)
+    return multiply_shift(a, b, digests, config.cols)
 
 
 def distance_sq(a_sq, cross, denom, b_sq) -> np.ndarray:
@@ -710,16 +722,16 @@ def grid_add(cells, slot: int, bounds, buckets, values, fresh: bool) -> None:
 
 
 def gathered_cross(bank, view: GraphView) -> np.ndarray:
-    """``ClusterBank._cross`` in numpy: ``grid_cross`` at the view keys'
+    """``ClusterBank._cross`` in numpy: ``grid_cross`` at the view's
     ``digest_buckets``."""
-    buckets = digest_buckets(bank.config, view.keys)
+    buckets = digest_buckets(bank.config, view.digests)
     return grid_cross(bank.cells, bank.size, view.bounds, buckets, view.values)
 
 
 def add_at(bank, slot: int, view: GraphView, fresh: bool) -> None:
     """``ClusterBank._add`` as numpy built it, as before: ``grid_add`` at
-    the view keys' ``digest_buckets``, then the slot's row squares."""
-    buckets = digest_buckets(bank.config, view.keys)
+    the view's ``digest_buckets``, then the slot's row squares."""
+    buckets = digest_buckets(bank.config, view.digests)
     grid_add(bank.cells, slot, view.bounds, buckets, view.values, fresh)
     bank._square_rows(slot)
 

@@ -19,6 +19,7 @@ from reference import (
     component,
     digest_buckets,
     generate_graphs,
+    key_digests,
     members_intra_sq,
     process_all,
     separating_rows,
@@ -435,15 +436,16 @@ def _c08_trial(cfg: SketchConfig, keys, masses: np.ndarray, probe: int, per_grap
     from a bank slot that absorbed the keys as graphs of ``per_graph``. A
     violation is an estimate above the true mass by more than ``eps * T``."""
     slack = math.e / cfg.cols * float(masses.sum())
+    digests = key_digests(keys)
     sk = CountMinSketch(cfg)
-    sk.update_many(keys, masses)
-    est = sk.estimate(keys[probe])
+    sk.update_many(digests, masses)
+    est = sk.estimate(digests[probe])
     bank = ClusterBank(cfg, 1, 1)  # the keys are side ids: an edge key holds 0x1f
     for start in range(0, len(keys), per_graph):
         part = slice(start, start + per_graph)
         ids = {key.decode(): mass for key, mass in zip(keys[part], masses[part].tolist())}
         _absorb(bank, view_of({}, ids), start + 1)
-    estimates = bank.cells[1, 0][np.arange(cfg.rows)[:, None], digest_buckets(cfg, keys)].min(0)
+    estimates = bank.cells[1, 0][np.arange(cfg.rows)[:, None], digest_buckets(cfg, digests)].min(0)
     return np.array(
         [
             est - masses[probe] > slack,

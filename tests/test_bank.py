@@ -28,14 +28,15 @@ from reference import (
     bank_geometry,
     cluster_geometry,
     component_distances_sq,
-    cut_view,
+    cut,
     distance_sq,
     filled,
     gathered_cross,
     generate_graphs,
     graph,
+    graph_of,
+    graph_view,
     intra_vector_sq,
-    key_digests,
     pair_cross,
     pair_distances_sq,
     separating_rows,
@@ -280,17 +281,17 @@ def _numpy_bank(config: SketchConfig, d: int, k: int) -> ClusterBank:
     return bank
 
 
-def _real_view(rng, d: int, pool: list[str]) -> GraphView:
-    """A view of real masses, not preprocessed, over ids drawn with
-    replacement from ``pool``: an edge may repeat, and keys collide in one
-    cell within one graph. Some masses are 0.0 or -0.0, and about one view
-    in six has no key at all."""
+def _real_graph(rng, d: int, pool: list[str]) -> tuple[GraphObject, StreamSchema]:
+    """A graph of real masses, not preprocessed, and its schema, over ids
+    drawn with replacement from ``pool``: an edge may repeat, and keys
+    collide in one cell within one graph. Some masses are 0.0 or -0.0, and
+    about one graph in six has no key at all."""
     sizes = rng.integers(0, 25, d + 1) * (rng.random() > 1 / 6)
     ids = [pool[i] for i in rng.integers(0, len(pool), int(sizes.sum()))]
     values = rng.uniform(0.0, 10.0, len(ids)) * 10.0 ** rng.integers(-3, 4, len(ids))
     values[rng.random(len(ids)) < 0.1] = 0.0
     values[rng.random(len(ids)) < 0.1] = -0.0
-    return cut_view(ids, values.tolist(), np.concatenate([[0], np.cumsum(sizes)]).tolist())
+    return graph_of(*cut(ids, values.tolist(), np.concatenate([[0], np.cumsum(sizes)]).tolist()))
 
 
 def _signed_zeros(bank: ClusterBank, rng) -> bytes:
@@ -336,8 +337,9 @@ def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, grap
             banks = ClusterBank(config, d, k), _numpy_bank(config, d, k)
             for bank in banks:
                 assert bank.load(blob, 0, t) == len(blob)
-        view = _real_view(rng, d, pool)
-        assert view.digests.tobytes() == key_digests(view.keys).tobytes()
+        g, schema = _real_graph(rng, d, pool)
+        view = graph_views(g, schema)
+        assert view.digests.tobytes() == graph_view(g, schema)["digests"].tobytes()
         if len(banks[0]):
             got, want = (bank._cross(view) for bank in banks)
             assert got.shape == want.shape == (len(banks[0]), d + 1)
@@ -446,7 +448,7 @@ def _random_bank(exact, d, k, m, integer, rng) -> ExactBank | ClusterBank:
                     masses = rng.integers(0, 9, size).astype(np.float64)
                 else:
                     masses = rng.uniform(0.0, 10.0, size)
-                bank.maps[slot][comp] = {b"k%d" % key: float(v) for key, v in zip(keys, masses)}
+                bank.maps[slot][comp] = {int(key): float(v) for key, v in zip(keys, masses)}
                 bank.self_sq[comp, slot] = _self_product(bank.maps[slot][comp])
     else:
         bank = ClusterBank(SketchConfig(rows=int(rng.integers(1, 4)), cols=6), d, k)
@@ -550,7 +552,7 @@ def test_geometry_and_distances_share_one_closed_form(exact):
         )
         for i in range(13)
     ]
-    keys = sorted({key for g in graphs for key in graph_views(g, SCHEMA).keys})
+    keys = sorted({key for g in graphs for key in graph_views(g, SCHEMA).digests.tolist()})
     configs = (SketchConfig(rows=4, cols=256, seed=seed) for seed in range(100))
     config = next(c for c in configs if separating_rows(c, keys))
     views = [graph_views(g, SCHEMA) for g in graphs]

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from reference import SCHEMA, component, digest_buckets, filled, graph
+from reference import SCHEMA, component, digest_buckets, filled, graph, key_digests
 from sketchclust import (
     Engine,
     EngineConfig,
@@ -64,7 +64,7 @@ def test_side_distance_hand_example():
     # (1 - 3)^2 = 4
     assert _component_sq(probe, c, 1) == pytest.approx(4.0)
     with pytest.raises(ValueError, match="component count"):
-        c.distances_sq(graph_views(probe, StreamSchema()))
+        c.distances_sq(graph_views(graph(1, [], {}), StreamSchema()))
 
 
 def test_intra_closed_form_hand_example():
@@ -159,7 +159,7 @@ def test_empty_cluster_and_bad_component_rejected():
 def test_sketch_distance_clamps_estimator_noise():
     # Force both attribute keys into one cell of a 1x2 grid so the cross
     # estimate overshoots and the raw expansion dips below zero.
-    keys = (b"x", b"w")
+    keys = key_digests((b"x", b"w"))
     cfg = None
     for seed in range(64):
         candidate = SketchConfig(rows=1, cols=2, seed=seed)

@@ -1,6 +1,7 @@
 """Streaming engine: initialization, admission, replacement, checkpoints."""
 
 import copy
+import hashlib
 import json
 import math
 import random
@@ -31,7 +32,7 @@ from sketchclust import (
     synth_schema,
     write_stream,
 )
-from sketchclust.engine import _Header
+from sketchclust.engine import _VERSION, _Header
 from sketchclust.model import from_json
 from sketchclust.native import kernel
 from sketchclust.stats import Bank
@@ -674,11 +675,14 @@ def test_from_bytes_rejects_every_truncation(backend):
 
 
 def test_from_bytes_rejects_another_version():
+    """Version 3 keys the exact maps by digest; a version-2 exact section
+    can parse in its layout, so every earlier version is refused."""
     blob = bytearray(_run_engine().to_bytes())
-    assert blob[4] == 2
-    blob[4] = 1
-    with pytest.raises(ValueError, match="unsupported engine checkpoint version 1"):
-        Engine.from_bytes(bytes(blob))
+    assert blob[4] == _VERSION == 3
+    for version in (1, 2):
+        blob[4] = version
+        with pytest.raises(ValueError, match=f"unsupported engine checkpoint version {version}"):
+            Engine.from_bytes(bytes(blob))
 
 
 @pytest.mark.parametrize("backend", ["sketch", "exact"])
@@ -1152,18 +1156,85 @@ def test_from_bytes_reports_the_first_fault_in_file_order(backend):
         Engine.from_bytes(_patch_slot(blob, "n", 0))
 
 
-def test_from_bytes_rejects_a_key_repeated_in_an_exact_map():
+def _digest(key: bytes) -> bytes:
+    """A key's digest as an exact map's checkpoint writes it."""
+    return hashlib.blake2b(key, digest_size=8).digest()
+
+
+def _two_edge_engine() -> Engine:
+    """An exact engine whose slot 0 edge map holds a-b and b-c, mass 1 each."""
     engine = Engine(_config(), SCHEMA, "exact")
     process_all(
         engine,
         [graph(0, [("a", "b", 1.0), ("b", "c", 1.0)], {}), graph(1, [("x", "y", 1.0)], {})],
     )
-    blob = engine.to_bytes()
-    assert blob.count(b"b\x1fc") == 1
+    return engine
+
+
+def test_from_bytes_rejects_a_key_repeated_in_an_exact_map():
+    blob = _two_edge_engine().to_bytes()
+    assert blob.count(_digest(b"b\x1fc")) == 1
     assert Engine.from_bytes(blob).to_bytes() == blob
     # slot 0's edge map would read {a-b: 1, a-b: 1}, and keep only one
     with pytest.raises(ValueError, match="key twice"):
-        Engine.from_bytes(blob.replace(b"b\x1fc", b"a\x1fb"))
+        Engine.from_bytes(blob.replace(_digest(b"b\x1fc"), _digest(b"a\x1fb")))
+
+
+def test_from_bytes_reports_an_exact_maps_first_fault_in_file_order():
+    """An exact map checkpoints as its entry count, its digests, then its
+    masses: a repeated digest is reported before a negative mass in the
+    same map, and an entry count near 2**63 or 2**64 reads as a truncated
+    checkpoint, before any allocation."""
+    engine = _two_edge_engine()
+    blob = engine.to_bytes()
+    m = len(engine.bank)
+    first = _cluster_section(blob) + 4 + m * (16 + 8 * (SCHEMA.d + 1))  # slot 0's edge map
+    assert struct.unpack_from("<Q", blob, first) == (2,)
+    negative = bytearray(blob)
+    struct.pack_into("<d", negative, first + 8 + 16 + 8, -1.0)
+    with pytest.raises(ValueError, match="negative or non-finite"):
+        Engine.from_bytes(bytes(negative))
+    with pytest.raises(ValueError, match="key twice"):
+        Engine.from_bytes(bytes(negative).replace(_digest(b"b\x1fc"), _digest(b"a\x1fb")))
+    for entries in (2**63 - 1, 2**63, 2**64 - 1):
+        huge = bytearray(blob)
+        struct.pack_into("<Q", huge, first, entries)
+        with pytest.raises(ValueError, match="truncated"):
+            Engine.from_bytes(bytes(huge))
+
+
+# Graphs ``preprocess`` rejects, and its message, which ``Engine.process``
+# gives for them too
+_UNPROCESSED = {
+    "id an int": (GraphObject(5, [("a", "b", 1.0)]), "graph id must be a nonempty string"),
+    "id None": (GraphObject(None, [("a", "b", 1.0)]), "graph id must be a nonempty string"),
+    "id empty": (GraphObject("", [("a", "b", 1.0)]), "graph id must be a nonempty string"),
+    "side a list": (GraphObject("g", [("a", "b", 1.0)], [1]),
+                    "side must be an object keyed by type name"),
+    "side None": (GraphObject("g", [("a", "b", 1.0)], None),
+                  "side must be an object keyed by type name"),
+    "side a str": (GraphObject("g", [("a", "b", 1.0)], "topics"),
+                   "side must be an object keyed by type name"),
+    "side undeclared": (GraphObject("g", [("a", "b", 1.0)], {"nope": {"x": 1.0}}),
+                        "side type 'nope' not declared in schema"),
+}
+
+
+@pytest.mark.parametrize("backend", ["sketch", "exact"])
+@pytest.mark.parametrize("case", sorted(_UNPROCESSED))
+def test_process_rejects_what_preprocess_rejects_before_any_change(backend, case):
+    """A graph that was not preprocessed, with an id that is not a
+    nonempty str, a ``side`` that is no dict or an undeclared side type,
+    raises ``preprocess``'s ValueError from ``Engine.process``, with the
+    graph count, the bank and the checkpoint as they were."""
+    g, message = _UNPROCESSED[case]
+    with pytest.raises(ValueError, match=message):
+        preprocess(g, SCHEMA)
+    engine = _run_engine(backend)
+    before = (engine.graph_count, engine.bank.self_sq.tobytes(), engine.to_bytes())
+    with pytest.raises(ValueError, match=message):
+        engine.process(g)
+    assert (engine.graph_count, engine.bank.self_sq.tobytes(), engine.to_bytes()) == before
 
 
 @pytest.mark.parametrize("backend", ["sketch", "exact"])

@@ -1,4 +1,5 @@
-"""The exact bank's map-backed statistics: the differential-testing oracle."""
+"""The exact bank's map-backed statistics, keyed by the keys' digests: the
+differential-testing oracle."""
 
 import random
 
@@ -11,6 +12,7 @@ from reference import (
     cut_view,
     filled,
     graph,
+    key_digests,
     members_intra_sq,
     separating_rows,
     view_of,
@@ -47,7 +49,8 @@ def test_accessor_surface_matches_truth():
     )
     assert c.n[0] == 2
     assert c.second_moments[0].tolist() == [5.0, 14.0]
-    assert c.maps[0] == [{b"a\x1fb": 3.0}, {b"x": 4.0, b"y": 2.0}]
+    ab, x, y = key_digests([b"a\x1fb", b"x", b"y"]).tolist()
+    assert c.maps[0] == [{ab: 3.0}, {x: 4.0, y: 2.0}]
     assert c.self_sq[:, 0].tolist() == [9.0, 16.0 + 4.0]
     view = graph_views(graph(2, [("a", "b", 1.0)], {"x": 1.0, "z": 1.0}), SCHEMA)
     # edges 1 - 2 * 3 / 2 + 9 / 4, topics 2 - 2 * (1 * 4 + 1 * 0) / 2 + 20 / 4
@@ -83,7 +86,7 @@ def test_cross_product_sums_the_smaller_maps_keys_in_its_order():
 def test_parity_with_sketch_backend_when_separated():
     rng = random.Random(7)
     graphs = [_random_graph(rng, i) for i in range(12)]
-    keys_by_comp: list[set[bytes]] = [set(), set()]
+    keys_by_comp: list[set[int]] = [set(), set()]
     for g in graphs:
         view = graph_views(g, SCHEMA)
         for comp, keys in enumerate(keys_by_comp):
@@ -137,7 +140,7 @@ def test_sketch_distances_are_the_exact_banks_bit_for_bit_when_rows_separate(see
     rng = np.random.default_rng(seed)
     d, k = 2, 5
     ids = [f"k{i}" for i in range(12)]
-    config = _rows_separating([s.encode() for i in ids for s in (i, i + "\x1f")])
+    config = _rows_separating(key_digests([s.encode() for i in ids for s in (i, i + "\x1f")]))
     sketch, exact = ClusterBank(config, d, k), ExactBank(d, k)
 
     def view(real: bool):

@@ -37,13 +37,13 @@ RESUME_EVERY = 250
 GOLDEN = {
     "sketch": (
         "f5a9a21cb6ed071fe6b0cba45c6f638e18049c3142b43f3b208eeecd4a66310a",
-        "8f39531991ad607086d0282842c10c6d05a3f8b6c8d57233d353528969269665",
+        "e3d1a197bdd69429ef67d74651ae1e97f217f3b2a9a33458f9b037869f7f2d0e",
         "42f6871c907fcbe0998753877ccd29c14669fdfd556cf61ff959956c8608c4b7",
     ),
     "exact": (
         "f5a9a21cb6ed071fe6b0cba45c6f638e18049c3142b43f3b208eeecd4a66310a",
-        "90ad328e076e419cf4dd8e26d961b892ac839c6b49cc5e4b526c9ca0bc65d65e",
-        "78808e6daf42ab9b7a48b4b8b048e8d4c6c08cb8dd0f93adbb1783c87afdb2e5",
+        "8346892194859d92475ba0912bf007f5cdede0e7937912c95e771173bd2e6f87",
+        "8ec37850de698a4ff1feafd403301aa8ddc5896f4d9dbdcef18d9e2cfa7c14c6",
     ),
 }
 
@@ -51,13 +51,13 @@ GOLDEN = {
 GOLDEN_DEFAULT = {
     "sketch": (
         "1f52dd6646f8c5ef34d0752a4a2df3f9652134a6cdb4c2c8cbb39d853a906e07",
-        "c9510fc9c9c6910f2e89b86084f709981ad361b3634b014db2a3a23cc56d7093",
+        "424dba54aed0b577b004864de90ddf2309476787a8d49af572c7cbeda42e2aa5",
         "42f6871c907fcbe0998753877ccd29c14669fdfd556cf61ff959956c8608c4b7",
     ),
     "exact": (
         "1f52dd6646f8c5ef34d0752a4a2df3f9652134a6cdb4c2c8cbb39d853a906e07",
-        "55e9a20a9d4ee0e08409f1645c73fd8d265dba219c00b607e9ac2c4dfaf1e23e",
-        "78808e6daf42ab9b7a48b4b8b048e8d4c6c08cb8dd0f93adbb1783c87afdb2e5",
+        "99547d1e70071a1b215e93f8a7a39c4cf520e2c2af815b273e2dda0eff2f5d6f",
+        "8ec37850de698a4ff1feafd403301aa8ddc5896f4d9dbdcef18d9e2cfa7c14c6",
     ),
 }
 
@@ -88,3 +88,23 @@ def test_events_and_checkpoint_match_golden_digests(backend):
 @pytest.mark.parametrize("backend", sorted(GOLDEN_DEFAULT))
 def test_default_events_and_checkpoint_match_golden_digests(backend):
     assert _run(backend, record_distances=False) == GOLDEN_DEFAULT[backend]
+
+
+def test_an_exact_engine_resumes_its_maps_in_order():
+    """The golden stream's exact engine, resumed from its checkpoint, holds
+    the same maps, keyed by the same digests in the same insertion order,
+    and the same self products, and writes the same bytes back."""
+    schema = synth_schema(SYNTH)
+    engine = Engine(CONFIG, schema, backend="exact")
+    for g in generate_graphs(SYNTH):
+        engine.process(preprocess(g, schema))
+    blob = engine.to_bytes()
+    resumed = Engine.from_bytes(blob)
+
+    def entries(e: Engine) -> list:
+        return [[list(mp.items()) for mp in maps] for maps in e.bank.maps]
+
+    assert all(type(key) is int for maps in engine.bank.maps for mp in maps for key in mp)
+    assert entries(resumed) == entries(engine)
+    assert resumed.bank.self_sq.tobytes() == engine.bank.self_sq.tobytes()
+    assert resumed.to_bytes() == blob

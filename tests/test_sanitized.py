@@ -3,16 +3,16 @@
 A copy of the package builds its kernel with both sanitizers: the copy's
 ``native._FLAGS`` are edited, as the package itself takes no option for
 it. The bank tests, the ingest walks' tests (``test_model.py`` and
-``test_ingest_oracle.py``), and the kernel's argument checks and fuzz
-properties then run on that copy in a subprocess, with the ASan runtime
-preloaded, since the interpreter was not built with it. A read or write
-outside a buffer, a use after free or undefined behaviour
-(``-fno-sanitize-recover``) ends that run with an error; every object is
-allocated by malloc (``PYTHONMALLOC=malloc``), so a write past a small
-one is seen too. Leak detection is off: the interpreter keeps memory
-until it exits. The build tests of
-``test_native.py`` assert the package's own flags and are left out.
-Without a C compiler or the ASan runtime the test skips.
+``test_ingest_oracle.py``), the digests at the hash's block edges, and the
+kernel's argument checks and fuzz properties then run on that copy in a
+subprocess, with the ASan runtime preloaded, since the interpreter was not
+built with it. A read or write outside a buffer, a use after free or
+undefined behaviour (``-fno-sanitize-recover``) ends that run with an
+error; every object is allocated by malloc (``PYTHONMALLOC=malloc``), so a
+write past a small one is seen too. Leak detection is off: the interpreter
+keeps memory until it exits. The build tests of ``test_native.py`` assert
+the package's own flags and are left out. Without a C compiler or the ASan
+runtime the test skips.
 """
 
 import os
@@ -71,8 +71,12 @@ def test_the_bank_and_kernel_checks_pass_under_sanitizers(tmp_path):
     kernel = Path(built.stdout.strip())
     assert kernel.parent == copy / "__pycache__"
     assert b"__asan_report" in kernel.read_bytes() and b"__ubsan_handle" in kernel.read_bytes()
-    selected = "test_bank or test_model or test_ingest_oracle or rejects or disagrees or fuzz"
-    files = ("test_bank.py", "test_model.py", "test_ingest_oracle.py", "test_native.py")
+    selected = (
+        "test_bank or test_model or test_ingest_oracle or rejects or disagrees or fuzz"
+        " or own_blake2b"
+    )
+    files = ("test_bank.py", "test_model.py", "test_ingest_oracle.py", "test_native.py",
+             "test_sketch.py")
     tests = [str(TESTS / name) for name in files]
     # ``--capture=sys``: a sanitizer's report goes to file descriptor 2 as the
     # run dies, which pytest's default capture would swallow.

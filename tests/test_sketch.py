@@ -31,26 +31,32 @@ def test_config_validation():
         SketchConfig(rows=3, cols=0)
 
 
+def _d(key: bytes) -> int:
+    """A key's ``hashlib.blake2b(key, digest_size=8)`` read as a
+    little-endian integer: the identity a sketch buckets."""
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
+
+
 def test_point_update_accumulates():
     sk = CountMinSketch(SketchConfig(rows=4, cols=64, seed=1))
-    sk.update(b"x", 2.0)
-    sk.update(b"x", 3.0)
-    assert sk.estimate(b"x") == 5.0
+    sk.update(_d(b"x"), 2.0)
+    sk.update(_d(b"x"), 3.0)
+    assert sk.estimate(_d(b"x")) == 5.0
 
 
 def test_update_rejects_bad_values():
     sk = CountMinSketch(SketchConfig(rows=4, cols=64, seed=1))
     with pytest.raises(ValueError):
-        sk.update(b"x", -1.0)
+        sk.update(_d(b"x"), -1.0)
     with pytest.raises(ValueError):
-        sk.update(b"x", float("nan"))
+        sk.update(_d(b"x"), float("nan"))
 
 
 def test_update_many_matches_single_updates():
     rng = random.Random(7)
     for trial in range(20):
         cfg = SketchConfig(rows=3, cols=32, seed=trial)
-        keys = [f"k{i}".encode() for i in range(rng.randrange(1, 30))]
+        keys = [_d(f"k{i}".encode()) for i in range(rng.randrange(1, 30))]
         values = np.array([rng.randrange(1, 9) for _ in keys], dtype=np.float64)
         a = CountMinSketch(cfg)
         a.update_many(keys, values)
@@ -65,9 +71,9 @@ def test_estimates_never_underestimate():
     for trial in range(30):
         cfg = SketchConfig(rows=3, cols=16, seed=trial)
         sk = CountMinSketch(cfg)
-        truth: dict[bytes, float] = {}
+        truth: dict[int, float] = {}
         for _ in range(rng.randrange(5, 60)):
-            key = f"k{rng.randrange(40)}".encode()
+            key = _d(f"k{rng.randrange(40)}".encode())
             value = float(rng.randrange(1, 6))
             sk.update(key, value)
             truth[key] = truth.get(key, 0.0) + value
@@ -78,7 +84,7 @@ def test_estimates_never_underestimate():
 
 
 def test_estimates_exact_without_collisions():
-    keys = [f"key{i}".encode() for i in range(20)]
+    keys = [_d(f"key{i}".encode()) for i in range(20)]
     cfg = SketchConfig(rows=6, cols=512, seed=3)
     assert separating_rows(cfg, keys), "pick a seed that separates the keys"
     sk = CountMinSketch(cfg)
@@ -94,7 +100,7 @@ def test_self_inner_product_overestimates():
         sk = CountMinSketch(cfg)
         truth = {}
         for _ in range(rng.randrange(2, 40)):
-            key = f"k{rng.randrange(25)}".encode()
+            key = _d(f"k{rng.randrange(25)}".encode())
             value = float(rng.randrange(1, 5))
             sk.update(key, value)
             truth[key] = truth.get(key, 0.0) + value
@@ -104,20 +110,20 @@ def test_self_inner_product_overestimates():
 
 def test_self_inner_product_exact_when_separated():
     cfg = SketchConfig(rows=4, cols=128, seed=2)
-    keys = [b"alpha", b"beta"]
+    keys = [_d(b"alpha"), _d(b"beta")]
     assert separating_rows(cfg, keys)
     sk = CountMinSketch(cfg)
-    sk.update(b"alpha", 1.0)
-    sk.update(b"beta", 3.0)
+    sk.update(_d(b"alpha"), 1.0)
+    sk.update(_d(b"beta"), 3.0)
     assert sk.self_inner_product() == pytest.approx(10.0)
 
 
 def test_self_inner_product_tracks_mutation():
     # The cached row squares must be invalidated by any update.
     sk = CountMinSketch(SketchConfig(rows=4, cols=128, seed=2))
-    sk.update(b"a", 2.0)
+    sk.update(_d(b"a"), 2.0)
     first = sk.self_inner_product()
-    sk.update(b"b", 1.0)
+    sk.update(_d(b"b"), 1.0)
     assert sk.self_inner_product() > first
 
 
@@ -127,11 +133,11 @@ def test_cross_inner_product_overestimates():
         cfg = SketchConfig(rows=3, cols=16, seed=100 + trial)
         a = CountMinSketch(cfg)
         b = CountMinSketch(cfg)
-        ta: dict[bytes, float] = {}
-        tb: dict[bytes, float] = {}
+        ta: dict[int, float] = {}
+        tb: dict[int, float] = {}
         for sk, t in ((a, ta), (b, tb)):
             for _ in range(rng.randrange(2, 30)):
-                key = f"k{rng.randrange(20)}".encode()
+                key = _d(f"k{rng.randrange(20)}".encode())
                 value = float(rng.randrange(1, 5))
                 sk.update(key, value)
                 t[key] = t.get(key, 0.0) + value
@@ -154,7 +160,7 @@ def test_merge_adds_cells():
     b = CountMinSketch(cfg)
     for sk in (a, b):
         for _ in range(40):
-            sk.update(f"k{rng.randrange(30)}".encode(), float(rng.randrange(1, 4)))
+            sk.update(_d(f"k{rng.randrange(30)}".encode()), float(rng.randrange(1, 4)))
     merged = a.merge(b)
     assert np.array_equal(merged.cells, a.cells + b.cells)
     assert merged.total() == pytest.approx(a.total() + b.total())
@@ -162,18 +168,18 @@ def test_merge_adds_cells():
 
 def test_total_counts_mass():
     sk = CountMinSketch(SketchConfig(rows=3, cols=16, seed=0))
-    sk.update(b"a", 2.5)
-    sk.update(b"b", 1.5)
+    sk.update(_d(b"a"), 2.5)
+    sk.update(_d(b"b"), 1.5)
     assert sk.total() == pytest.approx(4.0)
 
 
 def test_copy_is_independent():
     sk = CountMinSketch(SketchConfig(rows=2, cols=8, seed=0))
-    sk.update(b"a", 1.0)
+    sk.update(_d(b"a"), 1.0)
     dup = sk.copy()
-    dup.update(b"a", 1.0)
-    assert sk.estimate(b"a") == 1.0
-    assert dup.estimate(b"a") == 2.0
+    dup.update(_d(b"a"), 1.0)
+    assert sk.estimate(_d(b"a")) == 1.0
+    assert dup.estimate(_d(b"a")) == 2.0
 
 
 def _absorbed(config: SketchConfig, view) -> np.ndarray:
@@ -225,10 +231,6 @@ def test_buckets_equal_the_per_key_digests(data, rows, cols, n):
     assert out.tobytes() == grid_cross(cells, 2, bounds, buckets, values).tobytes()
 
 
-def _blake2b(keys) -> list[int]:
-    return [int.from_bytes(hashlib.blake2b(k, digest_size=8).digest(), "little") for k in keys]
-
-
 # Ids whose keys take every length from 0 to 300 bytes: side ids of each
 # length, the empty one among them, and edges ``src + 0x1f + dst`` of each
 # length from 1, so the 127/128/129- and 256/257-byte block edges and
@@ -250,6 +252,19 @@ _UTF8 = st.text(st.characters(min_codepoint=0x80, exclude_categories=("Cs",)), m
 _IDS = _UTF8 | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x1f"),
                        max_size=300)
 _MULTIBYTE = (["é€😀" * i + "\x1f" + "日本" * i for i in range(40)], ["é€😀" * i for i in range(40)])
+# Endpoint lengths in bytes about BLAKE2b's 128-byte block edges: their
+# pairs put the separator at byte 126, 127 and 128 and make keys of every
+# total length about 128 and 256 bytes, and of two 4 KiB endpoints
+_EDGE_LENGTHS = (0, 1, 2, 63, 64, 125, 126, 127, 128, 129, 254, 255, 256, 257, 4095, 4096)
+# Labels with a character of two, three or four bytes across byte 128 or 256
+_STRADDLING = [
+    "a" * length + char + "b" for length in (*range(124, 128), *range(252, 256)) for char in "é€😀"
+]
+_BLOCK_EDGES = (
+    ["s" * a + "\x1f" + "t" * b for a in _EDGE_LENGTHS for b in _EDGE_LENGTHS]
+    + [src + "\x1f" + dst for src in _STRADDLING for dst in ("", "€", _STRADDLING[0])],
+    ["i" * length for length in (4095, 4096, 4097)] + _STRADDLING,
+)
 
 
 @given(
@@ -258,15 +273,19 @@ _MULTIBYTE = (["é€😀" * i + "\x1f" + "日本" * i for i in range(40)], ["é
 )
 @example(*_LENGTHS)
 @example(*_MULTIBYTE)
+@example(*_BLOCK_EDGES)
 @example(edges=["x" * 63 + "\x1f" + "y" * 64, "x" * 64 + "\x1f" + "y" * 64], ids=["", "k"])
 def test_each_digest_is_the_keys_own_blake2b(edges, ids):
     """A view's ``digests`` are native uint64, each its key's
     ``hashlib.blake2b(key, digest_size=8)`` read as a little-endian
     integer: edge keys and side ids of every length from 0 to 300 bytes,
-    random text and multi-byte UTF-8 (two to four bytes a character)."""
+    random text and multi-byte UTF-8 (two to four bytes a character), and
+    keys about the 128- and 256-byte block edges (the separator at byte 126
+    to 128, endpoints up to 4 KiB, a character across an edge)."""
     view = view_of([(key, 1.0) for key in edges], dict.fromkeys(ids, 1.0))
+    keys = [key.encode() for key in (*edges, *dict.fromkeys(ids))]
     assert view.digests.dtype == np.dtype(np.uint64) and view.digests.dtype.isnative
-    assert view.digests.tolist() == _blake2b(view.keys)
+    assert view.digests.tolist() == [_d(key) for key in keys]
 
 
 @given(
@@ -281,11 +300,14 @@ def test_each_digest_is_the_keys_own_blake2b(edges, ids):
 def test_buckets_equal_the_reference_on_block_edges_and_utf8(edges, ids, rows, cols, seed):
     """A sketch bank founded on a view of keys of every length up to 300
     bytes, random text and multi-byte UTF-8 holds the cells that
-    ``reference.add_at`` adds at ``reference.digest_buckets`` (hashlib's
-    digests of the keys and the multiply-shift in numpy), and reads the
-    view's cross products as ``reference.gathered_cross`` does."""
+    ``reference.add_at`` adds at ``reference.digest_buckets`` (the
+    multiply-shift in numpy) of the view's digests, each hashlib's digest of
+    its key, and reads the view's cross products as
+    ``reference.gathered_cross`` does."""
     cfg = SketchConfig(rows=rows, cols=cols, seed=seed)
     view = view_of([(key, 1.0) for key in edges], {i: float(len(i) + 1) for i in ids})
+    keys = [key.encode() for key in (*edges, *dict.fromkeys(ids))]
+    assert view.digests.tolist() == [_d(key) for key in keys]
     bank, numpy_bank = ClusterBank(cfg, 1, 1), ClusterBank(cfg, 1, 1)
     numpy_bank._add = lambda slot, view, fresh: add_at(numpy_bank, slot, view, fresh)
     for founded in (bank, numpy_bank):
@@ -297,7 +319,7 @@ def test_buckets_equal_the_reference_on_block_edges_and_utf8(edges, ids, rows, c
 def test_separating_rows_sees_collisions():
     # With more keys than columns every row must collide somewhere.
     cfg = SketchConfig(rows=4, cols=8, seed=0)
-    keys = [f"k{i}".encode() for i in range(9)]
+    keys = [_d(f"k{i}".encode()) for i in range(9)]
     assert separating_rows(cfg, keys) == []
 
 

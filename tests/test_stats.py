@@ -57,7 +57,7 @@ def test_first_moments_exact_when_separated():
     g0 = graph(0, [("a", "b", 1.0)], {"x": 2.0})
     g1 = graph(1, [("a", "b", 3.0)], {"x": 2.0})
     view = graph_views(g0, SCHEMA)
-    assert separating_rows(cfg, view.keys)
+    assert separating_rows(cfg, view.digests.tolist())
     c = ClusterStats.empty(cfg, SCHEMA.d)
     c.absorb_views(graph_views(g0, SCHEMA), 1)
     c.absorb_views(graph_views(g1, SCHEMA), 2)
@@ -155,10 +155,10 @@ def _bank(cfg: SketchConfig, k: int, graphs: int, seed: int) -> ClusterBank:
 
 
 def test_an_update_whose_view_cannot_be_hashed_writes_nothing():
-    """A view's keys are bytes, digested as the view is built, so an update
-    hashes nothing and cannot fail on a key: a graph with an id that makes
-    no key (no str, or not UTF-8) has no view, so ``Engine.process`` stops
-    in ``graph_views``, before the bank."""
+    """A view's keys are digested as the view is built, so an update hashes
+    nothing and cannot fail on a key: a graph with an id that makes no key
+    (no str, or not UTF-8) has no view, so ``Engine.process`` stops in
+    ``graph_views``, before the bank."""
     bank = _bank(_cfg(1), 3, 6, 47)
     before = (b"".join(bank.to_parts()), bank.self_sq.tobytes())
     for g in (GraphObject("g", [("n0", 1, 1.0)]), GraphObject("g", [("n0", "n\ud800", 1.0)]),
@@ -167,7 +167,7 @@ def test_an_update_whose_view_cannot_be_hashed_writes_nothing():
             graph_views(g, SCHEMA)
     assert (b"".join(bank.to_parts()), bank.self_sq.tobytes()) == before
     view = view_of([("n0\x1fn1", 1), ("n0\x1fn1", 2.0)], {"t0": 2.0})  # not preprocessed
-    assert [type(key) for key in view.keys] == [bytes] * 3
+    assert view.digests.shape == (3,)
     bank.absorb(0, view, 9)
 
 
@@ -187,7 +187,7 @@ def test_one_view_serves_sketch_banks_of_different_seeds():
     ]
     configs = (_cfg(3), _cfg(4))
     probe = graph_views(graphs[0], SCHEMA)
-    buckets = [digest_buckets(config, probe.keys) for config in configs]
+    buckets = [digest_buckets(config, probe.digests) for config in configs]
     assert not np.array_equal(*buckets)
     shared = [ClusterBank(cfg, SCHEMA.d, 3) for cfg in configs]
     alone = [ClusterBank(cfg, SCHEMA.d, 3) for cfg in configs]
