@@ -1,9 +1,10 @@
 /* The compiled loops: the ingest walk (preprocess's canonical form and
  * graph_views' flat view, checked, summed and each key digested where its
- * labels' UTF-8 lies), and the sketch bank's cross-product gather and
- * in-order scatter, each bucketing the view's digests for its grid, and
- * the closed form of every squared distance, the refresh's pairs walked in
- * it.
+ * labels' UTF-8 lies), the sketch bank's cross-product gather and in-order
+ * scatter, each bucketing the view's digests for its grid, the closed form
+ * of every squared distance with the routing's weighted sums, the refresh's
+ * pairs walked in it, and the whole weight refresh (refine), with a log of
+ * its own.
  *
  * Built and loaded by sketchclust/native.py; it takes numpy arrays through
  * the buffer protocol, makes none, and needs no numpy headers. Every bank
@@ -13,10 +14,12 @@
  * bucket is made in range (mod the grid's columns), and only a distance
  * that is not finite is found while the distances are written. The loops
  * do only integer arithmetic, selections, comparisons, additions and single
- * IEEE operations, each in a stated order: the order of the Python and numpy
- * code they replaced (hashlib's for the digests), and for a cross product or
- * a component's sum of squares its terms added one by one in view order, so
- * no BLAS kernel decides their bits. The sketch rows' squares and the
+ * IEEE operations (sqrt among them, correctly rounded), each in a stated
+ * order: the order of the Python and numpy code they replaced (hashlib's for
+ * the digests), and for every sum (a cross product, a component's sum of
+ * squares, a weighted distance, each dot and sum of the refresh) its terms
+ * added one by one in a stated order from 0.0, so no BLAS kernel, vector
+ * unit or libm decides their bits. The sketch rows' squares and the
  * refresh's pair products stay in numpy.
  */
 #define PY_SSIZE_T_CLEAN
@@ -378,41 +381,64 @@ closed_form(double a, double cross, double denom, double b, double *out)
     return 0;
 }
 
-/* graph_distances_sq(self_sq, n, sq_sum, cross): cross[i, c] becomes
- * max(sq_sum[c] - 2 cross[i, c] / n_i + self_sq[c, i] / (n_i n_i), 0),
- * with n_i = n[i] as a double, for the slots i < P: one graph's squared
+/* graph_distances_sq(self_sq, n, sq_sum, cross, moments, weights): cross[i,
+ * c] becomes max(sq_sum[c] - 2 cross[i, c] / n_i + self_sq[c, i] / (n_i n_i),
+ * 0), with n_i = n[i] as a double, for the slots i < P: one graph's squared
  * component distances to the P live centroids, from the bank's ``self_sq``
- * (d+1, k) float64 and ``n`` (k,) int64. */
+ * (d+1, k) float64 and ``n`` (k,) int64. Returns (i, best, intra): the first
+ * slot i of least weighted distance best = sum_c cross[i, c] weights[c] (a
+ * NaN counting as least, as numpy's argmin has it), and the slot's weighted
+ * intra distance sum_c max(moments[i, c] - self_sq[c, i] / n_i, 0)
+ * weights[c], from ``moments`` (k, d+1) and ``weights`` (d+1,) float64; each
+ * sum added left to right from 0.0. (-1, inf, 0.0) when P is 0. */
 static PyObject *
 graph_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *self_sq, *n, *sq_sum, *cross;
+    PyObject *self_sq, *n, *sq_sum, *cross, *moments, *weights;
     Held h = {.held = 0};
-    Py_buffer *s, *x, *q;
-    if (!PyArg_ParseTuple(args, "OOOO:graph_distances_sq", &self_sq, &n, &sq_sum, &cross))
+    Py_buffer *s, *x, *q, *mo, *wt;
+    if (!PyArg_ParseTuple(args, "OOOOOO:graph_distances_sq", &self_sq, &n, &sq_sum, &cross,
+                          &moments, &weights))
         return NULL;
     if (!(s = take(&h, self_sq, "self_sq", FLOAT64, 0, 2, -1, -1)) ||
         !take(&h, n, "n", INT64, 0, 1, s->shape[1], -1) ||
         !(x = take(&h, cross, "cross", FLOAT64, 1, 2, -1, s->shape[0])) ||
-        !(q = take(&h, sq_sum, "sq_sum", FLOAT64, 0, 1, s->shape[0], -1)))
+        !(q = take(&h, sq_sum, "sq_sum", FLOAT64, 0, 1, s->shape[0], -1)) ||
+        !(mo = take(&h, moments, "moments", FLOAT64, 0, 2, s->shape[1], s->shape[0])) ||
+        !(wt = take(&h, weights, "weights", FLOAT64, 0, 1, s->shape[0], -1)))
         return release(&h, NULL);
     const Py_ssize_t comps = s->shape[0], k = s->shape[1], slots = x->shape[0];
     if (slots > k) {
         PyErr_Format(PyExc_ValueError, "cross holds %zd slots, more than %zd", slots, k);
         return release(&h, NULL);
     }
-    const double *own = s->buf, *a = q->buf;
+    const double *own = s->buf, *a = q->buf, *w = wt->buf;
     const int64_t *count = h.view[1].buf;
-    double *out = x->buf;
+    double *out = x->buf, best = INFINITY;
+    Py_ssize_t nearest = -1;
     for (Py_ssize_t i = 0; i < slots; i++) {
-        double ni = (double)count[i], nn = ni * ni;
+        double ni = (double)count[i], nn = ni * ni, es = 0.0;
         for (Py_ssize_t c = 0; c < comps; c++) {
             if (closed_form(a[c], out[i * comps + c], ni, own[c * k + i] / nn,
                             &out[i * comps + c]) < 0)
                 return release(&h, NULL);
+            es += out[i * comps + c] * w[c];
+        }
+        if (nearest < 0 || (best == best && !(es >= best))) {
+            nearest = i;
+            best = es;
         }
     }
-    return release(&h, Py_NewRef(Py_None));
+    double intra = 0.0;
+    if (nearest >= 0) {
+        const double *held = (const double *)mo->buf + nearest * comps;
+        const double ni = (double)count[nearest];
+        for (Py_ssize_t c = 0; c < comps; c++) {
+            const double v = held[c] - own[c * k + nearest] / ni;
+            intra += (v > 0.0 || v != v ? v : 0.0) * w[c];
+        }
+    }
+    return release(&h, Py_BuildValue("ndd", nearest, best, intra));
 }
 
 /* pair_distances_sq(self_sq, n, cross, out): max(o(i, c) - 2 cross[c, i,
@@ -460,6 +486,271 @@ pair_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
         }
     }
     return release(&h, PyLong_FromSsize_t(kept));
+}
+
+/* ---- The weight refresh: weight_opt's barrier descent over a geometry ----
+ *
+ * Every dot, every gradient sum over the pairs and the barrier's sum of logs
+ * is added left to right from 0.0 (a dot in component order, a sum over
+ * pairs in pair order); sqrt is the correctly rounded IEEE operation, and
+ * log is kernel_log below. So the refresh's bits are the same on every host,
+ * and tests/reference.py repeats them in Python floats. */
+
+/* The natural log of x > 0 (+inf for +inf, -inf for 0, NaN for NaN or a
+ * negative x) in a fixed polynomial form of single IEEE operations: x =
+ * 2^k (1 + f) with 1 + f in [sqrt(2)/2, sqrt(2)), s = f / (2 + f), and
+ * log(1 + f) = f - hfsq + s (hfsq + R(s^2)), hfsq = f^2 / 2, R a minimax
+ * polynomial of degree 14 in s, plus k ln 2 in two parts (the coefficients
+ * and split of fdlibm's e_log.c). It is within one ulp of libm's log, and
+ * independent of the host's FMA or vector units. */
+static const double LN2_HI = 0x1.62e42feep-1, LN2_LO = 0x1.a39ef35793c76p-33;
+static const double LG1 = 0x1.5555555555593p-1, LG2 = 0x1.999999997fa04p-2,
+                    LG3 = 0x1.2492494229359p-2, LG4 = 0x1.c71c51d8e78afp-3,
+                    LG5 = 0x1.7466496cb03dep-3, LG6 = 0x1.39a09d078c69fp-3,
+                    LG7 = 0x1.2f112df3e5244p-3;
+
+static double
+kernel_log(double x)
+{
+    if (!(x > 0.0))
+        return x == 0.0 ? -INFINITY : NAN;
+    if (x == INFINITY)
+        return x;
+    int k = 0;
+    if (x < DBL_MIN) {  /* subnormal: scaled into the normal range, exactly */
+        x *= 0x1p54;
+        k = -54;
+    }
+    uint64_t bits;
+    memcpy(&bits, &x, sizeof bits);
+    /* the high word shifted so that a mantissa at or above sqrt(2) carries
+     * into the exponent: its top 12 bits are then k + 1023 */
+    const uint32_t high = (uint32_t)(bits >> 32) + (0x3ff00000 - 0x3fe6a09e);
+    k += (int)(high >> 20) - 0x3ff;
+    bits = (uint64_t)((high & 0x000fffff) + 0x3fe6a09e) << 32 | (bits & 0xffffffff);
+    memcpy(&x, &bits, sizeof x);
+    const double f = x - 1.0, hfsq = 0.5 * f * f, s = f / (2.0 + f), z = s * s, w = z * z;
+    const double even = w * (LG2 + w * (LG4 + w * LG6));
+    const double odd = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7)));
+    const double dk = k;
+    return s * (hfsq + (odd + even)) + dk * LN2_LO - hfsq + f + dk * LN2_HI;
+}
+
+/* The descent's constants: the least step tried, the root the rescale lands
+ * the tightest pair at, and the least pair product whose root exceeds 1
+ * (sqrt(1 + 2^-52) rounds to 1, and the square root is monotone, so an
+ * infeasible candidate is known before any root is taken). */
+static const double MIN_STEP = 1e-18, TARGET = 1.0 + 0.05, FEASIBLE_ABOVE = 1.0 + 0x1p-52;
+
+static PyObject *STOP_CAP, *STOP_MIN_STEP, *STOP_AT_W, *STOP_NO_PAIRS;  /* why a refresh stopped */
+
+/* The refresh's geometry: intra (comps,) and one row of inter (pairs, comps)
+ * per pair. */
+typedef struct {
+    const double *intra, *inter;
+    Py_ssize_t comps, pairs;
+} Geometry;
+
+/* a[0] b[0] + a[1] b[1] + ..., added left to right from 0.0 */
+static inline double
+dot(const double *a, const double *b, Py_ssize_t n)
+{
+    double acc = 0.0;
+    for (Py_ssize_t i = 0; i < n; i++)
+        acc += a[i] * b[i];
+    return acc;
+}
+
+/* The objective <w, intra> - 2 sum_p log(sqrt(Q_p) - 1), Q_p = <w, inter_p>,
+ * into *value, and each pair's root sqrt(Q_p) into ``root``; returns 1. Or 0,
+ * with *value +inf, as soon as some Q_p is not above FEASIBLE_ABOVE (NaN
+ * included): outside the feasible region. */
+static int
+evaluate(const Geometry *g, const double *w, double *root, double *value)
+{
+    double logs = 0.0;
+    for (Py_ssize_t p = 0; p < g->pairs; p++) {
+        const double q = dot(g->inter + p * g->comps, w, g->comps);
+        if (!(q > FEASIBLE_ABOVE)) {
+            *value = INFINITY;
+            return 0;
+        }
+        root[p] = sqrt(q);
+        logs += kernel_log(root[p] - 1.0);
+    }
+    *value = dot(g->intra, w, g->comps) - 2.0 * logs;
+    return 1;
+}
+
+/* The gradient intra - sum_p inter_p / (root_p (root_p - 1)) at the feasible
+ * point of roots ``root``, each component's sum in pair order. */
+static void
+gradient(const Geometry *g, const double *root, double *grad)
+{
+    const Py_ssize_t comps = g->comps;
+    for (Py_ssize_t c = 0; c < comps; c++)
+        grad[c] = 0.0;
+    for (Py_ssize_t p = 0; p < g->pairs; p++) {
+        const double coef = 1.0 / (root[p] * (root[p] - 1.0));
+        for (Py_ssize_t c = 0; c < comps; c++)
+            grad[c] += g->inter[p * comps + c] * coef;
+    }
+    for (Py_ssize_t c = 0; c < comps; c++)
+        grad[c] = g->intra[c] - grad[c];
+}
+
+/* Rescale ``w`` homogeneously so that its tightest pair's root lands at
+ * TARGET, ``q`` a scratch of one product per pair. When the root is zero, or
+ * the scale, the largest weight times it, or the largest pair or intra
+ * product times it overflows, restart from uniform weights; -1 and
+ * ValueError when those fail too. A tightest product that is NaN, or
+ * negative (its root is NaN), or whose root already exceeds TARGET, leaves
+ * the weights as they are. */
+static int
+rescale_feasible(const Geometry *g, double *w, double *q)
+{
+    double q_min = NAN;
+    for (int uniform = 0; uniform < 2; uniform++) {
+        if (uniform) {
+            for (Py_ssize_t c = 0; c < g->comps; c++)
+                w[c] = 1.0;
+        }
+        double q_max = -INFINITY;
+        for (Py_ssize_t p = 0; p < g->pairs; p++) {
+            q[p] = dot(g->inter + p * g->comps, w, g->comps);
+            /* numpy's minimum: a NaN, once met, is kept */
+            if (p == 0 || (q_min == q_min && !(q[p] >= q_min)))
+                q_min = q[p];
+            q_max = q[p] > q_max ? q[p] : q_max;
+        }
+        const double root_min = sqrt(q_min);
+        if (!(root_min <= TARGET))
+            return 0;
+        const double t = TARGET / root_min, scale = t * t;  /* inf for a zero root */
+        if (isinf(scale))
+            continue;
+        /* the largest of the weights, then of q, then <intra, w>: a later
+         * value replaces the held one only if greater */
+        double largest = -INFINITY;
+        for (Py_ssize_t c = 0; c < g->comps; c++)
+            largest = w[c] > largest ? w[c] : largest;
+        const double linear = dot(g->intra, w, g->comps);
+        largest = q_max > largest ? q_max : largest;
+        largest = linear > largest ? linear : largest;
+        if (isfinite(largest * scale)) {
+            for (Py_ssize_t c = 0; c < g->comps; c++)
+                w[c] *= scale;
+            return 0;
+        }
+    }
+    PyObject *shown = PyFloat_FromDouble(q_min);
+    if (shown) {
+        PyErr_Format(PyExc_ValueError,
+                     "no float weights separate the tightest pair: uniform weights give it "
+                     "a squared separation of %R", shown);
+        Py_DECREF(shown);
+    }
+    return -1;
+}
+
+/* refine(weights, intra, inter_sq, max_steps, step, steps): weight_opt's
+ * refresh of ``weights`` (d+1,) over the geometry ``intra`` (d+1,) and
+ * ``inter_sq`` (P, d+1), all float64. With no pair the weights are kept.
+ * Otherwise they are first rescaled (rescale_feasible), then descended: at
+ * most ``max_steps`` steps, each from the last accepted step size (``step``
+ * at first) halved until the candidate max(w - step grad, 0) (NaN kept, -0.0
+ * read as 0.0, as numpy's maximum does) has a lower objective; the descent
+ * stops when the step falls below MIN_STEP, or at the first rejected
+ * candidate equal to w and of equal objective: every smaller step's
+ * candidate rounds to w as well. Each accepted step's objective and size
+ * go to the next row of ``steps`` ((max_steps, 2) float64, or None). The
+ * result is written over ``weights``, and (steps taken, why it stopped,
+ * objective at the result) returned. ValueError for a bad argument, for
+ * weights that no rescale separates, and for a start that is not feasible
+ * when a step is due (a NaN in the weights or the geometry), each before
+ * any write. */
+static PyObject *
+refine(PyObject *Py_UNUSED(module), PyObject *args)
+{
+    PyObject *weights, *intra, *inter_sq, *steps;
+    Py_ssize_t max_steps;
+    double step;
+    Held h = {.held = 0};
+    Py_buffer *w, *a, *x, *out = NULL;
+    if (!PyArg_ParseTuple(args, "OOOndO:refine", &weights, &intra, &inter_sq, &max_steps, &step,
+                          &steps))
+        return NULL;
+    if (max_steps < 0) {
+        PyErr_Format(PyExc_ValueError, "max_steps = %zd is negative", max_steps);
+        return NULL;
+    }
+    if (!(w = take(&h, weights, "weights", FLOAT64, 1, 1, -1, -1)) ||
+        !(a = take(&h, intra, "intra", FLOAT64, 0, 1, w->shape[0], -1)) ||
+        !(x = take(&h, inter_sq, "inter_sq", FLOAT64, 0, 2, -1, w->shape[0])) ||
+        (steps != Py_None && !(out = take(&h, steps, "steps", FLOAT64, 1, 2, max_steps, 2))))
+        return release(&h, NULL);
+    const Geometry g = {a->buf, x->buf, w->shape[0], x->shape[0]};
+    double value, cand_value;
+    if (g.pairs == 0) {
+        evaluate(&g, w->buf, NULL, &value);
+        return release(&h, Py_BuildValue("nOd", (Py_ssize_t)0, STOP_NO_PAIRS, value));
+    }
+    /* the weights, a candidate, the gradient, and two sets of pair roots */
+    double *scratch = PyMem_Malloc((size_t)(3 * g.comps + 2 * g.pairs) * sizeof(double));
+    if (!scratch)
+        return release(&h, PyErr_NoMemory());
+    double *cur = scratch, *cand = cur + g.comps, *grad = cand + g.comps;
+    double *root = grad + g.comps, *cand_root = root + g.pairs;
+    PyObject *stop = STOP_CAP, *result = NULL;
+    Py_ssize_t taken = 0;
+    memcpy(cur, w->buf, (size_t)g.comps * sizeof(double));
+    if (rescale_feasible(&g, cur, root) < 0)
+        goto done;
+    if (!evaluate(&g, cur, root, &value) && max_steps) {
+        /* only the start can be infeasible: an accepted candidate is not */
+        PyErr_SetString(PyExc_ValueError, "gradient needs a strictly feasible point");
+        goto done;
+    }
+    for (; taken < max_steps; taken++) {
+        gradient(&g, root, grad);
+        for (;; step *= 0.5) {
+            if (!(step >= MIN_STEP)) {
+                stop = STOP_MIN_STEP;
+                break;
+            }
+            int same = 1;
+            for (Py_ssize_t c = 0; c < g.comps; c++) {
+                const double v = cur[c] - grad[c] * step;
+                cand[c] = v > 0.0 || v != v ? v : 0.0;
+                same &= cand[c] == cur[c];
+            }
+            evaluate(&g, cand, cand_root, &cand_value);
+            if (cand_value < value)
+                break;
+            if (cand_value == value && same) {
+                stop = STOP_AT_W;
+                break;
+            }
+        }
+        if (stop != STOP_CAP)
+            break;
+        double *t = cur;
+        cur = cand;
+        cand = t;
+        t = root;
+        root = cand_root;
+        cand_root = t;
+        value = cand_value;
+        if (out) {
+            ((double *)out->buf)[2 * taken] = value;
+            ((double *)out->buf)[2 * taken + 1] = step;
+        }
+    }
+    memcpy(w->buf, cur, (size_t)g.comps * sizeof(double));
+    result = Py_BuildValue("nOd", taken, stop, value);
+done:
+    PyMem_Free(scratch);
+    return release(&h, result);
 }
 
 /* ---- The ingest walk: preprocess's canonical form, graph_views' flat view ----
@@ -1117,9 +1408,10 @@ static PyMethodDef methods[] = {
     {"graph_cross", graph_cross, METH_VARARGS, "One graph's cross products with every live slot."},
     {"scatter_add", scatter_add, METH_VARARGS, "Add each key's mass to its cells in one slot."},
     {"graph_distances_sq", graph_distances_sq, METH_VARARGS,
-     "One graph's squared component distances to every live centroid."},
+     "One graph's squared component distances to every live centroid, and the nearest."},
     {"pair_distances_sq", pair_distances_sq, METH_VARARGS,
      "The squared separations of the live centroids' pairs that do not coincide."},
+    {"refine", refine, METH_VARARGS, "The weight refresh: a rescale, then a barrier descent."},
     {"canonical_graph", (PyCFunction)(void (*)(void))canonical_graph, METH_FASTCALL,
      "A graph's canonical edges and side maps, as preprocess returns them."},
     {"graph_view", (PyCFunction)(void (*)(void))graph_view, METH_FASTCALL,
@@ -1145,7 +1437,12 @@ PyInit__kernel(void)
     LABEL = PyUnicode_InternFromString("label");
     EDGES = PyUnicode_InternFromString("edges");
     SIDE = PyUnicode_InternFromString("side");
-    if (!SAFE || !ONE || !EDGE_FREQUENCY || !PRESENCE || !ID || !LABEL || !EDGES || !SIDE)
+    STOP_CAP = PyUnicode_InternFromString("max_steps");
+    STOP_MIN_STEP = PyUnicode_InternFromString("min_step");
+    STOP_AT_W = PyUnicode_InternFromString("rounds_to_w");
+    STOP_NO_PAIRS = PyUnicode_InternFromString("no_pairs");
+    if (!SAFE || !ONE || !EDGE_FREQUENCY || !PRESENCE || !ID || !LABEL || !EDGES || !SIDE ||
+        !STOP_CAP || !STOP_MIN_STEP || !STOP_AT_W || !STOP_NO_PAIRS)
         return NULL;
     return PyModule_Create(&module);
 }

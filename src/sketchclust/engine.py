@@ -241,12 +241,9 @@ class Engine:
         bank, config = self.bank, self.config
         if len(bank) < config.k:
             return _Decision(ACTION_INITIALIZED, len(bank))
-        comp_sq = bank.distances_sq(view)
-        es_all = comp_sq.dot(self.weights)
-        nearest = int(es_all.argmin())  # first minimum: lowest index
-        best = float(es_all[nearest])
+        comp_sq, nearest, best, intra = bank.distances_sq(view, self.weights)
         n = int(bank.n[nearest])
-        spread = (config.p / n) * float(bank.intra_sq(nearest).dot(self.weights))
+        spread = (config.p / n) * intra
         if not (math.isfinite(best) and math.isfinite(spread)):
             raise ValueError(f"weighted distance {best!r} or spread {spread!r} is not finite")
         if n == 1 or best < spread:

@@ -4,10 +4,12 @@ The ingest walk (``model.preprocess`` and every ``GraphView``'s
 construction, its masses checked, its squares summed and its keys' BLAKE2b
 digests made from their labels' UTF-8, with no object per key), the sketch
 bank's per-key loops (``ClusterBank``'s cross-product gather and in-order
-scatter, each bucketing the digests by the config's multiply-shift) and
-``stats.Bank``'s closed-form distances, the refresh's walk over the slot
-pairs among them, run in a small C extension that uses only the CPython
-API and the buffer protocol, and makes no array. The first import builds
+scatter, each bucketing the digests by the config's multiply-shift),
+``stats.Bank``'s closed-form distances (with the routing's weighted sums,
+and the refresh's walk over the slot pairs) and ``weight_opt``'s whole
+refresh (its rescale and barrier descent, every sum in a stated order and
+its ``log`` the kernel's own) run in a small C extension that uses only
+the CPython API and the buffer protocol, and makes no array. The first import builds
 it with the system C compiler (``cc``) against the running interpreter's
 headers into ``__pycache__/`` next to this file, under a name keyed by the
 sha256 of the source, the compile flags and the interpreter's extension

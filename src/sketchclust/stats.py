@@ -104,11 +104,12 @@ class Bank:
     graph to a centroid, a centroid to a centroid), with the counts and
     ``self_sq / n**2`` formed in it: single IEEE operations in numpy's
     order, so its bits are numpy's; the graph's ``sq_sum`` comes with its
-    view, summed in view order. The ``self_sq`` row squares and the
-    refresh's pair cross products stay in numpy, as does ``intra_sq``,
-    which holds the spread's form. An event's ``es_distance_sq`` (formed
-    in ``Engine._decide``) weights the d+1 squared component distances by
-    the engine's nonnegative weights.
+    view, summed in view order. The same kernel call weights a graph's d+1
+    squared component distances to each slot by the engine's weights, and
+    the nearest slot's ``intra_sq`` likewise, each sum left to right from
+    0.0: an event's ``es_distance_sq`` and, over n, its spread. The
+    ``self_sq`` row squares and the refresh's pair cross products stay in
+    numpy, as does ``intra_sq`` for the refresh's geometry.
 
     A backend supplies its first-moment store, keyed by the view's
     ``digests``, through the hooks: ``_add(slot, view, fresh)`` (which
@@ -203,13 +204,18 @@ class Bank:
 
     # -- reads ---------------------------------------------------------------
 
-    def distances_sq(self, view: GraphView) -> np.ndarray:
+    def distances_sq(self, view: GraphView, weights: np.ndarray) -> tuple:
         """Squared component distances from one graph to every live cluster,
-        ``(size, d+1)``."""
+        ``(size, d+1)``; then the nearest slot by the distances weighted by
+        ``weights`` (the first of least weighted distance), that distance,
+        and the slot's ``intra_sq`` weighted, each weighted sum added left
+        to right from 0.0: ``(-1, inf, 0.0)`` with no live slot."""
         self._check(view)
         out = self._cross(view)  # overwritten
-        kernel.graph_distances_sq(self.self_sq, self.n, view.sq_sum, out)
-        return out
+        route = kernel.graph_distances_sq(
+            self.self_sq, self.n, view.sq_sum, out, self.second_moments, weights
+        )
+        return (out, *route)
 
     def intra_sq(self, slots: int | slice) -> np.ndarray:
         """The aggregate squared member-to-centroid distance per component

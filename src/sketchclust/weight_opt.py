@@ -18,23 +18,31 @@ geometry with t times its intra. f is convex on the feasible region
 {w >= 0 : all Q_ij > 1} (each barrier term is a negated log of a concave
 positive function of w).
 
-Each candidate is evaluated once, for its objective and its pair roots
-sqrt(Q_ij(w)); the gradient at an accepted candidate comes from those roots.
-A step is halved until its candidate ``max(w - s*grad, 0)`` improves the
-objective, and the descent stops at the first rejected candidate that
-equals ``w``. That stop is exact: rounding and the projection are monotone
-in the step, so each smaller step's candidate lies between ``w``
-(nonnegative, as it equals a candidate) and this one: it equals ``w`` as
-well and is rejected.
+The refresh runs in one call of the compiled kernel, ``kernel.refine``
+(``native``). It first restores feasibility by homogeneously rescaling
+the weights, which changes no cluster decisions (assignment comparisons
+are scale-invariant): the tightest pair lands at a root of 1.05, or,
+when no float scale can do that, uniform weights are rescaled instead,
+and a pair that no float weights separate raises ValueError.
 Infeasibility is a value, not a fault: the objective is +inf outside the
-region, and ``refine_weights`` first restores feasibility by
-homogeneously rescaling the weights, which changes no cluster decisions
-(assignment comparisons are scale-invariant); a pair that no float
-weights separate raises ValueError. Pairs of coincident centroids
-(inter_sq == 0 in every component) cannot be separated by any weighting
-and are excluded from the barrier, only counted. Plain gradient descent
-with backtracking halving is intentional; no curvature information is
-used.
+region. Then each step is halved, from the last accepted size
+(``_STEP_SIZE`` at first), until its candidate ``max(w - s*grad, 0)``
+improves the objective. The descent stops after ``max_steps`` steps,
+when the step falls below 1e-18, or at the first rejected candidate that
+equals ``w``. That stop is exact: rounding and the projection are
+monotone in the step, so each smaller step's candidate lies between
+``w`` (nonnegative, as it equals a candidate) and this one: it equals
+``w`` as well and is rejected. Pairs of coincident centroids (inter_sq
+== 0 in every component) cannot be separated by any weighting and are
+excluded from the barrier, only counted. Plain gradient descent with
+backtracking halving is intentional; no curvature information is used.
+
+Every sum the refresh takes (the dots, each gradient component's sum over
+the pairs, the barrier's sum of logs) is added left to right from 0.0,
+``sqrt`` rounds correctly and ``log`` is the kernel's own fixed
+polynomial, so the new weights are the same bits on every host, whatever
+its BLAS, vector units or libm. ``tests/reference.py`` repeats the
+refresh in Python floats, bit for bit.
 """
 
 from __future__ import annotations
@@ -45,15 +53,9 @@ from typing import Callable
 
 import numpy as np
 
-_STEP_SIZE = 0.1  # each refresh's first step, halved until a candidate improves
-_MIN_STEP = 1e-18
-_MARGIN = 0.05  # the rescale lands an infeasible start's tightest pair at 1 + _MARGIN
-_FLOOR = 0.0  # each candidate is projected onto the weights at or above _FLOOR
+from .native import kernel
 
-# sqrt(Q) - 1 > 0 exactly when Q exceeds this: the square root rounds
-# correctly and is monotone, and sqrt(1 + 2**-52) rounds to 1. So an
-# infeasible candidate is known before any root is taken.
-_FEASIBLE_ABOVE = 1.0 + 2.0**-52
+_STEP_SIZE = 0.1  # each refresh's first step, halved until a candidate improves
 
 TraceHook = Callable[[dict], None]
 
@@ -75,9 +77,8 @@ class ClusterGeometry:
     ``inter_sq[p]`` is the squared centroid separation vector of the
     ``p``-th retained cluster pair, one row per pair. ``dropped`` counts
     the coincident-centroid pairs excluded from the barrier. Both arrays
-    are stored as C-contiguous float64, whatever layout they are given in:
-    every product below was checked against that layout (a Fortran-ordered
-    or strided matrix takes another BLAS kernel, which rounds differently).
+    are stored as C-contiguous float64, the layout the kernel reads,
+    whatever layout they are given in.
     """
 
     intra: np.ndarray
@@ -106,56 +107,6 @@ def ensure_weights(weights, d: int) -> np.ndarray:
     return w
 
 
-def _evaluate(w: np.ndarray, geom: ClusterGeometry):
-    """The objective at ``w`` and the pair roots and separations
-    ``(sqrt(Q_ij(w)), sqrt(Q_ij(w)) - 1)``, or ``(inf, None)`` when some
-    pair separation is <= 1. The geometry holds at least one pair."""
-    # ndarray.dot and the ufuncs' reduce are the BLAS and loops that ``@``,
-    # .min() and .sum() reach, with less dispatch: the same bits.
-    q = geom.inter_sq.dot(w)
-    if not np.minimum.reduce(q) > _FEASIBLE_ABOVE:  # NaN fails too
-        return math.inf, None
-    root = np.sqrt(q, out=q)
-    sep = root - 1.0
-    linear = float(geom.intra.dot(w))
-    return linear - 2.0 * float(np.add.reduce(np.log(sep))), (root, sep)
-
-
-def _gradient(geom: ClusterGeometry, roots) -> np.ndarray:
-    """The gradient at the feasible point whose pair roots and separations
-    ``_evaluate`` returned as ``roots``."""
-    root, sep = roots
-    return geom.intra - geom.inter_sq.T.dot(1.0 / (root * sep))
-
-
-def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry):
-    """Homogeneous rescale landing the tightest pair at 1 + ``_MARGIN``.
-    When the weights vanish, or all but vanish, on every component where
-    the tightest pair separates, no float scale can help (or the scaled
-    weights, or the products the objective takes of them, overflow), and
-    the rescale restarts from uniform weights; ValueError when even those
-    cannot be rescaled. A NaN tightest separation returns ``w`` as it is."""
-    target = 1.0 + _MARGIN
-    for start in (w, np.ones_like(w)):
-        q = geom.inter_sq.dot(start)
-        q_min = float(np.minimum.reduce(q))
-        root_min = math.sqrt(q_min)
-        if not root_min <= target:  # already separated, or NaN
-            return start
-        try:
-            scale = (target / root_min) ** 2
-        except (ZeroDivisionError, OverflowError):
-            continue
-        # weights and products are nonnegative: the largest of each overflows first
-        largest = max(np.maximum.reduce(start), np.maximum.reduce(q), geom.intra.dot(start))
-        if math.isfinite(float(largest) * scale):
-            return start * scale
-    raise ValueError(
-        "no float weights separate the tightest pair: uniform weights give it "
-        f"a squared separation of {q_min!r}"
-    )
-
-
 def refine_weights(
     weights,
     geom: ClusterGeometry,
@@ -172,36 +123,11 @@ def refine_weights(
     final weights and the pair counts, also when no pair is kept.
     """
     w = ensure_weights(weights, len(geom.intra) - 1).copy()
-    if len(geom.inter_sq):
-        w = _descend(_rescale_feasible(w, geom), geom, cfg, trace)
+    steps = None if trace is None else np.empty((cfg.max_steps, 2))
+    taken, _, _ = kernel.refine(w, geom.intra, geom.inter_sq, cfg.max_steps, _STEP_SIZE, steps)
     if trace is not None:
+        for step_no, (objective, step) in enumerate(steps[:taken].tolist()):
+            trace({"step": step_no, "objective": objective, "step_size": step})
         pairs = len(geom.inter_sq)
         trace({"final_weights": w.tolist(), "pairs": pairs, "dropped_pairs": geom.dropped})
-    return w
-
-
-def _descend(w: np.ndarray, geom: ClusterGeometry, cfg: BarrierConfig, trace) -> np.ndarray:
-    """Backtracking descent from the feasible ``w``, tracing each accepted step."""
-    value, roots = _evaluate(w, geom)
-    step = _STEP_SIZE
-    for step_no in range(cfg.max_steps):
-        if roots is None:  # a NaN in the start or the geometry: the rescale passes it
-            raise ValueError("gradient needs a strictly feasible point")
-        grad = _gradient(geom, roots)
-        while step >= _MIN_STEP:
-            # max(w - step * grad, _FLOOR), built in one array
-            candidate = np.multiply(grad, step)
-            np.subtract(w, candidate, out=candidate)
-            np.maximum(candidate, _FLOOR, out=candidate)
-            cand_value, cand_roots = _evaluate(candidate, geom)
-            if cand_value < value:
-                break
-            if cand_value == value and np.array_equal(candidate, w):
-                return w  # every smaller step rounds to w too
-            step *= 0.5
-        else:
-            return w  # no step of at least _MIN_STEP improves on w
-        w, value, roots = candidate, cand_value, cand_roots
-        if trace is not None:
-            trace({"step": step_no, "objective": value, "step_size": step})
     return w

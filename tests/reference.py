@@ -26,11 +26,14 @@ straightforward way:
 * ``SCHEMA`` and ``graph(i, edges, topics)``: the one-side-type schema
   the unit tests build their small graphs in, and such a graph,
   preprocessed;
-* ``barrier_objective``, ``barrier_gradient`` and ``refine_weights``: the
-  weight optimizer as it was before it evaluated each candidate once, kept
-  as the bitwise oracle for ``weight_opt.refine_weights``; it counts pairs
-  by ``len(inter_sq)`` and traces its final record also when no pair is
-  kept, as the library does;
+* ``kernel_log``, ``dot``, ``rescale_feasible``, ``refine`` and
+  ``refine_weights``: the weight refresh in Python floats, operation for
+  operation as ``kernel.refine`` takes it (its ``log`` transcribed on the
+  bits, every sum left to right from 0.0), the bitwise oracle of the
+  kernel's weights, record and messages and of ``weight_opt.refine_weights``'s
+  trace; ``barrier_objective`` and ``barrier_gradient`` read its objective
+  and gradient at a point; ``route`` is ``kernel.graph_distances_sq``'s
+  nearest slot, weighted distance and weighted spread, by ``dot``;
 * ``square_sum(values)``: a component's squares added in view order, as
   ``GraphView.sq_sum`` holds them;
 * ``component(view, c)``: a view's component ``c``, its keys (as their
@@ -52,8 +55,11 @@ straightforward way:
   multiply-shift in numpy, and each digest's cell in every row of a config's
   grid, as ``SketchConfig.buckets`` made them before the kernel's gather
   and scatter bucketed a view's digests themselves: their bitwise oracles;
+* ``distances(bank, view)``: the squared component distances
+  ``bank.distances_sq`` returns first, read under uniform weights;
 * ``distance_sq``, ``bank_distances_sq`` and ``pair_distances_sq``: the
-  closed form of every squared distance, ``Bank.distances_sq``, and the
+  closed form of every squared distance, ``Bank.distances_sq`` (its route
+  by ``route``, in Python floats), and the
   pair listing, gather, closed form and kept mask of ``Bank.geometry``, as
   numpy computed them before the compiled kernel, kept as their bitwise
   oracles (``pairs`` lists the pairs);
@@ -91,6 +97,8 @@ import hashlib
 import json
 import math
 import random
+import struct
+import sys
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -466,69 +474,174 @@ def graph(i: int, edges, topics=None) -> GraphObject:
     return preprocess(raw, SCHEMA)
 
 
+# ``kernel_log``'s split of ln 2 and its polynomial's coefficients
+_LN2_HI, _LN2_LO = float.fromhex("0x1.62e42feep-1"), float.fromhex("0x1.a39ef35793c76p-33")
+_LG = [
+    float.fromhex(h)
+    for h in (
+        "0x1.5555555555593p-1", "0x1.999999997fa04p-2", "0x1.2492494229359p-2",
+        "0x1.c71c51d8e78afp-3", "0x1.7466496cb03dep-3", "0x1.39a09d078c69fp-3",
+        "0x1.2f112df3e5244p-3",
+    )
+]
+
+
+def kernel_log(x: float) -> float:
+    """``kernel_log`` in ``_kernel.c``, operation for operation in Python
+    floats (IEEE doubles, each operation rounded once, as the kernel's
+    under ``-ffp-contract=off``); the exponent and mantissa split is done
+    on the bits."""
+    if not x > 0.0:
+        return -math.inf if x == 0.0 else math.nan
+    if x == math.inf:
+        return x
+    k = 0
+    if x < sys.float_info.min:
+        x *= 2.0**54
+        k = -54
+    (bits,) = struct.unpack("<Q", struct.pack("<d", x))
+    high = (bits >> 32) + (0x3FF00000 - 0x3FE6A09E)
+    k += (high >> 20) - 0x3FF
+    bits = ((high & 0x000FFFFF) + 0x3FE6A09E) << 32 | (bits & 0xFFFFFFFF)
+    (x,) = struct.unpack("<d", struct.pack("<Q", bits))
+    lg1, lg2, lg3, lg4, lg5, lg6, lg7 = _LG
+    f = x - 1.0
+    hfsq = 0.5 * f * f
+    s = f / (2.0 + f)
+    z = s * s
+    w = z * z
+    even = w * (lg2 + w * (lg4 + w * lg6))
+    odd = z * (lg1 + w * (lg3 + w * (lg5 + w * lg7)))
+    dk = float(k)
+    return s * (hfsq + (odd + even)) + dk * _LN2_LO - hfsq + f + dk * _LN2_HI
+
+
 _MIN_STEP = 1e-18
+_TARGET = 1.0 + 0.05
+_FEASIBLE_ABOVE = 1.0 + 2.0**-52
+
+
+def dot(a, b) -> float:
+    """``sum(a[i] * b[i])`` added left to right from 0.0: the kernel's
+    order for every dot of the routing and the refresh."""
+    acc = 0.0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
+
+
+def _evaluate(intra: list, inter: list, w: list):
+    """The objective at ``w`` and each pair's root, or ``(inf, None)`` as
+    soon as a pair's product is not above ``_FEASIBLE_ABOVE``."""
+    logs = 0.0
+    roots = []
+    for row in inter:
+        q = dot(row, w)
+        if not q > _FEASIBLE_ABOVE:
+            return math.inf, None
+        roots.append(math.sqrt(q))
+        logs += kernel_log(roots[-1] - 1.0)
+    return dot(intra, w) - 2.0 * logs, roots
+
+
+def _gradient(intra: list, inter: list, roots: list) -> list:
+    acc = [0.0] * len(intra)
+    for row, root in zip(inter, roots):
+        coef = 1.0 / (root * (root - 1.0))
+        for c, x in enumerate(row):
+            acc[c] += x * coef
+    return [a - s for a, s in zip(intra, acc)]
+
+
+def _geometry_lists(geom: ClusterGeometry) -> tuple[list, list]:
+    return np.asarray(geom.intra, np.float64).tolist(), np.asarray(geom.inter_sq, np.float64).tolist()
 
 
 def barrier_objective(weights, geom: ClusterGeometry) -> float:
     """Objective value at ``weights``; +inf when any pair separation <= 1."""
-    w = np.asarray(weights, dtype=np.float64)
-    linear = float(geom.intra @ w)
-    if len(geom.inter_sq) == 0:
-        return linear
-    sep = np.sqrt(geom.inter_sq @ w) - 1.0
-    if not bool(np.all(sep > 0.0)):
-        return math.inf
-    return linear - 2.0 * float(np.log(sep).sum())
+    intra, inter = _geometry_lists(geom)
+    return _evaluate(intra, inter, np.asarray(weights, np.float64).tolist())[0]
 
 
 def barrier_gradient(weights, geom: ClusterGeometry) -> np.ndarray:
     """Gradient at a feasible point; raises ValueError when infeasible."""
-    w = np.asarray(weights, dtype=np.float64)
-    grad = geom.intra.copy()
-    if len(geom.inter_sq) == 0:
-        return grad
-    root = np.sqrt(geom.inter_sq @ w)
-    if not bool(np.all(root > 1.0)):
+    intra, inter = _geometry_lists(geom)
+    roots = _evaluate(intra, inter, np.asarray(weights, np.float64).tolist())[1]
+    if roots is None:
         raise ValueError("gradient needs a strictly feasible point")
-    coef = 1.0 / (root * (root - 1.0))
-    return grad - geom.inter_sq.T @ coef
+    return np.array(_gradient(intra, inter, roots))
 
 
-def _overflows(w: np.ndarray, geom: ClusterGeometry, scale: float) -> bool:
-    """Whether ``w * scale``, or a pair or intra product of it, is past the
-    float range."""
-    largest = max(float(np.max(w)), float(np.max(geom.inter_sq @ w)), float(geom.intra @ w))
-    return not math.isfinite(largest * scale)
+def rescale_feasible(intra: list, inter: list, w: list) -> list:
+    """The homogeneous rescale landing the tightest pair at a root of
+    ``_TARGET``, restarting from uniform weights when no float scale helps
+    ``w``; ValueError when none helps those either. A tightest product
+    that is NaN (numpy's minimum keeps one), negative or already past the
+    target leaves the weights as they are."""
+    q_min = math.nan
+    for start in (w, [1.0] * len(w)):
+        q = [dot(row, start) for row in inter]
+        q_min = q[0]
+        for x in q[1:]:
+            if q_min == q_min and not x >= q_min:
+                q_min = x
+        root_min = math.sqrt(q_min) if q_min >= 0.0 else math.nan
+        if not root_min <= _TARGET:
+            return start
+        if root_min == 0.0:
+            continue
+        t = _TARGET / root_min
+        scale = t * t
+        if scale == math.inf:
+            continue
+        largest = -math.inf
+        for x in [*start, max(q), dot(intra, start)]:
+            largest = x if x > largest else largest
+        if math.isfinite(largest * scale):
+            return [x * scale for x in start]
+    raise ValueError(
+        "no float weights separate the tightest pair: uniform weights give it "
+        f"a squared separation of {q_min!r}"
+    )
 
 
-def _rescale_feasible(w: np.ndarray, geom: ClusterGeometry):
-    """Homogeneous rescale landing the tightest pair at 1 + 0.05."""
-    target = 1.0 + 0.05
-    root_min = math.sqrt(float(np.min(geom.inter_sq @ w)))
-    try:
-        scale = (target / root_min) ** 2
-        if root_min <= target and _overflows(w, geom, scale):
-            raise OverflowError("the rescaled weights or their products overflow")
-    except (ZeroDivisionError, OverflowError):
-        # Weights vanish, or all but vanish, on every component where the
-        # tightest pair separates; no float scale can help, or the scale
-        # overflows the largest weight or product. Restart from uniform
-        # weights, which see positive separation on every retained pair.
-        w = np.ones_like(w)
-        q_min = float(np.min(geom.inter_sq @ w))
-        root_min = math.sqrt(q_min)
-        try:
-            scale = (target / root_min) ** 2
-            if root_min <= target and _overflows(w, geom, scale):
-                raise OverflowError("the rescaled uniform weights or their products overflow")
-        except (ZeroDivisionError, OverflowError):
-            raise ValueError(
-                "no float weights separate the tightest pair: uniform weights give it "
-                f"a squared separation of {q_min!r}"
-            ) from None
-    if root_min <= target:
-        w = w * scale
-    return w
+def refine(weights, intra, inter_sq, max_steps: int, step: float):
+    """``kernel.refine`` in Python floats, as the bitwise oracle of the
+    weight refresh: ``(weights, (steps taken, stop, objective), steps)``
+    with the accepted steps' ``(objective, step size)``, or the kernel's
+    ValueError. The arguments are read as float64 lists."""
+    w = np.asarray(weights, np.float64).tolist()
+    intra = np.asarray(intra, np.float64).tolist()
+    inter = np.asarray(inter_sq, np.float64).tolist()
+    if not inter:
+        return w, (0, "no_pairs", _evaluate(intra, inter, w)[0]), []
+    w = rescale_feasible(intra, inter, w)
+    value, roots = _evaluate(intra, inter, w)
+    if roots is None and max_steps:
+        raise ValueError("gradient needs a strictly feasible point")
+    stop, steps = "max_steps", []
+    while len(steps) < max_steps:
+        grad = _gradient(intra, inter, roots)
+        while True:
+            if not step >= _MIN_STEP:
+                stop = "min_step"
+                break
+            cand = []
+            for x, g in zip(w, grad):
+                v = x - g * step
+                cand.append(v if v > 0.0 or v != v else 0.0)  # numpy's maximum(v, 0.0)
+            cand_value, cand_roots = _evaluate(intra, inter, cand)
+            if cand_value < value:
+                break
+            if cand_value == value and all(a == b for a, b in zip(cand, w)):
+                stop = "rounds_to_w"
+                break
+            step *= 0.5
+        if stop != "max_steps":
+            break
+        w, value, roots = cand, cand_value, cand_roots
+        steps.append((value, step))
+    return w, (len(steps), stop, value), steps
 
 
 def refine_weights(
@@ -538,51 +651,22 @@ def refine_weights(
     trace: TraceHook | None = None,
     step_size: float = 0.1,
 ) -> np.ndarray:
-    """Descend the barrier objective from ``weights`` over a fixed geometry.
-
-    Returns a feasible weight vector with objective no worse than the
-    (repaired) starting point; when every cluster pair has coincident
-    centroids, the weights are returned unchanged. The input array is not
-    modified. ``trace`` receives one record per accepted step, then one
-    with the final weights and the pair counts, also when no pair is kept.
-    Each refresh's first step is ``step_size``, the library's constant.
-    """
-    w = np.asarray(weights, dtype=np.float64).copy()
+    """``weight_opt.refine_weights`` by ``refine``: the start checked as
+    ``ensure_weights`` checks it, then the refresh, each accepted step
+    traced, then the final weights and the pair counts, also when no pair
+    is kept. Each refresh's first step is ``step_size``, the library's
+    constant."""
+    w = np.asarray(weights, dtype=np.float64)
     if w.shape != geom.intra.shape:
         raise ValueError(f"weights must have shape {geom.intra.shape}, got {w.shape}")
     if not (np.isfinite(w).all() and (w >= 0.0).all()):
         raise ValueError("weights must be nonnegative and finite")
-    if len(geom.inter_sq) == 0:
-        if trace is not None:
-            trace({"final_weights": w.tolist(), "pairs": 0, "dropped_pairs": geom.dropped})
-        return w
-    w = _rescale_feasible(w, geom)
-    value = barrier_objective(w, geom)
-    step = step_size
-    for step_no in range(cfg.max_steps):
-        grad = barrier_gradient(w, geom)
-        accepted = False
-        while step >= _MIN_STEP:
-            candidate = np.maximum(w - step * grad, 0.0)
-            cand_value = barrier_objective(candidate, geom)
-            if cand_value < value:
-                w, value = candidate, cand_value
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        if trace is not None:
-            trace({"step": step_no, "objective": value, "step_size": step})
+    out, _, steps = refine(w, geom.intra, geom.inter_sq, cfg.max_steps, step_size)
     if trace is not None:
-        trace(
-            {
-                "final_weights": w.tolist(),
-                "pairs": len(geom.inter_sq),
-                "dropped_pairs": geom.dropped,
-            }
-        )
-    return w
+        for step_no, (objective, step) in enumerate(steps):
+            trace({"step": step_no, "objective": objective, "step_size": step})
+        trace({"final_weights": out, "pairs": len(geom.inter_sq), "dropped_pairs": geom.dropped})
+    return np.array(out, dtype=np.float64)
 
 
 def view_fields(keys, values, bounds) -> dict:
@@ -661,12 +745,34 @@ def distance_sq(a_sq, cross, denom, b_sq) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def bank_distances_sq(bank, view: GraphView) -> np.ndarray:
-    """``bank.distances_sq(view)`` with the closed form in numpy, from the
-    bank's own ``_cross``."""
+def distances(bank, view: GraphView) -> np.ndarray:
+    """The squared component distances ``bank.distances_sq`` returns
+    first, ``(size, d+1)``, read under uniform weights."""
+    return bank.distances_sq(view, np.ones(bank.d + 1))[0]
+
+
+def bank_distances_sq(bank, view: GraphView, weights) -> tuple:
+    """``bank.distances_sq(view, weights)`` with the closed form in numpy,
+    from the bank's own ``_cross``, then the route in Python floats: the
+    slot ``np.argmin`` picks by the weighted distances, that distance and
+    the slot's ``intra_sq`` weighted, each weighted sum by ``dot``."""
     n = bank.n[: bank.size, None].astype(np.float64)
     cross = bank._cross(view)
-    return distance_sq(view.sq_sum, cross, n, bank.self_sq[:, : bank.size].T / (n * n))
+    comp_sq = distance_sq(view.sq_sum, cross, n, bank.self_sq[:, : bank.size].T / (n * n))
+    return comp_sq, *route(comp_sq, bank.intra_sq(slice(0, bank.size)), weights)
+
+
+def route(comp_sq, intra_sq, weights) -> tuple:
+    """The route ``kernel.graph_distances_sq`` returns for the live slots'
+    squared distances ``comp_sq`` and intra distances ``intra_sq``, both
+    ``(m, d+1)``: the slot ``np.argmin`` picks by the weighted distances
+    (the first least), that distance and the slot's weighted intra, each
+    weighted sum by ``dot``; ``(-1, inf, 0.0)`` when ``m`` is 0."""
+    weighted = [dot(row, weights) for row in comp_sq.tolist()]
+    if not weighted:
+        return -1, math.inf, 0.0
+    nearest = int(np.argmin(weighted))
+    return nearest, weighted[nearest], dot(intra_sq[nearest].tolist(), weights)
 
 
 def pairs(m: int) -> tuple[np.ndarray, np.ndarray]:

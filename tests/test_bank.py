@@ -30,6 +30,8 @@ from reference import (
     component_distances_sq,
     cut,
     distance_sq,
+    distances,
+    dot,
     filled,
     gathered_cross,
     generate_graphs,
@@ -39,6 +41,7 @@ from reference import (
     intra_vector_sq,
     pair_cross,
     pair_distances_sq,
+    route,
     separating_rows,
     view_of,
 )
@@ -109,11 +112,11 @@ def _reference(graphs, config: EngineConfig, schema, resume_at: int):
             out.append((ACTION_INITIALIZED, len(clusters) - 1, None, None, None))
         else:
             comp_sq = np.array([component_distances_sq(view, c) for c in clusters])
-            es_all = comp_sq @ weights
+            es_all = [dot(row, weights) for row in comp_sq]
             nearest = int(np.argmin(es_all))
-            best = float(es_all[nearest])
+            best = es_all[nearest]
             target = clusters[nearest]
-            spread = (config.p / target.n) * float(intra_vector_sq(target) @ weights)
+            spread = (config.p / target.n) * dot(intra_vector_sq(target), weights)
             if target.n == 1 or best < spread:
                 target.absorb_views(view, now)
                 out.append((ACTION_ASSIGNED, nearest, best, spread, comp_sq))
@@ -277,7 +280,7 @@ def _numpy_bank(config: SketchConfig, d: int, k: int) -> ClusterBank:
     bank = ClusterBank(config, d, k)
     bank._cross = lambda view: gathered_cross(bank, view)
     bank._add = lambda slot, view, fresh: add_at(bank, slot, view, fresh)
-    bank.distances_sq = lambda view: bank_distances_sq(bank, view)
+    bank.distances_sq = lambda view, weights: bank_distances_sq(bank, view, weights)
     return bank
 
 
@@ -321,7 +324,8 @@ def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, grap
     gather, ``np.add.at`` scatter and closed form give: the view's digests
     against hashlib's; ``_cross`` against the fancy-index gather summed in
     view order, and ``distances_sq`` against both with the numpy closed
-    form, with ``m`` from 1 to ``k``; the cells and ``self_sq`` after each
+    form and the route's weighted sums in Python floats, with ``m`` from 1
+    to ``k``; the cells and ``self_sq`` after each
     ``reset`` and ``absorb``, and then ``geometry`` against its numpy
     construction. Keys
     collide within one graph, a view may have no key, column counts need
@@ -344,8 +348,10 @@ def test_the_bank_keeps_the_numpy_gather_and_scatter_bits(d, k, rows, cols, grap
             got, want = (bank._cross(view) for bank in banks)
             assert got.shape == want.shape == (len(banks[0]), d + 1)
             assert got.tobytes() == want.tobytes()
-            got, want = (bank.distances_sq(view) for bank in banks)
-            assert got.tobytes() == want.tobytes()
+            weights = rng.uniform(0.0, 2.0, d + 1)
+            got, want = (bank.distances_sq(view, weights) for bank in banks)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array(got[1:]).tobytes() == np.array(want[1:]).tobytes()
         size = len(banks[0])
         slot = size if size < k else int(rng.integers(0, k))
         update = "reset" if slot == size or rng.random() < 0.3 else "absorb"
@@ -381,7 +387,8 @@ def _masses(rng, shape, zeros: float) -> np.ndarray:
 def test_the_closed_forms_keep_the_numpy_bits(d, k, m, top, zeros, seed):
     """The kernel's graph and pair closed forms give bit for bit what numpy
     gave (``reference.distance_sq``, and for the pairs the listing, gather
-    and kept mask of ``reference.pair_distances_sq``), on real-valued terms
+    and kept mask of ``reference.pair_distances_sq``), and the graph form's
+    route what ``reference.route`` gives, on real-valued terms
     with counts up to ``top`` (2**26, where ``n * n`` needs all 53 bits),
     some terms 0.0 or -0.0 (all of them with ``zeros == 1``, where the
     clamp must turn every -0.0 into +0.0 and every pair is dropped) and
@@ -395,10 +402,13 @@ def test_the_closed_forms_keep_the_numpy_bits(d, k, m, top, zeros, seed):
     # cross terms near a + b: their differences cancel, and many go negative
     cross = _masses(rng, (m, d + 1), zeros) * (n[:m, None] / 2.0)
     got = cross.copy()
-    kernel.graph_distances_sq(self_sq, n, sq_sum, got)
+    moments, weights = _masses(rng, (k, d + 1), zeros), rng.uniform(0.0, 2.0, d + 1)
+    nearest = kernel.graph_distances_sq(self_sq, n, sq_sum, got, moments, weights)
     nf = n[:m, None].astype(np.float64)
     want = distance_sq(sq_sum, cross, nf, self_sq[:, :m].T / (nf * nf))
     assert got.tobytes() == want.tobytes()
+    intra = np.maximum(moments[:m] - (self_sq[:, :m] / n[:m]).T, 0.0)
+    assert np.array(nearest).tobytes() == np.array(route(want, intra, weights)).tobytes()
     side = max(m, 1) - 1
     cross = _masses(rng, (d + 1, side, side), zeros) * (n[:side, None] * n[1 : side + 1] / 2.0)
     got = np.full((side * (side + 1) // 2, d + 1), np.nan)
@@ -423,7 +433,9 @@ def test_a_closed_form_that_is_not_finite_raises_as_numpy_did(term):
     cross, a, b = _NOT_FINITE[term]
     self_sq, n = np.array([[a, b]]), np.array([1, 1])
     forms = [
-        lambda c: kernel.graph_distances_sq(self_sq[:, 1:], n[1:], np.array([a]), c),
+        lambda c: kernel.graph_distances_sq(
+            self_sq[:, 1:], n[1:], np.array([a]), c, np.ones((1, 1)), np.ones(1)
+        ),
         lambda c: distance_sq(np.array([a]), c, 1.0, self_sq[:, 1:].T),
         lambda c: kernel.pair_distances_sq(self_sq, n, c[None], np.empty((1, 1))),
         lambda c: pair_distances_sq(self_sq, n, c[None]),
@@ -561,7 +573,7 @@ def test_geometry_and_distances_share_one_closed_form(exact):
     filled(bank, views[:1], *(views[j::4] for j in range(1, 5)))
     geometry = bank.geometry()
     assert geometry.dropped == 0
-    assert geometry.inter_sq[:4].tobytes() == bank.distances_sq(views[0])[1:].tobytes()
+    assert geometry.inter_sq[:4].tobytes() == distances(bank, views[0])[1:].tobytes()
 
 
 # the graphs ``_two_clusters`` absorbs, and the graph count ``_loads`` passes

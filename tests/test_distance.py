@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from reference import SCHEMA, component, digest_buckets, filled, graph, key_digests
+from reference import SCHEMA, component, digest_buckets, distances, filled, graph, key_digests
 from sketchclust import (
     Engine,
     EngineConfig,
@@ -22,7 +22,7 @@ from sketchclust.stats import ClusterBank
 
 def _component_sq(g: GraphObject, bank, comp: int) -> float:
     """The squared component distance from ``g`` to the bank's slot 0."""
-    return bank.distances_sq(graph_views(g, SCHEMA))[0, comp]
+    return distances(bank, graph_views(g, SCHEMA))[0, comp]
 
 
 def _cluster(*graphs: GraphObject, bank=None):
@@ -64,7 +64,7 @@ def test_side_distance_hand_example():
     # (1 - 3)^2 = 4
     assert _component_sq(probe, c, 1) == pytest.approx(4.0)
     with pytest.raises(ValueError, match="component count"):
-        c.distances_sq(graph_views(graph(1, [], {}), StreamSchema()))
+        distances(c, graph_views(graph(1, [], {}), StreamSchema()))
 
 
 def test_intra_closed_form_hand_example():
@@ -129,7 +129,7 @@ def test_es_distance_weighted_sum():
     # the engine's es distance: squared component distances dot weights
     c = _cluster(graph(0, [("a", "b", 3.0)], {"x": 3.0}))
     probe = graph(1, [("a", "b", 1.0)], {"x": 1.0})
-    comp_sq = c.distances_sq(graph_views(probe, SCHEMA))[0]
+    comp_sq = distances(c, graph_views(probe, SCHEMA))[0]
     assert comp_sq @ np.array([1.0, 1.0]) == pytest.approx(8.0)
     assert comp_sq @ np.array([0.5, 2.0]) == pytest.approx(10.0)
     assert np.sqrt(comp_sq).tolist() == pytest.approx([2.0, 2.0])
@@ -139,7 +139,7 @@ def test_empty_cluster_and_bad_component_rejected():
     for bank in (ExactBank(SCHEMA.d, 2), ClusterBank(SketchConfig(), SCHEMA.d, 2)):
         probe = graph_views(graph(0, [("a", "b", 1.0)], {}), SCHEMA)
         # an empty bank scores no cluster, and has no geometry
-        assert bank.distances_sq(probe).shape == (0, SCHEMA.d + 1)
+        assert distances(bank, probe).shape == (0, SCHEMA.d + 1)
         with pytest.raises(ValueError, match="two nonempty"):
             bank.geometry()
         bank.reset(0, probe, 1)
@@ -151,7 +151,7 @@ def test_empty_cluster_and_bad_component_rejected():
         for schema in (StreamSchema(), wide):
             view = graph_views(g, schema)
             with pytest.raises(ValueError, match="component count"):
-                bank.distances_sq(view)
+                distances(bank, view)
             with pytest.raises(ValueError, match="component count"):
                 bank.absorb(0, view, 2)
 
@@ -203,7 +203,7 @@ def test_component_distances_match_per_component_calls():
         for i in range(4)
     ])
     probe = graph(9, [("a", "b", 2.0)], {"x": 2.0, "y": 1.0})
-    combined = c.distances_sq(graph_views(probe, SCHEMA))[0]
+    combined = distances(c, graph_views(probe, SCHEMA))[0]
     # each component from its own definition: the probe's masses minus
     # the centroid's, squared, over the union of keys
     view = graph_views(probe, SCHEMA)

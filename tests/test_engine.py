@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import SCHEMA, generate_graphs, graph, process_all
+from reference import SCHEMA, distances, generate_graphs, graph, process_all
 from sketchclust import (
     ACTION_ASSIGNED,
     ACTION_INITIALIZED,
@@ -526,7 +526,7 @@ def test_an_update_that_would_overflow_the_second_moments_changes_nothing(backen
     graphs = [graph(i, [(key, "z", mass)]) for i, (key, mass) in enumerate(edges)]
     process_all(engine, graphs[:2])
     view = graph_views(graphs[2], SCHEMA)
-    assert engine.bank.distances_sq(view)[0, 0] == pytest.approx(0.64e308)
+    assert distances(engine.bank, view)[0, 0] == pytest.approx(0.64e308)
     before = copy.deepcopy(engine.bank)
     rejected = [
         (graphs[2], ValueError, "slot 0's self product would not be finite"),

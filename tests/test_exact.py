@@ -10,6 +10,7 @@ from reference import (
     SCHEMA,
     component,
     cut_view,
+    distances,
     filled,
     graph,
     key_digests,
@@ -54,7 +55,7 @@ def test_accessor_surface_matches_truth():
     assert c.self_sq[:, 0].tolist() == [9.0, 16.0 + 4.0]
     view = graph_views(graph(2, [("a", "b", 1.0)], {"x": 1.0, "z": 1.0}), SCHEMA)
     # edges 1 - 2 * 3 / 2 + 9 / 4, topics 2 - 2 * (1 * 4 + 1 * 0) / 2 + 20 / 4
-    assert c.distances_sq(view)[0].tolist() == [1.0 - 3.0 + 9.0 / 4.0, 3.0]
+    assert distances(c, view)[0].tolist() == [1.0 - 3.0 + 9.0 / 4.0, 3.0]
 
 
 def test_cross_product_is_exact():
@@ -109,7 +110,7 @@ def test_parity_with_sketch_backend_when_separated():
     exact = filled(ExactBank(SCHEMA.d, 3), *clusters)
     for g in graphs[9:]:
         view = graph_views(g, SCHEMA)
-        np.testing.assert_allclose(sketch.distances_sq(view), exact.distances_sq(view))
+        np.testing.assert_allclose(distances(sketch, view), distances(exact, view))
     for slot in range(3):
         np.testing.assert_allclose(sketch.intra_sq(slot), exact.intra_sq(slot))
     ours, theirs = sketch.geometry(), exact.geometry()
@@ -156,7 +157,7 @@ def test_sketch_distances_are_the_exact_banks_bit_for_bit_when_rows_separate(see
 
     for t in range(3 * k):
         for probe in [view(real=True) for _ in range(3)] if len(sketch) else []:
-            assert sketch.distances_sq(probe).tobytes() == exact.distances_sq(probe).tobytes()
+            assert distances(sketch, probe).tobytes() == distances(exact, probe).tobytes()
         member, slot = view(real=False), t if t < k else int(rng.integers(0, k))
         for bank in (sketch, exact):
             (bank.reset if t < k else bank.absorb)(slot, member, t)

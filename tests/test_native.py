@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 import reference
 import sketchclust
-from reference import view_of
+from reference import distances, view_of
 from sketchclust import (
     GraphObject,
     SideType,
@@ -191,6 +191,13 @@ _GRAPH = _COUNTS + [
     ("sq_sum", "short", lambda a: a[:-1]),
     ("sq_sum", "float32", lambda a: a.astype(np.float32)),
     ("cross", "more slots than the bank", lambda a: np.ones((SLOTS + 1, COMPS))),
+    ("moments", "float32", lambda a: a.astype(np.float32)),
+    ("moments", "a slot short", lambda a: a[:-1]),
+    ("moments", "a component short", lambda a: a[:, :-1]),
+    ("moments", "transposed", lambda a: np.asfortranarray(a)),
+    ("weights", "float32", lambda a: a.astype(np.float32)),
+    ("weights", "short", lambda a: a[:-1]),
+    ("weights", "2-d", lambda a: a[None]),
 ]
 # the pair form reads ``cross`` as a (d+1, m-1, m-1) block and writes ``out``
 _PAIR = [case for case in _COUNTS if case[:2] != ("cross", "read-only")]
@@ -217,6 +224,7 @@ def _counts():
 def test_graph_distances_sq_rejects_a_bad_argument_before_any_write(arg, name, fault):
     self_sq, n, cross = _counts()
     args = {"self_sq": self_sq, "n": n, "sq_sum": np.ones(COMPS), "cross": cross}
+    args.update(moments=np.full((SLOTS, COMPS), 4.0), weights=np.ones(COMPS))
     args[arg] = fault(args[arg])
     held = args["cross"].copy()
     with pytest.raises(ValueError):
@@ -334,7 +342,7 @@ def test_a_comp_that_disagrees_with_its_bounds_is_rejected_before_any_write(comp
         bank.absorb(0, view, 3)
         assert bank.second_moments[0].tolist() == [6.0, 20.0]
         assert bank.self_sq[:, 0].tolist() == [8.0, 36.0]
-        assert bank.distances_sq(view).shape == (2, 2)
+        assert distances(bank, view).shape == (2, 2)
 
 
 SCHEMA = StreamSchema(side_types=(SideType("topics"), SideType("tags", "categorical")))

@@ -73,10 +73,10 @@ def test_the_bank_and_kernel_checks_pass_under_sanitizers(tmp_path):
     assert b"__asan_report" in kernel.read_bytes() and b"__ubsan_handle" in kernel.read_bytes()
     selected = (
         "test_bank or test_model or test_ingest_oracle or rejects or disagrees or fuzz"
-        " or own_blake2b"
+        " or own_blake2b or refine"
     )
     files = ("test_bank.py", "test_model.py", "test_ingest_oracle.py", "test_native.py",
-             "test_sketch.py")
+             "test_sketch.py", "test_weight_opt.py")
     tests = [str(TESTS / name) for name in files]
     # ``--capture=sys``: a sanitizer's report goes to file descriptor 2 as the
     # run dies, which pytest's default capture would swallow.

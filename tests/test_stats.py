@@ -14,6 +14,7 @@ from reference import (
     ClusterStats,
     cut_view,
     digest_buckets,
+    distances,
     graph,
     separating_rows,
     view_of,
@@ -197,7 +198,7 @@ def test_one_view_serves_sketch_banks_of_different_seeds():
         full = now > 3
         if full:
             for bank, own, own_view in zip(shared, alone, own_views):
-                got, want = bank.distances_sq(view), own.distances_sq(own_view)
+                got, want = distances(bank, view), distances(own, own_view)
                 assert got.tobytes() == want.tobytes()
         for bank, own, own_view in zip(shared, alone, own_views):
             for b, v in ((bank, view), (own, own_view)):

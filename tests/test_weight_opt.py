@@ -1,15 +1,28 @@
-"""Log-barrier weight refinement on frozen cluster geometry."""
+"""Log-barrier weight refinement on frozen cluster geometry.
 
+The refresh runs in ``kernel.refine``; ``reference.refine`` repeats it in
+Python floats, with the kernel's own ``log`` transcribed. The properties
+here hold the kernel to that oracle bit for bit, weights, records and
+messages, and the objective and gradient tests read the oracle's, which
+is the kernel's arithmetic.
+"""
+
+import ctypes
 import math
 import random
+import shutil
+import subprocess
+import sys
+import sysconfig
 import warnings
 from dataclasses import fields
 from functools import partial
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -24,9 +37,10 @@ from sketchclust import (
     refine_weights,
 )
 from sketchclust import engine as engine_module
-from sketchclust import weight_opt
+from sketchclust import native, weight_opt
 from sketchclust.exact import ExactBank
-from sketchclust.weight_opt import _evaluate, _gradient
+from sketchclust.native import kernel
+from test_native import _is, _spoil
 
 
 def _geometry(*clusters: list[GraphObject]) -> ClusterGeometry:
@@ -52,13 +66,8 @@ def _scaled(geom: ClusterGeometry, t: float) -> ClusterGeometry:
     return ClusterGeometry(t * geom.intra, geom.inter_sq, geom.dropped)
 
 
-def _objective(w, geom: ClusterGeometry) -> float:
-    return _evaluate(np.asarray(w, dtype=np.float64), geom)[0]
-
-
-def _grad(w, geom: ClusterGeometry) -> np.ndarray:
-    """The gradient the optimizer takes at a feasible ``w``."""
-    return _gradient(geom, _evaluate(np.asarray(w, dtype=np.float64), geom)[1])
+_objective = reference.barrier_objective
+_grad = reference.barrier_gradient  # the gradient the optimizer takes at a feasible ``w``
 
 
 def _feasible_point(rng: random.Random, geom: ClusterGeometry) -> np.ndarray:
@@ -109,12 +118,12 @@ def test_objective_hand_example():
 def test_feasibility_is_decided_as_the_roots_decide_it():
     # The evaluation rejects a candidate on its pair products Q before any
     # root: over the floats around Q = 1 it must reject exactly those whose
-    # rounded root is at most 1, as the reference objective does.
+    # rounded root is at most 1.
     q = np.nextafter(1.0, 0.0)
     for _ in range(200):
         geom = ClusterGeometry(np.ones(1), np.array([[q]]), 0)
         got = _objective([1.0], geom)
-        assert got == reference.barrier_objective([1.0], geom), q
+        assert (got == math.inf) == (math.sqrt(q) - 1.0 <= 0.0), q
         assert (got == math.inf) == (q <= 1.0 + 2.0**-52), q
         q = np.nextafter(q, 2.0)
 
@@ -157,7 +166,9 @@ def test_gradient_matches_finite_differences():
 def test_gradient_requires_feasibility(start, cfg, message):
     geom = ClusterGeometry(np.zeros(2), np.array([[4.0, 0.0]]), 0)
     # outside the region the evaluation gives no roots to take a gradient at
-    assert _evaluate(np.array([0.125, 0.0]), geom) == (math.inf, None)
+    assert _objective([0.125, 0.0], geom) == math.inf
+    with pytest.raises(ValueError, match="^gradient needs a strictly feasible point$"):
+        _grad([0.125, 0.0], geom)
     # a start no descent can begin from is rejected as ``ensure_weights`` rejects it
     with pytest.raises(ValueError, match=f"^weights must .*{message}"):
         refine_weights(start, geom, cfg)
@@ -469,22 +480,18 @@ def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
     geom = ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0)
     cfg = BarrierConfig()
     monkeypatch.setattr(weight_opt, "_STEP_SIZE", 1.0)
-    evaluated: list[np.ndarray] = []
-    evaluate = weight_opt._evaluate
-
-    def recording(w, geom):
-        evaluated.append(w.copy())
-        return evaluate(w, geom)
-
-    monkeypatch.setattr(weight_opt, "_evaluate", recording)
     records: list[dict] = []
     out = refine_weights([1.0, 1.0, 1.0], geom, cfg, trace=records.append)
     assert out[:2].tolist() == [0.0, 0.0]
     assert len(records) - 1 < cfg.max_steps
-    # the start, then candidates: the last accepted one equals the result
-    equal = [w for w in evaluated[1:] if np.array_equal(w, out)]
-    assert 1 <= len(equal) <= 2, len(equal)
-    monkeypatch.setattr(weight_opt, "_evaluate", evaluate)
+    # the kernel's record says why it stopped, as the oracle's does
+    w = np.ones(3)
+    taken, stop, value = kernel.refine(w, geom.intra, geom.inter_sq, cfg.max_steps, 1.0, None)
+    assert (taken, stop) == (len(records) - 1, "rounds_to_w")
+    assert value == records[-2]["objective"] and w.tolist() == out.tolist()
+    assert reference.refine(np.ones(3), geom.intra, geom.inter_sq, cfg.max_steps, 1.0)[1] == (
+        taken, stop, value,
+    )
     assert _outcome(refine_weights, geom, np.ones(3), cfg) == _reference_outcome(
         geom, np.ones(3), cfg, 1.0
     )
@@ -496,15 +503,15 @@ def test_a_step_of_exactly_the_least_size_is_still_taken(monkeypatch):
     # the objective: the descent must evaluate it, not stop before it.
     geom = ClusterGeometry(np.full(2, 1e3), np.array([[1.0, 1.0]]), 0)
     cfg = BarrierConfig(max_steps=1)
-    monkeypatch.setattr(weight_opt, "_STEP_SIZE", weight_opt._MIN_STEP)
+    monkeypatch.setattr(weight_opt, "_STEP_SIZE", reference._MIN_STEP)
     start = np.ones(2)
     records: list[dict] = []
     out = refine_weights(start, geom, cfg, trace=records.append)
     assert 0.0 < start[0] - out[0] < 1e-14 and out[0] == out[1]
     assert _objective(out, geom) < _objective(start, geom)
-    assert records[0]["step_size"] == weight_opt._MIN_STEP
+    assert records[0]["step_size"] == reference._MIN_STEP
     assert _outcome(refine_weights, geom, start, cfg) == _reference_outcome(
-        geom, start, cfg, weight_opt._MIN_STEP
+        geom, start, cfg, reference._MIN_STEP
     )
 
 
@@ -513,12 +520,239 @@ def test_a_step_below_the_least_size_returns_the_rescaled_start(monkeypatch):
     # at once: the rescaled start comes back, with only the final record.
     geom = ClusterGeometry(np.array([4.0, 3.0, 1.0]), np.array([[0.5, 0.3, 2.0]]), 0)
     cfg = BarrierConfig()
-    monkeypatch.setattr(weight_opt, "_STEP_SIZE", weight_opt._MIN_STEP / 2)
+    monkeypatch.setattr(weight_opt, "_STEP_SIZE", reference._MIN_STEP / 2)
     start = [0.1, 0.2, 0.3]  # Q = 0.71: infeasible, so rescaled to Q = 1.05
     records: list[dict] = []
     out = refine_weights(start, geom, cfg, trace=records.append)
-    assert out.tolist() == weight_opt._rescale_feasible(np.array(start), geom).tolist()
+    intra, inter = geom.intra.tolist(), geom.inter_sq.tolist()
+    assert out.tolist() == reference.rescale_feasible(intra, inter, start)
     assert records == [{"final_weights": out.tolist(), "pairs": 1, "dropped_pairs": 0}]
     assert _outcome(refine_weights, geom, start, cfg) == _reference_outcome(
-        geom, start, cfg, weight_opt._MIN_STEP / 2
+        geom, start, cfg, reference._MIN_STEP / 2
     )
+    w = np.array(start)
+    assert kernel.refine(w, geom.intra, geom.inter_sq, 25, reference._MIN_STEP / 2, None)[:2] == (
+        0, "min_step",
+    )
+
+
+def _kernel_outcome(w, intra, inter_sq, max_steps: int, step: float):
+    """``kernel.refine``'s weights, record and step rows as bytes, or its
+    ValueError's message, with the weights and step rows unwritten."""
+    w = np.array(w, dtype=np.float64)
+    steps = np.full((max_steps, 2), -7.0)
+    held = w.tobytes(), steps.tobytes()
+    try:
+        taken, stop, value = kernel.refine(w, intra, inter_sq, max_steps, step, steps)
+    except ValueError as exc:
+        assert (w.tobytes(), steps.tobytes()) == held
+        return str(exc)
+    assert steps[taken:].tobytes() == np.full((max_steps - taken, 2), -7.0).tobytes()
+    return w.tobytes(), (taken, stop, np.float64(value).tobytes()), steps[:taken].tobytes()
+
+
+def _oracle_outcome(w, intra, inter_sq, max_steps: int, step: float):
+    """``_kernel_outcome`` of ``reference.refine``."""
+    try:
+        out, (taken, stop, value), steps = reference.refine(w, intra, inter_sq, max_steps, step)
+    except ValueError as exc:
+        return str(exc)
+    rows = np.array(steps, dtype=np.float64).reshape(-1, 2)
+    return np.array(out).tobytes(), (taken, stop, np.float64(value).tobytes()), rows.tobytes()
+
+
+_START_KINDS = ("feasible", "infeasible", "nan", "negative zero", "zero", "drawn")
+
+
+@st.composite
+def _refine_cases(draw):
+    """A geometry, max_steps (0 among them) and first step from
+    ``_geometries``, and a start of one of ``_START_KINDS``: rescaled to a
+    tightest product of 4 or below 1, holding a NaN, or its zeros -0.0,
+    all zero, or as drawn."""
+    geom, cfg, step = draw(_geometries())
+    n = len(geom.intra)
+    w = np.array(draw(st.lists(st.just(0.0) | st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    kind = draw(st.sampled_from(_START_KINDS))
+    q_min = float(np.min(geom.inter_sq @ w))
+    if kind == "feasible" and q_min > 0.0:
+        w *= 4.0 / q_min
+    elif kind == "infeasible" and q_min > 0.0:
+        w *= draw(st.floats(0.01, 0.9)) / q_min
+    elif kind == "nan":
+        w[draw(st.integers(0, n - 1))] = math.nan
+    elif kind == "negative zero":
+        w[w == 0.0] = -0.0
+        w[draw(st.integers(0, n - 1))] = -0.0
+    elif kind == "zero":
+        w[:] = 0.0
+    return geom, w, cfg.max_steps, step
+
+
+@given(case=_refine_cases())
+@example(case=(_OVERFLOWING_GEOMETRY, np.array(_OVERFLOWING_START), 0, 0.01))
+@example(case=(_OVERFLOWING_GEOMETRY, np.array(_OVERFLOWING_START), 25, 0.1))
+@example(case=(_PAIR_PRODUCT_GEOMETRY, np.array(_PRODUCT_START), 0, 0.01))
+@example(case=(_INTRA_PRODUCT_GEOMETRY, np.array(_PRODUCT_START), 5, 0.1))
+@example(
+    case=(ClusterGeometry(np.zeros(3), [[5e-324, 0.0, 0.0]], 0), np.ones(3), 25, 0.1),
+)
+@example(
+    case=(ClusterGeometry(np.ones(2), [[4.0, 1.0]], 0), np.array([-0.0, 0.5]), 25, 1.0),
+)
+@example(case=(ClusterGeometry(np.ones(2), [[4.0, 1.0]], 0), np.array([math.nan, 1.0]), 0, 0.1))
+def test_refine_matches_the_oracle_bit_for_bit(case):
+    """``kernel.refine`` and ``reference.refine``, its transcription in
+    Python floats, give the same weights, record (steps taken, why the
+    descent stopped, the final objective) and accepted steps, bit for bit,
+    or the same ValueError, with nothing written: from feasible,
+    infeasible, NaN, -0.0 and zero starts, at max_steps 0 too, and from
+    starts whose rescale overflows."""
+    geom, w, max_steps, step = case
+    got = _kernel_outcome(w, geom.intra, geom.inter_sq, max_steps, step)
+    assert got == _oracle_outcome(w, geom.intra, geom.inter_sq, max_steps, step)
+
+
+_REALS = st.floats(0.0, 1e6) | st.sampled_from(
+    [0.0, -0.0, -1.0, 5e-324, 1e308, math.inf, math.nan]
+)
+
+
+@st.composite
+def _refine_args(draw) -> dict:
+    """``refine``'s arguments over d+1 = 1..4 components and 0..5 pairs,
+    masses NaN, infinite, negative or subnormal among them, one to three
+    arrays spoiled in dtype, layout, shape or writability (``_SPOILS``),
+    a step buffer or None, and sometimes a max_steps that is negative or
+    disagrees with the step buffer."""
+    comps, pairs = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    max_steps = draw(st.sampled_from([0, 1, 3, 25]))
+
+    def array(*shape):
+        values = draw(st.lists(_REALS, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.array(values, dtype=np.float64).reshape(shape)
+
+    args = {
+        "weights": array(comps),
+        "intra": array(comps),
+        "inter_sq": array(pairs, comps),
+        "max_steps": max_steps,
+        "step": draw(st.sampled_from([0.1, 1.0, 1e-18, 0.0, -1.0, math.nan])),
+        "steps": np.full((max_steps, 2), 7.0),
+    }
+    with np.errstate(all="ignore"):  # casts of NaN, inf and 1e308
+        _spoil(draw, args, ["weights", "intra", "inter_sq", "steps"])
+    if draw(st.booleans()):
+        args["steps"] = None
+    if draw(st.integers(0, 4)) == 0:
+        args["max_steps"] = draw(st.integers(-2, 30))
+    return args
+
+
+def _refine_args_fit(weights, intra, inter_sq, max_steps, step, steps) -> bool:
+    """Whether the arguments are those the kernel takes."""
+    if not (_is(weights, "f", 1, writable=True) and _is(intra, "f", 1) and _is(inter_sq, "f", 2)):
+        return False
+    fits = intra.shape == weights.shape and inter_sq.shape[1] == len(weights) and max_steps >= 0
+    return fits and (steps is None or (_is(steps, "f", 2, True) and steps.shape == (max_steps, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=_refine_args())
+def test_fuzz_refine_raises_or_is_the_oracle(args):
+    """``refine`` on arrays of random shape, dtype, layout and values:
+    arguments it does not take raise ValueError before any write; others
+    give ``reference.refine``'s weights, record and steps, or its
+    ValueError, with nothing written. The geometry is left as it was."""
+    held = {name: _state(args[name]) for name in ("weights", "intra", "inter_sq", "steps")}
+    fits = _refine_args_fit(*args.values())
+    if fits:
+        want = _oracle_outcome(*(args[name] for name in list(args)[:5]))
+    try:
+        record = kernel.refine(*args.values())
+    except ValueError as exc:
+        assert not fits or str(exc) == want
+        assert _state(args["weights"]) == held["weights"]
+        assert _state(args["steps"]) == held["steps"]
+    else:
+        assert fits and not isinstance(want, str)
+        weights, (taken, stop, value), rows = want
+        assert args["weights"].tobytes() == weights
+        assert (record[:2], np.float64(record[2]).tobytes()) == ((taken, stop), value)
+        if args["steps"] is not None:
+            assert args["steps"][:taken].tobytes() == rows
+    assert _state(args["intra"]) == held["intra"]
+    assert _state(args["inter_sq"]) == held["inter_sq"]
+
+
+def _state(a) -> tuple | None:
+    return None if a is None else (np.asarray(a).dtype, np.shape(a), np.asarray(a).tobytes())
+
+
+def _log_harness(tmp_path: Path):
+    """``kernel_log`` over an array, compiled from ``_kernel.c`` itself with
+    the build's flags in a harness that includes the source, and loaded by
+    ctypes: the kernel exports no ``log`` of its own."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    harness = tmp_path / "log_harness.c"
+    harness.write_text(
+        f'#include "{native._SOURCE}"\n'
+        "void log_many(const double *x, double *out, Py_ssize_t n)\n"
+        "{ for (Py_ssize_t i = 0; i < n; i++) out[i] = kernel_log(x[i]); }\n"
+    )
+    include = sysconfig.get_paths()["include"]
+    library = tmp_path / "log_harness.so"
+    command = [*native._FLAGS, "-I", include, str(harness), "-o", str(library)]
+    done = subprocess.run(command, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    log_many = ctypes.CDLL(str(library)).log_many
+    log_many.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t]
+
+    def log(x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+        log_many(x.ctypes.data, out.ctypes.data, len(x))
+        return out
+
+    return log
+
+
+def test_the_kernels_log_is_within_one_ulp_and_is_the_oracles(tmp_path):
+    """The kernel's ``log`` over 1.25 million positive doubles: a million
+    drawn uniformly as bit patterns (so over every binade, subnormals
+    included), every power of two and its neighbours, 150,000 values near 1
+    (where log is near 0) and 100,000 subnormals. Each is within one ulp of
+    ``math.log`` (measured: 1 ulp at most, on about 1.5% of the values; the
+    worst of those is within 0.72 ulp of a 120-bit log), and
+    ``reference.kernel_log`` gives the same bits, special values included."""
+    log = _log_harness(tmp_path)
+    rng = np.random.default_rng(11)
+    powers = 2.0 ** np.arange(-1074, 1024)
+    x = np.concatenate(
+        [
+            rng.integers(1, 0x7FF0000000000000, 10**6, dtype=np.uint64).view(np.float64),
+            powers,
+            np.nextafter(powers, 0.0),
+            np.nextafter(powers, math.inf),
+            1.0 + rng.uniform(-1e-3, 1e-3, 150_000),
+            rng.integers(1, 2**52, 100_000, dtype=np.uint64).view(np.float64),
+        ]
+    )
+    x = x[(x > 0.0) & (x < math.inf)]
+    assert len(x) >= 10**6
+    got = log(x)
+    libm = np.array([math.log(v) for v in x.tolist()])
+    ulps = np.abs(got - libm) / np.spacing(np.abs(libm))
+    assert ulps.max() <= 1.0, (ulps.max(), x[ulps.argmax()])
+    assert (got != libm).mean() < 0.05
+    special = np.array([0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 2.0**-1022,
+                        sys.float_info.max, 1.0])
+    picked = np.concatenate([special, x[:: len(x) // 50_000], powers])
+    want = np.array([reference.kernel_log(v) for v in picked.tolist()])
+    got = log(picked)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
+    got = log(special)
+    assert got[[0, 1, 3, 9]].tolist() == [-math.inf, -math.inf, math.inf, 0.0]
+    assert np.isnan(got[[2, 4, 5]]).all()
