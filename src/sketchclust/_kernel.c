@@ -542,8 +542,6 @@ kernel_log(double x)
  * infeasible candidate is known before any root is taken). */
 static const double MIN_STEP = 1e-18, TARGET = 1.0 + 0.05, FEASIBLE_ABOVE = 1.0 + 0x1p-52;
 
-static PyObject *STOP_CAP, *STOP_MIN_STEP, *STOP_AT_W, *STOP_NO_PAIRS;  /* why a refresh stopped */
-
 /* The refresh's geometry: intra (comps,) and one row of inter (pairs, comps)
  * per pair. */
 typedef struct {
@@ -664,11 +662,10 @@ rescale_feasible(const Geometry *g, double *w, double *q)
  * candidate equal to w and of equal objective: every smaller step's
  * candidate rounds to w as well. Each accepted step's objective and size
  * go to the next row of ``steps`` ((max_steps, 2) float64, or None). The
- * result is written over ``weights``, and (steps taken, why it stopped,
- * objective at the result) returned. ValueError for a bad argument, for
- * weights that no rescale separates, and for a start that is not feasible
- * when a step is due (a NaN in the weights or the geometry), each before
- * any write. */
+ * result is written over ``weights``, and the number of steps taken
+ * returned. ValueError for a bad argument, for weights that no rescale
+ * separates, and for a start that is not feasible when a step is due (a NaN
+ * in the weights or the geometry), each before any write. */
 static PyObject *
 refine(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -690,19 +687,18 @@ refine(PyObject *Py_UNUSED(module), PyObject *args)
         (steps != Py_None && !(out = take(&h, steps, "steps", FLOAT64, 1, 2, max_steps, 2))))
         return release(&h, NULL);
     const Geometry g = {a->buf, x->buf, w->shape[0], x->shape[0]};
-    double value, cand_value;
-    if (g.pairs == 0) {
-        evaluate(&g, w->buf, NULL, &value);
-        return release(&h, Py_BuildValue("nOd", (Py_ssize_t)0, STOP_NO_PAIRS, value));
-    }
+    if (g.pairs == 0)
+        return release(&h, PyLong_FromSsize_t(0));
     /* the weights, a candidate, the gradient, and two sets of pair roots */
     double *scratch = PyMem_Malloc((size_t)(3 * g.comps + 2 * g.pairs) * sizeof(double));
     if (!scratch)
         return release(&h, PyErr_NoMemory());
     double *cur = scratch, *cand = cur + g.comps, *grad = cand + g.comps;
     double *root = grad + g.comps, *cand_root = root + g.pairs;
-    PyObject *stop = STOP_CAP, *result = NULL;
+    PyObject *result = NULL;
+    double value, cand_value;
     Py_ssize_t taken = 0;
+    int stopped = 0;
     memcpy(cur, w->buf, (size_t)g.comps * sizeof(double));
     if (rescale_feasible(&g, cur, root) < 0)
         goto done;
@@ -715,7 +711,7 @@ refine(PyObject *Py_UNUSED(module), PyObject *args)
         gradient(&g, root, grad);
         for (;; step *= 0.5) {
             if (!(step >= MIN_STEP)) {
-                stop = STOP_MIN_STEP;
+                stopped = 1;
                 break;
             }
             int same = 1;
@@ -728,11 +724,11 @@ refine(PyObject *Py_UNUSED(module), PyObject *args)
             if (cand_value < value)
                 break;
             if (cand_value == value && same) {
-                stop = STOP_AT_W;
+                stopped = 1;
                 break;
             }
         }
-        if (stop != STOP_CAP)
+        if (stopped)
             break;
         double *t = cur;
         cur = cand;
@@ -747,7 +743,7 @@ refine(PyObject *Py_UNUSED(module), PyObject *args)
         }
     }
     memcpy(w->buf, cur, (size_t)g.comps * sizeof(double));
-    result = Py_BuildValue("nOd", taken, stop, value);
+    result = PyLong_FromSsize_t(taken);
 done:
     PyMem_Free(scratch);
     return release(&h, result);
@@ -1437,12 +1433,7 @@ PyInit__kernel(void)
     LABEL = PyUnicode_InternFromString("label");
     EDGES = PyUnicode_InternFromString("edges");
     SIDE = PyUnicode_InternFromString("side");
-    STOP_CAP = PyUnicode_InternFromString("max_steps");
-    STOP_MIN_STEP = PyUnicode_InternFromString("min_step");
-    STOP_AT_W = PyUnicode_InternFromString("rounds_to_w");
-    STOP_NO_PAIRS = PyUnicode_InternFromString("no_pairs");
-    if (!SAFE || !ONE || !EDGE_FREQUENCY || !PRESENCE || !ID || !LABEL || !EDGES || !SIDE ||
-        !STOP_CAP || !STOP_MIN_STEP || !STOP_AT_W || !STOP_NO_PAIRS)
+    if (!SAFE || !ONE || !EDGE_FREQUENCY || !PRESENCE || !ID || !LABEL || !EDGES || !SIDE)
         return NULL;
     return PyModule_Create(&module);
 }

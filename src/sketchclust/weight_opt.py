@@ -42,7 +42,8 @@ the pairs, the barrier's sum of logs) is added left to right from 0.0,
 ``sqrt`` rounds correctly and ``log`` is the kernel's own fixed
 polynomial, so the new weights are the same bits on every host, whatever
 its BLAS, vector units or libm. ``tests/reference.py`` repeats the
-refresh in Python floats, bit for bit.
+refresh in Python floats, bit for bit, halving each last step to the end
+where the kernel stops early.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def refine_weights(
     """
     w = ensure_weights(weights, len(geom.intra) - 1).copy()
     steps = None if trace is None else np.empty((cfg.max_steps, 2))
-    taken, _, _ = kernel.refine(w, geom.intra, geom.inter_sq, cfg.max_steps, _STEP_SIZE, steps)
+    taken = kernel.refine(w, geom.intra, geom.inter_sq, cfg.max_steps, _STEP_SIZE, steps)
     if trace is not None:
         for step_no, (objective, step) in enumerate(steps[:taken].tolist()):
             trace({"step": step_no, "objective": objective, "step_size": step})

@@ -607,14 +607,19 @@ def rescale_feasible(intra: list, inter: list, w: list) -> list:
 
 def refine(weights, intra, inter_sq, max_steps: int, step: float):
     """``kernel.refine`` in Python floats, as the bitwise oracle of the
-    weight refresh: ``(weights, (steps taken, stop, objective), steps)``
-    with the accepted steps' ``(objective, step size)``, or the kernel's
-    ValueError. The arguments are read as float64 lists."""
+    weight refresh, but without its early stop: each step is halved until
+    its candidate improves or the step falls below ``_MIN_STEP``. Returns
+    ``(weights, stop, steps)``, the accepted steps' ``(objective, step
+    size)``, or the kernel's ValueError; the arguments are read as float64
+    lists. ``stop`` is "no_pairs", "max_steps", "min_step", or
+    "rounds_to_w" when the last halving met a rejected candidate equal to
+    ``w`` and every later, smaller candidate was equal to ``w`` and
+    rejected too: the case the kernel ends at the first of them."""
     w = np.asarray(weights, np.float64).tolist()
     intra = np.asarray(intra, np.float64).tolist()
     inter = np.asarray(inter_sq, np.float64).tolist()
     if not inter:
-        return w, (0, "no_pairs", _evaluate(intra, inter, w)[0]), []
+        return w, "no_pairs", []
     w = rescale_feasible(intra, inter, w)
     value, roots = _evaluate(intra, inter, w)
     if roots is None and max_steps:
@@ -622,10 +627,8 @@ def refine(weights, intra, inter_sq, max_steps: int, step: float):
     stop, steps = "max_steps", []
     while len(steps) < max_steps:
         grad = _gradient(intra, inter, roots)
-        while True:
-            if not step >= _MIN_STEP:
-                stop = "min_step"
-                break
+        at_w = None  # since the first rejected candidate equal to w: were all?
+        while step >= _MIN_STEP:
             cand = []
             for x, g in zip(w, grad):
                 v = x - g * step
@@ -633,15 +636,16 @@ def refine(weights, intra, inter_sq, max_steps: int, step: float):
             cand_value, cand_roots = _evaluate(intra, inter, cand)
             if cand_value < value:
                 break
-            if cand_value == value and all(a == b for a, b in zip(cand, w)):
-                stop = "rounds_to_w"
-                break
+            equal = cand_value == value and all(a == b for a, b in zip(cand, w))
+            if equal or at_w is not None:
+                at_w = equal and at_w is not False
             step *= 0.5
-        if stop != "max_steps":
+        else:
+            stop = "rounds_to_w" if at_w else "min_step"
             break
         w, value, roots = cand, cand_value, cand_roots
         steps.append((value, step))
-    return w, (len(steps), stop, value), steps
+    return w, stop, steps
 
 
 def refine_weights(

@@ -1,10 +1,11 @@
 """Log-barrier weight refinement on frozen cluster geometry.
 
 The refresh runs in ``kernel.refine``; ``reference.refine`` repeats it in
-Python floats, with the kernel's own ``log`` transcribed. The properties
-here hold the kernel to that oracle bit for bit, weights, records and
-messages, and the objective and gradient tests read the oracle's, which
-is the kernel's arithmetic.
+Python floats, with the kernel's own ``log`` transcribed, and halves each
+step to the end where the kernel stops early. The properties here hold the
+kernel to that oracle bit for bit, weights, step records and messages. The
+objective and gradient tests read both the oracle's and the kernel's own
+``evaluate`` and ``gradient``, compiled from ``_kernel.c`` in a harness.
 """
 
 import ctypes
@@ -17,7 +18,7 @@ import sysconfig
 import warnings
 from dataclasses import fields
 from functools import partial
-from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -69,6 +70,94 @@ def _scaled(geom: ClusterGeometry, t: float) -> ClusterGeometry:
 _objective = reference.barrier_objective
 _grad = reference.barrier_gradient  # the gradient the optimizer takes at a feasible ``w``
 
+# ``_kernel.c``'s static functions, exported for ctypes by a harness that
+# includes the source.
+_HARNESS = """\
+#include "{source}"
+void log_many(const double *x, double *out, Py_ssize_t n)
+{{ for (Py_ssize_t i = 0; i < n; i++) out[i] = kernel_log(x[i]); }}
+int evaluate_at(const double *intra, const double *inter, Py_ssize_t comps, Py_ssize_t pairs,
+                const double *w, double *root, double *value)
+{{ const Geometry g = {{intra, inter, comps, pairs}}; return evaluate(&g, w, root, value); }}
+void gradient_at(const double *intra, const double *inter, Py_ssize_t comps, Py_ssize_t pairs,
+                 const double *root, double *grad)
+{{ const Geometry g = {{intra, inter, comps, pairs}}; gradient(&g, root, grad); }}
+"""
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory) -> SimpleNamespace:
+    """The kernel's own ``kernel_log`` over an array, and its ``evaluate``
+    and ``gradient`` over lists, called as ``reference._evaluate`` and
+    ``reference._gradient`` are: compiled from ``_kernel.c`` itself with the
+    build's flags, and loaded by ctypes, as the kernel's module exports
+    none of them."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler")
+    tmp_path = tmp_path_factory.mktemp("harness")
+    harness = tmp_path / "harness.c"
+    harness.write_text(_HARNESS.format(source=native._SOURCE))
+    include = sysconfig.get_paths()["include"]
+    library = tmp_path / "harness.so"
+    command = [*native._FLAGS, "-I", include, str(harness), "-o", str(library)]
+    done = subprocess.run(command, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    lib = ctypes.CDLL(str(library))
+    pointer, size = ctypes.c_void_p, ctypes.c_ssize_t
+    lib.log_many.argtypes = [pointer, pointer, size]
+    lib.evaluate_at.argtypes = [pointer, pointer, size, size, pointer, pointer, pointer]
+    lib.evaluate_at.restype = ctypes.c_int
+    lib.gradient_at.argtypes = [pointer, pointer, size, size, pointer, pointer]
+
+    def log(x) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        out = np.empty_like(x)
+        lib.log_many(x.ctypes.data, out.ctypes.data, len(x))
+        return out
+
+    def arrays(intra, inter) -> tuple:
+        intra = np.array(intra, dtype=np.float64)
+        return intra, np.array(inter, dtype=np.float64).reshape(-1, len(intra))
+
+    def evaluate(intra, inter, w) -> tuple:
+        intra, inter = arrays(intra, inter)
+        w, root, value = np.array(w, dtype=np.float64), np.empty(len(inter)), ctypes.c_double()
+        feasible = lib.evaluate_at(
+            intra.ctypes.data, inter.ctypes.data, len(intra), len(inter), w.ctypes.data,
+            root.ctypes.data, ctypes.byref(value),
+        )
+        return value.value, root.tolist() if feasible else None
+
+    def gradient(intra, inter, roots) -> list:
+        intra, inter = arrays(intra, inter)
+        root, grad = np.array(roots, dtype=np.float64), np.empty(len(intra))
+        lib.gradient_at(
+            intra.ctypes.data, inter.ctypes.data, len(intra), len(inter), root.ctypes.data,
+            grad.ctypes.data,
+        )
+        return grad.tolist()
+
+    return SimpleNamespace(log=log, evaluate=evaluate, gradient=gradient)
+
+
+@pytest.fixture(scope="module")
+def barriers(compiled) -> dict:
+    """The objective and the gradient, ``(objective(w, geom), gradient(w,
+    geom))``, as the kernel's ``evaluate`` and ``gradient`` take them and as
+    the oracle does; each gradient raises ValueError where its
+    ``evaluate`` finds ``w`` infeasible."""
+
+    def kernel_objective(weights, geom: ClusterGeometry) -> float:
+        return compiled.evaluate(geom.intra, geom.inter_sq, weights)[0]
+
+    def kernel_gradient(weights, geom: ClusterGeometry) -> np.ndarray:
+        roots = compiled.evaluate(geom.intra, geom.inter_sq, weights)[1]
+        if roots is None:
+            raise ValueError("gradient needs a strictly feasible point")
+        return np.array(compiled.gradient(geom.intra, geom.inter_sq, roots))
+
+    return {"kernel": (kernel_objective, kernel_gradient), "oracle": (_objective, _grad)}
+
 
 def _feasible_point(rng: random.Random, geom: ClusterGeometry) -> np.ndarray:
     w = np.array([rng.uniform(0.2, 2.0) for _ in range(len(geom.intra))])
@@ -106,50 +195,55 @@ def test_geometry_needs_two_clusters():
         _geometry()
 
 
-def test_objective_hand_example():
+def test_objective_hand_example(barriers):
     # one pair with Q = 4: f = <w, intra> - 2*log(sqrt(4) - 1) = 0
     geom = ClusterGeometry(np.zeros(2), np.array([[4.0, 0.0]]), 0)
-    assert _objective([1.0, 1.0], geom) == pytest.approx(0.0)
-    # Q = 1 sits on the boundary: infeasible
-    assert _objective([0.25, 0.0], geom) == math.inf
-    assert _objective([0.0, 0.0], geom) == math.inf
+    for name, (objective, _) in barriers.items():
+        assert objective([1.0, 1.0], geom) == 0.0, name
+        # Q = 1 sits on the boundary: infeasible
+        assert objective([0.25, 0.0], geom) == math.inf, name
+        assert objective([0.0, 0.0], geom) == math.inf, name
 
 
-def test_feasibility_is_decided_as_the_roots_decide_it():
+def test_feasibility_is_decided_as_the_roots_decide_it(compiled):
     # The evaluation rejects a candidate on its pair products Q before any
     # root: over the floats around Q = 1 it must reject exactly those whose
-    # rounded root is at most 1.
+    # rounded root is at most 1, giving +inf and no roots. A root of exactly
+    # 1 would give +inf as well (log 0 is -inf), so the roots tell them apart.
     q = np.nextafter(1.0, 0.0)
     for _ in range(200):
-        geom = ClusterGeometry(np.ones(1), np.array([[q]]), 0)
-        got = _objective([1.0], geom)
-        assert (got == math.inf) == (math.sqrt(q) - 1.0 <= 0.0), q
-        assert (got == math.inf) == (q <= 1.0 + 2.0**-52), q
+        infeasible = math.sqrt(q) - 1.0 <= 0.0
+        assert infeasible == (q <= 1.0 + 2.0**-52), q
+        for evaluate in (compiled.evaluate, reference._evaluate):
+            value, roots = evaluate([1.0], [[q]], [1.0])
+            assert (roots is None, value == math.inf) == (infeasible, infeasible), (evaluate, q)
         q = np.nextafter(q, 2.0)
 
 
-def test_objective_linear_where_the_barrier_vanishes():
+def test_objective_linear_where_the_barrier_vanishes(barriers):
     # one pair with Q = 4 at w = (1, 1): its barrier term, log(sqrt(4) - 1),
     # is 0, so the objective is the linear term and the gradient the linear
     # term's less inter_sq / (root * (root - 1)) = inter_sq / 2; at a
     # barrier weight of 2, intra (2, 3) counts twice
     geom = _scaled(ClusterGeometry(np.array([2.0, 3.0]), np.array([[2.0, 2.0]]), 0), 2.0)
-    assert _objective([1.0, 1.0], geom) == 10.0
-    assert _grad([1.0, 1.0], geom).tolist() == [3.0, 5.0]
+    for name, (objective, grad) in barriers.items():
+        assert objective([1.0, 1.0], geom) == 10.0, name
+        assert grad([1.0, 1.0], geom).tolist() == [3.0, 5.0], name
 
 
-def test_gradient_matches_finite_differences():
-    rng = random.Random(101)
-    h = 1e-6
-    for trial in range(40):
-        geom = _scaled(_random_geometry(rng), 1.7)
-        w = _feasible_point(rng, geom)
-        grad = _grad(w, geom)
-        for comp in range(len(w)):
-            bump = np.zeros_like(w)
-            bump[comp] = h
-            numeric = (_objective(w + bump, geom) - _objective(w - bump, geom)) / (2 * h)
-            assert grad[comp] == pytest.approx(numeric, rel=1e-4, abs=1e-4)
+def test_gradient_matches_finite_differences(barriers):
+    for name, (objective, gradient) in barriers.items():
+        rng = random.Random(101)
+        h = 1e-6
+        for trial in range(40):
+            geom = _scaled(_random_geometry(rng), 1.7)
+            w = _feasible_point(rng, geom)
+            grad = gradient(w, geom)
+            for comp in range(len(w)):
+                bump = np.zeros_like(w)
+                bump[comp] = h
+                numeric = (objective(w + bump, geom) - objective(w - bump, geom)) / (2 * h)
+                assert grad[comp] == pytest.approx(numeric, rel=1e-4, abs=1e-4), name
 
 
 @pytest.mark.parametrize(
@@ -163,28 +257,30 @@ def test_gradient_matches_finite_differences():
     ],
     ids=["nan-no-steps", "nan", "negative", "inf", "length-3"],
 )
-def test_gradient_requires_feasibility(start, cfg, message):
+def test_gradient_requires_feasibility(barriers, start, cfg, message):
     geom = ClusterGeometry(np.zeros(2), np.array([[4.0, 0.0]]), 0)
     # outside the region the evaluation gives no roots to take a gradient at
-    assert _objective([0.125, 0.0], geom) == math.inf
-    with pytest.raises(ValueError, match="^gradient needs a strictly feasible point$"):
-        _grad([0.125, 0.0], geom)
+    for objective, grad in barriers.values():
+        assert objective([0.125, 0.0], geom) == math.inf
+        with pytest.raises(ValueError, match="^gradient needs a strictly feasible point$"):
+            grad([0.125, 0.0], geom)
     # a start no descent can begin from is rejected as ``ensure_weights`` rejects it
     with pytest.raises(ValueError, match=f"^weights must .*{message}"):
         refine_weights(start, geom, cfg)
 
 
-def test_midpoint_convexity():
-    rng = random.Random(55)
-    for trial in range(30):
-        geom = _random_geometry(rng)
-        a = _feasible_point(rng, geom)
-        b = _feasible_point(rng, geom)
-        mid = 0.5 * (a + b)
-        fa = _objective(a, geom)
-        fb = _objective(b, geom)
-        fm = _objective(mid, geom)
-        assert fm <= 0.5 * fa + 0.5 * fb + 1e-9
+def test_midpoint_convexity(barriers):
+    for name, (objective, _) in barriers.items():
+        rng = random.Random(55)
+        for trial in range(30):
+            geom = _random_geometry(rng)
+            a = _feasible_point(rng, geom)
+            b = _feasible_point(rng, geom)
+            mid = 0.5 * (a + b)
+            fa = objective(a, geom)
+            fb = objective(b, geom)
+            fm = objective(mid, geom)
+            assert fm <= 0.5 * fa + 0.5 * fb + 1e-9, name
 
 
 def test_refine_never_increases_objective():
@@ -484,14 +580,16 @@ def test_descent_stops_at_the_first_candidate_equal_to_the_weights(monkeypatch):
     out = refine_weights([1.0, 1.0, 1.0], geom, cfg, trace=records.append)
     assert out[:2].tolist() == [0.0, 0.0]
     assert len(records) - 1 < cfg.max_steps
-    # the kernel's record says why it stopped, as the oracle's does
-    w = np.ones(3)
-    taken, stop, value = kernel.refine(w, geom.intra, geom.inter_sq, cfg.max_steps, 1.0, None)
-    assert (taken, stop) == (len(records) - 1, "rounds_to_w")
-    assert value == records[-2]["objective"] and w.tolist() == out.tolist()
-    assert reference.refine(np.ones(3), geom.intra, geom.inter_sq, cfg.max_steps, 1.0)[1] == (
-        taken, stop, value,
-    )
+    # The oracle halves that last step to below _MIN_STEP and finds every
+    # smaller candidate equal to the weights and rejected; the kernel, which
+    # stopped at the first, took the same steps to the same weights.
+    w, rows = np.ones(3), np.empty((cfg.max_steps, 2))
+    taken = kernel.refine(w, geom.intra, geom.inter_sq, cfg.max_steps, 1.0, rows)
+    oracle, stop, steps = reference.refine([1.0] * 3, geom.intra, geom.inter_sq, 25, 1.0)
+    assert stop == "rounds_to_w"
+    assert taken == len(steps) == len(records) - 1
+    assert w.tobytes() == out.tobytes() == np.array(oracle).tobytes()
+    assert rows[:taken].tobytes() == np.array(steps).tobytes()
     assert _outcome(refine_weights, geom, np.ones(3), cfg) == _reference_outcome(
         geom, np.ones(3), cfg, 1.0
     )
@@ -531,34 +629,33 @@ def test_a_step_below_the_least_size_returns_the_rescaled_start(monkeypatch):
         geom, start, cfg, reference._MIN_STEP / 2
     )
     w = np.array(start)
-    assert kernel.refine(w, geom.intra, geom.inter_sq, 25, reference._MIN_STEP / 2, None)[:2] == (
-        0, "min_step",
-    )
+    assert kernel.refine(w, geom.intra, geom.inter_sq, 25, reference._MIN_STEP / 2, None) == 0
+    assert reference.refine(start, intra, inter, 25, reference._MIN_STEP / 2)[1:] == ("min_step", [])
 
 
 def _kernel_outcome(w, intra, inter_sq, max_steps: int, step: float):
-    """``kernel.refine``'s weights, record and step rows as bytes, or its
-    ValueError's message, with the weights and step rows unwritten."""
+    """``kernel.refine``'s weights, steps taken and step rows as bytes, or
+    its ValueError's message, with the weights and step rows unwritten."""
     w = np.array(w, dtype=np.float64)
     steps = np.full((max_steps, 2), -7.0)
     held = w.tobytes(), steps.tobytes()
     try:
-        taken, stop, value = kernel.refine(w, intra, inter_sq, max_steps, step, steps)
+        taken = kernel.refine(w, intra, inter_sq, max_steps, step, steps)
     except ValueError as exc:
         assert (w.tobytes(), steps.tobytes()) == held
         return str(exc)
     assert steps[taken:].tobytes() == np.full((max_steps - taken, 2), -7.0).tobytes()
-    return w.tobytes(), (taken, stop, np.float64(value).tobytes()), steps[:taken].tobytes()
+    return w.tobytes(), taken, steps[:taken].tobytes()
 
 
 def _oracle_outcome(w, intra, inter_sq, max_steps: int, step: float):
-    """``_kernel_outcome`` of ``reference.refine``."""
+    """``_kernel_outcome`` of ``reference.refine``, which takes no early stop."""
     try:
-        out, (taken, stop, value), steps = reference.refine(w, intra, inter_sq, max_steps, step)
+        out, _, steps = reference.refine(w, intra, inter_sq, max_steps, step)
     except ValueError as exc:
         return str(exc)
     rows = np.array(steps, dtype=np.float64).reshape(-1, 2)
-    return np.array(out).tobytes(), (taken, stop, np.float64(value).tobytes()), rows.tobytes()
+    return np.array(out).tobytes(), len(steps), rows.tobytes()
 
 
 _START_KINDS = ("feasible", "infeasible", "nan", "negative zero", "zero", "drawn")
@@ -603,9 +700,10 @@ def _refine_cases(draw):
 @example(case=(ClusterGeometry(np.ones(2), [[4.0, 1.0]], 0), np.array([math.nan, 1.0]), 0, 0.1))
 def test_refine_matches_the_oracle_bit_for_bit(case):
     """``kernel.refine`` and ``reference.refine``, its transcription in
-    Python floats, give the same weights, record (steps taken, why the
-    descent stopped, the final objective) and accepted steps, bit for bit,
-    or the same ValueError, with nothing written: from feasible,
+    Python floats that halves each last step to the end where the kernel
+    stops early, give the same weights, steps taken and accepted steps'
+    objectives and sizes, bit for bit, or the same ValueError, with
+    nothing written: from feasible,
     infeasible, NaN, -0.0 and zero starts, at max_steps 0 too, and from
     starts whose rescale overflows."""
     geom, w, max_steps, step = case
@@ -669,16 +767,16 @@ def test_fuzz_refine_raises_or_is_the_oracle(args):
     if fits:
         want = _oracle_outcome(*(args[name] for name in list(args)[:5]))
     try:
-        record = kernel.refine(*args.values())
+        record = kernel.refine(*args.values())  # the steps taken
     except ValueError as exc:
         assert not fits or str(exc) == want
         assert _state(args["weights"]) == held["weights"]
         assert _state(args["steps"]) == held["steps"]
     else:
         assert fits and not isinstance(want, str)
-        weights, (taken, stop, value), rows = want
+        weights, taken, rows = want
         assert args["weights"].tobytes() == weights
-        assert (record[:2], np.float64(record[2]).tobytes()) == ((taken, stop), value)
+        assert record == taken
         if args["steps"] is not None:
             assert args["steps"][:taken].tobytes() == rows
     assert _state(args["intra"]) == held["intra"]
@@ -689,36 +787,7 @@ def _state(a) -> tuple | None:
     return None if a is None else (np.asarray(a).dtype, np.shape(a), np.asarray(a).tobytes())
 
 
-def _log_harness(tmp_path: Path):
-    """``kernel_log`` over an array, compiled from ``_kernel.c`` itself with
-    the build's flags in a harness that includes the source, and loaded by
-    ctypes: the kernel exports no ``log`` of its own."""
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler")
-    harness = tmp_path / "log_harness.c"
-    harness.write_text(
-        f'#include "{native._SOURCE}"\n'
-        "void log_many(const double *x, double *out, Py_ssize_t n)\n"
-        "{ for (Py_ssize_t i = 0; i < n; i++) out[i] = kernel_log(x[i]); }\n"
-    )
-    include = sysconfig.get_paths()["include"]
-    library = tmp_path / "log_harness.so"
-    command = [*native._FLAGS, "-I", include, str(harness), "-o", str(library)]
-    done = subprocess.run(command, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    log_many = ctypes.CDLL(str(library)).log_many
-    log_many.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t]
-
-    def log(x: np.ndarray) -> np.ndarray:
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        out = np.empty_like(x)
-        log_many(x.ctypes.data, out.ctypes.data, len(x))
-        return out
-
-    return log
-
-
-def test_the_kernels_log_is_within_one_ulp_and_is_the_oracles(tmp_path):
+def test_the_kernels_log_is_within_one_ulp_and_is_the_oracles(compiled):
     """The kernel's ``log`` over 1.25 million positive doubles: a million
     drawn uniformly as bit patterns (so over every binade, subnormals
     included), every power of two and its neighbours, 150,000 values near 1
@@ -726,7 +795,7 @@ def test_the_kernels_log_is_within_one_ulp_and_is_the_oracles(tmp_path):
     ``math.log`` (measured: 1 ulp at most, on about 1.5% of the values; the
     worst of those is within 0.72 ulp of a 120-bit log), and
     ``reference.kernel_log`` gives the same bits, special values included."""
-    log = _log_harness(tmp_path)
+    log = compiled.log
     rng = np.random.default_rng(11)
     powers = 2.0 ** np.arange(-1074, 1024)
     x = np.concatenate(
