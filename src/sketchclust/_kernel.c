@@ -2,9 +2,10 @@
  * graph_views' flat view, checked, summed and each key digested where its
  * labels' UTF-8 lies), the sketch bank's cross-product gather and in-order
  * scatter, each bucketing the view's digests for its grid, the closed form
- * of every squared distance with the routing's weighted sums, the refresh's
- * pairs walked in it, and the whole weight refresh (refine), with a log of
- * its own.
+ * of every squared distance with the routing's weighted sums, the one form
+ * of a cluster's spread, the refresh's geometry (its pairs walked in the
+ * closed form, its spreads summed), and the whole weight refresh (refine),
+ * with a log of its own.
  *
  * Built and loaded by sketchclust/native.py; it takes numpy arrays through
  * the buffer protocol, makes none, and needs no numpy headers. Every bank
@@ -17,9 +18,9 @@
  * IEEE operations (sqrt among them, correctly rounded), each in a stated
  * order: the order of the Python and numpy code they replaced (hashlib's for
  * the digests), and for every sum (a cross product, a component's sum of
- * squares, a weighted distance, each dot and sum of the refresh) its terms
- * added one by one in a stated order from 0.0, so no BLAS kernel, vector
- * unit or libm decides their bits. The sketch rows' squares and the
+ * squares, a weighted distance, a summed spread, each dot and sum of the
+ * refresh) its terms added one by one in a stated order from 0.0, so no
+ * BLAS kernel, vector unit or libm decides their bits. The sketch rows' squares and the
  * refresh's pair products stay in numpy.
  */
 #define PY_SSIZE_T_CLEAN
@@ -381,6 +382,17 @@ closed_form(double a, double cross, double denom, double b, double *out)
     return 0;
 }
 
+/* One slot's spread in one component, max(moment - self_sq / n, 0): the sum
+ * of its members' squared distances to the centroid, in numpy's operation
+ * order (self_sq / n, then moment - that); a NaN is kept, as np.maximum
+ * keeps it, and -0.0 becomes +0.0. */
+static inline double
+spread(double moment, double self_sq, double n)
+{
+    const double v = moment - self_sq / n;
+    return v > 0.0 || v != v ? v : 0.0;
+}
+
 /* graph_distances_sq(self_sq, n, sq_sum, cross, moments, weights): cross[i,
  * c] becomes max(sq_sum[c] - 2 cross[i, c] / n_i + self_sq[c, i] / (n_i n_i),
  * 0), with n_i = n[i] as a double, for the slots i < P: one graph's squared
@@ -388,9 +400,9 @@ closed_form(double a, double cross, double denom, double b, double *out)
  * (d+1, k) float64 and ``n`` (k,) int64. Returns (i, best, intra): the first
  * slot i of least weighted distance best = sum_c cross[i, c] weights[c] (a
  * NaN counting as least, as numpy's argmin has it), and the slot's weighted
- * intra distance sum_c max(moments[i, c] - self_sq[c, i] / n_i, 0)
- * weights[c], from ``moments`` (k, d+1) and ``weights`` (d+1,) float64; each
- * sum added left to right from 0.0. (-1, inf, 0.0) when P is 0. */
+ * spread sum_c spread(moments[i, c], self_sq[c, i], n_i) weights[c], from
+ * ``moments`` (k, d+1) and ``weights`` (d+1,) float64; each sum added left
+ * to right from 0.0. (-1, inf, 0.0) when P is 0. */
 static PyObject *
 graph_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
 {
@@ -433,31 +445,34 @@ graph_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
     if (nearest >= 0) {
         const double *held = (const double *)mo->buf + nearest * comps;
         const double ni = (double)count[nearest];
-        for (Py_ssize_t c = 0; c < comps; c++) {
-            const double v = held[c] - own[c * k + nearest] / ni;
-            intra += (v > 0.0 || v != v ? v : 0.0) * w[c];
-        }
+        for (Py_ssize_t c = 0; c < comps; c++)
+            intra += spread(held[c], own[c * k + nearest], ni) * w[c];
     }
     return release(&h, Py_BuildValue("ndd", nearest, best, intra));
 }
 
-/* pair_distances_sq(self_sq, n, cross, out): max(o(i, c) - 2 cross[c, i,
- * j-1] / (n_i n_j) + o(j, c), 0), with o(i, c) = self_sq[c, i] / (n_i n_i),
- * for the pairs i < j of the live slots 0..m-1 in row-major order, ``cross``
- * (d+1, m-1, m-1): the squared separations of their centroids. Each pair
- * that is apart in some component goes to the next row of ``out`` (m (m-1)
- * / 2, d+1); the count written is returned, and the rows past it are
- * undefined. */
+/* geometry(self_sq, n, moments, cross, intra, inter): the refresh's view of
+ * the live slots 0..m-1, ``cross`` (d+1, m-1, m-1) holding the cross product
+ * of each pair i < j at [c, i, j-1]. ``inter`` (m (m-1) / 2, d+1) gets the
+ * squared separations of their centroids, max(o(i, c) - 2 cross[c, i, j-1]
+ * / (n_i n_j) + o(j, c), 0) with o(i, c) = self_sq[c, i] / (n_i n_i), the
+ * pairs walked row-major and each pair apart in some component written to
+ * the next row; the count written is returned, and the rows past it are
+ * undefined. Then ``intra`` (d+1,) gets each component's summed spread,
+ * spread(moments[i, c], self_sq[c, i], n_i) added in slot order from 0.0,
+ * so a distance that is not finite raises before ``intra`` is written. */
 static PyObject *
-pair_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
+geometry(PyObject *Py_UNUSED(module), PyObject *args)
 {
-    PyObject *self_sq, *n, *cross, *out;
+    PyObject *self_sq, *n, *moments, *cross, *intra, *inter;
     Held h = {.held = 0};
-    Py_buffer *s, *x, *o;
-    if (!PyArg_ParseTuple(args, "OOOO:pair_distances_sq", &self_sq, &n, &cross, &out))
+    Py_buffer *s, *mo, *x, *in, *o;
+    if (!PyArg_ParseTuple(args, "OOOOOO:geometry", &self_sq, &n, &moments, &cross, &intra,
+                          &inter))
         return NULL;
     if (!(s = take(&h, self_sq, "self_sq", FLOAT64, 0, 2, -1, -1)) ||
         !take(&h, n, "n", INT64, 0, 1, s->shape[1], -1) ||
+        !(mo = take(&h, moments, "moments", FLOAT64, 0, 2, s->shape[1], s->shape[0])) ||
         !(x = take(&h, cross, "cross", FLOAT64, 0, 3, s->shape[0], -1)))
         return release(&h, NULL);
     const Py_ssize_t comps = s->shape[0], k = s->shape[1], side = x->shape[1], m = side + 1;
@@ -465,9 +480,10 @@ pair_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
         PyErr_Format(PyExc_ValueError, "cross is not (d+1, m-1, m-1) with m <= %zd", k);
         return release(&h, NULL);
     }
-    if (!(o = take(&h, out, "out", FLOAT64, 1, 2, m * side / 2, comps)))
+    if (!(in = take(&h, intra, "intra", FLOAT64, 1, 1, comps, -1)) ||
+        !(o = take(&h, inter, "inter", FLOAT64, 1, 2, m * side / 2, comps)))
         return release(&h, NULL);
-    const double *own = s->buf, *prod = x->buf;
+    const double *own = s->buf, *held = mo->buf, *prod = x->buf;
     const int64_t *count = h.view[1].buf;
     Py_ssize_t kept = 0;
     for (Py_ssize_t i = 0; i < side; i++) {
@@ -485,6 +501,12 @@ pair_distances_sq(PyObject *Py_UNUSED(module), PyObject *args)
             kept += apart;
         }
     }
+    double *sum = in->buf;
+    for (Py_ssize_t c = 0; c < comps; c++)
+        sum[c] = 0.0;
+    for (Py_ssize_t i = 0; i < m; i++)
+        for (Py_ssize_t c = 0; c < comps; c++)
+            sum[c] += spread(held[i * comps + c], own[c * k + i], (double)count[i]);
     return release(&h, PyLong_FromSsize_t(kept));
 }
 
@@ -1405,8 +1427,8 @@ static PyMethodDef methods[] = {
     {"scatter_add", scatter_add, METH_VARARGS, "Add each key's mass to its cells in one slot."},
     {"graph_distances_sq", graph_distances_sq, METH_VARARGS,
      "One graph's squared component distances to every live centroid, and the nearest."},
-    {"pair_distances_sq", pair_distances_sq, METH_VARARGS,
-     "The squared separations of the live centroids' pairs that do not coincide."},
+    {"geometry", geometry, METH_VARARGS,
+     "The live slots' summed spread and the separations of their pairs that do not coincide."},
     {"refine", refine, METH_VARARGS, "The weight refresh: a rescale, then a barrier descent."},
     {"canonical_graph", (PyCFunction)(void (*)(void))canonical_graph, METH_FASTCALL,
      "A graph's canonical edges and side maps, as preprocess returns them."},

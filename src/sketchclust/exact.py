@@ -37,17 +37,18 @@ def _self_product(masses: dict[int, float]) -> float:
 class ExactBank(Bank):
     """``maps[slot][comp]`` holds a cluster's exact masses by key digest;
     the slot's ``self_sq`` is their sum of squares, recomputed on every
-    absorb into the slot in the map's own order."""
+    absorb into the slot in the map's own order. ``maps`` grows as slots
+    are founded (``reset``) or loaded, never to ``k`` up front."""
 
     def __init__(self, d: int, k: int):
         super().__init__(d, k)
-        self.maps: list[list[dict[int, float]]] = [
-            [{} for _ in range(d + 1)] for _ in range(k)
-        ]
+        self.maps: list[list[dict[int, float]]] = []
 
     def _add(self, slot: int, view: GraphView, fresh: bool) -> None:
         keys, values, ends = view.digests.tolist(), view.values.tolist(), view.bounds
         if fresh:
+            if slot == len(self.maps):
+                self.maps.append([])
             self.maps[slot] = [{} for _ in range(self.d + 1)]
             self.self_sq[:, slot] = 0.0
         for comp, (m, a, b) in enumerate(zip(self.maps[slot], ends, ends[1:])):
@@ -96,6 +97,7 @@ class ExactBank(Bank):
 
     def _load_first(self, data: bytes, off: int, m: int) -> int:
         for slot in range(m):
+            self.maps.append([])
             for comp in range(self.d + 1):
                 (entries,) = unpack_at("<Q", data, off)
                 digests = read_array(data, off + 8, "<u8", (entries,)).tolist()
@@ -104,7 +106,8 @@ class ExactBank(Bank):
                 masses = read_array(data, off + 8 + 8 * entries, "<f8", (entries,))
                 if not finite_nonneg(masses):
                     raise ValueError("checkpoint holds negative or non-finite first moments")
-                mp = self.maps[slot][comp] = dict(zip(digests, masses.tolist()))
+                mp = dict(zip(digests, masses.tolist()))
+                self.maps[slot].append(mp)
                 self.self_sq[comp, slot] = _self_product(mp)
                 off += 8 + 16 * entries
         return off

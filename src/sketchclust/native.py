@@ -5,23 +5,24 @@ construction, its masses checked, its squares summed and its keys' BLAKE2b
 digests made from their labels' UTF-8, with no object per key), the sketch
 bank's per-key loops (``ClusterBank``'s cross-product gather and in-order
 scatter, each bucketing the digests by the config's multiply-shift),
-``stats.Bank``'s closed-form distances (with the routing's weighted sums,
-and the refresh's walk over the slot pairs) and ``weight_opt``'s whole
-refresh (its rescale and barrier descent, every sum in a stated order and
-its ``log`` the kernel's own) run in a small C extension that uses only
-the CPython API and the buffer protocol, and makes no array. The first import builds
-it with the system C compiler (``cc``) against the running interpreter's
-headers into ``__pycache__/`` next to this file, under a name keyed by the
-sha256 of the source, the compile flags and the interpreter's extension
-suffix; later imports load that file. A build writes a temporary file and
-renames it into place, so concurrent imports never load a partial one,
-then deletes the directory's other kernels of the same suffix, built from
-other sources or flags. So an import that read the source before it
-changed can find its kernel deleted by the build of the new source before
-it loads it, and fail: a process whose source changed mid-import may need
-to import again. A failed build raises ImportError with the command and
-the compiler's output. There is no fallback: the kernel is the only path
-for these loops.
+``stats.Bank``'s closed-form distances and spreads (with the routing's
+weighted sums, and the refresh's geometry: its slot pairs walked and
+spreads summed) and ``weight_opt``'s whole refresh (its rescale and
+barrier descent, every sum in a stated order and its ``log`` the kernel's
+own) run in a small C extension that uses only the CPython API and the
+buffer protocol, and makes no array. The first import builds it with the
+system C compiler (``cc``) against the running interpreter's headers into
+``__pycache__/`` next to this file, under a name keyed by the sha256 of
+the source, the compile flags and the interpreter's extension suffix;
+later imports load that file. A build writes a temporary file and renames
+it into place, so concurrent imports never load a partial one, then
+deletes the directory's other kernels of the same suffix, built from other
+sources or flags. So an import that read the source before it changed can
+find its kernel deleted by the build of the new source before it loads it,
+and fail: a process whose source changed mid-import may need to import
+again. A failed build raises ImportError with the command and the
+compiler's output. There is no fallback: the kernel is the only path for
+these loops.
 """
 
 from __future__ import annotations

@@ -106,10 +106,11 @@ class Bank:
     order, so its bits are numpy's; the graph's ``sq_sum`` comes with its
     view, summed in view order. The same kernel call weights a graph's d+1
     squared component distances to each slot by the engine's weights, and
-    the nearest slot's ``intra_sq`` likewise, each sum left to right from
-    0.0: an event's ``es_distance_sq`` and, over n, its spread. The
-    ``self_sq`` row squares and the refresh's pair cross products stay in
-    numpy, as does ``intra_sq`` for the refresh's geometry.
+    the nearest slot's spread (per component ``max(second moment - self_sq
+    / n, 0)``, held by the kernel alone, which sums it over the slots for
+    ``geometry`` too) likewise, each sum left to right from 0.0: an event's
+    ``es_distance_sq`` and, over n, its spread. The ``self_sq`` row squares
+    and the refresh's pair cross products stay in numpy.
 
     A backend supplies its first-moment store, keyed by the view's
     ``digests``, through the hooks: ``_add(slot, view, fresh)`` (which
@@ -208,8 +209,8 @@ class Bank:
         """Squared component distances from one graph to every live cluster,
         ``(size, d+1)``; then the nearest slot by the distances weighted by
         ``weights`` (the first of least weighted distance), that distance,
-        and the slot's ``intra_sq`` weighted, each weighted sum added left
-        to right from 0.0: ``(-1, inf, 0.0)`` with no live slot."""
+        and the slot's spread weighted, each weighted sum added left to
+        right from 0.0: ``(-1, inf, 0.0)`` with no live slot."""
         self._check(view)
         out = self._cross(view)  # overwritten
         route = kernel.graph_distances_sq(
@@ -217,33 +218,23 @@ class Bank:
         )
         return (out, *route)
 
-    def intra_sq(self, slots: int | slice) -> np.ndarray:
-        """The aggregate squared member-to-centroid distance per component
-        of one slot, ``(d+1,)``, or of a slice of slots, ``(len, d+1)``,
-        from the closed form: second moment minus self product over n."""
-        return np.maximum(
-            self.second_moments[slots] - (self.self_sq[:, slots] / self.n[slots]).T, 0.0
-        )
-
     def stalest(self) -> int:
         """The slot updated longest ago, ties to the lowest index."""
         return int(self.t_last[: self.size].argmin())
 
     def geometry(self) -> ClusterGeometry:
-        """The weight optimizer's snapshot of the live clusters: the summed
-        intra distances, and every pair's squared centroid separation from
-        ``_pair_cross``. The kernel walks the pairs ``(i, j)``, ``i < j``,
-        in row-major order; a pair whose centroids coincide in every
+        """The weight optimizer's snapshot of the live clusters, one kernel
+        call over ``_pair_cross``: the spreads summed in slot order, and
+        every pair's squared centroid separation, the pairs ``(i, j)``, ``i
+        < j``, walked row-major; a pair whose centroids coincide in every
         component is dropped and only counted."""
         m = self.size
         if m < 2:
             raise ValueError("geometry needs at least two nonempty clusters")
-        # Row by row, in slot order: the per-cluster sum's rounding. A running
-        # sum adds the rows in that order; + 0.0 turns a -0.0 total into the
-        # +0.0 that adding the rows onto zeros gives.
-        intra = np.add.accumulate(self.intra_sq(slice(0, m)), axis=0)[-1] + 0.0
-        inter = np.empty((m * (m - 1) // 2, self.d + 1))
-        kept = kernel.pair_distances_sq(self.self_sq, self.n, self._pair_cross(), inter)
+        intra, inter = np.empty(self.d + 1), np.empty((m * (m - 1) // 2, self.d + 1))
+        kept = kernel.geometry(
+            self.self_sq, self.n, self.second_moments, self._pair_cross(), intra, inter
+        )
         return ClusterGeometry(intra, inter[:kept], len(inter) - kept)
 
     # -- checkpointing -------------------------------------------------------

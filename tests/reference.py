@@ -34,6 +34,11 @@ straightforward way:
   trace; ``barrier_objective`` and ``barrier_gradient`` read its objective
   and gradient at a point; ``route`` is ``kernel.graph_distances_sq``'s
   nearest slot, weighted distance and weighted spread, by ``dot``;
+* ``spreads`` and ``spread_sum``: each slot's spread, ``max(second moment
+  - self_sq / n, 0)``, in numpy's operation order, and the spreads summed
+  per component in slot order by a Python-float loop from 0.0: formed
+  here, apart from the kernel, which holds the library's one form;
+  ``routed_spread``: one slot's spread as the routing reads it;
 * ``square_sum(values)``: a component's squares added in view order, as
   ``GraphView.sq_sum`` holds them;
 * ``component(view, c)``: a view's component ``c``, its keys (as their
@@ -59,8 +64,8 @@ straightforward way:
   ``bank.distances_sq`` returns first, read under uniform weights;
 * ``distance_sq``, ``bank_distances_sq`` and ``pair_distances_sq``: the
   closed form of every squared distance, ``Bank.distances_sq`` (its route
-  by ``route``, in Python floats), and the
-  pair listing, gather, closed form and kept mask of ``Bank.geometry``, as
+  by ``route``, in Python floats, over ``spreads``), and the pair listing,
+  gather, closed form and kept mask of ``kernel.geometry``'s pair rows, as
   numpy computed them before the compiled kernel, kept as their bitwise
   oracles (``pairs`` lists the pairs);
 * ``grid_cross`` and ``grid_add``: ``kernel.graph_cross`` and
@@ -73,9 +78,9 @@ straightforward way:
   one gemm of slots ``0..m-2`` against slots ``1..m-1``: the square
   product of all slots (BLAS syrk), kept verbatim as its oracle;
 * ``bank_geometry``: ``Bank.geometry`` as it was before the kernel walked
-  its pairs: the row-by-row ``intra`` sum, the ``np.nonzero`` pair
-  listing, the ``[:, first, second - 1].T`` gather and the
-  ``inter[kept]`` selection, kept as its bitwise oracle;
+  its pairs and summed its spreads: ``intra`` by ``spread_sum``, the
+  ``np.nonzero`` pair listing, the ``[:, first, second - 1].T`` gather
+  and the ``inter[kept]`` selection, kept as its bitwise oracle;
 * ``preprocess_record`` and ``parse_record``: ``model.preprocess`` and
   ``stream_io._parse_record`` as they were before they checked each
   record once, kept verbatim as their oracles but for two moves.
@@ -759,24 +764,52 @@ def bank_distances_sq(bank, view: GraphView, weights) -> tuple:
     """``bank.distances_sq(view, weights)`` with the closed form in numpy,
     from the bank's own ``_cross``, then the route in Python floats: the
     slot ``np.argmin`` picks by the weighted distances, that distance and
-    the slot's ``intra_sq`` weighted, each weighted sum by ``dot``."""
-    n = bank.n[: bank.size, None].astype(np.float64)
+    the slot's ``spreads`` row weighted, each weighted sum by ``dot``."""
+    m = bank.size
+    n = bank.n[:m, None].astype(np.float64)
     cross = bank._cross(view)
-    comp_sq = distance_sq(view.sq_sum, cross, n, bank.self_sq[:, : bank.size].T / (n * n))
-    return comp_sq, *route(comp_sq, bank.intra_sq(slice(0, bank.size)), weights)
+    comp_sq = distance_sq(view.sq_sum, cross, n, bank.self_sq[:, :m].T / (n * n))
+    spread = spreads(bank.second_moments[:m], bank.self_sq[:, :m], bank.n[:m])
+    return comp_sq, *route(comp_sq, spread, weights)
 
 
-def route(comp_sq, intra_sq, weights) -> tuple:
+def route(comp_sq, spread, weights) -> tuple:
     """The route ``kernel.graph_distances_sq`` returns for the live slots'
-    squared distances ``comp_sq`` and intra distances ``intra_sq``, both
-    ``(m, d+1)``: the slot ``np.argmin`` picks by the weighted distances
-    (the first least), that distance and the slot's weighted intra, each
+    squared distances ``comp_sq`` and spreads ``spread``, both ``(m,
+    d+1)``: the slot ``np.argmin`` picks by the weighted distances (the
+    first least), that distance and the slot's weighted spread, each
     weighted sum by ``dot``; ``(-1, inf, 0.0)`` when ``m`` is 0."""
     weighted = [dot(row, weights) for row in comp_sq.tolist()]
     if not weighted:
         return -1, math.inf, 0.0
     nearest = int(np.argmin(weighted))
-    return nearest, weighted[nearest], dot(intra_sq[nearest].tolist(), weights)
+    return nearest, weighted[nearest], dot(spread[nearest].tolist(), weights)
+
+
+def spreads(moments, self_sq, n) -> np.ndarray:
+    """Each slot's spread per component, ``(m, d+1)``, from its second
+    ``moments`` ``(m, d+1)``, self products ``self_sq`` ``(d+1, m)`` and
+    counts ``n`` ``(m,)``: the sum of its members' squared distances to
+    the centroid, ``max(moment - self_sq / n, 0)`` in numpy's operation
+    order (``self_sq / n``, then the difference), a NaN kept."""
+    return np.maximum(moments - (self_sq / n).T, 0.0)
+
+
+def routed_spread(bank, view: GraphView, comp: int) -> float:
+    """The spread in ``comp`` of the slot nearest to ``view``, the term the
+    routing reads: ``bank.distances_sq``'s weighted spread under the unit
+    weight vector of ``comp``."""
+    return bank.distances_sq(view, np.eye(bank.d + 1)[comp])[3]
+
+
+def spread_sum(rows) -> np.ndarray:
+    """The spread ``rows`` ``(m, d+1)`` summed per component in slot order,
+    each sum a Python-float loop from 0.0."""
+    total = [0.0] * rows.shape[1]
+    for row in rows.tolist():
+        for c, value in enumerate(row):
+            total[c] += value
+    return np.array(total, dtype=np.float64)
 
 
 def pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -787,7 +820,7 @@ def pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pair_distances_sq(self_sq, n, cross) -> np.ndarray:
-    """``kernel.pair_distances_sq``'s kept rows, as ``Bank.geometry``
+    """``kernel.geometry``'s kept pair rows, as ``Bank.geometry``
     formed them in numpy: the pairs listed by ``pairs``, their cross
     products gathered from the ``(d+1, m-1, m-1)`` block as ``[:, first,
     second - 1].T``, the closed form, then the pairs whose separation is
@@ -858,15 +891,12 @@ def pair_cross(bank) -> np.ndarray:
 
 
 def bank_geometry(bank) -> ClusterGeometry:
-    """``bank.geometry()`` built as before, from the same ``intra_sq`` and
-    ``_pair_cross`` hooks."""
+    """``bank.geometry()`` built as before, from the bank's arrays and its
+    ``_pair_cross`` hook; ``intra`` by ``spread_sum`` over ``spreads``."""
     m = bank.size
     if m < 2:
         raise ValueError("geometry needs at least two nonempty clusters")
-    intra = np.zeros(bank.d + 1, dtype=np.float64)
-    # Row by row, in slot order: the per-cluster sum's rounding.
-    for row in bank.intra_sq(slice(0, m)):
-        intra += row
+    intra = spread_sum(spreads(bank.second_moments[:m], bank.self_sq[:, :m], bank.n[:m]))
     first, second = pairs(m)
     n = bank.n[:m].astype(np.float64)
     own = bank.self_sq[:, :m].T / (n * n)[:, None]

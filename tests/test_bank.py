@@ -43,6 +43,8 @@ from reference import (
     pair_distances_sq,
     route,
     separating_rows,
+    spread_sum,
+    spreads,
     view_of,
 )
 from sketchclust import (
@@ -387,8 +389,9 @@ def _masses(rng, shape, zeros: float) -> np.ndarray:
 def test_the_closed_forms_keep_the_numpy_bits(d, k, m, top, zeros, seed):
     """The kernel's graph and pair closed forms give bit for bit what numpy
     gave (``reference.distance_sq``, and for the pairs the listing, gather
-    and kept mask of ``reference.pair_distances_sq``), and the graph form's
-    route what ``reference.route`` gives, on real-valued terms
+    and kept mask of ``reference.pair_distances_sq``), the graph form's
+    route what ``reference.route`` gives and the geometry's summed spread
+    what ``reference.spread_sum`` gives, on real-valued terms
     with counts up to ``top`` (2**26, where ``n * n`` needs all 53 bits),
     some terms 0.0 or -0.0 (all of them with ``zeros == 1``, where the
     clamp must turn every -0.0 into +0.0 and every pair is dropped) and
@@ -407,13 +410,16 @@ def test_the_closed_forms_keep_the_numpy_bits(d, k, m, top, zeros, seed):
     nf = n[:m, None].astype(np.float64)
     want = distance_sq(sq_sum, cross, nf, self_sq[:, :m].T / (nf * nf))
     assert got.tobytes() == want.tobytes()
-    intra = np.maximum(moments[:m] - (self_sq[:, :m] / n[:m]).T, 0.0)
-    assert np.array(nearest).tobytes() == np.array(route(want, intra, weights)).tobytes()
+    spread = spreads(moments[:m], self_sq[:, :m], n[:m])
+    assert np.array(nearest).tobytes() == np.array(route(want, spread, weights)).tobytes()
     side = max(m, 1) - 1
     cross = _masses(rng, (d + 1, side, side), zeros) * (n[:side, None] * n[1 : side + 1] / 2.0)
-    got = np.full((side * (side + 1) // 2, d + 1), np.nan)
-    kept = kernel.pair_distances_sq(self_sq, n, cross, got)
+    got, intra = np.full((side * (side + 1) // 2, d + 1), np.nan), np.full(d + 1, np.nan)
+    kept = kernel.geometry(self_sq, n, moments, cross, intra, got)
     assert got[:kept].tobytes() == pair_distances_sq(self_sq, n, cross).tobytes()
+    live = slice(0, side + 1)
+    spread = spreads(moments[live], self_sq[:, live], n[live])
+    assert intra.tobytes() == spread_sum(spread).tobytes()
 
 
 # (term, cross, sq_sum or a, self_sq): each value overflows or is not finite
@@ -437,7 +443,9 @@ def test_a_closed_form_that_is_not_finite_raises_as_numpy_did(term):
             self_sq[:, 1:], n[1:], np.array([a]), c, np.ones((1, 1)), np.ones(1)
         ),
         lambda c: distance_sq(np.array([a]), c, 1.0, self_sq[:, 1:].T),
-        lambda c: kernel.pair_distances_sq(self_sq, n, c[None], np.empty((1, 1))),
+        lambda c: kernel.geometry(
+            self_sq, n, np.ones((2, 1)), c[None], np.empty(1), np.empty((1, 1))
+        ),
         lambda c: pair_distances_sq(self_sq, n, c[None]),
     ]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -453,6 +461,7 @@ def _random_bank(exact, d, k, m, integer, rng) -> ExactBank | ClusterBank:
     if exact:
         bank = ExactBank(d, k)
         for slot in range(k):
+            bank.maps.append([])
             for comp in range(d + 1):
                 size = int(rng.integers(0, 6))
                 keys = rng.choice(8, size, replace=False)
@@ -460,7 +469,7 @@ def _random_bank(exact, d, k, m, integer, rng) -> ExactBank | ClusterBank:
                     masses = rng.integers(0, 9, size).astype(np.float64)
                 else:
                     masses = rng.uniform(0.0, 10.0, size)
-                bank.maps[slot][comp] = {int(key): float(v) for key, v in zip(keys, masses)}
+                bank.maps[slot].append({int(key): float(v) for key, v in zip(keys, masses)})
                 bank.self_sq[comp, slot] = _self_product(bank.maps[slot][comp])
     else:
         bank = ClusterBank(SketchConfig(rows=int(rng.integers(1, 4)), cols=6), d, k)
@@ -507,28 +516,22 @@ def _zero_slot(bank, slot: int) -> None:
     other_m=st.integers(2, 16),
     twins=st.integers(0, 3),
     zeros=st.integers(0, 3),
-    signed_zeros=st.booleans(),
     integer=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(
-    exact=False, d=1, k=4, m=4, other_m=2, twins=0, zeros=0, signed_zeros=False, integer=True, seed=1
-)
-@example(
-    exact=True, d=2, k=3, m=3, other_m=2, twins=1, zeros=3, signed_zeros=True, integer=False, seed=2
-)
-@example(
-    exact=False, d=0, k=16, m=16, other_m=9, twins=0, zeros=0, signed_zeros=False, integer=False, seed=3
-)
+@example(exact=False, d=1, k=4, m=4, other_m=2, twins=0, zeros=0, integer=True, seed=1)
+@example(exact=True, d=2, k=3, m=3, other_m=2, twins=1, zeros=3, integer=False, seed=2)
+@example(exact=False, d=0, k=16, m=16, other_m=9, twins=0, zeros=0, integer=False, seed=3)
+@example(exact=True, d=2, k=16, m=16, other_m=11, twins=2, zeros=1, integer=False, seed=4)
 def test_geometry_matches_the_reference_construction(
-    exact, d, k, m, other_m, twins, zeros, signed_zeros, integer, seed
+    exact, d, k, m, other_m, twins, zeros, integer, seed
 ):
     """``Bank.geometry`` gives bitwise the ``intra``, the ``inter_sq`` rows
-    in order and the dropped count of its old construction, on both
+    in order and the dropped count of its old construction, its spreads
+    formed by ``reference.spreads`` apart from the kernel, on both
     backends, with ``m`` from 2 to ``k``. Twin slots and empty slots make
-    dropped pairs; with ``signed_zeros`` every zero intra row reads
-    ``-0.0``, whose sums must keep the old sign. The size changes between
-    calls, and each call lists the pairs of its own size."""
+    dropped pairs and zero spreads. The size changes between calls, and
+    each call lists the pairs of its own size."""
     m, other_m = min(m, k), min(other_m, k)
     rng = np.random.default_rng(seed)
     bank = _random_bank(exact, d, k, m, integer, rng)
@@ -536,9 +539,6 @@ def test_geometry_matches_the_reference_construction(
         _copy_slot(bank, *rng.integers(0, k, 2))
     for _ in range(zeros):
         _zero_slot(bank, int(rng.integers(0, k)))
-    if signed_zeros:
-        intra_sq = bank.intra_sq
-        bank.intra_sq = lambda slots: np.where(intra_sq(slots) == 0.0, -0.0, intra_sq(slots))
     for size in (m, other_m, m):
         bank.size = size
         got, want = bank.geometry(), bank_geometry(bank)

@@ -5,7 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from reference import SCHEMA, component, digest_buckets, distances, filled, graph, key_digests
+from reference import (
+    SCHEMA,
+    component,
+    digest_buckets,
+    distances,
+    filled,
+    graph,
+    key_digests,
+    routed_spread,
+)
 from sketchclust import (
     Engine,
     EngineConfig,
@@ -68,12 +77,11 @@ def test_side_distance_hand_example():
 
 
 def test_intra_closed_form_hand_example():
-    c = _cluster(
-        graph(0, [("a", "b", 1.0)], {}),
-        graph(1, [("a", "b", 3.0)], {}),
-    )
+    graphs = graph(0, [("a", "b", 1.0)], {}), graph(1, [("a", "b", 3.0)], {})
+    c = _cluster(*graphs)
+    view = graph_views(graphs[0], SCHEMA)
     # 10 - 16/2 = 2, the sum of squared deviations from centroid mass 2
-    assert c.intra_sq(0).tolist() == pytest.approx([2.0, 0.0])
+    assert [routed_spread(c, view, comp) for comp in (0, 1)] == pytest.approx([2.0, 0.0])
 
 
 def _events(graphs, weights):
@@ -193,7 +201,9 @@ def test_sketch_never_below_exact():
         ex = _cluster(*graphs)
         # intra uses the self-product overestimate negatively, so the
         # sketch intra can only be smaller or equal
-        assert np.all(sk.intra_sq(0) <= ex.intra_sq(0) + 1e-9)
+        view = graph_views(graphs[0], SCHEMA)
+        for comp in (0, 1):
+            assert routed_spread(sk, view, comp) <= routed_spread(ex, view, comp) + 1e-9
 
 
 def test_component_distances_match_per_component_calls():

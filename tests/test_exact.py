@@ -12,15 +12,26 @@ from reference import (
     cut_view,
     distances,
     filled,
+    generate_graphs,
     graph,
     key_digests,
     members_intra_sq,
     separating_rows,
+    spreads,
     view_of,
 )
-from sketchclust import GraphObject, SketchConfig, graph_views
+from sketchclust import (
+    Engine,
+    EngineConfig,
+    GraphObject,
+    SketchConfig,
+    graph_views,
+    preprocess,
+    synth_schema,
+)
 from sketchclust.exact import ExactBank
 from sketchclust.stats import ClusterBank
+from test_golden import CONFIG, RESUME_EVERY, SYNTH
 
 
 def _random_graph(rng: random.Random, i: int) -> GraphObject:
@@ -111,8 +122,10 @@ def test_parity_with_sketch_backend_when_separated():
     for g in graphs[9:]:
         view = graph_views(g, SCHEMA)
         np.testing.assert_allclose(distances(sketch, view), distances(exact, view))
-    for slot in range(3):
-        np.testing.assert_allclose(sketch.intra_sq(slot), exact.intra_sq(slot))
+    np.testing.assert_allclose(
+        spreads(sketch.second_moments[:3], sketch.self_sq[:, :3], sketch.n[:3]),
+        spreads(exact.second_moments[:3], exact.self_sq[:, :3], exact.n[:3]),
+    )
     ours, theirs = sketch.geometry(), exact.geometry()
     assert (ours.inter_sq.shape, ours.dropped) == (theirs.inter_sq.shape, theirs.dropped)
     np.testing.assert_allclose(ours.intra, theirs.intra)
@@ -199,3 +212,20 @@ def test_members_intra_sq_matches_definition():
                     (masses.get(k, 0.0) - centroid.get(k, 0.0)) ** 2 for k in support
                 )
             assert members_intra_sq(members, comp) == pytest.approx(total, abs=1e-9)
+
+
+def test_an_exact_bank_holds_maps_only_for_the_slots_it_founds():
+    """A bank of k = 10**6 slots holds no map, built or resumed from a
+    checkpoint of no graph, so a checkpoint's k costs no map a slot; along
+    the golden stream, checkpointed and resumed every 250 graphs, it holds
+    one list of maps per live slot."""
+    schema = synth_schema(SYNTH)
+    engine = Engine(EngineConfig(k=10**6), schema, backend="exact")
+    assert engine.bank.maps == []
+    assert Engine.from_bytes(engine.to_bytes()).bank.maps == []
+    engine = Engine(CONFIG, schema, backend="exact")
+    for t, g in enumerate(generate_graphs(SYNTH), start=1):
+        engine.process(preprocess(g, schema))
+        if t % RESUME_EVERY == 0:
+            engine = Engine.from_bytes(engine.to_bytes())
+        assert len(engine.bank.maps) == len(engine.bank)

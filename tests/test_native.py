@@ -10,7 +10,7 @@ is handed one whose fields disagree. The ingest walk (``canonical_graph``
 and ``graph_view``) writes only what it returns: a bad argument leaves
 its input as it was, and no error path leaks a reference. The
 ``test_fuzz_*`` properties feed both walks arbitrary objects, and the
-gather, the scatter and the pair form arrays of any shape, dtype and
+gather, the scatter and the geometry arrays of any shape, dtype and
 layout, against their oracles. The kernel is
 built on the first import into the package's ``__pycache__`` and loaded
 from there by later imports; its source compiles without a warning.
@@ -185,31 +185,39 @@ _COUNT_FAULTS = {
         ("transposed", lambda a: np.asfortranarray(a)),
         ("a column short", lambda a: a[:, :-1]),
     ],
+    "moments": [
+        ("float32", lambda a: a.astype(np.float32)),
+        ("a slot short", lambda a: a[:-1]),
+        ("a component short", lambda a: a[:, :-1]),
+        ("transposed", lambda a: np.asfortranarray(a)),
+    ],
 }
 _COUNTS = [(arg, name, fault) for arg, faults in _COUNT_FAULTS.items() for name, fault in faults]
 _GRAPH = _COUNTS + [
     ("sq_sum", "short", lambda a: a[:-1]),
     ("sq_sum", "float32", lambda a: a.astype(np.float32)),
     ("cross", "more slots than the bank", lambda a: np.ones((SLOTS + 1, COMPS))),
-    ("moments", "float32", lambda a: a.astype(np.float32)),
-    ("moments", "a slot short", lambda a: a[:-1]),
-    ("moments", "a component short", lambda a: a[:, :-1]),
-    ("moments", "transposed", lambda a: np.asfortranarray(a)),
     ("weights", "float32", lambda a: a.astype(np.float32)),
     ("weights", "short", lambda a: a[:-1]),
     ("weights", "2-d", lambda a: a[None]),
 ]
-# the pair form reads ``cross`` as a (d+1, m-1, m-1) block and writes ``out``
-_PAIR = [case for case in _COUNTS if case[:2] != ("cross", "read-only")]
-_PAIR += [
+# the geometry reads ``cross`` as a (d+1, m-1, m-1) block and writes
+# ``intra`` and ``inter``
+_GEOMETRY = [case for case in _COUNTS if case[:2] != ("cross", "read-only")]
+_GEOMETRY += [
     ("cross", "2-d", lambda a: a[0]),
     ("cross", "not square", lambda a: np.ones((COMPS, 2, 1))),
     ("cross", "more slots than the bank", lambda a: np.ones((COMPS, SLOTS, SLOTS))),
-    ("out", "read-only", _read_only),
-    ("out", "float32", lambda a: a.astype(np.float32)),
-    ("out", "short", lambda a: a[:-1]),
-    ("out", "a column short", lambda a: a[:, :-1]),
-    ("out", "transposed", lambda a: np.asfortranarray(a)),
+    ("intra", "read-only", _read_only),
+    ("intra", "float32", lambda a: a.astype(np.float32)),
+    ("intra", "short", lambda a: a[:-1]),
+    ("intra", "2-d", lambda a: a[None]),
+    ("intra", "strided", lambda a: np.repeat(a, 2)[::2]),
+    ("inter", "read-only", _read_only),
+    ("inter", "float32", lambda a: a.astype(np.float32)),
+    ("inter", "short", lambda a: a[:-1]),
+    ("inter", "a column short", lambda a: a[:, :-1]),
+    ("inter", "transposed", lambda a: np.asfortranarray(a)),
 ]
 
 
@@ -232,18 +240,22 @@ def test_graph_distances_sq_rejects_a_bad_argument_before_any_write(arg, name, f
     assert args["cross"].tobytes() == held.tobytes()
 
 
-@pytest.mark.parametrize("arg, name, fault", _PAIR, ids=[f"{a}-{n}" for a, n, _ in _PAIR])
-def test_pair_distances_sq_rejects_a_bad_argument_before_any_write(arg, name, fault):
+@pytest.mark.parametrize(
+    "arg, name, fault", _GEOMETRY, ids=[f"{a}-{n}" for a, n, _ in _GEOMETRY]
+)
+def test_geometry_rejects_a_bad_argument_before_any_write(arg, name, fault):
     """The three pairs of the ``SLOTS`` live slots, their products in a
-    ``(COMPS, 2, 2)`` block."""
+    ``(COMPS, 2, 2)`` block: neither ``intra`` nor ``inter`` is written."""
     self_sq, n, _ = _counts()
     cross = np.random.default_rng(9).uniform(0.0, 1.0, (COMPS, SLOTS - 1, SLOTS - 1))
-    args = {"self_sq": self_sq, "n": n, "cross": cross, "out": np.zeros((3, COMPS))}
+    args = {"self_sq": self_sq, "n": n, "moments": np.full((SLOTS, COMPS), 4.0), "cross": cross}
+    args.update(intra=np.full(COMPS, 7.0), inter=np.zeros((3, COMPS)))
     args[arg] = fault(args[arg])
-    held = args["out"].copy()
+    held = {name: args[name].copy() for name in ("intra", "inter")}
     with pytest.raises(ValueError):
-        kernel.pair_distances_sq(*args.values())
-    assert args["out"].tobytes() == held.tobytes()
+        kernel.geometry(*args.values())
+    for name, before in held.items():
+        assert args[name].tobytes() == before.tobytes()
 
 
 def _founded(bank):
@@ -624,7 +636,7 @@ def test_fuzz_graph_view_raises_or_is_the_oracle(edges, sides):
     assert digests == want["digests"].tobytes()
 
 
-# Ways to spoil one argument of pair_distances_sq
+# Ways to spoil one argument of geometry
 _SPOILS = {
     "float32": lambda a: a.astype(np.float32),
     "int64": lambda a: a.astype(np.int64),
@@ -641,25 +653,28 @@ _SPOILS = {
 
 
 @st.composite
-def _pair_args(draw):
-    """``pair_distances_sq``'s arguments for ``m`` of ``k`` live slots, each
-    kept or spoiled in dtype, layout or shape."""
+def _geometry_args(draw):
+    """``geometry``'s arguments for ``m`` of ``k`` live slots, each kept or
+    spoiled in dtype, layout or shape."""
     comps, k = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     side = draw(st.integers(1, k)) - 1
-    reals = st.floats(0.0, 1e6) | st.sampled_from([0.0, -0.0, 1e308, math.inf, math.nan])
+    edges = st.sampled_from([0.0, -0.0, 1e308, math.inf, math.nan])
 
-    def array(*shape):
-        values = draw(st.lists(reals, min_size=math.prod(shape), max_size=math.prod(shape)))
+    def array(*shape, reals=st.floats(0.0, 1e6)):
+        values = draw(st.lists(reals | edges, min_size=math.prod(shape), max_size=math.prod(shape)))
         return np.array(values, dtype=np.float64).reshape(shape)
 
     args = {
         "self_sq": array(comps, k),
         "n": np.array(draw(st.lists(st.integers(-1, 5), min_size=k, max_size=k)), dtype=np.int64),
+        # a moment below self_sq / n makes a negative spread, clamped to 0
+        "moments": array(k, comps, reals=st.floats(-1e6, 1e6)),
         "cross": array(comps, side, side),
-        "out": np.full((side * (side + 1) // 2, comps), 7.0),
+        "intra": np.full(comps, 7.0),
+        "inter": np.full((side * (side + 1) // 2, comps), 7.0),
     }
     for name in args:
-        spoil = draw(st.sampled_from([None] * 8 + sorted(_SPOILS)))
+        spoil = draw(st.sampled_from([None] * 20 + sorted(_SPOILS)))
         if spoil is not None:
             with np.errstate(all="ignore"):  # casts of NaN, inf and 1e308
                 args[name] = _SPOILS[spoil](args[name])
@@ -675,47 +690,61 @@ def _is(a, kind: str, ndim: int, writable: bool = False) -> bool:
     )
 
 
-def _pair_args_fit(self_sq, n, cross, out) -> bool:
+def _geometry_args_fit(self_sq, n, moments, cross, intra, inter) -> bool:
     """Whether the arguments are those the kernel takes."""
-    if not (_is(self_sq, "f", 2) and _is(n, "i", 1) and _is(cross, "f", 3) and _is(out, "f", 2)):
+    if not (
+        _is(self_sq, "f", 2) and _is(n, "i", 1) and _is(moments, "f", 2) and _is(cross, "f", 3)
+        and _is(intra, "f", 1, writable=True) and _is(inter, "f", 2, writable=True)
+    ):
         return False
     comps, k = self_sq.shape
     m = cross.shape[1] + 1
     return (
         n.shape == (k,)
+        and moments.shape == (k, comps)
         and cross.shape == (comps, m - 1, m - 1)
         and m <= k
-        and out.shape == (m * (m - 1) // 2, comps)
-        and out.flags.writeable
+        and intra.shape == (comps,)
+        and inter.shape == (m * (m - 1) // 2, comps)
     )
 
 
 @settings(max_examples=300, deadline=None)
-@given(args=_pair_args())
-def test_fuzz_pair_distances_sq_raises_or_is_the_oracle(args):
-    """``pair_distances_sq`` on arrays of random shape, dtype and layout:
-    arguments it does not take raise ValueError before any write; others
-    give ``reference.pair_distances_sq``'s kept rows and their count, or
-    the ValueError the oracle raises for a distance that is not finite.
-    ``self_sq``, ``n`` and ``cross`` are left as they were."""
-    held = {name: (a.dtype, a.shape, a.tobytes()) for name, a in args.items()}
-    fits = _pair_args_fit(*args.values())
+@given(args=_geometry_args())
+def test_fuzz_geometry_raises_or_is_the_oracle(args):
+    """``geometry`` on arrays of random shape, dtype and layout: arguments
+    it does not take raise ValueError before any write; others give
+    ``reference.pair_distances_sq``'s kept rows and their count and
+    ``reference.spread_sum``'s spreads (a NaN kept, a zero +0.0), or the
+    ValueError the oracle raises for a distance that is not finite, with
+    ``intra`` unwritten. ``self_sq``, ``n``, ``moments`` and ``cross`` are
+    left as they were."""
+    held = _held(args)
+    fits = _geometry_args_fit(*args.values())
+    self_sq, n, moments, cross = (args[name] for name in ("self_sq", "n", "moments", "cross"))
     try:
-        kept = kernel.pair_distances_sq(*args.values())
+        kept = kernel.geometry(*args.values())
     except ValueError as exc:
+        assert _held(args)["intra"] == held["intra"]
         if fits:
             assert str(exc) == "a squared distance is not finite"
             with np.errstate(all="ignore"), pytest.raises(ValueError, match=str(exc)):
-                reference.pair_distances_sq(args["self_sq"], args["n"], args["cross"])
+                reference.pair_distances_sq(self_sq, n, cross)
         else:
-            assert (args["out"].dtype, args["out"].shape, args["out"].tobytes()) == held["out"]
+            assert _held(args)["inter"] == held["inter"]
     else:
         assert fits
+        m = cross.shape[1] + 1
         with np.errstate(all="ignore"):
-            want = reference.pair_distances_sq(args["self_sq"], args["n"], args["cross"])
-        assert args["out"][:kept].tobytes() == want.tobytes()
-    for name in ("self_sq", "n", "cross"):
-        assert (args[name].dtype, args[name].shape, args[name].tobytes()) == held[name]
+            want = reference.pair_distances_sq(self_sq, n, cross)
+            spread = reference.spreads(moments[:m], self_sq[:, :m], n[:m])
+        assert args["inter"][:kept].tobytes() == want.tobytes()
+        # a NaN's sign and payload follow the order of each addition's operands
+        got, intra = args["intra"], reference.spread_sum(spread)
+        kept_nan = np.isnan(intra)
+        assert np.isnan(got).tolist() == kept_nan.tolist()
+        assert got[~kept_nan].tobytes() == intra[~kept_nan].tobytes()
+    assert {**_held(args), "intra": held["intra"], "inter": held["inter"]} == held
 
 
 # Words at the edges of uint64, where mult * x + add wraps mod 2**64

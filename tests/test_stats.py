@@ -315,36 +315,3 @@ def test_an_update_needs_a_live_slot_or_a_free_one(backend):
     assert bank.n.tolist() == [1, 1, 1, 1] and len(bank) == 4
     rejected(bank.absorb, (4, 9, -1))
     rejected(bank.reset, (4, 9, -1))
-
-
-@pytest.mark.parametrize("backend", sorted(_BANKS))
-@given(
-    sizes=st.lists(st.integers(1, 4), min_size=1, max_size=5),
-    integer=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_intra_sq_of_a_slice_is_its_slots_rows(backend, sizes, integer, seed):
-    """The rows of ``intra_sq`` on a slice of slots, which ``geometry``
-    sums, are bitwise what it gives each slot alone, as ``process`` reads
-    it."""
-    rng = np.random.default_rng(seed)
-    bank = _BANKS[backend](len(sizes))
-    vocab = [f"k{i}" for i in range(6)]
-    for members in sizes:
-        slot = None
-        for now in range(1, members + 1):
-            counts = rng.integers(0, 4, SCHEMA.d + 1)
-            ids = [k for c in counts for k in rng.choice(vocab, c, replace=False).tolist()]
-            size = len(ids)
-            values = rng.integers(1, 50, size) if integer else rng.uniform(0.0, 1e3, size)
-            view = cut_view(ids, values.tolist(), (0, *np.cumsum(counts).tolist()))
-            if slot is None:
-                slot = len(bank)
-                bank.reset(slot, view, now)
-            else:
-                bank.absorb(slot, view, now)
-    m = len(sizes)
-    rows = bank.intra_sq(slice(0, m))
-    assert rows.shape == (m, SCHEMA.d + 1)
-    for slot in range(m):
-        assert rows[slot].tobytes() == bank.intra_sq(slot).tobytes()
